@@ -1,8 +1,9 @@
 //! Gravity SIMD/caching baseline bench — the BENCH_gravity.json datapoint.
 //!
-//! Times the SoA fast-multipole kernels (`accel_for_leaf_with`) at every
-//! supported SIMD width against the scalar reference path, and a short
-//! driver run with the interaction-list cache on vs off. Results go to
+//! Times the two SoA fast-multipole kernels (`m2l_blocks`, `p2p_blocks`) at
+//! every supported SIMD width against the scalar reference path, each in
+//! nanoseconds per interaction, and a short driver run with the
+//! interaction-list cache on vs off. Results go to
 //! stdout (criterion-style lines) and, on a full run, to
 //! `BENCH_gravity.json` at the repo root so successive PRs accumulate a
 //! baseline series.
@@ -10,16 +11,9 @@
 //! `BENCH_SMOKE=1` runs one short iteration for CI (no timing assertions,
 //! no JSON write — smoke numbers must not clobber the committed baseline).
 
-use std::time::Instant;
-
-use octotiger::gravity::{self, GravityKernels, GravityWorkspace, InteractionCache, LeafScratch};
-use octotiger::kernel_backend::{Dispatch, KernelType, SimdPolicy};
+use octotiger::kernel_backend::{KernelType, SimdPolicy};
 use octotiger::{Driver, OctoConfig};
-
-struct KernelPoint {
-    label: String,
-    ns_per_sweep: f64,
-}
+use repro_bench::gravity_kernel_sweeps;
 
 struct DriverPoint {
     cache: bool,
@@ -55,71 +49,6 @@ fn batch_size() -> usize {
         .unwrap_or(16)
 }
 
-/// Best (min) wall time of `iters` full-tree FMM sweeps per policy, with
-/// the policies interleaved iteration-by-iteration (the `time_step_modes`
-/// methodology from bench_hydro): ambient drift — frequency scaling,
-/// background load — hits every width equally instead of penalizing
-/// whichever policy happens to be timed last, and min filters OS
-/// scheduling noise, so narrow width-vs-width gaps (W8 vs W4 on
-/// single-FMA-unit AVX-512 parts) reflect intrinsic kernel cost.
-fn time_kernel_sweeps(driver: &Driver, policies: &[SimdPolicy], iters: u32) -> Vec<KernelPoint> {
-    let tree = driver.tree();
-    let blocks: Vec<gravity::BlockSoA> = tree
-        .leaf_ids()
-        .iter()
-        .map(|&l| gravity::compute_blocks(tree.subgrid(l)))
-        .collect();
-    let mut ws = GravityWorkspace::new();
-    ws.upward_pass(tree, &blocks);
-    let mut cache = InteractionCache::new();
-    cache.ensure(tree, &ws.moments, driver.config().theta);
-    let lists = cache.lists();
-    // Legacy dispatch = inline serial execution: the measurement isolates
-    // the kernels from task-scheduling noise.
-    let d = Dispatch::Legacy;
-    let mut scratch = LeafScratch::new();
-    let mut sweep = |policy: SimdPolicy| {
-        let kernels = GravityKernels {
-            multipole: &d,
-            monopole: &d,
-            simd: policy,
-        };
-        for &leaf in tree.leaf_ids() {
-            let (far, near) = &lists[ws.leaf_pos[leaf]];
-            std::hint::black_box(gravity::accel_for_leaf_with(
-                tree,
-                &ws.moments,
-                &blocks,
-                &ws.leaf_pos,
-                leaf,
-                far,
-                near,
-                &kernels,
-                &mut scratch,
-            ));
-        }
-    };
-    for &p in policies {
-        sweep(p); // warm-up
-    }
-    let mut best = vec![f64::INFINITY; policies.len()];
-    for _ in 0..iters {
-        for (i, &p) in policies.iter().enumerate() {
-            let start = Instant::now();
-            sweep(p);
-            best[i] = best[i].min(start.elapsed().as_nanos() as f64);
-        }
-    }
-    policies
-        .iter()
-        .zip(best)
-        .map(|(p, ns)| KernelPoint {
-            label: p.label(),
-            ns_per_sweep: ns,
-        })
-        .collect()
-}
-
 /// One short driver run; reports wall time, cache and aggregation counters.
 fn time_driver(level: u32, steps: u32, cache: bool, host_tasks: usize) -> DriverPoint {
     let mut driver = Driver::new(bench_config(level, steps, cache, host_tasks));
@@ -150,20 +79,11 @@ fn main() {
         SimdPolicy::Width(4),
         SimdPolicy::Width(8),
     ];
-    let kernel_points = time_kernel_sweeps(&driver, &policies, iters);
+    let kernel_points = gravity_kernel_sweeps(&driver, &policies, iters);
     for p in &kernel_points {
         println!(
-            "gravity-simd/fmm_sweep/{}: min {:.2} µs",
-            p.label,
-            p.ns_per_sweep / 1e3
-        );
-    }
-    let scalar_ns = kernel_points[0].ns_per_sweep;
-    for p in &kernel_points[1..] {
-        println!(
-            "gravity-simd/speedup/{}: {:.2}x vs scalar",
-            p.label,
-            scalar_ns / p.ns_per_sweep
+            "gravity-simd/{}: p2p {:.3} ns/interaction, m2l {:.3} ns/interaction",
+            p.label, p.p2p_ns_per_interaction, p.m2l_ns_per_interaction
         );
     }
 
@@ -196,10 +116,8 @@ fn main() {
         .iter()
         .map(|p| {
             format!(
-                "    {{\"policy\": \"{}\", \"ns_per_sweep\": {:.0}, \"speedup_vs_scalar\": {:.3}}}",
-                p.label,
-                p.ns_per_sweep,
-                scalar_ns / p.ns_per_sweep
+                "    {{\"policy\": \"{}\", \"p2p_ns_per_interaction\": {:.3}, \"m2l_ns_per_interaction\": {:.3}}}",
+                p.label, p.p2p_ns_per_interaction, p.m2l_ns_per_interaction
             )
         })
         .collect();

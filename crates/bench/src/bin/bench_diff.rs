@@ -18,7 +18,13 @@
 //!   just train people to ignore the gate;
 //! * **lower-bound metrics** (gravity/hydro overlap ratio) must not fall
 //!   more than a fixed slack below the baseline — the futurized task graph
-//!   overlapping phases is structural, not ISA-dependent.
+//!   overlapping phases is structural, not ISA-dependent;
+//! * **the M2L vector gate**: in the committed gravity baseline and in a
+//!   fresh sweep of this build, the `simd4` M2L kernel must be at least
+//!   [`M2L_SIMD4_MIN_SPEEDUP`]× faster per interaction than `simd1` whenever
+//!   the build has AVX2 or wider — a ratio within one run, so machine speed
+//!   cancels. (Before `Simd<4>` got a real `ymm` backend, `simd4` M2L was
+//!   *slower* than `simd1`; that must not come back silently.)
 //!
 //! `BENCH_trace_overhead.json` is checked for internal consistency only
 //! (overhead within budget, zero disabled-path allocations): its numbers
@@ -34,8 +40,9 @@ use std::time::Instant;
 
 use amt::Runtime;
 use apex_lite::json::{self, Value};
-use octotiger::kernel_backend::{self, KernelType};
+use octotiger::kernel_backend::{self, KernelType, SimdPolicy};
 use octotiger::{Driver, OctoConfig};
+use repro_bench::gravity_kernel_sweeps;
 
 /// Default allowed slowdown for timing metrics. Baselines are min-of-many
 /// on an idle machine; a fresh single run on a loaded CI box needs slack,
@@ -44,6 +51,10 @@ const DEFAULT_TOLERANCE: f64 = 1.75;
 
 /// Allowed drop in overlap ratio below the baseline.
 const OVERLAP_SLACK: f64 = 0.25;
+
+/// Least `simd1 ÷ simd4` M2L time per interaction on an AVX2-or-wider
+/// build (measured 3.1× at level 2).
+const M2L_SIMD4_MIN_SPEEDUP: f64 = 2.0;
 
 #[derive(Clone, Copy, PartialEq)]
 enum Class {
@@ -289,6 +300,38 @@ fn scale_point(level: u32, steps: u32, threads: usize) -> ScalePoint {
 // Per-baseline diffs
 // ---------------------------------------------------------------------------
 
+/// The M2L vector gate on one pair of per-interaction times.
+fn judge_m2l_speedup(tag: &str, isa: &str, simd1_ns: f64, simd4_ns: f64, report: &mut Report) {
+    if !["avx2", "avx512f"].contains(&isa) {
+        report.skipped += 1;
+        report.notices.push(format!(
+            "{tag}: M2L vector gate skipped — built for {isa}, no 4-lane backend"
+        ));
+        return;
+    }
+    report.compared += 1;
+    let speedup = simd1_ns / simd4_ns;
+    if speedup < M2L_SIMD4_MIN_SPEEDUP {
+        report.failures.push(format!(
+            "{tag}: simd4 M2L only {speedup:.2}x faster than simd1 ({simd4_ns:.3} vs \
+             {simd1_ns:.3} ns/interaction, need {M2L_SIMD4_MIN_SPEEDUP:.1}x on {isa}) — \
+             the kernel is not running on vector registers"
+        ));
+    }
+}
+
+/// `m2l_ns_per_interaction` of `policy` in the baseline's kernel sweeps.
+fn baseline_m2l_ns(doc: &Value, policy: &str) -> Result<f64, String> {
+    doc.get("kernel_sweeps")
+        .and_then(Value::as_arr)
+        .and_then(|rows| {
+            rows.iter()
+                .find(|r| r.get("policy").and_then(Value::as_str) == Some(policy))
+        })
+        .ok_or_else(|| format!("baseline kernel_sweeps lacks policy {policy:?}"))
+        .and_then(|row| get_f64(row, "m2l_ns_per_interaction"))
+}
+
 fn diff_gravity(doc: &Value, tolerance: f64, report: &mut Report) -> Result<(), String> {
     let timing_skip = timing_skip_reason(doc);
     if let Some(why) = &timing_skip {
@@ -296,10 +339,36 @@ fn diff_gravity(doc: &Value, tolerance: f64, report: &mut Report) -> Result<(), 
             .notices
             .push(format!("gravity: timing metrics skipped — {why}"));
     }
-    report.notices.push(
-        "gravity: kernel sweep timings are gated by the full bench_gravity run, not here".into(),
-    );
     let level = get_f64(doc, "tree_level")? as u32;
+    judge_m2l_speedup(
+        "gravity/baseline",
+        doc.get("compiled_simd_isa")
+            .and_then(Value::as_str)
+            .unwrap_or("unknown"),
+        baseline_m2l_ns(doc, "simd1")?,
+        baseline_m2l_ns(doc, "simd4")?,
+        report,
+    );
+    if cfg!(debug_assertions) {
+        report.skipped += 1;
+        report
+            .notices
+            .push("gravity/fresh: M2L vector gate skipped — unoptimized build".into());
+    } else {
+        let driver = Driver::new(OctoConfig {
+            max_level: level,
+            ..OctoConfig::with_all_kernels(KernelType::KokkosSerial)
+        });
+        let fresh =
+            gravity_kernel_sweeps(&driver, &[SimdPolicy::Width(1), SimdPolicy::Width(4)], 3);
+        judge_m2l_speedup(
+            "gravity/fresh",
+            kernel_backend::compiled_simd_isa(),
+            fresh[0].m2l_ns_per_interaction,
+            fresh[1].m2l_ns_per_interaction,
+            report,
+        );
+    }
     let steps = get_f64(doc, "steps")? as u32;
     let runs = doc
         .get("driver_runs")
@@ -462,7 +531,7 @@ fn diff_trace_overhead(doc: &Value, report: &mut Report) -> Result<(), String> {
 fn self_test(tolerance: f64) -> Result<(), String> {
     let baseline = [
         ("t/seconds", 0.35, Class::Timing),
-        ("t/ns_per_sweep", 44_777_696.0, Class::Timing),
+        ("t/m2l_ns_per_interaction", 1.9, Class::Timing),
         ("t/hits", 3.0, Class::Count),
         ("t/overlap", 0.94, Class::LowerBound(OVERLAP_SLACK)),
     ];
@@ -533,7 +602,22 @@ fn self_test(tolerance: f64) -> Result<(), String> {
             drift.failures
         ));
     }
-    println!("bench_diff --self-test: OK (identity passes, 2x slowdown flagged, ISA skip honored)");
+
+    // The M2L vector gate: flagged on a vector build, skipped on a scalar one.
+    let mut gate = Report::new();
+    judge_m2l_speedup("t", "avx2", 5.8, 1.9, &mut gate);
+    judge_m2l_speedup("t", "avx512f", 5.8, 6.4, &mut gate);
+    judge_m2l_speedup("t", "sse2", 5.8, 6.4, &mut gate);
+    if gate.failures.len() != 1 || gate.compared != 2 || gate.skipped != 1 {
+        return Err(format!(
+            "M2L vector gate should pass 3.1x, flag 0.9x and skip sse2, got {:?}",
+            gate.failures
+        ));
+    }
+    println!(
+        "bench_diff --self-test: OK (identity passes, 2x slowdown flagged, ISA skip honored, \
+         M2L vector gate trips)"
+    );
     Ok(())
 }
 

@@ -11,13 +11,16 @@
 //! * [`space::Serial`] and [`space::HpxSpace`] — the two CPU execution
 //!   spaces of the paper's Fig. 7: inline execution vs splitting each kernel
 //!   into `amt` tasks (with the tasks-per-kernel knob of §3.2);
-//! * [`simd::Simd`] — portable SIMD packs; `Simd<1>` is the scalar fallback
-//!   the V-extension-less RISC-V boards compile to.
+//! * [`simd::Simd`] — portable SIMD packs with compile-time AVX2 / AVX-512
+//!   backends; `Simd<1>` is the scalar fallback the V-extension-less RISC-V
+//!   boards compile to.
 //!
 //! Porting note mirrored from §5: Kokkos itself needed *no* code changes for
-//! RISC-V, only build-system architecture detection — correspondingly, this
-//! crate contains no architecture-specific code; the target architecture
-//! only enters through `rv_machine::CpuArch` in [`simd::natural_width`].
+//! RISC-V, only build-system architecture detection — correspondingly, the
+//! only architecture-specific code of this crate is the pair of x86 SIMD
+//! backends inside [`simd`], which a RISC-V build does not compile; the
+//! target architecture otherwise enters only through `rv_machine::CpuArch`
+//! in [`simd::natural_width`].
 
 pub mod parallel;
 pub mod policy;

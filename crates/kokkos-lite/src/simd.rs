@@ -2,15 +2,173 @@
 //! HPX-SIMD-types layer the paper's related work integrates for A64FX
 //! (SVE) and x86 (AVX) kernels.
 //!
-//! [`Simd<W>`] is a fixed-width pack of `f64` lanes whose operations are
-//! plain element-wise loops (LLVM vectorizes them on the host). The width a
-//! *target* architecture would use comes from [`natural_width`]: 8 for
-//! A64FX/Skylake AVX-512, 4 for the EPYC's AVX2, and **1 for the RISC-V
-//! boards**, which implement neither the V nor the P extension — the
-//! scalar-fallback case the paper highlights. On GPUs Kokkos maps the same
-//! type to scalars; `Simd<1>` is exactly that degenerate pack.
+//! [`Simd<W>`] is a fixed-width pack of `f64` lanes stored as a plain
+//! `[f64; W]`. Its arithmetic is chosen at compile time, the way Kokkos
+//! SIMD picks an ABI: where the build enables AVX2+FMA a `Simd<4>` operation
+//! is one `ymm` instruction, where it enables AVX-512F a `Simd<8>` operation
+//! is one `zmm` instruction, and every other width and target runs the
+//! element-wise loops of [`lanes`] — the scalar fallback. Nothing is
+//! selected at run time.
+//!
+//! **Bitwise contract.** A backend operation is the same IEEE-754 operation
+//! per lane as its [`lanes`] loop (`add`, `mul`, `div`, `sqrt`, fused
+//! multiply-add, sign flip), so a kernel's result does not depend on which
+//! one was compiled in; a property test pins every backend operation to the
+//! lane loop bit for bit, NaN, infinities, subnormals and signed zeros
+//! included. Operations whose vector instruction differs from the `f64`
+//! method on those inputs (`min`, `max`) or that gain nothing (`abs`,
+//! compares, `select`, the ordered horizontal sums) stay lane loops. All
+//! `unsafe` of the SIMD layer is the two blocks of `backend_op!` below.
+//!
+//! The width a *target* architecture would use comes from
+//! [`natural_width`]: 8 for A64FX/Skylake AVX-512, 4 for the EPYC's AVX2,
+//! and **1 for the RISC-V boards**, which implement neither the V nor the P
+//! extension — the scalar-fallback case the paper highlights. On GPUs Kokkos
+//! maps the same type to scalars; `Simd<1>` is exactly that degenerate pack.
 
 use rv_machine::CpuArch;
+
+/// Element-wise reference loops: the fallback every width and target
+/// without a backend runs, and what the backends are tested against.
+mod lanes {
+    #[inline(always)]
+    fn zip<const W: usize>(a: [f64; W], b: [f64; W], f: impl Fn(f64, f64) -> f64) -> [f64; W] {
+        std::array::from_fn(|i| f(a[i], b[i]))
+    }
+
+    #[inline(always)]
+    pub fn add<const W: usize>(a: [f64; W], b: [f64; W]) -> [f64; W] {
+        zip(a, b, |x, y| x + y)
+    }
+
+    #[inline(always)]
+    pub fn sub<const W: usize>(a: [f64; W], b: [f64; W]) -> [f64; W] {
+        zip(a, b, |x, y| x - y)
+    }
+
+    #[inline(always)]
+    pub fn mul<const W: usize>(a: [f64; W], b: [f64; W]) -> [f64; W] {
+        zip(a, b, |x, y| x * y)
+    }
+
+    #[inline(always)]
+    pub fn div<const W: usize>(a: [f64; W], b: [f64; W]) -> [f64; W] {
+        zip(a, b, |x, y| x / y)
+    }
+
+    #[inline(always)]
+    pub fn neg<const W: usize>(a: [f64; W]) -> [f64; W] {
+        a.map(|x| -x)
+    }
+
+    #[inline(always)]
+    pub fn sqrt<const W: usize>(a: [f64; W]) -> [f64; W] {
+        a.map(f64::sqrt)
+    }
+
+    #[inline(always)]
+    pub fn recip_sqrt<const W: usize>(a: [f64; W]) -> [f64; W] {
+        a.map(|x| 1.0 / x.sqrt())
+    }
+
+    /// `a * b + c`, fused only where the target has FMA hardware — without
+    /// it `f64::mul_add` lowers to a libm call an order of magnitude slower
+    /// than mul+add, which would make every "vectorized" kernel lose to its
+    /// scalar reference.
+    #[inline(always)]
+    pub fn mul_add<const W: usize>(a: [f64; W], b: [f64; W], c: [f64; W]) -> [f64; W] {
+        std::array::from_fn(|i| {
+            if cfg!(target_feature = "fma") {
+                a[i].mul_add(b[i], c[i])
+            } else {
+                a[i] * b[i] + c[i]
+            }
+        })
+    }
+}
+
+/// The 4-lane backend: one `ymm` instruction per operation.
+#[cfg(all(
+    target_arch = "x86_64",
+    target_feature = "avx2",
+    target_feature = "fma"
+))]
+mod avx2 {
+    use core::arch::x86_64::*;
+    pub use core::arch::x86_64::{
+        _mm256_add_pd as add, _mm256_div_pd as div, _mm256_fmadd_pd as mul_add,
+        _mm256_loadu_pd as load, _mm256_mul_pd as mul, _mm256_sqrt_pd as sqrt,
+        _mm256_storeu_pd as store, _mm256_sub_pd as sub,
+    };
+
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    pub fn neg(a: __m256d) -> __m256d {
+        _mm256_xor_pd(a, _mm256_set1_pd(-0.0))
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    pub fn recip_sqrt(a: __m256d) -> __m256d {
+        _mm256_div_pd(_mm256_set1_pd(1.0), _mm256_sqrt_pd(a))
+    }
+}
+
+/// The 8-lane backend: one `zmm` instruction per operation.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+mod avx512 {
+    use core::arch::x86_64::*;
+    pub use core::arch::x86_64::{
+        _mm512_add_pd as add, _mm512_div_pd as div, _mm512_fmadd_pd as mul_add,
+        _mm512_loadu_pd as load, _mm512_mul_pd as mul, _mm512_sqrt_pd as sqrt,
+        _mm512_storeu_pd as store, _mm512_sub_pd as sub,
+    };
+
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    pub fn neg(a: __m512d) -> __m512d {
+        // AVX-512F has no f64 xor; the integer one flips the same bit.
+        _mm512_castsi512_pd(_mm512_xor_si512(
+            _mm512_castpd_si512(a),
+            _mm512_castpd_si512(_mm512_set1_pd(-0.0)),
+        ))
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    pub fn recip_sqrt(a: __m512d) -> __m512d {
+        _mm512_div_pd(_mm512_set1_pd(1.0), _mm512_sqrt_pd(a))
+    }
+}
+
+/// `backend_op!(op(a, b, ..))`: the `[f64; W]` result of lane-wise `op` on
+/// the arrays `a, b, ..` — through the ISA backend compiled in for this `W`
+/// (unaligned load, one instruction, unaligned store; the round trip through
+/// the array folds away once inlined), through [`lanes`] otherwise. `W` is a
+/// const, so the test costs nothing.
+macro_rules! backend_op {
+    ($op:ident($($arg:expr),+)) => {{
+        #[cfg(all(target_arch = "x86_64", target_feature = "avx2", target_feature = "fma"))]
+        if W == 4 {
+            let mut out = [0.0; W];
+            // SAFETY: the cfg makes AVX2 and FMA part of this build's
+            // baseline, so every CPU the binary may run on has the
+            // instructions; and `W == 4`, so each array is exactly the four
+            // f64 the unaligned load reads and the unaligned store writes.
+            unsafe { avx2::store(out.as_mut_ptr(), avx2::$op($(avx2::load($arg.as_ptr())),+)) };
+            return Simd(out);
+        }
+        #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+        if W == 8 {
+            let mut out = [0.0; W];
+            // SAFETY: as above with AVX-512F and `W == 8`: eight f64 per
+            // array, no alignment requirement.
+            unsafe { avx512::store(out.as_mut_ptr(), avx512::$op($(avx512::load($arg.as_ptr())),+)) };
+            return Simd(out);
+        }
+        Simd(lanes::$op($($arg),+))
+    }};
+}
 
 /// Pack of `W` f64 lanes.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -135,24 +293,10 @@ impl<const W: usize> Simd<W> {
     }
 
     /// Multiply-add: `self * b + c` per lane. Fused (single-rounding) only
-    /// when the target actually has FMA hardware — on targets without it,
-    /// `f64::mul_add` lowers to a libm call that is an order of magnitude
-    /// slower than mul+add, which would make every "vectorized" kernel
-    /// lose to its scalar reference.
-    #[inline]
+    /// when the target actually has FMA hardware.
+    #[inline(always)]
     pub fn mul_add(self, b: Self, c: Self) -> Self {
-        let mut out = self.0;
-        for (o, (b, c)) in out.iter_mut().zip(b.0.iter().zip(c.0.iter())) {
-            #[cfg(target_feature = "fma")]
-            {
-                *o = o.mul_add(*b, *c);
-            }
-            #[cfg(not(target_feature = "fma"))]
-            {
-                *o = *o * *b + *c;
-            }
-        }
-        Simd(out)
+        backend_op!(mul_add(self.0, b.0, c.0))
     }
 
     /// Horizontal sum of all lanes.
@@ -228,59 +372,45 @@ impl<const W: usize> Simd<W> {
     }
 
     /// Lane-wise square root.
-    #[inline]
+    #[inline(always)]
     pub fn sqrt(self) -> Self {
-        let mut out = self.0;
-        for o in out.iter_mut() {
-            *o = o.sqrt();
-        }
-        Simd(out)
+        backend_op!(sqrt(self.0))
     }
 
-    /// Lane-wise reciprocal square root, composed from `sqrt` + divide —
-    /// none of the paper's CPUs expose a full-precision `rsqrt` instruction
-    /// for f64, so this is exactly what the SVE/AVX kernels compile to
-    /// (the gravity kernels' `1/r` building block).
-    #[inline]
+    /// Lane-wise reciprocal square root: the correctly rounded `sqrt`
+    /// followed by the correctly rounded `1.0 / x` (one `vsqrtpd` and one
+    /// `vdivpd` in the backends), so the gravity kernels' `1/r` has the same
+    /// bits at every width. The divider is what bounds P2P; a Newton
+    /// `rsqrt` from the f32/`rsqrt14` estimate is faster at W ≥ 4 but
+    /// rounds differently (EXPERIMENTS.md, "Gravity kernel codegen").
+    #[inline(always)]
     pub fn recip_sqrt(self) -> Self {
-        let mut out = self.0;
-        for o in out.iter_mut() {
-            *o = 1.0 / o.sqrt();
-        }
-        Simd(out)
+        backend_op!(recip_sqrt(self.0))
     }
 }
 
 macro_rules! impl_binop {
-    ($trait:ident, $method:ident, $op:tt) => {
+    ($trait:ident, $method:ident) => {
         impl<const W: usize> std::ops::$trait for Simd<W> {
             type Output = Self;
-            #[inline]
+            #[inline(always)]
             fn $method(self, rhs: Self) -> Self {
-                let mut out = [0.0; W];
-                for i in 0..W {
-                    out[i] = self.0[i] $op rhs.0[i];
-                }
-                Simd(out)
+                backend_op!($method(self.0, rhs.0))
             }
         }
     };
 }
 
-impl_binop!(Add, add, +);
-impl_binop!(Sub, sub, -);
-impl_binop!(Mul, mul, *);
-impl_binop!(Div, div, /);
+impl_binop!(Add, add);
+impl_binop!(Sub, sub);
+impl_binop!(Mul, mul);
+impl_binop!(Div, div);
 
 impl<const W: usize> std::ops::Neg for Simd<W> {
     type Output = Self;
-    #[inline]
+    #[inline(always)]
     fn neg(self) -> Self {
-        let mut out = self.0;
-        for o in out.iter_mut() {
-            *o = -*o;
-        }
-        Simd(out)
+        backend_op!(neg(self.0))
     }
 }
 
@@ -354,6 +484,83 @@ mod tests {
         assert_eq!(r.reduce_sum(), 52.0);
         assert_eq!(r.reduce_max(), 31.0);
         assert_eq!(a.max(Simd([5.0, 1.0])).0, [5.0, 3.0]);
+    }
+
+    /// Every operation with an ISA backend against its lane loop, bit for
+    /// bit. Only a build that enables the backend (`-C target-cpu=native` on
+    /// an AVX2 / AVX-512 host: the CI's native step, the benchmark, the
+    /// full bench runs) compares two different code paths here; elsewhere
+    /// both sides are the lane loop.
+    fn backend_ops_equal_lane_loops<const W: usize>() {
+        const SPECIAL: [f64; 12] = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::MIN_POSITIVE,
+            5e-324,
+            -2.5e-310,
+            f64::MAX,
+            f64::EPSILON,
+        ];
+        // SplitMix64: every lane is a special value, any finite/infinite bit
+        // pattern, or an O(1) number (where sums and products stay finite).
+        let mut state = 0x9e37_79b9_7f4a_7c15u64 ^ W as u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let mut lane = move || {
+            let r = next();
+            match r % 4 {
+                0 => SPECIAL[(r >> 8) as usize % SPECIAL.len()],
+                // One NaN payload only: which operand's payload an
+                // instruction propagates is not part of the contract.
+                1 => Some(f64::from_bits(next()))
+                    .filter(|x| !x.is_nan())
+                    .unwrap_or(f64::NAN),
+                _ => (next() >> 11) as f64 / (1u64 << 53) as f64 * 20.0 - 10.0,
+            }
+        };
+        let check = |op: &str, got: Simd<W>, want: [f64; W], inputs: &[Simd<W>]| {
+            assert_eq!(
+                got.0.map(f64::to_bits),
+                want.map(f64::to_bits),
+                "W={W} {op}: backend {got:?} vs lanes {want:?} on {inputs:?}"
+            );
+        };
+        for _ in 0..20_000 {
+            let a = Simd::<W>(std::array::from_fn(|_| lane()));
+            let b = Simd::<W>(std::array::from_fn(|_| lane()));
+            let c = Simd::<W>(std::array::from_fn(|_| lane()));
+            check("add", a + b, lanes::add(a.0, b.0), &[a, b]);
+            check("sub", a - b, lanes::sub(a.0, b.0), &[a, b]);
+            check("mul", a * b, lanes::mul(a.0, b.0), &[a, b]);
+            check("div", a / b, lanes::div(a.0, b.0), &[a, b]);
+            check("neg", -a, lanes::neg(a.0), &[a]);
+            check("sqrt", a.sqrt(), lanes::sqrt(a.0), &[a]);
+            check("recip_sqrt", a.recip_sqrt(), lanes::recip_sqrt(a.0), &[a]);
+            check(
+                "mul_add",
+                a.mul_add(b, c),
+                lanes::mul_add(a.0, b.0, c.0),
+                &[a, b, c],
+            );
+        }
+    }
+
+    #[test]
+    fn backend_ops_are_bitwise_the_lane_loops() {
+        backend_ops_equal_lane_loops::<4>();
+        backend_ops_equal_lane_loops::<8>();
+        // A width without a backend goes through the same entry points.
+        backend_ops_equal_lane_loops::<2>();
     }
 
     #[test]

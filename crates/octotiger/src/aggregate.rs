@@ -18,9 +18,9 @@
 //!   into a single fused [`FarField`] (per-leaf sub-ranges addressed via
 //!   [`FarField::range_view`], each segment padded to `SIMD_PAD` with
 //!   sentinel rows so ragged-tail handling lands exactly on leaf
-//!   boundaries without predicated loads) and its near-field `BlockSoA`
-//!   sources into one mega-stream, then solves every leaf of the batch
-//!   inside one task.
+//!   boundaries without predicated loads), then solves every leaf of the
+//!   batch inside one task. The near field needs no gather: its sources
+//!   are whole `BlockSoA`s, which the P2P kernel sweeps where they lie.
 //! * [`run_cfl_batch`] / [`run_p2m_batch`] / [`run_hydro_batch`] batch
 //!   the remaining per-leaf families; the hydro batch writes all leaves
 //!   into one fused state buffer (a batch-sized
@@ -216,9 +216,8 @@ pub fn launch_span(cap: usize) -> Option<SpanGuard> {
 }
 
 /// Reusable buffers for one gravity batch: the fused far table with
-/// per-leaf sub-ranges, the fused near-source mega-stream (whole
-/// [`BlockSoA`]s back to back, `near.len() × BLOCKS` lanes per leaf), and
-/// the per-block accumulators. All grow-only, recycled via
+/// per-leaf sub-ranges and the per-block accumulators. All grow-only,
+/// recycled via
 /// [`BatchScratchPool`] — the batch-sized analogue of the per-leaf
 /// [`LeafScratch`](crate::gravity::LeafScratch).
 #[derive(Default)]
@@ -227,16 +226,6 @@ pub struct BatchScratch {
     pub far: FarField,
     /// Per-leaf `(start, len)` source ranges into `far`, batch order.
     pub far_ranges: Vec<(usize, usize)>,
-    /// Fused near-field source masses (concatenated `BlockSoA.mass`).
-    pub near_mass: Vec<f64>,
-    /// Fused near-field source x (concatenated `BlockSoA.x`).
-    pub near_x: Vec<f64>,
-    /// Fused near-field source y.
-    pub near_y: Vec<f64>,
-    /// Fused near-field source z.
-    pub near_z: Vec<f64>,
-    /// Per-leaf `(start, len)` lane ranges into the near stream.
-    pub near_ranges: Vec<(usize, usize)>,
     /// Far-field acceleration per block of the leaf being solved.
     block_acc: Vec<[f64; 3]>,
     /// Near-field acceleration per block of the leaf being solved.
@@ -256,11 +245,6 @@ impl BatchScratch {
     fn clear(&mut self) {
         self.far.clear();
         self.far_ranges.clear();
-        self.near_mass.clear();
-        self.near_x.clear();
-        self.near_y.clear();
-        self.near_z.clear();
-        self.near_ranges.clear();
         self.block_acc.resize(BLOCKS, [0.0; 3]);
         self.near_acc.resize(BLOCKS, [0.0; 3]);
     }
@@ -342,108 +326,43 @@ impl GravityBatchCtx<'_> {
     }
 }
 
-/// Gather one batch's sources into fused streams: the far tables
-/// concatenated into one [`FarField`] and/or the near `BlockSoA`s
-/// concatenated into one SoA mega-stream, with per-leaf sub-ranges
-/// recorded in batch order.
-fn gather_batch(
-    ctx: &GravityBatchCtx<'_>,
-    batch: &[usize],
-    scratch: &mut BatchScratch,
-    want_far: bool,
-    want_near: bool,
-) {
+/// Gather one batch's far tables into one fused [`FarField`], with per-leaf
+/// sub-ranges recorded in batch order. Every segment is padded, so segments
+/// stay SIMD_PAD-aligned with sentinel rows in between and each sub-range
+/// view full-loads its ragged tail instead of predicating it.
+fn gather_far(ctx: &GravityBatchCtx<'_>, batch: &[usize], scratch: &mut BatchScratch) {
     for &idx in batch {
-        let (far, near) = ctx.lists_for(idx);
-        if want_far {
-            // Segments start at the padded storage offset: `pad_to_simd`
-            // after each leaf keeps every segment SIMD_PAD-aligned with
-            // sentinel rows in between, so each sub-range view full-loads
-            // its ragged tail instead of predicating it.
-            let start = scratch.far.storage_len();
-            for &src in far {
-                scratch.far.push(&ctx.moments[src]);
-            }
-            scratch.far_ranges.push((start, far.len()));
-            scratch.far.pad_to_simd();
-        }
-        if want_near {
-            let start = scratch.near_mass.len();
-            for &src_leaf in near {
-                let sb = &ctx.blocks[ctx.leaf_pos[src_leaf]];
-                scratch.near_mass.extend_from_slice(&sb.mass);
-                scratch.near_x.extend_from_slice(&sb.x);
-                scratch.near_y.extend_from_slice(&sb.y);
-                scratch.near_z.extend_from_slice(&sb.z);
-            }
-            scratch.near_ranges.push((start, near.len() * BLOCKS));
-        }
+        let (far, _) = ctx.lists_for(idx);
+        let start = scratch.far.push_segment(ctx.moments, far);
+        scratch.far_ranges.push((start, far.len()));
     }
 }
 
-/// M2L for the `k`-th leaf of a gathered batch: the same multipole fill
+/// M2L for the `k`-th leaf of a gathered batch: the same multipole kernel
 /// the per-leaf path runs, pointed at this leaf's sub-range view of the
 /// fused far table (padded tail at the leaf boundary). Writes
 /// `scratch.block_acc`.
 fn m2l_for_leaf(ctx: &GravityBatchCtx<'_>, scratch: &mut BatchScratch, k: usize, idx: usize) {
     let tb = &ctx.blocks[ctx.leaf_pos[ctx.leaves[idx]]];
-    let BatchScratch {
-        far,
-        far_ranges,
-        block_acc,
-        ..
-    } = scratch;
-    let (start, len) = far_ranges[k];
-    let ffv = far.range_view(start, len);
-    let _span = trace::span(Cat::Gravity, "m2l");
-    ctx.kernels.multipole.fill(&mut block_acc[..], |b| {
-        gravity::multipole_accel_view(ctx.kernels.simd, tb.com(b), ffv)
-    });
+    let (start, len) = scratch.far_ranges[k];
+    let ffv = scratch.far.range_view(start, len);
+    gravity::m2l_blocks(ctx.kernels, tb, ffv, &mut scratch.block_acc);
 }
 
-/// P2P for the `k`-th leaf of a gathered batch: stream this leaf's lane
-/// range of the near mega-stream in `BLOCKS`-lane segments — one segment
-/// per source leaf, in list order, so the accumulation order (and hence
-/// every rounding) matches the per-leaf path exactly. `BLOCKS` is a
-/// multiple of every supported width, so segments never split a pack.
-/// Writes `scratch.near_acc`.
-fn p2p_for_leaf(ctx: &GravityBatchCtx<'_>, scratch: &mut BatchScratch, k: usize, idx: usize) {
+/// P2P for one leaf: the per-leaf path's in-place sweep over the near
+/// list's blocks. Writes `scratch.near_acc`.
+fn p2p_for_leaf(ctx: &GravityBatchCtx<'_>, scratch: &mut BatchScratch, idx: usize) {
     let target = ctx.leaves[idx];
-    let tb = &ctx.blocks[ctx.leaf_pos[target]];
     let (_, dx) = ctx.tree.node_geometry(target);
-    let eps = gravity::softening(dx);
-    let BatchScratch {
-        near_mass,
-        near_x,
-        near_y,
-        near_z,
-        near_ranges,
-        near_acc,
-        ..
-    } = scratch;
-    let (start, len) = near_ranges[k];
-    let _span = trace::span(Cat::Gravity, "p2p");
-    ctx.kernels.monopole.fill(&mut near_acc[..], |b| {
-        let p = tb.com(b);
-        let mut a = [0.0; 3];
-        let mut off = start;
-        while off < start + len {
-            let da = gravity::monopole_accel_soa(
-                ctx.kernels.simd,
-                p,
-                &near_mass[off..off + BLOCKS],
-                &near_x[off..off + BLOCKS],
-                &near_y[off..off + BLOCKS],
-                &near_z[off..off + BLOCKS],
-                eps,
-            );
-            a[0] += da[0];
-            a[1] += da[1];
-            a[2] += da[2];
-            off += BLOCKS;
-        }
-        a
-    });
+    gravity::p2p_blocks(
+        ctx.kernels,
+        ctx.blocks,
+        ctx.leaf_pos,
+        &ctx.blocks[ctx.leaf_pos[target]],
+        &ctx.lists_for(idx).1,
+        gravity::softening(dx),
+        &mut scratch.near_acc,
+    );
 }
 
 fn accel_entry(ctx: &GravityBatchCtx<'_>, idx: usize, acc: Vec<[f64; 3]>) -> AccelEntry {
@@ -465,12 +384,12 @@ pub fn run_unified_gravity_batch(
     out: &[AccelSlot],
 ) {
     let mut scratch = ctx.scratch.take();
-    gather_batch(ctx, batch, &mut scratch, true, true);
+    gather_far(ctx, batch, &mut scratch);
     for (k, &idx) in batch.iter().enumerate() {
         let t0 = trace::now_ns();
         let _span = per_leaf_spans.then(|| trace::span(Cat::Phase, "gravity_solve"));
         m2l_for_leaf(ctx, &mut scratch, k, idx);
-        p2p_for_leaf(ctx, &mut scratch, k, idx);
+        p2p_for_leaf(ctx, &mut scratch, idx);
         let acc = gravity::scatter_block_accel(&scratch.block_acc, &scratch.near_acc);
         *out[idx].lock().expect("accel slot") = Some(accel_entry(ctx, idx, acc));
         record(t0, trace::now_ns());
@@ -519,7 +438,7 @@ pub fn run_m2l_batch(
     out: &[AccelSlot],
 ) {
     let mut scratch = ctx.scratch.take();
-    gather_batch(ctx, batch, &mut scratch, true, false);
+    gather_far(ctx, batch, &mut scratch);
     for (k, &idx) in batch.iter().enumerate() {
         let t0 = trace::now_ns();
         m2l_for_leaf(ctx, &mut scratch, k, idx);
@@ -531,7 +450,7 @@ pub fn run_m2l_batch(
 }
 
 /// One P2P-only batch of the split-gravity path — mirror of
-/// [`run_m2l_batch`] over the near mega-stream.
+/// [`run_m2l_batch`]; nothing to gather.
 pub fn run_p2p_batch(
     ctx: &GravityBatchCtx<'_>,
     batch: &[usize],
@@ -542,10 +461,9 @@ pub fn run_p2p_batch(
     out: &[AccelSlot],
 ) {
     let mut scratch = ctx.scratch.take();
-    gather_batch(ctx, batch, &mut scratch, false, true);
-    for (k, &idx) in batch.iter().enumerate() {
+    for &idx in batch {
         let t0 = trace::now_ns();
-        p2p_for_leaf(ctx, &mut scratch, k, idx);
+        p2p_for_leaf(ctx, &mut scratch, idx);
         halves[idx].lock().expect("half slot").1 = Some(scratch.near_acc.clone());
         record(t0, trace::now_ns());
         finish_split_leaf(ctx, idx, halves, pending, per_leaf_spans, out);
@@ -800,13 +718,17 @@ mod tests {
     fn batch_scratch_pool_recycles() {
         let pool = BatchScratchPool::new();
         let mut s = pool.take();
-        s.near_mass.extend_from_slice(&[1.0; 64]);
-        s.near_ranges.push((0, 64));
+        s.far.push(&Moments {
+            mass: 1.0,
+            com: [0.0; 3],
+            quad: [0.0; 6],
+        });
+        s.far_ranges.push((0, 1));
         pool.put(s);
         assert_eq!(pool.idle(), 1);
         // Recycled scratch comes back cleared.
         let s = pool.take();
-        assert!(s.near_mass.is_empty() && s.near_ranges.is_empty());
+        assert!(s.far.is_empty() && s.far_ranges.is_empty());
         assert_eq!(s.block_acc.len(), BLOCKS);
     }
 }

@@ -40,7 +40,7 @@ use crate::kernel_backend::{Dispatch, SimdPolicy};
 use crate::octree::{NodeId, Octree};
 use crate::star::field;
 use crate::subgrid::{SubGrid, CELLS, NX};
-use kokkos_lite::{sweep_packs, Simd};
+use kokkos_lite::Simd;
 
 /// Blocks per dimension (8 cells / 2 per block).
 pub const NB: usize = NX / 2;
@@ -653,10 +653,74 @@ pub fn monopole_accel_scalar(
     a
 }
 
+/// `match_width!(policy, |W| simd, scalar)`: `simd` monomorphised with the
+/// policy's pack width bound to the const `W`; the scalar reference and
+/// unvalidated widths take `scalar`. The gravity entry points match once
+/// per leaf sweep, outside every loop.
+macro_rules! match_width {
+    ($policy:expr, |$w:ident| $simd:expr, $scalar:expr) => {
+        match $policy {
+            SimdPolicy::Width(1) => {
+                const $w: usize = 1;
+                $simd
+            }
+            SimdPolicy::Width(2) => {
+                const $w: usize = 2;
+                $simd
+            }
+            SimdPolicy::Width(4) => {
+                const $w: usize = 4;
+                $simd
+            }
+            SimdPolicy::Width(8) => {
+                const $w: usize = 8;
+                $simd
+            }
+            SimdPolicy::Scalar | SimdPolicy::Width(_) => $scalar,
+        }
+    };
+}
+
+/// Load the pack at `s[off..]`: branch-free when `PAD` is false, predicated
+/// (lanes past the end read `fill`) when true.
+#[inline(always)]
+fn load_pack<const W: usize, const PAD: bool>(s: &[f64], off: usize, fill: f64) -> Simd<W> {
+    if PAD {
+        Simd::from_slice_padded(s, off, fill)
+    } else {
+        Simd::from_slice(s, off)
+    }
+}
+
+/// One pack of P2P interactions: the sources at `off` against the splatted
+/// target `p`, added to the running positive sums `acc`. Forced inline so
+/// the accumulators stay in vector registers across the source stream.
+/// Padded lanes load mass 0 at the [`PAD_POS`] sentinel, so they contribute
+/// exactly zero — no masking.
+#[inline(always)]
+fn p2p_pack<const W: usize, const PAD: bool>(
+    [mass, sx, sy, sz]: [&[f64]; 4],
+    off: usize,
+    p: &[Simd<W>; 3],
+    eps2: Simd<W>,
+    acc: &mut [Simd<W>; 3],
+) {
+    let m = load_pack::<W, PAD>(mass, off, 0.0);
+    let x = p[0] - load_pack::<W, PAD>(sx, off, PAD_POS);
+    let y = p[1] - load_pack::<W, PAD>(sy, off, PAD_POS);
+    let z = p[2] - load_pack::<W, PAD>(sz, off, PAD_POS);
+    let r2 = x.mul_add(x, y.mul_add(y, z.mul_add(z, eps2)));
+    let inv_r = r2.recip_sqrt();
+    let w = m * inv_r * inv_r * inv_r;
+    acc[0] = x.mul_add(w, acc[0]);
+    acc[1] = y.mul_add(w, acc[1]);
+    acc[2] = z.mul_add(w, acc[2]);
+}
+
 /// Width-generic SIMD P2P kernel: splat the target, stream the SoA
 /// sources in `Simd<W>` packs, `mul_add`-accumulate, `recip_sqrt` for the
-/// softened distance. Remainder lanes load mass 0 at the [`PAD_POS`]
-/// sentinel, so they contribute exactly zero — no masking.
+/// softened distance; one negation after the reduction.
+#[inline]
 pub fn monopole_accel_simd<const W: usize>(
     p: [f64; 3],
     mass: &[f64],
@@ -665,42 +729,22 @@ pub fn monopole_accel_simd<const W: usize>(
     sz: &[f64],
     eps: f64,
 ) -> [f64; 3] {
-    let px = Simd::<W>::splat(p[0]);
-    let py = Simd::<W>::splat(p[1]);
-    let pz = Simd::<W>::splat(p[2]);
+    let p = p.map(Simd::<W>::splat);
     let eps2 = Simd::<W>::splat(eps * eps);
-    let mut ax = Simd::<W>::zero();
-    let mut ay = Simd::<W>::zero();
-    let mut az = Simd::<W>::zero();
-    let mut body = |m: Simd<W>, x: Simd<W>, y: Simd<W>, z: Simd<W>| {
-        let r2 = x.mul_add(x, y.mul_add(y, z.mul_add(z, eps2)));
-        let inv_r = r2.recip_sqrt();
-        let w = m * inv_r * inv_r * inv_r;
-        // Accumulate the positive sum; one negation after the reduction.
-        ax = x.mul_add(w, ax);
-        ay = y.mul_add(w, ay);
-        az = z.mul_add(w, az);
-    };
-    // Full packs take the branch-free unpadded loads; only the remainder
-    // pack pays for predication (the shared `sweep_packs` skeleton).
-    sweep_packs::<W>(mass.len(), |off, is_tail| {
-        if is_tail {
-            body(
-                Simd::<W>::from_slice_padded(mass, off, 0.0),
-                px - Simd::<W>::from_slice_padded(sx, off, PAD_POS),
-                py - Simd::<W>::from_slice_padded(sy, off, PAD_POS),
-                pz - Simd::<W>::from_slice_padded(sz, off, PAD_POS),
-            );
-        } else {
-            body(
-                Simd::<W>::from_slice(mass, off),
-                px - Simd::<W>::from_slice(sx, off),
-                py - Simd::<W>::from_slice(sy, off),
-                pz - Simd::<W>::from_slice(sz, off),
-            );
-        }
-    });
-    [-ax.reduce_sum(), -ay.reduce_sum(), -az.reduce_sum()]
+    let src = [mass, sx, sy, sz];
+    let mut acc = [Simd::<W>::zero(); 3];
+    // Written out rather than through `sweep_packs`: a closure called from
+    // two sites stays out of line, and the accumulators with it. Only the
+    // remainder pack pays for predication.
+    let mut off = 0;
+    while off + W <= mass.len() {
+        p2p_pack::<W, false>(src, off, &p, eps2, &mut acc);
+        off += W;
+    }
+    if off < mass.len() {
+        p2p_pack::<W, true>(src, off, &p, eps2, &mut acc);
+    }
+    acc.map(|a| -a.reduce_sum())
 }
 
 /// Monopole slice kernel dispatched per the configured [`SimdPolicy`].
@@ -713,15 +757,11 @@ pub fn monopole_accel_soa(
     sz: &[f64],
     eps: f64,
 ) -> [f64; 3] {
-    match policy {
-        SimdPolicy::Scalar => monopole_accel_scalar(p, mass, sx, sy, sz, eps),
-        SimdPolicy::Width(1) => monopole_accel_simd::<1>(p, mass, sx, sy, sz, eps),
-        SimdPolicy::Width(2) => monopole_accel_simd::<2>(p, mass, sx, sy, sz, eps),
-        SimdPolicy::Width(4) => monopole_accel_simd::<4>(p, mass, sx, sy, sz, eps),
-        SimdPolicy::Width(8) => monopole_accel_simd::<8>(p, mass, sx, sy, sz, eps),
-        // Unvalidated widths fall back to the reference path.
-        SimdPolicy::Width(_) => monopole_accel_scalar(p, mass, sx, sy, sz, eps),
-    }
+    match_width!(
+        policy,
+        |W| monopole_accel_simd::<W>(p, mass, sx, sy, sz, eps),
+        monopole_accel_scalar(p, mass, sx, sy, sz, eps)
+    )
 }
 
 /// Storage alignment of a [`FarField`] segment: the widest supported pack.
@@ -813,6 +853,17 @@ impl FarField {
                 q.push(0.0);
             }
         }
+    }
+
+    /// Append the moments of `nodes` as one segment, padded by
+    /// [`FarField::pad_to_simd`]; returns the segment's first storage row.
+    pub fn push_segment(&mut self, moments: &[Moments], nodes: &[NodeId]) -> usize {
+        let start = self.storage_len();
+        for &n in nodes {
+            self.push(&moments[n]);
+        }
+        self.pad_to_simd();
+        start
     }
 
     /// Borrowed view of the whole table. Only meaningful for single-segment
@@ -926,90 +977,78 @@ pub fn multipole_accel_scalar_view(p: [f64; 3], ff: FarFieldView<'_>) -> [f64; 3
     a
 }
 
-/// Width-generic SIMD M2L kernel over a [`FarField`] table. Far sources
-/// are strictly outside the target leaf's circumscribed sphere (the MAC
-/// guarantees `dist − radius > 0`), so `r² > 0` on every real lane and the
-/// scalar kernel's `r² == 0` guard is unnecessary; padded lanes sit at the
-/// [`PAD_POS`] sentinel with zero mass and quadrupole.
-pub fn multipole_accel_simd<const W: usize>(p: [f64; 3], ff: &FarField) -> [f64; 3] {
-    multipole_accel_simd_view::<W>(p, ff.as_view())
+/// One pack of M2L interactions: the sources at `off` of `ff` against the
+/// splatted target `p`, added to the running positive sums `acc`. Forced
+/// inline, like [`p2p_pack`]; padded lanes sit at the [`PAD_POS`] sentinel
+/// with zero mass and quadrupole.
+#[inline(always)]
+fn m2l_pack<const W: usize, const PAD: bool>(
+    ff: &FarFieldView<'_>,
+    off: usize,
+    p: &[Simd<W>; 3],
+    acc: &mut [Simd<W>; 3],
+) {
+    let m = load_pack::<W, PAD>(ff.mass, off, 0.0);
+    let x = p[0] - load_pack::<W, PAD>(ff.x, off, PAD_POS);
+    let y = p[1] - load_pack::<W, PAD>(ff.y, off, PAD_POS);
+    let z = p[2] - load_pack::<W, PAD>(ff.z, off, PAD_POS);
+    let q = |i: usize| load_pack::<W, PAD>(ff.quad[i], off, 0.0);
+    let r2 = x.mul_add(x, y.mul_add(y, z * z));
+    let inv_r = r2.recip_sqrt();
+    let inv_r2 = inv_r * inv_r;
+    let inv_r3 = inv_r2 * inv_r;
+    let inv_r5 = inv_r3 * inv_r2;
+    let inv_r7 = inv_r5 * inv_r2;
+    // Q·x rows.
+    let qx = q(0).mul_add(x, q(3).mul_add(y, q(4) * z));
+    let qy = q(3).mul_add(x, q(1).mul_add(y, q(5) * z));
+    let qz = q(4).mul_add(x, q(5).mul_add(y, q(2) * z));
+    let xqx = x.mul_add(qx, y.mul_add(qy, z * qz));
+    // a = −[M x/r³ + (Q·x)/r⁵ − (5/2)(x·Q·x) x/r⁷]: accumulate the
+    // bracket positively, negate once after the reduction.
+    let s = m.mul_add(inv_r3, -(Simd::splat(2.5) * xqx * inv_r7));
+    acc[0] = qx.mul_add(inv_r5, x.mul_add(s, acc[0]));
+    acc[1] = qy.mul_add(inv_r5, y.mul_add(s, acc[1]));
+    acc[2] = qz.mul_add(inv_r5, z.mul_add(s, acc[2]));
 }
 
-/// [`multipole_accel_simd`] over a borrowed [`FarFieldView`]. The padded
-/// remainder pack sits at the view's end, so a sub-range view of a fused
-/// batch table is masked exactly at its leaf boundary.
+/// Width-generic SIMD M2L kernel over a borrowed [`FarFieldView`]. Far
+/// sources are strictly outside the target leaf's circumscribed sphere (the
+/// MAC guarantees `dist − radius > 0`), so `r² > 0` on every real lane and
+/// the scalar kernel's `r² == 0` guard is unnecessary. The padded remainder
+/// pack sits at the view's end, so a sub-range view of a fused batch table
+/// is masked exactly at its leaf boundary.
+#[inline]
 pub fn multipole_accel_simd_view<const W: usize>(p: [f64; 3], ff: FarFieldView<'_>) -> [f64; 3] {
-    let px = Simd::<W>::splat(p[0]);
-    let py = Simd::<W>::splat(p[1]);
-    let pz = Simd::<W>::splat(p[2]);
-    let half5 = Simd::<W>::splat(2.5);
-    let mut ax = Simd::<W>::zero();
-    let mut ay = Simd::<W>::zero();
-    let mut az = Simd::<W>::zero();
-    let mut body = |m: Simd<W>, x: Simd<W>, y: Simd<W>, z: Simd<W>, q: [Simd<W>; 6]| {
-        let r2 = x.mul_add(x, y.mul_add(y, z * z));
-        let inv_r = r2.recip_sqrt();
-        let inv_r2 = inv_r * inv_r;
-        let inv_r3 = inv_r2 * inv_r;
-        let inv_r5 = inv_r3 * inv_r2;
-        let inv_r7 = inv_r5 * inv_r2;
-        // Q·x rows.
-        let qx = q[0].mul_add(x, q[3].mul_add(y, q[4] * z));
-        let qy = q[3].mul_add(x, q[1].mul_add(y, q[5] * z));
-        let qz = q[4].mul_add(x, q[5].mul_add(y, q[2] * z));
-        let xqx = x.mul_add(qx, y.mul_add(qy, z * qz));
-        // a = −[M x/r³ + (Q·x)/r⁵ − (5/2)(x·Q·x) x/r⁷]: accumulate the
-        // bracket positively, negate once after the reduction.
-        let s = m.mul_add(inv_r3, -(half5 * xqx * inv_r7));
-        ax = qx.mul_add(inv_r5, x.mul_add(s, ax));
-        ay = qy.mul_add(inv_r5, y.mul_add(s, ay));
-        az = qz.mul_add(inv_r5, z.mul_add(s, az));
-    };
-    // Full packs take the branch-free unpadded loads. The remainder pack
-    // full-loads too when the view's slices extend into sentinel pad rows
-    // (padded storage holds exactly the lane values a predicated load
-    // would construct, so the arithmetic is bitwise-identical); only a
+    let p = p.map(Simd::<W>::splat);
+    let mut acc = [Simd::<W>::zero(); 3];
+    // Every pack the storage covers takes the branch-free unpadded loads —
+    // the remainder pack too when the view's slices extend into sentinel
+    // pad rows (padded storage holds exactly the lane values a predicated
+    // load would construct, so the arithmetic is bitwise-identical). Only a
     // view that ends flush with its real sources pays for the lane-by-lane
     // predicated construction — 10 SoA streams per pack, which is what
-    // made ragged tails disproportionately expensive at wide W.
-    sweep_packs::<W>(ff.len(), |off, is_tail| {
-        if is_tail && off + W > ff.mass.len() {
-            body(
-                Simd::<W>::from_slice_padded(ff.mass, off, 0.0),
-                px - Simd::<W>::from_slice_padded(ff.x, off, PAD_POS),
-                py - Simd::<W>::from_slice_padded(ff.y, off, PAD_POS),
-                pz - Simd::<W>::from_slice_padded(ff.z, off, PAD_POS),
-                std::array::from_fn(|i| Simd::<W>::from_slice_padded(ff.quad[i], off, 0.0)),
-            );
-        } else {
-            body(
-                Simd::<W>::from_slice(ff.mass, off),
-                px - Simd::<W>::from_slice(ff.x, off),
-                py - Simd::<W>::from_slice(ff.y, off),
-                pz - Simd::<W>::from_slice(ff.z, off),
-                std::array::from_fn(|i| Simd::<W>::from_slice(ff.quad[i], off)),
-            );
-        }
-    });
-    [-ax.reduce_sum(), -ay.reduce_sum(), -az.reduce_sum()]
+    // made ragged tails disproportionately expensive at wide W. Written out
+    // for the reason given in `monopole_accel_simd`.
+    let mut off = 0;
+    while off < ff.len() && off + W <= ff.mass.len() {
+        m2l_pack::<W, false>(&ff, off, &p, &mut acc);
+        off += W;
+    }
+    if off < ff.len() {
+        m2l_pack::<W, true>(&ff, off, &p, &mut acc);
+    }
+    acc.map(|a| -a.reduce_sum())
 }
 
 /// Multipole slice kernel dispatched per the configured [`SimdPolicy`].
 pub fn multipole_accel_soa(policy: SimdPolicy, p: [f64; 3], ff: &FarField) -> [f64; 3] {
-    multipole_accel_view(policy, p, ff.as_view())
-}
-
-/// [`multipole_accel_soa`] over a borrowed [`FarFieldView`] — the entry the
-/// work-aggregation executor hits with per-leaf segments of a fused table.
-pub fn multipole_accel_view(policy: SimdPolicy, p: [f64; 3], ff: FarFieldView<'_>) -> [f64; 3] {
-    match policy {
-        SimdPolicy::Scalar => multipole_accel_scalar_view(p, ff),
-        SimdPolicy::Width(1) => multipole_accel_simd_view::<1>(p, ff),
-        SimdPolicy::Width(2) => multipole_accel_simd_view::<2>(p, ff),
-        SimdPolicy::Width(4) => multipole_accel_simd_view::<4>(p, ff),
-        SimdPolicy::Width(8) => multipole_accel_simd_view::<8>(p, ff),
-        SimdPolicy::Width(_) => multipole_accel_scalar_view(p, ff),
-    }
+    let ff = ff.as_view();
+    match_width!(
+        policy,
+        |W| multipole_accel_simd_view::<W>(p, ff),
+        multipole_accel_scalar_view(p, ff)
+    )
 }
 
 /// Softening length for a leaf of cell width `dx`.
@@ -1124,6 +1163,69 @@ impl ScratchPool {
     }
 }
 
+/// Multipole kernel of one target leaf: far-field acceleration per block of
+/// `tb` from the far table `ff`, under an `m2l` span. Shared by the per-leaf
+/// and the batched solve.
+pub fn m2l_blocks(
+    kernels: &GravityKernels<'_>,
+    tb: &BlockSoA,
+    ff: FarFieldView<'_>,
+    out: &mut [[f64; 3]],
+) {
+    let _span = trace::span(Cat::Gravity, "m2l");
+    match_width!(
+        kernels.simd,
+        |W| kernels
+            .multipole
+            .fill(out, |b| multipole_accel_simd_view::<W>(tb.com(b), ff)),
+        kernels
+            .multipole
+            .fill(out, |b| multipole_accel_scalar_view(tb.com(b), ff))
+    )
+}
+
+/// Component-wise sum, in iteration order.
+#[inline(always)]
+fn sum3(terms: impl Iterator<Item = [f64; 3]>) -> [f64; 3] {
+    let mut a = [0.0; 3];
+    for da in terms {
+        a[0] += da[0];
+        a[1] += da[1];
+        a[2] += da[2];
+    }
+    a
+}
+
+/// Monopole kernel of one target leaf: near-field block-block P2P per block
+/// of `tb`, under a `p2p` span. The near list's [`BlockSoA`]s are swept in
+/// place, in list order, one reduction per source leaf — the accumulation
+/// order every execution mode shares. Self-leaf self-block and zero-mass
+/// contributions are exactly zero in the SoA kernels, so no index masking
+/// is needed (see [`monopole_accel_scalar`]).
+pub fn p2p_blocks(
+    kernels: &GravityKernels<'_>,
+    blocks: &[BlockSoA],
+    leaf_pos: &[usize],
+    tb: &BlockSoA,
+    near: &[NodeId],
+    eps: f64,
+    out: &mut [[f64; 3]],
+) {
+    let _span = trace::span(Cat::Gravity, "p2p");
+    let sources = || near.iter().map(|&src| &blocks[leaf_pos[src]]);
+    match_width!(
+        kernels.simd,
+        |W| kernels.monopole.fill(out, |b| {
+            let p = tb.com(b);
+            sum3(sources().map(|s| monopole_accel_simd::<W>(p, &s.mass, &s.x, &s.y, &s.z, eps)))
+        }),
+        kernels.monopole.fill(out, |b| {
+            let p = tb.com(b);
+            sum3(sources().map(|s| monopole_accel_scalar(p, &s.mass, &s.x, &s.y, &s.z, eps)))
+        })
+    )
+}
+
 /// Full FMM acceleration for one target leaf from precomputed interaction
 /// lists: per-cell accelerations (each cell inherits its block's value).
 /// `leaf_pos` maps `NodeId` → index into `blocks` for leaves; `scratch`
@@ -1153,40 +1255,12 @@ pub fn accel_for_leaf_with(
     // Gather the far sources into the SoA scratch table; padded storage
     // lets the M2L remainder pack full-load instead of predicating.
     far_field.clear();
-    for &src in far {
-        far_field.push(&moments[src]);
-    }
-    far_field.pad_to_simd();
+    far_field.push_segment(moments, far);
 
-    // Multipole kernel: far-field contribution per block.
     block_acc.resize(BLOCKS, [0.0; 3]);
-    let ffv = far_field.as_view();
-    {
-        let _span = trace::span(Cat::Gravity, "m2l");
-        kernels.multipole.fill(&mut block_acc[..], |b| {
-            multipole_accel_view(kernels.simd, tb.com(b), ffv)
-        });
-    }
-
-    // Monopole kernel: near-field block-block P2P. Self-leaf self-block
-    // and zero-mass contributions are exactly zero in the SoA kernels, so
-    // no index masking is needed (see `monopole_accel_scalar`).
+    m2l_blocks(kernels, tb, far_field.as_view(), block_acc);
     near_acc.resize(BLOCKS, [0.0; 3]);
-    {
-        let _span = trace::span(Cat::Gravity, "p2p");
-        kernels.monopole.fill(&mut near_acc[..], |b| {
-            let p = tb.com(b);
-            let mut a = [0.0; 3];
-            for &src_leaf in near {
-                let sb = &blocks[leaf_pos[src_leaf]];
-                let da = monopole_accel_soa(kernels.simd, p, &sb.mass, &sb.x, &sb.y, &sb.z, eps);
-                a[0] += da[0];
-                a[1] += da[1];
-                a[2] += da[2];
-            }
-            a
-        });
-    }
+    p2p_blocks(kernels, blocks, leaf_pos, tb, near, eps, near_acc);
 
     // Scatter block accelerations to cells.
     scatter_block_accel(block_acc, near_acc)

@@ -110,8 +110,12 @@ impl SimdPolicy {
 }
 
 impl Default for SimdPolicy {
-    /// The AMD/Intel AVX2 width — the configuration the acceptance bench
-    /// compares against scalar.
+    /// Four lanes: the AVX2 width, and the widest pack that is one register
+    /// on every x86 build with a `Simd` backend (`ymm` under AVX2 and under
+    /// AVX-512). Eight lanes gain nothing on the paper's kernels — a `zmm`
+    /// divide/square root takes twice a `ymm` one, and P2P is divider-bound
+    /// (`BENCH_gravity.json`: simd8 ≈ simd4) — and on builds without a
+    /// backend width 4 is what LLVM's SLP vectoriser handles best.
     fn default() -> Self {
         SimdPolicy::Width(4)
     }

@@ -1,0 +1,130 @@
+//! Pins a level-2 gravity solve to the bits of the lane-loop fallback.
+//!
+//! The constants below were recorded from builds in which `Simd<W>` has no
+//! ISA backend (default flags; `-C target-feature=+fma` for the fused row).
+//! A build that compiles a backend in (`-C target-cpu=native` on an AVX2 or
+//! AVX-512 host) must reproduce them: a backend is the same IEEE operation
+//! per lane, so a whole solve has the same bits. Every execution mode of
+//! the solve — per leaf, batches of 1, batches of 16 — must agree too.
+
+use std::sync::Mutex;
+
+use amt::Runtime;
+use octotiger::aggregate::{
+    run_gravity_stage, AccelSlot, AggregationConfig, AggregationStats, BatchScratchPool,
+    GravityBatchCtx,
+};
+use octotiger::gravity::{
+    accel_for_leaf_with, compute_blocks, BlockSoA, GravityKernels, GravityWorkspace,
+    InteractionCache, LeafScratch,
+};
+use octotiger::kernel_backend::{Dispatch, SimdPolicy};
+use octotiger::octree::Octree;
+use octotiger::star::RotatingStar;
+use octotiger::OctoConfig;
+
+/// `(simd_width, hash, hash of a build whose `mul_add` is fused)`.
+const FALLBACK_BITS: [(usize, u64, u64); 4] = [
+    (1, 0x97c5_22e4_db70_9555, 0x497c_bc44_59ce_4185),
+    (2, 0xbdad_e449_019c_9335, 0xd410_6fc4_bdf5_48c5),
+    (4, 0x0998_97bb_6f73_ee35, 0x8da3_a4e2_eeaa_4bc5),
+    (8, 0x4df7_9bab_8e68_92e5, 0x7f50_7eee_9204_5eb5),
+];
+
+/// FNV-1a over the bits of every cell's acceleration, leaf order.
+fn hash(accels: impl Iterator<Item = Vec<[f64; 3]>>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for acc in accels {
+        for byte in acc.iter().flatten().flat_map(|v| v.to_bits().to_le_bytes()) {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+#[test]
+fn level2_solve_has_the_fallbacks_bits_in_every_mode() {
+    let cfg = OctoConfig {
+        max_level: 2,
+        ..OctoConfig::default()
+    };
+    let tree = Octree::build(&RotatingStar::paper_default(), &cfg, 1.0);
+    let leaves = tree.leaf_ids();
+    let blocks: Vec<BlockSoA> = leaves
+        .iter()
+        .map(|&l| compute_blocks(tree.subgrid(l)))
+        .collect();
+    let mut ws = GravityWorkspace::new();
+    ws.upward_pass(&tree, &blocks);
+    let mut cache = InteractionCache::new();
+    cache.ensure(&tree, &ws.moments, cfg.theta);
+    let rt = Runtime::new(2);
+    let dispatch = Dispatch::Legacy;
+
+    for (width, plain, fused) in FALLBACK_BITS {
+        let kernels = GravityKernels {
+            multipole: &dispatch,
+            monopole: &dispatch,
+            simd: SimdPolicy::from_width(width).unwrap(),
+        };
+        let mut scratch = LeafScratch::new();
+        let per_leaf = hash(
+            leaves
+                .iter()
+                .zip(cache.lists())
+                .map(|(&leaf, (far, near))| {
+                    accel_for_leaf_with(
+                        &tree,
+                        &ws.moments,
+                        &blocks,
+                        &ws.leaf_pos,
+                        leaf,
+                        far,
+                        near,
+                        &kernels,
+                        &mut scratch,
+                    )
+                }),
+        );
+        let batched = |batch: usize| {
+            let slots: Vec<AccelSlot> = leaves.iter().map(|_| Mutex::new(None)).collect();
+            let ctx = GravityBatchCtx {
+                tree: &tree,
+                moments: &ws.moments,
+                blocks: &blocks,
+                leaf_pos: &ws.leaf_pos,
+                leaves,
+                lists: cache.lists(),
+                kernels: &kernels,
+                scratch: &BatchScratchPool::new(),
+            };
+            let agg = AggregationConfig {
+                monopole: batch,
+                multipole: batch,
+                hydro: 1,
+            };
+            run_gravity_stage(
+                &rt.handle(),
+                &ctx,
+                agg,
+                &AggregationStats::new(),
+                false,
+                &|_, _| {},
+                &slots,
+            );
+            hash(
+                slots
+                    .into_iter()
+                    .map(|s| s.into_inner().unwrap().expect("leaf solved").0),
+            )
+        };
+        let want = if cfg!(target_feature = "fma") {
+            fused
+        } else {
+            plain
+        };
+        assert_eq!(per_leaf, want, "width {width}, per leaf: {per_leaf:#x}");
+        assert_eq!(batched(1), want, "width {width}, batches of 1");
+        assert_eq!(batched(16), want, "width {width}, batches of 16");
+    }
+}

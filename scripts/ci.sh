@@ -21,6 +21,20 @@ cargo test -q --test aggregation_prop
 echo "== incremental regrid agreement (incremental == full rebuild, bitwise) =="
 cargo test -q --test regrid_incremental_prop
 
+# Default flags compile only the lane-loop fallback of `Simd<W>`; this is
+# the one place CI builds the AVX2 / AVX-512 backends and holds them to the
+# same bits (backend ops == lane loops, gravity pinned to the fallback's
+# hashes, every bitwise suite). It also runs the kokkos-lite and octotiger
+# unit tests, which the root `cargo test` above does not. Own target
+# directory: different RUSTFLAGS would otherwise evict the default build.
+echo "== native-ISA step: SIMD backends keep the fallback's bits =="
+(
+  export RUSTFLAGS="-C target-cpu=native"
+  export CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-target}/native"
+  cargo test -q -p kokkos-lite -p octotiger
+  cargo test -q --test simd_gravity_prop --test simd_hydro_prop --test aggregation_prop
+)
+
 echo "== gravity bench smoke (one short iteration, no timing assertions) =="
 BENCH_SMOKE=1 BENCH_HOST_TASKS=1 cargo bench -q -p repro-bench --bench bench_gravity
 BENCH_SMOKE=1 BENCH_HOST_TASKS=16 cargo bench -q -p repro-bench --bench bench_gravity
