@@ -550,8 +550,15 @@ impl Drop for Runtime {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         self.shared.wake_all();
+        // The last owner may be dropped inside one of this runtime's own
+        // tasks (a task holding the final `Arc` of whatever owns the
+        // runtime). A thread cannot join itself; shutdown is already
+        // flagged, so that worker exits as soon as its task returns.
+        let me = std::thread::current().id();
         for j in self.joins.drain(..) {
-            let _ = j.join();
+            if j.thread().id() != me {
+                let _ = j.join();
+            }
         }
     }
 }
@@ -569,6 +576,28 @@ impl std::fmt::Debug for Runtime {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+
+    #[test]
+    fn last_owner_dropped_inside_a_task_shuts_down_without_joining_itself() {
+        // Regression: `Drop` joined every worker, the calling one included
+        // ("Resource deadlock avoided" panic on the worker thread).
+        let rt = Arc::new(Runtime::new(2));
+        let handle = rt.handle();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let owner = Arc::clone(&rt);
+        let task = handle.spawn(move || {
+            // Wait until this task holds the only owner, then drop it here.
+            rx.recv().expect("main thread released its owner");
+            let rt = Arc::try_unwrap(owner).expect("task holds the last owner");
+            drop(rt);
+        });
+        drop(rt);
+        tx.send(()).expect("task is waiting");
+        task.get(); // re-raises the task's panic, if any
+        assert_eq!(handle.stats().panics, 0);
+        // Degraded mode after shutdown: work runs inline on the submitter.
+        assert_eq!(handle.spawn(|| 7).get(), 7);
+    }
 
     #[test]
     fn spawn_and_get() {

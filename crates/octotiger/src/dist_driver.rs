@@ -39,9 +39,6 @@ use crate::recycle::RecyclePool;
 use crate::star::RotatingStar;
 use crate::subgrid::Face;
 
-/// Ghost data gathered for one leaf: one boundary slab per face.
-type FaceSlabs = Vec<(Face, Vec<f64>)>;
-
 /// Configuration of a distributed run. (`Clone` but not `Copy`: the
 /// embedded [`OctoConfig`] carries the heap-allocated trace-output path.)
 #[derive(Debug, Clone)]
@@ -276,6 +273,14 @@ fn owned_leaves(domain: &Domain) -> Vec<(usize, NodeId)> {
         .collect()
 }
 
+/// Ghost exchange of one locality: fill the ghosts of the leaves it owns
+/// (the pulled halo leaves are sources only) and charge the faces filled.
+fn fill_owned_ghosts(d: &mut Domain, handle: &amt::Handle) {
+    let owned = &d.owned;
+    let faces = d.tree.exchange_ghosts(handle, |pos| owned[pos]);
+    d.work.add_ghost_faces(faces);
+}
+
 /// Register all domain actions on `cluster`.
 fn register_actions(cluster: &Cluster) {
     // Stage the halo snapshot (owned boundary leaves' interior data).
@@ -327,46 +332,7 @@ fn register_actions(cluster: &Cluster) {
         |ctx: &LocalityHandle, gid, (): ()| -> f64 {
             let handle = ctx.runtime();
             ctx.with_component::<Domain, _>(gid, |d| {
-                let targets = owned_leaves(d);
-                // Parallel gather of ghost data, serial apply.
-                let gathered: Vec<(NodeId, FaceSlabs)> = {
-                    let tree = &d.tree;
-                    let slots: Vec<std::sync::Mutex<FaceSlabs>> = (0..targets.len())
-                        .map(|_| std::sync::Mutex::new(Vec::new()))
-                        .collect();
-                    scope(&handle, |sc| {
-                        for (slot, &(_, leaf)) in slots.iter().zip(&targets) {
-                            sc.spawn(move || {
-                                let data: FaceSlabs = Face::ALL
-                                    .into_iter()
-                                    .map(|f| (f, tree.ghost_data_for(leaf, f)))
-                                    .collect();
-                                *slot.lock().unwrap() = data;
-                            });
-                        }
-                    });
-                    targets
-                        .iter()
-                        .zip(slots)
-                        .map(|(&(_, leaf), slot)| (leaf, slot.into_inner().unwrap()))
-                        .collect()
-                };
-                for (leaf, faces) in gathered {
-                    for (face, data) in faces {
-                        d.tree.apply_ghost(leaf, face, &data);
-                    }
-                }
-                // Ghost-path accounting (values per face slab: NF × NG × NX²).
-                let slab_values = (crate::star::NF * crate::subgrid::NG * 8 * 8) as u64;
-                for (_, leaf) in owned_leaves(d) {
-                    for face in Face::ALL {
-                        if d.tree.ghost_fast_path(leaf, face) {
-                            d.work.ghost_slab_bytes += slab_values * 8;
-                        } else {
-                            d.work.ghost_samples += slab_values;
-                        }
-                    }
-                }
+                fill_owned_ghosts(d, &handle);
                 let dispatch = Dispatch::new(d.cfg.hydro_kernel, &handle, 4);
                 let mut max_rate = 1e-30_f64;
                 for (_, leaf) in owned_leaves(d) {
@@ -696,8 +662,10 @@ impl DistRun {
         let mut counters = registry.sample();
         for (i, &g) in gids.iter().enumerate() {
             let loc = cluster.locality(i as u32);
-            let (w, cache) = loc
-                .with_component::<Domain, _>(g, |d| (d.work, d.interaction_cache.stats()))
+            let (w, cache, ghost) = loc
+                .with_component::<Domain, _>(g, |d| {
+                    (d.work, d.interaction_cache.stats(), d.tree.ghost_stats())
+                })
                 .expect("domain component");
             work.hydro_flops += w.hydro_flops;
             work.gravity_flops += w.gravity_flops;
@@ -709,6 +677,15 @@ impl DistRun {
             work.mac_evals += w.mac_evals;
             counters.set_count(format!("/gravity/locality{i}/cache_hits"), cache.hits);
             counters.set_count(format!("/gravity/locality{i}/cache_misses"), cache.misses);
+            counters.set_count(
+                format!("/ghost/locality{i}/plan_rebuilds"),
+                ghost.plan_rebuilds,
+            );
+            counters.set_count(format!("/ghost/locality{i}/faces_slab"), ghost.faces.slab);
+            counters.set_count(
+                format!("/ghost/locality{i}/faces_indexed"),
+                ghost.faces.indexed,
+            );
         }
         counters.set_count("/gravity/far_interactions", work.far_interactions);
         counters.set_count("/gravity/near_interactions", work.near_interactions);
@@ -798,6 +775,34 @@ mod tests {
                 ..OctoConfig::with_all_kernels(KernelType::KokkosSerial)
             },
         }
+    }
+
+    #[test]
+    fn owned_ghost_frames_equal_the_node_level_exchange() {
+        // Each locality fills only what it owns; together the two replicas
+        // hold, leaf for leaf, the frames one node-level exchange produces.
+        let cfg = OctoConfig {
+            max_level: 2,
+            ..OctoConfig::default()
+        };
+        let rt = amt::Runtime::new(2);
+        let handle = rt.handle();
+        let mut node_level = build_domain(cfg.clone(), 0, 1);
+        fill_owned_ghosts(&mut node_level, &handle);
+        let mut owned_total = 0;
+        for node in 0..2 {
+            let mut d = build_domain(cfg.clone(), node, 2);
+            fill_owned_ghosts(&mut d, &handle);
+            for (_, leaf) in owned_leaves(&d) {
+                let (got, want) = (d.tree.subgrid(leaf), node_level.tree.subgrid(leaf));
+                let same = got.u.as_slice().iter().zip(want.u.as_slice());
+                assert!(same.into_iter().all(|(a, b)| a.to_bits() == b.to_bits()));
+                owned_total += 1;
+            }
+            assert_eq!(d.tree.ghost_stats().plan_rebuilds, 1);
+        }
+        assert_eq!(owned_total, node_level.tree.leaf_count());
+        assert!(node_level.work.ghost_samples > 0 && node_level.work.ghost_slab_bytes > 0);
     }
 
     #[test]

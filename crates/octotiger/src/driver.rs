@@ -29,10 +29,10 @@ use crate::gravity::{
 };
 use crate::hydro::{self, HydroStage};
 use crate::kernel_backend::Dispatch;
-use crate::octree::{NodeId, Octree};
+use crate::octree::{GhostFaces, NodeId, Octree, FACE_VALUES};
 use crate::recycle::{PoolStats, RecyclePool};
 use crate::star::{InitialModel, RotatingStar, NF};
-use crate::subgrid::{Face, SubGrid, CELLS};
+use crate::subgrid::{SubGrid, CELLS};
 
 /// Work counters accumulated over a run — the measured quantities the
 /// `rv-machine` projection turns into per-architecture runtimes.
@@ -64,6 +64,14 @@ impl WorkEstimate {
     /// Total flops.
     pub fn flops(&self) -> u64 {
         self.hydro_flops + self.gravity_flops
+    }
+
+    /// Charge one ghost exchange: [`FACE_VALUES`] values per face, as
+    /// latency-bound samples where the face crosses a level jump or the
+    /// domain boundary, as slab bytes where it is a same-level copy.
+    pub(crate) fn add_ghost_faces(&mut self, faces: GhostFaces) {
+        self.ghost_samples += faces.indexed * FACE_VALUES;
+        self.ghost_slab_bytes += faces.slab * FACE_VALUES * 8;
     }
 }
 
@@ -187,29 +195,6 @@ pub struct RegridReport {
     pub leaves_refined: usize,
 }
 
-/// Map every leaf through `f` in parallel (one task per leaf). Still used
-/// by the ghost exchange; the compute phases fan out through the
-/// aggregation regions instead.
-fn par_map_leaves<T, F>(handle: &Handle, tree: &Octree, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(NodeId) -> T + Send + Sync,
-{
-    let leaves = tree.leaf_ids();
-    let mut out: Vec<Option<T>> = (0..leaves.len()).map(|_| None).collect();
-    scope(handle, |sc| {
-        for (slot, &leaf) in out.iter_mut().zip(leaves) {
-            let f = &f;
-            sc.spawn(move || {
-                *slot = Some(f(leaf));
-            });
-        }
-    });
-    out.into_iter()
-        .map(|s| s.expect("scope completed"))
-        .collect()
-}
-
 impl Driver {
     /// Build the rotating-star problem for `config` on a `[-1, 1]³` domain.
     pub fn new(config: OctoConfig) -> Self {
@@ -262,23 +247,42 @@ impl Driver {
         }
     }
 
-    /// Ghost exchange: parallel per-leaf gather, serial scatter. Shared by
-    /// both step modes (it runs before any of the step's compute tasks).
-    fn exchange_ghosts(&mut self, handle: &Handle, leaves: &[NodeId]) {
+    /// Ghost exchange through the tree's cached copy plan, one task per
+    /// leaf. Shared by both step modes (it runs before any of the step's
+    /// compute tasks).
+    fn exchange_ghosts(&mut self, handle: &Handle) {
         let _span = trace::span(Cat::Phase, "ghost_exchange");
-        let ghost_data = {
-            let tree = &self.tree;
-            par_map_leaves(handle, tree, |leaf| {
-                Face::ALL
-                    .into_iter()
-                    .map(|face| (face, tree.ghost_data_for(leaf, face)))
-                    .collect::<Vec<_>>()
-            })
-        };
-        for (&leaf, faces) in leaves.iter().zip(ghost_data) {
-            for (face, data) in faces {
-                self.tree.apply_ghost(leaf, face, &data);
-            }
+        let faces = self.tree.exchange_ghosts(handle, |_| true);
+        self.work.add_ghost_faces(faces);
+    }
+
+    /// End of a step, shared by both modes: apply each leaf's hydro update
+    /// and gravity source terms, leaves in parallel. `batch_states[b]` is
+    /// the fused state of leaves `b·batch ..`, so leaf `pos` slices its
+    /// cells back out of batch `pos / batch` — per leaf the same two calls
+    /// on the same inputs as a serial walk in leaf order.
+    fn apply_updates(
+        &mut self,
+        handle: &Handle,
+        batch_states: Vec<Mutex<Option<Vec<[f64; NF]>>>>,
+        accels: &[AccelEntry],
+        dt: f64,
+    ) {
+        let _span = trace::span(Cat::Phase, "apply_update");
+        let batch = self.config.aggregation().hydro;
+        let fused: Vec<Vec<[f64; NF]>> = batch_states
+            .into_iter()
+            .map(|slot| slot.into_inner().expect("state slot").expect("hydro done"))
+            .collect();
+        let covered: usize = fused.iter().map(|b| b.len() / CELLS).sum();
+        assert_eq!(covered, accels.len(), "fused batches cover every leaf");
+        self.tree.for_each_leaf_mut(handle, |pos, grid| {
+            let k = pos % batch;
+            hydro::apply_interior(grid, &fused[pos / batch][k * CELLS..(k + 1) * CELLS]);
+            hydro::apply_gravity_source(grid, &accels[pos].0, dt);
+        });
+        for buf in fused {
+            self.pool.release(buf);
         }
     }
 
@@ -297,7 +301,7 @@ impl Driver {
 
         // 1. Ghost exchange.
         let leaves: Vec<NodeId> = self.tree.leaf_ids().to_vec();
-        self.exchange_ghosts(&handle, &leaves);
+        self.exchange_ghosts(&handle);
         let n = leaves.len();
 
         let hctx = HydroBatchCtx {
@@ -409,25 +413,12 @@ impl Driver {
             });
         }
 
-        // 5. Apply hydro update + gravity source terms: walk the fused
-        //    buffers in batch order and slice leaves back out — the same
-        //    leaf order (and the same bits) as the per-leaf apply.
-        let mut pos = 0usize;
-        for slot in batch_states {
-            let fused = slot.into_inner().expect("state slot").expect("hydro done");
-            for k in 0..fused.len() / CELLS {
-                let grid = self.tree.subgrid_mut(leaves[pos]);
-                hydro::apply_interior(grid, &fused[k * CELLS..(k + 1) * CELLS]);
-                hydro::apply_gravity_source(grid, &accels[pos].0, dt);
-                pos += 1;
-            }
-            self.pool.release(fused);
-        }
-        assert_eq!(pos, n, "fused batches cover every leaf exactly once");
+        // 5. Apply hydro update + gravity source terms.
+        self.apply_updates(&handle, batch_states, &accels, dt);
         drop(hydro_span);
 
         self.accumulate_overlap(&g_env, &h_env);
-        self.account_step(&leaves, &accels, report);
+        self.account_step(&accels, report);
         self.sim_time += dt;
         dt
     }
@@ -463,7 +454,7 @@ impl Driver {
         let agg_cfg = self.config.aggregation();
 
         let leaves: Vec<NodeId> = self.tree.leaf_ids().to_vec();
-        self.exchange_ghosts(&handle, &leaves);
+        self.exchange_ghosts(&handle);
         let n = leaves.len();
         let n_hydro_batches = AggregationRegion::batch_count(n, agg_cfg.hydro);
         let n_p2m_batches = AggregationRegion::batch_count(n, agg_cfg.multipole);
@@ -664,27 +655,14 @@ impl Driver {
         let report = handoff.report;
         let dt = f64::from_bits(dt_bits.load(Ordering::Acquire));
 
-        // Serial apply, identical order to the barriered step: walk the
-        // fused hydro buffers in batch order and slice leaves back out.
         let accels: Vec<AccelEntry> = accel_slots
             .into_iter()
             .map(|m| m.into_inner().expect("accel slot").expect("gravity done"))
             .collect();
-        let mut pos = 0usize;
-        for slot in batch_states {
-            let fused = slot.into_inner().expect("state slot").expect("hydro done");
-            for k in 0..fused.len() / CELLS {
-                let grid = self.tree.subgrid_mut(leaves[pos]);
-                hydro::apply_interior(grid, &fused[k * CELLS..(k + 1) * CELLS]);
-                hydro::apply_gravity_source(grid, &accels[pos].0, dt);
-                pos += 1;
-            }
-            self.pool.release(fused);
-        }
-        assert_eq!(pos, n, "fused batches cover every leaf exactly once");
+        self.apply_updates(&handle, batch_states, &accels, dt);
 
         self.accumulate_overlap(&g_env, &h_env);
-        self.account_step(&leaves, &accels, report);
+        self.account_step(&accels, report);
         self.sim_time += dt;
         dt
     }
@@ -699,26 +677,9 @@ impl Driver {
         }
     }
 
-    /// Post-step ghost and work accounting, shared by both step modes.
-    fn account_step(
-        &mut self,
-        leaves: &[NodeId],
-        accels: &[(Vec<[f64; 3]>, u64, u64)],
-        report: EnsureReport,
-    ) {
-        // Ghost-path accounting (for the machine projection).
-        // Values per face slab: NF × NG × NX².
-        let slab_values = (crate::star::NF * crate::subgrid::NG * 8 * 8) as u64;
-        for &leaf in leaves {
-            for face in Face::ALL {
-                if self.tree.ghost_fast_path(leaf, face) {
-                    self.work.ghost_slab_bytes += slab_values * 8;
-                } else {
-                    self.work.ghost_samples += slab_values;
-                }
-            }
-        }
-
+    /// Post-step work accounting, shared by both step modes (the ghost
+    /// exchange charged its own faces).
+    fn account_step(&mut self, accels: &[AccelEntry], report: EnsureReport) {
         // Work accounting. Far (M2L) interactions are charged on the
         // SIMD-*padded* source count: the remainder pack of each far list
         // still occupies full vector lanes, and the projection must see
@@ -887,6 +848,10 @@ impl Driver {
         snap.set_count("/work/bytes", self.work.bytes);
         snap.set_count("/work/ghost_samples", self.work.ghost_samples);
         snap.set_count("/work/ghost_slab_bytes", self.work.ghost_slab_bytes);
+        let ghost = self.tree.ghost_stats();
+        snap.set_count("/ghost/plan_rebuilds", ghost.plan_rebuilds);
+        snap.set_count("/ghost/faces_slab", ghost.faces.slab);
+        snap.set_count("/ghost/faces_indexed", ghost.faces.indexed);
         snap.set_count("/runtime/overlap_ns", self.overlap.overlap_ns);
         snap.set_gauge("/runtime/overlap_ratio", self.overlap_ratio());
         let agg = self.agg.snapshot();

@@ -578,10 +578,14 @@ pub fn step_interior_policy(
 /// Write the interior states produced by [`step_interior`] back.
 pub fn apply_interior(sub: &mut SubGrid, new_state: &[[f64; NF]]) {
     assert_eq!(new_state.len(), CELLS, "state buffer size mismatch");
-    for (c, u) in new_state.iter().enumerate() {
-        let (i, j, k) = cell_coords(c);
-        for (f, v) in u.iter().enumerate() {
-            sub.set(f, i, j, k, *v);
+    let u = sub.u.as_mut_slice();
+    for (row, cells) in new_state.chunks_exact(NX).enumerate() {
+        let at0 = stage_index(row / NX, row % NX, 0);
+        for f in 0..NF {
+            let lane = &mut u[f * STAGE_CELLS + at0..][..NX];
+            for (v, cell) in lane.iter_mut().zip(cells) {
+                *v = cell[f];
+            }
         }
     }
 }
@@ -590,18 +594,19 @@ pub fn apply_interior(sub: &mut SubGrid, new_state: &[[f64; NF]]) {
 /// ρ·g·dt, energy gains v·g·ρ·dt (work done by gravity).
 pub fn apply_gravity_source(sub: &mut SubGrid, acc: &[[f64; 3]], dt: f64) {
     assert_eq!(acc.len(), CELLS, "acceleration buffer size mismatch");
-    for (c, g) in acc.iter().enumerate() {
-        let (i, j, k) = cell_coords(c);
-        let rho = sub.at(field::RHO, i, j, k);
-        let sx = sub.at(field::SX, i, j, k);
-        let sy = sub.at(field::SY, i, j, k);
-        let sz = sub.at(field::SZ, i, j, k);
-        sub.set(field::SX, i, j, k, sx + rho * g[0] * dt);
-        sub.set(field::SY, i, j, k, sy + rho * g[1] * dt);
-        sub.set(field::SZ, i, j, k, sz + rho * g[2] * dt);
-        let de = (sx * g[0] + sy * g[1] + sz * g[2]) * dt;
-        let e = sub.at(field::EGAS, i, j, k);
-        sub.set(field::EGAS, i, j, k, e + de);
+    let u = sub.u.as_mut_slice();
+    for (row, accs) in acc.chunks_exact(NX).enumerate() {
+        let at0 = stage_index(row / NX, row % NX, 0);
+        for (k, g) in accs.iter().enumerate() {
+            let at = |f: usize| f * STAGE_CELLS + at0 + k;
+            let rho = u[at(field::RHO)];
+            let (sx, sy, sz) = (u[at(field::SX)], u[at(field::SY)], u[at(field::SZ)]);
+            u[at(field::SX)] = sx + rho * g[0] * dt;
+            u[at(field::SY)] = sy + rho * g[1] * dt;
+            u[at(field::SZ)] = sz + rho * g[2] * dt;
+            let de = (sx * g[0] + sy * g[1] + sz * g[2]) * dt;
+            u[at(field::EGAS)] += de;
+        }
     }
 }
 

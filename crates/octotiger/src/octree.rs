@@ -42,9 +42,15 @@
 
 use std::collections::HashMap;
 
+use amt::par::{for_each_mut, ExecutionPolicy};
+use amt::Handle;
+
 use crate::config::OctoConfig;
 use crate::star::{InitialModel, RotatingStar, NF};
-use crate::subgrid::{Face, SubGrid, NG, NT, NX};
+use crate::subgrid::{Face, SubGrid, NT, NX};
+
+mod ghost;
+pub use ghost::{GhostFaces, GhostStats, FACE_VALUES};
 
 /// Index of a node within the tree arena.
 pub type NodeId = usize;
@@ -94,6 +100,8 @@ pub struct Octree {
     /// being a leaf mid-run, in generation order. Build-time refinement is
     /// not logged (nothing can hold a stale view of generation 0).
     split_log: Vec<(u64, u32)>,
+    /// Cached ghost-exchange copy plan, keyed on `generation`.
+    ghost: ghost::GhostPlan,
 }
 
 /// Pack a `(level, coords)` index key into one u64 (16 bits per component;
@@ -132,6 +140,7 @@ impl Octree {
             max_level: config.max_level,
             generation: 0,
             split_log: Vec::new(),
+            ghost: ghost::GhostPlan::default(),
         };
         let root = tree.push_node(0, [0, 0, 0], NONE);
         // Density-driven refinement.
@@ -478,8 +487,9 @@ impl Octree {
     }
 
     /// Node metadata + field-data bytes resident in this tree (SoA lanes,
-    /// index, leaf order, sub-grids). Feeds the arena high-water mark that
-    /// backs `/runtime/peak_rss_bytes` when the OS counter is unavailable.
+    /// index, leaf order, sub-grids, ghost plan). Feeds the arena high-water
+    /// mark that backs `/runtime/peak_rss_bytes` when the OS counter is
+    /// unavailable.
     pub fn resident_bytes(&self) -> u64 {
         let lanes = self.levels.capacity()
             + self.coords.capacity() * std::mem::size_of::<[u32; 3]>()
@@ -490,7 +500,7 @@ impl Octree {
         let leaves = self.leaves.capacity() * std::mem::size_of::<NodeId>();
         let grids = self.subgrids.iter().flatten().count() * SUBGRID_BYTES;
         let log = self.split_log.capacity() * std::mem::size_of::<(u64, u32)>();
-        (lanes + index + leaves + grids + log) as u64
+        (lanes + index + leaves + grids + log + self.ghost.resident_bytes()) as u64
     }
 
     /// Materialise the classic node view for `id` from the SoA lanes.
@@ -526,6 +536,29 @@ impl Octree {
         self.subgrids[id]
             .as_mut()
             .expect("node is not a leaf with data")
+    }
+
+    /// Run `f(leaf position, sub-grid)` for every leaf, in parallel on
+    /// `handle` over disjoint `&mut SubGrid`s (inline on a one-worker
+    /// runtime, where there is nothing to run beside).
+    pub(crate) fn for_each_leaf_mut<F>(&mut self, handle: &Handle, f: F)
+    where
+        F: Fn(usize, &mut SubGrid) + Send + Sync,
+    {
+        let mut by_node: Vec<Option<&mut SubGrid>> =
+            self.subgrids.iter_mut().map(Option::as_mut).collect();
+        let mut grids: Vec<(usize, &mut SubGrid)> = self
+            .leaves
+            .iter()
+            .enumerate()
+            .map(|(pos, &leaf)| (pos, by_node[leaf].take().expect("leaf carries data")))
+            .collect();
+        let policy = if handle.num_threads() == 1 {
+            ExecutionPolicy::Seq
+        } else {
+            ExecutionPolicy::Par
+        };
+        for_each_mut(handle, policy, &mut grids, |(pos, grid)| f(*pos, grid));
     }
 
     /// Immutable access to a leaf's sub-grid.
@@ -582,75 +615,6 @@ impl Octree {
             .at(f, c[0] as i64, c[1] as i64, c[2] as i64)
     }
 
-    /// Ghost data for one face of one leaf (read-only; apply with
-    /// [`Octree::apply_ghost`]). Uses the fast same-level slab copy when the
-    /// face neighbour is a same-level leaf, physical sampling (handling
-    /// coarse neighbours, fine neighbours and the outflow domain boundary)
-    /// otherwise.
-    pub fn ghost_data_for(&self, leaf: NodeId, face: Face) -> Vec<f64> {
-        let (level, coords) = (u32::from(self.levels[leaf]), self.coords[leaf]);
-        if let Some(nc) = self.neighbor_coords(level, coords, face) {
-            if let Some(nid) = self.node_at(level, nc) {
-                if self.is_leaf(nid) {
-                    return self.subgrid(nid).face_slab(face.opposite());
-                }
-            }
-        }
-        // Generic path: sample every ghost cell position.
-        let grid = self.subgrid(leaf);
-        let mut out = Vec::with_capacity(NF * NG * NX * NX);
-        for f in 0..NF {
-            for d in 0..NG as i64 {
-                for a in 0..NX as i64 {
-                    for b in 0..NX as i64 {
-                        let (i, j, k) = ghost_index(face, d, a, b);
-                        let p = grid.cell_center(i, j, k);
-                        out.push(self.sample(f, p));
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Whether [`Octree::ghost_data_for`] can use the fast same-level slab
-    /// copy for this face (false = per-cell tree-descent sampling, the
-    /// latency-bound path the machine model charges per sample).
-    pub fn ghost_fast_path(&self, leaf: NodeId, face: Face) -> bool {
-        let (level, coords) = (u32::from(self.levels[leaf]), self.coords[leaf]);
-        if let Some(nc) = self.neighbor_coords(level, coords, face) {
-            if let Some(nid) = self.node_at(level, nc) {
-                return self.is_leaf(nid);
-            }
-        }
-        false
-    }
-
-    /// Install ghost data produced by [`Octree::ghost_data_for`].
-    pub fn apply_ghost(&mut self, leaf: NodeId, face: Face, data: &[f64]) {
-        self.subgrid_mut(leaf).set_ghost_slab(face, data);
-    }
-
-    /// Fill every leaf's face ghosts (sequential reference version; the
-    /// driver runs the gather phase as parallel tasks).
-    pub fn fill_ghosts(&mut self) {
-        let work: Vec<(NodeId, Face, Vec<f64>)> = self
-            .leaves
-            .clone()
-            .into_iter()
-            .flat_map(|leaf| {
-                Face::ALL
-                    .into_iter()
-                    .map(move |face| (leaf, face))
-                    .collect::<Vec<_>>()
-            })
-            .map(|(leaf, face)| (leaf, face, self.ghost_data_for(leaf, face)))
-            .collect();
-        for (leaf, face, data) in work {
-            self.apply_ghost(leaf, face, &data);
-        }
-    }
-
     /// Total mass over all leaves (conservation diagnostics).
     pub fn total_mass(&self) -> f64 {
         self.leaves.iter().map(|&l| self.subgrid(l).mass()).sum()
@@ -699,20 +663,6 @@ impl Octree {
     /// Domain half-width L (domain is `[-L, L]³`).
     pub fn domain_half(&self) -> f64 {
         self.domain_half
-    }
-}
-
-/// Ghost-cell index for layer `d` (nearest first), transverse `(a, b)`.
-fn ghost_index(face: Face, d: i64, a: i64, b: i64) -> (i64, i64, i64) {
-    let n = NX as i64;
-    let normal = match face.sign() {
-        -1 => -1 - d,
-        _ => n + d,
-    };
-    match face.axis() {
-        0 => (normal, a, b),
-        1 => (a, normal, b),
-        _ => (a, b, normal),
     }
 }
 
@@ -838,7 +788,12 @@ mod tests {
                 // ghost layer 0 equals neighbor's boundary layer.
                 let g = t.subgrid(leaf);
                 let ng = t.subgrid(nid);
-                let (i, j, k) = super::ghost_index(face, 0, 3, 4);
+                let normal = if face.sign() < 0 { -1 } else { NX as i64 };
+                let (i, j, k) = match face.axis() {
+                    0 => (normal, 3, 4),
+                    1 => (3, normal, 4),
+                    _ => (3, 4, normal),
+                };
                 let p = g.cell_center(i, j, k);
                 let r = ng.at(
                     field::RHO,

@@ -249,67 +249,6 @@ impl SubGrid {
             }
         }
     }
-
-    /// Extract the interior slab of depth `NG` adjacent to `face`
-    /// (what a same-level neighbour copies into its ghosts):
-    /// layout `[field][depth][a][b]`, flattened.
-    pub fn face_slab(&self, face: Face) -> Vec<f64> {
-        let mut out = Vec::with_capacity(NF * NG * NX * NX);
-        for f in 0..NF {
-            for d in 0..NG as i64 {
-                for a in 0..NX as i64 {
-                    for b in 0..NX as i64 {
-                        let (i, j, k) = face_cell(face, d, a, b, false);
-                        out.push(self.at(f, i, j, k));
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Install `data` (from the neighbour's [`SubGrid::face_slab`] of the
-    /// *opposite* face) into this sub-grid's ghost cells at `face`.
-    pub fn set_ghost_slab(&mut self, face: Face, data: &[f64]) {
-        assert_eq!(data.len(), NF * NG * NX * NX, "ghost slab size mismatch");
-        let mut it = data.iter();
-        for f in 0..NF {
-            for d in 0..NG as i64 {
-                for a in 0..NX as i64 {
-                    for b in 0..NX as i64 {
-                        let (i, j, k) = face_cell(face, d, a, b, true);
-                        self.set(f, i, j, k, *it.next().expect("sized above"));
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Index of the `d`-th layer cell at transverse position `(a, b)` on `face`;
-/// `ghost` selects the ghost shell (outside) vs the interior slab (inside).
-///
-/// Layer ordering is "nearest the face first" on both sides, so a slab read
-/// with `ghost = false` on face `F` installs directly with `ghost = true` on
-/// the neighbour's `F.opposite()`.
-fn face_cell(face: Face, d: i64, a: i64, b: i64, ghost: bool) -> (i64, i64, i64) {
-    let n = NX as i64;
-    let normal = if ghost {
-        match face.sign() {
-            -1 => -1 - d,
-            _ => n + d,
-        }
-    } else {
-        match face.sign() {
-            -1 => d,
-            _ => n - 1 - d,
-        }
-    };
-    match face.axis() {
-        0 => (normal, a, b),
-        1 => (a, normal, b),
-        _ => (a, b, normal),
-    }
 }
 
 #[cfg(test)]
@@ -389,59 +328,6 @@ mod tests {
     }
 
     #[test]
-    fn face_slab_roundtrip_between_neighbors() {
-        // Two adjacent sub-grids along x: right's XM ghosts must equal
-        // left's interior cells at i = NX-1, NX-2 (nearest first).
-        let mut left = SubGrid::new([0.0; 3], 1.0);
-        let mut right = SubGrid::new([8.0, 0.0, 0.0], 1.0);
-        for i in 0..NX as i64 {
-            for j in 0..NX as i64 {
-                for k in 0..NX as i64 {
-                    left.set(field::RHO, i, j, k, (100 * i + 10 * j + k) as f64);
-                }
-            }
-        }
-        let slab = left.face_slab(Face::XP);
-        right.set_ghost_slab(Face::XM, &slab);
-        for j in 0..NX as i64 {
-            for k in 0..NX as i64 {
-                assert_eq!(
-                    right.at(field::RHO, -1, j, k),
-                    left.at(field::RHO, 7, j, k),
-                    "nearest ghost layer"
-                );
-                assert_eq!(
-                    right.at(field::RHO, -2, j, k),
-                    left.at(field::RHO, 6, j, k),
-                    "second ghost layer"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn face_slab_roundtrip_all_faces() {
-        let mut a = SubGrid::new([0.0; 3], 1.0);
-        for (n, v) in a.u.as_mut_slice().iter_mut().enumerate() {
-            *v = n as f64;
-        }
-        for face in Face::ALL {
-            let mut b = SubGrid::new([0.0; 3], 1.0);
-            let slab = a.face_slab(face);
-            assert_eq!(slab.len(), NF * NG * NX * NX);
-            b.set_ghost_slab(face.opposite(), &slab);
-            // The nearest ghost layer of b at face.opposite() equals a's
-            // boundary layer at face.
-            let probe = |g: &SubGrid, ghost: bool| -> f64 {
-                let (i, j, k) =
-                    super::face_cell(if ghost { face.opposite() } else { face }, 0, 3, 5, ghost);
-                g.at(field::SX, i, j, k)
-            };
-            assert_eq!(probe(&b, true), probe(&a, false), "{face:?}");
-        }
-    }
-
-    #[test]
     fn face_axes_and_signs() {
         assert_eq!(Face::XM.axis(), 0);
         assert_eq!(Face::ZP.axis(), 2);
@@ -452,13 +338,6 @@ mod tests {
             assert_eq!(f.axis(), f.opposite().axis());
             assert_ne!(f.sign(), f.opposite().sign());
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "ghost slab size mismatch")]
-    fn wrong_slab_size_rejected() {
-        let mut g = SubGrid::new([0.0; 3], 1.0);
-        g.set_ghost_slab(Face::XM, &[0.0; 3]);
     }
 
     #[test]

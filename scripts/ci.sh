@@ -10,6 +10,11 @@ cargo build --release
 echo "== cargo test -q =="
 cargo test -q
 
+# Not in the umbrella crate's suite above: the scheduler's unit tests,
+# including `Runtime::drop` from inside one of its own tasks.
+echo "== amt unit tests =="
+cargo test -q -p amt
+
 echo "== SIMD/scalar kernel agreement =="
 cargo test -q -p octotiger dispatch_backends_agree_on_gravity
 cargo test -q --test simd_gravity_prop
@@ -20,6 +25,9 @@ cargo test -q --test aggregation_prop
 
 echo "== incremental regrid agreement (incremental == full rebuild, bitwise) =="
 cargo test -q --test regrid_incremental_prop
+
+echo "== ghost exchange agreement (copy plan == per-cell sampling, bitwise) =="
+cargo test -q --test ghost_plan_prop
 
 # Default flags compile only the lane-loop fallback of `Simd<W>`; this is
 # the one place CI builds the AVX2 / AVX-512 backends and holds them to the
@@ -32,7 +40,8 @@ echo "== native-ISA step: SIMD backends keep the fallback's bits =="
   export RUSTFLAGS="-C target-cpu=native"
   export CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-target}/native"
   cargo test -q -p kokkos-lite -p octotiger
-  cargo test -q --test simd_gravity_prop --test simd_hydro_prop --test aggregation_prop
+  cargo test -q --test simd_gravity_prop --test simd_hydro_prop --test aggregation_prop \
+    --test ghost_plan_prop
 )
 
 echo "== gravity bench smoke (one short iteration, no timing assertions) =="

@@ -140,3 +140,32 @@ fn single_node_distributed_run_matches_cell_throughput_shape() {
     assert!(m.cells_per_second > 0.0);
     assert!(m.work.flops() > 0);
 }
+
+#[test]
+fn back_to_back_runs_tear_down_without_a_panic() {
+    // Regression: a run's teardown can drop the last owner of a locality's
+    // runtime inside one of that runtime's own tasks. `Runtime::drop` used
+    // to join the calling worker too ("Resource deadlock avoided"); the
+    // scheduler catches a task's panic, so it showed only on stderr — count
+    // panics where they are raised.
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    static PANICS: AtomicUsize = AtomicUsize::new(0);
+    let previous = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        PANICS.fetch_add(1, Ordering::SeqCst);
+        previous(info);
+    }));
+    for _ in 0..20 {
+        DistRun::execute(DistConfig {
+            nodes: 2,
+            threads_per_node: 1,
+            backend: NetBackend::Tcp,
+            coalesce: CoalesceConfig::default(),
+            octo: OctoConfig {
+                stop_step: 1,
+                ..octo_cfg()
+            },
+        });
+    }
+    assert_eq!(PANICS.load(Ordering::SeqCst), 0, "a teardown panicked");
+}

@@ -78,8 +78,19 @@ fn trace_spans_agree_with_run_metrics() {
         "cfl_reduction",
         "gravity_solve",
         "hydro_step",
+        "apply_update",
     ] {
         assert_eq!(summary.count_name(phase), steps, "phase {phase}");
+    }
+    // One ghost-plan build per topology generation exchanged on — a static
+    // tree builds once, in the first step — and the counter says the same.
+    assert_eq!(summary.count_name("ghost_plan_build"), 1);
+    assert!(metrics.counters.get("/ghost/plan_rebuilds") == Some(CounterValue::Count(1)));
+    for census in ["/ghost/faces_slab", "/ghost/faces_indexed"] {
+        assert!(
+            matches!(metrics.counters.get(census), Some(CounterValue::Count(n)) if n > 0),
+            "{census} missing or zero"
+        );
     }
     // The ISSUE's cross-check: gravity cache-rebuild spans equal the
     // interaction cache's measured miss count (1 for a static topology).
@@ -122,6 +133,8 @@ fn futurized_trace_shows_per_leaf_spans_overlapping_across_workers() {
     assert_eq!(summary.count_name("cfl_reduction"), steps);
     assert_eq!(summary.count_name("gravity_moments"), steps);
     assert_eq!(summary.count_name("ghost_exchange"), steps);
+    assert_eq!(summary.count_name("apply_update"), steps);
+    assert_eq!(summary.count_name("ghost_plan_build"), 1);
 
     // The tentpole's proof obligation: gravity kernels on one worker ran
     // while hydro kernels ran on another — positive wall-clock overlap
