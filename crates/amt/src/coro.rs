@@ -58,7 +58,7 @@ fn step<C: Coroutine>(handle: Handle, mut coro: C, promise: crate::Promise<C::Ou
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| coro.resume())) {
             Ok(CoStep::Done(v)) => promise.set_value(v),
             Ok(CoStep::Yield) => step(h, coro, promise),
-            Err(e) => promise.set_panic(e),
+            Err(e) => promise.fail_task(e),
         }
     });
 }

@@ -10,14 +10,16 @@
 //! at the eventual `get`.
 
 use std::any::Any;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
+use apex_lite::trace::{self, Cat};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
-use crate::runtime::{help_one, on_worker};
+use crate::runtime::{help_one, on_worker, unwind_after_delivery};
 
-type PanicPayload = Box<dyn Any + Send + 'static>;
+pub(crate) type PanicPayload = Box<dyn Any + Send + 'static>;
 
 enum Outcome<T> {
     Value(T),
@@ -29,11 +31,38 @@ type Continuation<T> = Box<dyn FnOnce(Outcome<T>) + Send + 'static>;
 struct State<T> {
     outcome: Option<Outcome<T>>,
     continuation: Option<Continuation<T>>,
+    /// A thread is (or was) blocked on `ready`: completion notifies only
+    /// then — a notify is a system call even with nobody waiting.
+    waiting: bool,
 }
 
 struct Inner<T> {
     state: Mutex<State<T>>,
     ready: Condvar,
+}
+
+impl<T> Inner<T> {
+    /// A worker with nothing to help with naps briefly on the future's own
+    /// condvar (callers re-check, so a lost notify only costs the timeout).
+    /// The nap is a `sched` span: the task around it is waiting, not working.
+    fn nap(&self) {
+        let mut st = self.state.lock();
+        if st.outcome.is_none() {
+            st.waiting = true;
+            let _span = trace::span(Cat::Sched, "wait");
+            self.ready.wait_for(&mut st, Duration::from_micros(200));
+        }
+    }
+
+    /// Block the (non-worker) thread until the outcome is there.
+    fn block(&self) -> MutexGuard<'_, State<T>> {
+        let mut st = self.state.lock();
+        while st.outcome.is_none() {
+            st.waiting = true;
+            self.ready.wait(&mut st);
+        }
+        st
+    }
 }
 
 /// Producer side of a future pair; see [`pair`].
@@ -53,6 +82,7 @@ pub fn pair<T>() -> (Promise<T>, Future<T>) {
         state: Mutex::new(State {
             outcome: None,
             continuation: None,
+            waiting: false,
         }),
         ready: Condvar::new(),
     });
@@ -80,7 +110,9 @@ impl<T> Promise<T> {
                 Some(c) => Some((c, outcome)),
                 None => {
                     st.outcome = Some(outcome);
-                    self.inner.ready.notify_all();
+                    if st.waiting {
+                        self.inner.ready.notify_all();
+                    }
                     None
                 }
             }
@@ -99,6 +131,13 @@ impl<T> Promise<T> {
     /// re-raises it.
     pub fn set_panic(&self, payload: PanicPayload) {
         self.complete(Outcome::Panicked(payload));
+    }
+
+    /// [`Promise::set_panic`] from inside the task that panicked, which then
+    /// ends as a panicked task (the scheduler counts it).
+    pub(crate) fn fail_task(&self, payload: PanicPayload) -> ! {
+        self.set_panic(payload);
+        unwind_after_delivery()
     }
 }
 
@@ -190,23 +229,12 @@ impl<T: Send + 'static> Future<T> {
                     }
                 }
                 if !help_one() {
-                    // Nothing to help with: nap briefly on the future's own
-                    // condvar (re-checked above, so a lost notify only costs
-                    // the timeout).
-                    let mut st = self.inner.state.lock();
-                    if st.outcome.is_none() {
-                        self.inner
-                            .ready
-                            .wait_for(&mut st, Duration::from_micros(200));
-                    }
+                    self.inner.nap();
                 }
             }
         } else {
-            let mut st = self.inner.state.lock();
-            while st.outcome.is_none() {
-                self.inner.ready.wait(&mut st);
-            }
-            unwrap_outcome(st.outcome.take().expect("checked above"))
+            let outcome = self.inner.block().outcome.take();
+            unwrap_outcome(outcome.expect("block returns when complete"))
         }
     }
 
@@ -215,19 +243,11 @@ impl<T: Send + 'static> Future<T> {
         if on_worker() {
             while !self.is_ready() {
                 if !help_one() {
-                    let mut st = self.inner.state.lock();
-                    if st.outcome.is_none() {
-                        self.inner
-                            .ready
-                            .wait_for(&mut st, Duration::from_micros(200));
-                    }
+                    self.inner.nap();
                 }
             }
         } else {
-            let mut st = self.inner.state.lock();
-            while st.outcome.is_none() {
-                self.inner.ready.wait(&mut st);
-            }
+            self.inner.block();
         }
     }
 }
@@ -249,51 +269,41 @@ pub fn when_all<T: Send + 'static>(futures: Vec<Future<T>>) -> Future<Vec<T>> {
         p.set_value(Vec::new());
         return fut;
     }
+    // One slot per input, written by whichever thread completes it, and
+    // one countdown: completions on different workers share no lock.
     struct Join<T> {
-        slots: Mutex<JoinSlots<T>>,
+        slots: Vec<Mutex<Option<T>>>,
+        panic: Mutex<Option<PanicPayload>>,
+        remaining: AtomicUsize,
         promise: Promise<Vec<T>>,
     }
-    struct JoinSlots<T> {
-        values: Vec<Option<T>>,
-        panic: Option<PanicPayload>,
-        remaining: usize,
-    }
     let join = Arc::new(Join {
-        slots: Mutex::new(JoinSlots {
-            values: (0..n).map(|_| None).collect(),
-            panic: None,
-            remaining: n,
-        }),
+        slots: (0..n).map(|_| Mutex::new(None)).collect(),
+        panic: Mutex::new(None),
+        remaining: AtomicUsize::new(n),
         promise: p,
     });
     for (i, f) in futures.into_iter().enumerate() {
         let j = Arc::clone(&join);
         f.on_complete(move |outcome| {
-            let finished = {
-                let mut s = j.slots.lock();
-                match outcome {
-                    Outcome::Value(v) => s.values[i] = Some(v),
-                    Outcome::Panicked(e) => {
-                        if s.panic.is_none() {
-                            s.panic = Some(e);
-                        }
-                    }
+            match outcome {
+                Outcome::Value(v) => *j.slots[i].lock() = Some(v),
+                Outcome::Panicked(e) => {
+                    j.panic.lock().get_or_insert(e);
                 }
-                s.remaining -= 1;
-                s.remaining == 0
-            };
-            if finished {
-                let mut s = j.slots.lock();
-                if let Some(e) = s.panic.take() {
-                    j.promise.set_panic(e);
-                } else {
-                    let vals = s
-                        .values
-                        .iter_mut()
-                        .map(|v| v.take().expect("slot unfilled at join"))
-                        .collect();
-                    j.promise.set_value(vals);
-                }
+            }
+            if j.remaining.fetch_sub(1, Ordering::SeqCst) != 1 {
+                return;
+            }
+            // Last completion: every slot was written before its decrement.
+            match j.panic.lock().take() {
+                Some(e) => j.promise.set_panic(e),
+                None => j.promise.set_value(
+                    j.slots
+                        .iter()
+                        .map(|s| s.lock().take().expect("slot unfilled at join"))
+                        .collect(),
+                ),
             }
         });
     }

@@ -10,16 +10,17 @@
 //! model, mirroring the paper's observation that the RISC-V boards have no
 //! vector unit for `par_unseq` to use.
 
-use std::any::Any;
 use std::marker::PhantomData;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use apex_lite::trace::{self, Cat};
 use parking_lot::{Condvar, Mutex};
 
-use crate::runtime::{help_one, on_worker};
+use crate::future::PanicPayload;
+use crate::runtime::{help_one, on_worker, unwind_after_delivery};
 use crate::Handle;
 
 /// Execution policy selector, mirroring `hpx::execution`.
@@ -57,9 +58,14 @@ pub fn default_chunks(threads: usize, len: usize) -> usize {
 
 struct ScopeSync {
     pending: AtomicUsize,
+    /// The scope's body has returned and its caller waits for `pending` to
+    /// reach zero: only then is a zero worth a notify (a system call). While
+    /// the body is still spawning, workers that keep up with it pass through
+    /// zero all the time.
+    joining: AtomicBool,
     lock: Mutex<()>,
     done: Condvar,
-    panic: Mutex<Option<Box<dyn Any + Send + 'static>>>,
+    panic: Mutex<Option<PanicPayload>>,
 }
 
 /// A structured-concurrency scope: tasks spawned on it may borrow anything
@@ -78,10 +84,11 @@ pub struct Scope<'env> {
 ///
 /// The caller must ensure the returned closure runs (or is dropped) before
 /// `'env` ends, i.e. before anything it borrows is invalidated. In this
-/// module that contract is upheld by [`scope`]: every erased closure is
-/// wrapped so it decrements `ScopeSync::pending` exactly once — on the
-/// normal and on the unwinding path — and `scope` does not return, even when
-/// a task panicked, until `pending` is back to zero.
+/// module that contract is upheld by [`scope`]: every erased closure
+/// decrements `ScopeSync::pending` exactly once — on the normal and on the
+/// unwinding path, after the borrowing part of it has run and been dropped —
+/// and `scope` does not return, even when a task panicked, until `pending`
+/// is back to zero.
 unsafe fn erase_scope_lifetime<'env>(
     f: Box<dyn FnOnce() + Send + 'env>,
 ) -> Box<dyn FnOnce() + Send + 'static> {
@@ -96,23 +103,30 @@ impl<'env> Scope<'env> {
     {
         self.sync.pending.fetch_add(1, Ordering::SeqCst);
         let sync = Arc::clone(&self.sync);
-        let boxed: Box<dyn FnOnce() + Send + 'env> = Box::new(f);
-        // SAFETY: the task below decrements `pending` on every exit path and
-        // `scope()` blocks until `pending` returns to zero, so the closure
-        // (and everything it borrows from 'env) outlives the task.
-        let boxed = unsafe { erase_scope_lifetime(boxed) };
-        self.handle.spawn_detached(move || {
-            if let Err(e) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(boxed)) {
-                let mut p = sync.panic.lock();
-                if p.is_none() {
-                    *p = Some(e);
-                }
+        // One allocation: the bookkeeping wraps `f` before the whole is boxed.
+        let task: Box<dyn FnOnce() + Send + 'env> = Box::new(move || {
+            // `f` is consumed — run and dropped — inside `catch_unwind`.
+            let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).err();
+            let delivered = panicked.is_some();
+            if let Some(e) = panicked {
+                sync.panic.lock().get_or_insert(e);
             }
-            if sync.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
+            if sync.pending.fetch_sub(1, Ordering::SeqCst) == 1
+                && sync.joining.load(Ordering::SeqCst)
+            {
                 let _g = sync.lock.lock();
                 sync.done.notify_all();
             }
+            if delivered {
+                unwind_after_delivery();
+            }
         });
+        // SAFETY: the task above decrements `pending` on every exit path,
+        // after `f` is gone, and `scope()` blocks until `pending` returns to
+        // zero, so everything `f` borrows from 'env outlives its use. What is
+        // left of the task after the decrement (`sync`) borrows nothing.
+        let task = unsafe { erase_scope_lifetime(task) };
+        self.handle.spawn_boxed(task);
     }
 
     /// Handle of the underlying runtime.
@@ -129,6 +143,7 @@ where
 {
     let sync = Arc::new(ScopeSync {
         pending: AtomicUsize::new(0),
+        joining: AtomicBool::new(false),
         lock: Mutex::new(()),
         done: Condvar::new(),
         panic: Mutex::new(None),
@@ -139,15 +154,23 @@ where
         _env: PhantomData,
     };
     let result = f(&sc);
+    // Set before the first look at `pending`: the task that brings it to
+    // zero looks at `joining` after its decrement, so one of the two sees
+    // the other (and the timed wait below bounds what a bug here could cost).
+    sync.joining.store(true, Ordering::SeqCst);
     // Wait for quiescence, helping if we are a worker. Never busy-spin:
     // when there is nothing to help with, nap on the scope's condvar (a
     // spinning waiter would starve the workers on oversubscribed hosts).
+    let worker = on_worker();
     while sync.pending.load(Ordering::SeqCst) != 0 {
-        if on_worker() && help_one() {
+        if worker && help_one() {
             continue;
         }
         let mut g = sync.lock.lock();
         if sync.pending.load(Ordering::SeqCst) != 0 {
+            // On a worker the nap sits inside a task's span, which it must
+            // not pass off as work (see `Future::get`).
+            let _span = worker.then(|| trace::span(Cat::Sched, "wait"));
             sync.done.wait_for(&mut g, Duration::from_micros(200));
         }
     }

@@ -2,8 +2,10 @@
 //!
 //! One OS thread per configured core, each with a LIFO deque
 //! (`crossbeam_deque`), a global FIFO injector for external submissions, and
-//! randomized-order stealing. Idle workers park on a condvar with a short
-//! timeout (re-checking queues to avoid lost-wakeup hazards).
+//! stealing from the other workers' deques. A worker that runs dry probes the
+//! queues for a bounded number of lock-free rounds, then parks on a condvar
+//! with a short timeout; a push wakes at most one sleeper per burst
+//! (DESIGN §5.7 has the protocol and its no-lost-wake-up argument).
 //!
 //! Every scheduler event (spawn, execution, steal, park, yield) is counted;
 //! [`RuntimeStats`] snapshots feed the `rv-machine` cost model, which charges
@@ -11,7 +13,7 @@
 //! RISC-V context switches being the expensive case its conclusion discusses.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -23,32 +25,54 @@ use crate::future::{pair, Future};
 
 pub(crate) type Task = Box<dyn FnOnce() + Send + 'static>;
 
-#[derive(Default)]
-struct Stats {
-    spawned: AtomicU64,
-    executed: AtomicU64,
-    stolen: AtomicU64,
-    parked: AtomicU64,
-    yields: AtomicU64,
-    panics: AtomicU64,
-}
+/// Polls of the queues, a `spin_loop` hint apart, by a worker that ran dry
+/// before it parks: about as long as one push takes, so a push that is under
+/// way is met without a system call on either side. Deliberately no longer:
+/// a worker that outruns its producer and keeps polling takes every task the
+/// moment it appears, and the two then trade cache lines task by task (the
+/// empty-task cases of `bench_amt` ran 1.5–2× slower with 32 polls and
+/// `yield_now` than with 4); a parked worker lets a backlog build that it
+/// then drains in batches.
+const PROBE_ROUNDS: u32 = 4;
+/// A parked worker looks at the queues again after this long, wake-up or not.
+const PARK_TIMEOUT: Duration = Duration::from_micros(500);
 
-/// Per-worker event counters (the `/runtime/worker{N}/...` counters in the
-/// apex-lite namespace). Kept separate from the global [`Stats`] totals so
-/// the hot paths touch one extra same-core atomic, not a shared one.
+/// One thread's event counters (the `/runtime/worker{N}/...` counters in the
+/// apex-lite namespace), on cache lines of their own: the hot paths touch
+/// only the running thread's lines, and the totals are summed on demand.
+/// There is one per worker plus one for every thread that is not a worker
+/// of this runtime.
 ///
-/// `busy_ns`/`park_ns` are always-on wall-clock accounting (two
-/// `Instant`-reads per task / park wait, no allocation): they feed the
+/// `busy_ns`/`park_ns` are always-on wall-clock accounting that feeds the
 /// `/runtime/imbalance` max/mean-busy gauge and the per-worker utilization
-/// counters even when span tracing is disabled.
+/// counters even when span tracing is disabled. `busy_ns` accrues per busy
+/// *interval* — from the moment a worker finds work after running dry to
+/// the moment it runs dry again — so a task costs no clock read; the open
+/// interval is added when it closes.
 #[derive(Default)]
-struct WorkerCounters {
+#[repr(align(128))]
+struct Counters {
+    spawned: AtomicU64,
     executed: AtomicU64,
     stolen: AtomicU64,
     parked: AtomicU64,
     yields: AtomicU64,
     busy_ns: AtomicU64,
     park_ns: AtomicU64,
+}
+
+impl Counters {
+    fn all(&self) -> [&AtomicU64; 7] {
+        [
+            &self.spawned,
+            &self.executed,
+            &self.stolen,
+            &self.parked,
+            &self.yields,
+            &self.busy_ns,
+            &self.park_ns,
+        ]
+    }
 }
 
 /// Snapshot of one worker's event counts.
@@ -62,7 +86,8 @@ pub struct WorkerStats {
     pub parks: u64,
     /// Cooperative yields on this worker.
     pub yields: u64,
-    /// Wall-clock nanoseconds spent executing tasks.
+    /// Wall-clock nanoseconds spent executing tasks, up to the last time
+    /// this worker ran dry.
     pub busy_ns: u64,
     /// Wall-clock nanoseconds spent parked waiting for work.
     pub park_ns: u64,
@@ -82,7 +107,9 @@ pub struct RuntimeStats {
     pub parks: u64,
     /// Cooperative yields (a waiting worker executing someone else's task).
     pub yields: u64,
-    /// Tasks that panicked (caught; the owning future re-raises).
+    /// Tasks that panicked (caught; the payload goes to the task's joiner,
+    /// which re-raises it). Counted once the task has finished unwinding,
+    /// which is after the joiner can see the payload.
     pub panics: u64,
 }
 
@@ -106,11 +133,19 @@ pub(crate) struct Shared {
     injector: Injector<Task>,
     stealers: Vec<Stealer<Task>>,
     shutdown: AtomicBool,
+    /// Held by a worker from its last look at the queues until it waits, and
+    /// by whoever notifies `wake`. `sleepers` changes and `wake_pending` is
+    /// cleared only under it.
     sleep_lock: Mutex<()>,
     wake: Condvar,
-    sleepers: AtomicU64,
-    stats: Stats,
-    workers: Vec<WorkerCounters>,
+    /// Workers between "about to wait" and "woke up".
+    sleepers: AtomicUsize,
+    /// A wake-up is on its way to a sleeper that has not yet looked at the
+    /// queues: further pushes leave the waking to that worker.
+    wake_pending: AtomicBool,
+    panics: AtomicU64,
+    /// One per worker, then one for all other threads.
+    counters: Vec<Counters>,
     /// Trace process lane for this runtime's threads (locality id in
     /// cluster runs, 0 otherwise).
     pid: u32,
@@ -127,11 +162,42 @@ thread_local! {
     static CTX: RefCell<Option<WorkerCtx>> = const { RefCell::new(None) };
 }
 
+/// What a task unwinds with after it has handed its panic payload to its
+/// joiner (promise, scope, receiver): the scheduler still sees — and
+/// counts — a panicked task, and the payload exists once.
+struct PayloadDelivered;
+
+/// End a task whose panic payload has been delivered to its joiner.
+pub(crate) fn unwind_after_delivery() -> ! {
+    std::panic::resume_unwind(Box::new(PayloadDelivered))
+}
+
 impl Shared {
+    /// Counters of the threads that are not workers of this runtime.
+    fn off_worker(&self) -> &Counters {
+        &self.counters[self.threads]
+    }
+
+    /// Is there a task in any queue? Lock-free.
+    fn work_visible(&self) -> bool {
+        !self.injector.is_empty() || self.stealers.iter().any(|s| !s.is_empty())
+    }
+
+    /// After a push: wake one sleeper, unless there is none or one is
+    /// already on its way.
     fn wake_one(&self) {
+        if self.sleepers.load(Ordering::SeqCst) == 0
+            || self.wake_pending.load(Ordering::SeqCst)
+            || self.wake_pending.swap(true, Ordering::SeqCst)
+        {
+            return;
+        }
+        let _g = self.sleep_lock.lock();
         if self.sleepers.load(Ordering::SeqCst) > 0 {
-            let _g = self.sleep_lock.lock();
             self.wake.notify_one();
+        } else {
+            // Everyone woke up in the meantime and will find the task.
+            self.wake_pending.store(false, Ordering::SeqCst);
         }
     }
 
@@ -141,7 +207,8 @@ impl Shared {
     }
 
     /// Pop or steal one task, from the perspective of worker `index`
-    /// (local deque → injector → other workers' deques).
+    /// (local deque → injector → other workers' deques). Takes no lock on a
+    /// queue that reads empty.
     fn find_task(&self, local: &Deque<Task>, index: usize) -> Option<Task> {
         if let Some(t) = local.pop() {
             return Some(t);
@@ -166,8 +233,7 @@ impl Shared {
                 loop {
                     match self.stealers[victim].steal() {
                         Steal::Success(t) => {
-                            self.stats.stolen.fetch_add(1, Ordering::Relaxed);
-                            self.workers[index].stolen.fetch_add(1, Ordering::Relaxed);
+                            self.counters[index].stolen.fetch_add(1, Ordering::Relaxed);
                             trace::instant(Cat::Sched, "steal");
                             return Some(t);
                         }
@@ -180,63 +246,79 @@ impl Shared {
         None
     }
 
-    fn run_task(&self, task: Task, worker: Option<usize>) {
-        self.stats.executed.fetch_add(1, Ordering::Relaxed);
-        if let Some(i) = worker {
-            self.workers[i].executed.fetch_add(1, Ordering::Relaxed);
+    /// The bounded search of a worker that ran dry, before it parks.
+    fn probe(&self, local: &Deque<Task>, index: usize) -> Option<Task> {
+        (0..PROBE_ROUNDS).find_map(|_| {
+            std::hint::spin_loop();
+            self.find_task(local, index)
+        })
+    }
+
+    /// Sleep until a push wakes this worker or the timeout passes — unless
+    /// a task shows up first.
+    fn park(&self, index: usize) {
+        let mut g = self.sleep_lock.lock();
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        // A pusher looks at `sleepers` after its push; this look at the
+        // queues comes after the increment. One of the two sees the other.
+        if !self.work_visible() && !self.shutdown.load(Ordering::SeqCst) {
+            let counters = &self.counters[index];
+            counters.parked.fetch_add(1, Ordering::Relaxed);
+            let start = trace::now_ns();
+            {
+                let _span = trace::span(Cat::Sched, "park");
+                self.wake.wait_for(&mut g, PARK_TIMEOUT);
+            }
+            counters
+                .park_ns
+                .fetch_add(trace::now_ns().saturating_sub(start), Ordering::Relaxed);
         }
-        let start = worker.map(|_| trace::now_ns());
+        self.sleepers.fetch_sub(1, Ordering::SeqCst);
+        // Whatever was pushed while the wake-up was on its way is this
+        // worker's to find, and to pass on (`worker_loop`).
+        self.wake_pending.store(false, Ordering::SeqCst);
+    }
+
+    /// Run `task` on the thread whose counters are `counters[slot]`.
+    fn run_task(&self, task: Task, slot: usize) {
+        self.counters[slot].executed.fetch_add(1, Ordering::Relaxed);
         let _span = trace::span(Cat::Task, "execute");
         if std::panic::catch_unwind(std::panic::AssertUnwindSafe(task)).is_err() {
-            // Futures carry their own panic payloads; a detached task that
-            // panics is counted and otherwise dropped, keeping workers alive.
-            self.stats.panics.fetch_add(1, Ordering::Relaxed);
-        }
-        if let (Some(i), Some(s)) = (worker, start) {
-            self.workers[i]
-                .busy_ns
-                .fetch_add(trace::now_ns().saturating_sub(s), Ordering::Relaxed);
+            // The joiner, if there is one, already has the payload; a
+            // detached task that panics is counted and otherwise dropped,
+            // keeping workers alive.
+            self.panics.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     fn snapshot(&self) -> RuntimeStats {
+        let sum = |f: fn(&Counters) -> &AtomicU64| -> u64 {
+            self.counters
+                .iter()
+                .map(|c| f(c).load(Ordering::Relaxed))
+                .sum()
+        };
         RuntimeStats {
-            tasks_spawned: self.stats.spawned.load(Ordering::Relaxed),
-            tasks_executed: self.stats.executed.load(Ordering::Relaxed),
-            steals: self.stats.stolen.load(Ordering::Relaxed),
-            parks: self.stats.parked.load(Ordering::Relaxed),
-            yields: self.stats.yields.load(Ordering::Relaxed),
-            panics: self.stats.panics.load(Ordering::Relaxed),
+            tasks_spawned: sum(|c| &c.spawned),
+            tasks_executed: sum(|c| &c.executed),
+            steals: sum(|c| &c.stolen),
+            parks: sum(|c| &c.parked),
+            yields: sum(|c| &c.yields),
+            panics: self.panics.load(Ordering::Relaxed),
         }
     }
 
     fn reset(&self) {
-        for c in [
-            &self.stats.spawned,
-            &self.stats.executed,
-            &self.stats.stolen,
-            &self.stats.parked,
-            &self.stats.yields,
-            &self.stats.panics,
-        ] {
+        self.panics.store(0, Ordering::Relaxed);
+        for c in self.counters.iter().flat_map(Counters::all) {
             c.store(0, Ordering::Relaxed);
-        }
-        for w in &self.workers {
-            for c in [
-                &w.executed,
-                &w.stolen,
-                &w.parked,
-                &w.yields,
-                &w.busy_ns,
-                &w.park_ns,
-            ] {
-                c.store(0, Ordering::Relaxed);
-            }
         }
     }
 
+    /// The workers' counters. Tasks run by other threads (a handle used
+    /// after shutdown) are in the totals only.
     fn worker_snapshot(&self) -> Vec<WorkerStats> {
-        self.workers
+        self.counters[..self.threads]
             .iter()
             .map(|w| WorkerStats {
                 tasks_executed: w.executed.load(Ordering::Relaxed),
@@ -256,45 +338,53 @@ fn worker_main(shared: Arc<Shared>, index: usize, deque: Deque<Task>) {
     trace::set_thread_label(shared.pid, ThreadLabel::Worker(index as u32));
     CTX.with(|c| {
         *c.borrow_mut() = Some(WorkerCtx {
-            shared: Arc::clone(&shared),
+            shared,
             index,
             deque,
         })
     });
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
+    // Shared borrow for the life of the loop: tasks re-borrow it the same
+    // way (`Handle::spawn_boxed`, `help_one`).
+    CTX.with(|c| worker_loop(c.borrow().as_ref().expect("worker context just set")));
+    CTX.with(|c| *c.borrow_mut() = None);
+}
+
+fn worker_loop(ctx: &WorkerCtx) {
+    let (shared, index) = (&*ctx.shared, ctx.index);
+    // Start of the open busy interval; `None` while the worker is dry.
+    let mut busy_since: Option<u64> = None;
+    let close_interval = |since: &mut Option<u64>| {
+        if let Some(start) = since.take() {
+            shared.counters[index]
+                .busy_ns
+                .fetch_add(trace::now_ns().saturating_sub(start), Ordering::Relaxed);
         }
-        let task = CTX.with(|c| {
-            let borrow = c.borrow();
-            let ctx = borrow.as_ref().expect("worker context missing");
-            ctx.shared.find_task(&ctx.deque, ctx.index)
-        });
-        match task {
-            Some(t) => shared.run_task(t, Some(index)),
+    };
+    while !shared.shutdown.load(Ordering::SeqCst) {
+        let task = match shared.find_task(&ctx.deque, index) {
+            Some(t) => t,
             None => {
-                shared.stats.parked.fetch_add(1, Ordering::Relaxed);
-                shared.workers[index].parked.fetch_add(1, Ordering::Relaxed);
-                shared.sleepers.fetch_add(1, Ordering::SeqCst);
-                let park_start = trace::now_ns();
-                {
-                    let _span = trace::span(Cat::Sched, "park");
-                    let mut g = shared.sleep_lock.lock();
-                    // Re-check under the lock: a producer may have pushed and
-                    // notified between our failed search and this point.
-                    if shared.injector.is_empty() && !shared.shutdown.load(Ordering::SeqCst) {
-                        shared.wake.wait_for(&mut g, Duration::from_micros(500));
+                close_interval(&mut busy_since);
+                match shared.probe(&ctx.deque, index) {
+                    Some(t) => t,
+                    None => {
+                        shared.park(index);
+                        continue;
                     }
                 }
-                shared.workers[index].park_ns.fetch_add(
-                    trace::now_ns().saturating_sub(park_start),
-                    Ordering::Relaxed,
-                );
-                shared.sleepers.fetch_sub(1, Ordering::SeqCst);
+            }
+        };
+        if busy_since.is_none() {
+            busy_since = Some(trace::now_ns());
+            // Pushes that found a wake-up already under way left theirs to
+            // the worker it was meant for: pass it on if work is left.
+            if shared.work_visible() {
+                shared.wake_one();
             }
         }
+        shared.run_task(task, index);
     }
-    CTX.with(|c| *c.borrow_mut() = None);
+    close_interval(&mut busy_since);
 }
 
 /// True when the calling thread is a worker of *any* [`Runtime`].
@@ -315,24 +405,22 @@ pub fn current_worker() -> Option<usize> {
 /// *help* instead of stalling a core (HPX: suspending the hpx-thread lets
 /// the worker pick up other work).
 pub(crate) fn help_one() -> bool {
-    let found = CTX.with(|c| {
+    CTX.with(|c| {
         let borrow = c.borrow();
-        borrow.as_ref().and_then(|ctx| {
-            ctx.shared
-                .find_task(&ctx.deque, ctx.index)
-                .map(|t| (Arc::clone(&ctx.shared), ctx.index, t))
-        })
-    });
-    match found {
-        Some((shared, index, t)) => {
-            shared.stats.yields.fetch_add(1, Ordering::Relaxed);
-            shared.workers[index].yields.fetch_add(1, Ordering::Relaxed);
-            trace::instant(Cat::Sched, "yield");
-            shared.run_task(t, Some(index));
-            true
-        }
-        None => false,
-    }
+        let Some(ctx) = borrow.as_ref() else {
+            return false;
+        };
+        let Some(task) = ctx.shared.find_task(&ctx.deque, ctx.index) else {
+            return false;
+        };
+        ctx.shared.counters[ctx.index]
+            .yields
+            .fetch_add(1, Ordering::Relaxed);
+        trace::instant(Cat::Sched, "yield");
+        // The helper is inside a task, so its busy interval is open.
+        ctx.shared.run_task(task, ctx.index);
+        true
+    })
 }
 
 /// Cloneable, `Send` handle for submitting work to a [`Runtime`].
@@ -357,7 +445,7 @@ impl Handle {
         self.spawn_detached(move || {
             match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
                 Ok(v) => promise.set_value(v),
-                Err(e) => promise.set_panic(e),
+                Err(e) => promise.fail_task(e),
             }
         });
         future
@@ -368,14 +456,32 @@ impl Handle {
     where
         F: FnOnce() + Send + 'static,
     {
-        if self.shared.shutdown.load(Ordering::SeqCst) {
-            self.shared.stats.spawned.fetch_add(1, Ordering::Relaxed);
-            self.shared.stats.executed.fetch_add(1, Ordering::Relaxed);
-            let _span = trace::span(Cat::Task, "execute");
-            f();
+        self.spawn_boxed(Box::new(f));
+    }
+
+    /// [`Handle::spawn_detached`] for a task that is already boxed.
+    pub(crate) fn spawn_boxed(&self, task: Task) {
+        let shared = &self.shared;
+        if shared.shutdown.load(Ordering::SeqCst) {
+            shared.off_worker().spawned.fetch_add(1, Ordering::Relaxed);
+            shared.run_task(task, shared.threads);
             return;
         }
-        push_task(&self.shared, Box::new(f));
+        let leftover = CTX.with(|c| match c.borrow().as_ref() {
+            Some(ctx) if Arc::ptr_eq(&ctx.shared, shared) => {
+                shared.counters[ctx.index]
+                    .spawned
+                    .fetch_add(1, Ordering::Relaxed);
+                ctx.deque.push(task);
+                None
+            }
+            _ => Some(task),
+        });
+        if let Some(task) = leftover {
+            shared.off_worker().spawned.fetch_add(1, Ordering::Relaxed);
+            shared.injector.push(task);
+        }
+        shared.wake_one();
     }
 
     /// Number of worker threads.
@@ -436,24 +542,6 @@ pub fn imbalance(stats: &[WorkerStats]) -> f64 {
     max / (total as f64 / stats.len() as f64)
 }
 
-fn push_task(shared: &Arc<Shared>, task: Task) {
-    shared.stats.spawned.fetch_add(1, Ordering::Relaxed);
-    let leftover = CTX.with(|c| {
-        let borrow = c.borrow();
-        match borrow.as_ref() {
-            Some(ctx) if Arc::ptr_eq(&ctx.shared, shared) => {
-                ctx.deque.push(task);
-                None
-            }
-            _ => Some(task),
-        }
-    });
-    if let Some(t) = leftover {
-        shared.injector.push(t);
-    }
-    shared.wake_one();
-}
-
 /// The HPX-like runtime: a pool of worker threads executing lightweight
 /// tasks with work stealing. Dropping the runtime shuts the pool down
 /// (pending queued tasks are abandoned — call [`Runtime::wait_idle`] or hold
@@ -482,9 +570,10 @@ impl Runtime {
             shutdown: AtomicBool::new(false),
             sleep_lock: Mutex::new(()),
             wake: Condvar::new(),
-            sleepers: AtomicU64::new(0),
-            stats: Stats::default(),
-            workers: (0..threads).map(|_| WorkerCounters::default()).collect(),
+            sleepers: AtomicUsize::new(0),
+            wake_pending: AtomicBool::new(false),
+            panics: AtomicU64::new(0),
+            counters: (0..=threads).map(|_| Counters::default()).collect(),
             pid,
             threads,
         });

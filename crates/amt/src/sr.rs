@@ -3,8 +3,11 @@
 //! "future + coroutine" on RISC-V).
 //!
 //! A [`Sender`] describes asynchronous work; nothing runs until the sender
-//! is [`Sender::start`]ed with a receiver (here: a boxed continuation) or
-//! driven by [`sync_wait`]. Combinators build pipelines:
+//! is [`Sender::start`]ed with a [`Receiver`] (here: a boxed continuation) or
+//! driven by [`sync_wait`]. A receiver is completed with a value or, when a
+//! stage panicked, with the panic payload (P2300's `set_value` /
+//! `set_error`), which the stages downstream pass through untouched and
+//! `sync_wait` re-raises. Combinators build pipelines:
 //!
 //! ```
 //! use amt::{Runtime, sr};
@@ -19,26 +22,41 @@
 //! assert_eq!(sum, 42);
 //! ```
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::future::pair;
+use crate::future::{pair, PanicPayload};
+use crate::runtime::unwind_after_delivery;
 use crate::Handle;
 
-/// A completion value paired with the continuation that consumes it — the
-/// state a [`Bulk`] completion hands to whichever iteration finishes last.
-type Finisher<T> = Arc<Mutex<Option<(T, Box<dyn FnOnce(T) + Send>)>>>;
+/// How a sender completes: with its value, or with the payload of a panic
+/// raised in it or upstream of it.
+pub type Completion<T> = std::thread::Result<T>;
+
+/// The continuation a sender is started with; invoked exactly once.
+pub type Receiver<T> = Box<dyn FnOnce(Completion<T>) + Send + 'static>;
+
+/// What the iterations of one started [`Bulk`] share.
+struct BulkRun<T, F> {
+    f: F,
+    remaining: AtomicUsize,
+    panic: Mutex<Option<PanicPayload>>,
+    /// The upstream value and the receiver, for the iteration that finishes
+    /// last.
+    finish: Mutex<Option<(T, Receiver<T>)>>,
+}
 
 /// A description of asynchronous work completing with `Output`.
 pub trait Sender: Sized + Send + 'static {
     /// The value this sender completes with.
     type Output: Send + 'static;
 
-    /// Start the work; `receiver` is invoked exactly once with the value
-    /// (P2300 `set_value`).
-    fn start(self, receiver: Box<dyn FnOnce(Self::Output) + Send + 'static>);
+    /// Start the work; `receiver` is invoked exactly once, with the value
+    /// (P2300 `set_value`) or a panic payload (`set_error`).
+    fn start(self, receiver: Receiver<Self::Output>);
 
     /// The scheduler this sender completes on, if any (used by [`Bulk`] to
     /// place its iterations).
@@ -64,7 +82,7 @@ pub trait Sender: Sized + Send + 'static {
         Bulk {
             upstream: self,
             shape,
-            f: Arc::new(f),
+            f,
         }
     }
 
@@ -87,8 +105,8 @@ pub fn just<T: Send + 'static>(value: T) -> Just<T> {
 
 impl<T: Send + 'static> Sender for Just<T> {
     type Output = T;
-    fn start(self, receiver: Box<dyn FnOnce(T) + Send + 'static>) {
-        receiver(self.0);
+    fn start(self, receiver: Receiver<T>) {
+        receiver(Ok(self.0));
     }
 }
 
@@ -107,8 +125,8 @@ pub fn schedule(handle: &Handle) -> Schedule {
 
 impl Sender for Schedule {
     type Output = ();
-    fn start(self, receiver: Box<dyn FnOnce(()) + Send + 'static>) {
-        self.handle.spawn_detached(move || receiver(()));
+    fn start(self, receiver: Receiver<()>) {
+        self.handle.spawn_detached(move || receiver(Ok(())));
     }
     fn scheduler(&self) -> Option<Handle> {
         Some(self.handle.clone())
@@ -128,9 +146,22 @@ where
     U: Send + 'static,
 {
     type Output = U;
-    fn start(self, receiver: Box<dyn FnOnce(U) + Send + 'static>) {
+    fn start(self, receiver: Receiver<U>) {
         let f = self.f;
-        self.upstream.start(Box::new(move |v| receiver(f(v))));
+        // With a completion scheduler upstream this stage runs inside one of
+        // its tasks, which must still end as a panicked task.
+        let on_task = self.upstream.scheduler().is_some();
+        self.upstream.start(Box::new(move |done| {
+            let out = match done {
+                Ok(v) => catch_unwind(AssertUnwindSafe(|| f(v))),
+                Err(upstream) => return receiver(Err(upstream)),
+            };
+            let panicked_here = out.is_err();
+            receiver(out);
+            if panicked_here && on_task {
+                unwind_after_delivery();
+            }
+        }));
     }
     fn scheduler(&self) -> Option<Handle> {
         self.upstream.scheduler()
@@ -141,7 +172,7 @@ where
 pub struct Bulk<S, F> {
     upstream: S,
     shape: usize,
-    f: Arc<F>,
+    f: F,
 }
 
 impl<S, F> Sender for Bulk<S, F>
@@ -150,44 +181,52 @@ where
     F: Fn(usize) + Send + Sync + 'static,
 {
     type Output = S::Output;
-    fn start(self, receiver: Box<dyn FnOnce(S::Output) + Send + 'static>) {
+    fn start(self, receiver: Receiver<S::Output>) {
         let shape = self.shape;
         let f = self.f;
         let sched = self.upstream.scheduler();
-        self.upstream.start(Box::new(move |value| {
-            if shape == 0 {
-                receiver(value);
-                return;
-            }
-            match sched {
-                Some(h) => {
-                    let remaining = Arc::new(AtomicUsize::new(shape));
-                    let fin: Finisher<S::Output> = Arc::new(Mutex::new(Some((value, receiver))));
-                    for i in 0..shape {
-                        let f = Arc::clone(&f);
-                        let remaining = Arc::clone(&remaining);
-                        let fin = Arc::clone(&fin);
-                        h.spawn_detached(move || {
-                            f(i);
-                            if remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
-                                if let Some((v, r)) = fin.lock().take() {
-                                    r(v);
-                                }
-                            }
+        self.upstream.start(Box::new(move |done| {
+            let value = match done {
+                Ok(value) if shape > 0 => value,
+                done => return receiver(done),
+            };
+            let Some(h) = sched else {
+                // No completion scheduler: run the shape inline, as a
+                // serial bulk (P2300's default for inline schedulers).
+                return receiver(
+                    catch_unwind(AssertUnwindSafe(|| (0..shape).for_each(f))).map(|()| value),
+                );
+            };
+            let run = Arc::new(BulkRun {
+                f,
+                remaining: AtomicUsize::new(shape),
+                panic: Mutex::new(None),
+                finish: Mutex::new(Some((value, receiver))),
+            });
+            for i in 0..shape {
+                let run = Arc::clone(&run);
+                h.spawn_detached(move || {
+                    let panicked = catch_unwind(AssertUnwindSafe(|| (run.f)(i))).err();
+                    let delivered = panicked.is_some();
+                    if let Some(e) = panicked {
+                        run.panic.lock().get_or_insert(e);
+                    }
+                    if run.remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
+                        let (value, receiver) =
+                            run.finish.lock().take().expect("one iteration is last");
+                        receiver(match run.panic.lock().take() {
+                            Some(e) => Err(e),
+                            None => Ok(value),
                         });
                     }
-                }
-                None => {
-                    // No completion scheduler: run the shape inline, as a
-                    // serial bulk (P2300's default for inline schedulers).
-                    for i in 0..shape {
-                        f(i);
+                    if delivered {
+                        unwind_after_delivery();
                     }
-                    receiver(value);
-                }
+                });
             }
         }));
     }
+
     fn scheduler(&self) -> Option<Handle> {
         self.upstream.scheduler()
     }
@@ -202,10 +241,10 @@ pub struct Transfer<S> {
 
 impl<S: Sender> Sender for Transfer<S> {
     type Output = S::Output;
-    fn start(self, receiver: Box<dyn FnOnce(S::Output) + Send + 'static>) {
+    fn start(self, receiver: Receiver<S::Output>) {
         let h = self.handle;
-        self.upstream.start(Box::new(move |v| {
-            h.spawn_detached(move || receiver(v));
+        self.upstream.start(Box::new(move |done| {
+            h.spawn_detached(move || receiver(done));
         }));
     }
     fn scheduler(&self) -> Option<Handle> {
@@ -214,10 +253,14 @@ impl<S: Sender> Sender for Transfer<S> {
 }
 
 /// Drive a sender to completion and return its value —
-/// `std::this_thread::sync_wait`.
+/// `std::this_thread::sync_wait`. Re-raises the panic of a stage that
+/// panicked.
 pub fn sync_wait<S: Sender>(sender: S) -> S::Output {
     let (promise, future) = pair();
-    sender.start(Box::new(move |v| promise.set_value(v)));
+    sender.start(Box::new(move |done| match done {
+        Ok(v) => promise.set_value(v),
+        Err(e) => promise.set_panic(e),
+    }));
     future.get()
 }
 

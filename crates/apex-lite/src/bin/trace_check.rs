@@ -206,6 +206,21 @@ fn check_text(
     Ok(lines)
 }
 
+fn usage(err: &str) -> ExitCode {
+    if !err.is_empty() {
+        eprintln!("trace_check: {err}");
+    }
+    eprintln!(
+        "usage: trace_check [--require CAT_OR_NAME[,...]] [--require-overlap A,B] \
+         [--min-spans N] FILE..."
+    );
+    if err.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::check_text;
@@ -335,20 +350,5 @@ mod tests {
         let err = check_text(&text, 1, &[], &[], Some(1)).unwrap_err();
         assert!(err.contains("1 \"s\" starts"), "{err}");
         assert!(err.contains("0 \"f\" ends"), "{err}");
-    }
-}
-
-fn usage(err: &str) -> ExitCode {
-    if !err.is_empty() {
-        eprintln!("trace_check: {err}");
-    }
-    eprintln!(
-        "usage: trace_check [--require CAT_OR_NAME[,...]] [--require-overlap A,B] \
-         [--min-spans N] FILE..."
-    );
-    if err.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
     }
 }

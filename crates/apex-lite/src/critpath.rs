@@ -27,7 +27,7 @@
 //! split the path into contributions so "gravity is 60% of the critical
 //! path" is a one-line read.
 
-use crate::chrome::TraceSummary;
+use crate::chrome::{SpanRecord, TraceSummary};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One merged activity segment of a named phase.
@@ -93,6 +93,57 @@ pub fn merge_intervals(intervals: &[(u64, u64)]) -> Vec<(u64, u64)> {
 /// Total nanoseconds covered by the union of `intervals`.
 pub fn union_ns(intervals: &[(u64, u64)]) -> u64 {
     merge_intervals(intervals).iter().map(|(s, e)| e - s).sum()
+}
+
+/// What is left of `[start, end)` after cutting out `holes` (disjoint and
+/// ordered, as [`merge_intervals`] returns them).
+fn subtract_intervals(start: u64, end: u64, holes: &[(u64, u64)]) -> Vec<(u64, u64)> {
+    let mut left = Vec::new();
+    let mut at = start;
+    for &(hs, he) in holes {
+        if he <= at {
+            continue;
+        }
+        if hs >= end {
+            break;
+        }
+        if hs > at {
+            left.push((at, hs));
+        }
+        at = he;
+    }
+    if at < end {
+        left.push((at, end));
+    }
+    left
+}
+
+/// Every lane's `sched` spans (parks, and waits inside a task), merged:
+/// the time the lane's thread spent blocked. A span of any other category
+/// that encloses such an interval was not working through it.
+fn blocked_by_lane(summary: &TraceSummary) -> BTreeMap<(u64, u64), Vec<(u64, u64)>> {
+    let mut blocked: BTreeMap<(u64, u64), Vec<(u64, u64)>> = BTreeMap::new();
+    for rec in summary.records.iter().filter(|r| r.cat == "sched") {
+        blocked
+            .entry((rec.pid, rec.tid))
+            .or_default()
+            .push((rec.ts, rec.end));
+    }
+    for spans in blocked.values_mut() {
+        *spans = merge_intervals(spans);
+    }
+    blocked
+}
+
+/// The parts of `rec` during which its thread was not blocked.
+fn working_time(
+    blocked: &BTreeMap<(u64, u64), Vec<(u64, u64)>>,
+    rec: &SpanRecord,
+) -> Vec<(u64, u64)> {
+    let holes = blocked
+        .get(&(rec.pid, rec.tid))
+        .map_or(&[][..], Vec::as_slice);
+    subtract_intervals(rec.ts, rec.end, holes)
 }
 
 /// Phase names to analyse when the caller doesn't pick any: every span
@@ -339,12 +390,18 @@ fn chain_dp(segs: &[DistSeg]) -> (u64, Vec<usize>) {
 /// survives estimation error).
 ///
 /// When the trace carries flow edges, the chain pool is every
-/// non-scheduler span on the parcel-exchanging localities — `sched`
-/// (idle) spans are excluded, and so is any coordination lane whose pid
-/// exchanges no parcels: its phase envelopes span whole remote exchanges
-/// and would tile the wall, hiding the wire legs they contain. Without
-/// flow edges the function falls back to the `phases` list and matches
-/// the single-locality analysis exactly.
+/// non-scheduler span on the parcel-exchanging localities, *less the time
+/// its thread spent blocked inside it* — `sched` spans (parks, and the
+/// waits of a task that joins a remote reply with nothing to help with) are
+/// excluded and cut out of the spans that enclose them. A task that waits
+/// for the wire is then a gap on its lane that only the peer's work and the
+/// two wire legs can fill, so the path crosses the network wherever the run
+/// really waited for it, instead of only when the lanes happen to leave
+/// gaps. Also excluded is any coordination lane whose pid exchanges no
+/// parcels: its phase envelopes span whole remote exchanges and would tile
+/// the wall, hiding the wire legs they contain. Without flow edges the
+/// function falls back to the `phases` list and matches the single-locality
+/// analysis exactly.
 pub fn critical_path_distributed(summary: &TraceSummary, phases: &[String]) -> DistCriticalPath {
     let offsets = clock_offsets(summary);
     let correct = |pid: u64, ts: u64| -> u64 {
@@ -358,19 +415,28 @@ pub fn critical_path_distributed(summary: &TraceSummary, phases: &[String]) -> D
         .iter()
         .flat_map(|e| [e.src_pid, e.dst_pid])
         .collect();
+    let blocked = blocked_by_lane(summary);
     let mut by_name_pid: BTreeMap<(&str, u64), Vec<(u64, u64)>> = BTreeMap::new();
     for rec in &summary.records {
-        let include = if flow_pids.is_empty() {
-            phases.iter().any(|p| p == &rec.name)
+        let pieces = if flow_pids.is_empty() {
+            if !phases.iter().any(|p| p == &rec.name) {
+                continue;
+            }
+            vec![(rec.ts, rec.end)]
         } else {
-            flow_pids.contains(&rec.pid) && rec.cat != "sched"
+            if !flow_pids.contains(&rec.pid) || rec.cat == "sched" {
+                continue;
+            }
+            working_time(&blocked, rec)
         };
-        if include {
-            by_name_pid
-                .entry((rec.name.as_str(), rec.pid))
-                .or_default()
-                .push((correct(rec.pid, rec.ts), correct(rec.pid, rec.end)));
-        }
+        by_name_pid
+            .entry((rec.name.as_str(), rec.pid))
+            .or_default()
+            .extend(
+                pieces
+                    .into_iter()
+                    .map(|(s, e)| (correct(rec.pid, s), correct(rec.pid, e))),
+            );
     }
     let mut segs: Vec<DistSeg> = Vec::new();
     let mut active: BTreeMap<&str, u64> = BTreeMap::new();
@@ -535,19 +601,18 @@ impl WorkerUtilization {
 }
 
 /// Per-lane busy/park/steal/yield accounting, ordered by (pid, tid).
-/// Every lane carrying at least one span or instant gets a row.
+/// Every lane carrying at least one span or instant gets a row. Time a
+/// thread spent blocked (`sched` spans) is park time even inside a task's
+/// span, so busy and park never count the same nanosecond.
 pub fn worker_utilization(summary: &TraceSummary) -> Vec<WorkerUtilization> {
     let wall_ns = summary.last_end_ns.saturating_sub(summary.first_ts_ns);
-    let mut busy: BTreeMap<(u64, u64), Vec<(u64, u64)>> = BTreeMap::new();
-    let mut park: BTreeMap<(u64, u64), Vec<(u64, u64)>> = BTreeMap::new();
-    for rec in &summary.records {
-        let key = (rec.pid, rec.tid);
-        if rec.cat == "sched" {
-            park.entry(key).or_default().push((rec.ts, rec.end));
-            busy.entry(key).or_default();
-        } else {
-            busy.entry(key).or_default().push((rec.ts, rec.end));
-        }
+    let park = blocked_by_lane(summary);
+    let mut busy: BTreeMap<(u64, u64), Vec<(u64, u64)>> =
+        park.keys().map(|&key| (key, Vec::new())).collect();
+    for rec in summary.records.iter().filter(|r| r.cat != "sched") {
+        busy.entry((rec.pid, rec.tid))
+            .or_default()
+            .extend(working_time(&park, rec));
     }
     for key in summary.instants_by_thread.keys() {
         busy.entry(*key).or_default();
@@ -887,6 +952,87 @@ mod tests {
         // 5000 on loc1 → compute [6000,7000) is reachable.
         assert_eq!(dist.path.path_ns, 1000);
         assert!(dist.path.path_ns <= dist.path.wall_ns);
+    }
+
+    #[test]
+    fn subtract_intervals_cuts_holes_out() {
+        let holes = [(10, 20), (30, 40), (60, 70)];
+        assert_eq!(
+            subtract_intervals(0, 50, &holes),
+            [(0, 10), (20, 30), (40, 50)]
+        );
+        assert_eq!(subtract_intervals(15, 35, &holes), [(20, 30)]);
+        assert_eq!(subtract_intervals(10, 20, &holes), []);
+        assert_eq!(subtract_intervals(41, 59, &holes), [(41, 59)]);
+        assert_eq!(subtract_intervals(5, 8, &[]), [(5, 8)]);
+    }
+
+    /// A task on locality 1 asks locality 0 for data and waits for the
+    /// reply with nothing to help with; its span covers the wait.
+    ///
+    /// ```text
+    /// loc0:                  serve [1200,2800)
+    /// loc1: task [0 ........................ 5000)
+    ///            wait [1000 ......... 3000)
+    /// flows: 1→0 sent 1000 received 1200, 0→1 sent 2800 received 3000
+    /// ```
+    fn remote_wait_fixture(with_wait_span: bool) -> TraceSummary {
+        let flow = |ts_ns, kind| Event {
+            cat: Cat::Comm,
+            name: "parcel",
+            ts_ns,
+            kind,
+        };
+        let mut waiter = vec![
+            flow(1000, EventKind::FlowStart { id: 1 }),
+            flow(3000, EventKind::FlowEnd { id: 2 }),
+            span_ev("execute", Cat::Task, 0, 5000),
+        ];
+        if with_wait_span {
+            waiter.insert(1, span_ev("wait", Cat::Sched, 1000, 2000));
+        }
+        let trace = Trace {
+            threads: vec![
+                (
+                    meta(0, 1, "worker0"),
+                    vec![
+                        flow(1200, EventKind::FlowEnd { id: 1 }),
+                        span_ev("serve", Cat::Task, 1200, 1600),
+                        flow(2800, EventKind::FlowStart { id: 2 }),
+                    ],
+                ),
+                (meta(1, 1, "worker0"), waiter),
+            ],
+            dropped: 0,
+        };
+        validate(&export(&trace)).unwrap()
+    }
+
+    #[test]
+    fn a_task_waiting_for_the_wire_puts_the_wire_on_the_path() {
+        // With the wait recorded, the waiting task is two pieces around a
+        // gap that the peer's work and the two legs fill exactly.
+        let dist = critical_path_distributed(&remote_wait_fixture(true), &[]);
+        assert_eq!(dist.network_edges_on_path, 2);
+        assert_eq!(dist.network_ns, 400);
+        assert_eq!(dist.path.path_ns, 5000);
+        let names: Vec<&str> = dist.path.segments.iter().map(|g| g.name.as_str()).collect();
+        assert_eq!(names, ["execute", "network", "serve", "network", "execute"]);
+        assert_eq!(dist.per_locality_path_ns.get(&1), Some(&3000));
+        // Without it the task's span tiles its lane and hides the wire —
+        // what made the path's route depend on scheduling luck.
+        let blind = critical_path_distributed(&remote_wait_fixture(false), &[]);
+        assert_eq!(blind.network_edges_on_path, 0);
+        assert_eq!(blind.path.path_ns, 5000);
+    }
+
+    #[test]
+    fn blocked_time_inside_a_task_is_park_time_not_busy_time() {
+        let util = worker_utilization(&remote_wait_fixture(true));
+        let waiter = util.iter().find(|u| u.pid == 1).expect("locality 1 lane");
+        assert_eq!((waiter.busy_ns, waiter.park_ns), (3000, 2000));
+        let server = util.iter().find(|u| u.pid == 0).expect("locality 0 lane");
+        assert_eq!((server.busy_ns, server.park_ns), (1600, 0));
     }
 
     #[test]

@@ -1,14 +1,90 @@
-//! Criterion bench for the `amt` runtime: task spawn/sync throughput,
-//! parallel algorithms, senders & receivers, coroutine resumes, and the
-//! thread-count ablation DESIGN.md calls out.
+//! Bench for the `amt` runtime. The `per_task` group — what the scheduler
+//! costs per empty task, by join style, producer placement and worker
+//! count — is the BENCH_amt.json baseline that `bench_diff` gates; the
+//! criterion groups after it print reference numbers for task spawn/sync
+//! throughput, parallel algorithms, senders & receivers, coroutine resumes,
+//! and the thread-count ablation DESIGN.md calls out.
+//!
+//! `BENCH_SMOKE=1` runs the `per_task` group and its spread gate only (CI)
+//! and writes no JSON.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use amt::par::{self, ExecutionPolicy};
 use amt::sr::{schedule, sync_wait, Sender};
 use amt::{coro, when_all, Runtime};
 use repro_bench::bench_runtime;
+use repro_bench::per_task::{self, Point};
+
+/// Measure every `per_task` case, print it, and hold the gated cases to the
+/// spread gate.
+fn per_task_group() -> Vec<Point> {
+    let points: Vec<Point> = per_task::cases()
+        .into_iter()
+        .map(|case| per_task::measure_gated(case, per_task::TASKS, per_task::REPS))
+        .collect();
+    for p in &points {
+        println!(
+            "per_task/{}: {:.0} ns/task (min {:.0}, max/min {:.2}), \
+             {:.1} parks {:.1} steals {} spawned per rep",
+            p.case.label(),
+            p.ns_per_task,
+            p.min_ns_per_task,
+            p.max_over_min,
+            p.parks,
+            p.steals,
+            p.tasks_spawned
+        );
+    }
+    for p in points.iter().filter(|p| p.case.is_gated()) {
+        assert!(
+            p.max_over_min <= per_task::MAX_SPREAD,
+            "per_task/{}: repetitions spread {:.2}x (gate {:.1}x) — \
+             the producer is paying for wake-ups again",
+            p.case.label(),
+            p.max_over_min,
+            per_task::MAX_SPREAD
+        );
+    }
+    points
+}
+
+fn write_baseline(points: &[Point]) {
+    let rows: Vec<String> = points
+        .iter()
+        .map(|p| {
+            format!(
+                "    {{\"style\": \"{}\", \"producer\": \"{}\", \"workers\": {}, \
+                 \"tasks_spawned\": {}, \"ns_per_task\": {:.1}, \
+                 \"min_ns_per_task\": {:.1}, \"max_over_min\": {:.3}, \
+                 \"parks\": {:.1}, \"steals\": {:.1}}}",
+                p.case.style.label(),
+                p.case.producer(),
+                p.case.workers,
+                p.tasks_spawned,
+                p.ns_per_task,
+                p.min_ns_per_task,
+                p.max_over_min,
+                p.parks,
+                p.steals
+            )
+        })
+        .collect();
+    let json = format!(
+        "{{\n  \"bench\": \"amt\",\n  \"host_simd_isa\": \"{}\",\n  \
+         \"compiled_simd_isa\": \"{}\",\n  \"tasks\": {},\n  \"reps\": {},\n  \
+         \"per_task\": [\n{}\n  ]\n}}\n",
+        octotiger::kernel_backend::host_simd_isa(),
+        octotiger::kernel_backend::compiled_simd_isa(),
+        per_task::TASKS,
+        per_task::REPS,
+        rows.join(",\n")
+    );
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_amt.json");
+    std::fs::write(path, json).expect("write BENCH_amt.json");
+    println!("wrote {path}");
+}
 
 fn spawn_throughput(c: &mut Criterion) {
     let rt = bench_runtime();
@@ -114,4 +190,13 @@ criterion_group!(
     senders_and_coroutines,
     ablation_sched
 );
-criterion_main!(benches);
+
+fn main() {
+    let points = per_task_group();
+    if std::env::var("BENCH_SMOKE").is_ok_and(|v| v == "1") {
+        println!("BENCH_SMOKE=1: per_task spread gate OK, skipping BENCH_amt.json write");
+        return;
+    }
+    write_baseline(&points);
+    benches();
+}

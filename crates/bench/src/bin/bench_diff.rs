@@ -2,7 +2,8 @@
 //!
 //! Re-runs the deterministic parts of the committed baseline benches and
 //! diffs them against `BENCH_gravity.json` / `BENCH_hydro.json` /
-//! `BENCH_scale.json` at the repo root, with per-metric tolerances:
+//! `BENCH_scale.json` / `BENCH_amt.json` at the repo root, with per-metric
+//! tolerances:
 //!
 //! * **count metrics** (cache hits/misses, MAC evaluations, tasks spawned,
 //!   fused launches, leaf/cell counts, rebuild counters) must match the
@@ -25,6 +26,10 @@
 //!   the build has AVX2 or wider — a ratio within one run, so machine speed
 //!   cancels. (Before `Simd<4>` got a real `ymm` backend, `simd4` M2L was
 //!   *slower* than `simd1`; that must not come back silently.)
+//! * **the scheduler's spread gate**: the repetitions of `BENCH_amt.json`'s
+//!   external-producer empty-task case may not spread beyond
+//!   `per_task::MAX_SPREAD` (max ÷ min) — a producer that pays a wake-up per
+//!   push shows as a bimodal run time long before it shows in a median.
 //!
 //! `BENCH_trace_overhead.json` is checked for internal consistency only
 //! (overhead within budget, zero disabled-path allocations): its numbers
@@ -43,6 +48,7 @@ use apex_lite::json::{self, Value};
 use octotiger::kernel_backend::{self, KernelType, SimdPolicy};
 use octotiger::{Driver, OctoConfig};
 use repro_bench::gravity_kernel_sweeps;
+use repro_bench::per_task::{self, Case, Style};
 
 /// Default allowed slowdown for timing metrics. Baselines are min-of-many
 /// on an idle machine; a fresh single run on a loaded CI box needs slack,
@@ -489,6 +495,64 @@ fn diff_scale(doc: &Value, tolerance: f64, smoke: bool, report: &mut Report) -> 
     Ok(())
 }
 
+/// `BENCH_amt.json`: every `per_task` row re-measured with the shared
+/// harness. Spawn counts are exact, the median time per task is a timing,
+/// and the gated rows must keep their repetitions together.
+fn diff_amt(doc: &Value, tolerance: f64, report: &mut Report) -> Result<(), String> {
+    let timing_skip = timing_skip_reason(doc);
+    if let Some(why) = &timing_skip {
+        report
+            .notices
+            .push(format!("amt: timing metrics skipped — {why}"));
+    }
+    let tasks = get_f64(doc, "tasks")? as usize;
+    let reps = get_f64(doc, "reps")? as usize;
+    let rows = doc
+        .get("per_task")
+        .and_then(Value::as_arr)
+        .ok_or("baseline missing per_task")?;
+    for row in rows {
+        let label = |key: &str| {
+            row.get(key)
+                .and_then(Value::as_str)
+                .ok_or_else(|| format!("per_task row missing {key:?}"))
+        };
+        let case = Case {
+            style: Style::from_label(label("style")?)
+                .ok_or_else(|| format!("unknown per_task style {:?}", label("style")))?,
+            on_worker: label("producer")? == "on_worker",
+            workers: get_f64(row, "workers")? as usize,
+        };
+        let tag = format!("amt/per_task/{}", case.label());
+        let fresh = per_task::measure_gated(case, tasks, reps);
+        let metrics = [
+            ("tasks_spawned", fresh.tasks_spawned as f64, Class::Count),
+            ("ns_per_task", fresh.ns_per_task, Class::Timing),
+        ];
+        for (key, value, class) in metrics {
+            let cmp = Cmp {
+                name: format!("{tag}/{key}"),
+                baseline: get_f64(row, key)?,
+                fresh: value,
+                class,
+            };
+            judge(&cmp, tolerance, &timing_skip, report);
+        }
+        if case.is_gated() {
+            report.compared += 1;
+            if fresh.max_over_min > per_task::MAX_SPREAD {
+                report.failures.push(format!(
+                    "{tag}: repetitions spread {:.2}x (gate {:.1}x) — the producer is paying \
+                     for wake-ups again",
+                    fresh.max_over_min,
+                    per_task::MAX_SPREAD
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Internal-consistency check on the committed trace-overhead datapoint.
 fn diff_trace_overhead(doc: &Value, report: &mut Report) -> Result<(), String> {
     let overhead = get_f64(doc, "overhead_pct")?;
@@ -625,8 +689,8 @@ fn self_test(tolerance: f64) -> Result<(), String> {
 
 fn usage() -> String {
     "usage: bench_diff [--self-test] [--tolerance=X] [--baseline-dir=DIR] \
-     [gravity|hydro|scale|trace_overhead]...\n\
-     default: diff all four committed baselines; BENCH_SMOKE=1 limits the \
+     [gravity|hydro|scale|amt|trace_overhead]...\n\
+     default: diff all five committed baselines; BENCH_SMOKE=1 limits the \
      scale re-run to level 2"
         .into()
 }
@@ -646,7 +710,7 @@ fn run() -> Result<bool, String> {
             }
         } else if let Some(v) = arg.strip_prefix("--baseline-dir=") {
             baseline_dir = v.into();
-        } else if ["gravity", "hydro", "scale", "trace_overhead"].contains(&arg.as_str()) {
+        } else if ["gravity", "hydro", "scale", "amt", "trace_overhead"].contains(&arg.as_str()) {
             benches.push(arg);
         } else {
             return Err(usage());
@@ -663,6 +727,7 @@ fn run() -> Result<bool, String> {
             "gravity".into(),
             "hydro".into(),
             "scale".into(),
+            "amt".into(),
             "trace_overhead".into(),
         ];
     }
@@ -685,6 +750,11 @@ fn run() -> Result<bool, String> {
                 &load(&baseline_dir, "BENCH_scale.json")?,
                 tolerance,
                 smoke,
+                &mut report,
+            )?,
+            "amt" => diff_amt(
+                &load(&baseline_dir, "BENCH_amt.json")?,
+                tolerance,
                 &mut report,
             )?,
             "trace_overhead" => diff_trace_overhead(

@@ -4,6 +4,8 @@
 //! every table and figure of the paper (the `cargo bench` entry point the
 //! reproduction brief asks for). Helpers shared by the benches live here.
 
+pub mod per_task;
+
 use std::time::Instant;
 
 use amt::Runtime;

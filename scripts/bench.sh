@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# Gravity benchmark baseline: runs the criterion-style gravity/octotiger
-# benches in release mode and refreshes BENCH_gravity.json at the repo root
-# (the cross-PR baseline series — commit the refreshed file).
+# Benchmark baselines: runs the baseline benches in release mode and
+# refreshes the BENCH_*.json files at the repo root (the cross-PR baseline
+# series — commit the refreshed files).
 #
 # Usage: scripts/bench.sh [--smoke]
-#   --smoke   one short iteration for CI; does NOT rewrite BENCH_gravity.json
+#   --smoke   one short iteration for CI; does NOT rewrite any BENCH_*.json
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -43,6 +43,9 @@ BENCH_SMOKE=$SMOKE cargo bench -q -p repro-bench --bench bench_trace
 echo "== deep-tree scale bench (writes BENCH_scale.json) =="
 BENCH_SMOKE=$SMOKE cargo bench -q -p repro-bench --bench bench_scale
 
+echo "== scheduler per-task bench (writes BENCH_amt.json) =="
+BENCH_SMOKE=$SMOKE cargo bench -q -p repro-bench --bench bench_amt
+
 if [[ "$SMOKE" == "0" ]]; then
   echo "== octotiger kernel bench (stdout reference numbers) =="
   cargo bench -q -p repro-bench --bench bench_octotiger
@@ -59,4 +62,7 @@ if [[ "$SMOKE" == "0" ]]; then
   echo
   echo "BENCH_scale.json updated:"
   cat BENCH_scale.json
+  echo
+  echo "BENCH_amt.json updated:"
+  cat BENCH_amt.json
 fi

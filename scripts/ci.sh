@@ -10,10 +10,14 @@ cargo build --release
 echo "== cargo test -q =="
 cargo test -q
 
-# Not in the umbrella crate's suite above: the scheduler's unit tests,
-# including `Runtime::drop` from inside one of its own tasks.
-echo "== amt unit tests =="
+# Not in the umbrella crate's suite above: the scheduler's unit tests
+# (including `Runtime::drop` from inside one of its own tasks), its
+# integration tests (panic paths through every join, wake protocol, busy/park
+# accounting), and the shims under it — the deque's model and four-thread
+# stress tests, the lock wrappers.
+echo "== amt unit + integration tests, and the shims under the scheduler =="
 cargo test -q -p amt
+cargo test -q -p crossbeam-deque -p parking_lot
 
 echo "== SIMD/scalar kernel agreement =="
 cargo test -q -p octotiger dispatch_backends_agree_on_gravity
@@ -57,6 +61,9 @@ BENCH_SMOKE=1 cargo bench -q -p repro-bench --bench bench_trace
 
 echo "== deep-tree scale smoke (level 4, mid-run regrid rebuilds < 25% of lists) =="
 BENCH_SMOKE=1 cargo bench -q -p repro-bench --bench bench_scale
+
+echo "== scheduler per-task smoke (spread gate on the external-producer case) =="
+BENCH_SMOKE=1 cargo bench -q -p repro-bench --bench bench_amt
 
 echo "== bench-regression gate (self-test + committed baselines) =="
 cargo run --release -p repro-bench --bin bench_diff -- --self-test
@@ -113,7 +120,7 @@ rm -f "$TRACE_AGG"
 echo "== cargo fmt --check =="
 cargo fmt --check
 
-echo "== cargo clippy --workspace -- -D warnings =="
-cargo clippy --workspace -- -D warnings
+echo "== cargo clippy --workspace --all-targets -- -D warnings =="
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "CI OK"

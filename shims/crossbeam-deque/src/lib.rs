@@ -1,15 +1,53 @@
 //! Minimal in-tree stand-in for `crossbeam-deque` (offline build — the
 //! real crate cannot be fetched without network access).
 //!
-//! Keeps the work-stealing *semantics* the `amt` runtime relies on —
-//! LIFO owner pops for cache locality, FIFO steals from the opposite
-//! end, batched injector drains — while using a mutex-protected
-//! `VecDeque` instead of the real crate's lock-free Chase-Lev deque.
-//! Contention on a handful of worker threads is negligible for the
-//! workloads in this repo; correctness is what matters here.
+//! Keeps the work-stealing *semantics* the `amt` runtime relies on — LIFO
+//! owner pops for cache locality, FIFO steals from the opposite end,
+//! batched injector drains — and the two properties its scheduler is built
+//! on: a worker's own `push`/`pop` never wait for a thief, and a probe of an
+//! empty queue (`pop`, `steal`, `steal_batch_and_pop`, `is_empty`, `len`)
+//! is a couple of atomic loads, never a lock.
+//!
+//! * [`Worker`] / [`Stealer`] are a Chase–Lev deque: a growable ring with a
+//!   `bottom` index only the owner writes and a `top` index only thieves
+//!   advance. Where the published algorithm lets thieves (and the owner, for
+//!   the last item) race with a compare-and-swap on `top`, this one has them
+//!   take a small mutex. The owner's `push`, and its `pop` while more than
+//!   one item is left, touch no lock and no read-modify-write at all; thieves
+//!   queue up behind each other, which they would do on the CAS as well. In
+//!   exchange no slot is ever read while it may be written — the original
+//!   reads first and throws the value away when its CAS fails — and a
+//!   retired ring can be freed on the spot, with no epochs or hazard
+//!   pointers. (With every deque operation under one mutex, a worker
+//!   spawning empty tasks while another stole them ran slower than on one
+//!   worker alone, and slower than before the queue published its length:
+//!   `bench_amt`, `per_task/*/on_worker/w2`, 640–720 against 430–480
+//!   ns/task.)
+//! * [`Injector`] is a locked `VecDeque` with its length published beside
+//!   the lock. Consumers drain it in batches, one lock per batch, which a
+//!   lock-free list of blocks (the standard library's channel, tried in its
+//!   place) did not beat when the queue is long and lost to by 8 % on the
+//!   referee's `maclaurin_fine_t2`.
+//!
+//! Raw slot access is the `ring` module's two `unsafe fn`s; each of their
+//! call sites (all in this file) says why its preconditions hold.
+//!
+//! # Memory ordering
+//!
+//! Every access to `top`, `bottom` and the injector's length that another
+//! thread can observe is `SeqCst`. Two arguments need the single total order
+//! that gives: the deque's own (below, at `pop`), and the runtime's sleep
+//! protocol, a Dekker pair — "push, then look for sleepers" against
+//! "register as sleeper, then look for work". The injector's length is
+//! written only while its lock is held, so it never disagrees with the queue
+//! for longer than one critical section.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicIsize, AtomicPtr, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+use ring::Ring;
 
 /// Result of a steal attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,74 +70,352 @@ impl<T> Steal<T> {
     }
 }
 
-fn lock<T>(m: &Mutex<VecDeque<T>>) -> MutexGuard<'_, VecDeque<T>> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(p) => p.into_inner(),
+impl<T> From<Option<T>> for Steal<T> {
+    fn from(taken: Option<T>) -> Self {
+        taken.map_or(Steal::Empty, Steal::Success)
+    }
+}
+
+/// Most tasks one `steal_batch_and_pop` moves besides the one it returns.
+const MAX_BATCH: usize = 32;
+
+/// Slots of a new deque's ring (512 B of task pointers); it doubles when full.
+const MIN_CAP: usize = 32;
+
+/// On cache lines of its own (128 B covers the adjacent-line prefetcher
+/// too, as for the deque's `OwnerLine` / `ThiefLine`), so that one side's
+/// writes do not invalidate what the other side polls.
+#[repr(align(128))]
+struct Padded<T>(T);
+
+/// Lock a mutex whose data is valid at every step (`()` or a `VecDeque`),
+/// so a panic under it leaves nothing to repair.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The raw ring of slots under the deque: the crate's two `unsafe fn`s.
+mod ring {
+    use std::cell::UnsafeCell;
+    use std::mem::MaybeUninit;
+
+    /// A power-of-two ring of possibly-uninitialised slots, addressed by an
+    /// ever-growing index. It knows nothing about which slots are live: its
+    /// users keep that in `top` and `bottom`, and dropping a `Ring` frees
+    /// the memory without dropping any item.
+    pub(super) struct Ring<T> {
+        slots: Box<[UnsafeCell<MaybeUninit<T>>]>,
+    }
+
+    impl<T> Ring<T> {
+        pub(super) fn new(cap: usize) -> Self {
+            assert!(cap.is_power_of_two());
+            Ring {
+                slots: (0..cap)
+                    .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
+                    .collect(),
+            }
+        }
+
+        pub(super) fn cap(&self) -> isize {
+            self.slots.len() as isize
+        }
+
+        fn slot(&self, index: isize) -> *mut MaybeUninit<T> {
+            self.slots[index as usize & (self.slots.len() - 1)].get()
+        }
+
+        /// Put `value` into the slot of `index`, without dropping what the
+        /// slot held.
+        ///
+        /// # Safety
+        ///
+        /// No other thread may access that slot during the call.
+        pub(super) unsafe fn write(&self, index: isize, value: T) {
+            // SAFETY: the slot pointer is in bounds and aligned (it comes
+            // from the boxed slice); exclusive access is the caller's duty.
+            unsafe { (*self.slot(index)).write(value) };
+        }
+
+        /// Move the item out of the slot of `index`.
+        ///
+        /// # Safety
+        ///
+        /// The slot must hold an item written by [`Ring::write`] that no
+        /// earlier `read` has moved out (or this copy must be the only one
+        /// that is ever used), and no other thread may write the slot during
+        /// the call.
+        pub(super) unsafe fn read(&self, index: isize) -> T {
+            // SAFETY: in bounds and aligned as above; initialised and not
+            // concurrently written by the caller's contract.
+            unsafe { (*self.slot(index)).assume_init_read() }
+        }
+    }
+}
+
+/// The state shared by a [`Worker`] and its [`Stealer`]s.
+///
+/// Live items are the indices `top..bottom`. Invariants:
+///
+/// * `bottom` and `ring` are written by the owner only (`ring` only while it
+///   holds `thieves`); `top` only grows, and only under `thieves`.
+/// * A thief reads slot `i` only while it holds `thieves` and `i == top`.
+/// * The owner writes slot `b` only when `b - top < cap` for a value of
+///   `top` it has loaded (`top` only grows, so an old value is safe): every
+///   index that shares the slot is then below `top`, and whoever moved `top`
+///   past it had finished reading it.
+struct Deque<T> {
+    owner: OwnerLine<T>,
+    thief: ThiefLine,
+}
+
+/// The owner's cache lines: where the next push goes, and the current ring.
+#[repr(align(128))]
+struct OwnerLine<T> {
+    bottom: AtomicIsize,
+    ring: AtomicPtr<Ring<T>>,
+}
+
+/// The thieves' cache lines: the oldest live index, and their mutex.
+#[repr(align(128))]
+struct ThiefLine {
+    top: AtomicIsize,
+    lock: Mutex<()>,
+}
+
+// SAFETY: a `Deque` hands each item to exactly one thread, by value, so `T:
+// Send` is all it needs; `&T` is never shared. The raw `Ring` pointer is
+// owned by the deque (allocated in `new`/`grow`, freed in `grow`/`drop`) and
+// every access to its slots follows the invariants above.
+unsafe impl<T: Send> Send for Deque<T> {}
+// SAFETY: as above.
+unsafe impl<T: Send> Sync for Deque<T> {}
+
+impl<T> Deque<T> {
+    fn len(&self) -> usize {
+        // `top` first: it only grows, so the difference is never too large.
+        let t = self.thief.top.load(Ordering::SeqCst);
+        let b = self.owner.bottom.load(Ordering::SeqCst);
+        (b - t).max(0) as usize
+    }
+
+    fn steal(&self) -> Option<T> {
+        if self.len() == 0 {
+            return None;
+        }
+        let _thieves = lock(&self.thief.lock);
+        let t = self.thief.top.load(Ordering::SeqCst);
+        let b = self.owner.bottom.load(Ordering::SeqCst);
+        if b - t <= 0 {
+            return None;
+        }
+        // SAFETY: the ring pointer is valid: the owner replaces and frees a
+        // ring only while it holds `thieves`, which we hold. Slot `t` holds
+        // an item: the owner wrote it before it published `bottom > t`,
+        // which we have seen. Nobody writes it now: the owner would need
+        // `b' - top >= cap` to be false for `b' = t + k·cap`, and `top`
+        // cannot pass `t` while we hold the lock. Nobody else moves it out:
+        // other thieves are locked out, and the owner takes an item without
+        // the lock only after it has seen `top` below that item's index with
+        // `bottom` already lowered to it — then `top == t` here implies we
+        // have seen the lowered `bottom` and `b - t <= 0` above (the
+        // argument is spelled out at `Worker::pop`).
+        let item = unsafe { (*self.owner.ring.load(Ordering::SeqCst)).read(t) };
+        self.thief.top.store(t + 1, Ordering::SeqCst);
+        Some(item)
+    }
+}
+
+impl<T> Drop for Deque<T> {
+    fn drop(&mut self) {
+        let t = self.thief.top.load(Ordering::Relaxed);
+        let b = self.owner.bottom.load(Ordering::Relaxed);
+        // SAFETY: the pointer came from `Box::into_raw` in `new`/`grow` and
+        // is not freed elsewhere once the deque is being dropped.
+        let ring = unsafe { Box::from_raw(self.owner.ring.load(Ordering::Relaxed)) };
+        for i in t..b {
+            // SAFETY: `&mut self`: no other thread; `top..bottom` are
+            // exactly the slots that hold an item nobody has moved out.
+            drop(unsafe { ring.read(i) });
+        }
     }
 }
 
 /// Owner side of a per-worker deque. Push/pop at the back (LIFO);
-/// stealers take from the front.
+/// stealers take from the front. `Send` but not `Sync`: there is one owner.
 pub struct Worker<T> {
-    queue: Arc<Mutex<VecDeque<T>>>,
+    deque: Arc<Deque<T>>,
+    /// A value `top` has had: enough to tell that the ring is not full
+    /// without touching the thieves' line on every push.
+    top_seen: Cell<isize>,
 }
 
 impl<T> Worker<T> {
     pub fn new_lifo() -> Self {
+        let ring = Box::into_raw(Box::new(Ring::new(MIN_CAP)));
         Worker {
-            queue: Arc::new(Mutex::new(VecDeque::new())),
+            deque: Arc::new(Deque {
+                owner: OwnerLine {
+                    bottom: AtomicIsize::new(0),
+                    ring: AtomicPtr::new(ring),
+                },
+                thief: ThiefLine {
+                    top: AtomicIsize::new(0),
+                    lock: Mutex::new(()),
+                },
+            }),
+            top_seen: Cell::new(0),
         }
     }
 
+    /// The current ring. Only the owner replaces it, so for the owner the
+    /// reference is good until its next `grow`.
+    fn ring(&self) -> &Ring<T> {
+        // SAFETY: valid since `new`/`grow`; freed only by `grow` (called by
+        // this same thread, not while the reference is in use) or by
+        // `Deque::drop` (after every `Worker` is gone).
+        unsafe { &*self.deque.owner.ring.load(Ordering::Relaxed) }
+    }
+
     pub fn push(&self, task: T) {
-        lock(&self.queue).push_back(task);
+        let d = &*self.deque;
+        let b = d.owner.bottom.load(Ordering::Relaxed);
+        if b - self.top_seen.get() >= self.ring().cap() {
+            self.top_seen.set(d.thief.top.load(Ordering::SeqCst));
+            if b - self.top_seen.get() >= self.ring().cap() {
+                self.grow(b);
+            }
+        }
+        // SAFETY: `b - top_seen < cap` (third invariant of `Deque`): no live
+        // index shares slot `b`, and no thief is still reading an old one.
+        unsafe { self.ring().write(b, task) };
+        d.owner.bottom.store(b + 1, Ordering::SeqCst);
+    }
+
+    /// Move the live items into a ring of twice the size.
+    #[cold]
+    fn grow(&self, b: isize) {
+        let d = &*self.deque;
+        // No thief reads the old ring from here on, and `top` stands still.
+        let _thieves = lock(&d.thief.lock);
+        let t = d.thief.top.load(Ordering::SeqCst);
+        let old = d.owner.ring.load(Ordering::Relaxed);
+        let new = Ring::new(2 * self.ring().cap() as usize);
+        for i in t..b {
+            // SAFETY: `t..b` are live, thieves are locked out, the owner is
+            // here; each item is moved to the same index of the new ring and
+            // the old copy is never used again. The new ring is private.
+            unsafe { new.write(i, (*old).read(i)) };
+        }
+        d.owner
+            .ring
+            .store(Box::into_raw(Box::new(new)), Ordering::SeqCst);
+        // SAFETY: `old` came from `Box::into_raw`; thieves dereference the
+        // ring pointer only under the lock we hold and will load the new
+        // one; the owner's own references ended above. Freeing a `Ring`
+        // drops no item.
+        drop(unsafe { Box::from_raw(old) });
+        self.top_seen.set(t);
     }
 
     pub fn pop(&self) -> Option<T> {
-        lock(&self.queue).pop_back()
+        let d = &*self.deque;
+        let b = d.owner.bottom.load(Ordering::Relaxed) - 1;
+        if b < d.thief.top.load(Ordering::SeqCst) {
+            return None;
+        }
+        // Announce the take: from here thieves may only go below `b`.
+        d.owner.bottom.store(b, Ordering::SeqCst);
+        if d.thief.top.load(Ordering::SeqCst) < b {
+            // An item is left below ours, so no thief can be at `b`: a thief
+            // takes index `i` only after loading `top == i` and then `bottom
+            // > i`. If one had loaded `top == b`, that value of `top` would
+            // have been stored before its two loads, yet after our load just
+            // above (which saw less) — and so after our store of `bottom =
+            // b`, which its load of `bottom` must then see: `b > b` fails.
+            //
+            // SAFETY: slot `b` is live (below the old `bottom`, not below
+            // `top`), this thread wrote it, and by the argument above no
+            // thief reads or takes it.
+            return Some(unsafe { self.ring().read(b) });
+        }
+        // Ours is the last item, or a thief just took it: settle that under
+        // the thieves' lock, where `top` stands still.
+        let _thieves = lock(&d.thief.lock);
+        let t = d.thief.top.load(Ordering::SeqCst);
+        let item = (t == b).then(|| {
+            d.thief.top.store(b + 1, Ordering::SeqCst);
+            // SAFETY: `top == b` under the lock: the item is still there and
+            // no thief can touch it before it sees `top == b + 1`.
+            unsafe { self.ring().read(b) }
+        });
+        // Empty either way: `top == bottom == b + 1`.
+        d.owner.bottom.store(b + 1, Ordering::SeqCst);
+        item
     }
 
     pub fn is_empty(&self) -> bool {
-        lock(&self.queue).is_empty()
+        self.deque.len() == 0
     }
 
     pub fn len(&self) -> usize {
-        lock(&self.queue).len()
+        self.deque.len()
     }
 
     pub fn stealer(&self) -> Stealer<T> {
         Stealer {
-            queue: self.queue.clone(),
+            deque: self.deque.clone(),
         }
     }
 }
 
 /// Thief side of a worker's deque; steals one task from the front.
 pub struct Stealer<T> {
-    queue: Arc<Mutex<VecDeque<T>>>,
+    deque: Arc<Deque<T>>,
 }
 
 impl<T> Stealer<T> {
     pub fn steal(&self) -> Steal<T> {
-        match lock(&self.queue).pop_front() {
-            Some(t) => Steal::Success(t),
-            None => Steal::Empty,
-        }
+        self.deque.steal().into()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.deque.len() == 0
+    }
+
+    pub fn len(&self) -> usize {
+        self.deque.len()
     }
 }
 
 impl<T> Clone for Stealer<T> {
     fn clone(&self) -> Self {
         Stealer {
-            queue: self.queue.clone(),
+            deque: self.deque.clone(),
         }
     }
 }
 
-/// Global FIFO injector for submissions from outside the worker pool.
+/// Global FIFO injector for submissions from outside the worker pool: a
+/// locked `VecDeque` whose length is published beside the lock, so that a
+/// probe of the empty injector takes no lock. A consumer that finds a
+/// backlog takes a batch per lock, which is what keeps an external producer
+/// and the workers out of each other's way.
 pub struct Injector<T> {
-    queue: Mutex<VecDeque<T>>,
+    len: Padded<AtomicUsize>,
+    items: Mutex<VecDeque<T>>,
+}
+
+/// The locked items; publishes the new length when it goes out of scope.
+struct Locked<'a, T> {
+    items: MutexGuard<'a, VecDeque<T>>,
+    len: &'a AtomicUsize,
+}
+
+impl<T> Drop for Locked<'_, T> {
+    fn drop(&mut self) {
+        self.len.store(self.items.len(), Ordering::SeqCst);
+    }
 }
 
 impl<T> Default for Injector<T> {
@@ -111,47 +427,55 @@ impl<T> Default for Injector<T> {
 impl<T> Injector<T> {
     pub fn new() -> Self {
         Injector {
-            queue: Mutex::new(VecDeque::new()),
+            len: Padded(AtomicUsize::new(0)),
+            items: Mutex::new(VecDeque::new()),
         }
+    }
+
+    fn lock(&self) -> Locked<'_, T> {
+        Locked {
+            items: lock(&self.items),
+            len: &self.len.0,
+        }
+    }
+
+    /// The locked items, or `None` — without locking — when the injector
+    /// reads empty.
+    fn lock_nonempty(&self) -> Option<Locked<'_, T>> {
+        (!self.is_empty()).then(|| self.lock())
     }
 
     pub fn push(&self, task: T) {
-        lock(&self.queue).push_back(task);
+        self.lock().items.push_back(task);
     }
 
     pub fn is_empty(&self) -> bool {
-        lock(&self.queue).is_empty()
+        self.len() == 0
     }
 
     pub fn len(&self) -> usize {
-        lock(&self.queue).len()
+        self.len.0.load(Ordering::SeqCst)
     }
 
     pub fn steal(&self) -> Steal<T> {
-        match lock(&self.queue).pop_front() {
-            Some(t) => Steal::Success(t),
-            None => Steal::Empty,
-        }
+        self.lock_nonempty()
+            .and_then(|mut q| q.items.pop_front())
+            .into()
     }
 
-    /// Drain a batch (up to half the injector, capped) into `worker`'s
-    /// queue and return one task immediately, like the real crate.
+    /// Drain a batch (up to half of what is left after the first task,
+    /// capped at [`MAX_BATCH`]) into `worker`'s queue and return the first
+    /// task immediately, like the real crate.
     pub fn steal_batch_and_pop(&self, worker: &Worker<T>) -> Steal<T> {
-        const MAX_BATCH: usize = 32;
-        let mut q = lock(&self.queue);
-        let first = match q.pop_front() {
-            Some(t) => t,
-            None => return Steal::Empty,
+        let Some(mut q) = self.lock_nonempty() else {
+            return Steal::Empty;
         };
-        let extra = (q.len() / 2).min(MAX_BATCH);
-        if extra > 0 {
-            let mut w = lock(&worker.queue);
-            for _ in 0..extra {
-                match q.pop_front() {
-                    Some(t) => w.push_back(t),
-                    None => break,
-                }
-            }
+        let Some(first) = q.items.pop_front() else {
+            return Steal::Empty;
+        };
+        let extra = (q.items.len() / 2).min(MAX_BATCH);
+        for task in q.items.drain(..extra) {
+            worker.push(task);
         }
         Steal::Success(first)
     }

@@ -99,16 +99,16 @@ proptest! {
         let (ha, hb, hc) = (hist_of(&a), hist_of(&b), hist_of(&c));
 
         // (a ∪ b) ∪ c
-        let mut left = ha.clone();
+        let mut left = ha;
         left.merge(&hb);
         left.merge(&hc);
         // a ∪ (b ∪ c)
-        let mut right = hb.clone();
+        let mut right = hb;
         right.merge(&hc);
-        let mut assoc = ha.clone();
+        let mut assoc = ha;
         assoc.merge(&right);
         // c ∪ b ∪ a
-        let mut comm = hc.clone();
+        let mut comm = hc;
         comm.merge(&hb);
         comm.merge(&ha);
         // One histogram fed every observation directly.
