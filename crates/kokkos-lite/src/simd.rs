@@ -15,7 +15,12 @@
 //! multiply-add, sign flip), so a kernel's result does not depend on which
 //! one was compiled in; a property test pins every backend operation to the
 //! lane loop bit for bit, NaN, infinities, subnormals and signed zeros
-//! included. Operations whose vector instruction differs from the `f64`
+//! included. [`Simd::recip_sqrt`] is the one operation that is a *sequence*:
+//! two correctly rounded single-precision operations and five double-
+//! precision ones, each IEEE-defined, in one fixed order in the lane loop
+//! and in both backends — no hardware estimate (`rsqrt14`, `rsqrtps`), whose
+//! bits differ between CPUs and which a lane loop cannot reproduce.
+//! Operations whose vector instruction differs from the `f64`
 //! method on those inputs (`min`, `max`) or that gain nothing (`abs`,
 //! compares, `select`, the ordered horizontal sums) stay lane loops. All
 //! `unsafe` of the SIMD layer is the two blocks of `backend_op!` below.
@@ -66,9 +71,22 @@ mod lanes {
         a.map(f64::sqrt)
     }
 
+    /// The definition of [`Simd::recip_sqrt`](super::Simd::recip_sqrt): the
+    /// seed `y0` is `1/√x` from three single-precision roundings (relative
+    /// error `e` of a few 2⁻²⁴), `r = 1 − x·y0²` is its residual, and
+    /// `y0·(1 + r/2 + 3r²/8)` is the cubic (Halley) correction, which leaves
+    /// `O(e³)` — far below the rounding of the last `fma`.
     #[inline(always)]
     pub fn recip_sqrt<const W: usize>(a: [f64; W]) -> [f64; W] {
-        a.map(|x| 1.0 / x.sqrt())
+        a.map(|x| {
+            debug_assert!(
+                x.is_nan() || (f64::from(f32::MIN_POSITIVE)..=f64::from(f32::MAX)).contains(&x),
+                "recip_sqrt({x:e}): outside the normal f32 range"
+            );
+            let y0 = f64::from(1.0f32 / (x as f32).sqrt());
+            let r = fma(-(x * y0), y0, 1.0);
+            fma(y0 * r, fma(r, 0.375, 0.5), y0)
+        })
     }
 
     /// `a * b + c`, fused only where the target has FMA hardware — without
@@ -76,14 +94,17 @@ mod lanes {
     /// than mul+add, which would make every "vectorized" kernel lose to its
     /// scalar reference.
     #[inline(always)]
+    fn fma(a: f64, b: f64, c: f64) -> f64 {
+        if cfg!(target_feature = "fma") {
+            a.mul_add(b, c)
+        } else {
+            a * b + c
+        }
+    }
+
+    #[inline(always)]
     pub fn mul_add<const W: usize>(a: [f64; W], b: [f64; W], c: [f64; W]) -> [f64; W] {
-        std::array::from_fn(|i| {
-            if cfg!(target_feature = "fma") {
-                a[i].mul_add(b[i], c[i])
-            } else {
-                a[i] * b[i] + c[i]
-            }
-        })
+        std::array::from_fn(|i| fma(a[i], b[i], c[i]))
     }
 }
 
@@ -107,10 +128,17 @@ mod avx2 {
         _mm256_xor_pd(a, _mm256_set1_pd(-0.0))
     }
 
+    /// Four lanes of `lanes::recip_sqrt`: the seed on the low half of the
+    /// f32 unit (`vcvtpd2ps`, `vsqrtps xmm`, `vdivps xmm`, `vcvtps2pd`), then
+    /// five `ymm` operations.
     #[inline]
     #[target_feature(enable = "avx2,fma")]
     pub fn recip_sqrt(a: __m256d) -> __m256d {
-        _mm256_div_pd(_mm256_set1_pd(1.0), _mm256_sqrt_pd(a))
+        let seed = _mm_div_ps(_mm_set1_ps(1.0), _mm_sqrt_ps(_mm256_cvtpd_ps(a)));
+        let y0 = _mm256_cvtps_pd(seed);
+        let r = _mm256_fnmadd_pd(_mm256_mul_pd(a, y0), y0, _mm256_set1_pd(1.0));
+        let c = _mm256_fmadd_pd(r, _mm256_set1_pd(0.375), _mm256_set1_pd(0.5));
+        _mm256_fmadd_pd(_mm256_mul_pd(y0, r), c, y0)
     }
 }
 
@@ -134,10 +162,16 @@ mod avx512 {
         ))
     }
 
+    /// Eight lanes of `lanes::recip_sqrt`: the seed on a `ymm` of f32, then
+    /// five `zmm` operations.
     #[inline]
     #[target_feature(enable = "avx512f")]
     pub fn recip_sqrt(a: __m512d) -> __m512d {
-        _mm512_div_pd(_mm512_set1_pd(1.0), _mm512_sqrt_pd(a))
+        let seed = _mm256_div_ps(_mm256_set1_ps(1.0), _mm256_sqrt_ps(_mm512_cvtpd_ps(a)));
+        let y0 = _mm512_cvtps_pd(seed);
+        let r = _mm512_fnmadd_pd(_mm512_mul_pd(a, y0), y0, _mm512_set1_pd(1.0));
+        let c = _mm512_fmadd_pd(r, _mm512_set1_pd(0.375), _mm512_set1_pd(0.5));
+        _mm512_fmadd_pd(_mm512_mul_pd(y0, r), c, y0)
     }
 }
 
@@ -377,12 +411,22 @@ impl<const W: usize> Simd<W> {
         backend_op!(sqrt(self.0))
     }
 
-    /// Lane-wise reciprocal square root: the correctly rounded `sqrt`
-    /// followed by the correctly rounded `1.0 / x` (one `vsqrtpd` and one
-    /// `vdivpd` in the backends), so the gravity kernels' `1/r` has the same
-    /// bits at every width. The divider is what bounds P2P; a Newton
-    /// `rsqrt` from the f32/`rsqrt14` estimate is faster at W ≥ 4 but
-    /// rounds differently (EXPERIMENTS.md, "Gravity kernel codegen").
+    /// Lane-wise reciprocal square root, kept off the f64 divider: the seed
+    /// `y0 = f64::from(1.0f32 / (x as f32).sqrt())` — two correctly rounded
+    /// single-precision operations — and one cubic (Halley) correction in
+    /// f64, `r = fma(-(x·y0), y0, 1)`, `y = fma(y0·r, fma(r, 3/8, 1/2), y0)`.
+    /// Every step is an IEEE-defined operation, so the lane loop and both
+    /// backends give the same bits at every width. Within 2 ulp of
+    /// `1.0 / x.sqrt()` and no further from the true value than that doubly
+    /// rounded composition (maximum relative error 0.62 ε against 0.75 ε;
+    /// 0.86 ε on builds whose `mul_add` is not fused — EXPERIMENTS.md,
+    /// "Gravity kernel codegen").
+    ///
+    /// **Domain:** the normal `f32` range, `f32::MIN_POSITIVE ..= f32::MAX`
+    /// (the seed is computed in single precision); NaN propagates. Outside
+    /// it the result is unspecified — zero and infinity give NaN, not ±∞/0 —
+    /// and the lane loop `debug_assert!`s. A caller that needs the whole
+    /// `f64` range writes `Simd::splat(1.0) / x.sqrt()`.
     #[inline(always)]
     pub fn recip_sqrt(self) -> Self {
         backend_op!(recip_sqrt(self.0))
@@ -486,6 +530,25 @@ mod tests {
         assert_eq!(a.max(Simd([5.0, 1.0])).0, [5.0, 3.0]);
     }
 
+    /// SplitMix64 step.
+    fn splitmix64(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// The domain of `recip_sqrt`.
+    const RSQRT_DOMAIN: (f64, f64) = (f32::MIN_POSITIVE as f64, f32::MAX as f64);
+
+    /// Log-uniform sample of [`RSQRT_DOMAIN`] from 53 random bits.
+    fn rsqrt_domain_sample(bits: u64) -> f64 {
+        let (lo, hi) = RSQRT_DOMAIN;
+        let u = (bits >> 11) as f64 / (1u64 << 53) as f64;
+        (lo.ln() + u * (hi.ln() - lo.ln())).exp().clamp(lo, hi)
+    }
+
     /// Every operation with an ISA backend against its lane loop, bit for
     /// bit. Only a build that enables the backend (`-C target-cpu=native` on
     /// an AVX2 / AVX-512 host: the CI's native step, the benchmark, the
@@ -506,16 +569,10 @@ mod tests {
             f64::MAX,
             f64::EPSILON,
         ];
-        // SplitMix64: every lane is a special value, any finite/infinite bit
-        // pattern, or an O(1) number (where sums and products stay finite).
+        // Every lane is a special value, any finite/infinite bit pattern, or
+        // an O(1) number (where sums and products stay finite).
         let mut state = 0x9e37_79b9_7f4a_7c15u64 ^ W as u64;
-        let mut next = move || {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
+        let mut next = move || splitmix64(&mut state);
         let mut lane = move || {
             let r = next();
             match r % 4 {
@@ -535,17 +592,24 @@ mod tests {
                 "W={W} {op}: backend {got:?} vs lanes {want:?} on {inputs:?}"
             );
         };
+        // `recip_sqrt` lanes stay inside its domain, NaN included.
+        let mut domain_state = 0x5851_f42d_4c95_7f2du64 ^ W as u64;
+        let mut domain_lane = move || match splitmix64(&mut domain_state) {
+            r if r % 16 == 0 => f64::NAN,
+            r => rsqrt_domain_sample(r),
+        };
         for _ in 0..20_000 {
             let a = Simd::<W>(std::array::from_fn(|_| lane()));
             let b = Simd::<W>(std::array::from_fn(|_| lane()));
             let c = Simd::<W>(std::array::from_fn(|_| lane()));
+            let d = Simd::<W>(std::array::from_fn(|_| domain_lane()));
             check("add", a + b, lanes::add(a.0, b.0), &[a, b]);
             check("sub", a - b, lanes::sub(a.0, b.0), &[a, b]);
             check("mul", a * b, lanes::mul(a.0, b.0), &[a, b]);
             check("div", a / b, lanes::div(a.0, b.0), &[a, b]);
             check("neg", -a, lanes::neg(a.0), &[a]);
             check("sqrt", a.sqrt(), lanes::sqrt(a.0), &[a]);
-            check("recip_sqrt", a.recip_sqrt(), lanes::recip_sqrt(a.0), &[a]);
+            check("recip_sqrt", d.recip_sqrt(), lanes::recip_sqrt(d.0), &[d]);
             check(
                 "mul_add",
                 a.mul_add(b, c),
@@ -596,14 +660,56 @@ mod tests {
         assert_eq!(simd_sum::<4>(&[1.5, 2.5]), 4.0);
     }
 
+    /// `y` as an approximation of `1/√x`: relative error in units of
+    /// `f64::EPSILON`, from the residual `1 − x·y²` carried as a
+    /// double-double (half the residual, to first order).
+    fn rsqrt_rel_error_eps(x: f64, y: f64) -> f64 {
+        let p = x * y;
+        let p_err = x.mul_add(y, -p);
+        let q = p * y;
+        let q_err = p.mul_add(y, -q);
+        let residual = (1.0 - q) - q_err - p_err * y;
+        (0.5 * residual).abs() / f64::EPSILON
+    }
+
     #[test]
-    fn recip_sqrt_composed_from_sqrt_and_div() {
-        let a = Simd::<4>([4.0, 9.0, 16.0, 0.25]).recip_sqrt();
-        for (got, want) in a.0.iter().zip([0.5f64, 1.0 / 3.0, 0.25, 2.0]) {
-            assert_eq!(got.to_bits(), want.to_bits(), "exactly 1/sqrt per lane");
+    fn recip_sqrt_is_within_two_ulp_of_sqrt_then_div() {
+        // Builds whose `mul_add` is mul + add round the residual `r` twice
+        // more (absolute error ≤ 2 u, halved in `y`): one more ulp and a
+        // quarter ε of slack. Measured maxima: 2 ulp both; 0.62 ε fused,
+        // 0.86 ε unfused (0.75 ε for `1.0 / x.sqrt()` itself).
+        let (max_ulp, max_eps) = if cfg!(target_feature = "fma") {
+            (2, 1.0)
+        } else {
+            (3, 1.25)
+        };
+        let check = |xs: [f64; 4]| {
+            let ys = Simd::<4>(xs).recip_sqrt().0;
+            for (x, y) in xs.into_iter().zip(ys) {
+                let composed = 1.0 / x.sqrt();
+                let ulps = y.to_bits().abs_diff(composed.to_bits());
+                assert!(ulps <= max_ulp, "recip_sqrt({x:e}) = {y:e}: {ulps} ulp");
+                let eps = rsqrt_rel_error_eps(x, y);
+                assert!(eps <= max_eps, "recip_sqrt({x:e}) = {y:e}: {eps} ε");
+            }
+            ys
+        };
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for _ in 0..(1 << 18) {
+            check(std::array::from_fn(|_| {
+                rsqrt_domain_sample(splitmix64(&mut state))
+            }));
         }
-        // Degenerate pack behaves like the scalar expression.
-        assert_eq!(Simd::<1>([2.0]).recip_sqrt().0[0], 1.0 / 2.0f64.sqrt());
+        let (lo, hi) = RSQRT_DOMAIN;
+        check([lo, hi, lo * (1.0 + f64::EPSILON), hi * (1.0 - f64::EPSILON)]);
+        // Powers of two; at the even ones (powers of four) the seed is
+        // already exact and the correction adds nothing.
+        for e in -126..=127 {
+            let y = check([2f64.powi(e); 4])[0];
+            if e % 2 == 0 {
+                assert_eq!(y, 2f64.powi(-e / 2), "1/sqrt(2^{e})");
+            }
+        }
     }
 
     #[test]

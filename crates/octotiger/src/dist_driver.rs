@@ -334,12 +334,10 @@ fn register_actions(cluster: &Cluster) {
             ctx.with_component::<Domain, _>(gid, |d| {
                 fill_owned_ghosts(d, &handle);
                 let dispatch = Dispatch::new(d.cfg.hydro_kernel, &handle, 4);
-                let mut max_rate = 1e-30_f64;
-                for (_, leaf) in owned_leaves(d) {
+                hydro::max_cfl_rate(owned_leaves(d).into_iter().map(|(_, leaf)| {
                     let g = d.tree.subgrid(leaf);
-                    max_rate = max_rate.max(hydro::max_signal_speed(g, &dispatch) / g.dx);
-                }
-                max_rate
+                    hydro::max_signal_speed(g, &dispatch) / g.dx
+                }))
             })
             .expect("domain component")
         },
@@ -533,6 +531,11 @@ pub struct DistRun;
 
 impl DistRun {
     /// Execute a distributed rotating-star run and collect [`DistMetrics`].
+    ///
+    /// # Panics
+    /// With the step index, when the CFL reduction over the localities
+    /// returns a `dt` that is not positive and finite
+    /// ([`hydro::global_dt`]).
     pub fn execute(config: DistConfig) -> DistMetrics {
         assert!(
             (1..=2).contains(&config.nodes),
@@ -626,7 +629,7 @@ impl DistRun {
                         .collect(),
                 )
                 .get();
-                config.octo.cfl / rates.iter().copied().fold(1e-30_f64, f64::max)
+                hydro::global_dt(config.octo.cfl, rates.into_iter(), u64::from(step))
             };
             {
                 // P2M + block exchange: the distributed gravity front half.

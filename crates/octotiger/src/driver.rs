@@ -185,6 +185,8 @@ pub struct Driver {
     /// Leaves split across all sweeps, cascades included
     /// (`/regrid/leaves_refined`).
     regrid_leaves: u64,
+    /// Steps completed: the index a failing step is reported under.
+    steps_done: u64,
 }
 
 /// What one [`Driver::regrid`] sweep did.
@@ -220,6 +222,7 @@ impl Driver {
             agg: AggregationStats::new(),
             regrid_sweeps: 0,
             regrid_leaves: 0,
+            steps_done: 0,
         }
     }
 
@@ -239,6 +242,11 @@ impl Driver {
     /// graph (default) or the barrier-separated four-phase ablation. Both
     /// modes produce bitwise-identical states — the graph only reorders
     /// *independent* work.
+    ///
+    /// # Panics
+    /// With the step index, when the CFL reduction returns a `dt` that is
+    /// not positive and finite ([`hydro::global_dt`]) — a NaN in the state
+    /// ends the run within a step instead of spreading through it.
     pub fn step(&mut self, runtime: &Runtime) -> f64 {
         if self.config.futurize {
             self.step_futurized(runtime)
@@ -324,11 +332,10 @@ impl Driver {
         aggregate::for_each_batch(&handle, n, agg_cfg.hydro, &self.agg, |_, batch| {
             aggregate::run_cfl_batch(&hctx, batch, false, &speeds, &stage_slots)
         });
-        let max_rate = speeds
+        let rates = speeds
             .iter()
-            .map(|s| f64::from_bits(s.load(Ordering::Acquire)))
-            .fold(1e-30_f64, f64::max);
-        let dt = self.config.cfl / max_rate;
+            .map(|s| f64::from_bits(s.load(Ordering::Acquire)));
+        let dt = hydro::global_dt(self.config.cfl, rates, self.steps_done);
         drop(cfl_span);
 
         // 3. Gravity: P2M (batched) → M2M (serial, recycled workspace) →
@@ -450,6 +457,7 @@ impl Driver {
         let monopole_dispatch = Dispatch::new(self.config.monopole_kernel, &handle, 4);
         let policy = self.config.simd_policy();
         let cfl_factor = self.config.cfl;
+        let step = self.steps_done;
         let theta = self.config.theta;
         let agg_cfg = self.config.aggregation();
 
@@ -538,11 +546,10 @@ impl Driver {
                         // fan-out.
                         let dt = {
                             let _span = trace::span(Cat::Phase, "cfl_reduction");
-                            let max_rate = speeds
+                            let rates = speeds
                                 .iter()
-                                .map(|s| f64::from_bits(s.load(Ordering::Acquire)))
-                                .fold(1e-30_f64, f64::max);
-                            cfl_factor / max_rate
+                                .map(|s| f64::from_bits(s.load(Ordering::Acquire)));
+                            hydro::global_dt(cfl_factor, rates, step)
                         };
                         dt_bits.store(dt.to_bits(), Ordering::Release);
                         scope(handle_ref, |hsc| {
@@ -680,6 +687,7 @@ impl Driver {
     /// Post-step work accounting, shared by both step modes (the ghost
     /// exchange charged its own faces).
     fn account_step(&mut self, accels: &[AccelEntry], report: EnsureReport) {
+        self.steps_done += 1;
         // Work accounting. Far (M2L) interactions are charged on the
         // SIMD-*padded* source count: the remainder pack of each far list
         // still occupies full vector lanes, and the projection must see
@@ -998,6 +1006,35 @@ mod tests {
         assert!(dt1 > 0.0 && dt2 > 0.0);
         // Quasi-static star: dt should not collapse between steps.
         assert!(dt2 > 0.25 * dt1, "dt collapsed: {dt1} -> {dt2}");
+    }
+
+    /// One NaN density: `f64::max` drops the cell from its leaf's CFL rate,
+    /// so step 0 still gets a `dt`; its gravity solve carries the NaN mass
+    /// into every leaf, and step 1's reduction must stop the run — in both
+    /// step modes (the futurized one panics inside a task and rethrows at
+    /// the scope's join).
+    #[test]
+    fn nan_in_the_state_stops_the_run_at_the_next_cfl_reduction() {
+        for futurize in [false, true] {
+            let mut d = Driver::new(OctoConfig {
+                futurize,
+                ..tiny_config(KernelType::Legacy)
+            });
+            let leaf = d.tree.leaf_ids()[0];
+            d.tree.subgrid_mut(leaf).set(field::RHO, 3, 3, 3, f64::NAN);
+            let rt = Runtime::new(2);
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                for _ in 0..3 {
+                    d.step(&rt);
+                }
+            }));
+            let payload = run.expect_err("a poisoned run must not finish");
+            let message = payload.downcast_ref::<String>().expect("panic message");
+            assert!(
+                message.starts_with("step 1: the CFL reduction returned dt = NaN"),
+                "futurize={futurize}: {message}"
+            );
+        }
     }
 
     #[test]

@@ -30,9 +30,9 @@
 //! and vectorize their inner source loops per the configured
 //! [`SimdPolicy`] (the data-parallel axis): splat the target block, stream
 //! the SoA sources in `Simd<W>` packs, `mul_add`-accumulate, `recip_sqrt`
-//! for the Plummer-softened distance. The scalar path is retained as an
-//! always-available reference backend. A direct O(N²) summation
-//! ([`direct_accel`]) validates the FMM in tests.
+//! for the Plummer-softened distance of the near field. The scalar path is
+//! retained as an always-available reference backend. A direct O(N²)
+//! summation ([`direct_accel`]) validates the FMM in tests.
 
 use apex_lite::trace::{self, Cat};
 
@@ -696,7 +696,9 @@ fn load_pack<const W: usize, const PAD: bool>(s: &[f64], off: usize, fill: f64) 
 /// target `p`, added to the running positive sums `acc`. Forced inline so
 /// the accumulators stay in vector registers across the source stream.
 /// Padded lanes load mass 0 at the [`PAD_POS`] sentinel, so they contribute
-/// exactly zero — no masking.
+/// exactly zero — no masking. `r2` is at least `eps²` (a coincident source)
+/// and at most about `3·PAD_POS²` (a padded lane): inside the domain of
+/// [`Simd::recip_sqrt`] by twenty orders of magnitude at either end.
 #[inline(always)]
 fn p2p_pack<const W: usize, const PAD: bool>(
     [mass, sx, sy, sz]: [&[f64]; 4],
@@ -717,9 +719,39 @@ fn p2p_pack<const W: usize, const PAD: bool>(
     acc[2] = z.mul_add(w, acc[2]);
 }
 
-/// Width-generic SIMD P2P kernel: splat the target, stream the SoA
-/// sources in `Simd<W>` packs, `mul_add`-accumulate, `recip_sqrt` for the
-/// softened distance; one negation after the reduction.
+/// Width-generic SIMD P2P sweep of one target over a list of SoA source
+/// streams `[mass, x, y, z]`: splat the target, stream every source in
+/// `Simd<W>` packs, `mul_add`-accumulate, `recip_sqrt` for the softened
+/// distance. The three vector accumulators live across the whole list: one
+/// horizontal reduction and one negation per target, after the last source.
+#[inline(always)]
+fn p2p_sweep<'a, const W: usize>(
+    p: [f64; 3],
+    sources: impl Iterator<Item = [&'a [f64]; 4]>,
+    eps: f64,
+) -> [f64; 3] {
+    let p = p.map(Simd::<W>::splat);
+    let eps2 = Simd::<W>::splat(eps * eps);
+    let mut acc = [Simd::<W>::zero(); 3];
+    for src in sources {
+        // Written out rather than through `sweep_packs`: a closure called
+        // from two sites stays out of line, and the accumulators with it.
+        // Only the remainder pack pays for predication.
+        let len = src[0].len();
+        let mut off = 0;
+        while off + W <= len {
+            p2p_pack::<W, false>(src, off, &p, eps2, &mut acc);
+            off += W;
+        }
+        if off < len {
+            p2p_pack::<W, true>(src, off, &p, eps2, &mut acc);
+        }
+    }
+    acc.map(|a| -a.reduce_sum())
+}
+
+/// Width-generic SIMD P2P kernel over one source stream: the one-source
+/// case of the sweep [`p2p_blocks`] runs over a near list.
 #[inline]
 pub fn monopole_accel_simd<const W: usize>(
     p: [f64; 3],
@@ -729,22 +761,7 @@ pub fn monopole_accel_simd<const W: usize>(
     sz: &[f64],
     eps: f64,
 ) -> [f64; 3] {
-    let p = p.map(Simd::<W>::splat);
-    let eps2 = Simd::<W>::splat(eps * eps);
-    let src = [mass, sx, sy, sz];
-    let mut acc = [Simd::<W>::zero(); 3];
-    // Written out rather than through `sweep_packs`: a closure called from
-    // two sites stays out of line, and the accumulators with it. Only the
-    // remainder pack pays for predication.
-    let mut off = 0;
-    while off + W <= mass.len() {
-        p2p_pack::<W, false>(src, off, &p, eps2, &mut acc);
-        off += W;
-    }
-    if off < mass.len() {
-        p2p_pack::<W, true>(src, off, &p, eps2, &mut acc);
-    }
-    acc.map(|a| -a.reduce_sum())
+    p2p_sweep::<W>(p, std::iter::once([mass, sx, sy, sz]), eps)
 }
 
 /// Monopole slice kernel dispatched per the configured [`SimdPolicy`].
@@ -994,7 +1011,10 @@ fn m2l_pack<const W: usize, const PAD: bool>(
     let z = p[2] - load_pack::<W, PAD>(ff.z, off, PAD_POS);
     let q = |i: usize| load_pack::<W, PAD>(ff.quad[i], off, 0.0);
     let r2 = x.mul_add(x, y.mul_add(y, z * z));
-    let inv_r = r2.recip_sqrt();
+    // The correctly rounded `1/√r²`, not `recip_sqrt`: M2L is bound by its
+    // multiply-adds, so the divider is free here and the five extra
+    // operations of `recip_sqrt` are not (0.068 → 0.085 s per level-4 step).
+    let inv_r = Simd::splat(1.0) / r2.sqrt();
     let inv_r2 = inv_r * inv_r;
     let inv_r3 = inv_r2 * inv_r;
     let inv_r5 = inv_r3 * inv_r2;
@@ -1029,7 +1049,7 @@ pub fn multipole_accel_simd_view<const W: usize>(p: [f64; 3], ff: FarFieldView<'
     // view that ends flush with its real sources pays for the lane-by-lane
     // predicated construction — 10 SoA streams per pack, which is what
     // made ragged tails disproportionately expensive at wide W. Written out
-    // for the reason given in `monopole_accel_simd`.
+    // for the reason given in `p2p_sweep`.
     let mut off = 0;
     while off < ff.len() && off + W <= ff.mass.len() {
         m2l_pack::<W, false>(&ff, off, &p, &mut acc);
@@ -1184,24 +1204,13 @@ pub fn m2l_blocks(
     )
 }
 
-/// Component-wise sum, in iteration order.
-#[inline(always)]
-fn sum3(terms: impl Iterator<Item = [f64; 3]>) -> [f64; 3] {
-    let mut a = [0.0; 3];
-    for da in terms {
-        a[0] += da[0];
-        a[1] += da[1];
-        a[2] += da[2];
-    }
-    a
-}
-
 /// Monopole kernel of one target leaf: near-field block-block P2P per block
 /// of `tb`, under a `p2p` span. The near list's [`BlockSoA`]s are swept in
-/// place, in list order, one reduction per source leaf — the accumulation
-/// order every execution mode shares. Self-leaf self-block and zero-mass
-/// contributions are exactly zero in the SoA kernels, so no index masking
-/// is needed (see [`monopole_accel_scalar`]).
+/// place, in list order, into one set of accumulators per target block,
+/// reduced once after the last source leaf — the accumulation order every
+/// execution mode shares. Self-leaf self-block and zero-mass contributions
+/// are exactly zero in the SoA kernels, so no index masking is needed (see
+/// [`monopole_accel_scalar`]).
 pub fn p2p_blocks(
     kernels: &GravityKernels<'_>,
     blocks: &[BlockSoA],
@@ -1216,12 +1225,20 @@ pub fn p2p_blocks(
     match_width!(
         kernels.simd,
         |W| kernels.monopole.fill(out, |b| {
-            let p = tb.com(b);
-            sum3(sources().map(|s| monopole_accel_simd::<W>(p, &s.mass, &s.x, &s.y, &s.z, eps)))
+            let streams = sources().map(|s| [&s.mass[..], &s.x[..], &s.y[..], &s.z[..]]);
+            p2p_sweep::<W>(tb.com(b), streams, eps)
         }),
+        // The scalar reference sums per source leaf, then over the list.
         kernels.monopole.fill(out, |b| {
             let p = tb.com(b);
-            sum3(sources().map(|s| monopole_accel_scalar(p, &s.mass, &s.x, &s.y, &s.z, eps)))
+            let mut a = [0.0; 3];
+            for s in sources() {
+                let da = monopole_accel_scalar(p, &s.mass, &s.x, &s.y, &s.z, eps);
+                a[0] += da[0];
+                a[1] += da[1];
+                a[2] += da[2];
+            }
+            a
         })
     )
 }
@@ -1605,6 +1622,49 @@ mod tests {
         for w in SimdPolicy::SUPPORTED_WIDTHS {
             let got =
                 monopole_accel_soa(SimdPolicy::Width(w), p, &sb.mass, &sb.x, &sb.y, &sb.z, eps);
+            assert!(
+                rel_diff(got, want) < 1e-12,
+                "width {w}: {got:?} vs {want:?}"
+            );
+        }
+    }
+
+    /// P2P's `r2` stays inside the domain of `Simd::recip_sqrt` (the normal
+    /// f32 range): `eps²` at a coincident source, `3·(PAD_POS + 1)² + eps²`
+    /// at a padded lane of a target in the far corner of the `[-1, 1]³`
+    /// domain. In a debug build of the lane loops (default flags, and W 1/2
+    /// everywhere) `recip_sqrt` itself asserts it on every lane below.
+    #[test]
+    fn p2p_r2_stays_inside_the_recip_sqrt_domain() {
+        let (tree, blocks, _, pos) = test_tree(1);
+        // Softening of a level-12 leaf: 2⁸ times finer than any tree here.
+        let eps = softening(tree.node_size(12) / NX as f64);
+        let domain = f64::from(f32::MIN_POSITIVE)..=f64::from(f32::MAX);
+        assert!(domain.contains(&(eps * eps)));
+        assert!(domain.contains(&(3.0 * (PAD_POS + 1.0).powi(2) + eps * eps)));
+
+        fn padded_lanes_add_exactly_zero<const W: usize>(eps: f64) {
+            let p = [-1.0; 3].map(Simd::<W>::splat);
+            let mut acc = [Simd::<W>::zero(); 3];
+            // No source rows at all: every lane is a padded one.
+            p2p_pack::<W, true>([&[]; 4], 0, &p, Simd::splat(eps * eps), &mut acc);
+            for a in acc {
+                assert_eq!(a.0.map(f64::to_bits), [0; W], "W={W}: {a:?}");
+            }
+        }
+        padded_lanes_add_exactly_zero::<1>(eps);
+        padded_lanes_add_exactly_zero::<2>(eps);
+        padded_lanes_add_exactly_zero::<4>(eps);
+        padded_lanes_add_exactly_zero::<8>(eps);
+
+        // A ragged stream (padded remainder at every width > 1) whose first
+        // source coincides with the target: `r2 = eps²` on that lane.
+        let sb = &blocks[pos[tree.leaf_ids()[0]]];
+        let (mass, x, y, z) = (&sb.mass[..13], &sb.x[..13], &sb.y[..13], &sb.z[..13]);
+        let want = monopole_accel_scalar(sb.com(0), mass, x, y, z, eps);
+        for w in SimdPolicy::SUPPORTED_WIDTHS {
+            let got = monopole_accel_soa(SimdPolicy::Width(w), sb.com(0), mass, x, y, z, eps);
+            assert!(got.iter().all(|a| a.is_finite()), "width {w}: {got:?}");
             assert!(
                 rel_diff(got, want) < 1e-12,
                 "width {w}: {got:?} vs {want:?}"

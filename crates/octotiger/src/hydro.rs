@@ -148,6 +148,36 @@ pub fn max_signal_speed(sub: &SubGrid, dispatch: &Dispatch) -> f64 {
     })
 }
 
+/// Largest of the per-leaf CFL rates (maximum signal speed over cell
+/// width), or NaN when one of them is not a positive number. `f64::max`
+/// drops NaN, and a leaf whose cells are all NaN reduces to −∞, so a plain
+/// max-fold would carry on at the floor rate; a valid leaf signals at its
+/// sound speed at least, and anything else poisons the fold instead of
+/// vanishing from it.
+pub fn max_cfl_rate(rates: impl Iterator<Item = f64>) -> f64 {
+    rates.fold(1e-30_f64, |max, rate| {
+        if rate > 0.0 && !max.is_nan() {
+            max.max(rate)
+        } else {
+            f64::NAN
+        }
+    })
+}
+
+/// Global time step of step number `step`: `cfl` over [`max_cfl_rate`].
+///
+/// # Panics
+/// Naming the step, when that is not a positive finite number: the state
+/// has gone non-finite and every further step would compute on garbage.
+pub fn global_dt(cfl: f64, rates: impl Iterator<Item = f64>, step: u64) -> f64 {
+    let dt = cfl / max_cfl_rate(rates);
+    assert!(
+        dt.is_finite() && dt > 0.0,
+        "step {step}: the CFL reduction returned dt = {dt}; the state is no longer finite"
+    );
+    dt
+}
+
 /// One forward-Euler hydro update: returns the new interior conserved
 /// states (ghosts must be filled first). Pure function of the sub-grid — the
 /// caller applies it with [`apply_interior`], which is what allows all

@@ -112,10 +112,15 @@ impl SimdPolicy {
 impl Default for SimdPolicy {
     /// Four lanes: the AVX2 width, and the widest pack that is one register
     /// on every x86 build with a `Simd` backend (`ymm` under AVX2 and under
-    /// AVX-512). Eight lanes gain nothing on the paper's kernels — a `zmm`
-    /// divide/square root takes twice a `ymm` one, and P2P is divider-bound
-    /// (`BENCH_gravity.json`: simd8 ≈ simd4) — and on builds without a
-    /// backend width 4 is what LLVM's SLP vectoriser handles best.
+    /// AVX-512); under AVX2 alone eight lanes are a lane loop. P2P is no
+    /// longer divider-bound (`Simd::recip_sqrt` seeds in f32), so on an
+    /// AVX-512 build eight lanes now win there — half the instructions for
+    /// the same multiply-adds (`BENCH_gravity.json`: simd8 0.84 against
+    /// simd4 1.11 ns per interaction) — while M2L, which kept the exact
+    /// `sqrt` + divide, still pays a `zmm` divide/square root twice a `ymm`
+    /// one (2.37 against 1.99). A default that follows the compiled ISA is
+    /// its own change with its own measurement. On builds without a backend
+    /// width 4 is what LLVM's SLP vectoriser handles best.
     fn default() -> Self {
         SimdPolicy::Width(4)
     }

@@ -3,9 +3,12 @@
 //! The constants below were recorded from builds in which `Simd<W>` has no
 //! ISA backend (default flags; `-C target-feature=+fma` for the fused row).
 //! A build that compiles a backend in (`-C target-cpu=native` on an AVX2 or
-//! AVX-512 host) must reproduce them: a backend is the same IEEE operation
-//! per lane, so a whole solve has the same bits. Every execution mode of
-//! the solve — per leaf, batches of 1, batches of 16 — must agree too.
+//! AVX-512 host) must reproduce them: a backend runs the same IEEE
+//! operations per lane in the same order (`recip_sqrt` included: an f32
+//! seed and one cubic step, no hardware estimate), so a whole solve has the
+//! same bits. Every execution mode of the solve — per leaf, batches of 1,
+//! batches of 16 — must agree too. `scripts/ci.sh` runs this file in all
+//! three builds: default flags, `+fma`, and the host's native ISA.
 
 use std::sync::Mutex;
 
@@ -25,10 +28,10 @@ use octotiger::OctoConfig;
 
 /// `(simd_width, hash, hash of a build whose `mul_add` is fused)`.
 const FALLBACK_BITS: [(usize, u64, u64); 4] = [
-    (1, 0x97c5_22e4_db70_9555, 0x497c_bc44_59ce_4185),
-    (2, 0xbdad_e449_019c_9335, 0xd410_6fc4_bdf5_48c5),
-    (4, 0x0998_97bb_6f73_ee35, 0x8da3_a4e2_eeaa_4bc5),
-    (8, 0x4df7_9bab_8e68_92e5, 0x7f50_7eee_9204_5eb5),
+    (1, 0x5b5a_1a4e_7879_8e95, 0x09ac_28c0_fb98_e315),
+    (2, 0x922e_1d97_f75a_09d5, 0x9c93_1069_6dfb_8b35),
+    (4, 0xb8bc_3212_2a42_0315, 0xe51a_a577_fb81_03d5),
+    (8, 0x70ef_1184_aa46_d1d5, 0x9ca8_9ba4_d391_8295),
 ];
 
 /// FNV-1a over the bits of every cell's acceleration, leaf order.

@@ -33,12 +33,21 @@ cargo test -q --test regrid_incremental_prop
 echo "== ghost exchange agreement (copy plan == per-cell sampling, bitwise) =="
 cargo test -q --test ghost_plan_prop
 
+# The pinned gravity hashes, in the two fallback-only builds they were
+# recorded from: `mul_add` as mul + add (default flags), and fused (`+fma`,
+# which compiles no backend: those need AVX2 or AVX-512F). The native-ISA
+# step below holds the backends to the fused row. Own target directory per
+# flag set: different RUSTFLAGS would otherwise evict the default build.
+echo "== gravity bits: lane-loop fallback, unfused and fused =="
+cargo test -q -p octotiger --test gravity_bits
+RUSTFLAGS="-C target-feature=+fma" CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-target}/fma" \
+  cargo test -q -p octotiger --test gravity_bits
+
 # Default flags compile only the lane-loop fallback of `Simd<W>`; this is
 # the one place CI builds the AVX2 / AVX-512 backends and holds them to the
 # same bits (backend ops == lane loops, gravity pinned to the fallback's
 # hashes, every bitwise suite). It also runs the kokkos-lite and octotiger
-# unit tests, which the root `cargo test` above does not. Own target
-# directory: different RUSTFLAGS would otherwise evict the default build.
+# unit tests, which the root `cargo test` above does not.
 echo "== native-ISA step: SIMD backends keep the fallback's bits =="
 (
   export RUSTFLAGS="-C target-cpu=native"
