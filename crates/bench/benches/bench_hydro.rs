@@ -1,4 +1,4 @@
-//! Hydro SIMD + futurization bench — the BENCH_hydro.json datapoint.
+//! Hydro SIMD + step-pipeline bench — the BENCH_hydro.json datapoint.
 //!
 //! Two experiments:
 //!
@@ -6,9 +6,9 @@
 //!    over every leaf of the rotating-star tree, scalar reference vs the
 //!    staged SoA SIMD path at every supported pack width. Legacy dispatch =
 //!    inline serial execution, isolating the kernels from scheduling noise.
-//! 2. Step pipeline: a short multi-worker driver run with the barriered
-//!    four-phase step vs the futurized per-leaf task graph, reporting wall
-//!    time and the measured gravity/hydro overlap ratio.
+//! 2. Step pipeline: a short multi-worker driver run of the step's task
+//!    graph per leaf and with batched launches, reporting wall time and the
+//!    measured gravity/hydro overlap ratio.
 //!
 //! Results go to stdout (criterion-style lines) and, on a full run, to
 //! `BENCH_hydro.json` at the repo root so successive PRs accumulate a
@@ -31,7 +31,6 @@ struct KernelPoint {
 }
 
 struct StepPoint {
-    futurize: bool,
     host_tasks: usize,
     seconds: f64,
     overlap_ratio: f64,
@@ -43,19 +42,17 @@ struct StepPoint {
 /// sweep 1..64 cores; CI boxes are small, so stay modest and deterministic.
 const STEP_THREADS: usize = 3;
 
-fn bench_config(level: u32, steps: u32, futurize: bool, host_tasks: usize) -> OctoConfig {
-    let mut cfg = OctoConfig {
+fn bench_config(level: u32, steps: u32, host_tasks: usize) -> OctoConfig {
+    OctoConfig {
         max_level: level,
         stop_step: steps,
         threads: STEP_THREADS,
         monopole_host_tasks: host_tasks,
         multipole_host_tasks: host_tasks,
         hydro_host_tasks: host_tasks,
+        simd_width: 4,
         ..OctoConfig::with_all_kernels(KernelType::KokkosSerial)
-    };
-    cfg.futurize = futurize;
-    cfg.simd_width = 4;
-    cfg
+    }
 }
 
 /// Work-aggregation batch size for the batched step-pipeline run; `1` is
@@ -83,16 +80,21 @@ fn time_kernel_sweeps(driver: &Driver, policies: &[SimdPolicy], iters: u32) -> V
         for &leaf in tree.leaf_ids() {
             let out = match policy {
                 SimdPolicy::Scalar => hydro::step_interior(tree.subgrid(leaf), dt, &d),
-                SimdPolicy::Width(_) => hydro::step_interior_policy(
-                    tree.subgrid(leaf),
-                    dt,
-                    &d,
-                    policy,
-                    &state_pool,
-                    &stage_pool,
-                ),
+                SimdPolicy::Width(_) => {
+                    let mut out = state_pool.acquire(CELLS);
+                    let grid = tree.subgrid(leaf);
+                    hydro::step_interior_staged_into(
+                        grid,
+                        None,
+                        dt,
+                        &d,
+                        policy,
+                        &mut out,
+                        &stage_pool,
+                    );
+                    out
+                }
             };
-            debug_assert_eq!(out.len(), CELLS);
             state_pool.release(std::hint::black_box(out));
         }
     };
@@ -118,12 +120,11 @@ fn time_kernel_sweeps(driver: &Driver, policies: &[SimdPolicy], iters: u32) -> V
 }
 
 /// One multi-worker driver run; wall time + measured overlap + task counts.
-fn run_step_mode(level: u32, steps: u32, futurize: bool, host_tasks: usize) -> StepPoint {
-    let mut driver = Driver::new(bench_config(level, steps, futurize, host_tasks));
+fn run_step_mode(level: u32, steps: u32, host_tasks: usize) -> StepPoint {
+    let mut driver = Driver::new(bench_config(level, steps, host_tasks));
     let m = driver.run(STEP_THREADS);
     let agg = driver.aggregation_stats();
     StepPoint {
-        futurize,
         host_tasks,
         seconds: m.elapsed_seconds,
         overlap_ratio: m.overlap_ratio,
@@ -132,17 +133,17 @@ fn run_step_mode(level: u32, steps: u32, futurize: bool, host_tasks: usize) -> S
     }
 }
 
-/// Best-of-`reps` for the three step modes (barriered, futurized per-leaf,
-/// futurized batched), interleaved rep-by-rep so ambient drift (frequency
-/// scaling, background load) hits all sides equally. Min (not mean) filters
-/// OS scheduling noise, which dominates on small shared CI hosts — the
-/// fastest run is the one closest to intrinsic cost.
-fn time_step_modes(level: u32, steps: u32, reps: u32, batch: usize) -> [StepPoint; 3] {
-    let modes = [(false, 1), (true, 1), (true, batch)];
-    let mut best = modes.map(|(f, b)| run_step_mode(level, steps, f, b));
+/// Best-of-`reps` for the two step modes (per leaf, batched), interleaved
+/// rep-by-rep so ambient drift (frequency scaling, background load) hits
+/// both sides equally. Min (not mean) filters OS scheduling noise, which
+/// dominates on small shared CI hosts — the fastest run is the one closest
+/// to intrinsic cost.
+fn time_step_modes(level: u32, steps: u32, reps: u32, batch: usize) -> [StepPoint; 2] {
+    let modes = [1, batch];
+    let mut best = modes.map(|b| run_step_mode(level, steps, b));
     for _ in 1..reps {
-        for (slot, (futurize, host_tasks)) in modes.into_iter().enumerate() {
-            let p = run_step_mode(level, steps, futurize, host_tasks);
+        for (slot, host_tasks) in modes.into_iter().enumerate() {
+            let p = run_step_mode(level, steps, host_tasks);
             if p.seconds < best[slot].seconds {
                 best[slot] = p;
             }
@@ -156,7 +157,7 @@ fn main() {
     let (level, iters, steps, reps) = if smoke { (1, 1, 1, 1) } else { (2, 20, 10, 7) };
 
     let batch = batch_size();
-    let driver = Driver::new(bench_config(level, steps, true, 1));
+    let driver = Driver::new(bench_config(level, steps, 1));
     let policies = [
         SimdPolicy::Scalar,
         SimdPolicy::Width(1),
@@ -184,9 +185,8 @@ fn main() {
     let step_points = time_step_modes(level, steps, reps, batch);
     for p in &step_points {
         println!(
-            "hydro-futurize/steps(futurize={},host_tasks={}): {:.2} ms, overlap_ratio {:.3}, \
+            "hydro-step/steps(host_tasks={}): {:.2} ms, overlap_ratio {:.3}, \
              tasks_spawned {} fused_launches {}",
-            p.futurize,
             p.host_tasks,
             p.seconds * 1e3,
             p.overlap_ratio,
@@ -194,14 +194,8 @@ fn main() {
             p.fused_launches
         );
     }
-    println!(
-        "hydro-futurize/speedup: {:.2}x vs barriered",
-        step_points[0].seconds / step_points[1].seconds
-    );
-    println!(
-        "hydro-aggregate/speedup(host_tasks={batch}): {:.2}x vs per-leaf futurized",
-        step_points[1].seconds / step_points[2].seconds
-    );
+    let aggregate_speedup = step_points[0].seconds / step_points[1].seconds;
+    println!("hydro-aggregate/speedup(host_tasks={batch}): {aggregate_speedup:.2}x vs per-leaf");
 
     if smoke {
         println!("BENCH_SMOKE=1: skipping BENCH_hydro.json write");
@@ -223,19 +217,17 @@ fn main() {
         .iter()
         .map(|p| {
             format!(
-                "    {{\"futurize\": {}, \"host_tasks\": {}, \"seconds\": {:.6}, \"overlap_ratio\": {:.4}, \"tasks_spawned\": {}, \"fused_launches\": {}}}",
-                p.futurize, p.host_tasks, p.seconds, p.overlap_ratio, p.tasks_spawned, p.fused_launches
+                "    {{\"host_tasks\": {}, \"seconds\": {:.6}, \"overlap_ratio\": {:.4}, \"tasks_spawned\": {}, \"fused_launches\": {}}}",
+                p.host_tasks, p.seconds, p.overlap_ratio, p.tasks_spawned, p.fused_launches
             )
         })
         .collect();
     let json = format!(
-        "{{\n  \"bench\": \"hydro\",\n  \"host_simd_isa\": \"{}\",\n  \"compiled_simd_isa\": \"{}\",\n  \"tree_level\": {level},\n  \"steps\": {steps},\n  \"sweep_iters\": {iters},\n  \"step_reps\": {reps},\n  \"threads\": {STEP_THREADS},\n  \"kernel_sweeps\": [\n{}\n  ],\n  \"step_modes\": [\n{}\n  ],\n  \"futurize_speedup\": {:.3},\n  \"aggregate_speedup\": {:.3}\n}}\n",
+        "{{\n  \"bench\": \"hydro\",\n  \"host_simd_isa\": \"{}\",\n  \"compiled_simd_isa\": \"{}\",\n  \"tree_level\": {level},\n  \"steps\": {steps},\n  \"sweep_iters\": {iters},\n  \"step_reps\": {reps},\n  \"threads\": {STEP_THREADS},\n  \"kernel_sweeps\": [\n{}\n  ],\n  \"step_modes\": [\n{}\n  ],\n  \"aggregate_speedup\": {aggregate_speedup:.3}\n}}\n",
         octotiger::kernel_backend::host_simd_isa(),
         octotiger::kernel_backend::compiled_simd_isa(),
         kernel_json.join(",\n"),
         step_json.join(",\n"),
-        step_points[0].seconds / step_points[1].seconds,
-        step_points[1].seconds / step_points[2].seconds
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_hydro.json");
     std::fs::write(path, json).expect("write BENCH_hydro.json");

@@ -39,6 +39,15 @@ fn hydro_kernels(c: &mut Criterion) {
     g.finish();
 }
 
+/// Both gravity kernels on `d` at the default SIMD width.
+fn legacy_kernels(d: &Dispatch) -> gravity::GravityKernels<'_> {
+    gravity::GravityKernels {
+        multipole: d,
+        monopole: d,
+        simd: Default::default(),
+    }
+}
+
 fn gravity_kernels(c: &mut Criterion) {
     let driver = tiny_driver(KernelType::KokkosSerial);
     let tree = driver.tree();
@@ -51,6 +60,7 @@ fn gravity_kernels(c: &mut Criterion) {
     let pos = gravity::leaf_positions(tree);
     let target = tree.leaf_ids()[0];
     let d = Dispatch::Legacy;
+    let kernels = legacy_kernels(&d);
     let mut g = c.benchmark_group("octotiger-gravity");
     g.sample_size(10);
     g.bench_function("p2m_blocks", |b| {
@@ -62,7 +72,7 @@ fn gravity_kernels(c: &mut Criterion) {
     g.bench_function("fmm_leaf_theta05", |b| {
         b.iter(|| {
             black_box(gravity::accel_for_leaf(
-                tree, &moments, &blocks, &pos, target, 0.5, &d, &d,
+                tree, &moments, &blocks, &pos, target, 0.5, &kernels,
             ))
         })
     });
@@ -85,6 +95,7 @@ fn ablation_theta(c: &mut Criterion) {
     let pos = gravity::leaf_positions(tree);
     let target = tree.leaf_ids()[0];
     let d = Dispatch::Legacy;
+    let kernels = legacy_kernels(&d);
     let mut g = c.benchmark_group("octotiger-ablation-theta");
     g.sample_size(10);
     for theta in [0.2f64, 0.5, 0.8] {
@@ -94,7 +105,7 @@ fn ablation_theta(c: &mut Criterion) {
             |b, &t| {
                 b.iter(|| {
                     black_box(gravity::accel_for_leaf(
-                        tree, &moments, &blocks, &pos, target, t, &d, &d,
+                        tree, &moments, &blocks, &pos, target, t, &kernels,
                     ))
                 })
             },

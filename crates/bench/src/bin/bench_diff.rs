@@ -215,19 +215,18 @@ fn gravity_point(level: u32, steps: u32, cache: bool, host_tasks: usize) -> Driv
 }
 
 /// One hydro-bench step-mode run (bench_hydro::bench_config, 3 workers).
-fn hydro_point(level: u32, steps: u32, futurize: bool, host_tasks: usize) -> DriverPoint {
+fn hydro_point(level: u32, steps: u32, host_tasks: usize) -> DriverPoint {
     let host_tasks = host_tasks.max(1);
-    let mut cfg = OctoConfig {
+    let cfg = OctoConfig {
         max_level: level,
         stop_step: steps,
         threads: 3,
         monopole_host_tasks: host_tasks,
         multipole_host_tasks: host_tasks,
         hydro_host_tasks: host_tasks,
+        simd_width: 4,
         ..OctoConfig::with_all_kernels(KernelType::KokkosSerial)
     };
-    cfg.futurize = futurize;
-    cfg.simd_width = 4;
     let mut driver = Driver::new(cfg);
     let m = driver.run(3);
     let agg = driver.aggregation_stats();
@@ -423,10 +422,9 @@ fn diff_hydro(doc: &Value, tolerance: f64, report: &mut Report) -> Result<(), St
         .and_then(Value::as_arr)
         .ok_or("baseline missing step_modes")?;
     for row in modes {
-        let futurize = get_bool(row, "futurize")?;
         let host_tasks = get_f64(row, "host_tasks")? as usize;
-        let tag = format!("hydro/step(futurize={futurize},host_tasks={host_tasks})");
-        let fresh = hydro_point(level, steps, futurize, host_tasks);
+        let tag = format!("hydro/step(host_tasks={host_tasks})");
+        let fresh = hydro_point(level, steps, host_tasks);
         let metrics = [
             ("tasks_spawned", fresh.tasks_spawned, Class::Count),
             ("fused_launches", fresh.fused_launches, Class::Count),

@@ -46,11 +46,16 @@ pub fn run_ablation_theta(quick: bool) -> Exhibit {
         .expect("tree has leaves");
     let reference = gravity::direct_accel(tree, &blocks, target, &pos);
     let d = Dispatch::Legacy;
+    let kernels = gravity::GravityKernels {
+        multipole: &d,
+        monopole: &d,
+        simd: Default::default(),
+    };
 
     let mut err_series = Vec::new();
     let mut work_series = Vec::new();
     for &theta in &[0.2, 0.35, 0.5, 0.65, 0.8] {
-        let acc = gravity::accel_for_leaf(tree, &moments, &blocks, &pos, target, theta, &d, &d);
+        let acc = gravity::accel_for_leaf(tree, &moments, &blocks, &pos, target, theta, &kernels);
         let (far, near) = gravity::interaction_lists(tree, &moments, target, theta);
         let mut num = 0.0;
         let mut den = 0.0;

@@ -77,7 +77,9 @@ type Switchboard = Arc<Mutex<Vec<Sender<Bytes>>>>;
 
 struct LocalityInner {
     id: LocalityId,
-    components: Mutex<HashMap<Gid, Box<dyn Any + Send>>>,
+    /// Each value is an `Arc<Mutex<T>>`: callers clone the `Arc` out and
+    /// drop the map lock before locking the component itself.
+    components: Mutex<HashMap<Gid, Arc<dyn Any + Send + Sync>>>,
     pending: Mutex<HashMap<u64, Promise<Result<Bytes, String>>>>,
     next_call: AtomicU64,
 }
@@ -156,25 +158,32 @@ impl LocalityHandle {
         self.inner
             .components
             .lock()
-            .insert(gid, Box::new(Mutex::new(value)));
+            .insert(gid, Arc::new(Mutex::new(value)));
         gid
     }
 
     /// Access a component stored on *this* locality. Returns `None` when the
     /// gid does not resolve here or holds a different type.
+    ///
+    /// Only the component's own lock is held while `f` runs — the map lock
+    /// is released first — so `f` may wait on work that reaches *other*
+    /// components of this locality, on this very thread if the waiter helps
+    /// the scheduler. Waiting on work that needs *this* component still
+    /// deadlocks: do not wait under the lock of what the awaited work needs.
     pub fn with_component<T: Send + 'static, R>(
         &self,
         gid: Gid,
         f: impl FnOnce(&mut T) -> R,
     ) -> Option<R> {
-        let comps = self.inner.components.lock();
-        let boxed = comps.get(&gid)?;
-        let cell = boxed.downcast_ref::<Mutex<T>>()?;
+        let any = Arc::clone(self.inner.components.lock().get(&gid)?);
+        let cell = any.downcast::<Mutex<T>>().ok()?;
         let mut guard = cell.lock();
         Some(f(&mut guard))
     }
 
-    /// Destroy a locally stored component and drop its AGAS binding.
+    /// Destroy a locally stored component and drop its AGAS binding. A
+    /// `with_component` closure already running on it finishes on its own
+    /// reference; the value is dropped when that closure returns.
     pub fn destroy_component(&self, gid: Gid) -> bool {
         let existed = self.inner.components.lock().remove(&gid).is_some();
         if existed {
@@ -283,7 +292,16 @@ fn dispatch(
                             h(&handle, target, &payload)
                         })) {
                             Ok(r) => r.map(|b| b.to_vec()),
-                            Err(_) => Err(format!("action {action:?} panicked")),
+                            Err(payload) => {
+                                // Carry the message to the caller: the run
+                                // ends naming what failed, not just where.
+                                let why = payload
+                                    .downcast_ref::<String>()
+                                    .map(String::as_str)
+                                    .or_else(|| payload.downcast_ref::<&str>().copied())
+                                    .unwrap_or("(no message)");
+                                Err(format!("action {action:?} panicked: {why}"))
+                            }
                         }
                     }
                     None => Err(format!("action {action:?} is not registered")),
@@ -712,6 +730,63 @@ mod tests {
         assert!(l0.destroy_component(gid));
         assert!(!l0.destroy_component(gid));
         assert!(l0.with_component::<i32, _>(gid, |v| *v).is_none());
+    }
+
+    /// Run `body` on its own thread and fail — never hang — if it has not
+    /// finished after 30 s.
+    fn under_watchdog(body: impl FnOnce() + Send + 'static) {
+        let (done, finished) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            body();
+            let _ = done.send(());
+        });
+        match finished.recv_timeout(std::time::Duration::from_secs(30)) {
+            Ok(()) => worker.join().expect("body finished"),
+            // The sender is dropped without a send when the body panicked.
+            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(worker.join().expect_err("body panicked"))
+            }
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+                panic!("deadlock: the body is still running after 30 s")
+            }
+        }
+    }
+
+    #[test]
+    fn closure_may_wait_on_an_action_that_locks_another_component() {
+        // The closure holds component `a` and waits for a local action that
+        // locks component `b`. While `with_component` kept the component
+        // *map* locked across the closure, the action's worker blocked on
+        // the map for good.
+        under_watchdog(|| {
+            let c = two_node();
+            c.register_action("read", |ctx: &LocalityHandle, gid, (): ()| -> u64 {
+                ctx.with_component::<u64, _>(gid, |v| *v).unwrap()
+            });
+            let l0 = c.locality(0);
+            let a = l0.new_component(1u64);
+            let b = l0.new_component(41u64);
+            let sum =
+                l0.with_component::<u64, _>(a, |v| *v + l0.invoke::<(), u64>(b, "read", &()).get());
+            assert_eq!(sum, Some(42));
+        });
+    }
+
+    #[test]
+    fn destroying_a_component_in_use_lets_its_closure_finish() {
+        under_watchdog(|| {
+            let c = two_node();
+            let l0 = c.locality(0);
+            let gid = l0.new_component(vec![7u64; 4]);
+            let seen = l0.with_component::<Vec<u64>, _>(gid, |v| {
+                assert!(l0.destroy_component(gid), "unbound while in use");
+                assert!(l0.with_component::<Vec<u64>, _>(gid, |_| ()).is_none());
+                v.push(8);
+                v.iter().sum::<u64>()
+            });
+            assert_eq!(seen, Some(36), "the closure kept its own reference");
+            assert!(!l0.destroy_component(gid));
+        });
     }
 
     #[derive(Debug, PartialEq, Serialize, Deserialize)]

@@ -25,12 +25,11 @@
 //!   the remaining per-leaf families; the hydro batch writes all leaves
 //!   into one fused state buffer (a batch-sized
 //!   [`RecyclePool`] buffer class).
-//! * [`run_gravity_stage`] / [`for_each_batch`] drive a whole stage
-//!   through a region — shared by the barriered and futurized steps so
-//!   the seal protocol cannot diverge between them.
+//! * [`run_gravity_stage`] drives the whole gravity fan-out through its
+//!   regions.
 //!
-//! **Bitwise invariant**: a batch is a *contiguous* run of leaf indices
-//! and every per-leaf slice of a fused stream sees exactly the data the
+//! **Bitwise invariant**: a batch is a *contiguous* run of the step's work
+//! items (the owned leaves, in leaf order) and every per-leaf slice of a fused stream sees exactly the data the
 //! per-leaf path saw, in the same order, through the same kernels — so
 //! any batch size produces bit-identical states, and batch size 1 *is*
 //! today's per-leaf path (modulo one `Vec` of bookkeeping). The
@@ -202,7 +201,7 @@ impl<'a> AggregationRegion<'a> {
     }
 
     /// Number of batches `n` items produce at batch size `cap` — what the
-    /// futurized step's last-arriver counters count.
+    /// step's last-arriver counters count.
     pub fn batch_count(n: usize, cap: usize) -> usize {
         n.div_ceil(cap)
     }
@@ -217,9 +216,7 @@ pub fn launch_span(cap: usize) -> Option<SpanGuard> {
 
 /// Reusable buffers for one gravity batch: the fused far table with
 /// per-leaf sub-ranges and the per-block accumulators. All grow-only,
-/// recycled via
-/// [`BatchScratchPool`] — the batch-sized analogue of the per-leaf
-/// [`LeafScratch`](crate::gravity::LeafScratch).
+/// recycled via [`BatchScratches`].
 #[derive(Default)]
 pub struct BatchScratch {
     /// Fused far-field table of the whole batch.
@@ -250,16 +247,15 @@ impl BatchScratch {
     }
 }
 
-/// Shared pool of [`BatchScratch`] buffers (take / put / idle, same shape
-/// as the per-leaf [`ScratchPool`](crate::gravity::ScratchPool)). Batch
+/// Shared free list of [`BatchScratch`] buffers (take / put / idle). Batch
 /// streams have data-dependent lengths, so they recycle here as grow-only
 /// buffers rather than through the length-keyed [`RecyclePool`].
 #[derive(Default)]
-pub struct BatchScratchPool {
+pub struct BatchScratches {
     pool: Mutex<Vec<BatchScratch>>,
 }
 
-impl BatchScratchPool {
+impl BatchScratches {
     /// Empty pool.
     pub fn new() -> Self {
         Self::default()
@@ -317,7 +313,7 @@ pub struct GravityBatchCtx<'a> {
     /// Execution spaces + SIMD width of the kernels.
     pub kernels: &'a GravityKernels<'a>,
     /// Batch scratch recycling.
-    pub scratch: &'a BatchScratchPool,
+    pub scratch: &'a BatchScratches,
 }
 
 impl GravityBatchCtx<'_> {
@@ -372,14 +368,12 @@ fn accel_entry(ctx: &GravityBatchCtx<'_>, idx: usize, acc: Vec<[f64; 3]>) -> Acc
 
 /// One *unified* gravity batch (M2L and P2P fused at the same size):
 /// gather the whole batch's sources, then solve each leaf back to back
-/// inside this single task. `per_leaf_spans` emits the per-leaf
-/// `gravity_solve` spans of the futurized graph; `record` feeds the
-/// gravity envelope for the overlap counter; results land in `out` by
-/// leaf index.
+/// inside this single task, each under its own `gravity_solve` span.
+/// `record` feeds the gravity envelope for the overlap counter; results
+/// land in `out` by leaf index.
 pub fn run_unified_gravity_batch(
     ctx: &GravityBatchCtx<'_>,
     batch: &[usize],
-    per_leaf_spans: bool,
     record: &(dyn Fn(u64, u64) + Sync),
     out: &[AccelSlot],
 ) {
@@ -387,7 +381,7 @@ pub fn run_unified_gravity_batch(
     gather_far(ctx, batch, &mut scratch);
     for (k, &idx) in batch.iter().enumerate() {
         let t0 = trace::now_ns();
-        let _span = per_leaf_spans.then(|| trace::span(Cat::Phase, "gravity_solve"));
+        let _span = trace::span(Cat::Phase, "gravity_solve");
         m2l_for_leaf(ctx, &mut scratch, k, idx);
         p2p_for_leaf(ctx, &mut scratch, idx);
         let acc = gravity::scatter_block_accel(&scratch.block_acc, &scratch.near_acc);
@@ -406,7 +400,6 @@ fn finish_split_leaf(
     idx: usize,
     halves: &[HalfSlot],
     pending: &[AtomicU8],
-    per_leaf_spans: bool,
     out: &[AccelSlot],
 ) {
     if pending[idx].fetch_sub(1, Ordering::AcqRel) != 1 {
@@ -419,7 +412,7 @@ fn finish_split_leaf(
             slot.1.take().expect("p2p half done"),
         )
     };
-    let _span = per_leaf_spans.then(|| trace::span(Cat::Phase, "gravity_solve"));
+    let _span = trace::span(Cat::Phase, "gravity_solve");
     let acc = gravity::scatter_block_accel(&block_acc, &near_acc);
     *out[idx].lock().expect("accel slot") = Some(accel_entry(ctx, idx, acc));
 }
@@ -433,7 +426,6 @@ pub fn run_m2l_batch(
     batch: &[usize],
     halves: &[HalfSlot],
     pending: &[AtomicU8],
-    per_leaf_spans: bool,
     record: &(dyn Fn(u64, u64) + Sync),
     out: &[AccelSlot],
 ) {
@@ -444,7 +436,7 @@ pub fn run_m2l_batch(
         m2l_for_leaf(ctx, &mut scratch, k, idx);
         halves[idx].lock().expect("half slot").0 = Some(scratch.block_acc.clone());
         record(t0, trace::now_ns());
-        finish_split_leaf(ctx, idx, halves, pending, per_leaf_spans, out);
+        finish_split_leaf(ctx, idx, halves, pending, out);
     }
     ctx.scratch.put(scratch);
 }
@@ -456,7 +448,6 @@ pub fn run_p2p_batch(
     batch: &[usize],
     halves: &[HalfSlot],
     pending: &[AtomicU8],
-    per_leaf_spans: bool,
     record: &(dyn Fn(u64, u64) + Sync),
     out: &[AccelSlot],
 ) {
@@ -466,7 +457,7 @@ pub fn run_p2p_batch(
         p2p_for_leaf(ctx, &mut scratch, idx);
         halves[idx].lock().expect("half slot").1 = Some(scratch.near_acc.clone());
         record(t0, trace::now_ns());
-        finish_split_leaf(ctx, idx, halves, pending, per_leaf_spans, out);
+        finish_split_leaf(ctx, idx, halves, pending, out);
     }
     ctx.scratch.put(scratch);
 }
@@ -474,15 +465,12 @@ pub fn run_p2p_batch(
 /// Drive the whole gravity fan-out through aggregation regions: unified
 /// batches when both gravity families share a size, otherwise separate
 /// M2L/P2P batch families with per-leaf last-arriver joins. Opens its own
-/// task scope (a barrier over the stage), exactly like the per-leaf
-/// fan-outs it replaces.
-#[allow(clippy::too_many_arguments)]
+/// task scope (a barrier over the stage).
 pub fn run_gravity_stage(
     handle: &Handle,
     ctx: &GravityBatchCtx<'_>,
     cfg: AggregationConfig,
     stats: &AggregationStats,
-    per_leaf_spans: bool,
     record: &(dyn Fn(u64, u64) + Sync),
     out: &[AccelSlot],
 ) {
@@ -494,7 +482,7 @@ pub fn run_gravity_stage(
             let spawn = |batch: Vec<usize>| {
                 sc.spawn(move || {
                     let _launch = launch_span(cap);
-                    run_unified_gravity_batch(ctx, &batch, per_leaf_spans, record, out);
+                    run_unified_gravity_batch(ctx, &batch, record, out);
                 });
             };
             for idx in 0..n {
@@ -517,14 +505,14 @@ pub fn run_gravity_stage(
                 let cap = cfg.multipole;
                 sc.spawn(move || {
                     let _launch = launch_span(cap);
-                    run_m2l_batch(ctx, &batch, halves, pending, per_leaf_spans, record, out);
+                    run_m2l_batch(ctx, &batch, halves, pending, record, out);
                 });
             };
             let spawn_p2p = |batch: Vec<usize>| {
                 let cap = cfg.monopole;
                 sc.spawn(move || {
                     let _launch = launch_span(cap);
-                    run_p2p_batch(ctx, &batch, halves, pending, per_leaf_spans, record, out);
+                    run_p2p_batch(ctx, &batch, halves, pending, record, out);
                 });
             };
             for idx in 0..n {
@@ -567,12 +555,11 @@ pub struct HydroBatchCtx<'a> {
 pub fn run_cfl_batch(
     ctx: &HydroBatchCtx<'_>,
     batch: &[usize],
-    per_leaf_spans: bool,
     speeds: &[AtomicU64],
     stage_slots: &[Mutex<Option<HydroStage>>],
 ) {
     for &idx in batch {
-        let _span = per_leaf_spans.then(|| trace::span(Cat::Phase, "cfl_leaf"));
+        let _span = trace::span(Cat::Phase, "cfl_leaf");
         let g = ctx.tree.subgrid(ctx.leaves[idx]);
         let (speed, stage) =
             hydro::max_signal_speed_policy(g, ctx.dispatch, ctx.policy, ctx.stage_pool);
@@ -587,11 +574,10 @@ pub fn run_p2m_batch(
     tree: &Octree,
     leaves: &[NodeId],
     batch: &[usize],
-    per_leaf_spans: bool,
     block_slots: &[Mutex<Option<BlockSoA>>],
 ) {
     for &idx in batch {
-        let _span = per_leaf_spans.then(|| trace::span(Cat::Phase, "p2m_leaf"));
+        let _span = trace::span(Cat::Phase, "p2m_leaf");
         *block_slots[idx].lock().expect("block slot") =
             Some(gravity::compute_blocks(tree.subgrid(leaves[idx])));
     }
@@ -603,12 +589,10 @@ pub fn run_p2m_batch(
 /// apply phase walks the slots in batch order and slices leaves back out,
 /// so the update order — and every bit of the update — matches the
 /// per-leaf path.
-#[allow(clippy::too_many_arguments)]
 pub fn run_hydro_batch(
     ctx: &HydroBatchCtx<'_>,
     batch: &[usize],
     dt: f64,
-    per_leaf_spans: bool,
     record: &(dyn Fn(u64, u64) + Sync),
     stage_slots: &[Mutex<Option<HydroStage>>],
     out_slot: &Mutex<Option<Vec<[f64; NF]>>>,
@@ -616,7 +600,7 @@ pub fn run_hydro_batch(
     let mut fused = ctx.state_pool.acquire(batch.len() * CELLS);
     for (k, &idx) in batch.iter().enumerate() {
         let t0 = trace::now_ns();
-        let _span = per_leaf_spans.then(|| trace::span(Cat::Phase, "hydro_step"));
+        let _span = trace::span(Cat::Phase, "hydro_step");
         let stage = stage_slots[idx].lock().expect("stage slot").take();
         hydro::step_interior_staged_into(
             ctx.tree.subgrid(ctx.leaves[idx]),
@@ -630,34 +614,6 @@ pub fn run_hydro_batch(
         record(t0, trace::now_ns());
     }
     *out_slot.lock().expect("batch state slot") = Some(fused);
-}
-
-/// Run `0..n` through an aggregation region, spawning one task per
-/// sealed batch and waiting for all of them (the barriered step's phase
-/// fan-out). The callback gets `(batch_index, batch)`; batches are
-/// contiguous ascending index ranges.
-pub fn for_each_batch<F>(handle: &Handle, n: usize, cap: usize, stats: &AggregationStats, f: F)
-where
-    F: Fn(usize, &[usize]) + Sync,
-{
-    scope(handle, |sc| {
-        let f = &f;
-        let mut region = AggregationRegion::new(cap, stats);
-        let spawn = |(bid, batch): (usize, Vec<usize>)| {
-            sc.spawn(move || {
-                let _launch = launch_span(cap);
-                f(bid, &batch);
-            });
-        };
-        for idx in 0..n {
-            if let Some(sealed) = region.push(idx) {
-                spawn(sealed);
-            }
-        }
-        if let Some(sealed) = region.flush() {
-            spawn(sealed);
-        }
-    });
 }
 
 #[cfg(test)]
@@ -716,7 +672,7 @@ mod tests {
 
     #[test]
     fn batch_scratch_pool_recycles() {
-        let pool = BatchScratchPool::new();
+        let pool = BatchScratches::new();
         let mut s = pool.take();
         s.far.push(&Moments {
             mass: 1.0,

@@ -70,13 +70,6 @@ pub struct OctoConfig {
     /// topology changes (`--interaction_list_cache`). Off = the cache-off
     /// ablation: rebuild the dual traversal every step, as the seed did.
     pub use_interaction_cache: bool,
-    /// Run the step as a per-leaf futurized task graph (`--futurize`):
-    /// each leaf's hydro task depends only on the global CFL reduction and
-    /// the gravity moments, so gravity M2L for one leaf overlaps hydro on
-    /// others — HPX-style latency hiding instead of four phase barriers.
-    /// Off = the barriered ablation (the seed's step structure). Both modes
-    /// produce bitwise-identical states.
-    pub futurize: bool,
     /// Batch small parcels per destination before transmitting
     /// (`--coalesce=on`): HPX's parcel-coalescing plugin. Off (the
     /// default) sends every parcel as its own frame, matching the paper's
@@ -122,7 +115,6 @@ impl Default for OctoConfig {
             regrid_host_tasks: 16,
             simd_width: 4,
             use_interaction_cache: true,
-            futurize: true,
             coalesce: false,
             trace_out: None,
             counter_table: false,
@@ -198,15 +190,6 @@ impl OctoConfig {
                             return Err(format!(
                                 "invalid value {other:?} for --interaction_list_cache (on/off)"
                             ))
-                        }
-                    }
-                }
-                "futurize" => {
-                    cfg.futurize = match value {
-                        "on" | "1" | "true" => true,
-                        "off" | "0" | "false" => false,
-                        other => {
-                            return Err(format!("invalid value {other:?} for --futurize (on/off)"))
                         }
                     }
                 }
@@ -362,7 +345,6 @@ mod tests {
         assert!(OctoConfig::from_args(["--hpx:parcelport=infiniband"]).is_err());
         assert!(OctoConfig::from_args(["--simd_kernel_width=3"]).is_err());
         assert!(OctoConfig::from_args(["--interaction_list_cache=maybe"]).is_err());
-        assert!(OctoConfig::from_args(["--futurize=maybe"]).is_err());
         assert!(OctoConfig::from_args(["--coalesce=maybe"]).is_err());
         assert!(OctoConfig::from_args(["--monopole_host_tasks=0"]).is_err());
         assert!(OctoConfig::from_args(["--hydro_host_tasks=x"]).is_err());
@@ -396,16 +378,6 @@ mod tests {
             !a.unified_gravity(),
             "unequal gravity sizes split the families"
         );
-    }
-
-    #[test]
-    fn parses_futurize_flag() {
-        assert!(
-            OctoConfig::default().futurize,
-            "the futurized task graph is the default step structure"
-        );
-        assert!(!OctoConfig::from_args(["--futurize=off"]).unwrap().futurize);
-        assert!(OctoConfig::from_args(["--futurize=on"]).unwrap().futurize);
     }
 
     #[test]

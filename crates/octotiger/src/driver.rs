@@ -1,7 +1,9 @@
-//! Node-level time stepper — the paper's §6.2.1 experiment: "a single
-//! rotating star with a level of refinement of four is simulated for five
-//! time steps", measuring *cells processed per second* while scaling from
-//! one core to all four.
+//! The time stepper — the paper's §6.2.1 experiment: "a single rotating
+//! star with a level of refinement of four is simulated for five time
+//! steps", measuring *cells processed per second* while scaling from one
+//! core to all four — and, with an ownership mask over the leaves and an
+//! [`Exchange`] for what the other localities own, §6.2.2's two boards: a
+//! node-level run is the one-locality case of the same step.
 //!
 //! Per step, interleaving the two solvers exactly as §3.3 describes:
 //! ghost exchange → CFL reduction → gravity solve (P2M / M2M / multipole +
@@ -11,7 +13,7 @@
 //! multicore utilization even with the Kokkos Serial execution space.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use amt::par::scope;
@@ -20,7 +22,7 @@ use apex_lite::trace::{self, Cat};
 use apex_lite::{CounterRegistry, CounterSnapshot};
 
 use crate::aggregate::{
-    self, AccelEntry, AccelSlot, AggregationRegion, AggregationStats, BatchScratchPool,
+    self, AccelEntry, AccelSlot, AggregationRegion, AggregationStats, BatchScratches,
     GravityBatchCtx, HydroBatchCtx,
 };
 use crate::config::OctoConfig;
@@ -32,7 +34,7 @@ use crate::kernel_backend::Dispatch;
 use crate::octree::{GhostFaces, NodeId, Octree, FACE_VALUES};
 use crate::recycle::{PoolStats, RecyclePool};
 use crate::star::{InitialModel, RotatingStar, NF};
-use crate::subgrid::{SubGrid, CELLS};
+use crate::subgrid::{SubGrid, CELLS, NX};
 
 /// Work counters accumulated over a run — the measured quantities the
 /// `rv-machine` projection turns into per-architecture runtimes.
@@ -73,6 +75,30 @@ impl WorkEstimate {
         self.ghost_samples += faces.indexed * FACE_VALUES;
         self.ghost_slab_bytes += faces.slab * FACE_VALUES * 8;
     }
+
+    /// Add another locality's counters to these.
+    pub(crate) fn add(&mut self, other: &WorkEstimate) {
+        self.hydro_flops += other.hydro_flops;
+        self.gravity_flops += other.gravity_flops;
+        self.bytes += other.bytes;
+        self.far_interactions += other.far_interactions;
+        self.near_interactions += other.near_interactions;
+        self.ghost_samples += other.ghost_samples;
+        self.ghost_slab_bytes += other.ghost_slab_bytes;
+        self.mac_evals += other.mac_evals;
+    }
+
+    /// Write the `/gravity/…` and `/work/…` work counters into `snap`.
+    pub(crate) fn counters_into(&self, snap: &mut CounterSnapshot) {
+        snap.set_count("/gravity/far_interactions", self.far_interactions);
+        snap.set_count("/gravity/near_interactions", self.near_interactions);
+        snap.set_count("/gravity/mac_evals", self.mac_evals);
+        snap.set_count("/work/hydro_flops", self.hydro_flops);
+        snap.set_count("/work/gravity_flops", self.gravity_flops);
+        snap.set_count("/work/bytes", self.bytes);
+        snap.set_count("/work/ghost_samples", self.ghost_samples);
+        snap.set_count("/work/ghost_slab_bytes", self.ghost_slab_bytes);
+    }
 }
 
 /// Results of a timed run.
@@ -100,7 +126,7 @@ pub struct RunMetrics {
     pub sim_time: f64,
     /// Fraction of the shorter solver's wall-time during which the gravity
     /// and hydro kernel families ran concurrently, accumulated over the run
-    /// (0 in barriered mode, > 0 when the futurized graph interleaves).
+    /// (> 0 on several workers: the task graph interleaves the solvers).
     pub overlap_ratio: f64,
     /// Peak resident set size of the process in bytes (`VmHWM`), or the
     /// self-measured arena high-water mark where the OS counter is
@@ -150,33 +176,111 @@ struct OverlapTotals {
     overlap_ns: u64,
 }
 
-/// Gravity state handed through the futurized step's moments task: the
-/// workspace and cache are *moved* into the task (the serial M2M pass runs
-/// concurrently with per-leaf hydro) and published back afterwards.
+/// Gravity state handed through the step's moments task: the workspace and
+/// cache are *moved* into the task (the serial M2M pass runs concurrently
+/// with per-leaf hydro) and published back afterwards.
 struct GravityHandoff {
     ws: GravityWorkspace,
     cache: InteractionCache,
     report: EnsureReport,
 }
 
-/// The node-level simulation driver.
+/// What a step needs of the leaves other localities own, at the three
+/// places its task graph already joins. Every call is made once per step,
+/// and a call that waits must hold no lock across the wait and wait only
+/// for what a peer sends on its own progress (DESIGN §5.3).
+pub trait Exchange: Sync {
+    /// Before the ghost exchange: ship the interior of the leaves at `send`
+    /// (owned here, read by a peer's ghost plan) and install what the peers
+    /// ship into `tree`, so the ghost fill of the owned leaves stays local.
+    fn halo(&self, tree: &mut Octree, send: &[usize]);
+
+    /// In the continuation of the last CFL batch: the
+    /// [`hydro::max_cfl_rate`] over every locality's `local` one.
+    fn max_rate(&self, local: f64) -> f64;
+
+    /// In the continuation of the last P2M batch: `blocks` is the leaf-order
+    /// table with the entries at `owned` computed; ship those and fill in
+    /// the rest.
+    fn complete_blocks(&self, owned: &[usize], blocks: &mut [BlockSoA]);
+}
+
+/// The exchange of a run that owns every leaf: there is nobody to ask.
+pub struct LocalExchange;
+
+impl Exchange for LocalExchange {
+    fn halo(&self, _tree: &mut Octree, _send: &[usize]) {}
+
+    fn max_rate(&self, local: f64) -> f64 {
+        local
+    }
+
+    fn complete_blocks(&self, _owned: &[usize], _blocks: &mut [BlockSoA]) {}
+}
+
+/// Which leaves this driver steps: all of them on one locality, its side of
+/// the x = 0 plane on two (supervisor: x < 0, delegate: x ≥ 0, the roles of
+/// the paper's Listings 2–3). Every locality holds the whole tree; the mask
+/// decides whose kernels run where.
+struct Ownership {
+    node: u32,
+    nodes: u32,
+    /// Tree generation the tables below were derived from.
+    built_for: Option<u64>,
+    /// Per leaf position: owned here.
+    mask: Vec<bool>,
+    /// The owned leaf positions, ascending — the step's work items.
+    positions: Vec<usize>,
+    /// Owned leaves whose interior a leaf owned elsewhere copies ghosts from.
+    halo_out: Vec<usize>,
+}
+
+impl Ownership {
+    /// Bring the tables up to `tree`'s topology (a no-op until a regrid).
+    fn refresh(&mut self, tree: &mut Octree) {
+        if self.built_for == Some(tree.generation()) {
+            return;
+        }
+        let (node, nodes) = (self.node, self.nodes);
+        self.mask = tree
+            .leaf_ids()
+            .iter()
+            .map(|&leaf| {
+                let (origin, dx) = tree.node_geometry(leaf);
+                let centre_x = origin[0] + (NX / 2) as f64 * dx;
+                nodes == 1 || (centre_x < 0.0) == (node == 0)
+            })
+            .collect();
+        let mask = &self.mask;
+        self.positions = (0..mask.len()).filter(|&pos| mask[pos]).collect();
+        self.halo_out = if nodes == 1 {
+            Vec::new()
+        } else {
+            tree.halo_sources(|pos| !mask[pos])
+        };
+        self.built_for = Some(tree.generation());
+    }
+}
+
+/// The simulation driver.
 pub struct Driver {
     tree: Octree,
     config: OctoConfig,
+    ownership: Ownership,
     sim_time: f64,
     work: WorkEstimate,
     /// cppuddle-style scratch-buffer pool for the hydro kernels.
-    pool: std::sync::Arc<RecyclePool<[f64; NF]>>,
+    pool: Arc<RecyclePool<[f64; NF]>>,
     /// Pool behind the SoA primitive staging views of the SIMD hydro path.
-    stage_pool: std::sync::Arc<RecyclePool<f64>>,
-    /// Gravity/hydro concurrency totals (futurized-mode latency hiding).
+    stage_pool: Arc<RecyclePool<f64>>,
+    /// Gravity/hydro concurrency totals (latency hiding of the task graph).
     overlap: OverlapTotals,
     /// Recycled gravity solve state (moments table, traversal order).
     gravity_ws: GravityWorkspace,
     /// Cross-step interaction-list cache keyed on tree topology.
     interaction_cache: InteractionCache,
     /// Recycled batch-fused gravity streams (far tables + near mega-stream).
-    batch_scratch: BatchScratchPool,
+    batch_scratch: BatchScratches,
     /// Work-aggregation seal/launch counters
     /// (`/work/aggregation/…`).
     agg: AggregationStats,
@@ -206,19 +310,56 @@ impl Driver {
     /// Build any [`InitialModel`] problem (e.g. a
     /// [`crate::star::BinaryStar`]) on a `[-1, 1]³` domain.
     pub fn with_model<M: InitialModel>(model: &M, config: OctoConfig) -> Self {
+        Self::for_locality(model, config, 0, 1)
+    }
+
+    /// The driver of locality `node` of `nodes`: the whole tree's topology,
+    /// stepping the leaves that locality owns and holding data for those and
+    /// their halo only (so no regrid, and no whole-tree diagnostics, on one
+    /// locality of several: repartitioning is ROADMAP item 2).
+    pub(crate) fn for_locality<M: InitialModel>(
+        model: &M,
+        config: OctoConfig,
+        node: u32,
+        nodes: u32,
+    ) -> Self {
         config.validate().expect("invalid configuration");
-        let tree = Octree::build_with_model(model, &config, 1.0);
+        assert!(
+            node < nodes && nodes <= 2,
+            "ownership is the x = 0 split: at most two localities"
+        );
+        let mut tree = Octree::build_topology(model, &config, 1.0);
+        let mut ownership = Ownership {
+            node,
+            nodes,
+            built_for: None,
+            mask: Vec::new(),
+            positions: Vec::new(),
+            halo_out: Vec::new(),
+        };
+        ownership.refresh(&mut tree);
+        // Data for the leaves this locality reads: the ones it owns and the
+        // ones its ghost plan copies from (their owners keep those current).
+        let mask = &ownership.mask;
+        let mut reads = mask.clone();
+        if nodes > 1 {
+            for pos in tree.halo_sources(|pos| mask[pos]) {
+                reads[pos] = true;
+            }
+        }
+        tree.allocate_leaves(model, |pos| reads[pos]);
         Driver {
             tree,
             config,
+            ownership,
             sim_time: 0.0,
             work: WorkEstimate::default(),
-            pool: std::sync::Arc::new(RecyclePool::new()),
-            stage_pool: std::sync::Arc::new(RecyclePool::new()),
+            pool: Arc::new(RecyclePool::new()),
+            stage_pool: Arc::new(RecyclePool::new()),
             overlap: OverlapTotals::default(),
             gravity_ws: GravityWorkspace::new(),
             interaction_cache: InteractionCache::new(),
-            batch_scratch: BatchScratchPool::new(),
+            batch_scratch: BatchScratches::new(),
             agg: AggregationStats::new(),
             regrid_sweeps: 0,
             regrid_leaves: 0,
@@ -236,238 +377,93 @@ impl Driver {
         &self.config
     }
 
+    /// Positions in [`Octree::leaf_ids`] of the leaves this driver steps
+    /// (all of them unless it is one locality of several).
+    pub fn owned_leaves(&self) -> &[usize] {
+        &self.ownership.positions
+    }
+
+    /// FNV-1a over the bits of the interior data of the leaf at `pos`, one
+    /// `f64` per round.
+    pub fn leaf_hash(&self, pos: usize) -> u64 {
+        let data = self.tree.subgrid(self.tree.leaf_ids()[pos]).interior_data();
+        data.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
+            (h ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// [`Driver::leaf_hash`] of every leaf, leaf order — the field state two
+    /// runs are compared on.
+    pub fn leaf_hashes(&self) -> Vec<u64> {
+        (0..self.tree.leaf_count())
+            .map(|pos| self.leaf_hash(pos))
+            .collect()
+    }
+
     /// Execute one time step on `runtime`; returns `dt`.
-    ///
-    /// Dispatches on [`OctoConfig::futurize`]: the per-leaf futurized task
-    /// graph (default) or the barrier-separated four-phase ablation. Both
-    /// modes produce bitwise-identical states — the graph only reorders
-    /// *independent* work.
     ///
     /// # Panics
     /// With the step index, when the CFL reduction returns a `dt` that is
     /// not positive and finite ([`hydro::global_dt`]) — a NaN in the state
-    /// ends the run within a step instead of spreading through it.
+    /// ends the run within a step instead of spreading through it (the
+    /// panic is raised inside a task and rethrown at the scope's join).
     pub fn step(&mut self, runtime: &Runtime) -> f64 {
-        if self.config.futurize {
-            self.step_futurized(runtime)
-        } else {
-            self.step_barriered(runtime)
-        }
+        self.step_with(&runtime.handle(), &LocalExchange)
     }
 
-    /// Ghost exchange through the tree's cached copy plan, one task per
-    /// leaf. Shared by both step modes (it runs before any of the step's
-    /// compute tasks).
-    fn exchange_ghosts(&mut self, handle: &Handle) {
-        let _span = trace::span(Cat::Phase, "ghost_exchange");
-        let faces = self.tree.exchange_ghosts(handle, |_| true);
-        self.work.add_ghost_faces(faces);
-    }
-
-    /// End of a step, shared by both modes: apply each leaf's hydro update
-    /// and gravity source terms, leaves in parallel. `batch_states[b]` is
-    /// the fused state of leaves `b·batch ..`, so leaf `pos` slices its
-    /// cells back out of batch `pos / batch` — per leaf the same two calls
-    /// on the same inputs as a serial walk in leaf order.
-    fn apply_updates(
-        &mut self,
-        handle: &Handle,
-        batch_states: Vec<Mutex<Option<Vec<[f64; NF]>>>>,
-        accels: &[AccelEntry],
-        dt: f64,
-    ) {
-        let _span = trace::span(Cat::Phase, "apply_update");
-        let batch = self.config.aggregation().hydro;
-        let fused: Vec<Vec<[f64; NF]>> = batch_states
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("state slot").expect("hydro done"))
-            .collect();
-        let covered: usize = fused.iter().map(|b| b.len() / CELLS).sum();
-        assert_eq!(covered, accels.len(), "fused batches cover every leaf");
-        self.tree.for_each_leaf_mut(handle, |pos, grid| {
-            let k = pos % batch;
-            hydro::apply_interior(grid, &fused[pos / batch][k * CELLS..(k + 1) * CELLS]);
-            hydro::apply_gravity_source(grid, &accels[pos].0, dt);
-        });
-        for buf in fused {
-            self.pool.release(buf);
-        }
-    }
-
-    /// The barriered step: ghost → CFL → gravity → hydro, each phase a full
-    /// task barrier (the seed's structure, kept as the `--futurize=off`
-    /// ablation the bench compares against). Each phase fans out through an
-    /// [`AggregationRegion`], so one task covers `--*_host_tasks` leaves;
-    /// batch size 1 reproduces the per-leaf launches bitwise.
-    fn step_barriered(&mut self, runtime: &Runtime) -> f64 {
-        let handle = runtime.handle();
-        let hydro_dispatch = Dispatch::new(self.config.hydro_kernel, &handle, 4);
-        let multipole_dispatch = Dispatch::new(self.config.multipole_kernel, &handle, 4);
-        let monopole_dispatch = Dispatch::new(self.config.monopole_kernel, &handle, 4);
-        let policy = self.config.simd_policy();
-        let agg_cfg = self.config.aggregation();
-
-        // 1. Ghost exchange.
-        let leaves: Vec<NodeId> = self.tree.leaf_ids().to_vec();
-        self.exchange_ghosts(&handle);
-        let n = leaves.len();
-
-        let hctx = HydroBatchCtx {
-            tree: &self.tree,
-            leaves: &leaves,
-            dispatch: &hydro_dispatch,
-            policy,
-            state_pool: &self.pool,
-            stage_pool: &self.stage_pool,
-        };
-
-        // 2. CFL time step (global max-signal-speed reduction). A vector
-        //    policy also builds each leaf's SoA staging view here; the tree
-        //    is immutable until the apply phase, so the hydro kernel below
-        //    reuses it instead of staging twice.
-        let cfl_span = trace::span(Cat::Phase, "cfl_reduction");
-        let speeds: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        let stage_slots: Vec<Mutex<Option<HydroStage>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        aggregate::for_each_batch(&handle, n, agg_cfg.hydro, &self.agg, |_, batch| {
-            aggregate::run_cfl_batch(&hctx, batch, false, &speeds, &stage_slots)
-        });
-        let rates = speeds
-            .iter()
-            .map(|s| f64::from_bits(s.load(Ordering::Acquire)));
-        let dt = hydro::global_dt(self.config.cfl, rates, self.steps_done);
-        drop(cfl_span);
-
-        // 3. Gravity: P2M (batched) → M2M (serial, recycled workspace) →
-        //    interaction lists (cached across steps) → FMM kernels (batched
-        //    fused streams, recycled batch scratch).
-        let g_env = Envelope::new();
-        let h_env = Envelope::new();
-        let gravity_span = trace::span(Cat::Phase, "gravity_solve");
-        let block_slots: Vec<Mutex<Option<BlockSoA>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        {
-            let tree = &self.tree;
-            let leaves = &leaves;
-            aggregate::for_each_batch(&handle, n, agg_cfg.multipole, &self.agg, |_, batch| {
-                aggregate::run_p2m_batch(tree, leaves, batch, false, &block_slots)
-            });
-        }
-        let blocks: Vec<BlockSoA> = block_slots
-            .into_iter()
-            .map(|m| m.into_inner().expect("block slot").expect("p2m done"))
-            .collect();
-        self.gravity_ws.upward_pass(&self.tree, &blocks);
-        if !self.config.use_interaction_cache {
-            // Cache-off ablation: force the dual traversal every step.
-            self.interaction_cache.invalidate();
-        }
-        let report =
-            self.interaction_cache
-                .ensure(&self.tree, &self.gravity_ws.moments, self.config.theta);
-        let accel_slots: Vec<AccelSlot> = (0..n).map(|_| Mutex::new(None)).collect();
-        {
-            let kernels = GravityKernels {
-                multipole: &multipole_dispatch,
-                monopole: &monopole_dispatch,
-                simd: policy,
-            };
-            let gctx = GravityBatchCtx {
-                tree: &self.tree,
-                moments: &self.gravity_ws.moments,
-                blocks: &blocks,
-                leaf_pos: &self.gravity_ws.leaf_pos,
-                leaves: &leaves,
-                lists: self.interaction_cache.lists(),
-                kernels: &kernels,
-                scratch: &self.batch_scratch,
-            };
-            let g_env = &g_env;
-            aggregate::run_gravity_stage(
-                &handle,
-                &gctx,
-                agg_cfg,
-                &self.agg,
-                false,
-                &|s, e| g_env.record(s, e),
-                &accel_slots,
-            );
-        }
-        let accels: Vec<AccelEntry> = accel_slots
-            .into_iter()
-            .map(|m| m.into_inner().expect("accel slot").expect("gravity done"))
-            .collect();
-        drop(gravity_span);
-
-        // 4. Hydro kernels (batched, pure): each batch writes one fused
-        //    state buffer — a batch-sized class of the recycle pool.
-        let hydro_span = trace::span(Cat::Phase, "hydro_step");
-        let n_hydro_batches = AggregationRegion::batch_count(n, agg_cfg.hydro);
-        let batch_states: Vec<Mutex<Option<Vec<[f64; NF]>>>> =
-            (0..n_hydro_batches).map(|_| Mutex::new(None)).collect();
-        {
-            let h_env = &h_env;
-            let (hctx, stage_slots, batch_states) = (&hctx, &stage_slots, &batch_states);
-            aggregate::for_each_batch(&handle, n, agg_cfg.hydro, &self.agg, |bid, batch| {
-                aggregate::run_hydro_batch(
-                    hctx,
-                    batch,
-                    dt,
-                    false,
-                    &|s, e| h_env.record(s, e),
-                    stage_slots,
-                    &batch_states[bid],
-                )
-            });
-        }
-
-        // 5. Apply hydro update + gravity source terms.
-        self.apply_updates(&handle, batch_states, &accels, dt);
-        drop(hydro_span);
-
-        self.accumulate_overlap(&g_env, &h_env);
-        self.account_step(&accels, report);
-        self.sim_time += dt;
-        dt
-    }
-
-    /// The futurized step: one per-step task graph instead of four phase
-    /// barriers, expressed as *continuations* — no task ever blocks on a
-    /// condition another task must produce (a help-stealing waiter could
-    /// end up nested above its own producer on one stack and deadlock).
-    /// Instead, the last *batch* task of each root phase to retire runs the
-    /// serial join and fans the dependent batch tasks out in a nested
-    /// scope (the aggregation regions seal batches of `--*_host_tasks`
-    /// leaves; batch size 1 degenerates to the per-leaf graph):
+    /// One time step over the owned leaves, as one task graph expressed in
+    /// *continuations* — no task ever blocks on a condition another task of
+    /// this runtime must produce (a help-stealing waiter could end up nested
+    /// above its own producer on one stack and deadlock). The last *batch*
+    /// task of each root phase to retire runs the serial join and fans the
+    /// dependent batch tasks out in a nested scope (the aggregation regions
+    /// seal batches of `--*_host_tasks` leaves; batch size 1 is the per-leaf
+    /// graph):
     ///
     /// ```text
-    /// cfl batches  ──last──► dt reduction ──► hydro batches
-    /// p2m batches  ──last──► M2M + lists  ──► gravity batches
+    /// halo ► ghosts ─┬► cfl batches ──last──► max_rate, dt ──► hydro batches ─┬► apply
+    ///                └► p2m batches ──last──► complete_blocks, M2M + lists    │
+    ///                                                   └──► gravity batches ─┘
     /// ```
     ///
-    /// Each hydro batch needs only the global `dt`; a gravity batch
-    /// overlaps hydro batches on other workers, and the *serial* M2M/list
-    /// pass is hidden behind CFL/hydro work — the paper's HPX futurization
-    /// argument at sub-grid granularity. The per-leaf arithmetic and the
-    /// serial apply order are identical to the barriered step, so the
-    /// states match bitwise at every batch size.
-    fn step_futurized(&mut self, runtime: &Runtime) -> f64 {
-        let handle = runtime.handle();
-        let hydro_dispatch = Dispatch::new(self.config.hydro_kernel, &handle, 4);
-        let multipole_dispatch = Dispatch::new(self.config.multipole_kernel, &handle, 4);
-        let monopole_dispatch = Dispatch::new(self.config.monopole_kernel, &handle, 4);
+    /// Each hydro batch needs only the global `dt`; a gravity batch overlaps
+    /// hydro batches on other workers, and the *serial* M2M/list pass is
+    /// hidden behind CFL/hydro work — the paper's HPX futurization argument
+    /// at sub-grid granularity. `exchange` is consulted at the three joins
+    /// named in the diagram and nowhere else; with [`LocalExchange`] the
+    /// step spawns one task per owned leaf per kernel family and waits for
+    /// nothing outside its own runtime.
+    pub fn step_with(&mut self, handle: &Handle, exchange: &impl Exchange) -> f64 {
+        let hydro_dispatch = Dispatch::new(self.config.hydro_kernel, handle, 4);
+        let multipole_dispatch = Dispatch::new(self.config.multipole_kernel, handle, 4);
+        let monopole_dispatch = Dispatch::new(self.config.monopole_kernel, handle, 4);
         let policy = self.config.simd_policy();
         let cfl_factor = self.config.cfl;
         let step = self.steps_done;
         let theta = self.config.theta;
         let agg_cfg = self.config.aggregation();
 
-        let leaves: Vec<NodeId> = self.tree.leaf_ids().to_vec();
-        self.exchange_ghosts(&handle);
+        self.ownership.refresh(&mut self.tree);
+        exchange.halo(&mut self.tree, &self.ownership.halo_out);
+        {
+            // One task per owned leaf through the tree's cached copy plan.
+            let _span = trace::span(Cat::Phase, "ghost_exchange");
+            let mask = &self.ownership.mask;
+            let faces = self.tree.exchange_ghosts(handle, |pos| mask[pos]);
+            self.work.add_ghost_faces(faces);
+        }
+        // The step's work items: index `k` below is the `k`-th owned leaf.
+        let owned = &self.ownership.positions;
+        let leaves: Vec<NodeId> = {
+            let all = self.tree.leaf_ids();
+            owned.iter().map(|&pos| all[pos]).collect()
+        };
         let n = leaves.len();
         let n_hydro_batches = AggregationRegion::batch_count(n, agg_cfg.hydro);
         let n_p2m_batches = AggregationRegion::batch_count(n, agg_cfg.multipole);
 
         if !self.config.use_interaction_cache {
+            // Cache-off ablation: force the dual traversal every step.
             self.interaction_cache.invalidate();
         }
         // The serial M2M/list pass runs inside a task, concurrent with
@@ -499,6 +495,7 @@ impl Driver {
 
         {
             let tree = &self.tree;
+            let owned_mask = &self.ownership.mask;
             let kernels = GravityKernels {
                 multipole: &multipole_dispatch,
                 monopole: &monopole_dispatch,
@@ -516,7 +513,6 @@ impl Driver {
             let hctx = &hctx;
             let batch_scratch = &self.batch_scratch;
             let agg = &self.agg;
-            let handle_ref = &handle;
             let leaves_ref = &leaves;
             let (speeds, stage_slots, block_slots) = (&speeds, &stage_slots, &block_slots);
             let (accel_slots, batch_states) = (&accel_slots, &batch_states);
@@ -525,7 +521,7 @@ impl Driver {
             let g_record: &(dyn Fn(u64, u64) + Sync) = &|s, e| g_env.record(s, e);
             let h_record: &(dyn Fn(u64, u64) + Sync) = &|s, e| h_env.record(s, e);
 
-            scope(&handle, |sc| {
+            scope(handle, |sc| {
                 // Roots of the graph: CFL batches and P2M batches — no
                 // dependencies, all runnable now. The regions seal full
                 // batches as the index streams through and flush the ragged
@@ -535,24 +531,24 @@ impl Driver {
                     sc.spawn(move || {
                         {
                             let _launch = aggregate::launch_span(agg_cfg.hydro);
-                            aggregate::run_cfl_batch(hctx, &batch, true, speeds, stage_slots);
+                            aggregate::run_cfl_batch(hctx, &batch, speeds, stage_slots);
                         }
                         if cfl_remaining.fetch_sub(1, Ordering::SeqCst) != 1 {
                             return;
                         }
-                        // Continuation of the last CFL batch: global dt
-                        // (deterministic leaf-order fold, identical to the
-                        // barriered reduction), then the hydro batch
-                        // fan-out.
+                        // Continuation of the last CFL batch: global dt (a
+                        // max-fold, so any grouping of the leaves gives the
+                        // same bits), then the hydro batch fan-out.
                         let dt = {
                             let _span = trace::span(Cat::Phase, "cfl_reduction");
                             let rates = speeds
                                 .iter()
                                 .map(|s| f64::from_bits(s.load(Ordering::Acquire)));
-                            hydro::global_dt(cfl_factor, rates, step)
+                            let rate = exchange.max_rate(hydro::max_cfl_rate(rates));
+                            hydro::global_dt(cfl_factor, rate, step)
                         };
                         dt_bits.store(dt.to_bits(), Ordering::Release);
-                        scope(handle_ref, |hsc| {
+                        scope(handle, |hsc| {
                             let mut region = AggregationRegion::new(agg_cfg.hydro, agg);
                             let spawn_hydro = |(bid, hbatch): (usize, Vec<usize>)| {
                                 hsc.spawn(move || {
@@ -561,14 +557,13 @@ impl Driver {
                                         hctx,
                                         &hbatch,
                                         dt,
-                                        true,
                                         h_record,
                                         stage_slots,
                                         &batch_states[bid],
                                     );
                                 });
                             };
-                            for idx in 0..leaves_ref.len() {
+                            for idx in 0..n {
                                 if let Some(sealed) = region.push(idx) {
                                     spawn_hydro(sealed);
                                 }
@@ -583,24 +578,33 @@ impl Driver {
                     sc.spawn(move || {
                         {
                             let _launch = aggregate::launch_span(agg_cfg.multipole);
-                            aggregate::run_p2m_batch(tree, leaves_ref, &batch, true, block_slots);
+                            aggregate::run_p2m_batch(tree, leaves_ref, &batch, block_slots);
                         }
                         if p2m_remaining.fetch_sub(1, Ordering::SeqCst) != 1 {
                             return;
                         }
-                        // Continuation of the last P2M batch: the barriered
-                        // step's serial M2M + interaction-list section (now
-                        // hidden behind CFL/hydro work on other workers),
-                        // then the aggregated gravity fan-out.
+                        // Continuation of the last P2M batch: the leaf-order
+                        // block table (own entries from the slots, the rest
+                        // from the exchange), the serial M2M +
+                        // interaction-list section (hidden behind CFL/hydro
+                        // work on other workers), then the aggregated
+                        // gravity fan-out.
                         let (mut ws, mut cache) = gravity_state
                             .lock()
                             .expect("gravity state")
                             .take()
                             .expect("claimed once");
-                        let blocks: Vec<BlockSoA> = block_slots
+                        let mut own = block_slots
                             .iter()
-                            .map(|m| m.lock().expect("block slot").take().expect("p2m done"))
+                            .map(|m| m.lock().expect("block slot").take().expect("p2m done"));
+                        let mut blocks: Vec<BlockSoA> = owned_mask
+                            .iter()
+                            .map(|&mine| match mine {
+                                true => own.next().expect("one slot per owned leaf"),
+                                false => BlockSoA::zero(),
+                            })
                             .collect();
+                        exchange.complete_blocks(owned, &mut blocks);
                         let report = {
                             let _span = trace::span(Cat::Phase, "gravity_moments");
                             ws.upward_pass(tree, &blocks);
@@ -618,11 +622,10 @@ impl Driver {
                                 scratch: batch_scratch,
                             };
                             aggregate::run_gravity_stage(
-                                handle_ref,
+                                handle,
                                 &gctx,
                                 agg_cfg,
                                 agg,
-                                true,
                                 g_record,
                                 accel_slots,
                             );
@@ -659,17 +662,39 @@ impl Driver {
         let handoff = published.into_inner().expect("moments task ran");
         self.gravity_ws = handoff.ws;
         self.interaction_cache = handoff.cache;
-        let report = handoff.report;
         let dt = f64::from_bits(dt_bits.load(Ordering::Acquire));
 
         let accels: Vec<AccelEntry> = accel_slots
             .into_iter()
             .map(|m| m.into_inner().expect("accel slot").expect("gravity done"))
             .collect();
-        self.apply_updates(&handle, batch_states, &accels, dt);
+        {
+            // Apply each owned leaf's hydro update and gravity source terms,
+            // leaves in parallel. `fused[b]` is the state of owned leaves
+            // `b·batch ..`, so leaf `k` slices its cells back out of batch
+            // `k / batch` — per leaf the same two calls on the same inputs
+            // as a serial walk in leaf order.
+            let _span = trace::span(Cat::Phase, "apply_update");
+            let batch = agg_cfg.hydro;
+            let fused: Vec<Vec<[f64; NF]>> = batch_states
+                .into_iter()
+                .map(|slot| slot.into_inner().expect("state slot").expect("hydro done"))
+                .collect();
+            let covered: usize = fused.iter().map(|b| b.len() / CELLS).sum();
+            assert_eq!(covered, n, "fused batches cover every owned leaf");
+            let accels = &accels;
+            self.tree.for_each_leaf_mut(handle, owned, |k, grid| {
+                let at = k % batch * CELLS;
+                hydro::apply_interior(grid, &fused[k / batch][at..at + CELLS]);
+                hydro::apply_gravity_source(grid, &accels[k].0, dt);
+            });
+            for buf in fused {
+                self.pool.release(buf);
+            }
+        }
 
         self.accumulate_overlap(&g_env, &h_env);
-        self.account_step(&accels, report);
+        self.account_step(&accels, handoff.report);
         self.sim_time += dt;
         dt
     }
@@ -684,8 +709,8 @@ impl Driver {
         }
     }
 
-    /// Post-step work accounting, shared by both step modes (the ghost
-    /// exchange charged its own faces).
+    /// Post-step work accounting over the owned leaves `accels` covers (the
+    /// ghost exchange charged its own faces).
     fn account_step(&mut self, accels: &[AccelEntry], report: EnsureReport) {
         self.steps_done += 1;
         // Work accounting. Far (M2L) interactions are charged on the
@@ -693,7 +718,7 @@ impl Driver {
         // still occupies full vector lanes, and the projection must see
         // that waste. Near lists stream 64-block leaves (a multiple of
         // every width), so padding is a no-op there.
-        let cells = self.tree.cell_count() as u64;
+        let cells = (accels.len() * CELLS) as u64;
         self.work.hydro_flops += cells * hydro::HYDRO_FLOPS_PER_CELL;
         self.work.bytes += cells * hydro::HYDRO_BYTES_PER_CELL;
         let lanes = self.config.simd_policy().lanes() as u64;
@@ -712,6 +737,8 @@ impl Driver {
         // only traversed the dirty leaves — the ensure report carries the
         // exact entry count of the lists that were re-traversed (every
         // accepted or opened node was MAC-tested). Retained lists cost 0.
+        // The lists cover the whole tree on every locality, so each one
+        // charges the traversal it really ran.
         self.work.mac_evals += report.mac_evals;
         self.work.gravity_flops += report.mac_evals * gravity::MAC_FLOPS_PER_EVAL;
     }
@@ -729,11 +756,6 @@ impl Driver {
     /// Chrome trace of the run (scheduler tasks, driver phases, gravity
     /// kernels) and `--counter-table` prints per-step counter deltas.
     pub fn run_on(&mut self, runtime: &Runtime) -> RunMetrics {
-        let tracing = self.config.trace_out.is_some();
-        if tracing {
-            trace::reset();
-            trace::set_enabled(true);
-        }
         let mut registry = CounterRegistry::new();
         runtime
             .handle()
@@ -741,31 +763,19 @@ impl Driver {
         runtime.reset_stats();
         // The background sampler shares the registry; the driver-owned
         // counters (`counters_into`, borrowing `&self`) are folded into the
-        // final snapshot only — the time-series covers the registered
-        // providers (`/runtime/...` including the imbalance gauge).
-        let registry = std::sync::Arc::new(registry);
-        let sampler = self.config.sample_interval_ms.map(|ms| {
-            apex_lite::Sampler::start(
-                std::sync::Arc::clone(&registry),
-                std::time::Duration::from_millis(ms),
-            )
-        });
-        let start = Instant::now();
+        // per-step and final snapshots only — the time-series covers the
+        // registered providers (`/runtime/...` including the imbalance
+        // gauge).
+        let mut observer = RunObserver::start(&self.config, registry, |r| self.sample_counters(r));
         let mut steps = 0;
-        let mut prev = self.sample_counters(&registry);
-        let mut step_deltas: Vec<CounterSnapshot> = Vec::new();
         for _ in 0..self.config.stop_step {
             self.step(runtime);
             steps += 1;
-            if self.config.counter_table {
-                let cur = self.sample_counters(&registry);
-                step_deltas.push(cur.delta(&prev));
-                prev = cur;
-            }
+            observer.step_done(|r| self.sample_counters(r));
         }
-        let elapsed = start.elapsed().as_secs_f64();
+        let elapsed = observer.elapsed_seconds();
         rv_machine::memory::note_arena_bytes(self.tree.resident_bytes());
-        let mut counters = self.sample_counters(&registry);
+        let mut counters = self.sample_counters(observer.registry());
         rv_machine::energy_counters_into(
             &mut counters,
             rv_machine::CpuArch::Jh7110,
@@ -773,38 +783,7 @@ impl Driver {
             runtime.worker_stats().len() as u32,
             elapsed,
         );
-        if self.config.counter_table {
-            print!(
-                "{}",
-                apex_lite::render_step_table("octotiger per-step counters", &step_deltas)
-            );
-            print!(
-                "{}",
-                apex_lite::render_table("octotiger run totals", &counters)
-            );
-        }
-        let mut series = match sampler {
-            Some(s) => s.stop(),
-            None => apex_lite::TimeSeries::default(),
-        };
-        if self.config.metrics_out.is_some() && series.samples == 0 {
-            // `--metrics-out` without a sampling cadence: one final sample
-            // (including the driver-owned counters) so the file is never
-            // empty.
-            series.push(trace::now_ns(), &counters);
-        }
-        if let Some(path) = &self.config.metrics_out {
-            if let Err(e) = std::fs::write(path, series.render_csv()) {
-                eprintln!("warning: failed to write metrics to {path}: {e}");
-            }
-        }
-        if let Some(path) = self.config.trace_out.clone() {
-            trace::set_enabled(false);
-            let t = trace::drain();
-            if let Err(e) = std::fs::write(&path, apex_lite::export_with_counters(&t, &series)) {
-                eprintln!("warning: failed to write trace to {path}: {e}");
-            }
-        }
+        let counter_samples = observer.finish(&self.config, "octotiger", &counters);
         let cell_count = self.tree.cell_count();
         let cells_processed = cell_count as u64 * u64::from(steps);
         RunMetrics {
@@ -821,7 +800,7 @@ impl Driver {
             overlap_ratio: self.overlap_ratio(),
             peak_rss_bytes: rv_machine::memory::peak_rss_bytes(),
             counters,
-            counter_samples: series.samples,
+            counter_samples,
         }
     }
 
@@ -848,14 +827,7 @@ impl Driver {
             "/runtime/peak_rss_bytes",
             rv_machine::memory::peak_rss_bytes(),
         );
-        snap.set_count("/gravity/far_interactions", self.work.far_interactions);
-        snap.set_count("/gravity/near_interactions", self.work.near_interactions);
-        snap.set_count("/gravity/mac_evals", self.work.mac_evals);
-        snap.set_count("/work/hydro_flops", self.work.hydro_flops);
-        snap.set_count("/work/gravity_flops", self.work.gravity_flops);
-        snap.set_count("/work/bytes", self.work.bytes);
-        snap.set_count("/work/ghost_samples", self.work.ghost_samples);
-        snap.set_count("/work/ghost_slab_bytes", self.work.ghost_slab_bytes);
+        self.work.counters_into(snap);
         let ghost = self.tree.ghost_stats();
         snap.set_count("/ghost/plan_rebuilds", ghost.plan_rebuilds);
         snap.set_count("/ghost/faces_slab", ghost.faces.slab);
@@ -876,9 +848,8 @@ impl Driver {
 
     /// Fraction of the shorter kernel family's wall-clock envelope that
     /// overlapped the other family, accumulated over all steps so far.
-    /// Barriered runs report ~0 (phases are serialized); futurized runs on
-    /// multiple workers report a positive ratio — the direct evidence for
-    /// the paper's "interleaving of the two solvers" claim.
+    /// Positive on several workers — the direct evidence for the paper's
+    /// "interleaving of the two solvers" claim.
     pub fn overlap_ratio(&self) -> f64 {
         let denom = self.overlap.gravity_ns.min(self.overlap.hydro_ns);
         if denom == 0 {
@@ -969,6 +940,100 @@ impl Driver {
     }
 }
 
+/// The observability side of a timed run, the same for one locality and for
+/// several: the tracer (`--trace-out`), the background counter sampler
+/// (`--sample_interval_ms`, `--metrics-out`) and the per-step counter table
+/// (`--counter-table`). The caller owns the step loop and the counters.
+pub(crate) struct RunObserver {
+    registry: Arc<CounterRegistry>,
+    sampler: Option<apex_lite::Sampler>,
+    /// `--counter-table`: the previous sample and the per-step deltas.
+    table: Option<(CounterSnapshot, Vec<CounterSnapshot>)>,
+    start: Instant,
+}
+
+impl RunObserver {
+    /// Switch on what `config` asks for and start the clock. `sample` reads
+    /// `registry` plus whatever counters the caller keeps itself.
+    pub(crate) fn start(
+        config: &OctoConfig,
+        registry: CounterRegistry,
+        sample: impl FnOnce(&CounterRegistry) -> CounterSnapshot,
+    ) -> Self {
+        if config.trace_out.is_some() {
+            trace::reset();
+            trace::set_enabled(true);
+        }
+        let registry = Arc::new(registry);
+        let sampler = config.sample_interval_ms.map(|ms| {
+            apex_lite::Sampler::start(Arc::clone(&registry), std::time::Duration::from_millis(ms))
+        });
+        let table = config
+            .counter_table
+            .then(|| (sample(&registry), Vec::new()));
+        RunObserver {
+            registry,
+            sampler,
+            table,
+            start: Instant::now(),
+        }
+    }
+
+    pub(crate) fn registry(&self) -> &CounterRegistry {
+        &self.registry
+    }
+
+    /// One step finished: record its counter deltas if the table is on.
+    pub(crate) fn step_done(&mut self, sample: impl FnOnce(&CounterRegistry) -> CounterSnapshot) {
+        if let Some((prev, deltas)) = &mut self.table {
+            let cur = sample(&self.registry);
+            deltas.push(cur.delta(prev));
+            *prev = cur;
+        }
+    }
+
+    pub(crate) fn elapsed_seconds(&self) -> f64 {
+        self.start.elapsed().as_secs_f64()
+    }
+
+    /// Print the tables, stop the sampler and write the CSV and the trace;
+    /// returns the number of sampler ticks. `counters` is the run's final
+    /// snapshot, `what` names the run in the table titles.
+    pub(crate) fn finish(self, config: &OctoConfig, what: &str, counters: &CounterSnapshot) -> u64 {
+        if let Some((_, deltas)) = &self.table {
+            let steps = format!("{what} per-step counters");
+            print!("{}", apex_lite::render_step_table(&steps, deltas));
+            let totals = format!("{what} run totals");
+            print!("{}", apex_lite::render_table(&totals, counters));
+        }
+        // The sampler's series ride along in the Chrome trace as `"C"`
+        // counter events and back the `--metrics-out` CSV dump.
+        let mut series = match self.sampler {
+            Some(s) => s.stop(),
+            None => apex_lite::TimeSeries::default(),
+        };
+        if config.metrics_out.is_some() && series.samples == 0 {
+            // `--metrics-out` without a sampling cadence: one final sample
+            // (the caller's own counters included) so the file is never
+            // empty.
+            series.push(trace::now_ns(), counters);
+        }
+        if let Some(path) = &config.metrics_out {
+            if let Err(e) = std::fs::write(path, series.render_csv()) {
+                eprintln!("warning: failed to write metrics to {path}: {e}");
+            }
+        }
+        if let Some(path) = &config.trace_out {
+            trace::set_enabled(false);
+            let t = trace::drain();
+            if let Err(e) = std::fs::write(path, apex_lite::export_with_counters(&t, &series)) {
+                eprintln!("warning: failed to write trace to {path}: {e}");
+            }
+        }
+        series.samples
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1010,31 +1075,67 @@ mod tests {
 
     /// One NaN density: `f64::max` drops the cell from its leaf's CFL rate,
     /// so step 0 still gets a `dt`; its gravity solve carries the NaN mass
-    /// into every leaf, and step 1's reduction must stop the run — in both
-    /// step modes (the futurized one panics inside a task and rethrows at
-    /// the scope's join).
+    /// into every leaf, and step 1's reduction must stop the run (it panics
+    /// inside a task and rethrows at the scope's join).
     #[test]
     fn nan_in_the_state_stops_the_run_at_the_next_cfl_reduction() {
-        for futurize in [false, true] {
-            let mut d = Driver::new(OctoConfig {
-                futurize,
-                ..tiny_config(KernelType::Legacy)
-            });
-            let leaf = d.tree.leaf_ids()[0];
-            d.tree.subgrid_mut(leaf).set(field::RHO, 3, 3, 3, f64::NAN);
-            let rt = Runtime::new(2);
-            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                for _ in 0..3 {
-                    d.step(&rt);
-                }
-            }));
-            let payload = run.expect_err("a poisoned run must not finish");
-            let message = payload.downcast_ref::<String>().expect("panic message");
-            assert!(
-                message.starts_with("step 1: the CFL reduction returned dt = NaN"),
-                "futurize={futurize}: {message}"
-            );
+        let mut d = Driver::new(tiny_config(KernelType::Legacy));
+        let leaf = d.tree.leaf_ids()[0];
+        d.tree.subgrid_mut(leaf).set(field::RHO, 3, 3, 3, f64::NAN);
+        let rt = Runtime::new(2);
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            for _ in 0..3 {
+                d.step(&rt);
+            }
+        }));
+        let payload = run.expect_err("a poisoned run must not finish");
+        let message = payload.downcast_ref::<String>().expect("panic message");
+        assert!(
+            message.starts_with("step 1: the CFL reduction returned dt = NaN"),
+            "{message}"
+        );
+    }
+
+    /// Each locality fills only the ghosts of what it owns; together the two
+    /// replicas hold, leaf for leaf, the frames one node-level exchange
+    /// produces, and their halo sets are exactly what the other side reads.
+    #[test]
+    fn owned_ghost_frames_equal_the_node_level_exchange() {
+        let cfg = OctoConfig {
+            max_level: 2,
+            ..OctoConfig::default()
+        };
+        let star = RotatingStar::paper_default();
+        let rt = Runtime::new(2);
+        let handle = rt.handle();
+        let mut node_level = Driver::new(cfg.clone());
+        node_level.tree.exchange_ghosts(&handle, |_| true);
+        let mut halves: Vec<Driver> = (0..2)
+            .map(|node| Driver::for_locality(&star, cfg.clone(), node, 2))
+            .collect();
+        let mut owned_total = 0;
+        for d in &mut halves {
+            let mask = d.ownership.mask.clone();
+            d.tree.exchange_ghosts(&handle, |pos| mask[pos]);
+            for &pos in d.owned_leaves() {
+                let leaf = d.tree.leaf_ids()[pos];
+                let (got, want) = (d.tree.subgrid(leaf), node_level.tree.subgrid(leaf));
+                let same = got.u.as_slice().iter().zip(want.u.as_slice());
+                assert!(same.into_iter().all(|(a, b)| a.to_bits() == b.to_bits()));
+                owned_total += 1;
+            }
+            assert_eq!(d.tree.ghost_stats().plan_rebuilds, 1);
         }
+        assert_eq!(owned_total, node_level.tree.leaf_count());
+        // What one side ships is what the other side's plan reads.
+        for (mine, theirs) in [(0, 1), (1, 0)] {
+            let mask = halves[theirs].ownership.mask.clone();
+            let read = halves[theirs].tree.halo_sources(|pos| mask[pos]);
+            assert!(!read.is_empty());
+            assert_eq!(halves[mine].ownership.halo_out, read);
+        }
+        assert!(node_level.owned_leaves().len() == owned_total);
+        assert!(node_level.ownership.halo_out.is_empty());
     }
 
     #[test]

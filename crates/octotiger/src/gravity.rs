@@ -1089,103 +1089,8 @@ pub struct GravityKernels<'a> {
     pub simd: SimdPolicy,
 }
 
-/// Per-worker reusable buffers for [`accel_for_leaf_with`]: the far-field
-/// SoA table and the per-block accumulators. Take one from a
-/// [`ScratchPool`], solve any number of leaves, put it back — the solve's
-/// inner loop is allocation-free after warm-up.
-pub struct LeafScratch {
-    /// Far-source table of the current target leaf.
-    pub far_field: FarField,
-    /// Far-field acceleration per block.
-    pub block_acc: Vec<[f64; 3]>,
-    /// Near-field acceleration per block.
-    pub near_acc: Vec<[f64; 3]>,
-}
-
-impl LeafScratch {
-    /// Fresh scratch with the per-block accumulators pre-sized.
-    pub fn new() -> Self {
-        LeafScratch {
-            far_field: FarField::new(),
-            block_acc: vec![[0.0; 3]; BLOCKS],
-            near_acc: vec![[0.0; 3]; BLOCKS],
-        }
-    }
-}
-
-impl Default for LeafScratch {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Shared pool of [`LeafScratch`] buffers: each worker takes one, reuses
-/// it across all the leaves it solves, and returns it — the cppuddle-style
-/// recycling pattern applied to the gravity scratch (the generic
-/// [`RecyclePool`](crate::recycle::RecyclePool) pools flat `Vec`s by
-/// length and cannot hold this composite).
-///
-/// Like `RecyclePool`, the free list is sharded per runtime worker: a
-/// level-5 solve takes/puts once per leaf task (~10⁵ per step), and the
-/// far-field tables these buffers hold are exactly what the worker's cache
-/// is warm with — so a worker prefers its own shard and only scavenges the
-/// others when dry.
-pub struct ScratchPool {
-    shards: [std::sync::Mutex<Vec<LeafScratch>>; SCRATCH_SHARDS],
-}
-
-/// Free-list shard count (worker index modulo this).
-const SCRATCH_SHARDS: usize = 8;
-
-/// Shard for the calling thread (shard 0 off the runtime workers).
-fn scratch_shard() -> usize {
-    amt::current_worker().map_or(0, |w| w % SCRATCH_SHARDS)
-}
-
-impl Default for ScratchPool {
-    fn default() -> Self {
-        ScratchPool {
-            shards: std::array::from_fn(|_| std::sync::Mutex::new(Vec::new())),
-        }
-    }
-}
-
-impl ScratchPool {
-    /// Empty pool.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Take a scratch buffer (own shard first, scavenge the rest, fresh if
-    /// every shard is dry).
-    pub fn take(&self) -> LeafScratch {
-        let home = scratch_shard();
-        (0..SCRATCH_SHARDS)
-            .map(|i| &self.shards[(home + i) % SCRATCH_SHARDS])
-            .find_map(|shard| shard.lock().expect("scratch pool lock").pop())
-            .unwrap_or_default()
-    }
-
-    /// Return a scratch buffer for reuse (into the caller's own shard).
-    pub fn put(&self, s: LeafScratch) {
-        self.shards[scratch_shard()]
-            .lock()
-            .expect("scratch pool lock")
-            .push(s);
-    }
-
-    /// Number of pooled (idle) buffers across all shards.
-    pub fn idle(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("scratch pool lock").len())
-            .sum()
-    }
-}
-
 /// Multipole kernel of one target leaf: far-field acceleration per block of
-/// `tb` from the far table `ff`, under an `m2l` span. Shared by the per-leaf
-/// and the batched solve.
+/// `tb` from the far table `ff`, under an `m2l` span.
 pub fn m2l_blocks(
     kernels: &GravityKernels<'_>,
     tb: &BlockSoA,
@@ -1243,50 +1148,9 @@ pub fn p2p_blocks(
     )
 }
 
-/// Full FMM acceleration for one target leaf from precomputed interaction
-/// lists: per-cell accelerations (each cell inherits its block's value).
-/// `leaf_pos` maps `NodeId` → index into `blocks` for leaves; `scratch`
-/// holds the reusable buffers (the returned per-cell vector is the result,
-/// not scratch).
-#[allow(clippy::too_many_arguments)]
-pub fn accel_for_leaf_with(
-    tree: &Octree,
-    moments: &[Moments],
-    blocks: &[BlockSoA],
-    leaf_pos: &[usize],
-    target: NodeId,
-    far: &[NodeId],
-    near: &[NodeId],
-    kernels: &GravityKernels<'_>,
-    scratch: &mut LeafScratch,
-) -> Vec<[f64; 3]> {
-    let tb = &blocks[leaf_pos[target]];
-    let (_, dx) = tree.node_geometry(target);
-    let eps = softening(dx);
-    let LeafScratch {
-        far_field,
-        block_acc,
-        near_acc,
-    } = scratch;
-
-    // Gather the far sources into the SoA scratch table; padded storage
-    // lets the M2L remainder pack full-load instead of predicating.
-    far_field.clear();
-    far_field.push_segment(moments, far);
-
-    block_acc.resize(BLOCKS, [0.0; 3]);
-    m2l_blocks(kernels, tb, far_field.as_view(), block_acc);
-    near_acc.resize(BLOCKS, [0.0; 3]);
-    p2p_blocks(kernels, blocks, leaf_pos, tb, near, eps, near_acc);
-
-    // Scatter block accelerations to cells.
-    scatter_block_accel(block_acc, near_acc)
-}
-
 /// Combine per-block far and near accelerations and scatter them to cells
 /// (each cell inherits its block's value) — the final stage of a leaf
-/// solve, shared by [`accel_for_leaf_with`] and the work-aggregation batch
-/// executor so the combine order cannot diverge between them.
+/// solve.
 pub fn scatter_block_accel(block_acc: &[[f64; 3]], near_acc: &[[f64; 3]]) -> Vec<[f64; 3]> {
     let mut out = vec![[0.0f64; 3]; CELLS];
     for i in 0..NX {
@@ -1303,11 +1167,11 @@ pub fn scatter_block_accel(block_acc: &[[f64; 3]], near_acc: &[[f64; 3]]) -> Vec
     out
 }
 
-/// One-shot FMM acceleration for one target leaf: runs the dual traversal
-/// itself and uses transient scratch, at the default SIMD width.
-/// Convenience wrapper over [`accel_for_leaf_with`] for tests and
-/// single-leaf callers; the driver's hot path uses the cached variant.
-#[allow(clippy::too_many_arguments)]
+/// One-shot FMM acceleration for one target leaf: its own dual traversal,
+/// a transient far table, then the three stages every solve is made of
+/// ([`m2l_blocks`], [`p2p_blocks`], [`scatter_block_accel`]). For tests,
+/// benches and single-leaf studies; the driver solves through
+/// [`crate::aggregate::run_gravity_stage`] on cached lists.
 pub fn accel_for_leaf(
     tree: &Octree,
     moments: &[Moments],
@@ -1315,27 +1179,26 @@ pub fn accel_for_leaf(
     leaf_pos: &[usize],
     target: NodeId,
     theta: f64,
-    multipole_dispatch: &Dispatch,
-    monopole_dispatch: &Dispatch,
+    kernels: &GravityKernels<'_>,
 ) -> Vec<[f64; 3]> {
     let (far, near) = interaction_lists(tree, moments, target, theta);
-    let kernels = GravityKernels {
-        multipole: multipole_dispatch,
-        monopole: monopole_dispatch,
-        simd: SimdPolicy::default(),
-    };
-    let mut scratch = LeafScratch::new();
-    accel_for_leaf_with(
-        tree,
-        moments,
+    let tb = &blocks[leaf_pos[target]];
+    let (_, dx) = tree.node_geometry(target);
+    let mut far_field = FarField::new();
+    far_field.push_segment(moments, &far);
+    let mut block_acc = vec![[0.0; 3]; BLOCKS];
+    m2l_blocks(kernels, tb, far_field.as_view(), &mut block_acc);
+    let mut near_acc = vec![[0.0; 3]; BLOCKS];
+    p2p_blocks(
+        kernels,
         blocks,
         leaf_pos,
-        target,
-        &far,
+        tb,
         &near,
-        &kernels,
-        &mut scratch,
-    )
+        softening(dx),
+        &mut near_acc,
+    );
+    scatter_block_accel(&block_acc, &near_acc)
 }
 
 /// `NodeId` → leaf-order position (usize::MAX for internal nodes).
@@ -1404,6 +1267,15 @@ mod tests {
     use super::*;
     use crate::config::OctoConfig;
     use crate::star::RotatingStar;
+
+    /// Both gravity kernels on `d` at width `simd`.
+    fn kernels(d: &Dispatch, simd: SimdPolicy) -> GravityKernels<'_> {
+        GravityKernels {
+            multipole: d,
+            monopole: d,
+            simd,
+        }
+    }
 
     fn test_tree(level: u32) -> (Octree, Vec<BlockSoA>, Vec<Moments>, Vec<usize>) {
         let star = RotatingStar::paper_default();
@@ -1504,7 +1376,15 @@ mod tests {
                     .unwrap()
             })
             .unwrap();
-        let fmm = accel_for_leaf(&tree, &moments, &blocks, &pos, target, 0.5, &d, &d);
+        let fmm = accel_for_leaf(
+            &tree,
+            &moments,
+            &blocks,
+            &pos,
+            target,
+            0.5,
+            &kernels(&d, SimdPolicy::default()),
+        );
         let direct = direct_accel(&tree, &blocks, target, &pos);
         let mut max_rel: f64 = 0.0;
         for (a, b) in fmm.iter().zip(&direct) {
@@ -1529,7 +1409,15 @@ mod tests {
         let target = tree.leaf_ids()[tree.leaf_count() / 2];
         let direct = direct_accel(&tree, &blocks, target, &pos);
         let err = |theta: f64| -> f64 {
-            let fmm = accel_for_leaf(&tree, &moments, &blocks, &pos, target, theta, &d, &d);
+            let fmm = accel_for_leaf(
+                &tree,
+                &moments,
+                &blocks,
+                &pos,
+                target,
+                theta,
+                &kernels(&d, SimdPolicy::default()),
+            );
             fmm.iter()
                 .zip(&direct)
                 .map(|(a, b)| {
@@ -1563,7 +1451,15 @@ mod tests {
             if r < 0.4 {
                 continue; // skip near-central leaves where direction varies
             }
-            let acc = accel_for_leaf(&tree, &moments, &blocks, &pos, leaf, 0.5, &d, &d);
+            let acc = accel_for_leaf(
+                &tree,
+                &moments,
+                &blocks,
+                &pos,
+                leaf,
+                0.5,
+                &kernels(&d, SimdPolicy::default()),
+            );
             let mid = acc[crate::hydro::cell_index(4, 4, 4)];
             let dot = mid[0] * center[0] + mid[1] * center[1] + mid[2] * center[2];
             assert!(dot < 0.0, "acceleration must point inward at r={r}");
@@ -1851,24 +1747,6 @@ mod tests {
     }
 
     #[test]
-    fn scratch_pool_recycles_buffers() {
-        let pool = ScratchPool::new();
-        assert_eq!(pool.idle(), 0);
-        let mut s = pool.take();
-        s.far_field.push(&Moments {
-            mass: 1.0,
-            com: [0.0; 3],
-            quad: [0.0; 6],
-        });
-        let cap = s.far_field.mass.capacity();
-        pool.put(s);
-        assert_eq!(pool.idle(), 1);
-        let s2 = pool.take();
-        assert!(s2.far_field.mass.capacity() >= cap, "capacity survives");
-        assert_eq!(pool.idle(), 0);
-    }
-
-    #[test]
     fn flop_constants_match_counted_kernels() {
         use rv_machine::{CountedF64, FlopCounter};
         let c = CountedF64::new;
@@ -1959,8 +1837,7 @@ mod tests {
             &pos,
             target,
             0.5,
-            &Dispatch::Legacy,
-            &Dispatch::Legacy,
+            &kernels(&Dispatch::Legacy, SimdPolicy::default()),
         );
         let hpx = Dispatch::new(
             crate::kernel_backend::KernelType::KokkosHpx,
@@ -1972,7 +1849,12 @@ mod tests {
             &rt.handle(),
             4,
         );
-        let kk = accel_for_leaf(&tree, &moments, &blocks, &pos, target, 0.5, &hpx, &ser);
+        let mixed = GravityKernels {
+            multipole: &hpx,
+            monopole: &ser,
+            simd: SimdPolicy::default(),
+        };
+        let kk = accel_for_leaf(&tree, &moments, &blocks, &pos, target, 0.5, &mixed);
         for (a, b) in legacy.iter().zip(&kk) {
             for d in 0..3 {
                 assert_eq!(a[d].to_bits(), b[d].to_bits());
@@ -1980,40 +1862,21 @@ mod tests {
         }
         // Axis 2 — SIMD widths: different summation orders, so agreement
         // is to 1e-12 relative against the scalar reference.
-        let (far, near) = interaction_lists(&tree, &moments, target, 0.5);
         let d = Dispatch::Legacy;
-        let mut scratch = LeafScratch::new();
-        let reference = accel_for_leaf_with(
-            &tree,
-            &moments,
-            &blocks,
-            &pos,
-            target,
-            &far,
-            &near,
-            &GravityKernels {
-                multipole: &d,
-                monopole: &d,
-                simd: SimdPolicy::Scalar,
-            },
-            &mut scratch,
-        );
-        for w in SimdPolicy::SUPPORTED_WIDTHS {
-            let got = accel_for_leaf_with(
+        let at = |simd| {
+            accel_for_leaf(
                 &tree,
                 &moments,
                 &blocks,
                 &pos,
                 target,
-                &far,
-                &near,
-                &GravityKernels {
-                    multipole: &d,
-                    monopole: &d,
-                    simd: SimdPolicy::Width(w),
-                },
-                &mut scratch,
-            );
+                0.5,
+                &kernels(&d, simd),
+            )
+        };
+        let reference = at(SimdPolicy::Scalar);
+        for w in SimdPolicy::SUPPORTED_WIDTHS {
+            let got = at(SimdPolicy::Width(w));
             for (a, b) in got.iter().zip(&reference) {
                 assert!(rel_diff(*a, *b) < 1e-12, "width {w}: {a:?} vs {b:?}");
             }

@@ -164,13 +164,15 @@ pub fn max_cfl_rate(rates: impl Iterator<Item = f64>) -> f64 {
     })
 }
 
-/// Global time step of step number `step`: `cfl` over [`max_cfl_rate`].
+/// Global time step of step number `step`: `cfl` over `rate`, the
+/// [`max_cfl_rate`] of every leaf (on several localities: of the localities'
+/// own `max_cfl_rate`s, which is the same fold, NaN poison included).
 ///
 /// # Panics
 /// Naming the step, when that is not a positive finite number: the state
 /// has gone non-finite and every further step would compute on garbage.
-pub fn global_dt(cfl: f64, rates: impl Iterator<Item = f64>, step: u64) -> f64 {
-    let dt = cfl / max_cfl_rate(rates);
+pub fn global_dt(cfl: f64, rate: f64, step: u64) -> f64 {
+    let dt = cfl / rate;
     assert!(
         dt.is_finite() && dt > 0.0,
         "step {step}: the CFL reduction returned dt = {dt}; the state is no longer finite"
@@ -180,31 +182,10 @@ pub fn global_dt(cfl: f64, rates: impl Iterator<Item = f64>, step: u64) -> f64 {
 
 /// One forward-Euler hydro update: returns the new interior conserved
 /// states (ghosts must be filled first). Pure function of the sub-grid — the
-/// caller applies it with [`apply_interior`], which is what allows all
-/// leaves' kernels to run concurrently.
+/// caller applies it with [`apply_interior`]. The scalar oracle the staged
+/// entry ([`step_interior_staged_into`]) is checked against.
 pub fn step_interior(sub: &SubGrid, dt: f64, dispatch: &Dispatch) -> Vec<[f64; NF]> {
-    step_into(sub, dt, dispatch, vec![[0.0; NF]; CELLS])
-}
-
-/// [`step_interior`] drawing its output buffer from a cppuddle-style
-/// [`RecyclePool`] — the allocation-recycling path the production code uses
-/// for its thousands of per-sub-grid kernel launches per step. Release the
-/// buffer back to the pool after applying it.
-pub fn step_interior_pooled(
-    sub: &SubGrid,
-    dt: f64,
-    dispatch: &Dispatch,
-    pool: &RecyclePool<[f64; NF]>,
-) -> Vec<[f64; NF]> {
-    step_into(sub, dt, dispatch, pool.acquire(CELLS))
-}
-
-fn step_into(
-    sub: &SubGrid,
-    dt: f64,
-    dispatch: &Dispatch,
-    mut out: Vec<[f64; NF]>,
-) -> Vec<[f64; NF]> {
+    let mut out = vec![[0.0; NF]; CELLS];
     step_into_slice(sub, dt, dispatch, &mut out);
     out
 }
@@ -535,30 +516,12 @@ pub fn max_signal_speed_policy(
     }
 }
 
-/// Policy-dispatched hydro update, reusing an optional staging view handed
-/// over from [`max_signal_speed_policy`] (built here when absent and
-/// needed). The staging buffer and the output buffer both come from (and
-/// the staging buffer returns to) recycle pools, so steady-state steps
-/// allocate nothing.
-pub fn step_interior_staged(
-    sub: &SubGrid,
-    stage: Option<HydroStage>,
-    dt: f64,
-    dispatch: &Dispatch,
-    policy: SimdPolicy,
-    state_pool: &RecyclePool<[f64; NF]>,
-    stage_pool: &RecyclePool<f64>,
-) -> Vec<[f64; NF]> {
-    let mut out = state_pool.acquire(CELLS);
-    step_interior_staged_into(sub, stage, dt, dispatch, policy, &mut out, stage_pool);
-    out
-}
-
-/// [`step_interior_staged`] writing into a caller-provided `CELLS`-sized
-/// slice. The work-aggregation executor points this at one leaf's segment
-/// of a batch-fused state buffer: the per-leaf arithmetic is untouched, so
-/// the fused buffer's contents are bitwise-identical to the per-leaf
-/// buffers it replaces.
+/// Policy-dispatched hydro update into a caller-provided `CELLS`-sized slice
+/// — the one production entry. It reuses an optional staging view handed
+/// over from [`max_signal_speed_policy`] (built here when absent and needed)
+/// and returns it to `stage_pool`, so steady-state steps allocate nothing.
+/// The batch executor points `out` at one leaf's segment of a batch-fused
+/// state buffer; the per-leaf arithmetic is the same at every batch size.
 pub fn step_interior_staged_into(
     sub: &SubGrid,
     stage: Option<HydroStage>,
@@ -590,19 +553,6 @@ pub fn step_interior_staged_into(
             st.release(stage_pool);
         }
     }
-}
-
-/// Single-call convenience over [`step_interior_staged`]: builds, uses and
-/// releases the staging view internally.
-pub fn step_interior_policy(
-    sub: &SubGrid,
-    dt: f64,
-    dispatch: &Dispatch,
-    policy: SimdPolicy,
-    state_pool: &RecyclePool<[f64; NF]>,
-    stage_pool: &RecyclePool<f64>,
-) -> Vec<[f64; NF]> {
-    step_interior_staged(sub, None, dt, dispatch, policy, state_pool, stage_pool)
 }
 
 /// Write the interior states produced by [`step_interior`] back.
@@ -827,18 +777,37 @@ mod tests {
         }
     }
 
+    /// The production entry into a fresh buffer.
+    fn staged(
+        g: &SubGrid,
+        stage: Option<HydroStage>,
+        dt: f64,
+        policy: SimdPolicy,
+        stage_pool: &RecyclePool<f64>,
+    ) -> Vec<[f64; NF]> {
+        let mut out = vec![[0.0; NF]; CELLS];
+        step_interior_staged_into(
+            g,
+            stage,
+            dt,
+            &Dispatch::Legacy,
+            policy,
+            &mut out,
+            stage_pool,
+        );
+        out
+    }
+
     #[test]
     fn simd_step_matches_scalar_bitwise_at_all_widths() {
         let star = RotatingStar::paper_default();
         let mut g = SubGrid::new([-0.1, -0.1, -0.1], 0.025);
         g.init_from_star(&star);
         let d = Dispatch::Legacy;
-        let state_pool = RecyclePool::new();
         let stage_pool = RecyclePool::new();
         let reference = step_interior(&g, 1e-4, &d);
         for w in SimdPolicy::SUPPORTED_WIDTHS {
-            let out =
-                step_interior_policy(&g, 1e-4, &d, SimdPolicy::Width(w), &state_pool, &stage_pool);
+            let out = staged(&g, None, 1e-4, SimdPolicy::Width(w), &stage_pool);
             for (c, (a, b)) in reference.iter().zip(&out).enumerate() {
                 for f in 0..NF {
                     assert_eq!(
@@ -848,10 +817,9 @@ mod tests {
                     );
                 }
             }
-            state_pool.release(out);
         }
         // Scalar policy through the same entry point is the reference path.
-        let out = step_interior_policy(&g, 1e-4, &d, SimdPolicy::Scalar, &state_pool, &stage_pool);
+        let out = staged(&g, None, 1e-4, SimdPolicy::Scalar, &stage_pool);
         assert_eq!(out, reference);
     }
 
@@ -861,12 +829,10 @@ mod tests {
         // both HLL early-return branches are exercised with clamped states.
         let g = uniform_grid(RHO_FLOOR, [0.0; 3], P_FLOOR);
         let d = Dispatch::Legacy;
-        let state_pool = RecyclePool::new();
         let stage_pool = RecyclePool::new();
         let reference = step_interior(&g, 0.01, &d);
         for w in SimdPolicy::SUPPORTED_WIDTHS {
-            let out =
-                step_interior_policy(&g, 0.01, &d, SimdPolicy::Width(w), &state_pool, &stage_pool);
+            let out = staged(&g, None, 0.01, SimdPolicy::Width(w), &stage_pool);
             for (a, b) in reference.iter().zip(&out) {
                 for f in 0..NF {
                     assert_eq!(a[f].to_bits(), b[f].to_bits(), "width {w} diverged");
@@ -901,22 +867,12 @@ mod tests {
         let mut g = SubGrid::new([-0.1, -0.1, -0.1], 0.025);
         g.init_from_star(&star);
         let d = Dispatch::Legacy;
-        let state_pool = RecyclePool::new();
         let stage_pool = RecyclePool::new();
         let reference = step_interior(&g, 1e-4, &d);
         for round in 0..3 {
             let (_, stage) = max_signal_speed_policy(&g, &d, SimdPolicy::Width(4), &stage_pool);
-            let out = step_interior_staged(
-                &g,
-                stage,
-                1e-4,
-                &d,
-                SimdPolicy::Width(4),
-                &state_pool,
-                &stage_pool,
-            );
+            let out = staged(&g, stage, 1e-4, SimdPolicy::Width(4), &stage_pool);
             assert_eq!(out, reference, "round {round}");
-            state_pool.release(out);
         }
         let s = stage_pool.stats();
         assert_eq!(s.misses, 1, "one staging buffer serves every round");

@@ -127,6 +127,36 @@ impl Octree {
         config: &OctoConfig,
         domain_half: f64,
     ) -> Self {
+        let mut tree = Self::build_topology(star, config, domain_half);
+        tree.allocate_leaves(star, |_| true);
+        tree
+    }
+
+    /// Allocate and initialize from `star` the sub-grids of the leaves at
+    /// the positions passing `wanted`. A locality of several holds data for
+    /// the leaves it reads — its own and its halo — and only the topology
+    /// of the rest.
+    pub(crate) fn allocate_leaves<M: InitialModel>(
+        &mut self,
+        star: &M,
+        wanted: impl Fn(usize) -> bool,
+    ) {
+        for pos in (0..self.leaves.len()).filter(|&pos| wanted(pos)) {
+            let leaf = self.leaves[pos];
+            let (origin, dx) = self.node_geometry(leaf);
+            let mut grid = SubGrid::new(origin, dx);
+            grid.init_from_model(star);
+            self.subgrids[leaf] = Some(grid);
+        }
+    }
+
+    /// The structure of [`Octree::build_with_model`]'s tree, no leaf
+    /// carrying data yet (see [`Octree::allocate_leaves`]).
+    pub(crate) fn build_topology<M: InitialModel>(
+        star: &M,
+        config: &OctoConfig,
+        domain_half: f64,
+    ) -> Self {
         assert!(domain_half > 0.0);
         let mut tree = Octree {
             levels: Vec::new(),
@@ -159,13 +189,6 @@ impl Octree {
         let refined: Vec<NodeId> = (0..tree.len()).filter(|&id| !tree.is_leaf(id)).collect();
         tree.enforce_grading(refined, |_, _| {});
         tree.collect_leaves();
-        // Allocate + initialize leaf sub-grids.
-        for &leaf in &tree.leaves.clone() {
-            let (origin, dx) = tree.node_geometry(leaf);
-            let mut grid = SubGrid::new(origin, dx);
-            grid.init_from_model(star);
-            tree.subgrids[leaf] = Some(grid);
-        }
         tree
     }
 
@@ -538,27 +561,28 @@ impl Octree {
             .expect("node is not a leaf with data")
     }
 
-    /// Run `f(leaf position, sub-grid)` for every leaf, in parallel on
-    /// `handle` over disjoint `&mut SubGrid`s (inline on a one-worker
-    /// runtime, where there is nothing to run beside).
-    pub(crate) fn for_each_leaf_mut<F>(&mut self, handle: &Handle, f: F)
+    /// Run `f(k, sub-grid)` for the leaf at each of `positions` (`k` counts
+    /// through `positions`, which must be distinct), in parallel on `handle`
+    /// over disjoint `&mut SubGrid`s (inline on a one-worker runtime, where
+    /// there is nothing to run beside).
+    pub(crate) fn for_each_leaf_mut<F>(&mut self, handle: &Handle, positions: &[usize], f: F)
     where
         F: Fn(usize, &mut SubGrid) + Send + Sync,
     {
         let mut by_node: Vec<Option<&mut SubGrid>> =
             self.subgrids.iter_mut().map(Option::as_mut).collect();
-        let mut grids: Vec<(usize, &mut SubGrid)> = self
-            .leaves
+        let leaves = &self.leaves;
+        let mut grids: Vec<(usize, &mut SubGrid)> = positions
             .iter()
             .enumerate()
-            .map(|(pos, &leaf)| (pos, by_node[leaf].take().expect("leaf carries data")))
+            .map(|(k, &pos)| (k, by_node[leaves[pos]].take().expect("leaf listed once")))
             .collect();
         let policy = if handle.num_threads() == 1 {
             ExecutionPolicy::Seq
         } else {
             ExecutionPolicy::Par
         };
-        for_each_mut(handle, policy, &mut grids, |(pos, grid)| f(*pos, grid));
+        for_each_mut(handle, policy, &mut grids, |(k, grid)| f(*k, grid));
     }
 
     /// Immutable access to a leaf's sub-grid.

@@ -134,7 +134,9 @@ impl GhostPlan {
         let mut census = GhostFaces::default();
         for &leaf in &tree.leaves {
             let (level, coords) = (u32::from(tree.levels[leaf]), tree.coords[leaf]);
-            let grid = tree.subgrid(leaf);
+            // Geometry only: the plan is a function of the topology, and a
+            // leaf need not carry data to be planned for.
+            let (origin, dx) = tree.node_geometry(leaf);
             for face in Face::ALL {
                 let same_level = tree
                     .neighbor_coords(level, coords, face)
@@ -148,9 +150,12 @@ impl GhostPlan {
                 self.faces
                     .push(FaceSource::Indexed(self.cells.len() as u32));
                 census.indexed += 1;
-                let ng = NG as i64;
                 for (x, y, z) in ghost_cells(face) {
-                    let p = grid.cell_center(x as i64 - ng, y as i64 - ng, z as i64 - ng);
+                    // The centre of ghost-frame cell (x, y, z), as
+                    // `SubGrid::cell_center` computes it.
+                    let centre =
+                        |d: usize, i: usize| origin[d] + ((i as i64 - NG as i64) as f64 + 0.5) * dx;
+                    let p = [centre(0, x), centre(1, y), centre(2, z)];
                     let (src, c) = tree.locate(p);
                     // `fill_leaf` reads at this offset without a check.
                     assert!(
@@ -193,12 +198,11 @@ impl GhostPlan {
             }
             None => GridBase(std::ptr::null_mut()),
         }));
-        assert!(
-            leaves.iter().all(|&l| !bases[l].0.is_null()),
-            "every leaf carries data"
-        );
-
         let targets = || leaves.iter().enumerate().filter(|&(pos, _)| is_target(pos));
+        assert!(
+            targets().all(|(_, &l)| !bases[l].0.is_null()),
+            "every target leaf carries data"
+        );
         let mut filled = GhostFaces::default();
         for (pos, _) in targets() {
             for source in &self.faces[6 * pos..6 * pos + 6] {
@@ -212,7 +216,8 @@ impl GhostPlan {
         // SAFETY (both calls): every non-null entry of `table` is the base
         // of a sub-grid's `GRID_LEN` values (asserted above), all borrowed
         // exclusively through `subgrids` until this function returns, and
-        // every leaf has one; leaf positions are distinct, so each target is
+        // every target has one (asserted above; `fill_leaf` checks each
+        // source it reads); leaf positions are distinct, so each target is
         // filled by exactly one call and no two calls run for one leaf.
         match handle {
             Some(handle) => scope(handle, |sc| {
@@ -314,14 +319,49 @@ impl Octree {
         handle: Option<&Handle>,
         is_target: impl Fn(usize) -> bool,
     ) -> GhostFaces {
+        self.ensure_ghost_plan();
+        self.ghost
+            .run(&mut self.subgrids, &self.leaves, handle, is_target)
+    }
+
+    /// (Re)build the copy plan unless it is the current generation's.
+    fn ensure_ghost_plan(&mut self) {
         if self.ghost.built_for != Some(self.generation) {
             let _span = apex_lite::trace::span(apex_lite::trace::Cat::Phase, "ghost_plan_build");
             let mut plan = std::mem::take(&mut self.ghost);
             plan.rebuild(self);
             self.ghost = plan;
         }
-        self.ghost
-            .run(&mut self.subgrids, &self.leaves, handle, is_target)
+    }
+
+    /// The halo of a target set: positions (ascending) of the leaves outside
+    /// `is_target` whose interior cells the copy plan reads to fill a
+    /// target's ghosts — same-level, level-jump and clamped boundary faces
+    /// alike, because it is read off the plan the exchange itself runs.
+    pub fn halo_sources(&mut self, is_target: impl Fn(usize) -> bool) -> Vec<usize> {
+        self.ensure_ghost_plan();
+        let mut pos_of = vec![usize::MAX; self.node_count()];
+        for (pos, &leaf) in self.leaves.iter().enumerate() {
+            pos_of[leaf] = pos;
+        }
+        let plan = &self.ghost;
+        let mut feeds = vec![false; self.leaves.len()];
+        for pos in (0..self.leaves.len()).filter(|&pos| is_target(pos)) {
+            for source in &plan.faces[6 * pos..6 * pos + 6] {
+                match *source {
+                    FaceSource::Slab(n) => feeds[pos_of[n as usize]] = true,
+                    FaceSource::Indexed(start) => {
+                        let entries = &plan.cells[start as usize..start as usize + FACE_CELLS];
+                        for cell in entries {
+                            feeds[pos_of[cell.node as usize]] = true;
+                        }
+                    }
+                }
+            }
+        }
+        (0..feeds.len())
+            .filter(|&pos| feeds[pos] && !is_target(pos))
+            .collect()
     }
 
     /// Counters of the ghost plan.

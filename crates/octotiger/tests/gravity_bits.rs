@@ -14,12 +14,11 @@ use std::sync::Mutex;
 
 use amt::Runtime;
 use octotiger::aggregate::{
-    run_gravity_stage, AccelSlot, AggregationConfig, AggregationStats, BatchScratchPool,
+    run_gravity_stage, AccelSlot, AggregationConfig, AggregationStats, BatchScratches,
     GravityBatchCtx,
 };
 use octotiger::gravity::{
-    accel_for_leaf_with, compute_blocks, BlockSoA, GravityKernels, GravityWorkspace,
-    InteractionCache, LeafScratch,
+    accel_for_leaf, compute_blocks, BlockSoA, GravityKernels, GravityWorkspace, InteractionCache,
 };
 use octotiger::kernel_backend::{Dispatch, SimdPolicy};
 use octotiger::octree::Octree;
@@ -70,25 +69,17 @@ fn level2_solve_has_the_fallbacks_bits_in_every_mode() {
             monopole: &dispatch,
             simd: SimdPolicy::from_width(width).unwrap(),
         };
-        let mut scratch = LeafScratch::new();
-        let per_leaf = hash(
-            leaves
-                .iter()
-                .zip(cache.lists())
-                .map(|(&leaf, (far, near))| {
-                    accel_for_leaf_with(
-                        &tree,
-                        &ws.moments,
-                        &blocks,
-                        &ws.leaf_pos,
-                        leaf,
-                        far,
-                        near,
-                        &kernels,
-                        &mut scratch,
-                    )
-                }),
-        );
+        let per_leaf = hash(leaves.iter().map(|&leaf| {
+            accel_for_leaf(
+                &tree,
+                &ws.moments,
+                &blocks,
+                &ws.leaf_pos,
+                leaf,
+                cfg.theta,
+                &kernels,
+            )
+        }));
         let batched = |batch: usize| {
             let slots: Vec<AccelSlot> = leaves.iter().map(|_| Mutex::new(None)).collect();
             let ctx = GravityBatchCtx {
@@ -99,7 +90,7 @@ fn level2_solve_has_the_fallbacks_bits_in_every_mode() {
                 leaves,
                 lists: cache.lists(),
                 kernels: &kernels,
-                scratch: &BatchScratchPool::new(),
+                scratch: &BatchScratches::new(),
             };
             let agg = AggregationConfig {
                 monopole: batch,
@@ -111,7 +102,6 @@ fn level2_solve_has_the_fallbacks_bits_in_every_mode() {
                 &ctx,
                 agg,
                 &AggregationStats::new(),
-                false,
                 &|_, _| {},
                 &slots,
             );

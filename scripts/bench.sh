@@ -34,7 +34,7 @@ fi
 echo "== gravity SIMD + interaction-cache bench (writes BENCH_gravity.json) =="
 BENCH_SMOKE=$SMOKE cargo bench -q -p repro-bench --bench bench_gravity
 
-echo "== hydro SIMD + futurization bench (writes BENCH_hydro.json) =="
+echo "== hydro SIMD + step-pipeline bench (writes BENCH_hydro.json) =="
 BENCH_SMOKE=$SMOKE cargo bench -q -p repro-bench --bench bench_hydro
 
 echo "== tracer overhead bench (writes BENCH_trace_overhead.json) =="

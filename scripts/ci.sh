@@ -19,10 +19,19 @@ echo "== amt unit + integration tests, and the shims under the scheduler =="
 cargo test -q -p amt
 cargo test -q -p crossbeam-deque -p parking_lot
 
+# Also not in the umbrella suite: the cluster's unit tests (components under
+# a watchdog, actions, framing, coalescing) and the mini-app's (the stepper,
+# ownership, the parcel exchange) under default flags.
+echo "== distrib and octotiger unit tests =="
+cargo test -q -p distrib
+cargo test -q -p octotiger --lib
+
 echo "== SIMD/scalar kernel agreement =="
-cargo test -q -p octotiger dispatch_backends_agree_on_gravity
 cargo test -q --test simd_gravity_prop
 cargo test -q --test simd_hydro_prop
+
+echo "== distributed == node-level, bitwise (ports x coalesce x workers, under a watchdog) =="
+cargo test -q --test distributed_bits
 
 echo "== work-aggregation agreement (batched == per-leaf, bitwise) =="
 cargo test -q --test aggregation_prop
@@ -46,15 +55,15 @@ RUSTFLAGS="-C target-feature=+fma" CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-target}
 # Default flags compile only the lane-loop fallback of `Simd<W>`; this is
 # the one place CI builds the AVX2 / AVX-512 backends and holds them to the
 # same bits (backend ops == lane loops, gravity pinned to the fallback's
-# hashes, every bitwise suite). It also runs the kokkos-lite and octotiger
-# unit tests, which the root `cargo test` above does not.
+# hashes, every bitwise suite). It also runs the kokkos-lite unit tests,
+# which nothing above does.
 echo "== native-ISA step: SIMD backends keep the fallback's bits =="
 (
   export RUSTFLAGS="-C target-cpu=native"
   export CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-target}/native"
   cargo test -q -p kokkos-lite -p octotiger
   cargo test -q --test simd_gravity_prop --test simd_hydro_prop --test aggregation_prop \
-    --test ghost_plan_prop
+    --test ghost_plan_prop --test distributed_bits
 )
 
 echo "== gravity bench smoke (one short iteration, no timing assertions) =="
@@ -106,19 +115,19 @@ rm -f "$TRACE_OUT" "$FLAME_OUT"
 # mid-span, and level-1 runs are short enough to miss that window ~40% of
 # the time. Level 2 gives each family ~10x the open-span time and passes
 # deterministically (measured 10/10 on a 1-core box vs 6/10 at level 1).
-echo "== futurized trace: gravity/hydro spans must overlap =="
+echo "== step trace: gravity/hydro spans must overlap =="
 TRACE_FUT=$(mktemp -t apexlite_fut_XXXXXX.json)
 cargo run --release --example rotating_star -- \
-  --max_level=2 --stop_step=3 --hpx:threads=4 --futurize=on \
+  --max_level=2 --stop_step=3 --hpx:threads=4 \
   --trace-out="$TRACE_FUT" >/dev/null
 cargo run --release -p apex-lite --bin trace_check -- \
   --require-overlap=gravity_solve,hydro_step "$TRACE_FUT"
 rm -f "$TRACE_FUT"
 
-echo "== aggregated futurized trace: batched launches, overlap preserved =="
+echo "== aggregated step trace: batched launches, overlap preserved =="
 TRACE_AGG=$(mktemp -t apexlite_agg_XXXXXX.json)
 cargo run --release --example rotating_star -- \
-  --max_level=2 --stop_step=3 --hpx:threads=4 --futurize=on \
+  --max_level=2 --stop_step=3 --hpx:threads=4 \
   --monopole_host_tasks=4 --multipole_host_tasks=4 --hydro_host_tasks=4 \
   --trace-out="$TRACE_AGG" >/dev/null
 cargo run --release -p apex-lite --bin trace_check -- \

@@ -17,13 +17,12 @@ const WIDTHS: [usize; 4] = [1, 2, 4, 8];
 /// Level-1 rotating star: 8 leaves after the initial refinement pass, so a
 /// batch size of 7 leaves a ragged 1-leaf tail and 16 / `leaves + 1` seal
 /// only on flush.
-fn config(width: usize, futurize: bool, batches: (usize, usize, usize)) -> OctoConfig {
+fn config(width: usize, batches: (usize, usize, usize)) -> OctoConfig {
     OctoConfig {
         max_level: 1,
         stop_step: 2,
         threads: 2,
         simd_width: width,
-        futurize,
         monopole_host_tasks: batches.0,
         multipole_host_tasks: batches.1,
         hydro_host_tasks: batches.2,
@@ -65,28 +64,16 @@ fn assert_bitwise(base: &(u64, Vec<Vec<f64>>), got: &(u64, Vec<Vec<f64>>), label
 }
 
 /// The ISSUE's core matrix: W ∈ {1, 2, 4, 8} × batch ∈ {1, 2, 7, 16,
-/// leaves + 1} on the futurized per-batch task graph.
+/// leaves + 1} on the per-batch task graph.
 #[test]
 fn batched_futurized_matches_per_leaf_for_all_widths() {
     for w in WIDTHS {
-        let base = run(config(w, true, (1, 1, 1)), false);
+        let base = run(config(w, (1, 1, 1)), false);
         let leaves = base.1.len();
         for b in [2, 7, 16, leaves + 1] {
-            let got = run(config(w, true, (b, b, b)), false);
-            assert_bitwise(&base, &got, &format!("futurized w={w} batch={b}"));
+            let got = run(config(w, (b, b, b)), false);
+            assert_bitwise(&base, &got, &format!("w={w} batch={b}"));
         }
-    }
-}
-
-/// Barriered mode goes through the same aggregation regions; spot-check the
-/// matrix at one representative width.
-#[test]
-fn batched_barriered_matches_per_leaf() {
-    let base = run(config(4, false, (1, 1, 1)), false);
-    let leaves = base.1.len();
-    for b in [2, 7, leaves + 1] {
-        let got = run(config(4, false, (b, b, b)), false);
-        assert_bitwise(&base, &got, &format!("barriered batch={b}"));
     }
 }
 
@@ -95,16 +82,14 @@ fn batched_barriered_matches_per_leaf() {
 /// unified gravity batch — it must still be bit-exact.
 #[test]
 fn split_gravity_batch_families_match_unified_path() {
-    for futurize in [true, false] {
-        let base = run(config(4, futurize, (1, 1, 1)), false);
-        for (mono, multi, hydro) in [(2, 5, 3), (7, 2, 16), (1, 4, 1)] {
-            let got = run(config(4, futurize, (mono, multi, hydro)), false);
-            assert_bitwise(
-                &base,
-                &got,
-                &format!("split futurize={futurize} mono={mono} multi={multi} hydro={hydro}"),
-            );
-        }
+    let base = run(config(4, (1, 1, 1)), false);
+    for (mono, multi, hydro) in [(2, 5, 3), (7, 2, 16), (1, 4, 1)] {
+        let got = run(config(4, (mono, multi, hydro)), false);
+        assert_bitwise(
+            &base,
+            &got,
+            &format!("split mono={mono} multi={multi} hydro={hydro}"),
+        );
     }
 }
 
@@ -113,17 +98,11 @@ fn split_gravity_batch_families_match_unified_path() {
 /// must stay bit-exact against the per-leaf run with the same refinement.
 #[test]
 fn refine_between_steps_stays_bitwise_equal() {
-    for futurize in [true, false] {
-        let base = run(config(4, futurize, (1, 1, 1)), true);
-        let leaves = base.1.len();
-        for b in [2, 7, leaves + 1] {
-            let got = run(config(4, futurize, (b, b, b)), true);
-            assert_bitwise(
-                &base,
-                &got,
-                &format!("refine futurize={futurize} batch={b}"),
-            );
-        }
+    let base = run(config(4, (1, 1, 1)), true);
+    let leaves = base.1.len();
+    for b in [2, 7, leaves + 1] {
+        let got = run(config(4, (b, b, b)), true);
+        assert_bitwise(&base, &got, &format!("refine batch={b}"));
     }
 }
 
@@ -131,14 +110,14 @@ fn refine_between_steps_stays_bitwise_equal() {
 /// launches (fewer `amt` tasks) and the counters record the seals.
 #[test]
 fn aggregation_reduces_spawned_tasks_and_records_seals() {
-    let mut per_leaf = Driver::new(config(4, true, (1, 1, 1)));
+    let mut per_leaf = Driver::new(config(4, (1, 1, 1)));
     let m1 = per_leaf.run(2);
     let s1 = per_leaf.aggregation_stats();
     // `fused_launches` counts sealed batches; at batch size 1 every batch
     // holds exactly one leaf, so the average degenerates to 1.
     assert_eq!(s1.batch_size_avg(), 1.0, "batch size 1 must not aggregate");
 
-    let mut batched = Driver::new(config(4, true, (4, 4, 4)));
+    let mut batched = Driver::new(config(4, (4, 4, 4)));
     let m4 = batched.run(2);
     let s4 = batched.aggregation_stats();
     assert!(
@@ -165,18 +144,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Randomized corner of the matrix: independent batch sizes per kernel
-    /// family, random width and execution mode.
+    /// family and a random width.
     #[test]
     fn random_batch_combos_match_per_leaf(
         wi in 0usize..WIDTHS.len(),
         mono in 1usize..12,
         multi in 1usize..12,
         hydro in 1usize..12,
-        futurize in any::<bool>(),
     ) {
         let w = WIDTHS[wi];
-        let base = run(config(w, futurize, (1, 1, 1)), false);
-        let got = run(config(w, futurize, (mono, multi, hydro)), false);
+        let base = run(config(w, (1, 1, 1)), false);
+        let got = run(config(w, (mono, multi, hydro)), false);
         prop_assert_eq!(got.0, base.0, "sim_time bits diverged");
         prop_assert_eq!(&got.1, &base.1, "interior data diverged");
     }

@@ -122,9 +122,16 @@ fn mpi_and_tcp_runs_produce_identical_physics() {
         coalesce: CoalesceConfig::default(),
         octo: octo_cfg(),
     });
-    assert_eq!(tcp.cells_processed, mpi.cells_processed);
+    assert_eq!(tcp.leaf_hashes, mpi.leaf_hashes, "same field bits");
+    assert_eq!(tcp.leaf_hashes.len(), tcp.leaf_count);
+    assert_eq!(tcp.work, mpi.work);
     assert_eq!(tcp.net.messages, mpi.net.messages);
     assert_eq!(tcp.net.bytes, mpi.net.bytes);
+    // And they are the node-level driver's bits (`distributed_bits` runs
+    // the whole matrix).
+    let mut node = Driver::new(octo_cfg());
+    node.run(2);
+    assert_eq!(tcp.leaf_hashes, node.leaf_hashes());
 }
 
 #[test]

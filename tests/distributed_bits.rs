@@ -1,0 +1,250 @@
+//! The gate of the one-stepper design: a distributed run is the node-level
+//! step with an ownership mask and a parcel exchange, so after k steps every
+//! leaf must hold the node-level driver's bits — on one locality or two,
+//! over every parcelport, coalesced or not, on one to three workers per
+//! locality, at scalar and vector width, per leaf and batched.
+//!
+//! Every run is under a watchdog (a deadlock fails, never hangs). Budget of
+//! the whole file: ≤ 60 s in the tier-1 (debug) profile — 45 s measured on
+//! two vCPUs, about a third each for the level-1 matrix, the level-2 runs
+//! and the forty repeats.
+
+use std::sync::mpsc::{channel, RecvTimeoutError};
+use std::time::Duration;
+
+use octotiger_riscv_repro::distrib::CoalesceConfig;
+use octotiger_riscv_repro::machine::NetBackend;
+use octotiger_riscv_repro::octotiger::star::{field, NF};
+use octotiger_riscv_repro::octotiger::{
+    DistConfig, DistMetrics, DistRun, Driver, InitialModel, OctoConfig, RotatingStar,
+};
+
+const STEPS: u32 = 3;
+const PORTS: [NetBackend; 3] = [NetBackend::Tcp, NetBackend::Mpi, NetBackend::Lci];
+
+/// Run `body` on its own thread; fail if it has not finished after a minute
+/// (a healthy run of this file's sizes takes well under a second).
+fn watched<T: Send + 'static>(what: &str, body: impl FnOnce() -> T + Send + 'static) -> T {
+    let (done, finished) = channel();
+    let worker = std::thread::spawn(move || {
+        let _ = done.send(body());
+    });
+    match finished.recv_timeout(Duration::from_secs(60)) {
+        Ok(value) => value,
+        // Dropped without a send: the body panicked — pass the panic on.
+        Err(RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(worker.join().expect_err("body panicked"))
+        }
+        Err(RecvTimeoutError::Timeout) => panic!("deadlock: {what} still running after 60 s"),
+    }
+}
+
+fn octo(level: u32, simd_width: usize, batch: usize) -> OctoConfig {
+    OctoConfig {
+        max_level: level,
+        stop_step: STEPS,
+        simd_width,
+        monopole_host_tasks: batch,
+        multipole_host_tasks: batch,
+        hydro_host_tasks: batch,
+        ..OctoConfig::default()
+    }
+}
+
+fn node_level(cfg: OctoConfig) -> Vec<u64> {
+    let mut driver = Driver::new(cfg);
+    assert_eq!(driver.run(2).steps, STEPS);
+    driver.leaf_hashes()
+}
+
+fn distributed(
+    nodes: u32,
+    backend: NetBackend,
+    coalesce: bool,
+    workers: usize,
+    octo: OctoConfig,
+) -> DistMetrics {
+    let what = format!("{nodes} × {workers} workers over {backend:?}, coalesce {coalesce}");
+    watched(&what, move || {
+        DistRun::execute(DistConfig {
+            nodes,
+            threads_per_node: workers,
+            backend,
+            coalesce: if coalesce {
+                CoalesceConfig::enabled()
+            } else {
+                CoalesceConfig::default()
+            },
+            octo,
+        })
+    })
+}
+
+#[test]
+fn level_1_matrix_has_the_node_level_bits() {
+    let want = node_level(octo(1, 4, 1));
+    for nodes in [1, 2] {
+        for backend in PORTS {
+            for coalesce in [false, true] {
+                for workers in [1, 2, 3] {
+                    let got = distributed(nodes, backend, coalesce, workers, octo(1, 4, 1));
+                    assert_eq!(
+                        got.leaf_hashes, want,
+                        "{nodes} × {workers} workers over {backend:?}, coalesce {coalesce}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The rotating star moved off the x = 0 plane and off y = 0: the octants
+/// it reaches refine, the (x > 0, y > 0) ones do not, so leaves meet across
+/// the cut both at the same level and across a level jump. (The centred
+/// star mirrors in x — its leaves never change level across the cut.)
+struct OffCentre(RotatingStar);
+
+const SHIFT: f64 = 0.45;
+
+impl InitialModel for OffCentre {
+    fn density_at(&self, x: f64, y: f64, z: f64) -> f64 {
+        self.0.density_at(x + SHIFT, y + SHIFT, z)
+    }
+
+    fn conserved_at(&self, x: f64, y: f64, z: f64) -> [f64; NF] {
+        InitialModel::conserved_at(&self.0, x + SHIFT, y + SHIFT, z)
+    }
+
+    fn reference_density(&self) -> f64 {
+        self.0.reference_density()
+    }
+}
+
+/// `(same-level, level-jump)` leaf pairs that share a face in the x = 0 plane.
+fn pairs_across_the_cut(driver: &Driver) -> (usize, usize) {
+    let tree = driver.tree();
+    let boxes: Vec<([f64; 3], f64)> = tree
+        .leaf_ids()
+        .iter()
+        .map(|&leaf| {
+            let (origin, dx) = tree.node_geometry(leaf);
+            (origin, 8.0 * dx)
+        })
+        .collect();
+    let (mut same, mut jump) = (0, 0);
+    for (lo, lo_size) in boxes.iter().filter(|(o, size)| o[0] + size == 0.0) {
+        for (hi, hi_size) in boxes.iter().filter(|(o, _)| o[0] == 0.0) {
+            let overlap = |d: usize| lo[d] < hi[d] + hi_size && hi[d] < lo[d] + lo_size;
+            if overlap(1) && overlap(2) {
+                *(if lo_size == hi_size {
+                    &mut same
+                } else {
+                    &mut jump
+                }) += 1;
+            }
+        }
+    }
+    (same, jump)
+}
+
+/// One run per parcelport on a tree with both kinds of face across the cut,
+/// between them scalar and default width, per-leaf and batched launches.
+#[test]
+fn level_2_runs_have_the_node_level_bits_across_level_jumps() {
+    let model = || OffCentre(RotatingStar::paper_default());
+    let node_level = |width: usize| {
+        let mut driver = Driver::with_model(&model(), octo(2, width, 1));
+        assert_eq!(driver.run(2).steps, STEPS);
+        let (same, jump) = pairs_across_the_cut(&driver);
+        assert!(same > 0 && jump > 0, "{same} same-level, {jump} jumps");
+        driver.leaf_hashes()
+    };
+    let (scalar, vector) = (node_level(0), node_level(4));
+    assert_ne!(scalar, vector, "the two widths sum in different orders");
+    let runs = [
+        (NetBackend::Tcp, 0, 4, &scalar),
+        (NetBackend::Mpi, 4, 1, &vector),
+        (NetBackend::Lci, 4, 4, &vector),
+    ];
+    for (backend, width, batch, want) in runs {
+        let got = watched(&format!("level 2 over {backend:?}"), move || {
+            let config = DistConfig {
+                nodes: 2,
+                threads_per_node: 2,
+                backend,
+                coalesce: CoalesceConfig::default(),
+                octo: octo(2, width, batch),
+            };
+            DistRun::execute_with_model(&model(), config)
+        });
+        assert_eq!(
+            &got.leaf_hashes, want,
+            "{backend:?}, width {width}, batches of {batch}"
+        );
+        assert!(got.owned_per_node.iter().all(|&owned| owned > 0));
+    }
+}
+
+/// Two localities of two workers each: the configuration in which a worker
+/// waiting under the component locks used to pick up the peer's request and
+/// lock again (about one run in thirty hung for good).
+#[test]
+fn forty_back_to_back_2x2_runs_finish_with_the_same_bits() {
+    let want = node_level(octo(1, 4, 1));
+    for run in 0..40 {
+        let got = distributed(2, NetBackend::Tcp, false, 2, octo(1, 4, 1));
+        assert_eq!(got.leaf_hashes, want, "run {run}");
+    }
+}
+
+/// The rotating star with one NaN density.
+struct PoisonedStar(RotatingStar);
+
+impl InitialModel for PoisonedStar {
+    fn density_at(&self, x: f64, y: f64, z: f64) -> f64 {
+        self.0.density_at(x, y, z)
+    }
+
+    fn conserved_at(&self, x: f64, y: f64, z: f64) -> [f64; NF] {
+        let mut u = InitialModel::conserved_at(&self.0, x, y, z);
+        // One level-1 cell centre (cells are 1/8 wide), on locality 1's side.
+        let cell = 0.3125;
+        if [x, y, z].iter().all(|c| (c - cell).abs() < 0.05) {
+            u[field::RHO] = f64::NAN;
+        }
+        u
+    }
+
+    fn reference_density(&self) -> f64 {
+        self.0.reference_density()
+    }
+}
+
+/// `f64::max` drops the NaN cell from step 0's CFL rate; its gravity solve
+/// carries the NaN mass into every leaf of both localities, and step 1's
+/// reduction must end the run with `global_dt`'s message where the run was
+/// started — not with a hang, and not with half a cluster stepping on.
+#[test]
+fn nan_poisoned_run_ends_with_the_cfl_message_on_the_supervisor() {
+    let outcome = watched("the poisoned run", || {
+        std::panic::catch_unwind(|| {
+            DistRun::execute_with_model(
+                &PoisonedStar(RotatingStar::paper_default()),
+                DistConfig {
+                    nodes: 2,
+                    threads_per_node: 2,
+                    backend: NetBackend::Tcp,
+                    coalesce: CoalesceConfig::default(),
+                    octo: octo(1, 4, 1),
+                },
+            )
+        })
+        .map(|metrics| metrics.steps)
+    });
+    let payload = outcome.expect_err("a poisoned run must not finish");
+    let message = payload.downcast_ref::<String>().expect("panic message");
+    assert!(
+        message.contains("step 1: the CFL reduction returned dt = NaN"),
+        "{message}"
+    );
+}

@@ -3,8 +3,7 @@
 //! (retained lists spliced around the rebuilt neighbour cone) must leave the
 //! simulation **bitwise identical** to the full-rebuild ablation
 //! (`--interaction_list_cache=off`, which re-traverses every leaf every
-//! step) — across SIMD widths, regrid batch sizes, and both the barriered
-//! and futurized step graphs.
+//! step) — across SIMD widths and regrid batch sizes.
 //!
 //! A separate counter check pins the point of the tentpole: a mid-run sweep
 //! must *retain* most lists (`/gravity/cache/leaves_retained`), and the
@@ -17,13 +16,12 @@ use octotiger_riscv_repro::octotiger::{Driver, OctoConfig};
 
 const WIDTHS: [usize; 3] = [1, 4, 8];
 
-fn config(width: usize, futurize: bool, cache: bool, regrid_batch: usize) -> OctoConfig {
+fn config(width: usize, cache: bool, regrid_batch: usize) -> OctoConfig {
     OctoConfig {
         max_level: 1,
         stop_step: 3,
         threads: 2,
         simd_width: width,
-        futurize,
         use_interaction_cache: cache,
         regrid_host_tasks: regrid_batch,
         ..OctoConfig::default()
@@ -67,29 +65,22 @@ fn assert_bitwise(base: &(u64, Vec<Vec<f64>>), got: &(u64, Vec<Vec<f64>>), label
     }
 }
 
-/// The deterministic core matrix: W ∈ {1, 4, 8} × barriered/futurized ×
-/// regrid batch ∈ {1, 3, 64}, with two sweeps (one multi-leaf, one single)
+/// The deterministic core matrix: W ∈ {1, 4, 8} × regrid batch ∈
+/// {1, 3, 64} (the modes of the sweep; the step has one), with two sweeps (one multi-leaf, one single)
 /// landing between the steps.
 #[test]
 fn incremental_matches_full_rebuild_across_widths_and_modes() {
     let plan = vec![vec![0, 3, 5], vec![1]];
     for w in WIDTHS {
-        for futurize in [true, false] {
-            let (base, _) = run(config(w, futurize, false, 1), &plan);
-            for batch in [1, 3, 64] {
-                let (got, d) = run(config(w, futurize, true, batch), &plan);
-                assert_bitwise(
-                    &base,
-                    &got,
-                    &format!("w={w} futurize={futurize} regrid_batch={batch}"),
-                );
-                let cs = d.cache_stats();
-                assert!(
-                    cs.partial_rebuilds >= 1,
-                    "mid-run sweeps must take the incremental path (w={w} \
-                     futurize={futurize}): {cs:?}"
-                );
-            }
+        let (base, _) = run(config(w, false, 1), &plan);
+        for batch in [1, 3, 64] {
+            let (got, d) = run(config(w, true, batch), &plan);
+            assert_bitwise(&base, &got, &format!("w={w} regrid_batch={batch}"));
+            let cs = d.cache_stats();
+            assert!(
+                cs.partial_rebuilds >= 1,
+                "mid-run sweeps must take the incremental path (w={w}): {cs:?}"
+            );
         }
     }
 }
@@ -150,8 +141,8 @@ fn partial_rebuild_retains_leaves_outside_the_neighbour_cone() {
 #[test]
 fn single_sweep_then_cache_hits_match_full_rebuild() {
     let plan = vec![vec![23, 30]];
-    let (base, _) = run(config(1, true, false, 1), &plan);
-    let (got, d) = run(config(1, true, true, 13), &plan);
+    let (base, _) = run(config(1, false, 1), &plan);
+    let (got, d) = run(config(1, true, 13), &plan);
     assert_bitwise(&base, &got, "single sweep then hits");
     let cs = d.cache_stats();
     assert_eq!(cs.partial_rebuilds, 1, "{cs:?}");
@@ -162,19 +153,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
     /// Randomized refine sequences: up to three sweeps of up to three leaf
-    /// picks each, random width/mode/batch. Incremental must stay bitwise
+    /// picks each, random width/batch. Incremental must stay bitwise
     /// equal to the full-rebuild ablation under every history.
     #[test]
     fn random_refine_sequences_match_full_rebuild(
         wi in 0usize..WIDTHS.len(),
-        futurize in any::<bool>(),
         batch in 1usize..20,
         picks in proptest::collection::vec(
             proptest::collection::vec(0usize..32, 0..3), 1..3),
     ) {
         let w = WIDTHS[wi];
-        let (base, _) = run(config(w, futurize, false, 1), &picks);
-        let (got, d) = run(config(w, futurize, true, batch), &picks);
+        let (base, _) = run(config(w, false, 1), &picks);
+        let (got, d) = run(config(w, true, batch), &picks);
         prop_assert_eq!(got.0, base.0, "sim_time bits diverged");
         prop_assert_eq!(&got.1, &base.1, "interior data diverged");
         let cs = d.cache_stats();

@@ -1,12 +1,13 @@
 //! Property and regression tests for the vectorized hydro solver and the
-//! futurized step pipeline:
+//! step's task graph:
 //!
 //! - at every supported pack width (1/2/4/8) the SIMD MUSCL/HLL kernels and
 //!   the staged CFL reduction must match the scalar reference **bitwise**
 //!   (far stronger than the 1e-12 the spec asks for) on random states,
 //!   including shock discontinuities and floored vacuum cells;
-//! - a ten-step futurized run must reproduce the barriered run bitwise on
-//!   every conserved field of every leaf;
+//! - ten steps must leave every conserved field of every leaf with the same
+//!   bits on one worker, on three, and on two localities — the graph only
+//!   reorders independent work;
 //! - the SoA staging buffers must recycle through the pool with zero
 //!   steady-state allocations (pool misses plateau after the first step and
 //!   the disabled tracer never allocates).
@@ -14,11 +15,15 @@
 use proptest::prelude::*;
 
 use octotiger_riscv_repro::apex_lite::trace;
+use octotiger_riscv_repro::distrib::CoalesceConfig;
+use octotiger_riscv_repro::machine::NetBackend;
 use octotiger_riscv_repro::octotiger::kernel_backend::{Dispatch, SimdPolicy};
 use octotiger_riscv_repro::octotiger::recycle::RecyclePool;
 use octotiger_riscv_repro::octotiger::star::{field, GAMMA, NF, P_FLOOR, RHO_FLOOR};
-use octotiger_riscv_repro::octotiger::subgrid::{SubGrid, NG, NX};
-use octotiger_riscv_repro::octotiger::{hydro, Driver, KernelType, OctoConfig};
+use octotiger_riscv_repro::octotiger::subgrid::{SubGrid, CELLS, NG, NX};
+use octotiger_riscv_repro::octotiger::{
+    hydro, DistConfig, DistRun, Driver, KernelType, OctoConfig,
+};
 
 /// Fill every cell (ghosts included) from a tiled table of primitive
 /// states, with an optional pressure shock at the x midplane and exact
@@ -69,12 +74,12 @@ proptest! {
     ) {
         let g = fill_grid(&vals, shock, vacuum_stride);
         let d = Dispatch::Legacy;
-        let state_pool = RecyclePool::new();
         let stage_pool = RecyclePool::new();
         let reference = hydro::step_interior(&g, dt, &d);
         for w in SimdPolicy::SUPPORTED_WIDTHS {
-            let out = hydro::step_interior_policy(
-                &g, dt, &d, SimdPolicy::Width(w), &state_pool, &stage_pool,
+            let mut out = vec![[0.0; NF]; CELLS];
+            hydro::step_interior_staged_into(
+                &g, None, dt, &d, SimdPolicy::Width(w), &mut out, &stage_pool,
             );
             for (c, (a, b)) in reference.iter().zip(&out).enumerate() {
                 for f in 0..NF {
@@ -85,7 +90,6 @@ proptest! {
                     );
                 }
             }
-            state_pool.release(out);
         }
     }
 
@@ -117,48 +121,45 @@ proptest! {
     }
 }
 
-fn run_config(futurize: bool, width: usize, steps: u32) -> OctoConfig {
-    let mut cfg = OctoConfig {
+fn run_config(width: usize, steps: u32) -> OctoConfig {
+    OctoConfig {
         max_level: 1,
         stop_step: steps,
         threads: 3,
+        simd_width: width,
         ..OctoConfig::with_all_kernels(KernelType::KokkosSerial)
-    };
-    cfg.futurize = futurize;
-    cfg.simd_width = width;
-    cfg
+    }
 }
 
-/// The tentpole's correctness gate: the futurized task graph reorders only
-/// *independent* work, so ten steps must reproduce the barriered pipeline
-/// bitwise — same dt sequence, same conserved fields everywhere.
+/// The task graph reorders only *independent* work, so ten steps must give
+/// the same bits however the work is spread: one worker (every task inline,
+/// in spawn order), three workers, and two localities of two workers each —
+/// same dt sequence, same conserved fields everywhere.
 #[test]
-fn futurized_ten_steps_bitwise_equals_barriered() {
+fn ten_steps_bitwise_equal_on_1_worker_3_workers_and_2_localities() {
     for width in [0, 4] {
-        let mut fut = Driver::new(run_config(true, width, 10));
-        let mut bar = Driver::new(run_config(false, width, 10));
-        let mf = fut.run(3);
-        let mb = bar.run(3);
-        assert_eq!(mf.steps, 10);
+        let mut one = Driver::new(run_config(width, 10));
+        let mut three = Driver::new(run_config(width, 10));
+        assert_eq!(one.run(1).steps, 10);
+        assert_eq!(three.run(3).steps, 10);
         assert_eq!(
-            fut.sim_time().to_bits(),
-            bar.sim_time().to_bits(),
+            one.sim_time().to_bits(),
+            three.sim_time().to_bits(),
             "dt sequence diverged (width {width})"
         );
-        assert_eq!(mb.leaf_count, mf.leaf_count);
-        let (tf, tb) = (fut.tree(), bar.tree());
-        for (&lf, &lb) in tf.leaf_ids().iter().zip(tb.leaf_ids()) {
-            let (gf, gb) = (tf.subgrid(lf), tb.subgrid(lb));
-            let (df, db) = (gf.interior_data(), gb.interior_data());
-            assert_eq!(df.len(), db.len());
-            for (c, (a, b)) in df.iter().zip(&db).enumerate() {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "width {width}: leaf {lf:?} value {c} diverged: {a:e} vs {b:e}"
-                );
-            }
-        }
+        let two_localities = DistRun::execute(DistConfig {
+            nodes: 2,
+            threads_per_node: 2,
+            backend: NetBackend::Tcp,
+            coalesce: CoalesceConfig::default(),
+            octo: run_config(width, 10),
+        });
+        let want = one.leaf_hashes();
+        assert_eq!(three.leaf_hashes(), want, "width {width}: 3 workers");
+        assert_eq!(
+            two_localities.leaf_hashes, want,
+            "width {width}: 2 localities"
+        );
     }
 }
 
@@ -169,7 +170,7 @@ fn futurized_ten_steps_bitwise_equals_barriered() {
 fn staging_buffers_recycle_with_zero_steady_state_allocations() {
     trace::set_enabled(false);
     let tracer_before = trace::tracer_allocs();
-    let mut driver = Driver::new(run_config(true, 4, 3));
+    let mut driver = Driver::new(run_config(4, 3));
     let runtime = octotiger_riscv_repro::amt::Runtime::new(3);
 
     driver.run_on(&runtime);
@@ -188,6 +189,6 @@ fn staging_buffers_recycle_with_zero_steady_state_allocations() {
     assert_eq!(
         trace::tracer_allocs(),
         tracer_before,
-        "disabled tracer allocated during the futurized hydro pipeline"
+        "disabled tracer allocated during the hydro pipeline"
     );
 }

@@ -34,6 +34,16 @@ fn tiny_config() -> OctoConfig {
     }
 }
 
+/// Phase spans a step emits once: its joins and serial sections.
+const JOIN_PHASES: [&str; 4] = [
+    "ghost_exchange",
+    "cfl_reduction",
+    "gravity_moments",
+    "apply_update",
+];
+/// Phase spans a step emits once per owned leaf: the kernel families.
+const LEAF_PHASES: [&str; 4] = ["cfl_leaf", "p2m_leaf", "gravity_solve", "hydro_step"];
+
 fn tmp_trace(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("apexlite_{tag}_{}.json", std::process::id()))
 }
@@ -60,9 +70,6 @@ fn trace_spans_agree_with_run_metrics() {
     let _g = lock();
     let path = tmp_trace("driver");
     let mut cfg = tiny_config();
-    // Barriered mode: exactly one span per phase per step. (The futurized
-    // graph emits per-*leaf* hydro/gravity spans instead — covered below.)
-    cfg.futurize = false;
     cfg.trace_out = Some(path.to_string_lossy().into_owned());
     let mut driver = Driver::new(cfg);
     let metrics = driver.run(2);
@@ -71,15 +78,10 @@ fn trace_spans_agree_with_run_metrics() {
     let summary = validate(&text).expect("trace must validate");
     let _ = std::fs::remove_file(&path);
 
-    // Driver phases: one span per step each.
+    // The step's joins and serial sections: one span per step each. (The
+    // kernels in between are per-*leaf* spans — counted below.)
     let steps = u64::from(metrics.steps);
-    for phase in [
-        "ghost_exchange",
-        "cfl_reduction",
-        "gravity_solve",
-        "hydro_step",
-        "apply_update",
-    ] {
+    for phase in JOIN_PHASES {
         assert_eq!(summary.count_name(phase), steps, "phase {phase}");
     }
     // One ghost-plan build per topology generation exchanged on — a static
@@ -113,7 +115,6 @@ fn futurized_trace_shows_per_leaf_spans_overlapping_across_workers() {
     let path = tmp_trace("futurized");
     let mut cfg = tiny_config();
     cfg.threads = 4;
-    cfg.futurize = true;
     cfg.trace_out = Some(path.to_string_lossy().into_owned());
     let mut driver = Driver::new(cfg);
     let metrics = driver.run(4);
@@ -122,18 +123,17 @@ fn futurized_trace_shows_per_leaf_spans_overlapping_across_workers() {
     let summary = validate(&text).expect("futurized trace must validate");
     let _ = std::fs::remove_file(&path);
 
-    // The phase barriers are gone: gravity_solve and hydro_step are now
+    // There are no phase barriers: gravity_solve and hydro_step are
     // per-*leaf* task spans, one per leaf per step, plus one span per step
     // for the serial joins (dt reduction, M2M + interaction lists).
     let steps = u64::from(metrics.steps);
     let leaf_spans = steps * metrics.leaf_count as u64;
-    for name in ["cfl_leaf", "p2m_leaf", "gravity_solve", "hydro_step"] {
+    for name in LEAF_PHASES {
         assert_eq!(summary.count_name(name), leaf_spans, "per-leaf {name}");
     }
-    assert_eq!(summary.count_name("cfl_reduction"), steps);
-    assert_eq!(summary.count_name("gravity_moments"), steps);
-    assert_eq!(summary.count_name("ghost_exchange"), steps);
-    assert_eq!(summary.count_name("apply_update"), steps);
+    for name in JOIN_PHASES {
+        assert_eq!(summary.count_name(name), steps, "per-step {name}");
+    }
     assert_eq!(summary.count_name("ghost_plan_build"), 1);
 
     // The tentpole's proof obligation: gravity kernels on one worker ran
@@ -152,18 +152,6 @@ fn futurized_trace_shows_per_leaf_spans_overlapping_across_workers() {
         metrics.counters.get("/runtime/overlap_ratio")
             == Some(CounterValue::Gauge(metrics.overlap_ratio))
     );
-}
-
-#[test]
-fn barriered_run_reports_zero_overlap() {
-    let _g = lock();
-    let mut cfg = tiny_config();
-    cfg.futurize = false;
-    let mut driver = Driver::new(cfg);
-    let metrics = driver.run(2);
-    // Phases are separated by full task barriers: the gravity and hydro
-    // kernel envelopes cannot intersect.
-    assert_eq!(metrics.overlap_ratio, 0.0);
 }
 
 #[test]
@@ -237,6 +225,26 @@ fn two_node_trace_merges_locality_prefixed_pids() {
         summary.pids
     );
     assert!(text.contains("locality0") && text.contains("locality1"));
+    // The step's phases run in the locality lanes: every join once per
+    // locality per step — the halo exchange with them — and every kernel
+    // family once per leaf per step, on the leaf's owner. The supervising
+    // thread keeps the `driver` lane and the end-of-run flush.
+    let steps = u64::from(metrics.steps);
+    for name in JOIN_PHASES.into_iter().chain(["halo_exchange"]) {
+        assert_eq!(summary.count_name(name), 2 * steps, "per-locality {name}");
+    }
+    for name in LEAF_PHASES {
+        let owned_spans = steps * metrics.leaf_count as u64;
+        assert_eq!(summary.count_name(name), owned_spans, "per-leaf {name}");
+    }
+    assert_eq!(summary.count_name("comm_flush"), 1);
+    let lane_of = |name: &str| -> Vec<&str> {
+        let in_lane = |r: &&apex_lite::SpanRecord| r.name == name;
+        let lane = |r: &apex_lite::SpanRecord| summary.thread_names[&(r.pid, r.tid)].as_str();
+        summary.records.iter().filter(in_lane).map(lane).collect()
+    };
+    assert_eq!(lane_of("comm_flush"), ["driver"]);
+    assert!(lane_of("halo_exchange").iter().all(|l| *l != "driver"));
     // Real wire traffic shows up as parcel_send spans with matching flow
     // events on the receiving locality.
     assert!(summary.count_name("parcel_send") > 0);
@@ -256,7 +264,6 @@ fn critical_path_bounds_hold_on_futurized_trace() {
     let path = tmp_trace("critpath");
     let mut cfg = tiny_config();
     cfg.threads = 4;
-    cfg.futurize = true;
     cfg.trace_out = Some(path.to_string_lossy().into_owned());
     let mut driver = Driver::new(cfg);
     let metrics = driver.run(4);
@@ -316,9 +323,6 @@ fn per_phase_path_totals_agree_with_run_metrics() {
     let _g = lock();
     let path = tmp_trace("phase_agree");
     let mut cfg = tiny_config();
-    // Barriered mode: exactly one span per phase per step, so the
-    // analyzer's per-phase span counts are fully determined by RunMetrics.
-    cfg.futurize = false;
     cfg.trace_out = Some(path.to_string_lossy().into_owned());
     let mut driver = Driver::new(cfg);
     let metrics = driver.run(2);
@@ -327,24 +331,24 @@ fn per_phase_path_totals_agree_with_run_metrics() {
     let summary = validate(&text).expect("trace must validate");
     let _ = std::fs::remove_file(&path);
 
+    // One span per step for a join, one per leaf per step for a kernel
+    // family: the analyzer's per-phase span counts are fully determined by
+    // RunMetrics.
     let cp = apex_lite::critical_path(&summary, &apex_lite::default_phases(&summary));
     let steps = u64::from(metrics.steps);
-    for phase in [
-        "ghost_exchange",
-        "cfl_reduction",
-        "gravity_solve",
-        "hydro_step",
-    ] {
+    let per_step = JOIN_PHASES.map(|p| (p, steps));
+    let per_leaf = LEAF_PHASES.map(|p| (p, steps * metrics.leaf_count as u64));
+    for (phase, spans) in per_step.into_iter().chain(per_leaf) {
         let row = cp
             .by_phase
             .iter()
             .find(|p| p.name == phase)
             .unwrap_or_else(|| panic!("phase {phase} missing from critical-path table"));
-        assert_eq!(row.spans, steps, "span count for {phase}");
+        assert_eq!(row.spans, spans, "span count for {phase}");
         assert!(row.active_ns > 0, "no active time for {phase}");
     }
-    // Barriered phases never overlap, so the path covers every phase's
-    // full active time: path == sum of per-phase contributions.
+    // The path is a chain of phase segments: it is the sum of the
+    // per-phase contributions.
     let contributed: u64 = cp.by_phase.iter().map(|p| p.path_ns).sum();
     assert_eq!(cp.path_ns, contributed);
 }
