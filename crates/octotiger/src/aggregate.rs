@@ -302,11 +302,12 @@ pub struct GravityBatchCtx<'a> {
     pub tree: &'a Octree,
     /// Upward-pass moments, node order.
     pub moments: &'a [Moments],
-    /// Per-leaf P2M blocks, leaf order.
+    /// P2M blocks of *every* leaf, leaf order (sources may be owned elsewhere).
     pub blocks: &'a [BlockSoA],
     /// `NodeId` → leaf-order position.
     pub leaf_pos: &'a [usize],
-    /// Leaf ids, leaf order (what batch items index into).
+    /// Ids of the step's leaves (the owned ones, leaf order) — what batch
+    /// items index into.
     pub leaves: &'a [NodeId],
     /// Cached interaction lists, leaf order.
     pub lists: &'a [(Vec<NodeId>, Vec<NodeId>)],
@@ -537,7 +538,7 @@ pub fn run_gravity_stage(
 pub struct HydroBatchCtx<'a> {
     /// The (immutable-until-apply) octree.
     pub tree: &'a Octree,
-    /// Leaf ids, leaf order.
+    /// Ids of the step's leaves (the owned ones, leaf order).
     pub leaves: &'a [NodeId],
     /// Execution space of the hydro kernels.
     pub dispatch: &'a Dispatch,

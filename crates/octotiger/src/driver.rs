@@ -599,9 +599,12 @@ impl Driver {
                             .map(|m| m.lock().expect("block slot").take().expect("p2m done"));
                         let mut blocks: Vec<BlockSoA> = owned_mask
                             .iter()
-                            .map(|&mine| match mine {
-                                true => own.next().expect("one slot per owned leaf"),
-                                false => BlockSoA::zero(),
+                            .map(|&mine| {
+                                if mine {
+                                    own.next().expect("one slot per owned leaf")
+                                } else {
+                                    BlockSoA::zero()
+                                }
                             })
                             .collect();
                         exchange.complete_blocks(owned, &mut blocks);

@@ -340,10 +340,7 @@ impl Octree {
     /// alike, because it is read off the plan the exchange itself runs.
     pub fn halo_sources(&mut self, is_target: impl Fn(usize) -> bool) -> Vec<usize> {
         self.ensure_ghost_plan();
-        let mut pos_of = vec![usize::MAX; self.node_count()];
-        for (pos, &leaf) in self.leaves.iter().enumerate() {
-            pos_of[leaf] = pos;
-        }
+        let pos_of = crate::gravity::leaf_positions(self);
         let plan = &self.ghost;
         let mut feeds = vec![false; self.leaves.len()];
         for pos in (0..self.leaves.len()).filter(|&pos| is_target(pos)) {
