@@ -1,0 +1,119 @@
+//! Golden wire images: the exact bytes of one value of every shape the
+//! workspace sends. The format is a contract with every counter that sums
+//! wire bytes (`parcel_storm`'s exact counts, `dist_l3_2loc`'s
+//! `distrib.bytes`, the Fig. 8 projection): an encoder change that moves one
+//! byte fails here first. Every image also decodes back to its value.
+
+use distrib::{from_bytes, to_bytes, Agas, Gid, LocalityId, ParcelMsg};
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// The gid a locality mints as its `seq`-th (gids have no other constructor).
+fn gid(creator: u32, seq: u64) -> Gid {
+    let agas = Agas::new();
+    for _ in 0..seq {
+        agas.new_gid(LocalityId(creator));
+    }
+    agas.new_gid(LocalityId(creator))
+}
+
+/// `to_bytes(value)` is `image` (spaces are for the reader), and `image`
+/// decodes to something that encodes to `image` again — a round trip that
+/// also holds for NaN, which `==` would reject.
+macro_rules! golden {
+    ($value:expr, $ty:ty, $image:expr) => {{
+        let value: $ty = $value;
+        let bytes = to_bytes(&value).expect("encodes");
+        assert_eq!(
+            hex(&bytes),
+            $image.replace(' ', ""),
+            "image of {}",
+            stringify!($value)
+        );
+        let back: $ty = from_bytes(&bytes).expect("decodes");
+        assert_eq!(to_bytes(&back).expect("encodes"), bytes);
+    }};
+}
+
+#[test]
+fn parcel_images() {
+    // variant u32 | from u32 | target u64 | action len+utf8 | payload len+bytes | call_id u64
+    golden!(
+        ParcelMsg::Request {
+            from: LocalityId(1),
+            target: gid(3, 2),
+            action: "step".into(),
+            payload: vec![1, 2, 3, 4, 255],
+            call_id: 0x0102_0304_0506_0708,
+        },
+        ParcelMsg,
+        "00000000 01000000 0200000000000300 04000000 73746570 05000000 01020304ff \
+         0807060504030201"
+    );
+    // variant u32 | call_id u64 | Result variant u32 | Ok: len+bytes / Err: len+utf8
+    golden!(
+        ParcelMsg::Response {
+            call_id: 7,
+            result: Ok(vec![9, 8, 7]),
+        },
+        ParcelMsg,
+        "01000000 0700000000000000 00000000 03000000 090807"
+    );
+    golden!(
+        ParcelMsg::Response {
+            call_id: 7,
+            result: Err("no".into()),
+        },
+        ParcelMsg,
+        "01000000 0700000000000000 01000000 02000000 6e6f"
+    );
+}
+
+#[test]
+fn step_argument_images() {
+    // The `step` action's `(inbox, peer)`: two bare gids, a one-byte option tag.
+    golden!(
+        (gid(0, 1), Some(gid(1, 0))),
+        (Gid, Option<Gid>),
+        "0100000000000000 01 0000000000000100"
+    );
+    golden!(
+        (gid(0, 1), None),
+        (Gid, Option<Gid>),
+        "0100000000000000 00"
+    );
+}
+
+#[test]
+fn halo_and_block_images() {
+    // `HaloWire`: count | (leaf u64 | count | f64…)…
+    golden!(
+        vec![(5, vec![1.0, -2.5]), (6, vec![])],
+        Vec<(u64, Vec<f64>)>,
+        "02000000 0500000000000000 02000000 000000000000f03f 00000000000004c0 \
+         0600000000000000 00000000"
+    );
+    // `BlocksMsg`: count | (leaf u64 | four length-prefixed lanes, no array prefix)…
+    golden!(
+        vec![(9, [vec![1.0], vec![], vec![0.5, 0.25], vec![2.0]])],
+        Vec<(u64, [Vec<f64>; 4])>,
+        "01000000 0900000000000000 01000000 000000000000f03f 00000000 \
+         02000000 000000000000e03f 000000000000d03f 01000000 0000000000000040"
+    );
+}
+
+#[test]
+fn scalar_images() {
+    golden!(f64::from_bits(0x7ff8_0000_0000_0001), f64, "010000000000f87f");
+    golden!(-0.0, f64, "0000000000000080");
+    golden!(f64::INFINITY, f64, "000000000000f07f");
+    golden!(1.5, f32, "0000c03f");
+    golden!('λ', char, "bb030000");
+    golden!(String::from("λ-wire"), String, "07000000 cebb2d77697265");
+    golden!((), (), "");
+    golden!(true, bool, "01");
+    golden!(-2, i16, "feff");
+    golden!(Some(0xabcd), Option<u16>, "01 cdab");
+}
