@@ -1,7 +1,6 @@
 //! Minimal JSON value parser used by the trace validator.
 //!
-//! The workspace's serde shim only covers serialization of our own structs;
-//! validating an emitted Chrome trace needs a real parser. This one handles
+//! Validating an emitted Chrome trace needs a real parser. This one handles
 //! the full JSON grammar (objects, arrays, strings with escapes, numbers,
 //! literals) — enough to re-read anything `chrome::export` produces and to
 //! reject malformed files in `trace_check`.

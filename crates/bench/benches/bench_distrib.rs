@@ -1,36 +1,12 @@
-//! Criterion bench for the distributed substrate: wire encode/decode, local
-//! vs remote action round trips, the parcel-coalescing ablation, and the
-//! ghost-payload throughput behind Fig. 8's parcel traffic.
+//! Criterion bench for the distributed substrate: local vs remote action
+//! round trips and the parcel-coalescing ablation. (Encode/decode throughput
+//! is the referee benchmark's `distrib.wire.*` probe.)
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use distrib::{from_bytes, to_bytes, Cluster, ClusterConfig, CoalesceConfig, LocalityHandle};
+use distrib::{Cluster, ClusterConfig, CoalesceConfig, LocalityHandle};
 use rv_machine::NetBackend;
-use serde::{Deserialize, Serialize};
-
-#[derive(Serialize, Deserialize)]
-struct Halo {
-    pos: u64,
-    data: Vec<f64>,
-}
-
-fn wire_codec(c: &mut Criterion) {
-    let halo = Halo {
-        pos: 42,
-        data: (0..2560).map(|i| i as f64 * 0.5).collect(),
-    };
-    let encoded = to_bytes(&halo).unwrap();
-    let mut g = c.benchmark_group("distrib-wire");
-    g.sample_size(20);
-    g.bench_function("encode_halo_20kB", |b| {
-        b.iter(|| black_box(to_bytes(black_box(&halo)).unwrap()))
-    });
-    g.bench_function("decode_halo_20kB", |b| {
-        b.iter(|| black_box(from_bytes::<Halo>(black_box(&encoded)).unwrap()))
-    });
-    g.finish();
-}
 
 fn actions(c: &mut Criterion) {
     let cluster = Cluster::new(ClusterConfig {
@@ -107,5 +83,5 @@ fn ablation_coalesce(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, wire_codec, actions, ablation_coalesce);
+criterion_group!(benches, actions, ablation_coalesce);
 criterion_main!(benches);

@@ -11,16 +11,15 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::RwLock;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of one locality (one VisionFive2 board in the paper's
 /// two-node cluster).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LocalityId(pub u32);
 
 /// Global id of a component (an octree node in Octo-Tiger).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct Gid(u64);
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct Gid(pub(crate) u64);
 
 const LOCALITY_SHIFT: u32 = 48;
 

@@ -28,8 +28,6 @@ use std::sync::{Arc, Weak};
 use bytes::Bytes;
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
-use serde::de::DeserializeOwned;
-use serde::Serialize;
 
 use amt::{Future, Promise, Runtime};
 use rv_machine::NetBackend;
@@ -40,7 +38,7 @@ use crate::frame;
 use crate::parcel::ParcelMsg;
 use crate::parcelport::{self, Deliver};
 use crate::stats::{CommMetrics, NetSnapshot, NetStats, PortSnapshot};
-use crate::wire;
+use crate::wire::{self, Wire};
 
 /// Cluster construction parameters (the paper's cluster: 2 localities ×
 /// 4 threads, TCP / MPI / LCI backend).
@@ -198,8 +196,8 @@ impl LocalityHandle {
     /// decode errors, handler panics) surface as panics at `.get()`.
     pub fn invoke<Req, Resp>(&self, gid: Gid, action: &str, req: &Req) -> Future<Resp>
     where
-        Req: Serialize,
-        Resp: DeserializeOwned + Send + 'static,
+        Req: Wire,
+        Resp: Wire + Send + 'static,
     {
         let cluster = self.cluster();
         let target = cluster
@@ -439,8 +437,8 @@ impl Cluster {
     /// an HPX action: the same code is linked into every process image).
     pub fn register_action<Req, Resp, F>(&self, name: &str, f: F)
     where
-        Req: DeserializeOwned,
-        Resp: Serialize,
+        Req: Wire,
+        Resp: Wire,
         F: Fn(&LocalityHandle, Gid, Req) -> Resp + Send + Sync + 'static,
     {
         let handler: Handler = Arc::new(move |ctx, gid, bytes| {
@@ -596,7 +594,6 @@ impl Drop for Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde::Deserialize;
 
     fn two_node() -> Cluster {
         Cluster::new(ClusterConfig {
@@ -789,11 +786,16 @@ mod tests {
         });
     }
 
-    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    #[derive(Debug, PartialEq)]
     struct GhostMsg {
         face: u8,
         data: Vec<f64>,
     }
+
+    crate::wire_struct!(GhostMsg {
+        face: u8,
+        data: Vec<f64>
+    });
 
     #[test]
     fn structured_payloads_roundtrip_across_wire() {

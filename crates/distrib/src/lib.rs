@@ -10,10 +10,10 @@
 //! * [`agas::Agas`] is the Active Global Address Space: components are
 //!   created on a locality, addressed by [`agas::Gid`], and resolvable from
 //!   anywhere;
-//! * remote **actions** ([`LocalityHandle::invoke`]) serialize their
-//!   arguments through the binary [`wire`] format into
-//!   [`parcel::ParcelMsg`]s, with HPX's unified local/remote syntax (local
-//!   calls skip the wire);
+//! * remote **actions** ([`LocalityHandle::invoke`]) encode their arguments
+//!   — any [`Wire`] type; the [`wire`] module docs hold the format table —
+//!   into [`parcel::ParcelMsg`]s, with HPX's unified local/remote syntax
+//!   (local calls skip the wire);
 //! * the [`coalesce`] layer optionally batches small parcels per
 //!   destination (HPX's parcel-coalescing plugin) under a bounded
 //!   in-flight queue;
@@ -40,4 +40,4 @@ pub use parcelport::{Deliver, Parcelport};
 pub use stats::{
     CommMetrics, LinkSnapshot, NetSnapshot, NetStats, PortSnapshot, PortStats, PARCEL_HEADER_BYTES,
 };
-pub use wire::{from_bytes, to_bytes, WireError};
+pub use wire::{from_bytes, to_bytes, Wire, WireError};

@@ -7,13 +7,11 @@
 //! byte counts in [`crate::stats::PortStats`] are the length of the actual
 //! wire image.
 
-use serde::{Deserialize, Serialize};
-
 use crate::agas::{Gid, LocalityId};
 use crate::wire::{self, WireError};
 
 /// One parcel: a remote action request or its response.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ParcelMsg {
     /// Action invocation travelling to the component's owner.
     Request {

@@ -1,46 +1,51 @@
-//! Compact binary wire format for parcels — the serialization layer of the
-//! parcelport (HPX's `hpx::serialization`).
+//! The wire format of parcels — the serialization layer of the parcelport
+//! (HPX's `hpx::serialization`).
 //!
 //! Every remote action's arguments and results pass through
 //! [`to_bytes`]/[`from_bytes`], so the link model charges *real* payload
-//! sizes. The format is a fixed-width little-endian, non-self-describing
-//! encoding (bincode-like): integers as their LE bytes, `usize` lengths as
-//! `u32`, enum variants as a `u32` index, `Option` as a one-byte tag,
-//! sequences/strings length-prefixed. `deserialize_any` is unsupported by
-//! design — parcels are decoded against a known schema.
+//! sizes. The format is fixed-width, little-endian and not self-describing —
+//! both ends know the type — and this table is its only description:
 //!
-//! The serde plumbing lives in the `enc` (serializer) and `dec`
-//! (deserializer) submodules; this module owns the public API and the
-//! error type.
-
-mod dec;
-mod enc;
+//! | type | image |
+//! |---|---|
+//! | `u8`…`u64`, `i8`…`i64`, `f32`, `f64` | the value's little-endian bytes |
+//! | `bool` | one byte, 0 or 1 |
+//! | `char` | its scalar value as a `u32` |
+//! | `()` | nothing |
+//! | `String`, `Vec<T>` | element count as a `u32`, then the UTF-8 bytes / the elements |
+//! | `Option<T>` | one tag byte: 0, or 1 followed by the value |
+//! | `Result<T, E>`, [`ParcelMsg`] | variant index as a `u32` (`Ok` = 0, `Err` = 1; `Request` = 0, `Response` = 1), then the variant's fields |
+//! | tuples, `[T; N]`, structs ([`wire_struct!`](crate::wire_struct)), [`Gid`], [`LocalityId`] | the fields in declaration order, nothing added |
+//!
+//! Decoding is strict: it rejects a buffer with bytes left over, and a count
+//! that what is left of the buffer cannot hold — before reserving anything
+//! for it, so a hostile prefix costs no memory.
 
 use std::fmt;
 
 use bytes::Bytes;
-use serde::de;
-use serde::de::DeserializeOwned;
-use serde::ser::{self, Serialize};
 
-use dec::Decoder;
-use enc::Encoder;
+use crate::agas::{Gid, LocalityId};
+use crate::parcel::ParcelMsg;
 
 /// Errors from encoding or decoding a parcel payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
     /// Decoder ran past the end of the buffer.
     Eof,
-    /// A length prefix exceeded `u32::MAX` (encode) or the buffer (decode).
+    /// An element count exceeded `u32::MAX` (encode) or what the rest of the
+    /// buffer can hold (decode).
     BadLength,
-    /// Invalid tag byte for bool/option/char.
+    /// Invalid tag byte for a `bool` or an `Option`.
     BadTag(u8),
+    /// Not the index of a variant of the enum being decoded.
+    BadVariant(u32),
+    /// Not a Unicode scalar value.
+    BadChar(u32),
     /// String bytes were not valid UTF-8.
     BadUtf8,
-    /// Feature the format deliberately does not support.
-    Unsupported(&'static str),
-    /// Error bubbled up from serde itself.
-    Message(String),
+    /// The value ended this many bytes before the buffer did.
+    Trailing(usize),
 }
 
 impl fmt::Display for WireError {
@@ -49,54 +54,304 @@ impl fmt::Display for WireError {
             WireError::Eof => write!(f, "unexpected end of parcel payload"),
             WireError::BadLength => write!(f, "length prefix out of range"),
             WireError::BadTag(t) => write!(f, "invalid tag byte {t}"),
+            WireError::BadVariant(v) => write!(f, "invalid variant index {v}"),
+            WireError::BadChar(c) => write!(f, "invalid char {c:#x}"),
             WireError::BadUtf8 => write!(f, "invalid UTF-8 in string"),
-            WireError::Unsupported(what) => write!(f, "unsupported by wire format: {what}"),
-            WireError::Message(m) => write!(f, "{m}"),
+            WireError::Trailing(n) => write!(f, "{n} trailing bytes after decode"),
         }
     }
 }
 
 impl std::error::Error for WireError {}
 
-impl ser::Error for WireError {
-    fn custom<T: fmt::Display>(msg: T) -> Self {
-        WireError::Message(msg.to_string())
-    }
+/// The buffer a value is encoded into.
+pub struct Writer {
+    buf: Vec<u8>,
+    /// A count did not fit its `u32` prefix: the image is void, and
+    /// [`to_bytes`] reports it. Encoding cannot fail in any other way, which
+    /// is why [`Wire::encode`] returns nothing.
+    too_long: bool,
 }
 
-impl de::Error for WireError {
-    fn custom<T: fmt::Display>(msg: T) -> Self {
-        WireError::Message(msg.to_string())
+/// The bytes a value is decoded from, consumed front to back.
+pub struct Reader<'a> {
+    input: &'a [u8],
+}
+
+/// A type with a wire image (the module docs have the format).
+pub trait Wire: Sized {
+    /// A lower bound on the size of an image of this type.
+    const MIN_BYTES: usize;
+
+    /// Append the image of `self` to `out`.
+    fn encode(&self, out: &mut Writer);
+
+    /// Read one value off the front of `r`.
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError>;
+
+    /// Append the images of `items`, without a count. The fixed-width
+    /// numbers override this (and [`Wire::decode_vec`]) to move as one block.
+    fn encode_slice(items: &[Self], out: &mut Writer) {
+        for item in items {
+            item.encode(out);
+        }
+    }
+
+    /// Read `count` values. The caller has checked that what is left of `r`
+    /// can hold them ([`Wire::MIN_BYTES`] each), so `count` is safe to reserve.
+    fn decode_vec(count: usize, r: &mut Reader<'_>) -> Result<Vec<Self>, WireError> {
+        let mut items = Vec::with_capacity(count);
+        for _ in 0..count {
+            items.push(Self::decode(r)?);
+        }
+        Ok(items)
     }
 }
 
 /// Encode `value` into a freshly allocated byte buffer.
-pub fn to_bytes<T: Serialize>(value: &T) -> Result<Bytes, WireError> {
-    let mut ser = Encoder::new();
-    value.serialize(&mut ser)?;
-    Ok(ser.finish())
+pub fn to_bytes<T: Wire>(value: &T) -> Result<Bytes, WireError> {
+    let mut out = Writer {
+        buf: Vec::with_capacity(64),
+        too_long: false,
+    };
+    value.encode(&mut out);
+    if out.too_long {
+        return Err(WireError::BadLength);
+    }
+    Ok(Bytes::from(out.buf))
 }
 
 /// Decode a `T` from `bytes`; the whole buffer must be consumed.
-pub fn from_bytes<T: DeserializeOwned>(bytes: &[u8]) -> Result<T, WireError> {
-    let mut de = Decoder::new(bytes);
-    let v = T::deserialize(&mut de)?;
-    if de.remaining() != 0 {
-        return Err(WireError::Message(format!(
-            "{} trailing bytes after decode",
-            de.remaining()
-        )));
+pub fn from_bytes<T: Wire>(bytes: &[u8]) -> Result<T, WireError> {
+    let mut r = Reader { input: bytes };
+    let value = T::decode(&mut r)?;
+    match r.input.len() {
+        0 => Ok(value),
+        n => Err(WireError::Trailing(n)),
     }
-    Ok(v)
+}
+
+macro_rules! wire_numbers {
+    ($($ty:ty),*) => {$(
+        impl Wire for $ty {
+            const MIN_BYTES: usize = size_of::<$ty>();
+            fn encode(&self, out: &mut Writer) {
+                out.buf.extend_from_slice(&self.to_le_bytes());
+            }
+            fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                let (image, rest) = r.input.split_first_chunk().ok_or(WireError::Eof)?;
+                r.input = rest;
+                Ok(<$ty>::from_le_bytes(*image))
+            }
+            fn encode_slice(items: &[Self], out: &mut Writer) {
+                out.buf.extend(items.iter().flat_map(|item| item.to_le_bytes()));
+            }
+            fn decode_vec(count: usize, r: &mut Reader<'_>) -> Result<Vec<Self>, WireError> {
+                let bytes = count.checked_mul(size_of::<$ty>()).ok_or(WireError::BadLength)?;
+                let (block, rest) = r.input.split_at_checked(bytes).ok_or(WireError::Eof)?;
+                r.input = rest;
+                Ok(block.as_chunks().0.iter().map(|image| <$ty>::from_le_bytes(*image)).collect())
+            }
+        }
+    )*};
+}
+
+wire_numbers!(u8, u16, u32, u64, i8, i16, i32, i64, f32, f64);
+
+/// Types that travel as the image of another: `$ty as $image: to, back`,
+/// where `back` refuses the images no value has.
+macro_rules! wire_as {
+    ($($ty:ty as $image:ty: $to:expr, $back:expr;)*) => {$(
+        impl Wire for $ty {
+            const MIN_BYTES: usize = <$image>::MIN_BYTES;
+            fn encode(&self, out: &mut Writer) {
+                let to: fn(&Self) -> $image = $to;
+                to(self).encode(out);
+            }
+            fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                let back: fn($image) -> Result<Self, WireError> = $back;
+                back(<$image>::decode(r)?)
+            }
+        }
+    )*};
+}
+
+wire_as! {
+    bool as u8: |b| u8::from(*b), |tag| (tag <= 1).then_some(tag == 1).ok_or(WireError::BadTag(tag));
+    char as u32: |c| u32::from(*c), |s| char::from_u32(s).ok_or(WireError::BadChar(s));
+    LocalityId as u32: |id| id.0, |id| Ok(LocalityId(id));
+    Gid as u64: |gid| gid.0, |raw| Ok(Gid(raw));
+}
+
+impl Wire for () {
+    const MIN_BYTES: usize = 0;
+    fn encode(&self, _: &mut Writer) {}
+    fn decode(_: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(())
+    }
+}
+
+/// A count, then the items: the image of a `Vec`, and of a `String`'s bytes.
+fn encode_counted<T: Wire>(items: &[T], out: &mut Writer) {
+    out.too_long |= u32::try_from(items.len()).is_err();
+    (items.len() as u32).encode(out);
+    T::encode_slice(items, out);
+}
+
+impl Wire for String {
+    const MIN_BYTES: usize = 4;
+    fn encode(&self, out: &mut Writer) {
+        encode_counted(self.as_bytes(), out);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        String::from_utf8(Vec::decode(r)?).map_err(|_| WireError::BadUtf8)
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_BYTES: usize = 4;
+    fn encode(&self, out: &mut Writer) {
+        encode_counted(self, out);
+    }
+    /// Refuses a count that what is left of the buffer cannot hold, before
+    /// reserving for it. A zero-width `T` counts as one byte, which bounds
+    /// the decoder's work by the input's length.
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let count = u32::decode(r)? as usize;
+        if count.saturating_mul(T::MIN_BYTES.max(1)) > r.input.len() {
+            return Err(WireError::BadLength);
+        }
+        T::decode_vec(count, r)
+    }
+}
+
+impl<T: Wire, const N: usize> Wire for [T; N] {
+    const MIN_BYTES: usize = N * T::MIN_BYTES;
+    fn encode(&self, out: &mut Writer) {
+        T::encode_slice(self, out);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let items = T::decode_vec(N, r)?;
+        items.try_into().map_err(|_| WireError::BadLength)
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    const MIN_BYTES: usize = 1;
+    fn encode(&self, out: &mut Writer) {
+        self.is_some().encode(out);
+        if let Some(value) = self {
+            value.encode(out);
+        }
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        bool::decode(r)?.then(|| T::decode(r)).transpose()
+    }
+}
+
+impl<T: Wire, E: Wire> Wire for Result<T, E> {
+    const MIN_BYTES: usize = 4;
+    fn encode(&self, out: &mut Writer) {
+        u32::from(self.is_err()).encode(out);
+        match self {
+            Ok(value) => value.encode(out),
+            Err(error) => error.encode(out),
+        }
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        match u32::decode(r)? {
+            0 => Ok(Ok(T::decode(r)?)),
+            1 => Ok(Err(E::decode(r)?)),
+            variant => Err(WireError::BadVariant(variant)),
+        }
+    }
+}
+
+macro_rules! wire_tuple {
+    ($($idx:tt $T:ident),+) => {
+        impl<$($T: Wire),+> Wire for ($($T,)+) {
+            const MIN_BYTES: usize = 0 $(+ $T::MIN_BYTES)+;
+            fn encode(&self, out: &mut Writer) {
+                $(self.$idx.encode(out);)+
+            }
+            fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                Ok(($($T::decode(r)?,)+))
+            }
+        }
+    };
+}
+
+wire_tuple!(0 A, 1 B);
+wire_tuple!(0 A, 1 B, 2 C, 3 D);
+
+/// Implement [`Wire`] for a struct with named fields, which travel in the
+/// order listed (list them as declared):
+/// `wire_struct!(GhostMsg { face: u8, data: Vec<f64> });`
+#[macro_export]
+macro_rules! wire_struct {
+    ($name:ident { $($field:ident: $ty:ty),+ $(,)? }) => {
+        impl $crate::wire::Wire for $name {
+            const MIN_BYTES: usize = 0 $(+ <$ty as $crate::wire::Wire>::MIN_BYTES)+;
+            fn encode(&self, out: &mut $crate::wire::Writer) {
+                $(<$ty as $crate::wire::Wire>::encode(&self.$field, out);)+
+            }
+            fn decode(r: &mut $crate::wire::Reader<'_>) -> Result<Self, $crate::wire::WireError> {
+                Ok($name {
+                    $($field: <$ty as $crate::wire::Wire>::decode(r)?,)+
+                })
+            }
+        }
+    };
+}
+
+impl Wire for ParcelMsg {
+    const MIN_BYTES: usize = 4;
+    fn encode(&self, out: &mut Writer) {
+        match self {
+            ParcelMsg::Request {
+                from,
+                target,
+                action,
+                payload,
+                call_id,
+            } => {
+                0u32.encode(out);
+                from.encode(out);
+                target.encode(out);
+                action.encode(out);
+                payload.encode(out);
+                call_id.encode(out);
+            }
+            ParcelMsg::Response { call_id, result } => {
+                1u32.encode(out);
+                call_id.encode(out);
+                result.encode(out);
+            }
+        }
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        match u32::decode(r)? {
+            0 => Ok(ParcelMsg::Request {
+                from: Wire::decode(r)?,
+                target: Wire::decode(r)?,
+                action: Wire::decode(r)?,
+                payload: Wire::decode(r)?,
+                call_id: Wire::decode(r)?,
+            }),
+            1 => Ok(ParcelMsg::Response {
+                call_id: Wire::decode(r)?,
+                result: Wire::decode(r)?,
+            }),
+            variant => Err(WireError::BadVariant(variant)),
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde::{Deserialize, Serialize};
-    use std::collections::BTreeMap;
 
-    fn roundtrip<T: Serialize + DeserializeOwned + PartialEq + std::fmt::Debug>(v: T) {
+    fn roundtrip<T: Wire + PartialEq + std::fmt::Debug>(v: T) {
         let b = to_bytes(&v).expect("encode");
         let back: T = from_bytes(&b).expect("decode");
         assert_eq!(back, v);
@@ -123,13 +378,11 @@ mod tests {
         roundtrip(Some(vec![1u8, 2, 3]));
         roundtrip(Option::<u32>::None);
         roundtrip((1u8, -2i32, 3.0f64, String::from("t")));
-        let mut m = BTreeMap::new();
-        m.insert(1u32, String::from("one"));
-        m.insert(2, String::from("two"));
-        roundtrip(m);
+        roundtrip([vec![1i16, -2], vec![], vec![3]]);
+        roundtrip(vec![Ok(1u16), Err(String::from("no"))]);
     }
 
-    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    #[derive(Debug, PartialEq)]
     struct Ghost {
         face: u8,
         level: u32,
@@ -137,11 +390,50 @@ mod tests {
         tag: Option<String>,
     }
 
-    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    wire_struct!(Ghost {
+        face: u8,
+        level: u32,
+        data: Vec<f64>,
+        tag: Option<String>,
+    });
+
+    /// A hand-written enum impl, the way [`ParcelMsg`]'s is.
+    #[derive(Debug, PartialEq)]
     enum Msg {
         Ping,
         Payload(Ghost),
         Pair { a: u64, b: u64 },
+    }
+
+    impl Wire for Msg {
+        const MIN_BYTES: usize = 4;
+
+        fn encode(&self, out: &mut Writer) {
+            match self {
+                Msg::Ping => 0u32.encode(out),
+                Msg::Payload(ghost) => {
+                    1u32.encode(out);
+                    ghost.encode(out);
+                }
+                Msg::Pair { a, b } => {
+                    2u32.encode(out);
+                    a.encode(out);
+                    b.encode(out);
+                }
+            }
+        }
+
+        fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+            match u32::decode(r)? {
+                0 => Ok(Msg::Ping),
+                1 => Ok(Msg::Payload(Wire::decode(r)?)),
+                2 => Ok(Msg::Pair {
+                    a: Wire::decode(r)?,
+                    b: Wire::decode(r)?,
+                }),
+                variant => Err(WireError::BadVariant(variant)),
+            }
+        }
     }
 
     #[test]
@@ -160,6 +452,10 @@ mod tests {
             data: vec![],
             tag: None,
         }));
+        assert_eq!(
+            from_bytes::<Msg>(&[3, 0, 0, 0]),
+            Err(WireError::BadVariant(3))
+        );
     }
 
     #[test]
@@ -171,24 +467,78 @@ mod tests {
     }
 
     #[test]
+    fn block_and_element_paths_write_the_same_image() {
+        // A `Vec<u32>` moves as one block; its numbers as `(low, high)` halves
+        // move element by element.
+        let block: Vec<u32> = (0..64).map(|i| i * 0x0101_0101).collect();
+        let pairs: Vec<(u16, u16)> = block
+            .iter()
+            .map(|v| (*v as u16, (*v >> 16) as u16))
+            .collect();
+        assert_eq!(to_bytes(&block).unwrap(), to_bytes(&pairs).unwrap());
+        roundtrip(pairs);
+    }
+
+    #[test]
     fn trailing_bytes_rejected() {
         let mut b = to_bytes(&7u32).unwrap().to_vec();
         b.push(0);
-        assert!(from_bytes::<u32>(&b).is_err());
+        assert_eq!(from_bytes::<u32>(&b), Err(WireError::Trailing(1)));
     }
 
     #[test]
     fn truncated_input_rejected() {
+        // Inside a sequence the count no longer fits; elsewhere the value ends early.
         let b = to_bytes(&vec![1u64, 2, 3]).unwrap();
         assert_eq!(
             from_bytes::<Vec<u64>>(&b[..b.len() - 1]),
+            Err(WireError::BadLength)
+        );
+        let b = to_bytes(&(1u8, 2u64)).unwrap();
+        assert_eq!(
+            from_bytes::<(u8, u64)>(&b[..b.len() - 1]),
             Err(WireError::Eof)
         );
     }
 
     #[test]
-    fn bad_bool_tag_rejected() {
+    fn counts_the_buffer_cannot_hold_are_rejected_before_reserving() {
+        // u32::MAX elements announced, none present.
+        let huge = [0xff, 0xff, 0xff, 0xff];
+        assert_eq!(from_bytes::<Vec<u8>>(&huge), Err(WireError::BadLength));
+        assert_eq!(from_bytes::<String>(&huge), Err(WireError::BadLength));
+        assert_eq!(
+            from_bytes::<Vec<(u64, Vec<f64>)>>(&huge),
+            Err(WireError::BadLength)
+        );
+        // 12 bytes follow: room for one `(u64, Vec<f64>)`, not for two.
+        let mut two = vec![2, 0, 0, 0];
+        two.extend_from_slice(&[0; 12]);
+        assert_eq!(
+            from_bytes::<Vec<(u64, Vec<f64>)>>(&two),
+            Err(WireError::BadLength)
+        );
+        // Zero-width elements: as many as bytes remain, no more.
+        assert_eq!(from_bytes::<Vec<()>>(&huge), Err(WireError::BadLength));
+        assert_eq!(from_bytes::<Vec<()>>(&[0, 0, 0, 0]), Ok(vec![]));
+    }
+
+    #[test]
+    fn bad_tags_rejected() {
         assert_eq!(from_bytes::<bool>(&[7]), Err(WireError::BadTag(7)));
+        assert_eq!(from_bytes::<Option<u8>>(&[2, 0]), Err(WireError::BadTag(2)));
+        assert_eq!(
+            from_bytes::<char>(&[0, 0xd8, 0, 0]),
+            Err(WireError::BadChar(0xd800))
+        );
+        assert_eq!(
+            from_bytes::<Result<u8, u8>>(&[2, 0, 0, 0, 0]),
+            Err(WireError::BadVariant(2))
+        );
+        assert_eq!(
+            from_bytes::<String>(&[1, 0, 0, 0, 0xff]),
+            Err(WireError::BadUtf8)
+        );
     }
 
     #[test]

@@ -1,12 +1,40 @@
 //! Property tests for the full parcel wire path: serialize → frame →
 //! (split) deframe → deserialize, over arbitrary parcels, arbitrary
 //! single/batch frame mixes, arbitrary trace contexts, and arbitrary
-//! stream chunking — the invariant every parcelport relies on.
+//! stream chunking — the invariant every parcelport relies on — and the
+//! wire decoder against input nobody encoded: it returns, and it asks the
+//! allocator for no more than a constant multiple of what it was handed.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 
 use bytes::Bytes;
 use distrib::frame::{encode_batch, encode_single, DecodedParcel, FrameDecoder, TraceCtx};
-use distrib::{Agas, LocalityId, ParcelMsg};
+use distrib::{from_bytes, to_bytes, Agas, LocalityId, ParcelMsg, Wire};
 use proptest::prelude::*;
+
+thread_local! {
+    /// Bytes the calling thread has asked the allocator for.
+    static REQUESTED: Cell<usize> = const { Cell::new(0) };
+}
+
+struct CountingAlloc;
+
+// SAFETY: defers to `System`; the bookkeeping is a `Cell` in a const-init
+// thread-local without a destructor, which never allocates.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = REQUESTED.try_with(|r| r.set(r.get() + layout.size()));
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Arbitrary parcels. Gids come out of a real `Agas` so they carry the same
 /// creator/sequence bit packing production gids have.
@@ -41,6 +69,53 @@ fn arb_parcel() -> impl Strategy<Value = ParcelMsg> {
     )
         .prop_map(|(call_id, result)| ParcelMsg::Response { call_id, result });
     prop_oneof![request, response]
+}
+
+/// The halo and gravity-block messages of `octotiger::dist_driver`, by shape.
+type Halo = Vec<(u64, Vec<f64>)>;
+type Blocks = Vec<(u64, [Vec<f64>; 4])>;
+
+fn arb_lane() -> impl Strategy<Value = Vec<f64>> {
+    proptest::collection::vec(any::<f64>(), 0..24)
+}
+
+/// A valid image of one of the three message types.
+fn arb_image() -> impl Strategy<Value = Vec<u8>> {
+    let halo = proptest::collection::vec((any::<u64>(), arb_lane()), 0..6);
+    let lanes = (arb_lane(), arb_lane(), arb_lane(), arb_lane());
+    let blocks = proptest::collection::vec(
+        (any::<u64>(), lanes.prop_map(|(m, x, y, z)| [m, x, y, z])),
+        0..4,
+    );
+    prop_oneof![
+        arb_parcel().prop_map(|p| p.to_wire().unwrap().to_vec()),
+        halo.prop_map(|h: Halo| to_bytes(&h).unwrap().to_vec()),
+        blocks.prop_map(|b: Blocks| to_bytes(&b).unwrap().to_vec()),
+    ]
+}
+
+/// Decoding `bytes` as each message type returns — with `Ok` or `Err`, both
+/// are answers — having requested at most `8 × bytes.len()` bytes of memory.
+/// (The widest element, a `Blocks` entry, is 104 bytes in memory for at
+/// least 24 on the wire; the vectors inside it cost what they consumed.)
+fn decodes_within_bounds(bytes: &[u8]) -> Result<(), TestCaseError> {
+    fn requested_by<T: Wire>(bytes: &[u8]) -> usize {
+        REQUESTED.with(|r| r.set(0));
+        drop(from_bytes::<T>(bytes));
+        REQUESTED.with(Cell::get)
+    }
+    for (ty, requested) in [
+        ("ParcelMsg", requested_by::<ParcelMsg>(bytes)),
+        ("Halo", requested_by::<Halo>(bytes)),
+        ("Blocks", requested_by::<Blocks>(bytes)),
+    ] {
+        prop_assert!(
+            requested <= 8 * bytes.len(),
+            "{ty}: {requested} bytes requested for {} bytes of input",
+            bytes.len()
+        );
+    }
+    Ok(())
 }
 
 /// Arbitrary wire trace contexts — any bit pattern must round-trip.
@@ -152,5 +227,33 @@ proptest! {
             .map(|d| (ParcelMsg::from_wire(&d.body).unwrap(), d.ctx))
             .collect();
         prop_assert_eq!(out, expected);
+    }
+    /// Bytes nobody encoded. Most die at the first count; a small leading
+    /// `u32` gets some of them past it.
+    #[test]
+    fn arbitrary_bytes_decode_within_bounds(
+        small in 0..4u32,
+        tail in proptest::collection::vec(any::<u8>(), 0..512),
+    ) {
+        decodes_within_bounds(&tail)?;
+        let mut headed = small.to_le_bytes().to_vec();
+        headed.extend_from_slice(&tail);
+        decodes_within_bounds(&headed)?;
+    }
+
+    /// A valid image with one byte flipped, or cut short — read as its own
+    /// type and as the other two.
+    #[test]
+    fn damaged_images_decode_within_bounds(
+        image in arb_image(),
+        at in any::<usize>(),
+        flip in 1..256u32,
+    ) {
+        decodes_within_bounds(&image)?;
+        let at = at % image.len();
+        decodes_within_bounds(&image[..at])?;
+        let mut flipped = image;
+        flipped[at] ^= flip as u8;
+        decodes_within_bounds(&flipped)?;
     }
 }

@@ -79,11 +79,7 @@ fn step_argument_images() {
         (Gid, Option<Gid>),
         "0100000000000000 01 0000000000000100"
     );
-    golden!(
-        (gid(0, 1), None),
-        (Gid, Option<Gid>),
-        "0100000000000000 00"
-    );
+    golden!((gid(0, 1), None), (Gid, Option<Gid>), "0100000000000000 00");
 }
 
 #[test]
@@ -106,7 +102,11 @@ fn halo_and_block_images() {
 
 #[test]
 fn scalar_images() {
-    golden!(f64::from_bits(0x7ff8_0000_0000_0001), f64, "010000000000f87f");
+    golden!(
+        f64::from_bits(0x7ff8_0000_0000_0001),
+        f64,
+        "010000000000f87f"
+    );
     golden!(-0.0, f64, "0000000000000080");
     golden!(f64::INFINITY, f64, "000000000000f07f");
     golden!(1.5, f32, "0000c03f");

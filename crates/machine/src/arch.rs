@@ -14,11 +14,9 @@
 //! nevertheless keeps the factor 2 of Eq. (2) in its peak number, and so do
 //! we, to match Table 2 exactly.
 
-use serde::{Deserialize, Serialize};
-
 /// SIMD vector width in `f64` lanes. `Scalar` models the RISC-V boards,
 /// which implement neither the V (vector) nor the P (packed SIMD) extension.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VectorWidth {
     /// No SIMD: one f64 lane (RISC-V U74/JH7110 in this study).
     Scalar,
@@ -45,7 +43,7 @@ impl VectorWidth {
 
 /// The four CPUs evaluated in the paper, plus the StarFive JH7110 that powers
 /// the VisionFive2 in-house cluster (same U74 cores, slightly higher clock).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CpuArch {
     /// Fujitsu A64FX (Supercomputer Fugaku, Ookami): Arm v8.2 + SVE-512.
     A64fx,
@@ -63,7 +61,7 @@ pub enum CpuArch {
 
 /// Static description of one CPU: exactly the columns of Table 2 plus the
 /// memory-subsystem figures used by [`crate::memory::MemoryModel`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuSpec {
     /// Architecture tag.
     pub arch: CpuArch,

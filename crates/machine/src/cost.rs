@@ -21,8 +21,6 @@
 //! EXPERIMENTS.md records how the paper's reported ratios constrain them, and
 //! `octo-core` has sensitivity tests perturbing each by ±20%.
 
-use serde::{Deserialize, Serialize};
-
 use crate::arch::CpuArch;
 
 /// Elementary floating-point operations charged by the model.
@@ -65,7 +63,7 @@ pub enum RuntimeEvent {
 }
 
 /// Communication backends of the HPX parcelport layer used in §6.2.2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NetBackend {
     /// Raw TCP parcelport (the paper's faster backend on the SBC cluster).
     Tcp,

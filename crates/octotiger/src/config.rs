@@ -7,8 +7,6 @@
 //!             --hpx:threads=4
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 use rv_machine::NetBackend;
 
 use crate::kernel_backend::{KernelType, SimdPolicy};
@@ -18,7 +16,7 @@ use crate::kernel_backend::{KernelType, SimdPolicy};
 /// Not `Copy`: the observability flags carry an owned path
 /// ([`OctoConfig::trace_out`]); clone explicitly where a copy used to be
 /// implicit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OctoConfig {
     /// Maximum octree refinement level (`--max_level`, 4 in the paper).
     pub max_level: u32,

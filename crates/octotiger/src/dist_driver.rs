@@ -25,13 +25,10 @@
 
 use std::sync::Mutex;
 
-use serde::de::DeserializeOwned;
-use serde::Serialize;
-
 use apex_lite::trace::{self, Cat};
 use apex_lite::{CounterRegistry, CounterSnapshot};
 use distrib::{
-    Cluster, ClusterConfig, CoalesceConfig, Gid, LocalityHandle, NetSnapshot, PortSnapshot,
+    Cluster, ClusterConfig, CoalesceConfig, Gid, LocalityHandle, NetSnapshot, PortSnapshot, Wire,
 };
 use rv_machine::NetBackend;
 
@@ -198,7 +195,7 @@ struct ParcelExchange<'a> {
 }
 
 impl ParcelExchange<'_> {
-    fn push<T: Serialize>(&self, deposit: &str, value: &T) {
+    fn push<T: Wire>(&self, deposit: &str, value: &T) {
         let ack = self.ctx.invoke(self.peer, deposit, value);
         self.acks.lock().expect("acks").push(ack);
     }
@@ -259,7 +256,7 @@ impl Exchange for ParcelExchange<'_> {
 /// Register `name` as the action that deposits one kind of push.
 fn register_deposit<T>(cluster: &Cluster, name: &str, slot: fn(&mut Inbox) -> &mut Slot<T>)
 where
-    T: DeserializeOwned + Send + 'static,
+    T: Wire + Send + 'static,
 {
     cluster.register_action(name, move |ctx: &LocalityHandle, gid, value: T| {
         ctx.with_component::<Inbox, _>(gid, |inbox| slot(inbox).deposit(value))

@@ -1,10 +1,8 @@
 //! Kernel backend selection — the three configurations of the paper's
 //! Fig. 7 node-level scaling experiment.
 
-use serde::{Deserialize, Serialize};
-
 /// How a compute kernel is dispatched on one sub-grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelType {
     /// The "old" hand-written kernels predating the Kokkos port
     /// (Octo-Tiger compiled without Kokkos).
