@@ -97,8 +97,8 @@ pub trait Wire: Sized {
         }
     }
 
-    /// Read `count` values. The caller has checked that what is left of `r`
-    /// can hold them ([`Wire::MIN_BYTES`] each), so `count` is safe to reserve.
+    /// Read `count` values. `count` is an array's length or has been checked
+    /// against what is left of `r`, so it is safe to reserve for.
     fn decode_vec(count: usize, r: &mut Reader<'_>) -> Result<Vec<Self>, WireError> {
         let mut items = Vec::with_capacity(count);
         for _ in 0..count {

@@ -228,6 +228,7 @@ proptest! {
             .collect();
         prop_assert_eq!(out, expected);
     }
+
     /// Bytes nobody encoded. Most die at the first count; a small leading
     /// `u32` gets some of them past it.
     #[test]

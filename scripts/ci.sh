@@ -4,6 +4,18 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# The wire format is ours (`distrib::wire`): no serializer dependency may come
+# back, and nothing in the workspace may need a proc-macro to build.
+echo "== structure: no serde, no proc-macro crate =="
+if git grep -n "serde" -- '*Cargo.toml' Cargo.lock; then
+  echo "serde is back in a manifest or the root lock file" >&2
+  exit 1
+fi
+if git grep -nE "^proc-macro *= *true" -- '*Cargo.toml'; then
+  echo "a workspace member is a proc-macro crate" >&2
+  exit 1
+fi
+
 echo "== cargo build --release =="
 cargo build --release
 
