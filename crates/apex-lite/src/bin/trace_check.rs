@@ -12,9 +12,7 @@
 //! `--require`, every listed token must appear in every file, matching
 //! either an event *category* or a span *name* — the CI smoke run uses
 //! `--require task,phase,comm` to prove the trace spans all three
-//! instrumented layers, and the aggregation gate uses
-//! `--require aggregate_launch` to prove batched kernel launches happened.
-//! With `--require-overlap A,B`, spans named `A`
+//! instrumented layers. With `--require-overlap A,B`, spans named `A`
 //! and `B` must have been simultaneously open (on any two threads) for a
 //! positive wall-clock duration — the CI proof that a futurized run really
 //! interleaved gravity and hydro instead of running them phase-by-phase.

@@ -2,8 +2,8 @@
 //!
 //! Times the two SoA fast-multipole kernels (`m2l_blocks`, `p2p_blocks`) at
 //! every supported SIMD width against the scalar reference path, each in
-//! nanoseconds per interaction, and a short driver run with the
-//! interaction-list cache on vs off. Results go to
+//! nanoseconds per interaction, and a short driver run whose task, launch
+//! and cache counts `bench_diff` holds exact. Results go to
 //! stdout (criterion-style lines) and, on a full run, to
 //! `BENCH_gravity.json` at the repo root so successive PRs accumulate a
 //! baseline series.
@@ -16,8 +16,6 @@ use octotiger::{Driver, OctoConfig};
 use repro_bench::gravity_kernel_sweeps;
 
 struct DriverPoint {
-    cache: bool,
-    host_tasks: usize,
     seconds: f64,
     hits: u64,
     misses: u64,
@@ -26,43 +24,26 @@ struct DriverPoint {
     fused_launches: u64,
 }
 
-fn bench_config(level: u32, steps: u32, cache: bool, host_tasks: usize) -> OctoConfig {
+fn bench_config(level: u32, steps: u32) -> OctoConfig {
     OctoConfig {
         max_level: level,
         stop_step: steps,
         threads: 2,
-        use_interaction_cache: cache,
-        monopole_host_tasks: host_tasks,
-        multipole_host_tasks: host_tasks,
-        hydro_host_tasks: host_tasks,
         ..OctoConfig::with_all_kernels(KernelType::KokkosSerial)
     }
 }
 
-/// Work-aggregation batch size for the batched driver runs; `1` is the
-/// per-leaf baseline. `BENCH_HOST_TASKS` overrides (the CI smoke run pins
-/// two sizes to exercise both paths).
-fn batch_size() -> usize {
-    std::env::var("BENCH_HOST_TASKS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(16)
-}
-
-/// One short driver run; reports wall time, cache and aggregation counters.
-fn time_driver(level: u32, steps: u32, cache: bool, host_tasks: usize) -> DriverPoint {
-    let mut driver = Driver::new(bench_config(level, steps, cache, host_tasks));
+/// One short driver run; reports wall time, cache and launch counters.
+fn time_driver(level: u32, steps: u32) -> DriverPoint {
+    let mut driver = Driver::new(bench_config(level, steps));
     let m = driver.run(2);
-    let agg = driver.aggregation_stats();
     DriverPoint {
-        cache,
-        host_tasks,
         seconds: m.elapsed_seconds,
         hits: m.cache.hits,
         misses: m.cache.misses,
         mac_evals: m.work.mac_evals,
         tasks_spawned: m.runtime_stats.tasks_spawned,
-        fused_launches: agg.fused_launches,
+        fused_launches: driver.aggregation_stats().fused_launches,
     }
 }
 
@@ -70,8 +51,7 @@ fn main() {
     let smoke = std::env::var("BENCH_SMOKE").is_ok_and(|v| v == "1");
     let (level, iters, steps) = if smoke { (1, 1, 1) } else { (2, 12, 4) };
 
-    let batch = batch_size();
-    let driver = Driver::new(bench_config(level, steps, true, 1));
+    let driver = Driver::new(bench_config(level, steps));
     let policies = [
         SimdPolicy::Scalar,
         SimdPolicy::Width(1),
@@ -87,25 +67,17 @@ fn main() {
         );
     }
 
-    let driver_points = [
-        time_driver(level, steps, true, 1),
-        time_driver(level, steps, false, 1),
-        time_driver(level, steps, true, batch),
-    ];
-    for p in &driver_points {
-        println!(
-            "gravity-cache/steps(cache={},host_tasks={}): {:.2} ms, hits {} misses {} \
-             mac_evals {} tasks_spawned {} fused_launches {}",
-            p.cache,
-            p.host_tasks,
-            p.seconds * 1e3,
-            p.hits,
-            p.misses,
-            p.mac_evals,
-            p.tasks_spawned,
-            p.fused_launches
-        );
-    }
+    let run = time_driver(level, steps);
+    println!(
+        "gravity-cache/steps: {:.2} ms, hits {} misses {} \
+         mac_evals {} tasks_spawned {} fused_launches {}",
+        run.seconds * 1e3,
+        run.hits,
+        run.misses,
+        run.mac_evals,
+        run.tasks_spawned,
+        run.fused_launches
+    );
 
     if smoke {
         println!("BENCH_SMOKE=1: skipping BENCH_gravity.json write");
@@ -121,21 +93,16 @@ fn main() {
             )
         })
         .collect();
-    let driver_json: Vec<String> = driver_points
-        .iter()
-        .map(|p| {
-            format!(
-                "    {{\"interaction_cache\": {}, \"host_tasks\": {}, \"seconds\": {:.6}, \"hits\": {}, \"misses\": {}, \"mac_evals\": {}, \"tasks_spawned\": {}, \"fused_launches\": {}}}",
-                p.cache, p.host_tasks, p.seconds, p.hits, p.misses, p.mac_evals, p.tasks_spawned, p.fused_launches
-            )
-        })
-        .collect();
+    let driver_json = format!(
+        "    {{\"seconds\": {:.6}, \"hits\": {}, \"misses\": {}, \"mac_evals\": {}, \"tasks_spawned\": {}, \"fused_launches\": {}}}",
+        run.seconds, run.hits, run.misses, run.mac_evals, run.tasks_spawned, run.fused_launches
+    );
     let json = format!(
         "{{\n  \"bench\": \"gravity\",\n  \"host_simd_isa\": \"{}\",\n  \"compiled_simd_isa\": \"{}\",\n  \"tree_level\": {level},\n  \"steps\": {steps},\n  \"sweep_iters\": {iters},\n  \"kernel_sweeps\": [\n{}\n  ],\n  \"driver_runs\": [\n{}\n  ]\n}}\n",
         octotiger::kernel_backend::host_simd_isa(),
         octotiger::kernel_backend::compiled_simd_isa(),
         kernel_json.join(",\n"),
-        driver_json.join(",\n")
+        driver_json
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_gravity.json");
     std::fs::write(path, json).expect("write BENCH_gravity.json");

@@ -7,8 +7,8 @@
 //!    staged SoA SIMD path at every supported pack width. Legacy dispatch =
 //!    inline serial execution, isolating the kernels from scheduling noise.
 //! 2. Step pipeline: a short multi-worker driver run of the step's task
-//!    graph per leaf and with batched launches, reporting wall time and the
-//!    measured gravity/hydro overlap ratio.
+//!    graph, reporting wall time, the measured gravity/hydro overlap ratio
+//!    and the task counts `bench_diff` holds exact.
 //!
 //! Results go to stdout (criterion-style lines) and, on a full run, to
 //! `BENCH_hydro.json` at the repo root so successive PRs accumulate a
@@ -31,7 +31,6 @@ struct KernelPoint {
 }
 
 struct StepPoint {
-    host_tasks: usize,
     seconds: f64,
     overlap_ratio: f64,
     tasks_spawned: u64,
@@ -42,34 +41,21 @@ struct StepPoint {
 /// sweep 1..64 cores; CI boxes are small, so stay modest and deterministic.
 const STEP_THREADS: usize = 3;
 
-fn bench_config(level: u32, steps: u32, host_tasks: usize) -> OctoConfig {
+fn bench_config(level: u32, steps: u32) -> OctoConfig {
     OctoConfig {
         max_level: level,
         stop_step: steps,
         threads: STEP_THREADS,
-        monopole_host_tasks: host_tasks,
-        multipole_host_tasks: host_tasks,
-        hydro_host_tasks: host_tasks,
         simd_width: 4,
         ..OctoConfig::with_all_kernels(KernelType::KokkosSerial)
     }
 }
 
-/// Work-aggregation batch size for the batched step-pipeline run; `1` is
-/// the per-leaf baseline. `BENCH_HOST_TASKS` overrides (CI smoke pins two
-/// sizes to exercise both paths).
-fn batch_size() -> usize {
-    std::env::var("BENCH_HOST_TASKS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(16)
-}
-
 /// Best (min) wall time of `iters` full-tree hydro sweeps per policy, with
-/// the policies interleaved iteration-by-iteration (the `time_step_modes`
-/// methodology): ambient drift hits every width equally instead of
-/// penalizing whichever policy is timed last, and min filters OS
-/// scheduling noise, so width-vs-width gaps reflect intrinsic kernel cost.
+/// the policies interleaved iteration-by-iteration: ambient drift hits every
+/// width equally instead of penalizing whichever policy is timed last, and
+/// min filters OS scheduling noise, so width-vs-width gaps reflect intrinsic
+/// kernel cost.
 fn time_kernel_sweeps(driver: &Driver, policies: &[SimdPolicy], iters: u32) -> Vec<KernelPoint> {
     let tree = driver.tree();
     let d = Dispatch::Legacy;
@@ -120,44 +106,32 @@ fn time_kernel_sweeps(driver: &Driver, policies: &[SimdPolicy], iters: u32) -> V
 }
 
 /// One multi-worker driver run; wall time + measured overlap + task counts.
-fn run_step_mode(level: u32, steps: u32, host_tasks: usize) -> StepPoint {
-    let mut driver = Driver::new(bench_config(level, steps, host_tasks));
+fn run_step(level: u32, steps: u32) -> StepPoint {
+    let mut driver = Driver::new(bench_config(level, steps));
     let m = driver.run(STEP_THREADS);
-    let agg = driver.aggregation_stats();
     StepPoint {
-        host_tasks,
         seconds: m.elapsed_seconds,
         overlap_ratio: m.overlap_ratio,
         tasks_spawned: m.runtime_stats.tasks_spawned,
-        fused_launches: agg.fused_launches,
+        fused_launches: driver.aggregation_stats().fused_launches,
     }
 }
 
-/// Best-of-`reps` for the two step modes (per leaf, batched), interleaved
-/// rep-by-rep so ambient drift (frequency scaling, background load) hits
-/// both sides equally. Min (not mean) filters OS scheduling noise, which
-/// dominates on small shared CI hosts — the fastest run is the one closest
-/// to intrinsic cost.
-fn time_step_modes(level: u32, steps: u32, reps: u32, batch: usize) -> [StepPoint; 2] {
-    let modes = [1, batch];
-    let mut best = modes.map(|b| run_step_mode(level, steps, b));
-    for _ in 1..reps {
-        for (slot, host_tasks) in modes.into_iter().enumerate() {
-            let p = run_step_mode(level, steps, host_tasks);
-            if p.seconds < best[slot].seconds {
-                best[slot] = p;
-            }
-        }
-    }
-    best
+/// Best-of-`reps` step run. Min (not mean) filters OS scheduling noise,
+/// which dominates on small shared CI hosts — the fastest run is the one
+/// closest to intrinsic cost.
+fn time_step(level: u32, steps: u32, reps: u32) -> StepPoint {
+    (0..reps)
+        .map(|_| run_step(level, steps))
+        .min_by(|a, b| a.seconds.total_cmp(&b.seconds))
+        .expect("at least one repetition")
 }
 
 fn main() {
     let smoke = std::env::var("BENCH_SMOKE").is_ok_and(|v| v == "1");
     let (level, iters, steps, reps) = if smoke { (1, 1, 1, 1) } else { (2, 20, 10, 7) };
 
-    let batch = batch_size();
-    let driver = Driver::new(bench_config(level, steps, 1));
+    let driver = Driver::new(bench_config(level, steps));
     let policies = [
         SimdPolicy::Scalar,
         SimdPolicy::Width(1),
@@ -182,20 +156,14 @@ fn main() {
         );
     }
 
-    let step_points = time_step_modes(level, steps, reps, batch);
-    for p in &step_points {
-        println!(
-            "hydro-step/steps(host_tasks={}): {:.2} ms, overlap_ratio {:.3}, \
-             tasks_spawned {} fused_launches {}",
-            p.host_tasks,
-            p.seconds * 1e3,
-            p.overlap_ratio,
-            p.tasks_spawned,
-            p.fused_launches
-        );
-    }
-    let aggregate_speedup = step_points[0].seconds / step_points[1].seconds;
-    println!("hydro-aggregate/speedup(host_tasks={batch}): {aggregate_speedup:.2}x vs per-leaf");
+    let step = time_step(level, steps, reps);
+    println!(
+        "hydro-step/steps: {:.2} ms, overlap_ratio {:.3}, tasks_spawned {} fused_launches {}",
+        step.seconds * 1e3,
+        step.overlap_ratio,
+        step.tasks_spawned,
+        step.fused_launches
+    );
 
     if smoke {
         println!("BENCH_SMOKE=1: skipping BENCH_hydro.json write");
@@ -213,21 +181,16 @@ fn main() {
             )
         })
         .collect();
-    let step_json: Vec<String> = step_points
-        .iter()
-        .map(|p| {
-            format!(
-                "    {{\"host_tasks\": {}, \"seconds\": {:.6}, \"overlap_ratio\": {:.4}, \"tasks_spawned\": {}, \"fused_launches\": {}}}",
-                p.host_tasks, p.seconds, p.overlap_ratio, p.tasks_spawned, p.fused_launches
-            )
-        })
-        .collect();
+    let step_json = format!(
+        "    {{\"seconds\": {:.6}, \"overlap_ratio\": {:.4}, \"tasks_spawned\": {}, \"fused_launches\": {}}}",
+        step.seconds, step.overlap_ratio, step.tasks_spawned, step.fused_launches
+    );
     let json = format!(
-        "{{\n  \"bench\": \"hydro\",\n  \"host_simd_isa\": \"{}\",\n  \"compiled_simd_isa\": \"{}\",\n  \"tree_level\": {level},\n  \"steps\": {steps},\n  \"sweep_iters\": {iters},\n  \"step_reps\": {reps},\n  \"threads\": {STEP_THREADS},\n  \"kernel_sweeps\": [\n{}\n  ],\n  \"step_modes\": [\n{}\n  ],\n  \"aggregate_speedup\": {aggregate_speedup:.3}\n}}\n",
+        "{{\n  \"bench\": \"hydro\",\n  \"host_simd_isa\": \"{}\",\n  \"compiled_simd_isa\": \"{}\",\n  \"tree_level\": {level},\n  \"steps\": {steps},\n  \"sweep_iters\": {iters},\n  \"step_reps\": {reps},\n  \"threads\": {STEP_THREADS},\n  \"kernel_sweeps\": [\n{}\n  ],\n  \"step_modes\": [\n{}\n  ]\n}}\n",
         octotiger::kernel_backend::host_simd_isa(),
         octotiger::kernel_backend::compiled_simd_isa(),
         kernel_json.join(",\n"),
-        step_json.join(",\n"),
+        step_json,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_hydro.json");
     std::fs::write(path, json).expect("write BENCH_hydro.json");

@@ -72,12 +72,6 @@ fn scale_config(level: u32, threads: usize) -> OctoConfig {
         max_level: level,
         stop_step: 3,
         threads,
-        // Deep trees are exactly where per-leaf launches drown in overhead:
-        // run the batched path, as the upstream max_kernels_fused runs do.
-        monopole_host_tasks: 16,
-        multipole_host_tasks: 16,
-        hydro_host_tasks: 16,
-        regrid_host_tasks: 16,
         ..OctoConfig::with_all_kernels(KernelType::KokkosSerial)
     }
 }

@@ -159,12 +159,6 @@ fn get_f64(v: &Value, key: &str) -> Result<f64, String> {
         .ok_or_else(|| format!("baseline missing numeric field {key:?}"))
 }
 
-fn get_bool(v: &Value, key: &str) -> Result<bool, String> {
-    v.get(key)
-        .and_then(Value::as_bool)
-        .ok_or_else(|| format!("baseline missing boolean field {key:?}"))
-}
-
 fn load(dir: &str, file: &str) -> Result<Value, String> {
     let path = format!("{dir}/{file}");
     let text = std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
@@ -189,54 +183,37 @@ struct DriverPoint {
 }
 
 /// One gravity-bench driver run (bench_gravity::bench_config).
-fn gravity_point(level: u32, steps: u32, cache: bool, host_tasks: usize) -> DriverPoint {
-    let host_tasks = host_tasks.max(1);
-    let mut driver = Driver::new(OctoConfig {
+fn gravity_point(level: u32, steps: u32) -> DriverPoint {
+    driver_point(OctoConfig {
         max_level: level,
         stop_step: steps,
         threads: 2,
-        use_interaction_cache: cache,
-        monopole_host_tasks: host_tasks,
-        multipole_host_tasks: host_tasks,
-        hydro_host_tasks: host_tasks,
         ..OctoConfig::with_all_kernels(KernelType::KokkosSerial)
-    });
-    let m = driver.run(2);
-    let agg = driver.aggregation_stats();
+    })
+}
+
+/// One hydro-bench step run (bench_hydro::bench_config, 3 workers).
+fn hydro_point(level: u32, steps: u32) -> DriverPoint {
+    driver_point(OctoConfig {
+        max_level: level,
+        stop_step: steps,
+        threads: 3,
+        simd_width: 4,
+        ..OctoConfig::with_all_kernels(KernelType::KokkosSerial)
+    })
+}
+
+fn driver_point(cfg: OctoConfig) -> DriverPoint {
+    let threads = cfg.threads;
+    let mut driver = Driver::new(cfg);
+    let m = driver.run(threads);
     DriverPoint {
         seconds: m.elapsed_seconds,
         hits: m.cache.hits as f64,
         misses: m.cache.misses as f64,
         mac_evals: m.work.mac_evals as f64,
         tasks_spawned: m.runtime_stats.tasks_spawned as f64,
-        fused_launches: agg.fused_launches as f64,
-        overlap_ratio: m.overlap_ratio,
-    }
-}
-
-/// One hydro-bench step-mode run (bench_hydro::bench_config, 3 workers).
-fn hydro_point(level: u32, steps: u32, host_tasks: usize) -> DriverPoint {
-    let host_tasks = host_tasks.max(1);
-    let cfg = OctoConfig {
-        max_level: level,
-        stop_step: steps,
-        threads: 3,
-        monopole_host_tasks: host_tasks,
-        multipole_host_tasks: host_tasks,
-        hydro_host_tasks: host_tasks,
-        simd_width: 4,
-        ..OctoConfig::with_all_kernels(KernelType::KokkosSerial)
-    };
-    let mut driver = Driver::new(cfg);
-    let m = driver.run(3);
-    let agg = driver.aggregation_stats();
-    DriverPoint {
-        seconds: m.elapsed_seconds,
-        hits: 0.0,
-        misses: 0.0,
-        mac_evals: 0.0,
-        tasks_spawned: m.runtime_stats.tasks_spawned as f64,
-        fused_launches: agg.fused_launches as f64,
+        fused_launches: driver.aggregation_stats().fused_launches as f64,
         overlap_ratio: m.overlap_ratio,
     }
 }
@@ -257,10 +234,6 @@ fn scale_point(level: u32, steps: u32, threads: usize) -> ScalePoint {
         max_level: level,
         stop_step: steps,
         threads,
-        monopole_host_tasks: 16,
-        multipole_host_tasks: 16,
-        hydro_host_tasks: 16,
-        regrid_host_tasks: 16,
         ..OctoConfig::with_all_kernels(KernelType::KokkosSerial)
     });
     let rt = Runtime::new(threads);
@@ -380,10 +353,8 @@ fn diff_gravity(doc: &Value, tolerance: f64, report: &mut Report) -> Result<(), 
         .and_then(Value::as_arr)
         .ok_or("baseline missing driver_runs")?;
     for row in runs {
-        let cache = get_bool(row, "interaction_cache")?;
-        let host_tasks = get_f64(row, "host_tasks")? as usize;
-        let tag = format!("gravity/driver(cache={cache},host_tasks={host_tasks})");
-        let fresh = gravity_point(level, steps, cache, host_tasks);
+        let tag = "gravity/driver";
+        let fresh = gravity_point(level, steps);
         let metrics = [
             ("hits", fresh.hits, Class::Count),
             ("misses", fresh.misses, Class::Count),
@@ -422,9 +393,8 @@ fn diff_hydro(doc: &Value, tolerance: f64, report: &mut Report) -> Result<(), St
         .and_then(Value::as_arr)
         .ok_or("baseline missing step_modes")?;
     for row in modes {
-        let host_tasks = get_f64(row, "host_tasks")? as usize;
-        let tag = format!("hydro/step(host_tasks={host_tasks})");
-        let fresh = hydro_point(level, steps, host_tasks);
+        let tag = "hydro/step";
+        let fresh = hydro_point(level, steps);
         let metrics = [
             ("tasks_spawned", fresh.tasks_spawned, Class::Count),
             ("fused_launches", fresh.fused_launches, Class::Count),

@@ -39,13 +39,13 @@ pub struct GravityKernelPoint {
 
 /// Time the M2L and the P2P kernel over every leaf of `driver`'s tree, per
 /// policy: best (min) of `iters` whole-tree sweeps, divided by the sweep's
-/// interaction count. The policies are interleaved iteration by iteration
-/// (the `time_step_modes` methodology from bench_hydro): ambient drift —
-/// frequency scaling, background load — hits every width equally instead of
-/// penalizing whichever policy happens to be timed last, and min filters OS
-/// scheduling noise, so width-vs-width ratios reflect intrinsic kernel
-/// cost. Far tables are gathered once, outside the timed region; `Legacy`
-/// dispatch runs the kernels inline, away from task-scheduling noise.
+/// interaction count. The policies are interleaved iteration by iteration:
+/// ambient drift — frequency scaling, background load — hits every width
+/// equally instead of penalizing whichever policy happens to be timed last,
+/// and min filters OS scheduling noise, so width-vs-width ratios reflect
+/// intrinsic kernel cost. Far tables are gathered once, outside the timed
+/// region; `Legacy` dispatch runs the kernels inline, away from
+/// task-scheduling noise.
 pub fn gravity_kernel_sweeps(
     driver: &Driver,
     policies: &[SimdPolicy],

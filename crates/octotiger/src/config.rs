@@ -42,32 +42,12 @@ pub struct OctoConfig {
     /// Density threshold (relative to the star's central density) above
     /// which a region is refined.
     pub refine_density_frac: f64,
-    /// Leaves fused per near-field (P2P) gravity launch
-    /// (`--monopole_host_tasks`, the upstream `max_kernels_fused` spack
-    /// variant for the monopole family). 1 = no aggregation, bitwise the
-    /// per-leaf path.
-    pub monopole_host_tasks: usize,
-    /// Leaves fused per far-field (M2L) gravity launch
-    /// (`--multipole_host_tasks`).
-    pub multipole_host_tasks: usize,
-    /// Leaves fused per CFL/hydro launch (`--hydro_host_tasks`).
-    pub hydro_host_tasks: usize,
-    /// Splits prolongated per task of a [`Driver::regrid`] sweep
-    /// (`--regrid_host_tasks`) — the aggregation idiom applied to the
-    /// refinement sweep. 1 = one task per split.
-    ///
-    /// [`Driver::regrid`]: crate::driver::Driver::regrid
-    pub regrid_host_tasks: usize,
     /// SIMD width of the gravity kernels' inner source loops
     /// (`--simd_kernel_width`): 0 = the scalar reference path, otherwise
     /// one of 1/2/4/8 (a pack width; 1 is the RISC-V degenerate pack).
     /// Stored as the raw width so the config stays a flat serializable
     /// struct; convert with [`SimdPolicy::from_width`].
     pub simd_width: usize,
-    /// Reuse the per-leaf interaction lists across solves until the octree
-    /// topology changes (`--interaction_list_cache`). Off = the cache-off
-    /// ablation: rebuild the dual traversal every step, as the seed did.
-    pub use_interaction_cache: bool,
     /// Batch small parcels per destination before transmitting
     /// (`--coalesce=on`): HPX's parcel-coalescing plugin. Off (the
     /// default) sends every parcel as its own frame, matching the paper's
@@ -107,12 +87,7 @@ impl Default for OctoConfig {
             parcelport: NetBackend::Tcp,
             cfl: 0.4,
             refine_density_frac: 1.0e-4,
-            monopole_host_tasks: 1,
-            multipole_host_tasks: 1,
-            hydro_host_tasks: 1,
-            regrid_host_tasks: 16,
             simd_width: 4,
-            use_interaction_cache: true,
             coalesce: false,
             trace_out: None,
             counter_table: false,
@@ -121,6 +96,17 @@ impl Default for OctoConfig {
         }
     }
 }
+
+/// Flags earlier versions accepted. Unknown keys are ignored, so without
+/// this list a script still passing one would run the one remaining path
+/// without a word.
+const RETIRED_FLAGS: [&str; 5] = [
+    "monopole_host_tasks",
+    "multipole_host_tasks",
+    "hydro_host_tasks",
+    "regrid_host_tasks",
+    "interaction_list_cache",
+];
 
 impl OctoConfig {
     /// The paper's node-level configuration with every kernel set to `k`.
@@ -145,7 +131,8 @@ impl OctoConfig {
 
     /// Parse a `--key=value` argument list (the paper runs everything from
     /// the command line because the cluster has no job scheduler,
-    /// Appendix B). Unknown keys are ignored, like HPX's option forwarding.
+    /// Appendix B). Unknown keys are ignored, like HPX's option forwarding;
+    /// a retired one (`RETIRED_FLAGS`) is an error.
     pub fn from_args<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Self, String> {
         let mut cfg = OctoConfig::default();
         for arg in args {
@@ -165,10 +152,6 @@ impl OctoConfig {
                 "hydro_host_kernel_type" => cfg.hydro_kernel = KernelType::parse(value)?,
                 "multipole_host_kernel_type" => cfg.multipole_kernel = KernelType::parse(value)?,
                 "monopole_host_kernel_type" => cfg.monopole_kernel = KernelType::parse(value)?,
-                "monopole_host_tasks" => cfg.monopole_host_tasks = parse(key, value)?,
-                "multipole_host_tasks" => cfg.multipole_host_tasks = parse(key, value)?,
-                "hydro_host_tasks" => cfg.hydro_host_tasks = parse(key, value)?,
-                "regrid_host_tasks" => cfg.regrid_host_tasks = parse(key, value)?,
                 "simd_kernel_width" => {
                     cfg.simd_width = match value {
                         "scalar" => 0,
@@ -178,17 +161,6 @@ impl OctoConfig {
                                  (scalar/0 or a pack width 1/2/4/8)"
                             )
                         })?,
-                    }
-                }
-                "interaction_list_cache" => {
-                    cfg.use_interaction_cache = match value {
-                        "on" | "1" | "true" => true,
-                        "off" | "0" | "false" => false,
-                        other => {
-                            return Err(format!(
-                                "invalid value {other:?} for --interaction_list_cache (on/off)"
-                            ))
-                        }
                     }
                 }
                 "coalesce" => {
@@ -226,6 +198,12 @@ impl OctoConfig {
                         }
                     }
                 }
+                retired if RETIRED_FLAGS.contains(&retired) => {
+                    return Err(format!(
+                        "--{retired} was removed: the step runs one task per leaf per \
+                         kernel on cached interaction lists, with nothing to select"
+                    ));
+                }
                 _ => {}
             }
         }
@@ -238,8 +216,16 @@ impl OctoConfig {
         if !(0.0..=1.0).contains(&self.theta) {
             return Err(format!("theta {} outside [0, 1]", self.theta));
         }
-        if self.cfl <= 0.0 || self.cfl >= 1.0 {
+        // Positive form: a NaN fails every comparison, so it is refused here
+        // and not one step later as a non-finite dt.
+        if !(self.cfl > 0.0 && self.cfl < 1.0) {
             return Err(format!("cfl {} outside (0, 1)", self.cfl));
+        }
+        if !(self.refine_density_frac > 0.0 && self.refine_density_frac.is_finite()) {
+            return Err(format!(
+                "refine_density_frac {} is not positive and finite",
+                self.refine_density_frac
+            ));
         }
         if self.threads == 0 {
             return Err("threads must be >= 1".into());
@@ -251,29 +237,10 @@ impl OctoConfig {
             ));
         }
         SimdPolicy::from_width(self.simd_width)?;
-        for (knob, v) in [
-            ("monopole_host_tasks", self.monopole_host_tasks),
-            ("multipole_host_tasks", self.multipole_host_tasks),
-            ("hydro_host_tasks", self.hydro_host_tasks),
-            ("regrid_host_tasks", self.regrid_host_tasks),
-        ] {
-            if v == 0 {
-                return Err(format!("--{knob} must be >= 1 (1 disables aggregation)"));
-            }
-        }
         if self.sample_interval_ms == Some(0) {
             return Err("--sample_interval_ms must be >= 1".into());
         }
         Ok(())
-    }
-
-    /// Work-aggregation batch sizes (the `--*_host_tasks` knobs).
-    pub fn aggregation(&self) -> crate::aggregate::AggregationConfig {
-        crate::aggregate::AggregationConfig {
-            monopole: self.monopole_host_tasks,
-            multipole: self.multipole_host_tasks,
-            hydro: self.hydro_host_tasks,
-        }
     }
 
     /// SIMD policy of the gravity kernels ([`OctoConfig::simd_width`]).
@@ -342,40 +309,27 @@ mod tests {
         assert!(OctoConfig::from_args(["--hydro_host_kernel_type=CUDA"]).is_err());
         assert!(OctoConfig::from_args(["--hpx:parcelport=infiniband"]).is_err());
         assert!(OctoConfig::from_args(["--simd_kernel_width=3"]).is_err());
-        assert!(OctoConfig::from_args(["--interaction_list_cache=maybe"]).is_err());
         assert!(OctoConfig::from_args(["--coalesce=maybe"]).is_err());
-        assert!(OctoConfig::from_args(["--monopole_host_tasks=0"]).is_err());
-        assert!(OctoConfig::from_args(["--hydro_host_tasks=x"]).is_err());
-        assert!(OctoConfig::from_args(["--regrid_host_tasks=0"]).is_err());
+        // NaN fails every comparison: the checks are written in positive form.
+        assert!(OctoConfig::from_args(["--cfl=NaN"]).is_err());
+        for bad in [f64::NAN, f64::INFINITY, 0.0, -1.0] {
+            let cfg = OctoConfig {
+                refine_density_frac: bad,
+                ..OctoConfig::default()
+            };
+            assert!(cfg.validate().is_err(), "refine_density_frac {bad}");
+        }
     }
 
     #[test]
-    fn parses_aggregation_knobs() {
-        let d = OctoConfig::default();
-        assert_eq!(
-            (
-                d.monopole_host_tasks,
-                d.multipole_host_tasks,
-                d.hydro_host_tasks
-            ),
-            (1, 1, 1),
-            "aggregation is off by default: batch size 1 is the per-leaf path"
-        );
-        assert!(d.aggregation().unified_gravity());
-        let c = OctoConfig::from_args([
-            "--monopole_host_tasks=8",
-            "--multipole_host_tasks=4",
-            "--hydro_host_tasks=16",
-            "--regrid_host_tasks=32",
-        ])
-        .unwrap();
-        assert_eq!(c.regrid_host_tasks, 32);
-        let a = c.aggregation();
-        assert_eq!((a.monopole, a.multipole, a.hydro), (8, 4, 16));
-        assert!(
-            !a.unified_gravity(),
-            "unequal gravity sizes split the families"
-        );
+    fn retired_flags_are_refused_by_name() {
+        for key in RETIRED_FLAGS {
+            let err = OctoConfig::from_args([format!("--{key}=1").as_str()]).unwrap_err();
+            assert!(
+                err.starts_with(&format!("--{key} was removed")),
+                "{key}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -389,15 +343,12 @@ mod tests {
     }
 
     #[test]
-    fn parses_simd_and_cache_flags() {
-        let c = OctoConfig::from_args(["--simd_kernel_width=8", "--interaction_list_cache=off"])
-            .unwrap();
+    fn parses_simd_flag() {
+        let c = OctoConfig::from_args(["--simd_kernel_width=8"]).unwrap();
         assert_eq!(c.simd_width, 8);
         assert_eq!(c.simd_policy(), SimdPolicy::Width(8));
-        assert!(!c.use_interaction_cache);
         let d = OctoConfig::default();
         assert_eq!(d.simd_width, 4, "SIMD is the default backend");
-        assert!(d.use_interaction_cache);
         assert_eq!(
             OctoConfig::from_args(["--simd_kernel_width=0"])
                 .unwrap()

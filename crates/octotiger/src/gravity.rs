@@ -34,6 +34,8 @@
 //! retained as an always-available reference backend. A direct O(N²)
 //! summation ([`direct_accel`]) validates the FMM in tests.
 
+use std::sync::Mutex;
+
 use apex_lite::trace::{self, Cat};
 
 use crate::kernel_backend::{Dispatch, SimdPolicy};
@@ -820,12 +822,6 @@ impl FarField {
         self.len
     }
 
-    /// Storage rows, sentinel pad rows included — the `start` offset of the
-    /// next segment in a batch-fused table.
-    pub fn storage_len(&self) -> usize {
-        self.mass.len()
-    }
-
     /// True when no sources are loaded.
     pub fn is_empty(&self) -> bool {
         self.len == 0
@@ -872,67 +868,33 @@ impl FarField {
         }
     }
 
-    /// Append the moments of `nodes` as one segment, padded by
-    /// [`FarField::pad_to_simd`]; returns the segment's first storage row.
-    pub fn push_segment(&mut self, moments: &[Moments], nodes: &[NodeId]) -> usize {
-        let start = self.storage_len();
+    /// Append the moments of `nodes`, then pad ([`FarField::pad_to_simd`]):
+    /// how a leaf's far table is built from its far list.
+    pub fn push_segment(&mut self, moments: &[Moments], nodes: &[NodeId]) {
         for &n in nodes {
             self.push(&moments[n]);
         }
         self.pad_to_simd();
-        start
     }
 
-    /// Borrowed view of the whole table. Only meaningful for single-segment
-    /// tables (sources pushed from row 0, at most one trailing pad); a
-    /// batch-fused table must be addressed through [`FarField::range_view`]
-    /// with its recorded per-leaf ranges.
+    /// Borrowed view of the table: the slices cover the storage, sentinel
+    /// pad rows included, so the M2L kernel can finish the ragged remainder
+    /// with one full-pack load; without padded storage the kernel falls back
+    /// to a predicated load at the view's end.
     pub fn as_view(&self) -> FarFieldView<'_> {
-        self.range_view(0, self.len())
-    }
-
-    /// Borrowed view of the contiguous sub-range `[start, start + len)` —
-    /// how the work-aggregation executor addresses one leaf's segment of a
-    /// batch-fused far table. The slices extend over any sentinel pad rows
-    /// that follow the segment (verified row by row), so the M2L kernel can
-    /// finish the ragged remainder with one full-pack load; without padded
-    /// storage the kernel falls back to a predicated load at the view's
-    /// end, so tail handling still lands exactly on the leaf boundary.
-    pub fn range_view(&self, start: usize, len: usize) -> FarFieldView<'_> {
-        let cap = self
-            .mass
-            .len()
-            .min(start + len.div_ceil(SIMD_PAD) * SIMD_PAD);
-        let mut end = start + len;
-        while end < cap && self.is_pad_row(end) {
-            end += 1;
-        }
         FarFieldView {
-            mass: &self.mass[start..end],
-            x: &self.x[start..end],
-            y: &self.y[start..end],
-            z: &self.z[start..end],
-            quad: std::array::from_fn(|i| &self.quad[i][start..end]),
-            len,
+            mass: &self.mass,
+            x: &self.x,
+            y: &self.y,
+            z: &self.z,
+            quad: std::array::from_fn(|i| &self.quad[i][..]),
+            len: self.len,
         }
-    }
-
-    /// True when storage row `i` holds the sentinel values a padded load
-    /// would construct (and so contributes exactly zero acceleration).
-    fn is_pad_row(&self, i: usize) -> bool {
-        self.mass[i] == 0.0
-            && self.x[i] == PAD_POS
-            && self.y[i] == PAD_POS
-            && self.z[i] == PAD_POS
-            && self.quad.iter().all(|q| q[i] == 0.0)
     }
 }
 
-/// Borrowed SoA slice of a [`FarField`] — the unit the M2L kernels actually
-/// consume. A per-leaf table is the full view; a leaf's segment of a
-/// batch-fused table is a sub-range view. Either way the kernel sees one
-/// contiguous source stream with at most one ragged tail pack, which is why
-/// batched execution is bitwise-identical to per-leaf execution. The slices
+/// Borrowed SoA slice of a [`FarField`] — the unit the M2L kernels consume:
+/// one contiguous source stream with at most one ragged tail pack. The slices
 /// may run past [`FarFieldView::len`] into sentinel pad rows — the kernels
 /// full-load the tail from those rows when present and only construct a
 /// predicated pack when the slices end flush with the real sources.
@@ -1035,9 +997,7 @@ fn m2l_pack<const W: usize, const PAD: bool>(
 /// Width-generic SIMD M2L kernel over a borrowed [`FarFieldView`]. Far
 /// sources are strictly outside the target leaf's circumscribed sphere (the
 /// MAC guarantees `dist − radius > 0`), so `r² > 0` on every real lane and
-/// the scalar kernel's `r² == 0` guard is unnecessary. The padded remainder
-/// pack sits at the view's end, so a sub-range view of a fused batch table
-/// is masked exactly at its leaf boundary.
+/// the scalar kernel's `r² == 0` guard is unnecessary.
 #[inline]
 pub fn multipole_accel_simd_view<const W: usize>(p: [f64; 3], ff: FarFieldView<'_>) -> [f64; 3] {
     let p = p.map(Simd::<W>::splat);
@@ -1167,11 +1127,96 @@ pub fn scatter_block_accel(block_acc: &[[f64; 3]], near_acc: &[[f64; 3]]) -> Vec
     out
 }
 
-/// One-shot FMM acceleration for one target leaf: its own dual traversal,
-/// a transient far table, then the three stages every solve is made of
-/// ([`m2l_blocks`], [`p2p_blocks`], [`scatter_block_accel`]). For tests,
-/// benches and single-leaf studies; the driver solves through
-/// [`crate::aggregate::run_gravity_stage`] on cached lists.
+/// Reusable buffers of one leaf solve: the far table and the per-block
+/// accumulators. Grow-only; [`LeafSolve::accel`] resets what it reads, so one
+/// scratch serves any number of leaves in a row.
+#[derive(Default)]
+pub struct GravityScratch {
+    far: FarField,
+    /// Far-field acceleration per block of the leaf being solved.
+    block_acc: Vec<[f64; 3]>,
+    /// Near-field acceleration per block of the leaf being solved.
+    near_acc: Vec<[f64; 3]>,
+}
+
+/// Shared free list of [`GravityScratch`] buffers. Far tables have
+/// data-dependent lengths, so they recycle here as grow-only buffers rather
+/// than through the length-keyed [`RecyclePool`](crate::recycle::RecyclePool).
+#[derive(Default)]
+pub struct GravityScratches {
+    pool: Mutex<Vec<GravityScratch>>,
+}
+
+impl GravityScratches {
+    /// Take a scratch buffer (fresh if the pool is dry).
+    pub fn take(&self) -> GravityScratch {
+        let mut pool = self.pool.lock().expect("gravity scratch pool lock");
+        pool.pop().unwrap_or_default()
+    }
+
+    /// Return a scratch buffer for reuse.
+    pub fn put(&self, s: GravityScratch) {
+        self.pool.lock().expect("gravity scratch pool lock").push(s);
+    }
+}
+
+/// What every leaf solve of one gravity pass reads: the tree, the upward
+/// pass's moments, the P2M blocks of *every* leaf in leaf order (near-list
+/// sources may be owned elsewhere) and the kernel configuration.
+pub struct LeafSolve<'a> {
+    /// The (immutable-for-the-pass) octree.
+    pub tree: &'a Octree,
+    /// Upward-pass moments, node order.
+    pub moments: &'a [Moments],
+    /// P2M blocks, leaf order.
+    pub blocks: &'a [BlockSoA],
+    /// `NodeId` → leaf-order position.
+    pub leaf_pos: &'a [usize],
+    /// Execution spaces + SIMD width of the kernels.
+    pub kernels: &'a GravityKernels<'a>,
+}
+
+impl LeafSolve<'_> {
+    /// Cell accelerations of leaf `target` from its `far` and `near` lists —
+    /// the three stages every solve is made of: the far table gathered into
+    /// `scratch` and swept by [`m2l_blocks`], the near list's blocks swept
+    /// where they lie by [`p2p_blocks`], then [`scatter_block_accel`].
+    pub fn accel(
+        &self,
+        target: NodeId,
+        far: &[NodeId],
+        near: &[NodeId],
+        scratch: &mut GravityScratch,
+    ) -> Vec<[f64; 3]> {
+        let tb = &self.blocks[self.leaf_pos[target]];
+        let (_, dx) = self.tree.node_geometry(target);
+        scratch.far.clear();
+        scratch.far.push_segment(self.moments, far);
+        scratch.block_acc.resize(BLOCKS, [0.0; 3]);
+        scratch.near_acc.resize(BLOCKS, [0.0; 3]);
+        m2l_blocks(
+            self.kernels,
+            tb,
+            scratch.far.as_view(),
+            &mut scratch.block_acc,
+        );
+        p2p_blocks(
+            self.kernels,
+            self.blocks,
+            self.leaf_pos,
+            tb,
+            near,
+            softening(dx),
+            &mut scratch.near_acc,
+        );
+        scatter_block_accel(&scratch.block_acc, &scratch.near_acc)
+    }
+}
+
+/// One-shot FMM acceleration for one target leaf: its own dual traversal and
+/// a transient scratch around [`LeafSolve::accel`]. For tests, benches and
+/// single-leaf studies; the driver solves on cached lists and recycled
+/// scratch.
 pub fn accel_for_leaf(
     tree: &Octree,
     moments: &[Moments],
@@ -1182,23 +1227,14 @@ pub fn accel_for_leaf(
     kernels: &GravityKernels<'_>,
 ) -> Vec<[f64; 3]> {
     let (far, near) = interaction_lists(tree, moments, target, theta);
-    let tb = &blocks[leaf_pos[target]];
-    let (_, dx) = tree.node_geometry(target);
-    let mut far_field = FarField::new();
-    far_field.push_segment(moments, &far);
-    let mut block_acc = vec![[0.0; 3]; BLOCKS];
-    m2l_blocks(kernels, tb, far_field.as_view(), &mut block_acc);
-    let mut near_acc = vec![[0.0; 3]; BLOCKS];
-    p2p_blocks(
-        kernels,
+    let solve = LeafSolve {
+        tree,
+        moments,
         blocks,
         leaf_pos,
-        tb,
-        &near,
-        softening(dx),
-        &mut near_acc,
-    );
-    scatter_block_accel(&block_acc, &near_acc)
+        kernels,
+    };
+    solve.accel(target, &far, &near, &mut GravityScratch::default())
 }
 
 /// `NodeId` → leaf-order position (usize::MAX for internal nodes).
@@ -1600,7 +1636,7 @@ mod tests {
         let mut padded = plain.clone();
         padded.pad_to_simd();
         assert_eq!(padded.len(), 13, "pad must not change the logical len");
-        assert_eq!(padded.storage_len(), 16);
+        assert_eq!(padded.mass.len(), 16);
         let p = [1.1, 0.7, -0.9];
         for w in SimdPolicy::SUPPORTED_WIDTHS {
             let a = multipole_accel_soa(SimdPolicy::Width(w), p, &plain);
@@ -1613,11 +1649,10 @@ mod tests {
                 );
             }
         }
-        // Mid-table sub-range views never extend into real rows of the
-        // next segment even when those rows follow immediately.
-        let view = plain.range_view(0, 5);
-        assert_eq!(view.len(), 5);
-        assert_eq!(view.mass.len(), 5, "no pad rows -> no extension");
+        // The view covers the storage: pad rows when there are some.
+        assert_eq!(plain.as_view().mass.len(), 13);
+        assert_eq!(padded.as_view().mass.len(), 16);
+        assert_eq!(padded.as_view().len(), 13);
     }
 
     #[test]

@@ -190,9 +190,7 @@ pub fn step_interior(sub: &SubGrid, dt: f64, dispatch: &Dispatch) -> Vec<[f64; N
     out
 }
 
-/// Scalar hydro update written into a caller-provided `CELLS`-sized slice —
-/// the entry the work-aggregation executor uses to land several leaves'
-/// updates in one fused batch buffer.
+/// Scalar hydro update written into a caller-provided `CELLS`-sized slice.
 fn step_into_slice(sub: &SubGrid, dt: f64, dispatch: &Dispatch, out: &mut [[f64; NF]]) {
     let lambda = dt / sub.dx;
     debug_assert_eq!(out.len(), CELLS);
@@ -520,8 +518,6 @@ pub fn max_signal_speed_policy(
 /// — the one production entry. It reuses an optional staging view handed
 /// over from [`max_signal_speed_policy`] (built here when absent and needed)
 /// and returns it to `stage_pool`, so steady-state steps allocate nothing.
-/// The batch executor points `out` at one leaf's segment of a batch-fused
-/// state buffer; the per-leaf arithmetic is the same at every batch size.
 pub fn step_interior_staged_into(
     sub: &SubGrid,
     stage: Option<HydroStage>,

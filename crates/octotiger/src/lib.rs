@@ -19,7 +19,6 @@
 //! * the `rotating_star` scenario ([`star::RotatingStar`]): an n = 3/2
 //!   Lane–Emden polytrope in solid-body rotation.
 
-pub mod aggregate;
 pub mod config;
 pub mod dist_driver;
 pub mod driver;
@@ -31,7 +30,6 @@ pub mod recycle;
 pub mod star;
 pub mod subgrid;
 
-pub use aggregate::{AggregationConfig, AggregationRegion, AggregationStats};
 pub use config::OctoConfig;
 pub use dist_driver::{DistConfig, DistMetrics, DistRun};
 pub use driver::{Driver, RegridReport, RunMetrics, WorkEstimate};

@@ -6,19 +6,14 @@
 //! AVX-512 host) must reproduce them: a backend runs the same IEEE
 //! operations per lane in the same order (`recip_sqrt` included: an f32
 //! seed and one cubic step, no hardware estimate), so a whole solve has the
-//! same bits. Every execution mode of the solve — per leaf, batches of 1,
-//! batches of 16 — must agree too. `scripts/ci.sh` runs this file in all
-//! three builds: default flags, `+fma`, and the host's native ISA.
+//! same bits. The production solve — cached lists, one scratch reused from
+//! leaf to leaf — must agree with the one-shot solve too. `scripts/ci.sh`
+//! runs this file in all three builds: default flags, `+fma`, and the host's
+//! native ISA.
 
-use std::sync::Mutex;
-
-use amt::Runtime;
-use octotiger::aggregate::{
-    run_gravity_stage, AccelSlot, AggregationConfig, AggregationStats, BatchScratches,
-    GravityBatchCtx,
-};
 use octotiger::gravity::{
-    accel_for_leaf, compute_blocks, BlockSoA, GravityKernels, GravityWorkspace, InteractionCache,
+    accel_for_leaf, compute_blocks, BlockSoA, GravityKernels, GravityScratch, GravityWorkspace,
+    InteractionCache, LeafSolve,
 };
 use octotiger::kernel_backend::{Dispatch, SimdPolicy};
 use octotiger::octree::Octree;
@@ -45,7 +40,7 @@ fn hash(accels: impl Iterator<Item = Vec<[f64; 3]>>) -> u64 {
 }
 
 #[test]
-fn level2_solve_has_the_fallbacks_bits_in_every_mode() {
+fn level2_solve_has_the_fallbacks_bits_one_shot_and_on_recycled_scratch() {
     let cfg = OctoConfig {
         max_level: 2,
         ..OctoConfig::default()
@@ -60,7 +55,6 @@ fn level2_solve_has_the_fallbacks_bits_in_every_mode() {
     ws.upward_pass(&tree, &blocks);
     let mut cache = InteractionCache::new();
     cache.ensure(&tree, &ws.moments, cfg.theta);
-    let rt = Runtime::new(2);
     let dispatch = Dispatch::Legacy;
 
     for (width, plain, fused) in FALLBACK_BITS {
@@ -69,7 +63,7 @@ fn level2_solve_has_the_fallbacks_bits_in_every_mode() {
             monopole: &dispatch,
             simd: SimdPolicy::from_width(width).unwrap(),
         };
-        let per_leaf = hash(leaves.iter().map(|&leaf| {
+        let one_shot = hash(leaves.iter().map(|&leaf| {
             accel_for_leaf(
                 &tree,
                 &ws.moments,
@@ -80,44 +74,29 @@ fn level2_solve_has_the_fallbacks_bits_in_every_mode() {
                 &kernels,
             )
         }));
-        let batched = |batch: usize| {
-            let slots: Vec<AccelSlot> = leaves.iter().map(|_| Mutex::new(None)).collect();
-            let ctx = GravityBatchCtx {
-                tree: &tree,
-                moments: &ws.moments,
-                blocks: &blocks,
-                leaf_pos: &ws.leaf_pos,
-                leaves,
-                lists: cache.lists(),
-                kernels: &kernels,
-                scratch: &BatchScratches::new(),
-            };
-            let agg = AggregationConfig {
-                monopole: batch,
-                multipole: batch,
-                hydro: 1,
-            };
-            run_gravity_stage(
-                &rt.handle(),
-                &ctx,
-                agg,
-                &AggregationStats::new(),
-                &|_, _| {},
-                &slots,
-            );
-            hash(
-                slots
-                    .into_iter()
-                    .map(|s| s.into_inner().unwrap().expect("leaf solved").0),
-            )
+        // The driver's solve: cached lists, and one scratch for every leaf in
+        // leaf order — a far table left over from the leaf before would move
+        // the hash.
+        let solve = LeafSolve {
+            tree: &tree,
+            moments: &ws.moments,
+            blocks: &blocks,
+            leaf_pos: &ws.leaf_pos,
+            kernels: &kernels,
         };
+        let mut scratch = GravityScratch::default();
+        let recycled = hash(
+            leaves
+                .iter()
+                .zip(cache.lists())
+                .map(|(&leaf, (far, near))| solve.accel(leaf, far, near, &mut scratch)),
+        );
         let want = if cfg!(target_feature = "fma") {
             fused
         } else {
             plain
         };
-        assert_eq!(per_leaf, want, "width {width}, per leaf: {per_leaf:#x}");
-        assert_eq!(batched(1), want, "width {width}, batches of 1");
-        assert_eq!(batched(16), want, "width {width}, batches of 16");
+        assert_eq!(one_shot, want, "width {width}, one shot: {one_shot:#x}");
+        assert_eq!(recycled, want, "width {width}, recycled scratch");
     }
 }

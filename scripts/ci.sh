@@ -45,9 +45,6 @@ cargo test -q --test simd_hydro_prop
 echo "== distributed == node-level, bitwise (ports x coalesce x workers, under a watchdog) =="
 cargo test -q --test distributed_bits
 
-echo "== work-aggregation agreement (batched == per-leaf, bitwise) =="
-cargo test -q --test aggregation_prop
-
 echo "== incremental regrid agreement (incremental == full rebuild, bitwise) =="
 cargo test -q --test regrid_incremental_prop
 
@@ -74,17 +71,15 @@ echo "== native-ISA step: SIMD backends keep the fallback's bits =="
   export RUSTFLAGS="-C target-cpu=native"
   export CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-target}/native"
   cargo test -q -p kokkos-lite -p octotiger
-  cargo test -q --test simd_gravity_prop --test simd_hydro_prop --test aggregation_prop \
-    --test ghost_plan_prop --test distributed_bits
+  cargo test -q --test simd_gravity_prop --test simd_hydro_prop --test ghost_plan_prop \
+    --test distributed_bits
 )
 
 echo "== gravity bench smoke (one short iteration, no timing assertions) =="
-BENCH_SMOKE=1 BENCH_HOST_TASKS=1 cargo bench -q -p repro-bench --bench bench_gravity
-BENCH_SMOKE=1 BENCH_HOST_TASKS=16 cargo bench -q -p repro-bench --bench bench_gravity
+BENCH_SMOKE=1 cargo bench -q -p repro-bench --bench bench_gravity
 
 echo "== hydro bench smoke =="
-BENCH_SMOKE=1 BENCH_HOST_TASKS=1 cargo bench -q -p repro-bench --bench bench_hydro
-BENCH_SMOKE=1 BENCH_HOST_TASKS=16 cargo bench -q -p repro-bench --bench bench_hydro
+BENCH_SMOKE=1 cargo bench -q -p repro-bench --bench bench_hydro
 
 echo "== tracer overhead bench smoke =="
 BENCH_SMOKE=1 cargo bench -q -p repro-bench --bench bench_trace
@@ -136,16 +131,11 @@ cargo run --release -p apex-lite --bin trace_check -- \
   --require-overlap=gravity_solve,hydro_step "$TRACE_FUT"
 rm -f "$TRACE_FUT"
 
-echo "== aggregated step trace: batched launches, overlap preserved =="
-TRACE_AGG=$(mktemp -t apexlite_agg_XXXXXX.json)
-cargo run --release --example rotating_star -- \
-  --max_level=2 --stop_step=3 --hpx:threads=4 \
-  --monopole_host_tasks=4 --multipole_host_tasks=4 --hydro_host_tasks=4 \
-  --trace-out="$TRACE_AGG" >/dev/null
-cargo run --release -p apex-lite --bin trace_check -- \
-  --require aggregate_launch \
-  --require-overlap=gravity_solve,hydro_step "$TRACE_AGG"
-rm -f "$TRACE_AGG"
+# The exhibits are projections of host-measured counts (tasks spawned among
+# them): a change that moves one must regenerate figures_full.txt in the same
+# commit. The generator is deterministic; about two and a half minutes.
+echo "== exhibits: figures_full.txt is what this tree generates =="
+cargo run --release -p octo-core --bin figures -- all | diff - figures_full.txt
 
 echo "== cargo fmt --check =="
 cargo fmt --check

@@ -2,7 +2,7 @@
 //! step with an ownership mask and a parcel exchange, so after k steps every
 //! leaf must hold the node-level driver's bits — on one locality or two,
 //! over every parcelport, coalesced or not, on one to three workers per
-//! locality, at scalar and vector width, per leaf and batched.
+//! locality, at scalar and vector width.
 //!
 //! Every run is under a watchdog (a deadlock fails, never hangs). Budget of
 //! the whole file: ≤ 60 s in the tier-1 (debug) profile — 45 s measured on
@@ -39,14 +39,11 @@ fn watched<T: Send + 'static>(what: &str, body: impl FnOnce() -> T + Send + 'sta
     }
 }
 
-fn octo(level: u32, simd_width: usize, batch: usize) -> OctoConfig {
+fn octo(level: u32, simd_width: usize) -> OctoConfig {
     OctoConfig {
         max_level: level,
         stop_step: STEPS,
         simd_width,
-        monopole_host_tasks: batch,
-        multipole_host_tasks: batch,
-        hydro_host_tasks: batch,
         ..OctoConfig::default()
     }
 }
@@ -82,12 +79,12 @@ fn distributed(
 
 #[test]
 fn level_1_matrix_has_the_node_level_bits() {
-    let want = node_level(octo(1, 4, 1));
+    let want = node_level(octo(1, 4));
     for nodes in [1, 2] {
         for backend in PORTS {
             for coalesce in [false, true] {
                 for workers in [1, 2, 3] {
-                    let got = distributed(nodes, backend, coalesce, workers, octo(1, 4, 1));
+                    let got = distributed(nodes, backend, coalesce, workers, octo(1, 4));
                     assert_eq!(
                         got.leaf_hashes, want,
                         "{nodes} × {workers} workers over {backend:?}, coalesce {coalesce}"
@@ -148,12 +145,12 @@ fn pairs_across_the_cut(driver: &Driver) -> (usize, usize) {
 }
 
 /// One run per parcelport on a tree with both kinds of face across the cut,
-/// between them scalar and default width, per-leaf and batched launches.
+/// between them scalar and default width.
 #[test]
 fn level_2_runs_have_the_node_level_bits_across_level_jumps() {
     let model = || OffCentre(RotatingStar::paper_default());
     let node_level = |width: usize| {
-        let mut driver = Driver::with_model(&model(), octo(2, width, 1));
+        let mut driver = Driver::with_model(&model(), octo(2, width));
         assert_eq!(driver.run(2).steps, STEPS);
         let (same, jump) = pairs_across_the_cut(&driver);
         assert!(same > 0 && jump > 0, "{same} same-level, {jump} jumps");
@@ -162,25 +159,22 @@ fn level_2_runs_have_the_node_level_bits_across_level_jumps() {
     let (scalar, vector) = (node_level(0), node_level(4));
     assert_ne!(scalar, vector, "the two widths sum in different orders");
     let runs = [
-        (NetBackend::Tcp, 0, 4, &scalar),
-        (NetBackend::Mpi, 4, 1, &vector),
-        (NetBackend::Lci, 4, 4, &vector),
+        (NetBackend::Tcp, 0, &scalar),
+        (NetBackend::Mpi, 4, &vector),
+        (NetBackend::Lci, 4, &vector),
     ];
-    for (backend, width, batch, want) in runs {
+    for (backend, width, want) in runs {
         let got = watched(&format!("level 2 over {backend:?}"), move || {
             let config = DistConfig {
                 nodes: 2,
                 threads_per_node: 2,
                 backend,
                 coalesce: CoalesceConfig::default(),
-                octo: octo(2, width, batch),
+                octo: octo(2, width),
             };
             DistRun::execute_with_model(&model(), config)
         });
-        assert_eq!(
-            &got.leaf_hashes, want,
-            "{backend:?}, width {width}, batches of {batch}"
-        );
+        assert_eq!(&got.leaf_hashes, want, "{backend:?}, width {width}");
         assert!(got.owned_per_node.iter().all(|&owned| owned > 0));
     }
 }
@@ -190,9 +184,9 @@ fn level_2_runs_have_the_node_level_bits_across_level_jumps() {
 /// lock again (about one run in thirty hung for good).
 #[test]
 fn forty_back_to_back_2x2_runs_finish_with_the_same_bits() {
-    let want = node_level(octo(1, 4, 1));
+    let want = node_level(octo(1, 4));
     for run in 0..40 {
-        let got = distributed(2, NetBackend::Tcp, false, 2, octo(1, 4, 1));
+        let got = distributed(2, NetBackend::Tcp, false, 2, octo(1, 4));
         assert_eq!(got.leaf_hashes, want, "run {run}");
     }
 }
@@ -235,7 +229,7 @@ fn nan_poisoned_run_ends_with_the_cfl_message_on_the_supervisor() {
                     threads_per_node: 2,
                     backend: NetBackend::Tcp,
                     coalesce: CoalesceConfig::default(),
-                    octo: octo(1, 4, 1),
+                    octo: octo(1, 4),
                 },
             )
         })

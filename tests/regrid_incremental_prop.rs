@@ -1,9 +1,9 @@
 //! Incremental interaction-list invalidation agreement suite: after any
 //! sequence of mid-run regrid sweeps, the incrementally maintained cache
 //! (retained lists spliced around the rebuilt neighbour cone) must leave the
-//! simulation **bitwise identical** to the full-rebuild ablation
-//! (`--interaction_list_cache=off`, which re-traverses every leaf every
-//! step) — across SIMD widths and regrid batch sizes.
+//! simulation **bitwise identical** to the full-rebuild reference
+//! (`Driver::invalidate_interaction_lists` before every step, which
+//! re-traverses every leaf) — across SIMD widths.
 //!
 //! A separate counter check pins the point of the tentpole: a mid-run sweep
 //! must *retain* most lists (`/gravity/cache/leaves_retained`), and the
@@ -16,28 +16,30 @@ use octotiger_riscv_repro::octotiger::{Driver, OctoConfig};
 
 const WIDTHS: [usize; 3] = [1, 4, 8];
 
-fn config(width: usize, cache: bool, regrid_batch: usize) -> OctoConfig {
+fn config(width: usize) -> OctoConfig {
     OctoConfig {
         max_level: 1,
         stop_step: 3,
         threads: 2,
         simd_width: width,
-        use_interaction_cache: cache,
-        regrid_host_tasks: regrid_batch,
         ..OctoConfig::default()
     }
 }
 
 /// Run `stop_step` steps, regridding the leaves named by `plan[s]` (indices
 /// into the current leaf order, deduplicated by the sweep itself) after step
-/// `s`. Returns the bit-exact observable state and the driver for counter
+/// `s`; `rebuild` drops the cached lists before every step (the reference).
+/// Returns the bit-exact observable state and the driver for counter
 /// inspection.
-fn run(cfg: OctoConfig, plan: &[Vec<usize>]) -> ((u64, Vec<Vec<f64>>), Driver) {
+fn run(cfg: OctoConfig, rebuild: bool, plan: &[Vec<usize>]) -> ((u64, Vec<Vec<f64>>), Driver) {
     let steps = cfg.stop_step as usize;
     let threads = cfg.threads;
     let mut d = Driver::new(cfg);
     let rt = Runtime::new(threads);
     for s in 0..steps {
+        if rebuild {
+            d.invalidate_interaction_lists();
+        }
         d.step(&rt);
         if let Some(picks) = plan.get(s) {
             let leaves: Vec<_> = picks
@@ -65,23 +67,20 @@ fn assert_bitwise(base: &(u64, Vec<Vec<f64>>), got: &(u64, Vec<Vec<f64>>), label
     }
 }
 
-/// The deterministic core matrix: W ∈ {1, 4, 8} × regrid batch ∈
-/// {1, 3, 64} (the modes of the sweep; the step has one), with two sweeps (one multi-leaf, one single)
-/// landing between the steps.
+/// The deterministic core: W ∈ {1, 4, 8}, with two sweeps (one multi-leaf,
+/// one single) landing between the steps.
 #[test]
 fn incremental_matches_full_rebuild_across_widths_and_modes() {
     let plan = vec![vec![0, 3, 5], vec![1]];
     for w in WIDTHS {
-        let (base, _) = run(config(w, false, 1), &plan);
-        for batch in [1, 3, 64] {
-            let (got, d) = run(config(w, true, batch), &plan);
-            assert_bitwise(&base, &got, &format!("w={w} regrid_batch={batch}"));
-            let cs = d.cache_stats();
-            assert!(
-                cs.partial_rebuilds >= 1,
-                "mid-run sweeps must take the incremental path (w={w}): {cs:?}"
-            );
-        }
+        let (base, _) = run(config(w), true, &plan);
+        let (got, d) = run(config(w), false, &plan);
+        assert_bitwise(&base, &got, &format!("w={w}"));
+        let cs = d.cache_stats();
+        assert!(
+            cs.partial_rebuilds >= 1,
+            "mid-run sweeps must take the incremental path (w={w}): {cs:?}"
+        );
     }
 }
 
@@ -136,13 +135,13 @@ fn partial_rebuild_retains_leaves_outside_the_neighbour_cone() {
 /// Regression: one sweep early in the run, then cache *hits* for the rest.
 /// This is the shape that exposed the moment-dependent MAC — with the COM
 /// in the opening test, lists built at different steps disagreed and a
-/// cached hit diverged from the rebuild-every-step ablation. The geometric
+/// cached hit diverged from the rebuild-every-step reference. The geometric
 /// MAC makes lists a pure function of (topology, θ), so hit == rebuild.
 #[test]
 fn single_sweep_then_cache_hits_match_full_rebuild() {
     let plan = vec![vec![23, 30]];
-    let (base, _) = run(config(1, false, 1), &plan);
-    let (got, d) = run(config(1, true, 13), &plan);
+    let (base, _) = run(config(1), true, &plan);
+    let (got, d) = run(config(1), false, &plan);
     assert_bitwise(&base, &got, "single sweep then hits");
     let cs = d.cache_stats();
     assert_eq!(cs.partial_rebuilds, 1, "{cs:?}");
@@ -153,18 +152,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
     /// Randomized refine sequences: up to three sweeps of up to three leaf
-    /// picks each, random width/batch. Incremental must stay bitwise
-    /// equal to the full-rebuild ablation under every history.
+    /// picks each, random width. Incremental must stay bitwise equal to the
+    /// full-rebuild reference under every history.
     #[test]
     fn random_refine_sequences_match_full_rebuild(
         wi in 0usize..WIDTHS.len(),
-        batch in 1usize..20,
         picks in proptest::collection::vec(
             proptest::collection::vec(0usize..32, 0..3), 1..3),
     ) {
         let w = WIDTHS[wi];
-        let (base, _) = run(config(w, false, 1), &picks);
-        let (got, d) = run(config(w, true, batch), &picks);
+        let (base, _) = run(config(w), true, &picks);
+        let (got, d) = run(config(w), false, &picks);
         prop_assert_eq!(got.0, base.0, "sim_time bits diverged");
         prop_assert_eq!(&got.1, &base.1, "interior data diverged");
         let cs = d.cache_stats();
