@@ -296,14 +296,6 @@ fn check_summary(
         return Err("flamegraph is empty".into());
     }
     if let Some(d) = dcp {
-        if summary.pids > 1 && d.network_edges_on_path == 0 {
-            return Err(format!(
-                "trace spans {} localities with {} flow edges but the distributed \
-                 critical path crosses no network leg",
-                summary.pids,
-                summary.flow_edges.len()
-            ));
-        }
         if d.path.path_ns > d.path.wall_ns {
             return Err(format!(
                 "distributed critical path {} ns exceeds wall {} ns",

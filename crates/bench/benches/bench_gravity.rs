@@ -1,8 +1,9 @@
 //! Gravity SIMD/caching baseline bench — the BENCH_gravity.json datapoint.
 //!
-//! Times the two SoA fast-multipole kernels (`m2l_blocks`, `p2p_blocks`) at
-//! every supported SIMD width against the scalar reference path, each in
-//! nanoseconds per interaction, and a short driver run whose task, launch
+//! Times the two fast-multipole kernels (`m2l_blocks`, `p2p_blocks`) at
+//! every supported lane count against the scalar oracle, each in
+//! nanoseconds per interaction (M2L reads `moments` in place, inside the
+//! timed region), and a short driver run whose task, launch
 //! and cache counts `bench_diff` holds exact. Results go to
 //! stdout (criterion-style lines) and, on a full run, to
 //! `BENCH_gravity.json` at the repo root so successive PRs accumulate a

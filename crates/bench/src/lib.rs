@@ -9,7 +9,7 @@ pub mod per_task;
 use std::time::Instant;
 
 use amt::Runtime;
-use octotiger::gravity::{self, FarField, GravityKernels, GravityWorkspace, InteractionCache};
+use octotiger::gravity::{self, GravityKernels, GravityWorkspace, InteractionCache};
 use octotiger::kernel_backend::{Dispatch, SimdPolicy};
 use octotiger::{Driver, KernelType, OctoConfig};
 
@@ -43,9 +43,10 @@ pub struct GravityKernelPoint {
 /// ambient drift — frequency scaling, background load — hits every width
 /// equally instead of penalizing whichever policy happens to be timed last,
 /// and min filters OS scheduling noise, so width-vs-width ratios reflect
-/// intrinsic kernel cost. Far tables are gathered once, outside the timed
-/// region; `Legacy` dispatch runs the kernels inline, away from
-/// task-scheduling noise.
+/// intrinsic kernel cost. The M2L time includes reading each far node's
+/// `moments` entry in place (there is no gathered far table to time apart);
+/// `Legacy` dispatch runs the kernels inline, away from task-scheduling
+/// noise.
 pub fn gravity_kernel_sweeps(
     driver: &Driver,
     policies: &[SimdPolicy],
@@ -62,14 +63,6 @@ pub fn gravity_kernel_sweeps(
     let mut cache = InteractionCache::new();
     cache.ensure(tree, &ws.moments, driver.config().theta);
     let lists = cache.lists();
-    let far_tables: Vec<FarField> = lists
-        .iter()
-        .map(|(far, _)| {
-            let mut ff = FarField::new();
-            ff.push_segment(&ws.moments, far);
-            ff
-        })
-        .collect();
     let per_block = gravity::BLOCKS as f64;
     let far_interactions = lists.iter().map(|l| l.0.len() as f64).sum::<f64>() * per_block;
     let near_interactions =
@@ -85,8 +78,8 @@ pub fn gravity_kernel_sweeps(
             simd: policy,
         };
         let start = Instant::now();
-        for (tb, ff) in blocks.iter().zip(&far_tables) {
-            gravity::m2l_blocks(&kernels, tb, ff.as_view(), &mut acc);
+        for (tb, (far, _)) in blocks.iter().zip(lists) {
+            gravity::m2l_blocks(&kernels, tb, &ws.moments, far, &mut acc);
             std::hint::black_box(&acc);
         }
         let m2l = start.elapsed().as_nanos() as f64;

@@ -458,15 +458,13 @@ impl<const W: usize> std::ops::Neg for Simd<W> {
     }
 }
 
-/// The tail-masked pack sweep every explicitly-vectorized source loop in
-/// this repo shares: walk `len` elements in `W`-lane packs, calling
+/// The tail-masked pack sweep: walk `len` elements in `W`-lane packs, calling
 /// `pack(offset, is_tail)` for each. Full packs (`is_tail == false`) take
 /// branch-free unpadded loads; the at-most-one ragged remainder
 /// (`is_tail == true`) takes predicated loads via
-/// [`Simd::from_slice_padded`]. The gravity P2P/M2L kernels, the hydro row
-/// kernels and the work-aggregation batch kernels all drive their source
-/// streams through this one skeleton, so the full-pack/tail split — and
-/// therefore the bitwise result of a sweep — cannot drift between them.
+/// [`Simd::from_slice_padded`]. The hydro row kernels drive their k-rows
+/// through this skeleton (the gravity kernels put whole target packs across
+/// the lanes and have no tail).
 #[inline]
 pub fn sweep_packs<const W: usize>(len: usize, mut pack: impl FnMut(usize, bool)) {
     let full = len / W * W;

@@ -354,19 +354,6 @@ impl CostModel {
     pub const HARDWARE_EXP_FLOPS: u32 = 4;
 }
 
-/// Interactions actually executed when `n` source interactions are processed
-/// by packs of `width` lanes: the last partial pack still burns a full
-/// vector's worth of lanes (predicated-out lanes occupy the FPU), so the
-/// count is rounded *up* to a multiple of the width. With `width <= 1`
-/// (the RISC-V scalar fallback) this is exactly `n`. The gravity driver
-/// charges its projected flops on this padded count so SIMD projections
-/// stay truthful about remainder-loop waste.
-#[inline]
-pub fn simd_padded_interactions(n: u64, width: u64) -> u64 {
-    let w = width.max(1);
-    n.div_ceil(w) * w
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -515,18 +502,5 @@ mod tests {
     fn software_vs_hardware_exp_constants() {
         assert_eq!(CostModel::SOFTWARE_EXP_FLOPS, 9); // ⌈2e⌉+3
         assert_eq!(CostModel::HARDWARE_EXP_FLOPS, 4);
-    }
-
-    #[test]
-    fn padded_interactions_round_up_to_full_packs() {
-        // Scalar (and degenerate width-0) never pads.
-        assert_eq!(simd_padded_interactions(0, 1), 0);
-        assert_eq!(simd_padded_interactions(37, 1), 37);
-        assert_eq!(simd_padded_interactions(37, 0), 37);
-        // Exact multiples stay put; remainders round up one pack.
-        assert_eq!(simd_padded_interactions(64, 4), 64);
-        assert_eq!(simd_padded_interactions(65, 4), 68);
-        assert_eq!(simd_padded_interactions(1, 8), 8);
-        assert_eq!(simd_padded_interactions(0, 8), 0);
     }
 }

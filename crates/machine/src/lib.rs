@@ -40,7 +40,7 @@ pub mod memory;
 pub mod timer;
 
 pub use arch::{CpuArch, CpuSpec, VectorWidth};
-pub use cost::{simd_padded_interactions, CostModel, FpOp, NetBackend, NetCost, RuntimeEvent};
+pub use cost::{CostModel, FpOp, NetBackend, NetCost, RuntimeEvent};
 pub use counted::{CountedF64, FlopCounter, FlopKind};
 pub use energy::{arch_counter_tag, energy_counters_into, EnergyReport, PowerMeter, PowerModel};
 pub use extensions::{IsaExtension, WhatIfWorkload};

@@ -42,11 +42,13 @@ pub struct OctoConfig {
     /// Density threshold (relative to the star's central density) above
     /// which a region is refined.
     pub refine_density_frac: f64,
-    /// SIMD width of the gravity kernels' inner source loops
-    /// (`--simd_kernel_width`): 0 = the scalar reference path, otherwise
-    /// one of 1/2/4/8 (a pack width; 1 is the RISC-V degenerate pack).
-    /// Stored as the raw width so the config stays a flat serializable
-    /// struct; convert with [`SimdPolicy::from_width`].
+    /// Lanes per pack of the gravity and hydro kernels
+    /// (`--simd_kernel_width`): one of 1/2/4/8 (1 is the RISC-V degenerate
+    /// pack), by default what the compiled ISA holds in one register
+    /// ([`SimdPolicy::default`]). A lane count, not a summation order: every
+    /// width has the same bits. 0 = the scalar oracles, which agree to
+    /// rounding. Stored as the raw width so the config stays a flat struct;
+    /// convert with [`SimdPolicy::from_width`].
     pub simd_width: usize,
     /// Batch small parcels per destination before transmitting
     /// (`--coalesce=on`): HPX's parcel-coalescing plugin. Off (the
@@ -87,7 +89,7 @@ impl Default for OctoConfig {
             parcelport: NetBackend::Tcp,
             cfl: 0.4,
             refine_density_frac: 1.0e-4,
-            simd_width: 4,
+            simd_width: SimdPolicy::default().lanes(),
             coalesce: false,
             trace_out: None,
             counter_table: false,
@@ -347,8 +349,11 @@ mod tests {
         let c = OctoConfig::from_args(["--simd_kernel_width=8"]).unwrap();
         assert_eq!(c.simd_width, 8);
         assert_eq!(c.simd_policy(), SimdPolicy::Width(8));
-        let d = OctoConfig::default();
-        assert_eq!(d.simd_width, 4, "SIMD is the default backend");
+        assert_eq!(
+            OctoConfig::default().simd_policy(),
+            SimdPolicy::default(),
+            "the default follows the compiled ISA"
+        );
         assert_eq!(
             OctoConfig::from_args(["--simd_kernel_width=0"])
                 .unwrap()

@@ -23,8 +23,8 @@ use apex_lite::{CounterRegistry, CounterSnapshot};
 
 use crate::config::OctoConfig;
 use crate::gravity::{
-    self, BlockSoA, CacheStats, EnsureReport, GravityKernels, GravityScratches, GravityWorkspace,
-    InteractionCache, LeafSolve,
+    self, BlockSoA, CacheStats, EnsureReport, GravityKernels, GravityWorkspace, InteractionCache,
+    LeafSolve,
 };
 use crate::hydro::{self, HydroStage};
 use crate::kernel_backend::Dispatch;
@@ -299,8 +299,6 @@ pub struct Driver {
     gravity_ws: GravityWorkspace,
     /// Cross-step interaction-list cache keyed on tree topology.
     interaction_cache: InteractionCache,
-    /// Recycled per-leaf gravity scratch (far table + block accumulators).
-    gravity_scratch: GravityScratches,
     /// Kernel tasks launched: 4 per owned leaf per step
     /// (`/work/aggregation/fused_launches`).
     kernel_tasks: u64,
@@ -379,7 +377,6 @@ impl Driver {
             overlap: OverlapTotals::default(),
             gravity_ws: GravityWorkspace::new(),
             interaction_cache: InteractionCache::new(),
-            gravity_scratch: GravityScratches::default(),
             kernel_tasks: 0,
             regrid_sweeps: 0,
             regrid_leaves: 0,
@@ -514,7 +511,6 @@ impl Driver {
             let kernels = &kernels;
             let hydro_dispatch = &hydro_dispatch;
             let (state_pool, stage_pool) = (&*self.pool, &*self.stage_pool);
-            let scratches = &self.gravity_scratch;
             let leaves = &leaves[..];
             let (speeds, stage_slots, block_slots) = (&speeds, &stage_slots, &block_slots);
             let (accel_slots, state_slots) = (&accel_slots, &state_slots);
@@ -622,17 +618,13 @@ impl Driver {
                     scope(handle, |gsc| {
                         for (idx, &leaf) in leaves.iter().enumerate() {
                             gsc.spawn(move || {
-                                let mut scratch = scratches.take();
-                                {
-                                    let t0 = trace::now_ns();
-                                    let _span = trace::span(Cat::Phase, "gravity_solve");
-                                    let (far, near) = &lists[solve.leaf_pos[leaf]];
-                                    let acc = solve.accel(leaf, far, near, &mut scratch);
-                                    *accel_slots[idx].lock().expect("accel slot") =
-                                        Some((acc, far.len() as u64, near.len() as u64));
-                                    g_env.record(t0, trace::now_ns());
-                                }
-                                scratches.put(scratch);
+                                let t0 = trace::now_ns();
+                                let _span = trace::span(Cat::Phase, "gravity_solve");
+                                let (far, near) = &lists[solve.leaf_pos[leaf]];
+                                let acc = solve.accel(leaf, far, near);
+                                *accel_slots[idx].lock().expect("accel slot") =
+                                    Some((acc, far.len() as u64, near.len() as u64));
+                                g_env.record(t0, trace::now_ns());
                             });
                         }
                     });
@@ -706,19 +698,17 @@ impl Driver {
     fn account_step(&mut self, accels: &[AccelEntry], report: EnsureReport) {
         self.steps_done += 1;
         self.kernel_tasks += 4 * accels.len() as u64;
-        // Work accounting. Far (M2L) interactions are charged on the
-        // SIMD-*padded* source count: the remainder pack of each far list
-        // still occupies full vector lanes, and the projection must see
-        // that waste. Near lists stream 64-block leaves (a multiple of
-        // every width), so padding is a no-op there.
+        // Work accounting. Far (M2L) interactions are charged in the kernel's
+        // summation groups (`gravity::SUM_GROUPS`), whatever the host's lane
+        // count: the modelled program must not depend on build flags.
+        // Near lists stream 64-block leaves, whole groups already.
         let cells = (accels.len() * CELLS) as u64;
         self.work.hydro_flops += cells * hydro::HYDRO_FLOPS_PER_CELL;
         self.work.bytes += cells * hydro::HYDRO_BYTES_PER_CELL;
-        let lanes = self.config.simd_policy().lanes() as u64;
         let near_total: u64 = accels.iter().map(|(_, _, near)| near).sum();
         let far_padded: u64 = accels
             .iter()
-            .map(|(_, far, _)| rv_machine::simd_padded_interactions(*far, lanes))
+            .map(|(_, far, _)| far.next_multiple_of(gravity::SUM_GROUPS as u64))
             .sum();
         let far_inter = far_padded * gravity::BLOCKS as u64;
         let near_inter = near_total * (gravity::BLOCKS * gravity::BLOCKS) as u64;
@@ -1282,5 +1272,28 @@ mod tests {
         let w2 = d2.run(1).work;
         assert_eq!(w2.hydro_flops, 2 * w1.hydro_flops);
         assert!(w2.gravity_flops >= w1.gravity_flops * 2 * 9 / 10);
+    }
+
+    #[test]
+    fn work_estimate_does_not_follow_the_lane_count() {
+        // The modelled program is charged in `gravity::SUM_GROUPS`, not in
+        // the host's lanes: an ISA-following default must not move exhibits.
+        let work = |simd_width| {
+            Driver::new(OctoConfig {
+                simd_width,
+                ..OctoConfig::small_test()
+            })
+            .run(1)
+            .work
+        };
+        let want = work(4);
+        assert!(want.far_interactions > 0);
+        assert_eq!(
+            want.far_interactions % (gravity::SUM_GROUPS * gravity::BLOCKS) as u64,
+            0
+        );
+        for width in [1, 2, 8] {
+            assert_eq!(work(width), want, "width {width}");
+        }
     }
 }

@@ -24,17 +24,16 @@
 //!    cached across solves in an [`InteractionCache`] keyed on the
 //!    octree's topology generation.
 //!
-//! Both kernels dispatch their block loops through
+//! Both kernels put **targets across the lanes**: a pack holds `W` of the
+//! leaf's 64 target blocks, each source is broadcast, and the sum over a
+//! list has one order at every `W` ([`SUM_GROUPS`]) — the lane count of the
+//! configured [`SimdPolicy`] is a host-performance choice that moves no bit.
+//! A leaf's packs run through
 //! [`Dispatch`](crate::kernel_backend::Dispatch) (the execution-space axis,
-//! mirroring `--multipole_host_kernel_type` / `--monopole_host_kernel_type`)
-//! and vectorize their inner source loops per the configured
-//! [`SimdPolicy`] (the data-parallel axis): splat the target block, stream
-//! the SoA sources in `Simd<W>` packs, `mul_add`-accumulate, `recip_sqrt`
-//! for the Plummer-softened distance of the near field. The scalar path is
-//! retained as an always-available reference backend. A direct O(N²)
-//! summation ([`direct_accel`]) validates the FMM in tests.
-
-use std::sync::Mutex;
+//! mirroring `--multipole_host_kernel_type` / `--monopole_host_kernel_type`).
+//! A scalar oracle per operator ([`multipole_accel`], [`point_accel`]) is
+//! [`SimdPolicy::Scalar`]. A direct O(N²) summation ([`direct_accel`])
+//! validates the FMM in tests.
 
 use apex_lite::trace::{self, Cat};
 
@@ -47,15 +46,8 @@ use kokkos_lite::Simd;
 /// Blocks per dimension (8 cells / 2 per block).
 pub const NB: usize = NX / 2;
 /// Blocks per leaf. 64 is a multiple of every supported SIMD width
-/// (1/2/4/8), so the per-leaf SoA arrays need no tail padding; slices of
-/// other lengths (the far-field table) are handled with predicated loads.
+/// (1/2/4/8), so a leaf's targets are whole packs: no remainder, no padding.
 pub const BLOCKS: usize = NB * NB * NB;
-
-/// Position sentinel loaded into padded (predicated-out) SIMD lanes. Far
-/// from every real coordinate (the domain is O(1) wide), so together with
-/// a padded mass/quadrupole of zero the lane's contribution is exactly
-/// zero while `1/r` stays finite — no per-lane masking needed.
-const PAD_POS: f64 = 1.0e6;
 
 /// Aggregated mass blocks of one leaf, structure-of-arrays: contiguous
 /// per-component coordinate and mass lanes, the layout the SIMD kernels
@@ -629,36 +621,10 @@ pub fn point_accel(mass: f64, src: [f64; 3], p: [f64; 3], eps: f64) -> [f64; 3] 
     ]
 }
 
-/// Scalar reference: total P2P acceleration at `p` from SoA sources.
-/// Zero-mass sources are skipped (their contribution is exactly zero);
-/// a source coincident with `p` contributes exactly zero too (Plummer
-/// `eps > 0` keeps `1/r` finite), which is why the SIMD path needs no
-/// self-interaction mask.
-pub fn monopole_accel_scalar(
-    p: [f64; 3],
-    mass: &[f64],
-    sx: &[f64],
-    sy: &[f64],
-    sz: &[f64],
-    eps: f64,
-) -> [f64; 3] {
-    let mut a = [0.0; 3];
-    for s in 0..mass.len() {
-        if mass[s] <= 0.0 {
-            continue;
-        }
-        let da = point_accel(mass[s], [sx[s], sy[s], sz[s]], p, eps);
-        a[0] += da[0];
-        a[1] += da[1];
-        a[2] += da[2];
-    }
-    a
-}
-
 /// `match_width!(policy, |W| simd, scalar)`: `simd` monomorphised with the
-/// policy's pack width bound to the const `W`; the scalar reference and
+/// policy's lane count bound to the const `W`; the scalar oracle and
 /// unvalidated widths take `scalar`. The gravity entry points match once
-/// per leaf sweep, outside every loop.
+/// per leaf, outside every loop.
 macro_rules! match_width {
     ($policy:expr, |$w:ident| $simd:expr, $scalar:expr) => {
         match $policy {
@@ -683,352 +649,144 @@ macro_rules! match_width {
     };
 }
 
-/// Load the pack at `s[off..]`: branch-free when `PAD` is false, predicated
-/// (lanes past the end read `fill`) when true.
+/// Interleaved partial sums per target — the *definition* of the kernels'
+/// summation order: source number `s` of a target's list (far nodes for
+/// M2L; near leaves × their 64 blocks for P2P) adds into partial sum
+/// `s % SUM_GROUPS`, and the partial sums are combined left to right once
+/// per target. The order names no lane count, so every width has the same
+/// bits. The work accounting charges far lists in whole groups of this size
+/// ([`crate::driver`]).
+pub const SUM_GROUPS: usize = 4;
+
+/// Running positive sums of one target pack: `[group][axis]`.
+type Partials<const W: usize> = [[Simd<W>; 3]; SUM_GROUPS];
+
+/// The `W` targets `tb[b0..b0 + W]` as one pack per axis.
 #[inline(always)]
-fn load_pack<const W: usize, const PAD: bool>(s: &[f64], off: usize, fill: f64) -> Simd<W> {
-    if PAD {
-        Simd::from_slice_padded(s, off, fill)
-    } else {
-        Simd::from_slice(s, off)
+fn load_targets<const W: usize>(tb: &BlockSoA, b0: usize) -> [Simd<W>; 3] {
+    [
+        Simd::from_slice(&tb.x, b0),
+        Simd::from_slice(&tb.y, b0),
+        Simd::from_slice(&tb.z, b0),
+    ]
+}
+
+/// Combine the partial sums left to right, negate (the kernels accumulate
+/// `−a`), and store one acceleration per lane.
+#[inline(always)]
+fn store_targets<const W: usize>(acc: Partials<W>, out: &mut [[f64; 3]]) {
+    let [x, y, z] = std::array::from_fn(|d| -(((acc[0][d] + acc[1][d]) + acc[2][d]) + acc[3][d]));
+    for (l, slot) in out.iter_mut().enumerate() {
+        *slot = [x.0[l], y.0[l], z.0[l]];
     }
 }
 
-/// One pack of P2P interactions: the sources at `off` against the splatted
-/// target `p`, added to the running positive sums `acc`. Forced inline so
-/// the accumulators stay in vector registers across the source stream.
-/// Padded lanes load mass 0 at the [`PAD_POS`] sentinel, so they contribute
-/// exactly zero — no masking. `r2` is at least `eps²` (a coincident source)
-/// and at most about `3·PAD_POS²` (a padded lane): inside the domain of
-/// [`Simd::recip_sqrt`] by twenty orders of magnitude at either end.
+/// One broadcast P2P source against the target pack `p`, added to the
+/// partial sum `acc`. Forced inline so the accumulators stay in vector
+/// registers across the source stream. A zero-mass source and a source
+/// coincident with its target add exactly zero (Plummer `eps > 0` keeps
+/// `1/r` finite), so there is no mask; `r2` is at least `eps²` and at most
+/// the squared domain diagonal, deep inside [`Simd::recip_sqrt`]'s domain.
 #[inline(always)]
-fn p2p_pack<const W: usize, const PAD: bool>(
-    [mass, sx, sy, sz]: [&[f64]; 4],
-    off: usize,
+fn p2p_source<const W: usize>(
+    src: &BlockSoA,
+    s: usize,
     p: &[Simd<W>; 3],
     eps2: Simd<W>,
     acc: &mut [Simd<W>; 3],
 ) {
-    let m = load_pack::<W, PAD>(mass, off, 0.0);
-    let x = p[0] - load_pack::<W, PAD>(sx, off, PAD_POS);
-    let y = p[1] - load_pack::<W, PAD>(sy, off, PAD_POS);
-    let z = p[2] - load_pack::<W, PAD>(sz, off, PAD_POS);
+    let x = p[0] - Simd::splat(src.x[s]);
+    let y = p[1] - Simd::splat(src.y[s]);
+    let z = p[2] - Simd::splat(src.z[s]);
     let r2 = x.mul_add(x, y.mul_add(y, z.mul_add(z, eps2)));
     let inv_r = r2.recip_sqrt();
-    let w = m * inv_r * inv_r * inv_r;
+    let w = Simd::splat(src.mass[s]) * inv_r * inv_r * inv_r;
     acc[0] = x.mul_add(w, acc[0]);
     acc[1] = y.mul_add(w, acc[1]);
     acc[2] = z.mul_add(w, acc[2]);
 }
 
-/// Width-generic SIMD P2P sweep of one target over a list of SoA source
-/// streams `[mass, x, y, z]`: splat the target, stream every source in
-/// `Simd<W>` packs, `mul_add`-accumulate, `recip_sqrt` for the softened
-/// distance. The three vector accumulators live across the whole list: one
-/// horizontal reduction and one negation per target, after the last source.
+/// P2P of the target pack at `b0` over a near list's blocks, swept where
+/// they lie. `BLOCKS` is a multiple of [`SUM_GROUPS`], so block `s` of every
+/// source leaf lands in group `s % SUM_GROUPS`.
 #[inline(always)]
-fn p2p_sweep<'a, const W: usize>(
-    p: [f64; 3],
-    sources: impl Iterator<Item = [&'a [f64]; 4]>,
+fn p2p_targets<'a, const W: usize>(
+    tb: &BlockSoA,
+    b0: usize,
+    sources: impl Iterator<Item = &'a BlockSoA>,
     eps: f64,
-) -> [f64; 3] {
-    let p = p.map(Simd::<W>::splat);
-    let eps2 = Simd::<W>::splat(eps * eps);
-    let mut acc = [Simd::<W>::zero(); 3];
+    out: &mut [[f64; 3]],
+) {
+    let p = load_targets::<W>(tb, b0);
+    let eps2 = Simd::splat(eps * eps);
+    let mut acc: Partials<W> = [[Simd::zero(); 3]; SUM_GROUPS];
     for src in sources {
-        // Written out rather than through `sweep_packs`: a closure called
-        // from two sites stays out of line, and the accumulators with it.
-        // Only the remainder pack pays for predication.
-        let len = src[0].len();
-        let mut off = 0;
-        while off + W <= len {
-            p2p_pack::<W, false>(src, off, &p, eps2, &mut acc);
-            off += W;
-        }
-        if off < len {
-            p2p_pack::<W, true>(src, off, &p, eps2, &mut acc);
-        }
-    }
-    acc.map(|a| -a.reduce_sum())
-}
-
-/// Width-generic SIMD P2P kernel over one source stream: the one-source
-/// case of the sweep [`p2p_blocks`] runs over a near list.
-#[inline]
-pub fn monopole_accel_simd<const W: usize>(
-    p: [f64; 3],
-    mass: &[f64],
-    sx: &[f64],
-    sy: &[f64],
-    sz: &[f64],
-    eps: f64,
-) -> [f64; 3] {
-    p2p_sweep::<W>(p, std::iter::once([mass, sx, sy, sz]), eps)
-}
-
-/// Monopole slice kernel dispatched per the configured [`SimdPolicy`].
-pub fn monopole_accel_soa(
-    policy: SimdPolicy,
-    p: [f64; 3],
-    mass: &[f64],
-    sx: &[f64],
-    sy: &[f64],
-    sz: &[f64],
-    eps: f64,
-) -> [f64; 3] {
-    match_width!(
-        policy,
-        |W| monopole_accel_simd::<W>(p, mass, sx, sy, sz, eps),
-        monopole_accel_scalar(p, mass, sx, sy, sz, eps)
-    )
-}
-
-/// Storage alignment of a [`FarField`] segment: the widest supported pack.
-/// [`FarField::pad_to_simd`] rounds each segment's storage up to a multiple
-/// of this with sentinel rows, so every narrower width divides it too.
-pub const SIMD_PAD: usize = 8;
-
-/// SoA table of one leaf's far-field sources (M2L inputs), rebuilt per
-/// target leaf inside reusable scratch — the multipole analogue of
-/// [`BlockSoA`]. Sized by the far list, so segment lengths are ragged;
-/// builders call [`FarField::pad_to_simd`] after each segment so the M2L
-/// kernel's remainder pack can load sentinel rows straight from storage
-/// instead of constructing a predicated pack lane by lane.
-#[derive(Debug, Clone, Default)]
-pub struct FarField {
-    /// Source masses.
-    pub mass: Vec<f64>,
-    /// Source COM x.
-    pub x: Vec<f64>,
-    /// Source COM y.
-    pub y: Vec<f64>,
-    /// Source COM z.
-    pub z: Vec<f64>,
-    /// Traceless quadrupole components (xx, yy, zz, xy, xz, yz), each a
-    /// contiguous lane.
-    pub quad: [Vec<f64>; 6],
-    /// Real (non-sentinel) sources pushed so far.
-    len: usize,
-}
-
-impl FarField {
-    /// Empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of real sources (sentinel pad rows excluded).
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no sources are loaded.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Drop all sources, keeping capacity.
-    pub fn clear(&mut self) {
-        self.mass.clear();
-        self.x.clear();
-        self.y.clear();
-        self.z.clear();
-        for q in &mut self.quad {
-            q.clear();
-        }
-        self.len = 0;
-    }
-
-    /// Append one multipole source.
-    pub fn push(&mut self, m: &Moments) {
-        self.mass.push(m.mass);
-        self.x.push(m.com[0]);
-        self.y.push(m.com[1]);
-        self.z.push(m.com[2]);
-        for (lane, &q) in self.quad.iter_mut().zip(m.quad.iter()) {
-            lane.push(q);
-        }
-        self.len += 1;
-    }
-
-    /// Round the storage up to a multiple of [`SIMD_PAD`] with sentinel
-    /// rows (zero mass and quadrupole at [`PAD_POS`]) — exactly the lane
-    /// values `from_slice_padded` constructs for a ragged remainder, so a
-    /// full-pack load over the pad region is bitwise-identical to the
-    /// predicated load it replaces. Does not change [`FarField::len`].
-    pub fn pad_to_simd(&mut self) {
-        while !self.mass.len().is_multiple_of(SIMD_PAD) {
-            self.mass.push(0.0);
-            self.x.push(PAD_POS);
-            self.y.push(PAD_POS);
-            self.z.push(PAD_POS);
-            for q in &mut self.quad {
-                q.push(0.0);
+        for s0 in (0..BLOCKS).step_by(SUM_GROUPS) {
+            for (g, acc) in acc.iter_mut().enumerate() {
+                p2p_source(src, s0 + g, &p, eps2, acc);
             }
         }
     }
-
-    /// Append the moments of `nodes`, then pad ([`FarField::pad_to_simd`]):
-    /// how a leaf's far table is built from its far list.
-    pub fn push_segment(&mut self, moments: &[Moments], nodes: &[NodeId]) {
-        for &n in nodes {
-            self.push(&moments[n]);
-        }
-        self.pad_to_simd();
-    }
-
-    /// Borrowed view of the table: the slices cover the storage, sentinel
-    /// pad rows included, so the M2L kernel can finish the ragged remainder
-    /// with one full-pack load; without padded storage the kernel falls back
-    /// to a predicated load at the view's end.
-    pub fn as_view(&self) -> FarFieldView<'_> {
-        FarFieldView {
-            mass: &self.mass,
-            x: &self.x,
-            y: &self.y,
-            z: &self.z,
-            quad: std::array::from_fn(|i| &self.quad[i][..]),
-            len: self.len,
-        }
-    }
+    store_targets(acc, out);
 }
 
-/// Borrowed SoA slice of a [`FarField`] — the unit the M2L kernels consume:
-/// one contiguous source stream with at most one ragged tail pack. The slices
-/// may run past [`FarFieldView::len`] into sentinel pad rows — the kernels
-/// full-load the tail from those rows when present and only construct a
-/// predicated pack when the slices end flush with the real sources.
-#[derive(Debug, Clone, Copy)]
-pub struct FarFieldView<'a> {
-    /// Source masses.
-    pub mass: &'a [f64],
-    /// Source COM x.
-    pub x: &'a [f64],
-    /// Source COM y.
-    pub y: &'a [f64],
-    /// Source COM z.
-    pub z: &'a [f64],
-    /// Traceless quadrupole components (xx, yy, zz, xy, xz, yz).
-    pub quad: [&'a [f64]; 6],
-    /// Real sources in the view (the slices may be longer by pad rows).
-    len: usize,
-}
-
-impl FarFieldView<'_> {
-    /// Number of real sources in the view.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the view holds no sources.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-}
-
-/// Scalar reference: far-field acceleration at `p` from a [`FarField`]
-/// table (sequential [`multipole_accel`] over the sources).
-pub fn multipole_accel_scalar(p: [f64; 3], ff: &FarField) -> [f64; 3] {
-    multipole_accel_scalar_view(p, ff.as_view())
-}
-
-/// [`multipole_accel_scalar`] over a borrowed [`FarFieldView`].
-pub fn multipole_accel_scalar_view(p: [f64; 3], ff: FarFieldView<'_>) -> [f64; 3] {
-    let mut a = [0.0; 3];
-    for s in 0..ff.len() {
-        let m = Moments {
-            mass: ff.mass[s],
-            com: [ff.x[s], ff.y[s], ff.z[s]],
-            quad: [
-                ff.quad[0][s],
-                ff.quad[1][s],
-                ff.quad[2][s],
-                ff.quad[3][s],
-                ff.quad[4][s],
-                ff.quad[5][s],
-            ],
-        };
-        let da = multipole_accel(&m, p);
-        a[0] += da[0];
-        a[1] += da[1];
-        a[2] += da[2];
-    }
-    a
-}
-
-/// One pack of M2L interactions: the sources at `off` of `ff` against the
-/// splatted target `p`, added to the running positive sums `acc`. Forced
-/// inline, like [`p2p_pack`]; padded lanes sit at the [`PAD_POS`] sentinel
-/// with zero mass and quadrupole.
+/// One broadcast M2L source against the target pack `p`, added to the
+/// partial sum `acc`; forced inline like [`p2p_source`]. Far sources are
+/// strictly outside the target leaf's circumscribed sphere (the MAC
+/// guarantees `dist − radius > 0`), so `r² > 0` and [`multipole_accel`]'s
+/// `r² == 0` guard is unnecessary.
 #[inline(always)]
-fn m2l_pack<const W: usize, const PAD: bool>(
-    ff: &FarFieldView<'_>,
-    off: usize,
-    p: &[Simd<W>; 3],
-    acc: &mut [Simd<W>; 3],
-) {
-    let m = load_pack::<W, PAD>(ff.mass, off, 0.0);
-    let x = p[0] - load_pack::<W, PAD>(ff.x, off, PAD_POS);
-    let y = p[1] - load_pack::<W, PAD>(ff.y, off, PAD_POS);
-    let z = p[2] - load_pack::<W, PAD>(ff.z, off, PAD_POS);
-    let q = |i: usize| load_pack::<W, PAD>(ff.quad[i], off, 0.0);
+fn m2l_source<const W: usize>(m: &Moments, p: &[Simd<W>; 3], acc: &mut [Simd<W>; 3]) {
+    let x = p[0] - Simd::splat(m.com[0]);
+    let y = p[1] - Simd::splat(m.com[1]);
+    let z = p[2] - Simd::splat(m.com[2]);
+    let q: [Simd<W>; 6] = m.quad.map(Simd::splat);
     let r2 = x.mul_add(x, y.mul_add(y, z * z));
     // The correctly rounded `1/√r²`, not `recip_sqrt`: M2L is bound by its
     // multiply-adds, so the divider is free here and the five extra
-    // operations of `recip_sqrt` are not (0.068 → 0.085 s per level-4 step).
+    // operations of `recip_sqrt` are not.
     let inv_r = Simd::splat(1.0) / r2.sqrt();
     let inv_r2 = inv_r * inv_r;
     let inv_r3 = inv_r2 * inv_r;
     let inv_r5 = inv_r3 * inv_r2;
     let inv_r7 = inv_r5 * inv_r2;
     // Q·x rows.
-    let qx = q(0).mul_add(x, q(3).mul_add(y, q(4) * z));
-    let qy = q(3).mul_add(x, q(1).mul_add(y, q(5) * z));
-    let qz = q(4).mul_add(x, q(5).mul_add(y, q(2) * z));
+    let qx = q[0].mul_add(x, q[3].mul_add(y, q[4] * z));
+    let qy = q[3].mul_add(x, q[1].mul_add(y, q[5] * z));
+    let qz = q[4].mul_add(x, q[5].mul_add(y, q[2] * z));
     let xqx = x.mul_add(qx, y.mul_add(qy, z * qz));
     // a = −[M x/r³ + (Q·x)/r⁵ − (5/2)(x·Q·x) x/r⁷]: accumulate the
-    // bracket positively, negate once after the reduction.
-    let s = m.mul_add(inv_r3, -(Simd::splat(2.5) * xqx * inv_r7));
+    // bracket positively, negate once after the last source.
+    let s = Simd::splat(m.mass).mul_add(inv_r3, -(Simd::splat(2.5) * xqx * inv_r7));
     acc[0] = qx.mul_add(inv_r5, x.mul_add(s, acc[0]));
     acc[1] = qy.mul_add(inv_r5, y.mul_add(s, acc[1]));
     acc[2] = qz.mul_add(inv_r5, z.mul_add(s, acc[2]));
 }
 
-/// Width-generic SIMD M2L kernel over a borrowed [`FarFieldView`]. Far
-/// sources are strictly outside the target leaf's circumscribed sphere (the
-/// MAC guarantees `dist − radius > 0`), so `r² > 0` on every real lane and
-/// the scalar kernel's `r² == 0` guard is unnecessary.
-#[inline]
-pub fn multipole_accel_simd_view<const W: usize>(p: [f64; 3], ff: FarFieldView<'_>) -> [f64; 3] {
-    let p = p.map(Simd::<W>::splat);
-    let mut acc = [Simd::<W>::zero(); 3];
-    // Every pack the storage covers takes the branch-free unpadded loads —
-    // the remainder pack too when the view's slices extend into sentinel
-    // pad rows (padded storage holds exactly the lane values a predicated
-    // load would construct, so the arithmetic is bitwise-identical). Only a
-    // view that ends flush with its real sources pays for the lane-by-lane
-    // predicated construction — 10 SoA streams per pack, which is what
-    // made ragged tails disproportionately expensive at wide W. Written out
-    // for the reason given in `p2p_sweep`.
-    let mut off = 0;
-    while off < ff.len() && off + W <= ff.mass.len() {
-        m2l_pack::<W, false>(&ff, off, &p, &mut acc);
-        off += W;
-    }
-    if off < ff.len() {
-        m2l_pack::<W, true>(&ff, off, &p, &mut acc);
-    }
-    acc.map(|a| -a.reduce_sum())
-}
-
-/// Multipole slice kernel dispatched per the configured [`SimdPolicy`].
-pub fn multipole_accel_soa(policy: SimdPolicy, p: [f64; 3], ff: &FarField) -> [f64; 3] {
-    let ff = ff.as_view();
-    match_width!(
-        policy,
-        |W| multipole_accel_simd_view::<W>(p, ff),
-        multipole_accel_scalar_view(p, ff)
-    )
+/// M2L of the target pack at `b0` over a far list, each node's moments
+/// read in place.
+#[inline(always)]
+fn m2l_targets<const W: usize>(
+    tb: &BlockSoA,
+    b0: usize,
+    moments: &[Moments],
+    far: &[NodeId],
+    out: &mut [[f64; 3]],
+) {
+    let p = load_targets::<W>(tb, b0);
+    // The partial sums are independent, so each takes its own pass over
+    // every fourth node: three live accumulators instead of twelve (one
+    // interleaved loop spilled them on every source), and the two dependent
+    // multiply-adds that end a source are far shorter than the time it
+    // takes to issue it, so a single chain per pass costs nothing.
+    let acc: Partials<W> = std::array::from_fn(|g| {
+        let mut acc = [Simd::zero(); 3];
+        for &n in far.iter().skip(g).step_by(SUM_GROUPS) {
+            m2l_source(&moments[n], &p, &mut acc);
+        }
+        acc
+    });
+    store_targets(acc, out);
 }
 
 /// Softening length for a leaf of cell width `dx`.
@@ -1038,44 +796,54 @@ pub fn softening(dx: f64) -> f64 {
 }
 
 /// The two kernel-configuration axes bundled for the solve path: which
-/// execution space runs the per-block loops, and at which SIMD width the
-/// inner source loops run.
+/// execution space runs a leaf's target packs, and how many targets a pack
+/// holds.
 pub struct GravityKernels<'a> {
-    /// Execution space of the far-field (M2L) block loop.
+    /// Execution space of the far-field (M2L) target loop.
     pub multipole: &'a Dispatch,
-    /// Execution space of the near-field (P2P) block loop.
+    /// Execution space of the near-field (P2P) target loop.
     pub monopole: &'a Dispatch,
-    /// Width policy of both inner source loops.
+    /// Lane count of both kernels' target packs.
     pub simd: SimdPolicy,
 }
 
 /// Multipole kernel of one target leaf: far-field acceleration per block of
-/// `tb` from the far table `ff`, under an `m2l` span.
+/// `tb` from the moments of its `far` list, under an `m2l` span. Targets
+/// across the lanes, each source broadcast, summed in the [`SUM_GROUPS`]
+/// order; the scalar oracle sums [`multipole_accel`] in list order.
 pub fn m2l_blocks(
     kernels: &GravityKernels<'_>,
     tb: &BlockSoA,
-    ff: FarFieldView<'_>,
+    moments: &[Moments],
+    far: &[NodeId],
     out: &mut [[f64; 3]],
 ) {
     let _span = trace::span(Cat::Gravity, "m2l");
     match_width!(
         kernels.simd,
-        |W| kernels
-            .multipole
-            .fill(out, |b| multipole_accel_simd_view::<W>(tb.com(b), ff)),
-        kernels
-            .multipole
-            .fill(out, |b| multipole_accel_scalar_view(tb.com(b), ff))
+        |W| kernels.multipole.fill_rows(out, W, |row, out| {
+            m2l_targets::<W>(tb, row * W, moments, far, out)
+        }),
+        kernels.multipole.fill(out, |b| {
+            let p = tb.com(b);
+            let mut a = [0.0; 3];
+            for &n in far {
+                let da = multipole_accel(&moments[n], p);
+                a[0] += da[0];
+                a[1] += da[1];
+                a[2] += da[2];
+            }
+            a
+        })
     )
 }
 
 /// Monopole kernel of one target leaf: near-field block-block P2P per block
 /// of `tb`, under a `p2p` span. The near list's [`BlockSoA`]s are swept in
-/// place, in list order, into one set of accumulators per target block,
-/// reduced once after the last source leaf — the accumulation order every
-/// execution mode shares. Self-leaf self-block and zero-mass contributions
-/// are exactly zero in the SoA kernels, so no index masking is needed (see
-/// [`monopole_accel_scalar`]).
+/// place, in list order, the same way as [`m2l_blocks`] sweeps a far list.
+/// Self-leaf self-block and zero-mass contributions are exactly zero, so no
+/// index masking is needed; the scalar oracle skips massless sources and
+/// sums [`point_accel`] per source leaf, then over the list.
 pub fn p2p_blocks(
     kernels: &GravityKernels<'_>,
     blocks: &[BlockSoA],
@@ -1089,16 +857,20 @@ pub fn p2p_blocks(
     let sources = || near.iter().map(|&src| &blocks[leaf_pos[src]]);
     match_width!(
         kernels.simd,
-        |W| kernels.monopole.fill(out, |b| {
-            let streams = sources().map(|s| [&s.mass[..], &s.x[..], &s.y[..], &s.z[..]]);
-            p2p_sweep::<W>(tb.com(b), streams, eps)
+        |W| kernels.monopole.fill_rows(out, W, |row, out| {
+            p2p_targets::<W>(tb, row * W, sources(), eps, out)
         }),
-        // The scalar reference sums per source leaf, then over the list.
         kernels.monopole.fill(out, |b| {
             let p = tb.com(b);
             let mut a = [0.0; 3];
-            for s in sources() {
-                let da = monopole_accel_scalar(p, &s.mass, &s.x, &s.y, &s.z, eps);
+            for src in sources() {
+                let mut da = [0.0; 3];
+                for s in (0..BLOCKS).filter(|&s| src.mass[s] > 0.0) {
+                    let d = point_accel(src.mass[s], src.com(s), p, eps);
+                    da[0] += d[0];
+                    da[1] += d[1];
+                    da[2] += d[2];
+                }
                 a[0] += da[0];
                 a[1] += da[1];
                 a[2] += da[2];
@@ -1127,39 +899,6 @@ pub fn scatter_block_accel(block_acc: &[[f64; 3]], near_acc: &[[f64; 3]]) -> Vec
     out
 }
 
-/// Reusable buffers of one leaf solve: the far table and the per-block
-/// accumulators. Grow-only; [`LeafSolve::accel`] resets what it reads, so one
-/// scratch serves any number of leaves in a row.
-#[derive(Default)]
-pub struct GravityScratch {
-    far: FarField,
-    /// Far-field acceleration per block of the leaf being solved.
-    block_acc: Vec<[f64; 3]>,
-    /// Near-field acceleration per block of the leaf being solved.
-    near_acc: Vec<[f64; 3]>,
-}
-
-/// Shared free list of [`GravityScratch`] buffers. Far tables have
-/// data-dependent lengths, so they recycle here as grow-only buffers rather
-/// than through the length-keyed [`RecyclePool`](crate::recycle::RecyclePool).
-#[derive(Default)]
-pub struct GravityScratches {
-    pool: Mutex<Vec<GravityScratch>>,
-}
-
-impl GravityScratches {
-    /// Take a scratch buffer (fresh if the pool is dry).
-    pub fn take(&self) -> GravityScratch {
-        let mut pool = self.pool.lock().expect("gravity scratch pool lock");
-        pool.pop().unwrap_or_default()
-    }
-
-    /// Return a scratch buffer for reuse.
-    pub fn put(&self, s: GravityScratch) {
-        self.pool.lock().expect("gravity scratch pool lock").push(s);
-    }
-}
-
 /// What every leaf solve of one gravity pass reads: the tree, the upward
 /// pass's moments, the P2M blocks of *every* leaf in leaf order (near-list
 /// sources may be owned elsewhere) and the kernel configuration.
@@ -1172,34 +911,21 @@ pub struct LeafSolve<'a> {
     pub blocks: &'a [BlockSoA],
     /// `NodeId` → leaf-order position.
     pub leaf_pos: &'a [usize],
-    /// Execution spaces + SIMD width of the kernels.
+    /// Execution spaces + lane count of the kernels.
     pub kernels: &'a GravityKernels<'a>,
 }
 
 impl LeafSolve<'_> {
-    /// Cell accelerations of leaf `target` from its `far` and `near` lists —
-    /// the three stages every solve is made of: the far table gathered into
-    /// `scratch` and swept by [`m2l_blocks`], the near list's blocks swept
-    /// where they lie by [`p2p_blocks`], then [`scatter_block_accel`].
-    pub fn accel(
-        &self,
-        target: NodeId,
-        far: &[NodeId],
-        near: &[NodeId],
-        scratch: &mut GravityScratch,
-    ) -> Vec<[f64; 3]> {
+    /// Cell accelerations of leaf `target` from its `far` and `near` lists:
+    /// [`m2l_blocks`] over the far list's moments, [`p2p_blocks`] over the
+    /// near list's blocks, both read where they lie, then
+    /// [`scatter_block_accel`].
+    pub fn accel(&self, target: NodeId, far: &[NodeId], near: &[NodeId]) -> Vec<[f64; 3]> {
         let tb = &self.blocks[self.leaf_pos[target]];
         let (_, dx) = self.tree.node_geometry(target);
-        scratch.far.clear();
-        scratch.far.push_segment(self.moments, far);
-        scratch.block_acc.resize(BLOCKS, [0.0; 3]);
-        scratch.near_acc.resize(BLOCKS, [0.0; 3]);
-        m2l_blocks(
-            self.kernels,
-            tb,
-            scratch.far.as_view(),
-            &mut scratch.block_acc,
-        );
+        let mut block_acc = [[0.0; 3]; BLOCKS];
+        let mut near_acc = [[0.0; 3]; BLOCKS];
+        m2l_blocks(self.kernels, tb, self.moments, far, &mut block_acc);
         p2p_blocks(
             self.kernels,
             self.blocks,
@@ -1207,16 +933,15 @@ impl LeafSolve<'_> {
             tb,
             near,
             softening(dx),
-            &mut scratch.near_acc,
+            &mut near_acc,
         );
-        scatter_block_accel(&scratch.block_acc, &scratch.near_acc)
+        scatter_block_accel(&block_acc, &near_acc)
     }
 }
 
-/// One-shot FMM acceleration for one target leaf: its own dual traversal and
-/// a transient scratch around [`LeafSolve::accel`]. For tests, benches and
-/// single-leaf studies; the driver solves on cached lists and recycled
-/// scratch.
+/// One-shot FMM acceleration for one target leaf: its own dual traversal
+/// around [`LeafSolve::accel`]. For tests, benches and single-leaf studies;
+/// the driver solves on cached lists.
 pub fn accel_for_leaf(
     tree: &Octree,
     moments: &[Moments],
@@ -1234,7 +959,7 @@ pub fn accel_for_leaf(
         leaf_pos,
         kernels,
     };
-    solve.accel(target, &far, &near, &mut GravityScratch::default())
+    solve.accel(target, &far, &near)
 }
 
 /// `NodeId` → leaf-order position (usize::MAX for internal nodes).
@@ -1400,8 +1125,7 @@ mod tests {
     fn fmm_matches_direct_summation() {
         let (tree, blocks, moments, pos) = test_tree(2);
         let d = Dispatch::Legacy;
-        // Compare on a leaf near the star centre (strongest field); the
-        // default dispatch runs the SIMD (width-4) kernels.
+        // Compare on a leaf near the star centre (strongest field).
         let target = *tree
             .leaf_ids()
             .iter()
@@ -1543,28 +1267,46 @@ mod tests {
         d / na.max(nb).max(1e-300)
     }
 
-    #[test]
-    fn simd_monopole_matches_scalar_all_widths() {
-        let (tree, blocks, _, pos) = test_tree(1);
-        let leaf = tree.leaf_ids()[0];
-        let sb = &blocks[pos[leaf]];
-        let p = [0.3, -0.1, 0.2];
-        let eps = 0.05;
-        let want = monopole_accel_scalar(p, &sb.mass, &sb.x, &sb.y, &sb.z, eps);
-        for w in SimdPolicy::SUPPORTED_WIDTHS {
-            let got =
-                monopole_accel_soa(SimdPolicy::Width(w), p, &sb.mass, &sb.x, &sb.y, &sb.z, eps);
+    /// `f(kernels, out)` at the scalar oracle and at every width: the widths
+    /// must agree bit for bit with each other and to 1e-12 with the oracle.
+    fn widths_agree(f: impl Fn(&GravityKernels<'_>, &mut [[f64; 3]])) -> [[f64; 3]; BLOCKS] {
+        let d = Dispatch::Legacy;
+        let at = |simd| {
+            let mut out = [[f64::NAN; 3]; BLOCKS];
+            f(&kernels(&d, simd), &mut out);
+            out
+        };
+        let oracle = at(SimdPolicy::Scalar);
+        let first = at(SimdPolicy::Width(1));
+        for (b, (got, want)) in first.iter().zip(&oracle).enumerate() {
             assert!(
-                rel_diff(got, want) < 1e-12,
-                "width {w}: {got:?} vs {want:?}"
+                rel_diff(*got, *want) < 1e-12,
+                "block {b}: {got:?} vs {want:?}"
             );
         }
+        for w in SimdPolicy::SUPPORTED_WIDTHS {
+            let got = at(SimdPolicy::Width(w));
+            assert_eq!(
+                got.map(|a| a.map(f64::to_bits)),
+                first.map(|a| a.map(f64::to_bits)),
+                "width {w} against width 1"
+            );
+        }
+        first
+    }
+
+    #[test]
+    fn p2p_has_one_set_of_bits_at_every_width() {
+        let (tree, blocks, _, pos) = test_tree(1);
+        let tb = &blocks[0];
+        let near: Vec<NodeId> = tree.leaf_ids().to_vec();
+        widths_agree(|k, out| p2p_blocks(k, &blocks, &pos, tb, &near, 0.05, out));
     }
 
     /// P2P's `r2` stays inside the domain of `Simd::recip_sqrt` (the normal
-    /// f32 range): `eps²` at a coincident source, `3·(PAD_POS + 1)² + eps²`
-    /// at a padded lane of a target in the far corner of the `[-1, 1]³`
-    /// domain. In a debug build of the lane loops (default flags, and W 1/2
+    /// f32 range): `eps²` at a coincident source — every target meets itself
+    /// in its own leaf — and the squared diagonal of the `[-1, 1]³` domain
+    /// at most. In a debug build of the lane loops (default flags, and W 1/2
     /// everywhere) `recip_sqrt` itself asserts it on every lane below.
     #[test]
     fn p2p_r2_stays_inside_the_recip_sqrt_domain() {
@@ -1573,86 +1315,67 @@ mod tests {
         let eps = softening(tree.node_size(12) / NX as f64);
         let domain = f64::from(f32::MIN_POSITIVE)..=f64::from(f32::MAX);
         assert!(domain.contains(&(eps * eps)));
-        assert!(domain.contains(&(3.0 * (PAD_POS + 1.0).powi(2) + eps * eps)));
+        assert!(domain.contains(&(12.0 + eps * eps)));
+        let near: Vec<NodeId> = tree.leaf_ids().to_vec();
+        let got = widths_agree(|k, out| p2p_blocks(k, &blocks, &pos, &blocks[0], &near, eps, out));
+        assert!(got.iter().flatten().all(|a| a.is_finite()));
+    }
 
-        fn padded_lanes_add_exactly_zero<const W: usize>(eps: f64) {
-            let p = [-1.0; 3].map(Simd::<W>::splat);
-            let mut acc = [Simd::<W>::zero(); 3];
-            // No source rows at all: every lane is a padded one.
-            p2p_pack::<W, true>([&[]; 4], 0, &p, Simd::splat(eps * eps), &mut acc);
-            for a in acc {
-                assert_eq!(a.0.map(f64::to_bits), [0; W], "W={W}: {a:?}");
-            }
+    #[test]
+    fn vacuum_sources_add_the_same_signed_zero_at_every_width() {
+        // All masses zero: every product is ±0, every partial sum stays +0,
+        // and the one negation per target makes each component −0.
+        let (tree, mut blocks, _, pos) = test_tree(1);
+        for b in &mut blocks {
+            b.mass = [0.0; BLOCKS];
         }
-        padded_lanes_add_exactly_zero::<1>(eps);
-        padded_lanes_add_exactly_zero::<2>(eps);
-        padded_lanes_add_exactly_zero::<4>(eps);
-        padded_lanes_add_exactly_zero::<8>(eps);
-
-        // A ragged stream (padded remainder at every width > 1) whose first
-        // source coincides with the target: `r2 = eps²` on that lane.
-        let sb = &blocks[pos[tree.leaf_ids()[0]]];
-        let (mass, x, y, z) = (&sb.mass[..13], &sb.x[..13], &sb.y[..13], &sb.z[..13]);
-        let want = monopole_accel_scalar(sb.com(0), mass, x, y, z, eps);
-        for w in SimdPolicy::SUPPORTED_WIDTHS {
-            let got = monopole_accel_soa(SimdPolicy::Width(w), sb.com(0), mass, x, y, z, eps);
-            assert!(got.iter().all(|a| a.is_finite()), "width {w}: {got:?}");
-            assert!(
-                rel_diff(got, want) < 1e-12,
-                "width {w}: {got:?} vs {want:?}"
-            );
+        let near: Vec<NodeId> = tree.leaf_ids().to_vec();
+        let got = widths_agree(|k, out| p2p_blocks(k, &blocks, &pos, &blocks[0], &near, 0.05, out));
+        for a in got.iter().flatten() {
+            assert_eq!(a.to_bits(), (-0.0f64).to_bits());
         }
     }
 
     #[test]
-    fn simd_multipole_matches_scalar_including_tails() {
-        let (_, _, moments, _) = test_tree(2);
-        // Table sized to hit a remainder lane at every width > 1.
-        let mut ff = FarField::new();
-        for m in moments.iter().filter(|m| m.mass > 0.0).take(13) {
-            ff.push(m);
+    fn m2l_has_one_set_of_bits_at_every_far_list_length() {
+        // Lengths 0..=13 cover every `len % SUM_GROUPS` with and without a
+        // full group before the remainder.
+        let (_, blocks, moments, _) = test_tree(2);
+        let far: Vec<NodeId> = (0..moments.len())
+            .filter(|&n| moments[n].mass > 0.0)
+            .take(13)
+            .collect();
+        // A target leaf well away from the sources' centres of mass.
+        let mut tb = blocks[0].clone();
+        for b in 0..BLOCKS {
+            tb.set_com(b, [3.0 + tb.x[b], 2.0 + tb.y[b], -4.0 + tb.z[b]]);
         }
-        assert_eq!(ff.len(), 13, "odd length exercises the padded tail");
-        let p = [1.1, 0.7, -0.9];
-        let want = multipole_accel_scalar(p, &ff);
-        for w in SimdPolicy::SUPPORTED_WIDTHS {
-            let got = multipole_accel_soa(SimdPolicy::Width(w), p, &ff);
-            assert!(
-                rel_diff(got, want) < 1e-12,
-                "width {w}: {got:?} vs {want:?}"
-            );
+        for len in 0..=far.len() {
+            widths_agree(|k, out| m2l_blocks(k, &tb, &moments, &far[..len], out));
         }
     }
 
     #[test]
-    fn padded_storage_is_bitwise_identical_to_predicated_tail() {
-        let (_, _, moments, _) = test_tree(2);
-        // Ragged at every width; unpadded table forces the predicated
-        // tail, padded table full-loads the sentinel rows.
-        let mut plain = FarField::new();
-        for m in moments.iter().filter(|m| m.mass > 0.0).take(13) {
-            plain.push(m);
-        }
-        let mut padded = plain.clone();
-        padded.pad_to_simd();
-        assert_eq!(padded.len(), 13, "pad must not change the logical len");
-        assert_eq!(padded.mass.len(), 16);
-        let p = [1.1, 0.7, -0.9];
-        for w in SimdPolicy::SUPPORTED_WIDTHS {
-            let a = multipole_accel_soa(SimdPolicy::Width(w), p, &plain);
-            let b = multipole_accel_soa(SimdPolicy::Width(w), p, &padded);
-            for d in 0..3 {
-                assert_eq!(
-                    a[d].to_bits(),
-                    b[d].to_bits(),
-                    "width {w} axis {d}: padded load must be bit-exact"
-                );
-            }
-        }
-        // The view covers the storage: pad rows when there are some.
-        assert_eq!(plain.as_view().mass.len(), 13);
-        assert_eq!(padded.as_view().mass.len(), 16);
-        assert_eq!(padded.as_view().len(), 13);
+    fn partial_sums_combine_in_reduce_sum_order() {
+        // `store_targets` is `Simd::<4>::reduce_sum` of a target's four
+        // partial sums, then the negation — the order width 4 had when
+        // sources sat across the lanes, which pinned every hash.
+        let groups = [0.1, 1.0e16, -1.0e16, 0.3];
+        let acc: Partials<2> = std::array::from_fn(|g| {
+            [
+                Simd([groups[g], groups[3 - g]]),
+                Simd::splat(groups[g]),
+                Simd::zero(),
+            ]
+        });
+        let mut out = [[f64::NAN; 3]; 2];
+        store_targets(acc, &mut out);
+        let fwd = -Simd::<4>(groups).reduce_sum();
+        let mut rev = groups;
+        rev.reverse();
+        assert_eq!(out[0], [fwd, fwd, -0.0]);
+        assert_eq!(out[1][0], -Simd::<4>(rev).reduce_sum());
+        assert_eq!(out[0][2].to_bits(), (-0.0f64).to_bits());
     }
 
     #[test]
@@ -1895,8 +1618,9 @@ mod tests {
                 assert_eq!(a[d].to_bits(), b[d].to_bits());
             }
         }
-        // Axis 2 — SIMD widths: different summation orders, so agreement
-        // is to 1e-12 relative against the scalar reference.
+        // Axis 2 — lane counts: one summation order, so the widths agree
+        // BITWISE too; the scalar oracle sums in list order and agrees to
+        // 1e-12 relative.
         let d = Dispatch::Legacy;
         let at = |simd| {
             accel_for_leaf(
@@ -1909,11 +1633,12 @@ mod tests {
                 &kernels(&d, simd),
             )
         };
-        let reference = at(SimdPolicy::Scalar);
+        let oracle = at(SimdPolicy::Scalar);
         for w in SimdPolicy::SUPPORTED_WIDTHS {
             let got = at(SimdPolicy::Width(w));
-            for (a, b) in got.iter().zip(&reference) {
-                assert!(rel_diff(*a, *b) < 1e-12, "width {w}: {a:?} vs {b:?}");
+            for ((a, b), o) in got.iter().zip(&legacy).zip(&oracle) {
+                assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits), "width {w}");
+                assert!(rel_diff(*a, *o) < 1e-12, "width {w}: {a:?} vs {o:?}");
             }
         }
     }

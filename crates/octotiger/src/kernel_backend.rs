@@ -47,19 +47,21 @@ impl KernelType {
     }
 }
 
-/// SIMD width policy for the gravity kernels — the second, orthogonal axis
-/// of kernel configuration. [`KernelType`] picks the *execution space*
-/// (where the per-leaf loops run); `SimdPolicy` picks the *data-parallel
-/// width* of the inner interaction loops, mirroring how the real Octo-Tiger
+/// SIMD width policy of the gravity and hydro kernels — the second,
+/// orthogonal axis of kernel configuration. [`KernelType`] picks the
+/// *execution space* (where the per-leaf loops run); `SimdPolicy` picks the
+/// *lane count* of a pack of gravity targets or hydro cells — a pure
+/// host-performance choice, bitwise invisible — mirroring how the real Octo-Tiger
 /// combines Kokkos execution spaces with `Kokkos::Experimental::simd` types
 /// ("From Merging Frameworks to Merging Stars", Daiß et al. 2022).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SimdPolicy {
-    /// Reference scalar AoS-order loops — kept as an always-available
-    /// backend so agreement tests keep the vector path honest. This is
-    /// also what the RISC-V boards run (no V extension, Table 2).
+    /// The scalar oracles — kept as an always-available backend so
+    /// agreement tests keep the vector path honest (gravity's sums its
+    /// sources in plain list order, so it agrees to rounding, not bitwise).
+    /// This is also what the RISC-V boards run (no V extension, Table 2).
     Scalar,
-    /// Width-generic `Simd<W>` loops over the SoA block layout;
+    /// Width-generic `Simd<W>` packs over the SoA block layout;
     /// the width is one of 1, 2, 4, 8.
     Width(usize),
 }
@@ -89,8 +91,7 @@ impl SimdPolicy {
         SimdPolicy::Width(kokkos_lite::simd::natural_width(arch).max(1))
     }
 
-    /// Lane count charged by the cost model: scalar and `Width(1)` both
-    /// process one interaction per "pack".
+    /// Lanes per pack: scalar and `Width(1)` both process one element.
     pub fn lanes(self) -> usize {
         match self {
             SimdPolicy::Scalar => 1,
@@ -108,19 +109,18 @@ impl SimdPolicy {
 }
 
 impl Default for SimdPolicy {
-    /// Four lanes: the AVX2 width, and the widest pack that is one register
-    /// on every x86 build with a `Simd` backend (`ymm` under AVX2 and under
-    /// AVX-512); under AVX2 alone eight lanes are a lane loop. P2P is no
-    /// longer divider-bound (`Simd::recip_sqrt` seeds in f32), so on an
-    /// AVX-512 build eight lanes now win there — half the instructions for
-    /// the same multiply-adds (`BENCH_gravity.json`: simd8 0.84 against
-    /// simd4 1.11 ns per interaction) — while M2L, which kept the exact
-    /// `sqrt` + divide, still pays a `zmm` divide/square root twice a `ymm`
-    /// one (2.37 against 1.99). A default that follows the compiled ISA is
-    /// its own change with its own measurement. On builds without a backend
-    /// width 4 is what LLVM's SLP vectoriser handles best.
+    /// The widest pack that is one register in this build: 8 lanes where
+    /// AVX-512F is compiled in (`zmm`), 4 everywhere else (`ymm` under AVX2,
+    /// and what LLVM's SLP vectoriser handles best without a `Simd`
+    /// backend). Gravity and hydro have the same bits at every lane count,
+    /// so the default may follow the compiled ISA — upstream's
+    /// `simd_extension=DISCOVER`.
     fn default() -> Self {
-        SimdPolicy::Width(4)
+        SimdPolicy::Width(if cfg!(target_feature = "avx512f") {
+            8
+        } else {
+            4
+        })
     }
 }
 
@@ -377,7 +377,12 @@ mod tests {
         );
         assert_eq!(SimdPolicy::Scalar.lanes(), 1);
         assert_eq!(SimdPolicy::Width(8).lanes(), 8);
-        assert_eq!(SimdPolicy::default(), SimdPolicy::Width(4));
+        let native = if cfg!(target_feature = "avx512f") {
+            8
+        } else {
+            4
+        };
+        assert_eq!(SimdPolicy::default(), SimdPolicy::Width(native));
         assert_eq!(SimdPolicy::Scalar.label(), "scalar");
         assert_eq!(SimdPolicy::Width(4).label(), "simd4");
     }

@@ -6,27 +6,24 @@
 //! AVX-512 host) must reproduce them: a backend runs the same IEEE
 //! operations per lane in the same order (`recip_sqrt` included: an f32
 //! seed and one cubic step, no hardware estimate), so a whole solve has the
-//! same bits. The production solve — cached lists, one scratch reused from
-//! leaf to leaf — must agree with the one-shot solve too. `scripts/ci.sh`
-//! runs this file in all three builds: default flags, `+fma`, and the host's
-//! native ISA.
+//! same bits. The kernels put targets across the lanes and sum a list in one
+//! order whatever the lane count (`gravity::SUM_GROUPS`), so there is one
+//! hash, not one per width. The production solve — cached lists, leaf after
+//! leaf — must agree with the one-shot solve too. `scripts/ci.sh` runs this
+//! file in all three builds: default flags, `+fma`, and the host's native
+//! ISA.
 
 use octotiger::gravity::{
-    accel_for_leaf, compute_blocks, BlockSoA, GravityKernels, GravityScratch, GravityWorkspace,
-    InteractionCache, LeafSolve,
+    accel_for_leaf, compute_blocks, BlockSoA, GravityKernels, GravityWorkspace, InteractionCache,
+    LeafSolve,
 };
 use octotiger::kernel_backend::{Dispatch, SimdPolicy};
 use octotiger::octree::Octree;
 use octotiger::star::RotatingStar;
 use octotiger::OctoConfig;
 
-/// `(simd_width, hash, hash of a build whose `mul_add` is fused)`.
-const FALLBACK_BITS: [(usize, u64, u64); 4] = [
-    (1, 0x5b5a_1a4e_7879_8e95, 0x09ac_28c0_fb98_e315),
-    (2, 0x922e_1d97_f75a_09d5, 0x9c93_1069_6dfb_8b35),
-    (4, 0xb8bc_3212_2a42_0315, 0xe51a_a577_fb81_03d5),
-    (8, 0x70ef_1184_aa46_d1d5, 0x9ca8_9ba4_d391_8295),
-];
+/// `(hash, hash of a build whose `mul_add` is fused)` at every lane count.
+const FALLBACK_BITS: (u64, u64) = (0xb8bc_3212_2a42_0315, 0xe51a_a577_fb81_03d5);
 
 /// FNV-1a over the bits of every cell's acceleration, leaf order.
 fn hash(accels: impl Iterator<Item = Vec<[f64; 3]>>) -> u64 {
@@ -40,7 +37,7 @@ fn hash(accels: impl Iterator<Item = Vec<[f64; 3]>>) -> u64 {
 }
 
 #[test]
-fn level2_solve_has_the_fallbacks_bits_one_shot_and_on_recycled_scratch() {
+fn level2_solve_has_the_fallbacks_bits_at_every_width_one_shot_and_on_cached_lists() {
     let cfg = OctoConfig {
         max_level: 2,
         ..OctoConfig::default()
@@ -57,7 +54,8 @@ fn level2_solve_has_the_fallbacks_bits_one_shot_and_on_recycled_scratch() {
     cache.ensure(&tree, &ws.moments, cfg.theta);
     let dispatch = Dispatch::Legacy;
 
-    for (width, plain, fused) in FALLBACK_BITS {
+    let (plain, fused) = FALLBACK_BITS;
+    for width in SimdPolicy::SUPPORTED_WIDTHS {
         let kernels = GravityKernels {
             multipole: &dispatch,
             monopole: &dispatch,
@@ -74,9 +72,7 @@ fn level2_solve_has_the_fallbacks_bits_one_shot_and_on_recycled_scratch() {
                 &kernels,
             )
         }));
-        // The driver's solve: cached lists, and one scratch for every leaf in
-        // leaf order — a far table left over from the leaf before would move
-        // the hash.
+        // The driver's solve: cached lists.
         let solve = LeafSolve {
             tree: &tree,
             moments: &ws.moments,
@@ -84,12 +80,11 @@ fn level2_solve_has_the_fallbacks_bits_one_shot_and_on_recycled_scratch() {
             leaf_pos: &ws.leaf_pos,
             kernels: &kernels,
         };
-        let mut scratch = GravityScratch::default();
-        let recycled = hash(
+        let cached = hash(
             leaves
                 .iter()
                 .zip(cache.lists())
-                .map(|(&leaf, (far, near))| solve.accel(leaf, far, near, &mut scratch)),
+                .map(|(&leaf, (far, near))| solve.accel(leaf, far, near)),
         );
         let want = if cfg!(target_feature = "fma") {
             fused
@@ -97,6 +92,6 @@ fn level2_solve_has_the_fallbacks_bits_one_shot_and_on_recycled_scratch() {
             plain
         };
         assert_eq!(one_shot, want, "width {width}, one shot: {one_shot:#x}");
-        assert_eq!(recycled, want, "width {width}, recycled scratch");
+        assert_eq!(cached, want, "width {width}, cached lists");
     }
 }

@@ -65,10 +65,18 @@ RUSTFLAGS="-C target-feature=+fma" CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-target}
 # the one place CI builds the AVX2 / AVX-512 backends and holds them to the
 # same bits (backend ops == lane loops, gravity pinned to the fallback's
 # hashes, every bitwise suite). It also runs the kokkos-lite unit tests,
-# which nothing above does.
-echo "== native-ISA step: SIMD backends keep the fallback's bits =="
+# which nothing above does. The flags are the referee's — benchmark/run.sh
+# spells them `FLAGS="-C target-cpu=native"` plus, on x86_64,
+# `-C target-feature=-prefer-256-bit` — so on an AVX-512 host the default
+# lane count is 8 and the suites below run on real zmm packs, the codegen
+# that is measured.
+NATIVE_FLAGS="-C target-cpu=native"
+if [[ "$(uname -m)" == "x86_64" ]]; then
+  NATIVE_FLAGS="$NATIVE_FLAGS -C target-feature=-prefer-256-bit"
+fi
+echo "== native-ISA step ($NATIVE_FLAGS): SIMD backends keep the fallback's bits =="
 (
-  export RUSTFLAGS="-C target-cpu=native"
+  export RUSTFLAGS="$NATIVE_FLAGS"
   export CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-target}/native"
   cargo test -q -p kokkos-lite -p octotiger
   cargo test -q --test simd_gravity_prop --test simd_hydro_prop --test ghost_plan_prop \
@@ -107,9 +115,9 @@ cargo run --release -p apex-lite --bin trace_check -- \
 # trace_report --check: non-empty critical path within the wall window,
 # utilization rows, the cluster-wide imbalance + parcel-latency series,
 # a non-empty flamegraph, and (on a multi-locality trace with flows) a
-# distributed critical path that routes through >= 1 network leg, bounds
-# every single-locality path, and carries ordered latency percentiles
-# with histogram count == parcels delivered.
+# distributed critical path that bounds every single-locality path (whether
+# it crosses a network leg is the run's timing, not a gate), and ordered
+# latency percentiles with histogram count == parcels delivered.
 cargo run --release -p apex-lite --bin trace_report -- \
   --check --require-counter=/runtime/imbalance \
   --require-counter=/comms/parcel_latency --flame-out="$FLAME_OUT" \

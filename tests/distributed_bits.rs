@@ -2,7 +2,7 @@
 //! step with an ownership mask and a parcel exchange, so after k steps every
 //! leaf must hold the node-level driver's bits — on one locality or two,
 //! over every parcelport, coalesced or not, on one to three workers per
-//! locality, at scalar and vector width.
+//! locality, on the scalar oracle and at two lane counts.
 //!
 //! Every run is under a watchdog (a deadlock fails, never hangs). Budget of
 //! the whole file: ≤ 60 s in the tier-1 (debug) profile — 45 s measured on
@@ -145,7 +145,8 @@ fn pairs_across_the_cut(driver: &Driver) -> (usize, usize) {
 }
 
 /// One run per parcelport on a tree with both kinds of face across the cut,
-/// between them scalar and default width.
+/// between them the scalar oracle and two lane counts — which share one set
+/// of bits: the width-8 run is held to the width-4 node-level hashes.
 #[test]
 fn level_2_runs_have_the_node_level_bits_across_level_jumps() {
     let model = || OffCentre(RotatingStar::paper_default());
@@ -157,11 +158,11 @@ fn level_2_runs_have_the_node_level_bits_across_level_jumps() {
         driver.leaf_hashes()
     };
     let (scalar, vector) = (node_level(0), node_level(4));
-    assert_ne!(scalar, vector, "the two widths sum in different orders");
+    assert_ne!(scalar, vector, "the oracle sums in plain list order");
     let runs = [
         (NetBackend::Tcp, 0, &scalar),
         (NetBackend::Mpi, 4, &vector),
-        (NetBackend::Lci, 4, &vector),
+        (NetBackend::Lci, 8, &vector),
     ];
     for (backend, width, want) in runs {
         let got = watched(&format!("level 2 over {backend:?}"), move || {

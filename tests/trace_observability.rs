@@ -422,27 +422,37 @@ fn coalesced_two_node_run_routes_critical_path_through_network_legs() {
         "no flow crosses a locality boundary"
     );
 
-    // The ISSUE's acceptance bundle on the distributed critical path.
+    // The distributed critical path. Every parcel is a candidate wire leg,
+    // but whether the longest chain *takes* one is the run's timing: when
+    // one locality is the later one at every join it never waits for the
+    // wire, and the path is that locality's own lane (about one run in ten
+    // at this size). What holds in every run: the legs are in the pool, a
+    // path that stays home is exactly the longest single-locality path, and
+    // a path that crosses is at least that. That a *waiting* task puts the
+    // wire on the path is pinned on a fixed trace in `apex_lite::critpath`
+    // (`a_task_waiting_for_the_wire_puts_the_wire_on_the_path`).
     let phases = apex_lite::default_phases(&summary);
     let d = apex_lite::critical_path_distributed(&summary, &phases);
-    assert!(
-        d.network_edges_on_path >= 1,
-        "critical path crosses no network leg ({} flow edges)",
-        summary.flow_edges.len()
-    );
-    assert!(d.network_ns > 0, "network legs contribute no path time");
+    let wire = d
+        .path
+        .by_phase
+        .iter()
+        .find(|p| p.name == "network")
+        .expect("network legs among the path's candidates");
+    assert_eq!(wire.spans, metrics.port.parcels, "one leg per parcel");
+    assert_eq!(wire.path_ns, d.network_ns);
     assert!(
         d.path.path_ns <= d.path.wall_ns,
         "distributed path {} ns exceeds wall {} ns",
         d.path.path_ns,
         d.path.wall_ns
     );
-    for (pid, &per) in &d.per_locality_path_ns {
-        assert!(
-            d.path.path_ns >= per,
-            "distributed path {} ns under locality {pid}'s own path {per} ns",
-            d.path.path_ns
-        );
+    let longest_local = d.per_locality_path_ns.values().copied().max().unwrap_or(0);
+    assert!(longest_local > 0, "no locality has a path of its own");
+    if d.network_edges_on_path == 0 {
+        assert_eq!((d.path.path_ns, d.network_ns), (longest_local, 0));
+    } else {
+        assert!(d.path.path_ns >= longest_local);
     }
 
     // Latency histogram: exactly one observation per delivered parcel,
