@@ -4,8 +4,10 @@
 //!
 //! 1. Kernel sweep: one full hydro step (MUSCL reconstruction + HLL fluxes)
 //!    over every leaf of the rotating-star tree, scalar reference vs the
-//!    staged SoA SIMD path at every supported pack width. Legacy dispatch =
-//!    inline serial execution, isolating the kernels from scheduling noise.
+//!    staged SoA SIMD path (stage built per leaf, each face flux once) at
+//!    every supported pack width, and next to it the CFL reduction over the
+//!    same leaves. Legacy dispatch = inline serial execution, isolating the
+//!    kernels from scheduling noise.
 //! 2. Step pipeline: a short multi-worker driver run of the step's task
 //!    graph, reporting wall time, the measured gravity/hydro overlap ratio
 //!    and the task counts `bench_diff` holds exact.
@@ -28,6 +30,7 @@ use octotiger::{Driver, OctoConfig};
 struct KernelPoint {
     label: String,
     ns_per_sweep: f64,
+    cfl_ns_per_sweep: f64,
 }
 
 struct StepPoint {
@@ -69,38 +72,41 @@ fn time_kernel_sweeps(driver: &Driver, policies: &[SimdPolicy], iters: u32) -> V
                 SimdPolicy::Width(_) => {
                     let mut out = state_pool.acquire(CELLS);
                     let grid = tree.subgrid(leaf);
-                    hydro::step_interior_staged_into(
-                        grid,
-                        None,
-                        dt,
-                        &d,
-                        policy,
-                        &mut out,
-                        &stage_pool,
-                    );
+                    hydro::step_interior_staged_into(grid, dt, &d, policy, &mut out, &stage_pool);
                     out
                 }
             };
             state_pool.release(std::hint::black_box(out));
         }
     };
+    let cfl_sweep = |policy: SimdPolicy| {
+        let speeds = tree
+            .leaf_ids()
+            .iter()
+            .map(|&leaf| hydro::max_signal_speed_policy(tree.subgrid(leaf), &d, policy));
+        std::hint::black_box(speeds.fold(0.0, f64::max));
+    };
     for &p in policies {
         sweep(p); // warm-up (also primes the pools)
     }
-    let mut best = vec![f64::INFINITY; policies.len()];
+    let mut best = vec![(f64::INFINITY, f64::INFINITY); policies.len()];
     for _ in 0..iters {
         for (i, &p) in policies.iter().enumerate() {
             let start = Instant::now();
             sweep(p);
-            best[i] = best[i].min(start.elapsed().as_nanos() as f64);
+            best[i].0 = best[i].0.min(start.elapsed().as_nanos() as f64);
+            let start = Instant::now();
+            cfl_sweep(p);
+            best[i].1 = best[i].1.min(start.elapsed().as_nanos() as f64);
         }
     }
     policies
         .iter()
         .zip(best)
-        .map(|(p, ns)| KernelPoint {
+        .map(|(p, (ns, cfl_ns))| KernelPoint {
             label: p.label(),
             ns_per_sweep: ns,
+            cfl_ns_per_sweep: cfl_ns,
         })
         .collect()
 }
@@ -142,9 +148,10 @@ fn main() {
     let kernel_points = time_kernel_sweeps(&driver, &policies, iters);
     for p in &kernel_points {
         println!(
-            "hydro-simd/muscl_hll_sweep/{}: min {:.2} µs",
+            "hydro-simd/muscl_hll_sweep/{}: min {:.2} µs, cfl {:.2} µs",
             p.label,
-            p.ns_per_sweep / 1e3
+            p.ns_per_sweep / 1e3,
+            p.cfl_ns_per_sweep / 1e3
         );
     }
     let scalar_ns = kernel_points[0].ns_per_sweep;
@@ -174,10 +181,11 @@ fn main() {
         .iter()
         .map(|p| {
             format!(
-                "    {{\"policy\": \"{}\", \"ns_per_sweep\": {:.0}, \"speedup_vs_scalar\": {:.3}}}",
+                "    {{\"policy\": \"{}\", \"ns_per_sweep\": {:.0}, \"speedup_vs_scalar\": {:.3}, \"cfl_ns_per_sweep\": {:.0}}}",
                 p.label,
                 p.ns_per_sweep,
-                scalar_ns / p.ns_per_sweep
+                scalar_ns / p.ns_per_sweep,
+                p.cfl_ns_per_sweep
             )
         })
         .collect();

@@ -11,13 +11,15 @@
 //!   the gated invariant is that flops/sec stays within 2× across depth,
 //!   i.e. the machine itself does not fall off a cliff on deep trees;
 //! * peak RSS (`rv_machine::memory::peak_rss_bytes`) next to the arena
-//!   bytes, the §6.2.1 memory-pressure axis;
+//!   bytes and per cell, the §6.2.1 memory-pressure axis — gated at level 4
+//!   to at most twice the arena, so nothing sub-grid-sized can be kept per
+//!   leaf across tasks again without CI saying so;
 //! * the cache-retention ratio of the mid-run sweep: with subtree-scoped
 //!   invalidation only the split's neighbour cone re-traverses, so the
 //!   rebuild ratio must stay **< 25 %** of the leaves (gate asserted here).
 //!
-//! `BENCH_SMOKE=1` runs the level-4 gate only (CI): the rebuild-ratio
-//! assertion still fires, no JSON is written.
+//! `BENCH_SMOKE=1` runs the level-4 gates only (CI): the rebuild-ratio and
+//! memory assertions still fire, no JSON is written.
 
 use std::time::Instant;
 
@@ -55,6 +57,11 @@ struct ScalePoint {
 }
 
 impl ScalePoint {
+    /// Peak resident bytes per cell of the tree.
+    fn bytes_per_cell(&self) -> f64 {
+        self.peak_rss_bytes as f64 / self.cells as f64
+    }
+
     /// Fraction of leaves the mid-run sweeps re-traversed (0 when no
     /// partial rebuild ran).
     fn rebuild_ratio(&self) -> f64 {
@@ -163,9 +170,9 @@ fn time_scale(level: u32, steps: u32, threads: usize) -> ScalePoint {
 fn print_point(p: &ScalePoint) {
     println!(
         "scale/level{}: {} leaves, {:.3e} cells/s ({:.3e} steady, \
-         {:.3e} flops/s, {:.0} inter/cell), peak_rss {:.1} MiB, \
-         arena {:.1} MiB, partial_rebuilds {} rebuilt {} retained {} \
-         (rebuild ratio {:.1}%)",
+         {:.3e} flops/s, {:.0} inter/cell), peak_rss {:.1} MiB \
+         ({:.0} B/cell), arena {:.1} MiB, partial_rebuilds {} rebuilt {} \
+         retained {} (rebuild ratio {:.1}%)",
         p.level,
         p.leaves,
         p.cells_per_second,
@@ -173,6 +180,7 @@ fn print_point(p: &ScalePoint) {
         p.steady_flops_per_second,
         p.interactions_per_cell,
         p.peak_rss_bytes as f64 / (1024.0 * 1024.0),
+        p.bytes_per_cell(),
         p.arena_bytes as f64 / (1024.0 * 1024.0),
         p.partial_rebuilds,
         p.leaves_rebuilt,
@@ -201,6 +209,20 @@ fn assert_gate(p: &ScalePoint) {
     );
 }
 
+/// The memory gate, at level 4 (where the process's peak is this level's):
+/// a sub-grid-sized buffer kept per leaf across tasks costs 0.6 of the arena
+/// (the primitive stage did: 2.64 × arena with it, 1.65 without).
+fn assert_memory_gate(p: &ScalePoint) {
+    assert!(
+        p.peak_rss_bytes <= 2 * p.arena_bytes,
+        "level {}: peak RSS {} B is more than twice the arena's {} B — \
+         is something sub-grid-sized alive per leaf across tasks?",
+        p.level,
+        p.peak_rss_bytes,
+        p.arena_bytes
+    );
+}
+
 fn main() {
     let smoke = std::env::var("BENCH_SMOKE").is_ok_and(|v| v == "1");
     let threads = std::thread::available_parallelism()
@@ -213,7 +235,10 @@ fn main() {
         let p = time_scale(4, 2, threads);
         print_point(&p);
         assert_gate(&p);
-        println!("BENCH_SMOKE=1: rebuild-ratio gate OK, skipping BENCH_scale.json write");
+        assert_memory_gate(&p);
+        println!(
+            "BENCH_SMOKE=1: rebuild-ratio and memory gates OK, skipping BENCH_scale.json write"
+        );
         return;
     }
 
@@ -227,6 +252,7 @@ fn main() {
     for p in points.iter().filter(|p| p.level >= 4) {
         assert_gate(p);
     }
+    assert_memory_gate(&points[1]);
     let l2 = &points[0];
     let l5 = points.last().expect("three depths");
     // Two depth numbers, one gated. Raw cells/sec falls with depth because
@@ -264,6 +290,7 @@ fn main() {
                  \"steady_flops_per_second\": {:.1}, \
                  \"interactions_per_cell\": {:.1}, \
                  \"peak_rss_bytes\": {}, \"arena_bytes\": {}, \
+                 \"bytes_per_cell\": {:.1}, \
                  \"partial_rebuilds\": {}, \"leaves_rebuilt\": {}, \
                  \"leaves_retained\": {}, \"rebuild_ratio\": {:.4}}}",
                 p.level,
@@ -277,6 +304,7 @@ fn main() {
                 p.interactions_per_cell,
                 p.peak_rss_bytes,
                 p.arena_bytes,
+                p.bytes_per_cell(),
                 p.partial_rebuilds,
                 p.leaves_rebuilt,
                 p.leaves_retained,

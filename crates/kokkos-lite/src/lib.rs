@@ -29,7 +29,7 @@ pub mod space;
 pub mod view;
 
 pub use parallel::{
-    parallel_fill, parallel_fill_rows, parallel_for, parallel_for_md, parallel_reduce,
+    parallel_fill, parallel_fill_row_runs, parallel_for, parallel_for_md, parallel_reduce,
     parallel_reduce_max, parallel_reduce_sum, parallel_scan_inclusive,
 };
 pub use policy::{MDRangePolicy, RangePolicy};

@@ -158,12 +158,15 @@ where
     });
 }
 
-/// Row-granular parallel initialization: `out` is split into consecutive
-/// rows of `row_len` elements and `f(row, chunk)` fills each row in place.
-/// This is the kernel shape explicitly-vectorized stencil code needs — a
-/// task owns whole rows, so a `Simd<W>` pack can store `W` contiguous
-/// elements at once without two tasks ever sharing a cache line of output.
-pub fn parallel_fill_rows<S, T, F>(space: &S, out: &mut [T], row_len: usize, f: F)
+/// Run-granular parallel initialization: `out` is consecutive rows of
+/// `row_len` elements, cut into runs of whole rows, and `f(first_row, run)`
+/// fills each run in place — one run (all of `out`) on a space without
+/// concurrency, `4 × concurrency` runs otherwise. This is the kernel shape
+/// explicitly-vectorized stencil code needs: a task owns whole rows, so a
+/// `Simd<W>` pack can store `W` contiguous elements at once without two
+/// tasks ever sharing a cache line of output, and it sees its whole run, so
+/// what neighbouring rows share (a face flux) is computed once per run.
+pub fn parallel_fill_row_runs<S, T, F>(space: &S, out: &mut [T], row_len: usize, f: F)
 where
     S: ExecutionSpace,
     T: Send,
@@ -177,9 +180,7 @@ where
     }
     let conc = space.concurrency();
     if conc <= 1 {
-        for (r, chunk) in out.chunks_mut(row_len).enumerate() {
-            f(r, chunk);
-        }
+        f(0, out);
         return;
     }
     let group = rows.div_ceil(conc * 4).max(1);
@@ -190,10 +191,7 @@ where
         .collect();
     space.for_range(0..pieces.len(), |pi| {
         let (row0, cell) = &pieces[pi];
-        let slice = cell.take();
-        for (local, chunk) in slice.chunks_mut(row_len).enumerate() {
-            f(row0 + local, chunk);
-        }
+        f(*row0, cell.take());
     });
 }
 
@@ -327,25 +325,29 @@ mod tests {
     }
 
     #[test]
-    fn fill_rows_matches_serial_on_all_spaces() {
+    fn fill_row_runs_cover_every_row_once_on_all_spaces() {
         let rt = Runtime::new(4);
         let hpx = HpxSpace::new(rt.handle());
         let rows = 64;
         let row_len = 8;
-        let body = |r: usize, chunk: &mut [f64]| {
-            for (k, slot) in chunk.iter_mut().enumerate() {
-                *slot = (r * 100 + k) as f64;
+        let runs = AtomicU64::new(0);
+        let body = |row0: usize, run: &mut [f64]| {
+            runs.fetch_add(1, Ordering::Relaxed);
+            for (n, slot) in run.iter_mut().enumerate() {
+                *slot += ((row0 + n / row_len) * 100 + n % row_len) as f64;
             }
         };
         let mut serial = vec![0.0; rows * row_len];
-        parallel_fill_rows(&Serial, &mut serial, row_len, body);
+        parallel_fill_row_runs(&Serial, &mut serial, row_len, body);
+        assert_eq!(runs.swap(0, Ordering::Relaxed), 1, "Serial: one run");
         let mut par = vec![0.0; rows * row_len];
-        parallel_fill_rows(&hpx, &mut par, row_len, body);
+        parallel_fill_row_runs(&hpx, &mut par, row_len, body);
+        assert_eq!(runs.load(Ordering::Relaxed), 16, "4 per worker");
         assert_eq!(serial, par);
         assert_eq!(serial[9 * row_len + 3], 903.0);
         // Empty output is a no-op even with a nonzero row length.
         let mut empty: Vec<f64> = vec![];
-        parallel_fill_rows(&hpx, &mut empty, row_len, body);
+        parallel_fill_row_runs(&hpx, &mut empty, row_len, body);
     }
 
     #[test]

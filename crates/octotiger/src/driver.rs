@@ -26,7 +26,7 @@ use crate::gravity::{
     self, BlockSoA, CacheStats, EnsureReport, GravityKernels, GravityWorkspace, InteractionCache,
     LeafSolve,
 };
-use crate::hydro::{self, HydroStage};
+use crate::hydro;
 use crate::kernel_backend::Dispatch;
 use crate::octree::{GhostFaces, NodeId, Octree, FACE_VALUES};
 use crate::recycle::{PoolStats, RecyclePool};
@@ -291,7 +291,8 @@ pub struct Driver {
     work: WorkEstimate,
     /// cppuddle-style scratch-buffer pool for the hydro kernels.
     pool: Arc<RecyclePool<[f64; NF]>>,
-    /// Pool behind the SoA primitive staging views of the SIMD hydro path.
+    /// Pool behind the primitive stage of the SIMD hydro path: scratch of a
+    /// hydro task, so as many buffers as hydro tasks run at once.
     stage_pool: Arc<RecyclePool<f64>>,
     /// Gravity/hydro concurrency totals (latency hiding of the task graph).
     overlap: OverlapTotals,
@@ -334,7 +335,7 @@ impl Driver {
     /// The driver of locality `node` of `nodes`: the whole tree's topology,
     /// stepping the leaves that locality owns and holding data for those and
     /// their halo only (so no regrid, and no whole-tree diagnostics, on one
-    /// locality of several: repartitioning is ROADMAP item 2).
+    /// locality of several: repartitioning is ROADMAP item 1).
     pub(crate) fn for_locality<M: InitialModel>(
         model: &M,
         config: OctoConfig,
@@ -484,8 +485,6 @@ impl Driver {
             Mutex::new(Some((ws_in, cache_in)));
 
         let speeds: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        let stage_slots: Vec<Mutex<Option<HydroStage>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
         let block_slots: Vec<Mutex<Option<BlockSoA>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let accel_slots: Vec<Mutex<Option<AccelEntry>>> =
             (0..n).map(|_| Mutex::new(None)).collect();
@@ -512,7 +511,7 @@ impl Driver {
             let hydro_dispatch = &hydro_dispatch;
             let (state_pool, stage_pool) = (&*self.pool, &*self.stage_pool);
             let leaves = &leaves[..];
-            let (speeds, stage_slots, block_slots) = (&speeds, &stage_slots, &block_slots);
+            let (speeds, block_slots) = (&speeds, &block_slots);
             let (accel_slots, state_slots) = (&accel_slots, &state_slots);
             let (cfl_remaining, p2m_remaining) = (&cfl_remaining, &p2m_remaining);
             let (dt_bits, published, gravity_state) = (&dt_bits, &published, &gravity_state);
@@ -523,10 +522,8 @@ impl Driver {
                 {
                     let t0 = trace::now_ns();
                     let _span = trace::span(Cat::Phase, "hydro_step");
-                    let stage = stage_slots[idx].lock().expect("stage slot").take();
                     hydro::step_interior_staged_into(
                         tree.subgrid(leaves[idx]),
-                        stage,
                         dt,
                         hydro_dispatch,
                         policy,
@@ -542,10 +539,8 @@ impl Driver {
                 {
                     let _span = trace::span(Cat::Phase, "cfl_leaf");
                     let g = tree.subgrid(leaves[idx]);
-                    let (speed, stage) =
-                        hydro::max_signal_speed_policy(g, hydro_dispatch, policy, stage_pool);
+                    let speed = hydro::max_signal_speed_policy(g, hydro_dispatch, policy);
                     speeds[idx].store((speed / g.dx).to_bits(), Ordering::Release);
-                    *stage_slots[idx].lock().expect("stage slot") = stage;
                 }
                 if cfl_remaining.fetch_sub(1, Ordering::SeqCst) != 1 {
                     return;

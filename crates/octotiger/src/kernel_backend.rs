@@ -240,11 +240,10 @@ impl Dispatch {
         }
     }
 
-    /// Row-granular fill kernel: `out` is split into consecutive rows of
-    /// `row_len` elements and `f(row, chunk)` writes each row in place —
-    /// the shape the explicitly-vectorized hydro kernel needs so one task
-    /// owns whole k-rows and can store full `Simd<W>` packs.
-    pub fn fill_rows<T, F>(&self, out: &mut [T], row_len: usize, f: F)
+    /// Run-granular fill kernel: `out` is rows of `row_len` elements and
+    /// `f(first_row, run)` writes a run of whole rows in place — all of `out`
+    /// under Legacy and in the Serial space, the HPX space's pieces otherwise.
+    pub fn fill_row_runs<T, F>(&self, out: &mut [T], row_len: usize, f: F)
     where
         T: Send,
         F: Fn(usize, &mut [T]) + Send + Sync,
@@ -253,15 +252,29 @@ impl Dispatch {
             Dispatch::Legacy => {
                 assert!(row_len > 0, "row_len must be positive");
                 assert_eq!(out.len() % row_len, 0, "output must be whole rows");
-                for (r, chunk) in out.chunks_mut(row_len).enumerate() {
-                    f(r, chunk);
-                }
+                f(0, out);
             }
             Dispatch::KokkosSerial => {
-                kokkos_lite::parallel_fill_rows(&kokkos_lite::Serial, out, row_len, f)
+                kokkos_lite::parallel_fill_row_runs(&kokkos_lite::Serial, out, row_len, f)
             }
-            Dispatch::KokkosHpx(space) => kokkos_lite::parallel_fill_rows(space, out, row_len, f),
+            Dispatch::KokkosHpx(space) => {
+                kokkos_lite::parallel_fill_row_runs(space, out, row_len, f)
+            }
         }
+    }
+
+    /// [`Dispatch::fill_row_runs`] a row at a time: `f(row, chunk)` writes one
+    /// row, so it can store full `Simd<W>` packs (the gravity kernels' shape).
+    pub fn fill_rows<T, F>(&self, out: &mut [T], row_len: usize, f: F)
+    where
+        T: Send,
+        F: Fn(usize, &mut [T]) + Send + Sync,
+    {
+        self.fill_row_runs(out, row_len, |row0, run| {
+            for (local, chunk) in run.chunks_mut(row_len).enumerate() {
+                f(row0 + local, chunk);
+            }
+        });
     }
 
     /// Max-reduction kernel over `0..n`.

@@ -61,16 +61,33 @@ pub struct PoolStats {
     pub misses: u64,
 }
 
-impl<T: Clone + Default> RecyclePool<T> {
+/// What a debug build overwrites a recycled buffer with, so that a consumer
+/// reading an element it did not write fails the bitwise suites.
+pub trait Poison {
+    /// NaN in every lane.
+    const POISON: Self;
+}
+
+impl Poison for f64 {
+    const POISON: f64 = f64::NAN;
+}
+
+impl<const N: usize> Poison for [f64; N] {
+    const POISON: [f64; N] = [f64::NAN; N];
+}
+
+impl<T: Clone + Default + Poison> RecyclePool<T> {
     /// Empty pool.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Acquire a buffer of exactly `len` default-valued elements, reusing a
-    /// previously released one when available. The caller's own shard is
-    /// tried first (no contention in the steady state); other shards are
-    /// scavenged before giving up and allocating.
+    /// Acquire a buffer of exactly `len` elements, reusing a previously
+    /// released one when available — **as it was released**: initialised,
+    /// contents unspecified (both consumers write each element before
+    /// reading it; a debug build poisons the buffer to hold them to that).
+    /// The caller's own shard is tried first (no contention in the steady
+    /// state); other shards are scavenged before giving up and allocating.
     pub fn acquire(&self, len: usize) -> Vec<T> {
         let home = home_shard();
         let recycled = (0..SHARDS)
@@ -79,8 +96,10 @@ impl<T: Clone + Default> RecyclePool<T> {
         match recycled {
             Some(mut buf) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                buf.clear();
+                // Only a buffer released shorter than its capacity grows.
                 buf.resize(len, T::default());
+                #[cfg(debug_assertions)]
+                buf.fill(T::POISON);
                 buf
             }
             None => {
@@ -146,13 +165,20 @@ mod tests {
     }
 
     #[test]
-    fn reused_buffers_come_back_zeroed() {
-        let pool: RecyclePool<u64> = RecyclePool::new();
+    fn reused_buffers_come_back_unreset_and_poisoned_in_debug() {
+        let pool: RecyclePool<f64> = RecyclePool::new();
         let mut a = pool.acquire(16);
-        a.iter_mut().for_each(|x| *x = 7);
+        assert!(a.iter().all(|&x| x == 0.0), "a fresh buffer is zeroed");
+        a.fill(7.0);
+        a.truncate(4);
         pool.release(a);
         let b = pool.acquire(16);
-        assert!(b.iter().all(|&x| x == 0), "recycled buffer must be reset");
+        assert_eq!(b.len(), 16, "a buffer released short grows back");
+        if cfg!(debug_assertions) {
+            assert!(b.iter().all(|x| x.is_nan()), "debug builds poison");
+        } else {
+            assert_eq!(b[..4], [7.0; 4], "release builds do not touch it");
+        }
     }
 
     #[test]

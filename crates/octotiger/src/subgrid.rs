@@ -81,6 +81,19 @@ pub struct SubGrid {
     pub dx: f64,
 }
 
+/// Primitive state (ρ, vx, vy, vz, p) of one cell's conserved state, floors
+/// applied.
+#[inline]
+fn primitives_of(u: [f64; NF]) -> [f64; 5] {
+    let rho = u[field::RHO].max(RHO_FLOOR);
+    let vx = u[field::SX] / rho;
+    let vy = u[field::SY] / rho;
+    let vz = u[field::SZ] / rho;
+    let kinetic = 0.5 * rho * (vx * vx + vy * vy + vz * vz);
+    let p = ((GAMMA - 1.0) * (u[field::EGAS] - kinetic)).max(P_FLOOR);
+    [rho, vx, vy, vz, p]
+}
+
 impl SubGrid {
     /// Zero-initialized sub-grid at `origin` with cell width `dx`.
     pub fn new(origin: [f64; 3], dx: f64) -> Self {
@@ -150,14 +163,7 @@ impl SubGrid {
     /// Primitive state (ρ, vx, vy, vz, p) at an index, floors applied.
     #[inline]
     pub fn primitives(&self, i: i64, j: i64, k: i64) -> [f64; 5] {
-        let rho = self.at(field::RHO, i, j, k).max(RHO_FLOOR);
-        let vx = self.at(field::SX, i, j, k) / rho;
-        let vy = self.at(field::SY, i, j, k) / rho;
-        let vz = self.at(field::SZ, i, j, k) / rho;
-        let e = self.at(field::EGAS, i, j, k);
-        let kinetic = 0.5 * rho * (vx * vx + vy * vy + vz * vz);
-        let p = ((GAMMA - 1.0) * (e - kinetic)).max(P_FLOOR);
-        [rho, vx, vy, vz, p]
+        primitives_of(std::array::from_fn(|f| self.at(f, i, j, k)))
     }
 
     /// Fill an SoA primitive staging view over the **whole ghost frame**:
@@ -166,23 +172,18 @@ impl SubGrid {
     /// ghost-frame cell `(i, j, k)`. Each primitive becomes a contiguous
     /// z-lane the SIMD hydro kernels load with plain unit-stride packs —
     /// and each cell's conserved→primitive conversion (with floors) happens
-    /// exactly once per step instead of once per stencil visit.
+    /// exactly once per step instead of once per stencil visit. One flat
+    /// loop over the five conserved lanes, which have the same layout.
     ///
     /// Per-lane values are bit-identical to [`SubGrid::primitives`].
     pub fn stage_primitives(&self, out: &mut [f64]) {
-        assert_eq!(out.len(), 5 * NT * NT * NT, "staging view size mismatch");
-        let ng = NG as i64;
-        let stride_f = NT * NT * NT;
-        for x in 0..NT {
-            for y in 0..NT {
-                for z in 0..NT {
-                    let prim = self.primitives(x as i64 - ng, y as i64 - ng, z as i64 - ng);
-                    let c = (x * NT + y) * NT + z;
-                    for (q, v) in prim.iter().enumerate() {
-                        out[q * stride_f + c] = *v;
-                    }
-                }
-            }
+        const LANE: usize = NT * NT * NT;
+        assert_eq!(out.len(), 5 * LANE, "staging view size mismatch");
+        let u: [&[f64]; NF] = std::array::from_fn(|f| &self.u.as_slice()[f * LANE..][..LANE]);
+        let mut lanes = out.chunks_exact_mut(LANE);
+        let [rho, vx, vy, vz, p] = std::array::from_fn(|_| lanes.next().expect("sized above"));
+        for c in 0..LANE {
+            [rho[c], vx[c], vy[c], vz[c], p[c]] = primitives_of(u.map(|lane| lane[c]));
         }
     }
 
@@ -304,23 +305,29 @@ mod tests {
 
     #[test]
     fn staged_primitives_match_per_cell_primitives_bitwise() {
-        let star = RotatingStar::paper_default();
-        let mut g = SubGrid::new([-0.1, -0.1, -0.1], 0.025);
-        g.init_from_star(&star);
-        let mut stage = vec![0.0; 5 * NT * NT * NT];
-        g.stage_primitives(&mut stage);
-        let ng = NG as i64;
-        for x in 0..NT {
-            for y in 0..NT {
-                for z in 0..NT {
-                    let want = g.primitives(x as i64 - ng, y as i64 - ng, z as i64 - ng);
-                    let c = (x * NT + y) * NT + z;
-                    for (q, w) in want.iter().enumerate() {
-                        assert_eq!(
-                            stage[q * NT * NT * NT + c].to_bits(),
-                            w.to_bits(),
-                            "primitive {q} at ({x},{y},{z})"
-                        );
+        let mut star_leaf = SubGrid::new([-0.1, -0.1, -0.1], 0.025);
+        star_leaf.init_from_star(&RotatingStar::paper_default());
+        // Below both floors everywhere, ghosts included: every lane clamps.
+        let mut vacuum = SubGrid::new([0.0; 3], 0.1);
+        let u = vacuum.u.as_mut_slice();
+        u[..NT * NT * NT].fill(0.5 * RHO_FLOOR);
+        u[NT * NT * NT..].fill(0.0);
+        for g in [star_leaf, vacuum] {
+            let mut stage = vec![f64::NAN; 5 * NT * NT * NT];
+            g.stage_primitives(&mut stage);
+            let ng = NG as i64;
+            for x in 0..NT {
+                for y in 0..NT {
+                    for z in 0..NT {
+                        let want = g.primitives(x as i64 - ng, y as i64 - ng, z as i64 - ng);
+                        let c = (x * NT + y) * NT + z;
+                        for (q, w) in want.iter().enumerate() {
+                            assert_eq!(
+                                stage[q * NT * NT * NT + c].to_bits(),
+                                w.to_bits(),
+                                "primitive {q} at ({x},{y},{z})"
+                            );
+                        }
                     }
                 }
             }

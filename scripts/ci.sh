@@ -92,7 +92,9 @@ BENCH_SMOKE=1 cargo bench -q -p repro-bench --bench bench_hydro
 echo "== tracer overhead bench smoke =="
 BENCH_SMOKE=1 cargo bench -q -p repro-bench --bench bench_trace
 
-echo "== deep-tree scale smoke (level 4, mid-run regrid rebuilds < 25% of lists) =="
+# Also the memory gate: level-4 peak RSS at most twice the arena (1.66 now;
+# 2.64 while every leaf kept a hydro stage from the CFL pass to the hydro pass).
+echo "== deep-tree scale smoke (level 4: mid-run regrid rebuilds < 25% of lists, peak RSS <= 2x arena) =="
 BENCH_SMOKE=1 cargo bench -q -p repro-bench --bench bench_scale
 
 echo "== scheduler per-task smoke (spread gate on the external-producer case) =="
