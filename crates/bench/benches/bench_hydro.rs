@@ -1,57 +1,29 @@
-//! Hydro SIMD + step-pipeline bench — the BENCH_hydro.json datapoint.
+//! Hydro kernel sweep — the BENCH_hydro.json datapoint.
 //!
-//! Two experiments:
+//! One full hydro step (MUSCL reconstruction + HLL fluxes) over every leaf
+//! of the level-2 star, scalar reference vs the staged SoA SIMD path (stage
+//! built per leaf, each face flux once) at every supported pack width, and
+//! next to it the CFL reduction over the same leaves. Legacy dispatch =
+//! inline serial execution, isolating the kernels from scheduling noise.
+//! The application run cannot give this: it executes one width. What the
+//! step costs end to end is the referee's
+//! `octotiger.hydro.{step_s,cfl_leaf_s}`.
 //!
-//! 1. Kernel sweep: one full hydro step (MUSCL reconstruction + HLL fluxes)
-//!    over every leaf of the rotating-star tree, scalar reference vs the
-//!    staged SoA SIMD path (stage built per leaf, each face flux once) at
-//!    every supported pack width, and next to it the CFL reduction over the
-//!    same leaves. Legacy dispatch = inline serial execution, isolating the
-//!    kernels from scheduling noise.
-//! 2. Step pipeline: a short multi-worker driver run of the step's task
-//!    graph, reporting wall time, the measured gravity/hydro overlap ratio
-//!    and the task counts `bench_diff` holds exact.
-//!
-//! Results go to stdout (criterion-style lines) and, on a full run, to
-//! `BENCH_hydro.json` at the repo root so successive PRs accumulate a
-//! baseline series.
-//!
-//! `BENCH_SMOKE=1` runs one short iteration for CI (no timing assertions,
-//! no JSON write — smoke numbers must not clobber the committed baseline).
+//! `BENCH_SMOKE=1` runs one iteration at level 1 for CI and writes nothing.
 
 use std::time::Instant;
 
 use octotiger::hydro;
-use octotiger::kernel_backend::{Dispatch, KernelType, SimdPolicy};
+use octotiger::kernel_backend::{Dispatch, SimdPolicy};
 use octotiger::recycle::RecyclePool;
 use octotiger::subgrid::CELLS;
-use octotiger::{Driver, OctoConfig};
+use octotiger::Driver;
+use repro_bench::{smoke, star, write_baseline, POLICIES};
 
 struct KernelPoint {
     label: String,
     ns_per_sweep: f64,
     cfl_ns_per_sweep: f64,
-}
-
-struct StepPoint {
-    seconds: f64,
-    overlap_ratio: f64,
-    tasks_spawned: u64,
-    fused_launches: u64,
-}
-
-/// Worker count for the step-pipeline comparison. The paper's RISC-V runs
-/// sweep 1..64 cores; CI boxes are small, so stay modest and deterministic.
-const STEP_THREADS: usize = 3;
-
-fn bench_config(level: u32, steps: u32) -> OctoConfig {
-    OctoConfig {
-        max_level: level,
-        stop_step: steps,
-        threads: STEP_THREADS,
-        simd_width: 4,
-        ..OctoConfig::with_all_kernels(KernelType::KokkosSerial)
-    }
 }
 
 /// Best (min) wall time of `iters` full-tree hydro sweeps per policy, with
@@ -111,77 +83,30 @@ fn time_kernel_sweeps(driver: &Driver, policies: &[SimdPolicy], iters: u32) -> V
         .collect()
 }
 
-/// One multi-worker driver run; wall time + measured overlap + task counts.
-fn run_step(level: u32, steps: u32) -> StepPoint {
-    let mut driver = Driver::new(bench_config(level, steps));
-    let m = driver.run(STEP_THREADS);
-    StepPoint {
-        seconds: m.elapsed_seconds,
-        overlap_ratio: m.overlap_ratio,
-        tasks_spawned: m.runtime_stats.tasks_spawned,
-        fused_launches: driver.aggregation_stats().fused_launches,
-    }
-}
-
-/// Best-of-`reps` step run. Min (not mean) filters OS scheduling noise,
-/// which dominates on small shared CI hosts — the fastest run is the one
-/// closest to intrinsic cost.
-fn time_step(level: u32, steps: u32, reps: u32) -> StepPoint {
-    (0..reps)
-        .map(|_| run_step(level, steps))
-        .min_by(|a, b| a.seconds.total_cmp(&b.seconds))
-        .expect("at least one repetition")
-}
-
 fn main() {
-    let smoke = std::env::var("BENCH_SMOKE").is_ok_and(|v| v == "1");
-    let (level, iters, steps, reps) = if smoke { (1, 1, 1, 1) } else { (2, 20, 10, 7) };
-
-    let driver = Driver::new(bench_config(level, steps));
-    let policies = [
-        SimdPolicy::Scalar,
-        SimdPolicy::Width(1),
-        SimdPolicy::Width(2),
-        SimdPolicy::Width(4),
-        SimdPolicy::Width(8),
-    ];
-    let kernel_points = time_kernel_sweeps(&driver, &policies, iters);
-    for p in &kernel_points {
+    let smoke = smoke();
+    let (level, iters) = if smoke { (1, 1) } else { (2, 20) };
+    let points = time_kernel_sweeps(&star(level), &POLICIES, iters);
+    let scalar_ns = points[0].ns_per_sweep;
+    for p in &points {
         println!(
-            "hydro-simd/muscl_hll_sweep/{}: min {:.2} µs, cfl {:.2} µs",
+            "hydro-simd/muscl_hll_sweep/{}: min {:.2} µs ({:.2}x vs scalar), cfl {:.2} µs",
             p.label,
             p.ns_per_sweep / 1e3,
+            scalar_ns / p.ns_per_sweep,
             p.cfl_ns_per_sweep / 1e3
         );
     }
-    let scalar_ns = kernel_points[0].ns_per_sweep;
-    for p in &kernel_points[1..] {
-        println!(
-            "hydro-simd/speedup/{}: {:.2}x vs scalar",
-            p.label,
-            scalar_ns / p.ns_per_sweep
-        );
-    }
-
-    let step = time_step(level, steps, reps);
-    println!(
-        "hydro-step/steps: {:.2} ms, overlap_ratio {:.3}, tasks_spawned {} fused_launches {}",
-        step.seconds * 1e3,
-        step.overlap_ratio,
-        step.tasks_spawned,
-        step.fused_launches
-    );
-
     if smoke {
         println!("BENCH_SMOKE=1: skipping BENCH_hydro.json write");
         return;
     }
-
-    let kernel_json: Vec<String> = kernel_points
+    let rows: Vec<String> = points
         .iter()
         .map(|p| {
             format!(
-                "    {{\"policy\": \"{}\", \"ns_per_sweep\": {:.0}, \"speedup_vs_scalar\": {:.3}, \"cfl_ns_per_sweep\": {:.0}}}",
+                "{{\"policy\": \"{}\", \"ns_per_sweep\": {:.0}, \
+                 \"speedup_vs_scalar\": {:.3}, \"cfl_ns_per_sweep\": {:.0}}}",
                 p.label,
                 p.ns_per_sweep,
                 scalar_ns / p.ns_per_sweep,
@@ -189,18 +114,13 @@ fn main() {
             )
         })
         .collect();
-    let step_json = format!(
-        "    {{\"seconds\": {:.6}, \"overlap_ratio\": {:.4}, \"tasks_spawned\": {}, \"fused_launches\": {}}}",
-        step.seconds, step.overlap_ratio, step.tasks_spawned, step.fused_launches
+    write_baseline(
+        "hydro",
+        &[
+            ("tree_level", level.to_string()),
+            ("sweep_iters", iters.to_string()),
+        ],
+        "kernel_sweeps",
+        &rows,
     );
-    let json = format!(
-        "{{\n  \"bench\": \"hydro\",\n  \"host_simd_isa\": \"{}\",\n  \"compiled_simd_isa\": \"{}\",\n  \"tree_level\": {level},\n  \"steps\": {steps},\n  \"sweep_iters\": {iters},\n  \"step_reps\": {reps},\n  \"threads\": {STEP_THREADS},\n  \"kernel_sweeps\": [\n{}\n  ],\n  \"step_modes\": [\n{}\n  ]\n}}\n",
-        octotiger::kernel_backend::host_simd_isa(),
-        octotiger::kernel_backend::compiled_simd_isa(),
-        kernel_json.join(",\n"),
-        step_json,
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_hydro.json");
-    std::fs::write(path, json).expect("write BENCH_hydro.json");
-    println!("wrote {path}");
 }

@@ -21,151 +21,7 @@
 //! `BENCH_SMOKE=1` runs the level-4 gates only (CI): the rebuild-ratio and
 //! memory assertions still fire, no JSON is written.
 
-use std::time::Instant;
-
-use amt::Runtime;
-use octotiger::kernel_backend::KernelType;
-use octotiger::{Driver, OctoConfig};
-
-struct ScalePoint {
-    level: u32,
-    steps: u32,
-    leaves: usize,
-    cells: usize,
-    seconds: f64,
-    cells_per_second: f64,
-    /// Throughput of the steps *after* the first — the first step pays the
-    /// cold interaction-list build and hosts the regrid sweep, so this is
-    /// the steady-state number the depth gate compares (a rebuild storm
-    /// after the sweep would land squarely in it).
-    steady_cells_per_second: f64,
-    /// Steady-state work throughput (driver flop estimate / second). Raw
-    /// cells/sec falls with depth because the *work per cell* grows — the
-    /// per-target-leaf traversal accretes ~O(depth) far entries per leaf
-    /// (measured below as `interactions_per_cell`). Flops/sec factors that
-    /// out: it must stay flat across depth, or the machine itself is
-    /// falling off a cliff (rebuild storm, cache thrash, allocator churn).
-    steady_flops_per_second: f64,
-    /// Measured (near + far) block interactions per cell per steady step —
-    /// the intrinsic depth cost the raw cells/sec divides by.
-    interactions_per_cell: f64,
-    peak_rss_bytes: u64,
-    arena_bytes: u64,
-    partial_rebuilds: u64,
-    leaves_rebuilt: u64,
-    leaves_retained: u64,
-}
-
-impl ScalePoint {
-    /// Peak resident bytes per cell of the tree.
-    fn bytes_per_cell(&self) -> f64 {
-        self.peak_rss_bytes as f64 / self.cells as f64
-    }
-
-    /// Fraction of leaves the mid-run sweeps re-traversed (0 when no
-    /// partial rebuild ran).
-    fn rebuild_ratio(&self) -> f64 {
-        let visited = self.leaves_rebuilt + self.leaves_retained;
-        if visited == 0 {
-            0.0
-        } else {
-            self.leaves_rebuilt as f64 / visited as f64
-        }
-    }
-}
-
-fn scale_config(level: u32, threads: usize) -> OctoConfig {
-    OctoConfig {
-        max_level: level,
-        stop_step: 3,
-        threads,
-        ..OctoConfig::with_all_kernels(KernelType::KokkosSerial)
-    }
-}
-
-/// Pick a spread of refinement victims among the *deepest* leaves: a deep
-/// leaf's neighbour cone is a fixed ball of same-level cells, while a
-/// coarse leaf bordering the refined region sits in the near list of every
-/// fine leaf around it (and can cascade through grading). Deterministic —
-/// the committed series must be reproducible.
-fn pick_victims(d: &Driver, n: usize) -> Vec<usize> {
-    let tree = d.tree();
-    let deepest: Vec<usize> = tree
-        .leaf_ids()
-        .iter()
-        .filter(|&&l| tree.node(l).level == tree.max_level())
-        .copied()
-        .collect();
-    let stride = (deepest.len() / (n + 1).max(1)).max(1);
-    deepest
-        .iter()
-        .skip(stride / 2)
-        .step_by(stride)
-        .take(n)
-        .copied()
-        .collect()
-}
-
-/// One timed run at `level`: `steps` driver steps with a regrid sweep after
-/// the first (so the cache is warm when the topology changes — the
-/// incremental path, not the cold build, is what's measured).
-fn time_scale(level: u32, steps: u32, threads: usize) -> ScalePoint {
-    let mut cfg = scale_config(level, threads);
-    cfg.stop_step = steps;
-    let mut d = Driver::new(cfg);
-    let rt = Runtime::new(threads);
-    // A deep sweep splits few victims (cones don't scale with tree size);
-    // a level-4 tree is small enough that even fixed-size cones are a
-    // noticeable fraction, so fewer victims there.
-    let victims = if level >= 5 { 4 } else { 2 };
-    let mut cells: u64 = 0;
-    let mut steady_cells: u64 = 0;
-    let mut steady_seconds = 0.0f64;
-    let mut steady_flops: u64 = 0;
-    let mut steady_inter: u64 = 0;
-    let mut cold = octotiger::gravity::CacheStats::default();
-    let start = Instant::now();
-    for s in 0..steps {
-        let w0 = d.work();
-        let t0 = Instant::now();
-        d.step(&rt);
-        let dt = t0.elapsed().as_secs_f64();
-        cells += d.tree().cell_count() as u64;
-        if s == 0 {
-            // Snapshot before the sweep: the cold build counts every leaf
-            // as rebuilt, the sweep's effect is the delta past it.
-            cold = d.cache_stats();
-            let picks = pick_victims(&d, victims);
-            d.regrid(&rt, &picks);
-        } else {
-            let w1 = d.work();
-            steady_cells += d.tree().cell_count() as u64;
-            steady_seconds += dt;
-            steady_flops += w1.flops() - w0.flops();
-            steady_inter += (w1.far_interactions - w0.far_interactions)
-                + (w1.near_interactions - w0.near_interactions);
-        }
-    }
-    let seconds = start.elapsed().as_secs_f64();
-    rv_machine::memory::note_arena_bytes(d.tree().resident_bytes());
-    let cs = d.cache_stats();
-    ScalePoint {
-        level,
-        steps,
-        leaves: d.tree().leaf_count(),
-        cells: d.tree().cell_count(),
-        seconds,
-        cells_per_second: cells as f64 / seconds.max(1e-12),
-        steady_cells_per_second: steady_cells as f64 / steady_seconds.max(1e-12),
-        steady_flops_per_second: steady_flops as f64 / steady_seconds.max(1e-12),
-        interactions_per_cell: steady_inter as f64 / (steady_cells as f64).max(1.0),
-        peak_rss_bytes: rv_machine::memory::peak_rss_bytes(),
-        arena_bytes: d.tree().resident_bytes(),
-        partial_rebuilds: cs.partial_rebuilds - cold.partial_rebuilds,
-        leaves_rebuilt: cs.leaves_rebuilt - cold.leaves_rebuilt,
-        leaves_retained: cs.leaves_retained - cold.leaves_retained,
-    }
-}
+use repro_bench::scale::{time_scale, ScalePoint};
 
 fn print_point(p: &ScalePoint) {
     println!(
@@ -224,12 +80,11 @@ fn assert_memory_gate(p: &ScalePoint) {
 }
 
 fn main() {
-    let smoke = std::env::var("BENCH_SMOKE").is_ok_and(|v| v == "1");
     let threads = std::thread::available_parallelism()
         .map(|n| n.get().min(4))
         .unwrap_or(2);
 
-    if smoke {
+    if repro_bench::smoke() {
         // Level 4 is the paper's production depth and deep enough that a
         // 4-victim sweep's neighbour cones are a small minority.
         let p = time_scale(4, 2, threads);
@@ -280,11 +135,11 @@ fn main() {
          {depth_ratio:.2}x — the machine, not the physics, is slowing down"
     );
 
-    let point_json: Vec<String> = points
+    let rows: Vec<String> = points
         .iter()
         .map(|p| {
             format!(
-                "    {{\"level\": {}, \"steps\": {}, \"leaves\": {}, \"cells\": {}, \
+                "{{\"level\": {}, \"steps\": {}, \"leaves\": {}, \"cells\": {}, \
                  \"seconds\": {:.6}, \"cells_per_second\": {:.1}, \
                  \"steady_cells_per_second\": {:.1}, \
                  \"steady_flops_per_second\": {:.1}, \
@@ -312,16 +167,14 @@ fn main() {
             )
         })
         .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"scale\",\n  \"host_simd_isa\": \"{}\",\n  \
-         \"compiled_simd_isa\": \"{}\",\n  \"threads\": {threads},\n  \
-         \"depth_penalty_l5_vs_l2_cells\": {cells_ratio:.3},\n  \
-         \"depth_penalty_l5_vs_l2_flops\": {depth_ratio:.3},\n  \"levels\": [\n{}\n  ]\n}}\n",
-        octotiger::kernel_backend::host_simd_isa(),
-        octotiger::kernel_backend::compiled_simd_isa(),
-        point_json.join(",\n")
+    repro_bench::write_baseline(
+        "scale",
+        &[
+            ("threads", threads.to_string()),
+            ("depth_penalty_l5_vs_l2_cells", format!("{cells_ratio:.3}")),
+            ("depth_penalty_l5_vs_l2_flops", format!("{depth_ratio:.3}")),
+        ],
+        "levels",
+        &rows,
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scale.json");
-    std::fs::write(path, json).expect("write BENCH_scale.json");
-    println!("wrote {path}");
 }

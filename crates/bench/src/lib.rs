@@ -1,30 +1,73 @@
-//! # repro-bench — the benchmark harness
+//! # repro-bench — what the referee cannot see
 //!
-//! One Criterion bench per subsystem plus `bench_figures`, which regenerates
-//! every table and figure of the paper (the `cargo bench` entry point the
-//! reproduction brief asks for). Helpers shared by the benches live here.
+//! Every end-to-end and per-layer number of this repository is measured by
+//! the referee in `benchmark/` (`benchmark/run.sh`, six workloads, the
+//! catalogue in `BENCHMARK.json`). This crate holds the three measurements
+//! an application run cannot make, each a plain `fn main` timed with
+//! `Instant`, each with a committed `BENCH_*.json` baseline:
+//!
+//! * `bench_gravity`, `bench_hydro` — the kernels alone at every pack width
+//!   (ns per interaction / per sweep at W ∈ {scalar, 1, 2, 4, 8});
+//! * `bench_scale` — depth 2/4/5 with a mid-run regrid, and the level-4
+//!   memory and rebuild-ratio gates CI runs;
+//! * `bench_amt` — scheduler cost per empty task and its spread gate
+//!   ([`per_task`]).
+//!
+//! The `bench_diff` binary re-measures what in those baselines does not
+//! depend on the machine. What a bench and `bench_diff` both run lives
+//! here, so the two cannot drift apart.
 
 pub mod per_task;
+pub mod scale;
 
 use std::time::Instant;
 
-use amt::Runtime;
 use octotiger::gravity::{self, GravityKernels, GravityWorkspace, InteractionCache};
-use octotiger::kernel_backend::{Dispatch, SimdPolicy};
-use octotiger::{Driver, KernelType, OctoConfig};
+use octotiger::kernel_backend::{self, Dispatch, SimdPolicy};
+use octotiger::{Driver, OctoConfig};
 
-/// A small rotating-star driver for kernel benches (level 1, one step).
-pub fn tiny_driver(kernel: KernelType) -> Driver {
+/// The pack widths a kernel sweep covers, the scalar oracle first.
+pub const POLICIES: [SimdPolicy; 5] = [
+    SimdPolicy::Scalar,
+    SimdPolicy::Width(1),
+    SimdPolicy::Width(2),
+    SimdPolicy::Width(4),
+    SimdPolicy::Width(8),
+];
+
+/// The rotating star refined to `level` — the tree the kernel sweeps walk.
+pub fn star(level: u32) -> Driver {
     Driver::new(OctoConfig {
-        max_level: 1,
-        stop_step: 1,
-        ..OctoConfig::with_all_kernels(kernel)
+        max_level: level,
+        ..OctoConfig::default()
     })
 }
 
-/// A runtime sized for this host.
-pub fn bench_runtime() -> Runtime {
-    Runtime::new(std::thread::available_parallelism().map_or(2, |n| n.get().clamp(2, 4)))
+/// `BENCH_SMOKE=1`: one short pass for CI — gates fire, no baseline is
+/// written (smoke numbers must not clobber the committed series).
+pub fn smoke() -> bool {
+    std::env::var("BENCH_SMOKE").is_ok_and(|v| v == "1")
+}
+
+/// Write `BENCH_<bench>.json` at the repository root: the header every
+/// baseline shares (bench name, host and compiled SIMD ISA — what a reader
+/// needs to tell whether two files' timings are comparable), the bench's own
+/// numeric `params`, then its `rows` (one JSON object each) under `rows_key`.
+pub fn write_baseline(bench: &str, params: &[(&str, String)], rows_key: &str, rows: &[String]) {
+    let params: String = params
+        .iter()
+        .map(|(key, value)| format!("  \"{key}\": {value},\n"))
+        .collect();
+    let json = format!(
+        "{{\n  \"bench\": \"{bench}\",\n  \"host_simd_isa\": \"{}\",\n  \
+         \"compiled_simd_isa\": \"{}\",\n{params}  \"{rows_key}\": [\n    {}\n  ]\n}}\n",
+        kernel_backend::host_simd_isa(),
+        kernel_backend::compiled_simd_isa(),
+        rows.join(",\n    ")
+    );
+    let path = format!("{}/../../BENCH_{bench}.json", env!("CARGO_MANIFEST_DIR"));
+    std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    println!("wrote {path}");
 }
 
 /// Cost of the two gravity kernels under one SIMD policy.
@@ -122,16 +165,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn helpers_construct() {
-        let rt = bench_runtime();
-        assert!(rt.num_threads() >= 2);
-        let d = tiny_driver(KernelType::KokkosSerial);
-        assert!(d.tree().leaf_count() >= 8);
-    }
-
-    #[test]
     fn gravity_kernel_sweeps_report_one_finite_point_per_policy() {
-        let d = tiny_driver(KernelType::KokkosSerial);
+        let d = star(1);
         let policies = [SimdPolicy::Scalar, SimdPolicy::Width(4)];
         let points = gravity_kernel_sweeps(&d, &policies, 1);
         assert_eq!(points.len(), 2);

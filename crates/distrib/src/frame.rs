@@ -182,7 +182,9 @@ pub fn decode_parcel_count(frame: &[u8]) -> u64 {
 /// receive path reports the real error).
 pub fn trace_ctxs(frame: &[u8]) -> Vec<TraceCtx> {
     let count = decode_parcel_count(frame) as usize;
-    let mut out = Vec::with_capacity(count);
+    // The header's count is the peer's claim; reserve only what the frame's
+    // length can hold.
+    let mut out = Vec::with_capacity(count.min(frame.len() / (PARCEL_LEN_BYTES + TRACE_CTX_BYTES)));
     let mut at = FRAME_HEADER_BYTES;
     for _ in 0..count {
         if frame.len() < at + PARCEL_LEN_BYTES + TRACE_CTX_BYTES {
@@ -403,6 +405,12 @@ mod tests {
         let mut frame = encode_single(b"p", TraceCtx::default()).to_vec();
         frame[3] = 2; // single frame claiming two parcels
         assert!(matches!(decode_frame(&frame), Err(FrameError::BadCount(2))));
+        // A bare header claiming u32::MAX parcels: the send-side walk must
+        // not reserve 80 GB for them before finding the frame too short.
+        let mut header = encode_single(b"", TraceCtx::default())[..FRAME_HEADER_BYTES].to_vec();
+        header[3..7].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(decode_parcel_count(&header), u64::from(u32::MAX));
+        assert!(trace_ctxs(&header).is_empty());
     }
 
     #[test]

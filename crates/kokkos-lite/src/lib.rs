@@ -5,7 +5,7 @@
 //!
 //! * [`view::View`] — multi-dimensional arrays with `Left`/`Right` layouts
 //!   (Kokkos `View`s, the sub-grid storage of Octo-Tiger);
-//! * [`policy::RangePolicy`] / [`policy::MDRangePolicy`] — iteration spaces;
+//! * [`policy::RangePolicy`] — the iteration space;
 //! * [`parallel`] — `parallel_for` / `parallel_reduce` / `parallel_scan`,
 //!   generic over the execution space;
 //! * [`space::Serial`] and [`space::HpxSpace`] — the two CPU execution
@@ -29,10 +29,10 @@ pub mod space;
 pub mod view;
 
 pub use parallel::{
-    parallel_fill, parallel_fill_row_runs, parallel_for, parallel_for_md, parallel_reduce,
-    parallel_reduce_max, parallel_reduce_sum, parallel_scan_inclusive,
+    parallel_fill, parallel_fill_row_runs, parallel_for, parallel_reduce, parallel_reduce_max,
+    parallel_reduce_sum, parallel_scan_inclusive,
 };
-pub use policy::{MDRangePolicy, RangePolicy};
+pub use policy::RangePolicy;
 pub use simd::{natural_width, simd_sum, sweep_packs, Mask, Simd};
 pub use space::{ExecutionSpace, HpxSpace, Serial};
 pub use view::{create_mirror, deep_copy, Layout, View};

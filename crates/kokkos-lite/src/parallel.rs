@@ -4,7 +4,7 @@
 //! [`HpxSpace`](crate::space::HpxSpace), which is the portability claim the
 //! paper relies on (§3.2: the identical Kokkos kernel runs everywhere).
 
-use crate::policy::{MDRangePolicy, RangePolicy};
+use crate::policy::RangePolicy;
 use crate::space::ExecutionSpace;
 
 /// `Kokkos::parallel_for` over a 1-D range.
@@ -14,19 +14,6 @@ where
     F: Fn(usize) + Send + Sync,
 {
     space.for_range(policy.range(), f);
-}
-
-/// `Kokkos::parallel_for` over a 3-D range, invoking `f(i, j, k)`.
-pub fn parallel_for_md<S, F>(space: &S, policy: MDRangePolicy, f: F)
-where
-    S: ExecutionSpace,
-    F: Fn(usize, usize, usize) + Send + Sync,
-{
-    let p = policy;
-    space.for_range(0..p.len(), move |flat| {
-        let (i, j, k) = p.unflatten(flat);
-        f(i, j, k);
-    });
 }
 
 /// `Kokkos::parallel_reduce` over a 1-D range with a custom joiner.
@@ -250,20 +237,6 @@ mod tests {
             }
             assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
         }
-    }
-
-    #[test]
-    fn parallel_for_md_covers_cube() {
-        let rt = Runtime::new(2);
-        let hits: Vec<AtomicU64> = (0..8 * 8 * 8).map(|_| AtomicU64::new(0)).collect();
-        parallel_for_md(
-            &HpxSpace::new(rt.handle()),
-            MDRangePolicy::new([8, 8, 8]),
-            |i, j, k| {
-                hits[(i * 8 + j) * 8 + k].fetch_add(1, Ordering::Relaxed);
-            },
-        );
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Execution policies describing kernel iteration spaces —
-//! `Kokkos::RangePolicy` and `Kokkos::MDRangePolicy`.
+//! The execution policy describing a kernel's iteration space —
+//! `Kokkos::RangePolicy`.
 
 /// 1-D iteration range.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,42 +39,6 @@ impl From<std::ops::Range<usize>> for RangePolicy {
     }
 }
 
-/// 3-D iteration space, flattened row-major onto a 1-D range for dispatch
-/// (Kokkos tiles MDRange; on CPU row-major flattening gives the same
-/// traversal for our kernels).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MDRangePolicy {
-    /// Extents per dimension.
-    pub dims: [usize; 3],
-}
-
-impl MDRangePolicy {
-    /// Policy over `dims[0] × dims[1] × dims[2]`.
-    pub fn new(dims: [usize; 3]) -> Self {
-        MDRangePolicy { dims }
-    }
-
-    /// Total iterations.
-    pub fn len(&self) -> usize {
-        self.dims.iter().product()
-    }
-
-    /// True for a degenerate space.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Map a flat index back to `(i, j, k)`.
-    #[inline]
-    pub fn unflatten(&self, flat: usize) -> (usize, usize, usize) {
-        debug_assert!(flat < self.len());
-        let jk = self.dims[1] * self.dims[2];
-        let i = flat / jk;
-        let r = flat % jk;
-        (i, r / self.dims[2], r % self.dims[2])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,32 +57,5 @@ mod tests {
     #[should_panic(expected = "begin 5 > end 3")]
     fn inverted_range_rejected() {
         let _ = RangePolicy::new(5, 3);
-    }
-
-    #[test]
-    fn mdrange_unflatten_bijective() {
-        let p = MDRangePolicy::new([3, 4, 5]);
-        assert_eq!(p.len(), 60);
-        let mut seen = std::collections::HashSet::new();
-        for flat in 0..p.len() {
-            let (i, j, k) = p.unflatten(flat);
-            assert!(i < 3 && j < 4 && k < 5);
-            assert!(seen.insert((i, j, k)));
-        }
-        assert_eq!(seen.len(), 60);
-    }
-
-    #[test]
-    fn mdrange_row_major_order() {
-        let p = MDRangePolicy::new([2, 2, 2]);
-        assert_eq!(p.unflatten(0), (0, 0, 0));
-        assert_eq!(p.unflatten(1), (0, 0, 1));
-        assert_eq!(p.unflatten(2), (0, 1, 0));
-        assert_eq!(p.unflatten(4), (1, 0, 0));
-    }
-
-    #[test]
-    fn empty_mdrange() {
-        assert!(MDRangePolicy::new([0, 4, 4]).is_empty());
     }
 }

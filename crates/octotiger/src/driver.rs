@@ -1048,6 +1048,23 @@ mod tests {
         assert!(m.work.flops() > 0);
         assert!(m.sim_time > 0.0);
         assert!(m.runtime_stats.tasks_spawned > 0);
+
+        // What a run counts is a function of its configuration, not of the
+        // machine. Level 2 (64 leaves), 4 steps, 2 workers: one list build
+        // of one MAC evaluation per leaf pair, hits after it; 4 kernel
+        // tasks per leaf per step, and with the ghost-fill and apply chunks
+        // around them 328 tasks per step.
+        let mut d = Driver::new(OctoConfig {
+            max_level: 2,
+            stop_step: 4,
+            ..tiny_config(KernelType::KokkosSerial)
+        });
+        let m = d.run(2);
+        assert_eq!(m.leaf_count, 64);
+        assert_eq!((m.cache.misses, m.cache.hits), (1, 3));
+        assert_eq!(m.work.mac_evals, 64 * 64);
+        assert_eq!(d.aggregation_stats().fused_launches, 4 * 64 * 4);
+        assert_eq!(m.runtime_stats.tasks_spawned, 4 * 328);
     }
 
     #[test]

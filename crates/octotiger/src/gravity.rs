@@ -781,8 +781,14 @@ fn m2l_targets<const W: usize>(
     // takes to issue it, so a single chain per pass costs nothing.
     let acc: Partials<W> = std::array::from_fn(|g| {
         let mut acc = [Simd::zero(); 3];
-        for &n in far.iter().skip(g).step_by(SUM_GROUPS) {
-            m2l_source(&moments[n], &p, &mut acc);
+        // An index loop, not `far.iter().skip(g).step_by(..)`: that adaptor
+        // iterates through `try_fold`, and when LLVM declines to inline the
+        // fold's closure every source becomes a call with the accumulators
+        // in memory (M2L at width 2: 4.3 -> 14.8 ns per interaction).
+        let mut s = g;
+        while s < far.len() {
+            m2l_source(&moments[far[s]], &p, &mut acc);
+            s += SUM_GROUPS;
         }
         acc
     });

@@ -19,57 +19,29 @@ fi
 echo "== cargo build --release =="
 cargo build --release
 
-echo "== cargo test -q =="
-cargo test -q
+# Every crate's unit, integration and doc tests, the shims' included, once.
+echo "== cargo test --workspace -q =="
+cargo test --workspace -q
 
-# Not in the umbrella crate's suite above: the scheduler's unit tests
-# (including `Runtime::drop` from inside one of its own tasks), its
-# integration tests (panic paths through every join, wake protocol, busy/park
-# accounting), and the shims under it — the deque's model and four-thread
-# stress tests, the lock wrappers.
-echo "== amt unit + integration tests, and the shims under the scheduler =="
-cargo test -q -p amt
-cargo test -q -p crossbeam-deque -p parking_lot
-
-# Also not in the umbrella suite: the cluster's unit tests (components under
-# a watchdog, actions, framing, coalescing) and the mini-app's (the stepper,
-# ownership, the parcel exchange) under default flags.
-echo "== distrib and octotiger unit tests =="
-cargo test -q -p distrib
-cargo test -q -p octotiger --lib
-
-echo "== SIMD/scalar kernel agreement =="
-cargo test -q --test simd_gravity_prop
-cargo test -q --test simd_hydro_prop
-
-echo "== distributed == node-level, bitwise (ports x coalesce x workers, under a watchdog) =="
-cargo test -q --test distributed_bits
-
-echo "== incremental regrid agreement (incremental == full rebuild, bitwise) =="
-cargo test -q --test regrid_incremental_prop
-
-echo "== ghost exchange agreement (copy plan == per-cell sampling, bitwise) =="
-cargo test -q --test ghost_plan_prop
-
-# The pinned gravity hashes, in the two fallback-only builds they were
-# recorded from: `mul_add` as mul + add (default flags), and fused (`+fma`,
-# which compiles no backend: those need AVX2 or AVX-512F). The native-ISA
-# step below holds the backends to the fused row. Own target directory per
-# flag set: different RUSTFLAGS would otherwise evict the default build.
-echo "== gravity bits: lane-loop fallback, unfused and fused =="
-cargo test -q -p octotiger --test gravity_bits
+# The pinned gravity hashes were recorded from the two fallback-only builds:
+# `mul_add` as mul + add (default flags — the workspace run above), and fused
+# (`+fma`, which compiles no backend: those need AVX2 or AVX-512F — this
+# step). The native-ISA step below holds the backends to the fused row. Own
+# target directory per flag set: different RUSTFLAGS would otherwise evict
+# the default build.
+echo "== gravity bits: lane-loop fallback, fused =="
 RUSTFLAGS="-C target-feature=+fma" CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-target}/fma" \
   cargo test -q -p octotiger --test gravity_bits
 
 # Default flags compile only the lane-loop fallback of `Simd<W>`; this is
 # the one place CI builds the AVX2 / AVX-512 backends and holds them to the
 # same bits (backend ops == lane loops, gravity pinned to the fallback's
-# hashes, every bitwise suite). It also runs the kokkos-lite unit tests,
-# which nothing above does. The flags are the referee's — benchmark/run.sh
-# spells them `FLAGS="-C target-cpu=native"` plus, on x86_64,
-# `-C target-feature=-prefer-256-bit` — so on an AVX-512 host the default
-# lane count is 8 and the suites below run on real zmm packs, the codegen
-# that is measured.
+# hashes, every bitwise suite) — and the one build in which `bench_diff`'s
+# fresh M2L sweep has a 4-lane backend to judge. The flags are the
+# referee's — benchmark/run.sh spells them `FLAGS="-C target-cpu=native"`
+# plus, on x86_64, `-C target-feature=-prefer-256-bit` — so on an AVX-512
+# host the default lane count is 8 and the suites below run on real zmm
+# packs, the codegen that is measured.
 NATIVE_FLAGS="-C target-cpu=native"
 if [[ "$(uname -m)" == "x86_64" ]]; then
   NATIVE_FLAGS="$NATIVE_FLAGS -C target-feature=-prefer-256-bit"
@@ -81,16 +53,14 @@ echo "== native-ISA step ($NATIVE_FLAGS): SIMD backends keep the fallback's bits
   cargo test -q -p kokkos-lite -p octotiger
   cargo test -q --test simd_gravity_prop --test simd_hydro_prop --test ghost_plan_prop \
     --test distributed_bits
+  cargo run --release -q -p repro-bench --bin bench_diff -- gravity
 )
 
-echo "== gravity bench smoke (one short iteration, no timing assertions) =="
+# What the referee cannot see (crates/bench), one short pass each; the
+# gates inside them fire, no BENCH_*.json is rewritten.
+echo "== kernel sweep smokes (gravity, hydro: every pack width runs) =="
 BENCH_SMOKE=1 cargo bench -q -p repro-bench --bench bench_gravity
-
-echo "== hydro bench smoke =="
 BENCH_SMOKE=1 cargo bench -q -p repro-bench --bench bench_hydro
-
-echo "== tracer overhead bench smoke =="
-BENCH_SMOKE=1 cargo bench -q -p repro-bench --bench bench_trace
 
 # Also the memory gate: level-4 peak RSS at most twice the arena (1.66 now;
 # 2.64 while every leaf kept a hydro stage from the CFL pass to the hydro pass).
@@ -100,9 +70,9 @@ BENCH_SMOKE=1 cargo bench -q -p repro-bench --bench bench_scale
 echo "== scheduler per-task smoke (spread gate on the external-producer case) =="
 BENCH_SMOKE=1 cargo bench -q -p repro-bench --bench bench_amt
 
-echo "== bench-regression gate (self-test + committed baselines) =="
-cargo run --release -p repro-bench --bin bench_diff -- --self-test
-BENCH_SMOKE=1 cargo run --release -p repro-bench --bin bench_diff
+echo "== baseline gate (self-test, then counts / ratios against the committed BENCH_*.json) =="
+cargo run --release -q -p repro-bench --bin bench_diff -- --self-test
+BENCH_SMOKE=1 cargo run --release -q -p repro-bench --bin bench_diff
 
 echo "== trace smoke run + checker + analyzer (coalesced, flow events) =="
 TRACE_OUT=$(mktemp -t apexlite_ci_XXXXXX.json)

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 
 use octotiger_riscv_repro::amt::{par, when_all, Runtime};
 use octotiger_riscv_repro::distrib::{from_bytes, to_bytes};
-use octotiger_riscv_repro::kokkos_lite::{Layout, MDRangePolicy, View};
+use octotiger_riscv_repro::kokkos_lite::{Layout, View};
 use octotiger_riscv_repro::machine::counted::softmath;
 use octotiger_riscv_repro::octotiger::star::RotatingStar;
 
@@ -112,15 +112,6 @@ proptest! {
                     seen[idx] = true;
                 }
             }
-        }
-    }
-
-    #[test]
-    fn mdrange_unflatten_inverts_flatten(d0 in 1usize..8, d1 in 1usize..8, d2 in 1usize..8) {
-        let p = MDRangePolicy::new([d0, d1, d2]);
-        for flat in 0..p.len() {
-            let (i, j, k) = p.unflatten(flat);
-            prop_assert_eq!((i * d1 + j) * d2 + k, flat);
         }
     }
 
