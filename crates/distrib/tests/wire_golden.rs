@@ -4,6 +4,7 @@
 //! `distrib.bytes`, the Fig. 8 projection): an encoder change that moves one
 //! byte fails here first. Every image also decodes back to its value.
 
+use distrib::frame::{self, TraceCtx};
 use distrib::{from_bytes, to_bytes, Agas, Gid, LocalityId, ParcelMsg};
 
 fn hex(bytes: &[u8]) -> String {
@@ -68,6 +69,30 @@ fn parcel_images() {
         },
         ParcelMsg,
         "01000000 0700000000000000 01000000 02000000 6e6f"
+    );
+}
+
+#[test]
+fn framed_parcel_image() {
+    // What a parcelport carries: magic u16 | kind u8 | count u32 | body len u32 |
+    // origin u32 | flow u64 | send_ns u64 | body (the `Ok` response above).
+    let ctx = TraceCtx {
+        origin: 1,
+        flow: 0x0102_0304_0506_0708,
+        send_ns: 0x1122_3344_5566_7788,
+    };
+    let body = ParcelMsg::Response {
+        call_id: 7,
+        result: Ok(vec![9, 8, 7]),
+    }
+    .to_wire()
+    .expect("encodes");
+    let framed = frame::encode_single(&body, ctx);
+    assert_eq!(
+        hex(&framed),
+        "7e0c 01 01000000 17000000 01000000 0807060504030201 8877665544332211 \
+         01000000 0700000000000000 00000000 03000000 090807"
+            .replace(' ', "")
     );
 }
 
