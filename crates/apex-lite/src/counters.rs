@@ -171,8 +171,8 @@ impl std::fmt::Debug for Histogram {
     }
 }
 
-/// Lock-free shared recording side of a [`Histogram`] — parcel receive and
-/// coalescer threads record concurrently with relaxed atomics; providers
+/// Lock-free shared recording side of a [`Histogram`] — the parcel receive
+/// threads record concurrently with relaxed atomics; providers
 /// take a coherent-enough [`AtomicHistogram::snapshot`] at sample time.
 #[derive(Debug)]
 pub struct AtomicHistogram {

@@ -4,9 +4,8 @@
 //! one process: every locality owns its own `amt::Runtime` (one per board,
 //! `--hpx:threads=4`) and a frame receive loop. Remote action invocations
 //! serialize their arguments through [`crate::wire`], travel as
-//! [`crate::parcel::ParcelMsg`]s through the comms stack — the
-//! [`crate::coalesce::Coalescer`] (batching + backpressure), then the
-//! configured [`crate::parcelport::Parcelport`] — execute as tasks on the
+//! [`crate::parcel::ParcelMsg`]s, one per [`crate::frame`], through the
+//! configured [`crate::parcelport::Parcelport`], execute as tasks on the
 //! target locality's runtime, and return their serialized result the same
 //! way. The byte/message statistics the Fig. 8 projection consumes are
 //! therefore measured off real framed wire images, not guessed.
@@ -30,15 +29,23 @@ use crossbeam_channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
 use amt::{Future, Promise, Runtime};
+use apex_lite::trace::{self, Cat};
 use rv_machine::NetBackend;
 
 use crate::agas::{Agas, Gid, LocalityId};
-use crate::coalesce::{CoalesceConfig, Coalescer};
-use crate::frame;
+use crate::frame::{self, TraceCtx};
 use crate::parcel::ParcelMsg;
-use crate::parcelport::{self, Deliver};
+use crate::parcelport::{self, Deliver, Parcelport};
 use crate::stats::{CommMetrics, NetSnapshot, NetStats, PortSnapshot};
 use crate::wire::{self, Wire};
+
+/// Referee shim: the frozen referee in `benchmark/` fills a `coalesce` field
+/// of [`ClusterConfig`] (and of `octotiger`'s `DistConfig`) with
+/// `CoalesceConfig::default()`. There is nothing to configure — every parcel
+/// travels in its own frame — so this has no fields; it goes, with the two
+/// fields, when a `[benchmark]` PR stops naming it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CoalesceConfig {}
 
 /// Cluster construction parameters (the paper's cluster: 2 localities ×
 /// 4 threads, TCP / MPI / LCI backend).
@@ -50,8 +57,7 @@ pub struct ClusterConfig {
     pub threads_per_locality: usize,
     /// Communication backend (the parcelport of §3.1 / §6.2.2).
     pub backend: NetBackend,
-    /// Parcel-coalescing layer configuration (off by default, matching the
-    /// paper's runs).
+    /// Referee shim, ignored (see [`CoalesceConfig`]).
     pub coalesce: CoalesceConfig,
 }
 
@@ -88,9 +94,10 @@ struct ClusterInner {
     actions: Mutex<HashMap<String, Handler>>,
     localities: Mutex<Vec<Arc<LocalityInner>>>,
     stats: NetStats,
-    /// Send path: coalescer in front of the parcelport. The port itself is
-    /// reachable via [`Coalescer::port`].
-    coalescer: Coalescer,
+    port: Arc<dyn Parcelport>,
+    /// Latency histogram and link matrix of the receive loops; its own
+    /// `Arc` so a counter registry can sample it after the cluster is gone.
+    metrics: Arc<CommMetrics>,
     switchboard: Switchboard,
     rx_threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
     // Runtimes are deliberately kept *outside* the per-locality Arc:
@@ -110,11 +117,13 @@ impl ClusterInner {
         )
     }
 
-    /// Serialize one parcel and hand it to the comms stack. `from` is the
-    /// sending locality — it becomes the parcel's trace-context origin.
+    /// Serialize one parcel, frame it and hand it to the parcelport. `from`
+    /// is the sending locality — it becomes the parcel's trace-context
+    /// origin, stamped here so the receive-side latency covers the port.
     fn send(&self, from: LocalityId, to: LocalityId, msg: &ParcelMsg) {
         let parcel = msg.to_wire().expect("parcel serialization failed");
-        self.coalescer.submit(from, to, parcel);
+        let ctx = TraceCtx::stamp(from.0);
+        self.port.transmit(to, frame::encode(&parcel, ctx));
     }
 }
 
@@ -319,13 +328,14 @@ fn dispatch(
 }
 
 /// One locality's receive loop: frames in, parcels dispatched. Ends when
-/// the switchboard drops this locality's sender. Each parcel closes its
-/// causal-tracing loop here: a `parcel_recv` span encloses the `"f"` flow
-/// event matching the sender's `"s"`, the one-way latency (receive minus
-/// the submit stamp in the wire header) lands in the
-/// `/comms/parcel_latency` histogram, and the `origin → me` link counters
-/// advance. The histogram and link metrics stay on with tracing off —
-/// they are counters, not spans.
+/// the switchboard drops this locality's sender; a buffer that is not a
+/// frame ends it with a panic naming this locality and the
+/// [`frame::FrameError`]. Each parcel closes its causal-tracing loop here: a
+/// `parcel_recv` span encloses the `"f"` flow event matching the sender's
+/// `"s"`, the one-way latency (receive minus the submit stamp in the wire
+/// header) lands in the `/comms/parcel_latency` histogram, and the
+/// `origin → me` link counters advance. The histogram and link metrics
+/// stay on with tracing off — they are counters, not spans.
 fn rx_loop(
     rx: Receiver<Bytes>,
     cluster: Weak<ClusterInner>,
@@ -333,22 +343,24 @@ fn rx_loop(
     runtime: amt::Handle,
     metrics: Arc<CommMetrics>,
 ) {
-    use apex_lite::trace::{self, Cat};
     while let Ok(framed) = rx.recv() {
         let Some(me_arc) = me.upgrade() else {
             break;
         };
-        let parcels = frame::decode_frame(&framed).expect("corrupt frame on parcel channel");
-        for parcel in parcels {
-            let _span = trace::span(Cat::Comm, "parcel_recv");
-            trace::flow_end(Cat::Comm, "parcel", parcel.ctx.flow);
-            metrics
-                .parcel_latency
-                .record(trace::now_ns().saturating_sub(parcel.ctx.send_ns));
-            metrics.record_link(parcel.ctx.origin, me_arc.id.0, parcel.body.len() as u64);
-            let msg = ParcelMsg::from_wire(&parcel.body).expect("corrupt parcel in frame");
-            dispatch(msg, &cluster, &me_arc, &runtime);
-        }
+        let (ctx, body) = frame::decode(&framed).unwrap_or_else(|e| {
+            panic!(
+                "locality {}: bad frame on the parcel channel: {e}",
+                me_arc.id.0
+            )
+        });
+        let _span = trace::span(Cat::Comm, "parcel_recv");
+        trace::flow_end(Cat::Comm, "parcel", ctx.flow);
+        metrics
+            .parcel_latency
+            .record(trace::now_ns().saturating_sub(ctx.send_ns));
+        metrics.record_link(ctx.origin, me_arc.id.0, body.len() as u64);
+        let msg = ParcelMsg::from_wire(body).expect("corrupt parcel in frame");
+        dispatch(msg, &cluster, &me_arc, &runtime);
     }
 }
 
@@ -381,14 +393,14 @@ impl Cluster {
             })
         };
         let port = parcelport::open(config.backend, deliver);
-        let coalescer = Coalescer::new(config.coalesce, config.localities, port);
         let inner = Arc::new(ClusterInner {
             config,
             agas: Agas::new(),
             actions: Mutex::new(HashMap::new()),
             localities: Mutex::new(Vec::new()),
             stats: NetStats::new(),
-            coalescer,
+            port,
+            metrics: Arc::new(CommMetrics::new(config.localities)),
             switchboard,
             rx_threads: Mutex::new(Vec::new()),
             runtimes,
@@ -404,14 +416,11 @@ impl Cluster {
             let weak_cluster = Arc::downgrade(&inner);
             let weak_loc = Arc::downgrade(&loc);
             let handle = inner.runtimes[i as usize].handle();
-            let metrics = Arc::clone(inner.coalescer.metrics());
+            let metrics = Arc::clone(&inner.metrics);
             let join = std::thread::Builder::new()
                 .name(format!("parcel-rx-{i}"))
                 .spawn(move || {
-                    apex_lite::trace::set_thread_label(
-                        i,
-                        apex_lite::trace::ThreadLabel::Named("parcel-rx"),
-                    );
+                    trace::set_thread_label(i, trace::ThreadLabel::Named("parcel-rx"));
                     rx_loop(rx, weak_cluster, weak_loc, handle, metrics)
                 })
                 .expect("failed to spawn parcel receive thread");
@@ -469,43 +478,36 @@ impl Cluster {
         self.inner.config.backend
     }
 
-    /// Flush the comms stack: close pending coalescer batches and drive the
-    /// parcelport to quiescence. After this returns every submitted parcel
-    /// has been *delivered* (handlers may still be running).
+    /// Drive the parcelport to quiescence. After this returns every
+    /// submitted parcel has been *delivered* (handlers may still be running).
     pub fn flush_network(&self) {
-        self.inner.coalescer.flush();
+        let _span = trace::span(Cat::Comm, "flush");
+        self.inner.port.flush();
     }
 
     /// Communication statistics so far: measured wire traffic from the
     /// parcelport merged with the cluster's action accounting.
     pub fn net_stats(&self) -> NetSnapshot {
-        let port = self.inner.coalescer.port().stats();
-        let actions = self.inner.stats.snapshot();
-        NetSnapshot {
-            messages: port.messages,
-            bytes: port.bytes,
-            remote_actions: actions.remote_actions,
-            local_actions: actions.local_actions,
-        }
+        self.inner.stats.snapshot(&self.inner.port.stats())
     }
 
-    /// Raw per-port counters (frames, parcels, coalesced batches, queue
-    /// high-water mark) — the measured side of the Fig. 8 accounting.
+    /// Raw per-port counters (frames, framed bytes, queue high-water mark)
+    /// — the measured side of the Fig. 8 accounting.
     pub fn port_stats(&self) -> PortSnapshot {
-        self.inner.coalescer.port().stats()
+        self.inner.port.stats()
     }
 
     /// Zero the communication statistics (between measurement phases).
     pub fn reset_net_stats(&self) {
         self.inner.stats.reset();
-        self.inner.coalescer.port().reset_stats();
+        self.inner.port.reset_stats();
     }
 
     /// Tell the comms stack which application step is running, so
     /// queue-depth high-water marks are attributed to the step that caused
     /// them ([`PortSnapshot::queue_depth_hwm_step`]).
     pub fn note_step(&self, step: u64) {
-        self.inner.coalescer.port().note_step(step);
+        self.inner.port.note_step(step);
     }
 
     /// Register this cluster's counters with an apex-lite registry:
@@ -531,24 +533,19 @@ impl Cluster {
         // The comm metrics outlive the cluster via their own Arc (they do
         // not keep runtimes or receive loops alive), so the histograms
         // stay sampleable through the final post-run snapshot.
-        let metrics = Arc::clone(self.inner.coalescer.metrics());
+        let metrics = Arc::clone(&self.inner.metrics);
         registry.register("/comms", move |c| {
             let Some(inner) = weak.upgrade() else { return };
-            let port = inner.coalescer.port().stats();
+            let port = inner.port.stats();
             c.count("messages", port.messages);
             c.count("bytes", port.bytes);
             c.count("parcels", port.parcels);
-            c.count("batches", port.batches);
             c.count("queue_depth_hwm", port.queue_depth_hwm);
             c.count("queue_depth_hwm_step", port.queue_depth_hwm_step);
-            let actions = inner.stats.snapshot();
+            let actions = inner.stats.snapshot(&port);
             c.count("remote_actions", actions.remote_actions);
             c.count("local_actions", actions.local_actions);
             c.histogram("parcel_latency", &metrics.parcel_latency.snapshot());
-            c.histogram(
-                "coalesce_flush_delay",
-                &metrics.coalesce_flush_delay.snapshot(),
-            );
             for link in metrics.links() {
                 c.count(
                     &format!("link{}_{}/parcels", link.src, link.dst),
@@ -579,7 +576,7 @@ impl Drop for Cluster {
     fn drop(&mut self) {
         // Deliver in-flight parcels while the receive loops still run, so
         // shutdown never strands a response a caller could still observe.
-        self.inner.coalescer.flush();
+        self.flush_network();
         // Dropping the senders closes the frame channels, ending the
         // receive loops; frames transmitted after this point are dropped.
         self.inner.switchboard.lock().clear();
@@ -654,7 +651,7 @@ mod tests {
         assert_eq!(s.messages, 2, "request + response");
         assert!(s.bytes > 0);
         let p = c.port_stats();
-        assert_eq!(p.parcels, 2, "one parcel per frame without coalescing");
+        assert_eq!(p.parcels, 2, "one parcel per frame");
         assert_eq!(p.batches, 0);
     }
 
@@ -903,34 +900,22 @@ mod tests {
     }
 
     #[test]
-    fn coalescing_cluster_stays_correct_and_batches() {
-        let c = Cluster::new(ClusterConfig {
-            localities: 2,
-            threads_per_locality: 2,
-            backend: NetBackend::Tcp,
-            coalesce: CoalesceConfig::enabled(),
-        });
-        c.register_action("add", |ctx: &LocalityHandle, gid, x: u64| {
-            ctx.with_component::<u64, _>(gid, |v| {
-                *v += x;
-                *v
-            })
-            .unwrap()
-        });
-        let l0 = c.locality(0);
-        let l1 = c.locality(1);
-        let gid = l1.new_component(0u64);
-        let futures: Vec<amt::Future<u64>> =
-            (0..200).map(|_| l0.invoke(gid, "add", &1u64)).collect();
-        let results = amt::when_all(futures).get();
-        assert_eq!(results.len(), 200);
-        assert_eq!(l1.with_component::<u64, _>(gid, |v| *v), Some(200));
-        c.flush_network();
-        let p = c.port_stats();
-        assert_eq!(p.parcels, 400, "every request and response arrived");
-        assert!(
-            p.messages <= p.parcels,
-            "coalescing never inflates the frame count"
+    fn bad_frame_ends_the_receive_loop_naming_locality_and_error() {
+        let c = two_node();
+        // A header of the retired multi-parcel kind, straight into the port.
+        c.inner
+            .port
+            .transmit(LocalityId(1), Bytes::from(&[0x7e, 0x0c, 2, 2, 0, 0, 0][..]));
+        c.inner.switchboard.lock().clear();
+        let joins: Vec<_> = c.inner.rx_threads.lock().drain(..).collect();
+        let panics: Vec<String> = joins
+            .into_iter()
+            .filter_map(|j| j.join().err())
+            .map(|p| *p.downcast::<String>().expect("formatted panic message"))
+            .collect();
+        assert_eq!(
+            panics,
+            ["locality 1: bad frame on the parcel channel: bad frame kind 2"]
         );
     }
 }

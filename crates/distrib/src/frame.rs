@@ -1,21 +1,21 @@
 //! Parcel framing — the byte layout parcelports put on the wire.
 //!
-//! A frame is either a **single** parcel or a **coalesced batch** of
-//! parcels (the coalescing layer of `crate::coalesce` packs small parcels
-//! headed to the same destination into one frame, HPX's
-//! "parcel coalescing" plugin):
+//! One frame carries one parcel:
 //!
 //! ```text
 //! magic   u16  = 0x0C7E            (rejects desynchronized streams)
-//! kind    u8   = 1 single | 2 batch
-//! count   u32  (LE)                 parcels in the frame (1 for single)
-//! repeat count times:
-//!   len     u32  (LE)               body length (ctx not included)
-//!   origin  u32  (LE)  ┐
-//!   flow    u64  (LE)  ├ TraceCtx — causal-tracing header, 20 bytes
-//!   send_ns u64  (LE)  ┘
-//!   body    len bytes               one wire-encoded parcel
+//! kind    u8   = 1
+//! count   u32  (LE) = 1
+//! len     u32  (LE)               body length (ctx not included)
+//! origin  u32  (LE)  ┐
+//! flow    u64  (LE)  ├ TraceCtx — causal-tracing header, 20 bytes
+//! send_ns u64  (LE)  ┘
+//! body    len bytes               one wire-encoded parcel
 //! ```
+//!
+//! `kind` and `count` are constants: they are what is left of a second,
+//! multi-parcel frame kind, kept so that no byte on the wire — and no
+//! counter that sums wire bytes — moved when it went.
 //!
 //! Every parcel carries a [`TraceCtx`] — origin locality, process-unique
 //! flow id, and send timestamp — so the receive side can emit the matching
@@ -23,10 +23,9 @@
 //! side channel. The context is wire state, not payload: `len` counts the
 //! body only.
 //!
-//! [`FrameDecoder`] is incremental: `feed` accepts arbitrary byte slices
-//! (partial frames, multiple frames, split headers) and yields complete
-//! parcels as they materialize — the shape a streaming TCP receive path
-//! needs.
+//! Every port hands the receive loop whole frames, so [`decode`] takes one
+//! complete frame and borrows the body out of it; anything else — cut
+//! short, too long, a header field off — is a [`FrameError`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -38,15 +37,15 @@ pub const FRAME_MAGIC: u16 = 0x0C7E;
 /// Fixed per-frame header size: magic + kind + count.
 pub const FRAME_HEADER_BYTES: usize = 7;
 
-/// Per-parcel length prefix inside a frame.
+/// The parcel's length prefix inside a frame.
 pub const PARCEL_LEN_BYTES: usize = 4;
 
-/// Per-parcel trace context carried after the length prefix:
+/// The parcel's trace context carried after the length prefix:
 /// origin `u32` + flow id `u64` + send timestamp `u64`.
 pub const TRACE_CTX_BYTES: usize = 20;
 
-const KIND_SINGLE: u8 = 1;
-const KIND_BATCH: u8 = 2;
+/// The only frame kind.
+const FRAME_KIND: u8 = 1;
 
 /// Causal-tracing context stamped on every parcel at submit time and
 /// carried in the wire header (HPX parcels carry the same idea as their
@@ -76,51 +75,35 @@ impl TraceCtx {
             send_ns: apex_lite::trace::now_ns(),
         }
     }
-
-    fn put(&self, out: &mut BytesMut) {
-        out.put_u32_le(self.origin);
-        out.put_u64_le(self.flow);
-        out.put_u64_le(self.send_ns);
-    }
-
-    fn read(buf: &[u8]) -> Self {
-        TraceCtx {
-            origin: u32::from_le_bytes(buf[0..4].try_into().expect("ctx origin")),
-            flow: u64::from_le_bytes(buf[4..12].try_into().expect("ctx flow")),
-            send_ns: u64::from_le_bytes(buf[12..20].try_into().expect("ctx send_ns")),
-        }
-    }
 }
 
-/// One decoded parcel: its causal-tracing context plus the wire body.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DecodedParcel {
-    /// Trace context stamped by the sender.
-    pub ctx: TraceCtx,
-    /// Wire-encoded parcel payload.
-    pub body: Vec<u8>,
-}
-
-/// Framing failures (a desynchronized or corrupt stream).
+/// Why a buffer is not a frame (a desynchronized or corrupt stream).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FrameError {
-    /// The stream does not start with [`FRAME_MAGIC`].
+    /// The buffer ends before the frame does — what every strict prefix of
+    /// a valid frame is.
+    Truncated,
+    /// The buffer does not start with [`FRAME_MAGIC`].
     BadMagic(u16),
-    /// Unknown frame kind byte.
+    /// A frame kind other than 1.
     BadKind(u8),
-    /// A single frame claiming a parcel count other than 1.
+    /// A parcel count other than 1.
     BadCount(u32),
-    /// A length prefix exceeding the sanity bound.
+    /// A length prefix exceeding [`MAX_PARCEL_BYTES`].
     Oversized(u32),
+    /// This many bytes follow the body the length prefix announced.
+    TrailingBytes(usize),
 }
 
 impl std::fmt::Display for FrameError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            FrameError::Truncated => write!(f, "frame cut short"),
             FrameError::BadMagic(m) => write!(f, "bad frame magic {m:#06x}"),
             FrameError::BadKind(k) => write!(f, "bad frame kind {k}"),
-            FrameError::BadCount(c) => write!(f, "single frame with count {c}"),
+            FrameError::BadCount(c) => write!(f, "frame with parcel count {c}"),
             FrameError::Oversized(n) => write!(f, "parcel length {n} exceeds sanity bound"),
+            FrameError::TrailingBytes(n) => write!(f, "{n} bytes after the parcel body"),
         }
     }
 }
@@ -131,161 +114,61 @@ impl std::error::Error for FrameError {}
 /// anything near 1 GiB is a desynchronized stream, not a parcel).
 pub const MAX_PARCEL_BYTES: u32 = 1 << 30;
 
-fn put_header(out: &mut BytesMut, kind: u8, count: u32) {
-    out.put_u16_le(FRAME_MAGIC);
-    out.put_u8(kind);
-    out.put_u32_le(count);
-}
-
 /// Frame one parcel with its trace context.
-pub fn encode_single(parcel: &[u8], ctx: TraceCtx) -> Bytes {
+pub fn encode(parcel: &[u8], ctx: TraceCtx) -> Bytes {
     let mut out = BytesMut::with_capacity(
         FRAME_HEADER_BYTES + PARCEL_LEN_BYTES + TRACE_CTX_BYTES + parcel.len(),
     );
-    put_header(&mut out, KIND_SINGLE, 1);
+    out.put_u16_le(FRAME_MAGIC);
+    out.put_u8(FRAME_KIND);
+    out.put_u32_le(1);
     out.put_u32_le(parcel.len() as u32);
-    ctx.put(&mut out);
+    out.put_u32_le(ctx.origin);
+    out.put_u64_le(ctx.flow);
+    out.put_u64_le(ctx.send_ns);
     out.put_slice(parcel);
     out.freeze()
 }
 
-/// Frame a coalesced batch. Panics on an empty batch (the coalescer never
-/// flushes an empty queue).
-pub fn encode_batch(parcels: &[(Bytes, TraceCtx)]) -> Bytes {
-    assert!(!parcels.is_empty(), "cannot frame an empty batch");
-    let body: usize = parcels
-        .iter()
-        .map(|(p, _)| PARCEL_LEN_BYTES + TRACE_CTX_BYTES + p.len())
-        .sum();
-    let mut out = BytesMut::with_capacity(FRAME_HEADER_BYTES + body);
-    put_header(&mut out, KIND_BATCH, parcels.len() as u32);
-    for (p, ctx) in parcels {
-        out.put_u32_le(p.len() as u32);
-        ctx.put(&mut out);
-        out.put_slice(p);
-    }
-    out.freeze()
+/// Split the next `N` bytes off the front of `buf`.
+fn take<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], FrameError> {
+    let (head, rest) = buf.split_first_chunk().ok_or(FrameError::Truncated)?;
+    *buf = rest;
+    Ok(*head)
 }
 
-/// Parcel count carried by a frame — a cheap header peek used by port
-/// statistics (0 for a buffer too short to hold a header).
-pub fn decode_parcel_count(frame: &[u8]) -> u64 {
-    if frame.len() < FRAME_HEADER_BYTES {
-        return 0;
+/// Read one complete frame: its trace context and its body, borrowed. Total
+/// over arbitrary input — the peer wrote these bytes — and allocates nothing;
+/// each header field is checked as soon as the buffer is long enough to hold
+/// it, so a prefix of a valid frame is [`FrameError::Truncated`] and nothing
+/// else.
+pub fn decode(frame: &[u8]) -> Result<(TraceCtx, &[u8]), FrameError> {
+    let mut rest = frame;
+    let magic = u16::from_le_bytes(take(&mut rest)?);
+    if magic != FRAME_MAGIC {
+        return Err(FrameError::BadMagic(magic));
     }
-    u64::from(u32::from_le_bytes([frame[3], frame[4], frame[5], frame[6]]))
-}
-
-/// Trace contexts of every parcel in a complete frame — a header walk that
-/// skips the bodies, so the send side can emit flow-start events without
-/// decoding payloads. Returns an empty list on a malformed frame (the
-/// receive path reports the real error).
-pub fn trace_ctxs(frame: &[u8]) -> Vec<TraceCtx> {
-    let count = decode_parcel_count(frame) as usize;
-    // The header's count is the peer's claim; reserve only what the frame's
-    // length can hold.
-    let mut out = Vec::with_capacity(count.min(frame.len() / (PARCEL_LEN_BYTES + TRACE_CTX_BYTES)));
-    let mut at = FRAME_HEADER_BYTES;
-    for _ in 0..count {
-        if frame.len() < at + PARCEL_LEN_BYTES + TRACE_CTX_BYTES {
-            return Vec::new();
-        }
-        let len = u32::from_le_bytes(frame[at..at + 4].try_into().expect("len prefix")) as usize;
-        out.push(TraceCtx::read(&frame[at + PARCEL_LEN_BYTES..]));
-        at += PARCEL_LEN_BYTES + TRACE_CTX_BYTES + len;
+    let [kind] = take(&mut rest)?;
+    if kind != FRAME_KIND {
+        return Err(FrameError::BadKind(kind));
     }
-    out
-}
-
-/// Decode one complete frame into its parcels (the non-streaming path used
-/// by the in-process receive loop, which gets whole frames).
-pub fn decode_frame(frame: &[u8]) -> Result<Vec<DecodedParcel>, FrameError> {
-    let mut dec = FrameDecoder::new();
-    dec.feed(frame)
-}
-
-/// Incremental frame decoder for streamed input.
-#[derive(Debug, Default)]
-pub struct FrameDecoder {
-    buf: Vec<u8>,
-    /// Parcels still expected in the frame being decoded (None: at a
-    /// frame boundary, the next bytes are a header).
-    remaining_in_frame: Option<u32>,
-}
-
-impl FrameDecoder {
-    /// Fresh decoder positioned at a frame boundary.
-    pub fn new() -> Self {
-        Self::default()
+    let count = u32::from_le_bytes(take(&mut rest)?);
+    if count != 1 {
+        return Err(FrameError::BadCount(count));
     }
-
-    /// Bytes buffered but not yet assembled into a parcel.
-    pub fn pending_bytes(&self) -> usize {
-        self.buf.len()
+    let len = u32::from_le_bytes(take(&mut rest)?);
+    if len > MAX_PARCEL_BYTES {
+        return Err(FrameError::Oversized(len));
     }
-
-    /// Whether the decoder sits exactly at a frame boundary with nothing
-    /// buffered (a cleanly terminated stream).
-    pub fn is_clean(&self) -> bool {
-        self.buf.is_empty() && self.remaining_in_frame.is_none()
-    }
-
-    /// Feed a chunk of stream bytes; returns every parcel completed by
-    /// this chunk (possibly none, possibly spanning several frames).
-    pub fn feed(&mut self, chunk: &[u8]) -> Result<Vec<DecodedParcel>, FrameError> {
-        self.buf.extend_from_slice(chunk);
-        let mut out = Vec::new();
-        loop {
-            match self.remaining_in_frame {
-                None => {
-                    // Need a full header to proceed.
-                    if self.buf.len() < FRAME_HEADER_BYTES {
-                        return Ok(out);
-                    }
-                    let magic = u16::from_le_bytes([self.buf[0], self.buf[1]]);
-                    if magic != FRAME_MAGIC {
-                        return Err(FrameError::BadMagic(magic));
-                    }
-                    let kind = self.buf[2];
-                    let count =
-                        u32::from_le_bytes([self.buf[3], self.buf[4], self.buf[5], self.buf[6]]);
-                    match kind {
-                        KIND_SINGLE if count != 1 => return Err(FrameError::BadCount(count)),
-                        KIND_SINGLE | KIND_BATCH => {}
-                        other => return Err(FrameError::BadKind(other)),
-                    }
-                    self.buf.drain(..FRAME_HEADER_BYTES);
-                    self.remaining_in_frame = Some(count);
-                }
-                Some(0) => {
-                    self.remaining_in_frame = None;
-                }
-                Some(n) => {
-                    // Need the length prefix *and* the trace context before
-                    // the body length is actionable — a chunk boundary may
-                    // fall anywhere inside either.
-                    if self.buf.len() < PARCEL_LEN_BYTES + TRACE_CTX_BYTES {
-                        return Ok(out);
-                    }
-                    let len =
-                        u32::from_le_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]]);
-                    if len > MAX_PARCEL_BYTES {
-                        return Err(FrameError::Oversized(len));
-                    }
-                    let need = PARCEL_LEN_BYTES + TRACE_CTX_BYTES + len as usize;
-                    if self.buf.len() < need {
-                        return Ok(out);
-                    }
-                    let ctx = TraceCtx::read(&self.buf[PARCEL_LEN_BYTES..]);
-                    out.push(DecodedParcel {
-                        ctx,
-                        body: self.buf[PARCEL_LEN_BYTES + TRACE_CTX_BYTES..need].to_vec(),
-                    });
-                    self.buf.drain(..need);
-                    self.remaining_in_frame = Some(n - 1);
-                }
-            }
-        }
+    let ctx = TraceCtx {
+        origin: u32::from_le_bytes(take(&mut rest)?),
+        flow: u64::from_le_bytes(take(&mut rest)?),
+        send_ns: u64::from_le_bytes(take(&mut rest)?),
+    };
+    match rest.len().checked_sub(len as usize) {
+        None => Err(FrameError::Truncated),
+        Some(0) => Ok((ctx, rest)),
+        Some(extra) => Err(FrameError::TrailingBytes(extra)),
     }
 }
 
@@ -301,39 +184,22 @@ mod tests {
         }
     }
 
-    fn bodies(parcels: &[DecodedParcel]) -> Vec<Vec<u8>> {
-        parcels.iter().map(|p| p.body.clone()).collect()
-    }
-
     #[test]
-    fn single_roundtrip() {
-        let frame = encode_single(b"hello parcel", ctx(3, 77, 123_456));
+    fn roundtrip_borrows_the_body() {
+        let frame = encode(b"hello parcel", ctx(3, 77, 123_456));
         assert_eq!(
             frame.len(),
             FRAME_HEADER_BYTES + PARCEL_LEN_BYTES + TRACE_CTX_BYTES + 12
         );
-        let parcels = decode_frame(&frame).unwrap();
-        assert_eq!(bodies(&parcels), vec![b"hello parcel".to_vec()]);
-        assert_eq!(parcels[0].ctx, ctx(3, 77, 123_456));
-        assert_eq!(trace_ctxs(&frame), vec![ctx(3, 77, 123_456)]);
-    }
-
-    #[test]
-    fn batch_roundtrip_preserves_order_and_contexts() {
-        let parcels: Vec<(Bytes, TraceCtx)> = vec![
-            (Bytes::from(&b"a"[..]), ctx(0, 1, 10)),
-            (Bytes::from(&b""[..]), ctx(0, 2, 20)),
-            (Bytes::from(&b"ccc"[..]), ctx(1, 3, 30)),
-        ];
-        let frame = encode_batch(&parcels);
-        let out = decode_frame(&frame).unwrap();
+        let (got, body) = decode(&frame).unwrap();
+        assert_eq!(got, ctx(3, 77, 123_456));
+        assert_eq!(body, b"hello parcel");
+        assert!(std::ptr::eq(body, &frame[frame.len() - 12..]));
+        // An empty body is a frame too.
         assert_eq!(
-            bodies(&out),
-            vec![b"a".to_vec(), b"".to_vec(), b"ccc".to_vec()]
+            decode(&encode(b"", ctx(0, 1, 2))),
+            Ok((ctx(0, 1, 2), &b""[..]))
         );
-        let ctxs: Vec<TraceCtx> = out.iter().map(|p| p.ctx).collect();
-        assert_eq!(ctxs, vec![ctx(0, 1, 10), ctx(0, 2, 20), ctx(1, 3, 30)]);
-        assert_eq!(trace_ctxs(&frame), ctxs);
     }
 
     #[test]
@@ -345,84 +211,45 @@ mod tests {
     }
 
     #[test]
-    fn decoder_handles_byte_at_a_time_input() {
-        let frame = encode_batch(&[
-            (Bytes::from(&b"xy"[..]), ctx(0, 9, 90)),
-            (Bytes::from(&b"z"[..]), ctx(0, 10, 91)),
-        ]);
-        let mut dec = FrameDecoder::new();
-        let mut got = Vec::new();
-        for b in frame.iter() {
-            got.extend(dec.feed(&[*b]).unwrap());
+    fn every_strict_prefix_is_truncated() {
+        let frame = encode(b"payload", ctx(1, 5, 50));
+        for cut in 0..frame.len() {
+            assert_eq!(decode(&frame[..cut]), Err(FrameError::Truncated), "{cut}");
         }
-        assert_eq!(bodies(&got), vec![b"xy".to_vec(), b"z".to_vec()]);
-        assert_eq!(got[1].ctx, ctx(0, 10, 91));
-        assert!(dec.is_clean());
     }
 
     #[test]
-    fn trace_ctx_split_across_two_chunk_boundaries() {
-        // Regression: cut the stream twice *inside* the 20-byte trace
-        // context — the decoder must hold state across both boundaries and
-        // still deliver the exact ctx + body.
-        let frame = encode_single(b"split me", ctx(2, 0xDEAD_BEEF_CAFE, 42));
-        let ctx_start = FRAME_HEADER_BYTES + PARCEL_LEN_BYTES;
-        let cut1 = ctx_start + 5; // 5 bytes into the ctx
-        let cut2 = ctx_start + 17; // 17 bytes in: still 3 short of the body
-        let mut dec = FrameDecoder::new();
-        assert!(dec.feed(&frame[..cut1]).unwrap().is_empty());
-        assert!(dec.feed(&frame[cut1..cut2]).unwrap().is_empty());
-        assert!(!dec.is_clean());
-        let got = dec.feed(&frame[cut2..]).unwrap();
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].ctx, ctx(2, 0xDEAD_BEEF_CAFE, 42));
-        assert_eq!(got[0].body, b"split me".to_vec());
-        assert!(dec.is_clean());
-    }
-
-    #[test]
-    fn decoder_spans_multiple_frames_in_one_chunk() {
-        let mut stream = encode_single(b"one", ctx(0, 1, 1)).to_vec();
-        stream.extend_from_slice(&encode_batch(&[(Bytes::from(&b"two"[..]), ctx(0, 2, 2))]));
-        let mut dec = FrameDecoder::new();
-        let got = dec.feed(&stream).unwrap();
-        assert_eq!(bodies(&got), vec![b"one".to_vec(), b"two".to_vec()]);
-        assert!(dec.is_clean());
-    }
-
-    #[test]
-    fn bad_magic_rejected() {
-        let mut frame = encode_single(b"p", TraceCtx::default()).to_vec();
-        frame[0] ^= 0xFF;
-        assert!(matches!(decode_frame(&frame), Err(FrameError::BadMagic(_))));
-    }
-
-    #[test]
-    fn bad_kind_and_count_rejected() {
-        let mut frame = encode_single(b"p", TraceCtx::default()).to_vec();
-        frame[2] = 9;
-        assert!(matches!(decode_frame(&frame), Err(FrameError::BadKind(9))));
-        let mut frame = encode_single(b"p", TraceCtx::default()).to_vec();
-        frame[3] = 2; // single frame claiming two parcels
-        assert!(matches!(decode_frame(&frame), Err(FrameError::BadCount(2))));
-        // A bare header claiming u32::MAX parcels: the send-side walk must
-        // not reserve 80 GB for them before finding the frame too short.
-        let mut header = encode_single(b"", TraceCtx::default())[..FRAME_HEADER_BYTES].to_vec();
-        header[3..7].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert_eq!(decode_parcel_count(&header), u64::from(u32::MAX));
-        assert!(trace_ctxs(&header).is_empty());
-    }
-
-    #[test]
-    fn truncated_frame_yields_nothing_but_keeps_state() {
-        let frame = encode_single(b"payload", ctx(1, 5, 50));
-        let mut dec = FrameDecoder::new();
-        let cut = frame.len() - 3;
-        assert!(dec.feed(&frame[..cut]).unwrap().is_empty());
-        assert!(!dec.is_clean());
-        let got = dec.feed(&frame[cut..]).unwrap();
-        assert_eq!(bodies(&got), vec![b"payload".to_vec()]);
-        assert_eq!(got[0].ctx, ctx(1, 5, 50));
-        assert!(dec.is_clean());
+    fn each_bad_field_has_its_own_error() {
+        let good = encode(b"p", TraceCtx::default()).to_vec();
+        let with = |at: usize, bytes: &[u8]| {
+            let mut frame = good.clone();
+            frame[at..at + bytes.len()].copy_from_slice(bytes);
+            frame
+        };
+        assert_eq!(
+            decode(&with(0, &[0x81, 0xF3])),
+            Err(FrameError::BadMagic(0xF381))
+        );
+        assert_eq!(decode(&with(2, &[2])), Err(FrameError::BadKind(2)));
+        assert_eq!(decode(&with(3, &[2])), Err(FrameError::BadCount(2)));
+        assert_eq!(decode(&with(3, &[0])), Err(FrameError::BadCount(0)));
+        let over = MAX_PARCEL_BYTES + 1;
+        assert_eq!(
+            decode(&with(FRAME_HEADER_BYTES, &over.to_le_bytes())),
+            Err(FrameError::Oversized(over))
+        );
+        // The largest length allowed, with one byte behind it, is a short frame.
+        assert_eq!(
+            decode(&with(FRAME_HEADER_BYTES, &MAX_PARCEL_BYTES.to_le_bytes())),
+            Err(FrameError::Truncated)
+        );
+        let mut long = good.clone();
+        long.extend_from_slice(b"xyz");
+        assert_eq!(decode(&long), Err(FrameError::TrailingBytes(3)));
+        // A second frame behind the first is trailing bytes, not a stream.
+        assert_eq!(
+            decode(&[good.clone(), good.clone()].concat()),
+            Err(FrameError::TrailingBytes(good.len()))
+        );
     }
 }

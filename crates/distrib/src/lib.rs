@@ -14,17 +14,14 @@
 //!   — any [`Wire`] type; the [`wire`] module docs hold the format table —
 //!   into [`parcel::ParcelMsg`]s, with HPX's unified local/remote syntax
 //!   (local calls skip the wire);
-//! * the [`coalesce`] layer optionally batches small parcels per
-//!   destination (HPX's parcel-coalescing plugin) under a bounded
-//!   in-flight queue;
 //! * a pluggable [`parcelport::Parcelport`] — TCP, MPI or LCI — moves
-//!   [`frame`]d byte buffers and measures per-port [`stats::PortStats`];
+//!   [`frame`]d byte buffers, one parcel each, and measures per-port
+//!   [`stats::PortStats`];
 //!   the `rv-machine` cost model turns those into per-backend link times
 //!   for the Fig. 8 projection.
 
 pub mod agas;
 pub mod cluster;
-pub mod coalesce;
 pub mod frame;
 pub mod parcel;
 pub mod parcelport;
@@ -32,12 +29,9 @@ pub mod stats;
 pub mod wire;
 
 pub use agas::{Agas, Gid, LocalityId};
-pub use cluster::{Cluster, ClusterConfig, LocalityHandle};
-pub use coalesce::{CoalesceConfig, Coalescer};
-pub use frame::{DecodedParcel, FrameDecoder, FrameError, TraceCtx, TRACE_CTX_BYTES};
+pub use cluster::{Cluster, ClusterConfig, CoalesceConfig, LocalityHandle};
+pub use frame::{FrameError, TraceCtx, TRACE_CTX_BYTES};
 pub use parcel::ParcelMsg;
 pub use parcelport::{Deliver, Parcelport};
-pub use stats::{
-    CommMetrics, LinkSnapshot, NetSnapshot, NetStats, PortSnapshot, PortStats, PARCEL_HEADER_BYTES,
-};
+pub use stats::{CommMetrics, LinkSnapshot, NetSnapshot, NetStats, PortSnapshot, PortStats};
 pub use wire::{from_bytes, to_bytes, Wire, WireError};

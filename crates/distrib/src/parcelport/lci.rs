@@ -64,10 +64,7 @@ impl LciShared {
                     // latency histogram (stamped at submit) includes it.
                     let _span = trace::span(Cat::Comm, "parcel_send");
                     super::note_parcel_send(&frame);
-                    self.stats.record_frame(
-                        frame.len() as u64,
-                        crate::frame::decode_parcel_count(&frame),
-                    );
+                    self.stats.record_frame(frame.len() as u64);
                     (self.deliver)(to, frame);
                     self.in_flight.fetch_sub(1, Ordering::AcqRel);
                     delivered += 1;
@@ -111,7 +108,7 @@ impl LciParcelport {
 
     /// Open the port *without* a progress thread: frames move only on
     /// explicit [`Parcelport::progress`] / [`Parcelport::flush`] calls.
-    /// Used by deterministic tests and the coalescing ablation.
+    /// Used by deterministic tests.
     pub fn new_manual(deliver: Deliver) -> Self {
         LciParcelport {
             shared: Arc::new(LciShared {
@@ -156,7 +153,7 @@ impl Parcelport for LciParcelport {
             outbox.push_back((to, frame));
             outbox.len() as u64
         };
-        self.shared.stats.observe_queue_depth(depth);
+        self.shared.stats.note_queue_depth(depth);
         self.shared.activity.notify_all();
     }
 
@@ -186,10 +183,6 @@ impl Parcelport for LciParcelport {
 
     fn reset_stats(&self) {
         self.shared.stats.reset();
-    }
-
-    fn observe_queue_depth(&self, depth: u64) {
-        self.shared.stats.observe_queue_depth(depth);
     }
 
     fn note_step(&self, step: u64) {

@@ -8,8 +8,8 @@
 //!
 //! # Contract
 //!
-//! A parcelport moves **framed** byte buffers (see [`crate::frame`])
-//! between localities:
+//! A parcelport moves **framed** byte buffers (see [`crate::frame`]), one
+//! parcel each, between localities:
 //!
 //! * [`Parcelport::transmit`] accepts one frame for a destination. *Eager*
 //!   ports ([`TcpParcelport`], [`MpiParcelport`]) deliver on the calling
@@ -22,8 +22,8 @@
 //!   has been delivered — the barrier a sender needs before blocking on a
 //!   response.
 //! * [`Parcelport::stats`] exposes the measured per-port counters
-//!   ([`PortSnapshot`]): frames, framed bytes, parcels, coalesced batches,
-//!   and the queue-depth high-water mark.
+//!   ([`PortSnapshot`]): frames, framed bytes and the queue-depth
+//!   high-water mark.
 //! * [`Parcelport::cost`] is the modelled link parameter set
 //!   (per-message overhead, latency, bandwidth) the Fig. 8 projection
 //!   charges per counted frame — measurement and model meet here.
@@ -51,16 +51,16 @@ use crate::stats::PortSnapshot;
 /// loop. Implementations must tolerate dead destinations (drop the frame).
 pub type Deliver = Arc<dyn Fn(LocalityId, Bytes) + Send + Sync>;
 
-/// Emit one `"s"` flow event per parcel in `frame`, pairing with the
+/// Emit the `"s"` flow event of the parcel in `frame`, pairing with the
 /// receive side's `"f"` so Perfetto draws a cross-locality arrow out of
-/// the enclosing `parcel_send` span. No-op (and no header walk) when
-/// tracing is off; raw non-framed test buffers yield no contexts and are
-/// silently skipped.
+/// the enclosing `parcel_send` span. No-op (and no header read) when
+/// tracing is off; a buffer that is not a frame is skipped — the receive
+/// side reports it.
 pub(crate) fn note_parcel_send(frame: &[u8]) {
     if !apex_lite::trace::enabled() {
         return;
     }
-    for ctx in crate::frame::trace_ctxs(frame) {
+    if let Ok((ctx, _)) = crate::frame::decode(frame) {
         apex_lite::trace::flow_start(apex_lite::trace::Cat::Comm, "parcel", ctx.flow);
     }
 }
@@ -84,11 +84,6 @@ pub trait Parcelport: Send + Sync {
 
     /// Zero the per-port counters.
     fn reset_stats(&self);
-
-    /// Record an upstream queue-depth observation into the port's
-    /// high-water mark (the coalescing layer reports its pending-parcel
-    /// peaks here so one snapshot covers the whole send path).
-    fn observe_queue_depth(&self, depth: u64);
 
     /// Tell the port which application step is running, so queue-depth
     /// high-water marks can be attributed to the step that caused them

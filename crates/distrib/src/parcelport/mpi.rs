@@ -6,8 +6,6 @@
 //! and extra buffer copies triple the per-message CPU cost on the in-order
 //! boards — the driver behind Fig. 8's 1.55× (MPI) vs 1.85× (TCP) speedups.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use apex_lite::trace::{self, Cat};
 use bytes::Bytes;
 use rv_machine::NetBackend;
@@ -21,10 +19,6 @@ use super::{Deliver, Parcelport};
 pub struct MpiParcelport {
     deliver: Deliver,
     stats: PortStats,
-    /// Sends matched by the (modelled) receive side. MPI's tag matching
-    /// means every frame costs a lookup; we count them so the cost hook's
-    /// higher `per_message_us` corresponds to an observable quantity.
-    matched: AtomicU64,
 }
 
 impl MpiParcelport {
@@ -33,13 +27,7 @@ impl MpiParcelport {
         MpiParcelport {
             deliver,
             stats: PortStats::new(),
-            matched: AtomicU64::new(0),
         }
-    }
-
-    /// Frames that went through the modelled matching layer.
-    pub fn matched_sends(&self) -> u64 {
-        self.matched.load(Ordering::Relaxed)
     }
 }
 
@@ -51,11 +39,7 @@ impl Parcelport for MpiParcelport {
     fn transmit(&self, to: LocalityId, frame: Bytes) {
         let _span = trace::span(Cat::Comm, "parcel_send");
         super::note_parcel_send(&frame);
-        self.stats.record_frame(
-            frame.len() as u64,
-            crate::frame::decode_parcel_count(&frame),
-        );
-        self.matched.fetch_add(1, Ordering::Relaxed);
+        self.stats.record_frame(frame.len() as u64);
         (self.deliver)(to, frame);
     }
 
@@ -73,11 +57,6 @@ impl Parcelport for MpiParcelport {
 
     fn reset_stats(&self) {
         self.stats.reset();
-        self.matched.store(0, Ordering::Relaxed);
-    }
-
-    fn observe_queue_depth(&self, depth: u64) {
-        self.stats.observe_queue_depth(depth);
     }
 
     fn note_step(&self, step: u64) {

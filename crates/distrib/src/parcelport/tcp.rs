@@ -43,10 +43,7 @@ impl Parcelport for TcpParcelport {
     fn transmit(&self, to: LocalityId, frame: Bytes) {
         let _span = trace::span(Cat::Comm, "parcel_send");
         super::note_parcel_send(&frame);
-        self.stats.record_frame(
-            frame.len() as u64,
-            crate::frame::decode_parcel_count(&frame),
-        );
+        self.stats.record_frame(frame.len() as u64);
         (self.deliver)(to, frame);
     }
 
@@ -64,10 +61,6 @@ impl Parcelport for TcpParcelport {
 
     fn reset_stats(&self) {
         self.stats.reset();
-    }
-
-    fn observe_queue_depth(&self, depth: u64) {
-        self.stats.observe_queue_depth(depth);
     }
 
     fn note_step(&self, step: u64) {

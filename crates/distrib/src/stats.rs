@@ -5,21 +5,16 @@
 //! Two layers of counters exist since the parcelport refactor:
 //!
 //! * [`PortStats`] — owned by one [`crate::parcelport::Parcelport`]: frames
-//!   and bytes actually put on the (simulated) wire, parcels carried,
-//!   coalesced batches, and the outbox high-water mark. These are the
-//!   *measured* quantities: `bytes` is the length of the real framed wire
-//!   image, not an estimate.
+//!   (one parcel each) and bytes actually put on the (simulated) wire, and
+//!   the outbox high-water mark. These are the *measured* quantities:
+//!   `bytes` is the length of the real framed wire image, not an estimate.
 //! * [`NetStats`] — cluster-level action accounting (local vs remote
-//!   invocations). [`crate::Cluster::net_stats`] merges both into the
-//!   backwards-compatible [`NetSnapshot`].
+//!   invocations). [`crate::Cluster::net_stats`] merges both into one
+//!   [`NetSnapshot`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use apex_lite::counters::AtomicHistogram;
-
-/// Framing overhead charged per parcel (gid, action id, call id, lengths) —
-/// roughly HPX's parcel header.
-pub const PARCEL_HEADER_BYTES: u64 = 48;
 
 #[derive(Debug, Default)]
 struct LinkStats {
@@ -42,11 +37,10 @@ pub struct LinkSnapshot {
 }
 
 /// Comms-level causal-tracing metrics: per-link parcel/byte matrices and
-/// the latency histograms behind `/comms/parcel_latency` and
-/// `/comms/coalesce_flush_delay`. One per cluster, shared by the
-/// coalescer (flush-delay side) and every locality's receive loop
-/// (latency + link side). All recording is lock-free relaxed atomics, so
-/// it stays on even when tracing is off — these are counters, not spans.
+/// the latency histogram behind `/comms/parcel_latency`. One per cluster,
+/// shared by every locality's receive loop. All recording is lock-free
+/// relaxed atomics, so it stays on even when tracing is off — these are
+/// counters, not spans.
 #[derive(Debug)]
 pub struct CommMetrics {
     localities: u32,
@@ -54,8 +48,6 @@ pub struct CommMetrics {
     links: Vec<LinkStats>,
     /// One-way parcel latency (submit stamp → receive), ns.
     pub parcel_latency: AtomicHistogram,
-    /// Time a parcel waited in a coalescer queue before its batch left, ns.
-    pub coalesce_flush_delay: AtomicHistogram,
 }
 
 impl CommMetrics {
@@ -67,13 +59,7 @@ impl CommMetrics {
                 .map(|_| LinkStats::default())
                 .collect(),
             parcel_latency: AtomicHistogram::new(),
-            coalesce_flush_delay: AtomicHistogram::new(),
         }
-    }
-
-    /// Number of localities the link matrix covers.
-    pub fn localities(&self) -> u32 {
-        self.localities
     }
 
     /// Record one received parcel of `payload_bytes` on the `src → dst`
@@ -111,16 +97,14 @@ impl CommMetrics {
     }
 }
 
-/// Thread-safe communication counters for one cluster.
+/// Thread-safe action counters for one cluster.
 #[derive(Debug, Default)]
 pub struct NetStats {
-    messages: AtomicU64,
-    bytes: AtomicU64,
     remote_actions: AtomicU64,
     local_actions: AtomicU64,
 }
 
-/// Immutable snapshot of [`NetStats`].
+/// A port's wire traffic next to the cluster's [`NetStats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct NetSnapshot {
     /// Parcels put on the wire (requests + responses).
@@ -139,15 +123,7 @@ impl NetStats {
         Self::default()
     }
 
-    /// Record one parcel of `payload_bytes` payload.
-    pub fn record_message(&self, payload_bytes: u64) {
-        self.messages.fetch_add(1, Ordering::Relaxed);
-        self.bytes
-            .fetch_add(payload_bytes + PARCEL_HEADER_BYTES, Ordering::Relaxed);
-    }
-
-    /// Record a remote action invocation (its two parcels are recorded
-    /// separately via [`NetStats::record_message`]).
+    /// Record a remote action invocation (the port counts its two parcels).
     pub fn record_remote_action(&self) {
         self.remote_actions.fetch_add(1, Ordering::Relaxed);
     }
@@ -157,11 +133,11 @@ impl NetStats {
         self.local_actions.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Snapshot all counters.
-    pub fn snapshot(&self) -> NetSnapshot {
+    /// The action counters, merged with the wire traffic `port` measured.
+    pub fn snapshot(&self, port: &PortSnapshot) -> NetSnapshot {
         NetSnapshot {
-            messages: self.messages.load(Ordering::Relaxed),
-            bytes: self.bytes.load(Ordering::Relaxed),
+            messages: port.messages,
+            bytes: port.bytes,
             remote_actions: self.remote_actions.load(Ordering::Relaxed),
             local_actions: self.local_actions.load(Ordering::Relaxed),
         }
@@ -169,22 +145,8 @@ impl NetStats {
 
     /// Zero all counters.
     pub fn reset(&self) {
-        self.messages.store(0, Ordering::Relaxed);
-        self.bytes.store(0, Ordering::Relaxed);
         self.remote_actions.store(0, Ordering::Relaxed);
         self.local_actions.store(0, Ordering::Relaxed);
-    }
-}
-
-impl NetSnapshot {
-    /// Difference since an earlier snapshot.
-    pub fn since(&self, earlier: &NetSnapshot) -> NetSnapshot {
-        NetSnapshot {
-            messages: self.messages - earlier.messages,
-            bytes: self.bytes - earlier.bytes,
-            remote_actions: self.remote_actions - earlier.remote_actions,
-            local_actions: self.local_actions - earlier.local_actions,
-        }
     }
 }
 
@@ -193,8 +155,6 @@ impl NetSnapshot {
 pub struct PortStats {
     messages: AtomicU64,
     bytes: AtomicU64,
-    parcels: AtomicU64,
-    batches: AtomicU64,
     queue_depth_hwm: AtomicU64,
     /// Step index at which `queue_depth_hwm` was last raised — lines a
     /// comms spike up with the trace spans of the step that caused it.
@@ -206,16 +166,17 @@ pub struct PortStats {
 /// Immutable snapshot of [`PortStats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PortSnapshot {
-    /// Frames put on the wire (a coalesced batch counts once).
+    /// Frames put on the wire.
     pub messages: u64,
     /// Total framed bytes on the wire (headers included, measured).
     pub bytes: u64,
-    /// Parcels carried (a batch of k parcels adds k).
+    /// Parcels carried: one per frame, so always `messages`.
     pub parcels: u64,
-    /// Frames that were coalesced batches of two or more parcels.
+    /// Referee shim: the frozen referee reports this as `distrib.batches`.
+    /// Always 0 — no frame carries two parcels.
     pub batches: u64,
-    /// High-water mark of queued-but-unsent parcels/frames (coalescer
-    /// pending + explicit-progress outbox).
+    /// High-water mark of queued-but-unsent frames (the explicit-progress
+    /// port's outbox; eager ports queue nothing).
     pub queue_depth_hwm: u64,
     /// Step index during which the high-water mark was reached (0 when it
     /// was reached before the first [`PortStats::note_step`] call).
@@ -228,19 +189,15 @@ impl PortStats {
         Self::default()
     }
 
-    /// Record one frame of `frame_bytes` carrying `parcels` parcels.
-    pub fn record_frame(&self, frame_bytes: u64, parcels: u64) {
+    /// Record one frame of `frame_bytes`.
+    pub fn record_frame(&self, frame_bytes: u64) {
         self.messages.fetch_add(1, Ordering::Relaxed);
         self.bytes.fetch_add(frame_bytes, Ordering::Relaxed);
-        self.parcels.fetch_add(parcels, Ordering::Relaxed);
-        if parcels >= 2 {
-            self.batches.fetch_add(1, Ordering::Relaxed);
-        }
     }
 
     /// Raise the queue-depth high-water mark to at least `depth`,
     /// remembering the current step when it actually rises.
-    pub fn observe_queue_depth(&self, depth: u64) {
+    pub fn note_queue_depth(&self, depth: u64) {
         let prev = self.queue_depth_hwm.fetch_max(depth, Ordering::Relaxed);
         if depth > prev {
             // Benign race: concurrent raisers may both store; either step
@@ -258,11 +215,12 @@ impl PortStats {
 
     /// Snapshot all counters.
     pub fn snapshot(&self) -> PortSnapshot {
+        let messages = self.messages.load(Ordering::Relaxed);
         PortSnapshot {
-            messages: self.messages.load(Ordering::Relaxed),
+            messages,
             bytes: self.bytes.load(Ordering::Relaxed),
-            parcels: self.parcels.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
+            parcels: messages,
+            batches: 0,
             queue_depth_hwm: self.queue_depth_hwm.load(Ordering::Relaxed),
             queue_depth_hwm_step: self.queue_depth_hwm_step.load(Ordering::Relaxed),
         }
@@ -273,8 +231,6 @@ impl PortStats {
     pub fn reset(&self) {
         self.messages.store(0, Ordering::Relaxed);
         self.bytes.store(0, Ordering::Relaxed);
-        self.parcels.store(0, Ordering::Relaxed);
-        self.batches.store(0, Ordering::Relaxed);
         self.queue_depth_hwm.store(0, Ordering::Relaxed);
         self.queue_depth_hwm_step.store(0, Ordering::Relaxed);
     }
@@ -285,17 +241,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn port_stats_count_frames_parcels_batches() {
+    fn port_stats_count_one_parcel_per_frame() {
         let s = PortStats::new();
-        s.record_frame(100, 1);
-        s.record_frame(300, 4);
-        s.observe_queue_depth(3);
-        s.observe_queue_depth(2);
+        s.record_frame(100);
+        s.record_frame(300);
+        s.note_queue_depth(3);
+        s.note_queue_depth(2);
         let snap = s.snapshot();
         assert_eq!(snap.messages, 2);
         assert_eq!(snap.bytes, 400);
-        assert_eq!(snap.parcels, 5);
-        assert_eq!(snap.batches, 1, "only the 4-parcel frame is a batch");
+        assert_eq!(snap.parcels, 2);
+        assert_eq!(snap.batches, 0);
         assert_eq!(snap.queue_depth_hwm, 3, "hwm keeps the maximum");
         s.reset();
         assert_eq!(s.snapshot(), PortSnapshot::default());
@@ -304,40 +260,35 @@ mod tests {
     #[test]
     fn queue_depth_hwm_remembers_the_step_that_set_it() {
         let s = PortStats::new();
-        s.observe_queue_depth(2);
+        s.note_queue_depth(2);
         s.note_step(4);
-        s.observe_queue_depth(7);
+        s.note_queue_depth(7);
         s.note_step(5);
-        s.observe_queue_depth(7); // does not raise: step stays 4
-        s.observe_queue_depth(3);
+        s.note_queue_depth(7); // does not raise: step stays 4
+        s.note_queue_depth(3);
         let snap = s.snapshot();
         assert_eq!(snap.queue_depth_hwm, 7);
         assert_eq!(snap.queue_depth_hwm_step, 4);
         // A higher observation in a later step moves the attribution.
         s.note_step(9);
-        s.observe_queue_depth(8);
+        s.note_queue_depth(8);
         assert_eq!(s.snapshot().queue_depth_hwm_step, 9);
     }
 
     #[test]
-    fn message_recording_includes_header() {
-        let s = NetStats::new();
-        s.record_message(100);
-        s.record_message(0);
-        let snap = s.snapshot();
-        assert_eq!(snap.messages, 2);
-        assert_eq!(snap.bytes, 100 + 2 * PARCEL_HEADER_BYTES);
-    }
-
-    #[test]
-    fn action_kinds_tracked_separately() {
+    fn action_kinds_tracked_separately_next_to_the_port() {
         let s = NetStats::new();
         s.record_remote_action();
         s.record_local_action();
         s.record_local_action();
-        let snap = s.snapshot();
+        let port = PortStats::new();
+        port.record_frame(10);
+        let snap = s.snapshot(&port.snapshot());
+        assert_eq!((snap.messages, snap.bytes), (1, 10));
         assert_eq!(snap.remote_actions, 1);
         assert_eq!(snap.local_actions, 2);
+        s.reset();
+        assert_eq!(s.snapshot(&PortSnapshot::default()), NetSnapshot::default());
     }
 
     #[test]
@@ -362,20 +313,5 @@ mod tests {
         m.parcel_latency.record(1000);
         m.parcel_latency.record(2000);
         assert_eq!(m.parcel_latency.snapshot().count(), 2);
-        assert_eq!(m.coalesce_flush_delay.snapshot().count(), 0);
-    }
-
-    #[test]
-    fn reset_and_since() {
-        let s = NetStats::new();
-        s.record_message(10);
-        let first = s.snapshot();
-        s.record_message(20);
-        let second = s.snapshot();
-        let delta = second.since(&first);
-        assert_eq!(delta.messages, 1);
-        assert_eq!(delta.bytes, 20 + PARCEL_HEADER_BYTES);
-        s.reset();
-        assert_eq!(s.snapshot(), NetSnapshot::default());
     }
 }

@@ -1,15 +1,14 @@
 //! Property tests for the full parcel wire path: serialize → frame →
-//! (split) deframe → deserialize, over arbitrary parcels, arbitrary
-//! single/batch frame mixes, arbitrary trace contexts, and arbitrary
-//! stream chunking — the invariant every parcelport relies on — and the
-//! wire decoder against input nobody encoded: it returns, and it asks the
-//! allocator for no more than a constant multiple of what it was handed.
+//! deframe → deserialize, over arbitrary parcels and trace contexts — the
+//! invariant every parcelport relies on — and both decoders against input
+//! nobody encoded: they return, the wire decoder having asked the allocator
+//! for no more than a constant multiple of what it was handed and the frame
+//! decoder for nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use bytes::Bytes;
-use distrib::frame::{encode_batch, encode_single, DecodedParcel, FrameDecoder, TraceCtx};
+use distrib::frame::{self, FrameError, TraceCtx};
 use distrib::{from_bytes, to_bytes, Agas, LocalityId, ParcelMsg, Wire};
 use proptest::prelude::*;
 
@@ -98,11 +97,18 @@ fn arb_image() -> impl Strategy<Value = Vec<u8>> {
 /// are answers — having requested at most `8 × bytes.len()` bytes of memory.
 /// (The widest element, a `Blocks` entry, is 104 bytes in memory for at
 /// least 24 on the wire; the vectors inside it cost what they consumed.)
+/// Reading them as a frame returns too, and requests none.
 fn decodes_within_bounds(bytes: &[u8]) -> Result<(), TestCaseError> {
     fn requested_by<T: Wire>(bytes: &[u8]) -> usize {
         REQUESTED.with(|r| r.set(0));
         drop(from_bytes::<T>(bytes));
         REQUESTED.with(Cell::get)
+    }
+    REQUESTED.with(|r| r.set(0));
+    let framed = frame::decode(bytes);
+    prop_assert_eq!(REQUESTED.with(Cell::get), 0, "frame::decode allocated");
+    if let Ok((_, body)) = framed {
+        prop_assert!(bytes.ends_with(body), "the body is borrowed from the input");
     }
     for (ty, requested) in [
         ("ParcelMsg", requested_by::<ParcelMsg>(bytes)),
@@ -127,24 +133,6 @@ fn arb_ctx() -> impl Strategy<Value = TraceCtx> {
     })
 }
 
-/// Feed `stream` to a fresh decoder, split at the (deduplicated, sorted)
-/// cut points, and return every parcel it yields. Checks the decoder
-/// ends cleanly at a frame boundary.
-fn feed_split(stream: &[u8], cuts: &[usize]) -> Vec<DecodedParcel> {
-    let mut idx: Vec<usize> = cuts.iter().map(|c| c % (stream.len() + 1)).collect();
-    idx.sort_unstable();
-    let mut dec = FrameDecoder::new();
-    let mut got = Vec::new();
-    let mut prev = 0;
-    for i in idx {
-        got.extend(dec.feed(&stream[prev..i]).expect("valid stream"));
-        prev = i;
-    }
-    got.extend(dec.feed(&stream[prev..]).expect("valid stream"));
-    assert!(dec.is_clean(), "stream must end on a frame boundary");
-    got
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -155,91 +143,46 @@ proptest! {
         prop_assert_eq!(ParcelMsg::from_wire(&bytes).unwrap(), p);
     }
 
-    /// A stream of single-parcel frames survives arbitrary chunk splits,
-    /// parcel and trace context both intact.
+    /// A framed parcel comes back whole, parcel and trace context both, and
+    /// damaging the frame is answered, never obeyed: a strict prefix is
+    /// `Truncated`, an extension `TrailingBytes`, and a flipped byte goes
+    /// through the same bounds as any other foreign input.
     #[test]
-    fn single_frames_roundtrip_under_any_split(
-        parcels in proptest::collection::vec((arb_parcel(), arb_ctx()), 1..8),
-        cuts in proptest::collection::vec(any::<usize>(), 0..12),
+    fn framed_parcel_roundtrips_and_damage_is_refused(
+        p in arb_parcel(),
+        ctx in arb_ctx(),
+        at in any::<usize>(),
+        flip in 1..256u32,
+        extra in proptest::collection::vec(any::<u8>(), 1..16),
     ) {
-        let mut stream = Vec::new();
-        for (p, ctx) in &parcels {
-            stream.extend_from_slice(&encode_single(&p.to_wire().unwrap(), *ctx));
-        }
-        let decoded = feed_split(&stream, &cuts);
-        prop_assert_eq!(decoded.len(), parcels.len());
-        for (d, (p, ctx)) in decoded.iter().zip(&parcels) {
-            prop_assert_eq!(&ParcelMsg::from_wire(&d.body).unwrap(), p);
-            prop_assert_eq!(&d.ctx, ctx);
-        }
+        let framed = frame::encode(&p.to_wire().unwrap(), ctx).to_vec();
+        let (got, body) = frame::decode(&framed).unwrap();
+        prop_assert_eq!(got, ctx);
+        prop_assert_eq!(ParcelMsg::from_wire(body).unwrap(), p);
+        let at = at % framed.len();
+        prop_assert_eq!(frame::decode(&framed[..at]), Err(FrameError::Truncated));
+        let longer = [&framed[..], &extra[..]].concat();
+        prop_assert_eq!(
+            frame::decode(&longer),
+            Err(FrameError::TrailingBytes(extra.len()))
+        );
+        let mut flipped = framed;
+        flipped[at] ^= flip as u8;
+        decodes_within_bounds(&flipped)?;
     }
 
-    /// One coalesced batch frame survives byte-at-a-time delivery.
-    #[test]
-    fn batch_frame_roundtrips_byte_at_a_time(
-        parcels in proptest::collection::vec((arb_parcel(), arb_ctx()), 1..10),
-    ) {
-        let wires: Vec<(Bytes, TraceCtx)> = parcels
-            .iter()
-            .map(|(p, ctx)| (p.to_wire().unwrap(), *ctx))
-            .collect();
-        let frame = encode_batch(&wires);
-        let mut dec = FrameDecoder::new();
-        let mut decoded = Vec::new();
-        for b in frame.iter() {
-            decoded.extend(dec.feed(&[*b]).unwrap());
-        }
-        prop_assert!(dec.is_clean());
-        prop_assert_eq!(decoded.len(), parcels.len());
-        for (d, (p, ctx)) in decoded.iter().zip(&parcels) {
-            prop_assert_eq!(&ParcelMsg::from_wire(&d.body).unwrap(), p);
-            prop_assert_eq!(&d.ctx, ctx);
-        }
-    }
-
-    /// A mixed stream of single and batch frames — what a coalescing sender
-    /// actually produces — preserves parcel order under arbitrary splits.
-    #[test]
-    fn mixed_frame_stream_preserves_order(
-        groups in proptest::collection::vec(
-            proptest::collection::vec((arb_parcel(), arb_ctx()), 1..5), 1..5),
-        cuts in proptest::collection::vec(any::<usize>(), 0..16),
-    ) {
-        let mut stream = Vec::new();
-        let mut expected = Vec::new();
-        for group in &groups {
-            let wires: Vec<(Bytes, TraceCtx)> = group
-                .iter()
-                .map(|(p, ctx)| (p.to_wire().unwrap(), *ctx))
-                .collect();
-            // The coalescer frames a lone survivor as a single, a fuller
-            // queue as a batch: mirror that here.
-            if wires.len() == 1 {
-                stream.extend_from_slice(&encode_single(&wires[0].0, wires[0].1));
-            } else {
-                stream.extend_from_slice(&encode_batch(&wires));
-            }
-            expected.extend(group.iter().cloned());
-        }
-        let decoded = feed_split(&stream, &cuts);
-        let out: Vec<(ParcelMsg, TraceCtx)> = decoded
-            .iter()
-            .map(|d| (ParcelMsg::from_wire(&d.body).unwrap(), d.ctx))
-            .collect();
-        prop_assert_eq!(out, expected);
-    }
-
-    /// Bytes nobody encoded. Most die at the first count; a small leading
-    /// `u32` gets some of them past it.
+    /// Bytes nobody encoded. Most die at the first count, or at the frame
+    /// magic; a small leading `u32` gets some of them past the one, a valid
+    /// frame header all of them past the other.
     #[test]
     fn arbitrary_bytes_decode_within_bounds(
         small in 0..4u32,
         tail in proptest::collection::vec(any::<u8>(), 0..512),
     ) {
         decodes_within_bounds(&tail)?;
-        let mut headed = small.to_le_bytes().to_vec();
-        headed.extend_from_slice(&tail);
-        decodes_within_bounds(&headed)?;
+        decodes_within_bounds(&[&small.to_le_bytes()[..], &tail].concat())?;
+        let header = &frame::encode(&[], TraceCtx::default())[..frame::FRAME_HEADER_BYTES];
+        decodes_within_bounds(&[header, &tail].concat())?;
     }
 
     /// A valid image with one byte flipped, or cut short — read as its own

@@ -1,8 +1,9 @@
 //! Golden wire images: the exact bytes of one value of every shape the
-//! workspace sends. The format is a contract with every counter that sums
-//! wire bytes (`parcel_storm`'s exact counts, `dist_l3_2loc`'s
-//! `distrib.bytes`, the Fig. 8 projection): an encoder change that moves one
-//! byte fails here first. Every image also decodes back to its value.
+//! workspace sends, and of one parcel in its frame. The format is a contract
+//! with every counter that sums wire bytes (`parcel_storm`'s exact counts,
+//! `dist_l3_2loc`'s `distrib.bytes`, the Fig. 8 projection): an encoder
+//! change that moves one byte fails here first. Every image also decodes
+//! back to its value.
 
 use distrib::frame::{self, TraceCtx};
 use distrib::{from_bytes, to_bytes, Agas, Gid, LocalityId, ParcelMsg};
@@ -87,13 +88,14 @@ fn framed_parcel_image() {
     }
     .to_wire()
     .expect("encodes");
-    let framed = frame::encode_single(&body, ctx);
+    let framed = frame::encode(&body, ctx);
     assert_eq!(
         hex(&framed),
         "7e0c 01 01000000 17000000 01000000 0807060504030201 8877665544332211 \
          01000000 0700000000000000 00000000 03000000 090807"
             .replace(' ', "")
     );
+    assert_eq!(frame::decode(&framed), Ok((ctx, &body[..])));
 }
 
 #[test]

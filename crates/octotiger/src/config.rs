@@ -50,11 +50,6 @@ pub struct OctoConfig {
     /// rounding. Stored as the raw width so the config stays a flat struct;
     /// convert with [`SimdPolicy::from_width`].
     pub simd_width: usize,
-    /// Batch small parcels per destination before transmitting
-    /// (`--coalesce=on`): HPX's parcel-coalescing plugin. Off (the
-    /// default) sends every parcel as its own frame, matching the paper's
-    /// two-board runs.
-    pub coalesce: bool,
     /// Write a Chrome trace-event JSON of the run to this path
     /// (`--trace-out=trace.json`, loadable in `about://tracing`/Perfetto).
     /// `None` (the default) leaves tracing disabled — zero-cost.
@@ -90,7 +85,6 @@ impl Default for OctoConfig {
             cfl: 0.4,
             refine_density_frac: 1.0e-4,
             simd_width: SimdPolicy::default().lanes(),
-            coalesce: false,
             trace_out: None,
             counter_table: false,
             sample_interval_ms: None,
@@ -99,15 +93,24 @@ impl Default for OctoConfig {
     }
 }
 
-/// Flags earlier versions accepted. Unknown keys are ignored, so without
-/// this list a script still passing one would run the one remaining path
-/// without a word.
-const RETIRED_FLAGS: [&str; 5] = [
-    "monopole_host_tasks",
-    "multipole_host_tasks",
-    "hydro_host_tasks",
-    "regrid_host_tasks",
-    "interaction_list_cache",
+const ONE_TASK_PER_LEAF: &str = "the step runs one task per leaf per kernel";
+
+/// Flags earlier versions accepted, each with what the run does now.
+/// Unknown keys are ignored, so without this list a script still passing
+/// one would run the one remaining path without a word.
+const RETIRED_FLAGS: [(&str, &str); 6] = [
+    ("monopole_host_tasks", ONE_TASK_PER_LEAF),
+    ("multipole_host_tasks", ONE_TASK_PER_LEAF),
+    ("hydro_host_tasks", ONE_TASK_PER_LEAF),
+    ("regrid_host_tasks", ONE_TASK_PER_LEAF),
+    (
+        "interaction_list_cache",
+        "interaction lists are always cached between regrids",
+    ),
+    (
+        "coalesce",
+        "every parcel travels in its own frame, as in the paper's runs",
+    ),
 ];
 
 impl OctoConfig {
@@ -165,15 +168,6 @@ impl OctoConfig {
                         })?,
                     }
                 }
-                "coalesce" => {
-                    cfg.coalesce = match value {
-                        "on" | "1" | "true" => true,
-                        "off" | "0" | "false" => false,
-                        other => {
-                            return Err(format!("invalid value {other:?} for --coalesce (on/off)"))
-                        }
-                    }
-                }
                 "trace-out" | "trace_out" => {
                     if value.is_empty() {
                         return Err("--trace-out needs a file path".into());
@@ -200,13 +194,11 @@ impl OctoConfig {
                         }
                     }
                 }
-                retired if RETIRED_FLAGS.contains(&retired) => {
-                    return Err(format!(
-                        "--{retired} was removed: the step runs one task per leaf per \
-                         kernel on cached interaction lists, with nothing to select"
-                    ));
+                _ => {
+                    if let Some((_, now)) = RETIRED_FLAGS.iter().find(|(flag, _)| *flag == key) {
+                        return Err(format!("--{key} was removed: {now}"));
+                    }
                 }
-                _ => {}
             }
         }
         cfg.validate()?;
@@ -311,7 +303,6 @@ mod tests {
         assert!(OctoConfig::from_args(["--hydro_host_kernel_type=CUDA"]).is_err());
         assert!(OctoConfig::from_args(["--hpx:parcelport=infiniband"]).is_err());
         assert!(OctoConfig::from_args(["--simd_kernel_width=3"]).is_err());
-        assert!(OctoConfig::from_args(["--coalesce=maybe"]).is_err());
         // NaN fails every comparison: the checks are written in positive form.
         assert!(OctoConfig::from_args(["--cfl=NaN"]).is_err());
         for bad in [f64::NAN, f64::INFINITY, 0.0, -1.0] {
@@ -325,23 +316,10 @@ mod tests {
 
     #[test]
     fn retired_flags_are_refused_by_name() {
-        for key in RETIRED_FLAGS {
+        for (key, now) in RETIRED_FLAGS {
             let err = OctoConfig::from_args([format!("--{key}=1").as_str()]).unwrap_err();
-            assert!(
-                err.starts_with(&format!("--{key} was removed")),
-                "{key}: {err}"
-            );
+            assert_eq!(err, format!("--{key} was removed: {now}"));
         }
-    }
-
-    #[test]
-    fn parses_coalesce_flag() {
-        assert!(
-            !OctoConfig::default().coalesce,
-            "coalescing is off by default, matching the paper's runs"
-        );
-        assert!(OctoConfig::from_args(["--coalesce=on"]).unwrap().coalesce);
-        assert!(!OctoConfig::from_args(["--coalesce=off"]).unwrap().coalesce);
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub struct DistConfig {
     pub threads_per_node: usize,
     /// Parcelport backend.
     pub backend: NetBackend,
-    /// Parcel-coalescing layer (off by default, like the paper's runs).
+    /// Referee shim, ignored (see [`CoalesceConfig`]).
     pub coalesce: CoalesceConfig,
     /// Application configuration.
     pub octo: OctoConfig,
@@ -57,18 +57,13 @@ pub struct DistConfig {
 
 impl DistConfig {
     /// Distributed configuration derived from a parsed [`OctoConfig`]: the
-    /// backend follows `--hpx:parcelport`, the thread count `--hpx:threads`,
-    /// and the coalescing layer `--coalesce`.
+    /// backend follows `--hpx:parcelport`, the thread count `--hpx:threads`.
     pub fn from_octo(nodes: u32, octo: OctoConfig) -> Self {
         DistConfig {
             nodes,
             threads_per_node: octo.threads,
             backend: octo.parcelport,
-            coalesce: if octo.coalesce {
-                CoalesceConfig::enabled()
-            } else {
-                CoalesceConfig::default()
-            },
+            coalesce: CoalesceConfig::default(),
             octo,
         }
     }
@@ -93,8 +88,8 @@ pub struct DistMetrics {
     pub cells_per_second: f64,
     /// Wire statistics (messages, bytes) for the projection.
     pub net: NetSnapshot,
-    /// Raw parcelport counters (frames, parcels, coalesced batches, queue
-    /// high-water mark).
+    /// Raw parcelport counters (frames, framed bytes, queue high-water
+    /// mark).
     pub port: PortSnapshot,
     /// Aggregate work counters across localities.
     pub work: WorkEstimate,
@@ -376,7 +371,7 @@ impl DistRun {
             observer.step_done(CounterRegistry::sample);
         }
         let elapsed = observer.elapsed_seconds();
-        // Close any open coalescer batches so the port counters are final.
+        // Drain the port (LCI's outbox) so the port counters are final.
         {
             let _span = trace::span(Cat::Phase, "comm_flush");
             cluster.flush_network();
@@ -540,31 +535,11 @@ mod tests {
     }
 
     #[test]
-    fn coalescing_preserves_parcels_and_never_inflates_frames() {
-        let base = DistRun::execute(tiny(2, NetBackend::Tcp));
-        let mut cfg = tiny(2, NetBackend::Tcp);
-        cfg.coalesce = CoalesceConfig::enabled();
-        let coal = DistRun::execute(cfg);
-        // Same application → same parcels; batching can only merge frames.
-        assert_eq!(coal.port.parcels, base.port.parcels);
-        assert!(
-            coal.port.messages <= base.port.messages,
-            "coalesced {} > baseline {}",
-            coal.port.messages,
-            base.port.messages
-        );
-        assert_eq!(base.port.batches, 0, "baseline runs uncoalesced");
-    }
-
-    #[test]
     fn from_octo_honours_parcelport_flag() {
         let octo = OctoConfig::from_args(["--hpx:parcelport=lci", "--hpx:threads=2"]).unwrap();
         let cfg = DistConfig::from_octo(2, octo);
         assert_eq!(cfg.backend, NetBackend::Lci);
         assert_eq!(cfg.threads_per_node, 2);
-        assert!(!cfg.coalesce.enabled, "coalescing stays off unless asked");
-        let octo = OctoConfig::from_args(["--coalesce=on"]).unwrap();
-        assert!(DistConfig::from_octo(2, octo).coalesce.enabled);
     }
 
     #[test]

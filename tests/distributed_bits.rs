@@ -1,18 +1,16 @@
 //! The gate of the one-stepper design: a distributed run is the node-level
 //! step with an ownership mask and a parcel exchange, so after k steps every
 //! leaf must hold the node-level driver's bits — on one locality or two,
-//! over every parcelport, coalesced or not, on one to three workers per
-//! locality, on the scalar oracle and at two lane counts.
+//! over every parcelport, on one to three workers per locality, on the
+//! scalar oracle and at two lane counts.
 //!
 //! Every run is under a watchdog (a deadlock fails, never hangs). Budget of
-//! the whole file: ≤ 60 s in the tier-1 (debug) profile — 45 s measured on
-//! two vCPUs, about a third each for the level-1 matrix, the level-2 runs
-//! and the forty repeats.
+//! the whole file: ≤ 60 s in the tier-1 (debug) profile — 31 s measured on
+//! two vCPUs, most of it the level-2 runs and the forty repeats.
 
 use std::sync::mpsc::{channel, RecvTimeoutError};
 use std::time::Duration;
 
-use octotiger_riscv_repro::distrib::CoalesceConfig;
 use octotiger_riscv_repro::machine::NetBackend;
 use octotiger_riscv_repro::octotiger::star::{field, NF};
 use octotiger_riscv_repro::octotiger::{
@@ -54,24 +52,14 @@ fn node_level(cfg: OctoConfig) -> Vec<u64> {
     driver.leaf_hashes()
 }
 
-fn distributed(
-    nodes: u32,
-    backend: NetBackend,
-    coalesce: bool,
-    workers: usize,
-    octo: OctoConfig,
-) -> DistMetrics {
-    let what = format!("{nodes} × {workers} workers over {backend:?}, coalesce {coalesce}");
+fn distributed(nodes: u32, backend: NetBackend, workers: usize, octo: OctoConfig) -> DistMetrics {
+    let what = format!("{nodes} × {workers} workers over {backend:?}");
     watched(&what, move || {
         DistRun::execute(DistConfig {
             nodes,
             threads_per_node: workers,
             backend,
-            coalesce: if coalesce {
-                CoalesceConfig::enabled()
-            } else {
-                CoalesceConfig::default()
-            },
+            coalesce: Default::default(),
             octo,
         })
     })
@@ -82,14 +70,12 @@ fn level_1_matrix_has_the_node_level_bits() {
     let want = node_level(octo(1, 4));
     for nodes in [1, 2] {
         for backend in PORTS {
-            for coalesce in [false, true] {
-                for workers in [1, 2, 3] {
-                    let got = distributed(nodes, backend, coalesce, workers, octo(1, 4));
-                    assert_eq!(
-                        got.leaf_hashes, want,
-                        "{nodes} × {workers} workers over {backend:?}, coalesce {coalesce}"
-                    );
-                }
+            for workers in [1, 2, 3] {
+                let got = distributed(nodes, backend, workers, octo(1, 4));
+                assert_eq!(
+                    got.leaf_hashes, want,
+                    "{nodes} × {workers} workers over {backend:?}"
+                );
             }
         }
     }
@@ -170,7 +156,7 @@ fn level_2_runs_have_the_node_level_bits_across_level_jumps() {
                 nodes: 2,
                 threads_per_node: 2,
                 backend,
-                coalesce: CoalesceConfig::default(),
+                coalesce: Default::default(),
                 octo: octo(2, width),
             };
             DistRun::execute_with_model(&model(), config)
@@ -187,7 +173,7 @@ fn level_2_runs_have_the_node_level_bits_across_level_jumps() {
 fn forty_back_to_back_2x2_runs_finish_with_the_same_bits() {
     let want = node_level(octo(1, 4));
     for run in 0..40 {
-        let got = distributed(2, NetBackend::Tcp, false, 2, octo(1, 4));
+        let got = distributed(2, NetBackend::Tcp, 2, octo(1, 4));
         assert_eq!(got.leaf_hashes, want, "run {run}");
     }
 }
@@ -229,7 +215,7 @@ fn nan_poisoned_run_ends_with_the_cfl_message_on_the_supervisor() {
                     nodes: 2,
                     threads_per_node: 2,
                     backend: NetBackend::Tcp,
-                    coalesce: CoalesceConfig::default(),
+                    coalesce: Default::default(),
                     octo: octo(1, 4),
                 },
             )

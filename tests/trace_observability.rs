@@ -174,11 +174,11 @@ fn single_node_dist_trace_covers_all_three_layers_and_counters() {
     let _ = std::fs::remove_file(&path);
 
     // All three layers must appear even on one locality: scheduler tasks,
-    // driver phases, and the parcelport/coalescer flush path.
+    // driver phases, and the parcelport's flush path.
     assert!(summary.count_cat("task") > 0, "no scheduler spans");
     assert!(summary.count_cat("phase") > 0, "no driver phase spans");
     assert!(summary.count_cat("comm") > 0, "no comm spans");
-    assert!(summary.count_name("flush") > 0, "no coalescer flush spans");
+    assert!(summary.count_name("flush") > 0, "no network flush spans");
 
     // Unified counter dump: ≥ 20 counters spanning all the namespaces.
     assert!(
@@ -398,17 +398,14 @@ fn sampler_records_counter_series_into_csv_and_trace() {
 }
 
 #[test]
-fn coalesced_two_node_run_routes_critical_path_through_network_legs() {
+fn two_node_run_routes_critical_path_through_network_legs() {
     let _g = lock();
     let path = tmp_trace("dist_flows");
     let mut octo = tiny_config();
     octo.stop_step = 2;
-    octo.coalesce = true;
     octo.sample_interval_ms = Some(1);
     octo.trace_out = Some(path.to_string_lossy().into_owned());
-    let cfg = DistConfig::from_octo(2, octo);
-    assert!(cfg.coalesce.enabled, "--coalesce=on must reach the cluster");
-    let metrics = DistRun::execute(cfg);
+    let metrics = DistRun::execute(DistConfig::from_octo(2, octo));
 
     let text = std::fs::read_to_string(&path).expect("trace file written");
     let summary = validate(&text).expect("trace with flow events must validate");
@@ -456,8 +453,7 @@ fn coalesced_two_node_run_routes_critical_path_through_network_legs() {
     }
 
     // Latency histogram: exactly one observation per delivered parcel,
-    // with ordered percentiles; the coalescer's flush-delay histogram saw
-    // every queued parcel too.
+    // with ordered percentiles.
     let h = metrics
         .counters
         .histogram("/comms/parcel_latency")
@@ -469,12 +465,6 @@ fn coalesced_two_node_run_routes_critical_path_through_network_legs() {
     );
     let (p50, p95, p99) = (h.quantile(0.5), h.quantile(0.95), h.quantile(0.99));
     assert!(p50 <= p95 && p95 <= p99, "{p50} / {p95} / {p99}");
-    let f = metrics
-        .counters
-        .histogram("/comms/coalesce_flush_delay")
-        .expect("flush delay histogram in final counters");
-    assert_eq!(f.count(), metrics.port.parcels);
-    assert!(metrics.port.batches > 0, "coalescing produced no batches");
 
     // The sampled series carry the same invariant into the trace, where
     // trace_report's --check gate reads them.
