@@ -14,10 +14,11 @@
 //! one thread are strictly nested — Perfetto renders overlapping
 //! non-nested spans on one track as garbage, so we reject them here.
 
+use crate::counters::{CounterSnapshot, CounterValue};
+use crate::critpath::merge_intervals;
 use crate::json::{self, Value};
-use crate::sampler::TimeSeries;
 use crate::trace::{EventKind, Trace};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 /// Format `ns` nanoseconds as microseconds with three decimals.
@@ -38,9 +39,36 @@ pub fn export(trace: &Trace) -> String {
     export_with_counters(trace, &TimeSeries::default())
 }
 
-/// Serialize `trace` plus sampled counter time-series as one Chrome
+/// Counter time-series of a traced run: per path, `(ts_ns, value)` points
+/// in sample order. A traced run pushes one sample at its start, one at
+/// every step boundary and one at its end, on the thread that drives the
+/// steps. Timestamps share the tracer's clock ([`crate::trace::now_ns`]) so
+/// counter points line up with spans in the merged Chrome export.
+#[derive(Debug, Clone, Default)]
+pub struct TimeSeries {
+    /// Path → `(ts_ns, value)` points, oldest first.
+    pub series: BTreeMap<String, Vec<(u64, f64)>>,
+    /// Paths that carry gauges (readings); every other path accumulates.
+    pub gauges: BTreeSet<String>,
+}
+
+impl TimeSeries {
+    /// Fold one snapshot in at time `ts_ns`.
+    pub fn push(&mut self, ts_ns: u64, snap: &CounterSnapshot) {
+        for (path, v) in snap.iter() {
+            if matches!(v, CounterValue::Gauge(_)) {
+                self.gauges.insert(path.to_string());
+            }
+            let points = self.series.entry(path.to_string()).or_default();
+            points.push((ts_ns, v.as_f64()));
+        }
+    }
+}
+
+/// Serialize `trace` plus its counter time-series as one Chrome
 /// trace-event document: spans/instants as usual, and each counter series
-/// as `"C"` (counter) events Perfetto renders as per-name value tracks.
+/// as `"C"` (counter) events Perfetto renders as per-name value tracks
+/// (category `gauge` for readings, `counter` for accumulating counts).
 /// Counter events ride on `pid 0, tid 0` (they are process-global, not
 /// lane-local) and are exempt from the per-thread ordering invariants.
 pub fn export_with_counters(trace: &Trace, series: &TimeSeries) -> String {
@@ -124,6 +152,11 @@ pub fn export_with_counters(trace: &Trace, series: &TimeSeries) -> String {
         }
     }
     for (name, points) in &series.series {
+        let cat = if series.gauges.contains(name) {
+            "gauge"
+        } else {
+            "counter"
+        };
         for &(ts, v) in points {
             if !first {
                 out.push_str(",\n");
@@ -131,7 +164,7 @@ pub fn export_with_counters(trace: &Trace, series: &TimeSeries) -> String {
             first = false;
             out.push_str("{\"ph\":\"C\",\"name\":\"");
             json::escape_into(&mut out, name);
-            out.push_str("\",\"cat\":\"counter\",\"pid\":0,\"tid\":0,\"ts\":");
+            let _ = write!(out, "\",\"cat\":\"{cat}\",\"pid\":0,\"tid\":0,\"ts\":");
             fmt_us(&mut out, ts);
             let _ = write!(out, ",\"args\":{{\"value\":{v}}}}}");
         }
@@ -219,6 +252,8 @@ pub struct TraceSummary {
     pub counter_events: u64,
     /// Counter series reassembled from `"C"` events: name → `(ts_ns, value)`.
     pub counter_series: BTreeMap<String, Vec<(u64, f64)>>,
+    /// The series among them that carry gauges (`"cat":"gauge"`).
+    pub gauge_series: BTreeSet<String>,
 }
 
 impl TraceSummary {
@@ -235,30 +270,18 @@ impl TraceSummary {
     /// Total nanoseconds during which a span named `a` and a span named `b`
     /// were simultaneously open (on any threads). Positive only when the
     /// two kinds of work genuinely interleaved in wall-clock time — the
-    /// check `trace_check --require-overlap=A,B` runs on futurized traces.
+    /// check `trace_report --require-overlap=A,B` runs on futurized traces.
     pub fn overlap_ns(&self, a: &str, b: &str) -> u64 {
         let (Some(xs), Some(ys)) = (self.intervals_by_name.get(a), self.intervals_by_name.get(b))
         else {
             return 0;
         };
-        // Small lists (one span per leaf task); the quadratic sweep is fine
-        // and — unlike a merged-interval union — charges concurrent
-        // same-name pairs only once via per-name interval unions.
-        let union = |v: &[(u64, u64)]| {
-            let mut sorted = v.to_vec();
-            sorted.sort_unstable();
-            let mut merged: Vec<(u64, u64)> = Vec::new();
-            for (s, e) in sorted {
-                match merged.last_mut() {
-                    Some(last) if s <= last.1 => last.1 = last.1.max(e),
-                    _ => merged.push((s, e)),
-                }
-            }
-            merged
-        };
+        // Per-name unions first, so concurrent same-name spans are charged
+        // once; the lists are small (one span per leaf task) and the
+        // quadratic sweep over the two unions is fine.
         let mut total = 0u64;
-        for &(s0, e0) in &union(xs) {
-            for &(s1, e1) in &union(ys) {
+        for &(s0, e0) in &merge_intervals(xs) {
+            for &(s1, e1) in &merge_intervals(ys) {
                 total += e0.min(e1).saturating_sub(s0.max(s1));
             }
         }
@@ -325,7 +348,8 @@ pub fn validate(json_text: &str) -> Result<TraceSummary, String> {
     let mut flow_ends: Vec<(usize, u64, u64, u64, u64)> = Vec::new();
 
     for (i, ev) in events.iter().enumerate() {
-        let ph = req_str(ev, "ph").map_err(|e| format!("event {i}: {e}"))?;
+        let at = |e: String| format!("event {i}: {e}");
+        let ph = req_str(ev, "ph").map_err(at)?;
         match ph {
             "M" => {
                 let name = req_str(ev, "name")?;
@@ -338,17 +362,19 @@ pub fn validate(json_text: &str) -> Result<TraceSummary, String> {
                     .and_then(Value::as_str)
                     .ok_or_else(|| format!("event {i}: metadata missing args.name"))?;
                 if name == "thread_name" {
-                    let pid = req_num(ev, "pid").map_err(|e| format!("event {i}: {e}"))? as u64;
-                    let tid = req_num(ev, "tid").map_err(|e| format!("event {i}: {e}"))? as u64;
+                    let pid = req_num(ev, "pid").map_err(at)? as u64;
+                    let tid = req_num(ev, "tid").map_err(at)? as u64;
                     summary.thread_names.insert((pid, tid), label.to_string());
                 }
             }
             "C" => {
-                // Counter samples: process-global value tracks. Exempt from
-                // the per-lane ordering/nesting invariants below — the
-                // sampler thread writes them on its own clock.
-                let name = req_str(ev, "name").map_err(|e| format!("event {i}: {e}"))?;
-                let ts = us_to_ns(req_num(ev, "ts").map_err(|e| format!("event {i}: {e}"))?)?;
+                // Counter samples: process-global value tracks, exempt from
+                // the per-lane ordering/nesting invariants below.
+                let name = req_str(ev, "name").map_err(at)?;
+                if ev.get("cat").and_then(Value::as_str) == Some("gauge") {
+                    summary.gauge_series.insert(name.to_string());
+                }
+                let ts = us_to_ns(req_num(ev, "ts").map_err(at)?)?;
                 let value = ev
                     .get("args")
                     .and_then(|a| a.get("value"))
@@ -361,47 +387,68 @@ pub fn validate(json_text: &str) -> Result<TraceSummary, String> {
                     .or_default()
                     .push((ts, value));
             }
-            "X" | "i" => {
-                let name = req_str(ev, "name").map_err(|e| format!("event {i}: {e}"))?;
-                let cat = req_str(ev, "cat").map_err(|e| format!("event {i}: {e}"))?;
-                let pid = req_num(ev, "pid").map_err(|e| format!("event {i}: {e}"))? as u64;
-                let tid = req_num(ev, "tid").map_err(|e| format!("event {i}: {e}"))? as u64;
-                let ts = us_to_ns(req_num(ev, "ts").map_err(|e| format!("event {i}: {e}"))?)?;
+            "X" | "i" | "s" | "f" => {
+                let name = req_str(ev, "name").map_err(at)?;
+                let cat = req_str(ev, "cat").map_err(at)?;
+                let pid = req_num(ev, "pid").map_err(at)? as u64;
+                let tid = req_num(ev, "tid").map_err(at)? as u64;
+                let ts = us_to_ns(req_num(ev, "ts").map_err(at)?)?;
                 let key = (pid, tid);
                 if !pids.contains(&pid) {
                     pids.push(pid);
                 }
-                let done = if ph == "X" {
-                    let dur = us_to_ns(req_num(ev, "dur").map_err(|e| format!("event {i}: {e}"))?)?;
-                    let end = ts
-                        .checked_add(dur)
-                        .ok_or_else(|| format!("event {i}: ts+dur overflow"))?;
-                    spans.entry(key).or_default().push(SpanRec { ts, end });
-                    summary
-                        .intervals_by_name
-                        .entry(name.to_string())
-                        .or_default()
-                        .push((ts, end));
-                    summary.records.push(SpanRecord {
-                        pid,
-                        tid,
-                        name: name.to_string(),
-                        cat: cat.to_string(),
-                        ts,
-                        end,
-                    });
-                    summary.spans += 1;
-                    end
-                } else {
-                    req_str(ev, "s").map_err(|e| format!("event {i}: {e}"))?;
-                    *summary
-                        .instants_by_thread
-                        .entry(key)
-                        .or_default()
-                        .entry(name.to_string())
-                        .or_insert(0) += 1;
-                    summary.instants += 1;
-                    ts
+                // When the event completed: a span at its end, a point
+                // marker at once.
+                let done = match ph {
+                    "X" => {
+                        let dur = us_to_ns(req_num(ev, "dur").map_err(at)?)?;
+                        let end = ts
+                            .checked_add(dur)
+                            .ok_or_else(|| format!("event {i}: ts+dur overflow"))?;
+                        spans.entry(key).or_default().push(SpanRec { ts, end });
+                        summary
+                            .intervals_by_name
+                            .entry(name.to_string())
+                            .or_default()
+                            .push((ts, end));
+                        summary.records.push(SpanRecord {
+                            pid,
+                            tid,
+                            name: name.to_string(),
+                            cat: cat.to_string(),
+                            ts,
+                            end,
+                        });
+                        summary.spans += 1;
+                        end
+                    }
+                    "i" => {
+                        req_str(ev, "s").map_err(at)?;
+                        *summary
+                            .instants_by_thread
+                            .entry(key)
+                            .or_default()
+                            .entry(name.to_string())
+                            .or_insert(0) += 1;
+                        summary.instants += 1;
+                        ts
+                    }
+                    // Flow events: point markers on a lane, paired by id.
+                    // They share the per-lane completion-order invariant
+                    // (recorded immediately, like instants) but are exempt
+                    // from span nesting — an arrow endpoint lives *inside*
+                    // its enclosing parcel_send/parcel_recv slice.
+                    _ => {
+                        let id = req_num(ev, "id").map_err(at)? as u64;
+                        if ph == "s" {
+                            summary.flow_starts += 1;
+                            flow_starts.insert(id, (pid, tid, ts));
+                        } else {
+                            summary.flow_ends += 1;
+                            flow_ends.push((i, id, pid, tid, ts));
+                        }
+                        ts
+                    }
                 };
                 summary.first_ts_ns = summary.first_ts_ns.min(ts);
                 summary.last_end_ns = summary.last_end_ns.max(done);
@@ -416,43 +463,6 @@ pub fn validate(json_text: &str) -> Result<TraceSummary, String> {
                     }
                 }
                 last_done.insert(key, done);
-                *summary.by_cat.entry(cat.to_string()).or_insert(0) += 1;
-                *summary.by_name.entry(name.to_string()).or_insert(0) += 1;
-            }
-            "s" | "f" => {
-                // Flow events: point markers on a lane, paired by id. They
-                // share the per-lane completion-order invariant (recorded
-                // immediately, like instants) but are exempt from span
-                // nesting — an arrow endpoint lives *inside* its enclosing
-                // parcel_send/parcel_recv slice.
-                let name = req_str(ev, "name").map_err(|e| format!("event {i}: {e}"))?;
-                let cat = req_str(ev, "cat").map_err(|e| format!("event {i}: {e}"))?;
-                let id = req_num(ev, "id").map_err(|e| format!("event {i}: {e}"))? as u64;
-                let pid = req_num(ev, "pid").map_err(|e| format!("event {i}: {e}"))? as u64;
-                let tid = req_num(ev, "tid").map_err(|e| format!("event {i}: {e}"))? as u64;
-                let ts = us_to_ns(req_num(ev, "ts").map_err(|e| format!("event {i}: {e}"))?)?;
-                let key = (pid, tid);
-                if !pids.contains(&pid) {
-                    pids.push(pid);
-                }
-                if ph == "s" {
-                    summary.flow_starts += 1;
-                    flow_starts.insert(id, (pid, tid, ts));
-                } else {
-                    summary.flow_ends += 1;
-                    flow_ends.push((i, id, pid, tid, ts));
-                }
-                summary.first_ts_ns = summary.first_ts_ns.min(ts);
-                summary.last_end_ns = summary.last_end_ns.max(ts);
-                if let Some(prev) = last_done.get(&key) {
-                    if ts < *prev {
-                        return Err(format!(
-                            "event {i} ({name}): completion time regressed on pid {pid} tid \
-                             {tid} ({ts} ns after {prev} ns)"
-                        ));
-                    }
-                }
-                last_done.insert(key, ts);
                 *summary.by_cat.entry(cat.to_string()).or_insert(0) += 1;
                 *summary.by_name.entry(name.to_string()).or_insert(0) += 1;
             }
@@ -516,11 +526,11 @@ pub fn validate(json_text: &str) -> Result<TraceSummary, String> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::trace::{Cat, Event, EventKind, ThreadMeta, Trace};
 
-    fn meta(pid: u32, tid: u32, name: &str) -> ThreadMeta {
+    pub(crate) fn meta(pid: u32, tid: u32, name: &str) -> ThreadMeta {
         ThreadMeta {
             pid,
             tid,
@@ -528,7 +538,7 @@ mod tests {
         }
     }
 
-    fn span_ev(name: &'static str, cat: Cat, ts: u64, dur: u64) -> Event {
+    pub(crate) fn span_ev(name: &'static str, cat: Cat, ts: u64, dur: u64) -> Event {
         Event {
             cat,
             name,
@@ -537,7 +547,7 @@ mod tests {
         }
     }
 
-    fn instant_ev(name: &'static str, cat: Cat, ts: u64) -> Event {
+    pub(crate) fn instant_ev(name: &'static str, cat: Cat, ts: u64) -> Event {
         Event {
             cat,
             name,
@@ -670,8 +680,8 @@ mod tests {
             )],
             dropped: 0,
         };
-        let mut series = crate::sampler::TimeSeries::default();
-        let mut snap = crate::counters::CounterSnapshot::new();
+        let mut series = TimeSeries::default();
+        let mut snap = CounterSnapshot::new();
         snap.set_count("/runtime/steals", 2);
         snap.set_gauge("/runtime/imbalance", 1.5);
         series.push(2_000, &snap);
@@ -686,6 +696,11 @@ mod tests {
             vec![(2_000, 2.0), (4_500, 7.0)]
         );
         assert_eq!(s.counter_series["/runtime/imbalance"][1], (4_500, 1.5));
+        // The kind survives: a reader can tell a reading from a count.
+        assert_eq!(
+            s.gauge_series.iter().collect::<Vec<_>>(),
+            ["/runtime/imbalance"]
+        );
         // Counter events don't perturb the span summary or wall window.
         assert_eq!((s.first_ts_ns, s.last_end_ns), (1000, 5000));
         assert_eq!(s.threads, 1);

@@ -13,8 +13,8 @@
 //! * a [`CounterRegistry`] holds long-lived *providers* (closures over
 //!   cloneable stat handles) so one `sample()` call assembles the whole
 //!   namespace;
-//! * [`render_table`] / [`render_step_table`] print the plain-text views
-//!   the `--counter-table` flag emits.
+//! * [`render_step_table`] prints per-step deltas as a plain-text table
+//!   (`trace_report` feeds it a trace's counter series).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -230,9 +230,9 @@ impl AtomicHistogram {
 /// One counter value.
 ///
 /// The histogram variant is ~2 KiB inline; boxing it would cost an
-/// allocation per histogram per sampler tick and take `Copy` away from
-/// every snapshot consumer. Snapshots live for one tick, so the inline
-/// size is the better trade.
+/// allocation per histogram per sample and take `Copy` away from every
+/// snapshot consumer. Snapshots live for one sample, so the inline size
+/// is the better trade.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CounterValue {
@@ -338,21 +338,6 @@ impl CounterSnapshot {
         self.values.iter().map(|(k, v)| (k.as_str(), *v))
     }
 
-    /// Paths under `prefix` (e.g. every `/runtime/...` counter).
-    pub fn with_prefix<'a>(
-        &'a self,
-        prefix: &'a str,
-    ) -> impl Iterator<Item = (&'a str, CounterValue)> + 'a {
-        self.iter().filter(move |(k, _)| k.starts_with(prefix))
-    }
-
-    /// Merge `other` into `self` (later values win on path collisions).
-    pub fn merge(&mut self, other: &CounterSnapshot) {
-        for (k, v) in other.iter() {
-            self.values.insert(k.to_string(), v);
-        }
-    }
-
     /// Per-interval sample: counts become `self − prev` (saturating, so a
     /// mid-run reset in the source can't underflow), gauges keep the newer
     /// reading. Paths absent from `prev` pass through unchanged.
@@ -393,7 +378,7 @@ impl Collector<'_> {
 
     /// Emit a histogram at `{prefix}/{name}` plus derived percentile gauges
     /// at `{prefix}/{name}/p50`, `/p95`, `/p99` (same unit as recorded), so
-    /// the percentiles flow through plain-f64 paths — the sampler's
+    /// the percentiles flow through plain-f64 paths — the run's
     /// [`TimeSeries`](crate::TimeSeries) and Chrome `"C"` counter tracks.
     pub fn histogram(&mut self, name: &str, h: &Histogram) {
         let base = format!("{}/{}", self.prefix, name);
@@ -471,18 +456,8 @@ impl std::fmt::Debug for CounterRegistry {
     }
 }
 
-/// Render one snapshot as an aligned two-column text table.
-pub fn render_table(title: &str, snap: &CounterSnapshot) -> String {
-    let width = snap.iter().map(|(k, _)| k.len()).max().unwrap_or(0);
-    let mut out = format!("== {title} ({} counters) ==\n", snap.len());
-    for (path, v) in snap.iter() {
-        let _ = writeln!(out, "{path:<width$}  {v:>14}", v = v.to_string());
-    }
-    out
-}
-
 /// Render per-step delta snapshots as one table: rows are counter paths,
-/// one column per step — the `--counter-table` view.
+/// one column per step.
 pub fn render_step_table(title: &str, steps: &[CounterSnapshot]) -> String {
     let mut paths: Vec<&str> = Vec::new();
     for s in steps {
@@ -525,7 +500,6 @@ mod tests {
         assert_eq!(s.len(), 3);
         assert_eq!(s.count("/runtime/worker0/steals"), 3);
         assert_eq!(s.count("/absent"), 0);
-        assert_eq!(s.with_prefix("/runtime/").count(), 2);
         assert_eq!(
             s.get("/energy/jh7110/watts"),
             Some(CounterValue::Gauge(3.22))
@@ -563,18 +537,6 @@ mod tests {
         assert_eq!(s.count("/runtime/steals"), 7);
         assert_eq!(s.count("/net/messages"), 40);
         assert_eq!(reg.len(), 2);
-    }
-
-    #[test]
-    fn merge_later_wins() {
-        let mut a = CounterSnapshot::new();
-        a.set_count("/x", 1);
-        let mut b = CounterSnapshot::new();
-        b.set_count("/x", 9);
-        b.set_count("/y", 3);
-        a.merge(&b);
-        assert_eq!(a.count("/x"), 9);
-        assert_eq!(a.len(), 2);
     }
 
     #[test]
@@ -673,22 +635,20 @@ mod tests {
                 "missing derived {p}"
             );
         }
-        let t = render_table("hist", &s);
-        assert!(t.contains("n=3"));
+        let h = s.get("/comms/parcel_latency").expect("histogram");
+        assert!(h.to_string().starts_with("n=3 "));
     }
 
     #[test]
-    fn tables_render_all_paths() {
+    fn step_table_renders_all_paths() {
         let mut s1 = CounterSnapshot::new();
         s1.set_count("/runtime/steals", 1);
         let mut s2 = CounterSnapshot::new();
         s2.set_count("/runtime/steals", 4);
         s2.set_gauge("/energy/watts", 3.2);
-        let t = render_table("dump", &s2);
-        assert!(t.contains("/energy/watts"));
-        assert!(t.contains("3.200"));
         let steps = render_step_table("run", &[s1, s2]);
         assert!(steps.contains("step 0") && steps.contains("step 1"));
         assert!(steps.contains("/runtime/steals"));
+        assert!(steps.contains("/energy/watts") && steps.contains("3.200"));
     }
 }

@@ -11,8 +11,10 @@
 //! "some gravity work was in flight during [s, e)". The critical path is
 //! then the longest happens-before chain over the pooled segments: a
 //! sequence `seg_1, …, seg_k` with `end(seg_i) ≤ start(seg_{i+1})`
-//! maximising total covered time (weighted-interval-scheduling DP,
-//! O(n log n)).
+//! maximising total covered time. One DP finds it (`longest_chain`,
+//! O(n log n)): [`critical_path`] pools every segment on one locality,
+//! [`critical_path_distributed`] pins each segment to its locality and adds
+//! the parcels as wire legs between them.
 //!
 //! Two properties follow by construction and are what the tests gate on:
 //!
@@ -158,92 +160,104 @@ pub fn default_phases(summary: &TraceSummary) -> Vec<String> {
     names
 }
 
-/// Compute the critical path through `phases` (see module docs for the
-/// definition). Unknown phase names contribute nothing; an empty trace or
-/// an empty phase list yields an empty path with `wall_ns` still set.
-pub fn critical_path(summary: &TraceSummary, phases: &[String]) -> CriticalPath {
-    let wall_ns = summary.last_end_ns.saturating_sub(summary.first_ts_ns);
+/// Name of the wire legs among the distributed path's segments.
+const NETWORK: &str = "network";
 
-    // Pool each phase's merged activity segments.
-    let mut pool: Vec<PhaseSegment> = Vec::new();
-    let mut active: BTreeMap<&str, u64> = BTreeMap::new();
-    for name in phases {
-        let Some(intervals) = summary.intervals_by_name.get(name) else {
-            continue;
-        };
-        let merged = merge_intervals(intervals);
-        active.insert(name, merged.iter().map(|(s, e)| e - s).sum());
-        pool.extend(merged.into_iter().map(|(s, e)| PhaseSegment {
-            name: name.clone(),
-            start_ns: s,
-            end_ns: e,
-        }));
-    }
-    if pool.is_empty() {
-        return CriticalPath {
-            wall_ns,
-            slack_ns: wall_ns,
-            ..CriticalPath::default()
-        };
-    }
+/// One node of the happens-before DAG: a phase activity segment pinned to
+/// its locality, or a network leg bridging two.
+#[derive(Clone, Copy)]
+struct Seg<'a> {
+    name: &'a str,
+    start_ns: u64,
+    end_ns: u64,
+    /// Locality a predecessor must end on.
+    pid_in: u64,
+    /// Locality a successor must start on.
+    pid_out: u64,
+}
 
-    // Weighted-interval-scheduling DP over segments sorted by end:
-    // best[i] = max total duration of a chain ending at or before seg i.
-    pool.sort_by(|a, b| a.end_ns.cmp(&b.end_ns).then(a.start_ns.cmp(&b.start_ns)));
-    let n = pool.len();
-    let mut dp = vec![0u64; n]; // best chain ending exactly with segment i
-    let mut prev = vec![usize::MAX; n]; // predecessor segment index
-    let mut best_upto = vec![0u64; n]; // max dp[0..=i]
-    let mut best_idx = vec![0usize; n]; // argmax of best_upto
-    for i in 0..n {
-        // Rightmost j with end <= start_i (pool sorted by end).
-        let s = pool[i].start_ns;
-        let j = pool.partition_point(|seg| seg.end_ns <= s);
-        let (chain_before, pred) = if j == 0 {
-            (0, usize::MAX)
-        } else {
-            (best_upto[j - 1], best_idx[j - 1])
-        };
-        dp[i] = chain_before + pool[i].dur();
-        prev[i] = if chain_before > 0 { pred } else { usize::MAX };
-        let (bu, bi) = if i == 0 || dp[i] >= best_upto[i - 1] {
-            (dp[i], i)
-        } else {
-            (best_upto[i - 1], best_idx[i - 1])
-        };
-        best_upto[i] = bu;
-        best_idx[i] = bi;
+impl Seg<'_> {
+    fn dur(&self) -> u64 {
+        self.end_ns - self.start_ns
     }
+}
 
-    // Reconstruct the optimal chain.
-    let mut segments: Vec<PhaseSegment> = Vec::new();
-    let mut at = best_idx[n - 1];
-    loop {
-        segments.push(pool[at].clone());
-        if prev[at] == usize::MAX {
-            break;
+/// Longest pid-chained happens-before chain over `segs`:
+/// `dp[i] = dur_i + max{dp[j] : end_j ≤ start_i ∧ pid_out_j == pid_in_i}`.
+/// Sorts `segs` by end and returns the chain's indices in time order. Each
+/// locality keeps the prefix maximum of the chains that end on it, in end
+/// order, so a segment finds its best predecessor with one
+/// `partition_point`: O(n log n) — a level-4 trace pools ~10⁴ segments.
+fn longest_chain(segs: &mut [Seg<'_>]) -> Vec<usize> {
+    segs.sort_by_key(|s| (s.end_ns, s.start_ns, s.name));
+    let n = segs.len();
+    let mut dp = vec![0u64; n];
+    let mut prev = vec![usize::MAX; n];
+    // pid_out → (end_ns, index of the longest chain ending at or before it).
+    let mut best_on: BTreeMap<u64, Vec<(u64, usize)>> = BTreeMap::new();
+    for (i, seg) in segs.iter().enumerate() {
+        dp[i] = seg.dur();
+        if let Some(ends) = best_on.get(&seg.pid_in) {
+            let before = ends.partition_point(|&(end, _)| end <= seg.start_ns);
+            if let Some(&(_, j)) = ends[..before].last() {
+                if dp[j] > 0 {
+                    dp[i] += dp[j];
+                    prev[i] = j;
+                }
+            }
         }
+        let ends = best_on.entry(seg.pid_out).or_default();
+        let best = match ends.last() {
+            Some(&(_, j)) if dp[j] >= dp[i] => j,
+            _ => i,
+        };
+        ends.push((seg.end_ns, best));
+    }
+    let mut chain = Vec::new();
+    let mut at = (0..n).max_by_key(|&i| dp[i]).unwrap_or(usize::MAX);
+    while at != usize::MAX {
+        chain.push(at);
         at = prev[at];
     }
-    segments.reverse();
-    let path_ns = segments.iter().map(PhaseSegment::dur).sum();
+    chain.reverse();
+    chain
+}
 
-    let mut path_by_phase: BTreeMap<&str, u64> = BTreeMap::new();
-    for seg in &segments {
-        *path_by_phase.entry(seg.name.as_str()).or_insert(0) += seg.dur();
+/// The longest chain through `segs` as a [`CriticalPath`] over a window of
+/// `wall_ns`: the chain, and one row per segment name.
+fn path_through(mut segs: Vec<Seg<'_>>, wall_ns: u64, summary: &TraceSummary) -> CriticalPath {
+    let chain = longest_chain(&mut segs);
+    // name → (ns on the path, ns active).
+    let mut rows: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
+    for seg in &segs {
+        rows.entry(seg.name).or_default().1 += seg.dur();
     }
-    let mut by_phase: Vec<PhaseContribution> = phases
-        .iter()
-        .filter(|n| active.contains_key(n.as_str()))
-        .map(|n| PhaseContribution {
-            name: n.clone(),
-            path_ns: path_by_phase.get(n.as_str()).copied().unwrap_or(0),
-            active_ns: active.get(n.as_str()).copied().unwrap_or(0),
-            spans: summary.count_name(n),
+    for &i in &chain {
+        rows.entry(segs[i].name).or_default().0 += segs[i].dur();
+    }
+    let mut by_phase: Vec<PhaseContribution> = rows
+        .into_iter()
+        .map(|(name, (path_ns, active_ns))| PhaseContribution {
+            name: name.to_string(),
+            path_ns,
+            active_ns,
+            spans: if name == NETWORK {
+                summary.flow_edges.len() as u64
+            } else {
+                summary.count_name(name)
+            },
         })
         .collect();
     by_phase.sort_by(|a, b| b.path_ns.cmp(&a.path_ns).then(a.name.cmp(&b.name)));
-
+    let segments: Vec<PhaseSegment> = chain
+        .iter()
+        .map(|&i| PhaseSegment {
+            name: segs[i].name.to_string(),
+            start_ns: segs[i].start_ns,
+            end_ns: segs[i].end_ns,
+        })
+        .collect();
+    let path_ns = segments.iter().map(PhaseSegment::dur).sum();
     CriticalPath {
         wall_ns,
         path_ns,
@@ -251,6 +265,28 @@ pub fn critical_path(summary: &TraceSummary, phases: &[String]) -> CriticalPath 
         segments,
         by_phase,
     }
+}
+
+/// Compute the critical path through `phases` (see module docs for the
+/// definition): every phase's activity segments pooled on one locality, no
+/// wire legs. Unknown phase names contribute nothing; an empty trace or an
+/// empty phase list yields an empty path with `wall_ns` still set.
+pub fn critical_path(summary: &TraceSummary, phases: &[String]) -> CriticalPath {
+    let mut segs: Vec<Seg<'_>> = Vec::new();
+    for name in phases {
+        let Some(intervals) = summary.intervals_by_name.get(name) else {
+            continue;
+        };
+        segs.extend(merge_intervals(intervals).into_iter().map(|(s, e)| Seg {
+            name,
+            start_ns: s,
+            end_ns: e,
+            pid_in: 0,
+            pid_out: 0,
+        }));
+    }
+    let wall_ns = summary.last_end_ns.saturating_sub(summary.first_ts_ns);
+    path_through(segs, wall_ns, summary)
 }
 
 /// Result of [`critical_path_distributed`]: the comms-aware critical path
@@ -326,61 +362,6 @@ pub fn clock_offsets(summary: &TraceSummary) -> BTreeMap<u64, i64> {
     offsets
 }
 
-/// One node of the distributed happens-before DAG: a phase activity
-/// segment pinned to its locality, or a network leg bridging two.
-struct DistSeg {
-    name: String,
-    start_ns: u64,
-    end_ns: u64,
-    /// Locality a predecessor must end on.
-    pid_in: u64,
-    /// Locality a successor must start on.
-    pid_out: u64,
-}
-
-impl DistSeg {
-    fn dur(&self) -> u64 {
-        self.end_ns - self.start_ns
-    }
-}
-
-/// Longest pid-chained happens-before chain over `segs`:
-/// `dp[i] = dur_i + max{dp[j] : end_j ≤ start_i ∧ pid_out_j == pid_in_i}`.
-/// Returns `(path_ns, chain indices in time order)`. O(n²), fine at the
-/// scale of merged phase segments + flow edges.
-fn chain_dp(segs: &[DistSeg]) -> (u64, Vec<usize>) {
-    let n = segs.len();
-    if n == 0 {
-        return (0, Vec::new());
-    }
-    let mut dp = vec![0u64; n];
-    let mut prev = vec![usize::MAX; n];
-    for i in 0..n {
-        dp[i] = segs[i].dur();
-        for j in 0..n {
-            if segs[j].end_ns <= segs[i].start_ns
-                && segs[j].pid_out == segs[i].pid_in
-                && dp[j] + segs[i].dur() > dp[i]
-            {
-                dp[i] = dp[j] + segs[i].dur();
-                prev[i] = j;
-            }
-        }
-    }
-    let best = (0..n).max_by_key(|&i| dp[i]).expect("non-empty");
-    let mut chain = Vec::new();
-    let mut at = best;
-    loop {
-        chain.push(at);
-        if prev[at] == usize::MAX {
-            break;
-        }
-        at = prev[at];
-    }
-    chain.reverse();
-    (dp[best], chain)
-}
-
 /// Comms-aware critical path across localities. Like [`critical_path`],
 /// but activity segments are merged **per locality** (work on locality 1
 /// cannot extend a chain on locality 0 without a parcel in between), flow
@@ -438,38 +419,39 @@ pub fn critical_path_distributed(summary: &TraceSummary, phases: &[String]) -> D
                     .map(|(s, e)| (correct(rec.pid, s), correct(rec.pid, e))),
             );
     }
-    let mut segs: Vec<DistSeg> = Vec::new();
-    let mut active: BTreeMap<&str, u64> = BTreeMap::new();
+    let mut segs: Vec<Seg<'_>> = Vec::new();
     for ((name, pid), intervals) in by_name_pid {
-        for (s, e) in merge_intervals(&intervals) {
-            *active.entry(name).or_insert(0) += e - s;
-            segs.push(DistSeg {
-                name: name.to_string(),
-                start_ns: s,
-                end_ns: e,
-                pid_in: pid,
-                pid_out: pid,
-            });
-        }
+        segs.extend(merge_intervals(&intervals).into_iter().map(|(s, e)| Seg {
+            name,
+            start_ns: s,
+            end_ns: e,
+            pid_in: pid,
+            pid_out: pid,
+        }));
+    }
+
+    // Single-locality baselines: the same DP over one pid's segments, no
+    // network legs — each is a feasible chain of the global problem, so
+    // the distributed path dominates every one of them.
+    let seg_pids: BTreeSet<u64> = segs.iter().map(|s| s.pid_in).collect();
+    let mut per_locality_path_ns: BTreeMap<u64, u64> = BTreeMap::new();
+    for pid in seg_pids {
+        let mut local: Vec<Seg<'_>> = segs.iter().filter(|s| s.pid_in == pid).copied().collect();
+        let chain = longest_chain(&mut local);
+        per_locality_path_ns.insert(pid, chain.iter().map(|&i| local[i].dur()).sum());
     }
 
     // Network legs: corrected send → corrected recv, clamped causal.
-    let mut network_active = 0u64;
-    for e in &summary.flow_edges {
+    segs.extend(summary.flow_edges.iter().map(|e| {
         let src = correct(e.src_pid, e.src_ts);
-        let dst = correct(e.dst_pid, e.dst_ts).max(src);
-        network_active += dst - src;
-        segs.push(DistSeg {
-            name: "network".to_string(),
+        Seg {
+            name: NETWORK,
             start_ns: src,
-            end_ns: dst,
+            end_ns: correct(e.dst_pid, e.dst_ts).max(src),
             pid_in: e.src_pid,
             pid_out: e.dst_pid,
-        });
-    }
-    if !summary.flow_edges.is_empty() {
-        active.insert("network", network_active);
-    }
+        }
+    }));
 
     let wall_ns = segs
         .iter()
@@ -477,83 +459,12 @@ pub fn critical_path_distributed(summary: &TraceSummary, phases: &[String]) -> D
         .max()
         .unwrap_or(0)
         .saturating_sub(segs.iter().map(|s| s.start_ns).min().unwrap_or(0));
-
-    segs.sort_by(|a, b| {
-        a.end_ns
-            .cmp(&b.end_ns)
-            .then(a.start_ns.cmp(&b.start_ns))
-            .then(a.name.cmp(&b.name))
-    });
-    let (path_ns, chain) = chain_dp(&segs);
-
-    let segments: Vec<PhaseSegment> = chain
-        .iter()
-        .map(|&i| PhaseSegment {
-            name: segs[i].name.clone(),
-            start_ns: segs[i].start_ns,
-            end_ns: segs[i].end_ns,
-        })
-        .collect();
-    let network_ns: u64 = chain
-        .iter()
-        .filter(|&&i| segs[i].name == "network")
-        .map(|&i| segs[i].dur())
-        .sum();
-    let network_edges_on_path = chain.iter().filter(|&&i| segs[i].name == "network").count() as u64;
-
-    let mut path_by_phase: BTreeMap<&str, u64> = BTreeMap::new();
-    for &i in &chain {
-        *path_by_phase.entry(segs[i].name.as_str()).or_insert(0) += segs[i].dur();
-    }
-    let mut by_phase: Vec<PhaseContribution> = active
-        .iter()
-        .map(|(&name, &active_ns)| PhaseContribution {
-            name: name.to_string(),
-            path_ns: path_by_phase.get(name).copied().unwrap_or(0),
-            active_ns,
-            spans: if name == "network" {
-                summary.flow_edges.len() as u64
-            } else {
-                summary.count_name(name)
-            },
-        })
-        .collect();
-    by_phase.sort_by(|a, b| b.path_ns.cmp(&a.path_ns).then(a.name.cmp(&b.name)));
-
-    // Single-locality baselines: the same DP restricted to one pid's
-    // segments (no network legs) — each is a feasible chain of the
-    // global problem, so `path_ns` dominates every one of them.
-    let seg_pids: BTreeSet<u64> = segs
-        .iter()
-        .filter(|s| s.name != "network")
-        .map(|s| s.pid_in)
-        .collect();
-    let mut per_locality_path_ns: BTreeMap<u64, u64> = BTreeMap::new();
-    for &pid in &seg_pids {
-        let local: Vec<DistSeg> = segs
-            .iter()
-            .filter(|s| s.name != "network" && s.pid_in == pid)
-            .map(|s| DistSeg {
-                name: s.name.clone(),
-                start_ns: s.start_ns,
-                end_ns: s.end_ns,
-                pid_in: s.pid_in,
-                pid_out: s.pid_out,
-            })
-            .collect();
-        per_locality_path_ns.insert(pid, chain_dp(&local).0);
-    }
-
+    let path = path_through(segs, wall_ns, summary);
+    let legs = || path.segments.iter().filter(|s| s.name == NETWORK);
     DistCriticalPath {
-        path: CriticalPath {
-            wall_ns,
-            path_ns,
-            slack_ns: wall_ns.saturating_sub(path_ns),
-            segments,
-            by_phase,
-        },
-        network_ns,
-        network_edges_on_path,
+        network_ns: legs().map(PhaseSegment::dur).sum(),
+        network_edges_on_path: legs().count() as u64,
+        path,
         per_locality_path_ns,
         offsets,
     }
@@ -583,20 +494,12 @@ pub struct WorkerUtilization {
 impl WorkerUtilization {
     /// Busy fraction of the trace window (0 when the window is empty).
     pub fn busy_frac(&self) -> f64 {
-        if self.wall_ns == 0 {
-            0.0
-        } else {
-            self.busy_ns as f64 / self.wall_ns as f64
-        }
+        self.busy_ns as f64 / self.wall_ns.max(1) as f64
     }
 
     /// Parked fraction of the trace window.
     pub fn park_frac(&self) -> f64 {
-        if self.wall_ns == 0 {
-            0.0
-        } else {
-            self.park_ns as f64 / self.wall_ns as f64
-        }
+        self.park_ns as f64 / self.wall_ns.max(1) as f64
     }
 }
 
@@ -671,34 +574,9 @@ pub fn imbalance_ratio(util: &[WorkerUtilization]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chrome::tests::{instant_ev, meta, span_ev};
     use crate::chrome::{export, validate};
-    use crate::trace::{Cat, Event, EventKind, ThreadMeta, Trace};
-
-    fn meta(pid: u32, tid: u32, name: &str) -> ThreadMeta {
-        ThreadMeta {
-            pid,
-            tid,
-            name: name.to_string(),
-        }
-    }
-
-    fn span_ev(name: &'static str, cat: Cat, ts: u64, dur: u64) -> Event {
-        Event {
-            cat,
-            name,
-            ts_ns: ts,
-            kind: EventKind::Span { dur_ns: dur },
-        }
-    }
-
-    fn instant_ev(name: &'static str, cat: Cat, ts: u64) -> Event {
-        Event {
-            cat,
-            name,
-            ts_ns: ts,
-            kind: EventKind::Instant,
-        }
-    }
+    use crate::trace::{Cat, Event, EventKind, Trace};
 
     fn phases(names: &[&str]) -> Vec<String> {
         names.iter().map(|s| s.to_string()).collect()
@@ -1046,6 +924,46 @@ mod tests {
         assert_eq!(dist.network_edges_on_path, 0);
         assert_eq!(dist.per_locality_path_ns.get(&0), Some(&cp.path_ns));
         assert!(dist.offsets.values().all(|&o| o == 0));
+    }
+
+    /// The prefix-maximum DP against its defining recurrence, evaluated
+    /// quadratically, on pseudo-random pools over three localities (wire
+    /// legs and zero-length segments among them).
+    #[test]
+    fn longest_chain_equals_the_quadratic_recurrence() {
+        let mut x = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut below = |m: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % m
+        };
+        for _ in 0..300 {
+            let mut segs: Vec<Seg<'_>> = Vec::new();
+            for _ in 0..below(40) {
+                let (start, pid) = (below(100), below(3));
+                segs.push(Seg {
+                    name: "s",
+                    start_ns: start,
+                    end_ns: start + below(20),
+                    pid_in: pid,
+                    pid_out: if below(4) == 0 { below(3) } else { pid },
+                });
+            }
+            let chain = longest_chain(&mut segs);
+            for w in chain.windows(2) {
+                let (a, b) = (segs[w[0]], segs[w[1]]);
+                assert!(a.end_ns <= b.start_ns && a.pid_out == b.pid_in);
+            }
+            let mut dp = vec![0u64; segs.len()];
+            for (i, s) in segs.iter().enumerate() {
+                let fits =
+                    |j: &usize| segs[*j].end_ns <= s.start_ns && segs[*j].pid_out == s.pid_in;
+                dp[i] = s.dur() + (0..i).filter(fits).map(|j| dp[j]).max().unwrap_or(0);
+            }
+            let path: u64 = chain.iter().map(|&i| segs[i].dur()).sum();
+            assert_eq!(path, dp.into_iter().max().unwrap_or(0));
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Validating an emitted Chrome trace needs a real parser. This one handles
 //! the full JSON grammar (objects, arrays, strings with escapes, numbers,
 //! literals) — enough to re-read anything `chrome::export` produces and to
-//! reject malformed files in `trace_check`.
+//! reject malformed files in `trace_report`.
 
 use std::collections::BTreeMap;
 

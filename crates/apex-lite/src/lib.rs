@@ -20,14 +20,14 @@
 //!   statistics under one `/runtime/worker{N}/steals`-style namespace,
 //!   with typed snapshots and per-step deltas.
 //! * [`chrome`] — a Chrome trace-event JSON exporter
-//!   (`about://tracing` / Perfetto-loadable) plus a validator used by the
-//!   round-trip tests and the `trace_check` CI binary.
-//! * [`sampler`] — a background thread sampling a shared
-//!   [`CounterRegistry`] on a wall-clock cadence into bounded per-series
-//!   ring buffers; exports as Chrome `"C"` counter tracks or CSV.
-//! * [`critpath`] — the trace analyzer: critical path through the phase
-//!   span DAG, per-worker utilization, and the `/runtime/imbalance`
-//!   max/mean-busy ratio (the `trace_report` binary's engine).
+//!   (`about://tracing` / Perfetto-loadable), the [`TimeSeries`] of counter
+//!   samples a traced run takes at its step boundaries (exported as `"C"`
+//!   counter tracks), and the validator behind the round-trip tests and
+//!   the `trace_report` binary.
+//! * [`critpath`] — the trace analyzer: one longest-chain DP over phase
+//!   activity segments (single- and multi-locality critical path),
+//!   per-worker utilization, and the `/runtime/imbalance` max/mean-busy
+//!   ratio (the `trace_report` binary's engine).
 //! * [`flame`] — collapsed-stack flamegraph export (self-time-exact,
 //!   `flamegraph.pl`/inferno-compatible).
 //! * [`json`] — the minimal JSON parser backing the validator.
@@ -40,13 +40,14 @@ pub mod counters;
 pub mod critpath;
 pub mod flame;
 pub mod json;
-pub mod sampler;
 pub mod trace;
 
-pub use chrome::{export, export_with_counters, validate, FlowEdge, SpanRecord, TraceSummary};
+pub use chrome::{
+    export, export_with_counters, validate, FlowEdge, SpanRecord, TimeSeries, TraceSummary,
+};
 pub use counters::{
-    render_step_table, render_table, AtomicHistogram, Collector, CounterRegistry, CounterSnapshot,
-    CounterValue, Histogram, HISTOGRAM_BUCKETS, HISTOGRAM_MAX_RELATIVE_ERROR,
+    render_step_table, AtomicHistogram, Collector, CounterRegistry, CounterSnapshot, CounterValue,
+    Histogram, HISTOGRAM_BUCKETS, HISTOGRAM_MAX_RELATIVE_ERROR,
 };
 pub use critpath::{
     clock_offsets, critical_path, critical_path_distributed, default_phases, imbalance_ratio,
@@ -54,7 +55,6 @@ pub use critpath::{
     WorkerUtilization,
 };
 pub use flame::{collapsed_stacks, render_collapsed};
-pub use sampler::{Sampler, TimeSeries, SERIES_CAPACITY};
 pub use trace::{
     drain, enabled, flow_end, flow_start, instant, now_ns, reset, set_enabled, set_thread_label,
     span, tracer_allocs, Cat, Event, EventKind, SpanGuard, ThreadLabel, ThreadMeta, Trace,

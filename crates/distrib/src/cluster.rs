@@ -22,10 +22,10 @@
 use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Weak};
 
 use bytes::Bytes;
-use crossbeam_channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
 use amt::{Future, Promise, Runtime};
@@ -406,7 +406,7 @@ impl Cluster {
             runtimes,
         });
         for i in 0..config.localities {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             let loc = Arc::new(LocalityInner {
                 id: LocalityId(i),
                 components: Mutex::new(HashMap::new()),

@@ -1,6 +1,16 @@
-//! Eager TCP parcelport — one connection per peer, frames written to the
-//! socket on the sending thread (HPX's classic TCP parcelport behaviour:
-//! `asio` write on submission, no separate progress engine).
+//! Eager parcelport — frames are delivered on the sending thread, inside
+//! [`Parcelport::transmit`]. Three backends share these semantics and
+//! differ only in the link model their [`NetBackend`] carries:
+//!
+//! * **TCP** — one connection per peer, `asio` write on submission, no
+//!   separate progress engine (HPX's classic TCP parcelport);
+//! * **MPI** — two-sided sends (OpenMPI 4.1.4 in the paper): `MPI_Isend`
+//!   completes from the application's view on submission, the library's
+//!   progress hidden from the caller. Its matching layer and extra buffer
+//!   copies triple the per-message CPU cost on the in-order boards — the
+//!   driver behind Fig. 8's 1.55× (MPI) vs 1.85× (TCP) speedups;
+//! * **Tofu-D** — the link model of the Fugaku reference series, not a
+//!   software stack we reproduce.
 
 use apex_lite::trace::{self, Cat};
 use bytes::Bytes;
@@ -11,23 +21,17 @@ use crate::stats::{PortSnapshot, PortStats};
 
 use super::{Deliver, Parcelport};
 
-/// The TCP backend (also hosts the Tofu-D link model, which shares the
-/// eager semantics — see [`super::open`]).
-pub struct TcpParcelport {
+/// The eager port of `backend`.
+pub struct EagerParcelport {
     deliver: Deliver,
     stats: PortStats,
     backend: NetBackend,
 }
 
-impl TcpParcelport {
+impl EagerParcelport {
     /// Open the port, delivering through `deliver`.
-    pub fn new(deliver: Deliver) -> Self {
-        Self::with_backend(deliver, NetBackend::Tcp)
-    }
-
-    /// Eager port carrying a different link model (Tofu-D reference runs).
-    pub fn with_backend(deliver: Deliver, backend: NetBackend) -> Self {
-        TcpParcelport {
+    pub fn new(deliver: Deliver, backend: NetBackend) -> Self {
+        EagerParcelport {
             deliver,
             stats: PortStats::new(),
             backend,
@@ -35,7 +39,7 @@ impl TcpParcelport {
     }
 }
 
-impl Parcelport for TcpParcelport {
+impl Parcelport for EagerParcelport {
     fn backend(&self) -> NetBackend {
         self.backend
     }

@@ -12,7 +12,7 @@
 //! parcel each, between localities:
 //!
 //! * [`Parcelport::transmit`] accepts one frame for a destination. *Eager*
-//!   ports ([`TcpParcelport`], [`MpiParcelport`]) deliver on the calling
+//!   ports ([`EagerParcelport`]: TCP, MPI) deliver on the calling
 //!   thread before returning. *Explicit-progress* ports
 //!   ([`LciParcelport`]) only enqueue; delivery happens when the progress
 //!   engine runs.
@@ -31,13 +31,11 @@
 //! Delivery is *ordered per destination* for frames sent from one thread;
 //! frames to dead destinations are dropped, like writes to a closed socket.
 
+mod eager;
 mod lci;
-mod mpi;
-mod tcp;
 
+pub use eager::EagerParcelport;
 pub use lci::LciParcelport;
-pub use mpi::MpiParcelport;
-pub use tcp::TcpParcelport;
 
 use std::sync::Arc;
 
@@ -98,16 +96,14 @@ pub trait Parcelport: Send + Sync {
 
 /// Instantiate the parcelport for `backend`, delivering through `deliver`.
 ///
-/// `TofuD` runs over the eager TCP implementation: the simulation only
-/// distinguishes *semantics* (eager vs explicit progress); Tofu-D exists as
-/// a link model for the Fugaku reference series, not as a software stack we
-/// reproduce.
+/// The simulation only distinguishes *semantics* (eager vs explicit
+/// progress): TCP, MPI and Tofu-D are one eager port with three link models.
 pub fn open(backend: NetBackend, deliver: Deliver) -> Arc<dyn Parcelport> {
     match backend {
-        NetBackend::Tcp => Arc::new(TcpParcelport::new(deliver)),
-        NetBackend::Mpi => Arc::new(MpiParcelport::new(deliver)),
+        NetBackend::Tcp | NetBackend::Mpi | NetBackend::TofuD => {
+            Arc::new(EagerParcelport::new(deliver, backend))
+        }
         NetBackend::Lci => Arc::new(LciParcelport::new(deliver)),
-        NetBackend::TofuD => Arc::new(TcpParcelport::with_backend(deliver, NetBackend::TofuD)),
     }
 }
 
@@ -132,7 +128,7 @@ mod tests {
         for backend in NetBackend::ALL {
             let (deliver, _log) = collector();
             let port = open(backend, deliver);
-            // TofuD borrows the eager TCP implementation but keeps its
+            // The eager backends share one implementation; each keeps its
             // backend identity (and therefore its link model).
             assert_eq!(port.backend(), backend);
             assert_eq!(port.cost(), backend.net_cost());

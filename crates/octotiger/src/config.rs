@@ -13,9 +13,8 @@ use crate::kernel_backend::{KernelType, SimdPolicy};
 
 /// Full configuration of a rotating-star run.
 ///
-/// Not `Copy`: the observability flags carry an owned path
-/// ([`OctoConfig::trace_out`]); clone explicitly where a copy used to be
-/// implicit.
+/// Not `Copy`: [`OctoConfig::trace_out`] is an owned path; clone explicitly
+/// where a copy used to be implicit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OctoConfig {
     /// Maximum octree refinement level (`--max_level`, 4 in the paper).
@@ -51,22 +50,12 @@ pub struct OctoConfig {
     /// convert with [`SimdPolicy::from_width`].
     pub simd_width: usize,
     /// Write a Chrome trace-event JSON of the run to this path
-    /// (`--trace-out=trace.json`, loadable in `about://tracing`/Perfetto).
+    /// (`--trace-out=trace.json`, loadable in `about://tracing`/Perfetto):
+    /// the spans, and the run's counters sampled at its start, at every
+    /// step boundary and at its end as `"C"` counter tracks. The one
+    /// observability option of a run; `trace_report` reads the file.
     /// `None` (the default) leaves tracing disabled — zero-cost.
     pub trace_out: Option<String>,
-    /// Print the per-step counter-delta table after the run
-    /// (`--counter-table=on`).
-    pub counter_table: bool,
-    /// Sample the counter registry every N milliseconds on a background
-    /// thread (`--sample_interval_ms=10`). The series export as Chrome
-    /// `"C"` counter tracks in the trace (with `--trace-out`) and as CSV
-    /// (with `--metrics-out`). `None` (the default) spawns nothing —
-    /// zero-cost, same discipline as the tracer.
-    pub sample_interval_ms: Option<u64>,
-    /// Write the sampled counter time-series as CSV to this path
-    /// (`--metrics-out=metrics.csv`). Without `--sample_interval_ms` the
-    /// file holds a single end-of-run sample.
-    pub metrics_out: Option<String>,
 }
 
 impl Default for OctoConfig {
@@ -86,19 +75,16 @@ impl Default for OctoConfig {
             refine_density_frac: 1.0e-4,
             simd_width: SimdPolicy::default().lanes(),
             trace_out: None,
-            counter_table: false,
-            sample_interval_ms: None,
-            metrics_out: None,
         }
     }
 }
 
 const ONE_TASK_PER_LEAF: &str = "the step runs one task per leaf per kernel";
 
-/// Flags earlier versions accepted, each with what the run does now.
-/// Unknown keys are ignored, so without this list a script still passing
-/// one would run the one remaining path without a word.
-const RETIRED_FLAGS: [(&str, &str); 6] = [
+/// Flags earlier versions accepted (`-` spelled `_`), each with what the
+/// run does now. Unknown keys are ignored, so without this list a script
+/// still passing one would run the one remaining path without a word.
+const RETIRED_FLAGS: [(&str, &str); 9] = [
     ("monopole_host_tasks", ONE_TASK_PER_LEAF),
     ("multipole_host_tasks", ONE_TASK_PER_LEAF),
     ("hydro_host_tasks", ONE_TASK_PER_LEAF),
@@ -110,6 +96,18 @@ const RETIRED_FLAGS: [(&str, &str); 6] = [
     (
         "coalesce",
         "every parcel travels in its own frame, as in the paper's runs",
+    ),
+    (
+        "sample_interval_ms",
+        "a --trace-out run samples its counters at every step boundary",
+    ),
+    (
+        "metrics_out",
+        "the counter series are in the --trace-out file; trace_report prints them",
+    ),
+    (
+        "counter_table",
+        "trace_report prints the per-step table of a --trace-out file",
     ),
 ];
 
@@ -147,6 +145,9 @@ impl OctoConfig {
             let Some((key, value)) = rest.split_once('=') else {
                 continue;
             };
+            // One spelling per key: `--trace-out` is `--trace_out`.
+            let key = key.replace('-', "_");
+            let key = key.as_str();
             match key {
                 "max_level" => cfg.max_level = parse(key, value)?,
                 "stop_step" => cfg.stop_step = parse(key, value)?,
@@ -168,31 +169,11 @@ impl OctoConfig {
                         })?,
                     }
                 }
-                "trace-out" | "trace_out" => {
+                "trace_out" => {
                     if value.is_empty() {
                         return Err("--trace-out needs a file path".into());
                     }
                     cfg.trace_out = Some(value.to_string());
-                }
-                "sample_interval_ms" | "sample-interval-ms" => {
-                    cfg.sample_interval_ms = Some(parse(key, value)?);
-                }
-                "metrics-out" | "metrics_out" => {
-                    if value.is_empty() {
-                        return Err("--metrics-out needs a file path".into());
-                    }
-                    cfg.metrics_out = Some(value.to_string());
-                }
-                "counter-table" | "counter_table" => {
-                    cfg.counter_table = match value {
-                        "on" | "1" | "true" => true,
-                        "off" | "0" | "false" => false,
-                        other => {
-                            return Err(format!(
-                                "invalid value {other:?} for --counter-table (on/off)"
-                            ))
-                        }
-                    }
                 }
                 _ => {
                     if let Some((_, now)) = RETIRED_FLAGS.iter().find(|(flag, _)| *flag == key) {
@@ -231,9 +212,6 @@ impl OctoConfig {
             ));
         }
         SimdPolicy::from_width(self.simd_width)?;
-        if self.sample_interval_ms == Some(0) {
-            return Err("--sample_interval_ms must be >= 1".into());
-        }
         Ok(())
     }
 
@@ -320,6 +298,15 @@ mod tests {
             let err = OctoConfig::from_args([format!("--{key}=1").as_str()]).unwrap_err();
             assert_eq!(err, format!("--{key} was removed: {now}"));
         }
+        // The three observability knobs `--trace-out` replaced, `-` or `_`.
+        for (arg, key) in [
+            ("--sample-interval-ms=5", "sample_interval_ms"),
+            ("--metrics_out=x.csv", "metrics_out"),
+            ("--counter-table=on", "counter_table"),
+        ] {
+            let err = OctoConfig::from_args([arg]).unwrap_err();
+            assert!(err.starts_with(&format!("--{key} was removed: ")), "{err}");
+        }
     }
 
     #[test]
@@ -368,34 +355,13 @@ mod tests {
     }
 
     #[test]
-    fn parses_observability_flags() {
-        let c = OctoConfig::from_args(["--trace-out=trace.json", "--counter-table=on"]).unwrap();
+    fn parses_the_observability_flag_under_both_spellings() {
+        let c = OctoConfig::from_args(["--trace-out=trace.json"]).unwrap();
         assert_eq!(c.trace_out.as_deref(), Some("trace.json"));
-        assert!(c.counter_table);
-        // Underscore aliases work; defaults are off.
-        let d = OctoConfig::from_args(["--trace_out=t.json", "--counter_table=off"]).unwrap();
+        let d = OctoConfig::from_args(["--trace_out=t.json"]).unwrap();
         assert_eq!(d.trace_out.as_deref(), Some("t.json"));
-        assert!(!d.counter_table);
         assert_eq!(OctoConfig::default().trace_out, None);
-        assert!(!OctoConfig::default().counter_table);
         assert!(OctoConfig::from_args(["--trace-out="]).is_err());
-        assert!(OctoConfig::from_args(["--counter-table=maybe"]).is_err());
-    }
-
-    #[test]
-    fn parses_sampler_flags() {
-        let c = OctoConfig::from_args(["--sample_interval_ms=10", "--metrics-out=m.csv"]).unwrap();
-        assert_eq!(c.sample_interval_ms, Some(10));
-        assert_eq!(c.metrics_out.as_deref(), Some("m.csv"));
-        // Dash/underscore aliases; defaults are off.
-        let d = OctoConfig::from_args(["--sample-interval-ms=5", "--metrics_out=x.csv"]).unwrap();
-        assert_eq!(d.sample_interval_ms, Some(5));
-        assert_eq!(d.metrics_out.as_deref(), Some("x.csv"));
-        assert_eq!(OctoConfig::default().sample_interval_ms, None);
-        assert_eq!(OctoConfig::default().metrics_out, None);
-        assert!(OctoConfig::from_args(["--sample_interval_ms=0"]).is_err());
-        assert!(OctoConfig::from_args(["--sample_interval_ms=fast"]).is_err());
-        assert!(OctoConfig::from_args(["--metrics-out="]).is_err());
     }
 
     #[test]

@@ -103,9 +103,6 @@ pub struct DistMetrics {
     /// Unified counter dump (`/runtime/locality{N}/…`, `/comms/…`,
     /// `/gravity/…`, `/work/…`, `/energy/…`) sampled at the end of the run.
     pub counters: CounterSnapshot,
-    /// Number of periodic counter samples taken (0 unless
-    /// `--sample_interval_ms` was set).
-    pub counter_samples: u64,
 }
 
 /// Wire form of a [`BlockSoA`]: its four SoA lanes (mass, x, y, z) as flat
@@ -414,7 +411,7 @@ impl DistRun {
             config.threads_per_node as u32,
             elapsed,
         );
-        let counter_samples = observer.finish(&config.octo, "distributed", &counters);
+        observer.finish(&counters);
 
         let cells_processed = cell_count as u64 * u64::from(steps);
         DistMetrics {
@@ -432,7 +429,6 @@ impl DistRun {
             owned_per_node,
             leaf_hashes,
             counters,
-            counter_samples,
         }
     }
 }

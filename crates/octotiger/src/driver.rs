@@ -133,9 +133,6 @@ pub struct RunMetrics {
     /// Unified counter dump (`/runtime/…`, `/gravity/…`, `/work/…`,
     /// `/energy/…`) sampled at the end of the run.
     pub counters: CounterSnapshot,
-    /// Background counter-sampler ticks taken during the run (0 unless
-    /// `--sample_interval_ms` was set).
-    pub counter_samples: u64,
 }
 
 /// Wall-clock envelope of one task family within a step: the earliest start
@@ -730,20 +727,15 @@ impl Driver {
 
     /// Run `stop_step` steps on an existing runtime.
     ///
-    /// Honours the observability flags: `--trace-out=FILE` records a
-    /// Chrome trace of the run (scheduler tasks, driver phases, gravity
-    /// kernels) and `--counter-table` prints per-step counter deltas.
+    /// Honours `--trace-out=FILE`: a Chrome trace of the run (scheduler
+    /// tasks, driver phases, gravity kernels) with every counter — the
+    /// registry's and the driver's own — sampled at the step boundaries.
     pub fn run_on(&mut self, runtime: &Runtime) -> RunMetrics {
         let mut registry = CounterRegistry::new();
         runtime
             .handle()
             .register_counters(&mut registry, "/runtime");
         runtime.reset_stats();
-        // The background sampler shares the registry; the driver-owned
-        // counters (`counters_into`, borrowing `&self`) are folded into the
-        // per-step and final snapshots only — the time-series covers the
-        // registered providers (`/runtime/...` including the imbalance
-        // gauge).
         let mut observer = RunObserver::start(&self.config, registry, |r| self.sample_counters(r));
         let mut steps = 0;
         for _ in 0..self.config.stop_step {
@@ -761,7 +753,7 @@ impl Driver {
             runtime.worker_stats().len() as u32,
             elapsed,
         );
-        let counter_samples = observer.finish(&self.config, "octotiger", &counters);
+        observer.finish(&counters);
         let cell_count = self.tree.cell_count();
         let cells_processed = cell_count as u64 * u64::from(steps);
         RunMetrics {
@@ -778,7 +770,6 @@ impl Driver {
             overlap_ratio: self.overlap_ratio(),
             peak_rss_bytes: rv_machine::memory::peak_rss_bytes(),
             counters,
-            counter_samples,
         }
     }
 
@@ -929,14 +920,14 @@ impl Driver {
 }
 
 /// The observability side of a timed run, the same for one locality and for
-/// several: the tracer (`--trace-out`), the background counter sampler
-/// (`--sample_interval_ms`, `--metrics-out`) and the per-step counter table
-/// (`--counter-table`). The caller owns the step loop and the counters.
+/// several: `--trace-out` switches the tracer on and makes the step loop
+/// sample the counters — at the start, at every step boundary and at the
+/// end, on the calling thread. The caller owns the step loop and the
+/// counters. Without the flag nothing is sampled and nothing allocated.
 pub(crate) struct RunObserver {
-    registry: Arc<CounterRegistry>,
-    sampler: Option<apex_lite::Sampler>,
-    /// `--counter-table`: the previous sample and the per-step deltas.
-    table: Option<(CounterSnapshot, Vec<CounterSnapshot>)>,
+    registry: CounterRegistry,
+    /// `--trace-out`: the file, and the counters at every sample so far.
+    traced: Option<(String, apex_lite::TimeSeries)>,
     start: Instant,
 }
 
@@ -948,21 +939,16 @@ impl RunObserver {
         registry: CounterRegistry,
         sample: impl FnOnce(&CounterRegistry) -> CounterSnapshot,
     ) -> Self {
-        if config.trace_out.is_some() {
+        let traced = config.trace_out.clone().map(|path| {
             trace::reset();
             trace::set_enabled(true);
-        }
-        let registry = Arc::new(registry);
-        let sampler = config.sample_interval_ms.map(|ms| {
-            apex_lite::Sampler::start(Arc::clone(&registry), std::time::Duration::from_millis(ms))
+            let mut series = apex_lite::TimeSeries::default();
+            series.push(trace::now_ns(), &sample(&registry));
+            (path, series)
         });
-        let table = config
-            .counter_table
-            .then(|| (sample(&registry), Vec::new()));
         RunObserver {
             registry,
-            sampler,
-            table,
+            traced,
             start: Instant::now(),
         }
     }
@@ -971,12 +957,10 @@ impl RunObserver {
         &self.registry
     }
 
-    /// One step finished: record its counter deltas if the table is on.
+    /// One step finished: a traced run samples its counters.
     pub(crate) fn step_done(&mut self, sample: impl FnOnce(&CounterRegistry) -> CounterSnapshot) {
-        if let Some((prev, deltas)) = &mut self.table {
-            let cur = sample(&self.registry);
-            deltas.push(cur.delta(prev));
-            *prev = cur;
+        if let Some((_, series)) = &mut self.traced {
+            series.push(trace::now_ns(), &sample(&self.registry));
         }
     }
 
@@ -984,41 +968,18 @@ impl RunObserver {
         self.start.elapsed().as_secs_f64()
     }
 
-    /// Print the tables, stop the sampler and write the CSV and the trace;
-    /// returns the number of sampler ticks. `counters` is the run's final
-    /// snapshot, `what` names the run in the table titles.
-    pub(crate) fn finish(self, config: &OctoConfig, what: &str, counters: &CounterSnapshot) -> u64 {
-        if let Some((_, deltas)) = &self.table {
-            let steps = format!("{what} per-step counters");
-            print!("{}", apex_lite::render_step_table(&steps, deltas));
-            let totals = format!("{what} run totals");
-            print!("{}", apex_lite::render_table(&totals, counters));
-        }
-        // The sampler's series ride along in the Chrome trace as `"C"`
-        // counter events and back the `--metrics-out` CSV dump.
-        let mut series = match self.sampler {
-            Some(s) => s.stop(),
-            None => apex_lite::TimeSeries::default(),
+    /// End of a traced run: `counters`, its final snapshot, is the last
+    /// sample, and the trace is written with the series as counter tracks.
+    pub(crate) fn finish(self, counters: &CounterSnapshot) {
+        let Some((path, mut series)) = self.traced else {
+            return;
         };
-        if config.metrics_out.is_some() && series.samples == 0 {
-            // `--metrics-out` without a sampling cadence: one final sample
-            // (the caller's own counters included) so the file is never
-            // empty.
-            series.push(trace::now_ns(), counters);
+        series.push(trace::now_ns(), counters);
+        trace::set_enabled(false);
+        let t = trace::drain();
+        if let Err(e) = std::fs::write(&path, apex_lite::export_with_counters(&t, &series)) {
+            eprintln!("warning: failed to write trace to {path}: {e}");
         }
-        if let Some(path) = &config.metrics_out {
-            if let Err(e) = std::fs::write(path, series.render_csv()) {
-                eprintln!("warning: failed to write metrics to {path}: {e}");
-            }
-        }
-        if let Some(path) = &config.trace_out {
-            trace::set_enabled(false);
-            let t = trace::drain();
-            if let Err(e) = std::fs::write(path, apex_lite::export_with_counters(&t, &series)) {
-                eprintln!("warning: failed to write trace to {path}: {e}");
-            }
-        }
-        series.samples
     }
 }
 

@@ -4,7 +4,7 @@
 //! ```bash
 //! cargo run --release --example distributed_cluster \
 //!     [-- <max_level>] [--hpx:parcelport=<tcp|mpi|lci>] \
-//!     [--trace-out=trace.json] [--counter-table=on]
+//!     [--trace-out=trace.json]
 //! ```
 
 use octotiger_riscv_repro::machine::{CpuArch, NetBackend};
@@ -15,7 +15,7 @@ use octotiger_riscv_repro::octotiger::OctoConfig;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     // The full Listing-3 flag surface (`--hpx:parcelport`, `--trace-out`,
-    // `--counter-table`, ...) plus the legacy positional max_level.
+    // ...) plus the legacy positional max_level.
     let mut octo = OctoConfig::from_args(args.iter().map(String::as_str))
         .unwrap_or_else(|e| panic!("bad arguments: {e}"));
     if !args.iter().any(|a| a.starts_with("--max_level")) {

@@ -5,10 +5,16 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # The wire format is ours (`distrib::wire`): no serializer dependency may come
-# back, and nothing in the workspace may need a proc-macro to build.
-echo "== structure: no serde, no proc-macro crate =="
+# back, and nothing in the workspace may need a proc-macro to build. The one
+# channel user (`distrib::cluster`, one consumer per receive loop) is served
+# by `std::sync::mpsc`.
+echo "== structure: no serde, no crossbeam-channel, no proc-macro crate =="
 if git grep -n "serde" -- '*Cargo.toml' Cargo.lock; then
   echo "serde is back in a manifest or the root lock file" >&2
+  exit 1
+fi
+if git grep -n "crossbeam-channel" -- '*Cargo.toml'; then
+  echo "crossbeam-channel is back in a manifest" >&2
   exit 1
 fi
 if git grep -nE "^proc-macro *= *true" -- '*Cargo.toml'; then
@@ -89,41 +95,46 @@ echo "== baseline gate (self-test, then counts / ratios against the committed BE
 cargo run --release -q -p repro-bench --bin bench_diff -- --self-test
 BENCH_SMOKE=1 cargo run --release -q -p repro-bench --bin bench_diff
 
-echo "== trace smoke run + checker + analyzer (2 localities, flow events) =="
+# One observability option (`--trace-out`), one reader (`trace_report`): a
+# traced run samples its counters at its step boundaries, so neither smoke
+# passes a second flag.
+echo "== trace smoke: 2 localities, flow events, counter series, analyzer =="
 TRACE_OUT=$(mktemp -t apexlite_ci_XXXXXX.json)
 FLAME_OUT=$(mktemp -t apexlite_flame_XXXXXX.txt)
 cargo run --release --example distributed_cluster -- \
-  --max_level=1 --stop_step=2 --hpx:threads=2 --sample_interval_ms=5 \
+  --max_level=1 --stop_step=2 --hpx:threads=2 \
   --trace-out="$TRACE_OUT" >/dev/null
-# --require-flow: the 2-locality run must pair every received parcel's
-# "f" flow event with its sender's "s" (the Perfetto arrows exist).
-cargo run --release -p apex-lite --bin trace_check -- \
-  --require task,phase,comm --min-spans 10 --require-flow "$TRACE_OUT"
-# trace_report --check: non-empty critical path within the wall window,
-# utilization rows, the cluster-wide imbalance + parcel-latency series,
-# a non-empty flamegraph, and (on a multi-locality trace with flows) a
+# --require: all three instrumented layers are in the trace. --require-flow:
+# the 2-locality run pairs every received parcel's "f" flow event with its
+# sender's "s" (the Perfetto arrows exist). --check: non-empty critical path
+# within the wall window, utilization rows, a non-empty flamegraph, a
 # distributed critical path that bounds every single-locality path (whether
 # it crosses a network leg is the run's timing, not a gate), and ordered
-# latency percentiles with histogram count == parcels delivered.
+# latency percentiles with histogram count == parcels delivered — read off
+# the cluster-wide imbalance + parcel-latency series the run sampled.
 cargo run --release -p apex-lite --bin trace_report -- \
-  --check --require-counter=/runtime/imbalance \
+  --check --require task,phase,comm --min-spans 10 --require-flow \
+  --require-counter=/runtime/imbalance \
   --require-counter=/comms/parcel_latency --flame-out="$FLAME_OUT" \
   "$TRACE_OUT"
 test -s "$FLAME_OUT"
 rm -f "$TRACE_OUT" "$FLAME_OUT"
 
-# The overlap gates run at level 2 (64 leaves): on single-core CI hosts,
+# The overlap gate runs at level 2 (64 leaves): on single-core CI hosts,
 # overlap of two span families depends on the OS preempting a worker
 # mid-span, and level-1 runs are short enough to miss that window ~40% of
 # the time. Level 2 gives each family ~10x the open-span time and passes
 # deterministically (measured 10/10 on a 1-core box vs 6/10 at level 1).
-echo "== step trace: gravity/hydro spans must overlap =="
+# The driver-owned counters (`/gravity/*`, `/work/*`) are in the trace too.
+echo "== step trace: gravity/hydro spans overlap, driver-owned counters sampled =="
 TRACE_FUT=$(mktemp -t apexlite_fut_XXXXXX.json)
 cargo run --release --example rotating_star -- \
   --max_level=2 --stop_step=3 --hpx:threads=4 \
   --trace-out="$TRACE_FUT" >/dev/null
-cargo run --release -p apex-lite --bin trace_check -- \
-  --require-overlap=gravity_solve,hydro_step "$TRACE_FUT"
+cargo run --release -p apex-lite --bin trace_report -- \
+  --check --require-overlap=gravity_solve,hydro_step \
+  --require-counter=/gravity/cache_hits --require-counter=/work/gravity_flops \
+  "$TRACE_FUT"
 rm -f "$TRACE_FUT"
 
 # The exhibits are projections of host-measured counts (tasks spawned among

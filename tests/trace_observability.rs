@@ -2,7 +2,8 @@
 //! on the scheduler hot path, agreement between trace span counts and
 //! `RunMetrics`, the unified counter namespace of a full run, and the
 //! performance-observatory layer — critical-path analysis, per-worker
-//! utilization, flamegraph export, and the periodic counter sampler.
+//! utilization, flamegraph export, and the counter series a traced run
+//! samples at its step boundaries.
 //!
 //! Tracer state is process-global, so every test here serializes on one
 //! lock (the harness runs tests in this binary on parallel threads).
@@ -10,6 +11,7 @@
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
+use octotiger_riscv_repro::amt::Runtime;
 use octotiger_riscv_repro::apex_lite::{self, trace, validate, CounterValue};
 use octotiger_riscv_repro::machine::NetBackend;
 use octotiger_riscv_repro::octotiger::{DistConfig, DistRun, Driver, KernelType, OctoConfig};
@@ -354,47 +356,53 @@ fn per_phase_path_totals_agree_with_run_metrics() {
 }
 
 #[test]
-fn sampler_records_counter_series_into_csv_and_trace() {
+fn traced_run_samples_every_counter_at_step_boundaries() {
     let _g = lock();
-    let trace_path = tmp_trace("sampler");
-    let csv_path = std::env::temp_dir().join(format!("apexlite_series_{}.csv", std::process::id()));
+    let trace_path = tmp_trace("series");
     let mut cfg = tiny_config();
     cfg.stop_step = 5;
-    cfg.sample_interval_ms = Some(1);
-    cfg.metrics_out = Some(csv_path.to_string_lossy().into_owned());
+    // The one observability option: no cadence, no second output, no table.
     cfg.trace_out = Some(trace_path.to_string_lossy().into_owned());
     let mut driver = Driver::new(cfg);
-    let metrics = driver.run(2);
-    assert!(
-        metrics.counter_samples > 0,
-        "1 ms sampler took no samples over a full run"
-    );
+    let metrics = driver.run_on(&Runtime::new(2));
 
-    // CSV dump: header plus one row per (series, point).
-    let csv = std::fs::read_to_string(&csv_path).expect("metrics CSV written");
-    let _ = std::fs::remove_file(&csv_path);
-    assert!(csv.starts_with("# apex-lite counter time-series"));
-    assert!(csv.contains("series,ts_ms,value"));
-    assert!(
-        csv.contains("/runtime/imbalance,"),
-        "imbalance gauge missing from CSV"
-    );
-
-    // The same series ride along in the Chrome trace as counter events
-    // and reassemble on validation.
     let text = std::fs::read_to_string(&trace_path).expect("trace file written");
     let summary = validate(&text).expect("trace with counters must validate");
     let _ = std::fs::remove_file(&trace_path);
     assert!(summary.counter_events > 0, "no counter events in trace");
-    let series = summary
-        .counter_series
-        .get("/runtime/imbalance")
-        .expect("imbalance series missing from trace");
-    assert!(!series.is_empty());
-    assert!(
-        series.windows(2).all(|w| w[0].0 <= w[1].0),
-        "sampler timestamps not monotone"
-    );
+
+    // One sample at the start, one per step, one at the end — of the
+    // registry's providers and of the counters the driver keeps itself.
+    let samples = metrics.steps as usize + 2;
+    for name in [
+        "/gravity/cache_hits",
+        "/work/gravity_flops",
+        "/runtime/imbalance",
+    ] {
+        let series = summary
+            .counter_series
+            .get(name)
+            .unwrap_or_else(|| panic!("{name} series missing from trace"));
+        assert_eq!(series.len(), samples, "{name}: {series:?}");
+        assert!(
+            series.windows(2).all(|w| w[0].0 <= w[1].0),
+            "{name}: sample timestamps not monotone"
+        );
+    }
+    // Every counter of the final snapshot is in the trace, and its last
+    // point is the final snapshot's value.
+    for (name, value) in metrics.counters.iter() {
+        let series = summary.counter_series.get(name);
+        let last = series.and_then(|pts| pts.last()).map(|&(_, v)| v);
+        assert_eq!(last, Some(value.as_f64()), "{name}");
+    }
+    let hits = &summary.counter_series["/gravity/cache_hits"];
+    assert_eq!(hits[0].1, 0.0, "nothing is cached before the first step");
+    assert!(hits.windows(2).all(|w| w[0].1 <= w[1].1), "a count fell");
+    assert_eq!(hits[samples - 1].1, metrics.cache.hits as f64);
+    // A reader can tell readings from counts.
+    assert!(summary.gauge_series.contains("/runtime/imbalance"));
+    assert!(!summary.gauge_series.contains("/gravity/cache_hits"));
 }
 
 #[test]
@@ -403,7 +411,6 @@ fn two_node_run_routes_critical_path_through_network_legs() {
     let path = tmp_trace("dist_flows");
     let mut octo = tiny_config();
     octo.stop_step = 2;
-    octo.sample_interval_ms = Some(1);
     octo.trace_out = Some(path.to_string_lossy().into_owned());
     let metrics = DistRun::execute(DistConfig::from_octo(2, octo));
 
@@ -466,8 +473,8 @@ fn two_node_run_routes_critical_path_through_network_legs() {
     let (p50, p95, p99) = (h.quantile(0.5), h.quantile(0.95), h.quantile(0.99));
     assert!(p50 <= p95 && p95 <= p99, "{p50} / {p95} / {p99}");
 
-    // The sampled series carry the same invariant into the trace, where
-    // trace_report's --check gate reads them.
+    // The step-boundary samples carry the same invariant into the trace,
+    // where trace_report's --check gate reads them.
     let series_count = summary
         .counter_series
         .get("/comms/parcel_latency")
@@ -489,7 +496,6 @@ fn dist_run_exports_global_imbalance_and_counter_series() {
     let path = tmp_trace("dist_sampler");
     let mut octo = tiny_config();
     octo.stop_step = 2;
-    octo.sample_interval_ms = Some(1);
     octo.trace_out = Some(path.to_string_lossy().into_owned());
     let cfg = DistConfig {
         nodes: 2,
@@ -499,7 +505,6 @@ fn dist_run_exports_global_imbalance_and_counter_series() {
         octo,
     };
     let metrics = DistRun::execute(cfg);
-    assert!(metrics.counter_samples > 0);
 
     // The cluster-wide roll-up next to the per-locality gauges.
     assert!(
@@ -531,5 +536,13 @@ fn dist_run_exports_global_imbalance_and_counter_series() {
         "no locality-prefixed counter series: {:?}",
         summary.counter_series.keys().collect::<Vec<_>>()
     );
-    assert!(summary.counter_series.contains_key("/runtime/imbalance"));
+    // The registry's providers are sampled at every step boundary; what
+    // the localities report at the end is in the final sample.
+    let samples = metrics.steps as usize + 2;
+    assert_eq!(summary.counter_series["/runtime/imbalance"].len(), samples);
+    assert_eq!(summary.counter_series["/comms/parcels"].len(), samples);
+    assert_eq!(
+        summary.counter_series["/gravity/locality0/cache_hits"].len(),
+        1
+    );
 }
