@@ -1,10 +1,11 @@
 //! Hydro kernel sweep — the BENCH_hydro.json datapoint.
 //!
 //! One full hydro step (MUSCL reconstruction + HLL fluxes) over every leaf
-//! of the level-2 star, scalar reference vs the staged SoA SIMD path (stage
-//! built per leaf, each face flux once) at every supported pack width, and
-//! next to it the CFL reduction over the same leaves. Legacy dispatch =
-//! inline serial execution, isolating the kernels from scheduling noise.
+//! of the level-2 star, scalar reference vs the staged SoA SIMD path (each
+//! leaf's ghost frame gathered and converted in place, each face flux once)
+//! at every supported pack width, and next to it the CFL reduction over the
+//! same leaves. Legacy dispatch = inline serial execution, isolating the
+//! kernels from scheduling noise.
 //! The application run cannot give this: it executes one width. What the
 //! step costs end to end is the referee's
 //! `octotiger.hydro.{step_s,cfl_leaf_s}`.
@@ -16,9 +17,9 @@ use std::time::Instant;
 use octotiger::hydro;
 use octotiger::kernel_backend::{Dispatch, SimdPolicy};
 use octotiger::recycle::RecyclePool;
-use octotiger::subgrid::CELLS;
-use octotiger::Driver;
-use repro_bench::{smoke, star, write_baseline, POLICIES};
+use octotiger::subgrid::{CELLS, FRAME_LEN};
+use octotiger::{OctoConfig, Octree, RotatingStar};
+use repro_bench::{smoke, write_baseline, POLICIES};
 
 struct KernelPoint {
     label: String,
@@ -31,20 +32,20 @@ struct KernelPoint {
 /// width equally instead of penalizing whichever policy is timed last, and
 /// min filters OS scheduling noise, so width-vs-width gaps reflect intrinsic
 /// kernel cost.
-fn time_kernel_sweeps(driver: &Driver, policies: &[SimdPolicy], iters: u32) -> Vec<KernelPoint> {
-    let tree = driver.tree();
+fn time_kernel_sweeps(tree: &Octree, policies: &[SimdPolicy], iters: u32) -> Vec<KernelPoint> {
     let d = Dispatch::Legacy;
     let state_pool = RecyclePool::new();
-    let stage_pool = RecyclePool::new();
+    let mut frame = vec![0.0; FRAME_LEN];
     let dt = 1.0e-4;
-    let sweep = |policy: SimdPolicy| {
-        for &leaf in tree.leaf_ids() {
+    let mut sweep = |policy: SimdPolicy| {
+        for (pos, &leaf) in tree.leaf_ids().iter().enumerate() {
+            let grid = tree.subgrid(leaf);
+            tree.gather_frame(pos, &mut frame);
             let out = match policy {
-                SimdPolicy::Scalar => hydro::step_interior(tree.subgrid(leaf), dt, &d),
+                SimdPolicy::Scalar => hydro::step_interior(&frame, grid.dx, dt, &d),
                 SimdPolicy::Width(_) => {
                     let mut out = state_pool.acquire(CELLS);
-                    let grid = tree.subgrid(leaf);
-                    hydro::step_interior_staged_into(grid, dt, &d, policy, &mut out, &stage_pool);
+                    hydro::step_interior_staged_into(grid, &mut frame, dt, &d, policy, &mut out);
                     out
                 }
             };
@@ -86,7 +87,13 @@ fn time_kernel_sweeps(driver: &Driver, policies: &[SimdPolicy], iters: u32) -> V
 fn main() {
     let smoke = smoke();
     let (level, iters) = if smoke { (1, 1) } else { (2, 20) };
-    let points = time_kernel_sweeps(&star(level), &POLICIES, iters);
+    let config = OctoConfig {
+        max_level: level,
+        ..OctoConfig::default()
+    };
+    let mut tree = Octree::build(&RotatingStar::paper_default(), &config, 1.0);
+    tree.plan_ghosts(|_| true);
+    let points = time_kernel_sweeps(&tree, &POLICIES, iters);
     let scalar_ns = points[0].ns_per_sweep;
     for p in &points {
         println!(

@@ -9,7 +9,8 @@
 use amt::Runtime;
 use octotiger::gravity::{self, BLOCKS};
 use octotiger::kernel_backend::Dispatch;
-use octotiger::{Driver, KernelType, OctoConfig};
+use octotiger::subgrid::FRAME_LEN;
+use octotiger::{Driver, KernelType, OctoConfig, Octree, RotatingStar};
 use rv_machine::{CostModel, CpuArch, RuntimeEvent};
 
 use crate::report::{Exhibit, Series};
@@ -95,13 +96,16 @@ pub fn run_ablation_chunks(quick: bool) -> Exhibit {
     for &chunks in &[1usize, 2, 4, 8, 16] {
         // Measure one real step with the kernel dispatcher forced to
         // `chunks` tasks per kernel by running the kernels directly.
-        let driver = Driver::new(cfg.clone());
+        let mut tree = Octree::build(&RotatingStar::paper_default(), &cfg, 1.0);
+        tree.plan_ghosts(|_| true);
+        let mut frame = vec![0.0; FRAME_LEN];
         let rt = Runtime::new(4);
         rt.reset_stats();
-        let tree = driver.tree();
         let d = Dispatch::new(KernelType::KokkosHpx, &rt.handle(), chunks);
-        for &leaf in tree.leaf_ids() {
-            let _ = octotiger::hydro::step_interior(tree.subgrid(leaf), 1e-4, &d);
+        for (pos, &leaf) in tree.leaf_ids().iter().enumerate() {
+            tree.gather_frame(pos, &mut frame);
+            let dx = tree.subgrid(leaf).dx;
+            let _ = octotiger::hydro::step_interior(&frame, dx, 1e-4, &d);
         }
         let tasks = rt.stats().tasks_spawned;
         tasks_series.push((chunks as f64, tasks as f64));

@@ -2,11 +2,11 @@
 //! Fugaku reference) and Figure 9 (energy consumption).
 
 use distrib::CoalesceConfig;
-use octotiger::dist_driver::{DistConfig, DistMetrics, DistRun};
+use octotiger::dist_driver::{DistConfig, DistRun};
 use octotiger::{KernelType, OctoConfig};
 use rv_machine::{CpuArch, NetBackend};
 
-use crate::project::{dist_cells_per_sec, dist_time_seconds, DistProfile, OctoProfile};
+use crate::project::{dist_cells_per_sec, dist_time_seconds, DistProfile};
 use crate::report::{Exhibit, Series};
 
 fn dist_octo_config(quick: bool) -> OctoConfig {
@@ -18,33 +18,6 @@ fn dist_octo_config(quick: bool) -> OctoConfig {
         max_level: if quick { 2 } else { 4 },
         stop_step: if quick { 2 } else { 5 },
         ..OctoConfig::with_all_kernels(KernelType::KokkosSerial)
-    }
-}
-
-fn profile_from(metrics: &DistMetrics) -> DistProfile {
-    let nodes = metrics.nodes.max(1);
-    let mut per_work = metrics.work;
-    per_work.hydro_flops /= u64::from(nodes);
-    per_work.gravity_flops /= u64::from(nodes);
-    per_work.bytes /= u64::from(nodes);
-    per_work.far_interactions /= u64::from(nodes);
-    per_work.near_interactions /= u64::from(nodes);
-    per_work.ghost_samples /= u64::from(nodes);
-    per_work.ghost_slab_bytes /= u64::from(nodes);
-    per_work.mac_evals /= u64::from(nodes);
-    DistProfile {
-        per_node: OctoProfile {
-            work: per_work,
-            cells_processed: metrics.cells_processed / u64::from(nodes),
-            steps: metrics.steps,
-            tasks: metrics.runtime_stats.tasks_spawned / u64::from(nodes),
-            kokkos_dispatch: true,
-            kernel_launches: metrics.leaf_count as u64 * 4 * u64::from(metrics.steps)
-                / u64::from(nodes),
-        },
-        nodes: metrics.nodes,
-        messages: metrics.net.messages,
-        bytes: metrics.net.bytes,
     }
 }
 
@@ -66,8 +39,8 @@ pub fn run_fig8_and_fig9(quick: bool) -> (Exhibit, Exhibit) {
         coalesce: CoalesceConfig::default(),
         octo: cfg,
     });
-    let p1 = profile_from(&m1);
-    let p2 = profile_from(&m2);
+    let p1 = DistProfile::of_run(&m1);
+    let p2 = DistProfile::of_run(&m2);
     let total = m1.cells_processed;
     assert_eq!(total, m2.cells_processed, "same problem on 1 and 2 boards");
 

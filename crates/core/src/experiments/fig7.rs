@@ -21,18 +21,7 @@ pub fn fig7_config(quick: bool, kernel: KernelType) -> OctoConfig {
 /// measured profile.
 pub fn measure_octo(quick: bool, kernel: KernelType, cores: usize) -> OctoProfile {
     let cfg = fig7_config(quick, kernel);
-    let mut driver = Driver::new(cfg);
-    let metrics = driver.run(cores);
-    OctoProfile {
-        work: metrics.work,
-        cells_processed: metrics.cells_processed,
-        steps: metrics.steps,
-        tasks: metrics.runtime_stats.tasks_spawned,
-        kokkos_dispatch: kernel != KernelType::Legacy,
-        // Four kernel launches per leaf per step: CFL, multipole, monopole,
-        // hydro.
-        kernel_launches: metrics.leaf_count as u64 * 4 * u64::from(metrics.steps),
-    }
+    OctoProfile::of_run(&Driver::new(cfg).run(cores), kernel)
 }
 
 /// Fig. 7 runner.

@@ -10,6 +10,7 @@
 //! through the measured counts.
 
 use octotiger::driver::WorkEstimate;
+use octotiger::{DistMetrics, KernelType, RunMetrics};
 use rv_machine::{
     CostModel, CpuArch, EnergyReport, MemoryModel, NetBackend, NetCost, RuntimeEvent,
 };
@@ -95,6 +96,25 @@ pub struct OctoProfile {
     pub kernel_launches: u64,
 }
 
+impl OctoProfile {
+    /// The modelled program's profile of a host run with `kernel` dispatch:
+    /// the run's counts, plus the one ghost-exchange task per leaf per step
+    /// that the paper's program runs and the host folds into its hydro tasks
+    /// (ROADMAP item 2 inherits this term), and four kernel launches per
+    /// leaf per step — CFL, multipole, monopole, hydro.
+    pub fn of_run(metrics: &RunMetrics, kernel: KernelType) -> Self {
+        let leaf_steps = metrics.leaf_count as u64 * u64::from(metrics.steps);
+        OctoProfile {
+            work: metrics.work,
+            cells_processed: metrics.cells_processed,
+            steps: metrics.steps,
+            tasks: metrics.runtime_stats.tasks_spawned + leaf_steps,
+            kokkos_dispatch: kernel != KernelType::Legacy,
+            kernel_launches: 4 * leaf_steps,
+        }
+    }
+}
+
 /// Projected wall time of an Octo-Tiger run on `cores` cores of `arch` —
 /// the node-level model behind Fig. 7.
 pub fn octo_time_seconds(arch: CpuArch, cores: u32, profile: &OctoProfile) -> f64 {
@@ -140,6 +160,38 @@ pub struct DistProfile {
     pub messages: u64,
     /// Wire bytes over the whole run.
     pub bytes: u64,
+}
+
+impl DistProfile {
+    /// One board's share of a distributed run of the Kokkos-Serial kernels:
+    /// every count divided by the locality count, tasks and launches as in
+    /// [`OctoProfile::of_run`].
+    pub fn of_run(metrics: &DistMetrics) -> Self {
+        let nodes = u64::from(metrics.nodes.max(1));
+        let mut per_work = metrics.work;
+        per_work.hydro_flops /= nodes;
+        per_work.gravity_flops /= nodes;
+        per_work.bytes /= nodes;
+        per_work.far_interactions /= nodes;
+        per_work.near_interactions /= nodes;
+        per_work.ghost_samples /= nodes;
+        per_work.ghost_slab_bytes /= nodes;
+        per_work.mac_evals /= nodes;
+        let leaf_steps = metrics.leaf_count as u64 * u64::from(metrics.steps);
+        DistProfile {
+            per_node: OctoProfile {
+                work: per_work,
+                cells_processed: metrics.cells_processed / nodes,
+                steps: metrics.steps,
+                tasks: (metrics.runtime_stats.tasks_spawned + leaf_steps) / nodes,
+                kokkos_dispatch: true,
+                kernel_launches: 4 * leaf_steps / nodes,
+            },
+            nodes: metrics.nodes,
+            messages: metrics.net.messages,
+            bytes: metrics.net.bytes,
+        }
+    }
 }
 
 /// Projected wall time of a distributed run on `arch` nodes (each using

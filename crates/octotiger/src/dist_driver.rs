@@ -9,7 +9,7 @@
 //! [`ParcelExchange`], which *pushes*: a locality sends
 //!
 //! 1. its **halo leaves** — the interior of owned leaves a peer's ghost
-//!    plan reads (so ghost fill stays local),
+//!    plan reads (so the ghost gather stays local),
 //! 2. its **CFL rate** (a small scalar message),
 //! 3. its **gravity blocks** — its P2M results, so every locality runs the
 //!    same FMM over the complete mass distribution while computing

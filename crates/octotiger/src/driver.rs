@@ -6,11 +6,12 @@
 //! node-level run is the one-locality case of the same step.
 //!
 //! Per step, interleaving the two solvers exactly as §3.3 describes:
-//! ghost exchange → CFL reduction → gravity solve (P2M / M2M / multipole +
-//! monopole kernels) → hydro kernel → apply update + gravity sources. Every
-//! per-leaf kernel invocation is one `amt` task, so the runtime always sees
-//! `leaf_count` concurrent kernels per phase — the paper's source of
-//! multicore utilization even with the Kokkos Serial execution space.
+//! CFL reduction → gravity solve (P2M / M2M / multipole + monopole kernels)
+//! → hydro kernel (gathering its leaf's ghost zone) → apply update + gravity
+//! sources. Every per-leaf kernel invocation is one `amt` task, so the
+//! runtime always sees `leaf_count` concurrent kernels per phase — the
+//! paper's source of multicore utilization even with the Kokkos Serial
+//! execution space.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -30,8 +31,8 @@ use crate::hydro;
 use crate::kernel_backend::Dispatch;
 use crate::octree::{GhostFaces, NodeId, Octree, FACE_VALUES};
 use crate::recycle::{PoolStats, RecyclePool};
-use crate::star::{InitialModel, RotatingStar, NF};
-use crate::subgrid::{SubGrid, CELLS, NX};
+use crate::star::{field, InitialModel, RotatingStar, NF};
+use crate::subgrid::{SubGrid, CELLS, FRAME_LEN, NX};
 
 /// Work counters accumulated over a run — the measured quantities the
 /// `rv-machine` projection turns into per-architecture runtimes.
@@ -65,7 +66,7 @@ impl WorkEstimate {
         self.hydro_flops + self.gravity_flops
     }
 
-    /// Charge one ghost exchange: [`FACE_VALUES`] values per face, as
+    /// Charge one step's ghost zones: [`FACE_VALUES`] values per face, as
     /// latency-bound samples where the face crosses a level jump or the
     /// domain boundary, as slab bytes where it is a same-level copy.
     pub(crate) fn add_ghost_faces(&mut self, faces: GhostFaces) {
@@ -207,9 +208,9 @@ impl AggregationSnapshot {
 /// and a call that waits must hold no lock across the wait and wait only
 /// for what a peer sends on its own progress (DESIGN §5.3).
 pub trait Exchange: Sync {
-    /// Before the ghost exchange: ship the interior of the leaves at `send`
+    /// At the start of the step: ship the interior of the leaves at `send`
     /// (owned here, read by a peer's ghost plan) and install what the peers
-    /// ship into `tree`, so the ghost fill of the owned leaves stays local.
+    /// ship into `tree`, so the ghost gather of the owned leaves stays local.
     fn halo(&self, tree: &mut Octree, send: &[usize]);
 
     /// In the continuation of the last CFL task: the
@@ -248,7 +249,7 @@ struct Ownership {
     mask: Vec<bool>,
     /// The owned leaf positions, ascending — the step's work items.
     positions: Vec<usize>,
-    /// Owned leaves whose interior a leaf owned elsewhere copies ghosts from.
+    /// Owned leaves whose interior a leaf owned elsewhere gathers ghosts from.
     halo_out: Vec<usize>,
 }
 
@@ -288,8 +289,9 @@ pub struct Driver {
     work: WorkEstimate,
     /// cppuddle-style scratch-buffer pool for the hydro kernels.
     pool: Arc<RecyclePool<[f64; NF]>>,
-    /// Pool behind the primitive stage of the SIMD hydro path: scratch of a
-    /// hydro task, so as many buffers as hydro tasks run at once.
+    /// Pool of the ghost frames hydro tasks gather into (and the vector path
+    /// stages its primitives in): scratch of a hydro task, so as many
+    /// buffers as hydro tasks run at once.
     stage_pool: Arc<RecyclePool<f64>>,
     /// Gravity/hydro concurrency totals (latency hiding of the task graph).
     overlap: OverlapTotals,
@@ -355,7 +357,7 @@ impl Driver {
         };
         ownership.refresh(&mut tree);
         // Data for the leaves this locality reads: the ones it owns and the
-        // ones its ghost plan copies from (their owners keep those current).
+        // ones its ghost plan gathers from (their owners keep those current).
         let mask = &ownership.mask;
         let mut reads = mask.clone();
         if nodes > 1 {
@@ -421,7 +423,10 @@ impl Driver {
     /// With the step index, when the CFL reduction returns a `dt` that is
     /// not positive and finite ([`hydro::global_dt`]) — a NaN in the state
     /// ends the run within a step instead of spreading through it (the
-    /// panic is raised inside a task and rethrown at the scope's join).
+    /// panic is raised inside a task and rethrown at the scope's join). The
+    /// message names the first owned leaf, in leaf order, whose CFL rate
+    /// poisoned the fold, and the field and cell of its first non-finite
+    /// value.
     pub fn step(&mut self, runtime: &Runtime) -> f64 {
         self.step_with(&runtime.handle(), &LocalExchange)
     }
@@ -435,17 +440,20 @@ impl Driver {
     /// scope:
     ///
     /// ```text
-    /// halo ► ghosts ─┬► cfl per leaf ──last──► max_rate, dt ──► hydro per leaf ─┬► apply
-    ///                └► p2m per leaf ──last──► complete_blocks, M2M + lists     │
-    ///                                                   └──► gravity per leaf ──┘
+    /// halo ─┬► cfl per leaf ──last──► max_rate, dt ──► hydro per leaf ─┬► apply
+    ///       └► p2m per leaf ──last──► complete_blocks, M2M + lists     │
+    ///                                          └──► gravity per leaf ──┘
     /// ```
     ///
-    /// Each hydro task needs only the global `dt`; a gravity task overlaps
-    /// hydro tasks on other workers, and the *serial* M2M/list pass is
-    /// hidden behind CFL/hydro work — the paper's HPX futurization argument
-    /// at sub-grid granularity. `exchange` is consulted at the three joins
-    /// named in the diagram and nowhere else; with [`LocalExchange`] the
-    /// step waits for nothing outside its own runtime.
+    /// Each hydro task needs only the global `dt`: it gathers its leaf's
+    /// ghost zone through the tree's plan (built at step start, once per
+    /// topology generation) from interiors nothing writes before the apply.
+    /// A gravity task overlaps hydro tasks on other workers, and the
+    /// *serial* M2M/list pass is hidden behind CFL/hydro work — the paper's
+    /// HPX futurization argument at sub-grid granularity. `exchange` is
+    /// consulted at the three joins named in the diagram and nowhere else;
+    /// with [`LocalExchange`] the step waits for nothing outside its own
+    /// runtime.
     pub fn step_with(&mut self, handle: &Handle, exchange: &impl Exchange) -> f64 {
         let hydro_dispatch = Dispatch::new(self.config.hydro_kernel, handle, 4);
         let multipole_dispatch = Dispatch::new(self.config.multipole_kernel, handle, 4);
@@ -457,13 +465,9 @@ impl Driver {
 
         self.ownership.refresh(&mut self.tree);
         exchange.halo(&mut self.tree, &self.ownership.halo_out);
-        {
-            // One task per owned leaf through the tree's cached copy plan.
-            let _span = trace::span(Cat::Phase, "ghost_exchange");
-            let mask = &self.ownership.mask;
-            let faces = self.tree.exchange_ghosts(handle, |pos| mask[pos]);
-            self.work.add_ghost_faces(faces);
-        }
+        let mask = &self.ownership.mask;
+        let faces = self.tree.plan_ghosts(|pos| mask[pos]);
+        self.work.add_ghost_faces(faces);
         // The step's work items: index `k` below is the `k`-th owned leaf.
         let owned = &self.ownership.positions;
         let leaves: Vec<NodeId> = {
@@ -519,14 +523,17 @@ impl Driver {
                 {
                     let t0 = trace::now_ns();
                     let _span = trace::span(Cat::Phase, "hydro_step");
+                    let mut frame = stage_pool.acquire(FRAME_LEN);
+                    tree.gather_frame(owned[idx], &mut frame);
                     hydro::step_interior_staged_into(
                         tree.subgrid(leaves[idx]),
+                        &mut frame,
                         dt,
                         hydro_dispatch,
                         policy,
                         &mut state,
-                        stage_pool,
                     );
+                    stage_pool.release(frame);
                     h_env.record(t0, trace::now_ns());
                 }
                 *state_slots[idx].lock().expect("state slot") = Some(state);
@@ -547,11 +554,15 @@ impl Driver {
                 // fan-out.
                 let dt = {
                     let _span = trace::span(Cat::Phase, "cfl_reduction");
-                    let rates = speeds
-                        .iter()
-                        .map(|s| f64::from_bits(s.load(Ordering::Acquire)));
-                    let rate = exchange.max_rate(hydro::max_cfl_rate(rates));
-                    hydro::global_dt(cfl_factor, rate, step)
+                    let rates = || {
+                        speeds
+                            .iter()
+                            .map(|s| f64::from_bits(s.load(Ordering::Acquire)))
+                    };
+                    let rate = exchange.max_rate(hydro::max_cfl_rate(rates()));
+                    hydro::global_dt(cfl_factor, rate, step, || {
+                        poisoned_leaf(tree, owned, rates())
+                    })
                 };
                 dt_bits.store(dt.to_bits(), Ordering::Release);
                 scope(handle, |hsc| {
@@ -686,7 +697,7 @@ impl Driver {
     }
 
     /// Post-step work accounting over the owned leaves `accels` covers (the
-    /// ghost exchange charged its own faces).
+    /// step's start charged their ghost faces).
     fn account_step(&mut self, accels: &[AccelEntry], report: EnsureReport) {
         self.steps_done += 1;
         self.kernel_tasks += 4 * accels.len() as u64;
@@ -919,6 +930,27 @@ impl Driver {
     }
 }
 
+/// What a run stopped by a non-finite `dt` names ([`hydro::global_dt`]'s
+/// culprit): the first owned leaf, in leaf order, whose CFL rate (`rates`,
+/// one per owned leaf) is not a positive finite number — the one that
+/// poisoned the fold — and the field and cell of its first non-finite value.
+/// The failure path only: one leaf is scanned.
+fn poisoned_leaf(tree: &Octree, owned: &[usize], rates: impl Iterator<Item = f64>) -> String {
+    let mut rates = rates.enumerate();
+    let Some((k, rate)) = rates.find(|&(_, r)| !(r.is_finite() && r > 0.0)) else {
+        return "no owned leaf has a non-finite CFL rate".to_string();
+    };
+    let pos = owned[k];
+    let value = match tree.subgrid(tree.leaf_ids()[pos]).first_non_finite() {
+        Some((f, [i, j, k])) => format!(
+            "its first non-finite value is field {} at cell ({i}, {j}, {k})",
+            field::NAMES[f]
+        ),
+        None => "its interior is finite".to_string(),
+    };
+    format!("leaf {pos} has CFL rate {rate}, {value}")
+}
+
 /// The observability side of a timed run, the same for one locality and for
 /// several: `--trace-out` switches the tracer on and makes the step loop
 /// sample the counters — at the start, at every step boundary and at the
@@ -1013,8 +1045,8 @@ mod tests {
         // What a run counts is a function of its configuration, not of the
         // machine. Level 2 (64 leaves), 4 steps, 2 workers: one list build
         // of one MAC evaluation per leaf pair, hits after it; 4 kernel
-        // tasks per leaf per step, and with the ghost-fill and apply chunks
-        // around them 328 tasks per step.
+        // tasks per leaf per step, and with the apply chunks after them 264
+        // tasks per step.
         let mut d = Driver::new(OctoConfig {
             max_level: 2,
             stop_step: 4,
@@ -1025,7 +1057,7 @@ mod tests {
         assert_eq!((m.cache.misses, m.cache.hits), (1, 3));
         assert_eq!(m.work.mac_evals, 64 * 64);
         assert_eq!(d.aggregation_stats().fused_launches, 4 * 64 * 4);
-        assert_eq!(m.runtime_stats.tasks_spawned, 4 * 328);
+        assert_eq!(m.runtime_stats.tasks_spawned, 4 * 264);
     }
 
     #[test]
@@ -1041,8 +1073,9 @@ mod tests {
 
     /// One NaN density: `f64::max` drops the cell from its leaf's CFL rate,
     /// so step 0 still gets a `dt`; its gravity solve carries the NaN mass
-    /// into every leaf, and step 1's reduction must stop the run (it panics
-    /// inside a task and rethrows at the scope's join).
+    /// into every leaf's momenta, and step 1's reduction must stop the run
+    /// (it panics inside a task and rethrows at the scope's join), naming
+    /// the first leaf and, in storage order, its first non-finite value.
     #[test]
     fn nan_in_the_state_stops_the_run_at_the_next_cfl_reduction() {
         let mut d = Driver::new(tiny_config(KernelType::Legacy));
@@ -1060,39 +1093,51 @@ mod tests {
             message.starts_with("step 1: the CFL reduction returned dt = NaN"),
             "{message}"
         );
+        assert!(
+            message.ends_with(
+                ": leaf 0 has CFL rate -inf, its first non-finite value is field sx at cell (0, 0, 0)"
+            ),
+            "{message}"
+        );
     }
 
-    /// Each locality fills only the ghosts of what it owns; together the two
-    /// replicas hold, leaf for leaf, the frames one node-level exchange
-    /// produces, and their halo sets are exactly what the other side reads.
+    /// Each locality gathers the frames of what it owns from the leaves it
+    /// holds — its own and its halo; leaf for leaf, the two replicas' frames
+    /// are the node-level ones, and their halo sets are exactly what the
+    /// other side reads.
     #[test]
-    fn owned_ghost_frames_equal_the_node_level_exchange() {
+    fn owned_gathered_frames_equal_the_node_level_ones() {
         let cfg = OctoConfig {
             max_level: 2,
             ..OctoConfig::default()
         };
         let star = RotatingStar::paper_default();
-        let rt = Runtime::new(2);
-        let handle = rt.handle();
         let mut node_level = Driver::new(cfg.clone());
-        node_level.tree.exchange_ghosts(&handle, |_| true);
+        let census = node_level.tree.plan_ghosts(|_| true);
         let mut halves: Vec<Driver> = (0..2)
             .map(|node| Driver::for_locality(&star, cfg.clone(), node, 2))
             .collect();
+        let (mut want, mut got) = (vec![f64::NAN; FRAME_LEN], vec![f64::NAN; FRAME_LEN]);
         let mut owned_total = 0;
+        let mut faces = GhostFaces::default();
         for d in &mut halves {
             let mask = d.ownership.mask.clone();
-            d.tree.exchange_ghosts(&handle, |pos| mask[pos]);
+            let owned = d.tree.plan_ghosts(|pos| mask[pos]);
+            faces.slab += owned.slab;
+            faces.indexed += owned.indexed;
             for &pos in d.owned_leaves() {
-                let leaf = d.tree.leaf_ids()[pos];
-                let (got, want) = (d.tree.subgrid(leaf), node_level.tree.subgrid(leaf));
-                let same = got.u.as_slice().iter().zip(want.u.as_slice());
-                assert!(same.into_iter().all(|(a, b)| a.to_bits() == b.to_bits()));
+                node_level.tree.gather_frame(pos, &mut want);
+                d.tree.gather_frame(pos, &mut got);
+                assert!(got
+                    .iter()
+                    .zip(&want)
+                    .all(|(a, b)| a.to_bits() == b.to_bits()));
                 owned_total += 1;
             }
             assert_eq!(d.tree.ghost_stats().plan_rebuilds, 1);
         }
         assert_eq!(owned_total, node_level.tree.leaf_count());
+        assert_eq!(faces, census, "between them, every face once");
         // What one side ships is what the other side's plan reads.
         for (mine, theirs) in [(0, 1), (1, 0)] {
             let mask = halves[theirs].ownership.mask.clone();

@@ -128,8 +128,7 @@ pub fn block_of_cell(i: usize, j: usize, k: usize) -> usize {
 /// P2M: aggregate a sub-grid's cells into its 64 SoA blocks.
 pub fn compute_blocks(sub: &SubGrid) -> BlockSoA {
     let vol = sub.dx * sub.dx * sub.dx;
-    let mut rho = [0.0; CELLS];
-    sub.interior_field(field::RHO, &mut rho);
+    let rho = sub.field(field::RHO);
     let mut mass = [0.0; BLOCKS];
     let mut weighted = [[0.0; 3]; BLOCKS];
     for i in 0..NX {
@@ -740,7 +739,18 @@ fn m2l_source<const W: usize>(m: &Moments, p: &[Simd<W>; 3], acc: &mut [Simd<W>;
     let x = p[0] - Simd::splat(m.com[0]);
     let y = p[1] - Simd::splat(m.com[1]);
     let z = p[2] - Simd::splat(m.com[2]);
-    let q: [Simd<W>; 6] = m.quad.map(Simd::splat);
+    // Six splats spelled out, not `m.quad.map(Simd::splat)`: `[T; N]::map`
+    // goes through `try_map`, and when LLVM declines to inline that, every
+    // source pays a call (M2L at widths 2–8: +20–30 % per step).
+    let q = m.quad;
+    let q = [
+        Simd::<W>::splat(q[0]),
+        Simd::splat(q[1]),
+        Simd::splat(q[2]),
+        Simd::splat(q[3]),
+        Simd::splat(q[4]),
+        Simd::splat(q[5]),
+    ];
     let r2 = x.mul_add(x, y.mul_add(y, z * z));
     // The correctly rounded `1/√r²`, not `recip_sqrt`: M2L is bound by its
     // multiply-adds, so the divider is free here and the five extra

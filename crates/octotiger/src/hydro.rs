@@ -5,17 +5,20 @@
 //! Per sub-grid kernel: second-order MUSCL reconstruction (minmod limiter)
 //! of the primitive variables, HLL Riemann fluxes, dimension-by-dimension,
 //! forward-Euler update. Each kernel invocation processes one 8³ sub-grid
-//! with its ghost shell — exactly the paper's per-sub-grid kernel-launch
-//! granularity — and dispatches its cell loop through
+//! through its gathered ghost frame
+//! ([`Octree::gather_frame`](crate::octree::Octree::gather_frame)) —
+//! exactly the paper's per-sub-grid kernel-launch granularity — and
+//! dispatches its cell loop through
 //! [`Dispatch`](crate::kernel_backend::Dispatch), so the same physics runs
 //! as legacy loops, Kokkos-Serial or Kokkos-HPX.
 
 use kokkos_lite::simd::{sweep_packs, Simd};
 
 use crate::kernel_backend::{Dispatch, SimdPolicy};
-use crate::recycle::RecyclePool;
 use crate::star::{field, GAMMA, NF, P_FLOOR, RHO_FLOOR};
-use crate::subgrid::{SubGrid, CELLS, NG, NT, NX};
+use crate::subgrid::{
+    frame_index, primitives_of, SubGrid, CELLS, FRAME_CELLS, FRAME_LEN, NG, NT, NX,
+};
 
 /// Flat interior-cell index.
 #[inline]
@@ -105,24 +108,31 @@ fn hll_flux(left: &[f64; 5], right: &[f64; 5], axis: usize) -> [f64; NF] {
     out
 }
 
-/// Primitive state of the cell at offset `o` cells along `axis` from
+/// Conserved state of frame cell `(i, j, k)` (interior-relative).
+#[inline]
+fn frame_cell(frame: &[f64], i: i64, j: i64, k: i64) -> [f64; NF] {
+    let at = frame_index(i, j, k);
+    std::array::from_fn(|f| frame[f * FRAME_CELLS + at])
+}
+
+/// Primitive state of the frame cell at offset `o` cells along `axis` from
 /// `(i, j, k)` (may reach two ghost layers).
 #[inline]
-fn prim_off(sub: &SubGrid, axis: usize, i: i64, j: i64, k: i64, o: i64) -> [f64; 5] {
-    match axis {
-        0 => sub.primitives(i + o, j, k),
-        1 => sub.primitives(i, j + o, k),
-        _ => sub.primitives(i, j, k + o),
-    }
+fn prim_off(frame: &[f64], axis: usize, i: i64, j: i64, k: i64, o: i64) -> [f64; 5] {
+    primitives_of(match axis {
+        0 => frame_cell(frame, i + o, j, k),
+        1 => frame_cell(frame, i, j + o, k),
+        _ => frame_cell(frame, i, j, k + o),
+    })
 }
 
 /// HLL flux through the **low** face of cell `(i, j, k)` along `axis`, with
 /// minmod-limited linear reconstruction.
-fn face_flux(sub: &SubGrid, axis: usize, i: i64, j: i64, k: i64) -> [f64; NF] {
-    let m2 = prim_off(sub, axis, i, j, k, -2);
-    let m1 = prim_off(sub, axis, i, j, k, -1);
-    let p0 = prim_off(sub, axis, i, j, k, 0);
-    let p1 = prim_off(sub, axis, i, j, k, 1);
+fn face_flux(frame: &[f64], axis: usize, i: i64, j: i64, k: i64) -> [f64; NF] {
+    let m2 = prim_off(frame, axis, i, j, k, -2);
+    let m1 = prim_off(frame, axis, i, j, k, -1);
+    let p0 = prim_off(frame, axis, i, j, k, 0);
+    let p1 = prim_off(frame, axis, i, j, k, 1);
     let mut left = [0.0; 5];
     let mut right = [0.0; 5];
     for f in 0..5 {
@@ -169,45 +179,47 @@ pub fn max_cfl_rate(rates: impl Iterator<Item = f64>) -> f64 {
 /// own `max_cfl_rate`s, which is the same fold, NaN poison included).
 ///
 /// # Panics
-/// Naming the step, when that is not a positive finite number: the state
-/// has gone non-finite and every further step would compute on garbage.
-pub fn global_dt(cfl: f64, rate: f64, step: u64) -> f64 {
+/// Naming the step and what `culprit` says — called on this failure path
+/// only — when that is not a positive finite number: the state has gone
+/// non-finite and every further step would compute on garbage.
+pub fn global_dt(cfl: f64, rate: f64, step: u64, culprit: impl FnOnce() -> String) -> f64 {
     let dt = cfl / rate;
-    assert!(
-        dt.is_finite() && dt > 0.0,
-        "step {step}: the CFL reduction returned dt = {dt}; the state is no longer finite"
-    );
+    if !(dt.is_finite() && dt > 0.0) {
+        panic!(
+            "step {step}: the CFL reduction returned dt = {dt}; the state is no longer finite: {}",
+            culprit()
+        );
+    }
     dt
 }
 
-/// One forward-Euler hydro update: returns the new interior conserved
-/// states (ghosts must be filled first). Pure function of the sub-grid — the
-/// caller applies it with [`apply_interior`]. The scalar oracle the staged
-/// entry ([`step_interior_staged_into`]) is checked against.
-pub fn step_interior(sub: &SubGrid, dt: f64, dispatch: &Dispatch) -> Vec<[f64; NF]> {
+/// One forward-Euler hydro update of the leaf whose conserved ghost frame
+/// ([`FRAME_LEN`] values, face ghosts gathered) is `frame`, cell width `dx`:
+/// returns the new interior conserved states. Pure function of the frame —
+/// the caller applies it with [`apply_interior`]. The scalar oracle the
+/// staged entry ([`step_interior_staged_into`]) is checked against.
+pub fn step_interior(frame: &[f64], dx: f64, dt: f64, dispatch: &Dispatch) -> Vec<[f64; NF]> {
     let mut out = vec![[0.0; NF]; CELLS];
-    step_into_slice(sub, dt, dispatch, &mut out);
+    step_into_slice(frame, dx, dt, dispatch, &mut out);
     out
 }
 
 /// Scalar hydro update written into a caller-provided `CELLS`-sized slice.
-fn step_into_slice(sub: &SubGrid, dt: f64, dispatch: &Dispatch, out: &mut [[f64; NF]]) {
-    let lambda = dt / sub.dx;
+fn step_into_slice(frame: &[f64], dx: f64, dt: f64, dispatch: &Dispatch, out: &mut [[f64; NF]]) {
+    assert_eq!(frame.len(), FRAME_LEN, "ghost frame size");
+    let lambda = dt / dx;
     debug_assert_eq!(out.len(), CELLS);
     dispatch.fill(out, |c| {
         let (i, j, k) = cell_coords(c);
-        let mut u = [0.0; NF];
-        for (f, slot) in u.iter_mut().enumerate() {
-            *slot = sub.at(f, i, j, k);
-        }
+        let mut u = frame_cell(frame, i, j, k);
         for axis in 0..3 {
-            let f_lo = face_flux(sub, axis, i, j, k);
+            let f_lo = face_flux(frame, axis, i, j, k);
             let (hi_i, hi_j, hi_k) = match axis {
                 0 => (i + 1, j, k),
                 1 => (i, j + 1, k),
                 _ => (i, j, k + 1),
             };
-            let f_hi = face_flux(sub, axis, hi_i, hi_j, hi_k);
+            let f_hi = face_flux(frame, axis, hi_i, hi_j, hi_k);
             for f in 0..NF {
                 u[f] += lambda * (f_lo[f] - f_hi[f]);
             }
@@ -225,44 +237,47 @@ fn step_into_slice(sub: &SubGrid, dt: f64, dispatch: &Dispatch, out: &mut [[f64;
 }
 
 // ---------------------------------------------------------------------------
-// Explicitly-vectorized hydro path: an SoA primitive staging view plus
-// width-generic `Simd<W>` MUSCL + HLL kernels. The scalar functions above
-// remain the bit-exact reference — every vector expression below mirrors its
-// scalar counterpart's operation order exactly (plain mul/add, no FMA
-// contraction), and every branch is a lane-wise select of identically-valued
-// operands, so the SIMD path agrees **bitwise** with the scalar path at all
-// widths. That is the same discipline PR 2 established for the gravity
-// kernels and what the agreement tests enforce.
+// Explicitly-vectorized hydro path: the gathered frame converted in place to
+// an SoA primitive stage, plus width-generic `Simd<W>` MUSCL + HLL kernels.
+// The scalar functions above remain the bit-exact reference — every vector
+// expression below mirrors its scalar counterpart's operation order exactly
+// (plain mul/add, no FMA contraction), and every branch is a lane-wise select
+// of identically-valued operands, so the SIMD path agrees **bitwise** with
+// the scalar path at all widths. That is the same discipline PR 2
+// established for the gravity kernels and what the agreement tests enforce.
 // ---------------------------------------------------------------------------
 
-/// Primitive quantities staged per cell (ρ, vx, vy, vz, p).
-pub const STAGE_PRIMS: usize = 5;
-/// Cells per staged field lane (the full ghost frame).
-pub const STAGE_CELLS: usize = NT * NT * NT;
-/// Flat length of one staging view.
-pub const STAGE_LEN: usize = STAGE_PRIMS * STAGE_CELLS;
-
-/// Element stride between cells one apart along each axis in the staging
-/// view (and in each conserved-field block of the `SubGrid` view): the z
-/// index is fastest, so z-lanes are unit-stride and a stencil offset along
+/// Element stride between cells one apart along each axis of a frame: the
+/// z index is fastest, so z-lanes are unit-stride and a stencil offset along
 /// any axis is a single scaled displacement of the same contiguous pack.
 const AXIS_STRIDE: [usize; 3] = [NT * NT, NT, 1];
 
-/// Ghost-frame staging index of interior cell `(i, j, k)`.
+/// Frame index of interior cell `(i, j, k)`.
 #[inline]
 fn stage_index(i: usize, j: usize, k: usize) -> usize {
     ((i + NG) * NT + (j + NG)) * NT + (k + NG)
 }
 
+/// Convert a conserved frame to primitives (ρ, vx, vy, vz, p — five lanes
+/// of the same layout) in place: one flat loop, each cell's conversion (with
+/// floors) exactly once per step, where the scalar path re-derives
+/// primitives at every stencil visit (~24× per cell). Per-lane values are
+/// bit-identical to [`SubGrid::primitives`]; edge and corner cells convert
+/// whatever they hold and are never read.
+fn primitives_in_place(frame: &mut [f64]) {
+    assert_eq!(frame.len(), FRAME_LEN, "ghost frame size");
+    let mut lanes = frame.chunks_exact_mut(FRAME_CELLS);
+    let [rho, vx, vy, vz, p] = std::array::from_fn(|_| lanes.next().expect("sized above"));
+    for c in 0..FRAME_CELLS {
+        [rho[c], vx[c], vy[c], vz[c], p[c]] = primitives_of([rho[c], vx[c], vy[c], vz[c], p[c]]);
+    }
+}
+
 /// Load the five primitive packs of `W` consecutive-z cells at `at` of a
-/// staging view: the `[5][NT³]` primitives [`SubGrid::stage_primitives`]
-/// writes, scratch of one hydro task. Staging converts conserved→primitive
-/// (with floors) exactly **once** per cell per step; the scalar path
-/// re-derives primitives at every stencil visit (~24× per cell), so the
-/// view is itself a large fraction of the vector path's speedup.
+/// primitive stage ([`primitives_in_place`]).
 #[inline]
 fn load_prims<const W: usize>(stage: &[f64], at: usize) -> [Simd<W>; 5] {
-    std::array::from_fn(|q| Simd::from_slice(stage, q * STAGE_CELLS + at))
+    std::array::from_fn(|q| Simd::from_slice(stage, q * FRAME_CELLS + at))
 }
 
 /// Lane-wise [`minmod`]: the data-dependent branches become selects of
@@ -428,6 +443,8 @@ fn step_rows_simd_slice<const W: usize>(
     };
     let lambda = Simd::<W>::splat(dt / sub.dx);
     let u_all = sub.u.as_slice();
+    // The stencil reads through four primitive packs (`load_prims`); the
+    // update starts from the leaf's conserved interior.
     dispatch.fill_row_runs(out, NX, |row0, run| {
         let mut flux = [0.0; FLUX_LEN];
         for (r, chunk) in (row0..).zip(run.chunks_mut(NX)) {
@@ -465,9 +482,9 @@ fn step_rows_simd_slice<const W: usize>(
             sweep_packs::<W>(NX, |k0, is_tail| {
                 debug_assert!(!is_tail, "NX is a multiple of every pack width");
                 // Conserved fields are already SoA per field in the View:
-                // `[NF][NT][NT][NT]` row-major, z contiguous.
+                // `[NF][NX][NX][NX]` row-major, z contiguous.
                 let mut u: [Simd<W>; NF] =
-                    std::array::from_fn(|f| Simd::from_slice(u_all, f * STAGE_CELLS + at0 + k0));
+                    std::array::from_fn(|f| Simd::from_slice(u_all, f * CELLS + r * NX + k0));
                 for (lo, hi, stride, up) in faces {
                     let f_lo = load_flux::<W>(lo, stride, k0);
                     let f_hi = load_flux::<W>(hi, stride, k0 + up);
@@ -507,9 +524,8 @@ fn max_signal_speed_w<const W: usize>(sub: &SubGrid) -> f64 {
     let u_all = sub.u.as_slice();
     let mut acc = Simd::<W>::splat(f64::NEG_INFINITY);
     for row in 0..NX * NX {
-        let at0 = stage_index(row / NX, row % NX, 0);
         sweep_packs::<W>(NX, |k0, _| {
-            let u = |f: usize| Simd::<W>::from_slice(u_all, f * STAGE_CELLS + at0 + k0);
+            let u = |f: usize| Simd::<W>::from_slice(u_all, f * CELLS + row * NX + k0);
             let rho = u(field::RHO).max(Simd::splat(RHO_FLOOR));
             let (vx, vy, vz) = (u(field::SX) / rho, u(field::SY) / rho, u(field::SZ) / rho);
             let kinetic = Simd::splat(0.5) * rho * (vx * vx + vy * vy + vz * vz);
@@ -533,45 +549,38 @@ pub fn max_signal_speed_policy(sub: &SubGrid, dispatch: &Dispatch, policy: SimdP
     }
 }
 
-/// Policy-dispatched hydro update into a caller-provided `CELLS`-sized slice
-/// — the one production entry. A vector policy stages the leaf's primitives
-/// into a buffer of `stage_pool` that is back in the pool on return, so
-/// nothing hydro-sized outlives the calling task and steady-state steps
-/// allocate nothing.
+/// Policy-dispatched hydro update of `sub` into a caller-provided
+/// `CELLS`-sized slice — the one production entry. `frame` is `sub`'s
+/// gathered conserved ghost frame, scratch of the calling task: the scalar
+/// oracle reads it as it is, a vector policy converts it to primitives in
+/// place and updates from `sub`'s conserved interior.
 pub fn step_interior_staged_into(
     sub: &SubGrid,
+    frame: &mut [f64],
     dt: f64,
     dispatch: &Dispatch,
     policy: SimdPolicy,
     out: &mut [[f64; NF]],
-    stage_pool: &RecyclePool<f64>,
 ) {
     let SimdPolicy::Width(w) = policy else {
-        return step_into_slice(sub, dt, dispatch, out);
+        return step_into_slice(frame, sub.dx, dt, dispatch, out);
     };
-    let mut stage = stage_pool.acquire(STAGE_LEN);
-    sub.stage_primitives(&mut stage);
+    primitives_in_place(frame);
     match w {
-        1 => step_rows_simd_slice::<1>(sub, &stage, dt, dispatch, out),
-        2 => step_rows_simd_slice::<2>(sub, &stage, dt, dispatch, out),
-        4 => step_rows_simd_slice::<4>(sub, &stage, dt, dispatch, out),
-        8 => step_rows_simd_slice::<8>(sub, &stage, dt, dispatch, out),
+        1 => step_rows_simd_slice::<1>(sub, frame, dt, dispatch, out),
+        2 => step_rows_simd_slice::<2>(sub, frame, dt, dispatch, out),
+        4 => step_rows_simd_slice::<4>(sub, frame, dt, dispatch, out),
+        8 => step_rows_simd_slice::<8>(sub, frame, dt, dispatch, out),
         other => panic!("unsupported SIMD width {other}"),
     }
-    stage_pool.release(stage);
 }
 
 /// Write the interior states produced by [`step_interior`] back.
 pub fn apply_interior(sub: &mut SubGrid, new_state: &[[f64; NF]]) {
     assert_eq!(new_state.len(), CELLS, "state buffer size mismatch");
-    let u = sub.u.as_mut_slice();
-    for (row, cells) in new_state.chunks_exact(NX).enumerate() {
-        let at0 = stage_index(row / NX, row % NX, 0);
-        for f in 0..NF {
-            let lane = &mut u[f * STAGE_CELLS + at0..][..NX];
-            for (v, cell) in lane.iter_mut().zip(cells) {
-                *v = cell[f];
-            }
+    for (f, lane) in sub.u.as_mut_slice().chunks_exact_mut(CELLS).enumerate() {
+        for (v, cell) in lane.iter_mut().zip(new_state) {
+            *v = cell[f];
         }
     }
 }
@@ -581,18 +590,15 @@ pub fn apply_interior(sub: &mut SubGrid, new_state: &[[f64; NF]]) {
 pub fn apply_gravity_source(sub: &mut SubGrid, acc: &[[f64; 3]], dt: f64) {
     assert_eq!(acc.len(), CELLS, "acceleration buffer size mismatch");
     let u = sub.u.as_mut_slice();
-    for (row, accs) in acc.chunks_exact(NX).enumerate() {
-        let at0 = stage_index(row / NX, row % NX, 0);
-        for (k, g) in accs.iter().enumerate() {
-            let at = |f: usize| f * STAGE_CELLS + at0 + k;
-            let rho = u[at(field::RHO)];
-            let (sx, sy, sz) = (u[at(field::SX)], u[at(field::SY)], u[at(field::SZ)]);
-            u[at(field::SX)] = sx + rho * g[0] * dt;
-            u[at(field::SY)] = sy + rho * g[1] * dt;
-            u[at(field::SZ)] = sz + rho * g[2] * dt;
-            let de = (sx * g[0] + sy * g[1] + sz * g[2]) * dt;
-            u[at(field::EGAS)] += de;
-        }
+    for (c, g) in acc.iter().enumerate() {
+        let at = |f: usize| f * CELLS + c;
+        let rho = u[at(field::RHO)];
+        let (sx, sy, sz) = (u[at(field::SX)], u[at(field::SY)], u[at(field::SZ)]);
+        u[at(field::SX)] = sx + rho * g[0] * dt;
+        u[at(field::SY)] = sy + rho * g[1] * dt;
+        u[at(field::SZ)] = sz + rho * g[2] * dt;
+        let de = (sx * g[0] + sy * g[1] + sz * g[2]) * dt;
+        u[at(field::EGAS)] += de;
     }
 }
 
@@ -614,23 +620,66 @@ pub const HYDRO_BYTES_PER_CELL: u64 = 240;
 mod tests {
     use super::*;
     use crate::kernel_backend::KernelType;
+    use crate::recycle::RecyclePool;
     use crate::star::RotatingStar;
 
-    fn uniform_grid(rho: f64, v: [f64; 3], p: f64) -> SubGrid {
-        let mut g = SubGrid::new([0.0; 3], 0.1);
-        let prim = [rho, v[0], v[1], v[2], p];
-        let u = conserved_of(&prim);
-        let ng = crate::subgrid::NG as i64;
-        for i in -ng..(NX as i64 + ng) {
-            for j in -ng..(NX as i64 + ng) {
-                for k in -ng..(NX as i64 + ng) {
-                    for (f, val) in u.iter().enumerate() {
-                        g.set(f, i, j, k, *val);
+    /// A leaf at `origin` with cell width `dx` and its ghost frame, every
+    /// cell of both from `state(i, j, k)` (interior-relative) except the
+    /// frame's edge and corner cells, which are NaN: no stencil reads them.
+    fn leaf_of(
+        origin: [f64; 3],
+        dx: f64,
+        state: impl Fn(i64, i64, i64) -> [f64; NF],
+    ) -> (SubGrid, Vec<f64>) {
+        let mut g = SubGrid::new(origin, dx);
+        let mut frame = vec![f64::NAN; FRAME_LEN];
+        let span = -(NG as i64)..(NX + NG) as i64;
+        for i in span.clone() {
+            for j in span.clone() {
+                for k in span.clone() {
+                    let in_shell = |x: &&i64| !(0..NX as i64).contains(*x);
+                    let shell_rank = [i, j, k].iter().filter(in_shell).count();
+                    if shell_rank > 1 {
+                        continue;
+                    }
+                    let u = state(i, j, k);
+                    for (f, v) in u.iter().enumerate() {
+                        frame[f * FRAME_CELLS + frame_index(i, j, k)] = *v;
+                        if shell_rank == 0 {
+                            g.set(f, i, j, k, *v);
+                        }
                     }
                 }
             }
         }
-        g
+        (g, frame)
+    }
+
+    fn uniform_grid(rho: f64, v: [f64; 3], p: f64) -> (SubGrid, Vec<f64>) {
+        let u = conserved_of(&[rho, v[0], v[1], v[2], p]);
+        leaf_of([0.0; 3], 0.1, |_, _, _| u)
+    }
+
+    fn star_leaf() -> (SubGrid, Vec<f64>) {
+        let star = RotatingStar::paper_default();
+        let geometry = SubGrid::new([-0.1, -0.1, -0.1], 0.025);
+        leaf_of(geometry.origin, geometry.dx, |i, j, k| {
+            let c = geometry.cell_center(i, j, k);
+            star.conserved_at(c[0], c[1], c[2])
+        })
+    }
+
+    /// A pressure jump at the x midplane of a moving gas (`v = 0` for the
+    /// gas at rest).
+    fn shock_leaf(v: [f64; 3]) -> (SubGrid, Vec<f64>) {
+        let u = conserved_of(&[1.0, v[0], v[1], v[2], 0.1]);
+        leaf_of([0.0; 3], 0.1, |i, _, _| {
+            let mut u = u;
+            if i < 4 {
+                u[field::EGAS] = 10.0 / (GAMMA - 1.0);
+            }
+            u
+        })
     }
 
     #[test]
@@ -643,17 +692,11 @@ mod tests {
 
     #[test]
     fn uniform_state_is_stationary() {
-        let g = uniform_grid(1.0, [0.1, -0.2, 0.3], 0.7);
-        let before: Vec<f64> = (0..CELLS)
-            .map(|c| {
-                let (i, j, k) = cell_coords(c);
-                g.at(field::RHO, i, j, k)
-            })
-            .collect();
-        let out = step_interior(&g, 0.01, &Dispatch::Legacy);
-        for (c, u) in out.iter().enumerate() {
+        let (g, frame) = uniform_grid(1.0, [0.1, -0.2, 0.3], 0.7);
+        let out = step_interior(&frame, g.dx, 0.01, &Dispatch::Legacy);
+        for (u, before) in out.iter().zip(g.field(field::RHO)) {
             assert!(
-                (u[field::RHO] - before[c]).abs() < 1e-13,
+                (u[field::RHO] - before).abs() < 1e-13,
                 "uniform flow must not change"
             );
         }
@@ -683,15 +726,8 @@ mod tests {
     fn pressure_jump_accelerates_toward_low_pressure() {
         // High pressure in the left half: after one step the interface
         // cells must gain positive x-momentum.
-        let mut g = uniform_grid(1.0, [0.0; 3], 0.1);
-        for i in -2..4i64 {
-            for j in -2..(NX as i64 + 2) {
-                for k in -2..(NX as i64 + 2) {
-                    g.set(field::EGAS, i, j, k, 10.0 / (GAMMA - 1.0));
-                }
-            }
-        }
-        let out = step_interior(&g, 0.001, &Dispatch::Legacy);
+        let (g, frame) = shock_leaf([0.0; 3]);
+        let out = step_interior(&frame, g.dx, 0.001, &Dispatch::Legacy);
         let c = cell_index(4, 4, 4); // right of the interface at i=4
         assert!(
             out[c][field::SX] > 0.0,
@@ -702,19 +738,11 @@ mod tests {
 
     #[test]
     fn interior_mass_conserved_with_closed_box() {
-        // A centred blob with vacuum at the edges: over one small step no
-        // mass reaches the boundary, so interior mass is conserved to
-        // round-off.
-        let star = RotatingStar::paper_default();
-        let mut g = SubGrid::new([-0.1, -0.1, -0.1], 0.025);
-        g.init_from_star(&star);
-        // Zero the ghost/boundary flux by surrounding with floor values
-        // (init_from_star already gives near-floor at this sub-grid's rim?
-        // Not necessarily — so measure flux-consistent conservation instead:
-        // sum of interior change equals net boundary flux; with symmetric
-        // data the x-momentum stays ≈ antisymmetric.)
+        // A centred blob: over one tiny step the interior mass changes only
+        // by the (small) net flux through the frame's faces.
+        let (g, frame) = star_leaf();
         let before = g.mass();
-        let out = step_interior(&g, 1e-6, &Dispatch::Legacy);
+        let out = step_interior(&frame, g.dx, 1e-6, &Dispatch::Legacy);
         let mut after = 0.0;
         for u in &out {
             after += u[field::RHO];
@@ -728,14 +756,12 @@ mod tests {
 
     #[test]
     fn all_dispatch_backends_agree_bitwise() {
-        let star = RotatingStar::paper_default();
-        let mut g = SubGrid::new([-0.1, -0.1, -0.1], 0.025);
-        g.init_from_star(&star);
+        let (g, frame) = star_leaf();
         let rt = amt::Runtime::new(3);
-        let reference = step_interior(&g, 1e-4, &Dispatch::Legacy);
+        let reference = step_interior(&frame, g.dx, 1e-4, &Dispatch::Legacy);
         for kind in [KernelType::KokkosSerial, KernelType::KokkosHpx] {
             let d = Dispatch::new(kind, &rt.handle(), 4);
-            let out = step_interior(&g, 1e-4, &d);
+            let out = step_interior(&frame, g.dx, 1e-4, &d);
             for (a, b) in reference.iter().zip(&out) {
                 for f in 0..NF {
                     assert_eq!(a[f].to_bits(), b[f].to_bits(), "{kind:?} diverged");
@@ -746,8 +772,8 @@ mod tests {
 
     #[test]
     fn signal_speed_positive_and_scales_with_pressure() {
-        let cold = uniform_grid(1.0, [0.0; 3], 0.1);
-        let hot = uniform_grid(1.0, [0.0; 3], 10.0);
+        let (cold, _) = uniform_grid(1.0, [0.0; 3], 0.1);
+        let (hot, _) = uniform_grid(1.0, [0.0; 3], 10.0);
         let d = Dispatch::Legacy;
         let sc = max_signal_speed(&cold, &d);
         let sh = max_signal_speed(&hot, &d);
@@ -757,7 +783,7 @@ mod tests {
 
     #[test]
     fn gravity_source_adds_momentum_and_work() {
-        let mut g = uniform_grid(2.0, [1.0, 0.0, 0.0], 1.0);
+        let (mut g, _) = uniform_grid(2.0, [1.0, 0.0, 0.0], 1.0);
         let acc = vec![[0.5, 0.0, 0.0]; CELLS];
         let e0 = g.at(field::EGAS, 3, 3, 3);
         let sx0 = g.at(field::SX, 3, 3, 3);
@@ -770,8 +796,8 @@ mod tests {
 
     #[test]
     fn positivity_floors_hold_in_vacuum() {
-        let g = uniform_grid(RHO_FLOOR, [0.0; 3], P_FLOOR);
-        let out = step_interior(&g, 0.01, &Dispatch::Legacy);
+        let (g, frame) = uniform_grid(RHO_FLOOR, [0.0; 3], P_FLOOR);
+        let out = step_interior(&frame, g.dx, 0.01, &Dispatch::Legacy);
         for u in &out {
             assert!(u[field::RHO] >= RHO_FLOOR);
             assert!(u[field::EGAS] > 0.0);
@@ -786,36 +812,33 @@ mod tests {
         }
     }
 
-    /// The production entry into a buffer no cell of which may survive.
+    #[test]
+    fn apply_writes_the_interior_in_cell_index_order() {
+        let (mut g, _) = uniform_grid(1.0, [0.0; 3], 1.0);
+        let state: Vec<[f64; NF]> = (0..CELLS)
+            .map(|c| std::array::from_fn(|f| (f * CELLS + c) as f64))
+            .collect();
+        apply_interior(&mut g, &state);
+        let want: Vec<f64> = (0..NF * CELLS).map(|v| v as f64).collect();
+        assert_eq!(g.interior_data(), want);
+    }
+
+    /// The production entry on a copy of `frame` (it converts its frame in
+    /// place) into a buffer no cell of which may survive.
     fn staged(
         g: &SubGrid,
+        frame: &[f64],
         dt: f64,
         dispatch: &Dispatch,
         policy: SimdPolicy,
         stage_pool: &RecyclePool<f64>,
     ) -> Vec<[f64; NF]> {
+        let mut stage = stage_pool.acquire(FRAME_LEN);
+        stage.copy_from_slice(frame);
         let mut out = vec![[f64::NAN; NF]; CELLS];
-        step_interior_staged_into(g, dt, dispatch, policy, &mut out, stage_pool);
+        step_interior_staged_into(g, &mut stage, dt, dispatch, policy, &mut out);
+        stage_pool.release(stage);
         out
-    }
-
-    fn star_leaf() -> SubGrid {
-        let mut g = SubGrid::new([-0.1, -0.1, -0.1], 0.025);
-        g.init_from_star(&RotatingStar::paper_default());
-        g
-    }
-
-    /// A pressure jump at the x midplane of a moving gas.
-    fn shock_leaf() -> SubGrid {
-        let mut g = uniform_grid(1.0, [0.3, -0.2, 0.1], 0.1);
-        for i in -2..4i64 {
-            for j in -2..(NX as i64 + 2) {
-                for k in -2..(NX as i64 + 2) {
-                    g.set(field::EGAS, i, j, k, 10.0 / (GAMMA - 1.0));
-                }
-            }
-        }
-        g
     }
 
     fn assert_same_bits(got: &[[f64; NF]], want: &[[f64; NF]], what: &str) {
@@ -834,7 +857,8 @@ mod tests {
     /// execution spaces × 1, 4 and 16 tasks over the HPX space's runs (on 3
     /// workers ten of 6 rows and one of 4, so runs reuse x faces across a
     /// plane and start mid-plane), on the star, a shock and the floored vacuum
-    /// (the limiter and both HLL early-return branches against clamped states).
+    /// (the limiter and both HLL early-return branches against clamped
+    /// states) — every frame with NaN edges and corners, which no path reads.
     #[test]
     fn flux_once_matches_scalar_bitwise_at_all_widths_spaces_and_run_lengths() {
         let rt = amt::Runtime::new(3);
@@ -848,29 +872,35 @@ mod tests {
             dispatches.push((format!("KokkosHpx/{chunks}"), d));
         }
         let stage_pool = RecyclePool::new();
-        let vacuum = uniform_grid(RHO_FLOOR, [0.0; 3], P_FLOOR);
-        for (g, dt) in [(star_leaf(), 1e-4), (shock_leaf(), 1e-3), (vacuum, 0.01)] {
-            let reference = step_interior(&g, dt, &Dispatch::Legacy);
+        let leaves = [
+            (star_leaf(), 1e-4),
+            (shock_leaf([0.3, -0.2, 0.1]), 1e-3),
+            (uniform_grid(RHO_FLOOR, [0.0; 3], P_FLOOR), 0.01),
+        ];
+        for ((g, frame), dt) in leaves {
+            let reference = step_interior(&frame, g.dx, dt, &Dispatch::Legacy);
+            assert!(reference.iter().flatten().all(|v| v.is_finite()));
             for (name, d) in &dispatches {
                 for w in SimdPolicy::SUPPORTED_WIDTHS {
-                    let out = staged(&g, dt, d, SimdPolicy::Width(w), &stage_pool);
+                    let out = staged(&g, &frame, dt, d, SimdPolicy::Width(w), &stage_pool);
                     assert_same_bits(&out, &reference, &format!("{name} width {w}"));
                 }
                 // Scalar policy through the same entry is the reference path.
-                let out = staged(&g, dt, d, SimdPolicy::Scalar, &stage_pool);
+                let out = staged(&g, &frame, dt, d, SimdPolicy::Scalar, &stage_pool);
                 assert_same_bits(&out, &reference, &format!("{name} scalar"));
             }
         }
-        // The stage was recycled, never one per call.
-        let s = stage_pool.stats();
-        assert!(s.hits > 10 * s.misses, "{s:?}");
     }
 
     #[test]
     fn cfl_from_the_conserved_interior_matches_scalar_bitwise() {
         let d = Dispatch::Legacy;
-        let vacuum = uniform_grid(RHO_FLOOR, [0.0; 3], P_FLOOR);
-        for g in [star_leaf(), shock_leaf(), vacuum] {
+        let leaves = [
+            star_leaf(),
+            shock_leaf([0.3, -0.2, 0.1]),
+            uniform_grid(RHO_FLOOR, [0.0; 3], P_FLOOR),
+        ];
+        for (g, _) in leaves {
             let want = max_signal_speed(&g, &d);
             assert!(want > 0.0);
             for policy in SimdPolicy::SUPPORTED_WIDTHS
@@ -886,13 +916,13 @@ mod tests {
 
     /// A NaN density is floored away like the scalar reduction floors it; a
     /// leaf that is NaN throughout has no signal speed, and that poisons the
-    /// fold so the step stops under its index.
+    /// fold so the step stops under its index and names the culprit.
     #[test]
     fn nan_leaf_poisons_the_cfl_fold_at_every_width() {
         let d = Dispatch::Legacy;
-        let mut one_cell = star_leaf();
+        let (mut one_cell, _) = star_leaf();
         one_cell.set(field::RHO, 3, 3, 3, f64::NAN);
-        let mut all = star_leaf();
+        let (mut all, _) = star_leaf();
         all.u.as_mut_slice().fill(f64::NAN);
         for w in SimdPolicy::SUPPORTED_WIDTHS {
             let policy = SimdPolicy::Width(w);
@@ -902,11 +932,11 @@ mod tests {
             assert_eq!(dead.to_bits(), max_signal_speed(&all, &d).to_bits());
             let rate = max_cfl_rate([got / one_cell.dx, dead / all.dx].into_iter());
             assert!(rate.is_nan(), "width {w}: {rate}");
-            let stop = std::panic::catch_unwind(|| global_dt(0.4, rate, 7));
+            let stop = std::panic::catch_unwind(|| global_dt(0.4, rate, 7, || "leaf 1".into()));
             let message = stop.expect_err("dt must not be computed from NaN");
             let message = message.downcast_ref::<String>().expect("panic message");
             assert!(
-                message.starts_with("step 7: the CFL reduction"),
+                message.starts_with("step 7: the CFL reduction") && message.ends_with(": leaf 1"),
                 "{message}"
             );
         }

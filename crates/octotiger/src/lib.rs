@@ -19,6 +19,8 @@
 //! * the `rotating_star` scenario ([`star::RotatingStar`]): an n = 3/2
 //!   Lane–Emden polytrope in solid-body rotation.
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod dist_driver;
 pub mod driver;

@@ -47,7 +47,7 @@ use amt::Handle;
 
 use crate::config::OctoConfig;
 use crate::star::{InitialModel, RotatingStar, NF};
-use crate::subgrid::{Face, SubGrid, NT, NX};
+use crate::subgrid::{Face, SubGrid, CELLS, NX};
 
 mod ghost;
 pub use ghost::{GhostFaces, GhostStats, FACE_VALUES};
@@ -58,8 +58,9 @@ pub type NodeId = usize;
 /// Sentinel for "no node" in the compressed u32 lanes.
 const NONE: u32 = u32::MAX;
 
-/// Heap bytes of one leaf's field data (`[NF][NT][NT][NT]` f64).
-pub const SUBGRID_BYTES: usize = NF * NT * NT * NT * std::mem::size_of::<f64>();
+/// Heap bytes of one leaf's field data: its interior, `[NF][NX][NX][NX]`
+/// f64 (20 480 B; ghost zones live in a hydro task's scratch frame).
+pub const SUBGRID_BYTES: usize = NF * CELLS * std::mem::size_of::<f64>();
 
 /// A by-value view of one octree node, materialised from the SoA lanes.
 /// Only leaves own a [`SubGrid`]; query that with [`Octree::has_subgrid`].
@@ -100,7 +101,7 @@ pub struct Octree {
     /// being a leaf mid-run, in generation order. Build-time refinement is
     /// not logged (nothing can hold a stale view of generation 0).
     split_log: Vec<(u64, u32)>,
-    /// Cached ghost-exchange copy plan, keyed on `generation`.
+    /// Cached ghost-zone gather plan, keyed on `generation`.
     ghost: ghost::GhostPlan,
 }
 
@@ -510,9 +511,10 @@ impl Octree {
     }
 
     /// Node metadata + field-data bytes resident in this tree (SoA lanes,
-    /// index, leaf order, sub-grids, ghost plan). Feeds the arena high-water
-    /// mark that backs `/runtime/peak_rss_bytes` when the OS counter is
-    /// unavailable.
+    /// index, leaf order, [`SUBGRID_BYTES`] of interior per data-carrying
+    /// leaf, gather plan). The scratch frames hydro tasks gather into are the
+    /// stage pool's, not the tree's. Feeds the arena high-water mark that
+    /// backs `/runtime/peak_rss_bytes` when the OS counter is unavailable.
     pub fn resident_bytes(&self) -> u64 {
         let lanes = self.levels.capacity()
             + self.coords.capacity() * std::mem::size_of::<[u32; 3]>()
@@ -788,47 +790,41 @@ mod tests {
         );
     }
 
+    /// Field `f` of frame cell `(i, j, k)` (interior-relative).
+    fn frame_at(frame: &[f64], f: usize, i: i64, j: i64, k: i64) -> f64 {
+        frame[f * crate::subgrid::FRAME_CELLS + crate::subgrid::frame_index(i, j, k)]
+    }
+
     #[test]
-    fn ghost_fill_matches_neighbors_across_same_level_faces() {
+    fn gathered_ghosts_match_neighbors_across_same_level_faces() {
         let mut t = small_tree(2);
-        t.fill_ghosts();
-        // Pick a leaf with a same-level neighbor and check ghost == neighbor
-        // interior.
-        let leaves = t.leaf_ids().to_vec();
+        t.plan_ghosts(|_| true);
+        let mut frame = vec![f64::NAN; crate::subgrid::FRAME_LEN];
+        // Every leaf with a same-level neighbor: ghost == neighbor interior.
         let mut checked = 0;
-        for &leaf in &leaves {
+        for (pos, &leaf) in t.leaf_ids().iter().enumerate() {
+            t.gather_frame(pos, &mut frame);
             let n = t.node(leaf);
-            let (level, coords) = (n.level, n.coords);
             for face in Face::ALL {
-                let Some(nc) = t.neighbor_coords(level, coords, face) else {
+                let Some(nid) = t
+                    .neighbor_coords(n.level, n.coords, face)
+                    .and_then(|nc| t.node_at(n.level, nc))
+                    .filter(|&nid| t.node(nid).children.is_none())
+                else {
                     continue;
                 };
-                let Some(nid) = t.node_at(level, nc) else {
-                    continue;
-                };
-                if t.node(nid).children.is_some() {
-                    continue;
-                }
-                // ghost layer 0 equals neighbor's boundary layer.
-                let g = t.subgrid(leaf);
-                let ng = t.subgrid(nid);
+                // Ghost layer 0 (−1 / NX) is the neighbour's boundary layer.
                 let normal = if face.sign() < 0 { -1 } else { NX as i64 };
-                let (i, j, k) = match face.axis() {
-                    0 => (normal, 3, 4),
-                    1 => (3, normal, 4),
-                    _ => (3, 4, normal),
+                let across = if face.sign() < 0 { NX as i64 - 1 } else { 0 };
+                let (ghost, src) = match face.axis() {
+                    0 => ([normal, 3, 4], [across, 3, 4]),
+                    1 => ([3, normal, 4], [3, across, 4]),
+                    _ => ([3, 4, normal], [3, 4, across]),
                 };
-                let p = g.cell_center(i, j, k);
-                let r = ng.at(
-                    field::RHO,
-                    {
-                        let (origin, dx) = t.node_geometry(nid);
-                        ((p[0] - origin[0]) / dx) as i64
-                    },
-                    ((p[1] - t.node_geometry(nid).0[1]) / t.node_geometry(nid).1) as i64,
-                    ((p[2] - t.node_geometry(nid).0[2]) / t.node_geometry(nid).1) as i64,
+                assert_eq!(
+                    frame_at(&frame, field::RHO, ghost[0], ghost[1], ghost[2]),
+                    t.subgrid(nid).at(field::RHO, src[0], src[1], src[2])
                 );
-                assert_eq!(g.at(field::RHO, i, j, k), r);
                 checked += 1;
             }
         }
@@ -836,26 +832,38 @@ mod tests {
     }
 
     #[test]
-    fn ghost_fill_boundary_is_outflow() {
+    fn gathered_boundary_ghosts_are_outflow() {
         // Level-0 tree: all ghosts come from the domain boundary (clamped
         // sampling = copy of the edge cells).
         let mut t = small_tree(0);
-        t.fill_ghosts();
+        t.plan_ghosts(|_| true);
+        let mut frame = vec![f64::NAN; crate::subgrid::FRAME_LEN];
+        t.gather_frame(0, &mut frame);
         let g = t.subgrid(t.leaf_ids()[0]);
         for a in 0..NX as i64 {
             for b in 0..NX as i64 {
                 assert_eq!(
-                    g.at(field::RHO, -1, a, b),
+                    frame_at(&frame, field::RHO, -1, a, b),
                     g.at(field::RHO, 0, a, b),
                     "XM outflow"
                 );
                 assert_eq!(
-                    g.at(field::RHO, NX as i64, a, b),
+                    frame_at(&frame, field::RHO, NX as i64, a, b),
                     g.at(field::RHO, NX as i64 - 1, a, b),
                     "XP outflow"
                 );
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "`plan_ghosts` first")]
+    fn gathering_behind_the_topology_panics() {
+        let mut t = small_tree(1);
+        t.plan_ghosts(|_| true);
+        let victim = t.leaf_ids()[0];
+        t.refine_leaf(victim);
+        t.gather_frame(0, &mut vec![0.0; crate::subgrid::FRAME_LEN]);
     }
 
     #[test]

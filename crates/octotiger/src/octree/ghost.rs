@@ -1,33 +1,23 @@
-//! Ghost exchange as a cached copy plan (DESIGN §5.6).
+//! The ghost zone as a cached gather plan (DESIGN §5.6).
 //!
 //! Which interior cell feeds which ghost cell is a pure function of the
 //! octree topology, so it is worked out once per [`Octree::generation`] —
 //! one `locate` per ghost cell of a level-jump or domain-boundary face, none
-//! for a same-level face — and every exchange after that is plain copying:
-//! no tree descent, no per-face buffer, no serial pass.
-//!
-//! The exchange is a single fused pass, one task per target leaf, and rests
-//! on one invariant: **sources are interior cells, and a leaf's ghost cells
-//! are written only by that leaf's task.** Interior and ghost cells are
-//! disjoint, so no task reads what another writes. All `unsafe` of the
-//! exchange is [`GhostPlan::fill_leaf`].
-
-use amt::par::scope;
-use amt::Handle;
+//! for a same-level face. A leaf stores its interior only: the hydro task
+//! that needs a leaf's ghost zone gathers it through the plan into a scratch
+//! frame ([`Octree::gather_frame`]) — plain copies out of `&SubGrid`s that
+//! nothing writes before the step's apply, no tree descent, no per-face
+//! buffer, no exchange pass.
 
 use super::{NodeId, Octree};
 use crate::star::NF;
-use crate::subgrid::{Face, SubGrid, NG, NT, NX};
+use crate::subgrid::{Face, CELLS, FRAME_CELLS, FRAME_LEN, NG, NT, NX};
 
 /// Ghost cells per face: `NG` layers of `NX²`.
 const FACE_CELLS: usize = NG * NX * NX;
 /// Ghost values per face (`NF` fields per cell) — what the work accounting
 /// charges per face, sampled or copied.
 pub const FACE_VALUES: u64 = (NF * FACE_CELLS) as u64;
-/// Flat distance between two fields of one cell in a sub-grid.
-const FIELD_STRIDE: usize = NT * NT * NT;
-/// Flat length of one sub-grid's field data.
-const GRID_LEN: usize = NF * FIELD_STRIDE;
 
 /// Faces by the kind of copy that fills them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -56,27 +46,15 @@ enum FaceSource {
     Indexed(u32),
 }
 
-/// The interior cell one ghost cell copies: its leaf and the flat offset of
-/// the cell within field 0 (field `f` is `f · FIELD_STRIDE` further on).
+/// The interior cell one ghost cell copies: its leaf and the cell's index in
+/// that leaf's interior (field `f` is `f · CELLS` further on).
 #[derive(Debug, Clone, Copy)]
 struct CellSource {
     node: u32,
-    offset: u32,
+    cell: u32,
 }
 
-/// Base address of one node's field data (null where the node has none).
-#[derive(Debug, Clone, Copy)]
-struct GridBase(*mut f64);
-
-// SAFETY: a `GridBase` is only a number outside `GhostPlan::run`, which
-// fills the table from an exclusive borrow of the sub-grids, dereferences it
-// under the invariant documented on `fill_leaf`, and clears it before that
-// borrow ends.
-unsafe impl Send for GridBase {}
-// SAFETY: as above — shared between the tasks of one `run` only.
-unsafe impl Sync for GridBase {}
-
-/// The copy plan of one topology generation.
+/// The gather plan of one topology generation.
 #[derive(Debug, Default)]
 pub(super) struct GhostPlan {
     /// Generation the tables were built for (`None` = never built).
@@ -86,9 +64,6 @@ pub(super) struct GhostPlan {
     /// Per-cell sources of the indexed faces, in [`ghost_cells`] order.
     cells: Vec<CellSource>,
     stats: GhostStats,
-    /// Per-node base pointers, valid only inside [`GhostPlan::run`]; kept
-    /// for its capacity so a steady-state exchange allocates nothing.
-    bases: Vec<GridBase>,
 }
 
 /// Ghost-frame index ranges `[x, y, z]` of the ghost cells behind `face`.
@@ -121,7 +96,11 @@ impl GhostPlan {
     pub(super) fn resident_bytes(&self) -> usize {
         self.faces.capacity() * std::mem::size_of::<FaceSource>()
             + self.cells.capacity() * std::mem::size_of::<CellSource>()
-            + self.bases.capacity() * std::mem::size_of::<GridBase>()
+    }
+
+    /// The six face sources of the leaf at `pos`.
+    fn faces_of(&self, pos: usize) -> &[FaceSource] {
+        &self.faces[6 * pos..6 * pos + 6]
     }
 
     /// Rebuild the tables for `tree`'s current topology. A face whose
@@ -157,14 +136,9 @@ impl GhostPlan {
                         |d: usize, i: usize| origin[d] + ((i as i64 - NG as i64) as f64 + 0.5) * dx;
                     let p = [centre(0, x), centre(1, y), centre(2, z)];
                     let (src, c) = tree.locate(p);
-                    // `fill_leaf` reads at this offset without a check.
-                    assert!(
-                        c.iter().all(|&i| i < NX),
-                        "ghost source must be an interior cell"
-                    );
                     self.cells.push(CellSource {
                         node: src as u32,
-                        offset: flat(c[0] + NG, c[1] + NG, c[2] + NG) as u32,
+                        cell: ((c[0] * NX + c[1]) * NX + c[2]) as u32,
                     });
                 }
             }
@@ -175,156 +149,95 @@ impl GhostPlan {
         self.stats.plan_rebuilds += 1;
         self.stats.faces = census;
     }
+}
 
-    /// Fill the face ghosts of every leaf whose position passes `is_target`,
-    /// one task per leaf on `handle` (inline on the calling thread without
-    /// one), and count the faces filled.
-    fn run(
-        &mut self,
-        subgrids: &mut [Option<SubGrid>],
-        leaves: &[NodeId],
-        handle: Option<&Handle>,
-        is_target: impl Fn(usize) -> bool,
-    ) -> GhostFaces {
-        assert_eq!(self.faces.len(), 6 * leaves.len(), "plan is for this tree");
-        // Exclusive access to every sub-grid, as raw bases, until the end of
-        // this function.
-        let mut bases = std::mem::take(&mut self.bases);
-        bases.clear();
-        bases.extend(subgrids.iter_mut().map(|g| match g {
-            Some(g) => {
-                assert_eq!(g.u.size(), GRID_LEN, "sub-grid field data resized");
-                GridBase(g.u.as_mut_slice().as_mut_ptr())
-            }
-            None => GridBase(std::ptr::null_mut()),
-        }));
-        let targets = || leaves.iter().enumerate().filter(|&(pos, _)| is_target(pos));
-        assert!(
-            targets().all(|(_, &l)| !bases[l].0.is_null()),
-            "every target leaf carries data"
-        );
-        let mut filled = GhostFaces::default();
-        for (pos, _) in targets() {
-            for source in &self.faces[6 * pos..6 * pos + 6] {
+impl Octree {
+    /// Build the gather plan unless it is the current generation's, and
+    /// return the face census of the leaves whose position in
+    /// [`Octree::leaf_ids`] passes `is_target` (a distributed locality
+    /// passes its owned leaves): the faces gathering their frames reads,
+    /// which the work accounting charges once per step.
+    pub fn plan_ghosts(&mut self, is_target: impl Fn(usize) -> bool) -> GhostFaces {
+        self.ensure_ghost_plan();
+        let mut census = GhostFaces::default();
+        for pos in (0..self.leaves.len()).filter(|&pos| is_target(pos)) {
+            for source in self.ghost.faces_of(pos) {
                 match source {
-                    FaceSource::Slab(_) => filled.slab += 1,
-                    FaceSource::Indexed(_) => filled.indexed += 1,
+                    FaceSource::Slab(_) => census.slab += 1,
+                    FaceSource::Indexed(_) => census.indexed += 1,
                 }
             }
         }
-        let (plan, table) = (&*self, &bases[..]);
-        // SAFETY (both calls): every non-null entry of `table` is the base
-        // of a sub-grid's `GRID_LEN` values (asserted above), all borrowed
-        // exclusively through `subgrids` until this function returns, and
-        // every target has one (asserted above; `fill_leaf` checks each
-        // source it reads); leaf positions are distinct, so each target is
-        // filled by exactly one call and no two calls run for one leaf.
-        match handle {
-            Some(handle) => scope(handle, |sc| {
-                for (pos, &leaf) in targets() {
-                    sc.spawn(move || unsafe { plan.fill_leaf(table, pos, leaf) });
-                }
-            }),
-            None => targets().for_each(|(pos, &leaf)| unsafe { plan.fill_leaf(table, pos, leaf) }),
-        }
-        bases.clear();
-        self.bases = bases;
-        filled
+        census
     }
 
-    /// Copy the six faces' ghost values of the leaf at `pos` into place.
+    /// Gather the conserved ghost frame (`[NF][NT³]`, see
+    /// [`crate::subgrid::FRAME_LEN`]) of the leaf at position `pos`: its own
+    /// interior and its six face slabs, each ghost cell the value of the
+    /// interior cell containing its centre — across level jumps, and clamped
+    /// into the domain at its boundary (outflow). The 448 edge and corner
+    /// cells are no stencil's and are left as they were.
     ///
-    /// Reads touch interior cells only (a slab is the neighbour's interior
-    /// layers; every table offset was checked interior at build time) and
-    /// writes touch only `leaf`'s own ghost cells ([`ghost_box`]). Interior
-    /// and ghost cells are disjoint, so concurrent calls for *different*
-    /// leaves never access the same `f64` unless both only read it.
-    ///
-    /// # Safety
-    ///
-    /// * every non-null `bases[n]` is the base of `GRID_LEN` values, valid
-    ///   for reads and writes, that nothing accesses during the call except
-    ///   other `fill_leaf` calls of the same plan, and `bases[leaf]` is not
-    ///   null;
-    /// * no other call for the same `leaf` runs concurrently;
-    /// * `leaf` is the leaf at position `pos`.
-    unsafe fn fill_leaf(&self, bases: &[GridBase], pos: usize, leaf: NodeId) {
-        let dst = bases[leaf].0;
-        for (face, source) in Face::ALL.into_iter().zip(&self.faces[6 * pos..6 * pos + 6]) {
+    /// # Panics
+    /// Unless [`Octree::plan_ghosts`] has run since the last topology change,
+    /// or when a leaf the plan reads carries no data.
+    pub fn gather_frame(&self, pos: usize, frame: &mut [f64]) {
+        assert_eq!(frame.len(), FRAME_LEN, "ghost frame size");
+        assert_eq!(
+            self.ghost.built_for,
+            Some(self.generation),
+            "the gather plan is behind the topology: `plan_ghosts` first"
+        );
+        let own = self.subgrid(self.leaves[pos]).u.as_slice();
+        for (lane, fields) in frame
+            .chunks_exact_mut(FRAME_CELLS)
+            .zip(own.chunks_exact(CELLS))
+        {
+            for (row, cells) in fields.chunks_exact(NX).enumerate() {
+                let at = flat(row / NX + NG, row % NX + NG, NG);
+                lane[at..at + NX].copy_from_slice(cells);
+            }
+        }
+        for (face, source) in Face::ALL.into_iter().zip(self.ghost.faces_of(pos)) {
             match *source {
                 FaceSource::Slab(n) => {
-                    // Ghost layer t of a low face is the neighbour's layer
-                    // t + NX (its interior nearest the shared face, nearest
-                    // first on both sides); of a high face, layer t − NX.
-                    let stride = [NT * NT, NT, 1][face.axis()] as isize;
-                    let shift = -face.sign() as isize * NX as isize * stride;
-                    let src = bases[n as usize].0.cast_const();
-                    assert!(!src.is_null(), "slab source carries data");
+                    // Ghost layer x of a low face is the neighbour's interior
+                    // layer x − NG + NX (its interior nearest the shared face,
+                    // nearest first on both sides); of a high face, layer
+                    // x − NG − NX.
+                    let src = self.subgrid(n as NodeId).u.as_slice();
+                    let interior = |d: usize, x: usize| {
+                        let shift = if d == face.axis() { -face.sign() } else { 0 };
+                        (x as i64 - NG as i64 + shift * NX as i64) as usize
+                    };
                     let [bx, by, bz] = ghost_box(face);
-                    for f in 0..NF {
-                        for x in bx.clone() {
-                            for y in by.clone() {
-                                let t = f * FIELD_STRIDE + flat(x, y, bz.start);
-                                std::ptr::copy_nonoverlapping(
-                                    src.offset(t as isize + shift),
-                                    dst.add(t),
-                                    bz.len(),
-                                );
+                    for x in bx {
+                        for y in by.clone() {
+                            let s =
+                                (interior(0, x) * NX + interior(1, y)) * NX + interior(2, bz.start);
+                            let t = flat(x, y, bz.start);
+                            for f in 0..NF {
+                                frame[f * FRAME_CELLS + t..][..bz.len()]
+                                    .copy_from_slice(&src[f * CELLS + s..][..bz.len()]);
                             }
                         }
                     }
                 }
                 FaceSource::Indexed(start) => {
-                    let entries = &self.cells[start as usize..start as usize + FACE_CELLS];
+                    let entries = &self.ghost.cells[start as usize..][..FACE_CELLS];
                     for ((x, y, z), cell) in ghost_cells(face).zip(entries) {
-                        let src = bases[cell.node as usize].0.cast_const();
-                        assert!(!src.is_null(), "ghost source carries data");
-                        let (s, t) = (cell.offset as usize, flat(x, y, z));
+                        let src = self.subgrid(cell.node as NodeId).u.as_slice();
+                        let (s, t) = (cell.cell as usize, flat(x, y, z));
                         for f in 0..NF {
-                            *dst.add(f * FIELD_STRIDE + t) = *src.add(f * FIELD_STRIDE + s);
+                            frame[f * FRAME_CELLS + t] = src[f * CELLS + s];
                         }
                     }
                 }
             }
         }
     }
-}
 
-impl Octree {
-    /// Fill the face ghosts of every leaf whose position in
-    /// [`Octree::leaf_ids`] passes `is_target` (a distributed locality
-    /// passes its owned leaves), one `amt` task per leaf, and return how
-    /// many faces took which kind of copy.
-    ///
-    /// The copy plan behind it is built on the first call and rebuilt only
-    /// when [`Octree::generation`] has changed since; values come from the
-    /// interior cell containing each ghost cell's centre, across level jumps
-    /// and clamped into the domain at its boundary (outflow).
-    pub fn exchange_ghosts(
-        &mut self,
-        handle: &Handle,
-        is_target: impl Fn(usize) -> bool,
-    ) -> GhostFaces {
-        self.run_ghost_plan(Some(handle), is_target)
-    }
-
-    /// [`Octree::exchange_ghosts`] for all leaves on the calling thread —
-    /// the same plan and the same per-leaf copy, without a runtime.
-    pub fn fill_ghosts(&mut self) -> GhostFaces {
-        self.run_ghost_plan(None, |_| true)
-    }
-
-    fn run_ghost_plan(
-        &mut self,
-        handle: Option<&Handle>,
-        is_target: impl Fn(usize) -> bool,
-    ) -> GhostFaces {
-        self.ensure_ghost_plan();
-        self.ghost
-            .run(&mut self.subgrids, &self.leaves, handle, is_target)
-    }
-
-    /// (Re)build the copy plan unless it is the current generation's.
+    /// (Re)build the gather plan unless it is the current generation's.
     fn ensure_ghost_plan(&mut self) {
         if self.ghost.built_for != Some(self.generation) {
             let _span = apex_lite::trace::span(apex_lite::trace::Cat::Phase, "ghost_plan_build");
@@ -335,21 +248,20 @@ impl Octree {
     }
 
     /// The halo of a target set: positions (ascending) of the leaves outside
-    /// `is_target` whose interior cells the copy plan reads to fill a
-    /// target's ghosts — same-level, level-jump and clamped boundary faces
-    /// alike, because it is read off the plan the exchange itself runs.
+    /// `is_target` whose interior cells the gather plan reads for a target's
+    /// ghosts — same-level, level-jump and clamped boundary faces alike,
+    /// because it is read off the plan the gather itself runs.
     pub fn halo_sources(&mut self, is_target: impl Fn(usize) -> bool) -> Vec<usize> {
         self.ensure_ghost_plan();
         let pos_of = crate::gravity::leaf_positions(self);
         let plan = &self.ghost;
         let mut feeds = vec![false; self.leaves.len()];
         for pos in (0..self.leaves.len()).filter(|&pos| is_target(pos)) {
-            for source in &plan.faces[6 * pos..6 * pos + 6] {
+            for source in plan.faces_of(pos) {
                 match *source {
                     FaceSource::Slab(n) => feeds[pos_of[n as usize]] = true,
                     FaceSource::Indexed(start) => {
-                        let entries = &plan.cells[start as usize..start as usize + FACE_CELLS];
-                        for cell in entries {
+                        for cell in &plan.cells[start as usize..][..FACE_CELLS] {
                             feeds[pos_of[cell.node as usize]] = true;
                         }
                     }

@@ -42,6 +42,8 @@ pub mod field {
     pub const SZ: usize = 3;
     /// Total energy density.
     pub const EGAS: usize = 4;
+    /// Field names, by index.
+    pub const NAMES: [&str; super::NF] = ["rho", "sx", "sy", "sz", "egas"];
 }
 
 /// A solved rotating polytrope.

@@ -2,9 +2,10 @@
 //!
 //! "Each node in the octree contains a 8×8×8 sub-grid for computational
 //! efficiency" (paper §3.3), i.e. 512 cells per tree leaf; every compute
-//! kernel operates on one sub-grid (plus ghost layers) at a time. Storage is
-//! a rank-4 `kokkos_lite::View` of `[field][x][y][z]` including a 2-cell
-//! ghost shell (the hydro reconstruction stencil needs two upwind cells).
+//! kernel operates on one sub-grid at a time. A leaf stores its interior
+//! only: a rank-4 `kokkos_lite::View` of `[field][x][y][z]`. The hydro
+//! stencil's two ghost layers per face are gathered into a scratch **frame**
+//! by the task that needs them ([`crate::octree::Octree::gather_frame`]).
 
 use kokkos_lite::View;
 
@@ -14,10 +15,29 @@ use crate::star::{field, InitialModel, RotatingStar, GAMMA, NF, P_FLOOR, RHO_FLO
 pub const NX: usize = 8;
 /// Ghost width (minmod reconstruction + HLL need 2).
 pub const NG: usize = 2;
-/// Total cells per dimension including ghosts.
+/// Cells per dimension of a ghost frame.
 pub const NT: usize = NX + 2 * NG;
 /// Interior cells per sub-grid (the paper's 512).
 pub const CELLS: usize = NX * NX * NX;
+/// Cells of one ghost frame: the interior plus `NG` layers on every side.
+pub const FRAME_CELLS: usize = NT * NT * NT;
+/// Flat length of a ghost frame: `[NF][NT][NT][NT]`, z fastest. Only the
+/// interior and the six face slabs are ever written or read; the 448 edge
+/// and corner cells are not part of any stencil.
+pub const FRAME_LEN: usize = NF * FRAME_CELLS;
+
+/// Flat index within one field of a ghost frame of cell `(i, j, k)`,
+/// interior-relative (ghost indices −NG..NX+NG).
+#[inline]
+pub fn frame_index(i: i64, j: i64, k: i64) -> usize {
+    let at = |x: i64| {
+        usize::try_from(x + NG as i64)
+            .ok()
+            .filter(|&x| x < NT)
+            .expect("cell inside the ghost frame")
+    };
+    (at(i) * NT + at(j)) * NT + at(k)
+}
 
 /// One face of a sub-grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -70,10 +90,11 @@ impl Face {
     }
 }
 
-/// One leaf's field data: conserved variables on an 8³ interior plus ghosts.
+/// One leaf's field data: conserved variables on its 8³ interior.
 #[derive(Debug, Clone)]
 pub struct SubGrid {
-    /// Conserved fields `[NF][NT][NT][NT]`, ghost shell included.
+    /// Conserved fields `[NF][NX][NX][NX]`: field `f` of cell `(i, j, k)` is
+    /// element `f · CELLS + (i·NX + j)·NX + k`.
     pub u: View<f64>,
     /// Physical coordinate of the low corner of interior cell (0, 0, 0).
     pub origin: [f64; 3],
@@ -84,7 +105,7 @@ pub struct SubGrid {
 /// Primitive state (ρ, vx, vy, vz, p) of one cell's conserved state, floors
 /// applied.
 #[inline]
-fn primitives_of(u: [f64; NF]) -> [f64; 5] {
+pub(crate) fn primitives_of(u: [f64; NF]) -> [f64; 5] {
     let rho = u[field::RHO].max(RHO_FLOOR);
     let vx = u[field::SX] / rho;
     let vy = u[field::SY] / rho;
@@ -94,19 +115,31 @@ fn primitives_of(u: [f64; NF]) -> [f64; 5] {
     [rho, vx, vy, vz, p]
 }
 
+/// Flat offset of field `f` of interior cell `(i, j, k)`.
+#[inline]
+fn offset(f: usize, i: i64, j: i64, k: i64) -> usize {
+    let at = |x: i64| {
+        usize::try_from(x)
+            .ok()
+            .filter(|&x| x < NX)
+            .expect("interior cell index")
+    };
+    f * CELLS + (at(i) * NX + at(j)) * NX + at(k)
+}
+
 impl SubGrid {
     /// Zero-initialized sub-grid at `origin` with cell width `dx`.
     pub fn new(origin: [f64; 3], dx: f64) -> Self {
         assert!(dx > 0.0, "cell width must be positive");
         SubGrid {
-            u: View::new_4d("u", NF, NT, NT, NT),
+            u: View::new_4d("u", NF, NX, NX, NX),
             origin,
             dx,
         }
     }
 
-    /// Physical centre of interior cell `(i, j, k)` (ghost indices allowed:
-    /// pass −1, −2, NX, NX+1).
+    /// Physical centre of cell `(i, j, k)` (ghost indices allowed: pass −1,
+    /// −2, NX, NX+1).
     pub fn cell_center(&self, i: i64, j: i64, k: i64) -> [f64; 3] {
         [
             self.origin[0] + (i as f64 + 0.5) * self.dx,
@@ -115,36 +148,30 @@ impl SubGrid {
         ]
     }
 
-    /// Read field `f` at interior-relative index (ghosts: −NG..NX+NG).
+    /// Read field `f` of interior cell `(i, j, k)`.
     #[inline]
     pub fn at(&self, f: usize, i: i64, j: i64, k: i64) -> f64 {
-        self.u.get4(
-            f,
-            (i + NG as i64) as usize,
-            (j + NG as i64) as usize,
-            (k + NG as i64) as usize,
-        )
+        self.u.as_slice()[offset(f, i, j, k)]
     }
 
-    /// Write field `f` at interior-relative index.
+    /// Write field `f` of interior cell `(i, j, k)`.
     #[inline]
     pub fn set(&mut self, f: usize, i: i64, j: i64, k: i64, v: f64) {
-        self.u.set4(
-            f,
-            (i + NG as i64) as usize,
-            (j + NG as i64) as usize,
-            (k + NG as i64) as usize,
-            v,
-        );
+        self.u.as_mut_slice()[offset(f, i, j, k)] = v;
     }
 
-    /// Initialize every interior cell (and ghost shell) from an initial
-    /// model.
+    /// Field `f` of every interior cell, in cell-index order
+    /// (`(i·NX + j)·NX + k`) — the contiguous lane the gravity P2M kernel
+    /// streams.
+    pub fn field(&self, f: usize) -> &[f64] {
+        &self.u.as_slice()[f * CELLS..][..CELLS]
+    }
+
+    /// Initialize every interior cell from an initial model.
     pub fn init_from_model<M: InitialModel>(&mut self, model: &M) {
-        let ng = NG as i64;
-        for i in -ng..(NX as i64 + ng) {
-            for j in -ng..(NX as i64 + ng) {
-                for k in -ng..(NX as i64 + ng) {
+        for i in 0..NX as i64 {
+            for j in 0..NX as i64 {
+                for k in 0..NX as i64 {
                     let c = self.cell_center(i, j, k);
                     let u = model.conserved_at(c[0], c[1], c[2]);
                     for (f, v) in u.iter().enumerate() {
@@ -160,45 +187,17 @@ impl SubGrid {
         self.init_from_model(star);
     }
 
-    /// Primitive state (ρ, vx, vy, vz, p) at an index, floors applied.
+    /// Primitive state (ρ, vx, vy, vz, p) of an interior cell, floors
+    /// applied.
     #[inline]
     pub fn primitives(&self, i: i64, j: i64, k: i64) -> [f64; 5] {
         primitives_of(std::array::from_fn(|f| self.at(f, i, j, k)))
     }
 
-    /// Fill an SoA primitive staging view over the **whole ghost frame**:
-    /// `out` is `[5][NT][NT][NT]` flattened (field-major, z fastest), so
-    /// `out[q·NT³ + ((i+NG)·NT + j+NG)·NT + k+NG]` is primitive `q` of
-    /// ghost-frame cell `(i, j, k)`. Each primitive becomes a contiguous
-    /// z-lane the SIMD hydro kernels load with plain unit-stride packs —
-    /// and each cell's conserved→primitive conversion (with floors) happens
-    /// exactly once per step instead of once per stencil visit. One flat
-    /// loop over the five conserved lanes, which have the same layout.
-    ///
-    /// Per-lane values are bit-identical to [`SubGrid::primitives`].
-    pub fn stage_primitives(&self, out: &mut [f64]) {
-        const LANE: usize = NT * NT * NT;
-        assert_eq!(out.len(), 5 * LANE, "staging view size mismatch");
-        let u: [&[f64]; NF] = std::array::from_fn(|f| &self.u.as_slice()[f * LANE..][..LANE]);
-        let mut lanes = out.chunks_exact_mut(LANE);
-        let [rho, vx, vy, vz, p] = std::array::from_fn(|_| lanes.next().expect("sized above"));
-        for c in 0..LANE {
-            [rho[c], vx[c], vy[c], vz[c], p[c]] = primitives_of(u.map(|lane| lane[c]));
-        }
-    }
-
     /// Volume integral of field `f` over the interior.
     pub fn integral(&self, f: usize) -> f64 {
         let vol = self.dx * self.dx * self.dx;
-        let mut sum = 0.0;
-        for i in 0..NX as i64 {
-            for j in 0..NX as i64 {
-                for k in 0..NX as i64 {
-                    sum += self.at(f, i, j, k);
-                }
-            }
-        }
-        sum * vol
+        self.field(f).iter().fold(0.0, |sum, v| sum + v) * vol
     }
 
     /// Total mass in the sub-grid interior.
@@ -206,49 +205,24 @@ impl SubGrid {
         self.integral(field::RHO)
     }
 
-    /// Flatten the interior (no ghosts) to `NF × 512` values — the payload
-    /// of an inter-locality halo-leaf exchange.
+    /// The `NF × 512` interior values, field-major in cell-index order — the
+    /// payload of an inter-locality halo-leaf exchange.
     pub fn interior_data(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(NF * NX * NX * NX);
-        for f in 0..NF {
-            for i in 0..NX as i64 {
-                for j in 0..NX as i64 {
-                    for k in 0..NX as i64 {
-                        out.push(self.at(f, i, j, k));
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Interior values of one field in cell-index order (row-major
-    /// `(i·NX + j)·NX + k`, no ghosts) — the contiguous SoA-friendly load
-    /// the gravity P2M kernel streams instead of strided per-cell `at`
-    /// calls through the ghost frame.
-    pub fn interior_field(&self, f: usize, out: &mut [f64; CELLS]) {
-        for i in 0..NX {
-            for j in 0..NX {
-                for k in 0..NX {
-                    out[(i * NX + j) * NX + k] = self.at(f, i as i64, j as i64, k as i64);
-                }
-            }
-        }
+        self.u.as_slice().to_vec()
     }
 
     /// Install interior data produced by [`SubGrid::interior_data`].
     pub fn set_interior_data(&mut self, data: &[f64]) {
-        assert_eq!(data.len(), NF * NX * NX * NX, "interior data size mismatch");
-        let mut it = data.iter();
-        for f in 0..NF {
-            for i in 0..NX as i64 {
-                for j in 0..NX as i64 {
-                    for k in 0..NX as i64 {
-                        self.set(f, i, j, k, *it.next().expect("sized above"));
-                    }
-                }
-            }
-        }
+        assert_eq!(data.len(), NF * CELLS, "interior data size mismatch");
+        self.u.as_mut_slice().copy_from_slice(data);
+    }
+
+    /// `(field, cell)` of the first value, in storage order, that is not
+    /// finite — what a run stopped by a non-finite `dt` names.
+    pub fn first_non_finite(&self) -> Option<(usize, [usize; 3])> {
+        let at = self.u.as_slice().iter().position(|v| !v.is_finite())?;
+        let c = at % CELLS;
+        Some((at / CELLS, [c / (NX * NX), (c / NX) % NX, c % NX]))
     }
 }
 
@@ -261,6 +235,9 @@ mod tests {
         assert_eq!(NX, 8);
         assert_eq!(CELLS, 512, "the paper's 512 cells per sub-grid");
         assert_eq!(NT, 12);
+        // 20 480 B per leaf, where the ghost frame took 69 120.
+        assert_eq!(SubGrid::new([0.0; 3], 1.0).u.bytes(), 20_480);
+        assert_eq!(FRAME_LEN * 8, 69_120);
     }
 
     #[test]
@@ -271,12 +248,21 @@ mod tests {
     }
 
     #[test]
-    fn get_set_ghost_indices() {
+    fn storage_is_field_major_in_cell_index_order() {
         let mut g = SubGrid::new([0.0; 3], 1.0);
-        g.set(field::RHO, -2, 0, 0, 7.0);
-        g.set(field::EGAS, 9, 9, 9, 3.0);
-        assert_eq!(g.at(field::RHO, -2, 0, 0), 7.0);
-        assert_eq!(g.at(field::EGAS, 9, 9, 9), 3.0);
+        g.set(field::EGAS, 1, 2, 3, 7.0);
+        assert_eq!(g.u.as_slice()[4 * CELLS + (NX + 2) * NX + 3], 7.0);
+        assert_eq!(g.field(field::EGAS)[(NX + 2) * NX + 3], 7.0);
+        assert_eq!(g.at(field::EGAS, 1, 2, 3), 7.0);
+        assert_eq!(frame_index(-2, -2, -2), 0);
+        assert_eq!(frame_index(0, 0, 0), (NG * NT + NG) * NT + NG);
+        assert_eq!(frame_index(9, 9, 9), FRAME_CELLS - 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "interior cell index")]
+    fn a_ghost_index_is_not_a_cell_of_the_sub_grid() {
+        SubGrid::new([0.0; 3], 1.0).at(field::RHO, -1, 0, 0);
     }
 
     #[test]
@@ -304,34 +290,16 @@ mod tests {
     }
 
     #[test]
-    fn staged_primitives_match_per_cell_primitives_bitwise() {
-        let mut star_leaf = SubGrid::new([-0.1, -0.1, -0.1], 0.025);
-        star_leaf.init_from_star(&RotatingStar::paper_default());
-        // Below both floors everywhere, ghosts included: every lane clamps.
-        let mut vacuum = SubGrid::new([0.0; 3], 0.1);
-        let u = vacuum.u.as_mut_slice();
-        u[..NT * NT * NT].fill(0.5 * RHO_FLOOR);
-        u[NT * NT * NT..].fill(0.0);
-        for g in [star_leaf, vacuum] {
-            let mut stage = vec![f64::NAN; 5 * NT * NT * NT];
-            g.stage_primitives(&mut stage);
-            let ng = NG as i64;
-            for x in 0..NT {
-                for y in 0..NT {
-                    for z in 0..NT {
-                        let want = g.primitives(x as i64 - ng, y as i64 - ng, z as i64 - ng);
-                        let c = (x * NT + y) * NT + z;
-                        for (q, w) in want.iter().enumerate() {
-                            assert_eq!(
-                                stage[q * NT * NT * NT + c].to_bits(),
-                                w.to_bits(),
-                                "primitive {q} at ({x},{y},{z})"
-                            );
-                        }
-                    }
-                }
-            }
-        }
+    fn interior_data_round_trips_and_names_the_first_non_finite_value() {
+        let mut g = SubGrid::new([-0.1, -0.1, -0.1], 0.025);
+        g.init_from_star(&RotatingStar::paper_default());
+        let mut h = SubGrid::new([0.0; 3], 1.0);
+        h.set_interior_data(&g.interior_data());
+        assert_eq!(h.interior_data(), g.interior_data());
+        assert_eq!(g.first_non_finite(), None);
+        g.set(field::SZ, 5, 6, 7, f64::INFINITY);
+        g.set(field::EGAS, 0, 0, 0, f64::NAN);
+        assert_eq!(g.first_non_finite(), Some((field::SZ, [5, 6, 7])));
     }
 
     #[test]
@@ -350,7 +318,6 @@ mod tests {
     #[test]
     fn integral_scales_with_volume() {
         let mut g = SubGrid::new([0.0; 3], 2.0);
-        g.u.as_mut_slice().fill(0.0);
         for i in 0..NX as i64 {
             for j in 0..NX as i64 {
                 for k in 0..NX as i64 {

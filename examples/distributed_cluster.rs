@@ -8,7 +8,7 @@
 //! ```
 
 use octotiger_riscv_repro::machine::{CpuArch, NetBackend};
-use octotiger_riscv_repro::octo_core::project::{dist_cells_per_sec, DistProfile, OctoProfile};
+use octotiger_riscv_repro::octo_core::project::{dist_cells_per_sec, DistProfile};
 use octotiger_riscv_repro::octotiger::dist_driver::{DistConfig, DistRun};
 use octotiger_riscv_repro::octotiger::OctoConfig;
 
@@ -41,29 +41,7 @@ fn main() {
             metrics.net.messages,
             metrics.net.bytes as f64 / (1024.0 * 1024.0)
         );
-        let mut per_work = metrics.work;
-        let n = u64::from(nodes);
-        per_work.hydro_flops /= n;
-        per_work.gravity_flops /= n;
-        per_work.bytes /= n;
-        per_work.ghost_samples /= n;
-        per_work.ghost_slab_bytes /= n;
-        profiles.push((
-            metrics.cells_processed,
-            DistProfile {
-                per_node: OctoProfile {
-                    work: per_work,
-                    cells_processed: metrics.cells_processed / n,
-                    steps: metrics.steps,
-                    tasks: metrics.runtime_stats.tasks_spawned / n,
-                    kokkos_dispatch: true,
-                    kernel_launches: metrics.leaf_count as u64 * 4 * u64::from(metrics.steps) / n,
-                },
-                nodes,
-                messages: metrics.net.messages,
-                bytes: metrics.net.bytes,
-            },
-        ));
+        profiles.push((metrics.cells_processed, DistProfile::of_run(&metrics)));
     }
 
     if let Some(path) = &octo.trace_out {

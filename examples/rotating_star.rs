@@ -9,7 +9,7 @@
 
 use octotiger_riscv_repro::machine::CpuArch;
 use octotiger_riscv_repro::octo_core::project::{octo_cells_per_sec, OctoProfile};
-use octotiger_riscv_repro::octotiger::{Driver, KernelType, OctoConfig};
+use octotiger_riscv_repro::octotiger::{Driver, OctoConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -62,14 +62,7 @@ fn main() {
         metrics.runtime_stats.steals
     );
 
-    let profile = OctoProfile {
-        work: metrics.work,
-        cells_processed: metrics.cells_processed,
-        steps: metrics.steps,
-        tasks: metrics.runtime_stats.tasks_spawned,
-        kokkos_dispatch: cfg.hydro_kernel != KernelType::Legacy,
-        kernel_launches: metrics.leaf_count as u64 * 4 * u64::from(metrics.steps),
-    };
+    let profile = OctoProfile::of_run(&metrics, cfg.hydro_kernel);
     println!("\nprojected cells/s at 4 cores:");
     for arch in [CpuArch::Jh7110, CpuArch::A64fx, CpuArch::Epyc7543] {
         println!(

@@ -83,9 +83,9 @@ echo "== kernel sweep smokes (gravity, hydro: every pack width runs) =="
 BENCH_SMOKE=1 cargo bench -q -p repro-bench --bench bench_gravity
 BENCH_SMOKE=1 cargo bench -q -p repro-bench --bench bench_hydro
 
-# Also the memory gate: level-4 peak RSS at most twice the arena (1.66 now;
-# 2.64 while every leaf kept a hydro stage from the CFL pass to the hydro pass).
-echo "== deep-tree scale smoke (level 4: mid-run regrid rebuilds < 25% of lists, peak RSS <= 2x arena) =="
+# Also the memory gate: level-4 peak RSS at most 150 B per cell (≈ 130 with
+# interior-only sub-grids; 228 while every leaf stored its 12³ ghost frame).
+echo "== deep-tree scale smoke (level 4: mid-run regrid rebuilds < 25% of lists, peak RSS <= 150 B/cell) =="
 BENCH_SMOKE=1 cargo bench -q -p repro-bench --bench bench_scale
 
 echo "== scheduler per-task smoke (spread gate on the external-producer case) =="

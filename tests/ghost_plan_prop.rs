@@ -1,29 +1,33 @@
-//! Ghost-exchange agreement suite: the cached copy plan must fill every face
-//! ghost with **bitwise** the value per-cell sampling reads
-//! (`Octree::sample` at the ghost cell's centre — the exchange this plan
-//! replaced), on any refinement history, for any worker count; it must be
-//! rebuilt exactly once per topology generation and never in between; it
-//! must not allocate once built; and the work it reports must follow the
-//! formula the machine projection was calibrated on (640 values per face).
+//! Ghost-gather agreement suite: the cached plan must gather every face
+//! ghost of a leaf's frame with **bitwise** the value per-cell sampling reads
+//! (`Octree::sample` at the ghost cell's centre), and the frame's interior
+//! must be the leaf's, on any refinement history, from tasks on any worker
+//! count; the plan must be rebuilt exactly once per topology generation and
+//! never in between; a gather must not allocate; and the work it reports
+//! must follow the formula the machine projection was calibrated on (640
+//! values per face).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use proptest::prelude::*;
 
+use octotiger_riscv_repro::amt::par::scope;
 use octotiger_riscv_repro::amt::Runtime;
 use octotiger_riscv_repro::apex_lite::CounterValue;
 use octotiger_riscv_repro::machine::NetBackend;
 use octotiger_riscv_repro::octotiger::octree::{GhostFaces, NodeId, Octree, FACE_VALUES};
 use octotiger_riscv_repro::octotiger::star::NF;
-use octotiger_riscv_repro::octotiger::subgrid::{Face, NG, NT, NX};
+use octotiger_riscv_repro::octotiger::subgrid::{
+    frame_index, Face, FRAME_CELLS, FRAME_LEN, NG, NX,
+};
 use octotiger_riscv_repro::octotiger::{DistConfig, DistRun, Driver, OctoConfig, RotatingStar};
 
 // ---- allocations made by the calling thread --------------------------------
 
 thread_local! {
-    /// `(allocations, largest single allocation in bytes)` on this thread.
-    static ALLOCS: Cell<(u64, usize)> = const { Cell::new((0, 0)) };
+    /// Allocations made on this thread.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
 struct CountingAlloc;
@@ -32,10 +36,7 @@ struct CountingAlloc;
 // thread-local without a destructor, which never allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCS.try_with(|a| {
-            let (n, max) = a.get();
-            a.set((n + 1, max.max(layout.size())));
-        });
+        let _ = ALLOCS.try_with(|a| a.set(a.get() + 1));
         System.alloc(layout)
     }
 
@@ -47,16 +48,16 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// `(allocations, largest)` the calling thread made while running `f`.
-fn allocations_during(f: impl FnOnce()) -> (u64, usize) {
-    ALLOCS.with(|a| a.set((0, 0)));
+/// Allocations the calling thread made while running `f`.
+fn allocations_during(f: impl FnOnce()) -> u64 {
+    ALLOCS.with(|a| a.set(0));
     f();
     ALLOCS.with(Cell::get)
 }
 
 // ---- the sampling oracle ---------------------------------------------------
 
-/// Bits no computed value has: what the ghost shell holds before an exchange.
+/// Bits no computed value has: what a frame holds before a gather.
 const POISON: f64 = f64::from_bits(0x7ff8_dead_beef_0001);
 
 fn star_tree(max_level: u32) -> Octree {
@@ -67,60 +68,49 @@ fn star_tree(max_level: u32) -> Octree {
     Octree::build(&RotatingStar::paper_default(), &cfg, 1.0)
 }
 
-/// How many of a ghost-frame cell's coordinates lie in the ghost shell:
-/// 0 = interior, 1 = face ghost, 2–3 = edge/corner (never exchanged).
-fn shell_rank(c: [usize; 3]) -> usize {
-    c.iter().filter(|&&i| !(NG..NG + NX).contains(&i)).count()
+/// Every frame cell `[i, j, k]` (interior-relative) with how many of its
+/// coordinates lie in the ghost shell: 0 = interior, 1 = face ghost, 2–3 =
+/// edge/corner (never gathered).
+fn frame_cells() -> impl Iterator<Item = ([i64; 3], usize)> {
+    let span = || -(NG as i64)..(NX + NG) as i64;
+    let cells = span().flat_map(move |i| span().flat_map(move |j| span().map(move |k| [i, j, k])));
+    cells.map(|c| {
+        (
+            c,
+            c.iter().filter(|&&x| !(0..NX as i64).contains(&x)).count(),
+        )
+    })
 }
 
-fn frame_cells() -> impl Iterator<Item = [usize; 3]> {
-    (0..NT).flat_map(|x| (0..NT).flat_map(move |y| (0..NT).map(move |z| [x, y, z])))
+fn frame_at(frame: &[f64], f: usize, c: [i64; 3]) -> f64 {
+    frame[f * FRAME_CELLS + frame_index(c[0], c[1], c[2])]
 }
 
-fn frame_at(tree: &Octree, leaf: NodeId, f: usize, c: [usize; 3]) -> f64 {
-    let ng = NG as i64;
-    tree.subgrid(leaf)
-        .at(f, c[0] as i64 - ng, c[1] as i64 - ng, c[2] as i64 - ng)
+/// The frame of the leaf at `pos`, gathered into a poisoned buffer.
+fn gathered(tree: &Octree, pos: usize) -> Vec<f64> {
+    let mut frame = vec![POISON; FRAME_LEN];
+    tree.gather_frame(pos, &mut frame);
+    frame
 }
 
-fn poison_shell(tree: &mut Octree, leaf: NodeId) {
-    let ng = NG as i64;
-    let grid = tree.subgrid_mut(leaf);
-    for c in frame_cells().filter(|&c| shell_rank(c) > 0) {
+/// Check one gathered frame of `leaf` whole: face ghosts equal sampling at
+/// their centres, the interior equals the leaf's, edges and corners are
+/// still poison.
+fn check_frame(tree: &Octree, leaf: NodeId, frame: &[f64], label: &str) {
+    let grid = tree.subgrid(leaf);
+    for (c, rank) in frame_cells() {
         for f in 0..NF {
-            grid.set(
-                f,
-                c[0] as i64 - ng,
-                c[1] as i64 - ng,
-                c[2] as i64 - ng,
-                POISON,
+            let want = match rank {
+                0 => grid.at(f, c[0], c[1], c[2]),
+                1 => tree.sample(f, grid.cell_center(c[0], c[1], c[2])),
+                _ => POISON,
+            };
+            assert_eq!(
+                frame_at(frame, f, c).to_bits(),
+                want.to_bits(),
+                "{label}: leaf {leaf} field {f} frame cell {c:?} (shell rank {rank})"
             );
         }
-    }
-}
-
-/// What sampling says every face ghost of `leaf` must hold, as
-/// `(field, frame cell, bits)`.
-fn sampled_ghosts(tree: &Octree, leaf: NodeId) -> Vec<(usize, [usize; 3], u64)> {
-    let ng = NG as i64;
-    let grid = tree.subgrid(leaf);
-    let mut out = Vec::new();
-    for c in frame_cells().filter(|&c| shell_rank(c) == 1) {
-        let p = grid.cell_center(c[0] as i64 - ng, c[1] as i64 - ng, c[2] as i64 - ng);
-        for f in 0..NF {
-            out.push((f, c, tree.sample(f, p).to_bits()));
-        }
-    }
-    out
-}
-
-fn assert_ghosts(tree: &Octree, leaf: NodeId, want: &[(usize, [usize; 3], u64)], label: &str) {
-    for &(f, c, bits) in want {
-        assert_eq!(
-            frame_at(tree, leaf, f, c).to_bits(),
-            bits,
-            "{label}: leaf {leaf} field {f} ghost {c:?}"
-        );
     }
 }
 
@@ -163,41 +153,31 @@ impl Census {
     }
 }
 
-/// Poison every ghost shell, exchange on `workers` workers (0 = the serial
-/// entry point), and check the whole frame of every leaf: face ghosts equal
-/// the oracle, interiors are untouched, edges and corners are still poison.
-fn check_exchange(tree: &mut Octree, workers: usize, label: &str) {
+/// Plan, then gather every leaf's frame — one task per leaf on `workers`
+/// workers, as the hydro tasks do (0 = on the calling thread) — and check
+/// each frame whole.
+fn check_gather(tree: &mut Octree, workers: usize, label: &str) {
+    let planned = tree.plan_ghosts(|_| true);
     let leaves: Vec<NodeId> = tree.leaf_ids().to_vec();
-    let interiors: Vec<Vec<f64>> = leaves
-        .iter()
-        .map(|&l| tree.subgrid(l).interior_data())
-        .collect();
-    for &l in &leaves {
-        poison_shell(tree, l);
-    }
-    let filled = match workers {
-        0 => tree.fill_ghosts(),
-        w => tree.exchange_ghosts(&Runtime::new(w).handle(), |_| true),
-    };
     let census = Census::of(tree, leaves.iter().copied());
-    assert_eq!(filled, census.faces(), "{label}: faces filled");
+    assert_eq!(planned, census.faces(), "{label}: faces planned");
     assert_eq!(tree.ghost_stats().faces, census.faces(), "{label}: census");
-    for (&l, interior) in leaves.iter().zip(&interiors) {
-        assert_ghosts(tree, l, &sampled_ghosts(tree, l), label);
-        let now = tree.subgrid(l).interior_data();
-        assert!(
-            now.iter()
-                .zip(interior)
-                .all(|(a, b)| a.to_bits() == b.to_bits()),
-            "{label}: exchange wrote an interior cell of leaf {l}"
-        );
-        for c in frame_cells().filter(|&c| shell_rank(c) > 1) {
-            assert_eq!(
-                frame_at(tree, l, 0, c).to_bits(),
-                POISON.to_bits(),
-                "{label}: exchange wrote edge/corner {c:?} of leaf {l}"
-            );
+    let tree = &*tree;
+    let mut frames: Vec<Vec<f64>> = vec![Vec::new(); leaves.len()];
+    match workers {
+        0 => {
+            for (pos, frame) in frames.iter_mut().enumerate() {
+                *frame = gathered(tree, pos);
+            }
         }
+        w => scope(&Runtime::new(w).handle(), |sc| {
+            for (pos, frame) in frames.iter_mut().enumerate() {
+                sc.spawn(move || *frame = gathered(tree, pos));
+            }
+        }),
+    }
+    for (&leaf, frame) in leaves.iter().zip(&frames) {
+        check_frame(tree, leaf, frame, label);
     }
 }
 
@@ -217,7 +197,7 @@ fn every_face_kind_matches_the_sampling_oracle_for_1_and_3_workers() {
         "the tree must exercise every face kind: {census:?}"
     );
     for workers in [0, 1, 3] {
-        check_exchange(&mut tree, workers, &format!("{workers} workers"));
+        check_gather(&mut tree, workers, &format!("{workers} workers"));
     }
     assert_eq!(tree.ghost_stats().plan_rebuilds, 1, "one generation used");
 }
@@ -226,7 +206,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Random refine sequences: after every sweep the plan is rebuilt for
-    /// the new generation and the exchange still equals sampling.
+    /// the new generation and the gathered frames still equal sampling.
     #[test]
     fn random_refine_sequences_match_the_sampling_oracle(
         level in 1u32..3,
@@ -236,7 +216,7 @@ proptest! {
     ) {
         let workers = if three_workers { 3 } else { 1 };
         let mut tree = star_tree(level);
-        check_exchange(&mut tree, workers, "built tree");
+        check_gather(&mut tree, workers, "built tree");
         let mut generations = 1;
         for picks in &sweeps {
             let victims: Vec<NodeId> = picks
@@ -246,44 +226,40 @@ proptest! {
             let before = tree.generation();
             tree.regrid(&victims);
             generations += tree.generation() - before;
-            check_exchange(&mut tree, workers, &format!("after sweep {picks:?}"));
+            check_gather(&mut tree, workers, &format!("after sweep {picks:?}"));
             prop_assert_eq!(tree.ghost_stats().plan_rebuilds, generations);
         }
     }
 }
 
 #[test]
-fn masked_exchange_fills_the_targets_and_nothing_else() {
-    // A distributed locality fills the ghosts of the leaves it owns, reading
-    // the halo leaves it does not.
+fn masked_plan_counts_the_targets_and_gathers_their_frames() {
+    // A distributed locality plans for the leaves it owns: the census it is
+    // charged is theirs, the halo it reads is what their frames need, and
+    // their frames are the oracle's.
     let mut tree = star_tree(2);
     let leaves: Vec<NodeId> = tree.leaf_ids().to_vec();
     let owned: Vec<bool> = leaves
         .iter()
         .map(|&l| tree.node_geometry(l).0[0] < 0.0)
         .collect();
-    for &l in &leaves {
-        poison_shell(&mut tree, l);
+    let planned = tree.plan_ghosts(|pos| owned[pos]);
+    let owned_leaves = leaves
+        .iter()
+        .zip(&owned)
+        .filter(|(_, &o)| o)
+        .map(|(&l, _)| l);
+    assert_eq!(planned, Census::of(&tree, owned_leaves).faces());
+    let halo = tree.halo_sources(|pos| owned[pos]);
+    assert!(!halo.is_empty() && halo.iter().all(|&pos| !owned[pos]));
+    for (pos, &leaf) in leaves.iter().enumerate().filter(|&(pos, _)| owned[pos]) {
+        check_frame(&tree, leaf, &gathered(&tree, pos), "owned leaf");
     }
-    let rt = Runtime::new(2);
-    let filled = tree.exchange_ghosts(&rt.handle(), |pos| owned[pos]);
-    let owned_leaves = || {
-        leaves
-            .iter()
-            .zip(&owned)
-            .filter(|(_, &o)| o)
-            .map(|(&l, _)| l)
-    };
-    assert_eq!(filled, Census::of(&tree, owned_leaves()).faces());
-    for (&l, &o) in leaves.iter().zip(&owned) {
-        if o {
-            assert_ghosts(&tree, l, &sampled_ghosts(&tree, l), "owned leaf");
-        } else {
-            for c in frame_cells().filter(|&c| shell_rank(c) > 0) {
-                assert_eq!(frame_at(&tree, l, 0, c).to_bits(), POISON.to_bits());
-            }
-        }
-    }
+    assert_eq!(
+        tree.ghost_stats().plan_rebuilds,
+        1,
+        "the mask is no topology"
+    );
 }
 
 #[test]
@@ -296,19 +272,16 @@ fn plan_is_rebuilt_once_per_generation_and_steps_equal_the_oracle() {
         });
         let rt = Runtime::new(workers);
         assert_eq!(d.tree().ghost_stats().plan_rebuilds, 0, "built lazily");
-        // A step exchanges first, then updates interiors only: its ghosts
-        // are the samples of the state it started from.
+        // A step plans at its start and updates interiors only: after it the
+        // plan is current and gathers the new state's oracle.
         let checked_step = |d: &mut Driver, rebuilds: u64| {
-            let leaves: Vec<NodeId> = d.tree().leaf_ids().to_vec();
-            let want: Vec<_> = leaves
-                .iter()
-                .map(|&l| sampled_ghosts(d.tree(), l))
-                .collect();
             d.step(&rt);
-            for (&l, want) in leaves.iter().zip(&want) {
-                assert_ghosts(d.tree(), l, want, &format!("{workers} workers"));
+            let tree = d.tree();
+            for (pos, &leaf) in tree.leaf_ids().iter().enumerate() {
+                let label = format!("{workers} workers");
+                check_frame(tree, leaf, &gathered(tree, pos), &label);
             }
-            assert_eq!(d.tree().ghost_stats().plan_rebuilds, rebuilds);
+            assert_eq!(tree.ghost_stats().plan_rebuilds, rebuilds);
         };
         checked_step(&mut d, 1);
         checked_step(&mut d, 1);
@@ -318,7 +291,7 @@ fn plan_is_rebuilt_once_per_generation_and_steps_equal_the_oracle() {
         assert_eq!(
             d.tree().ghost_stats().plan_rebuilds,
             1,
-            "a regrid only invalidates; the next exchange rebuilds"
+            "a regrid only invalidates; the next step rebuilds"
         );
         checked_step(&mut d, 2);
         checked_step(&mut d, 2);
@@ -353,7 +326,7 @@ fn ghost_work_follows_the_640_values_per_face_formula() {
     assert_eq!(count("/ghost/faces_slab"), faces.slab);
     assert_eq!(count("/ghost/faces_indexed"), faces.indexed);
 
-    // Two localities fill the ghosts of the leaves they own: between them
+    // Two localities gather the frames of the leaves they own: between them
     // every face once per step, each from a plan built once.
     let dist = DistRun::execute(DistConfig {
         nodes: 2,
@@ -371,25 +344,19 @@ fn ghost_work_follows_the_640_values_per_face_formula() {
 }
 
 #[test]
-fn steady_state_exchange_allocates_no_buffers() {
+fn steady_state_gather_allocates_nothing() {
     let mut tree = star_tree(2);
-    tree.fill_ghosts(); // builds the plan and sizes its scratch
-    let (allocs, _) = allocations_during(|| {
-        tree.fill_ghosts();
+    tree.plan_ghosts(|_| true);
+    let mut frame = vec![0.0; FRAME_LEN];
+    let allocs = allocations_during(|| {
+        tree.plan_ghosts(|_| true); // current: no rebuild
+        for pos in 0..tree.leaf_count() {
+            tree.gather_frame(pos, &mut frame);
+        }
     });
-    assert_eq!(allocs, 0, "the per-leaf copy path must not allocate");
-
-    // On a runtime the only allocations left are the scheduler's: a few
-    // small boxes per spawned task, nothing the size of a face (5 KB).
-    let rt = Runtime::new(2);
-    let handle = rt.handle();
-    tree.exchange_ghosts(&handle, |_| true);
-    let (allocs, largest) = allocations_during(|| {
-        tree.exchange_ghosts(&handle, |_| true);
-    });
-    let leaves = tree.leaf_count() as u64;
-    assert!(
-        allocs <= 4 * leaves + 16 && largest < 1024,
-        "{allocs} allocations (largest {largest} B) for {leaves} leaf tasks"
+    assert_eq!(
+        allocs, 0,
+        "planning a current plan and gathering must not allocate"
     );
+    assert_eq!(tree.ghost_stats().plan_rebuilds, 1);
 }

@@ -37,12 +37,7 @@ fn tiny_config() -> OctoConfig {
 }
 
 /// Phase spans a step emits once: its joins and serial sections.
-const JOIN_PHASES: [&str; 4] = [
-    "ghost_exchange",
-    "cfl_reduction",
-    "gravity_moments",
-    "apply_update",
-];
+const JOIN_PHASES: [&str; 3] = ["cfl_reduction", "gravity_moments", "apply_update"];
 /// Phase spans a step emits once per owned leaf: the kernel families.
 const LEAF_PHASES: [&str; 4] = ["cfl_leaf", "p2m_leaf", "gravity_solve", "hydro_step"];
 
@@ -86,9 +81,12 @@ fn trace_spans_agree_with_run_metrics() {
     for phase in JOIN_PHASES {
         assert_eq!(summary.count_name(phase), steps, "phase {phase}");
     }
-    // One ghost-plan build per topology generation exchanged on — a static
+    // One ghost-plan build per topology generation stepped on — a static
     // tree builds once, in the first step — and the counter says the same.
+    // The ghost zones are gathered inside the hydro tasks: no phase of
+    // their own.
     assert_eq!(summary.count_name("ghost_plan_build"), 1);
+    assert_eq!(summary.count_name("ghost_exchange"), 0);
     assert!(metrics.counters.get("/ghost/plan_rebuilds") == Some(CounterValue::Count(1)));
     for census in ["/ghost/faces_slab", "/ghost/faces_indexed"] {
         assert!(
