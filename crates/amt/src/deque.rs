@@ -1,7 +1,6 @@
-//! Minimal in-tree stand-in for `crossbeam-deque` (offline build — the
-//! real crate cannot be fetched without network access).
+//! The scheduler's work-stealing queues.
 //!
-//! Keeps the work-stealing *semantics* the `amt` runtime relies on — LIFO
+//! They have the work-stealing *semantics* the runtime relies on — LIFO
 //! owner pops for cache locality, FIFO steals from the opposite end,
 //! batched injector drains — and the two properties its scheduler is built
 //! on: a worker's own `push`/`pop` never wait for a thief, and a probe of an
@@ -30,7 +29,8 @@
 //!   referee's `maclaurin_fine_t2`.
 //!
 //! Raw slot access is the `ring` module's two `unsafe fn`s; each of their
-//! call sites (all in this file) says why its preconditions hold.
+//! call sites (all in this file) says why its preconditions hold. A take
+//! that finds nothing is `None`: no operation here ever asks to be retried.
 //!
 //! # Memory ordering
 //!
@@ -45,36 +45,13 @@
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicIsize, AtomicPtr, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use ring::Ring;
 
-/// Result of a steal attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Steal<T> {
-    Empty,
-    Success(T),
-    Retry,
-}
-
-impl<T> Steal<T> {
-    pub fn is_empty(&self) -> bool {
-        matches!(self, Steal::Empty)
-    }
-
-    pub fn success(self) -> Option<T> {
-        match self {
-            Steal::Success(t) => Some(t),
-            _ => None,
-        }
-    }
-}
-
-impl<T> From<Option<T>> for Steal<T> {
-    fn from(taken: Option<T>) -> Self {
-        taken.map_or(Steal::Empty, Steal::Success)
-    }
-}
+// A mutex here guards `()` or a `VecDeque`, valid at every step, so a panic
+// under it leaves nothing to repair.
+use crate::lock;
 
 /// Most tasks one `steal_batch_and_pop` moves besides the one it returns.
 const MAX_BATCH: usize = 32;
@@ -88,13 +65,7 @@ const MIN_CAP: usize = 32;
 #[repr(align(128))]
 struct Padded<T>(T);
 
-/// Lock a mutex whose data is valid at every step (`()` or a `VecDeque`),
-/// so a panic under it leaves nothing to repair.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// The raw ring of slots under the deque: the crate's two `unsafe fn`s.
+/// The raw ring of slots under the deque: the module's two `unsafe fn`s.
 mod ring {
     use std::cell::UnsafeCell;
     use std::mem::MaybeUninit;
@@ -354,10 +325,12 @@ impl<T> Worker<T> {
         item
     }
 
+    #[cfg(test)]
     pub fn is_empty(&self) -> bool {
         self.deque.len() == 0
     }
 
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.deque.len()
     }
@@ -375,14 +348,15 @@ pub struct Stealer<T> {
 }
 
 impl<T> Stealer<T> {
-    pub fn steal(&self) -> Steal<T> {
-        self.deque.steal().into()
+    pub fn steal(&self) -> Option<T> {
+        self.deque.steal()
     }
 
     pub fn is_empty(&self) -> bool {
         self.deque.len() == 0
     }
 
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.deque.len()
     }
@@ -415,12 +389,6 @@ struct Locked<'a, T> {
 impl<T> Drop for Locked<'_, T> {
     fn drop(&mut self) {
         self.len.store(self.items.len(), Ordering::SeqCst);
-    }
-}
-
-impl<T> Default for Injector<T> {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -457,33 +425,42 @@ impl<T> Injector<T> {
         self.len.0.load(Ordering::SeqCst)
     }
 
-    pub fn steal(&self) -> Steal<T> {
-        self.lock_nonempty()
-            .and_then(|mut q| q.items.pop_front())
-            .into()
+    #[cfg(test)]
+    pub fn steal(&self) -> Option<T> {
+        self.lock_nonempty().and_then(|mut q| q.items.pop_front())
     }
 
     /// Drain a batch (up to half of what is left after the first task,
     /// capped at [`MAX_BATCH`]) into `worker`'s queue and return the first
-    /// task immediately, like the real crate.
-    pub fn steal_batch_and_pop(&self, worker: &Worker<T>) -> Steal<T> {
-        let Some(mut q) = self.lock_nonempty() else {
-            return Steal::Empty;
-        };
-        let Some(first) = q.items.pop_front() else {
-            return Steal::Empty;
-        };
+    /// task immediately.
+    pub fn steal_batch_and_pop(&self, worker: &Worker<T>) -> Option<T> {
+        let mut q = self.lock_nonempty()?;
+        let first = q.items.pop_front()?;
         let extra = (q.items.len() / 2).min(MAX_BATCH);
         for task in q.items.drain(..extra) {
             worker.push(task);
         }
-        Steal::Success(first)
+        Some(first)
     }
 }
 
+/// The deque and the injector against a `VecDeque` model, and under threads.
+///
+/// * Single-threaded, every observable of a random operation sequence must
+///   equal the model's: the owner pops LIFO, thieves and the injector take
+///   FIFO, `steal_batch_and_pop` returns the oldest task and moves at most
+///   half of the rest (capped at 32) in order, `len` / `is_empty` agree
+///   after every step. Sequences are long enough to make the ring grow and
+///   wrap.
+/// * Four threads (the owner, two thieves, one injector producer) pass a
+///   million items around: each is delivered exactly once, and what is left
+///   in the queues when they are dropped is dropped exactly once.
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
+
+    use proptest::prelude::*;
 
     #[test]
     fn lifo_owner_fifo_thief() {
@@ -493,9 +470,9 @@ mod tests {
         w.push(2);
         w.push(3);
         assert_eq!(w.pop(), Some(3)); // owner: LIFO
-        assert_eq!(s.steal(), Steal::Success(1)); // thief: FIFO
+        assert_eq!(s.steal(), Some(1)); // thief: FIFO
         assert_eq!(w.pop(), Some(2));
-        assert!(s.steal().is_empty());
+        assert!(s.steal().is_none());
     }
 
     #[test]
@@ -505,9 +482,182 @@ mod tests {
             inj.push(i);
         }
         let w = Worker::new_lifo();
-        assert_eq!(inj.steal_batch_and_pop(&w), Steal::Success(0));
+        assert_eq!(inj.steal_batch_and_pop(&w), Some(0));
         // Half of the remaining 9 tasks moved into the worker's queue.
         assert_eq!(w.len(), 4);
         assert_eq!(inj.len(), 5);
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Push,
+        Pop,
+        Steal,
+        Inject,
+        InjectorSteal,
+        Batch,
+    }
+
+    fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
+        // Pushes outweigh takes so that queues get long (the ring starts at 32
+        // slots) and drain again.
+        let op = (0u8..14).prop_map(|n| match n {
+            0..=3 => Op::Push,
+            4..=5 => Op::Pop,
+            6..=7 => Op::Steal,
+            8..=11 => Op::Inject,
+            12 => Op::InjectorSteal,
+            _ => Op::Batch,
+        });
+        proptest::collection::vec(op, 1..600)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn random_sequences_match_the_vecdeque_model(ops in arb_ops()) {
+            let worker = Worker::new_lifo();
+            let stealer = worker.stealer();
+            let injector = Injector::new();
+            let mut deque_model: VecDeque<u32> = VecDeque::new();
+            let mut injector_model: VecDeque<u32> = VecDeque::new();
+            let mut next = 0u32;
+            for op in ops {
+                match op {
+                    Op::Push => {
+                        worker.push(next);
+                        deque_model.push_back(next);
+                        next += 1;
+                    }
+                    Op::Pop => prop_assert_eq!(worker.pop(), deque_model.pop_back()),
+                    Op::Steal => prop_assert_eq!(stealer.steal(), deque_model.pop_front()),
+                    Op::Inject => {
+                        injector.push(next);
+                        injector_model.push_back(next);
+                        next += 1;
+                    }
+                    Op::InjectorSteal => {
+                        prop_assert_eq!(injector.steal(), injector_model.pop_front())
+                    }
+                    Op::Batch => {
+                        let first = injector_model.pop_front();
+                        if first.is_some() {
+                            let moved = (injector_model.len() / 2).min(32);
+                            deque_model.extend(injector_model.drain(..moved));
+                        }
+                        prop_assert_eq!(injector.steal_batch_and_pop(&worker), first);
+                    }
+                }
+                prop_assert_eq!(worker.len(), deque_model.len());
+                prop_assert_eq!(stealer.len(), deque_model.len());
+                prop_assert_eq!(worker.is_empty(), deque_model.is_empty());
+                prop_assert_eq!(stealer.is_empty(), deque_model.is_empty());
+                prop_assert_eq!(injector.len(), injector_model.len());
+                prop_assert_eq!(injector.is_empty(), injector_model.is_empty());
+            }
+            // What the batches moved arrived in order: drain and compare.
+            while let Some(want) = deque_model.pop_front() {
+                prop_assert_eq!(stealer.steal(), Some(want));
+            }
+            prop_assert_eq!(worker.pop(), None);
+        }
+    }
+
+    /// Counts its own drop, and remembers which item it is.
+    struct Item {
+        id: usize,
+        drops: Arc<Vec<AtomicUsize>>,
+    }
+
+    impl Drop for Item {
+        fn drop(&mut self) {
+            self.drops[self.id].fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    #[test]
+    fn four_threads_deliver_a_million_items_exactly_once() {
+        const ITEMS: usize = 1_000_000;
+        // The producer pushes odd ids through the injector, the owner pushes
+        // even ids onto its own deque.
+        let drops: Arc<Vec<AtomicUsize>> =
+            Arc::new((0..ITEMS).map(|_| AtomicUsize::new(0)).collect());
+        let delivered: Arc<Vec<AtomicUsize>> =
+            Arc::new((0..ITEMS).map(|_| AtomicUsize::new(0)).collect());
+        let take = |item: Item, delivered: &[AtomicUsize]| {
+            delivered[item.id].fetch_add(1, Ordering::Relaxed);
+        };
+        let injector = Arc::new(Injector::new());
+        let worker = Worker::new_lifo();
+        let stop = Arc::new(AtomicBool::new(false));
+
+        let thieves: Vec<_> = (0..2)
+            .map(|_| {
+                let (stealer, stop, delivered) =
+                    (worker.stealer(), stop.clone(), delivered.clone());
+                std::thread::spawn(move || {
+                    let mut taken = 0usize;
+                    while !stop.load(Ordering::SeqCst) {
+                        if let Some(item) = stealer.steal() {
+                            take(item, &delivered);
+                            taken += 1;
+                        }
+                    }
+                    taken
+                })
+            })
+            .collect();
+        let producer = {
+            let (injector, drops) = (injector.clone(), drops.clone());
+            std::thread::spawn(move || {
+                for id in (1..ITEMS).step_by(2) {
+                    injector.push(Item {
+                        id,
+                        drops: drops.clone(),
+                    });
+                }
+            })
+        };
+        // The owner: push its own items, pull batches out of the injector, pop
+        // — and leave a remainder behind on purpose.
+        let mut popped = 0usize;
+        for id in (0..ITEMS).step_by(2) {
+            worker.push(Item {
+                id,
+                drops: drops.clone(),
+            });
+            if id % 8 == 0 {
+                if let Some(item) = injector.steal_batch_and_pop(&worker) {
+                    take(item, &delivered);
+                    popped += 1;
+                }
+            }
+            if id % 6 == 0 {
+                if let Some(item) = worker.pop() {
+                    take(item, &delivered);
+                    popped += 1;
+                }
+            }
+        }
+        producer.join().expect("producer");
+        stop.store(true, Ordering::SeqCst);
+        let stolen: usize = thieves.into_iter().map(|t| t.join().expect("thief")).sum();
+        assert!(stolen > 0, "the thieves never got anything");
+
+        let left = worker.len() + injector.len();
+        assert_eq!(popped + stolen + left, ITEMS, "items lost or duplicated");
+        drop(worker);
+        drop(injector);
+        for id in 0..ITEMS {
+            let (delivered, drops) = (
+                delivered[id].load(Ordering::Relaxed),
+                drops[id].load(Ordering::Relaxed),
+            );
+            assert!(delivered <= 1, "item {id} delivered {delivered} times");
+            assert_eq!(drops, 1, "item {id} dropped {drops} times");
+        }
+        let delivered_total: usize = delivered.iter().map(|d| d.load(Ordering::Relaxed)).sum();
+        assert_eq!(delivered_total, popped + stolen);
     }
 }

@@ -11,12 +11,12 @@
 
 use std::any::Any;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use apex_lite::trace::{self, Cat};
-use parking_lot::{Condvar, Mutex, MutexGuard};
 
+use crate::lock;
 use crate::runtime::{help_one, on_worker, unwind_after_delivery};
 
 pub(crate) type PanicPayload = Box<dyn Any + Send + 'static>;
@@ -46,20 +46,20 @@ impl<T> Inner<T> {
     /// condvar (callers re-check, so a lost notify only costs the timeout).
     /// The nap is a `sched` span: the task around it is waiting, not working.
     fn nap(&self) {
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         if st.outcome.is_none() {
             st.waiting = true;
             let _span = trace::span(Cat::Sched, "wait");
-            self.ready.wait_for(&mut st, Duration::from_micros(200));
+            drop(self.ready.wait_timeout(st, Duration::from_micros(200)));
         }
     }
 
     /// Block the (non-worker) thread until the outcome is there.
     fn block(&self) -> MutexGuard<'_, State<T>> {
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         while st.outcome.is_none() {
             st.waiting = true;
-            self.ready.wait(&mut st);
+            st = self.ready.wait(st).unwrap_or_else(PoisonError::into_inner);
         }
         st
     }
@@ -104,7 +104,7 @@ pub fn make_ready_future<T>(value: T) -> Future<T> {
 impl<T> Promise<T> {
     fn complete(&self, outcome: Outcome<T>) {
         let cont = {
-            let mut st = self.inner.state.lock();
+            let mut st = lock(&self.inner.state);
             assert!(st.outcome.is_none(), "promise already satisfied");
             match st.continuation.take() {
                 Some(c) => Some((c, outcome)),
@@ -148,7 +148,7 @@ impl<T: Send + 'static> Future<T> {
     fn on_complete(self, f: impl FnOnce(Outcome<T>) + Send + 'static) {
         let mut f = Some(f);
         let ready = {
-            let mut st = self.inner.state.lock();
+            let mut st = lock(&self.inner.state);
             match st.outcome.take() {
                 Some(o) => Some(o),
                 None => {
@@ -168,8 +168,7 @@ impl<T: Send + 'static> Future<T> {
 
     /// Attach a continuation, producing the future of its result —
     /// `hpx::future::then`. The continuation runs on whichever thread
-    /// completes this future (HPX's `launch::sync` continuation policy);
-    /// use [`Future::then_on`] to run it as a fresh task instead.
+    /// completes this future (HPX's `launch::sync` continuation policy).
     pub fn then<U, F>(self, f: F) -> Future<U>
     where
         U: Send + 'static,
@@ -188,32 +187,9 @@ impl<T: Send + 'static> Future<T> {
         fut
     }
 
-    /// Attach a continuation that is *spawned* on `handle`'s runtime
-    /// (HPX's `launch::async` continuation policy).
-    pub fn then_on<U, F>(self, handle: &crate::Handle, f: F) -> Future<U>
-    where
-        U: Send + 'static,
-        F: FnOnce(T) -> U + Send + 'static,
-    {
-        let (p, fut) = pair();
-        let h = handle.clone();
-        self.on_complete(move |outcome| match outcome {
-            Outcome::Value(v) => {
-                h.spawn_detached(move || {
-                    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(v))) {
-                        Ok(u) => p.set_value(u),
-                        Err(e) => p.set_panic(e),
-                    }
-                });
-            }
-            Outcome::Panicked(e) => p.set_panic(e),
-        });
-        fut
-    }
-
     /// Is the result available?
     pub fn is_ready(&self) -> bool {
-        self.inner.state.lock().outcome.is_some()
+        lock(&self.inner.state).outcome.is_some()
     }
 
     /// Block until complete and return the value, re-raising producer
@@ -223,7 +199,7 @@ impl<T: Send + 'static> Future<T> {
         if on_worker() {
             loop {
                 {
-                    let mut st = self.inner.state.lock();
+                    let mut st = lock(&self.inner.state);
                     if let Some(o) = st.outcome.take() {
                         return unwrap_outcome(o);
                     }
@@ -247,7 +223,7 @@ impl<T: Send + 'static> Future<T> {
                 }
             }
         } else {
-            self.inner.block();
+            drop(self.inner.block());
         }
     }
 }
@@ -287,44 +263,23 @@ pub fn when_all<T: Send + 'static>(futures: Vec<Future<T>>) -> Future<Vec<T>> {
         let j = Arc::clone(&join);
         f.on_complete(move |outcome| {
             match outcome {
-                Outcome::Value(v) => *j.slots[i].lock() = Some(v),
+                Outcome::Value(v) => *lock(&j.slots[i]) = Some(v),
                 Outcome::Panicked(e) => {
-                    j.panic.lock().get_or_insert(e);
+                    lock(&j.panic).get_or_insert(e);
                 }
             }
             if j.remaining.fetch_sub(1, Ordering::SeqCst) != 1 {
                 return;
             }
             // Last completion: every slot was written before its decrement.
-            match j.panic.lock().take() {
+            match lock(&j.panic).take() {
                 Some(e) => j.promise.set_panic(e),
                 None => j.promise.set_value(
                     j.slots
                         .iter()
-                        .map(|s| s.lock().take().expect("slot unfilled at join"))
+                        .map(|s| lock(s).take().expect("slot unfilled at join"))
                         .collect(),
                 ),
-            }
-        });
-    }
-    fut
-}
-
-/// First-completed-wins combinator — `hpx::when_any`. Resolves to
-/// `(index, value)` of the first future to complete; later completions are
-/// dropped. A panic from the *first* completion is propagated.
-pub fn when_any<T: Send + 'static>(futures: Vec<Future<T>>) -> Future<(usize, T)> {
-    assert!(!futures.is_empty(), "when_any of zero futures");
-    let (p, fut) = pair();
-    let winner = Arc::new(Mutex::new(Some(p)));
-    for (i, f) in futures.into_iter().enumerate() {
-        let w = Arc::clone(&winner);
-        f.on_complete(move |outcome| {
-            if let Some(p) = w.lock().take() {
-                match outcome {
-                    Outcome::Value(v) => p.set_value((i, v)),
-                    Outcome::Panicked(e) => p.set_panic(e),
-                }
             }
         });
     }
@@ -367,15 +322,6 @@ mod tests {
     }
 
     #[test]
-    fn then_on_runs_as_task() {
-        let rt = Runtime::new(2);
-        let before = rt.stats().tasks_spawned;
-        let f = make_ready_future(3).then_on(&rt.handle(), |x| x + 1);
-        assert_eq!(f.get(), 4);
-        assert!(rt.stats().tasks_spawned > before);
-    }
-
-    #[test]
     fn when_all_preserves_order() {
         let rt = Runtime::new(4);
         let futures: Vec<_> = (0..50).map(|i| rt.spawn(move || i * i)).collect();
@@ -401,21 +347,6 @@ mod tests {
         let res =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| when_all(futures).get()));
         assert!(res.is_err());
-    }
-
-    #[test]
-    fn when_any_returns_first() {
-        let (p_slow, f_slow) = pair();
-        let f_fast = make_ready_future(9);
-        let (idx, v) = when_any(vec![f_slow, f_fast]).get();
-        assert_eq!((idx, v), (1, 9));
-        p_slow.set_value(1); // late completion is dropped silently
-    }
-
-    #[test]
-    #[should_panic(expected = "when_any of zero futures")]
-    fn when_any_empty_panics() {
-        let _ = when_any(Vec::<Future<i32>>::new());
     }
 
     #[test]

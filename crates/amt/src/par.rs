@@ -4,24 +4,19 @@
 //!
 //! Algorithms chunk their index range into `chunks_per_thread × threads`
 //! tasks (HPX's default static chunker has the same shape) and run them
-//! under a [`scope`], so closures may borrow from the caller's stack. The
-//! `par_unseq` policy additionally asserts the body is vectorizable; on this
-//! CPU-only substrate it executes like `par` but is tagged for the machine
-//! model, mirroring the paper's observation that the RISC-V boards have no
-//! vector unit for `par_unseq` to use.
+//! under a [`scope`], so closures may borrow from the caller's stack.
 
 use std::marker::PhantomData;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use apex_lite::trace::{self, Cat};
-use parking_lot::{Condvar, Mutex};
 
 use crate::future::PanicPayload;
 use crate::runtime::{help_one, on_worker, unwind_after_delivery};
-use crate::Handle;
+use crate::{lock, Handle};
 
 /// Execution policy selector, mirroring `hpx::execution`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -30,23 +25,12 @@ pub enum ExecutionPolicy {
     Seq,
     /// Parallel tasks — `hpx::execution::par`.
     Par,
-    /// Parallel + vectorizable — `hpx::execution::par_unseq` (needs C++20 in
-    /// HPX; the paper defers its RISC-V evaluation because the boards have
-    /// no V extension — we run it like `Par` and let the machine model apply
-    /// the vector width, which is 1 on RISC-V).
-    ParUnseq,
 }
 
 impl ExecutionPolicy {
     /// Whether this policy may execute on multiple tasks.
     pub fn is_parallel(self) -> bool {
         !matches!(self, ExecutionPolicy::Seq)
-    }
-
-    /// Whether this policy permits vectorization (used by the projection
-    /// model, not by execution).
-    pub fn is_vectorized(self) -> bool {
-        matches!(self, ExecutionPolicy::ParUnseq)
     }
 }
 
@@ -109,12 +93,12 @@ impl<'env> Scope<'env> {
             let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).err();
             let delivered = panicked.is_some();
             if let Some(e) = panicked {
-                sync.panic.lock().get_or_insert(e);
+                lock(&sync.panic).get_or_insert(e);
             }
             if sync.pending.fetch_sub(1, Ordering::SeqCst) == 1
                 && sync.joining.load(Ordering::SeqCst)
             {
-                let _g = sync.lock.lock();
+                let _g = lock(&sync.lock);
                 sync.done.notify_all();
             }
             if delivered {
@@ -166,15 +150,15 @@ where
         if worker && help_one() {
             continue;
         }
-        let mut g = sync.lock.lock();
+        let g = lock(&sync.lock);
         if sync.pending.load(Ordering::SeqCst) != 0 {
             // On a worker the nap sits inside a task's span, which it must
             // not pass off as work (see `Future::get`).
             let _span = worker.then(|| trace::span(Cat::Sched, "wait"));
-            sync.done.wait_for(&mut g, Duration::from_micros(200));
+            drop(sync.done.wait_timeout(g, Duration::from_micros(200)));
         }
     }
-    if let Some(e) = sync.panic.lock().take() {
+    if let Some(e) = lock(&sync.panic).take() {
         std::panic::resume_unwind(e);
     }
     result
@@ -200,23 +184,10 @@ pub fn split_range(range: Range<usize>, chunks: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// Index-space parallel loop — `hpx::experimental::for_loop`.
-pub fn for_loop<F>(handle: &Handle, policy: ExecutionPolicy, range: Range<usize>, f: F)
-where
-    F: Fn(usize) + Send + Sync,
-{
-    for_loop_chunked(
-        handle,
-        policy,
-        range.clone(),
-        default_chunks(handle.num_threads(), range.len()),
-        f,
-    );
-}
-
-/// [`for_loop`] with an explicit chunk count — the knob the paper's §3.2
-/// highlights: the Kokkos-HPX execution space lets the user steer how many
-/// tasks a kernel is divided into.
+/// Index-space parallel loop over `chunks` tasks —
+/// `hpx::experimental::for_loop` with the knob the paper's §3.2 highlights:
+/// the Kokkos-HPX execution space lets the user steer how many tasks a
+/// kernel is divided into.
 pub fn for_loop_chunked<F>(
     handle: &Handle,
     policy: ExecutionPolicy,
@@ -245,16 +216,6 @@ pub fn for_loop_chunked<F>(
             });
         }
     });
-}
-
-/// Parallel `for_each` over a shared slice — `hpx::for_each`.
-pub fn for_each<T, F>(handle: &Handle, policy: ExecutionPolicy, items: &[T], f: F)
-where
-    T: Sync,
-    F: Fn(&T) + Send + Sync,
-{
-    let f = &f;
-    for_loop(handle, policy, 0..items.len(), move |i| f(&items[i]));
 }
 
 /// Parallel mutation of a slice (disjoint chunks) — `hpx::for_each` on a
@@ -395,38 +356,15 @@ mod tests {
     }
 
     #[test]
-    fn for_loop_visits_every_index_once() {
+    fn for_loop_chunked_visits_every_index_once_under_either_policy() {
         let rt = Runtime::new(4);
-        let hits: Vec<AtomicU64> = (0..1000).map(|_| AtomicU64::new(0)).collect();
-        for_loop(&rt.handle(), ExecutionPolicy::Par, 0..1000, |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn for_loop_seq_matches_par() {
-        let rt = Runtime::new(4);
-        let seq = AtomicU64::new(0);
-        let par = AtomicU64::new(0);
-        for_loop(&rt.handle(), ExecutionPolicy::Seq, 0..100, |i| {
-            seq.fetch_add(i as u64, Ordering::Relaxed);
-        });
-        for_loop(&rt.handle(), ExecutionPolicy::Par, 0..100, |i| {
-            par.fetch_add(i as u64, Ordering::Relaxed);
-        });
-        assert_eq!(seq.load(Ordering::Relaxed), par.load(Ordering::Relaxed));
-    }
-
-    #[test]
-    fn for_each_borrows_stack_data() {
-        let rt = Runtime::new(3);
-        let data: Vec<u64> = (0..500).collect();
-        let sum = AtomicU64::new(0);
-        for_each(&rt.handle(), ExecutionPolicy::Par, &data, |&x| {
-            sum.fetch_add(x, Ordering::Relaxed);
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), 499 * 500 / 2);
+        for policy in [ExecutionPolicy::Seq, ExecutionPolicy::Par] {
+            let hits: Vec<AtomicU64> = (0..1000).map(|_| AtomicU64::new(0)).collect();
+            for_loop_chunked(&rt.handle(), policy, 0..1000, 16, |i| {
+                hits[i].fetch_add(1, Ordering::Relaxed);
+            });
+            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+        }
     }
 
     #[test]
@@ -581,8 +519,6 @@ mod tests {
     fn policy_predicates() {
         assert!(!ExecutionPolicy::Seq.is_parallel());
         assert!(ExecutionPolicy::Par.is_parallel());
-        assert!(ExecutionPolicy::ParUnseq.is_vectorized());
-        assert!(!ExecutionPolicy::Par.is_vectorized());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Work-stealing task scheduler — the heart of the HPX-like runtime.
 //!
 //! One OS thread per configured core, each with a LIFO deque
-//! (`crossbeam_deque`), a global FIFO injector for external submissions, and
+//! ([`crate::deque`]), a global FIFO injector for external submissions, and
 //! stealing from the other workers' deques. A worker that runs dry probes the
 //! queues for a bounded number of lock-free rounds, then parks on a condvar
 //! with a short timeout; a push wakes at most one sleeper per burst
@@ -14,14 +14,14 @@
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 use apex_lite::trace::{self, Cat, ThreadLabel};
-use crossbeam_deque::{Injector, Steal, Stealer, Worker as Deque};
-use parking_lot::{Condvar, Mutex};
 
+use crate::deque::{Injector, Stealer, Worker as Deque};
 use crate::future::{pair, Future};
+use crate::lock;
 
 pub(crate) type Task = Box<dyn FnOnce() + Send + 'static>;
 
@@ -192,7 +192,7 @@ impl Shared {
         {
             return;
         }
-        let _g = self.sleep_lock.lock();
+        let _g = lock(&self.sleep_lock);
         if self.sleepers.load(Ordering::SeqCst) > 0 {
             self.wake.notify_one();
         } else {
@@ -202,7 +202,7 @@ impl Shared {
     }
 
     fn wake_all(&self) {
-        let _g = self.sleep_lock.lock();
+        let _g = lock(&self.sleep_lock);
         self.wake.notify_all();
     }
 
@@ -213,12 +213,8 @@ impl Shared {
         if let Some(t) = local.pop() {
             return Some(t);
         }
-        loop {
-            match self.injector.steal_batch_and_pop(local) {
-                Steal::Success(t) => return Some(t),
-                Steal::Empty => break,
-                Steal::Retry => continue,
-            }
+        if let Some(t) = self.injector.steal_batch_and_pop(local) {
+            return Some(t);
         }
         // Steal round: start from a pseudo-random neighbour to avoid
         // convoying on worker 0.
@@ -230,16 +226,10 @@ impl Shared {
                 if victim == index {
                     continue;
                 }
-                loop {
-                    match self.stealers[victim].steal() {
-                        Steal::Success(t) => {
-                            self.counters[index].stolen.fetch_add(1, Ordering::Relaxed);
-                            trace::instant(Cat::Sched, "steal");
-                            return Some(t);
-                        }
-                        Steal::Empty => break,
-                        Steal::Retry => continue,
-                    }
+                if let Some(t) = self.stealers[victim].steal() {
+                    self.counters[index].stolen.fetch_add(1, Ordering::Relaxed);
+                    trace::instant(Cat::Sched, "steal");
+                    return Some(t);
                 }
             }
         }
@@ -257,7 +247,7 @@ impl Shared {
     /// Sleep until a push wakes this worker or the timeout passes — unless
     /// a task shows up first.
     fn park(&self, index: usize) {
-        let mut g = self.sleep_lock.lock();
+        let mut g = lock(&self.sleep_lock);
         self.sleepers.fetch_add(1, Ordering::SeqCst);
         // A pusher looks at `sleepers` after its push; this look at the
         // queues comes after the increment. One of the two sees the other.
@@ -267,7 +257,11 @@ impl Shared {
             let start = trace::now_ns();
             {
                 let _span = trace::span(Cat::Sched, "park");
-                self.wake.wait_for(&mut g, PARK_TIMEOUT);
+                g = self
+                    .wake
+                    .wait_timeout(g, PARK_TIMEOUT)
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .0;
             }
             counters
                 .park_ns
@@ -277,6 +271,7 @@ impl Shared {
         // Whatever was pushed while the wake-up was on its way is this
         // worker's to find, and to pass on (`worker_loop`).
         self.wake_pending.store(false, Ordering::SeqCst);
+        drop(g);
     }
 
     /// Run `task` on the thread whose counters are `counters[slot]`.

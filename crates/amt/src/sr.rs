@@ -24,13 +24,11 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::future::{pair, PanicPayload};
 use crate::runtime::unwind_after_delivery;
-use crate::Handle;
+use crate::{lock, Handle};
 
 /// How a sender completes: with its value, or with the payload of a panic
 /// raised in it or upstream of it.
@@ -58,11 +56,9 @@ pub trait Sender: Sized + Send + 'static {
     /// (P2300 `set_value`) or a panic payload (`set_error`).
     fn start(self, receiver: Receiver<Self::Output>);
 
-    /// The scheduler this sender completes on, if any (used by [`Bulk`] to
-    /// place its iterations).
-    fn scheduler(&self) -> Option<Handle> {
-        None
-    }
+    /// The scheduler this sender completes on (used by [`Bulk`] to place
+    /// its iterations). Every chain starts at [`schedule`], so there is one.
+    fn scheduler(&self) -> Handle;
 
     /// Transform the completion value — `std::execution::then`.
     fn then<F, U>(self, f: F) -> Then<Self, F>
@@ -85,29 +81,6 @@ pub trait Sender: Sized + Send + 'static {
             f,
         }
     }
-
-    /// Continue on `handle`'s runtime — `std::execution::transfer`.
-    fn transfer(self, handle: &Handle) -> Transfer<Self> {
-        Transfer {
-            upstream: self,
-            handle: handle.clone(),
-        }
-    }
-}
-
-/// Sender of an immediate value — `std::execution::just`.
-pub struct Just<T>(T);
-
-/// Create a [`Just`] sender.
-pub fn just<T: Send + 'static>(value: T) -> Just<T> {
-    Just(value)
-}
-
-impl<T: Send + 'static> Sender for Just<T> {
-    type Output = T;
-    fn start(self, receiver: Receiver<T>) {
-        receiver(Ok(self.0));
-    }
 }
 
 /// Sender completing with `()` on a runtime task —
@@ -128,8 +101,8 @@ impl Sender for Schedule {
     fn start(self, receiver: Receiver<()>) {
         self.handle.spawn_detached(move || receiver(Ok(())));
     }
-    fn scheduler(&self) -> Option<Handle> {
-        Some(self.handle.clone())
+    fn scheduler(&self) -> Handle {
+        self.handle.clone()
     }
 }
 
@@ -148,9 +121,6 @@ where
     type Output = U;
     fn start(self, receiver: Receiver<U>) {
         let f = self.f;
-        // With a completion scheduler upstream this stage runs inside one of
-        // its tasks, which must still end as a panicked task.
-        let on_task = self.upstream.scheduler().is_some();
         self.upstream.start(Box::new(move |done| {
             let out = match done {
                 Ok(v) => catch_unwind(AssertUnwindSafe(|| f(v))),
@@ -158,12 +128,14 @@ where
             };
             let panicked_here = out.is_err();
             receiver(out);
-            if panicked_here && on_task {
+            // This stage runs inside a task of the completion scheduler,
+            // which must still end as a panicked task.
+            if panicked_here {
                 unwind_after_delivery();
             }
         }));
     }
-    fn scheduler(&self) -> Option<Handle> {
+    fn scheduler(&self) -> Handle {
         self.upstream.scheduler()
     }
 }
@@ -184,18 +156,11 @@ where
     fn start(self, receiver: Receiver<S::Output>) {
         let shape = self.shape;
         let f = self.f;
-        let sched = self.upstream.scheduler();
+        let h = self.upstream.scheduler();
         self.upstream.start(Box::new(move |done| {
             let value = match done {
                 Ok(value) if shape > 0 => value,
                 done => return receiver(done),
-            };
-            let Some(h) = sched else {
-                // No completion scheduler: run the shape inline, as a
-                // serial bulk (P2300's default for inline schedulers).
-                return receiver(
-                    catch_unwind(AssertUnwindSafe(|| (0..shape).for_each(f))).map(|()| value),
-                );
             };
             let run = Arc::new(BulkRun {
                 f,
@@ -209,12 +174,12 @@ where
                     let panicked = catch_unwind(AssertUnwindSafe(|| (run.f)(i))).err();
                     let delivered = panicked.is_some();
                     if let Some(e) = panicked {
-                        run.panic.lock().get_or_insert(e);
+                        lock(&run.panic).get_or_insert(e);
                     }
                     if run.remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
                         let (value, receiver) =
-                            run.finish.lock().take().expect("one iteration is last");
-                        receiver(match run.panic.lock().take() {
+                            lock(&run.finish).take().expect("one iteration is last");
+                        receiver(match lock(&run.panic).take() {
                             Some(e) => Err(e),
                             None => Ok(value),
                         });
@@ -227,28 +192,8 @@ where
         }));
     }
 
-    fn scheduler(&self) -> Option<Handle> {
+    fn scheduler(&self) -> Handle {
         self.upstream.scheduler()
-    }
-}
-
-/// Sender adaptor moving the continuation onto another runtime; see
-/// [`Sender::transfer`].
-pub struct Transfer<S> {
-    upstream: S,
-    handle: Handle,
-}
-
-impl<S: Sender> Sender for Transfer<S> {
-    type Output = S::Output;
-    fn start(self, receiver: Receiver<S::Output>) {
-        let h = self.handle;
-        self.upstream.start(Box::new(move |done| {
-            h.spawn_detached(move || receiver(done));
-        }));
-    }
-    fn scheduler(&self) -> Option<Handle> {
-        Some(self.handle.clone())
     }
 }
 
@@ -271,13 +216,15 @@ mod tests {
     use std::sync::atomic::AtomicU64;
 
     #[test]
-    fn just_sync_wait() {
-        assert_eq!(sync_wait(just(5)), 5);
-    }
-
-    #[test]
     fn then_chain() {
-        assert_eq!(sync_wait(just(2).then(|x| x + 1).then(|x| x * 3)), 9);
+        let rt = Runtime::new(1);
+        let v = sync_wait(
+            schedule(&rt.handle())
+                .then(|()| 2)
+                .then(|x| x + 1)
+                .then(|x| x * 3),
+        );
+        assert_eq!(v, 9);
     }
 
     #[test]
@@ -313,26 +260,6 @@ mod tests {
     }
 
     #[test]
-    fn bulk_without_scheduler_runs_inline() {
-        let hits = Arc::new(AtomicU64::new(0));
-        let h2 = Arc::clone(&hits);
-        let v = sync_wait(just(1).bulk(10, move |_| {
-            h2.fetch_add(1, Ordering::Relaxed);
-        }));
-        assert_eq!(v, 1);
-        assert_eq!(hits.load(Ordering::Relaxed), 10);
-    }
-
-    #[test]
-    fn transfer_moves_to_runtime() {
-        let rt = Runtime::new(2);
-        let before = rt.stats().tasks_spawned;
-        let v = sync_wait(just(10).transfer(&rt.handle()).then(|x| x * 2));
-        assert_eq!(v, 20);
-        assert!(rt.stats().tasks_spawned > before);
-    }
-
-    #[test]
     fn maclaurin_shaped_pipeline() {
         // The Fig. 5 benchmark shape: schedule → bulk(partial sums) → then(collect).
         let rt = Runtime::new(4);
@@ -350,9 +277,9 @@ mod tests {
                     for k in lo..=hi {
                         s += 1.0 / k as f64;
                     }
-                    *p2[c].lock() = s;
+                    *lock(&p2[c]) = s;
                 })
-                .then(move |_| partials.iter().map(|m| *m.lock()).sum::<f64>()),
+                .then(move |_| partials.iter().map(|m| *lock(m)).sum::<f64>()),
         );
         let direct: f64 = (1..=n).map(|k| 1.0 / k as f64).sum();
         assert!((total - direct).abs() < 1e-9);

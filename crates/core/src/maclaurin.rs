@@ -13,12 +13,11 @@
 //! [`rv_machine::counted::softmath`]); the paper measured 100000028581
 //! flops for n = 10⁹ with `perf` on one Intel core.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use amt::par::{transform_reduce_chunked, ExecutionPolicy};
 use amt::sr::{schedule, sync_wait, Sender};
-use amt::{coro, when_all, Handle};
-use parking_lot::Mutex;
+use amt::{coro, lock, when_all, Handle};
 use rv_machine::{CountedF64, FlopCounter};
 
 /// The four benchmark styles, in the order the paper presents them.
@@ -115,9 +114,9 @@ pub fn senders_style(handle: &Handle, x: f64, n: u64, chunks: usize) -> f64 {
         schedule(handle)
             .bulk(chunks, move |c| {
                 let (lo, hi) = chunk_bounds(n, chunks, c);
-                *fill[c].lock() = (lo..=hi).map(|k| term(x, k)).sum::<f64>();
+                *lock(&fill[c]) = (lo..=hi).map(|k| term(x, k)).sum::<f64>();
             })
-            .then(move |_| partials.iter().map(|m| *m.lock()).sum::<f64>()),
+            .then(move |_| partials.iter().map(|m| *lock(m)).sum::<f64>()),
     )
 }
 

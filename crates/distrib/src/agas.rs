@@ -9,8 +9,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-use parking_lot::RwLock;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Identifier of one locality (one VisionFive2 board in the paper's
 /// two-node cluster).
@@ -60,6 +59,16 @@ impl Agas {
         Self::default()
     }
 
+    /// The map for reading, ignoring poison (the policy of [`amt::lock`]).
+    fn read(&self) -> RwLockReadGuard<'_, HashMap<Gid, LocalityId>> {
+        self.map.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The map for writing, ignoring poison.
+    fn write(&self) -> RwLockWriteGuard<'_, HashMap<Gid, LocalityId>> {
+        self.map.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Mint a fresh gid on behalf of `creator`.
     pub fn new_gid(&self, creator: LocalityId) -> Gid {
         let seq = self.next.fetch_add(1, Ordering::Relaxed);
@@ -69,18 +78,18 @@ impl Agas {
 
     /// Bind `gid` to the locality where its component lives.
     pub fn register(&self, gid: Gid, at: LocalityId) {
-        let prev = self.map.write().insert(gid, at);
+        let prev = self.write().insert(gid, at);
         assert!(prev.is_none(), "gid {gid} registered twice");
     }
 
     /// Where does `gid` live?
     pub fn resolve(&self, gid: Gid) -> Option<LocalityId> {
-        self.map.read().get(&gid).copied()
+        self.read().get(&gid).copied()
     }
 
     /// Move a binding (component migration).
     pub fn migrate(&self, gid: Gid, to: LocalityId) -> bool {
-        match self.map.write().get_mut(&gid) {
+        match self.write().get_mut(&gid) {
             Some(loc) => {
                 *loc = to;
                 true
@@ -91,12 +100,12 @@ impl Agas {
 
     /// Remove a binding (component destruction).
     pub fn unregister(&self, gid: Gid) -> Option<LocalityId> {
-        self.map.write().remove(&gid)
+        self.write().remove(&gid)
     }
 
     /// Number of live bindings.
     pub fn len(&self) -> usize {
-        self.map.read().len()
+        self.read().len()
     }
 
     /// True when no bindings exist.

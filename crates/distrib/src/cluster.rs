@@ -18,17 +18,20 @@
 //! the cluster clears the table, which closes every channel and ends the
 //! receive loops — frames sent during teardown are dropped like writes to
 //! a closed socket.
+//!
+//! A receive loop that meets a buffer it cannot read (not a frame, or a
+//! frame whose body is not a parcel) ends the cluster's remote traffic: it
+//! records why, fails every caller still waiting on a response, on every
+//! locality, and returns. Every later remote invocation fails with the same
+//! message; local ones still run.
 
 use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 
-use bytes::Bytes;
-use parking_lot::Mutex;
-
-use amt::{Future, Promise, Runtime};
+use amt::{lock, Future, Promise, Runtime};
 use apex_lite::trace::{self, Cat};
 use rv_machine::NetBackend;
 
@@ -72,19 +75,21 @@ impl Default for ClusterConfig {
     }
 }
 
-type Handler =
-    Arc<dyn Fn(&LocalityHandle, Gid, &[u8]) -> Result<Bytes, String> + Send + Sync + 'static>;
+/// An encoded action result, or why there is none.
+type Reply = Result<Vec<u8>, String>;
+
+type Handler = Arc<dyn Fn(&LocalityHandle, Gid, &[u8]) -> Reply + Send + Sync + 'static>;
 
 /// The deliver-side routing table: one frame channel per locality. Cleared
 /// on shutdown to close the channels (see module docs).
-type Switchboard = Arc<Mutex<Vec<Sender<Bytes>>>>;
+type Switchboard = Arc<Mutex<Vec<Sender<Vec<u8>>>>>;
 
 struct LocalityInner {
     id: LocalityId,
     /// Each value is an `Arc<Mutex<T>>`: callers clone the `Arc` out and
     /// drop the map lock before locking the component itself.
     components: Mutex<HashMap<Gid, Arc<dyn Any + Send + Sync>>>,
-    pending: Mutex<HashMap<u64, Promise<Result<Bytes, String>>>>,
+    pending: Mutex<HashMap<u64, Promise<Reply>>>,
     next_call: AtomicU64,
 }
 
@@ -100,6 +105,9 @@ struct ClusterInner {
     metrics: Arc<CommMetrics>,
     switchboard: Switchboard,
     rx_threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    /// Why remote traffic ended, once a receive loop met a buffer it could
+    /// not read (see module docs).
+    failure: OnceLock<String>,
     // Runtimes are deliberately kept *outside* the per-locality Arc:
     // handler tasks hold `Arc<LocalityInner>`, and a task running on a
     // locality's own worker must never be the one that drops that
@@ -110,7 +118,7 @@ struct ClusterInner {
 
 impl ClusterInner {
     fn locality(&self, id: LocalityId) -> Arc<LocalityInner> {
-        let locs = self.localities.lock();
+        let locs = lock(&self.localities);
         Arc::clone(
             locs.get(id.0 as usize)
                 .unwrap_or_else(|| panic!("no such locality {}", id.0)),
@@ -124,6 +132,21 @@ impl ClusterInner {
         let parcel = msg.to_wire().expect("parcel serialization failed");
         let ctx = TraceCtx::stamp(from.0);
         self.port.transmit(to, frame::encode(&parcel, ctx));
+    }
+
+    /// End remote traffic with `why`: record it (the first failure wins),
+    /// then fail every caller waiting on a response, on every locality. The
+    /// promises are completed outside the locks: their continuations may
+    /// invoke again.
+    fn fail(&self, why: String) {
+        let why = self.failure.get_or_init(|| why);
+        let waiting: Vec<_> = lock(&self.localities)
+            .iter()
+            .flat_map(|loc| lock(&loc.pending).drain().collect::<Vec<_>>())
+            .collect();
+        for (_, promise) in waiting {
+            promise.set_value(Err(why.clone()));
+        }
     }
 }
 
@@ -162,10 +185,7 @@ impl LocalityHandle {
         let cluster = self.cluster();
         let gid = cluster.agas.new_gid(self.inner.id);
         cluster.agas.register(gid, self.inner.id);
-        self.inner
-            .components
-            .lock()
-            .insert(gid, Arc::new(Mutex::new(value)));
+        lock(&self.inner.components).insert(gid, Arc::new(Mutex::new(value)));
         gid
     }
 
@@ -182,9 +202,9 @@ impl LocalityHandle {
         gid: Gid,
         f: impl FnOnce(&mut T) -> R,
     ) -> Option<R> {
-        let any = Arc::clone(self.inner.components.lock().get(&gid)?);
+        let any = Arc::clone(lock(&self.inner.components).get(&gid)?);
         let cell = any.downcast::<Mutex<T>>().ok()?;
-        let mut guard = cell.lock();
+        let mut guard = lock(&cell);
         Some(f(&mut guard))
     }
 
@@ -192,7 +212,7 @@ impl LocalityHandle {
     /// `with_component` closure already running on it finishes on its own
     /// reference; the value is dropped when that closure returns.
     pub fn destroy_component(&self, gid: Gid) -> bool {
-        let existed = self.inner.components.lock().remove(&gid).is_some();
+        let existed = lock(&self.inner.components).remove(&gid).is_some();
         if existed {
             self.cluster().agas.unregister(gid);
         }
@@ -202,7 +222,8 @@ impl LocalityHandle {
     /// Invoke `action` on the component `gid`, wherever it lives — HPX's
     /// remote function call with unified local/remote syntax. Returns the
     /// future of the (deserialized) result; remote failures (unknown action,
-    /// decode errors, handler panics) surface as panics at `.get()`.
+    /// decode errors, handler panics, a receive loop that ended on a bad
+    /// frame) surface as panics at `.get()`.
     pub fn invoke<Req, Resp>(&self, gid: Gid, action: &str, req: &Req) -> Future<Resp>
     where
         Req: Wire,
@@ -222,28 +243,37 @@ impl LocalityHandle {
             return self.runtime().spawn(move || {
                 let bytes = handler(&me, gid, &payload)
                     .unwrap_or_else(|e| panic!("local action {action} failed: {e}"));
-                wire::from_bytes::<Resp>(&bytes).expect("response deserialization failed")
+                wire::from_bytes(&bytes).expect("response deserialization failed")
             });
         }
         cluster.stats.record_remote_action();
         let call_id = self.inner.next_call.fetch_add(1, Ordering::Relaxed);
-        let (promise, raw) = amt::future_pair::<Result<Bytes, String>>();
-        self.inner.pending.lock().insert(call_id, promise);
-        cluster.send(
-            self.inner.id,
-            target,
-            &ParcelMsg::Request {
-                from: self.inner.id,
-                target: gid,
-                action: action.to_string(),
-                payload: payload.to_vec(),
-                call_id,
-            },
-        );
+        let (promise, raw) = amt::future_pair();
+        lock(&self.inner.pending).insert(call_id, promise);
+        // Insert, then look: a failure recorded after this look finds the
+        // promise in `pending` (`ClusterInner::fail` sets the flag first).
+        match cluster.failure.get() {
+            Some(why) => {
+                if let Some(p) = lock(&self.inner.pending).remove(&call_id) {
+                    p.set_value(Err(why.clone()));
+                }
+            }
+            None => cluster.send(
+                self.inner.id,
+                target,
+                &ParcelMsg::Request {
+                    from: self.inner.id,
+                    target: gid,
+                    action: action.to_string(),
+                    payload,
+                    call_id,
+                },
+            ),
+        }
         let action = action.to_string();
-        raw.then(move |res| {
+        raw.then(move |res: Reply| {
             let bytes = res.unwrap_or_else(|e| panic!("remote action {action} failed: {e}"));
-            wire::from_bytes::<Resp>(&bytes).expect("response deserialization failed")
+            wire::from_bytes(&bytes).expect("response deserialization failed")
         })
     }
 
@@ -258,9 +288,7 @@ impl LocalityHandle {
 }
 
 fn lookup(cluster: &ClusterInner, action: &str) -> Handler {
-    cluster
-        .actions
-        .lock()
+    lock(&cluster.actions)
         .get(action)
         .cloned()
         .unwrap_or_else(|| panic!("action {action:?} is not registered"))
@@ -281,10 +309,9 @@ fn dispatch(
             payload,
             call_id,
         } => {
-            let handler = cluster.upgrade().and_then(|c| {
-                let actions = c.actions.lock();
-                actions.get(&action).cloned()
-            });
+            let handler = cluster
+                .upgrade()
+                .and_then(|c| lock(&c.actions).get(&action).cloned());
             let handle = LocalityHandle {
                 cluster: cluster.clone(),
                 inner: Arc::clone(me),
@@ -298,7 +325,7 @@ fn dispatch(
                         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                             h(&handle, target, &payload)
                         })) {
-                            Ok(r) => r.map(|b| b.to_vec()),
+                            Ok(r) => r,
                             Err(payload) => {
                                 // Carry the message to the caller: the run
                                 // ends naming what failed, not just where.
@@ -319,25 +346,20 @@ fn dispatch(
             });
         }
         ParcelMsg::Response { call_id, result } => {
-            let promise = me.pending.lock().remove(&call_id);
+            let promise = lock(&me.pending).remove(&call_id);
             if let Some(p) = promise {
-                p.set_value(result.map(Bytes::from));
+                p.set_value(result);
             }
         }
     }
 }
 
 /// One locality's receive loop: frames in, parcels dispatched. Ends when
-/// the switchboard drops this locality's sender; a buffer that is not a
-/// frame ends it with a panic naming this locality and the
-/// [`frame::FrameError`]. Each parcel closes its causal-tracing loop here: a
-/// `parcel_recv` span encloses the `"f"` flow event matching the sender's
-/// `"s"`, the one-way latency (receive minus the submit stamp in the wire
-/// header) lands in the `/comms/parcel_latency` histogram, and the
-/// `origin → me` link counters advance. The histogram and link metrics
-/// stay on with tracing off — they are counters, not spans.
+/// the switchboard drops this locality's sender, or at the first buffer
+/// [`receive`] cannot read: then it fails the cluster's remote traffic with
+/// a message naming this locality and the error (see module docs).
 fn rx_loop(
-    rx: Receiver<Bytes>,
+    rx: Receiver<Vec<u8>>,
     cluster: Weak<ClusterInner>,
     me: Weak<LocalityInner>,
     runtime: amt::Handle,
@@ -347,21 +369,39 @@ fn rx_loop(
         let Some(me_arc) = me.upgrade() else {
             break;
         };
-        let (ctx, body) = frame::decode(&framed).unwrap_or_else(|e| {
-            panic!(
-                "locality {}: bad frame on the parcel channel: {e}",
-                me_arc.id.0
-            )
-        });
-        let _span = trace::span(Cat::Comm, "parcel_recv");
-        trace::flow_end(Cat::Comm, "parcel", ctx.flow);
-        metrics
-            .parcel_latency
-            .record(trace::now_ns().saturating_sub(ctx.send_ns));
-        metrics.record_link(ctx.origin, me_arc.id.0, body.len() as u64);
-        let msg = ParcelMsg::from_wire(body).expect("corrupt parcel in frame");
-        dispatch(msg, &cluster, &me_arc, &runtime);
+        if let Err(why) = receive(&framed, &cluster, &me_arc, &runtime, &metrics) {
+            if let Some(c) = cluster.upgrade() {
+                c.fail(format!("locality {}: {why}", me_arc.id.0));
+            }
+            return;
+        }
     }
+}
+
+/// Read one frame and dispatch its parcel. Each parcel closes its
+/// causal-tracing loop here: a `parcel_recv` span encloses the `"f"` flow
+/// event matching the sender's `"s"`, the one-way latency (receive minus the
+/// submit stamp in the wire header) lands in the `/comms/parcel_latency`
+/// histogram, and the `origin → me` link counters advance. The histogram and
+/// link metrics stay on with tracing off — they are counters, not spans.
+fn receive(
+    framed: &[u8],
+    cluster: &Weak<ClusterInner>,
+    me: &Arc<LocalityInner>,
+    runtime: &amt::Handle,
+    metrics: &CommMetrics,
+) -> Result<(), String> {
+    let (ctx, body) =
+        frame::decode(framed).map_err(|e| format!("bad frame on the parcel channel: {e}"))?;
+    let _span = trace::span(Cat::Comm, "parcel_recv");
+    trace::flow_end(Cat::Comm, "parcel", ctx.flow);
+    metrics
+        .parcel_latency
+        .record(trace::now_ns().saturating_sub(ctx.send_ns));
+    metrics.record_link(ctx.origin, me.id.0, body.len() as u64);
+    let msg = ParcelMsg::from_wire(body).map_err(|e| format!("corrupt parcel in frame: {e}"))?;
+    dispatch(msg, cluster, me, runtime);
+    Ok(())
 }
 
 /// The simulated cluster (see module docs). Dropping it shuts down every
@@ -383,8 +423,8 @@ impl Cluster {
         let switchboard: Switchboard = Arc::new(Mutex::new(Vec::new()));
         let deliver: Deliver = {
             let switchboard = Arc::clone(&switchboard);
-            Arc::new(move |to: LocalityId, framed: Bytes| {
-                let board = switchboard.lock();
+            Arc::new(move |to: LocalityId, framed: Vec<u8>| {
+                let board = lock(&switchboard);
                 if let Some(tx) = board.get(to.0 as usize) {
                     // A closed channel means the cluster is shutting down:
                     // drop the frame, like a write to a closed socket.
@@ -403,6 +443,7 @@ impl Cluster {
             metrics: Arc::new(CommMetrics::new(config.localities)),
             switchboard,
             rx_threads: Mutex::new(Vec::new()),
+            failure: OnceLock::new(),
             runtimes,
         });
         for i in 0..config.localities {
@@ -424,9 +465,9 @@ impl Cluster {
                     rx_loop(rx, weak_cluster, weak_loc, handle, metrics)
                 })
                 .expect("failed to spawn parcel receive thread");
-            inner.switchboard.lock().push(tx);
-            inner.localities.lock().push(loc);
-            inner.rx_threads.lock().push(join);
+            lock(&inner.switchboard).push(tx);
+            lock(&inner.localities).push(loc);
+            lock(&inner.rx_threads).push(join);
         }
         Cluster { inner }
     }
@@ -455,7 +496,7 @@ impl Cluster {
             let resp = f(ctx, gid, req);
             wire::to_bytes(&resp).map_err(|e| format!("encode: {e}"))
         });
-        let prev = self.inner.actions.lock().insert(name.to_string(), handler);
+        let prev = lock(&self.inner.actions).insert(name.to_string(), handler);
         assert!(prev.is_none(), "action {name:?} registered twice");
     }
 
@@ -579,12 +620,12 @@ impl Drop for Cluster {
         self.flush_network();
         // Dropping the senders closes the frame channels, ending the
         // receive loops; frames transmitted after this point are dropped.
-        self.inner.switchboard.lock().clear();
-        let joins: Vec<_> = self.inner.rx_threads.lock().drain(..).collect();
+        lock(&self.inner.switchboard).clear();
+        let joins: Vec<_> = lock(&self.inner.rx_threads).drain(..).collect();
         for j in joins {
             let _ = j.join();
         }
-        self.inner.localities.lock().clear();
+        lock(&self.inner.localities).clear();
     }
 }
 
@@ -900,22 +941,39 @@ mod tests {
     }
 
     #[test]
-    fn bad_frame_ends_the_receive_loop_naming_locality_and_error() {
-        let c = two_node();
-        // A header of the retired multi-parcel kind, straight into the port.
-        c.inner
-            .port
-            .transmit(LocalityId(1), Bytes::from(&[0x7e, 0x0c, 2, 2, 0, 0, 0][..]));
-        c.inner.switchboard.lock().clear();
-        let joins: Vec<_> = c.inner.rx_threads.lock().drain(..).collect();
-        let panics: Vec<String> = joins
-            .into_iter()
-            .filter_map(|j| j.join().err())
-            .map(|p| *p.downcast::<String>().expect("formatted panic message"))
-            .collect();
-        assert_eq!(
-            panics,
-            ["locality 1: bad frame on the parcel channel: bad frame kind 2"]
-        );
+    fn bad_frame_fails_remote_invokes_naming_locality_and_error() {
+        // A header of the retired multi-parcel kind, and a good frame around
+        // a body that is no parcel, each straight into the port.
+        let cases = [
+            (
+                vec![0x7e, 0x0c, 2, 2, 0, 0, 0],
+                "locality 1: bad frame on the parcel channel: bad frame kind 2",
+            ),
+            (
+                frame::encode(&[9, 0, 0, 0], TraceCtx::default()),
+                "locality 1: corrupt parcel in frame: invalid variant index 9",
+            ),
+        ];
+        for (bad, want) in cases {
+            under_watchdog(move || {
+                let c = two_node();
+                c.register_action("get", |ctx: &LocalityHandle, gid, (): ()| {
+                    ctx.with_component::<u64, _>(gid, |v| *v).unwrap()
+                });
+                let l0 = c.locality(0);
+                let gid = c.locality(1).new_component(7u64);
+                c.inner.port.transmit(LocalityId(1), bad);
+                // The first call may go out before the loop meets the bad
+                // buffer (its promise is failed with the rest), the second after.
+                for call in ["first", "second"] {
+                    let f: amt::Future<u64> = l0.invoke(gid, "get", &());
+                    let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f.get()))
+                        .expect_err("a remote invoke after a bad frame fails");
+                    let msg = panic.downcast::<String>().expect("formatted panic message");
+                    assert_eq!(*msg, format!("remote action get failed: {want}"), "{call}");
+                }
+                assert_eq!(c.inner.failure.get().map(String::as_str), Some(want));
+            });
+        }
     }
 }

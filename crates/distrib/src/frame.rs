@@ -29,8 +29,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use bytes::{BufMut, Bytes, BytesMut};
-
 /// Frame magic (two bytes, little-endian on the wire).
 pub const FRAME_MAGIC: u16 = 0x0C7E;
 
@@ -115,19 +113,18 @@ impl std::error::Error for FrameError {}
 pub const MAX_PARCEL_BYTES: u32 = 1 << 30;
 
 /// Frame one parcel with its trace context.
-pub fn encode(parcel: &[u8], ctx: TraceCtx) -> Bytes {
-    let mut out = BytesMut::with_capacity(
-        FRAME_HEADER_BYTES + PARCEL_LEN_BYTES + TRACE_CTX_BYTES + parcel.len(),
-    );
-    out.put_u16_le(FRAME_MAGIC);
-    out.put_u8(FRAME_KIND);
-    out.put_u32_le(1);
-    out.put_u32_le(parcel.len() as u32);
-    out.put_u32_le(ctx.origin);
-    out.put_u64_le(ctx.flow);
-    out.put_u64_le(ctx.send_ns);
-    out.put_slice(parcel);
-    out.freeze()
+pub fn encode(parcel: &[u8], ctx: TraceCtx) -> Vec<u8> {
+    let mut out =
+        Vec::with_capacity(FRAME_HEADER_BYTES + PARCEL_LEN_BYTES + TRACE_CTX_BYTES + parcel.len());
+    out.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
+    out.push(FRAME_KIND);
+    out.extend_from_slice(&1u32.to_le_bytes());
+    out.extend_from_slice(&(parcel.len() as u32).to_le_bytes());
+    out.extend_from_slice(&ctx.origin.to_le_bytes());
+    out.extend_from_slice(&ctx.flow.to_le_bytes());
+    out.extend_from_slice(&ctx.send_ns.to_le_bytes());
+    out.extend_from_slice(parcel);
+    out
 }
 
 /// Split the next `N` bytes off the front of `buf`.
@@ -220,7 +217,7 @@ mod tests {
 
     #[test]
     fn each_bad_field_has_its_own_error() {
-        let good = encode(b"p", TraceCtx::default()).to_vec();
+        let good = encode(b"p", TraceCtx::default());
         let with = |at: usize, bytes: &[u8]| {
             let mut frame = good.clone();
             frame[at..at + bytes.len()].copy_from_slice(bytes);

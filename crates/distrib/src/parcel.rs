@@ -37,7 +37,7 @@ pub enum ParcelMsg {
 
 impl ParcelMsg {
     /// Serialize to the binary wire form.
-    pub fn to_wire(&self) -> Result<bytes::Bytes, WireError> {
+    pub fn to_wire(&self) -> Result<Vec<u8>, WireError> {
         wire::to_bytes(self)
     }
 

@@ -13,7 +13,6 @@
 //!   software stack we reproduce.
 
 use apex_lite::trace::{self, Cat};
-use bytes::Bytes;
 use rv_machine::NetBackend;
 
 use crate::agas::LocalityId;
@@ -44,7 +43,7 @@ impl Parcelport for EagerParcelport {
         self.backend
     }
 
-    fn transmit(&self, to: LocalityId, frame: Bytes) {
+    fn transmit(&self, to: LocalityId, frame: Vec<u8>) {
         let _span = trace::span(Cat::Comm, "parcel_send");
         super::note_parcel_send(&frame);
         self.stats.record_frame(frame.len() as u64);

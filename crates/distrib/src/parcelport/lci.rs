@@ -13,13 +13,12 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use amt::lock;
 use apex_lite::trace::{self, Cat};
-use bytes::Bytes;
-use parking_lot::{Condvar, Mutex};
 use rv_machine::NetBackend;
 
 use crate::agas::LocalityId;
@@ -30,7 +29,7 @@ use super::{Deliver, Parcelport};
 struct LciShared {
     deliver: Deliver,
     stats: PortStats,
-    outbox: Mutex<VecDeque<(LocalityId, Bytes)>>,
+    outbox: Mutex<VecDeque<(LocalityId, Vec<u8>)>>,
     /// Signalled when the outbox gains work (progress thread) and when it
     /// drains empty (flushers).
     activity: Condvar,
@@ -46,7 +45,7 @@ impl LciShared {
         let mut delivered = 0;
         loop {
             let next = {
-                let mut outbox = self.outbox.lock();
+                let mut outbox = lock(&self.outbox);
                 let next = outbox.pop_front();
                 if next.is_some() {
                     // Claimed under the outbox lock, so a flusher checking
@@ -82,7 +81,7 @@ impl LciShared {
 
     /// Whether nothing is queued and nothing is mid-delivery. Call with
     /// the outbox lock held for an exact answer.
-    fn quiescent(&self, outbox: &VecDeque<(LocalityId, Bytes)>) -> bool {
+    fn quiescent(&self, outbox: &VecDeque<(LocalityId, Vec<u8>)>) -> bool {
         outbox.is_empty() && self.in_flight.load(Ordering::Acquire) == 0
     }
 }
@@ -127,16 +126,18 @@ impl LciParcelport {
 fn progress_loop(shared: &LciShared) {
     loop {
         shared.drain();
-        let mut outbox = shared.outbox.lock();
+        let outbox = lock(&shared.outbox);
         if shared.shutdown.load(Ordering::Acquire) && outbox.is_empty() {
             return;
         }
         if outbox.is_empty() {
             // Nap until transmit signals new work (bounded: a transmit
             // racing past the notify must not strand its frame).
-            shared
-                .activity
-                .wait_for(&mut outbox, Duration::from_micros(200));
+            drop(
+                shared
+                    .activity
+                    .wait_timeout(outbox, Duration::from_micros(200)),
+            );
         }
     }
 }
@@ -146,10 +147,10 @@ impl Parcelport for LciParcelport {
         NetBackend::Lci
     }
 
-    fn transmit(&self, to: LocalityId, frame: Bytes) {
+    fn transmit(&self, to: LocalityId, frame: Vec<u8>) {
         trace::instant(Cat::Comm, "transmit");
         let depth = {
-            let mut outbox = self.shared.outbox.lock();
+            let mut outbox = lock(&self.shared.outbox);
             outbox.push_back((to, frame));
             outbox.len() as u64
         };
@@ -167,13 +168,15 @@ impl Parcelport for LciParcelport {
         // it finishes a round).
         loop {
             self.shared.drain();
-            let mut outbox = self.shared.outbox.lock();
+            let outbox = lock(&self.shared.outbox);
             if self.shared.quiescent(&outbox) {
                 return;
             }
-            self.shared
-                .activity
-                .wait_for(&mut outbox, Duration::from_micros(200));
+            drop(
+                self.shared
+                    .activity
+                    .wait_timeout(outbox, Duration::from_micros(200)),
+            );
         }
     }
 

@@ -39,7 +39,6 @@ pub use lci::LciParcelport;
 
 use std::sync::Arc;
 
-use bytes::Bytes;
 use rv_machine::{NetBackend, NetCost};
 
 use crate::agas::LocalityId;
@@ -47,7 +46,7 @@ use crate::stats::PortSnapshot;
 
 /// Delivery sink: routes one frame to a destination locality's receive
 /// loop. Implementations must tolerate dead destinations (drop the frame).
-pub type Deliver = Arc<dyn Fn(LocalityId, Bytes) + Send + Sync>;
+pub type Deliver = Arc<dyn Fn(LocalityId, Vec<u8>) + Send + Sync>;
 
 /// Emit the `"s"` flow event of the parcel in `frame`, pairing with the
 /// receive side's `"f"` so Perfetto draws a cross-locality arrow out of
@@ -69,7 +68,7 @@ pub trait Parcelport: Send + Sync {
     fn backend(&self) -> NetBackend;
 
     /// Hand one frame to the port for `to`.
-    fn transmit(&self, to: LocalityId, frame: Bytes);
+    fn transmit(&self, to: LocalityId, frame: Vec<u8>);
 
     /// Drive the progress engine; returns frames delivered by this call.
     fn progress(&self) -> usize;
@@ -110,15 +109,16 @@ pub fn open(backend: NetBackend, deliver: Deliver) -> Arc<dyn Parcelport> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex;
+    use amt::lock;
+    use std::sync::Mutex;
 
     type DeliveryLog = Arc<Mutex<Vec<(u32, Vec<u8>)>>>;
 
     fn collector() -> (Deliver, DeliveryLog) {
         let log: DeliveryLog = Arc::new(Mutex::new(Vec::new()));
         let log2 = Arc::clone(&log);
-        let deliver: Deliver = Arc::new(move |to, frame: Bytes| {
-            log2.lock().push((to.0, frame.to_vec()));
+        let deliver: Deliver = Arc::new(move |to, frame| {
+            lock(&log2).push((to.0, frame));
         });
         (deliver, log)
     }
@@ -140,8 +140,8 @@ mod tests {
         for backend in [NetBackend::Tcp, NetBackend::Mpi] {
             let (deliver, log) = collector();
             let port = open(backend, deliver);
-            port.transmit(LocalityId(1), Bytes::from(&b"frame"[..]));
-            assert_eq!(log.lock().len(), 1, "{backend:?} must deliver eagerly");
+            port.transmit(LocalityId(1), b"frame".to_vec());
+            assert_eq!(lock(&log).len(), 1, "{backend:?} must deliver eagerly");
             assert_eq!(port.progress(), 0, "{backend:?} has no progress queue");
             let s = port.stats();
             assert_eq!(s.messages, 1);
@@ -153,15 +153,15 @@ mod tests {
     fn lci_port_defers_until_progress() {
         let (deliver, log) = collector();
         let port = LciParcelport::new_manual(deliver);
-        port.transmit(LocalityId(0), Bytes::from(&b"a"[..]));
-        port.transmit(LocalityId(0), Bytes::from(&b"bb"[..]));
+        port.transmit(LocalityId(0), b"a".to_vec());
+        port.transmit(LocalityId(0), b"bb".to_vec());
         assert!(
-            log.lock().is_empty(),
+            lock(&log).is_empty(),
             "explicit progress: nothing moves yet"
         );
         assert_eq!(port.stats().queue_depth_hwm, 2);
         assert_eq!(port.progress(), 2);
-        let delivered = log.lock().clone();
+        let delivered = lock(&log).clone();
         assert_eq!(delivered, vec![(0, b"a".to_vec()), (0, b"bb".to_vec())]);
         let s = port.stats();
         assert_eq!(s.messages, 2);
@@ -173,17 +173,17 @@ mod tests {
         let (deliver, log) = collector();
         let port = open(NetBackend::Lci, deliver);
         for i in 0..10u8 {
-            port.transmit(LocalityId(1), Bytes::copy_from_slice(&[i]));
+            port.transmit(LocalityId(1), vec![i]);
         }
         port.flush();
-        assert_eq!(log.lock().len(), 10);
+        assert_eq!(lock(&log).len(), 10);
     }
 
     #[test]
     fn reset_stats_zeroes_counters() {
         let (deliver, _log) = collector();
         let port = open(NetBackend::Tcp, deliver);
-        port.transmit(LocalityId(0), Bytes::from(&b"x"[..]));
+        port.transmit(LocalityId(0), b"x".to_vec());
         port.reset_stats();
         assert_eq!(port.stats(), PortSnapshot::default());
     }

@@ -23,8 +23,6 @@
 
 use std::fmt;
 
-use bytes::Bytes;
-
 use crate::agas::{Gid, LocalityId};
 use crate::parcel::ParcelMsg;
 
@@ -109,7 +107,7 @@ pub trait Wire: Sized {
 }
 
 /// Encode `value` into a freshly allocated byte buffer.
-pub fn to_bytes<T: Wire>(value: &T) -> Result<Bytes, WireError> {
+pub fn to_bytes<T: Wire>(value: &T) -> Result<Vec<u8>, WireError> {
     let mut out = Writer {
         buf: Vec::with_capacity(64),
         too_long: false,
@@ -118,7 +116,7 @@ pub fn to_bytes<T: Wire>(value: &T) -> Result<Bytes, WireError> {
     if out.too_long {
         return Err(WireError::BadLength);
     }
-    Ok(Bytes::from(out.buf))
+    Ok(out.buf)
 }
 
 /// Decode a `T` from `bytes`; the whole buffer must be consumed.
@@ -357,6 +355,11 @@ mod tests {
         assert_eq!(back, v);
     }
 
+    /// [`from_bytes`] with the type named up front.
+    fn decode<T: Wire>(bytes: &[u8]) -> Result<T, WireError> {
+        from_bytes(bytes)
+    }
+
     #[test]
     fn primitives_roundtrip() {
         roundtrip(0u8);
@@ -452,10 +455,7 @@ mod tests {
             data: vec![],
             tag: None,
         }));
-        assert_eq!(
-            from_bytes::<Msg>(&[3, 0, 0, 0]),
-            Err(WireError::BadVariant(3))
-        );
+        assert_eq!(decode::<Msg>(&[3, 0, 0, 0]), Err(WireError::BadVariant(3)));
     }
 
     #[test]
@@ -481,9 +481,9 @@ mod tests {
 
     #[test]
     fn trailing_bytes_rejected() {
-        let mut b = to_bytes(&7u32).unwrap().to_vec();
+        let mut b = to_bytes(&7u32).unwrap();
         b.push(0);
-        assert_eq!(from_bytes::<u32>(&b), Err(WireError::Trailing(1)));
+        assert_eq!(decode::<u32>(&b), Err(WireError::Trailing(1)));
     }
 
     #[test]
@@ -491,52 +491,49 @@ mod tests {
         // Inside a sequence the count no longer fits; elsewhere the value ends early.
         let b = to_bytes(&vec![1u64, 2, 3]).unwrap();
         assert_eq!(
-            from_bytes::<Vec<u64>>(&b[..b.len() - 1]),
+            decode::<Vec<u64>>(&b[..b.len() - 1]),
             Err(WireError::BadLength)
         );
         let b = to_bytes(&(1u8, 2u64)).unwrap();
-        assert_eq!(
-            from_bytes::<(u8, u64)>(&b[..b.len() - 1]),
-            Err(WireError::Eof)
-        );
+        assert_eq!(decode::<(u8, u64)>(&b[..b.len() - 1]), Err(WireError::Eof));
     }
 
     #[test]
     fn counts_the_buffer_cannot_hold_are_rejected_before_reserving() {
         // u32::MAX elements announced, none present.
         let huge = [0xff, 0xff, 0xff, 0xff];
-        assert_eq!(from_bytes::<Vec<u8>>(&huge), Err(WireError::BadLength));
-        assert_eq!(from_bytes::<String>(&huge), Err(WireError::BadLength));
+        assert_eq!(decode::<Vec<u8>>(&huge), Err(WireError::BadLength));
+        assert_eq!(decode::<String>(&huge), Err(WireError::BadLength));
         assert_eq!(
-            from_bytes::<Vec<(u64, Vec<f64>)>>(&huge),
+            decode::<Vec<(u64, Vec<f64>)>>(&huge),
             Err(WireError::BadLength)
         );
         // 12 bytes follow: room for one `(u64, Vec<f64>)`, not for two.
         let mut two = vec![2, 0, 0, 0];
         two.extend_from_slice(&[0; 12]);
         assert_eq!(
-            from_bytes::<Vec<(u64, Vec<f64>)>>(&two),
+            decode::<Vec<(u64, Vec<f64>)>>(&two),
             Err(WireError::BadLength)
         );
         // Zero-width elements: as many as bytes remain, no more.
-        assert_eq!(from_bytes::<Vec<()>>(&huge), Err(WireError::BadLength));
-        assert_eq!(from_bytes::<Vec<()>>(&[0, 0, 0, 0]), Ok(vec![]));
+        assert_eq!(decode::<Vec<()>>(&huge), Err(WireError::BadLength));
+        assert_eq!(decode::<Vec<()>>(&[0, 0, 0, 0]), Ok(vec![]));
     }
 
     #[test]
     fn bad_tags_rejected() {
-        assert_eq!(from_bytes::<bool>(&[7]), Err(WireError::BadTag(7)));
-        assert_eq!(from_bytes::<Option<u8>>(&[2, 0]), Err(WireError::BadTag(2)));
+        assert_eq!(decode::<bool>(&[7]), Err(WireError::BadTag(7)));
+        assert_eq!(decode::<Option<u8>>(&[2, 0]), Err(WireError::BadTag(2)));
         assert_eq!(
-            from_bytes::<char>(&[0, 0xd8, 0, 0]),
+            decode::<char>(&[0, 0xd8, 0, 0]),
             Err(WireError::BadChar(0xd800))
         );
         assert_eq!(
-            from_bytes::<Result<u8, u8>>(&[2, 0, 0, 0, 0]),
+            decode::<Result<u8, u8>>(&[2, 0, 0, 0, 0]),
             Err(WireError::BadVariant(2))
         );
         assert_eq!(
-            from_bytes::<String>(&[1, 0, 0, 0, 0xff]),
+            decode::<String>(&[1, 0, 0, 0, 0xff]),
             Err(WireError::BadUtf8)
         );
     }
@@ -555,6 +552,6 @@ mod tests {
             assert_eq!(back.to_bits(), v.to_bits());
         }
         let b = to_bytes(&f64::NAN).unwrap();
-        assert!(from_bytes::<f64>(&b).unwrap().is_nan());
+        assert!(decode::<f64>(&b).unwrap().is_nan());
     }
 }

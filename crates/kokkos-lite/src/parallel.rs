@@ -6,6 +6,7 @@
 
 use crate::policy::RangePolicy;
 use crate::space::ExecutionSpace;
+use send_cell::SendCell;
 
 /// `Kokkos::parallel_for` over a 1-D range.
 pub fn parallel_for<S, F>(space: &S, policy: RangePolicy, f: F)
@@ -81,9 +82,9 @@ where
         let id_chunks: Vec<(usize, &mut [f64])> = chunks.into_iter().enumerate().collect();
         // Use the space itself to parallelize over chunks, moving each
         // mutable chunk into its closure via a Mutex-free split.
-        let cells: Vec<parking_lot_free::SendCell<&mut [f64]>> = id_chunks
+        let cells: Vec<SendCell<&mut [f64]>> = id_chunks
             .into_iter()
-            .map(|(_, c)| parking_lot_free::SendCell::new(c))
+            .map(|(_, c)| SendCell::new(c))
             .collect();
         space.for_range(0..cells.len(), |ci| {
             let c = cells[ci].take();
@@ -131,10 +132,10 @@ where
         return;
     }
     let chunk = n.div_ceil(conc * 4);
-    let pieces: Vec<(usize, parking_lot_free::SendCell<&mut [T]>)> = out
+    let pieces: Vec<(usize, SendCell<&mut [T]>)> = out
         .chunks_mut(chunk)
         .enumerate()
-        .map(|(ci, c)| (ci * chunk, parking_lot_free::SendCell::new(c)))
+        .map(|(ci, c)| (ci * chunk, SendCell::new(c)))
         .collect();
     space.for_range(0..pieces.len(), |pi| {
         let (offset, cell) = &pieces[pi];
@@ -171,10 +172,10 @@ where
         return;
     }
     let group = rows.div_ceil(conc * 4).max(1);
-    let pieces: Vec<(usize, parking_lot_free::SendCell<&mut [T]>)> = out
+    let pieces: Vec<(usize, SendCell<&mut [T]>)> = out
         .chunks_mut(group * row_len)
         .enumerate()
-        .map(|(gi, c)| (gi * group, parking_lot_free::SendCell::new(c)))
+        .map(|(gi, c)| (gi * group, SendCell::new(c)))
         .collect();
     space.for_range(0..pieces.len(), |pi| {
         let (row0, cell) = &pieces[pi];
@@ -184,7 +185,7 @@ where
 
 /// Minimal one-shot cell allowing disjoint `&mut` chunks to cross into
 /// `Fn(usize)` kernels exactly once each.
-mod parking_lot_free {
+mod send_cell {
     use std::cell::UnsafeCell;
     use std::sync::atomic::{AtomicBool, Ordering};
 

@@ -18,8 +18,9 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
-use parking_lot::Mutex;
+use amt::lock;
 
 /// Number of per-worker free-list shards. Worker indices map onto shards
 /// modulo this; a power of two keeps the mapping cheap and bounds the
@@ -92,7 +93,7 @@ impl<T: Clone + Default + Poison> RecyclePool<T> {
         let home = home_shard();
         let recycled = (0..SHARDS)
             .map(|i| &self.shards[(home + i) % SHARDS])
-            .find_map(|shard| shard.lock().get_mut(&len).and_then(Vec::pop));
+            .find_map(|shard| lock(shard).get_mut(&len).and_then(Vec::pop));
         match recycled {
             Some(mut buf) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -115,8 +116,7 @@ impl<T: Clone + Default + Poison> RecyclePool<T> {
         if buf.capacity() == 0 {
             return;
         }
-        self.shards[home_shard()]
-            .lock()
+        lock(&self.shards[home_shard()])
             .entry(buf.capacity())
             .or_default()
             .push(buf);
@@ -134,14 +134,14 @@ impl<T: Clone + Default + Poison> RecyclePool<T> {
     pub fn parked(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().values().map(Vec::len).sum::<usize>())
+            .map(|s| lock(s).values().map(Vec::len).sum::<usize>())
             .sum()
     }
 
     /// Drop every parked buffer (memory pressure relief).
     pub fn clear(&self) {
         for shard in &self.shards {
-            shard.lock().clear();
+            lock(shard).clear();
         }
     }
 }

@@ -5,16 +5,24 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # The wire format is ours (`distrib::wire`): no serializer dependency may come
-# back, and nothing in the workspace may need a proc-macro to build. The one
-# channel user (`distrib::cluster`, one consumer per receive loop) is served
-# by `std::sync::mpsc`.
-echo "== structure: no serde, no crossbeam-channel, no proc-macro crate =="
+# back, and nothing in the workspace may need a proc-macro to build. The
+# runtime stack is `std` alone: locks and condvars are `std::sync`'s (taken
+# through `amt::lock`), frames are `Vec<u8>`, the scheduler's queues are
+# `amt`'s own deque, and the one channel user (`distrib::cluster`, one
+# consumer per receive loop) is served by `std::sync::mpsc`. `shims/` holds
+# the one stand-in the tests use, `proptest`.
+echo "== structure: std only — no serde, crossbeam, parking_lot, bytes or proc-macro crate =="
 if git grep -n "serde" -- '*Cargo.toml' Cargo.lock; then
   echo "serde is back in a manifest or the root lock file" >&2
   exit 1
 fi
-if git grep -n "crossbeam-channel" -- '*Cargo.toml'; then
-  echo "crossbeam-channel is back in a manifest" >&2
+if git grep -nwE "crossbeam-channel|crossbeam-deque|parking_lot|bytes" -- '*Cargo.toml' Cargo.lock; then
+  echo "a crate the runtime stack replaced with std is back in a manifest or the root lock file" >&2
+  exit 1
+fi
+if [[ "$(git ls-files shims | cut -d/ -f2 | sort -u)" != "proptest" ]]; then
+  echo "shims/ holds something besides proptest:" >&2
+  git ls-files shims >&2
   exit 1
 fi
 if git grep -nE "^proc-macro *= *true" -- '*Cargo.toml'; then

@@ -40,7 +40,8 @@ proptest! {
         let bytes = to_bytes(&v).unwrap();
         // Every strict prefix must fail to decode (never panic).
         for cut in 0..bytes.len() {
-            prop_assert!(from_bytes::<Vec<u32>>(&bytes[..cut]).is_err());
+            let cut_short: Result<Vec<u32>, _> = from_bytes(&bytes[..cut]);
+            prop_assert!(cut_short.is_err());
         }
     }
 
