@@ -15,7 +15,7 @@ pub fn run_table1() -> Exhibit {
     let rows: [(&str, &str, &str); 8] = [
         ("gcc 11.3.0/12.2.0", "→", "rustc (this toolchain)"),
         ("HPX d1042a9", "→", "crate `amt` (this repo)"),
-        ("Boost 1.79/1.82", "→", "std + parking_lot + crossbeam"),
+        ("Boost 1.79/1.82", "→", "std (+ amt's own Chase–Lev deque)"),
         ("Kokkos 7a18e97", "→", "crate `kokkos-lite` (this repo)"),
         ("HPX-Kokkos 246b4b8", "→", "`kokkos_lite::space::HpxSpace`"),
         ("cppuddle c084385", "→", "buffer reuse inside kernels"),
