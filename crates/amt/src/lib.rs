@@ -9,9 +9,8 @@
 //!   ([`Runtime`], [`Handle::spawn`]) — HPX's `hpx::async`;
 //! * **Futures with continuations** ([`Future::then`], [`when_all`])
 //!   forming user-defined task DAGs;
-//! * **Parallel algorithms** ([`par::for_each_mut`],
-//!   [`par::transform_reduce`], [`par::for_loop_chunked`]) with execution
-//!   policies `seq` / `par` — HPX's
+//! * **Parallel algorithms** ([`par::transform_reduce`],
+//!   [`par::for_loop_chunked`]) with execution policies `seq` / `par` — HPX's
 //!   `hpx::for_each(hpx::execution::par, ...)`;
 //! * **Senders & receivers** ([`sr`]) — the P2300 subset used by the paper's
 //!   Maclaurin benchmark;

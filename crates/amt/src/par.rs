@@ -218,36 +218,6 @@ pub fn for_loop_chunked<F>(
     });
 }
 
-/// Parallel mutation of a slice (disjoint chunks) — `hpx::for_each` on a
-/// mutable range.
-pub fn for_each_mut<T, F>(handle: &Handle, policy: ExecutionPolicy, items: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(&mut T) + Send + Sync,
-{
-    if items.is_empty() {
-        return;
-    }
-    if !policy.is_parallel() {
-        for it in items.iter_mut() {
-            f(it);
-        }
-        return;
-    }
-    let chunks = default_chunks(handle.num_threads(), items.len());
-    let chunk_size = items.len().div_ceil(chunks);
-    let f = &f;
-    scope(handle, |sc| {
-        for chunk in items.chunks_mut(chunk_size) {
-            sc.spawn(move || {
-                for it in chunk {
-                    f(it);
-                }
-            });
-        }
-    });
-}
-
 /// Map-reduce over an index space — `hpx::transform_reduce`. The reduction
 /// operator must be associative; partial results are combined in chunk order
 /// so the result is deterministic for a fixed chunk count.
@@ -365,22 +335,6 @@ mod tests {
             });
             assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
         }
-    }
-
-    #[test]
-    fn for_each_mut_updates_in_place() {
-        let rt = Runtime::new(4);
-        let mut data: Vec<u64> = (0..333).collect();
-        for_each_mut(&rt.handle(), ExecutionPolicy::Par, &mut data, |x| *x *= 2);
-        assert!(data.iter().enumerate().all(|(i, &x)| x == 2 * i as u64));
-    }
-
-    #[test]
-    fn for_each_mut_seq_policy() {
-        let rt = Runtime::new(2);
-        let mut data = vec![1u64; 10];
-        for_each_mut(&rt.handle(), ExecutionPolicy::Seq, &mut data, |x| *x += 1);
-        assert_eq!(data, vec![2u64; 10]);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use std::time::Instant;
 
 use octotiger::hydro;
 use octotiger::kernel_backend::{Dispatch, SimdPolicy};
-use octotiger::recycle::RecyclePool;
+use octotiger::star::NF;
 use octotiger::subgrid::{CELLS, FRAME_LEN};
 use octotiger::{OctoConfig, Octree, RotatingStar};
 use repro_bench::{smoke, write_baseline, POLICIES};
@@ -34,22 +34,22 @@ struct KernelPoint {
 /// kernel cost.
 fn time_kernel_sweeps(tree: &Octree, policies: &[SimdPolicy], iters: u32) -> Vec<KernelPoint> {
     let d = Dispatch::Legacy;
-    let state_pool = RecyclePool::new();
     let mut frame = vec![0.0; FRAME_LEN];
+    let mut out = vec![[0.0; NF]; CELLS];
     let dt = 1.0e-4;
     let mut sweep = |policy: SimdPolicy| {
         for (pos, &leaf) in tree.leaf_ids().iter().enumerate() {
             let grid = tree.subgrid(leaf);
-            tree.gather_frame(pos, &mut frame);
-            let out = match policy {
-                SimdPolicy::Scalar => hydro::step_interior(&frame, grid.dx, dt, &d),
-                SimdPolicy::Width(_) => {
-                    let mut out = state_pool.acquire(CELLS);
-                    hydro::step_interior_staged_into(grid, &mut frame, dt, &d, policy, &mut out);
-                    out
+            tree.gather_frame(pos, &mut frame, |n| tree.subgrid(n));
+            match policy {
+                SimdPolicy::Scalar => {
+                    std::hint::black_box(hydro::step_interior(&frame, grid.dx, dt, &d));
                 }
-            };
-            state_pool.release(std::hint::black_box(out));
+                SimdPolicy::Width(_) => {
+                    hydro::step_interior_staged_into(grid, &mut frame, dt, &d, policy, &mut out);
+                    std::hint::black_box(&out);
+                }
+            }
         }
     };
     let cfl_sweep = |policy: SimdPolicy| {
@@ -60,7 +60,7 @@ fn time_kernel_sweeps(tree: &Octree, policies: &[SimdPolicy], iters: u32) -> Vec
         std::hint::black_box(speeds.fold(0.0, f64::max));
     };
     for &p in policies {
-        sweep(p); // warm-up (also primes the pools)
+        sweep(p); // warm-up
     }
     let mut best = vec![(f64::INFINITY, f64::INFINITY); policies.len()];
     for _ in 0..iters {

@@ -66,10 +66,11 @@ fn assert_gate(p: &ScalePoint) {
     );
 }
 
-/// Peak resident bytes per cell the level-4 run may reach: ≈ 130 with 40 B
-/// of interior per cell; a ghost frame stored per leaf again adds 95, a
-/// 69 KB buffer kept per leaf across tasks 135.
-const MAX_BYTES_PER_CELL: f64 = 150.0;
+/// Peak resident bytes per cell the level-4 run may reach: 80 measured (40 B
+/// of interior per cell, hydro results held behind the gather wavefront)
+/// plus 10 %; holding every leaf's result until one apply phase read 133, a
+/// ghost frame stored per leaf again adds 95.
+const MAX_BYTES_PER_CELL: f64 = 88.0;
 
 /// The memory gate, at level 4 (where the process's peak is this level's).
 fn assert_memory_gate(p: &ScalePoint) {

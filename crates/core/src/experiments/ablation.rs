@@ -103,7 +103,7 @@ pub fn run_ablation_chunks(quick: bool) -> Exhibit {
         rt.reset_stats();
         let d = Dispatch::new(KernelType::KokkosHpx, &rt.handle(), chunks);
         for (pos, &leaf) in tree.leaf_ids().iter().enumerate() {
-            tree.gather_frame(pos, &mut frame);
+            tree.gather_frame(pos, &mut frame, |n| tree.subgrid(n));
             let dx = tree.subgrid(leaf).dx;
             let _ = octotiger::hydro::step_interior(&frame, dx, 1e-4, &d);
         }

@@ -7,13 +7,14 @@
 //!
 //! Per step, interleaving the two solvers exactly as §3.3 describes:
 //! CFL reduction → gravity solve (P2M / M2M / multipole + monopole kernels)
-//! → hydro kernel (gathering its leaf's ghost zone) → apply update + gravity
-//! sources. Every per-leaf kernel invocation is one `amt` task, so the
+//! → hydro kernel (gathering its leaf's ghost zone) → each leaf's update and
+//! gravity source, written back once its last reader has gathered. Every
+//! per-leaf kernel invocation is one `amt` task, so the
 //! runtime always sees `leaf_count` concurrent kernels per phase — the
 //! paper's source of multicore utilization even with the Kokkos Serial
 //! execution space.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -171,19 +172,6 @@ struct OverlapTotals {
     overlap_ns: u64,
 }
 
-/// Gravity state handed through the step's moments task: the workspace and
-/// cache are *moved* into the task (the serial M2M pass runs concurrently
-/// with per-leaf hydro) and published back afterwards.
-struct GravityHandoff {
-    ws: GravityWorkspace,
-    cache: InteractionCache,
-    report: EnsureReport,
-}
-
-/// Per-leaf gravity result: cell accelerations plus far/near list lengths
-/// for work accounting.
-type AccelEntry = (Vec<[f64; 3]>, u64, u64);
-
 /// What the referee benchmark reads of the step's kernel launches
 /// (`benchmark/` is frozen; ROADMAP lists the `[benchmark]` PR that retires
 /// this with the two catalogue rows): one launch per work item, so both
@@ -251,6 +239,12 @@ struct Ownership {
     positions: Vec<usize>,
     /// Owned leaves whose interior a leaf owned elsewhere gathers ghosts from.
     halo_out: Vec<usize>,
+    /// Per owned leaf `k` (its index in `positions`): the owned leaves, by
+    /// the same index, whose interior its gather reads, itself included.
+    reads: Vec<Vec<usize>>,
+    /// Per owned leaf: its P2M task and every entry of `reads` that names
+    /// it — the reads of its old interior in a step.
+    readers: Vec<u32>,
 }
 
 impl Ownership {
@@ -276,7 +270,25 @@ impl Ownership {
         } else {
             tree.halo_sources(|pos| !mask[pos])
         };
+        self.reads.clear();
         self.built_for = Some(tree.generation());
+    }
+
+    /// Build `reads` and `readers` unless they are the current generation's:
+    /// on a generation's first step, not at set-up.
+    fn refresh_readers(&mut self, tree: &mut Octree) {
+        if self.reads.len() == self.positions.len() {
+            return;
+        }
+        let (sources, owned) = (tree.gather_sources(), &self.positions);
+        let index = |pos: &usize| owned.binary_search(pos).ok();
+        self.reads = (owned.iter())
+            .map(|&pos| sources[pos].iter().filter_map(index).collect())
+            .collect();
+        self.readers = vec![1; self.positions.len()];
+        for &k in self.reads.iter().flatten() {
+            self.readers[k] += 1;
+        }
     }
 }
 
@@ -287,12 +299,10 @@ pub struct Driver {
     ownership: Ownership,
     sim_time: f64,
     work: WorkEstimate,
-    /// cppuddle-style scratch-buffer pool for the hydro kernels.
-    pool: Arc<RecyclePool<[f64; NF]>>,
     /// Pool of the ghost frames hydro tasks gather into (and the vector path
     /// stages its primitives in): scratch of a hydro task, so as many
     /// buffers as hydro tasks run at once.
-    stage_pool: Arc<RecyclePool<f64>>,
+    stage_pool: Arc<RecyclePool>,
     /// Gravity/hydro concurrency totals (latency hiding of the task graph).
     overlap: OverlapTotals,
     /// Recycled gravity solve state (moments table, traversal order).
@@ -309,6 +319,9 @@ pub struct Driver {
     regrid_leaves: u64,
     /// Steps completed: the index a failing step is reported under.
     steps_done: u64,
+    /// Most hydro results held at once in any step so far
+    /// (`/step/held_results_hwm`).
+    held_results_hwm: u64,
 }
 
 /// What one [`Driver::regrid`] sweep did.
@@ -354,6 +367,8 @@ impl Driver {
             mask: Vec::new(),
             positions: Vec::new(),
             halo_out: Vec::new(),
+            reads: Vec::new(),
+            readers: Vec::new(),
         };
         ownership.refresh(&mut tree);
         // Data for the leaves this locality reads: the ones it owns and the
@@ -372,8 +387,7 @@ impl Driver {
             ownership,
             sim_time: 0.0,
             work: WorkEstimate::default(),
-            pool: Arc::new(RecyclePool::new()),
-            stage_pool: Arc::new(RecyclePool::new()),
+            stage_pool: Arc::new(RecyclePool::default()),
             overlap: OverlapTotals::default(),
             gravity_ws: GravityWorkspace::new(),
             interaction_cache: InteractionCache::new(),
@@ -381,6 +395,7 @@ impl Driver {
             regrid_sweeps: 0,
             regrid_leaves: 0,
             steps_done: 0,
+            held_results_hwm: 0,
         }
     }
 
@@ -437,23 +452,31 @@ impl Driver {
     /// above its own producer on one stack and deadlock). Every kernel family
     /// is one task per owned leaf; the last task of each root phase to retire
     /// runs the serial join and fans the dependent tasks out in a nested
-    /// scope:
+    /// scope; per leaf, the last of its readers writes it back:
     ///
     /// ```text
-    /// halo ─┬► cfl per leaf ──last──► max_rate, dt ──► hydro per leaf ─┬► apply
-    ///       └► p2m per leaf ──last──► complete_blocks, M2M + lists     │
-    ///                                          └──► gravity per leaf ──┘
+    /// halo ─┬► p2m per leaf ──last──► complete_blocks, M2M + lists ──► gravity per leaf ─┐
+    ///       └► cfl per leaf ──last──► max_rate, dt ──► hydro per leaf                    │
+    /// leaf k: its p2m, each hydro gathering from k ──last──► update k ──last──► source k ◄┘
     /// ```
     ///
     /// Each hydro task needs only the global `dt`: it gathers its leaf's
     /// ghost zone through the tree's plan (built at step start, once per
-    /// topology generation) from interiors nothing writes before the apply.
-    /// A gravity task overlaps hydro tasks on other workers, and the
-    /// *serial* M2M/list pass is hidden behind CFL/hydro work — the paper's
-    /// HPX futurization argument at sub-grid granularity. `exchange` is
-    /// consulted at the three joins named in the diagram and nowhere else;
-    /// with [`LocalExchange`] the step waits for nothing outside its own
-    /// runtime.
+    /// topology generation) and holds its result until the last reader of
+    /// the leaf's old interior — its P2M task or an owned hydro task, its
+    /// own among them — writes it back; the later of that write-back and the
+    /// leaf's gravity task adds the source. Per leaf that is a serial walk's
+    /// order, so the bits are a serial walk's. The graph borrows the data in
+    /// per-leaf locks ([`Octree::lend_grids`]) that the counts keep
+    /// uncontended. One task spawns the roots onto its own deque, P2M last,
+    /// so a worker pops those first, and the hydro fan-out goes in reverse,
+    /// so it pops in leaf order: results are written back behind a
+    /// wavefront. A gravity task overlaps hydro tasks on other workers, and
+    /// the *serial* M2M/list pass is hidden behind CFL/hydro work — the
+    /// paper's HPX futurization argument at sub-grid granularity. `exchange`
+    /// is consulted at the three joins named in the diagram and nowhere
+    /// else; with [`LocalExchange`] the step waits for nothing outside its
+    /// own runtime.
     pub fn step_with(&mut self, handle: &Handle, exchange: &impl Exchange) -> f64 {
         let hydro_dispatch = Dispatch::new(self.config.hydro_kernel, handle, 4);
         let multipole_dispatch = Dispatch::new(self.config.multipole_kernel, handle, 4);
@@ -468,6 +491,7 @@ impl Driver {
         let mask = &self.ownership.mask;
         let faces = self.tree.plan_ghosts(|pos| mask[pos]);
         self.work.add_ghost_faces(faces);
+        self.ownership.refresh_readers(&mut self.tree);
         // The step's work items: index `k` below is the `k`-th owned leaf.
         let owned = &self.ownership.positions;
         let leaves: Vec<NodeId> = {
@@ -477,32 +501,36 @@ impl Driver {
         let n = leaves.len();
 
         // The serial M2M/list pass runs inside a task, concurrent with
-        // per-leaf hydro — so the gravity state is moved in (claimed by the
-        // continuation) and published back out afterwards (same workspace
-        // and cache objects; their stats accumulate across steps).
-        let ws_in = std::mem::replace(&mut self.gravity_ws, GravityWorkspace::new());
-        let cache_in = std::mem::replace(&mut self.interaction_cache, InteractionCache::new());
-        let gravity_state: Mutex<Option<(GravityWorkspace, InteractionCache)>> =
-            Mutex::new(Some((ws_in, cache_in)));
+        // per-leaf hydro: the continuation locks the gravity state for it.
+        let gravity = Mutex::new((&mut self.gravity_ws, &mut self.interaction_cache));
+        let report: OnceLock<EnsureReport> = OnceLock::new();
 
         let speeds: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
         let block_slots: Vec<Mutex<Option<BlockSoA>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let accel_slots: Vec<Mutex<Option<AccelEntry>>> =
+        // Per owned leaf, each held from the task that makes it to the
+        // leaf's write-back: the hydro result and the accelerations.
+        let results: Vec<Mutex<Option<Vec<[f64; NF]>>>> =
             (0..n).map(|_| Mutex::new(None)).collect();
-        let state_slots: Vec<Mutex<Option<Vec<[f64; NF]>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
+        let accels: Vec<Mutex<Option<Vec<[f64; 3]>>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        // Per owned leaf, the write-back countdown (`Ownership::readers`) and
+        // the source countdown (the write-back and its gravity task).
+        let unread: Vec<AtomicU32> = self.ownership.readers.iter().map(|&r| r.into()).collect();
+        let unsourced: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(2)).collect();
         // The last CFL task to retire runs the dt reduction, the last P2M
         // task the moments pass.
         let cfl_remaining = AtomicU64::new(n as u64);
         let p2m_remaining = AtomicU64::new(n as u64);
         let dt_bits = AtomicU64::new(0);
-        let published: OnceLock<GravityHandoff> = OnceLock::new();
         let g_env = Envelope::new();
         let h_env = Envelope::new();
+        // Hydro results held now and at most.
+        let (held, held_hwm) = (AtomicU64::new(0), AtomicU64::new(0));
+        let grids = self.tree.lend_grids();
 
         {
             let tree = &self.tree;
             let owned_mask = &self.ownership.mask;
+            let reads = &self.ownership.reads;
             let kernels = GravityKernels {
                 multipole: &multipole_dispatch,
                 monopole: &monopole_dispatch,
@@ -510,40 +538,67 @@ impl Driver {
             };
             let kernels = &kernels;
             let hydro_dispatch = &hydro_dispatch;
-            let (state_pool, stage_pool) = (&*self.pool, &*self.stage_pool);
+            let stage_pool = &*self.stage_pool;
             let leaves = &leaves[..];
-            let (speeds, block_slots) = (&speeds, &block_slots);
-            let (accel_slots, state_slots) = (&accel_slots, &state_slots);
+            let (speeds, block_slots, results, accels) = (&speeds, &block_slots, &results, &accels);
+            let (unread, unsourced, held, held_hwm) = (&unread, &unsourced, &held, &held_hwm);
             let (cfl_remaining, p2m_remaining) = (&cfl_remaining, &p2m_remaining);
-            let (dt_bits, published, gravity_state) = (&dt_bits, &published, &gravity_state);
+            let (dt_bits, gravity, report) = (&dt_bits, &gravity, &report);
             let (g_env, h_env) = (&g_env, &h_env);
+            let grids = &grids;
+            let lent = move |leaf: NodeId| grids[leaf].as_ref().expect("leaf with data");
+            let grid = move |leaf: NodeId| lent(leaf).read().expect("leaf lock");
+            let grid_mut = move |k: usize| lent(leaves[k]).write().expect("leaf lock");
+
+            // The two countdowns of owned leaf `k`: whoever retires its last
+            // count does the work. Each decrement releases what its task did
+            // with the leaf (read the old interior, filled a slot), and the
+            // last one acquires all of it before writing.
+            let add_source = move |k: usize| {
+                if unsourced[k].fetch_sub(1, Ordering::AcqRel) == 1 {
+                    let acc = accels[k].lock().expect("accel slot").take();
+                    let dt = f64::from_bits(dt_bits.load(Ordering::Acquire));
+                    hydro::apply_gravity_source(&mut grid_mut(k), &acc.expect("gravity done"), dt);
+                }
+            };
+            let gathered = move |k: usize| {
+                if unread[k].fetch_sub(1, Ordering::AcqRel) == 1 {
+                    let state = results[k].lock().expect("result slot").take();
+                    hydro::apply_interior(&mut grid_mut(k), &state.expect("hydro result held"));
+                    held.fetch_sub(1, Ordering::Relaxed);
+                    add_source(k);
+                }
+            };
 
             let hydro_leaf = move |idx: usize, dt: f64| {
-                let mut state = state_pool.acquire(CELLS);
-                {
-                    let t0 = trace::now_ns();
-                    let _span = trace::span(Cat::Phase, "hydro_step");
-                    let mut frame = stage_pool.acquire(FRAME_LEN);
-                    tree.gather_frame(owned[idx], &mut frame);
-                    hydro::step_interior_staged_into(
-                        tree.subgrid(leaves[idx]),
-                        &mut frame,
-                        dt,
-                        hydro_dispatch,
-                        policy,
-                        &mut state,
-                    );
-                    stage_pool.release(frame);
-                    h_env.record(t0, trace::now_ns());
+                let t0 = trace::now_ns();
+                let _span = trace::span(Cat::Phase, "hydro_step");
+                let mut state = vec![[0.0; NF]; CELLS];
+                let mut frame = stage_pool.acquire(FRAME_LEN);
+                tree.gather_frame(owned[idx], &mut frame, grid);
+                hydro::step_interior_staged_into(
+                    &grid(leaves[idx]),
+                    &mut frame,
+                    dt,
+                    hydro_dispatch,
+                    policy,
+                    &mut state,
+                );
+                stage_pool.release(frame);
+                *results[idx].lock().expect("result slot") = Some(state);
+                let now = held.fetch_add(1, Ordering::Relaxed) + 1;
+                held_hwm.fetch_max(now, Ordering::Relaxed);
+                for &k in &reads[idx] {
+                    gathered(k);
                 }
-                *state_slots[idx].lock().expect("state slot") = Some(state);
+                h_env.record(t0, trace::now_ns());
             };
             let hydro_leaf = &hydro_leaf;
             let cfl_leaf = move |idx: usize| {
                 {
                     let _span = trace::span(Cat::Phase, "cfl_leaf");
-                    let g = tree.subgrid(leaves[idx]);
-                    let speed = hydro::max_signal_speed_policy(g, hydro_dispatch, policy);
+                    let g = grid(leaves[idx]);
+                    let speed = hydro::max_signal_speed_policy(&g, hydro_dispatch, policy);
                     speeds[idx].store((speed / g.dx).to_bits(), Ordering::Release);
                 }
                 if cfl_remaining.fetch_sub(1, Ordering::SeqCst) != 1 {
@@ -551,7 +606,7 @@ impl Driver {
                 }
                 // Continuation of the last CFL task: global dt (a max-fold,
                 // so any arrival order gives the same bits), then the hydro
-                // fan-out.
+                // fan-out, last leaf first: a worker pops it in leaf order.
                 let dt = {
                     let _span = trace::span(Cat::Phase, "cfl_reduction");
                     let rates = || {
@@ -561,12 +616,12 @@ impl Driver {
                     };
                     let rate = exchange.max_rate(hydro::max_cfl_rate(rates()));
                     hydro::global_dt(cfl_factor, rate, step, || {
-                        poisoned_leaf(tree, owned, rates())
+                        poisoned_leaf(owned, rates(), |k| grid(leaves[k]).first_non_finite())
                     })
                 };
                 dt_bits.store(dt.to_bits(), Ordering::Release);
                 scope(handle, |hsc| {
-                    for idx in 0..n {
+                    for idx in (0..n).rev() {
                         hsc.spawn(move || hydro_leaf(idx, dt));
                     }
                 });
@@ -574,8 +629,9 @@ impl Driver {
             let p2m_leaf = move |idx: usize| {
                 {
                     let _span = trace::span(Cat::Phase, "p2m_leaf");
-                    *block_slots[idx].lock().expect("block slot") =
-                        Some(gravity::compute_blocks(tree.subgrid(leaves[idx])));
+                    let blocks = gravity::compute_blocks(&grid(leaves[idx]));
+                    *block_slots[idx].lock().expect("block slot") = Some(blocks);
+                    gathered(idx);
                 }
                 if p2m_remaining.fetch_sub(1, Ordering::SeqCst) != 1 {
                     return;
@@ -585,11 +641,6 @@ impl Driver {
                 // exchange), the serial M2M + interaction-list section
                 // (hidden behind CFL/hydro work on other workers), then the
                 // gravity fan-out.
-                let (mut ws, mut cache) = gravity_state
-                    .lock()
-                    .expect("gravity state")
-                    .take()
-                    .expect("claimed once");
                 let mut own = block_slots
                     .iter()
                     .map(|m| m.lock().expect("block slot").take().expect("p2m done"));
@@ -604,84 +655,64 @@ impl Driver {
                     })
                     .collect();
                 exchange.complete_blocks(owned, &mut blocks);
-                let report = {
+                let mut state = gravity.lock().expect("gravity state");
+                let (ws, cache) = &mut *state;
+                let ensured = {
                     let _span = trace::span(Cat::Phase, "gravity_moments");
                     ws.upward_pass(tree, &blocks);
                     cache.ensure(tree, &ws.moments, theta)
                 };
-                {
-                    let solve = LeafSolve {
-                        tree,
-                        moments: &ws.moments,
-                        blocks: &blocks,
-                        leaf_pos: &ws.leaf_pos,
-                        kernels,
-                    };
-                    let (solve, lists) = (&solve, cache.lists());
-                    scope(handle, |gsc| {
-                        for (idx, &leaf) in leaves.iter().enumerate() {
-                            gsc.spawn(move || {
-                                let t0 = trace::now_ns();
-                                let _span = trace::span(Cat::Phase, "gravity_solve");
-                                let (far, near) = &lists[solve.leaf_pos[leaf]];
-                                let acc = solve.accel(leaf, far, near);
-                                *accel_slots[idx].lock().expect("accel slot") =
-                                    Some((acc, far.len() as u64, near.len() as u64));
-                                g_env.record(t0, trace::now_ns());
-                            });
-                        }
-                    });
-                }
-                let handoff = GravityHandoff { ws, cache, report };
-                assert!(
-                    published.set(handoff).is_ok(),
-                    "gravity continuation publishes exactly once"
-                );
+                assert!(report.set(ensured).is_ok(), "one moments pass per step");
+                let solve = LeafSolve {
+                    tree,
+                    moments: &ws.moments,
+                    blocks: &blocks,
+                    leaf_pos: &ws.leaf_pos,
+                    kernels,
+                };
+                let (solve, lists) = (&solve, cache.lists());
+                scope(handle, |gsc| {
+                    for (idx, &leaf) in leaves.iter().enumerate() {
+                        gsc.spawn(move || {
+                            let t0 = trace::now_ns();
+                            let _span = trace::span(Cat::Phase, "gravity_solve");
+                            let (far, near) = &lists[solve.leaf_pos[leaf]];
+                            let acc = solve.accel(leaf, far, near);
+                            *accels[idx].lock().expect("accel slot") = Some(acc);
+                            add_source(idx);
+                            g_env.record(t0, trace::now_ns());
+                        });
+                    }
+                });
             };
-            // Roots of the graph: the CFL tasks, then the P2M tasks — no
-            // dependencies, all runnable now.
+            // One root task spawns the roots onto its worker's deque, so
+            // they pop the same way whoever calls the step: the P2M tasks
+            // first (a leaf's write-back waits for its own), then the CFL
+            // tasks, which thieves take from the other end.
             let (cfl_leaf, p2m_leaf) = (&cfl_leaf, &p2m_leaf);
             scope(handle, |sc| {
-                for idx in 0..n {
-                    sc.spawn(move || cfl_leaf(idx));
-                }
-                for idx in 0..n {
-                    sc.spawn(move || p2m_leaf(idx));
-                }
+                sc.spawn(move || {
+                    scope(handle, |roots| {
+                        for idx in 0..n {
+                            roots.spawn(move || cfl_leaf(idx));
+                        }
+                        for idx in 0..n {
+                            roots.spawn(move || p2m_leaf(idx));
+                        }
+                    })
+                })
             });
         }
-
-        // Restore the gravity state the moments task took.
-        let handoff = published.into_inner().expect("moments task ran");
-        self.gravity_ws = handoff.ws;
-        self.interaction_cache = handoff.cache;
+        assert!(
+            unsourced.iter().all(|c| c.load(Ordering::Relaxed) == 0),
+            "every owned leaf is written back and sourced once"
+        );
+        self.tree.restore_grids(grids);
         let dt = f64::from_bits(dt_bits.load(Ordering::Acquire));
-
-        let accels: Vec<AccelEntry> = accel_slots
-            .into_iter()
-            .map(|m| m.into_inner().expect("accel slot").expect("gravity done"))
-            .collect();
-        {
-            // Apply each owned leaf's hydro update and gravity source terms,
-            // leaves in parallel — per leaf the same two calls on the same
-            // inputs as a serial walk in leaf order.
-            let _span = trace::span(Cat::Phase, "apply_update");
-            let states: Vec<Vec<[f64; NF]>> = state_slots
-                .into_iter()
-                .map(|m| m.into_inner().expect("state slot").expect("hydro done"))
-                .collect();
-            let accels = &accels;
-            self.tree.for_each_leaf_mut(handle, owned, |k, grid| {
-                hydro::apply_interior(grid, &states[k]);
-                hydro::apply_gravity_source(grid, &accels[k].0, dt);
-            });
-            for buf in states {
-                self.pool.release(buf);
-            }
-        }
+        self.held_results_hwm = self.held_results_hwm.max(held_hwm.into_inner());
 
         self.accumulate_overlap(&g_env, &h_env);
-        self.account_step(&accels, handoff.report);
+        self.account_step(report.into_inner().expect("moments task ran"));
         self.sim_time += dt;
         dt
     }
@@ -696,25 +727,25 @@ impl Driver {
         }
     }
 
-    /// Post-step work accounting over the owned leaves `accels` covers (the
-    /// step's start charged their ghost faces).
-    fn account_step(&mut self, accels: &[AccelEntry], report: EnsureReport) {
+    /// Post-step work accounting over the owned leaves (the step's start
+    /// charged their ghost faces).
+    fn account_step(&mut self, report: EnsureReport) {
+        let owned = &self.ownership.positions;
         self.steps_done += 1;
-        self.kernel_tasks += 4 * accels.len() as u64;
+        self.kernel_tasks += 4 * owned.len() as u64;
         // Work accounting. Far (M2L) interactions are charged in the kernel's
         // summation groups (`gravity::SUM_GROUPS`), whatever the host's lane
         // count: the modelled program must not depend on build flags.
         // Near lists stream 64-block leaves, whole groups already.
-        let cells = (accels.len() * CELLS) as u64;
+        let lists = self.interaction_cache.lists();
+        let groups = |n: usize| n.next_multiple_of(gravity::SUM_GROUPS) as u64;
+        let far: u64 = owned.iter().map(|&pos| groups(lists[pos].0.len())).sum();
+        let near: u64 = owned.iter().map(|&pos| lists[pos].1.len() as u64).sum();
+        let cells = (owned.len() * CELLS) as u64;
         self.work.hydro_flops += cells * hydro::HYDRO_FLOPS_PER_CELL;
         self.work.bytes += cells * hydro::HYDRO_BYTES_PER_CELL;
-        let near_total: u64 = accels.iter().map(|(_, _, near)| near).sum();
-        let far_padded: u64 = accels
-            .iter()
-            .map(|(_, far, _)| far.next_multiple_of(gravity::SUM_GROUPS as u64))
-            .sum();
-        let far_inter = far_padded * gravity::BLOCKS as u64;
-        let near_inter = near_total * (gravity::BLOCKS * gravity::BLOCKS) as u64;
+        let far_inter = far * gravity::BLOCKS as u64;
+        let near_inter = near * (gravity::BLOCKS * gravity::BLOCKS) as u64;
         self.work.far_interactions += far_inter;
         self.work.near_interactions += near_inter;
         self.work.gravity_flops += far_inter * gravity::MULTIPOLE_FLOPS_PER_INTERACTION
@@ -812,6 +843,7 @@ impl Driver {
         snap.set_count("/ghost/plan_rebuilds", ghost.plan_rebuilds);
         snap.set_count("/ghost/faces_slab", ghost.faces.slab);
         snap.set_count("/ghost/faces_indexed", ghost.faces.indexed);
+        snap.set_count("/step/held_results_hwm", self.held_results_hwm);
         snap.set_count("/runtime/overlap_ns", self.overlap.overlap_ns);
         snap.set_gauge("/runtime/overlap_ratio", self.overlap_ratio());
         let launches = self.aggregation_stats().fused_launches;
@@ -933,15 +965,20 @@ impl Driver {
 /// What a run stopped by a non-finite `dt` names ([`hydro::global_dt`]'s
 /// culprit): the first owned leaf, in leaf order, whose CFL rate (`rates`,
 /// one per owned leaf) is not a positive finite number — the one that
-/// poisoned the fold — and the field and cell of its first non-finite value.
-/// The failure path only: one leaf is scanned.
-fn poisoned_leaf(tree: &Octree, owned: &[usize], rates: impl Iterator<Item = f64>) -> String {
+/// poisoned the fold — and the field and cell of its first non-finite value
+/// (`first_non_finite` of the `k`-th owned leaf). The failure path only: one
+/// leaf is scanned.
+fn poisoned_leaf(
+    owned: &[usize],
+    rates: impl Iterator<Item = f64>,
+    first_non_finite: impl Fn(usize) -> Option<(usize, [usize; 3])>,
+) -> String {
     let mut rates = rates.enumerate();
     let Some((k, rate)) = rates.find(|&(_, r)| !(r.is_finite() && r > 0.0)) else {
         return "no owned leaf has a non-finite CFL rate".to_string();
     };
     let pos = owned[k];
-    let value = match tree.subgrid(tree.leaf_ids()[pos]).first_non_finite() {
+    let value = match first_non_finite(k) {
         Some((f, [i, j, k])) => format!(
             "its first non-finite value is field {} at cell ({i}, {j}, {k})",
             field::NAMES[f]
@@ -1045,8 +1082,8 @@ mod tests {
         // What a run counts is a function of its configuration, not of the
         // machine. Level 2 (64 leaves), 4 steps, 2 workers: one list build
         // of one MAC evaluation per leaf pair, hits after it; 4 kernel
-        // tasks per leaf per step, and with the apply chunks after them 264
-        // tasks per step.
+        // tasks per leaf per step, and with the root task 257 tasks per
+        // step.
         let mut d = Driver::new(OctoConfig {
             max_level: 2,
             stop_step: 4,
@@ -1057,7 +1094,69 @@ mod tests {
         assert_eq!((m.cache.misses, m.cache.hits), (1, 3));
         assert_eq!(m.work.mac_evals, 64 * 64);
         assert_eq!(d.aggregation_stats().fused_launches, 4 * 64 * 4);
-        assert_eq!(m.runtime_stats.tasks_spawned, 4 * 264);
+        assert_eq!(m.runtime_stats.tasks_spawned, 4 * 257);
+    }
+
+    /// Two steps of a level-3 tree on one worker, each against a serial walk
+    /// from the pre-step state: every leaf gathers its frame from the old
+    /// interiors, then every leaf takes its update and then its gravity
+    /// source, once. Equal bits mean each owned leaf was written back exactly
+    /// once per step, and never before a task that reads it had gathered.
+    /// The results held at once stay under a quarter of the leaves.
+    #[test]
+    fn each_leaf_is_written_back_once_after_its_last_reader() {
+        let cfg = OctoConfig {
+            max_level: 3,
+            simd_width: 0,
+            ..tiny_config(KernelType::Legacy)
+        };
+        let (mut d, mut walk) = (Driver::new(cfg.clone()), Driver::new(cfg.clone()));
+        let rt = Runtime::new(1);
+        let kernels = GravityKernels {
+            multipole: &Dispatch::Legacy,
+            monopole: &Dispatch::Legacy,
+            simd: cfg.simd_policy(),
+        };
+        let mut frame = vec![0.0; FRAME_LEN];
+        for step in 0..2 {
+            let dt = d.step(&rt);
+            let tree = &mut walk.tree;
+            tree.plan_ghosts(|_| true);
+            let leaves = tree.leaf_ids().to_vec();
+            let blocks: Vec<BlockSoA> = (leaves.iter())
+                .map(|&leaf| gravity::compute_blocks(tree.subgrid(leaf)))
+                .collect();
+            let moments = gravity::upward_pass(tree, &blocks);
+            let pos = gravity::leaf_positions(tree);
+            let updates: Vec<_> = (leaves.iter().enumerate())
+                .map(|(p, &leaf)| {
+                    tree.gather_frame(p, &mut frame, |n| tree.subgrid(n));
+                    let mut state = vec![[0.0; NF]; CELLS];
+                    let (grid, policy) = (tree.subgrid(leaf), cfg.simd_policy());
+                    let legacy = &Dispatch::Legacy;
+                    hydro::step_interior_staged_into(
+                        grid, &mut frame, dt, legacy, policy, &mut state,
+                    );
+                    let theta = cfg.theta;
+                    let acc = gravity::accel_for_leaf(
+                        tree, &moments, &blocks, &pos, leaf, theta, &kernels,
+                    );
+                    (state, acc)
+                })
+                .collect();
+            for (&leaf, (state, acc)) in leaves.iter().zip(updates) {
+                hydro::apply_interior(tree.subgrid_mut(leaf), &state);
+                hydro::apply_gravity_source(tree.subgrid_mut(leaf), &acc, dt);
+            }
+            assert_eq!(d.leaf_hashes(), walk.leaf_hashes(), "step {step}");
+        }
+        let mut snap = CounterSnapshot::default();
+        d.counters_into(&mut snap);
+        let held = snap.count("/step/held_results_hwm");
+        assert!(
+            held > 0 && 4 * held <= d.owned_leaves().len() as u64,
+            "{held} held"
+        );
     }
 
     #[test]
@@ -1125,9 +1224,10 @@ mod tests {
             let owned = d.tree.plan_ghosts(|pos| mask[pos]);
             faces.slab += owned.slab;
             faces.indexed += owned.indexed;
+            let (reference, tree) = (&node_level.tree, &d.tree);
             for &pos in d.owned_leaves() {
-                node_level.tree.gather_frame(pos, &mut want);
-                d.tree.gather_frame(pos, &mut got);
+                reference.gather_frame(pos, &mut want, |n| reference.subgrid(n));
+                tree.gather_frame(pos, &mut got, |n| tree.subgrid(n));
                 assert!(got
                     .iter()
                     .zip(&want)

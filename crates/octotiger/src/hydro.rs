@@ -831,7 +831,7 @@ mod tests {
         dt: f64,
         dispatch: &Dispatch,
         policy: SimdPolicy,
-        stage_pool: &RecyclePool<f64>,
+        stage_pool: &RecyclePool,
     ) -> Vec<[f64; NF]> {
         let mut stage = stage_pool.acquire(FRAME_LEN);
         stage.copy_from_slice(frame);
@@ -871,7 +871,7 @@ mod tests {
             let d = Dispatch::new(KernelType::KokkosHpx, &handle, chunks);
             dispatches.push((format!("KokkosHpx/{chunks}"), d));
         }
-        let stage_pool = RecyclePool::new();
+        let stage_pool = RecyclePool::default();
         let leaves = [
             (star_leaf(), 1e-4),
             (shock_leaf([0.3, -0.2, 0.1]), 1e-3),

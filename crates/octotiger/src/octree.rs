@@ -41,9 +41,7 @@
 //! `g0` can ask exactly which nodes stopped being leaves since then.
 
 use std::collections::HashMap;
-
-use amt::par::{for_each_mut, ExecutionPolicy};
-use amt::Handle;
+use std::sync::RwLock;
 
 use crate::config::OctoConfig;
 use crate::star::{InitialModel, RotatingStar, NF};
@@ -563,28 +561,21 @@ impl Octree {
             .expect("node is not a leaf with data")
     }
 
-    /// Run `f(k, sub-grid)` for the leaf at each of `positions` (`k` counts
-    /// through `positions`, which must be distinct), in parallel on `handle`
-    /// over disjoint `&mut SubGrid`s (inline on a one-worker runtime, where
-    /// there is nothing to run beside).
-    pub(crate) fn for_each_leaf_mut<F>(&mut self, handle: &Handle, positions: &[usize], f: F)
-    where
-        F: Fn(usize, &mut SubGrid) + Send + Sync,
-    {
-        let mut by_node: Vec<Option<&mut SubGrid>> =
-            self.subgrids.iter_mut().map(Option::as_mut).collect();
-        let leaves = &self.leaves;
-        let mut grids: Vec<(usize, &mut SubGrid)> = positions
-            .iter()
-            .enumerate()
-            .map(|(k, &pos)| (k, by_node[leaves[pos]].take().expect("leaf listed once")))
-            .collect();
-        let policy = if handle.num_threads() == 1 {
-            ExecutionPolicy::Seq
-        } else {
-            ExecutionPolicy::Par
-        };
-        for_each_mut(handle, policy, &mut grids, |(k, grid)| f(*k, grid));
+    /// Move every leaf's data into a lock of its own, indexed by node id, for
+    /// a task graph that writes some leaves while its tasks read others;
+    /// until [`Octree::restore_grids`] the tree is topology only.
+    pub(crate) fn lend_grids(&mut self) -> Vec<Option<RwLock<SubGrid>>> {
+        self.subgrids
+            .iter_mut()
+            .map(|grid| grid.take().map(RwLock::new))
+            .collect()
+    }
+
+    /// Take back the data [`Octree::lend_grids`] lent out.
+    pub(crate) fn restore_grids(&mut self, lent: Vec<Option<RwLock<SubGrid>>>) {
+        for (slot, grid) in self.subgrids.iter_mut().zip(lent) {
+            *slot = grid.map(|g| g.into_inner().expect("leaf lock"));
+        }
     }
 
     /// Immutable access to a leaf's sub-grid.
@@ -803,7 +794,7 @@ mod tests {
         // Every leaf with a same-level neighbor: ghost == neighbor interior.
         let mut checked = 0;
         for (pos, &leaf) in t.leaf_ids().iter().enumerate() {
-            t.gather_frame(pos, &mut frame);
+            t.gather_frame(pos, &mut frame, |n| t.subgrid(n));
             let n = t.node(leaf);
             for face in Face::ALL {
                 let Some(nid) = t
@@ -838,7 +829,7 @@ mod tests {
         let mut t = small_tree(0);
         t.plan_ghosts(|_| true);
         let mut frame = vec![f64::NAN; crate::subgrid::FRAME_LEN];
-        t.gather_frame(0, &mut frame);
+        t.gather_frame(0, &mut frame, |n| t.subgrid(n));
         let g = t.subgrid(t.leaf_ids()[0]);
         for a in 0..NX as i64 {
             for b in 0..NX as i64 {
@@ -863,7 +854,9 @@ mod tests {
         t.plan_ghosts(|_| true);
         let victim = t.leaf_ids()[0];
         t.refine_leaf(victim);
-        t.gather_frame(0, &mut vec![0.0; crate::subgrid::FRAME_LEN]);
+        t.gather_frame(0, &mut vec![0.0; crate::subgrid::FRAME_LEN], |n| {
+            t.subgrid(n)
+        });
     }
 
     #[test]

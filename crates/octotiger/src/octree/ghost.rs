@@ -5,13 +5,16 @@
 //! one `locate` per ghost cell of a level-jump or domain-boundary face, none
 //! for a same-level face. A leaf stores its interior only: the hydro task
 //! that needs a leaf's ghost zone gathers it through the plan into a scratch
-//! frame ([`Octree::gather_frame`]) — plain copies out of `&SubGrid`s that
-//! nothing writes before the step's apply, no tree descent, no per-face
-//! buffer, no exchange pass.
+//! frame ([`Octree::gather_frame`]) — plain copies, no tree descent, no
+//! per-face buffer, no exchange pass. The plan also names, per leaf, the
+//! leaves its gather reads ([`Octree::gather_sources`]): a step writes a
+//! leaf back only once every task that reads it has gathered.
+
+use std::ops::Deref;
 
 use super::{NodeId, Octree};
 use crate::star::NF;
-use crate::subgrid::{Face, CELLS, FRAME_CELLS, FRAME_LEN, NG, NT, NX};
+use crate::subgrid::{Face, SubGrid, CELLS, FRAME_CELLS, FRAME_LEN, NG, NT, NX};
 
 /// Ghost cells per face: `NG` layers of `NX²`.
 const FACE_CELLS: usize = NG * NX * NX;
@@ -89,10 +92,6 @@ fn flat(x: usize, y: usize, z: usize) -> usize {
 }
 
 impl GhostPlan {
-    pub(super) fn stats(&self) -> GhostStats {
-        self.stats
-    }
-
     pub(super) fn resident_bytes(&self) -> usize {
         self.faces.capacity() * std::mem::size_of::<FaceSource>()
             + self.cells.capacity() * std::mem::size_of::<CellSource>()
@@ -176,28 +175,38 @@ impl Octree {
     /// interior and its six face slabs, each ghost cell the value of the
     /// interior cell containing its centre — across level jumps, and clamped
     /// into the domain at its boundary (outflow). The 448 edge and corner
-    /// cells are no stencil's and are left as they were.
+    /// cells are no stencil's and are left as they were. Each leaf is read
+    /// through `grid` (node id → its data: `|n| tree.subgrid(n)`, or a read
+    /// guard while a step has the data lent out), called once for the leaf's
+    /// own interior and once per source leaf per face.
     ///
     /// # Panics
     /// Unless [`Octree::plan_ghosts`] has run since the last topology change,
     /// or when a leaf the plan reads carries no data.
-    pub fn gather_frame(&self, pos: usize, frame: &mut [f64]) {
+    pub fn gather_frame<G: Deref<Target = SubGrid>>(
+        &self,
+        pos: usize,
+        frame: &mut [f64],
+        grid: impl Fn(NodeId) -> G,
+    ) {
         assert_eq!(frame.len(), FRAME_LEN, "ghost frame size");
         assert_eq!(
             self.ghost.built_for,
             Some(self.generation),
             "the gather plan is behind the topology: `plan_ghosts` first"
         );
-        let own = self.subgrid(self.leaves[pos]).u.as_slice();
+        let own = grid(self.leaves[pos]);
         for (lane, fields) in frame
             .chunks_exact_mut(FRAME_CELLS)
-            .zip(own.chunks_exact(CELLS))
+            .zip(own.u.as_slice().chunks_exact(CELLS))
         {
             for (row, cells) in fields.chunks_exact(NX).enumerate() {
                 let at = flat(row / NX + NG, row % NX + NG, NG);
                 lane[at..at + NX].copy_from_slice(cells);
             }
         }
+        // Released before the faces: a boundary face reads the leaf again.
+        drop(own);
         for (face, source) in Face::ALL.into_iter().zip(self.ghost.faces_of(pos)) {
             match *source {
                 FaceSource::Slab(n) => {
@@ -205,7 +214,8 @@ impl Octree {
                     // layer x − NG + NX (its interior nearest the shared face,
                     // nearest first on both sides); of a high face, layer
                     // x − NG − NX.
-                    let src = self.subgrid(n as NodeId).u.as_slice();
+                    let src = grid(n as NodeId);
+                    let src = src.u.as_slice();
                     let interior = |d: usize, x: usize| {
                         let shift = if d == face.axis() { -face.sign() } else { 0 };
                         (x as i64 - NG as i64 + shift * NX as i64) as usize
@@ -225,8 +235,16 @@ impl Octree {
                 }
                 FaceSource::Indexed(start) => {
                     let entries = &self.ghost.cells[start as usize..][..FACE_CELLS];
+                    // 2:1 grading: at most four leaves feed one face.
+                    let mut held: [Option<(u32, G)>; 4] = Default::default();
                     for ((x, y, z), cell) in ghost_cells(face).zip(entries) {
-                        let src = self.subgrid(cell.node as NodeId).u.as_slice();
+                        let slot = held
+                            .iter()
+                            .position(|h| h.as_ref().is_none_or(|(n, _)| *n == cell.node))
+                            .expect("at most four source leaves per face");
+                        let (_, src) = held[slot]
+                            .get_or_insert_with(|| (cell.node, grid(cell.node as NodeId)));
+                        let src = src.u.as_slice();
                         let (s, t) = (cell.cell as usize, flat(x, y, z));
                         for f in 0..NF {
                             frame[f * FRAME_CELLS + t] = src[f * CELLS + s];
@@ -247,34 +265,49 @@ impl Octree {
         }
     }
 
-    /// The halo of a target set: positions (ascending) of the leaves outside
-    /// `is_target` whose interior cells the gather plan reads for a target's
-    /// ghosts — same-level, level-jump and clamped boundary faces alike,
-    /// because it is read off the plan the gather itself runs.
-    pub fn halo_sources(&mut self, is_target: impl Fn(usize) -> bool) -> Vec<usize> {
+    /// Per leaf, in leaf order: the positions (ascending, its own included)
+    /// of the leaves whose interior cells its gather reads — same-level,
+    /// level-jump and clamped boundary faces alike, because it is read off
+    /// the plan the gather itself runs.
+    pub fn gather_sources(&mut self) -> Vec<Vec<usize>> {
         self.ensure_ghost_plan();
         let pos_of = crate::gravity::leaf_positions(self);
         let plan = &self.ghost;
-        let mut feeds = vec![false; self.leaves.len()];
-        for pos in (0..self.leaves.len()).filter(|&pos| is_target(pos)) {
-            for source in plan.faces_of(pos) {
-                match *source {
-                    FaceSource::Slab(n) => feeds[pos_of[n as usize]] = true,
-                    FaceSource::Indexed(start) => {
-                        for cell in &plan.cells[start as usize..][..FACE_CELLS] {
-                            feeds[pos_of[cell.node as usize]] = true;
-                        }
+        (0..self.leaves.len())
+            .map(|pos| {
+                let mut sources = vec![pos];
+                for source in plan.faces_of(pos) {
+                    match *source {
+                        FaceSource::Slab(n) => sources.push(pos_of[n as usize]),
+                        FaceSource::Indexed(start) => sources.extend(
+                            plan.cells[start as usize..][..FACE_CELLS]
+                                .iter()
+                                .map(|cell| pos_of[cell.node as usize]),
+                        ),
                     }
                 }
-            }
-        }
-        (0..feeds.len())
-            .filter(|&pos| feeds[pos] && !is_target(pos))
+                sources.sort_unstable();
+                sources.dedup();
+                sources
+            })
             .collect()
+    }
+
+    /// The halo of a target set: positions (ascending) of the leaves outside
+    /// `is_target` whose interior a target's gather reads.
+    pub fn halo_sources(&mut self, is_target: impl Fn(usize) -> bool) -> Vec<usize> {
+        let sources = self.gather_sources();
+        let mut halo: Vec<usize> = (0..sources.len())
+            .filter(|&pos| is_target(pos))
+            .flat_map(|pos| sources[pos].iter().copied().filter(|&s| !is_target(s)))
+            .collect();
+        halo.sort_unstable();
+        halo.dedup();
+        halo
     }
 
     /// Counters of the ghost plan.
     pub fn ghost_stats(&self) -> GhostStats {
-        self.ghost.stats()
+        self.ghost.stats
     }
 }

@@ -33,24 +33,14 @@ fn home_shard() -> usize {
     amt::current_worker().map_or(0, |w| w % SHARDS)
 }
 
-type FreeLists<T> = HashMap<usize, Vec<Vec<T>>>;
+type FreeLists = HashMap<usize, Vec<Vec<f64>>>;
 
-/// A recycling pool of `Vec<T>` scratch buffers.
-#[derive(Debug)]
-pub struct RecyclePool<T> {
-    shards: [Mutex<FreeLists<T>>; SHARDS],
+/// A recycling pool of `Vec<f64>` scratch buffers.
+#[derive(Debug, Default)]
+pub struct RecyclePool {
+    shards: [Mutex<FreeLists>; SHARDS],
     hits: AtomicU64,
     misses: AtomicU64,
-}
-
-impl<T> Default for RecyclePool<T> {
-    fn default() -> Self {
-        RecyclePool {
-            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
 }
 
 /// Pool statistics (reuse effectiveness).
@@ -62,34 +52,14 @@ pub struct PoolStats {
     pub misses: u64,
 }
 
-/// What a debug build overwrites a recycled buffer with, so that a consumer
-/// reading an element it did not write fails the bitwise suites.
-pub trait Poison {
-    /// NaN in every lane.
-    const POISON: Self;
-}
-
-impl Poison for f64 {
-    const POISON: f64 = f64::NAN;
-}
-
-impl<const N: usize> Poison for [f64; N] {
-    const POISON: [f64; N] = [f64::NAN; N];
-}
-
-impl<T: Clone + Default + Poison> RecyclePool<T> {
-    /// Empty pool.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
+impl RecyclePool {
     /// Acquire a buffer of exactly `len` elements, reusing a previously
     /// released one when available — **as it was released**: initialised,
-    /// contents unspecified (both consumers write each element before
-    /// reading it; a debug build poisons the buffer to hold them to that).
+    /// contents unspecified (the consumer writes each element before reading
+    /// it; a debug build fills the buffer with NaN to hold it to that).
     /// The caller's own shard is tried first (no contention in the steady
     /// state); other shards are scavenged before giving up and allocating.
-    pub fn acquire(&self, len: usize) -> Vec<T> {
+    pub fn acquire(&self, len: usize) -> Vec<f64> {
         let home = home_shard();
         let recycled = (0..SHARDS)
             .map(|i| &self.shards[(home + i) % SHARDS])
@@ -98,21 +68,21 @@ impl<T: Clone + Default + Poison> RecyclePool<T> {
             Some(mut buf) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 // Only a buffer released shorter than its capacity grows.
-                buf.resize(len, T::default());
+                buf.resize(len, 0.0);
                 #[cfg(debug_assertions)]
-                buf.fill(T::POISON);
+                buf.fill(f64::NAN);
                 buf
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                vec![T::default(); len]
+                vec![0.0; len]
             }
         }
     }
 
     /// Return a buffer for future reuse (its capacity is what's recycled).
     /// Lands in the calling worker's own shard.
-    pub fn release(&self, buf: Vec<T>) {
+    pub fn release(&self, buf: Vec<f64>) {
         if buf.capacity() == 0 {
             return;
         }
@@ -153,7 +123,7 @@ mod tests {
 
     #[test]
     fn second_acquire_reuses_first_release() {
-        let pool: RecyclePool<f64> = RecyclePool::new();
+        let pool: RecyclePool = RecyclePool::default();
         let a = pool.acquire(512);
         pool.release(a);
         let b = pool.acquire(512);
@@ -166,7 +136,7 @@ mod tests {
 
     #[test]
     fn reused_buffers_come_back_unreset_and_poisoned_in_debug() {
-        let pool: RecyclePool<f64> = RecyclePool::new();
+        let pool: RecyclePool = RecyclePool::default();
         let mut a = pool.acquire(16);
         assert!(a.iter().all(|&x| x == 0.0), "a fresh buffer is zeroed");
         a.fill(7.0);
@@ -183,7 +153,7 @@ mod tests {
 
     #[test]
     fn different_sizes_use_different_buckets() {
-        let pool: RecyclePool<f64> = RecyclePool::new();
+        let pool: RecyclePool = RecyclePool::default();
         pool.release(vec![0.0; 100]);
         let _ = pool.acquire(200);
         assert_eq!(pool.stats().misses, 1, "size mismatch cannot be served");
@@ -192,7 +162,7 @@ mod tests {
 
     #[test]
     fn clear_empties_the_pool() {
-        let pool: RecyclePool<f64> = RecyclePool::new();
+        let pool: RecyclePool = RecyclePool::default();
         pool.release(vec![0.0; 8]);
         pool.release(vec![0.0; 8]);
         assert_eq!(pool.parked(), 2);
@@ -205,7 +175,7 @@ mod tests {
         // A buffer released on one worker (or off-worker → shard 0) must be
         // reusable from any other thread: scavenging keeps the pool's reuse
         // guarantee, sharding only changes who contends with whom.
-        let pool: Arc<RecyclePool<f64>> = Arc::new(RecyclePool::new());
+        let pool: Arc<RecyclePool> = Arc::new(RecyclePool::default());
         pool.release(vec![0.0; 64]); // off-worker → shard 0
         let rt = amt::Runtime::new(2);
         let reused = {
@@ -221,30 +191,5 @@ mod tests {
         assert_eq!(reused, 64);
         assert!(pool.stats().hits >= 1, "worker must scavenge shard 0");
         assert_eq!(pool.parked(), 1);
-    }
-
-    #[test]
-    fn concurrent_kernel_launch_pattern() {
-        // The Octo-Tiger shape: many tasks acquiring/releasing per step.
-        let pool: Arc<RecyclePool<[f64; 5]>> = Arc::new(RecyclePool::new());
-        let rt = amt::Runtime::new(3);
-        for _step in 0..4 {
-            let futures: Vec<_> = (0..32)
-                .map(|_| {
-                    let p = Arc::clone(&pool);
-                    rt.spawn(move || {
-                        let buf = p.acquire(512);
-                        let touched = buf.len();
-                        p.release(buf);
-                        touched
-                    })
-                })
-                .collect();
-            let total: usize = amt::when_all(futures).get().into_iter().sum();
-            assert_eq!(total, 32 * 512);
-        }
-        let s = pool.stats();
-        assert_eq!(s.hits + s.misses, 128);
-        assert!(s.hits > 0, "later steps must reuse earlier buffers: {s:?}");
     }
 }

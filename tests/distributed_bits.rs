@@ -2,15 +2,17 @@
 //! step with an ownership mask and a parcel exchange, so after k steps every
 //! leaf must hold the node-level driver's bits — on one locality or two,
 //! over every parcelport, on one to three workers per locality, on the
-//! scalar oracle and at two lane counts.
+//! scalar oracle and at two lane counts. A node-level run's bits do not
+//! follow its worker count either.
 //!
 //! Every run is under a watchdog (a deadlock fails, never hangs). Budget of
-//! the whole file: ≤ 60 s in the tier-1 (debug) profile — 31 s measured on
+//! the whole file: ≤ 60 s in the tier-1 (debug) profile — 35 s measured on
 //! two vCPUs, most of it the level-2 runs and the forty repeats.
 
 use std::sync::mpsc::{channel, RecvTimeoutError};
 use std::time::Duration;
 
+use octotiger_riscv_repro::amt::Runtime;
 use octotiger_riscv_repro::machine::NetBackend;
 use octotiger_riscv_repro::octotiger::star::{field, NF};
 use octotiger_riscv_repro::octotiger::{
@@ -81,21 +83,22 @@ fn level_1_matrix_has_the_node_level_bits() {
     }
 }
 
-/// The rotating star moved off the x = 0 plane and off y = 0: the octants
-/// it reaches refine, the (x > 0, y > 0) ones do not, so leaves meet across
-/// the cut both at the same level and across a level jump. (The centred
-/// star mirrors in x — its leaves never change level across the cut.)
-struct OffCentre(RotatingStar);
-
-const SHIFT: f64 = 0.45;
+/// A rotating star centred at the given point. The paper's star at
+/// (−0.45, −0.45, 0) is off the x = 0 plane and off y = 0: the octants it
+/// reaches refine, the (x > 0, y > 0) ones do not, so leaves meet across the
+/// cut both at the same level and across a level jump. (The centred star
+/// mirrors in x — its leaves never change level across the cut.)
+struct OffCentre(RotatingStar, [f64; 3]);
 
 impl InitialModel for OffCentre {
     fn density_at(&self, x: f64, y: f64, z: f64) -> f64 {
-        self.0.density_at(x + SHIFT, y + SHIFT, z)
+        let [a, b, c] = self.1;
+        self.0.density_at(x - a, y - b, z - c)
     }
 
     fn conserved_at(&self, x: f64, y: f64, z: f64) -> [f64; NF] {
-        InitialModel::conserved_at(&self.0, x + SHIFT, y + SHIFT, z)
+        let [a, b, c] = self.1;
+        InitialModel::conserved_at(&self.0, x - a, y - b, z - c)
     }
 
     fn reference_density(&self) -> f64 {
@@ -135,7 +138,7 @@ fn pairs_across_the_cut(driver: &Driver) -> (usize, usize) {
 /// of bits: the width-8 run is held to the width-4 node-level hashes.
 #[test]
 fn level_2_runs_have_the_node_level_bits_across_level_jumps() {
-    let model = || OffCentre(RotatingStar::paper_default());
+    let model = || OffCentre(RotatingStar::paper_default(), [-0.45, -0.45, 0.0]);
     let node_level = |width: usize| {
         let mut driver = Driver::with_model(&model(), octo(2, width));
         assert_eq!(driver.run(2).steps, STEPS);
@@ -175,6 +178,50 @@ fn forty_back_to_back_2x2_runs_finish_with_the_same_bits() {
     for run in 0..40 {
         let got = distributed(2, NetBackend::Tcp, 2, octo(1, 4));
         assert_eq!(got.leaf_hashes, want, "run {run}");
+    }
+}
+
+/// A step writes each leaf back when its last reader has gathered, in an
+/// order the schedule picks; the bits must not follow it. Node-level runs of
+/// a level-3 tree on 1, 2 and 4 workers end with the same leaf hashes, and
+/// ten 4-worker runs in a row agree; so do 1, 2 and 4 workers with an
+/// `amr`-style regrid (every ninth leaf) behind the first step. The scalar
+/// oracle and a small star in one octant (22 leaves: 8 at level 3 in one
+/// level-2 node, level jumps on every side) keep the debug-profile runs
+/// short: the schedule is under test, not a kernel.
+#[test]
+fn node_level_bits_do_not_follow_the_worker_count() {
+    let run = |workers: usize, regrid: bool| {
+        let what = format!("level 3 on {workers} workers, regrid {regrid}");
+        watched(&what, move || {
+            let star = OffCentre(RotatingStar::new(0.2, 1.0, 0.2), [0.75; 3]);
+            let mut driver = Driver::with_model(&star, octo(3, 0));
+            assert_eq!(driver.tree().leaf_count(), 22);
+            let runtime = Runtime::new(workers);
+            for step in 0..STEPS {
+                driver.step(&runtime);
+                if regrid && step == 0 {
+                    let victims: Vec<_> = driver
+                        .tree()
+                        .leaf_ids()
+                        .iter()
+                        .step_by(9)
+                        .copied()
+                        .collect();
+                    assert!(driver.regrid(&runtime, &victims).leaves_refined > 0);
+                }
+            }
+            driver.leaf_hashes()
+        })
+    };
+    let want = run(1, false);
+    assert_eq!(run(2, false), want, "2 workers");
+    for repeat in 0..10 {
+        assert_eq!(run(4, false), want, "4 workers, run {repeat}");
+    }
+    let want = run(1, true);
+    for workers in [2, 4] {
+        assert_eq!(run(workers, true), want, "{workers} workers after a regrid");
     }
 }
 

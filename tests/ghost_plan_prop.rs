@@ -89,7 +89,7 @@ fn frame_at(frame: &[f64], f: usize, c: [i64; 3]) -> f64 {
 /// The frame of the leaf at `pos`, gathered into a poisoned buffer.
 fn gathered(tree: &Octree, pos: usize) -> Vec<f64> {
     let mut frame = vec![POISON; FRAME_LEN];
-    tree.gather_frame(pos, &mut frame);
+    tree.gather_frame(pos, &mut frame, |n| tree.subgrid(n));
     frame
 }
 
@@ -351,7 +351,7 @@ fn steady_state_gather_allocates_nothing() {
     let allocs = allocations_during(|| {
         tree.plan_ghosts(|_| true); // current: no rebuild
         for pos in 0..tree.leaf_count() {
-            tree.gather_frame(pos, &mut frame);
+            tree.gather_frame(pos, &mut frame, |n| tree.subgrid(n));
         }
     });
     assert_eq!(

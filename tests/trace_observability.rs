@@ -37,7 +37,7 @@ fn tiny_config() -> OctoConfig {
 }
 
 /// Phase spans a step emits once: its joins and serial sections.
-const JOIN_PHASES: [&str; 3] = ["cfl_reduction", "gravity_moments", "apply_update"];
+const JOIN_PHASES: [&str; 2] = ["cfl_reduction", "gravity_moments"];
 /// Phase spans a step emits once per owned leaf: the kernel families.
 const LEAF_PHASES: [&str; 4] = ["cfl_leaf", "p2m_leaf", "gravity_solve", "hydro_step"];
 
