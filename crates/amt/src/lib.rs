@@ -50,7 +50,7 @@ pub mod par;
 pub mod sr;
 
 pub use future::{make_ready_future, pair as future_pair, when_all, Future, Promise};
-pub use runtime::{current_worker, imbalance, Handle, Runtime, RuntimeStats, WorkerStats};
+pub use runtime::{imbalance, Handle, Runtime, RuntimeStats, WorkerStats};
 
 /// Lock `m`, ignoring poison: a panic while the lock was held does not make
 /// it unusable, and the data is left in whatever state the panic reached.

@@ -387,14 +387,6 @@ pub(crate) fn on_worker() -> bool {
     CTX.with(|c| c.borrow().is_some())
 }
 
-/// Index of the runtime worker executing the current task, or `None` when
-/// called off a worker thread (e.g. from `main`). Worker-affine consumers —
-/// the scratch/recycle pools' per-worker free-lists — use this to pick a
-/// shard without contending on one global lock.
-pub fn current_worker() -> Option<usize> {
-    CTX.with(|c| c.borrow().as_ref().map(|ctx| ctx.index))
-}
-
 /// If on a worker thread, pop/steal and execute one ready task.
 /// Returns `true` if a task was executed. This is how blocking operations
 /// *help* instead of stalling a core (HPX: suspending the hpx-thread lets

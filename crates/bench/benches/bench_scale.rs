@@ -66,11 +66,12 @@ fn assert_gate(p: &ScalePoint) {
     );
 }
 
-/// Peak resident bytes per cell the level-4 run may reach: 80 measured (40 B
-/// of interior per cell, hydro results held behind the gather wavefront)
-/// plus 10 %; holding every leaf's result until one apply phase read 133, a
-/// ghost frame stored per leaf again adds 95.
-const MAX_BYTES_PER_CELL: f64 = 88.0;
+/// Peak resident bytes per cell the level-4 run may reach: 74.6 measured (40
+/// B of interior per cell, hydro results held behind the gather wavefront,
+/// one acceleration per gravity block) plus 10 %; a per-cell copy of the
+/// accelerations read 79.7, holding every leaf's result until one apply
+/// phase 133, and a ghost frame stored per leaf again adds 95.
+const MAX_BYTES_PER_CELL: f64 = 82.0;
 
 /// The memory gate, at level 4 (where the process's peak is this level's).
 fn assert_memory_gate(p: &ScalePoint) {

@@ -107,9 +107,9 @@ pub fn gravity_kernel_sweeps(
     cache.ensure(tree, &ws.moments, driver.config().theta);
     let lists = cache.lists();
     let per_block = gravity::BLOCKS as f64;
-    let far_interactions = lists.iter().map(|l| l.0.len() as f64).sum::<f64>() * per_block;
+    let far_interactions = lists.iter().map(|l| l.far().len() as f64).sum::<f64>() * per_block;
     let near_interactions =
-        lists.iter().map(|l| l.1.len() as f64).sum::<f64>() * per_block * per_block;
+        lists.iter().map(|l| l.near().len() as f64).sum::<f64>() * per_block * per_block;
 
     let d = Dispatch::Legacy;
     let mut acc = vec![[0.0; 3]; gravity::BLOCKS];
@@ -121,15 +121,15 @@ pub fn gravity_kernel_sweeps(
             simd: policy,
         };
         let start = Instant::now();
-        for (tb, (far, _)) in blocks.iter().zip(lists) {
-            gravity::m2l_blocks(&kernels, tb, &ws.moments, far, &mut acc);
+        for (tb, l) in blocks.iter().zip(lists) {
+            gravity::m2l_blocks(&kernels, tb, &ws.moments, l.far(), &mut acc);
             std::hint::black_box(&acc);
         }
         let m2l = start.elapsed().as_nanos() as f64;
         let start = Instant::now();
-        for ((&leaf, tb), (_, near)) in tree.leaf_ids().iter().zip(&blocks).zip(lists) {
+        for ((&leaf, tb), l) in tree.leaf_ids().iter().zip(&blocks).zip(lists) {
             let eps = gravity::softening(tree.node_geometry(leaf).1);
-            gravity::p2p_blocks(&kernels, &blocks, &ws.leaf_pos, tb, near, eps, &mut acc);
+            gravity::p2p_blocks(&kernels, &blocks, &ws.leaf_pos, tb, l.near(), eps, &mut acc);
             std::hint::black_box(&acc);
         }
         (m2l, start.elapsed().as_nanos() as f64)

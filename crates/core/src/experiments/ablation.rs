@@ -57,7 +57,7 @@ pub fn run_ablation_theta(quick: bool) -> Exhibit {
     let mut work_series = Vec::new();
     for &theta in &[0.2, 0.35, 0.5, 0.65, 0.8] {
         let acc = gravity::accel_for_leaf(tree, &moments, &blocks, &pos, target, theta, &kernels);
-        let (far, near) = gravity::interaction_lists(tree, &moments, target, theta);
+        let lists = gravity::interaction_lists(tree, &moments, target, theta);
         let mut num = 0.0;
         let mut den = 0.0;
         for (a, b) in acc.iter().zip(&reference) {
@@ -66,7 +66,7 @@ pub fn run_ablation_theta(quick: bool) -> Exhibit {
         }
         let rms_rel = (num / den.max(1e-300)).sqrt();
         err_series.push((theta, rms_rel));
-        let interactions = far.len() * BLOCKS + near.len() * BLOCKS * BLOCKS;
+        let interactions = lists.far().len() * BLOCKS + lists.near().len() * BLOCKS * BLOCKS;
         work_series.push((theta, interactions as f64));
     }
     let mut e = Exhibit::new(

@@ -10,18 +10,20 @@
 //!    (2×2×2 cells each): mass + centre of mass per block, stored as
 //!    structure-of-arrays ([`BlockSoA`]) so the kernels can stream
 //!    contiguous `x/y/z/mass` lanes. Blocks are the source/target
-//!    granularity of the near field; cells inherit their block's
-//!    acceleration (a smoothing equivalent to Octo-Tiger's cell-block
-//!    aggregation in its monopole kernels).
+//!    granularity of both kernels: a solve returns one acceleration per
+//!    block, and each cell reads its block's ([`block_of_cell`]) when the
+//!    source term is applied (a smoothing equivalent to Octo-Tiger's
+//!    cell-block aggregation in its monopole kernels).
 //! 2. **M2M** — upward pass: every tree node gets mass, centre of mass and
 //!    traceless quadrupole moments from its children.
 //! 3. **Dual traversal** — for each target leaf, walk the tree with the
 //!    multipole acceptance criterion `size/dist < θ`: accepted nodes join
 //!    the *far list* (evaluated with the **multipole kernel**), leaf nodes
 //!    too close join the *near list* (block-block **monopole kernel**,
-//!    Plummer-softened). Because the lists depend only on tree topology
-//!    and (weakly, through the MAC) on the centres of mass, they are
-//!    cached across solves in an [`InteractionCache`] keyed on the
+//!    Plummer-softened); a leaf's two lists are one exact-size array of
+//!    32-bit node ids ([`LeafLists`]). Because the lists depend only on
+//!    tree topology and (weakly, through the MAC) on the centres of mass,
+//!    they are cached across solves in an [`InteractionCache`] keyed on the
 //!    octree's topology generation.
 //!
 //! Both kernels put **targets across the lanes**: a pack holds `W` of the
@@ -40,7 +42,7 @@ use apex_lite::trace::{self, Cat};
 use crate::kernel_backend::{Dispatch, SimdPolicy};
 use crate::octree::{NodeId, Octree};
 use crate::star::field;
-use crate::subgrid::{SubGrid, CELLS, NX};
+use crate::subgrid::{SubGrid, NX};
 use kokkos_lite::Simd;
 
 /// Blocks per dimension (8 cells / 2 per block).
@@ -315,14 +317,37 @@ pub fn upward_pass(tree: &Octree, blocks: &[BlockSoA]) -> Vec<Moments> {
     ws.moments
 }
 
-/// Interaction lists of one target leaf: (far nodes for M2L, near leaves
-/// for P2P). `theta` is the opening parameter; smaller = more accurate.
+/// The interaction lists of one target leaf in one exact-size allocation:
+/// its far nodes (M2L sources), then its near leaves (P2P sources), as
+/// 32-bit node ids.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LeafLists {
+    ids: Box<[u32]>,
+    far_len: usize,
+}
+
+impl LeafLists {
+    /// Far nodes, in traversal order.
+    pub fn far(&self) -> &[u32] {
+        &self.ids[..self.far_len]
+    }
+
+    /// Near leaves, in traversal order.
+    pub fn near(&self) -> &[u32] {
+        &self.ids[self.far_len..]
+    }
+}
+
+/// Interaction lists of one target leaf ([`LeafLists`]: far nodes for M2L,
+/// near leaves for P2P). `theta` is the opening parameter; smaller = more
+/// accurate.
 pub fn interaction_lists(
     tree: &Octree,
     moments: &[Moments],
     target: NodeId,
     theta: f64,
-) -> (Vec<NodeId>, Vec<NodeId>) {
+) -> LeafLists {
+    let narrow = |id: NodeId| u32::try_from(id).expect("node ids fit in 32 bits");
     let (t_origin, _) = tree.node_geometry(target);
     let t_size = tree.node_size(tree.node(target).level);
     let t_center = [
@@ -354,15 +379,18 @@ pub fn interaction_lists(
         let dist = (dx[0] * dx[0] + dx[1] * dx[1] + dx[2] * dx[2]).sqrt();
         let eff = dist - t_radius;
         if id != target && eff > 0.0 && s / eff < theta {
-            far.push(id);
+            far.push(narrow(id));
         } else {
             match tree.node(id).children {
                 Some(children) => stack.extend(children),
-                None => near.push(id),
+                None => near.push(narrow(id)),
             }
         }
     }
-    (far, near)
+    LeafLists {
+        far_len: far.len(),
+        ids: [far, near].concat().into(),
+    }
 }
 
 /// Hit/miss counters of an [`InteractionCache`].
@@ -420,7 +448,7 @@ pub struct InteractionCache {
     /// Leaf order the cached `lists` are aligned with (snapshot of
     /// `tree.leaf_ids()` at the last rebuild).
     leaf_ids: Vec<NodeId>,
-    lists: Vec<(Vec<NodeId>, Vec<NodeId>)>,
+    lists: Vec<LeafLists>,
     stats: CacheStats,
 }
 
@@ -467,9 +495,9 @@ impl InteractionCache {
         self.lists.clear();
         let mut mac_evals = 0u64;
         for &leaf in tree.leaf_ids() {
-            let (far, near) = interaction_lists(tree, moments, leaf, theta);
-            mac_evals += (far.len() + near.len()) as u64;
-            self.lists.push((far, near));
+            let lists = interaction_lists(tree, moments, leaf, theta);
+            mac_evals += lists.ids.len() as u64;
+            self.lists.push(lists);
         }
         self.leaf_ids.clear();
         self.leaf_ids.extend_from_slice(tree.leaf_ids());
@@ -509,7 +537,7 @@ impl InteractionCache {
             .enumerate()
             .map(|(pos, &leaf)| (leaf, pos))
             .collect();
-        let mut old: Vec<Option<(Vec<NodeId>, Vec<NodeId>)>> = std::mem::take(&mut self.lists)
+        let mut old: Vec<Option<LeafLists>> = std::mem::take(&mut self.lists)
             .into_iter()
             .map(Some)
             .collect();
@@ -526,7 +554,7 @@ impl InteractionCache {
                 let clean = old_pos.get(&leaf).copied().filter(|&pos| {
                     old[pos]
                         .as_ref()
-                        .is_some_and(|(_, near)| near.iter().all(|&n| !is_split[n]))
+                        .is_some_and(|lists| lists.near().iter().all(|&n| !is_split[n as usize]))
                 });
                 match clean {
                     Some(pos) => {
@@ -534,10 +562,10 @@ impl InteractionCache {
                         old[pos].take().expect("each old list spliced once")
                     }
                     None => {
-                        let (far, near) = interaction_lists(tree, moments, leaf, theta);
-                        mac_evals += (far.len() + near.len()) as u64;
+                        let lists = interaction_lists(tree, moments, leaf, theta);
+                        mac_evals += lists.ids.len() as u64;
                         leaves_rebuilt += 1;
-                        (far, near)
+                        lists
                     }
                 }
             })
@@ -555,8 +583,8 @@ impl InteractionCache {
         }
     }
 
-    /// Cached `(far, near)` lists, aligned with `tree.leaf_ids()`.
-    pub fn lists(&self) -> &[(Vec<NodeId>, Vec<NodeId>)] {
+    /// Cached lists, aligned with `tree.leaf_ids()`.
+    pub fn lists(&self) -> &[LeafLists] {
         &self.lists
     }
 
@@ -780,7 +808,7 @@ fn m2l_targets<const W: usize>(
     tb: &BlockSoA,
     b0: usize,
     moments: &[Moments],
-    far: &[NodeId],
+    far: &[u32],
     out: &mut [[f64; 3]],
 ) {
     let p = load_targets::<W>(tb, b0);
@@ -797,7 +825,7 @@ fn m2l_targets<const W: usize>(
         // in memory (M2L at width 2: 4.3 -> 14.8 ns per interaction).
         let mut s = g;
         while s < far.len() {
-            m2l_source(&moments[far[s]], &p, &mut acc);
+            m2l_source(&moments[far[s] as usize], &p, &mut acc);
             s += SUM_GROUPS;
         }
         acc
@@ -831,7 +859,7 @@ pub fn m2l_blocks(
     kernels: &GravityKernels<'_>,
     tb: &BlockSoA,
     moments: &[Moments],
-    far: &[NodeId],
+    far: &[u32],
     out: &mut [[f64; 3]],
 ) {
     let _span = trace::span(Cat::Gravity, "m2l");
@@ -844,7 +872,7 @@ pub fn m2l_blocks(
             let p = tb.com(b);
             let mut a = [0.0; 3];
             for &n in far {
-                let da = multipole_accel(&moments[n], p);
+                let da = multipole_accel(&moments[n as usize], p);
                 a[0] += da[0];
                 a[1] += da[1];
                 a[2] += da[2];
@@ -865,12 +893,12 @@ pub fn p2p_blocks(
     blocks: &[BlockSoA],
     leaf_pos: &[usize],
     tb: &BlockSoA,
-    near: &[NodeId],
+    near: &[u32],
     eps: f64,
     out: &mut [[f64; 3]],
 ) {
     let _span = trace::span(Cat::Gravity, "p2p");
-    let sources = || near.iter().map(|&src| &blocks[leaf_pos[src]]);
+    let sources = || near.iter().map(|&src| &blocks[leaf_pos[src as usize]]);
     match_width!(
         kernels.simd,
         |W| kernels.monopole.fill_rows(out, W, |row, out| {
@@ -896,25 +924,6 @@ pub fn p2p_blocks(
     )
 }
 
-/// Combine per-block far and near accelerations and scatter them to cells
-/// (each cell inherits its block's value) — the final stage of a leaf
-/// solve.
-pub fn scatter_block_accel(block_acc: &[[f64; 3]], near_acc: &[[f64; 3]]) -> Vec<[f64; 3]> {
-    let mut out = vec![[0.0f64; 3]; CELLS];
-    for i in 0..NX {
-        for j in 0..NX {
-            for k in 0..NX {
-                let b = block_of_cell(i, j, k);
-                let c = crate::hydro::cell_index(i, j, k);
-                for d in 0..3 {
-                    out[c][d] = block_acc[b][d] + near_acc[b][d];
-                }
-            }
-        }
-    }
-    out
-}
-
 /// What every leaf solve of one gravity pass reads: the tree, the upward
 /// pass's moments, the P2M blocks of *every* leaf in leaf order (near-list
 /// sources may be owned elsewhere) and the kernel configuration.
@@ -932,26 +941,32 @@ pub struct LeafSolve<'a> {
 }
 
 impl LeafSolve<'_> {
-    /// Cell accelerations of leaf `target` from its `far` and `near` lists:
-    /// [`m2l_blocks`] over the far list's moments, [`p2p_blocks`] over the
-    /// near list's blocks, both read where they lie, then
-    /// [`scatter_block_accel`].
-    pub fn accel(&self, target: NodeId, far: &[NodeId], near: &[NodeId]) -> Vec<[f64; 3]> {
+    /// Block accelerations of leaf `target` from its `lists`: [`m2l_blocks`]
+    /// over the far list's moments plus [`p2p_blocks`] over the near list's
+    /// blocks, both read where they lie. One value per block, not per cell:
+    /// each cell reads its block's ([`block_of_cell`]) when
+    /// [`crate::hydro::apply_gravity_source`] adds the source.
+    pub fn accel(&self, target: NodeId, lists: &LeafLists) -> [[f64; 3]; BLOCKS] {
         let tb = &self.blocks[self.leaf_pos[target]];
         let (_, dx) = self.tree.node_geometry(target);
-        let mut block_acc = [[0.0; 3]; BLOCKS];
+        let mut acc = [[0.0; 3]; BLOCKS];
         let mut near_acc = [[0.0; 3]; BLOCKS];
-        m2l_blocks(self.kernels, tb, self.moments, far, &mut block_acc);
+        m2l_blocks(self.kernels, tb, self.moments, lists.far(), &mut acc);
         p2p_blocks(
             self.kernels,
             self.blocks,
             self.leaf_pos,
             tb,
-            near,
+            lists.near(),
             softening(dx),
             &mut near_acc,
         );
-        scatter_block_accel(&block_acc, &near_acc)
+        for (a, near) in acc.iter_mut().zip(&near_acc) {
+            for d in 0..3 {
+                a[d] += near[d];
+            }
+        }
+        acc
     }
 }
 
@@ -966,8 +981,8 @@ pub fn accel_for_leaf(
     target: NodeId,
     theta: f64,
     kernels: &GravityKernels<'_>,
-) -> Vec<[f64; 3]> {
-    let (far, near) = interaction_lists(tree, moments, target, theta);
+) -> [[f64; 3]; BLOCKS] {
+    let lists = interaction_lists(tree, moments, target, theta);
     let solve = LeafSolve {
         tree,
         moments,
@@ -975,7 +990,7 @@ pub fn accel_for_leaf(
         leaf_pos,
         kernels,
     };
-    solve.accel(target, &far, &near)
+    solve.accel(target, &lists)
 }
 
 /// `NodeId` → leaf-order position (usize::MAX for internal nodes).
@@ -988,17 +1003,18 @@ pub fn leaf_positions(tree: &Octree) -> Vec<usize> {
 }
 
 /// Reference O(N²) direct summation over *all* blocks of all leaves, with
-/// the same per-target-leaf softening — validates the FMM.
+/// the same per-target-leaf softening, one value per target block like
+/// [`LeafSolve::accel`] — validates the FMM.
 pub fn direct_accel(
     tree: &Octree,
     blocks: &[BlockSoA],
     target: NodeId,
     leaf_pos: &[usize],
-) -> Vec<[f64; 3]> {
+) -> [[f64; 3]; BLOCKS] {
     let tb = &blocks[leaf_pos[target]];
     let (_, dx) = tree.node_geometry(target);
     let eps = softening(dx);
-    let mut block_acc = vec![[0.0f64; 3]; BLOCKS];
+    let mut block_acc = [[0.0f64; 3]; BLOCKS];
     for (b, acc) in block_acc.iter_mut().enumerate() {
         let p = tb.com(b);
         for (src_pos, sb) in blocks.iter().enumerate() {
@@ -1017,16 +1033,7 @@ pub fn direct_accel(
             }
         }
     }
-    let mut out = vec![[0.0f64; 3]; CELLS];
-    for i in 0..NX {
-        for j in 0..NX {
-            for k in 0..NX {
-                let b = block_of_cell(i, j, k);
-                out[crate::hydro::cell_index(i, j, k)] = block_acc[b];
-            }
-        }
-    }
-    out
+    block_acc
 }
 
 /// Analytic flop estimate per M2L (multipole) interaction, for the
@@ -1123,18 +1130,20 @@ mod tests {
     fn interaction_lists_cover_all_mass_exactly_once() {
         let (tree, blocks, moments, pos) = test_tree(2);
         let target = tree.leaf_ids()[0];
-        let (far, near) = interaction_lists(&tree, &moments, target, 0.5);
-        let far_mass: f64 = far.iter().map(|&n| moments[n].mass).sum();
-        let near_mass: f64 = near
-            .iter()
-            .map(|&n| blocks[pos[n]].mass.iter().sum::<f64>())
+        let lists = interaction_lists(&tree, &moments, target, 0.5);
+        let far_mass: f64 = lists.far().iter().map(|&n| moments[n as usize].mass).sum();
+        let near_mass: f64 = (lists.near().iter())
+            .map(|&n| blocks[pos[n as usize]].mass.iter().sum::<f64>())
             .sum();
         let total = tree.total_mass();
         assert!(
             ((far_mass + near_mass - total) / total).abs() < 1e-9,
             "mass partition: far {far_mass} + near {near_mass} != {total}"
         );
-        assert!(near.contains(&target), "self-leaf is always near");
+        assert!(
+            lists.near().contains(&(target as u32)),
+            "self-leaf is always near"
+        );
     }
 
     #[test]
@@ -1236,7 +1245,7 @@ mod tests {
                 0.5,
                 &kernels(&d, SimdPolicy::default()),
             );
-            let mid = acc[crate::hydro::cell_index(4, 4, 4)];
+            let mid = acc[block_of_cell(4, 4, 4)];
             let dot = mid[0] * center[0] + mid[1] * center[1] + mid[2] * center[2];
             assert!(dot < 0.0, "acceleration must point inward at r={r}");
             break;
@@ -1311,11 +1320,16 @@ mod tests {
         first
     }
 
+    /// Every leaf of `tree`, as a near list.
+    fn all_leaves(tree: &Octree) -> Vec<u32> {
+        tree.leaf_ids().iter().map(|&leaf| leaf as u32).collect()
+    }
+
     #[test]
     fn p2p_has_one_set_of_bits_at_every_width() {
         let (tree, blocks, _, pos) = test_tree(1);
         let tb = &blocks[0];
-        let near: Vec<NodeId> = tree.leaf_ids().to_vec();
+        let near = all_leaves(&tree);
         widths_agree(|k, out| p2p_blocks(k, &blocks, &pos, tb, &near, 0.05, out));
     }
 
@@ -1332,7 +1346,7 @@ mod tests {
         let domain = f64::from(f32::MIN_POSITIVE)..=f64::from(f32::MAX);
         assert!(domain.contains(&(eps * eps)));
         assert!(domain.contains(&(12.0 + eps * eps)));
-        let near: Vec<NodeId> = tree.leaf_ids().to_vec();
+        let near = all_leaves(&tree);
         let got = widths_agree(|k, out| p2p_blocks(k, &blocks, &pos, &blocks[0], &near, eps, out));
         assert!(got.iter().flatten().all(|a| a.is_finite()));
     }
@@ -1345,7 +1359,7 @@ mod tests {
         for b in &mut blocks {
             b.mass = [0.0; BLOCKS];
         }
-        let near: Vec<NodeId> = tree.leaf_ids().to_vec();
+        let near = all_leaves(&tree);
         let got = widths_agree(|k, out| p2p_blocks(k, &blocks, &pos, &blocks[0], &near, 0.05, out));
         for a in got.iter().flatten() {
             assert_eq!(a.to_bits(), (-0.0f64).to_bits());
@@ -1357,8 +1371,8 @@ mod tests {
         // Lengths 0..=13 cover every `len % SUM_GROUPS` with and without a
         // full group before the remainder.
         let (_, blocks, moments, _) = test_tree(2);
-        let far: Vec<NodeId> = (0..moments.len())
-            .filter(|&n| moments[n].mass > 0.0)
+        let far: Vec<u32> = (0..moments.len() as u32)
+            .filter(|&n| moments[n as usize].mass > 0.0)
             .take(13)
             .collect();
         // A target leaf well away from the sources' centres of mass.
@@ -1485,10 +1499,12 @@ mod tests {
         let mut cold = InteractionCache::new();
         let cold_report = cold.ensure(&tree, &moments, 0.5);
         assert!(report.mac_evals < cold_report.mac_evals);
-        // Incremental ≡ full rebuild, list by list.
+        // Incremental ≡ full rebuild ≡ a fresh traversal, list by list.
         assert_eq!(warm.lists().len(), cold.lists().len());
         for (i, (w, c)) in warm.lists().iter().zip(cold.lists()).enumerate() {
             assert_eq!(w, c, "leaf position {i}");
+            let fresh = interaction_lists(&tree, &moments, tree.leaf_ids()[i], 0.5);
+            assert_eq!(*w, fresh, "leaf position {i}");
         }
     }
 

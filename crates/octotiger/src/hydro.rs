@@ -14,6 +14,7 @@
 
 use kokkos_lite::simd::{sweep_packs, Simd};
 
+use crate::gravity::{block_of_cell, BLOCKS};
 use crate::kernel_backend::{Dispatch, SimdPolicy};
 use crate::star::{field, GAMMA, NF, P_FLOOR, RHO_FLOOR};
 use crate::subgrid::{
@@ -586,11 +587,14 @@ pub fn apply_interior(sub: &mut SubGrid, new_state: &[[f64; NF]]) {
 }
 
 /// Apply the gravitational source terms for one step: momentum gains
-/// ρ·g·dt, energy gains v·g·ρ·dt (work done by gravity).
-pub fn apply_gravity_source(sub: &mut SubGrid, acc: &[[f64; 3]], dt: f64) {
-    assert_eq!(acc.len(), CELLS, "acceleration buffer size mismatch");
+/// ρ·g·dt, energy gains v·g·ρ·dt (work done by gravity). `acc` holds one
+/// acceleration per gravity block ([`crate::gravity::LeafSolve::accel`]);
+/// each cell reads its block's.
+pub fn apply_gravity_source(sub: &mut SubGrid, acc: &[[f64; 3]; BLOCKS], dt: f64) {
     let u = sub.u.as_mut_slice();
-    for (c, g) in acc.iter().enumerate() {
+    for c in 0..CELLS {
+        let (i, j, k) = cell_coords(c);
+        let g = acc[block_of_cell(i as usize, j as usize, k as usize)];
         let at = |f: usize| f * CELLS + c;
         let rho = u[at(field::RHO)];
         let (sx, sy, sz) = (u[at(field::SX)], u[at(field::SY)], u[at(field::SZ)]);
@@ -620,7 +624,6 @@ pub const HYDRO_BYTES_PER_CELL: u64 = 240;
 mod tests {
     use super::*;
     use crate::kernel_backend::KernelType;
-    use crate::recycle::RecyclePool;
     use crate::star::RotatingStar;
 
     /// A leaf at `origin` with cell width `dx` and its ghost frame, every
@@ -784,7 +787,7 @@ mod tests {
     #[test]
     fn gravity_source_adds_momentum_and_work() {
         let (mut g, _) = uniform_grid(2.0, [1.0, 0.0, 0.0], 1.0);
-        let acc = vec![[0.5, 0.0, 0.0]; CELLS];
+        let acc = [[0.5, 0.0, 0.0]; BLOCKS];
         let e0 = g.at(field::EGAS, 3, 3, 3);
         let sx0 = g.at(field::SX, 3, 3, 3);
         apply_gravity_source(&mut g, &acc, 0.1);
@@ -792,6 +795,48 @@ mod tests {
         let e1 = g.at(field::EGAS, 3, 3, 3);
         assert!((sx1 - (sx0 + 2.0 * 0.5 * 0.1)).abs() < 1e-12);
         assert!((e1 - (e0 + sx0 * 0.5 * 0.1)).abs() < 1e-12);
+    }
+
+    /// Each cell reads its block's acceleration: bitwise the per-cell source
+    /// loop over the block values copied out to every cell, on the rotating
+    /// star's state with a different acceleration in every block.
+    #[test]
+    fn block_source_equals_the_per_cell_loop_over_expanded_values() {
+        let (mut got, _) = star_leaf();
+        let mut want = got.clone();
+        let acc: [[f64; 3]; BLOCKS] = std::array::from_fn(|b| {
+            let b = b as f64;
+            [0.3 + b, -0.7 * b, 1.0 / (b + 3.0)]
+        });
+        let dt = 1.3e-3;
+        let mut cells = vec![[f64::NAN; 3]; CELLS];
+        for i in 0..NX {
+            for j in 0..NX {
+                for k in 0..NX {
+                    cells[cell_index(i, j, k)] = acc[block_of_cell(i, j, k)];
+                }
+            }
+        }
+        let u = want.u.as_mut_slice();
+        for (c, g) in cells.iter().enumerate() {
+            let at = |f: usize| f * CELLS + c;
+            let rho = u[at(field::RHO)];
+            let (sx, sy, sz) = (u[at(field::SX)], u[at(field::SY)], u[at(field::SZ)]);
+            u[at(field::SX)] = sx + rho * g[0] * dt;
+            u[at(field::SY)] = sy + rho * g[1] * dt;
+            u[at(field::SZ)] = sz + rho * g[2] * dt;
+            let de = (sx * g[0] + sy * g[1] + sz * g[2]) * dt;
+            u[at(field::EGAS)] += de;
+        }
+        apply_gravity_source(&mut got, &acc, dt);
+        let bits = |g: &SubGrid| {
+            g.interior_data()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&got), bits(&want));
+        assert!(want.interior_data().iter().all(|v| v.is_finite()));
     }
 
     #[test]
@@ -831,13 +876,10 @@ mod tests {
         dt: f64,
         dispatch: &Dispatch,
         policy: SimdPolicy,
-        stage_pool: &RecyclePool,
     ) -> Vec<[f64; NF]> {
-        let mut stage = stage_pool.acquire(FRAME_LEN);
-        stage.copy_from_slice(frame);
+        let mut stage = frame.to_vec();
         let mut out = vec![[f64::NAN; NF]; CELLS];
         step_interior_staged_into(g, &mut stage, dt, dispatch, policy, &mut out);
-        stage_pool.release(stage);
         out
     }
 
@@ -871,7 +913,6 @@ mod tests {
             let d = Dispatch::new(KernelType::KokkosHpx, &handle, chunks);
             dispatches.push((format!("KokkosHpx/{chunks}"), d));
         }
-        let stage_pool = RecyclePool::default();
         let leaves = [
             (star_leaf(), 1e-4),
             (shock_leaf([0.3, -0.2, 0.1]), 1e-3),
@@ -882,11 +923,11 @@ mod tests {
             assert!(reference.iter().flatten().all(|v| v.is_finite()));
             for (name, d) in &dispatches {
                 for w in SimdPolicy::SUPPORTED_WIDTHS {
-                    let out = staged(&g, &frame, dt, d, SimdPolicy::Width(w), &stage_pool);
+                    let out = staged(&g, &frame, dt, d, SimdPolicy::Width(w));
                     assert_same_bits(&out, &reference, &format!("{name} width {w}"));
                 }
                 // Scalar policy through the same entry is the reference path.
-                let out = staged(&g, &frame, dt, d, SimdPolicy::Scalar, &stage_pool);
+                let out = staged(&g, &frame, dt, d, SimdPolicy::Scalar);
                 assert_same_bits(&out, &reference, &format!("{name} scalar"));
             }
         }

@@ -28,7 +28,6 @@ pub mod gravity;
 pub mod hydro;
 pub mod kernel_backend;
 pub mod octree;
-pub mod recycle;
 pub mod star;
 pub mod subgrid;
 

@@ -14,22 +14,27 @@
 //! ISA.
 
 use octotiger::gravity::{
-    accel_for_leaf, compute_blocks, BlockSoA, GravityKernels, GravityWorkspace, InteractionCache,
-    LeafSolve,
+    accel_for_leaf, block_of_cell, compute_blocks, BlockSoA, GravityKernels, GravityWorkspace,
+    InteractionCache, LeafSolve, BLOCKS,
 };
 use octotiger::kernel_backend::{Dispatch, SimdPolicy};
 use octotiger::octree::Octree;
 use octotiger::star::RotatingStar;
+use octotiger::subgrid::NX;
 use octotiger::OctoConfig;
 
 /// `(hash, hash of a build whose `mul_add` is fused)` at every lane count.
 const FALLBACK_BITS: (u64, u64) = (0xb8bc_3212_2a42_0315, 0xe51a_a577_fb81_03d5);
 
-/// FNV-1a over the bits of every cell's acceleration, leaf order.
-fn hash(accels: impl Iterator<Item = Vec<[f64; 3]>>) -> u64 {
+/// FNV-1a over the bits of every cell's acceleration — its block's value —
+/// cells in storage order, leaf order.
+fn hash(accels: impl Iterator<Item = [[f64; 3]; BLOCKS]>) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for acc in accels {
-        for byte in acc.iter().flatten().flat_map(|v| v.to_bits().to_le_bytes()) {
+        let cells =
+            (0..NX).flat_map(|i| (0..NX).flat_map(move |j| (0..NX).map(move |k| (i, j, k))));
+        let values = cells.flat_map(|(i, j, k)| acc[block_of_cell(i, j, k)]);
+        for byte in values.flat_map(|v| v.to_bits().to_le_bytes()) {
             h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
@@ -84,7 +89,7 @@ fn level2_solve_has_the_fallbacks_bits_at_every_width_one_shot_and_on_cached_lis
             leaves
                 .iter()
                 .zip(cache.lists())
-                .map(|(&leaf, (far, near))| solve.accel(leaf, far, near)),
+                .map(|(&leaf, lists)| solve.accel(leaf, lists)),
         );
         let want = if cfg!(target_feature = "fma") {
             fused

@@ -91,10 +91,10 @@ echo "== kernel sweep smokes (gravity, hydro: every pack width runs) =="
 BENCH_SMOKE=1 cargo bench -q -p repro-bench --bench bench_gravity
 BENCH_SMOKE=1 cargo bench -q -p repro-bench --bench bench_hydro
 
-# Also the memory gate: level-4 peak RSS at most 88 B per cell (80 measured
-# with each leaf written back behind the gather wavefront, plus 10 %; 133
-# while every hydro result waited for one apply phase).
-echo "== deep-tree scale smoke (level 4: mid-run regrid rebuilds < 25% of lists, peak RSS <= 88 B/cell) =="
+# Also the memory gate: level-4 peak RSS at most 82 B per cell (74.6 measured
+# with gravity handing off one acceleration per block, plus 10 %; 79.7 with a
+# per-cell copy, 133 while every hydro result waited for one apply phase).
+echo "== deep-tree scale smoke (level 4: mid-run regrid rebuilds < 25% of lists, peak RSS <= 82 B/cell) =="
 BENCH_SMOKE=1 cargo bench -q -p repro-bench --bench bench_scale
 
 echo "== scheduler per-task smoke (spread gate on the external-producer case) =="

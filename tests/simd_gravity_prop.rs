@@ -82,8 +82,8 @@ proptest! {
         leaves in proptest::collection::vec(leaf_strategy(0.0..10.0), 1..4),
         eps in 0.01f64..0.5,
     ) {
-        let near: Vec<usize> = (0..leaves.len()).collect();
-        let pos = near.clone();
+        let near: Vec<u32> = (0..leaves.len() as u32).collect();
+        let pos: Vec<usize> = (0..leaves.len()).collect();
         check_widths(|k, out| p2p_blocks(k, &leaves, &pos, &leaves[0], &near, eps, out))?;
     }
 
@@ -99,8 +99,8 @@ proptest! {
                 l
             })
             .collect();
-        let near: Vec<usize> = (0..vacuum.len()).collect();
-        let pos = near.clone();
+        let near: Vec<u32> = (0..vacuum.len() as u32).collect();
+        let pos: Vec<usize> = (0..vacuum.len()).collect();
         let got = check_widths(|k, out| p2p_blocks(k, &vacuum, &pos, &vacuum[0], &near, eps, out))?;
         for a in got.iter().flatten() {
             prop_assert_eq!(a.to_bits(), (-0.0f64).to_bits());
@@ -137,7 +137,7 @@ proptest! {
                 quad: [qa.0, qa.1, qa.2, qb.0, qb.1, qb.2],
             })
             .collect();
-        let far: Vec<usize> = (0..moments.len()).collect();
+        let far: Vec<u32> = (0..moments.len() as u32).collect();
         check_widths(|k, out| m2l_blocks(k, &targets, &moments, &far, out))?;
     }
 }

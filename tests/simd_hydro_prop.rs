@@ -10,15 +10,10 @@
 //!   never fills them);
 //! - ten steps must leave every conserved field of every leaf with the same
 //!   bits on one worker, on three, and on two localities — the graph only
-//!   reorders independent work;
-//! - the hydro scratch is per running task, not per leaf: the SoA stage
-//!   recycles through the pool with zero steady-state allocations (pool
-//!   misses stop at the worker count, give or take a scavenging race, and
-//!   the disabled tracer never allocates); the face fluxes sit on the stack.
+//!   reorders independent work.
 
 use proptest::prelude::*;
 
-use octotiger_riscv_repro::apex_lite::trace;
 use octotiger_riscv_repro::distrib::CoalesceConfig;
 use octotiger_riscv_repro::machine::NetBackend;
 use octotiger_riscv_repro::octotiger::kernel_backend::{Dispatch, SimdPolicy};
@@ -178,40 +173,4 @@ fn ten_steps_bitwise_equal_on_1_worker_3_workers_and_2_localities() {
             "width {width}: 2 localities"
         );
     }
-}
-
-/// Nothing hydro-sized is kept per leaf: a running hydro task holds one
-/// primitive stage (its face fluxes are 6 KB of stack), so three workers
-/// need three buffers however many leaves and steps there are — twice that
-/// is the bound, because an acquire that scavenges the other workers' shards
-/// can miss a buffer released behind it — and one worker needs its one on the
-/// first leaf and nothing after: zero steady-state allocations. The disabled
-/// tracer must never allocate either.
-#[test]
-fn staging_buffers_recycle_with_zero_steady_state_allocations() {
-    trace::set_enabled(false);
-    let tracer_before = trace::tracer_allocs();
-    for workers in [3, 1] {
-        let mut driver = Driver::new(OctoConfig {
-            max_level: 2,
-            ..run_config(4, 1)
-        });
-        let runtime = octotiger_riscv_repro::amt::Runtime::new(workers);
-        let leaves = driver.tree().leaf_count() as u64;
-        assert!(leaves > 2 * 3, "the bound below must not be the leaf count");
-        for step in 1..=2 {
-            driver.run_on(&runtime);
-            let stats = driver.stage_pool_stats();
-            assert!(stats.misses <= 2 * workers as u64, "{workers}: {stats:?}");
-            assert_eq!(stats.hits + stats.misses, step * leaves);
-            if workers == 1 {
-                assert_eq!(stats.misses, 1, "steady-state steps allocated");
-            }
-        }
-    }
-    assert_eq!(
-        trace::tracer_allocs(),
-        tracer_before,
-        "disabled tracer allocated during the hydro pipeline"
-    );
 }
