@@ -1,4 +1,4 @@
-//! Failure semantics of the join paths (ROADMAP 5b): a task that panics
+//! Failure semantics of the join paths (ROADMAP 3(b)): a task that panics
 //! inside `par::scope`, `when_all`, `sr::bulk` / `sr::then` or a coroutine
 //! while its joiner is a *help-stealing* worker — the join is called from
 //! inside a task, directly and one task deeper, on 1 and 2 workers —

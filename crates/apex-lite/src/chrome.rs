@@ -47,9 +47,9 @@ pub fn export(trace: &Trace) -> String {
 #[derive(Debug, Clone, Default)]
 pub struct TimeSeries {
     /// Path → `(ts_ns, value)` points, oldest first.
-    pub series: BTreeMap<String, Vec<(u64, f64)>>,
+    pub(crate) series: BTreeMap<String, Vec<(u64, f64)>>,
     /// Paths that carry gauges (readings); every other path accumulates.
-    pub gauges: BTreeSet<String>,
+    pub(crate) gauges: BTreeSet<String>,
 }
 
 impl TimeSeries {

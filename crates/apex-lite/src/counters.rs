@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Number of buckets in a [`Histogram`]: 16 exact unit buckets for values
 /// below 16, then 4 sub-buckets per power of two up to `u64::MAX`
 /// (octaves 4..=63 → 60 × 4 = 240 log-linear buckets).
-pub const HISTOGRAM_BUCKETS: usize = 256;
+pub(crate) const HISTOGRAM_BUCKETS: usize = 256;
 
 /// Worst-case relative error of a [`Histogram::quantile`] estimate.
 ///
@@ -104,20 +104,6 @@ impl Histogram {
         self.sum
     }
 
-    /// Mean of recorded observations (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// True when nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
     /// Merge `other` into `self` (bucket-wise add — associative and
     /// commutative, so locality snapshots combine in any order).
     pub fn merge(&mut self, other: &Histogram) {
@@ -129,7 +115,7 @@ impl Histogram {
     }
 
     /// Bucket-wise `self − prev` (saturating), for per-interval deltas.
-    pub fn delta(&self, prev: &Histogram) -> Histogram {
+    pub(crate) fn delta(&self, prev: &Histogram) -> Histogram {
         let mut out = Histogram::new();
         for (i, (b, p)) in self.buckets.iter().zip(&prev.buckets).enumerate() {
             out.buckets[i] = b.saturating_sub(*p);
@@ -202,11 +188,6 @@ impl AtomicHistogram {
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// Number of recorded observations.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
     }
 
     /// Copy the current state into a value [`Histogram`].
@@ -298,7 +279,7 @@ impl CounterSnapshot {
     }
 
     /// Set a histogram at `path`.
-    pub fn set_histogram(&mut self, path: impl Into<String>, h: Histogram) {
+    pub(crate) fn set_histogram(&mut self, path: impl Into<String>, h: Histogram) {
         self.values.insert(path.into(), CounterValue::Histogram(h));
     }
 
@@ -419,29 +400,16 @@ impl CounterRegistry {
         self.providers.push((prefix.into(), Box::new(provider)));
     }
 
-    /// Number of registered providers.
-    pub fn len(&self) -> usize {
-        self.providers.len()
-    }
-
-    /// True when no provider is registered.
-    pub fn is_empty(&self) -> bool {
-        self.providers.is_empty()
-    }
-
     /// Sample every provider into one snapshot.
     pub fn sample(&self) -> CounterSnapshot {
         let mut snap = CounterSnapshot::new();
-        self.sample_into(&mut snap);
-        snap
-    }
-
-    /// Sample every provider into an existing snapshot (merging).
-    pub fn sample_into(&self, snap: &mut CounterSnapshot) {
         for (prefix, provider) in &self.providers {
-            let mut c = Collector { prefix, snap };
-            provider(&mut c);
+            provider(&mut Collector {
+                prefix,
+                snap: &mut snap,
+            });
         }
+        snap
     }
 }
 
@@ -536,7 +504,6 @@ mod tests {
         assert_eq!(s.len(), 3);
         assert_eq!(s.count("/runtime/steals"), 7);
         assert_eq!(s.count("/net/messages"), 40);
-        assert_eq!(reg.len(), 2);
     }
 
     #[test]
@@ -571,7 +538,6 @@ mod tests {
         let (p50, p95, p99) = (h.quantile(0.5), h.quantile(0.95), h.quantile(0.99));
         assert!(p50 <= p95 && p95 <= p99, "{p50} {p95} {p99}");
         assert_eq!(h.quantile(0.1), 5, "exact in the unit-bucket region");
-        assert!(h.mean() > 0.0);
     }
 
     #[test]
@@ -602,7 +568,6 @@ mod tests {
         }
         let h = ah.snapshot();
         assert_eq!(h.count(), 4);
-        assert_eq!(ah.count(), 4);
         assert_eq!(h.sum(), 3 + 3 + 250 + (1 << 30));
     }
 

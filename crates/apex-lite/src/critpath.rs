@@ -38,9 +38,9 @@ pub struct PhaseSegment {
     /// Phase (span) name this segment belongs to.
     pub name: String,
     /// Segment start, ns on the trace clock.
-    pub start_ns: u64,
+    pub(crate) start_ns: u64,
     /// Segment end, ns on the trace clock.
-    pub end_ns: u64,
+    pub(crate) end_ns: u64,
 }
 
 impl PhaseSegment {
@@ -79,7 +79,7 @@ pub struct CriticalPath {
 
 /// Merge raw `[start, end)` intervals into a disjoint, ordered union.
 /// Touching intervals (`end == next start`) coalesce.
-pub fn merge_intervals(intervals: &[(u64, u64)]) -> Vec<(u64, u64)> {
+pub(crate) fn merge_intervals(intervals: &[(u64, u64)]) -> Vec<(u64, u64)> {
     let mut sorted = intervals.to_vec();
     sorted.sort_unstable();
     let mut merged: Vec<(u64, u64)> = Vec::new();
@@ -93,7 +93,7 @@ pub fn merge_intervals(intervals: &[(u64, u64)]) -> Vec<(u64, u64)> {
 }
 
 /// Total nanoseconds covered by the union of `intervals`.
-pub fn union_ns(intervals: &[(u64, u64)]) -> u64 {
+pub(crate) fn union_ns(intervals: &[(u64, u64)]) -> u64 {
     merge_intervals(intervals).iter().map(|(s, e)| e - s).sum()
 }
 
@@ -315,7 +315,7 @@ pub struct DistCriticalPath {
 /// `δ_b − δ_a ≈ (min_obs(a→b) − min_obs(b→a)) / 2` (the minima see the
 /// same uncongested wire latency). Offsets are relative to the smallest
 /// pid; localities unreachable through bidirectional links stay at 0.
-pub fn clock_offsets(summary: &TraceSummary) -> BTreeMap<u64, i64> {
+pub(crate) fn clock_offsets(summary: &TraceSummary) -> BTreeMap<u64, i64> {
     let mut pids: Vec<u64> = summary.records.iter().map(|r| r.pid).collect();
     for e in &summary.flow_edges {
         pids.push(e.src_pid);
@@ -482,7 +482,7 @@ pub struct WorkerUtilization {
     /// Union of non-`sched` span time on this lane (actual work).
     pub busy_ns: u64,
     /// Union of `park` span time (idle, waiting for work).
-    pub park_ns: u64,
+    pub(crate) park_ns: u64,
     /// `steal` instants recorded on this lane.
     pub steals: u64,
     /// `yield` instants recorded on this lane.

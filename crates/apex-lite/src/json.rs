@@ -27,14 +27,6 @@ impl Value {
         }
     }
 
-    /// Boolean payload, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// String payload, if this is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -311,7 +303,7 @@ impl Parser<'_> {
 }
 
 /// Escape `s` as a JSON string body (no surrounding quotes).
-pub fn escape_into(out: &mut String, s: &str) {
+pub(crate) fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),

@@ -46,17 +46,10 @@ pub use chrome::{
     export, export_with_counters, validate, FlowEdge, SpanRecord, TimeSeries, TraceSummary,
 };
 pub use counters::{
-    render_step_table, AtomicHistogram, Collector, CounterRegistry, CounterSnapshot, CounterValue,
-    Histogram, HISTOGRAM_BUCKETS, HISTOGRAM_MAX_RELATIVE_ERROR,
+    render_step_table, CounterRegistry, CounterSnapshot, CounterValue, Histogram,
+    HISTOGRAM_MAX_RELATIVE_ERROR,
 };
 pub use critpath::{
-    clock_offsets, critical_path, critical_path_distributed, default_phases, imbalance_ratio,
-    worker_utilization, CriticalPath, DistCriticalPath, PhaseContribution, PhaseSegment,
-    WorkerUtilization,
+    critical_path, critical_path_distributed, default_phases, imbalance_ratio, worker_utilization,
 };
 pub use flame::{collapsed_stacks, render_collapsed};
-pub use trace::{
-    drain, enabled, flow_end, flow_start, instant, now_ns, reset, set_enabled, set_thread_label,
-    span, tracer_allocs, Cat, Event, EventKind, SpanGuard, ThreadLabel, ThreadMeta, Trace,
-    RING_CAPACITY,
-};

@@ -33,7 +33,7 @@ use std::time::Instant;
 
 /// Events retained per thread before the ring starts overwriting the
 /// oldest (drops are counted in [`Trace::dropped`]).
-pub const RING_CAPACITY: usize = 65_536;
+pub(crate) const RING_CAPACITY: usize = 65_536;
 
 /// Span/event category — becomes the Chrome trace `cat` field, one per
 /// instrumented layer.

@@ -25,7 +25,7 @@ use crate::maclaurin::Approach;
 /// * Senders & receivers performed "slightly better than the coroutine
 ///   implementation" on RISC-V (Fig. 5): every coroutine suspension is a
 ///   scheduler round trip plus frame save/restore.
-pub fn approach_efficiency(arch: CpuArch, approach: Approach) -> f64 {
+pub(crate) fn approach_efficiency(arch: CpuArch, approach: Approach) -> f64 {
     use Approach::*;
     match (arch, approach) {
         (_, Futures) => 1.0,
@@ -39,30 +39,26 @@ pub fn approach_efficiency(arch: CpuArch, approach: Approach) -> f64 {
 
 /// Serial (non-parallelizable) fraction of the Maclaurin benchmark: final
 /// reduction + runtime startup. Bounds strong scaling at high core counts.
-pub const MACLAURIN_SERIAL_FRACTION: f64 = 0.002;
+pub(crate) const MACLAURIN_SERIAL_FRACTION: f64 = 0.002;
 
 /// Load-imbalance multiplier for chunked runs (chunks are equal-sized, but
 /// `pow(x, k)` cost varies slightly with k).
-pub const CHUNK_IMBALANCE: f64 = 1.02;
+pub(crate) const CHUNK_IMBALANCE: f64 = 1.02;
 
 /// Fraction of communication time the futurized task graph overlaps with
 /// computation (paper §3.1: parallelism in the task graph "is automatically
 /// used to hide communication latencies").
-pub const COMM_OVERLAP: f64 = 0.30;
+pub(crate) const COMM_OVERLAP: f64 = 0.30;
 
 /// Serial fraction of an Octo-Tiger step (M2M upward pass, apply phase,
 /// step orchestration) — limits node-level scaling in Fig. 7.
-pub const OCTO_SERIAL_FRACTION: f64 = 0.03;
+pub(crate) const OCTO_SERIAL_FRACTION: f64 = 0.03;
 
 /// Extra per-kernel-launch overhead of the Kokkos dispatch layer relative
 /// to the legacy hand-rolled kernels, in scheduler-event equivalents per
 /// kernel (the Kokkos functor/policy indirection; small, per §6.2.1 all
 /// three configurations perform within a few percent).
-pub const KOKKOS_DISPATCH_EVENTS: f64 = 2.0;
-
-/// Chip power of a 4-core-active A64FX via PowerAPI (uncore + HBM baseline
-/// dominates at this occupancy); see `rv_machine::energy::PowerModel`.
-pub const A64FX_4CORE_WATTS: f64 = 16.0;
+pub(crate) const KOKKOS_DISPATCH_EVENTS: f64 = 2.0;
 
 #[cfg(test)]
 mod tests {

@@ -24,7 +24,7 @@ fn ablation_driver(quick: bool) -> Driver {
 }
 
 /// θ sweep: RMS acceleration error vs interaction volume.
-pub fn run_ablation_theta(quick: bool) -> Exhibit {
+pub(crate) fn run_ablation_theta(quick: bool) -> Exhibit {
     let driver = ablation_driver(quick);
     let tree = driver.tree();
     let blocks: Vec<gravity::BlockSoA> = tree
@@ -84,7 +84,7 @@ pub fn run_ablation_theta(quick: bool) -> Exhibit {
 /// Tasks-per-kernel sweep for the Kokkos-HPX space: measured tasks and the
 /// projected JH7110 step time (the §3.2 trade-off: more tasks = better
 /// load balance for big kernels, more context-switch overhead).
-pub fn run_ablation_chunks(quick: bool) -> Exhibit {
+pub(crate) fn run_ablation_chunks(quick: bool) -> Exhibit {
     let cfg = OctoConfig {
         max_level: if quick { 1 } else { 2 },
         stop_step: 1,

@@ -23,7 +23,7 @@ fn dist_octo_config(quick: bool) -> OctoConfig {
 
 /// Host measurements + projected series for Figs. 8 and 9 (the two figures
 /// share the same two host runs: the backend only changes the projection).
-pub fn run_fig8_and_fig9(quick: bool) -> (Exhibit, Exhibit) {
+pub(crate) fn run_fig8_and_fig9(quick: bool) -> (Exhibit, Exhibit) {
     let cfg = dist_octo_config(quick);
     let m1 = DistRun::execute(DistConfig {
         nodes: 1,
@@ -129,7 +129,7 @@ pub fn run_fig8(quick: bool) -> Exhibit {
 }
 
 /// Fig. 9 alone.
-pub fn run_fig9(quick: bool) -> Exhibit {
+pub(crate) fn run_fig9(quick: bool) -> Exhibit {
     run_fig8_and_fig9(quick).1
 }
 

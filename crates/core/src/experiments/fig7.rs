@@ -9,7 +9,7 @@ use crate::project::{octo_cells_per_sec, OctoProfile};
 use crate::report::{Exhibit, Series};
 
 /// Refinement level / steps used by the runner.
-pub fn fig7_config(quick: bool, kernel: KernelType) -> OctoConfig {
+pub(crate) fn fig7_config(quick: bool, kernel: KernelType) -> OctoConfig {
     OctoConfig {
         max_level: if quick { 2 } else { 4 },
         stop_step: if quick { 2 } else { 5 },
@@ -19,13 +19,13 @@ pub fn fig7_config(quick: bool, kernel: KernelType) -> OctoConfig {
 
 /// Run one (kernel, cores) cell of Fig. 7 on the host and return the
 /// measured profile.
-pub fn measure_octo(quick: bool, kernel: KernelType, cores: usize) -> OctoProfile {
+pub(crate) fn measure_octo(quick: bool, kernel: KernelType, cores: usize) -> OctoProfile {
     let cfg = fig7_config(quick, kernel);
     OctoProfile::of_run(&Driver::new(cfg).run(cores), kernel)
 }
 
 /// Fig. 7 runner.
-pub fn run_fig7(quick: bool) -> Exhibit {
+pub(crate) fn run_fig7(quick: bool) -> Exhibit {
     let mut e = Exhibit::new(
         "fig7",
         "Octo-Tiger node-level scaling (VisionFive2, rotating star)",

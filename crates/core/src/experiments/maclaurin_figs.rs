@@ -19,7 +19,7 @@ fn host_terms(quick: bool) -> u64 {
 
 /// Run `approach` on the host with `cores` workers, returning the measured
 /// profile (task/steal counts) scaled to the paper's n.
-pub fn measure_profile(
+pub(crate) fn measure_profile(
     approach: Approach,
     cores: usize,
     quick: bool,
@@ -116,7 +116,7 @@ pub fn run_fig4a(quick: bool) -> Exhibit {
 }
 
 /// Fig. 4b: parallel algorithms (`hpx::for_each(par)`).
-pub fn run_fig4b(quick: bool) -> Exhibit {
+pub(crate) fn run_fig4b(quick: bool) -> Exhibit {
     fig4_like(
         "fig4b",
         "Maclaurin FLOP/s — for_each(par)",
@@ -127,7 +127,7 @@ pub fn run_fig4b(quick: bool) -> Exhibit {
 }
 
 /// Fig. 6a: normalized performance for async/future.
-pub fn run_fig6a(quick: bool) -> Exhibit {
+pub(crate) fn run_fig6a(quick: bool) -> Exhibit {
     fig4_like(
         "fig6a",
         "Normalized performance — async/future",
@@ -138,7 +138,7 @@ pub fn run_fig6a(quick: bool) -> Exhibit {
 }
 
 /// Fig. 6b: normalized performance for for_each(par).
-pub fn run_fig6b(quick: bool) -> Exhibit {
+pub(crate) fn run_fig6b(quick: bool) -> Exhibit {
     fig4_like(
         "fig6b",
         "Normalized performance — for_each(par)",
@@ -150,7 +150,7 @@ pub fn run_fig6b(quick: bool) -> Exhibit {
 
 /// Fig. 5: senders & receivers vs future + coroutine, RISC-V only
 /// (the C++20 styles the paper could not compile on the x86 nodes).
-pub fn run_fig5(quick: bool) -> Exhibit {
+pub(crate) fn run_fig5(quick: bool) -> Exhibit {
     let mut e = Exhibit::new(
         "fig5",
         "Maclaurin FLOP/s on RISC-V — senders & receivers vs future+coroutine",
@@ -186,7 +186,7 @@ pub fn run_fig5(quick: bool) -> Exhibit {
 
 /// §6.1's flop-count measurement: our software-math count vs the paper's
 /// perf count.
-pub fn run_flops(quick: bool) -> Exhibit {
+pub(crate) fn run_flops(quick: bool) -> Exhibit {
     let mut e = Exhibit::new(
         "flops",
         "Flop count of the Maclaurin benchmark (perf substitute)",
@@ -273,8 +273,8 @@ mod tests {
     #[test]
     fn flops_within_factor_of_paper() {
         let e = run_flops(true);
-        let ours = e.series[0].last_y().unwrap();
-        let paper = e.series[1].last_y().unwrap();
+        let ours = e.series[0].points.last().unwrap().1;
+        let paper = e.series[1].points.last().unwrap().1;
         let ratio = ours / paper;
         assert!(
             (0.5..2.0).contains(&ratio),

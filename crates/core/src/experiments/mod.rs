@@ -9,12 +9,16 @@ mod maclaurin_figs;
 mod tables;
 mod whatif;
 
-pub use ablation::{run_ablation_chunks, run_ablation_theta};
-pub use dist_figs::{run_fig8, run_fig9};
-pub use fig7::run_fig7;
-pub use maclaurin_figs::{run_fig4a, run_fig4b, run_fig5, run_fig6a, run_fig6b, run_flops};
-pub use tables::{run_table1, run_table2};
-pub use whatif::{run_membench, run_whatif};
+pub use dist_figs::run_fig8;
+pub use maclaurin_figs::run_fig4a;
+pub use whatif::run_whatif;
+
+use ablation::{run_ablation_chunks, run_ablation_theta};
+use dist_figs::run_fig9;
+use fig7::run_fig7;
+use maclaurin_figs::{run_fig4b, run_fig5, run_fig6a, run_fig6b, run_flops};
+use tables::{run_table1, run_table2};
+use whatif::run_membench;
 
 use crate::report::Exhibit;
 

@@ -5,7 +5,7 @@ use rv_machine::CpuArch;
 use crate::report::{Exhibit, Series};
 
 /// Table 1: the paper's toolchain and the Rust equivalent built here.
-pub fn run_table1() -> Exhibit {
+pub(crate) fn run_table1() -> Exhibit {
     let mut e = Exhibit::new(
         "table1",
         "Compiler and software versions (paper) → reproduction substitute",
@@ -29,7 +29,7 @@ pub fn run_table1() -> Exhibit {
 }
 
 /// Table 2: clock, vector length, FPUs, FMA, cores and peak GFLOP/s.
-pub fn run_table2() -> Exhibit {
+pub(crate) fn run_table2() -> Exhibit {
     let mut e = Exhibit::new(
         "table2",
         "CPU specifications and theoretical peak (Eq. 2)",

@@ -17,7 +17,7 @@ use crate::report::{Exhibit, Series};
 
 /// Characterize the Maclaurin benchmark as a what-if workload (measured
 /// flop split + scheduler event counts from a host run).
-pub fn maclaurin_workload(quick: bool) -> WhatIfWorkload {
+pub(crate) fn maclaurin_workload(quick: bool) -> WhatIfWorkload {
     let fpt = maclaurin::flops_per_term(PAPER_X);
     let n_host = if quick { 20_000 } else { 200_000 };
     let (tasks, steals) = Runtime::with(4, |rt| {
@@ -39,7 +39,7 @@ pub fn maclaurin_workload(quick: bool) -> WhatIfWorkload {
 
 /// A fine-grained task storm (the coroutine style at small stride): the
 /// scheduler-bound end of the spectrum.
-pub fn task_storm_workload(quick: bool) -> WhatIfWorkload {
+pub(crate) fn task_storm_workload(quick: bool) -> WhatIfWorkload {
     let n_host = if quick { 20_000u64 } else { 100_000 };
     let (tasks, steals) = Runtime::with(4, |rt| {
         rt.reset_stats();
@@ -90,7 +90,7 @@ pub fn run_whatif(quick: bool) -> Exhibit {
 }
 
 /// The `membench` exhibit (STREAM-Triad + GUPS projections).
-pub fn run_membench(quick: bool) -> Exhibit {
+pub(crate) fn run_membench(quick: bool) -> Exhibit {
     Runtime::with(4, |rt| membench::run_exhibit(&rt.handle(), quick))
 }
 

@@ -18,13 +18,11 @@
 //! cargo run --release -p octo-core --bin figures -- fig8
 //! ```
 
-pub mod calibrate;
+pub(crate) mod calibrate;
 pub mod experiments;
 pub mod maclaurin;
-pub mod membench;
+pub(crate) mod membench;
 pub mod project;
-pub mod report;
+pub(crate) mod report;
 
-pub use maclaurin::Approach;
-pub use project::{DistProfile, MaclaurinProfile, OctoProfile};
 pub use report::{Exhibit, Series};

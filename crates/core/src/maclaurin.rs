@@ -56,13 +56,13 @@ impl Approach {
 /// The paper's default series argument.
 pub const PAPER_X: f64 = 0.5;
 /// The paper's term count (n = 10⁹).
-pub const PAPER_N: u64 = 1_000_000_000;
+pub(crate) const PAPER_N: u64 = 1_000_000_000;
 /// The paper's `perf`-measured flop count for n = 10⁹ on one Intel core.
-pub const PAPER_FLOPS: u64 = 100_000_028_581;
+pub(crate) const PAPER_FLOPS: u64 = 100_000_028_581;
 
 /// One series term, computed the way the C++ benchmark does: `std::pow`.
 #[inline]
-pub fn term(x: f64, k: u64) -> f64 {
+pub(crate) fn term(x: f64, k: u64) -> f64 {
     let sign = if k.is_multiple_of(2) { -1.0 } else { 1.0 };
     sign * x.powf(k as f64) / k as f64
 }
@@ -151,7 +151,7 @@ pub fn run(approach: Approach, handle: &Handle, x: f64, n: u64) -> f64 {
 
 /// Flop-counted sequential run (our `perf` substitute): returns
 /// `(sum, flops)` using the software-math instrumented scalar.
-pub fn counted(x: f64, n: u64) -> (f64, u64) {
+pub(crate) fn counted(x: f64, n: u64) -> (f64, u64) {
     let ctr = FlopCounter::new();
     let sum = {
         let _g = ctr.install();

@@ -17,7 +17,7 @@ use rv_machine::{CostModel, CpuArch, MemoryModel};
 
 /// STREAM-Triad: `a[i] = b[i] + s·c[i]` — the canonical bandwidth probe.
 /// Returns the checksum of `a` (so the work cannot be optimized away).
-pub fn stream_triad(handle: &Handle, a: &mut [f64], b: &[f64], c: &[f64], s: f64) -> f64 {
+pub(crate) fn stream_triad(handle: &Handle, a: &mut [f64], b: &[f64], c: &[f64], s: f64) -> f64 {
     assert_eq!(a.len(), b.len());
     assert_eq!(a.len(), c.len());
     let chunks = par::default_chunks(handle.num_threads(), a.len());
@@ -37,19 +37,13 @@ pub fn stream_triad(handle: &Handle, a: &mut [f64], b: &[f64], c: &[f64], s: f64
     a.iter().sum()
 }
 
-/// Bytes moved by one STREAM-Triad pass over `n` f64 elements
-/// (2 loads + 1 store per element, 8 B each — the standard STREAM count).
-pub fn triad_bytes(n: usize) -> u64 {
-    3 * 8 * n as u64
-}
-
 /// GUPS (giga-updates per second): random XOR updates into a table —
 /// the latency probe. Uses the standard LCG index stream; returns the
 /// table checksum. Updates run in per-task index ranges (each task owns a
 /// private slice of the update stream but the whole table, so this is the
 /// "error tolerant" relaxed-concurrency GUPS variant run single-writer per
 /// chunk here for determinism).
-pub fn gups(table: &mut [u64], updates: usize) -> u64 {
+pub(crate) fn gups(table: &mut [u64], updates: usize) -> u64 {
     assert!(table.len().is_power_of_two(), "GUPS table must be 2^k");
     let mask = (table.len() - 1) as u64;
     let mut x = 0x1234_5678_9abc_def0u64;
@@ -64,7 +58,7 @@ pub fn gups(table: &mut [u64], updates: usize) -> u64 {
 }
 
 /// Projected STREAM-Triad bandwidth (GiB/s) for `arch` at `cores`.
-pub fn projected_triad_gib(arch: CpuArch, cores: u32) -> f64 {
+pub(crate) fn projected_triad_gib(arch: CpuArch, cores: u32) -> f64 {
     // Triad is pure bandwidth: the roofline memory term at full tilt.
     MemoryModel::new(arch).effective_bandwidth_gib(cores)
 }
@@ -72,7 +66,7 @@ pub fn projected_triad_gib(arch: CpuArch, cores: u32) -> f64 {
 /// Projected GUPS (updates/s) for `arch` at `cores`: every update is a
 /// dependent random access costing one full memory latency, discounted by
 /// the architecture's latency hiding.
-pub fn projected_gups(arch: CpuArch, cores: u32) -> f64 {
+pub(crate) fn projected_gups(arch: CpuArch, cores: u32) -> f64 {
     let cm = CostModel::new(arch);
     let spec = arch.spec();
     let per_update_ns = spec.mem_latency_ns * (1.0 - cm.latency_hiding()).max(0.05);
@@ -81,7 +75,7 @@ pub fn projected_gups(arch: CpuArch, cores: u32) -> f64 {
 
 /// Run both benchmarks on the host (validating results) and produce the
 /// per-architecture projection exhibit.
-pub fn run_exhibit(handle: &Handle, quick: bool) -> crate::report::Exhibit {
+pub(crate) fn run_exhibit(handle: &Handle, quick: bool) -> crate::report::Exhibit {
     use crate::report::{Exhibit, Series};
     let n = if quick { 1 << 16 } else { 1 << 20 };
     // Host validation: triad result must equal the analytic checksum.
@@ -138,11 +132,6 @@ mod tests {
         let mut a = vec![0.0; n];
         stream_triad(&rt.handle(), &mut a, &b, &c, 0.5);
         assert!(a.iter().enumerate().all(|(i, &v)| v == i as f64 + 1.0));
-    }
-
-    #[test]
-    fn triad_byte_count_is_standard() {
-        assert_eq!(triad_bytes(1_000_000), 24_000_000);
     }
 
     #[test]

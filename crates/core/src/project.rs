@@ -33,7 +33,7 @@ pub struct MaclaurinProfile {
 
 impl MaclaurinProfile {
     /// Total flops — comparable to the paper's `perf` count.
-    pub fn total_flops(&self) -> f64 {
+    pub(crate) fn total_flops(&self) -> f64 {
         self.terms as f64 * self.flops_per_term
     }
 }
@@ -69,7 +69,7 @@ pub fn maclaurin_flops_per_sec(
 
 /// Normalized performance (Eq. 3): projected FLOP/s over Eq. (2)'s peak for
 /// the same core count — Fig. 6's y-axis.
-pub fn maclaurin_normalized(
+pub(crate) fn maclaurin_normalized(
     arch: CpuArch,
     cores: u32,
     approach: Approach,
@@ -117,7 +117,7 @@ impl OctoProfile {
 
 /// Projected wall time of an Octo-Tiger run on `cores` cores of `arch` —
 /// the node-level model behind Fig. 7.
-pub fn octo_time_seconds(arch: CpuArch, cores: u32, profile: &OctoProfile) -> f64 {
+pub(crate) fn octo_time_seconds(arch: CpuArch, cores: u32, profile: &OctoProfile) -> f64 {
     let cm = CostModel::new(arch);
     let mem = MemoryModel::new(arch);
     let w = &profile.work;
@@ -153,7 +153,7 @@ pub fn octo_cells_per_sec(arch: CpuArch, cores: u32, profile: &OctoProfile) -> f
 #[derive(Debug, Clone)]
 pub struct DistProfile {
     /// Per-node profile of the *local* share of the work.
-    pub per_node: OctoProfile,
+    pub(crate) per_node: OctoProfile,
     /// Nodes participating.
     pub nodes: u32,
     /// Wire messages over the whole run.
@@ -196,7 +196,7 @@ impl DistProfile {
 
 /// Projected wall time of a distributed run on `arch` nodes (each using
 /// `cores` cores) over `backend` — the model behind Fig. 8.
-pub fn dist_time_seconds(
+pub(crate) fn dist_time_seconds(
     arch: CpuArch,
     cores: u32,
     backend: NetBackend,
@@ -206,9 +206,8 @@ pub fn dist_time_seconds(
 }
 
 /// [`dist_time_seconds`] against an explicit link parameter set — the seam
-/// the calibration-sensitivity tests use to perturb `NetCost` directly and
-/// that the `distrib::Parcelport::cost` hook feeds.
-pub fn dist_time_seconds_with_net(
+/// the calibration-sensitivity tests use to perturb `NetCost` directly.
+pub(crate) fn dist_time_seconds_with_net(
     arch: CpuArch,
     cores: u32,
     net: NetCost,
@@ -237,7 +236,12 @@ pub fn dist_cells_per_sec(
 }
 
 /// Projected energy of a run — Fig. 9: nodes × power(active cores) × time.
-pub fn energy_report(arch: CpuArch, nodes: u32, cores: u32, run_seconds: f64) -> EnergyReport {
+pub(crate) fn energy_report(
+    arch: CpuArch,
+    nodes: u32,
+    cores: u32,
+    run_seconds: f64,
+) -> EnergyReport {
     EnergyReport::for_run(arch, nodes, cores, run_seconds)
 }
 

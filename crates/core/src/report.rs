@@ -6,14 +6,14 @@
 #[derive(Debug, Clone, PartialEq)]
 pub struct Series {
     /// Legend label.
-    pub label: String,
+    pub(crate) label: String,
     /// (x, y) points in x order.
-    pub points: Vec<(f64, f64)>,
+    pub(crate) points: Vec<(f64, f64)>,
 }
 
 impl Series {
     /// Build a series.
-    pub fn new(label: impl Into<String>, points: Vec<(f64, f64)>) -> Self {
+    pub(crate) fn new(label: impl Into<String>, points: Vec<(f64, f64)>) -> Self {
         Series {
             label: label.into(),
             points,
@@ -27,11 +27,6 @@ impl Series {
             .find(|(px, _)| (*px - x).abs() < 1e-12)
             .map(|(_, y)| *y)
     }
-
-    /// Last y value.
-    pub fn last_y(&self) -> Option<f64> {
-        self.points.last().map(|(_, y)| *y)
-    }
 }
 
 /// One table or figure of the paper, regenerated.
@@ -40,20 +35,20 @@ pub struct Exhibit {
     /// Paper exhibit id ("fig4a", "table2", ...).
     pub id: String,
     /// Title as printed.
-    pub title: String,
+    pub(crate) title: String,
     /// x-axis label.
-    pub xlabel: String,
+    pub(crate) xlabel: String,
     /// y-axis label.
-    pub ylabel: String,
+    pub(crate) ylabel: String,
     /// The curves.
-    pub series: Vec<Series>,
+    pub(crate) series: Vec<Series>,
     /// Comparison notes (paper claim vs our measurement).
-    pub notes: Vec<String>,
+    pub(crate) notes: Vec<String>,
 }
 
 impl Exhibit {
     /// New empty exhibit.
-    pub fn new(
+    pub(crate) fn new(
         id: impl Into<String>,
         title: impl Into<String>,
         xlabel: impl Into<String>,
@@ -70,12 +65,12 @@ impl Exhibit {
     }
 
     /// Append a series.
-    pub fn push_series(&mut self, s: Series) {
+    pub(crate) fn push_series(&mut self, s: Series) {
         self.series.push(s);
     }
 
     /// Append a note.
-    pub fn note(&mut self, n: impl Into<String>) {
+    pub(crate) fn note(&mut self, n: impl Into<String>) {
         self.notes.push(n.into());
     }
 
@@ -146,7 +141,7 @@ fn trim_num(x: f64) -> String {
 }
 
 /// Format with 4 significant digits and engineering suffixes.
-pub fn format_sig(y: f64) -> String {
+pub(crate) fn format_sig(y: f64) -> String {
     let a = y.abs();
     if a == 0.0 {
         return "0".into();
@@ -175,7 +170,6 @@ mod tests {
         let s = Series::new("a", vec![(1.0, 10.0), (2.0, 20.0)]);
         assert_eq!(s.y_at(2.0), Some(20.0));
         assert_eq!(s.y_at(3.0), None);
-        assert_eq!(s.last_y(), Some(20.0));
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! them by a location-transparent global id.
 //!
 //! A [`Gid`] encodes the *creating* locality in its upper bits plus a
-//! sequence number; the [`Agas`] registry maps gids to their *current*
-//! locality, so components can in principle be migrated (HPX supports this;
-//! Octo-Tiger uses placement-at-creation, which [`Agas::register`] covers).
+//! sequence number; the [`Agas`] registry maps gids to the locality their
+//! component lives on. HPX can also migrate components; Octo-Tiger uses
+//! placement at creation, which is all [`Agas::register`] covers.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -25,18 +25,13 @@ const LOCALITY_SHIFT: u32 = 48;
 impl Gid {
     /// The locality that *created* this gid (not necessarily where the
     /// component currently lives — ask [`Agas::resolve`] for that).
-    pub fn creator(self) -> LocalityId {
+    pub(crate) fn creator(self) -> LocalityId {
         LocalityId((self.0 >> LOCALITY_SHIFT) as u32)
     }
 
     /// Sequence number within the creating locality.
-    pub fn sequence(self) -> u64 {
+    pub(crate) fn sequence(self) -> u64 {
         self.0 & ((1u64 << LOCALITY_SHIFT) - 1)
-    }
-
-    /// Raw value (for logging).
-    pub fn raw(self) -> u64 {
-        self.0
     }
 }
 
@@ -77,40 +72,14 @@ impl Agas {
     }
 
     /// Bind `gid` to the locality where its component lives.
-    pub fn register(&self, gid: Gid, at: LocalityId) {
+    pub(crate) fn register(&self, gid: Gid, at: LocalityId) {
         let prev = self.write().insert(gid, at);
         assert!(prev.is_none(), "gid {gid} registered twice");
     }
 
     /// Where does `gid` live?
-    pub fn resolve(&self, gid: Gid) -> Option<LocalityId> {
+    pub(crate) fn resolve(&self, gid: Gid) -> Option<LocalityId> {
         self.read().get(&gid).copied()
-    }
-
-    /// Move a binding (component migration).
-    pub fn migrate(&self, gid: Gid, to: LocalityId) -> bool {
-        match self.write().get_mut(&gid) {
-            Some(loc) => {
-                *loc = to;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Remove a binding (component destruction).
-    pub fn unregister(&self, gid: Gid) -> Option<LocalityId> {
-        self.write().remove(&gid)
-    }
-
-    /// Number of live bindings.
-    pub fn len(&self) -> usize {
-        self.read().len()
-    }
-
-    /// True when no bindings exist.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -146,26 +115,6 @@ mod tests {
         agas.register(g, LocalityId(1));
         assert_eq!(g.creator(), LocalityId(0));
         assert_eq!(agas.resolve(g), Some(LocalityId(1)));
-    }
-
-    #[test]
-    fn migrate_moves_binding() {
-        let agas = Agas::new();
-        let g = agas.new_gid(LocalityId(0));
-        agas.register(g, LocalityId(0));
-        assert!(agas.migrate(g, LocalityId(1)));
-        assert_eq!(agas.resolve(g), Some(LocalityId(1)));
-        assert!(!agas.migrate(agas.new_gid(LocalityId(0)), LocalityId(1)));
-    }
-
-    #[test]
-    fn unregister_removes() {
-        let agas = Agas::new();
-        let g = agas.new_gid(LocalityId(2));
-        agas.register(g, LocalityId(2));
-        assert_eq!(agas.unregister(g), Some(LocalityId(2)));
-        assert_eq!(agas.resolve(g), None);
-        assert!(agas.is_empty());
     }
 
     #[test]

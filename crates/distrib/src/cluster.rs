@@ -94,7 +94,6 @@ struct LocalityInner {
 }
 
 struct ClusterInner {
-    config: ClusterConfig,
     agas: Agas,
     actions: Mutex<HashMap<String, Handler>>,
     localities: Mutex<Vec<Arc<LocalityInner>>>,
@@ -165,19 +164,9 @@ impl LocalityHandle {
         self.cluster.upgrade().expect("cluster has been dropped")
     }
 
-    /// This locality's id.
-    pub fn id(&self) -> LocalityId {
-        self.inner.id
-    }
-
     /// Submission handle for this locality's task runtime.
     pub fn runtime(&self) -> amt::Handle {
         self.runtime.clone()
-    }
-
-    /// Scheduler statistics of this locality's runtime.
-    pub fn runtime_stats(&self) -> amt::RuntimeStats {
-        self.runtime.stats()
     }
 
     /// Create a component *on this locality* and register it with AGAS.
@@ -206,17 +195,6 @@ impl LocalityHandle {
         let cell = any.downcast::<Mutex<T>>().ok()?;
         let mut guard = lock(&cell);
         Some(f(&mut guard))
-    }
-
-    /// Destroy a locally stored component and drop its AGAS binding. A
-    /// `with_component` closure already running on it finishes on its own
-    /// reference; the value is dropped when that closure returns.
-    pub fn destroy_component(&self, gid: Gid) -> bool {
-        let existed = lock(&self.inner.components).remove(&gid).is_some();
-        if existed {
-            self.cluster().agas.unregister(gid);
-        }
-        existed
     }
 
     /// Invoke `action` on the component `gid`, wherever it lives — HPX's
@@ -275,15 +253,6 @@ impl LocalityHandle {
             let bytes = res.unwrap_or_else(|e| panic!("remote action {action} failed: {e}"));
             wire::from_bytes(&bytes).expect("response deserialization failed")
         })
-    }
-
-    /// Run `f` as a task on this locality (supervisor/delegate driver code).
-    pub fn run<T, F>(&self, f: F) -> Future<T>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        self.runtime().spawn(f)
     }
 }
 
@@ -434,7 +403,6 @@ impl Cluster {
         };
         let port = parcelport::open(config.backend, deliver);
         let inner = Arc::new(ClusterInner {
-            config,
             agas: Agas::new(),
             actions: Mutex::new(HashMap::new()),
             localities: Mutex::new(Vec::new()),
@@ -472,17 +440,6 @@ impl Cluster {
         Cluster { inner }
     }
 
-    /// Convenience: the paper's in-house setup (2 boards × 4 cores) with the
-    /// chosen backend.
-    pub fn visionfive2_pair(backend: NetBackend) -> Self {
-        Cluster::new(ClusterConfig {
-            localities: 2,
-            threads_per_locality: 4,
-            backend,
-            coalesce: CoalesceConfig::default(),
-        })
-    }
-
     /// Register an action handler under `name` on **all** localities (like
     /// an HPX action: the same code is linked into every process image).
     pub fn register_action<Req, Resp, F>(&self, name: &str, f: F)
@@ -507,16 +464,6 @@ impl Cluster {
             inner: self.inner.locality(LocalityId(i)),
             runtime: self.inner.runtimes[i as usize].handle(),
         }
-    }
-
-    /// Number of localities.
-    pub fn num_localities(&self) -> u32 {
-        self.inner.config.localities
-    }
-
-    /// The configured parcelport backend.
-    pub fn backend(&self) -> NetBackend {
-        self.inner.config.backend
     }
 
     /// Drive the parcelport to quiescence. After this returns every
@@ -757,16 +704,6 @@ mod tests {
         assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f.get())).is_err());
     }
 
-    #[test]
-    fn destroy_component_unbinds() {
-        let c = two_node();
-        let l0 = c.locality(0);
-        let gid = l0.new_component(5i32);
-        assert!(l0.destroy_component(gid));
-        assert!(!l0.destroy_component(gid));
-        assert!(l0.with_component::<i32, _>(gid, |v| *v).is_none());
-    }
-
     /// Run `body` on its own thread and fail — never hang — if it has not
     /// finished after 30 s.
     fn under_watchdog(body: impl FnOnce() + Send + 'static) {
@@ -804,23 +741,6 @@ mod tests {
             let sum =
                 l0.with_component::<u64, _>(a, |v| *v + l0.invoke::<(), u64>(b, "read", &()).get());
             assert_eq!(sum, Some(42));
-        });
-    }
-
-    #[test]
-    fn destroying_a_component_in_use_lets_its_closure_finish() {
-        under_watchdog(|| {
-            let c = two_node();
-            let l0 = c.locality(0);
-            let gid = l0.new_component(vec![7u64; 4]);
-            let seen = l0.with_component::<Vec<u64>, _>(gid, |v| {
-                assert!(l0.destroy_component(gid), "unbound while in use");
-                assert!(l0.with_component::<Vec<u64>, _>(gid, |_| ()).is_none());
-                v.push(8);
-                v.iter().sum::<u64>()
-            });
-            assert_eq!(seen, Some(36), "the closure kept its own reference");
-            assert!(!l0.destroy_component(gid));
         });
     }
 

@@ -30,17 +30,17 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Frame magic (two bytes, little-endian on the wire).
-pub const FRAME_MAGIC: u16 = 0x0C7E;
+pub(crate) const FRAME_MAGIC: u16 = 0x0C7E;
 
 /// Fixed per-frame header size: magic + kind + count.
 pub const FRAME_HEADER_BYTES: usize = 7;
 
 /// The parcel's length prefix inside a frame.
-pub const PARCEL_LEN_BYTES: usize = 4;
+pub(crate) const PARCEL_LEN_BYTES: usize = 4;
 
 /// The parcel's trace context carried after the length prefix:
 /// origin `u32` + flow id `u64` + send timestamp `u64`.
-pub const TRACE_CTX_BYTES: usize = 20;
+pub(crate) const TRACE_CTX_BYTES: usize = 20;
 
 /// The only frame kind.
 const FRAME_KIND: u8 = 1;
@@ -66,7 +66,7 @@ static NEXT_FLOW: AtomicU64 = AtomicU64::new(1);
 impl TraceCtx {
     /// Stamp a fresh context for a parcel leaving `origin`: allocates the
     /// next flow id and timestamps the submit moment.
-    pub fn stamp(origin: u32) -> Self {
+    pub(crate) fn stamp(origin: u32) -> Self {
         TraceCtx {
             origin,
             flow: NEXT_FLOW.fetch_add(1, Ordering::Relaxed),
@@ -110,7 +110,7 @@ impl std::error::Error for FrameError {}
 
 /// Sanity bound on one parcel's length (a level-4 halo exchange is ~1 MiB;
 /// anything near 1 GiB is a desynchronized stream, not a parcel).
-pub const MAX_PARCEL_BYTES: u32 = 1 << 30;
+pub(crate) const MAX_PARCEL_BYTES: u32 = 1 << 30;
 
 /// Frame one parcel with its trace context.
 pub fn encode(parcel: &[u8], ctx: TraceCtx) -> Vec<u8> {

@@ -7,31 +7,29 @@
 //!
 //! * [`Cluster`] boots N *localities*, each with its own `amt::Runtime`
 //!   (one per board) and a frame receive loop;
-//! * [`agas::Agas`] is the Active Global Address Space: components are
-//!   created on a locality, addressed by [`agas::Gid`], and resolvable from
+//! * [`Agas`] is the Active Global Address Space: components are
+//!   created on a locality, addressed by [`Gid`], and resolvable from
 //!   anywhere;
 //! * remote **actions** ([`LocalityHandle::invoke`]) encode their arguments
 //!   — any [`Wire`] type; the [`wire`] module docs hold the format table —
-//!   into [`parcel::ParcelMsg`]s, with HPX's unified local/remote syntax
+//!   into [`ParcelMsg`]s, with HPX's unified local/remote syntax
 //!   (local calls skip the wire);
-//! * a pluggable [`parcelport::Parcelport`] — TCP, MPI or LCI — moves
-//!   [`frame`]d byte buffers, one parcel each, and measures per-port
-//!   [`stats::PortStats`];
+//! * a pluggable parcelport — TCP, MPI or LCI — moves [`frame`]d byte
+//!   buffers, one parcel each, and measures per-port counters
+//!   ([`PortSnapshot`]);
 //!   the `rv-machine` cost model turns those into per-backend link times
 //!   for the Fig. 8 projection.
 
-pub mod agas;
-pub mod cluster;
+pub(crate) mod agas;
+pub(crate) mod cluster;
 pub mod frame;
-pub mod parcel;
-pub mod parcelport;
-pub mod stats;
-pub mod wire;
+pub(crate) mod parcel;
+pub(crate) mod parcelport;
+pub(crate) mod stats;
+pub(crate) mod wire;
 
 pub use agas::{Agas, Gid, LocalityId};
 pub use cluster::{Cluster, ClusterConfig, CoalesceConfig, LocalityHandle};
-pub use frame::{FrameError, TraceCtx, TRACE_CTX_BYTES};
 pub use parcel::ParcelMsg;
-pub use parcelport::{Deliver, Parcelport};
-pub use stats::{CommMetrics, LinkSnapshot, NetSnapshot, NetStats, PortSnapshot, PortStats};
+pub use stats::{NetSnapshot, PortSnapshot};
 pub use wire::{from_bytes, to_bytes, Wire, WireError};

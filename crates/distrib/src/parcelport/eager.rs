@@ -1,6 +1,6 @@
 //! Eager parcelport — frames are delivered on the sending thread, inside
 //! [`Parcelport::transmit`]. Three backends share these semantics and
-//! differ only in the link model their [`NetBackend`] carries:
+//! differ only in their link model ([`rv_machine::NetBackend::net_cost`]):
 //!
 //! * **TCP** — one connection per peer, `asio` write on submission, no
 //!   separate progress engine (HPX's classic TCP parcelport);
@@ -13,45 +13,34 @@
 //!   software stack we reproduce.
 
 use apex_lite::trace::{self, Cat};
-use rv_machine::NetBackend;
 
 use crate::agas::LocalityId;
 use crate::stats::{PortSnapshot, PortStats};
 
 use super::{Deliver, Parcelport};
 
-/// The eager port of `backend`.
-pub struct EagerParcelport {
+/// The eager port of TCP, MPI and Tofu-D.
+pub(crate) struct EagerParcelport {
     deliver: Deliver,
     stats: PortStats,
-    backend: NetBackend,
 }
 
 impl EagerParcelport {
     /// Open the port, delivering through `deliver`.
-    pub fn new(deliver: Deliver, backend: NetBackend) -> Self {
+    pub(crate) fn new(deliver: Deliver) -> Self {
         EagerParcelport {
             deliver,
             stats: PortStats::new(),
-            backend,
         }
     }
 }
 
 impl Parcelport for EagerParcelport {
-    fn backend(&self) -> NetBackend {
-        self.backend
-    }
-
     fn transmit(&self, to: LocalityId, frame: Vec<u8>) {
         let _span = trace::span(Cat::Comm, "parcel_send");
         super::note_parcel_send(&frame);
         self.stats.record_frame(frame.len() as u64);
         (self.deliver)(to, frame);
-    }
-
-    fn progress(&self) -> usize {
-        0 // eager: nothing is ever queued
     }
 
     fn flush(&self) {

@@ -3,13 +3,12 @@
 //! HPX's LCI backend (Lightweight Communication Interface) differs from
 //! TCP/MPI in *who* moves the bytes: `transmit` only deposits the frame in
 //! an outbox (a lightweight completion object), and a dedicated **progress
-//! engine** drains it — either driven explicitly ([`Parcelport::progress`]
-//! / [`Parcelport::flush`]) or by the port's background progress thread,
-//! which mirrors HPX-LCI's dedicated progress pthread. Decoupling
-//! submission from delivery is what buys LCI its low per-message software
-//! overhead (the calling thread returns immediately; no syscall, no
-//! matching) — the property the link model's `per_message_us = 18` (vs
-//! TCP's 35, MPI's 110) encodes.
+//! engine** drains it — either driven explicitly ([`Parcelport::flush`]) or
+//! by the port's background progress thread, which mirrors HPX-LCI's
+//! dedicated progress pthread. Decoupling submission from delivery is what
+//! buys LCI its low per-message software overhead (the calling thread
+//! returns immediately; no syscall, no matching) — the property the link
+//! model's `per_message_us = 18` (vs TCP's 35, MPI's 110) encodes.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -19,7 +18,6 @@ use std::time::Duration;
 
 use amt::lock;
 use apex_lite::trace::{self, Cat};
-use rv_machine::NetBackend;
 
 use crate::agas::LocalityId;
 use crate::stats::{PortSnapshot, PortStats};
@@ -40,9 +38,9 @@ struct LciShared {
 }
 
 impl LciShared {
-    /// Drain everything currently queued; returns frames delivered.
-    fn drain(&self) -> usize {
-        let mut delivered = 0;
+    /// Drain everything currently queued.
+    fn drain(&self) {
+        let mut delivered = false;
         loop {
             let next = {
                 let mut outbox = lock(&self.outbox);
@@ -66,17 +64,16 @@ impl LciShared {
                     self.stats.record_frame(frame.len() as u64);
                     (self.deliver)(to, frame);
                     self.in_flight.fetch_sub(1, Ordering::AcqRel);
-                    delivered += 1;
+                    delivered = true;
                 }
                 None => break,
             }
         }
-        if delivered > 0 {
+        if delivered {
             trace::instant(Cat::Comm, "progress");
             // Wake flushers waiting for the outbox to empty.
             self.activity.notify_all();
         }
-        delivered
     }
 
     /// Whether nothing is queued and nothing is mid-delivery. Call with
@@ -87,14 +84,14 @@ impl LciShared {
 }
 
 /// The LCI backend (see module docs).
-pub struct LciParcelport {
+pub(crate) struct LciParcelport {
     shared: Arc<LciShared>,
     progress_thread: Option<JoinHandle<()>>,
 }
 
 impl LciParcelport {
     /// Open the port with its background progress thread running.
-    pub fn new(deliver: Deliver) -> Self {
+    pub(crate) fn new(deliver: Deliver) -> Self {
         let mut port = Self::new_manual(deliver);
         let shared = Arc::clone(&port.shared);
         let join = std::thread::Builder::new()
@@ -106,9 +103,9 @@ impl LciParcelport {
     }
 
     /// Open the port *without* a progress thread: frames move only on
-    /// explicit [`Parcelport::progress`] / [`Parcelport::flush`] calls.
+    /// explicit [`Parcelport::flush`] calls.
     /// Used by deterministic tests.
-    pub fn new_manual(deliver: Deliver) -> Self {
+    pub(crate) fn new_manual(deliver: Deliver) -> Self {
         LciParcelport {
             shared: Arc::new(LciShared {
                 deliver,
@@ -143,10 +140,6 @@ fn progress_loop(shared: &LciShared) {
 }
 
 impl Parcelport for LciParcelport {
-    fn backend(&self) -> NetBackend {
-        NetBackend::Lci
-    }
-
     fn transmit(&self, to: LocalityId, frame: Vec<u8>) {
         trace::instant(Cat::Comm, "transmit");
         let depth = {
@@ -156,10 +149,6 @@ impl Parcelport for LciParcelport {
         };
         self.shared.stats.note_queue_depth(depth);
         self.shared.activity.notify_all();
-    }
-
-    fn progress(&self) -> usize {
-        self.shared.drain()
     }
 
     fn flush(&self) {

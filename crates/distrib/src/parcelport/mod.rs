@@ -16,17 +16,12 @@
 //!   thread before returning. *Explicit-progress* ports
 //!   ([`LciParcelport`]) only enqueue; delivery happens when the progress
 //!   engine runs.
-//! * [`Parcelport::progress`] drives delivery of queued frames and returns
-//!   how many were delivered. Eager ports have nothing queued and return 0.
 //! * [`Parcelport::flush`] blocks until every previously transmitted frame
 //!   has been delivered — the barrier a sender needs before blocking on a
 //!   response.
 //! * [`Parcelport::stats`] exposes the measured per-port counters
 //!   ([`PortSnapshot`]): frames, framed bytes and the queue-depth
 //!   high-water mark.
-//! * [`Parcelport::cost`] is the modelled link parameter set
-//!   (per-message overhead, latency, bandwidth) the Fig. 8 projection
-//!   charges per counted frame — measurement and model meet here.
 //!
 //! Delivery is *ordered per destination* for frames sent from one thread;
 //! frames to dead destinations are dropped, like writes to a closed socket.
@@ -34,19 +29,19 @@
 mod eager;
 mod lci;
 
-pub use eager::EagerParcelport;
-pub use lci::LciParcelport;
+use eager::EagerParcelport;
+use lci::LciParcelport;
 
 use std::sync::Arc;
 
-use rv_machine::{NetBackend, NetCost};
+use rv_machine::NetBackend;
 
 use crate::agas::LocalityId;
 use crate::stats::PortSnapshot;
 
 /// Delivery sink: routes one frame to a destination locality's receive
 /// loop. Implementations must tolerate dead destinations (drop the frame).
-pub type Deliver = Arc<dyn Fn(LocalityId, Vec<u8>) + Send + Sync>;
+pub(crate) type Deliver = Arc<dyn Fn(LocalityId, Vec<u8>) + Send + Sync>;
 
 /// Emit the `"s"` flow event of the parcel in `frame`, pairing with the
 /// receive side's `"f"` so Perfetto draws a cross-locality arrow out of
@@ -63,15 +58,9 @@ pub(crate) fn note_parcel_send(frame: &[u8]) {
 }
 
 /// One communication backend instance (see module docs for the contract).
-pub trait Parcelport: Send + Sync {
-    /// Which backend this port implements.
-    fn backend(&self) -> NetBackend;
-
+pub(crate) trait Parcelport: Send + Sync {
     /// Hand one frame to the port for `to`.
     fn transmit(&self, to: LocalityId, frame: Vec<u8>);
-
-    /// Drive the progress engine; returns frames delivered by this call.
-    fn progress(&self) -> usize;
 
     /// Block until all previously transmitted frames are delivered.
     fn flush(&self);
@@ -86,21 +75,17 @@ pub trait Parcelport: Send + Sync {
     /// high-water marks can be attributed to the step that caused them
     /// (see [`PortSnapshot::queue_depth_hwm_step`]).
     fn note_step(&self, step: u64);
-
-    /// Modelled link parameters charged per frame by the projection.
-    fn cost(&self) -> NetCost {
-        self.backend().net_cost()
-    }
 }
 
 /// Instantiate the parcelport for `backend`, delivering through `deliver`.
 ///
 /// The simulation only distinguishes *semantics* (eager vs explicit
-/// progress): TCP, MPI and Tofu-D are one eager port with three link models.
-pub fn open(backend: NetBackend, deliver: Deliver) -> Arc<dyn Parcelport> {
+/// progress): TCP, MPI and Tofu-D are one eager port; their link models
+/// ([`NetBackend::net_cost`]) differ only in the projection.
+pub(crate) fn open(backend: NetBackend, deliver: Deliver) -> Arc<dyn Parcelport> {
     match backend {
         NetBackend::Tcp | NetBackend::Mpi | NetBackend::TofuD => {
-            Arc::new(EagerParcelport::new(deliver, backend))
+            Arc::new(EagerParcelport::new(deliver))
         }
         NetBackend::Lci => Arc::new(LciParcelport::new(deliver)),
     }
@@ -124,14 +109,14 @@ mod tests {
     }
 
     #[test]
-    fn every_backend_opens_and_reports_itself() {
+    fn every_backend_opens_and_delivers() {
         for backend in NetBackend::ALL {
-            let (deliver, _log) = collector();
+            let (deliver, log) = collector();
             let port = open(backend, deliver);
-            // The eager backends share one implementation; each keeps its
-            // backend identity (and therefore its link model).
-            assert_eq!(port.backend(), backend);
-            assert_eq!(port.cost(), backend.net_cost());
+            port.transmit(LocalityId(1), b"frame".to_vec());
+            port.flush();
+            assert_eq!(*lock(&log), vec![(1, b"frame".to_vec())], "{backend:?}");
+            assert_eq!(port.stats().messages, 1, "{backend:?}");
         }
     }
 
@@ -142,7 +127,6 @@ mod tests {
             let port = open(backend, deliver);
             port.transmit(LocalityId(1), b"frame".to_vec());
             assert_eq!(lock(&log).len(), 1, "{backend:?} must deliver eagerly");
-            assert_eq!(port.progress(), 0, "{backend:?} has no progress queue");
             let s = port.stats();
             assert_eq!(s.messages, 1);
             assert_eq!(s.bytes, 5);
@@ -160,7 +144,7 @@ mod tests {
             "explicit progress: nothing moves yet"
         );
         assert_eq!(port.stats().queue_depth_hwm, 2);
-        assert_eq!(port.progress(), 2);
+        port.flush();
         let delivered = lock(&log).clone();
         assert_eq!(delivered, vec![(0, b"a".to_vec()), (0, b"bb".to_vec())]);
         let s = port.stats();

@@ -25,11 +25,11 @@ struct LinkStats {
 /// One directed locality link's traffic, as reported by
 /// [`CommMetrics::links`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LinkSnapshot {
+pub(crate) struct LinkSnapshot {
     /// Sending locality.
-    pub src: u32,
+    pub(crate) src: u32,
     /// Receiving locality.
-    pub dst: u32,
+    pub(crate) dst: u32,
     /// Parcels received over this link.
     pub parcels: u64,
     /// Payload bytes received over this link.
@@ -42,17 +42,17 @@ pub struct LinkSnapshot {
 /// relaxed atomics, so it stays on even when tracing is off — these are
 /// counters, not spans.
 #[derive(Debug)]
-pub struct CommMetrics {
+pub(crate) struct CommMetrics {
     localities: u32,
     /// Row-major `src * localities + dst` directed-link matrix.
     links: Vec<LinkStats>,
     /// One-way parcel latency (submit stamp → receive), ns.
-    pub parcel_latency: AtomicHistogram,
+    pub(crate) parcel_latency: AtomicHistogram,
 }
 
 impl CommMetrics {
     /// Fresh metrics for a cluster of `localities`.
-    pub fn new(localities: u32) -> Self {
+    pub(crate) fn new(localities: u32) -> Self {
         CommMetrics {
             localities,
             links: (0..localities as usize * localities as usize)
@@ -65,7 +65,7 @@ impl CommMetrics {
     /// Record one received parcel of `payload_bytes` on the `src → dst`
     /// link. Out-of-range localities are ignored (a desynchronized header
     /// must not panic the receive loop).
-    pub fn record_link(&self, src: u32, dst: u32, payload_bytes: u64) {
+    pub(crate) fn record_link(&self, src: u32, dst: u32, payload_bytes: u64) {
         if src >= self.localities || dst >= self.localities {
             return;
         }
@@ -75,7 +75,7 @@ impl CommMetrics {
     }
 
     /// Snapshot every link that carried traffic, `(src, dst)` ordered.
-    pub fn links(&self) -> Vec<LinkSnapshot> {
+    pub(crate) fn links(&self) -> Vec<LinkSnapshot> {
         let n = self.localities as usize;
         let mut out = Vec::new();
         for src in 0..n {
@@ -99,7 +99,7 @@ impl CommMetrics {
 
 /// Thread-safe action counters for one cluster.
 #[derive(Debug, Default)]
-pub struct NetStats {
+pub(crate) struct NetStats {
     remote_actions: AtomicU64,
     local_actions: AtomicU64,
 }
@@ -119,22 +119,22 @@ pub struct NetSnapshot {
 
 impl NetStats {
     /// Fresh zeroed counters.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Record a remote action invocation (the port counts its two parcels).
-    pub fn record_remote_action(&self) {
+    pub(crate) fn record_remote_action(&self) {
         self.remote_actions.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record a locally satisfied action.
-    pub fn record_local_action(&self) {
+    pub(crate) fn record_local_action(&self) {
         self.local_actions.fetch_add(1, Ordering::Relaxed);
     }
 
     /// The action counters, merged with the wire traffic `port` measured.
-    pub fn snapshot(&self, port: &PortSnapshot) -> NetSnapshot {
+    pub(crate) fn snapshot(&self, port: &PortSnapshot) -> NetSnapshot {
         NetSnapshot {
             messages: port.messages,
             bytes: port.bytes,
@@ -144,7 +144,7 @@ impl NetStats {
     }
 
     /// Zero all counters.
-    pub fn reset(&self) {
+    pub(crate) fn reset(&self) {
         self.remote_actions.store(0, Ordering::Relaxed);
         self.local_actions.store(0, Ordering::Relaxed);
     }
@@ -152,7 +152,7 @@ impl NetStats {
 
 /// Thread-safe counters owned by one parcelport instance.
 #[derive(Debug, Default)]
-pub struct PortStats {
+pub(crate) struct PortStats {
     messages: AtomicU64,
     bytes: AtomicU64,
     queue_depth_hwm: AtomicU64,
@@ -185,19 +185,19 @@ pub struct PortSnapshot {
 
 impl PortStats {
     /// Fresh zeroed counters.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Record one frame of `frame_bytes`.
-    pub fn record_frame(&self, frame_bytes: u64) {
+    pub(crate) fn record_frame(&self, frame_bytes: u64) {
         self.messages.fetch_add(1, Ordering::Relaxed);
         self.bytes.fetch_add(frame_bytes, Ordering::Relaxed);
     }
 
     /// Raise the queue-depth high-water mark to at least `depth`,
     /// remembering the current step when it actually rises.
-    pub fn note_queue_depth(&self, depth: u64) {
+    pub(crate) fn note_queue_depth(&self, depth: u64) {
         let prev = self.queue_depth_hwm.fetch_max(depth, Ordering::Relaxed);
         if depth > prev {
             // Benign race: concurrent raisers may both store; either step
@@ -209,12 +209,12 @@ impl PortStats {
 
     /// Tell the port which application step is running, so queue-depth
     /// spikes can be attributed to it.
-    pub fn note_step(&self, step: u64) {
+    pub(crate) fn note_step(&self, step: u64) {
         self.current_step.store(step, Ordering::Relaxed);
     }
 
     /// Snapshot all counters.
-    pub fn snapshot(&self) -> PortSnapshot {
+    pub(crate) fn snapshot(&self) -> PortSnapshot {
         let messages = self.messages.load(Ordering::Relaxed);
         PortSnapshot {
             messages,
@@ -228,7 +228,7 @@ impl PortStats {
 
     /// Zero all counters (high-water mark included; the step clock is
     /// left running).
-    pub fn reset(&self) {
+    pub(crate) fn reset(&self) {
         self.messages.store(0, Ordering::Relaxed);
         self.bytes.store(0, Ordering::Relaxed);
         self.queue_depth_hwm.store(0, Ordering::Relaxed);

@@ -1,5 +1,5 @@
-//! Parallel patterns — `Kokkos::parallel_for`, `parallel_reduce`,
-//! `parallel_scan`, generic over the [`ExecutionSpace`]. The same kernel
+//! Parallel patterns — `Kokkos::parallel_for` and `parallel_reduce`,
+//! generic over the [`ExecutionSpace`]. The same kernel
 //! body runs unchanged on [`Serial`](crate::space::Serial) and
 //! [`HpxSpace`](crate::space::HpxSpace), which is the portability claim the
 //! paper relies on (§3.2: the identical Kokkos kernel runs everywhere).
@@ -18,7 +18,7 @@ where
 }
 
 /// `Kokkos::parallel_reduce` over a 1-D range with a custom joiner.
-pub fn parallel_reduce<S, R, M, J>(
+pub(crate) fn parallel_reduce<S, R, M, J>(
     space: &S,
     policy: RangePolicy,
     identity: R,
@@ -51,63 +51,6 @@ where
     M: Fn(usize) -> f64 + Send + Sync,
 {
     parallel_reduce(space, policy, f64::NEG_INFINITY, map, f64::max)
-}
-
-/// `Kokkos::parallel_scan`: in-place inclusive prefix sum. The parallel
-/// version does the classic two-pass (chunk partials, then offset fix-up);
-/// for chunked execution the result equals the sequential scan because
-/// addition over f64 is applied in the same left-to-right order per chunk
-/// with exact partial offsets.
-pub fn parallel_scan_inclusive<S>(space: &S, data: &mut [f64])
-where
-    S: ExecutionSpace,
-{
-    let n = data.len();
-    if n == 0 {
-        return;
-    }
-    let conc = space.concurrency();
-    if conc <= 1 || n < 2 * conc {
-        let mut acc = 0.0;
-        for x in data.iter_mut() {
-            acc += *x;
-            *x = acc;
-        }
-        return;
-    }
-    let chunk = n.div_ceil(conc);
-    // Pass 1: scan each chunk independently.
-    {
-        let chunks: Vec<&mut [f64]> = data.chunks_mut(chunk).collect();
-        let id_chunks: Vec<(usize, &mut [f64])> = chunks.into_iter().enumerate().collect();
-        // Use the space itself to parallelize over chunks, moving each
-        // mutable chunk into its closure via a Mutex-free split.
-        let cells: Vec<SendCell<&mut [f64]>> = id_chunks
-            .into_iter()
-            .map(|(_, c)| SendCell::new(c))
-            .collect();
-        space.for_range(0..cells.len(), |ci| {
-            let c = cells[ci].take();
-            let mut acc = 0.0;
-            for x in c.iter_mut() {
-                acc += *x;
-                *x = acc;
-            }
-        });
-    }
-    // Pass 2: propagate chunk offsets (sequential over ≤ conc chunks).
-    let mut offset = 0.0;
-    let mut start = 0;
-    while start < n {
-        let end = (start + chunk).min(n);
-        if start > 0 {
-            for x in &mut data[start..end] {
-                *x += offset;
-            }
-        }
-        offset = data[end - 1];
-        start = end;
-    }
 }
 
 /// Elementwise parallel initialization: `out[i] = f(i)` — the common
@@ -189,7 +132,7 @@ mod send_cell {
     use std::cell::UnsafeCell;
     use std::sync::atomic::{AtomicBool, Ordering};
 
-    pub struct SendCell<T> {
+    pub(crate) struct SendCell<T> {
         taken: AtomicBool,
         value: UnsafeCell<Option<T>>,
     }
@@ -200,14 +143,14 @@ mod send_cell {
     unsafe impl<T: Send> Send for SendCell<T> {}
 
     impl<T> SendCell<T> {
-        pub fn new(v: T) -> Self {
+        pub(crate) fn new(v: T) -> Self {
             SendCell {
                 taken: AtomicBool::new(false),
                 value: UnsafeCell::new(Some(v)),
             }
         }
 
-        pub fn take(&self) -> T {
+        pub(crate) fn take(&self) -> T {
             let was = self.taken.swap(true, Ordering::AcqRel);
             assert!(!was, "SendCell taken twice");
             // SAFETY: the swap above guarantees exclusive access.
@@ -263,39 +206,6 @@ mod tests {
         let s = parallel_reduce(&Serial, RangePolicy::new(0, 10_000), (0.0, 0), map, join);
         assert_eq!(p.1, s.1);
         assert!((p.0 - s.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn scan_matches_sequential() {
-        let rt = Runtime::new(4);
-        let hpx = HpxSpace::new(rt.handle());
-        let mut a: Vec<f64> = (0..1000).map(|i| (i % 7) as f64).collect();
-        let mut b = a.clone();
-        parallel_scan_inclusive(&Serial, &mut a);
-        parallel_scan_inclusive(&hpx, &mut b);
-        for (x, y) in a.iter().zip(&b) {
-            assert!((x - y).abs() < 1e-9);
-        }
-        // Check against a hand scan.
-        let mut acc = 0.0;
-        for (i, x) in a.iter().enumerate() {
-            acc += (i % 7) as f64;
-            assert_eq!(*x, acc);
-        }
-    }
-
-    #[test]
-    fn scan_edge_cases() {
-        let rt = Runtime::new(2);
-        let hpx = HpxSpace::new(rt.handle());
-        let mut empty: Vec<f64> = vec![];
-        parallel_scan_inclusive(&hpx, &mut empty);
-        let mut one = vec![5.0];
-        parallel_scan_inclusive(&hpx, &mut one);
-        assert_eq!(one, vec![5.0]);
-        let mut small = vec![1.0, 2.0, 3.0];
-        parallel_scan_inclusive(&hpx, &mut small);
-        assert_eq!(small, vec![1.0, 3.0, 6.0]);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RangePolicy {
     /// First index (inclusive).
-    pub begin: usize,
+    pub(crate) begin: usize,
     /// One past the last index.
     pub end: usize,
 }
@@ -17,18 +17,8 @@ impl RangePolicy {
         RangePolicy { begin, end }
     }
 
-    /// Number of iterations.
-    pub fn len(&self) -> usize {
-        self.end - self.begin
-    }
-
-    /// True for an empty range.
-    pub fn is_empty(&self) -> bool {
-        self.begin == self.end
-    }
-
     /// The underlying `Range`.
-    pub fn range(&self) -> std::ops::Range<usize> {
+    pub(crate) fn range(&self) -> std::ops::Range<usize> {
         self.begin..self.end
     }
 }
@@ -46,11 +36,9 @@ mod tests {
     #[test]
     fn range_basics() {
         let p = RangePolicy::new(2, 10);
-        assert_eq!(p.len(), 8);
-        assert!(!p.is_empty());
         assert_eq!(p.range(), 2..10);
         let q: RangePolicy = (0..0).into();
-        assert!(q.is_empty());
+        assert!(q.range().is_empty());
     }
 
     #[test]

@@ -25,13 +25,12 @@
 //! compares, `select`, the ordered horizontal sums) stay lane loops. All
 //! `unsafe` of the SIMD layer is the two blocks of `backend_op!` below.
 //!
-//! The width a *target* architecture would use comes from
-//! [`natural_width`]: 8 for A64FX/Skylake AVX-512, 4 for the EPYC's AVX2,
-//! and **1 for the RISC-V boards**, which implement neither the V nor the P
-//! extension — the scalar-fallback case the paper highlights. On GPUs Kokkos
-//! maps the same type to scalars; `Simd<1>` is exactly that degenerate pack.
-
-use rv_machine::CpuArch;
+//! The width a *target* architecture would use is Table 2's vector length
+//! (`rv_machine::CpuSpec::vector`): 8 for A64FX/Skylake AVX-512, 4 for the
+//! EPYC's AVX2, and **1 for the RISC-V boards**, which implement neither the
+//! V nor the P extension — the scalar-fallback case the paper highlights.
+//! On GPUs Kokkos maps the same type to scalars; `Simd<1>` is exactly that
+//! degenerate pack.
 
 /// Element-wise reference loops: the fallback every width and target
 /// without a backend runs, and what the backends are tested against.
@@ -42,32 +41,32 @@ mod lanes {
     }
 
     #[inline(always)]
-    pub fn add<const W: usize>(a: [f64; W], b: [f64; W]) -> [f64; W] {
+    pub(crate) fn add<const W: usize>(a: [f64; W], b: [f64; W]) -> [f64; W] {
         zip(a, b, |x, y| x + y)
     }
 
     #[inline(always)]
-    pub fn sub<const W: usize>(a: [f64; W], b: [f64; W]) -> [f64; W] {
+    pub(crate) fn sub<const W: usize>(a: [f64; W], b: [f64; W]) -> [f64; W] {
         zip(a, b, |x, y| x - y)
     }
 
     #[inline(always)]
-    pub fn mul<const W: usize>(a: [f64; W], b: [f64; W]) -> [f64; W] {
+    pub(crate) fn mul<const W: usize>(a: [f64; W], b: [f64; W]) -> [f64; W] {
         zip(a, b, |x, y| x * y)
     }
 
     #[inline(always)]
-    pub fn div<const W: usize>(a: [f64; W], b: [f64; W]) -> [f64; W] {
+    pub(crate) fn div<const W: usize>(a: [f64; W], b: [f64; W]) -> [f64; W] {
         zip(a, b, |x, y| x / y)
     }
 
     #[inline(always)]
-    pub fn neg<const W: usize>(a: [f64; W]) -> [f64; W] {
+    pub(crate) fn neg<const W: usize>(a: [f64; W]) -> [f64; W] {
         a.map(|x| -x)
     }
 
     #[inline(always)]
-    pub fn sqrt<const W: usize>(a: [f64; W]) -> [f64; W] {
+    pub(crate) fn sqrt<const W: usize>(a: [f64; W]) -> [f64; W] {
         a.map(f64::sqrt)
     }
 
@@ -77,7 +76,7 @@ mod lanes {
     /// `y0·(1 + r/2 + 3r²/8)` is the cubic (Halley) correction, which leaves
     /// `O(e³)` — far below the rounding of the last `fma`.
     #[inline(always)]
-    pub fn recip_sqrt<const W: usize>(a: [f64; W]) -> [f64; W] {
+    pub(crate) fn recip_sqrt<const W: usize>(a: [f64; W]) -> [f64; W] {
         a.map(|x| {
             debug_assert!(
                 x.is_nan() || (f64::from(f32::MIN_POSITIVE)..=f64::from(f32::MAX)).contains(&x),
@@ -103,7 +102,7 @@ mod lanes {
     }
 
     #[inline(always)]
-    pub fn mul_add<const W: usize>(a: [f64; W], b: [f64; W], c: [f64; W]) -> [f64; W] {
+    pub(crate) fn mul_add<const W: usize>(a: [f64; W], b: [f64; W], c: [f64; W]) -> [f64; W] {
         std::array::from_fn(|i| fma(a[i], b[i], c[i]))
     }
 }
@@ -124,7 +123,7 @@ mod avx2 {
 
     #[inline]
     #[target_feature(enable = "avx2,fma")]
-    pub fn neg(a: __m256d) -> __m256d {
+    pub(crate) fn neg(a: __m256d) -> __m256d {
         _mm256_xor_pd(a, _mm256_set1_pd(-0.0))
     }
 
@@ -133,7 +132,7 @@ mod avx2 {
     /// five `ymm` operations.
     #[inline]
     #[target_feature(enable = "avx2,fma")]
-    pub fn recip_sqrt(a: __m256d) -> __m256d {
+    pub(crate) fn recip_sqrt(a: __m256d) -> __m256d {
         let seed = _mm_div_ps(_mm_set1_ps(1.0), _mm_sqrt_ps(_mm256_cvtpd_ps(a)));
         let y0 = _mm256_cvtps_pd(seed);
         let r = _mm256_fnmadd_pd(_mm256_mul_pd(a, y0), y0, _mm256_set1_pd(1.0));
@@ -154,7 +153,7 @@ mod avx512 {
 
     #[inline]
     #[target_feature(enable = "avx512f")]
-    pub fn neg(a: __m512d) -> __m512d {
+    pub(crate) fn neg(a: __m512d) -> __m512d {
         // AVX-512F has no f64 xor; the integer one flips the same bit.
         _mm512_castsi512_pd(_mm512_xor_si512(
             _mm512_castpd_si512(a),
@@ -166,7 +165,7 @@ mod avx512 {
     /// five `zmm` operations.
     #[inline]
     #[target_feature(enable = "avx512f")]
-    pub fn recip_sqrt(a: __m512d) -> __m512d {
+    pub(crate) fn recip_sqrt(a: __m512d) -> __m512d {
         let seed = _mm256_div_ps(_mm256_set1_ps(1.0), _mm256_sqrt_ps(_mm512_cvtpd_ps(a)));
         let y0 = _mm512_cvtps_pd(seed);
         let r = _mm512_fnmadd_pd(_mm512_mul_pd(a, y0), y0, _mm512_set1_pd(1.0));
@@ -217,12 +216,6 @@ pub struct Simd<const W: usize>(pub [f64; W]);
 pub struct Mask<const W: usize>(pub [bool; W]);
 
 impl<const W: usize> Mask<W> {
-    /// All lanes set to `b`.
-    #[inline]
-    pub fn splat(b: bool) -> Self {
-        Mask([b; W])
-    }
-
     /// Per-lane choice: `t` where the lane is true, `f` otherwise.
     #[inline]
     pub fn select(self, t: Simd<W>, f: Simd<W>) -> Simd<W> {
@@ -234,23 +227,6 @@ impl<const W: usize> Mask<W> {
         }
         Simd(out)
     }
-
-    /// True iff at least one lane is set.
-    #[inline]
-    pub fn any(self) -> bool {
-        self.0.iter().any(|&b| b)
-    }
-
-    /// True iff every lane is set.
-    #[inline]
-    pub fn all(self) -> bool {
-        self.0.iter().all(|&b| b)
-    }
-}
-
-/// Lane count `arch` would compile this pack to (Table 2's vector length).
-pub fn natural_width(arch: CpuArch) -> usize {
-    arch.spec().vector.lanes() as usize
 }
 
 impl<const W: usize> Simd<W> {
@@ -274,50 +250,10 @@ impl<const W: usize> Simd<W> {
         Simd(out)
     }
 
-    /// Masked tail load: lanes past `slice.len()` are filled with `fill`
-    /// instead of faulting — the predicated load SVE/AVX-512 kernels use for
-    /// loop remainders. `fill` is chosen by the kernel so that padded lanes
-    /// contribute exactly zero (e.g. mass 0, or a far-away sentinel
-    /// position that keeps `1/r` finite).
-    #[inline]
-    pub fn from_slice_padded(slice: &[f64], offset: usize, fill: f64) -> Self {
-        let mut out = [fill; W];
-        let start = offset.min(slice.len());
-        let avail = (slice.len() - start).min(W);
-        out[..avail].copy_from_slice(&slice[start..start + avail]);
-        Simd(out)
-    }
-
-    /// Gather `W` lanes from arbitrary indices (Kokkos SIMD `gather_from`);
-    /// the SoA kernels use it to pull block values in leaf-list order.
-    #[inline]
-    pub fn gather(slice: &[f64], indices: &[usize; W]) -> Self {
-        let mut out = [0.0; W];
-        for (o, &i) in out.iter_mut().zip(indices.iter()) {
-            *o = slice[i];
-        }
-        Simd(out)
-    }
-
-    /// Scatter lanes to arbitrary indices (last write wins on duplicates,
-    /// like Kokkos SIMD `scatter_to`).
-    #[inline]
-    pub fn scatter(self, slice: &mut [f64], indices: &[usize; W]) {
-        for (v, &i) in self.0.iter().zip(indices.iter()) {
-            slice[i] = *v;
-        }
-    }
-
     /// Store lanes to `slice[offset..]`.
     #[inline]
     pub fn write_to(self, slice: &mut [f64], offset: usize) {
         slice[offset..offset + W].copy_from_slice(&self.0);
-    }
-
-    /// Number of lanes.
-    #[inline]
-    pub const fn lanes() -> usize {
-        W
     }
 
     /// Lane `i`.
@@ -461,8 +397,7 @@ impl<const W: usize> std::ops::Neg for Simd<W> {
 /// The tail-masked pack sweep: walk `len` elements in `W`-lane packs, calling
 /// `pack(offset, is_tail)` for each. Full packs (`is_tail == false`) take
 /// branch-free unpadded loads; the at-most-one ragged remainder
-/// (`is_tail == true`) takes predicated loads via
-/// [`Simd::from_slice_padded`]. The hydro row kernels drive their k-rows
+/// (`is_tail == true`) is the caller's to pad. The hydro row kernels drive their k-rows
 /// through this skeleton (the gravity kernels put whole target packs across
 /// the lanes and have no tail).
 #[inline]
@@ -478,34 +413,9 @@ pub fn sweep_packs<const W: usize>(len: usize, mut pack: impl FnMut(usize, bool)
     }
 }
 
-/// Sum `data` by packs of `W` with a scalar tail — the canonical
-/// explicitly-vectorized reduction kernel; with `W = 1` this is exactly the
-/// scalar code the RISC-V boards run.
-pub fn simd_sum<const W: usize>(data: &[f64]) -> f64 {
-    let mut acc = Simd::<W>::zero();
-    let packs = data.len() / W;
-    for p in 0..packs {
-        acc = acc + Simd::<W>::from_slice(data, p * W);
-    }
-    let mut total = acc.reduce_sum();
-    for &x in &data[packs * W..] {
-        total += x;
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn natural_widths_match_table2() {
-        assert_eq!(natural_width(CpuArch::A64fx), 8);
-        assert_eq!(natural_width(CpuArch::Epyc7543), 4);
-        assert_eq!(natural_width(CpuArch::XeonGold6140), 8);
-        assert_eq!(natural_width(CpuArch::RiscvU74), 1);
-        assert_eq!(natural_width(CpuArch::Jh7110), 1);
-    }
 
     #[test]
     fn arithmetic_lanewise() {
@@ -640,22 +550,6 @@ mod tests {
         p.write_to(&mut dst, 2);
         assert_eq!(dst, [0.0, 0.0, 2.0, 3.0, 4.0]);
         assert_eq!(p.extract(2), 4.0);
-        assert_eq!(Simd::<3>::lanes(), 3);
-    }
-
-    #[test]
-    fn simd_sum_matches_scalar_any_width() {
-        let data: Vec<f64> = (0..103).map(|i| (i as f64) * 0.25).collect();
-        let want: f64 = data.iter().sum();
-        assert!((simd_sum::<1>(&data) - want).abs() < 1e-9);
-        assert!((simd_sum::<4>(&data) - want).abs() < 1e-9);
-        assert!((simd_sum::<8>(&data) - want).abs() < 1e-9);
-    }
-
-    #[test]
-    fn simd_sum_empty_and_tail_only() {
-        assert_eq!(simd_sum::<4>(&[]), 0.0);
-        assert_eq!(simd_sum::<4>(&[1.5, 2.5]), 4.0);
     }
 
     /// `y` as an approximation of `1/√x`: relative error in units of
@@ -711,18 +605,6 @@ mod tests {
     }
 
     #[test]
-    fn padded_load_fills_missing_lanes() {
-        let src = [1.0, 2.0, 3.0];
-        // Full pack available: identical to from_slice.
-        assert_eq!(Simd::<2>::from_slice_padded(&src, 1, 9.0).0, [2.0, 3.0]);
-        // One lane short: tail filled.
-        assert_eq!(Simd::<2>::from_slice_padded(&src, 2, 9.0).0, [3.0, 9.0]);
-        // Offset at / past the end: all lanes filled.
-        assert_eq!(Simd::<4>::from_slice_padded(&src, 3, -1.0).0, [-1.0; 4]);
-        assert_eq!(Simd::<4>::from_slice_padded(&src, 64, 0.5).0, [0.5; 4]);
-    }
-
-    #[test]
     fn min_abs_lanewise() {
         let a = Simd::<4>([-1.0, 2.0, -3.0, 4.0]);
         assert_eq!(a.abs().0, [1.0, 2.0, 3.0, 4.0]);
@@ -738,10 +620,6 @@ mod tests {
         assert_eq!(a.le(Simd::splat(2.0)).0, [true, true, false, false]);
         let sel = a.lt(b).select(Simd::splat(-1.0), a);
         assert_eq!(sel.0, [-1.0, -1.0, 3.0, 4.0]);
-        assert!(a.lt(b).any());
-        assert!(!a.lt(b).all());
-        assert!(Mask::<4>::splat(true).all());
-        assert!(!Mask::<4>::splat(false).any());
         // Select reproduces the branchy scalar minmod limiter bit-for-bit.
         let x = Simd::<4>([1.0, -3.0, 1.0, 0.0]);
         let y = Simd::<4>([2.0, -2.0, -1.0, 5.0]);
@@ -807,7 +685,9 @@ mod tests {
             sweep_packs::<4>(take, |off, is_tail| {
                 acc = acc
                     + if is_tail {
-                        Simd::from_slice_padded(&data[..take], off, 0.0)
+                        let mut lanes = [0.0; 4];
+                        lanes[..take - off].copy_from_slice(&data[off..take]);
+                        Simd(lanes)
                     } else {
                         Simd::from_slice(&data[..take], off)
                     };
@@ -821,15 +701,5 @@ mod tests {
                 lanes.iter().sum::<f64>().to_bits()
             });
         }
-    }
-
-    #[test]
-    fn gather_scatter_roundtrip() {
-        let src = [10.0, 11.0, 12.0, 13.0, 14.0];
-        let g = Simd::<3>::gather(&src, &[4, 0, 2]);
-        assert_eq!(g.0, [14.0, 10.0, 12.0]);
-        let mut dst = [0.0; 5];
-        g.scatter(&mut dst, &[1, 3, 0]);
-        assert_eq!(dst, [12.0, 14.0, 0.0, 10.0, 0.0]);
     }
 }

@@ -110,11 +110,6 @@ impl HpxSpace {
         }
     }
 
-    /// The underlying runtime handle.
-    pub fn handle(&self) -> &Handle {
-        &self.handle
-    }
-
     fn chunks_for(&self, len: usize) -> usize {
         self.chunks
             .unwrap_or_else(|| par::default_chunks(self.handle.num_threads(), len))

@@ -32,11 +32,6 @@ impl<T: Clone + Default> View<T> {
         Self::with_layout(label, &[n], Layout::Right)
     }
 
-    /// Rank-2 view.
-    pub fn new_2d(label: &str, n0: usize, n1: usize) -> Self {
-        Self::with_layout(label, &[n0, n1], Layout::Right)
-    }
-
     /// Rank-3 view (the Octo-Tiger sub-grid shape).
     pub fn new_3d(label: &str, n0: usize, n1: usize, n2: usize) -> Self {
         Self::with_layout(label, &[n0, n1, n2], Layout::Right)
@@ -68,29 +63,9 @@ impl<T: Clone + Default> View<T> {
 }
 
 impl<T> View<T> {
-    /// Debug label (Kokkos views are named for profiling).
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-
-    /// Extent of dimension `d`.
-    pub fn extent(&self, d: usize) -> usize {
-        self.dims[d]
-    }
-
-    /// Rank (1–4).
-    pub fn rank(&self) -> usize {
-        self.rank
-    }
-
     /// Total element count.
     pub fn size(&self) -> usize {
         self.data.len()
-    }
-
-    /// Layout tag.
-    pub fn layout(&self) -> Layout {
-        self.layout
     }
 
     /// Bytes of storage — what the memory model charges for a deep copy or
@@ -101,7 +76,7 @@ impl<T> View<T> {
 
     /// Flat index of `(i, j, k, l)` under the view's layout.
     #[inline]
-    pub fn index4(&self, i: usize, j: usize, k: usize, l: usize) -> usize {
+    pub(crate) fn index4(&self, i: usize, j: usize, k: usize, l: usize) -> usize {
         debug_assert!(
             i < self.dims[0] && j < self.dims[1] && k < self.dims[2] && l < self.dims[3],
             "view {:?} index ({i},{j},{k},{l}) out of bounds {:?}",
@@ -118,12 +93,6 @@ impl<T> View<T> {
     #[inline]
     pub fn index3(&self, i: usize, j: usize, k: usize) -> usize {
         self.index4(i, j, k, 0)
-    }
-
-    /// Flat index of `(i, j)`.
-    #[inline]
-    pub fn index2(&self, i: usize, j: usize) -> usize {
-        self.index4(i, j, 0, 0)
     }
 
     /// Raw storage.
@@ -145,65 +114,6 @@ impl<T: Copy> View<T> {
     pub fn get1(&self, i: usize) -> T {
         self.data[self.index4(i, 0, 0, 0)]
     }
-    /// Element at rank-2 index.
-    #[inline]
-    pub fn get2(&self, i: usize, j: usize) -> T {
-        self.data[self.index2(i, j)]
-    }
-    /// Element at rank-3 index.
-    #[inline]
-    pub fn get3(&self, i: usize, j: usize, k: usize) -> T {
-        self.data[self.index3(i, j, k)]
-    }
-    /// Element at rank-4 index.
-    #[inline]
-    pub fn get4(&self, i: usize, j: usize, k: usize, l: usize) -> T {
-        self.data[self.index4(i, j, k, l)]
-    }
-    /// Store at rank-1 index.
-    #[inline]
-    pub fn set1(&mut self, i: usize, v: T) {
-        let idx = self.index4(i, 0, 0, 0);
-        self.data[idx] = v;
-    }
-    /// Store at rank-2 index.
-    #[inline]
-    pub fn set2(&mut self, i: usize, j: usize, v: T) {
-        let idx = self.index2(i, j);
-        self.data[idx] = v;
-    }
-    /// Store at rank-3 index.
-    #[inline]
-    pub fn set3(&mut self, i: usize, j: usize, k: usize, v: T) {
-        let idx = self.index3(i, j, k);
-        self.data[idx] = v;
-    }
-    /// Store at rank-4 index.
-    #[inline]
-    pub fn set4(&mut self, i: usize, j: usize, k: usize, l: usize, v: T) {
-        let idx = self.index4(i, j, k, l);
-        self.data[idx] = v;
-    }
-
-    /// Fill with a constant — `Kokkos::deep_copy(view, value)`.
-    pub fn fill(&mut self, v: T) {
-        self.data.fill(v);
-    }
-}
-
-/// Copy `src` into `dst` — `Kokkos::deep_copy`. Extents and layouts must
-/// match (Kokkos would insert a remap kernel; we require congruence).
-pub fn deep_copy<T: Copy>(dst: &mut View<T>, src: &View<T>) {
-    assert_eq!(dst.dims, src.dims, "deep_copy extent mismatch");
-    assert_eq!(dst.layout, src.layout, "deep_copy layout mismatch");
-    dst.data.copy_from_slice(&src.data);
-}
-
-/// A host mirror — on this CPU-only substrate it is a plain clone, but the
-/// API is kept so application code reads like Kokkos
-/// (`create_mirror_view` + `deep_copy` before/after kernels).
-pub fn create_mirror<T: Clone>(src: &View<T>) -> View<T> {
-    src.clone()
 }
 
 #[cfg(test)]
@@ -213,11 +123,9 @@ mod tests {
     #[test]
     fn extents_and_size() {
         let v: View<f64> = View::new_3d("rho", 8, 8, 8);
-        assert_eq!(v.rank(), 3);
         assert_eq!(v.size(), 512);
-        assert_eq!(v.extent(0), 8);
+        assert_eq!(v.index3(7, 7, 7), 511);
         assert_eq!(v.bytes(), 512 * 8);
-        assert_eq!(v.label(), "rho");
     }
 
     #[test]
@@ -257,47 +165,23 @@ mod tests {
     #[test]
     fn get_set_roundtrip() {
         let mut v: View<f64> = View::new_3d("f", 8, 8, 8);
-        v.set3(1, 2, 3, 42.5);
-        assert_eq!(v.get3(1, 2, 3), 42.5);
-        assert_eq!(v.get3(3, 2, 1), 0.0);
-        let mut v2: View<i64> = View::new_2d("g", 3, 3);
-        v2.set2(2, 2, -1);
-        assert_eq!(v2.get2(2, 2), -1);
+        let at = v.index3(1, 2, 3);
+        v.as_mut_slice()[at] = 42.5;
+        assert_eq!(v.as_slice()[v.index3(1, 2, 3)], 42.5);
+        assert_eq!(v.as_slice()[v.index3(3, 2, 1)], 0.0);
+        let mut v1: View<i64> = View::new_1d("g", 3);
+        v1.as_mut_slice()[2] = -1;
+        assert_eq!(v1.get1(2), -1);
     }
 
     #[test]
     fn rank4_field_major() {
         let mut v: View<f64> = View::new_4d("u", 5, 8, 8, 8);
-        v.set4(4, 7, 7, 7, 9.0);
-        assert_eq!(v.get4(4, 7, 7, 7), 9.0);
+        let at = v.index4(4, 7, 7, 7);
+        v.as_mut_slice()[at] = 9.0;
+        assert_eq!(at, 5 * 512 - 1);
+        assert_eq!(v.as_slice()[v.index4(4, 7, 7, 7)], 9.0);
         assert_eq!(v.size(), 5 * 512);
-    }
-
-    #[test]
-    fn deep_copy_copies() {
-        let mut a: View<f64> = View::new_1d("a", 10);
-        let mut b: View<f64> = View::new_1d("b", 10);
-        a.fill(3.0);
-        deep_copy(&mut b, &a);
-        assert!(b.as_slice().iter().all(|&x| x == 3.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "extent mismatch")]
-    fn deep_copy_rejects_mismatch() {
-        let a: View<f64> = View::new_1d("a", 10);
-        let mut b: View<f64> = View::new_1d("b", 11);
-        deep_copy(&mut b, &a);
-    }
-
-    #[test]
-    fn mirror_is_independent() {
-        let mut a: View<f64> = View::new_1d("a", 4);
-        a.fill(1.0);
-        let mut m = create_mirror(&a);
-        m.fill(2.0);
-        assert_eq!(a.get1(0), 1.0);
-        assert_eq!(m.get1(0), 2.0);
     }
 
     #[test]
@@ -310,7 +194,7 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "out of bounds")]
     fn debug_bounds_check() {
-        let v: View<f64> = View::new_2d("x", 2, 2);
-        let _ = v.index2(2, 0);
+        let v: View<f64> = View::new_3d("x", 2, 2, 2);
+        let _ = v.index3(2, 0, 0);
     }
 }

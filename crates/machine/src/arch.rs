@@ -64,7 +64,7 @@ pub enum CpuArch {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuSpec {
     /// Architecture tag.
-    pub arch: CpuArch,
+    pub(crate) arch: CpuArch,
     /// Human-readable name as printed in the paper.
     pub name: &'static str,
     /// Core clock in GHz.
@@ -79,11 +79,11 @@ pub struct CpuSpec {
     /// Physical core count of the socket/board.
     pub cores: u32,
     /// Sustainable main-memory bandwidth in GiB/s (board level).
-    pub mem_bandwidth_gib: f64,
+    pub(crate) mem_bandwidth_gib: f64,
     /// Main-memory access latency in nanoseconds.
     pub mem_latency_ns: f64,
     /// Instruction set architecture family, for reporting.
-    pub isa: &'static str,
+    pub(crate) isa: &'static str,
 }
 
 impl CpuArch {
@@ -210,14 +210,8 @@ impl CpuArch {
     }
 
     /// Whether this is one of the RISC-V single-board computers.
-    pub fn is_riscv(self) -> bool {
+    pub(crate) fn is_riscv(self) -> bool {
         matches!(self, CpuArch::RiscvU74 | CpuArch::Jh7110)
-    }
-
-    /// A `/proc/cpuinfo | grep MHz`-style line, as the paper's Table 2
-    /// caption describes obtaining the clock.
-    pub fn cpuinfo_line(self) -> String {
-        format!("cpu MHz\t\t: {:.3}", self.spec().clock_ghz * 1000.0)
     }
 }
 
@@ -295,12 +289,6 @@ mod tests {
         tags.sort_unstable();
         tags.dedup();
         assert_eq!(tags.len(), CpuArch::ALL.len());
-    }
-
-    #[test]
-    fn cpuinfo_line_reports_mhz() {
-        assert_eq!(CpuArch::RiscvU74.cpuinfo_line(), "cpu MHz\t\t: 1200.000");
-        assert!(CpuArch::Epyc7543.cpuinfo_line().contains("2800.000"));
     }
 
     #[test]

@@ -2,13 +2,15 @@
 //!
 //! The model has three parts:
 //!
-//! 1. **Floating-point op costs** ([`CostModel::cycles`]) — per-architecture
-//!    cycle counts for elementary FP operations. The key RISC-V-specific
-//!    effect, discussed in the paper's §8, is that *exponentiation is
-//!    performed in software*: `pow`/`exp`/`log` expand to long dependent
-//!    chains of scalar adds/multiplies (the paper estimates ⌈2·e⌉+3 ≈ 9
-//!    flop-equivalents per exponent step vs 4 with hardware support), and the
-//!    U74's single, partially-pipelined FPU executes those chains slowly.
+//! 1. **Floating-point costs** ([`CostModel::flop_seconds`],
+//!    [`CostModel::kernel_flop_seconds`]) — per-architecture cycles per flop
+//!    for dependent scalar chains and for structured array kernels. The key
+//!    RISC-V-specific effect, discussed in the paper's §8, is that
+//!    *exponentiation is performed in software*: `pow`/`exp`/`log` expand to
+//!    long dependent chains of scalar adds/multiplies (the paper estimates
+//!    ⌈2·e⌉+3 ≈ 9 flop-equivalents per exponent step vs 4 with hardware
+//!    support), and the U74's single, partially-pipelined FPU executes those
+//!    chains slowly.
 //! 2. **Runtime-event costs** ([`CostModel::event_cycles`]) — task spawn,
 //!    context switch, steal, future signalling. These are exactly the
 //!    overheads the paper's conclusion wants ISA extensions for
@@ -22,29 +24,6 @@
 //! `octo-core` has sensitivity tests perturbing each by ±20%.
 
 use crate::arch::CpuArch;
-
-/// Elementary floating-point operations charged by the model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FpOp {
-    /// Addition / subtraction.
-    Add,
-    /// Multiplication.
-    Mul,
-    /// Fused multiply-add (one instruction where supported, two otherwise).
-    Fma,
-    /// Division.
-    Div,
-    /// Square root.
-    Sqrt,
-    /// Comparison / min / max / abs / negate — bookkeeping ops.
-    Cmp,
-    /// `exp` — hardware-assisted where available, software chain on RISC-V.
-    Exp,
-    /// `log` — as `Exp`.
-    Log,
-    /// `pow` — `exp(y·log(x))`; the Maclaurin benchmark's dominant cost.
-    Pow,
-}
 
 /// Scheduler / runtime events charged by the model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -157,15 +136,6 @@ pub struct NetCost {
     pub bandwidth_mib: f64,
 }
 
-impl NetCost {
-    /// Transfer time for one message of `bytes` bytes, in seconds.
-    #[inline]
-    pub fn message_seconds(&self, bytes: u64) -> f64 {
-        (self.per_message_us + self.latency_us) * 1e-6
-            + bytes as f64 / (self.bandwidth_mib * 1024.0 * 1024.0)
-    }
-}
-
 /// Per-architecture cycle-cost model.
 #[derive(Debug, Clone, Copy)]
 pub struct CostModel {
@@ -178,12 +148,8 @@ impl CostModel {
         CostModel { arch }
     }
 
-    /// The modelled architecture.
-    pub fn arch(&self) -> CpuArch {
-        self.arch
-    }
-
-    /// Cycles for one scalar FP operation on this architecture.
+    /// Cycles per flop of dependent scalar add / multiply chains on this
+    /// architecture.
     ///
     /// Values are effective throughput costs for *dependent* scalar code
     /// (the Maclaurin kernel is one long dependence chain per term), taken
@@ -193,49 +159,15 @@ impl CostModel {
     /// high (it is built for SVE throughput, not scalar chains); the U74 has
     /// a single partially-pipelined FPU with 5-7-cycle latencies and no
     /// 64-bit FMA.
-    pub fn cycles(&self, op: FpOp) -> f64 {
-        use CpuArch::*;
-        use FpOp::*;
-
-        match (self.arch, op) {
-            // Add/Mul effective cycles (dependent chain).
-            (Epyc7543, Add | Mul) => 1.0,
-            (XeonGold6140, Add | Mul) => 1.2,
-            (A64fx, Add | Mul) => 2.3,
+    fn chain_cycles_per_flop(&self) -> f64 {
+        match self.arch {
+            CpuArch::Epyc7543 => 1.0,
+            CpuArch::XeonGold6140 => 1.2,
+            CpuArch::A64fx => 2.3,
             // U74: single partially-pipelined FPU, 5–7-cycle latencies, no
             // 64-bit FMA to fuse the chain steps — the paper's ≈5× A64FX
             // gap on the pow-bound benchmark pins the effective chain cost.
-            (RiscvU74 | Jh7110, Add | Mul) => 7.5,
-
-            // FMA: one op where fused, two dependent ops on the U74 (64-bit
-            // FMA missing; Table 2 footnote).
-            (Epyc7543, Fma) => 1.0,
-            (XeonGold6140, Fma) => 1.2,
-            (A64fx, Fma) => 2.3,
-            (RiscvU74 | Jh7110, Fma) => 15.0,
-
-            // Division / sqrt: long-latency everywhere, worst on the U74.
-            (Epyc7543, Div) => 13.0,
-            (XeonGold6140, Div) => 14.0,
-            (A64fx, Div) => 29.0,
-            (RiscvU74 | Jh7110, Div) => 33.0,
-            (Epyc7543, Sqrt) => 14.0,
-            (XeonGold6140, Sqrt) => 15.0,
-            (A64fx, Sqrt) => 29.0,
-            (RiscvU74 | Jh7110, Sqrt) => 36.0,
-
-            (_, Cmp) => 1.0,
-
-            // Transcendentals: libm software chains. The per-arch cost is the
-            // chain length (~25 flops for exp, ~30 for log — see
-            // `crate::counted::softmath`) times the scalar add/mul cost.
-            (a, Exp) => 25.0 * CostModel::new(a).cycles(Mul),
-            (a, Log) => 30.0 * CostModel::new(a).cycles(Mul),
-            (a, Pow) => {
-                let m = CostModel::new(a).cycles(Mul);
-                // pow = log + mul + exp (+ a few fixups)
-                30.0 * m + m + 25.0 * m + 4.0 * m
-            }
+            CpuArch::RiscvU74 | CpuArch::Jh7110 => 7.5,
         }
     }
 
@@ -281,14 +213,7 @@ impl CostModel {
     /// (the average of Add/Mul cost), the unit the flop counter reports.
     #[inline]
     pub fn flop_seconds(&self, flops: u64) -> f64 {
-        let cpf = self.cycles(FpOp::Add);
-        cpf * flops as f64 / (self.arch.spec().clock_ghz * 1e9)
-    }
-
-    /// Sustained scalar GFLOP/s of one core on dependent-chain FP code.
-    #[inline]
-    pub fn sustained_scalar_gflops_per_core(&self) -> f64 {
-        self.arch.spec().clock_ghz / self.cycles(FpOp::Add)
+        self.chain_cycles_per_flop() * flops as f64 / (self.arch.spec().clock_ghz * 1e9)
     }
 
     /// Effective cycles per flop for *structured array kernels* (stencils,
@@ -300,7 +225,7 @@ impl CostModel {
     /// clock ratio this yields the paper's ≈7× A64FX-vs-RISC-V gap for the
     /// memory-intense Octo-Tiger runs (§6.2.2), versus ≈5× for the
     /// pow-bound Maclaurin benchmark (§6.1).
-    pub fn kernel_cycles_per_flop(&self) -> f64 {
+    pub(crate) fn kernel_cycles_per_flop(&self) -> f64 {
         match self.arch {
             CpuArch::Epyc7543 => 0.6,
             CpuArch::XeonGold6140 => 0.7,
@@ -329,7 +254,7 @@ impl CostModel {
 
     /// Dependent memory accesses charged per AMR ghost-cell sample
     /// (tree descent + cell load).
-    pub const GHOST_SAMPLE_LOADS: f64 = 6.0;
+    pub(crate) const GHOST_SAMPLE_LOADS: f64 = 6.0;
 
     /// Seconds for `samples` ghost-cell samples on one core.
     pub fn ghost_sample_seconds(&self, samples: u64) -> f64 {
@@ -341,30 +266,31 @@ impl CostModel {
             * (1.0 - self.latency_hiding())
     }
 
-    /// Link model for one network backend (see [`NetBackend::net_cost`] for
-    /// the calibrated parameters and their provenance).
-    pub fn net(&self, backend: NetBackend) -> NetCost {
-        backend.net_cost()
-    }
-
     /// Paper §8: flop-equivalents per exponentiation step in software
     /// (≈ ⌈2·e⌉ + 3) ...
-    pub const SOFTWARE_EXP_FLOPS: u32 = 9;
+    pub(crate) const SOFTWARE_EXP_FLOPS: u32 = 9;
     /// ... versus with dedicated hardware support.
-    pub const HARDWARE_EXP_FLOPS: u32 = 4;
+    pub(crate) const HARDWARE_EXP_FLOPS: u32 = 4;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Transfer time of one `bytes`-byte message: overhead + latency +
+    /// size / bandwidth, in seconds.
+    fn message_seconds(c: NetCost, bytes: u64) -> f64 {
+        (c.per_message_us + c.latency_us) * 1e-6
+            + bytes as f64 / (c.bandwidth_mib * 1024.0 * 1024.0)
+    }
+
     #[test]
     fn riscv_a64fx_scalar_gap_is_about_five() {
         // §6.1: "the performance of HPX is around five times less on RISC-V
         // [than] on A64FX" — per-core scalar chains.
-        let r = CostModel::new(CpuArch::RiscvU74).sustained_scalar_gflops_per_core();
-        let a = CostModel::new(CpuArch::A64fx).sustained_scalar_gflops_per_core();
-        let ratio = a / r;
+        let r = CostModel::new(CpuArch::RiscvU74).flop_seconds(1_000_000);
+        let a = CostModel::new(CpuArch::A64fx).flop_seconds(1_000_000);
+        let ratio = r / a;
         assert!(
             (3.0..7.0).contains(&ratio),
             "A64FX/RISC-V per-core ratio {ratio} should be ≈5"
@@ -373,27 +299,12 @@ mod tests {
 
     #[test]
     fn amd_fastest_then_intel() {
-        let amd = CostModel::new(CpuArch::Epyc7543).sustained_scalar_gflops_per_core();
-        let intel = CostModel::new(CpuArch::XeonGold6140).sustained_scalar_gflops_per_core();
-        let a64 = CostModel::new(CpuArch::A64fx).sustained_scalar_gflops_per_core();
-        let rv = CostModel::new(CpuArch::RiscvU74).sustained_scalar_gflops_per_core();
-        assert!(amd > intel && intel > a64 && a64 > rv);
-    }
-
-    #[test]
-    fn pow_is_much_more_expensive_than_mul() {
-        for arch in CpuArch::ALL {
-            let m = CostModel::new(arch);
-            assert!(m.cycles(FpOp::Pow) > 20.0 * m.cycles(FpOp::Mul), "{arch:?}");
-        }
-    }
-
-    #[test]
-    fn fma_counts_double_on_u74() {
-        let u74 = CostModel::new(CpuArch::RiscvU74);
-        assert!((u74.cycles(FpOp::Fma) - 2.0 * u74.cycles(FpOp::Mul)).abs() < 1e-12);
-        let amd = CostModel::new(CpuArch::Epyc7543);
-        assert!((amd.cycles(FpOp::Fma) - amd.cycles(FpOp::Mul)).abs() < 1e-12);
+        let secs = |arch| CostModel::new(arch).flop_seconds(1_000_000);
+        let amd = secs(CpuArch::Epyc7543);
+        let intel = secs(CpuArch::XeonGold6140);
+        let a64 = secs(CpuArch::A64fx);
+        let rv = secs(CpuArch::RiscvU74);
+        assert!(amd < intel && intel < a64 && a64 < rv);
     }
 
     #[test]
@@ -407,11 +318,10 @@ mod tests {
 
     #[test]
     fn tcp_beats_mpi_per_message_on_sbc() {
-        let m = CostModel::new(CpuArch::Jh7110);
         let msg = 64 * 1024;
         assert!(
-            m.net(NetBackend::Tcp).message_seconds(msg)
-                < m.net(NetBackend::Mpi).message_seconds(msg)
+            message_seconds(NetBackend::Tcp.net_cost(), msg)
+                < message_seconds(NetBackend::Mpi.net_cost(), msg)
         );
     }
 
@@ -419,15 +329,14 @@ mod tests {
     fn lci_per_message_cost_between_wire_and_tcp() {
         // LCI trims software overhead, not the wire: cheaper per message
         // than both TCP and MPI, but nowhere near Tofu-D.
-        let m = CostModel::new(CpuArch::Jh7110);
-        let lci = m.net(NetBackend::Lci);
-        let tcp = m.net(NetBackend::Tcp);
-        let mpi = m.net(NetBackend::Mpi);
+        let lci = NetBackend::Lci.net_cost();
+        let tcp = NetBackend::Tcp.net_cost();
+        let mpi = NetBackend::Mpi.net_cost();
         assert!(lci.per_message_us < tcp.per_message_us);
         assert!(lci.per_message_us < mpi.per_message_us);
         for msg in [0u64, 1024, 64 * 1024] {
-            assert!(lci.message_seconds(msg) < tcp.message_seconds(msg));
-            assert!(lci.message_seconds(msg) < mpi.message_seconds(msg));
+            assert!(message_seconds(lci, msg) < message_seconds(tcp, msg));
+            assert!(message_seconds(lci, msg) < message_seconds(mpi, msg));
         }
         // Same gigabit PHY: bandwidth within a few percent of TCP's.
         assert!((lci.bandwidth_mib / tcp.bandwidth_mib - 1.0).abs() < 0.1);
@@ -443,18 +352,17 @@ mod tests {
 
     #[test]
     fn tofu_is_orders_of_magnitude_faster() {
-        let m = CostModel::new(CpuArch::A64fx);
-        let tcp = m.net(NetBackend::Tcp).message_seconds(1 << 20);
-        let tofu = m.net(NetBackend::TofuD).message_seconds(1 << 20);
+        let tcp = message_seconds(NetBackend::Tcp.net_cost(), 1 << 20);
+        let tofu = message_seconds(NetBackend::TofuD.net_cost(), 1 << 20);
         assert!(tcp / tofu > 50.0);
     }
 
     #[test]
     fn message_time_monotone_in_size() {
-        let nc = CostModel::new(CpuArch::Jh7110).net(NetBackend::Tcp);
+        let nc = NetBackend::Tcp.net_cost();
         let mut last = 0.0;
         for sz in [0u64, 100, 10_000, 1 << 20] {
-            let t = nc.message_seconds(sz);
+            let t = message_seconds(nc, sz);
             assert!(t >= last);
             last = t;
         }
@@ -485,7 +393,7 @@ mod tests {
     fn kernel_mode_is_faster_than_chain_mode() {
         for arch in CpuArch::ALL {
             let m = CostModel::new(arch);
-            assert!(m.kernel_cycles_per_flop() <= m.cycles(FpOp::Add));
+            assert!(m.kernel_cycles_per_flop() <= m.chain_cycles_per_flop());
         }
     }
 

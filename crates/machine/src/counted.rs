@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 /// Categories of counted operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FlopKind {
+pub(crate) enum FlopKind {
     /// Add or subtract.
     Add,
     /// Multiply.
@@ -31,12 +31,6 @@ pub enum FlopKind {
     Sqrt,
     /// Compare / abs / min / max / negate.
     Cmp,
-    /// A call to `exp` (its internal adds/muls are counted separately).
-    ExpCall,
-    /// A call to `log`.
-    LogCall,
-    /// A call to `pow`.
-    PowCall,
 }
 
 /// Thread-safe flop counter. All increments are `Relaxed`: totals are only
@@ -48,9 +42,6 @@ pub struct FlopCounter {
     divs: AtomicU64,
     sqrts: AtomicU64,
     cmps: AtomicU64,
-    exp_calls: AtomicU64,
-    log_calls: AtomicU64,
-    pow_calls: AtomicU64,
 }
 
 thread_local! {
@@ -85,7 +76,7 @@ impl FlopCounter {
     /// Record one operation on the calling thread's installed counter
     /// (no-op when none is installed).
     #[inline]
-    pub fn record(kind: FlopKind) {
+    pub(crate) fn record(kind: FlopKind) {
         CURRENT.with(|c| {
             if let Some(ctr) = c.borrow().as_ref() {
                 ctr.bump(kind);
@@ -101,16 +92,13 @@ impl FlopCounter {
             FlopKind::Div => &self.divs,
             FlopKind::Sqrt => &self.sqrts,
             FlopKind::Cmp => &self.cmps,
-            FlopKind::ExpCall => &self.exp_calls,
-            FlopKind::LogCall => &self.log_calls,
-            FlopKind::PowCall => &self.pow_calls,
         };
         cell.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Total flops: every elementary arithmetic operation counts 1
-    /// (comparisons and transcendental *calls* are reported separately,
-    /// exactly like `perf`'s `fp_arith` events).
+    /// (comparisons are reported separately, exactly like `perf`'s
+    /// `fp_arith` events).
     pub fn flops(&self) -> u64 {
         self.adds.load(Ordering::Relaxed)
             + self.muls.load(Ordering::Relaxed)
@@ -118,51 +106,17 @@ impl FlopCounter {
             + self.sqrts.load(Ordering::Relaxed)
     }
 
-    /// Adds + subtracts.
-    pub fn adds(&self) -> u64 {
-        self.adds.load(Ordering::Relaxed)
-    }
     /// Multiplies.
     pub fn muls(&self) -> u64 {
         self.muls.load(Ordering::Relaxed)
-    }
-    /// Divides.
-    pub fn divs(&self) -> u64 {
-        self.divs.load(Ordering::Relaxed)
-    }
-    /// Square roots.
-    pub fn sqrts(&self) -> u64 {
-        self.sqrts.load(Ordering::Relaxed)
     }
     /// Comparisons / sign ops.
     pub fn cmps(&self) -> u64 {
         self.cmps.load(Ordering::Relaxed)
     }
-    /// Number of `exp` calls.
-    pub fn exp_calls(&self) -> u64 {
-        self.exp_calls.load(Ordering::Relaxed)
-    }
-    /// Number of `log` calls.
-    pub fn log_calls(&self) -> u64 {
-        self.log_calls.load(Ordering::Relaxed)
-    }
-    /// Number of `pow` calls.
-    pub fn pow_calls(&self) -> u64 {
-        self.pow_calls.load(Ordering::Relaxed)
-    }
-
     /// Reset all counts to zero.
     pub fn reset(&self) {
-        for c in [
-            &self.adds,
-            &self.muls,
-            &self.divs,
-            &self.sqrts,
-            &self.cmps,
-            &self.exp_calls,
-            &self.log_calls,
-            &self.pow_calls,
-        ] {
+        for c in [&self.adds, &self.muls, &self.divs, &self.sqrts, &self.cmps] {
             c.store(0, Ordering::Relaxed);
         }
     }
@@ -209,7 +163,6 @@ pub mod softmath {
     /// and the atanh series ln(m) = 2·(t + t³/3 + t⁵/5 + …), t = (m−1)/(m+1),
     /// evaluated to degree 13 with a compensated accumulation pass.
     pub fn soft_ln(x: f64) -> f64 {
-        FlopCounter::record(FlopKind::LogCall);
         if x <= 0.0 {
             FlopCounter::record(FlopKind::Cmp);
             return if x == 0.0 {
@@ -255,7 +208,6 @@ pub mod softmath {
     /// almost exact 100 flops *per term* even for deeply underflowing
     /// terms).
     pub fn soft_exp(y: f64) -> f64 {
-        FlopCounter::record(FlopKind::ExpCall);
         FlopCounter::record(FlopKind::Cmp);
         FlopCounter::record(FlopKind::Cmp);
         let saturated = if y > 709.0 {
@@ -306,7 +258,6 @@ pub mod softmath {
     /// Counted `pow(x, y) = exp(y · ln x)` with an extra compensated
     /// product step for the exponent (the fdlibm-style accuracy fixup).
     pub fn soft_pow(x: f64, y: f64) -> f64 {
-        FlopCounter::record(FlopKind::PowCall);
         FlopCounter::record(FlopKind::Cmp);
         if x == 1.0 || y == 0.0 {
             FlopCounter::record(FlopKind::Cmp);
@@ -360,14 +311,6 @@ impl CountedF64 {
     pub fn get(self) -> f64 {
         self.0
     }
-    /// Counted `exp`.
-    pub fn exp(self) -> Self {
-        CountedF64(softmath::soft_exp(self.0))
-    }
-    /// Counted natural log.
-    pub fn ln(self) -> Self {
-        CountedF64(softmath::soft_ln(self.0))
-    }
     /// Counted `pow` with an arbitrary (possibly fractional) exponent —
     /// this is what `std::pow(x, n)` does in the paper's benchmark even for
     /// integer `n`.
@@ -378,30 +321,6 @@ impl CountedF64 {
     pub fn sqrt(self) -> Self {
         FlopCounter::record(FlopKind::Sqrt);
         CountedF64(self.0.sqrt())
-    }
-    /// Counted fused multiply-add `self*b + c`. Counted as one multiply plus
-    /// one add: that is how `perf fp_arith` charges an FMA, and how the
-    /// vectorized gravity kernels must be charged so a `mul_add`-heavy SIMD
-    /// body and its scalar reference cost the same projected flops.
-    pub fn mul_add(self, b: Self, c: Self) -> Self {
-        FlopCounter::record(FlopKind::Mul);
-        FlopCounter::record(FlopKind::Add);
-        CountedF64(self.0.mul_add(b.0, c.0))
-    }
-    /// Counted reciprocal square root, charged as the paper's kernel
-    /// computes it: one sqrt and one divide. The host's
-    /// `kokkos_lite::Simd::recip_sqrt` reaches (within 2 ulp) the same value
-    /// by an f32 seed and a cubic step to stay off the f64 divider; that is
-    /// how this machine runs fast, not what the modelled boards execute.
-    pub fn recip_sqrt(self) -> Self {
-        FlopCounter::record(FlopKind::Sqrt);
-        FlopCounter::record(FlopKind::Div);
-        CountedF64(1.0 / self.0.sqrt())
-    }
-    /// Counted absolute value.
-    pub fn abs(self) -> Self {
-        FlopCounter::record(FlopKind::Cmp);
-        CountedF64(self.0.abs())
     }
 }
 
@@ -469,12 +388,12 @@ mod tests {
         let b = CountedF64::new(3.0);
         let _ = a + b;
         let _ = a - b;
+        assert_eq!(ctr.flops(), 2);
         let _ = a * b;
-        let _ = a / b;
-        assert_eq!(ctr.adds(), 2);
         assert_eq!(ctr.muls(), 1);
-        assert_eq!(ctr.divs(), 1);
+        let _ = a / b;
         assert_eq!(ctr.flops(), 4);
+        assert_eq!(ctr.muls(), 1);
     }
 
     #[test]
@@ -496,7 +415,7 @@ mod tests {
             let _ = CountedF64::new(1.0) * CountedF64::new(2.0);
         }
         let _ = CountedF64::new(1.0) + CountedF64::new(2.0);
-        assert_eq!(outer.adds(), 2);
+        assert_eq!(outer.flops(), 2);
         assert_eq!(outer.muls(), 0);
         assert_eq!(inner.muls(), 1);
     }
@@ -569,9 +488,6 @@ mod tests {
             (60..=140).contains(&(flops as usize)),
             "soft_pow cost {flops} flops, expected ≈100"
         );
-        assert_eq!(ctr.pow_calls(), 1);
-        assert_eq!(ctr.log_calls(), 1);
-        assert_eq!(ctr.exp_calls(), 1);
     }
 
     #[test]
@@ -582,7 +498,7 @@ mod tests {
         assert!(ctr.flops() > 0);
         ctr.reset();
         assert_eq!(ctr.flops(), 0);
-        assert_eq!(ctr.pow_calls(), 0);
+        assert_eq!(ctr.cmps(), 0);
     }
 
     #[test]
@@ -603,6 +519,6 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(ctr.adds(), 4000);
+        assert_eq!(ctr.flops(), 4000);
     }
 }

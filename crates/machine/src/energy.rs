@@ -17,24 +17,13 @@
 
 use crate::arch::CpuArch;
 
-/// How power is observed — the two instruments of §7.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Instrument {
-    /// Wall power meter on the board supply (whole-board, incl. losses).
-    WallMeter,
-    /// PowerAPI chip-level counters (CPU package only).
-    PowerApi,
-}
-
 /// Per-architecture power model: `P(active) = idle + active_cores · per_core`.
 #[derive(Debug, Clone, Copy)]
 pub struct PowerModel {
-    /// The instrument the paper used for this architecture.
-    pub instrument: Instrument,
     /// Baseline power with zero busy cores, watts.
-    pub idle_w: f64,
+    pub(crate) idle_w: f64,
     /// Additional power per busy core, watts.
-    pub per_core_w: f64,
+    pub(crate) per_core_w: f64,
 }
 
 impl PowerModel {
@@ -45,7 +34,6 @@ impl PowerModel {
             // that 4 busy cores give the paper's 3.22 W (Octo-Tiger) and the
             // idle board draws ≈2.2 W.
             CpuArch::RiscvU74 | CpuArch::Jh7110 => PowerModel {
-                instrument: Instrument::WallMeter,
                 idle_w: 2.20,
                 per_core_w: 0.255,
             },
@@ -56,19 +44,16 @@ impl PowerModel {
             // the RISC-V boards consume *more energy* despite ≈5× less
             // power (the paper's §7 finding).
             CpuArch::A64fx => PowerModel {
-                instrument: Instrument::PowerApi,
                 idle_w: 10.0,
                 per_core_w: 1.5,
             },
             // Not measured in the paper; public TDP-derived estimates kept
             // for completeness (used only by extension experiments).
             CpuArch::Epyc7543 => PowerModel {
-                instrument: Instrument::PowerApi,
                 idle_w: 65.0,
                 per_core_w: 2.8,
             },
             CpuArch::XeonGold6140 => PowerModel {
-                instrument: Instrument::PowerApi,
                 idle_w: 45.0,
                 per_core_w: 4.5,
             },
@@ -78,11 +63,6 @@ impl PowerModel {
     /// Power draw with `active_cores` busy cores, watts.
     pub fn power_watts(&self, active_cores: u32) -> f64 {
         self.idle_w + self.per_core_w * f64::from(active_cores)
-    }
-
-    /// Energy for a run of `seconds` with `active_cores` busy, joules.
-    pub fn energy_joules(&self, active_cores: u32, seconds: f64) -> f64 {
-        self.power_watts(active_cores) * seconds
     }
 }
 
@@ -116,29 +96,19 @@ impl PowerMeter {
             self.joules / self.seconds
         }
     }
-
-    /// Total energy, joules.
-    pub fn joules(&self) -> f64 {
-        self.joules
-    }
-
-    /// Total observed time, seconds.
-    pub fn seconds(&self) -> f64 {
-        self.seconds
-    }
 }
 
 /// One row of Fig. 9: energy for a run on `nodes` nodes of `arch`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyReport {
     /// Architecture of the nodes.
-    pub arch: CpuArch,
+    pub(crate) arch: CpuArch,
     /// Node count (1 or 2 in the paper).
     pub nodes: u32,
     /// Busy cores per node.
-    pub cores_per_node: u32,
+    pub(crate) cores_per_node: u32,
     /// Run duration, seconds.
-    pub seconds: f64,
+    pub(crate) seconds: f64,
     /// Average power per node, watts.
     pub watts_per_node: f64,
     /// Total energy across nodes, joules.
@@ -163,7 +133,7 @@ impl EnergyReport {
 
 /// Short lower-case architecture tag used in counter paths
 /// (`/energy/{tag}/joules`).
-pub fn arch_counter_tag(arch: CpuArch) -> &'static str {
+pub(crate) fn arch_counter_tag(arch: CpuArch) -> &'static str {
     match arch {
         CpuArch::A64fx => "a64fx",
         CpuArch::Epyc7543 => "epyc7543",
@@ -217,26 +187,23 @@ mod tests {
         // though its power is ≈5× lower.
         let t_rv = 700.0;
         let t_a64 = t_rv / 7.0;
-        let e_rv = PowerModel::for_arch(CpuArch::Jh7110).energy_joules(4, t_rv);
-        let e_a64 = PowerModel::for_arch(CpuArch::A64fx).energy_joules(4, t_a64);
+        let e_rv = PowerModel::for_arch(CpuArch::Jh7110).power_watts(4) * t_rv;
+        let e_a64 = PowerModel::for_arch(CpuArch::A64fx).power_watts(4) * t_a64;
         assert!(e_rv > e_a64, "E_rv={e_rv} J vs E_a64={e_a64} J");
     }
 
     #[test]
-    fn meter_average_and_energy() {
+    fn meter_average() {
         let mut m = PowerMeter::new();
         m.record(30.0, 3.0);
         m.record(30.0, 3.4);
         assert!((m.average_watts() - 3.2).abs() < 1e-12);
-        assert!((m.joules() - 192.0).abs() < 1e-12);
-        assert!((m.seconds() - 60.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_meter_reads_zero() {
         let m = PowerMeter::new();
         assert_eq!(m.average_watts(), 0.0);
-        assert_eq!(m.joules(), 0.0);
     }
 
     #[test]
@@ -266,17 +233,5 @@ mod tests {
         }
         assert!(snap.get("/energy/jh7110/watts_per_node").is_some());
         assert!(snap.get("/energy/jh7110/seconds").is_some());
-    }
-
-    #[test]
-    fn instruments_match_paper_methodology() {
-        assert_eq!(
-            PowerModel::for_arch(CpuArch::RiscvU74).instrument,
-            Instrument::WallMeter
-        );
-        assert_eq!(
-            PowerModel::for_arch(CpuArch::A64fx).instrument,
-            Instrument::PowerApi
-        );
     }
 }

@@ -76,7 +76,7 @@ pub struct WhatIfWorkload {
 }
 
 /// Projected time of the workload on a *baseline* RISC-V board.
-pub fn baseline_seconds(arch: CpuArch, cores: u32, w: &WhatIfWorkload) -> f64 {
+pub(crate) fn baseline_seconds(arch: CpuArch, cores: u32, w: &WhatIfWorkload) -> f64 {
     assert!(
         arch.is_riscv(),
         "what-if extensions target the RISC-V boards"
@@ -94,7 +94,12 @@ pub fn baseline_seconds(arch: CpuArch, cores: u32, w: &WhatIfWorkload) -> f64 {
 }
 
 /// Projected time with one extension enabled.
-pub fn extended_seconds(arch: CpuArch, cores: u32, w: &WhatIfWorkload, ext: IsaExtension) -> f64 {
+pub(crate) fn extended_seconds(
+    arch: CpuArch,
+    cores: u32,
+    w: &WhatIfWorkload,
+    ext: IsaExtension,
+) -> f64 {
     assert!(
         arch.is_riscv(),
         "what-if extensions target the RISC-V boards"

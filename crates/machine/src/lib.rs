@@ -22,27 +22,23 @@
 //! * [`memory`] — a bandwidth/latency model for the memory-bound Octo-Tiger
 //!   regime (§6.2: "the slow connection to the memory appears to kick in");
 //! * [`energy`] — power/energy accounting (wall-socket power meter on the
-//!   SBCs vs chip-level PowerAPI on Fugaku, §7);
-//! * [`timer`] — the `RDTIME` hardware-timer model corresponding to the
-//!   single HPX source change the port required (Listing 1).
+//!   SBCs vs chip-level PowerAPI on Fugaku, §7).
 //!
 //! Everything downstream (the `amt` runtime, `kokkos-lite`, `octotiger`, and
 //! the figure harness in `octo-core`) runs *real* Rust code on the host and
 //! uses this crate to project measured operation counts onto the paper's
 //! machines.
 
-pub mod arch;
-pub mod cost;
+pub(crate) mod arch;
+pub(crate) mod cost;
 pub mod counted;
-pub mod energy;
+pub(crate) mod energy;
 pub mod extensions;
 pub mod memory;
-pub mod timer;
 
 pub use arch::{CpuArch, CpuSpec, VectorWidth};
-pub use cost::{CostModel, FpOp, NetBackend, NetCost, RuntimeEvent};
-pub use counted::{CountedF64, FlopCounter, FlopKind};
-pub use energy::{arch_counter_tag, energy_counters_into, EnergyReport, PowerMeter, PowerModel};
-pub use extensions::{IsaExtension, WhatIfWorkload};
+pub use cost::{CostModel, NetBackend, NetCost, RuntimeEvent};
+pub use counted::{CountedF64, FlopCounter};
+pub use energy::{energy_counters_into, EnergyReport, PowerMeter, PowerModel};
+pub use extensions::WhatIfWorkload;
 pub use memory::MemoryModel;
-pub use timer::{RdTime, SoftwareTimer, Timer};

@@ -16,7 +16,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::arch::CpuArch;
-use crate::cost::CostModel;
 
 /// High-water mark of the simulation's own arena bytes (octree node lanes +
 /// resident sub-grids), maintained by [`note_arena_bytes`]. Process-global:
@@ -31,7 +30,7 @@ pub fn note_arena_bytes(bytes: u64) {
 }
 
 /// High-water mark reported so far via [`note_arena_bytes`].
-pub fn arena_high_water_bytes() -> u64 {
+pub(crate) fn arena_high_water_bytes() -> u64 {
     ARENA_HWM.load(Ordering::Relaxed)
 }
 
@@ -98,34 +97,6 @@ impl MemoryModel {
         let bw = self.effective_bandwidth_gib(cores.max(1)) * 1024.0 * 1024.0 * 1024.0;
         bytes as f64 / bw
     }
-
-    /// Roofline phase time: the larger of compute time (`flops` split over
-    /// `cores`) and memory time (`bytes` over shared bandwidth).
-    ///
-    /// In-order cores overlap compute and outstanding misses poorly, so for
-    /// the RISC-V boards a fraction of the smaller term leaks into the total.
-    pub fn phase_seconds(&self, flops: u64, bytes: u64, cores: u32) -> f64 {
-        let cores = cores.max(1);
-        let cm = CostModel::new(self.arch);
-        let t_comp = cm.flop_seconds(flops) / f64::from(cores);
-        let t_mem = self.transfer_seconds(bytes, cores);
-        let (hi, lo) = if t_comp >= t_mem {
-            (t_comp, t_mem)
-        } else {
-            (t_mem, t_comp)
-        };
-        let overlap_leak = if self.arch.is_riscv() { 0.35 } else { 0.10 };
-        hi + overlap_leak * lo
-    }
-
-    /// Arithmetic intensity (flops/byte) below which this architecture is
-    /// memory-bound at full core count.
-    pub fn ridge_point(&self) -> f64 {
-        let spec = self.arch.spec();
-        let cm = CostModel::new(self.arch);
-        let gflops = cm.sustained_scalar_gflops_per_core() * f64::from(spec.cores);
-        gflops / self.effective_bandwidth_gib(spec.cores)
-    }
 }
 
 #[cfg(test)]
@@ -145,43 +116,11 @@ mod tests {
     }
 
     #[test]
-    fn riscv_much_slower_for_memory_bound_work() {
-        // A memory-heavy phase (low arithmetic intensity) shows a larger
-        // RISC-V/A64FX gap than the compute-only ≈5×: the paper's ≈7×.
-        let bytes = 1 << 30; // 1 GiB traffic
-        let flops = 1 << 28; // 0.25 flop/byte
-        let t_rv = MemoryModel::new(CpuArch::Jh7110).phase_seconds(flops, bytes, 4);
-        let t_a64 = MemoryModel::new(CpuArch::A64fx).phase_seconds(flops, bytes, 4);
-        let ratio = t_rv / t_a64;
-        assert!(
-            ratio > 5.0,
-            "memory-bound gap {ratio} should exceed the ≈5× compute gap"
-        );
-    }
-
-    #[test]
-    fn compute_bound_phase_matches_flop_time() {
-        let m = MemoryModel::new(CpuArch::Epyc7543);
-        let flops = 1u64 << 32;
-        let bytes = 1u64 << 10; // negligible traffic
-        let t = m.phase_seconds(flops, bytes, 1);
-        let t_comp = CostModel::new(CpuArch::Epyc7543).flop_seconds(flops);
-        assert!((t - t_comp) / t_comp < 0.01);
-    }
-
-    #[test]
     fn transfer_time_linear_in_bytes() {
         let m = MemoryModel::new(CpuArch::RiscvU74);
         let t1 = m.transfer_seconds(1 << 20, 2);
         let t2 = m.transfer_seconds(1 << 21, 2);
         assert!((t2 - 2.0 * t1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ridge_point_positive_everywhere() {
-        for arch in CpuArch::ALL {
-            assert!(MemoryModel::new(arch).ridge_point() > 0.0, "{arch:?}");
-        }
     }
 
     #[test]
@@ -198,15 +137,6 @@ mod tests {
             arena_high_water_bytes(),
             u64::MAX / 2,
             "high-water mark never decreases"
-        );
-    }
-
-    #[test]
-    fn zero_cores_clamped_to_one() {
-        let m = MemoryModel::new(CpuArch::Jh7110);
-        assert_eq!(
-            m.phase_seconds(1000, 1000, 0),
-            m.phase_seconds(1000, 1000, 1)
         );
     }
 }

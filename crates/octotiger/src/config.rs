@@ -122,16 +122,6 @@ impl OctoConfig {
         }
     }
 
-    /// A reduced configuration for fast unit tests.
-    pub fn small_test() -> Self {
-        OctoConfig {
-            max_level: 2,
-            stop_step: 2,
-            threads: 2,
-            ..Default::default()
-        }
-    }
-
     /// Parse a `--key=value` argument list (the paper runs everything from
     /// the command line because the cluster has no job scheduler,
     /// Appendix B). Unknown keys are ignored, like HPX's option forwarding;
@@ -187,7 +177,7 @@ impl OctoConfig {
     }
 
     /// Check invariants.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if !(0.0..=1.0).contains(&self.theta) {
             return Err(format!("theta {} outside [0, 1]", self.theta));
         }
@@ -216,7 +206,7 @@ impl OctoConfig {
     }
 
     /// SIMD policy of the gravity kernels ([`OctoConfig::simd_width`]).
-    pub fn simd_policy(&self) -> SimdPolicy {
+    pub(crate) fn simd_policy(&self) -> SimdPolicy {
         SimdPolicy::from_width(self.simd_width).expect("validated width")
     }
 }
@@ -225,6 +215,19 @@ fn parse<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, String> {
     value
         .parse()
         .map_err(|_| format!("invalid value {value:?} for --{key}"))
+}
+
+#[cfg(test)]
+impl OctoConfig {
+    /// A reduced configuration for fast unit tests.
+    pub(crate) fn small_test() -> Self {
+        OctoConfig {
+            max_level: 2,
+            stop_step: 2,
+            threads: 2,
+            ..Default::default()
+        }
+    }
 }
 
 #[cfg(test)]

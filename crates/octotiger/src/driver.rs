@@ -126,11 +126,6 @@ pub struct RunMetrics {
     /// and hydro kernel families ran concurrently, accumulated over the run
     /// (> 0 on several workers: the task graph interleaves the solvers).
     pub overlap_ratio: f64,
-    /// Peak resident set size of the process in bytes (`VmHWM`), or the
-    /// self-measured arena high-water mark where the OS counter is
-    /// unavailable. Depth regressions in memory are invisible at level 2 —
-    /// this is the number `BENCH_scale.json` tracks against depth.
-    pub peak_rss_bytes: u64,
     /// Unified counter dump (`/runtime/…`, `/gravity/…`, `/work/…`,
     /// `/energy/…`) sampled at the end of the run.
     pub counters: CounterSnapshot,
@@ -178,9 +173,9 @@ struct OverlapTotals {
 #[derive(Debug, Clone, Copy)]
 pub struct AggregationSnapshot {
     /// Work items (leaves) launched.
-    pub items: u64,
+    pub(crate) items: u64,
     /// Kernel tasks launched.
-    pub fused_launches: u64,
+    pub(crate) fused_launches: u64,
 }
 
 impl AggregationSnapshot {
@@ -204,7 +199,7 @@ pub struct PoolStats {
 /// places its task graph already joins. Every call is made once per step,
 /// and a call that waits must hold no lock across the wait and wait only
 /// for what a peer sends on its own progress (DESIGN §5.3).
-pub trait Exchange: Sync {
+pub(crate) trait Exchange: Sync {
     /// At the start of the step: ship the interior of the leaves at `send`
     /// (owned here, read by a peer's ghost plan) and install what the peers
     /// ship into `tree`, so the ghost gather of the owned leaves stays local.
@@ -221,7 +216,7 @@ pub trait Exchange: Sync {
 }
 
 /// The exchange of a run that owns every leaf: there is nobody to ask.
-pub struct LocalExchange;
+pub(crate) struct LocalExchange;
 
 impl Exchange for LocalExchange {
     fn halo(&self, _tree: &mut Octree, _send: &[usize]) {}
@@ -415,13 +410,13 @@ impl Driver {
 
     /// Positions in [`Octree::leaf_ids`] of the leaves this driver steps
     /// (all of them unless it is one locality of several).
-    pub fn owned_leaves(&self) -> &[usize] {
+    pub(crate) fn owned_leaves(&self) -> &[usize] {
         &self.ownership.positions
     }
 
     /// FNV-1a over the bits of the interior data of the leaf at `pos`, one
     /// `f64` per round.
-    pub fn leaf_hash(&self, pos: usize) -> u64 {
+    pub(crate) fn leaf_hash(&self, pos: usize) -> u64 {
         let data = self.tree.subgrid(self.tree.leaf_ids()[pos]).interior_data();
         data.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
             (h ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
@@ -484,7 +479,7 @@ impl Driver {
     /// `exchange` is consulted at the three joins named in the diagram and
     /// nowhere else; with [`LocalExchange`] the step waits for nothing
     /// outside its own runtime.
-    pub fn step_with(&mut self, handle: &Handle, exchange: &impl Exchange) -> f64 {
+    pub(crate) fn step_with(&mut self, handle: &Handle, exchange: &impl Exchange) -> f64 {
         let hydro_dispatch = Dispatch::new(self.config.hydro_kernel, handle, 4);
         let multipole_dispatch = Dispatch::new(self.config.multipole_kernel, handle, 4);
         let monopole_dispatch = Dispatch::new(self.config.monopole_kernel, handle, 4);
@@ -811,7 +806,6 @@ impl Driver {
             cache: self.interaction_cache.stats(),
             sim_time: self.sim_time,
             overlap_ratio: self.overlap_ratio(),
-            peak_rss_bytes: rv_machine::memory::peak_rss_bytes(),
             counters,
         }
     }
@@ -896,25 +890,6 @@ impl Driver {
     /// Interaction-list cache counters accumulated so far.
     pub fn cache_stats(&self) -> CacheStats {
         self.interaction_cache.stats()
-    }
-
-    /// Refine one leaf mid-run (dynamic AMR) as a serial single-leaf sweep.
-    /// Bumps the octree's topology generation, which the interaction-list
-    /// cache and gravity workspace pick up *incrementally* on the next step
-    /// (only the split's neighbour cone re-traverses). For whole batches use
-    /// [`Driver::regrid`], which fans the prolongation out as tasks.
-    pub fn refine_leaf(&mut self, leaf: NodeId) -> [NodeId; 8] {
-        if let Some(kids) = self.tree.children_of(leaf) {
-            return kids; // no-op refine: no sweep, no span
-        }
-        // One phase span per sweep (not per split: the grading cascade's
-        // splits all belong to this sweep).
-        let _span = trace::span(Cat::Phase, "regrid");
-        let splits = self.tree.regrid(&[leaf]);
-        self.regrid_sweeps += 1;
-        self.regrid_leaves += splits.len() as u64;
-        rv_machine::memory::note_arena_bytes(self.tree.resident_bytes());
-        self.tree.children_of(leaf).expect("sweep split the leaf")
     }
 
     /// Splits prolongated per task of a [`Driver::regrid`] sweep.
@@ -1338,10 +1313,13 @@ mod tests {
         let rt = Runtime::new(2);
         d.step(&rt);
         let victim = d.tree().leaf_ids()[0];
-        let kids = d.refine_leaf(victim);
+        d.regrid(&rt, &[victim]);
+        let kids = d.tree().children_of(victim).expect("victim split");
         d.step(&rt); // miss: topology changed
         let gen = d.tree().generation();
-        assert_eq!(d.refine_leaf(victim), kids, "no-op refine returns children");
+        let again = d.regrid(&rt, &[victim]);
+        assert_eq!(again.leaves_refined, 0, "a refined node is not split again");
+        assert_eq!(d.tree().children_of(victim), Some(kids));
         assert_eq!(d.tree().generation(), gen);
         d.step(&rt); // hit: the cache must still be valid
         assert_eq!(d.cache_stats().misses, 2);
@@ -1362,8 +1340,8 @@ mod tests {
         let leaf_off = d_off.tree().leaf_ids()[0];
         assert_eq!(leaf_on, leaf_off);
         let gen_before = d_on.tree().generation();
-        d_on.refine_leaf(leaf_on);
-        d_off.refine_leaf(leaf_off);
+        d_on.regrid(&rt, &[leaf_on]);
+        d_off.regrid(&rt, &[leaf_off]);
         assert!(d_on.tree().generation() > gen_before);
         d_on.step(&rt);
         d_off.invalidate_interaction_lists();

@@ -46,7 +46,7 @@ use crate::subgrid::{SubGrid, NX};
 use kokkos_lite::Simd;
 
 /// Blocks per dimension (8 cells / 2 per block).
-pub const NB: usize = NX / 2;
+pub(crate) const NB: usize = NX / 2;
 /// Blocks per leaf. 64 is a multiple of every supported SIMD width
 /// (1/2/4/8), so a leaf's targets are whole packs: no remainder, no padding.
 pub const BLOCKS: usize = NB * NB * NB;
@@ -58,11 +58,11 @@ pub const BLOCKS: usize = NB * NB * NB;
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlockSoA {
     /// Centre-of-mass x per block.
-    pub x: [f64; BLOCKS],
+    pub(crate) x: [f64; BLOCKS],
     /// Centre-of-mass y per block.
-    pub y: [f64; BLOCKS],
+    pub(crate) y: [f64; BLOCKS],
     /// Centre-of-mass z per block.
-    pub z: [f64; BLOCKS],
+    pub(crate) z: [f64; BLOCKS],
     /// Mass per block.
     pub mass: [f64; BLOCKS],
 }
@@ -80,7 +80,7 @@ impl BlockSoA {
 
     /// Centre of mass of block `b` (AoS view for scalar callers).
     #[inline]
-    pub fn com(&self, b: usize) -> [f64; 3] {
+    pub(crate) fn com(&self, b: usize) -> [f64; 3] {
         [self.x[b], self.y[b], self.z[b]]
     }
 
@@ -117,7 +117,7 @@ impl Moments {
 
 /// Flat block index of block `(bi, bj, bk)`.
 #[inline]
-pub fn block_index(bi: usize, bj: usize, bk: usize) -> usize {
+pub(crate) fn block_index(bi: usize, bj: usize, bk: usize) -> usize {
     (bi * NB + bj) * NB + bk
 }
 
@@ -416,7 +416,7 @@ pub struct CacheStats {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EnsureReport {
     /// Whether any traversal ran (false = pure cache hit).
-    pub rebuilt: bool,
+    pub(crate) rebuilt: bool,
     /// Leaves whose lists were rebuilt by this call.
     pub leaves_rebuilt: usize,
     /// Leaves whose lists were retained by this call.
@@ -590,12 +590,12 @@ impl InteractionCache {
 
     /// Drop the key so the next [`Self::ensure`] rebuilds (the cache-off
     /// ablation path).
-    pub fn invalidate(&mut self) {
+    pub(crate) fn invalidate(&mut self) {
         self.key = None;
     }
 
     /// Lifetime hit/miss counters.
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         self.stats
     }
 }
@@ -603,7 +603,7 @@ impl InteractionCache {
 /// Acceleration at `p` from a multipole source (monopole + traceless
 /// quadrupole) — the scalar **multipole kernel** body.
 #[inline]
-pub fn multipole_accel(m: &Moments, p: [f64; 3]) -> [f64; 3] {
+pub(crate) fn multipole_accel(m: &Moments, p: [f64; 3]) -> [f64; 3] {
     let x = [p[0] - m.com[0], p[1] - m.com[1], p[2] - m.com[2]];
     let r2 = x[0] * x[0] + x[1] * x[1] + x[2] * x[2];
     if r2 == 0.0 {
@@ -637,7 +637,7 @@ pub fn multipole_accel(m: &Moments, p: [f64; 3]) -> [f64; 3] {
 /// Acceleration at `p` from one point mass with Plummer softening `eps` —
 /// the scalar **monopole (P2P) kernel** body.
 #[inline]
-pub fn point_accel(mass: f64, src: [f64; 3], p: [f64; 3], eps: f64) -> [f64; 3] {
+pub(crate) fn point_accel(mass: f64, src: [f64; 3], p: [f64; 3], eps: f64) -> [f64; 3] {
     let x = [p[0] - src[0], p[1] - src[1], p[2] - src[2]];
     let r2 = x[0] * x[0] + x[1] * x[1] + x[2] * x[2] + eps * eps;
     let inv_r3 = 1.0 / (r2 * r2.sqrt());
@@ -683,7 +683,7 @@ macro_rules! match_width {
 /// per target. The order names no lane count, so every width has the same
 /// bits. The work accounting charges far lists in whole groups of this size
 /// ([`crate::driver`]).
-pub const SUM_GROUPS: usize = 4;
+pub(crate) const SUM_GROUPS: usize = 4;
 
 /// Running positive sums of one target pack: `[group][axis]`.
 type Partials<const W: usize> = [[Simd<W>; 3]; SUM_GROUPS];
@@ -1038,13 +1038,13 @@ pub fn direct_accel(
 
 /// Analytic flop estimate per M2L (multipole) interaction, for the
 /// projection model — validated against the counted kernels in tests.
-pub const MULTIPOLE_FLOPS_PER_INTERACTION: u64 = 60;
+pub(crate) const MULTIPOLE_FLOPS_PER_INTERACTION: u64 = 60;
 /// P2P pairwise interaction cost (incl. sqrt), validated likewise.
-pub const MONOPOLE_FLOPS_PER_INTERACTION: u64 = 22;
+pub(crate) const MONOPOLE_FLOPS_PER_INTERACTION: u64 = 22;
 /// MAC evaluation cost per dual-traversal node visit (distance + compare);
 /// charged only on cache *misses* — cached solves skip the traversal, and
 /// the projection must not bill flops that were never executed.
-pub const MAC_FLOPS_PER_EVAL: u64 = 12;
+pub(crate) const MAC_FLOPS_PER_EVAL: u64 = 12;
 
 #[cfg(test)]
 mod tests {
@@ -1474,7 +1474,7 @@ mod tests {
                     .unwrap()
             })
             .unwrap();
-        tree.refine_leaf(victim);
+        tree.regrid(&[victim]);
         let blocks: Vec<BlockSoA> = tree
             .leaf_ids()
             .iter()
@@ -1516,7 +1516,7 @@ mod tests {
         let (mut tree, blocks, _, _) = test_tree(2);
         let mut warm = GravityWorkspace::new();
         warm.upward_pass(&tree, &blocks);
-        tree.refine_leaf(tree.leaf_ids()[0]);
+        tree.regrid(&[tree.leaf_ids()[0]]);
         let blocks: Vec<BlockSoA> = tree
             .leaf_ids()
             .iter()

@@ -23,13 +23,13 @@ use crate::subgrid::{
 
 /// Flat interior-cell index.
 #[inline]
-pub fn cell_index(i: usize, j: usize, k: usize) -> usize {
+pub(crate) fn cell_index(i: usize, j: usize, k: usize) -> usize {
     (i * NX + j) * NX + k
 }
 
 /// Inverse of [`cell_index`].
 #[inline]
-pub fn cell_coords(c: usize) -> (i64, i64, i64) {
+pub(crate) fn cell_coords(c: usize) -> (i64, i64, i64) {
     let k = c % NX;
     let j = (c / NX) % NX;
     let i = c / (NX * NX);
@@ -165,7 +165,7 @@ pub fn max_signal_speed(sub: &SubGrid, dispatch: &Dispatch) -> f64 {
 /// max-fold would carry on at the floor rate; a valid leaf signals at its
 /// sound speed at least, and anything else poisons the fold instead of
 /// vanishing from it.
-pub fn max_cfl_rate(rates: impl Iterator<Item = f64>) -> f64 {
+pub(crate) fn max_cfl_rate(rates: impl Iterator<Item = f64>) -> f64 {
     rates.fold(1e-30_f64, |max, rate| {
         if rate > 0.0 && !max.is_nan() {
             max.max(rate)
@@ -183,7 +183,7 @@ pub fn max_cfl_rate(rates: impl Iterator<Item = f64>) -> f64 {
 /// Naming the step and what `culprit` says — called on this failure path
 /// only — when that is not a positive finite number: the state has gone
 /// non-finite and every further step would compute on garbage.
-pub fn global_dt(cfl: f64, rate: f64, step: u64, culprit: impl FnOnce() -> String) -> f64 {
+pub(crate) fn global_dt(cfl: f64, rate: f64, step: u64, culprit: impl FnOnce() -> String) -> f64 {
     let dt = cfl / rate;
     if !(dt.is_finite() && dt > 0.0) {
         panic!(
@@ -577,7 +577,7 @@ pub fn step_interior_staged_into(
 }
 
 /// Write the interior states produced by [`step_interior`] back.
-pub fn apply_interior(sub: &mut SubGrid, new_state: &[[f64; NF]]) {
+pub(crate) fn apply_interior(sub: &mut SubGrid, new_state: &[[f64; NF]]) {
     assert_eq!(new_state.len(), CELLS, "state buffer size mismatch");
     for (f, lane) in sub.u.as_mut_slice().chunks_exact_mut(CELLS).enumerate() {
         for (v, cell) in lane.iter_mut().zip(new_state) {
@@ -590,7 +590,7 @@ pub fn apply_interior(sub: &mut SubGrid, new_state: &[[f64; NF]]) {
 /// ρ·g·dt, energy gains v·g·ρ·dt (work done by gravity). `acc` holds one
 /// acceleration per gravity block ([`crate::gravity::LeafSolve::accel`]);
 /// each cell reads its block's.
-pub fn apply_gravity_source(sub: &mut SubGrid, acc: &[[f64; 3]; BLOCKS], dt: f64) {
+pub(crate) fn apply_gravity_source(sub: &mut SubGrid, acc: &[[f64; 3]; BLOCKS], dt: f64) {
     let u = sub.u.as_mut_slice();
     for c in 0..CELLS {
         let (i, j, k) = cell_coords(c);
@@ -613,12 +613,12 @@ pub fn apply_gravity_source(sub: &mut SubGrid, acc: &[[f64; 3]; BLOCKS], dt: f64
 /// program (the paper's kernel, both faces of every cell), not of the host
 /// kernel, which computes each face once: ROADMAP item 2 decides the model,
 /// and a host optimisation must not move an exhibit.
-pub const HYDRO_FLOPS_PER_CELL: u64 = 1200;
+pub(crate) const HYDRO_FLOPS_PER_CELL: u64 = 1200;
 
 /// Bytes moved per hydro cell update (5 fields read over a ~4-wide stencil
 /// reach + 5 written, 8 B each, with cache reuse ≈ 3× single-field
 /// traffic) — the modelled program's, like [`HYDRO_FLOPS_PER_CELL`].
-pub const HYDRO_BYTES_PER_CELL: u64 = 240;
+pub(crate) const HYDRO_BYTES_PER_CELL: u64 = 240;
 
 #[cfg(test)]
 mod tests {

@@ -28,7 +28,7 @@ impl KernelType {
     /// Parse the paper's CLI spelling (`KOKKOS` means the Kokkos kernels
     /// with the Serial host execution space, the configuration of
     /// Listings 2–3).
-    pub fn parse(s: &str) -> Result<Self, String> {
+    pub(crate) fn parse(s: &str) -> Result<Self, String> {
         match s {
             "LEGACY" | "OLD" => Ok(KernelType::Legacy),
             "KOKKOS" | "KOKKOS_SERIAL" => Ok(KernelType::KokkosSerial),
@@ -84,15 +84,8 @@ impl SimdPolicy {
         }
     }
 
-    /// The width the target architecture would compile the pack type to
-    /// (Table 2's vector length): 8 on A64FX/Skylake, 4 on the EPYC,
-    /// 1 on the RISC-V boards.
-    pub fn for_arch(arch: rv_machine::CpuArch) -> Self {
-        SimdPolicy::Width(kokkos_lite::simd::natural_width(arch).max(1))
-    }
-
     /// Lanes per pack: scalar and `Width(1)` both process one element.
-    pub fn lanes(self) -> usize {
+    pub(crate) fn lanes(self) -> usize {
         match self {
             SimdPolicy::Scalar => 1,
             SimdPolicy::Width(w) => w.max(1),
@@ -214,17 +207,8 @@ impl Dispatch {
         }
     }
 
-    /// The backend this dispatcher was built for.
-    pub fn kind(&self) -> KernelType {
-        match self {
-            Dispatch::Legacy => KernelType::Legacy,
-            Dispatch::KokkosSerial => KernelType::KokkosSerial,
-            Dispatch::KokkosHpx(_) => KernelType::KokkosHpx,
-        }
-    }
-
     /// Elementwise kernel: `out[i] = f(i)`.
-    pub fn fill<T, F>(&self, out: &mut [T], f: F)
+    pub(crate) fn fill<T, F>(&self, out: &mut [T], f: F)
     where
         T: Send,
         F: Fn(usize) -> T + Send + Sync,
@@ -243,7 +227,7 @@ impl Dispatch {
     /// Run-granular fill kernel: `out` is rows of `row_len` elements and
     /// `f(first_row, run)` writes a run of whole rows in place — all of `out`
     /// under Legacy and in the Serial space, the HPX space's pieces otherwise.
-    pub fn fill_row_runs<T, F>(&self, out: &mut [T], row_len: usize, f: F)
+    pub(crate) fn fill_row_runs<T, F>(&self, out: &mut [T], row_len: usize, f: F)
     where
         T: Send,
         F: Fn(usize, &mut [T]) + Send + Sync,
@@ -265,7 +249,7 @@ impl Dispatch {
 
     /// [`Dispatch::fill_row_runs`] a row at a time: `f(row, chunk)` writes one
     /// row, so it can store full `Simd<W>` packs (the gravity kernels' shape).
-    pub fn fill_rows<T, F>(&self, out: &mut [T], row_len: usize, f: F)
+    pub(crate) fn fill_rows<T, F>(&self, out: &mut [T], row_len: usize, f: F)
     where
         T: Send,
         F: Fn(usize, &mut [T]) + Send + Sync,
@@ -278,7 +262,7 @@ impl Dispatch {
     }
 
     /// Max-reduction kernel over `0..n`.
-    pub fn reduce_max<F>(&self, n: usize, f: F) -> f64
+    pub(crate) fn reduce_max<F>(&self, n: usize, f: F) -> f64
     where
         F: Fn(usize) -> f64 + Send + Sync,
     {
@@ -291,24 +275,6 @@ impl Dispatch {
             ),
             Dispatch::KokkosHpx(space) => {
                 kokkos_lite::parallel_reduce_max(space, kokkos_lite::RangePolicy::new(0, n), f)
-            }
-        }
-    }
-
-    /// Sum-reduction kernel over `0..n`.
-    pub fn reduce_sum<F>(&self, n: usize, f: F) -> f64
-    where
-        F: Fn(usize) -> f64 + Send + Sync,
-    {
-        match self {
-            Dispatch::Legacy => (0..n).map(f).sum(),
-            Dispatch::KokkosSerial => kokkos_lite::parallel_reduce_sum(
-                &kokkos_lite::Serial,
-                kokkos_lite::RangePolicy::new(0, n),
-                f,
-            ),
-            Dispatch::KokkosHpx(space) => {
-                kokkos_lite::parallel_reduce_sum(space, kokkos_lite::RangePolicy::new(0, n), f)
             }
         }
     }
@@ -345,14 +311,11 @@ mod tests {
         let rt = amt::Runtime::new(2);
         for kind in KernelType::ALL {
             let d = Dispatch::new(kind, &rt.handle(), 4);
-            assert_eq!(d.kind(), kind);
             let mut out = vec![0u64; 100];
             d.fill(&mut out, |i| (i * i) as u64);
             assert!(out.iter().enumerate().all(|(i, &v)| v == (i * i) as u64));
             let m = d.reduce_max(100, |i| ((i * 37) % 91) as f64);
             assert_eq!(m, 90.0);
-            let s = d.reduce_sum(101, |i| i as f64);
-            assert_eq!(s, 5050.0);
             let mut rows = vec![0u64; 48];
             d.fill_rows(&mut rows, 8, |r, chunk| {
                 for (k, slot) in chunk.iter_mut().enumerate() {
@@ -368,26 +331,13 @@ mod tests {
     }
 
     #[test]
-    fn simd_policy_from_width_and_for_arch() {
+    fn simd_policy_from_width() {
         assert_eq!(SimdPolicy::from_width(0).unwrap(), SimdPolicy::Scalar);
         for w in SimdPolicy::SUPPORTED_WIDTHS {
             assert_eq!(SimdPolicy::from_width(w).unwrap(), SimdPolicy::Width(w));
         }
         assert!(SimdPolicy::from_width(3).is_err());
         assert!(SimdPolicy::from_width(16).is_err());
-        // Table 2 widths: SVE/AVX-512 = 8, AVX2 = 4, RISC-V scalar = 1.
-        assert_eq!(
-            SimdPolicy::for_arch(rv_machine::CpuArch::A64fx),
-            SimdPolicy::Width(8)
-        );
-        assert_eq!(
-            SimdPolicy::for_arch(rv_machine::CpuArch::Epyc7543),
-            SimdPolicy::Width(4)
-        );
-        assert_eq!(
-            SimdPolicy::for_arch(rv_machine::CpuArch::RiscvU74),
-            SimdPolicy::Width(1)
-        );
         assert_eq!(SimdPolicy::Scalar.lanes(), 1);
         assert_eq!(SimdPolicy::Width(8).lanes(), 8);
         let native = if cfg!(target_feature = "avx512f") {

@@ -21,7 +21,7 @@
 
 #![forbid(unsafe_code)]
 
-pub mod config;
+pub(crate) mod config;
 pub mod dist_driver;
 pub mod driver;
 pub mod gravity;
@@ -33,8 +33,7 @@ pub mod subgrid;
 
 pub use config::OctoConfig;
 pub use dist_driver::{DistConfig, DistMetrics, DistRun};
-pub use driver::{Driver, RegridReport, RunMetrics, WorkEstimate};
-pub use gravity::EnsureReport;
-pub use kernel_backend::{Dispatch, KernelType};
+pub use driver::{Driver, RunMetrics, WorkEstimate};
+pub use kernel_backend::KernelType;
 pub use octree::Octree;
 pub use star::{BinaryStar, InitialModel, RotatingStar};

@@ -58,10 +58,10 @@ const NONE: u32 = u32::MAX;
 
 /// Heap bytes of one leaf's field data: its interior, `[NF][NX][NX][NX]`
 /// f64 (20 480 B; ghost zones live in a hydro task's scratch frame).
-pub const SUBGRID_BYTES: usize = NF * CELLS * std::mem::size_of::<f64>();
+pub(crate) const SUBGRID_BYTES: usize = NF * CELLS * std::mem::size_of::<f64>();
 
 /// A by-value view of one octree node, materialised from the SoA lanes.
-/// Only leaves own a [`SubGrid`]; query that with [`Octree::has_subgrid`].
+/// Only leaves own a [`SubGrid`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Node {
     /// Refinement level (root = 0).
@@ -69,9 +69,9 @@ pub struct Node {
     /// Integer position of the node within its level (0..2^level per axis).
     pub coords: [u32; 3],
     /// Parent node (None for the root).
-    pub parent: Option<NodeId>,
+    pub(crate) parent: Option<NodeId>,
     /// Children in z-major order (index = 4x + 2y + z), if refined.
-    pub children: Option<[NodeId; 8]>,
+    pub(crate) children: Option<[NodeId; 8]>,
 }
 
 /// The adaptive octree over `[-L, L]³`.
@@ -121,7 +121,7 @@ impl Octree {
     /// density exceeds `refine_density_frac × ρ_ref` down to `max_level`,
     /// enforce 2:1 face grading, then allocate and initialize leaf
     /// sub-grids.
-    pub fn build_with_model<M: InitialModel>(
+    pub(crate) fn build_with_model<M: InitialModel>(
         star: &M,
         config: &OctoConfig,
         domain_half: f64,
@@ -239,29 +239,9 @@ impl Octree {
     /// Nodes that stopped being leaves after generation `g0`, oldest first.
     /// The log only records mid-run splits, so a consumer whose snapshot is
     /// at `g0` rebuilds exactly the lists these nodes invalidate.
-    pub fn splits_since(&self, g0: u64) -> impl Iterator<Item = NodeId> + '_ {
+    pub(crate) fn splits_since(&self, g0: u64) -> impl Iterator<Item = NodeId> + '_ {
         let start = self.split_log.partition_point(|&(g, _)| g <= g0);
         self.split_log[start..].iter().map(|&(_, id)| id as usize)
-    }
-
-    /// Refine one leaf in place mid-run (dynamic AMR) as a one-leaf sweep:
-    /// split it into 8 children, prolongate the leaf's fields onto them
-    /// piecewise-constant (conservative: each child cell copies its covering
-    /// parent cell), restore the 2:1 face grading by refining any
-    /// now-too-coarse neighbour leaves the same way, bump the topology
-    /// generation once and re-collect the leaf order. Returns the 8 children
-    /// of `leaf`.
-    ///
-    /// Refining an already-refined node is a no-op: the existing children
-    /// are returned and the generation counter is *not* bumped, so cached
-    /// topology-derived data (the interaction lists) stays valid instead of
-    /// being discarded for a refinement that changed nothing.
-    pub fn refine_leaf(&mut self, leaf: NodeId) -> [NodeId; 8] {
-        if let Some(kids) = self.children_of(leaf) {
-            return kids;
-        }
-        self.regrid(&[leaf]);
-        self.children_of(leaf).expect("leaf was split by the sweep")
     }
 
     /// One serial regrid sweep: split every requested leaf (already-refined
@@ -284,7 +264,7 @@ impl Octree {
     /// closure. Parent sub-grids are left in place for
     /// [`Octree::prolongate_children`]; the generation, split log and leaf
     /// order are untouched until [`Octree::finish_regrid`].
-    pub fn begin_regrid(&mut self, requested: &[NodeId]) -> Vec<(NodeId, [NodeId; 8])> {
+    pub(crate) fn begin_regrid(&mut self, requested: &[NodeId]) -> Vec<(NodeId, [NodeId; 8])> {
         let mut splits = Vec::new();
         let mut seed = Vec::new();
         for &leaf in requested {
@@ -303,7 +283,7 @@ impl Octree {
     /// its 8 children, piecewise constant (conservative: each child cell
     /// copies its covering parent cell). Pure read — the driver fans these
     /// out as parallel tasks over the sweep's splits.
-    pub fn prolongate_children(&self, parent: NodeId) -> [SubGrid; 8] {
+    pub(crate) fn prolongate_children(&self, parent: NodeId) -> [SubGrid; 8] {
         let parent_grid = self.subgrids[parent]
             .as_ref()
             .expect("regrid splits a data-carrying leaf");
@@ -336,7 +316,7 @@ impl Octree {
     /// generation **once** and re-collect the leaf order. An empty sweep
     /// (every requested leaf was already refined) leaves the generation
     /// untouched so caches stay warm.
-    pub fn finish_regrid(&mut self, installs: Vec<(NodeId, [SubGrid; 8])>) {
+    pub(crate) fn finish_regrid(&mut self, installs: Vec<(NodeId, [SubGrid; 8])>) {
         if installs.is_empty() {
             return;
         }
@@ -467,7 +447,7 @@ impl Octree {
     }
 
     /// Edge length of a node at `level`.
-    pub fn node_size(&self, level: u32) -> f64 {
+    pub(crate) fn node_size(&self, level: u32) -> f64 {
         2.0 * self.domain_half / f64::from(1u32 << level)
     }
 
@@ -504,7 +484,7 @@ impl Octree {
     }
 
     /// Total node count (internal + leaves).
-    pub fn node_count(&self) -> usize {
+    pub(crate) fn node_count(&self) -> usize {
         self.len()
     }
 
@@ -544,18 +524,13 @@ impl Octree {
         (fc != NONE).then(|| std::array::from_fn(|n| fc as usize + n))
     }
 
-    /// Whether `id` currently carries field data (i.e. is a data leaf).
-    pub fn has_subgrid(&self, id: NodeId) -> bool {
-        self.subgrids[id].is_some()
-    }
-
     /// Node id at exactly `(level, coords)`, if that node exists.
     pub fn node_at(&self, level: u32, coords: [u32; 3]) -> Option<NodeId> {
         self.index.get(&key(level, coords)).map(|&id| id as usize)
     }
 
     /// Mutable access to a leaf's sub-grid.
-    pub fn subgrid_mut(&mut self, id: NodeId) -> &mut SubGrid {
+    pub(crate) fn subgrid_mut(&mut self, id: NodeId) -> &mut SubGrid {
         self.subgrids[id]
             .as_mut()
             .expect("node is not a leaf with data")
@@ -596,7 +571,7 @@ impl Octree {
 
     /// Locate the leaf containing physical position `p` (clamped into the
     /// domain) and return `(leaf, cell index)`.
-    pub fn locate(&self, p: [f64; 3]) -> (NodeId, [usize; 3]) {
+    pub(crate) fn locate(&self, p: [f64; 3]) -> (NodeId, [usize; 3]) {
         let eps = 1e-12;
         let clamp = |x: f64| x.clamp(-self.domain_half + eps, self.domain_half - eps);
         let q = [clamp(p[0]), clamp(p[1]), clamp(p[2])];
@@ -637,20 +612,23 @@ impl Octree {
         self.leaves.iter().map(|&l| self.subgrid(l).mass()).sum()
     }
 
-    /// Volume integral of an arbitrary field over all leaves.
-    pub fn total_integral(&self, f: usize) -> f64 {
-        self.leaves
-            .iter()
-            .map(|&l| self.subgrid(l).integral(f))
-            .sum()
+    /// The configured maximum refinement level.
+    pub fn max_level(&self) -> u32 {
+        self.max_level
     }
+}
 
-    /// Verify the 2:1 grading invariant by brute force (test helper).
-    pub fn is_balanced(&self) -> bool {
-        for &leaf in &self.leaves {
-            let level = u32::from(self.levels[leaf]);
-            let (origin, _) = self.node_geometry(leaf);
-            let size = self.node_size(level);
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::star::field;
+
+    /// Verify the 2:1 grading invariant by brute force.
+    fn is_balanced(t: &Octree) -> bool {
+        for &leaf in &t.leaves {
+            let level = u32::from(t.levels[leaf]);
+            let (origin, _) = t.node_geometry(leaf);
+            let size = t.node_size(level);
             // Probe points just across each face.
             for face in Face::ALL {
                 let mut p = [
@@ -659,11 +637,11 @@ impl Octree {
                     origin[2] + size / 2.0,
                 ];
                 p[face.axis()] += face.sign() as f64 * (size / 2.0 + size / 16.0);
-                if p[face.axis()].abs() >= self.domain_half {
+                if p[face.axis()].abs() >= t.domain_half {
                     continue;
                 }
-                let (nl, _) = self.locate(p);
-                let diff = i64::from(self.levels[nl]) - i64::from(level);
+                let (nl, _) = t.locate(p);
+                let diff = i64::from(t.levels[nl]) - i64::from(level);
                 if diff.abs() > 1 {
                     return false;
                 }
@@ -671,22 +649,6 @@ impl Octree {
         }
         true
     }
-
-    /// The configured maximum refinement level.
-    pub fn max_level(&self) -> u32 {
-        self.max_level
-    }
-
-    /// Domain half-width L (domain is `[-L, L]³`).
-    pub fn domain_half(&self) -> f64 {
-        self.domain_half
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::star::field;
 
     fn small_tree(max_level: u32) -> Octree {
         let star = RotatingStar::paper_default();
@@ -718,7 +680,7 @@ mod tests {
     #[test]
     fn tree_is_balanced() {
         for level in 1..=3 {
-            assert!(small_tree(level).is_balanced(), "level {level}");
+            assert!(is_balanced(&small_tree(level)), "level {level}");
         }
     }
 
@@ -853,7 +815,7 @@ mod tests {
         let mut t = small_tree(1);
         t.plan_ghosts(|_| true);
         let victim = t.leaf_ids()[0];
-        t.refine_leaf(victim);
+        t.regrid(&[victim]);
         t.gather_frame(0, &mut vec![0.0; crate::subgrid::FRAME_LEN], |n| {
             t.subgrid(n)
         });
@@ -873,23 +835,24 @@ mod tests {
     }
 
     #[test]
-    fn refine_leaf_bumps_generation_and_conserves_mass() {
+    fn one_leaf_regrid_bumps_generation_and_conserves_mass() {
         let mut t = small_tree(1);
         assert_eq!(t.generation(), 0);
         let mass_before = t.total_mass();
         let leaves_before = t.leaf_count();
         let victim = t.leaf_ids()[0];
-        let kids = t.refine_leaf(victim);
+        t.regrid(&[victim]);
+        let kids = t.children_of(victim).expect("victim split");
         assert_eq!(t.generation(), 1);
         // One leaf became 8 (uniform level-1 tree stays 2:1 balanced, so
         // no cascading refinement).
         assert_eq!(t.leaf_count(), leaves_before + 7);
-        assert!(t.is_balanced());
+        assert!(is_balanced(&t));
         for &kid in &kids {
             assert_eq!(t.node(kid).level, 2);
-            assert!(t.has_subgrid(kid), "children carry data");
+            assert!(t.subgrids[kid].is_some(), "children carry data");
         }
-        assert!(!t.has_subgrid(victim), "parent data moved down");
+        assert!(t.subgrids[victim].is_none(), "parent data moved down");
         // Piecewise-constant prolongation is conservative.
         let mass_after = t.total_mass();
         assert!(
@@ -926,22 +889,23 @@ mod tests {
         // topology that did not change.
         let mut t = small_tree(1);
         let victim = t.leaf_ids()[0];
-        let kids = t.refine_leaf(victim);
+        t.regrid(&[victim]);
+        let kids = t.children_of(victim).expect("victim split");
         let gen_after = t.generation();
         let leaves_after = t.leaf_count();
-        let kids_again = t.refine_leaf(victim);
-        assert_eq!(kids_again, kids, "existing children are returned");
+        assert!(t.regrid(&[victim]).is_empty(), "nothing is split again");
+        assert_eq!(t.children_of(victim), Some(kids), "existing children stay");
         assert_eq!(
             t.generation(),
             gen_after,
             "no-op refine must not invalidate topology-keyed caches"
         );
         assert_eq!(t.leaf_count(), leaves_after);
-        assert!(t.is_balanced());
+        assert!(is_balanced(&t));
     }
 
     #[test]
-    fn refine_leaf_restores_grading_recursively() {
+    fn one_leaf_regrid_restores_grading_recursively() {
         let mut t = small_tree(2);
         // Find the deepest leaf and refine it twice: the second split can
         // force neighbours to refine to keep the 2:1 grading.
@@ -950,14 +914,15 @@ mod tests {
             .iter()
             .max_by_key(|&&l| t.node(l).level)
             .unwrap();
-        let kids = t.refine_leaf(deepest);
-        assert!(t.is_balanced());
+        t.regrid(&[deepest]);
+        let kids = t.children_of(deepest).expect("deepest split");
+        assert!(is_balanced(&t));
         let g1 = t.generation();
-        t.refine_leaf(kids[0]);
-        assert!(t.is_balanced(), "cascaded refinement keeps 2:1 grading");
+        t.regrid(&[kids[0]]);
+        assert!(is_balanced(&t), "cascaded refinement keeps 2:1 grading");
         assert_eq!(t.generation(), g1 + 1);
         for &l in t.leaf_ids() {
-            assert!(t.has_subgrid(l), "every leaf carries data");
+            assert!(t.subgrids[l].is_some(), "every leaf carries data");
         }
     }
 
@@ -971,7 +936,7 @@ mod tests {
         let splits = t.regrid(&victims);
         assert_eq!(t.generation(), g0 + 1, "one bump per sweep");
         assert!(splits.len() >= victims.len());
-        assert!(t.is_balanced());
+        assert!(is_balanced(&t));
         let logged: Vec<NodeId> = t.splits_since(g0).collect();
         assert_eq!(
             logged,
@@ -979,7 +944,7 @@ mod tests {
             "split log records exactly the sweep's splits"
         );
         for &l in t.leaf_ids() {
-            assert!(t.has_subgrid(l), "every leaf carries data");
+            assert!(t.subgrids[l].is_some(), "every leaf carries data");
         }
         // Requesting already-refined nodes again is an empty sweep.
         let g1 = t.generation();
@@ -991,10 +956,10 @@ mod tests {
     fn split_log_filters_by_generation() {
         let mut t = small_tree(1);
         let a = t.leaf_ids()[0];
-        t.refine_leaf(a);
+        t.regrid(&[a]);
         let g1 = t.generation();
         let b = *t.leaf_ids().last().unwrap();
-        t.refine_leaf(b);
+        t.regrid(&[b]);
         let since_start: Vec<NodeId> = t.splits_since(0).collect();
         assert!(since_start.contains(&a) && since_start.contains(&b));
         let since_g1: Vec<NodeId> = t.splits_since(g1).collect();

@@ -269,7 +269,7 @@ impl Octree {
     /// of the leaves whose interior cells its gather reads — same-level,
     /// level-jump and clamped boundary faces alike, because it is read off
     /// the plan the gather itself runs.
-    pub fn gather_sources(&mut self) -> Vec<Vec<usize>> {
+    pub(crate) fn gather_sources(&mut self) -> Vec<Vec<usize>> {
         self.ensure_ghost_plan();
         let pos_of = crate::gravity::leaf_positions(self);
         let plan = &self.ghost;

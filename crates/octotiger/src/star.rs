@@ -18,7 +18,7 @@
 pub const GAMMA: f64 = 5.0 / 3.0;
 
 /// Polytropic index.
-pub const POLY_N: f64 = 1.5;
+pub(crate) const POLY_N: f64 = 1.5;
 
 /// Density floor applied outside the star (the "vacuum" every grid code
 /// needs).
@@ -39,11 +39,11 @@ pub mod field {
     /// y-momentum density.
     pub const SY: usize = 2;
     /// z-momentum density.
-    pub const SZ: usize = 3;
+    pub(crate) const SZ: usize = 3;
     /// Total energy density.
     pub const EGAS: usize = 4;
     /// Field names, by index.
-    pub const NAMES: [&str; super::NF] = ["rho", "sx", "sy", "sz", "egas"];
+    pub(crate) const NAMES: [&str; super::NF] = ["rho", "sx", "sy", "sz", "egas"];
 }
 
 /// A solved rotating polytrope.
@@ -52,15 +52,13 @@ pub struct RotatingStar {
     /// Outer radius in code units.
     pub radius: f64,
     /// Central density ρ_c.
-    pub central_density: f64,
+    pub(crate) central_density: f64,
     /// Polytropic constant K (P = K ρ^{5/3}).
-    pub k_poly: f64,
+    pub(crate) k_poly: f64,
     /// Solid-body angular velocity around z.
-    pub omega: f64,
+    pub(crate) omega: f64,
     /// Total mass.
     pub mass: f64,
-    /// Lane–Emden first zero ξ₁.
-    pub xi1: f64,
     alpha: f64,
     /// (ξ, θ) table from the Lane–Emden integration.
     profile: Vec<(f64, f64)>,
@@ -92,7 +90,6 @@ impl RotatingStar {
             k_poly,
             omega,
             mass,
-            xi1,
             alpha,
             profile,
         }
@@ -114,7 +111,7 @@ impl RotatingStar {
     }
 
     /// Polytropic pressure for a given density (with floor).
-    pub fn pressure(&self, rho: f64) -> f64 {
+    pub(crate) fn pressure(&self, rho: f64) -> f64 {
         (self.k_poly * rho.powf(GAMMA)).max(P_FLOOR)
     }
 
@@ -220,7 +217,7 @@ impl BinaryStar {
     /// Build a binary with `separation` between component centres. Each
     /// component is non-spinning in its own frame; the pair co-rotates at
     /// the Keplerian rate Ω = √(G(M₁+M₂)/a³).
-    pub fn new(primary: RotatingStar, secondary: RotatingStar, separation: f64) -> Self {
+    pub(crate) fn new(primary: RotatingStar, secondary: RotatingStar, separation: f64) -> Self {
         assert!(
             separation > primary.radius + secondary.radius,
             "components must not overlap initially"
@@ -247,13 +244,8 @@ impl BinaryStar {
         BinaryStar::new(primary, secondary, 0.95)
     }
 
-    /// Total system mass.
-    pub fn mass(&self) -> f64 {
-        self.primary.mass + self.secondary.mass
-    }
-
     /// Density at `(x, y, z)`: superposition of the two components.
-    pub fn density(&self, x: f64, y: f64, z: f64) -> f64 {
+    pub(crate) fn density(&self, x: f64, y: f64, z: f64) -> f64 {
         let r1 = ((x - self.offsets.0).powi(2) + y * y + z * z).sqrt();
         let r2 = ((x - self.offsets.1).powi(2) + y * y + z * z).sqrt();
         (self.primary.density(r1) + self.secondary.density(r2) - RHO_FLOOR).max(RHO_FLOOR)
@@ -262,7 +254,7 @@ impl BinaryStar {
     /// Conserved state at `(x, y, z)`: both stars move on the circular
     /// orbit (rigid rotation of the whole configuration about the
     /// barycentre — the co-rotating initial data Octo-Tiger uses).
-    pub fn conserved_at(&self, x: f64, y: f64, z: f64) -> [f64; NF] {
+    pub(crate) fn conserved_at(&self, x: f64, y: f64, z: f64) -> [f64; NF] {
         let rho = self.density(x, y, z);
         let (vx, vy) = if rho > 2.0 * RHO_FLOOR {
             (-self.orbital_omega * y, self.orbital_omega * x)
@@ -325,11 +317,10 @@ mod tests {
     #[test]
     fn lane_emden_first_zero_matches_literature() {
         // ξ₁ ≈ 3.65375 for n = 1.5.
-        let star = RotatingStar::new(1.0, 1.0, 0.0);
+        let (_, xi1, _) = integrate_lane_emden(POLY_N);
         assert!(
-            (star.xi1 - 3.65375).abs() < 2e-3,
-            "xi1 = {} should be ≈3.65375",
-            star.xi1
+            (xi1 - 3.65375).abs() < 2e-3,
+            "xi1 = {xi1} should be ≈3.65375"
         );
     }
 
@@ -431,7 +422,7 @@ mod tests {
         let b = BinaryStar::paper_like();
         let (x1, x2) = b.offsets;
         let moment = x1 * b.primary.mass + x2 * b.secondary.mass;
-        assert!(moment.abs() < 1e-12 * b.mass());
+        assert!(moment.abs() < 1e-12 * (b.primary.mass + b.secondary.mass));
         assert!(x1 < 0.0 && x2 > 0.0, "primary left, secondary right");
         assert!((x2 - x1 - b.separation).abs() < 1e-12);
     }
@@ -450,7 +441,7 @@ mod tests {
     #[test]
     fn binary_orbit_is_keplerian() {
         let b = BinaryStar::paper_like();
-        let want = (b.mass() / b.separation.powi(3)).sqrt();
+        let want = ((b.primary.mass + b.secondary.mass) / b.separation.powi(3)).sqrt();
         assert!((b.orbital_omega - want).abs() < 1e-12);
         // Orbital velocity at the secondary's centre is Ω × r.
         let u = b.conserved_at(b.offsets.1, 0.0, 0.0);

@@ -9,14 +9,14 @@
 
 use kokkos_lite::View;
 
-use crate::star::{field, InitialModel, RotatingStar, GAMMA, NF, P_FLOOR, RHO_FLOOR};
+use crate::star::{field, InitialModel, GAMMA, NF, P_FLOOR, RHO_FLOOR};
 
 /// Interior cells per dimension (the paper's 8).
 pub const NX: usize = 8;
 /// Ghost width (minmod reconstruction + HLL need 2).
 pub const NG: usize = 2;
 /// Cells per dimension of a ghost frame.
-pub const NT: usize = NX + 2 * NG;
+pub(crate) const NT: usize = NX + 2 * NG;
 /// Interior cells per sub-grid (the paper's 512).
 pub const CELLS: usize = NX * NX * NX;
 /// Cells of one ghost frame: the interior plus `NG` layers on every side.
@@ -61,7 +61,7 @@ impl Face {
     pub const ALL: [Face; 6] = [Face::XM, Face::XP, Face::YM, Face::YP, Face::ZM, Face::ZP];
 
     /// Axis (0 = x, 1 = y, 2 = z).
-    pub fn axis(self) -> usize {
+    pub(crate) fn axis(self) -> usize {
         match self {
             Face::XM | Face::XP => 0,
             Face::YM | Face::YP => 1,
@@ -70,22 +70,10 @@ impl Face {
     }
 
     /// −1 for the low face, +1 for the high face.
-    pub fn sign(self) -> i64 {
+    pub(crate) fn sign(self) -> i64 {
         match self {
             Face::XM | Face::YM | Face::ZM => -1,
             Face::XP | Face::YP | Face::ZP => 1,
-        }
-    }
-
-    /// The opposite face.
-    pub fn opposite(self) -> Face {
-        match self {
-            Face::XM => Face::XP,
-            Face::XP => Face::XM,
-            Face::YM => Face::YP,
-            Face::YP => Face::YM,
-            Face::ZM => Face::ZP,
-            Face::ZP => Face::ZM,
         }
     }
 }
@@ -95,7 +83,7 @@ impl Face {
 pub struct SubGrid {
     /// Conserved fields `[NF][NX][NX][NX]`: field `f` of cell `(i, j, k)` is
     /// element `f · CELLS + (i·NX + j)·NX + k`.
-    pub u: View<f64>,
+    pub(crate) u: View<f64>,
     /// Physical coordinate of the low corner of interior cell (0, 0, 0).
     pub origin: [f64; 3],
     /// Cell width.
@@ -163,12 +151,12 @@ impl SubGrid {
     /// Field `f` of every interior cell, in cell-index order
     /// (`(i·NX + j)·NX + k`) — the contiguous lane the gravity P2M kernel
     /// streams.
-    pub fn field(&self, f: usize) -> &[f64] {
+    pub(crate) fn field(&self, f: usize) -> &[f64] {
         &self.u.as_slice()[f * CELLS..][..CELLS]
     }
 
     /// Initialize every interior cell from an initial model.
-    pub fn init_from_model<M: InitialModel>(&mut self, model: &M) {
+    pub(crate) fn init_from_model<M: InitialModel>(&mut self, model: &M) {
         for i in 0..NX as i64 {
             for j in 0..NX as i64 {
                 for k in 0..NX as i64 {
@@ -182,20 +170,15 @@ impl SubGrid {
         }
     }
 
-    /// Initialize from the single rotating star (the paper's scenario).
-    pub fn init_from_star(&mut self, star: &RotatingStar) {
-        self.init_from_model(star);
-    }
-
     /// Primitive state (ρ, vx, vy, vz, p) of an interior cell, floors
     /// applied.
     #[inline]
-    pub fn primitives(&self, i: i64, j: i64, k: i64) -> [f64; 5] {
+    pub(crate) fn primitives(&self, i: i64, j: i64, k: i64) -> [f64; 5] {
         primitives_of(std::array::from_fn(|f| self.at(f, i, j, k)))
     }
 
     /// Volume integral of field `f` over the interior.
-    pub fn integral(&self, f: usize) -> f64 {
+    pub(crate) fn integral(&self, f: usize) -> f64 {
         let vol = self.dx * self.dx * self.dx;
         self.field(f).iter().fold(0.0, |sum, v| sum + v) * vol
     }
@@ -212,14 +195,14 @@ impl SubGrid {
     }
 
     /// Install interior data produced by [`SubGrid::interior_data`].
-    pub fn set_interior_data(&mut self, data: &[f64]) {
+    pub(crate) fn set_interior_data(&mut self, data: &[f64]) {
         assert_eq!(data.len(), NF * CELLS, "interior data size mismatch");
         self.u.as_mut_slice().copy_from_slice(data);
     }
 
     /// `(field, cell)` of the first value, in storage order, that is not
     /// finite — what a run stopped by a non-finite `dt` names.
-    pub fn first_non_finite(&self) -> Option<(usize, [usize; 3])> {
+    pub(crate) fn first_non_finite(&self) -> Option<(usize, [usize; 3])> {
         let at = self.u.as_slice().iter().position(|v| !v.is_finite())?;
         let c = at % CELLS;
         Some((at / CELLS, [c / (NX * NX), (c / NX) % NX, c % NX]))
@@ -229,6 +212,7 @@ impl SubGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::star::RotatingStar;
 
     #[test]
     fn geometry_constants_match_paper() {
@@ -270,7 +254,7 @@ mod tests {
         let star = RotatingStar::paper_default();
         // Sub-grid covering the star centre.
         let mut g = SubGrid::new([-0.1, -0.1, -0.1], 0.025);
-        g.init_from_star(&star);
+        g.init_from_model(&star);
         assert!(g.mass() > 0.0);
         assert!(g.at(field::RHO, 4, 4, 4) > 0.5, "near-central density");
     }
@@ -279,7 +263,7 @@ mod tests {
     fn primitives_recover_initialization() {
         let star = RotatingStar::paper_default();
         let mut g = SubGrid::new([0.0, 0.0, 0.0], 0.02);
-        g.init_from_star(&star);
+        g.init_from_model(&star);
         let c = g.cell_center(2, 3, 4);
         let [rho, vx, vy, _vz, p] = g.primitives(2, 3, 4);
         let r = (c[0] * c[0] + c[1] * c[1] + c[2] * c[2]).sqrt();
@@ -292,7 +276,7 @@ mod tests {
     #[test]
     fn interior_data_round_trips_and_names_the_first_non_finite_value() {
         let mut g = SubGrid::new([-0.1, -0.1, -0.1], 0.025);
-        g.init_from_star(&RotatingStar::paper_default());
+        g.init_from_model(&RotatingStar::paper_default());
         let mut h = SubGrid::new([0.0; 3], 1.0);
         h.set_interior_data(&g.interior_data());
         assert_eq!(h.interior_data(), g.interior_data());
@@ -308,11 +292,6 @@ mod tests {
         assert_eq!(Face::ZP.axis(), 2);
         assert_eq!(Face::YM.sign(), -1);
         assert_eq!(Face::YP.sign(), 1);
-        for f in Face::ALL {
-            assert_eq!(f.opposite().opposite(), f);
-            assert_eq!(f.axis(), f.opposite().axis());
-            assert_ne!(f.sign(), f.opposite().sign());
-        }
     }
 
     #[test]

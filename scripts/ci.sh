@@ -29,6 +29,8 @@ if git grep -nE "^proc-macro *= *true" -- '*Cargo.toml'; then
   echo "a workspace member is a proc-macro crate" >&2
   exit 1
 fi
+# Non-test lines per crate, for the log only (no threshold).
+bash scripts/loc.sh
 
 echo "== cargo build --release =="
 cargo build --release
