@@ -14,8 +14,8 @@
 //! paper's source of multicore utilization even with the Kokkos Serial
 //! execution space.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, RwLock};
 use std::time::Instant;
 
 use amt::par::scope;
@@ -31,6 +31,7 @@ use crate::gravity::{
 use crate::hydro;
 use crate::kernel_backend::Dispatch;
 use crate::octree::{GhostFaces, NodeId, Octree, FACE_VALUES};
+use crate::plan::{Node, StepPlan};
 use crate::star::{field, InitialModel, RotatingStar, NF};
 use crate::subgrid::{SubGrid, CELLS, FRAME_LEN, NX};
 
@@ -196,7 +197,7 @@ pub struct PoolStats {
 }
 
 /// What a step needs of the leaves other localities own, at the three
-/// places its task graph already joins. Every call is made once per step,
+/// places its plan already joins. Every call is made once per step,
 /// and a call that waits must hold no lock across the wait and wait only
 /// for what a peer sends on its own progress (DESIGN §5.3).
 pub(crate) trait Exchange: Sync {
@@ -205,13 +206,13 @@ pub(crate) trait Exchange: Sync {
     /// ship into `tree`, so the ghost gather of the owned leaves stays local.
     fn halo(&self, tree: &mut Octree, send: &[usize]);
 
-    /// In the continuation of the last CFL task: the
+    /// In the `Dt` node (inline in the last CFL task): the
     /// [`hydro::max_cfl_rate`] over every locality's `local` one.
     fn max_rate(&self, local: f64) -> f64;
 
-    /// In the continuation of the last P2M task: `blocks` is the leaf-order
-    /// table with the entries at `owned` computed; ship those and fill in
-    /// the rest.
+    /// In the `Moments` node (inline in the last P2M task): `blocks` is the
+    /// leaf-order table with the entries at `owned` computed; ship those and
+    /// fill in the rest.
     fn complete_blocks(&self, owned: &[usize], blocks: &mut [BlockSoA]);
 }
 
@@ -243,12 +244,9 @@ struct Ownership {
     positions: Vec<usize>,
     /// Owned leaves whose interior a leaf owned elsewhere gathers ghosts from.
     halo_out: Vec<usize>,
-    /// Per owned leaf `k` (its index in `positions`): the owned leaves, by
-    /// the same index, whose interior its gather reads, itself included.
-    reads: Vec<Vec<usize>>,
-    /// Per owned leaf: its P2M task and every entry of `reads` that names
-    /// it — the reads of its old interior in a step.
-    readers: Vec<u32>,
+    /// The step's plan over `positions`, built on a generation's first step
+    /// (not at set-up).
+    plan: Option<StepPlan>,
 }
 
 impl Ownership {
@@ -274,25 +272,8 @@ impl Ownership {
         } else {
             tree.halo_sources(|pos| !mask[pos])
         };
-        self.reads.clear();
+        self.plan = None;
         self.built_for = Some(tree.generation());
-    }
-
-    /// Build `reads` and `readers` unless they are the current generation's:
-    /// on a generation's first step, not at set-up.
-    fn refresh_readers(&mut self, tree: &mut Octree) {
-        if self.reads.len() == self.positions.len() {
-            return;
-        }
-        let (sources, owned) = (tree.gather_sources(), &self.positions);
-        let index = |pos: &usize| owned.binary_search(pos).ok();
-        self.reads = (owned.iter())
-            .map(|&pos| sources[pos].iter().filter_map(index).collect())
-            .collect();
-        self.readers = vec![1; self.positions.len()];
-        for &k in self.reads.iter().flatten() {
-            self.readers[k] += 1;
-        }
     }
 }
 
@@ -367,8 +348,7 @@ impl Driver {
             mask: Vec::new(),
             positions: Vec::new(),
             halo_out: Vec::new(),
-            reads: Vec::new(),
-            readers: Vec::new(),
+            plan: None,
         };
         ownership.refresh(&mut tree);
         // Data for the leaves this locality reads: the ones it owns and the
@@ -445,13 +425,9 @@ impl Driver {
         self.step_with(&runtime.handle(), &LocalExchange)
     }
 
-    /// One time step over the owned leaves, as one task graph expressed in
-    /// *continuations* — no task ever blocks on a condition another task of
-    /// this runtime must produce (a help-stealing waiter could end up nested
-    /// above its own producer on one stack and deadlock). Every kernel family
-    /// is one task per owned leaf; the last task of each root phase to retire
-    /// runs the serial join and fans the dependent tasks out in a nested
-    /// scope; per leaf, the last of its readers writes it back:
+    /// One time step over the owned leaves: the generation's [`StepPlan`],
+    /// run by its countdown executor, each node bound here to its kernel
+    /// call (`plan.rs` holds the scheduling rules):
     ///
     /// ```text
     /// halo ─┬► p2m per leaf ──last──► complete_blocks, M2M + lists ──► gravity per leaf ─┐
@@ -459,250 +435,159 @@ impl Driver {
     /// leaf k: its p2m, each hydro gathering from k ──last──► update k ──last──► source k ◄┘
     /// ```
     ///
-    /// Each hydro task needs only the global `dt`: it gathers its leaf's
-    /// ghost zone through the tree's plan (built at step start, once per
-    /// topology generation) and holds its result until the last reader of
-    /// the leaf's old interior — its P2M task or an owned hydro task, its
-    /// own among them — writes it back; the later of that write-back and the
-    /// leaf's gravity task adds the source, each cell reading its block's
-    /// entry of the gravity task's one acceleration per block. Each P2M task
-    /// writes its entry of the one leaf-order block table, which the last
-    /// one's continuation takes for the gravity pass. Per leaf that is a
-    /// serial walk's order, so the bits are a serial walk's. The graph
-    /// borrows the data in per-leaf locks ([`Octree::lend_grids`]) that the
-    /// counts keep uncontended. One task spawns the roots onto its own
-    /// deque, P2M last, so a worker pops those first, and the hydro fan-out
-    /// goes in reverse, so it pops in leaf order: results are written back
-    /// behind a wavefront. A gravity task overlaps hydro tasks on other
-    /// workers, and the *serial* M2M/list pass is hidden behind CFL/hydro
-    /// work — the paper's HPX futurization argument at sub-grid granularity.
-    /// `exchange` is consulted at the three joins named in the diagram and
-    /// nowhere else; with [`LocalExchange`] the step waits for nothing
-    /// outside its own runtime.
+    /// A hydro task gathers its leaf's ghost zone through the tree's plan
+    /// and holds its result until the last reader of the leaf's old interior
+    /// writes it back; the later of that write-back and the leaf's gravity
+    /// task adds the source, per block. Per leaf that is a serial walk's
+    /// order, so the bits are a serial walk's. Leaf data is lent out in
+    /// per-leaf locks ([`Octree::lend_grids`]) that the plan keeps
+    /// uncontended; the gravity state sits in one `RwLock` that P2M and the
+    /// moments pass write and the gravity tasks read. `exchange` is asked at
+    /// the three joins of the diagram, under no lock; with [`LocalExchange`]
+    /// the step waits for nothing outside its own runtime.
     pub(crate) fn step_with(&mut self, handle: &Handle, exchange: &impl Exchange) -> f64 {
+        self.step_by(handle, exchange, |plan, run| plan.execute(handle, run))
+    }
+
+    /// [`Driver::step_with`] with the plan run by `execute`: its executor,
+    /// or a test's.
+    fn step_by(
+        &mut self,
+        handle: &Handle,
+        exchange: &impl Exchange,
+        execute: impl FnOnce(&StepPlan, &(dyn Fn(Node) + Sync)),
+    ) -> f64 {
         let hydro_dispatch = Dispatch::new(self.config.hydro_kernel, handle, 4);
         let multipole_dispatch = Dispatch::new(self.config.multipole_kernel, handle, 4);
         let monopole_dispatch = Dispatch::new(self.config.monopole_kernel, handle, 4);
         let policy = self.config.simd_policy();
-        let cfl_factor = self.config.cfl;
-        let step = self.steps_done;
-        let theta = self.config.theta;
+        let kernels = GravityKernels {
+            multipole: &multipole_dispatch,
+            monopole: &monopole_dispatch,
+            simd: policy,
+        };
+        let (cfl_factor, step, theta) = (self.config.cfl, self.steps_done, self.config.theta);
 
         self.ownership.refresh(&mut self.tree);
         exchange.halo(&mut self.tree, &self.ownership.halo_out);
         let mask = &self.ownership.mask;
         let faces = self.tree.plan_ghosts(|pos| mask[pos]);
         self.work.add_ghost_faces(faces);
-        self.ownership.refresh_readers(&mut self.tree);
+        let own = &mut self.ownership;
+        let plan = &*(own.plan)
+            .get_or_insert_with(|| StepPlan::new(&own.positions, &self.tree.gather_sources()));
         // The step's work items: index `k` below is the `k`-th owned leaf.
-        let owned = &self.ownership.positions;
-        let leaves: Vec<NodeId> = {
-            let all = self.tree.leaf_ids();
-            owned.iter().map(|&pos| all[pos]).collect()
-        };
+        let owned = &own.positions;
+        let leaves: Vec<NodeId> = owned.iter().map(|&p| self.tree.leaf_ids()[p]).collect();
         let n = leaves.len();
 
-        // The serial M2M/list pass runs inside a task, concurrent with
-        // per-leaf hydro: the continuation locks the gravity state for it.
-        let gravity = Mutex::new((&mut self.gravity_ws, &mut self.interaction_cache));
-        let report: OnceLock<EnsureReport> = OnceLock::new();
-
-        let speeds: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        // The one leaf-order P2M table: each P2M task writes its own entry,
-        // the last one's continuation takes the table for the gravity pass.
-        let block_table = Mutex::new(vec![BlockSoA::zero(); self.tree.leaf_count()]);
-        // Per owned leaf, each held from the task that makes it to the
-        // leaf's write-back: the hydro result (per cell) and the
+        // Per owned leaf, each held from the node that makes it to the one
+        // that uses it: the CFL rate, the hydro result (per cell) and the
         // accelerations (per gravity block).
+        let speeds: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
         let results: Vec<Mutex<Option<Vec<[f64; NF]>>>> =
             (0..n).map(|_| Mutex::new(None)).collect();
         let accels: Vec<Mutex<Option<[[f64; 3]; gravity::BLOCKS]>>> =
             (0..n).map(|_| Mutex::new(None)).collect();
-        // Per owned leaf, the write-back countdown (`Ownership::readers`) and
-        // the source countdown (the write-back and its gravity task).
-        let unread: Vec<AtomicU32> = self.ownership.readers.iter().map(|&r| r.into()).collect();
-        let unsourced: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(2)).collect();
-        // The last CFL task to retire runs the dt reduction, the last P2M
-        // task the moments pass.
-        let cfl_remaining = AtomicU64::new(n as u64);
-        let p2m_remaining = AtomicU64::new(n as u64);
         let dt_bits = AtomicU64::new(0);
-        let g_env = Envelope::new();
-        let h_env = Envelope::new();
+        // Gravity state, the leaf-order P2M table and the list update's report.
+        let blocks = vec![BlockSoA::zero(); self.tree.leaf_count()];
+        let (ws, cache) = (&mut self.gravity_ws, &mut self.interaction_cache);
+        let gravity = RwLock::new((ws, cache, blocks, None::<EnsureReport>));
+        let (g_env, h_env) = (Envelope::new(), Envelope::new());
         // Hydro results held now and at most.
         let (held, held_hwm) = (AtomicU64::new(0), AtomicU64::new(0));
         let grids = self.tree.lend_grids();
+        let tree = &self.tree;
+        let lent = |leaf: NodeId| grids[leaf].as_ref().expect("leaf with data");
+        let grid = |leaf: NodeId| lent(leaf).read().expect("leaf lock");
+        let grid_mut = |k: usize| lent(leaves[k]).write().expect("leaf lock");
+        let dt = || f64::from_bits(dt_bits.load(Ordering::Relaxed));
 
-        {
-            let tree = &self.tree;
-            let reads = &self.ownership.reads;
-            let kernels = GravityKernels {
-                multipole: &multipole_dispatch,
-                monopole: &monopole_dispatch,
-                simd: policy,
-            };
-            let kernels = &kernels;
-            let hydro_dispatch = &hydro_dispatch;
-            let leaves = &leaves[..];
-            let (speeds, block_table, results, accels) = (&speeds, &block_table, &results, &accels);
-            let (unread, unsourced, held, held_hwm) = (&unread, &unsourced, &held, &held_hwm);
-            let (cfl_remaining, p2m_remaining) = (&cfl_remaining, &p2m_remaining);
-            let (dt_bits, gravity, report) = (&dt_bits, &gravity, &report);
-            let (g_env, h_env) = (&g_env, &h_env);
-            let grids = &grids;
-            let lent = move |leaf: NodeId| grids[leaf].as_ref().expect("leaf with data");
-            let grid = move |leaf: NodeId| lent(leaf).read().expect("leaf lock");
-            let grid_mut = move |k: usize| lent(leaves[k]).write().expect("leaf lock");
-
-            // The two countdowns of owned leaf `k`: whoever retires its last
-            // count does the work. Each decrement releases what its task did
-            // with the leaf (read the old interior, filled a slot), and the
-            // last one acquires all of it before writing.
-            let add_source = move |k: usize| {
-                if unsourced[k].fetch_sub(1, Ordering::AcqRel) == 1 {
-                    let acc = accels[k].lock().expect("accel slot").take();
-                    let dt = f64::from_bits(dt_bits.load(Ordering::Acquire));
-                    hydro::apply_gravity_source(&mut grid_mut(k), &acc.expect("gravity done"), dt);
-                }
-            };
-            let gathered = move |k: usize| {
-                if unread[k].fetch_sub(1, Ordering::AcqRel) == 1 {
-                    let state = results[k].lock().expect("result slot").take();
-                    hydro::apply_interior(&mut grid_mut(k), &state.expect("hydro result held"));
-                    held.fetch_sub(1, Ordering::Relaxed);
-                    add_source(k);
-                }
-            };
-
-            let hydro_leaf = move |idx: usize, dt: f64| {
+        execute(plan, &|node| match node {
+            Node::Cfl(k) => {
+                let _span = trace::span(Cat::Phase, "cfl_leaf");
+                let g = grid(leaves[k]);
+                let speed = hydro::max_signal_speed_policy(&g, &hydro_dispatch, policy);
+                speeds[k].store((speed / g.dx).to_bits(), Ordering::Relaxed);
+            }
+            Node::P2m(k) => {
+                let _span = trace::span(Cat::Phase, "p2m_leaf");
+                let blocks = gravity::compute_blocks(&grid(leaves[k]));
+                gravity.write().expect("gravity state").2[owned[k]] = blocks;
+            }
+            // A max-fold: any arrival order of the rates gives the same bits.
+            Node::Dt => {
+                let _span = trace::span(Cat::Phase, "cfl_reduction");
+                let rates = || (speeds.iter()).map(|s| f64::from_bits(s.load(Ordering::Relaxed)));
+                let rate = exchange.max_rate(hydro::max_cfl_rate(rates()));
+                let dt = hydro::global_dt(cfl_factor, rate, step, || {
+                    poisoned_leaf(owned, rates(), |k| grid(leaves[k]).first_non_finite())
+                });
+                dt_bits.store(dt.to_bits(), Ordering::Relaxed);
+            }
+            // The block table (the entries of the leaves owned elsewhere
+            // from the exchange), then the serial M2M + interaction-list
+            // section, hidden behind CFL/hydro work on other workers.
+            Node::Moments => {
+                let mut blocks = std::mem::take(&mut gravity.write().expect("gravity state").2);
+                exchange.complete_blocks(owned, &mut blocks);
+                let mut state = gravity.write().expect("gravity state");
+                let (ws, cache, table, report) = &mut *state;
+                let _span = trace::span(Cat::Phase, "gravity_moments");
+                ws.upward_pass(tree, &blocks);
+                *report = Some(cache.ensure(tree, &ws.moments, theta));
+                *table = blocks;
+            }
+            Node::Hydro(k) => {
                 let t0 = trace::now_ns();
                 let _span = trace::span(Cat::Phase, "hydro_step");
-                let mut state = vec![[0.0; NF]; CELLS];
+                let mut out = vec![[0.0; NF]; CELLS];
                 let mut frame = vec![0.0; FRAME_LEN];
-                tree.gather_frame(owned[idx], &mut frame, grid);
-                hydro::step_interior_staged_into(
-                    &grid(leaves[idx]),
-                    &mut frame,
-                    dt,
-                    hydro_dispatch,
-                    policy,
-                    &mut state,
-                );
+                tree.gather_frame(owned[k], &mut frame, grid);
+                let (g, dispatch) = (grid(leaves[k]), &hydro_dispatch);
+                hydro::step_interior_staged_into(&g, &mut frame, dt(), dispatch, policy, &mut out);
                 drop(frame);
-                *results[idx].lock().expect("result slot") = Some(state);
+                *results[k].lock().expect("result slot") = Some(out);
                 let now = held.fetch_add(1, Ordering::Relaxed) + 1;
                 held_hwm.fetch_max(now, Ordering::Relaxed);
-                for &k in &reads[idx] {
-                    gathered(k);
-                }
                 h_env.record(t0, trace::now_ns());
-            };
-            let hydro_leaf = &hydro_leaf;
-            let cfl_leaf = move |idx: usize| {
-                {
-                    let _span = trace::span(Cat::Phase, "cfl_leaf");
-                    let g = grid(leaves[idx]);
-                    let speed = hydro::max_signal_speed_policy(&g, hydro_dispatch, policy);
-                    speeds[idx].store((speed / g.dx).to_bits(), Ordering::Release);
-                }
-                if cfl_remaining.fetch_sub(1, Ordering::SeqCst) != 1 {
-                    return;
-                }
-                // Continuation of the last CFL task: global dt (a max-fold,
-                // so any arrival order gives the same bits), then the hydro
-                // fan-out, last leaf first: a worker pops it in leaf order.
-                let dt = {
-                    let _span = trace::span(Cat::Phase, "cfl_reduction");
-                    let rates = || {
-                        speeds
-                            .iter()
-                            .map(|s| f64::from_bits(s.load(Ordering::Acquire)))
-                    };
-                    let rate = exchange.max_rate(hydro::max_cfl_rate(rates()));
-                    hydro::global_dt(cfl_factor, rate, step, || {
-                        poisoned_leaf(owned, rates(), |k| grid(leaves[k]).first_non_finite())
-                    })
-                };
-                dt_bits.store(dt.to_bits(), Ordering::Release);
-                scope(handle, |hsc| {
-                    for idx in (0..n).rev() {
-                        hsc.spawn(move || hydro_leaf(idx, dt));
-                    }
-                });
-            };
-            let p2m_leaf = move |idx: usize| {
-                {
-                    let _span = trace::span(Cat::Phase, "p2m_leaf");
-                    let blocks = gravity::compute_blocks(&grid(leaves[idx]));
-                    block_table.lock().expect("block table")[owned[idx]] = blocks;
-                    gathered(idx);
-                }
-                if p2m_remaining.fetch_sub(1, Ordering::SeqCst) != 1 {
-                    return;
-                }
-                // Continuation of the last P2M task: the block table (the
-                // entries of the leaves owned elsewhere from the exchange),
-                // the serial M2M + interaction-list section (hidden behind
-                // CFL/hydro work on other workers), then the gravity fan-out.
-                let mut blocks = std::mem::take(&mut *block_table.lock().expect("block table"));
-                exchange.complete_blocks(owned, &mut blocks);
-                let mut state = gravity.lock().expect("gravity state");
-                let (ws, cache) = &mut *state;
-                let ensured = {
-                    let _span = trace::span(Cat::Phase, "gravity_moments");
-                    ws.upward_pass(tree, &blocks);
-                    cache.ensure(tree, &ws.moments, theta)
-                };
-                assert!(report.set(ensured).is_ok(), "one moments pass per step");
+            }
+            Node::Gravity(k) => {
+                let t0 = trace::now_ns();
+                let _span = trace::span(Cat::Phase, "gravity_solve");
+                let state = gravity.read().expect("gravity state");
+                let (ws, cache, blocks, _) = &*state;
                 let solve = LeafSolve {
                     tree,
                     moments: &ws.moments,
-                    blocks: &blocks,
+                    blocks,
                     leaf_pos: &ws.leaf_pos,
-                    kernels,
+                    kernels: &kernels,
                 };
-                let (solve, lists) = (&solve, cache.lists());
-                scope(handle, |gsc| {
-                    for (idx, &leaf) in leaves.iter().enumerate() {
-                        gsc.spawn(move || {
-                            let t0 = trace::now_ns();
-                            let _span = trace::span(Cat::Phase, "gravity_solve");
-                            let acc = solve.accel(leaf, &lists[solve.leaf_pos[leaf]]);
-                            *accels[idx].lock().expect("accel slot") = Some(acc);
-                            add_source(idx);
-                            g_env.record(t0, trace::now_ns());
-                        });
-                    }
-                });
-            };
-            // One root task spawns the roots onto its worker's deque, so
-            // they pop the same way whoever calls the step: the P2M tasks
-            // first (a leaf's write-back waits for its own), then the CFL
-            // tasks, which thieves take from the other end.
-            let (cfl_leaf, p2m_leaf) = (&cfl_leaf, &p2m_leaf);
-            scope(handle, |sc| {
-                sc.spawn(move || {
-                    scope(handle, |roots| {
-                        for idx in 0..n {
-                            roots.spawn(move || cfl_leaf(idx));
-                        }
-                        for idx in 0..n {
-                            roots.spawn(move || p2m_leaf(idx));
-                        }
-                    })
-                })
-            });
-        }
-        assert!(
-            unsourced.iter().all(|c| c.load(Ordering::Relaxed) == 0),
-            "every owned leaf is written back and sourced once"
-        );
+                let acc = solve.accel(leaves[k], &cache.lists()[owned[k]]);
+                *accels[k].lock().expect("accel slot") = Some(acc);
+                g_env.record(t0, trace::now_ns());
+            }
+            Node::WriteBack(k) => {
+                let _span = trace::span(Cat::Phase, "write_back");
+                let state = results[k].lock().expect("result slot").take();
+                hydro::apply_interior(&mut grid_mut(k), &state.expect("hydro result held"));
+                held.fetch_sub(1, Ordering::Relaxed);
+            }
+            Node::Source(k) => {
+                let _span = trace::span(Cat::Phase, "gravity_source");
+                let acc = accels[k].lock().expect("accel slot").take();
+                hydro::apply_gravity_source(&mut grid_mut(k), &acc.expect("gravity done"), dt());
+            }
+        });
+        let dt = dt();
+        let report = gravity.into_inner().expect("gravity state").3;
         self.tree.restore_grids(grids);
-        let dt = f64::from_bits(dt_bits.load(Ordering::Acquire));
         self.held_results_hwm = self.held_results_hwm.max(held_hwm.into_inner());
 
         self.accumulate_overlap(&g_env, &h_env);
-        self.account_step(report.into_inner().expect("moments task ran"));
+        self.account_step(report.expect("moments pass ran"));
         self.sim_time += dt;
         dt
     }
@@ -1137,6 +1022,68 @@ mod tests {
             held > 0 && 4 * held <= d.owned_leaves().len() as u64,
             "{held} held"
         );
+    }
+
+    /// A small star in one octant: 22 leaves at level 3, 8 of them in one
+    /// level-2 node, level jumps on every side.
+    struct OffCentre(RotatingStar);
+
+    impl InitialModel for OffCentre {
+        fn density_at(&self, x: f64, y: f64, z: f64) -> f64 {
+            self.0.density_at(x - 0.75, y - 0.75, z - 0.75)
+        }
+
+        fn conserved_at(&self, x: f64, y: f64, z: f64) -> [f64; NF] {
+            InitialModel::conserved_at(&self.0, x - 0.75, y - 0.75, z - 0.75)
+        }
+
+        fn reference_density(&self) -> f64 {
+            self.0.reference_density()
+        }
+    }
+
+    /// The plan is the step's only ordering: fifty seeded random
+    /// topological orders of it, each run serially from the same state, give
+    /// the bits of the task executor on two workers — on the 22-leaf tree,
+    /// and on the next generation's plan after a regrid whose 2:1 closure
+    /// cascades (36 leaves).
+    fn every_order_gives_the_executor_s_bits(regrid: bool) {
+        let cfg = OctoConfig {
+            max_level: 3,
+            simd_width: 0,
+            ..OctoConfig::default()
+        };
+        let star = OffCentre(RotatingStar::new(0.2, 1.0, 0.2));
+        let rt = Runtime::new(2);
+        let start = || {
+            let mut d = Driver::with_model(&star, cfg.clone());
+            assert_eq!(d.tree().leaf_count(), 22);
+            if regrid {
+                let victim = d.tree().leaf_ids()[10];
+                assert_eq!(d.regrid(&rt, &[victim]).leaves_refined, 2);
+            }
+            d
+        };
+        let mut d = start();
+        d.step(&rt);
+        let want = d.leaf_hashes();
+        for seed in 0..50 {
+            let mut d = start();
+            d.step_by(&rt.handle(), &LocalExchange, |plan, run| {
+                plan.execute_shuffled(seed, run)
+            });
+            assert_eq!(d.leaf_hashes(), want, "order {seed}");
+        }
+    }
+
+    #[test]
+    fn every_topological_order_of_the_plan_gives_the_same_bits() {
+        every_order_gives_the_executor_s_bits(false);
+    }
+
+    #[test]
+    fn every_topological_order_after_a_regrid_gives_the_same_bits() {
+        every_order_gives_the_executor_s_bits(true);
     }
 
     #[test]

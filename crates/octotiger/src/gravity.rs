@@ -432,14 +432,14 @@ pub struct EnsureReport {
 /// fires in a run), which makes the lists an exact function of
 /// `(topology, θ)`: a hit is bitwise identical to a rebuild.
 ///
-/// A refinement no longer discards the whole cache. The MAC decision for a
+/// A refinement does not discard the whole cache. The MAC decision for a
 /// far-accepted node depends only on its size and geometric centre — both
 /// unchanged by a split below it — so a retained target's *far* entries
 /// stay valid verbatim. Only a target whose **near** list mentions a split
 /// node (its "neighbour cone": the split node was close enough that the
 /// traversal descended to it as a leaf) must re-traverse, plus the sweep's
 /// new leaves themselves. [`Self::ensure`] gets the exact split set from
-/// [`Octree::splits_since`] and splices every clean target's lists into the
+/// [`Octree::splits_since`] and moves every clean target's lists into the
 /// new leaf order untouched — at level 5 a single-leaf refine re-traverses
 /// a few percent of targets instead of all of them.
 #[derive(Default)]
@@ -461,126 +461,58 @@ impl InteractionCache {
     /// Make the per-leaf lists current for `(tree topology, θ)`. The
     /// returned report says whether any traversal ran (a miss, charged by
     /// the cost model) and how many leaves were rebuilt vs retained.
+    ///
+    /// One path: a leaf is dirty when it is new, when its cached near list
+    /// names a node split since the cached generation, or — with no cached
+    /// generation of the same θ — always. The dirty leaves are traversed;
+    /// every clean list moves over unchanged.
     pub fn ensure(&mut self, tree: &Octree, moments: &[Moments], theta: f64) -> EnsureReport {
         let key = (tree.generation(), theta.to_bits());
         if self.key == Some(key) {
             self.stats.hits += 1;
-            return EnsureReport {
-                rebuilt: false,
-                ..EnsureReport::default()
-            };
+            return EnsureReport::default();
         }
         self.stats.misses += 1;
-        // One span per rebuild, partial or full: trace cache_rebuild count
-        // == stats.misses.
+        // One span per miss: trace cache_rebuild count == stats.misses.
         let _span = trace::span(Cat::Gravity, "cache_rebuild");
-        // Same θ and a newer topology of the *same* tree: the split log
-        // names every node that stopped being a leaf since our snapshot, so
-        // only lists whose near cone mentions one need re-traversal.
-        let incremental = self
-            .key
+        let since = (self.key)
             .filter(|&(g0, t0)| t0 == theta.to_bits() && tree.generation() > g0)
-            .map(|(g0, _)| g0)
-            .filter(|_| !self.leaf_ids.is_empty());
-        let report = match incremental {
-            Some(g0) => self.partial_rebuild(tree, moments, theta, g0),
-            None => self.full_rebuild(tree, moments, theta),
-        };
-        self.key = Some(key);
-        report
-    }
-
-    /// Rebuild every leaf's lists from scratch.
-    fn full_rebuild(&mut self, tree: &Octree, moments: &[Moments], theta: f64) -> EnsureReport {
-        self.lists.clear();
-        let mut mac_evals = 0u64;
-        for &leaf in tree.leaf_ids() {
-            let lists = interaction_lists(tree, moments, leaf, theta);
-            mac_evals += lists.ids.len() as u64;
-            self.lists.push(lists);
-        }
-        self.leaf_ids.clear();
-        self.leaf_ids.extend_from_slice(tree.leaf_ids());
-        self.stats.leaves_rebuilt += self.lists.len() as u64;
-        EnsureReport {
-            rebuilt: true,
-            leaves_rebuilt: self.lists.len(),
-            leaves_retained: 0,
-            mac_evals,
-        }
-    }
-
-    /// Re-traverse only the leaves invalidated by the splits after
-    /// generation `g0`; splice every other retained list into the new leaf
-    /// order.
-    fn partial_rebuild(
-        &mut self,
-        tree: &Octree,
-        moments: &[Moments],
-        theta: f64,
-        g0: u64,
-    ) -> EnsureReport {
+            .map(|(g0, _)| g0);
+        // Node ids are stable and never removed, so the bitmap covers every
+        // id an old near list names.
         let mut is_split = vec![false; tree.node_count()];
-        let mut any = false;
-        for id in tree.splits_since(g0) {
+        for id in since.into_iter().flat_map(|g0| tree.splits_since(g0)) {
             is_split[id] = true;
-            any = true;
         }
-        if !any {
-            // Generation moved without a covering log (defensive — e.g. a
-            // cache shared across trees): fall back to the full path.
-            return self.full_rebuild(tree, moments, theta);
-        }
-        let old_pos: std::collections::HashMap<NodeId, usize> = self
-            .leaf_ids
-            .iter()
-            .enumerate()
-            .map(|(pos, &leaf)| (leaf, pos))
-            .collect();
-        let mut old: Vec<Option<LeafLists>> = std::mem::take(&mut self.lists)
-            .into_iter()
-            .map(Some)
-            .collect();
-        let mut leaves_rebuilt = 0usize;
-        let mut leaves_retained = 0usize;
-        let mut mac_evals = 0u64;
-        self.lists = tree
-            .leaf_ids()
-            .iter()
+        let mut old: std::collections::HashMap<NodeId, LeafLists> = match since {
+            Some(_) => self.leaf_ids.drain(..).zip(self.lists.drain(..)).collect(),
+            None => Default::default(),
+        };
+        let mut report = EnsureReport {
+            rebuilt: true,
+            ..EnsureReport::default()
+        };
+        self.lists = (tree.leaf_ids().iter())
             .map(|&leaf| {
-                // A split node appears in old near lists (ids are stable and
-                // never removed, so the bitmap covers them all); old far
-                // entries stay valid — the MAC saw the same size/position.
-                let clean = old_pos.get(&leaf).copied().filter(|&pos| {
-                    old[pos]
-                        .as_ref()
-                        .is_some_and(|lists| lists.near().iter().all(|&n| !is_split[n as usize]))
-                });
-                match clean {
-                    Some(pos) => {
-                        leaves_retained += 1;
-                        old[pos].take().expect("each old list spliced once")
-                    }
-                    None => {
-                        let lists = interaction_lists(tree, moments, leaf, theta);
-                        mac_evals += lists.ids.len() as u64;
-                        leaves_rebuilt += 1;
-                        lists
-                    }
+                let clean = (old.remove(&leaf))
+                    .filter(|lists| lists.near().iter().all(|&n| !is_split[n as usize]));
+                if let Some(lists) = clean {
+                    report.leaves_retained += 1;
+                    return lists;
                 }
+                let lists = interaction_lists(tree, moments, leaf, theta);
+                report.mac_evals += lists.ids.len() as u64;
+                report.leaves_rebuilt += 1;
+                lists
             })
             .collect();
         self.leaf_ids.clear();
         self.leaf_ids.extend_from_slice(tree.leaf_ids());
-        self.stats.partial_rebuilds += 1;
-        self.stats.leaves_rebuilt += leaves_rebuilt as u64;
-        self.stats.leaves_retained += leaves_retained as u64;
-        EnsureReport {
-            rebuilt: true,
-            leaves_rebuilt,
-            leaves_retained,
-            mac_evals,
-        }
+        self.stats.partial_rebuilds += u64::from(is_split.contains(&true));
+        self.stats.leaves_rebuilt += report.leaves_rebuilt as u64;
+        self.stats.leaves_retained += report.leaves_retained as u64;
+        self.key = Some(key);
+        report
     }
 
     /// Cached lists, aligned with `tree.leaf_ids()`.
@@ -1456,7 +1388,7 @@ mod tests {
     }
 
     #[test]
-    fn partial_rebuild_matches_full_rebuild_and_skips_clean_leaves() {
+    fn incremental_ensure_matches_full_rebuild_and_skips_clean_leaves() {
         // Refine mid-run, then compare the incremental cache against a
         // from-scratch cache: the spliced structure must be identical and
         // the retained lists must not have been re-traversed.

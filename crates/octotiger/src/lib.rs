@@ -28,6 +28,7 @@ pub mod gravity;
 pub mod hydro;
 pub mod kernel_backend;
 pub mod octree;
+pub(crate) mod plan;
 pub mod star;
 pub mod subgrid;
 

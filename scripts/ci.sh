@@ -94,8 +94,7 @@ BENCH_SMOKE=1 cargo bench -q -p repro-bench --bench bench_gravity
 BENCH_SMOKE=1 cargo bench -q -p repro-bench --bench bench_hydro
 
 # Also the memory gate: level-4 peak RSS at most 82 B per cell (74.6 measured
-# with gravity handing off one acceleration per block, plus 10 %; 79.7 with a
-# per-cell copy, 133 while every hydro result waited for one apply phase).
+# with gravity handing off one acceleration per block, plus 10 %).
 echo "== deep-tree scale smoke (level 4: mid-run regrid rebuilds < 25% of lists, peak RSS <= 82 B/cell) =="
 BENCH_SMOKE=1 cargo bench -q -p repro-bench --bench bench_scale
 
@@ -136,7 +135,8 @@ rm -f "$TRACE_OUT" "$FLAME_OUT"
 # mid-span, and level-1 runs are short enough to miss that window ~40% of
 # the time. Level 2 gives each family ~10x the open-span time and passes
 # deterministically (measured 10/10 on a 1-core box vs 6/10 at level 1).
-# The driver-owned counters (`/gravity/*`, `/work/*`) are in the trace too.
+# The driver-owned counters (`/gravity/*`, `/work/*`, the wavefront's
+# `/step/held_results_hwm`) are in the trace too.
 echo "== step trace: gravity/hydro spans overlap, driver-owned counters sampled =="
 TRACE_FUT=$(mktemp -t apexlite_fut_XXXXXX.json)
 cargo run --release --example rotating_star -- \
@@ -145,6 +145,7 @@ cargo run --release --example rotating_star -- \
 cargo run --release -p apex-lite --bin trace_report -- \
   --check --require-overlap=gravity_solve,hydro_step \
   --require-counter=/gravity/cache_hits --require-counter=/work/gravity_flops \
+  --require-counter=/step/held_results_hwm \
   "$TRACE_FUT"
 rm -f "$TRACE_FUT"
 

@@ -1,13 +1,27 @@
 //! End-to-end smoke test: regenerate every exhibit in quick mode and check
 //! the paper's headline shapes (who wins, by roughly what factor).
 
+use std::sync::OnceLock;
+
 use octotiger_riscv_repro::octo_core::experiments;
+use octotiger_riscv_repro::octo_core::Exhibit;
+
+/// Every exhibit in quick mode, built once for the whole binary.
+fn all() -> &'static [Exhibit] {
+    static ALL: OnceLock<Vec<Exhibit>> = OnceLock::new();
+    ALL.get_or_init(|| experiments::run_all(true))
+}
+
+/// The exhibit with id `id`.
+fn exhibit(id: &str) -> &'static Exhibit {
+    all().iter().find(|e| e.id == id).expect("exhibit built")
+}
 
 #[test]
 fn every_exhibit_regenerates() {
-    let all = experiments::run_all(true);
+    let all = all();
     assert_eq!(all.len(), experiments::EXHIBIT_IDS.len());
-    for e in &all {
+    for e in all {
         assert!(
             experiments::EXHIBIT_IDS.contains(&e.id.as_str()),
             "unknown exhibit {}",
@@ -26,9 +40,7 @@ fn run_one_rejects_unknown_ids() {
 
 #[test]
 fn headline_shapes_hold_together() {
-    // One combined pass so the expensive exhibits are built once.
-    let fig4a = experiments::run_fig4a(true);
-    let fig8 = experiments::run_fig8(true);
+    let (fig4a, fig8) = (exhibit("fig4a"), exhibit("fig8"));
 
     // §6.1: RISC-V ≈5× slower than A64FX at matched core counts.
     let a64 = fig4a.series_by_label("a64fx").unwrap().y_at(4.0).unwrap();
