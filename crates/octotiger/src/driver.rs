@@ -247,6 +247,35 @@ struct Ownership {
     /// The step's plan over `positions`, built on a generation's first step
     /// (not at set-up).
     plan: Option<StepPlan>,
+    /// What the step holds at step size, allocated on a generation's first
+    /// step once the previous generation's are dropped (on one locality of
+    /// several, on every step).
+    buffers: Option<StepBuffers>,
+}
+
+/// The buffers of a step, overwritten in place by every step of one
+/// topology generation. Per owned leaf, each slot holds what one plan node
+/// makes until the node that uses it: the CFL rate, the hydro result (per
+/// cell) and the accelerations (per gravity block); a step leaves every
+/// result and acceleration slot empty.
+struct StepBuffers {
+    /// The leaf-order P2M table: P2M writes the owned entries, the exchange
+    /// the rest; the moments pass and the gravity tasks read it.
+    blocks: Vec<BlockSoA>,
+    speeds: Vec<AtomicU64>,
+    results: Vec<Mutex<Option<Vec<[f64; NF]>>>>,
+    accels: Vec<Mutex<Option<[[f64; 3]; gravity::BLOCKS]>>>,
+}
+
+impl StepBuffers {
+    fn new(leaves: usize, owned: usize) -> Self {
+        StepBuffers {
+            blocks: vec![BlockSoA::zero(); leaves],
+            speeds: (0..owned).map(|_| AtomicU64::new(0)).collect(),
+            results: (0..owned).map(|_| Mutex::new(None)).collect(),
+            accels: (0..owned).map(|_| Mutex::new(None)).collect(),
+        }
+    }
 }
 
 impl Ownership {
@@ -273,6 +302,7 @@ impl Ownership {
             tree.halo_sources(|pos| !mask[pos])
         };
         self.plan = None;
+        self.buffers = None;
         self.built_for = Some(tree.generation());
     }
 }
@@ -349,6 +379,7 @@ impl Driver {
             positions: Vec::new(),
             halo_out: Vec::new(),
             plan: None,
+            buffers: None,
         };
         ownership.refresh(&mut tree);
         // Data for the leaves this locality reads: the ones it owns and the
@@ -474,25 +505,21 @@ impl Driver {
         let faces = self.tree.plan_ghosts(|pos| mask[pos]);
         self.work.add_ghost_faces(faces);
         let own = &mut self.ownership;
-        let plan = &*(own.plan)
-            .get_or_insert_with(|| StepPlan::new(&own.positions, &self.tree.gather_sources()));
+        let plan = &*(own.plan).get_or_insert_with(|| {
+            let sources = self.tree.gather_sources();
+            StepPlan::new(&own.positions, |pos| sources.of(pos))
+        });
+        let leaf_count = self.tree.leaf_count();
+        let buffers =
+            (own.buffers).get_or_insert_with(|| StepBuffers::new(leaf_count, own.positions.len()));
         // The step's work items: index `k` below is the `k`-th owned leaf.
         let owned = &own.positions;
         let leaves: Vec<NodeId> = owned.iter().map(|&p| self.tree.leaf_ids()[p]).collect();
-        let n = leaves.len();
-
-        // Per owned leaf, each held from the node that makes it to the one
-        // that uses it: the CFL rate, the hydro result (per cell) and the
-        // accelerations (per gravity block).
-        let speeds: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        let results: Vec<Mutex<Option<Vec<[f64; NF]>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        let accels: Vec<Mutex<Option<[[f64; 3]; gravity::BLOCKS]>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
+        let (speeds, results, accels) = (&buffers.speeds, &buffers.results, &buffers.accels);
         let dt_bits = AtomicU64::new(0);
         // Gravity state, the leaf-order P2M table and the list update's report.
-        let blocks = vec![BlockSoA::zero(); self.tree.leaf_count()];
         let (ws, cache) = (&mut self.gravity_ws, &mut self.interaction_cache);
+        let blocks = buffers.blocks.as_mut_slice();
         let gravity = RwLock::new((ws, cache, blocks, None::<EnsureReport>));
         let (g_env, h_env) = (Envelope::new(), Envelope::new());
         // Hydro results held now and at most.
@@ -530,12 +557,12 @@ impl Driver {
             // from the exchange), then the serial M2M + interaction-list
             // section, hidden behind CFL/hydro work on other workers.
             Node::Moments => {
-                let mut blocks = std::mem::take(&mut gravity.write().expect("gravity state").2);
-                exchange.complete_blocks(owned, &mut blocks);
+                let blocks = std::mem::take(&mut gravity.write().expect("gravity state").2);
+                exchange.complete_blocks(owned, blocks);
                 let mut state = gravity.write().expect("gravity state");
                 let (ws, cache, table, report) = &mut *state;
                 let _span = trace::span(Cat::Phase, "gravity_moments");
-                ws.upward_pass(tree, &blocks);
+                ws.upward_pass(tree, blocks);
                 *report = Some(cache.ensure(tree, &ws.moments, theta));
                 *table = blocks;
             }
@@ -585,6 +612,11 @@ impl Driver {
         let report = gravity.into_inner().expect("gravity state").3;
         self.tree.restore_grids(grids);
         self.held_results_hwm = self.held_results_hwm.max(held_hwm.into_inner());
+        // One locality of several peaks in the halo exchange that starts
+        // its next step: its step buffers do not live across it.
+        if self.ownership.nodes > 1 {
+            self.ownership.buffers = None;
+        }
 
         self.accumulate_overlap(&g_env, &h_env);
         self.account_step(report.expect("moments pass ran"));
@@ -1084,6 +1116,39 @@ mod tests {
     #[test]
     fn every_topological_order_after_a_regrid_gives_the_same_bits() {
         every_order_gives_the_executor_s_bits(true);
+    }
+
+    /// The step buffers belong to the generation: every step leaves each
+    /// result and acceleration slot empty, and the first step after a regrid
+    /// sizes them for the new tree.
+    #[test]
+    fn every_step_leaves_its_slots_empty() {
+        let mut d = Driver::new(tiny_config(KernelType::KokkosSerial));
+        let rt = Runtime::new(2);
+        fn held<T>(slots: &[Mutex<Option<T>>]) -> bool {
+            (slots.iter()).any(|slot| slot.lock().expect("slot").is_some())
+        }
+        let check = |d: &Driver, label: &str| {
+            let b = d
+                .ownership
+                .buffers
+                .as_ref()
+                .expect("this generation's buffers");
+            assert_eq!(b.blocks.len(), d.tree().leaf_count(), "{label}");
+            assert_eq!(b.accels.len(), d.owned_leaves().len(), "{label}");
+            assert!(!held(&b.results), "{label}: a result is held");
+            assert!(!held(&b.accels), "{label}: an acceleration is held");
+        };
+        for step in 0..2 {
+            d.step(&rt);
+            check(&d, &format!("step {step}"));
+        }
+        let victim = d.tree().leaf_ids()[0];
+        assert!(d.regrid(&rt, &[victim]).leaves_refined > 0);
+        for step in 2..4 {
+            d.step(&rt);
+            check(&d, &format!("step {step}, after a regrid"));
+        }
     }
 
     #[test]

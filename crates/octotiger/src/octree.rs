@@ -48,7 +48,7 @@ use crate::star::{InitialModel, RotatingStar, NF};
 use crate::subgrid::{Face, SubGrid, CELLS, NX};
 
 mod ghost;
-pub use ghost::{GhostFaces, GhostStats, FACE_VALUES};
+pub use ghost::{GhostFaces, GhostPlan, GhostStats, FACE_VALUES};
 
 /// Index of a node within the tree arena.
 pub type NodeId = usize;

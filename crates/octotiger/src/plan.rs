@@ -56,9 +56,9 @@ pub(crate) struct StepPlan {
 
 impl StepPlan {
     /// The plan over the owned leaves at `owned` (ascending leaf positions),
-    /// whose gathers read the leaves at `sources[pos]`
-    /// ([`crate::octree::Octree::gather_sources`]; halo leaves are no node).
-    pub(crate) fn new(owned: &[usize], sources: &[Vec<usize>]) -> Self {
+    /// whose gathers read the leaves at `sources(pos)` (ascending:
+    /// [`crate::octree::Octree::gather_sources`]; halo leaves are no node).
+    pub(crate) fn new<'s>(owned: &[usize], sources: impl Fn(usize) -> &'s [u32]) -> Self {
         let n = owned.len();
         let mut plan = StepPlan {
             n,
@@ -70,8 +70,8 @@ impl StepPlan {
             let next: Vec<Node> = match plan.node(id) {
                 Cfl(_) => vec![Dt],
                 P2m(k) => vec![WriteBack(k), Moments],
-                Hydro(j) => (sources[owned[j]].iter())
-                    .filter_map(|pos| owned.binary_search(pos).ok())
+                Hydro(j) => (sources(owned[j]).iter())
+                    .filter_map(|&pos| owned.binary_search(&(pos as usize)).ok())
                     .map(WriteBack)
                     .collect(),
                 Gravity(k) | WriteBack(k) => vec![Source(k)],
@@ -215,10 +215,10 @@ mod tests {
     #[test]
     fn plan_has_the_step_s_shape() {
         let owned = [1, 2, 3, 4];
-        let sources: Vec<Vec<usize>> = (0..6)
-            .map(|pos: usize| (pos.saturating_sub(1)..(pos + 2).min(6)).collect())
+        let sources: Vec<Vec<u32>> = (0..6)
+            .map(|pos: u32| (pos.saturating_sub(1)..(pos + 2).min(6)).collect())
             .collect();
-        let plan = StepPlan::new(&owned, &sources);
+        let plan = StepPlan::new(&owned, |pos| &sources[pos]);
         let n = owned.len();
         let preds = |node| plan.preds[plan.id(node)];
         let succ = |node| -> Vec<Node> {
@@ -230,7 +230,7 @@ mod tests {
             // The old interior's reads: its P2M task and every owned
             // gather of it (leaf positions 0 and 5 are halo).
             let readers = (owned.iter())
-                .filter(|&&pos| sources[pos].contains(&owned[k]))
+                .filter(|&&pos| sources[pos].contains(&(owned[k] as u32)))
                 .count();
             assert_eq!(preds(WriteBack(k)) as usize, 1 + readers, "leaf {k}");
             assert_eq!(preds(Source(k)), 2);

@@ -93,9 +93,9 @@ echo "== kernel sweep smokes (gravity, hydro: every pack width runs) =="
 BENCH_SMOKE=1 cargo bench -q -p repro-bench --bench bench_gravity
 BENCH_SMOKE=1 cargo bench -q -p repro-bench --bench bench_hydro
 
-# Also the memory gate: level-4 peak RSS at most 82 B per cell (74.6 measured
-# with gravity handing off one acceleration per block, plus 10 %).
-echo "== deep-tree scale smoke (level 4: mid-run regrid rebuilds < 25% of lists, peak RSS <= 82 B/cell) =="
+# Also the memory gate: level-4 peak RSS at most 79 B per cell (72.0 measured
+# with the step buffers allocated once per topology generation, plus 10 %).
+echo "== deep-tree scale smoke (level 4: mid-run regrid rebuilds < 25% of lists, peak RSS <= 79 B/cell) =="
 BENCH_SMOKE=1 cargo bench -q -p repro-bench --bench bench_scale
 
 echo "== scheduler per-task smoke (spread gate on the external-producer case) =="
@@ -136,7 +136,8 @@ rm -f "$TRACE_OUT" "$FLAME_OUT"
 # the time. Level 2 gives each family ~10x the open-span time and passes
 # deterministically (measured 10/10 on a 1-core box vs 6/10 at level 1).
 # The driver-owned counters (`/gravity/*`, `/work/*`, the wavefront's
-# `/step/held_results_hwm`) are in the trace too.
+# `/step/held_results_hwm`, the ghost plan's `/ghost/plan_rebuilds`: one per
+# generation planned, patched or whole) are in the trace too.
 echo "== step trace: gravity/hydro spans overlap, driver-owned counters sampled =="
 TRACE_FUT=$(mktemp -t apexlite_fut_XXXXXX.json)
 cargo run --release --example rotating_star -- \
@@ -146,6 +147,7 @@ cargo run --release -p apex-lite --bin trace_report -- \
   --check --require-overlap=gravity_solve,hydro_step \
   --require-counter=/gravity/cache_hits --require-counter=/work/gravity_flops \
   --require-counter=/step/held_results_hwm \
+  --require-counter=/ghost/plan_rebuilds \
   "$TRACE_FUT"
 rm -f "$TRACE_FUT"
 

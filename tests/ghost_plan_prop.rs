@@ -3,7 +3,8 @@
 //! (`Octree::sample` at the ghost cell's centre), and the frame's interior
 //! must be the leaf's, on any refinement history, from tasks on any worker
 //! count; the plan must be rebuilt exactly once per topology generation and
-//! never in between; a gather must not allocate; and the work it reports
+//! never in between, and a plan patched along the split log must equal a
+//! whole rebuild as data; a gather must not allocate; and the work it reports
 //! must follow the formula the machine projection was calibrated on (640
 //! values per face).
 
@@ -153,6 +154,16 @@ impl Census {
     }
 }
 
+/// The current plan, patched along the split log since the generation it
+/// was first built for, equals a whole rebuild of the same tree as data:
+/// faces, cells, reader table and face census.
+fn assert_patched_is_fresh(tree: &Octree, label: &str) {
+    assert!(
+        *tree.ghost_plan() == tree.fresh_ghost_plan(),
+        "{label}: the patched plan differs from a whole rebuild"
+    );
+}
+
 /// Plan, then gather every leaf's frame — one task per leaf on `workers`
 /// workers, as the hydro tasks do (0 = on the calling thread) — and check
 /// each frame whole.
@@ -205,8 +216,9 @@ fn every_face_kind_matches_the_sampling_oracle_for_1_and_3_workers() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Random refine sequences: after every sweep the plan is rebuilt for
-    /// the new generation and the gathered frames still equal sampling.
+    /// Random refine sequences: after every sweep the plan is patched for
+    /// the new generation, equals a whole rebuild, and the gathered frames
+    /// still equal sampling.
     #[test]
     fn random_refine_sequences_match_the_sampling_oracle(
         level in 1u32..3,
@@ -226,7 +238,10 @@ proptest! {
             let before = tree.generation();
             tree.regrid(&victims);
             generations += tree.generation() - before;
-            check_gather(&mut tree, workers, &format!("after sweep {picks:?}"));
+            let label = format!("after sweep {picks:?}");
+            tree.plan_ghosts(|_| true);
+            assert_patched_is_fresh(&tree, &label);
+            check_gather(&mut tree, workers, &label);
             prop_assert_eq!(tree.ghost_stats().plan_rebuilds, generations);
         }
     }
@@ -282,6 +297,7 @@ fn plan_is_rebuilt_once_per_generation_and_steps_equal_the_oracle() {
                 check_frame(tree, leaf, &gathered(tree, pos), &label);
             }
             assert_eq!(tree.ghost_stats().plan_rebuilds, rebuilds);
+            assert_patched_is_fresh(tree, &format!("{workers} workers"));
         };
         checked_step(&mut d, 1);
         checked_step(&mut d, 1);
