@@ -530,9 +530,9 @@ pub fn imbalance(stats: &[WorkerStats]) -> f64 {
 }
 
 /// The HPX-like runtime: a pool of worker threads executing lightweight
-/// tasks with work stealing. Dropping the runtime shuts the pool down
-/// (pending queued tasks are abandoned — call [`Runtime::wait_idle`] or hold
-/// futures if you need completion).
+/// tasks with work stealing. Dropping the runtime shuts the pool down:
+/// queued tasks that have not started are abandoned, so hold the futures of
+/// the work that must finish, and wait on them first.
 pub struct Runtime {
     shared: Arc<Shared>,
     joins: Vec<std::thread::JoinHandle<()>>,

@@ -728,7 +728,7 @@ pub(crate) mod tests {
         let trace = Trace {
             threads: vec![
                 (
-                    meta(0, 0, "parcel-rx"),
+                    meta(0, 0, "worker0"),
                     vec![
                         flow_ev("parcel", 5000, EventKind::FlowEnd { id: 7 }),
                         span_ev("parcel_recv", Cat::Comm, 4900, 300),
@@ -763,7 +763,7 @@ pub(crate) mod tests {
     fn rejects_dangling_flow_end() {
         let trace = Trace {
             threads: vec![(
-                meta(0, 0, "parcel-rx"),
+                meta(0, 0, "worker0"),
                 vec![flow_ev("parcel", 100, EventKind::FlowEnd { id: 99 })],
             )],
             dropped: 0,

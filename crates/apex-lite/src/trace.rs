@@ -108,7 +108,7 @@ pub struct ThreadMeta {
     pub pid: u32,
     /// Process-wide unique thread id.
     pub tid: u32,
-    /// Human-readable lane name ("worker3", "parcel-rx", ...).
+    /// Human-readable lane name ("worker3", "driver", ...).
     pub name: String,
 }
 

@@ -5,7 +5,7 @@
 //! ```
 //!
 //! implemented in the paper's four shared-memory parallelism styles
-//! ([14], Figs. 4–5): asynchronous programming (`hpx::async` + futures),
+//! (\[14\], Figs. 4–5): asynchronous programming (`hpx::async` + futures),
 //! parallel algorithms (`hpx::for_each(par)`), senders & receivers, and
 //! futures + coroutines. Each term is computed with `pow(x, k)` exactly
 //! like the reference C++ code, which is why a term costs ≈100 flops

@@ -2,33 +2,40 @@
 //!
 //! A [`Cluster`] simulates the paper's two-board VisionFive2 setup inside
 //! one process: every locality owns its own `amt::Runtime` (one per board,
-//! `--hpx:threads=4`) and a frame receive loop. Remote action invocations
-//! serialize their arguments through [`crate::wire`], travel as
-//! [`crate::parcel::ParcelMsg`]s, one per [`crate::frame`], through the
-//! configured [`crate::parcelport::Parcelport`], execute as tasks on the
-//! target locality's runtime, and return their serialized result the same
-//! way. The byte/message statistics the Fig. 8 projection consumes are
-//! therefore measured off real framed wire images, not guessed.
+//! `--hpx:threads=4`). A remote action invocation writes its parcel, with
+//! its argument's image, straight into one [`crate::frame`] (no payload or
+//! parcel buffer in between), and the configured
+//! [`crate::parcelport::Parcelport`] delivers that buffer to the target
+//! locality, whose runtime reads it in a *receive task*, the way HPX decodes
+//! a parcel and runs its action on a worker of the target locality. For a
+//! request the receive task runs the handler in place — the argument
+//! decoded from the frame, the result written straight into the response
+//! frame — and sends the response; for a response it completes the caller's
+//! promise, so the continuation that decodes the result from the frame runs
+//! on the caller's locality. The byte/message statistics the Fig. 8
+//! projection consumes are therefore measured off real framed wire images,
+//! not guessed.
 //!
 //! Local invocations take HPX's "unified syntax" fast path: same API, no
 //! wire bytes, a direct task on the local runtime.
 //!
-//! Delivery routing uses a *switchboard*: the parcelport's deliver closure
-//! looks up the destination's frame channel in a shared table. On shutdown
-//! the cluster clears the table, which closes every channel and ends the
-//! receive loops — frames sent during teardown are dropped like writes to
-//! a closed socket.
+//! Delivery checks that a frame is readable — frame header and parcel
+//! fields, in arrival order — before it hands the frame to a receive task.
+//! The first buffer that is not (not a frame, or a frame whose body is not
+//! a parcel) ends the cluster's remote traffic: it records why, naming the
+//! destination locality, and fails every caller still waiting on a
+//! response, on every locality. No frame delivered after it is dispatched,
+//! and every later remote invocation fails with the same message; local
+//! ones still run.
 //!
-//! A receive loop that meets a buffer it cannot read (not a frame, or a
-//! frame whose body is not a parcel) ends the cluster's remote traffic: it
-//! records why, fails every caller still waiting on a response, on every
-//! locality, and returns. Every later remote invocation fails with the same
-//! message; local ones still run.
+//! On drop the cluster stops taking frames — any sent later are dropped,
+//! like writes to a closed socket — and waits for the receive tasks of the
+//! frames delivered before, since a runtime that shuts down abandons the
+//! tasks still queued on it.
 
 use std::any::Any;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 
 use amt::{lock, Future, Promise, Runtime};
@@ -37,10 +44,10 @@ use rv_machine::NetBackend;
 
 use crate::agas::{Agas, Gid, LocalityId};
 use crate::frame::{self, TraceCtx};
-use crate::parcel::ParcelMsg;
+use crate::parcel::Parcel;
 use crate::parcelport::{self, Deliver, Parcelport};
 use crate::stats::{CommMetrics, NetSnapshot, NetStats, PortSnapshot};
-use crate::wire::{self, Wire};
+use crate::wire::{self, Wire, Writer};
 
 /// Referee shim: the frozen referee in `benchmark/` fills a `coalesce` field
 /// of [`ClusterConfig`] (and of `octotiger`'s `DistConfig`) with
@@ -75,76 +82,202 @@ impl Default for ClusterConfig {
     }
 }
 
-/// An encoded action result, or why there is none.
-type Reply = Result<Vec<u8>, String>;
+/// A waiting caller's continuation: decodes the result from its image in
+/// the response frame — or fails the call with why there is none — and
+/// completes the caller's future.
+type Completion = Box<dyn FnOnce(Result<&[u8], &str>) + Send>;
 
-type Handler = Arc<dyn Fn(&LocalityHandle, Gid, &[u8]) -> Reply + Send + Sync + 'static>;
-
-/// The deliver-side routing table: one frame channel per locality. Cleared
-/// on shutdown to close the channels (see module docs).
-type Switchboard = Arc<Mutex<Vec<Sender<Vec<u8>>>>>;
+/// Decodes the argument from its image, runs the action and appends the
+/// image of its result to the writer — or says why it could not.
+type Handler =
+    Arc<dyn Fn(&LocalityHandle, Gid, &[u8], &mut Writer) -> Result<(), String> + Send + Sync>;
 
 struct LocalityInner {
     id: LocalityId,
     /// Each value is an `Arc<Mutex<T>>`: callers clone the `Arc` out and
     /// drop the map lock before locking the component itself.
     components: Mutex<HashMap<Gid, Arc<dyn Any + Send + Sync>>>,
-    pending: Mutex<HashMap<u64, Promise<Reply>>>,
+    pending: Mutex<HashMap<u64, Completion>>,
     next_call: AtomicU64,
+}
+
+/// The receive tasks that have not finished, and whether the cluster still
+/// takes frames (see module docs). Lock-free on the way of every frame; the
+/// lock is only for the promise the closing cluster waits on.
+#[derive(Default)]
+struct Receipts {
+    running: AtomicUsize,
+    closed: AtomicBool,
+    /// Completed by the last receive task to finish after the cluster
+    /// closed.
+    drained: Mutex<Option<Promise<()>>>,
+}
+
+impl Receipts {
+    /// A place for one more receive task, unless the cluster closed.
+    fn enter(self: &Arc<Self>) -> Option<Receipt> {
+        // Count, then look: a close that looks after this count waits for
+        // the task, and one that looked before has set the flag seen here.
+        self.running.fetch_add(1, Ordering::SeqCst);
+        let receipt = Receipt(Arc::clone(self));
+        (!self.closed.load(Ordering::SeqCst)).then_some(receipt)
+    }
+
+    /// Take no more frames; the future of the last running receive task's
+    /// end, if one is running.
+    fn close(&self) -> Option<Future<()>> {
+        self.closed.store(true, Ordering::SeqCst);
+        let mut drained = lock(&self.drained);
+        (self.running.load(Ordering::SeqCst) > 0).then(|| {
+            let (promise, future) = amt::future_pair();
+            *drained = Some(promise);
+            future
+        })
+    }
+}
+
+/// One receive task's place in [`Receipts`], given up when the task ends —
+/// or is dropped unrun.
+struct Receipt(Arc<Receipts>);
+
+impl Drop for Receipt {
+    fn drop(&mut self) {
+        let receipts = &self.0;
+        if receipts.running.fetch_sub(1, Ordering::SeqCst) == 1
+            && receipts.closed.load(Ordering::SeqCst)
+        {
+            // Under the lock `close` stores the promise with: either it saw
+            // this task running and the promise is there, or it saw none.
+            if let Some(drained) = lock(&receipts.drained).take() {
+                drained.set_value(());
+            }
+        }
+    }
 }
 
 struct ClusterInner {
     agas: Agas,
     actions: Mutex<HashMap<String, Handler>>,
-    localities: Mutex<Vec<Arc<LocalityInner>>>,
+    /// One handle per locality; a receive task lends its locality's to the
+    /// handler it runs.
+    localities: Vec<LocalityHandle>,
     stats: NetStats,
     port: Arc<dyn Parcelport>,
-    /// Latency histogram and link matrix of the receive loops; its own
+    /// Latency histogram and link matrix of the receive tasks; its own
     /// `Arc` so a counter registry can sample it after the cluster is gone.
     metrics: Arc<CommMetrics>,
-    switchboard: Switchboard,
-    rx_threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    /// Why remote traffic ended, once a receive loop met a buffer it could
-    /// not read (see module docs).
+    /// Its own `Arc`, so a receive task gives up its place only after it
+    /// let go of the cluster.
+    receipts: Arc<Receipts>,
+    /// Why remote traffic ended, once a delivered buffer could not be read
+    /// (see module docs).
     failure: OnceLock<String>,
     // Runtimes are deliberately kept *outside* the per-locality Arc:
-    // handler tasks hold `Arc<LocalityInner>`, and a task running on a
+    // handlers hold `Arc<LocalityInner>`, and a task running on a
     // locality's own worker must never be the one that drops that
     // locality's `Runtime` (a pool cannot join itself). The `Cluster` owner
     // drops the runtimes from its own thread instead.
     runtimes: Vec<Runtime>,
 }
 
+/// Read a delivered frame: its trace context and its parcel, in place.
+fn read(framed: &[u8]) -> Result<(TraceCtx, Parcel<'_>), String> {
+    let (ctx, body) =
+        frame::decode(framed).map_err(|e| format!("bad frame on the parcel channel: {e}"))?;
+    let parcel = Parcel::read(body).map_err(|e| format!("corrupt parcel in frame: {e}"))?;
+    Ok((ctx, parcel))
+}
+
 impl ClusterInner {
-    fn locality(&self, id: LocalityId) -> Arc<LocalityInner> {
-        let locs = lock(&self.localities);
-        Arc::clone(
-            locs.get(id.0 as usize)
-                .unwrap_or_else(|| panic!("no such locality {}", id.0)),
-        )
-    }
-
-    /// Serialize one parcel, frame it and hand it to the parcelport. `from`
-    /// is the sending locality — it becomes the parcel's trace-context
-    /// origin, stamped here so the receive-side latency covers the port.
-    fn send(&self, from: LocalityId, to: LocalityId, msg: &ParcelMsg) {
-        let parcel = msg.to_wire().expect("parcel serialization failed");
-        let ctx = TraceCtx::stamp(from.0);
-        self.port.transmit(to, frame::encode(&parcel, ctx));
-    }
-
     /// End remote traffic with `why`: record it (the first failure wins),
     /// then fail every caller waiting on a response, on every locality. The
-    /// promises are completed outside the locks: their continuations may
+    /// callers are failed outside the locks: their continuations may
     /// invoke again.
     fn fail(&self, why: String) {
         let why = self.failure.get_or_init(|| why);
-        let waiting: Vec<_> = lock(&self.localities)
-            .iter()
-            .flat_map(|loc| lock(&loc.pending).drain().collect::<Vec<_>>())
+        let waiting: Vec<_> = (self.localities.iter())
+            .flat_map(|loc| lock(&loc.inner.pending).drain().collect::<Vec<_>>())
             .collect();
-        for (_, promise) in waiting {
-            promise.set_value(Err(why.clone()));
+        for (_, complete) in waiting {
+            complete(Err(why));
+        }
+    }
+
+    /// The parcelport's deliver sink: hand `framed` to a receive task on
+    /// `runtime`, `to`'s, unless remote traffic has ended, the frame cannot
+    /// be read (which ends it), or the cluster no longer takes frames.
+    fn deliver(self: Arc<Self>, runtime: &amt::Handle, to: LocalityId, framed: Vec<u8>) {
+        if self.failure.get().is_some() {
+            return;
+        }
+        if let Err(why) = read(&framed) {
+            self.fail(format!("locality {}: {why}", to.0));
+            return;
+        }
+        let Some(receipt) = self.receipts.enter() else {
+            return;
+        };
+        runtime.spawn_detached(move || {
+            // Declared first, dropped last: the task lets go of the cluster
+            // before it gives up its place.
+            let _receipt = receipt;
+            let cluster = self;
+            cluster.receive(to, framed);
+        });
+    }
+
+    /// The receive task of one frame on its destination `to`. Each parcel
+    /// closes its causal-tracing loop here: a `parcel_recv` span encloses
+    /// the `"f"` flow event matching the sender's `"s"`, the latency from
+    /// the submit stamp in the wire header to the start of this task lands
+    /// in the `/comms/parcel_latency` histogram, and the `origin → to` link
+    /// counters advance. The histogram and link metrics stay on with
+    /// tracing off — they are counters, not spans.
+    fn receive(&self, to: LocalityId, framed: Vec<u8>) {
+        let (ctx, parcel) = read(&framed).expect("read when delivered");
+        let _span = trace::span(Cat::Comm, "parcel_recv");
+        trace::flow_end(Cat::Comm, "parcel", ctx.flow);
+        self.metrics
+            .parcel_latency
+            .record(trace::now_ns().saturating_sub(ctx.send_ns));
+        let body = framed.len() - frame::BODY_AT;
+        self.metrics.record_link(ctx.origin, to.0, body as u64);
+        let me = &self.localities[to.0 as usize];
+        match parcel {
+            Parcel::Request {
+                from,
+                target,
+                action,
+                payload,
+                call_id,
+            } => {
+                let handler = lock(&self.actions).get(action).cloned();
+                let response = frame::response(TraceCtx::stamp(to.0), call_id, |out| {
+                    let Some(h) = handler else {
+                        return Err(format!("action {action:?} is not registered"));
+                    };
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        h(me, target, payload, out)
+                    }))
+                    .unwrap_or_else(|payload| {
+                        // Carry the message to the caller: the run ends
+                        // naming what failed, not just where.
+                        let why = payload
+                            .downcast_ref::<String>()
+                            .map(String::as_str)
+                            .or_else(|| payload.downcast_ref::<&str>().copied())
+                            .unwrap_or("(no message)");
+                        Err(format!("action {action:?} panicked: {why}"))
+                    })
+                });
+                self.port.transmit(from, response);
+            }
+            Parcel::Response { call_id, result } => {
+                let complete = lock(&me.inner.pending).remove(&call_id);
+                if let Some(complete) = complete {
+                    complete(result);
+                }
+            }
         }
     }
 }
@@ -200,7 +333,7 @@ impl LocalityHandle {
     /// Invoke `action` on the component `gid`, wherever it lives — HPX's
     /// remote function call with unified local/remote syntax. Returns the
     /// future of the (deserialized) result; remote failures (unknown action,
-    /// decode errors, handler panics, a receive loop that ended on a bad
+    /// decode errors, handler panics, remote traffic ended by an unreadable
     /// frame) surface as panics at `.get()`.
     pub fn invoke<Req, Resp>(&self, gid: Gid, action: &str, req: &Req) -> Future<Resp>
     where
@@ -212,47 +345,55 @@ impl LocalityHandle {
             .agas
             .resolve(gid)
             .unwrap_or_else(|| panic!("unresolved gid {gid}"));
-        let payload = wire::to_bytes(req).expect("request serialization failed");
         if target == self.inner.id {
             cluster.stats.record_local_action();
+            let payload = wire::to_bytes(req).expect("request serialization failed");
             let handler = lookup(&cluster, action);
             let me = self.clone();
             let action = action.to_string();
             return self.runtime().spawn(move || {
-                let bytes = handler(&me, gid, &payload)
+                let mut out = Writer::with_capacity(0);
+                let bytes = handler(&me, gid, &payload, &mut out)
+                    .and_then(|()| out.finish().map_err(|e| format!("encode: {e}")))
                     .unwrap_or_else(|e| panic!("local action {action} failed: {e}"));
                 wire::from_bytes(&bytes).expect("response deserialization failed")
             });
         }
         cluster.stats.record_remote_action();
+        let me = self.inner.id;
         let call_id = self.inner.next_call.fetch_add(1, Ordering::Relaxed);
-        let (promise, raw) = amt::future_pair();
-        lock(&self.inner.pending).insert(call_id, promise);
+        let ctx = TraceCtx::stamp(me.0);
+        let request = frame::request(ctx, me, gid, action, call_id, req.image_len(), |out| {
+            req.encode(out)
+        })
+        .expect("request serialization failed");
+        let (promise, future) = amt::future_pair();
+        let action = action.to_string();
+        let complete: Completion = Box::new(move |reply| {
+            // A failed call panics here, where the panic hook reports it,
+            // and again at the caller's `get`.
+            let decoded = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let image = reply.unwrap_or_else(|e| panic!("remote action {action} failed: {e}"));
+                wire::from_bytes::<Resp>(image).expect("response deserialization failed")
+            }));
+            match decoded {
+                Ok(resp) => promise.set_value(resp),
+                Err(payload) => promise.set_panic(payload),
+            }
+        });
+        lock(&self.inner.pending).insert(call_id, complete);
         // Insert, then look: a failure recorded after this look finds the
-        // promise in `pending` (`ClusterInner::fail` sets the flag first).
+        // call in `pending` (`ClusterInner::fail` sets the flag first).
         match cluster.failure.get() {
             Some(why) => {
-                if let Some(p) = lock(&self.inner.pending).remove(&call_id) {
-                    p.set_value(Err(why.clone()));
+                let complete = lock(&self.inner.pending).remove(&call_id);
+                if let Some(complete) = complete {
+                    complete(Err(why));
                 }
             }
-            None => cluster.send(
-                self.inner.id,
-                target,
-                &ParcelMsg::Request {
-                    from: self.inner.id,
-                    target: gid,
-                    action: action.to_string(),
-                    payload,
-                    call_id,
-                },
-            ),
+            None => cluster.port.transmit(target, request),
         }
-        let action = action.to_string();
-        raw.then(move |res: Reply| {
-            let bytes = res.unwrap_or_else(|e| panic!("remote action {action} failed: {e}"));
-            wire::from_bytes(&bytes).expect("response deserialization failed")
-        })
+        future
     }
 }
 
@@ -263,118 +404,8 @@ fn lookup(cluster: &ClusterInner, action: &str) -> Handler {
         .unwrap_or_else(|| panic!("action {action:?} is not registered"))
 }
 
-/// Dispatch one decoded parcel on the receiving locality.
-fn dispatch(
-    msg: ParcelMsg,
-    cluster: &Weak<ClusterInner>,
-    me: &Arc<LocalityInner>,
-    runtime: &amt::Handle,
-) {
-    match msg {
-        ParcelMsg::Request {
-            from,
-            target,
-            action,
-            payload,
-            call_id,
-        } => {
-            let handler = cluster
-                .upgrade()
-                .and_then(|c| lock(&c.actions).get(&action).cloned());
-            let handle = LocalityHandle {
-                cluster: cluster.clone(),
-                inner: Arc::clone(me),
-                runtime: runtime.clone(),
-            };
-            let cluster_for_task = cluster.clone();
-            let my_id = me.id;
-            runtime.spawn_detached(move || {
-                let result = match handler {
-                    Some(h) => {
-                        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            h(&handle, target, &payload)
-                        })) {
-                            Ok(r) => r,
-                            Err(payload) => {
-                                // Carry the message to the caller: the run
-                                // ends naming what failed, not just where.
-                                let why = payload
-                                    .downcast_ref::<String>()
-                                    .map(String::as_str)
-                                    .or_else(|| payload.downcast_ref::<&str>().copied())
-                                    .unwrap_or("(no message)");
-                                Err(format!("action {action:?} panicked: {why}"))
-                            }
-                        }
-                    }
-                    None => Err(format!("action {action:?} is not registered")),
-                };
-                if let Some(c) = cluster_for_task.upgrade() {
-                    c.send(my_id, from, &ParcelMsg::Response { call_id, result });
-                }
-            });
-        }
-        ParcelMsg::Response { call_id, result } => {
-            let promise = lock(&me.pending).remove(&call_id);
-            if let Some(p) = promise {
-                p.set_value(result);
-            }
-        }
-    }
-}
-
-/// One locality's receive loop: frames in, parcels dispatched. Ends when
-/// the switchboard drops this locality's sender, or at the first buffer
-/// [`receive`] cannot read: then it fails the cluster's remote traffic with
-/// a message naming this locality and the error (see module docs).
-fn rx_loop(
-    rx: Receiver<Vec<u8>>,
-    cluster: Weak<ClusterInner>,
-    me: Weak<LocalityInner>,
-    runtime: amt::Handle,
-    metrics: Arc<CommMetrics>,
-) {
-    while let Ok(framed) = rx.recv() {
-        let Some(me_arc) = me.upgrade() else {
-            break;
-        };
-        if let Err(why) = receive(&framed, &cluster, &me_arc, &runtime, &metrics) {
-            if let Some(c) = cluster.upgrade() {
-                c.fail(format!("locality {}: {why}", me_arc.id.0));
-            }
-            return;
-        }
-    }
-}
-
-/// Read one frame and dispatch its parcel. Each parcel closes its
-/// causal-tracing loop here: a `parcel_recv` span encloses the `"f"` flow
-/// event matching the sender's `"s"`, the one-way latency (receive minus the
-/// submit stamp in the wire header) lands in the `/comms/parcel_latency`
-/// histogram, and the `origin → me` link counters advance. The histogram and
-/// link metrics stay on with tracing off — they are counters, not spans.
-fn receive(
-    framed: &[u8],
-    cluster: &Weak<ClusterInner>,
-    me: &Arc<LocalityInner>,
-    runtime: &amt::Handle,
-    metrics: &CommMetrics,
-) -> Result<(), String> {
-    let (ctx, body) =
-        frame::decode(framed).map_err(|e| format!("bad frame on the parcel channel: {e}"))?;
-    let _span = trace::span(Cat::Comm, "parcel_recv");
-    trace::flow_end(Cat::Comm, "parcel", ctx.flow);
-    metrics
-        .parcel_latency
-        .record(trace::now_ns().saturating_sub(ctx.send_ns));
-    metrics.record_link(ctx.origin, me.id.0, body.len() as u64);
-    let msg = ParcelMsg::from_wire(body).map_err(|e| format!("corrupt parcel in frame: {e}"))?;
-    dispatch(msg, cluster, me, runtime);
-    Ok(())
-}
-
-/// The simulated cluster (see module docs). Dropping it shuts down every
-/// locality's runtime and receive loop.
+/// The simulated cluster (see module docs). Dropping it waits for the
+/// frames already delivered, then shuts down every locality's runtime.
 pub struct Cluster {
     inner: Arc<ClusterInner>,
 }
@@ -389,54 +420,40 @@ impl Cluster {
             // shows one Chrome process lane per locality.
             .map(|i| Runtime::new_labeled(config.threads_per_locality, i))
             .collect();
-        let switchboard: Switchboard = Arc::new(Mutex::new(Vec::new()));
-        let deliver: Deliver = {
-            let switchboard = Arc::clone(&switchboard);
-            Arc::new(move |to: LocalityId, framed: Vec<u8>| {
-                let board = lock(&switchboard);
-                if let Some(tx) = board.get(to.0 as usize) {
-                    // A closed channel means the cluster is shutting down:
-                    // drop the frame, like a write to a closed socket.
-                    let _ = tx.send(framed);
-                }
-            })
-        };
-        let port = parcelport::open(config.backend, deliver);
-        let inner = Arc::new(ClusterInner {
-            agas: Agas::new(),
-            actions: Mutex::new(HashMap::new()),
-            localities: Mutex::new(Vec::new()),
-            stats: NetStats::new(),
-            port,
-            metrics: Arc::new(CommMetrics::new(config.localities)),
-            switchboard,
-            rx_threads: Mutex::new(Vec::new()),
-            failure: OnceLock::new(),
-            runtimes,
-        });
-        for i in 0..config.localities {
-            let (tx, rx) = channel();
-            let loc = Arc::new(LocalityInner {
-                id: LocalityId(i),
-                components: Mutex::new(HashMap::new()),
-                pending: Mutex::new(HashMap::new()),
-                next_call: AtomicU64::new(0),
-            });
-            let weak_cluster = Arc::downgrade(&inner);
-            let weak_loc = Arc::downgrade(&loc);
-            let handle = inner.runtimes[i as usize].handle();
-            let metrics = Arc::clone(&inner.metrics);
-            let join = std::thread::Builder::new()
-                .name(format!("parcel-rx-{i}"))
-                .spawn(move || {
-                    trace::set_thread_label(i, trace::ThreadLabel::Named("parcel-rx"));
-                    rx_loop(rx, weak_cluster, weak_loc, handle, metrics)
+        let inner = Arc::new_cyclic(|cluster: &Weak<ClusterInner>| {
+            let localities = (0..config.localities)
+                .map(|i| LocalityHandle {
+                    cluster: cluster.clone(),
+                    inner: Arc::new(LocalityInner {
+                        id: LocalityId(i),
+                        components: Mutex::new(HashMap::new()),
+                        pending: Mutex::new(HashMap::new()),
+                        next_call: AtomicU64::new(0),
+                    }),
+                    runtime: runtimes[i as usize].handle(),
                 })
-                .expect("failed to spawn parcel receive thread");
-            lock(&inner.switchboard).push(tx);
-            lock(&inner.localities).push(loc);
-            lock(&inner.rx_threads).push(join);
-        }
+                .collect();
+            let cluster = cluster.clone();
+            let handles: Vec<amt::Handle> = runtimes.iter().map(Runtime::handle).collect();
+            let deliver: Deliver = Arc::new(move |to: LocalityId, framed: Vec<u8>| {
+                // A frame for no locality of this cluster is dropped.
+                let runtime = handles.get(to.0 as usize);
+                if let Some((c, runtime)) = cluster.upgrade().zip(runtime) {
+                    c.deliver(runtime, to, framed);
+                }
+            });
+            ClusterInner {
+                agas: Agas::new(),
+                actions: Mutex::new(HashMap::new()),
+                localities,
+                stats: NetStats::new(),
+                port: parcelport::open(config.backend, deliver),
+                metrics: Arc::new(CommMetrics::new(config.localities)),
+                receipts: Arc::default(),
+                failure: OnceLock::new(),
+                runtimes,
+            }
+        });
         Cluster { inner }
     }
 
@@ -448,10 +465,12 @@ impl Cluster {
         Resp: Wire,
         F: Fn(&LocalityHandle, Gid, Req) -> Resp + Send + Sync + 'static,
     {
-        let handler: Handler = Arc::new(move |ctx, gid, bytes| {
-            let req: Req = wire::from_bytes(bytes).map_err(|e| format!("decode: {e}"))?;
+        let handler: Handler = Arc::new(move |ctx, gid, arg, out| {
+            let req: Req = wire::from_bytes(arg).map_err(|e| format!("decode: {e}"))?;
             let resp = f(ctx, gid, req);
-            wire::to_bytes(&resp).map_err(|e| format!("encode: {e}"))
+            out.reserve(resp.image_len());
+            resp.encode(out);
+            Ok(())
         });
         let prev = lock(&self.inner.actions).insert(name.to_string(), handler);
         assert!(prev.is_none(), "action {name:?} registered twice");
@@ -459,11 +478,9 @@ impl Cluster {
 
     /// Handle to locality `i`.
     pub fn locality(&self, i: u32) -> LocalityHandle {
-        LocalityHandle {
-            cluster: Arc::downgrade(&self.inner),
-            inner: self.inner.locality(LocalityId(i)),
-            runtime: self.inner.runtimes[i as usize].handle(),
-        }
+        (self.inner.localities.get(i as usize))
+            .unwrap_or_else(|| panic!("no such locality {i}"))
+            .clone()
     }
 
     /// Drive the parcelport to quiescence. After this returns every
@@ -519,8 +536,8 @@ impl Cluster {
         });
         let weak = Arc::downgrade(&self.inner);
         // The comm metrics outlive the cluster via their own Arc (they do
-        // not keep runtimes or receive loops alive), so the histograms
-        // stay sampleable through the final post-run snapshot.
+        // not keep runtimes alive), so the histograms stay sampleable
+        // through the final post-run snapshot.
         let metrics = Arc::clone(&self.inner.metrics);
         registry.register("/comms", move |c| {
             let Some(inner) = weak.upgrade() else { return };
@@ -562,17 +579,17 @@ impl Cluster {
 
 impl Drop for Cluster {
     fn drop(&mut self) {
-        // Deliver in-flight parcels while the receive loops still run, so
-        // shutdown never strands a response a caller could still observe.
+        // Deliver what the port still holds, then take no more frames and
+        // wait for the receive tasks of those delivered: the runtimes would
+        // abandon them.
         self.flush_network();
-        // Dropping the senders closes the frame channels, ending the
-        // receive loops; frames transmitted after this point are dropped.
-        lock(&self.inner.switchboard).clear();
-        let joins: Vec<_> = lock(&self.inner.rx_threads).drain(..).collect();
-        for j in joins {
-            let _ = j.join();
+        if let Some(drained) = self.inner.receipts.close() {
+            drained.wait();
         }
-        lock(&self.inner.localities).clear();
+        // The frames those tasks sent were dropped on delivery; flushing
+        // again leaves no progress engine inside the deliver sink, holding
+        // the cluster, when the owner lets go of it.
+        self.flush_network();
     }
 }
 
@@ -893,6 +910,86 @@ mod tests {
                     assert_eq!(*msg, format!("remote action get failed: {want}"), "{call}");
                 }
                 assert_eq!(c.inner.failure.get().map(String::as_str), Some(want));
+            });
+        }
+    }
+
+    /// Register `name` on `c`: an action that takes one message off the
+    /// returned sender's channel, then counts its call.
+    fn gated_action(c: &Cluster, name: &str) -> (Arc<AtomicUsize>, std::sync::mpsc::Sender<()>) {
+        let (open, gate) = std::sync::mpsc::channel();
+        let gate = Mutex::new(gate);
+        let calls = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&calls);
+        c.register_action(name, move |_: &LocalityHandle, _, (): ()| {
+            lock(&gate).recv().expect("the test holds the sender");
+            counter.fetch_add(1, Ordering::SeqCst);
+        });
+        (calls, open)
+    }
+
+    #[test]
+    fn no_frame_after_a_bad_frame_is_dispatched() {
+        under_watchdog(|| {
+            let c = two_node();
+            let (calls, open) = gated_action(&c, "touch");
+            for _ in 0..2 {
+                open.send(()).expect("gate");
+            }
+            let gid = c.locality(1).new_component(());
+            let request = |call_id| {
+                let ctx = TraceCtx::stamp(0);
+                frame::request(ctx, LocalityId(0), gid, "touch", call_id, 0, |_| ()).unwrap()
+            };
+            // Straight into the port: a request, a frame of the retired
+            // multi-parcel kind, the same request again.
+            c.inner.port.transmit(LocalityId(1), request(100));
+            c.inner
+                .port
+                .transmit(LocalityId(1), vec![0x7e, 0x0c, 2, 2, 0, 0, 0]);
+            c.inner.port.transmit(LocalityId(1), request(101));
+            // Dropping the cluster waits for the receive tasks of what was
+            // delivered.
+            drop(c);
+            assert_eq!(
+                calls.load(Ordering::SeqCst),
+                1,
+                "only the first request ran"
+            );
+        });
+    }
+
+    #[test]
+    fn drop_dispatches_every_frame_delivered_before_it() {
+        for backend in [NetBackend::Tcp, NetBackend::Lci] {
+            under_watchdog(move || {
+                let c = Cluster::new(ClusterConfig {
+                    localities: 2,
+                    threads_per_locality: 1,
+                    backend,
+                    coalesce: CoalesceConfig::default(),
+                });
+                let (calls, open) = gated_action(&c, "gated");
+                let gid = c.locality(1).new_component(());
+                let l0 = c.locality(0);
+                // Their responses are sent after the drop, and dropped.
+                let _in_flight: Vec<Future<()>> =
+                    (0..20).map(|_| l0.invoke(gid, "gated", &())).collect();
+                // The first call holds locality 1's one worker until the
+                // cluster has closed, so the drop meets the other frames
+                // still queued.
+                let receipts = Arc::clone(&c.inner.receipts);
+                let opener = std::thread::spawn(move || {
+                    while !receipts.closed.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                    for _ in 0..20 {
+                        open.send(()).expect("the calls wait on the gate");
+                    }
+                });
+                drop(c);
+                opener.join().expect("opener");
+                assert_eq!(calls.load(Ordering::SeqCst), 20, "{backend:?}");
             });
         }
     }

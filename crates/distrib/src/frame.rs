@@ -23,11 +23,18 @@
 //! side channel. The context is wire state, not payload: `len` counts the
 //! body only.
 //!
-//! Every port hands the receive loop whole frames, so [`decode`] takes one
-//! complete frame and borrows the body out of it; anything else — cut
-//! short, too long, a header field off — is a [`FrameError`].
+//! The cluster writes a frame in place — [`request`] and [`response`] write
+//! the header with a zero `len`, the trace context and the parcel, then
+//! patch `len` — and [`encode`] frames a parcel image that already exists;
+//! the bytes are the same. Every port delivers whole frames, so [`decode`]
+//! takes one complete frame and borrows the body out of it; anything else —
+//! cut short, too long, a header field off — is a [`FrameError`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
+
+use crate::agas::{Gid, LocalityId};
+use crate::parcel;
+use crate::wire::{Wire, WireError, Writer};
 
 /// Frame magic (two bytes, little-endian on the wire).
 pub(crate) const FRAME_MAGIC: u16 = 0x0C7E;
@@ -112,19 +119,71 @@ impl std::error::Error for FrameError {}
 /// anything near 1 GiB is a desynchronized stream, not a parcel).
 pub(crate) const MAX_PARCEL_BYTES: u32 = 1 << 30;
 
+/// Bytes in front of the body: header, length prefix, trace context.
+pub(crate) const BODY_AT: usize = FRAME_HEADER_BYTES + PARCEL_LEN_BYTES + TRACE_CTX_BYTES;
+
+/// Write one frame in place: the header with a zero `len`, the trace
+/// context, then what `body` writes — and patch `len` to that body's length.
+fn framed(ctx: TraceCtx, capacity: usize, body: impl FnOnce(&mut Writer)) -> Writer {
+    let mut out = Writer::with_capacity(BODY_AT + capacity);
+    FRAME_MAGIC.encode(&mut out);
+    FRAME_KIND.encode(&mut out);
+    1u32.encode(&mut out);
+    0u32.encode(&mut out);
+    ctx.origin.encode(&mut out);
+    ctx.flow.encode(&mut out);
+    ctx.send_ns.encode(&mut out);
+    body(&mut out);
+    let len = out.len() - BODY_AT;
+    out.patch_u32(FRAME_HEADER_BYTES, len as u32);
+    out
+}
+
+/// Room a frame starts with: enough for the small parcels (a `u64`
+/// argument and its reply) never to grow.
+const SMALL_PARCEL_BYTES: usize = 96;
+
 /// Frame one parcel with its trace context.
 pub fn encode(parcel: &[u8], ctx: TraceCtx) -> Vec<u8> {
-    let mut out =
-        Vec::with_capacity(FRAME_HEADER_BYTES + PARCEL_LEN_BYTES + TRACE_CTX_BYTES + parcel.len());
-    out.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
-    out.push(FRAME_KIND);
-    out.extend_from_slice(&1u32.to_le_bytes());
-    out.extend_from_slice(&(parcel.len() as u32).to_le_bytes());
-    out.extend_from_slice(&ctx.origin.to_le_bytes());
-    out.extend_from_slice(&ctx.flow.to_le_bytes());
-    out.extend_from_slice(&ctx.send_ns.to_le_bytes());
-    out.extend_from_slice(parcel);
-    out
+    let out = framed(ctx, parcel.len(), |out| out.bytes(parcel));
+    out.finish().expect("raw bytes carry no count")
+}
+
+/// Frame a request parcel in place: its fields, and the image `arg` writes
+/// — `arg_len` bytes, which the frame makes room for up front — behind a
+/// count patched afterwards. The bytes are [`encode`]'s of the
+/// [`ParcelMsg::Request`](crate::ParcelMsg::Request) image whose payload is
+/// that image; no payload or parcel buffer is built on the way. Fails when
+/// a count does not fit its `u32` prefix.
+pub fn request(
+    ctx: TraceCtx,
+    from: LocalityId,
+    target: Gid,
+    action: &str,
+    call_id: u64,
+    arg_len: usize,
+    arg: impl FnOnce(&mut Writer),
+) -> Result<Vec<u8>, WireError> {
+    framed(ctx, SMALL_PARCEL_BYTES, |out| {
+        parcel::write_request(out, from, target, action, call_id, arg_len, arg)
+    })
+    .finish()
+}
+
+/// Frame a response parcel in place: `result` writes the result's image, or
+/// says why there is none (see
+/// [`ParcelMsg::Response`](crate::ParcelMsg::Response)); a failure, or an
+/// image whose count does not fit its prefix, travels as the `Err` arm.
+pub fn response(
+    ctx: TraceCtx,
+    call_id: u64,
+    result: impl FnOnce(&mut Writer) -> Result<(), String>,
+) -> Vec<u8> {
+    framed(ctx, SMALL_PARCEL_BYTES, |out| {
+        parcel::write_response(out, call_id, result)
+    })
+    .finish()
+    .expect("a failure description fits its count")
 }
 
 /// Split the next `N` bytes off the front of `buf`.

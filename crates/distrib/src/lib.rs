@@ -6,14 +6,16 @@
 //! one process, layered like HPX's parcel subsystem:
 //!
 //! * [`Cluster`] boots N *localities*, each with its own `amt::Runtime`
-//!   (one per board) and a frame receive loop;
+//!   (one per board), which reads the frames delivered to it in receive
+//!   tasks;
 //! * [`Agas`] is the Active Global Address Space: components are
 //!   created on a locality, addressed by [`Gid`], and resolvable from
 //!   anywhere;
 //! * remote **actions** ([`LocalityHandle::invoke`]) encode their arguments
 //!   — any [`Wire`] type; the [`wire`] module docs hold the format table —
-//!   into [`ParcelMsg`]s, with HPX's unified local/remote syntax
-//!   (local calls skip the wire);
+//!   straight into the frame of one parcel, read in place on arrival as a
+//!   [`Parcel`] (the owned form, [`ParcelMsg`], has the same image), with
+//!   HPX's unified local/remote syntax (local calls skip the wire);
 //! * a pluggable parcelport — TCP, MPI or LCI — moves [`frame`]d byte
 //!   buffers, one parcel each, and measures per-port counters
 //!   ([`PortSnapshot`]);
@@ -30,6 +32,6 @@ pub(crate) mod wire;
 
 pub use agas::{Agas, Gid, LocalityId};
 pub use cluster::{Cluster, ClusterConfig, CoalesceConfig, LocalityHandle};
-pub use parcel::ParcelMsg;
+pub use parcel::{Parcel, ParcelMsg};
 pub use stats::{NetSnapshot, PortSnapshot};
 pub use wire::{from_bytes, to_bytes, Wire, WireError};

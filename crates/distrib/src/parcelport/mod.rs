@@ -25,6 +25,9 @@
 //!
 //! Delivery is *ordered per destination* for frames sent from one thread;
 //! frames to dead destinations are dropped, like writes to a closed socket.
+//! *Dispatch* order is not the port's: the cluster hands each delivered
+//! frame to a task on the destination's runtime, and a locality with
+//! several workers may run those tasks in any order.
 
 mod eager;
 mod lci;
@@ -39,8 +42,8 @@ use rv_machine::NetBackend;
 use crate::agas::LocalityId;
 use crate::stats::PortSnapshot;
 
-/// Delivery sink: routes one frame to a destination locality's receive
-/// loop. Implementations must tolerate dead destinations (drop the frame).
+/// Delivery sink: hands one frame to the destination locality, whose
+/// runtime reads it. Must tolerate dead destinations (drop the frame).
 pub(crate) type Deliver = Arc<dyn Fn(LocalityId, Vec<u8>) + Send + Sync>;
 
 /// Emit the `"s"` flow event of the parcel in `frame`, pairing with the

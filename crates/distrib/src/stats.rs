@@ -38,7 +38,7 @@ pub(crate) struct LinkSnapshot {
 
 /// Comms-level causal-tracing metrics: per-link parcel/byte matrices and
 /// the latency histogram behind `/comms/parcel_latency`. One per cluster,
-/// shared by every locality's receive loop. All recording is lock-free
+/// shared by every receive task on every locality. All recording is lock-free
 /// relaxed atomics, so it stays on even when tracing is off — these are
 /// counters, not spans.
 #[derive(Debug)]
@@ -46,7 +46,8 @@ pub(crate) struct CommMetrics {
     localities: u32,
     /// Row-major `src * localities + dst` directed-link matrix.
     links: Vec<LinkStats>,
-    /// One-way parcel latency (submit stamp → receive), ns.
+    /// Parcel latency, from the submit stamp to the start of the receive
+    /// task on the destination (which includes waiting for a worker), ns.
     pub(crate) parcel_latency: AtomicHistogram,
 }
 
@@ -64,7 +65,7 @@ impl CommMetrics {
 
     /// Record one received parcel of `payload_bytes` on the `src → dst`
     /// link. Out-of-range localities are ignored (a desynchronized header
-    /// must not panic the receive loop).
+    /// must not panic a receive task).
     pub(crate) fn record_link(&self, src: u32, dst: u32, payload_bytes: u64) {
         if src >= self.localities || dst >= self.localities {
             return;

@@ -14,7 +14,7 @@
 //! | `()` | nothing |
 //! | `String`, `Vec<T>` | element count as a `u32`, then the UTF-8 bytes / the elements |
 //! | `Option<T>` | one tag byte: 0, or 1 followed by the value |
-//! | `Result<T, E>`, [`ParcelMsg`] | variant index as a `u32` (`Ok` = 0, `Err` = 1; `Request` = 0, `Response` = 1), then the variant's fields |
+//! | `Result<T, E>`, [`ParcelMsg`](crate::ParcelMsg) | variant index as a `u32` (`Ok` = 0, `Err` = 1; `Request` = 0, `Response` = 1), then the variant's fields |
 //! | tuples, `[T; N]`, structs ([`wire_struct!`](crate::wire_struct)), [`Gid`], [`LocalityId`] | the fields in declaration order, nothing added |
 //!
 //! Decoding is strict: it rejects a buffer with bytes left over, and a count
@@ -24,7 +24,6 @@
 use std::fmt;
 
 use crate::agas::{Gid, LocalityId};
-use crate::parcel::ParcelMsg;
 
 /// Errors from encoding or decoding a parcel payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,15 +70,143 @@ pub struct Writer {
     too_long: bool,
 }
 
+/// Where a [`Writer`] stood, to rewind it to.
+#[derive(Clone, Copy)]
+pub(crate) struct Mark {
+    len: usize,
+    too_long: bool,
+}
+
+impl Writer {
+    /// An empty buffer with room for `capacity` bytes.
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
+        Writer {
+            buf: Vec::with_capacity(capacity),
+            too_long: false,
+        }
+    }
+
+    /// Bytes written so far.
+    pub(crate) fn len(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// Make room for `additional` more bytes, to write them without a
+    /// regrowth.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional);
+    }
+
+    /// Append `bytes` as they are.
+    pub(crate) fn bytes(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// Append the image of a string (the image of a `String`).
+    pub(crate) fn str(&mut self, s: &str) {
+        encode_counted(s.as_bytes(), self);
+    }
+
+    /// Overwrite the `u32` at byte `at` with `value`.
+    pub(crate) fn patch_u32(&mut self, at: usize, value: u32) {
+        self.buf[at..at + 4].copy_from_slice(&value.to_le_bytes());
+    }
+
+    pub(crate) fn mark(&self) -> Mark {
+        Mark {
+            len: self.buf.len(),
+            too_long: self.too_long,
+        }
+    }
+
+    /// Drop everything written since `mark`.
+    pub(crate) fn rewind(&mut self, mark: Mark) {
+        self.buf.truncate(mark.len);
+        self.too_long = mark.too_long;
+    }
+
+    /// Append what `body` writes behind a `u32` count of its bytes, patched
+    /// once `body` returns — the image of a `Vec<u8>` holding those bytes,
+    /// written without one. Bytes that do not fit the count, or a count
+    /// inside them that did not fit its own, void the image
+    /// ([`WireError::BadLength`]), as any count does.
+    pub(crate) fn counted<R>(
+        &mut self,
+        body: impl FnOnce(&mut Writer) -> R,
+    ) -> Result<R, WireError> {
+        let at = self.buf.len();
+        self.bytes(&[0; 4]);
+        let out = body(self);
+        match u32::try_from(self.buf.len() - at - 4) {
+            Ok(count) if !self.too_long => {
+                self.patch_u32(at, count);
+                Ok(out)
+            }
+            _ => {
+                self.too_long = true;
+                Err(WireError::BadLength)
+            }
+        }
+    }
+
+    /// The bytes written, unless a count did not fit its prefix.
+    pub(crate) fn finish(self) -> Result<Vec<u8>, WireError> {
+        match self.too_long {
+            false => Ok(self.buf),
+            true => Err(WireError::BadLength),
+        }
+    }
+}
+
 /// The bytes a value is decoded from, consumed front to back.
 pub struct Reader<'a> {
     input: &'a [u8],
+}
+
+impl<'a> Reader<'a> {
+    pub(crate) fn new(input: &'a [u8]) -> Self {
+        Reader { input }
+    }
+
+    /// Read a `u32` count and borrow that many bytes — the bytes of a
+    /// `Vec<u8>` image, or of a `String`'s.
+    pub(crate) fn counted(&mut self) -> Result<&'a [u8], WireError> {
+        let count = u32::decode(self)? as usize;
+        let (bytes, rest) = self
+            .input
+            .split_at_checked(count)
+            .ok_or(WireError::BadLength)?;
+        self.input = rest;
+        Ok(bytes)
+    }
+
+    /// Borrow the string of a `String` image.
+    pub(crate) fn str(&mut self) -> Result<&'a str, WireError> {
+        std::str::from_utf8(self.counted()?).map_err(|_| WireError::BadUtf8)
+    }
+
+    /// Accept the end of the input, refusing bytes left over.
+    pub(crate) fn end(self) -> Result<(), WireError> {
+        match self.input.len() {
+            0 => Ok(()),
+            n => Err(WireError::Trailing(n)),
+        }
+    }
 }
 
 /// A type with a wire image (the module docs have the format).
 pub trait Wire: Sized {
     /// A lower bound on the size of an image of this type.
     const MIN_BYTES: usize;
+
+    /// The length of the image of `self`, which an encoder reserves before
+    /// writing it, so the image is written once, into a buffer that does not
+    /// grow. The default, [`Wire::MIN_BYTES`], is exact for a type without
+    /// counts or tags. Less than the length is still correct; it costs the
+    /// encoder a regrowth.
+    fn image_len(&self) -> usize {
+        Self::MIN_BYTES
+    }
 
     /// Append the image of `self` to `out`.
     fn encode(&self, out: &mut Writer);
@@ -95,6 +222,12 @@ pub trait Wire: Sized {
         }
     }
 
+    /// [`Wire::image_len`] of the images of `items`, without a count. The
+    /// fixed-width numbers override this to answer without a walk.
+    fn slice_image_len(items: &[Self]) -> usize {
+        items.iter().map(Wire::image_len).sum()
+    }
+
     /// Read `count` values. `count` is an array's length or has been checked
     /// against what is left of `r`, so it is safe to reserve for.
     fn decode_vec(count: usize, r: &mut Reader<'_>) -> Result<Vec<Self>, WireError> {
@@ -108,25 +241,17 @@ pub trait Wire: Sized {
 
 /// Encode `value` into a freshly allocated byte buffer.
 pub fn to_bytes<T: Wire>(value: &T) -> Result<Vec<u8>, WireError> {
-    let mut out = Writer {
-        buf: Vec::with_capacity(64),
-        too_long: false,
-    };
+    let mut out = Writer::with_capacity(value.image_len());
     value.encode(&mut out);
-    if out.too_long {
-        return Err(WireError::BadLength);
-    }
-    Ok(out.buf)
+    out.finish()
 }
 
 /// Decode a `T` from `bytes`; the whole buffer must be consumed.
 pub fn from_bytes<T: Wire>(bytes: &[u8]) -> Result<T, WireError> {
-    let mut r = Reader { input: bytes };
+    let mut r = Reader::new(bytes);
     let value = T::decode(&mut r)?;
-    match r.input.len() {
-        0 => Ok(value),
-        n => Err(WireError::Trailing(n)),
-    }
+    r.end()?;
+    Ok(value)
 }
 
 macro_rules! wire_numbers {
@@ -143,6 +268,9 @@ macro_rules! wire_numbers {
             }
             fn encode_slice(items: &[Self], out: &mut Writer) {
                 out.buf.extend(items.iter().flat_map(|item| item.to_le_bytes()));
+            }
+            fn slice_image_len(items: &[Self]) -> usize {
+                items.len() * size_of::<$ty>()
             }
             fn decode_vec(count: usize, r: &mut Reader<'_>) -> Result<Vec<Self>, WireError> {
                 let bytes = count.checked_mul(size_of::<$ty>()).ok_or(WireError::BadLength)?;
@@ -198,16 +326,22 @@ fn encode_counted<T: Wire>(items: &[T], out: &mut Writer) {
 
 impl Wire for String {
     const MIN_BYTES: usize = 4;
+    fn image_len(&self) -> usize {
+        4 + self.len()
+    }
     fn encode(&self, out: &mut Writer) {
-        encode_counted(self.as_bytes(), out);
+        out.str(self);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        String::from_utf8(Vec::decode(r)?).map_err(|_| WireError::BadUtf8)
+        r.str().map(str::to_owned)
     }
 }
 
 impl<T: Wire> Wire for Vec<T> {
     const MIN_BYTES: usize = 4;
+    fn image_len(&self) -> usize {
+        4 + T::slice_image_len(self)
+    }
     fn encode(&self, out: &mut Writer) {
         encode_counted(self, out);
     }
@@ -225,6 +359,9 @@ impl<T: Wire> Wire for Vec<T> {
 
 impl<T: Wire, const N: usize> Wire for [T; N] {
     const MIN_BYTES: usize = N * T::MIN_BYTES;
+    fn image_len(&self) -> usize {
+        T::slice_image_len(self)
+    }
     fn encode(&self, out: &mut Writer) {
         T::encode_slice(self, out);
     }
@@ -236,6 +373,9 @@ impl<T: Wire, const N: usize> Wire for [T; N] {
 
 impl<T: Wire> Wire for Option<T> {
     const MIN_BYTES: usize = 1;
+    fn image_len(&self) -> usize {
+        1 + self.as_ref().map_or(0, Wire::image_len)
+    }
     fn encode(&self, out: &mut Writer) {
         self.is_some().encode(out);
         if let Some(value) = self {
@@ -249,6 +389,9 @@ impl<T: Wire> Wire for Option<T> {
 
 impl<T: Wire, E: Wire> Wire for Result<T, E> {
     const MIN_BYTES: usize = 4;
+    fn image_len(&self) -> usize {
+        4 + self.as_ref().map_or_else(Wire::image_len, Wire::image_len)
+    }
     fn encode(&self, out: &mut Writer) {
         u32::from(self.is_err()).encode(out);
         match self {
@@ -269,6 +412,9 @@ macro_rules! wire_tuple {
     ($($idx:tt $T:ident),+) => {
         impl<$($T: Wire),+> Wire for ($($T,)+) {
             const MIN_BYTES: usize = 0 $(+ $T::MIN_BYTES)+;
+            fn image_len(&self) -> usize {
+                0 $(+ self.$idx.image_len())+
+            }
             fn encode(&self, out: &mut Writer) {
                 $(self.$idx.encode(out);)+
             }
@@ -290,6 +436,9 @@ macro_rules! wire_struct {
     ($name:ident { $($field:ident: $ty:ty),+ $(,)? }) => {
         impl $crate::wire::Wire for $name {
             const MIN_BYTES: usize = 0 $(+ <$ty as $crate::wire::Wire>::MIN_BYTES)+;
+            fn image_len(&self) -> usize {
+                0 $(+ <$ty as $crate::wire::Wire>::image_len(&self.$field))+
+            }
             fn encode(&self, out: &mut $crate::wire::Writer) {
                 $(<$ty as $crate::wire::Wire>::encode(&self.$field, out);)+
             }
@@ -302,55 +451,13 @@ macro_rules! wire_struct {
     };
 }
 
-impl Wire for ParcelMsg {
-    const MIN_BYTES: usize = 4;
-    fn encode(&self, out: &mut Writer) {
-        match self {
-            ParcelMsg::Request {
-                from,
-                target,
-                action,
-                payload,
-                call_id,
-            } => {
-                0u32.encode(out);
-                from.encode(out);
-                target.encode(out);
-                action.encode(out);
-                payload.encode(out);
-                call_id.encode(out);
-            }
-            ParcelMsg::Response { call_id, result } => {
-                1u32.encode(out);
-                call_id.encode(out);
-                result.encode(out);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match u32::decode(r)? {
-            0 => Ok(ParcelMsg::Request {
-                from: Wire::decode(r)?,
-                target: Wire::decode(r)?,
-                action: Wire::decode(r)?,
-                payload: Wire::decode(r)?,
-                call_id: Wire::decode(r)?,
-            }),
-            1 => Ok(ParcelMsg::Response {
-                call_id: Wire::decode(r)?,
-                result: Wire::decode(r)?,
-            }),
-            variant => Err(WireError::BadVariant(variant)),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn roundtrip<T: Wire + PartialEq + std::fmt::Debug>(v: T) {
         let b = to_bytes(&v).expect("encode");
+        assert!(v.image_len() <= b.len(), "image_len of {v:?}");
         let back: T = from_bytes(&b).expect("decode");
         assert_eq!(back, v);
     }
@@ -400,7 +507,7 @@ mod tests {
         tag: Option<String>,
     });
 
-    /// A hand-written enum impl, the way [`ParcelMsg`]'s is.
+    /// A hand-written enum impl, the way [`ParcelMsg`](crate::ParcelMsg)'s is.
     #[derive(Debug, PartialEq)]
     enum Msg {
         Ping,
@@ -456,6 +563,25 @@ mod tests {
             tag: None,
         }));
         assert_eq!(decode::<Msg>(&[3, 0, 0, 0]), Err(WireError::BadVariant(3)));
+    }
+
+    #[test]
+    fn image_len_is_exact_where_it_is_not_the_default() {
+        fn exact<T: Wire + std::fmt::Debug>(v: T) {
+            assert_eq!(v.image_len(), to_bytes(&v).unwrap().len(), "{v:?}");
+        }
+        exact(String::from("parcel"));
+        exact(vec![1.5f64; 7]);
+        exact(vec![(3u64, vec![1.0f64; 5]), (4, vec![])]);
+        exact([vec![1i16, -2], vec![], vec![3]]);
+        exact((Some(vec![true]), Option::<u8>::None));
+        exact(vec![Ok(1u16), Err(String::from("no"))]);
+        exact(Ghost {
+            face: 3,
+            level: 4,
+            data: vec![0.5; 9],
+            tag: Some("rho".into()),
+        });
     }
 
     #[test]

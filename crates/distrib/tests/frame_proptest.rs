@@ -3,13 +3,15 @@
 //! invariant every parcelport relies on — and both decoders against input
 //! nobody encoded: they return, the wire decoder having asked the allocator
 //! for no more than a constant multiple of what it was handed and the frame
-//! decoder for nothing.
+//! decoder for nothing. The cluster's in-place path writes and reads the
+//! same bytes: its frames equal the framed `ParcelMsg` images, and its
+//! reader answers what `ParcelMsg::from_wire` answers, on any input.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use distrib::frame::{self, FrameError, TraceCtx};
-use distrib::{from_bytes, to_bytes, Agas, LocalityId, ParcelMsg, Wire};
+use distrib::{from_bytes, to_bytes, Agas, LocalityId, Parcel, ParcelMsg, Wire};
 use proptest::prelude::*;
 
 thread_local! {
@@ -93,11 +95,22 @@ fn arb_image() -> impl Strategy<Value = Vec<u8>> {
     ]
 }
 
+/// The parcel read in place from `bytes` is what `ParcelMsg::from_wire`
+/// reads: the same parcel, or the same error.
+fn reads_in_place_as_parcel_msg(bytes: &[u8]) -> Result<(), TestCaseError> {
+    prop_assert_eq!(
+        Parcel::read(bytes).map(ParcelMsg::from),
+        ParcelMsg::from_wire(bytes)
+    );
+    Ok(())
+}
+
 /// Decoding `bytes` as each message type returns — with `Ok` or `Err`, both
 /// are answers — having requested at most `8 × bytes.len()` bytes of memory.
 /// (The widest element, a `Blocks` entry, is 104 bytes in memory for at
 /// least 24 on the wire; the vectors inside it cost what they consumed.)
-/// Reading them as a frame returns too, and requests none.
+/// Reading them as a frame returns too, and requests none; the in-place
+/// parcel reader agrees with `ParcelMsg`'s on them and on a frame's body.
 fn decodes_within_bounds(bytes: &[u8]) -> Result<(), TestCaseError> {
     fn requested_by<T: Wire>(bytes: &[u8]) -> usize {
         REQUESTED.with(|r| r.set(0));
@@ -109,7 +122,9 @@ fn decodes_within_bounds(bytes: &[u8]) -> Result<(), TestCaseError> {
     prop_assert_eq!(REQUESTED.with(Cell::get), 0, "frame::decode allocated");
     if let Ok((_, body)) = framed {
         prop_assert!(bytes.ends_with(body), "the body is borrowed from the input");
+        reads_in_place_as_parcel_msg(body)?;
     }
+    reads_in_place_as_parcel_msg(bytes)?;
     for (ty, requested) in [
         ("ParcelMsg", requested_by::<ParcelMsg>(bytes)),
         ("Halo", requested_by::<Halo>(bytes)),
@@ -141,6 +156,31 @@ proptest! {
     fn parcel_wire_roundtrip(p in arb_parcel()) {
         let bytes = p.to_wire().unwrap();
         prop_assert_eq!(ParcelMsg::from_wire(&bytes).unwrap(), p);
+    }
+
+    /// The in-place writers frame a parcel byte for byte as `frame::encode`
+    /// frames its `ParcelMsg` image, and the in-place reader reads it back.
+    #[test]
+    fn in_place_frames_are_the_framed_parcel_images(p in arb_parcel(), ctx in arb_ctx()) {
+        let in_place = match &p {
+            ParcelMsg::Request { from, target, action, payload, call_id } => {
+                let image = |out: &mut _| u8::encode_slice(payload, out);
+                frame::request(ctx, *from, *target, action, *call_id, payload.len(), image)
+                    .unwrap()
+            }
+            ParcelMsg::Response { call_id, result } => frame::response(ctx, *call_id, |out| {
+                match result {
+                    Ok(image) => {
+                        u8::encode_slice(image, out);
+                        Ok(())
+                    }
+                    Err(why) => Err(why.clone()),
+                }
+            }),
+        };
+        prop_assert_eq!(&in_place, &frame::encode(&p.to_wire().unwrap(), ctx));
+        let (_, body) = frame::decode(&in_place).unwrap();
+        prop_assert_eq!(ParcelMsg::from(Parcel::read(body).unwrap()), p);
     }
 
     /// A framed parcel comes back whole, parcel and trace context both, and

@@ -10,7 +10,7 @@
 //! > approximately ⌈2·e⌉+3 down to 4."
 //!
 //! Each [`IsaExtension`] rewrites the relevant piece of the cost model;
-//! [`apply`] scales a measured workload profile accordingly. This is the
+//! [`speedup`] projects a measured workload profile under it. This is the
 //! paper's *future work* turned into a runnable projection (see the
 //! `isa_whatif` example and `octo-core`'s ablation exhibit).
 

@@ -8,9 +8,9 @@ cd "$(dirname "$0")/.."
 # back, and nothing in the workspace may need a proc-macro to build. The
 # runtime stack is `std` alone: locks and condvars are `std::sync`'s (taken
 # through `amt::lock`), frames are `Vec<u8>`, the scheduler's queues are
-# `amt`'s own deque, and the one channel user (`distrib::cluster`, one
-# consumer per receive loop) is served by `std::sync::mpsc`. `shims/` holds
-# the one stand-in the tests use, `proptest`.
+# `amt`'s own deque, and a delivered frame is read by a task on its
+# destination's runtime (`distrib::cluster`), so no channel carries parcels.
+# `shims/` holds the one stand-in the tests use, `proptest`.
 echo "== structure: std only — no serde, crossbeam, parking_lot, bytes or proc-macro crate =="
 if git grep -n "serde" -- '*Cargo.toml' Cargo.lock; then
   echo "serde is back in a manifest or the root lock file" >&2
@@ -114,7 +114,8 @@ FLAME_OUT=$(mktemp -t apexlite_flame_XXXXXX.txt)
 cargo run --release --example distributed_cluster -- \
   --max_level=1 --stop_step=2 --hpx:threads=2 \
   --trace-out="$TRACE_OUT" >/dev/null
-# --require: all three instrumented layers are in the trace. --require-flow:
+# --require: all three instrumented layers are in the trace, and the
+# receive span, which runs on the localities' workers. --require-flow:
 # the 2-locality run pairs every received parcel's "f" flow event with its
 # sender's "s" (the Perfetto arrows exist). --check: non-empty critical path
 # within the wall window, utilization rows, a non-empty flamegraph, a
@@ -123,7 +124,7 @@ cargo run --release --example distributed_cluster -- \
 # latency percentiles with histogram count == parcels delivered — read off
 # the cluster-wide imbalance + parcel-latency series the run sampled.
 cargo run --release -p apex-lite --bin trace_report -- \
-  --check --require task,phase,comm --min-spans 10 --require-flow \
+  --check --require task,phase,comm,parcel_recv --min-spans 10 --require-flow \
   --require-counter=/runtime/imbalance \
   --require-counter=/comms/parcel_latency --flame-out="$FLAME_OUT" \
   "$TRACE_OUT"
@@ -156,6 +157,10 @@ rm -f "$TRACE_FUT"
 # commit. The generator is deterministic; about two and a half minutes.
 echo "== exhibits: figures_full.txt is what this tree generates =="
 cargo run --release -p octo-core --bin figures -- all | diff - figures_full.txt
+
+# Every intra-doc link resolves (links to private items are another lint).
+echo "== cargo doc: no broken intra-doc link =="
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --workspace
 
 echo "== cargo fmt --check =="
 cargo fmt --check
