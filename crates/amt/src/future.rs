@@ -21,7 +21,7 @@ use crate::runtime::{help_one, on_worker, unwind_after_delivery};
 
 pub(crate) type PanicPayload = Box<dyn Any + Send + 'static>;
 
-enum Outcome<T> {
+pub(crate) enum Outcome<T> {
     Value(T),
     Panicked(PanicPayload),
 }
@@ -145,7 +145,7 @@ impl<T: Send + 'static> Future<T> {
     /// Register `f` to run exactly once with the outcome (internal basis for
     /// `then`/`when_all`). Runs inline on the completing thread, or
     /// immediately if already complete.
-    fn on_complete(self, f: impl FnOnce(Outcome<T>) + Send + 'static) {
+    pub(crate) fn on_complete(self, f: impl FnOnce(Outcome<T>) + Send + 'static) {
         let mut f = Some(f);
         let ready = {
             let mut st = lock(&self.inner.state);
@@ -228,7 +228,7 @@ impl<T: Send + 'static> Future<T> {
     }
 }
 
-fn unwrap_outcome<T>(o: Outcome<T>) -> T {
+pub(crate) fn unwrap_outcome<T>(o: Outcome<T>) -> T {
     match o {
         Outcome::Value(v) => v,
         Outcome::Panicked(e) => std::panic::resume_unwind(e),

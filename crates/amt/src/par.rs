@@ -14,9 +14,9 @@ use std::time::Duration;
 
 use apex_lite::trace::{self, Cat};
 
-use crate::future::PanicPayload;
+use crate::future::{unwrap_outcome, PanicPayload};
 use crate::runtime::{help_one, on_worker, unwind_after_delivery};
-use crate::{lock, Handle};
+use crate::{lock, Future, Handle};
 
 /// Execution policy selector, mirroring `hpx::execution`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -52,92 +52,126 @@ struct ScopeSync {
     panic: Mutex<Option<PanicPayload>>,
 }
 
-/// A structured-concurrency scope: tasks spawned on it may borrow anything
-/// that outlives the `scope` call, because `scope` does not return until all
-/// of them finished (helping the scheduler while it waits).
-pub struct Scope<'env> {
-    handle: Handle,
-    sync: Arc<ScopeSync>,
-    _env: PhantomData<&'env mut &'env ()>,
+impl ScopeSync {
+    /// Run `f`, one of the scope's tasks: keep its panic for the join, then
+    /// count it out. Returns whether it panicked.
+    fn run(&self, f: impl FnOnce()) -> bool {
+        // `f` is consumed — run and dropped — inside `catch_unwind`.
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).err();
+        let delivered = panicked.is_some();
+        if let Some(e) = panicked {
+            lock(&self.panic).get_or_insert(e);
+        }
+        if self.pending.fetch_sub(1, Ordering::SeqCst) == 1 && self.joining.load(Ordering::SeqCst) {
+            let _g = lock(&self.lock);
+            self.done.notify_all();
+        }
+        delivered
+    }
 }
 
-/// Erase the `'env` lifetime of a scoped-task closure so it can ride the
+/// A structured-concurrency scope: tasks spawned on it may borrow anything
+/// that outlives the `scope` call, because `scope` does not return until all
+/// of them finished (helping the scheduler while it waits). As with
+/// `std::thread::scope`, a task may spawn on the scope that runs it.
+pub struct Scope<'scope, 'env: 'scope> {
+    handle: Handle,
+    sync: Arc<ScopeSync>,
+    scope: PhantomData<&'scope mut &'scope ()>,
+    env: PhantomData<&'env mut &'env ()>,
+}
+
+/// Erase the `'scope` lifetime of a scoped task so it can ride the
 /// runtime's `'static` spawn queue.
 ///
 /// # Safety
 ///
 /// The caller must ensure the returned closure runs (or is dropped) before
-/// `'env` ends, i.e. before anything it borrows is invalidated. In this
-/// module that contract is upheld by [`scope`]: every erased closure
-/// decrements `ScopeSync::pending` exactly once — on the normal and on the
-/// unwinding path, after the borrowing part of it has run and been dropped —
-/// and `scope` does not return, even when a task panicked, until `pending`
-/// is back to zero.
-unsafe fn erase_scope_lifetime<'env>(
-    f: Box<dyn FnOnce() + Send + 'env>,
-) -> Box<dyn FnOnce() + Send + 'static> {
+/// `'scope` ends, i.e. before anything it borrows is invalidated. In this
+/// module that contract is upheld by [`scope`]: every erased closure runs
+/// inside [`ScopeSync::run`], which decrements `ScopeSync::pending` exactly
+/// once — on the normal and on the unwinding path, after the closure has run
+/// and been dropped — and `scope` does not return, even when a task
+/// panicked, until `pending` is back to zero.
+unsafe fn erase<'scope>(f: Box<dyn FnOnce() + Send + 'scope>) -> Box<dyn FnOnce() + Send> {
     std::mem::transmute(f)
 }
 
-impl<'env> Scope<'env> {
+/// [`erase`] for a continuation, which rides a future's `'static` slot.
+///
+/// # Safety
+///
+/// As for [`erase`].
+unsafe fn erase_with<'scope, T>(
+    f: Box<dyn FnOnce(T) + Send + 'scope>,
+) -> Box<dyn FnOnce(T) + Send> {
+    std::mem::transmute(f)
+}
+
+impl<'scope> Scope<'scope, '_> {
     /// Spawn a borrowing task on the scope.
-    pub fn spawn<F>(&self, f: F)
+    pub fn spawn<F>(&'scope self, f: F)
     where
-        F: FnOnce() + Send + 'env,
+        F: FnOnce() + Send + 'scope,
     {
         self.sync.pending.fetch_add(1, Ordering::SeqCst);
         let sync = Arc::clone(&self.sync);
         // One allocation: the bookkeeping wraps `f` before the whole is boxed.
-        let task: Box<dyn FnOnce() + Send + 'env> = Box::new(move || {
-            // `f` is consumed — run and dropped — inside `catch_unwind`.
-            let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).err();
-            let delivered = panicked.is_some();
-            if let Some(e) = panicked {
-                lock(&sync.panic).get_or_insert(e);
-            }
-            if sync.pending.fetch_sub(1, Ordering::SeqCst) == 1
-                && sync.joining.load(Ordering::SeqCst)
-            {
-                let _g = lock(&sync.lock);
-                sync.done.notify_all();
-            }
-            if delivered {
+        let task: Box<dyn FnOnce() + Send + 'scope> = Box::new(move || {
+            if sync.run(f) {
                 unwind_after_delivery();
             }
         });
         // SAFETY: the task above decrements `pending` on every exit path,
         // after `f` is gone, and `scope()` blocks until `pending` returns to
-        // zero, so everything `f` borrows from 'env outlives its use. What is
-        // left of the task after the decrement (`sync`) borrows nothing.
-        let task = unsafe { erase_scope_lifetime(task) };
+        // zero, so everything `f` borrows outlives its use. What is left of
+        // the task after the decrement (`sync`) borrows nothing.
+        let task = unsafe { erase(task) };
         self.handle.spawn_boxed(task);
     }
 
-    /// Handle of the underlying runtime.
-    pub fn handle(&self) -> &Handle {
-        &self.handle
+    /// `Future::then` for a continuation that borrows: `f` runs with
+    /// `future`'s value on the thread that completes it (here, if it is
+    /// complete), no thread waits for it meanwhile, and `scope` does not
+    /// return before `f` ran. Its panic is re-raised at the scope's join.
+    pub fn then<T, F>(&'scope self, future: Future<T>, f: F)
+    where
+        T: Send + 'static,
+        F: FnOnce(T) + Send + 'scope,
+    {
+        self.sync.pending.fetch_add(1, Ordering::SeqCst);
+        let sync = Arc::clone(&self.sync);
+        // SAFETY: as in `spawn`: `f` is consumed inside `ScopeSync::run`,
+        // which counts it out after it is gone, and the scope waits for it.
+        let f = unsafe { erase_with(Box::new(f)) };
+        future.on_complete(move |outcome| {
+            sync.run(|| f(unwrap_outcome(outcome)));
+        });
     }
 }
 
 /// Run `f` with a [`Scope`]; returns after every scoped task completed.
-/// The first panic from any scoped task is re-raised here.
+/// The first panic from any scoped task, or from `f`, is re-raised here.
 pub fn scope<'env, F, R>(handle: &Handle, f: F) -> R
 where
-    F: FnOnce(&Scope<'env>) -> R,
+    F: for<'scope> FnOnce(&'scope Scope<'scope, 'env>) -> R,
 {
-    let sync = Arc::new(ScopeSync {
-        pending: AtomicUsize::new(0),
-        joining: AtomicBool::new(false),
-        lock: Mutex::new(()),
-        done: Condvar::new(),
-        panic: Mutex::new(None),
-    });
     let sc = Scope {
         handle: handle.clone(),
-        sync: Arc::clone(&sync),
-        _env: PhantomData,
+        sync: Arc::new(ScopeSync {
+            pending: AtomicUsize::new(0),
+            joining: AtomicBool::new(false),
+            lock: Mutex::new(()),
+            done: Condvar::new(),
+            panic: Mutex::new(None),
+        }),
+        scope: PhantomData,
+        env: PhantomData,
     };
-    let result = f(&sc);
+    // A panicking body still waits for the tasks it spawned: they borrow
+    // what its unwinding would free.
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&sc)));
+    let sync = &sc.sync;
     // Set before the first look at `pending`: the task that brings it to
     // zero looks at `joining` after its decrement, so one of the two sees
     // the other (and the timed wait below bounds what a bug here could cost).
@@ -158,6 +192,7 @@ where
             drop(sync.done.wait_timeout(g, Duration::from_micros(200)));
         }
     }
+    let result = result.unwrap_or_else(|e| std::panic::resume_unwind(e));
     if let Some(e) = lock(&sync.panic).take() {
         std::panic::resume_unwind(e);
     }
@@ -413,7 +448,7 @@ mod tests {
 
     #[test]
     fn scope_panic_path_keeps_borrows_alive() {
-        // The unsafe lifetime erasure in `erase_scope_lifetime` is only
+        // The unsafe lifetime erasure in `erase` is only
         // sound if `scope` refuses to unwind before every task finished —
         // including when one of them panics. Borrow stack data from tasks
         // that race a panicking sibling and check all of them completed
@@ -441,6 +476,44 @@ mod tests {
         assert_eq!(rt.spawn(|| 7).get(), 7);
     }
 
+    /// A task spawns into the scope that runs it, and a continuation of a
+    /// promise fulfilled off the runtime runs as part of the scope: the scope
+    /// returns after both, and nobody waits on the promise meanwhile.
+    #[test]
+    fn tasks_spawn_into_their_own_scope_and_continuations_join_it() {
+        let rt = Runtime::new(2);
+        let (promise, future) = crate::future_pair();
+        let completer = std::thread::spawn(move || {
+            std::thread::sleep(std::time::Duration::from_millis(5));
+            promise.set_value(40u64);
+        });
+        let (spawned, got) = (&AtomicU64::new(0), &AtomicU64::new(0));
+        scope(&rt.handle(), |sc| {
+            sc.then(future, move |v| {
+                got.store(v, Ordering::Relaxed);
+                sc.spawn(move || {
+                    got.fetch_add(2, Ordering::Relaxed);
+                });
+            });
+            sc.spawn(move || {
+                sc.spawn(move || {
+                    spawned.fetch_add(1, Ordering::Relaxed);
+                })
+            });
+        });
+        assert_eq!(got.load(Ordering::Relaxed), 42);
+        assert_eq!(spawned.load(Ordering::Relaxed), 1);
+        completer.join().expect("completer");
+        // A continuation's panic resurfaces at the join, not in the thread
+        // that completed its future.
+        let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            scope(&rt.handle(), |sc| {
+                sc.then(crate::make_ready_future(()), |()| panic!("late boom"));
+            });
+        }));
+        assert!(res.is_err());
+    }
+
     #[test]
     fn nested_scopes_from_worker() {
         let rt = Runtime::new(2);
@@ -450,7 +523,7 @@ mod tests {
                 let counter = AtomicU64::new(0);
                 scope(&h, |outer| {
                     for _ in 0..4 {
-                        let h2 = outer.handle().clone();
+                        let h2 = h.clone();
                         let c = &counter;
                         outer.spawn(move || {
                             scope(&h2, |inner| {

@@ -34,4 +34,4 @@ pub use agas::{Agas, Gid, LocalityId};
 pub use cluster::{Cluster, ClusterConfig, CoalesceConfig, LocalityHandle};
 pub use parcel::{Parcel, ParcelMsg};
 pub use stats::{NetSnapshot, PortSnapshot};
-pub use wire::{from_bytes, to_bytes, Wire, WireError};
+pub use wire::{from_bytes, to_bytes, Reader, Wire, WireError, Writer};

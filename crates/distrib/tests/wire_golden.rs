@@ -100,13 +100,14 @@ fn framed_parcel_image() {
 
 #[test]
 fn step_argument_images() {
-    // The `step` action's `(inbox, peer)`: two bare gids, a one-byte option tag.
+    // The `step` action's `(step index, peer)`: a bare `u64` and gid, a
+    // one-byte option tag.
     golden!(
-        (gid(0, 1), Some(gid(1, 0))),
-        (Gid, Option<Gid>),
+        (1, Some(gid(1, 0))),
+        (u64, Option<Gid>),
         "0100000000000000 01 0000000000000100"
     );
-    golden!((gid(0, 1), None), (Gid, Option<Gid>), "0100000000000000 00");
+    golden!((1, None), (u64, Option<Gid>), "0100000000000000 00");
 }
 
 #[test]
@@ -118,7 +119,9 @@ fn halo_and_block_images() {
         "02000000 0500000000000000 02000000 000000000000f03f 00000000000004c0 \
          0600000000000000 00000000"
     );
-    // `BlocksMsg`: count | (leaf u64 | four length-prefixed lanes, no array prefix)…
+    // The blocks deposit: count | (leaf u64 | four length-prefixed lanes, no
+    // array prefix)… — octotiger's `BlockSoA` writes this image with lanes of
+    // 64 (its `block_images_are_four_counted_lanes`).
     golden!(
         vec![(9, [vec![1.0], vec![], vec![0.5, 0.25], vec![2.0]])],
         Vec<(u64, [Vec<f64>; 4])>,

@@ -5,25 +5,26 @@
 //! There is no second stepper here. Each locality holds one
 //! [`Driver`] — the whole octree, stepping the leaves on its side of the
 //! x = 0 plane — and a run is one `step` action per locality per step. What
-//! the localities need of each other enters [`Driver::step_with`] through
-//! [`ParcelExchange`], which *pushes*: a locality sends
+//! the localities need of each other is part of the step's plan
+//! (`crate::plan`): per peer, three send nodes, each released by the data
+//! it ships, and three in-nodes, each released by the peer's deposit of
 //!
 //! 1. its **halo leaves** — the interior of owned leaves a peer's ghost
 //!    plan reads (so the ghost gather stays local),
 //! 2. its **CFL rate** (a small scalar message),
 //! 3. its **gravity blocks** — its P2M results, so every locality runs the
 //!    same FMM over the complete mass distribution while computing
-//!    accelerations only for its own leaves,
+//!    accelerations only for its own leaves.
 //!
-//! as soon as it has them, and then waits for the peer's. The receiving
-//! action only deposits into the locality's [`Inbox`] — a component of its
-//! own, never the `Driver` — and a step holds no lock while it waits, so a
-//! deposit can run anywhere, and what a step waits for depends only on the
-//! peer getting that far (DESIGN §5.3). Every payload crosses the `distrib` wire as real
+//! A send node invokes the peer's `deposit_*` action. That action only
+//! fulfils the promise the peer's `Locality` component holds for the
+//! step; the in-node then runs on the thread that fulfilled it, or when the
+//! step starts if the deposit came first. No task waits on the wire, and no
+//! lock is held while anything waits: the `step` action takes its `Driver`
+//! out of the component, and the step's one wait is its plan's scope
+//! (DESIGN §5.3). Every payload crosses the `distrib` wire as real
 //! serialized bytes, so the Fig. 8 projection consumes *measured* message
 //! counts and volumes.
-
-use std::sync::Mutex;
 
 use apex_lite::trace::{self, Cat};
 use apex_lite::{CounterRegistry, CounterSnapshot};
@@ -33,10 +34,8 @@ use distrib::{
 use rv_machine::NetBackend;
 
 use crate::config::OctoConfig;
-use crate::driver::{Driver, Exchange, LocalExchange, RunObserver, WorkEstimate};
-use crate::gravity::BlockSoA;
-use crate::hydro::max_cfl_rate;
-use crate::octree::Octree;
+use crate::driver::{Driver, RunObserver, WorkEstimate};
+use crate::plan::{Deposit, Link, Node};
 use crate::star::{InitialModel, RotatingStar};
 
 /// Configuration of a distributed run. (`Clone` but not `Copy`: the
@@ -105,188 +104,84 @@ pub struct DistMetrics {
     pub counters: CounterSnapshot,
 }
 
-/// Wire form of a [`BlockSoA`]: its four SoA lanes (mass, x, y, z) as flat
-/// streams, the layout the SIMD kernels consume.
-type BlocksWire = [Vec<f64>; 4];
-
-fn blocks_to_wire(b: &BlockSoA) -> BlocksWire {
-    [b.mass.to_vec(), b.x.to_vec(), b.y.to_vec(), b.z.to_vec()]
+/// A locality's component: its driver — out of it while it steps — and,
+/// one step ahead, each deposit its peer makes into the next step, in
+/// in-node order (halo, rate, blocks): the promise the deposit action
+/// fulfils and the future that releases the in-node, which keeps a deposit
+/// made before the step starts.
+struct Locality {
+    driver: Option<Driver>,
+    promises: Vec<Option<amt::Promise<Deposit>>>,
+    arrivals: Vec<amt::Future<Deposit>>,
 }
 
-fn blocks_from_wire(wire: &BlocksWire) -> BlockSoA {
-    let mut b = BlockSoA::zero();
-    for (lane, sent) in [&mut b.mass, &mut b.x, &mut b.y, &mut b.z]
-        .into_iter()
-        .zip(wire)
-    {
-        lane.copy_from_slice(sent);
-    }
-    b
-}
-
-/// `(leaf position, interior data)` of each halo leaf.
-type HaloWire = Vec<(u64, Vec<f64>)>;
-/// `(leaf position, blocks)` of each owned leaf.
-type BlocksMsg = Vec<(u64, BlocksWire)>;
-
-/// One kind of push from the peer, once per step: the promise its deposit
-/// fulfils and the future the step waits on, created by whichever side
-/// gets here first and cleared once both have been taken.
-struct Slot<T> {
-    promise: Option<amt::Promise<T>>,
-    future: Option<amt::Future<T>>,
-}
-
-impl<T> Default for Slot<T> {
-    fn default() -> Self {
-        Slot {
-            promise: None,
-            future: None,
-        }
+impl Locality {
+    /// Expect the deposits of the next step from `peers` peers.
+    fn expect(&mut self, peers: usize) {
+        (self.promises, self.arrivals) = (0..3 * peers)
+            .map(|_| {
+                let (promise, future) = amt::future_pair();
+                (Some(promise), future)
+            })
+            .unzip();
     }
 }
 
-impl<T> Slot<T> {
-    fn arm(&mut self) {
-        if self.promise.is_none() && self.future.is_none() {
-            let (promise, future) = amt::future_pair();
-            (self.promise, self.future) = (Some(promise), Some(future));
-        }
-    }
-
-    fn deposit(&mut self, value: T) {
-        self.arm();
-        let promise = self.promise.take().expect("one deposit per step");
-        promise.set_value(value);
-    }
-
-    fn future(&mut self) -> amt::Future<T> {
-        self.arm();
-        self.future.take().expect("one wait per step")
-    }
-}
-
-/// What the peer has pushed to this locality — a component of its own, so
-/// a deposit never needs the lock of the `Driver` whose step is waiting.
-#[derive(Default)]
-struct Inbox {
-    halo: Slot<HaloWire>,
-    rate: Slot<f64>,
-    blocks: Slot<BlocksMsg>,
-}
-
-/// The [`Exchange`] of one step of one locality of two.
-struct ParcelExchange<'a> {
-    ctx: &'a LocalityHandle,
-    /// This locality's inbox.
-    inbox: Gid,
-    /// The peer's.
-    peer: Gid,
-    /// Acknowledgements of this step's pushes.
-    acks: Mutex<Vec<amt::Future<()>>>,
-}
-
-impl ParcelExchange<'_> {
-    fn push<T: Wire>(&self, deposit: &str, value: &T) {
-        let ack = self.ctx.invoke(self.peer, deposit, value);
-        self.acks.lock().expect("acks").push(ack);
-    }
-
-    /// Wait for one kind of push. The inbox is locked to take the future
-    /// out and released before the wait, which helps the scheduler: the
-    /// deposit it waits for may run on this very thread.
-    fn receive<T: Send + 'static>(&self, slot: fn(&mut Inbox) -> &mut Slot<T>) -> T {
-        let pushed = self
-            .ctx
-            .with_component::<Inbox, _>(self.inbox, |inbox| slot(inbox).future());
-        pushed.expect("inbox component").get()
-    }
-
-    /// End of the step: every push has been deposited, so the run's wire
-    /// counters are final when its last step returns.
-    fn finish(self) {
-        for ack in self.acks.into_inner().expect("acks") {
-            ack.get();
-        }
-    }
-}
-
-impl Exchange for ParcelExchange<'_> {
-    fn halo(&self, tree: &mut Octree, send: &[usize]) {
-        let _span = trace::span(Cat::Phase, "halo_exchange");
-        let interior = |&pos: &usize| {
-            let leaf = tree.leaf_ids()[pos];
-            (pos as u64, tree.subgrid(leaf).interior_data())
-        };
-        self.push(
-            "deposit_halo",
-            &send.iter().map(interior).collect::<HaloWire>(),
-        );
-        for (pos, data) in self.receive(|inbox| &mut inbox.halo) {
-            let leaf = tree.leaf_ids()[pos as usize];
-            tree.subgrid_mut(leaf).set_interior_data(&data);
-        }
-    }
-
-    fn max_rate(&self, local: f64) -> f64 {
-        self.push("deposit_rate", &local);
-        max_cfl_rate([local, self.receive(|inbox| &mut inbox.rate)].into_iter())
-    }
-
-    fn complete_blocks(&self, owned: &[usize], blocks: &mut [BlockSoA]) {
-        let wire = |&pos: &usize| (pos as u64, blocks_to_wire(&blocks[pos]));
-        self.push(
-            "deposit_blocks",
-            &owned.iter().map(wire).collect::<BlocksMsg>(),
-        );
-        for (pos, theirs) in self.receive(|inbox| &mut inbox.blocks) {
-            blocks[pos as usize] = blocks_from_wire(&theirs);
-        }
-    }
-}
-
-/// Register `name` as the action that deposits one kind of push.
-fn register_deposit<T>(cluster: &Cluster, name: &str, slot: fn(&mut Inbox) -> &mut Slot<T>)
+/// Register `name` as the action that makes the `kind`-th deposit (in-node
+/// order) into a locality's step.
+fn register_deposit<T>(cluster: &Cluster, name: &str, kind: usize, wrap: fn(T) -> Deposit)
 where
     T: Wire + Send + 'static,
 {
     cluster.register_action(name, move |ctx: &LocalityHandle, gid, value: T| {
-        ctx.with_component::<Inbox, _>(gid, |inbox| slot(inbox).deposit(value))
-            .expect("inbox component")
+        let promise = ctx
+            .with_component::<Locality, _>(gid, |loc| loc.promises[kind].take())
+            .expect("locality component")
+            .expect("one deposit of each kind per step");
+        promise.set_value(wrap(value));
     });
 }
 
 fn register_actions(cluster: &Cluster) {
-    register_deposit(cluster, "deposit_halo", |inbox| &mut inbox.halo);
-    register_deposit(cluster, "deposit_rate", |inbox| &mut inbox.rate);
-    register_deposit(cluster, "deposit_blocks", |inbox| &mut inbox.blocks);
-    // One step of the locality's driver: `(its inbox, the peer's inbox)`,
-    // answered with `dt`. The driver is taken out of its component for the
-    // step and put back after it, so the step runs — and waits — under no
-    // lock at all.
+    register_deposit(cluster, "deposit_halo", 0, Deposit::Halo);
+    register_deposit(cluster, "deposit_rate", 1, Deposit::Rate);
+    register_deposit(cluster, "deposit_blocks", 2, Deposit::Blocks);
+    // One step of the locality's driver: `(the step's index, the peer's
+    // component)`, answered with `dt`. The driver is taken out of its
+    // component for the step and put back after it, with the next step's
+    // deposits expected, so the step runs under no lock at all.
     cluster.register_action(
         "step",
-        |ctx: &LocalityHandle, gid, (inbox, peer): (Gid, Option<Gid>)| -> f64 {
+        |ctx: &LocalityHandle, gid, (step, peer): (u64, Option<Gid>)| -> f64 {
             let handle = ctx.runtime();
-            let mut driver = ctx
-                .with_component::<Option<Driver>, _>(gid, Option::take)
-                .expect("driver component")
-                .expect("one step at a time");
+            let (driver, arrivals) = ctx
+                .with_component::<Locality, _>(gid, |loc| {
+                    (loc.driver.take(), std::mem::take(&mut loc.arrivals))
+                })
+                .expect("locality component");
+            let mut driver = driver.expect("one step at a time");
+            assert_eq!(driver.steps_done(), step, "the supervisor's step");
             let dt = match peer {
-                None => driver.step_with(&handle, &LocalExchange),
+                None => driver.step_with(&handle, None),
                 Some(peer) => {
-                    let exchange = ParcelExchange {
-                        ctx,
-                        inbox,
-                        peer,
-                        acks: Mutex::new(Vec::new()),
+                    let send = |_: Node, deposit: Deposit| match deposit {
+                        Deposit::Halo(halo) => ctx.invoke(peer, "deposit_halo", &halo),
+                        Deposit::Rate(rate) => ctx.invoke(peer, "deposit_rate", &rate),
+                        Deposit::Blocks(blocks) => ctx.invoke(peer, "deposit_blocks", &blocks),
                     };
-                    let dt = driver.step_with(&handle, &exchange);
-                    exchange.finish();
-                    dt
+                    driver.step_with(
+                        &handle,
+                        Some(Link {
+                            arrivals,
+                            send: &send,
+                        }),
+                    )
                 }
             };
-            ctx.with_component::<Option<Driver>, _>(gid, |slot| *slot = Some(driver));
+            ctx.with_component::<Locality, _>(gid, |loc| {
+                loc.driver = Some(driver);
+                loc.expect(usize::from(peer.is_some()));
+            });
             dt
         },
     );
@@ -320,18 +215,21 @@ impl DistRun {
         });
         register_actions(&cluster);
 
-        // One driver and one inbox per locality.
-        let mut drivers: Vec<Gid> = Vec::new();
-        let mut inboxes: Vec<Gid> = Vec::new();
+        // One locality component each.
+        let mut localities: Vec<Gid> = Vec::new();
         let mut owned_per_node = Vec::new();
         let mut leaf_count = 0;
         for node in 0..config.nodes {
             let driver = Driver::for_locality(model, config.octo.clone(), node, config.nodes);
             leaf_count = driver.tree().leaf_count();
             owned_per_node.push(driver.owned_leaves().len());
-            let loc = cluster.locality(node);
-            drivers.push(loc.new_component(Some(driver)));
-            inboxes.push(loc.new_component(Inbox::default()));
+            let mut locality = Locality {
+                driver: Some(driver),
+                promises: Vec::new(),
+                arrivals: Vec::new(),
+            };
+            locality.expect(config.nodes as usize - 1);
+            localities.push(cluster.locality(node).new_component(locality));
         }
         let cell_count = leaf_count * crate::subgrid::CELLS;
         let supervisor = cluster.locality(0);
@@ -354,10 +252,10 @@ impl DistRun {
             // One barrier per step, driven from the supervisor (the paper's
             // supervisor/delegate roles); everything else is between the
             // localities.
-            let stepping = (0..drivers.len())
+            let stepping = (0..localities.len())
                 .map(|i| {
-                    let peer = (config.nodes == 2).then(|| inboxes[1 - i]);
-                    supervisor.invoke(drivers[i], "step", &(inboxes[i], peer))
+                    let peer = (config.nodes == 2).then(|| localities[1 - i]);
+                    supervisor.invoke(localities[i], "step", &(u64::from(step), peer))
                 })
                 .collect();
             let dts: Vec<f64> = amt::when_all(stepping).get();
@@ -378,9 +276,9 @@ impl DistRun {
         let mut work = WorkEstimate::default();
         let mut counters = observer.registry().sample();
         let mut leaf_hashes = vec![0; leaf_count];
-        for (i, &gid) in drivers.iter().enumerate() {
-            let report = |slot: &mut Option<Driver>| {
-                let d = slot.as_ref().expect("no step is running");
+        for (i, &gid) in localities.iter().enumerate() {
+            let report = |loc: &mut Locality| {
+                let d = loc.driver.as_ref().expect("no step is running");
                 work.add(&d.work());
                 let (cache, ghost) = (d.cache_stats(), d.tree().ghost_stats());
                 counters.set_count(format!("/gravity/locality{i}/cache_hits"), cache.hits);
@@ -400,7 +298,7 @@ impl DistRun {
             };
             cluster
                 .locality(i as u32)
-                .with_component::<Option<Driver>, _>(gid, report)
+                .with_component::<Locality, _>(gid, report)
                 .expect("driver component");
         }
         work.counters_into(&mut counters);

@@ -1,9 +1,9 @@
 //! The time stepper — the paper's §6.2.1 experiment: "a single rotating
 //! star with a level of refinement of four is simulated for five time
 //! steps", measuring *cells processed per second* while scaling from one
-//! core to all four — and, with an ownership mask over the leaves and an
-//! [`Exchange`] for what the other localities own, §6.2.2's two boards: a
-//! node-level run is the one-locality case of the same step.
+//! core to all four — and, with an ownership mask over the leaves and the
+//! peers' deposits as nodes of the step's plan, §6.2.2's two boards: a
+//! node-level run is the same plan with no peers.
 //!
 //! Per step, interleaving the two solvers exactly as §3.3 describes:
 //! CFL reduction → gravity solve (P2M / M2M / multipole + monopole kernels)
@@ -31,7 +31,7 @@ use crate::gravity::{
 use crate::hydro;
 use crate::kernel_backend::Dispatch;
 use crate::octree::{GhostFaces, NodeId, Octree, FACE_VALUES};
-use crate::plan::{Node, StepPlan};
+use crate::plan::{Deposit, Link, Node, Peer, Run, StepPlan};
 use crate::star::{field, InitialModel, RotatingStar, NF};
 use crate::subgrid::{SubGrid, CELLS, FRAME_LEN, NX};
 
@@ -194,39 +194,6 @@ pub struct PoolStats {
     pub hits: u64,
     /// Frames allocated: one per hydro task.
     pub misses: u64,
-}
-
-/// What a step needs of the leaves other localities own, at the three
-/// places its plan already joins. Every call is made once per step,
-/// and a call that waits must hold no lock across the wait and wait only
-/// for what a peer sends on its own progress (DESIGN §5.3).
-pub(crate) trait Exchange: Sync {
-    /// At the start of the step: ship the interior of the leaves at `send`
-    /// (owned here, read by a peer's ghost plan) and install what the peers
-    /// ship into `tree`, so the ghost gather of the owned leaves stays local.
-    fn halo(&self, tree: &mut Octree, send: &[usize]);
-
-    /// In the `Dt` node (inline in the last CFL task): the
-    /// [`hydro::max_cfl_rate`] over every locality's `local` one.
-    fn max_rate(&self, local: f64) -> f64;
-
-    /// In the `Moments` node (inline in the last P2M task): `blocks` is the
-    /// leaf-order table with the entries at `owned` computed; ship those and
-    /// fill in the rest.
-    fn complete_blocks(&self, owned: &[usize], blocks: &mut [BlockSoA]);
-}
-
-/// The exchange of a run that owns every leaf: there is nobody to ask.
-pub(crate) struct LocalExchange;
-
-impl Exchange for LocalExchange {
-    fn halo(&self, _tree: &mut Octree, _send: &[usize]) {}
-
-    fn max_rate(&self, local: f64) -> f64 {
-        local
-    }
-
-    fn complete_blocks(&self, _owned: &[usize], _blocks: &mut [BlockSoA]) {}
 }
 
 /// Which leaves this driver steps: all of them on one locality, its side of
@@ -425,6 +392,11 @@ impl Driver {
         &self.ownership.positions
     }
 
+    /// Steps completed.
+    pub(crate) fn steps_done(&self) -> u64 {
+        self.steps_done
+    }
+
     /// FNV-1a over the bits of the interior data of the leaf at `pos`, one
     /// `f64` per round.
     pub(crate) fn leaf_hash(&self, pos: usize) -> u64 {
@@ -453,17 +425,20 @@ impl Driver {
     /// poisoned the fold, and the field and cell of its first non-finite
     /// value.
     pub fn step(&mut self, runtime: &Runtime) -> f64 {
-        self.step_with(&runtime.handle(), &LocalExchange)
+        self.step_with(&runtime.handle(), None)
     }
 
     /// One time step over the owned leaves: the generation's [`StepPlan`],
     /// run by its countdown executor, each node bound here to its kernel
-    /// call (`plan.rs` holds the scheduling rules):
+    /// call or its deposit (`plan.rs` holds the scheduling rules):
     ///
     /// ```text
-    /// halo ─┬► p2m per leaf ──last──► complete_blocks, M2M + lists ──► gravity per leaf ─┐
-    ///       └► cfl per leaf ──last──► max_rate, dt ──► hydro per leaf                    │
-    /// leaf k: its p2m, each hydro gathering from k ──last──► update k ──last──► source k ◄┘
+    /// p2m per leaf ─last─┬─► M2M + lists ◄── blocks in ◄┄ peer ──► gravity per leaf ──────┐
+    ///                    └─► blocks out ┄► peer                                           │
+    /// cfl per leaf ─last─┬─► dt ◄── rate in ◄┄ peer ──► hydro per leaf                    │
+    ///                    └─► rate out ┄► peer            ▲ (those gathering from the peer) │
+    /// halo out ┄► peer           halo in ◄┄ peer ────────┘                                 │
+    /// leaf k: its p2m, halo out, each hydro gathering from k ─last─► update k ─last─► source k ◄┘
     /// ```
     ///
     /// A hydro task gathers its leaf's ghost zone through the tree's plan
@@ -472,22 +447,19 @@ impl Driver {
     /// task adds the source, per block. Per leaf that is a serial walk's
     /// order, so the bits are a serial walk's. Leaf data is lent out in
     /// per-leaf locks ([`Octree::lend_grids`]) that the plan keeps
-    /// uncontended; the gravity state sits in one `RwLock` that P2M and the
-    /// moments pass write and the gravity tasks read. `exchange` is asked at
-    /// the three joins of the diagram, under no lock; with [`LocalExchange`]
-    /// the step waits for nothing outside its own runtime.
-    pub(crate) fn step_with(&mut self, handle: &Handle, exchange: &impl Exchange) -> f64 {
-        self.step_by(handle, exchange, |plan, run| plan.execute(handle, run))
+    /// uncontended; the gravity state sits in one `RwLock` that P2M, the
+    /// blocks deposit and the moments pass write and the gravity tasks read.
+    /// With a `link` (one locality of two), the send nodes' deposits go out
+    /// through it and the peer's release the in-nodes, each checked before
+    /// anything of it is written; without one the plan has no remote node.
+    /// No node waits for anything: the step waits once, for the whole plan.
+    pub(crate) fn step_with(&mut self, handle: &Handle, link: Option<Link>) -> f64 {
+        self.step_by(handle, |plan, run| plan.execute(handle, link, run))
     }
 
     /// [`Driver::step_with`] with the plan run by `execute`: its executor,
     /// or a test's.
-    fn step_by(
-        &mut self,
-        handle: &Handle,
-        exchange: &impl Exchange,
-        execute: impl FnOnce(&StepPlan, &(dyn Fn(Node) + Sync)),
-    ) -> f64 {
+    fn step_by(&mut self, handle: &Handle, execute: impl FnOnce(&StepPlan, &Run)) -> f64 {
         let hydro_dispatch = Dispatch::new(self.config.hydro_kernel, handle, 4);
         let multipole_dispatch = Dispatch::new(self.config.multipole_kernel, handle, 4);
         let monopole_dispatch = Dispatch::new(self.config.monopole_kernel, handle, 4);
@@ -500,14 +472,22 @@ impl Driver {
         let (cfl_factor, step, theta) = (self.config.cfl, self.steps_done, self.config.theta);
 
         self.ownership.refresh(&mut self.tree);
-        exchange.halo(&mut self.tree, &self.ownership.halo_out);
         let mask = &self.ownership.mask;
         let faces = self.tree.plan_ghosts(|pos| mask[pos]);
         self.work.add_ghost_faces(faces);
         let own = &mut self.ownership;
+        let (mask, halo_out, node) = (&own.mask, &own.halo_out, own.node);
+        // A leaf position is the peer's: on one locality of two, every leaf
+        // not owned here.
+        let theirs = |pos: usize| mask.get(pos) == Some(&false);
         let plan = &*(own.plan).get_or_insert_with(|| {
             let sources = self.tree.gather_sources();
-            StepPlan::new(&own.positions, |pos| sources.of(pos))
+            let peer = Peer {
+                reads: halo_out,
+                owns: &theirs,
+            };
+            let peers: Vec<Peer> = (own.nodes > 1).then_some(peer).into_iter().collect();
+            StepPlan::new(&own.positions, |pos| sources.of(pos), &peers)
         });
         let leaf_count = self.tree.leaf_count();
         let buffers =
@@ -516,6 +496,9 @@ impl Driver {
         let owned = &own.positions;
         let leaves: Vec<NodeId> = owned.iter().map(|&p| self.tree.leaf_ids()[p]).collect();
         let (speeds, results, accels) = (&buffers.speeds, &buffers.results, &buffers.accels);
+        let peer_rates: Vec<AtomicU64> = (1..own.nodes).map(|_| AtomicU64::new(0)).collect();
+        // Peer `p` is the `p`-th other locality.
+        let from = |p: usize| p as u32 + u32::from(p as u32 >= node);
         let dt_bits = AtomicU64::new(0);
         // Gravity state, the leaf-order P2M table and the list update's report.
         let (ws, cache) = (&mut self.gravity_ws, &mut self.interaction_cache);
@@ -530,83 +513,162 @@ impl Driver {
         let grid = |leaf: NodeId| lent(leaf).read().expect("leaf lock");
         let grid_mut = |k: usize| lent(leaves[k]).write().expect("leaf lock");
         let dt = || f64::from_bits(dt_bits.load(Ordering::Relaxed));
+        let rates = || (speeds.iter()).map(|s| f64::from_bits(s.load(Ordering::Relaxed)));
+        // Where an entry of peer `p`'s deposit goes: leaf position `pos`, a
+        // leaf of the peer's that this locality `holds`, whose entry takes
+        // `want` values and has `len` — else the step stops, before anything
+        // of the deposit is written.
+        let checked = |p, what: &str, pos: u64, holds: &dyn Fn(usize) -> bool, (len, want)| {
+            let at = usize::try_from(pos)
+                .ok()
+                .filter(|&at| theirs(at) && holds(at));
+            let why = match at {
+                Some(at) if len == want => return at,
+                Some(_) => format!("{len} values, not {want}"),
+                None => "not one of its leaves held here".to_string(),
+            };
+            panic!(
+                "step {step}: locality {} deposited {what} for leaf position {pos}: {why}",
+                from(p)
+            )
+        };
 
-        execute(plan, &|node| match node {
-            Node::Cfl(k) => {
-                let _span = trace::span(Cat::Phase, "cfl_leaf");
-                let g = grid(leaves[k]);
-                let speed = hydro::max_signal_speed_policy(&g, &hydro_dispatch, policy);
-                speeds[k].store((speed / g.dx).to_bits(), Ordering::Relaxed);
+        execute(plan, &|node, deposit| {
+            match node {
+                Node::Cfl(k) => {
+                    let _span = trace::span(Cat::Phase, "cfl_leaf");
+                    let g = grid(leaves[k]);
+                    let speed = hydro::max_signal_speed_policy(&g, &hydro_dispatch, policy);
+                    speeds[k].store((speed / g.dx).to_bits(), Ordering::Relaxed);
+                }
+                Node::P2m(k) => {
+                    let _span = trace::span(Cat::Phase, "p2m_leaf");
+                    let blocks = gravity::compute_blocks(&grid(leaves[k]));
+                    gravity.write().expect("gravity state").2[owned[k]] = blocks;
+                }
+                // A max-fold: any arrival order of the rates gives the same
+                // bits, and so does the fold of the localities' own folds.
+                Node::Dt => {
+                    let _span = trace::span(Cat::Phase, "cfl_reduction");
+                    let peers =
+                        (peer_rates.iter()).map(|r| f64::from_bits(r.load(Ordering::Relaxed)));
+                    let ours = hydro::max_cfl_rate(rates());
+                    let rate = hydro::max_cfl_rate(std::iter::once(ours).chain(peers));
+                    let dt = hydro::global_dt(cfl_factor, rate, step, || {
+                        poisoned_leaf(owned, rates(), |k| grid(leaves[k]).first_non_finite())
+                    });
+                    dt_bits.store(dt.to_bits(), Ordering::Relaxed);
+                }
+                // The serial M2M + interaction-list section over the
+                // completed block table, hidden behind CFL/hydro work on
+                // other workers.
+                Node::Moments => {
+                    let mut state = gravity.write().expect("gravity state");
+                    let (ws, cache, blocks, report) = &mut *state;
+                    let _span = trace::span(Cat::Phase, "gravity_moments");
+                    ws.upward_pass(tree, blocks);
+                    *report = Some(cache.ensure(tree, &ws.moments, theta));
+                }
+                Node::Hydro(k) => {
+                    let t0 = trace::now_ns();
+                    let _span = trace::span(Cat::Phase, "hydro_step");
+                    let mut out = vec![[0.0; NF]; CELLS];
+                    let mut frame = vec![0.0; FRAME_LEN];
+                    tree.gather_frame(owned[k], &mut frame, grid);
+                    let (g, dispatch) = (grid(leaves[k]), &hydro_dispatch);
+                    hydro::step_interior_staged_into(
+                        &g,
+                        &mut frame,
+                        dt(),
+                        dispatch,
+                        policy,
+                        &mut out,
+                    );
+                    drop(frame);
+                    *results[k].lock().expect("result slot") = Some(out);
+                    let now = held.fetch_add(1, Ordering::Relaxed) + 1;
+                    held_hwm.fetch_max(now, Ordering::Relaxed);
+                    h_env.record(t0, trace::now_ns());
+                }
+                Node::Gravity(k) => {
+                    let t0 = trace::now_ns();
+                    let _span = trace::span(Cat::Phase, "gravity_solve");
+                    let state = gravity.read().expect("gravity state");
+                    let (ws, cache, blocks, _) = &*state;
+                    let solve = LeafSolve {
+                        tree,
+                        moments: &ws.moments,
+                        blocks,
+                        leaf_pos: &ws.leaf_pos,
+                        kernels: &kernels,
+                    };
+                    let acc = solve.accel(leaves[k], &cache.lists()[owned[k]]);
+                    *accels[k].lock().expect("accel slot") = Some(acc);
+                    g_env.record(t0, trace::now_ns());
+                }
+                Node::WriteBack(k) => {
+                    let _span = trace::span(Cat::Phase, "write_back");
+                    let state = results[k].lock().expect("result slot").take();
+                    hydro::apply_interior(&mut grid_mut(k), &state.expect("hydro result held"));
+                    held.fetch_sub(1, Ordering::Relaxed);
+                }
+                Node::Source(k) => {
+                    let _span = trace::span(Cat::Phase, "gravity_source");
+                    let acc = accels[k].lock().expect("accel slot").take();
+                    hydro::apply_gravity_source(
+                        &mut grid_mut(k),
+                        &acc.expect("gravity done"),
+                        dt(),
+                    );
+                }
+                // The sends (their wire work is `distrib`'s `parcel_send`):
+                // the old interior of the leaves the peer reads, this
+                // locality's CFL rate, its P2M blocks.
+                Node::HaloOut(_) => {
+                    let interior =
+                        |&pos: &usize| (pos as u64, grid(tree.leaf_ids()[pos]).interior_data());
+                    return Some(Deposit::Halo(halo_out.iter().map(interior).collect()));
+                }
+                Node::RateOut(_) => return Some(Deposit::Rate(hydro::max_cfl_rate(rates()))),
+                Node::BlocksOut(_) => {
+                    let state = gravity.read().expect("gravity state");
+                    let ours = owned.iter().map(|&pos| (pos as u64, state.2[pos].clone()));
+                    return Some(Deposit::Blocks(ours.collect()));
+                }
+                // The peer's deposits, each checked whole before any of it
+                // is written; a span each marks where the step took it.
+                Node::HaloIn(p) | Node::RateIn(p) | Node::BlocksIn(p) => {
+                    match deposit.expect("an in-node runs with its deposit") {
+                        Deposit::Halo(halo) => {
+                            let _span = trace::span(Cat::Phase, "halo_exchange");
+                            let held = |at: usize| grids[tree.leaf_ids()[at]].is_some();
+                            let whole = |data: &Vec<f64>| (data.len(), NF * CELLS);
+                            let at: Vec<usize> = (halo.iter())
+                                .map(|(pos, data)| checked(p, "a halo", *pos, &held, whole(data)))
+                                .collect();
+                            for (at, (_, data)) in at.into_iter().zip(&halo) {
+                                let leaf = lent(tree.leaf_ids()[at]);
+                                leaf.write().expect("leaf lock").set_interior_data(data);
+                            }
+                        }
+                        Deposit::Rate(rate) => {
+                            let _span = trace::span(Cat::Phase, "rate_exchange");
+                            peer_rates[p].store(rate.to_bits(), Ordering::Relaxed);
+                        }
+                        Deposit::Blocks(theirs) => {
+                            let _span = trace::span(Cat::Phase, "blocks_exchange");
+                            let at: Vec<usize> = (theirs.iter())
+                                .map(|(pos, _)| checked(p, "blocks", *pos, &|_| true, (1, 1)))
+                                .collect();
+                            let table = &mut gravity.write().expect("gravity state").2;
+                            for (at, (_, blocks)) in at.into_iter().zip(theirs) {
+                                table[at] = blocks;
+                            }
+                        }
+                    }
+                }
             }
-            Node::P2m(k) => {
-                let _span = trace::span(Cat::Phase, "p2m_leaf");
-                let blocks = gravity::compute_blocks(&grid(leaves[k]));
-                gravity.write().expect("gravity state").2[owned[k]] = blocks;
-            }
-            // A max-fold: any arrival order of the rates gives the same bits.
-            Node::Dt => {
-                let _span = trace::span(Cat::Phase, "cfl_reduction");
-                let rates = || (speeds.iter()).map(|s| f64::from_bits(s.load(Ordering::Relaxed)));
-                let rate = exchange.max_rate(hydro::max_cfl_rate(rates()));
-                let dt = hydro::global_dt(cfl_factor, rate, step, || {
-                    poisoned_leaf(owned, rates(), |k| grid(leaves[k]).first_non_finite())
-                });
-                dt_bits.store(dt.to_bits(), Ordering::Relaxed);
-            }
-            // The block table (the entries of the leaves owned elsewhere
-            // from the exchange), then the serial M2M + interaction-list
-            // section, hidden behind CFL/hydro work on other workers.
-            Node::Moments => {
-                let blocks = std::mem::take(&mut gravity.write().expect("gravity state").2);
-                exchange.complete_blocks(owned, blocks);
-                let mut state = gravity.write().expect("gravity state");
-                let (ws, cache, table, report) = &mut *state;
-                let _span = trace::span(Cat::Phase, "gravity_moments");
-                ws.upward_pass(tree, blocks);
-                *report = Some(cache.ensure(tree, &ws.moments, theta));
-                *table = blocks;
-            }
-            Node::Hydro(k) => {
-                let t0 = trace::now_ns();
-                let _span = trace::span(Cat::Phase, "hydro_step");
-                let mut out = vec![[0.0; NF]; CELLS];
-                let mut frame = vec![0.0; FRAME_LEN];
-                tree.gather_frame(owned[k], &mut frame, grid);
-                let (g, dispatch) = (grid(leaves[k]), &hydro_dispatch);
-                hydro::step_interior_staged_into(&g, &mut frame, dt(), dispatch, policy, &mut out);
-                drop(frame);
-                *results[k].lock().expect("result slot") = Some(out);
-                let now = held.fetch_add(1, Ordering::Relaxed) + 1;
-                held_hwm.fetch_max(now, Ordering::Relaxed);
-                h_env.record(t0, trace::now_ns());
-            }
-            Node::Gravity(k) => {
-                let t0 = trace::now_ns();
-                let _span = trace::span(Cat::Phase, "gravity_solve");
-                let state = gravity.read().expect("gravity state");
-                let (ws, cache, blocks, _) = &*state;
-                let solve = LeafSolve {
-                    tree,
-                    moments: &ws.moments,
-                    blocks,
-                    leaf_pos: &ws.leaf_pos,
-                    kernels: &kernels,
-                };
-                let acc = solve.accel(leaves[k], &cache.lists()[owned[k]]);
-                *accels[k].lock().expect("accel slot") = Some(acc);
-                g_env.record(t0, trace::now_ns());
-            }
-            Node::WriteBack(k) => {
-                let _span = trace::span(Cat::Phase, "write_back");
-                let state = results[k].lock().expect("result slot").take();
-                hydro::apply_interior(&mut grid_mut(k), &state.expect("hydro result held"));
-                held.fetch_sub(1, Ordering::Relaxed);
-            }
-            Node::Source(k) => {
-                let _span = trace::span(Cat::Phase, "gravity_source");
-                let acc = accels[k].lock().expect("accel slot").take();
-                hydro::apply_gravity_source(&mut grid_mut(k), &acc.expect("gravity done"), dt());
-            }
+            None
         });
         let dt = dt();
         let report = gravity.into_inner().expect("gravity state").3;
@@ -1101,10 +1163,117 @@ mod tests {
         let want = d.leaf_hashes();
         for seed in 0..50 {
             let mut d = start();
-            d.step_by(&rt.handle(), &LocalExchange, |plan, run| {
-                plan.execute_shuffled(seed, run)
+            d.step_by(&rt.handle(), |plan, run| {
+                StepPlan::execute_shuffled(seed, &[(plan, run)])
             });
             assert_eq!(d.leaf_hashes(), want, "order {seed}");
+        }
+    }
+
+    /// The deposits are the only ordering between two localities: fifty
+    /// seeded random orders over both localities' plans, each deposit
+    /// delivered at a random point after its send, give every owned leaf the
+    /// node-level bits after two steps (the second step's halo differs from
+    /// the data a locality starts with).
+    #[test]
+    fn every_order_of_two_localities_gives_the_node_level_bits() {
+        let cfg = OctoConfig {
+            max_level: 3,
+            simd_width: 0,
+            ..OctoConfig::default()
+        };
+        let star = OffCentre(RotatingStar::new(0.2, 1.0, 0.2));
+        let rt = Runtime::new(2);
+        let mut d = Driver::with_model(&star, cfg.clone());
+        d.step(&rt);
+        d.step(&rt);
+        let want = d.leaf_hashes();
+        let handle = rt.handle();
+        for seed in 0..50 {
+            let mut halves: Vec<Driver> = (0..2)
+                .map(|node| Driver::for_locality(&star, cfg.clone(), node, 2))
+                .collect();
+            let [a, b] = &mut halves[..] else {
+                unreachable!("two localities")
+            };
+            for step in 0..2 {
+                let mut dt_b = 0.0;
+                let dt_a = a.step_by(&handle, |plan_a, run_a| {
+                    dt_b = b.step_by(&handle, |plan_b, run_b| {
+                        let seed = 2 * seed + step;
+                        StepPlan::execute_shuffled(seed, &[(plan_a, run_a), (plan_b, run_b)])
+                    });
+                });
+                assert_eq!(dt_a.to_bits(), dt_b.to_bits(), "order {seed}, step {step}");
+            }
+            for d in &halves {
+                for &pos in d.owned_leaves() {
+                    assert_eq!(d.leaf_hash(pos), want[pos], "order {seed}, leaf {pos}");
+                }
+            }
+        }
+    }
+
+    /// A peer's deposit that names a leaf that is not its own here, or
+    /// carries an interior of the wrong length, stops the step with a
+    /// message that names the sender and the position.
+    #[test]
+    fn a_bad_deposit_stops_the_step_naming_sender_and_leaf() {
+        let star = RotatingStar::paper_default();
+        let cfg = tiny_config(KernelType::Legacy);
+        let rt = Runtime::new(1);
+        let step = |halo: Vec<(u64, Vec<f64>)>, blocks: Vec<(u64, BlockSoA)>| -> String {
+            let mut d = Driver::for_locality(&star, cfg.clone(), 0, 2);
+            let arrivals = [
+                Deposit::Halo(halo),
+                Deposit::Rate(1.0),
+                Deposit::Blocks(blocks),
+            ];
+            let link = Link {
+                arrivals: arrivals.into_iter().map(amt::make_ready_future).collect(),
+                send: &|_, _| amt::make_ready_future(()),
+            };
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                d.step_with(&rt.handle(), Some(link))
+            }));
+            let payload = run.expect_err("a bad deposit must stop the step");
+            payload
+                .downcast_ref::<String>()
+                .expect("panic message")
+                .clone()
+        };
+        // A leaf of this locality's, and one of the peer's that it reads.
+        let mut d = Driver::for_locality(&star, cfg.clone(), 0, 2);
+        let mask = d.ownership.mask.clone();
+        let mine = d.owned_leaves()[0] as u64;
+        let halo_leaf = d.tree.halo_sources(|pos| mask[pos])[0] as u64;
+        let whole = || vec![0.0; NF * CELLS];
+        let not_theirs = "not one of its leaves held here";
+        for (halo, blocks, want) in [
+            (
+                vec![(99, whole())],
+                vec![],
+                format!("a halo for leaf position 99: {not_theirs}"),
+            ),
+            (
+                vec![(mine, whole())],
+                vec![],
+                format!("a halo for leaf position {mine}: {not_theirs}"),
+            ),
+            (
+                vec![(halo_leaf, vec![0.0; 5])],
+                vec![],
+                format!("leaf position {halo_leaf}: 5 values, not {}", NF * CELLS),
+            ),
+            (
+                vec![],
+                vec![(mine, BlockSoA::zero())],
+                format!("blocks for leaf position {mine}: {not_theirs}"),
+            ),
+        ] {
+            let message = step(halo, blocks);
+            assert!(message.starts_with("step 0: locality 1 "), "{message}");
+            assert!(message.ends_with(&want), "{message}");
         }
     }
 

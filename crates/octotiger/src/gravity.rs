@@ -38,6 +38,7 @@
 //! validates the FMM in tests.
 
 use apex_lite::trace::{self, Cat};
+use distrib::{Reader, Wire, WireError, Writer};
 
 use crate::kernel_backend::{Dispatch, SimdPolicy};
 use crate::octree::{NodeId, Octree};
@@ -90,6 +91,33 @@ impl BlockSoA {
         self.x[b] = c[0];
         self.y[b] = c[1];
         self.z[b] = c[2];
+    }
+}
+
+/// The wire image of a leaf's blocks: the lanes mass, x, y, z, each a `u32`
+/// count of [`BLOCKS`] followed by its values — the layout the kernels
+/// stream. Decoding refuses any other count.
+impl Wire for BlockSoA {
+    const MIN_BYTES: usize = 4 * (4 + 8 * BLOCKS);
+
+    fn encode(&self, out: &mut Writer) {
+        for lane in [&self.mass, &self.x, &self.y, &self.z] {
+            (BLOCKS as u32).encode(out);
+            f64::encode_slice(lane, out);
+        }
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let mut b = BlockSoA::zero();
+        for lane in [&mut b.mass, &mut b.x, &mut b.y, &mut b.z] {
+            if u32::decode(r)? as usize != BLOCKS {
+                return Err(WireError::BadLength);
+            }
+            for value in lane {
+                *value = f64::decode(r)?;
+            }
+        }
+        Ok(b)
     }
 }
 
@@ -983,6 +1011,28 @@ mod tests {
     use super::*;
     use crate::config::OctoConfig;
     use crate::star::RotatingStar;
+
+    /// A leaf's blocks travel as four lanes, each a `u32` count of 64 and
+    /// its values — the image of the four `Vec`s they used to be copied
+    /// into — and an image with any other count is refused.
+    #[test]
+    fn block_images_are_four_counted_lanes() {
+        let mut b = BlockSoA::zero();
+        b.mass[0] = 1.5;
+        b.set_com(BLOCKS - 1, [1.0, -2.0, 0.25]);
+        let lanes = [b.mass.to_vec(), b.x.to_vec(), b.y.to_vec(), b.z.to_vec()];
+        let image = distrib::to_bytes(&b).expect("encodes");
+        assert_eq!(image, distrib::to_bytes(&lanes).expect("encodes"));
+        assert_eq!(b.image_len(), image.len());
+        assert_eq!(distrib::from_bytes::<BlockSoA>(&image), Ok(b));
+        let mut short = lanes;
+        short[2].pop();
+        let image = distrib::to_bytes(&short).expect("encodes");
+        assert_eq!(
+            distrib::from_bytes::<BlockSoA>(&image),
+            Err(WireError::BadLength)
+        );
+    }
 
     /// Both gravity kernels on `d` at width `simd`.
     fn kernels(d: &Dispatch, simd: SimdPolicy) -> GravityKernels<'_> {

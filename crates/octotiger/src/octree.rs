@@ -529,13 +529,6 @@ impl Octree {
         self.index.get(&key(level, coords)).map(|&id| id as usize)
     }
 
-    /// Mutable access to a leaf's sub-grid.
-    pub(crate) fn subgrid_mut(&mut self, id: NodeId) -> &mut SubGrid {
-        self.subgrids[id]
-            .as_mut()
-            .expect("node is not a leaf with data")
-    }
-
     /// Move every leaf's data into a lock of its own, indexed by node id, for
     /// a task graph that writes some leaves while its tasks read others;
     /// until [`Octree::restore_grids`] the tree is topology only.
@@ -615,6 +608,16 @@ impl Octree {
     /// The configured maximum refinement level.
     pub fn max_level(&self) -> u32 {
         self.max_level
+    }
+}
+
+#[cfg(test)]
+impl Octree {
+    /// Mutable access to a leaf's sub-grid (the tests' serial walks).
+    pub(crate) fn subgrid_mut(&mut self, id: NodeId) -> &mut SubGrid {
+        self.subgrids[id]
+            .as_mut()
+            .expect("node is not a leaf with data")
     }
 }
 

@@ -1,32 +1,43 @@
 //! The step as data: one [`StepPlan`] per (topology generation, ownership)
-//! holds a time step's dependency graph over the owned leaves, and one
-//! countdown executor ([`StepPlan::execute`]) runs it on `amt` tasks — the
-//! paper's HPX futurization (§3.1) at sub-grid granularity.
+//! holds a time step's dependency graph over the owned leaves and the
+//! deposits exchanged with each peer, and one countdown executor
+//! ([`StepPlan::execute`]) runs it on `amt` tasks — the paper's HPX
+//! futurization (§3.1) at sub-grid granularity, parcels included.
 //!
 //! ```text
-//! Cfl(k) ──────► Dt ──► Hydro(j), j = n−1 … 0
-//! P2m(k) ─┬────► Moments ──► Gravity(j), j = 0 … n−1
-//!         └────► WriteBack(k) ◄── Hydro(j) for every owned j whose gather reads k
+//! Cfl(k) ─┬─────────────► Dt ◄── RateIn(p) ◄── p's deposit
+//!         └► RateOut(p)    └──► Hydro(j), j = n−1 … 0
+//! P2m(k) ─┬─────────────► Moments ◄── BlocksIn(p) ◄── p's deposit
+//!         ├► BlocksOut(p)   └──► Gravity(j), j = 0 … n−1
+//!         └─────────────► WriteBack(k) ◄── Hydro(j) for every owned j whose gather reads k
+//! HaloOut(p) ───────────► WriteBack(k) for every k that p's gathers read
+//! HaloIn(p) ◄── p's deposit; ──► Hydro(j) for every owned j whose gather reads p's leaves
 //! WriteBack(k), Gravity(k) ──► Source(k)
 //! ```
 //!
-//! Kernel nodes get a task each; a join, write-back or source runs inline in
-//! the task that retires its last predecessor. The tasks a node makes ready
-//! are spawned in successor order in a nested scope: the roots (CFL, then
-//! P2M) from one root task, so its worker pops P2M first; hydro last leaf
-//! first, so it pops in leaf order behind the gather wavefront.
+//! Kernel nodes get a task each; every other node runs inline where its
+//! last predecessor retires: a join, write-back, source or send in that
+//! task, an in-node in the thread that completes its deposit. All of them
+//! belong to one scope, which the step waits on once. One root task runs
+//! the halo sends and spawns the roots, CFL then P2M, so its worker pops P2M
+//! first; hydro is released last leaf first, so it pops in leaf order behind
+//! the gather wavefront.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use amt::par::scope;
-use amt::Handle;
+use amt::par::{scope, Scope};
+use amt::{Future, Handle};
 use Node::*;
 
-/// One node of a step; the index is the owned leaf's. The first four kinds
-/// are kernels: a leaf's CFL rate, P2M blocks, hydro update (held until the
-/// write-back) and gravity solve. `WriteBack` applies the held update,
-/// `Source` the gravity source; `Dt` folds every CFL rate, `Moments`
-/// completes the block table and runs the M2M pass and the lists.
+use crate::gravity::BlockSoA;
+
+/// One node of a step; the index is the owned leaf's, or the peer's. The
+/// first four kinds are kernels: a leaf's CFL rate, P2M blocks, hydro update
+/// (held until the write-back) and gravity solve. `WriteBack` applies the
+/// held update, `Source` the gravity source; `Dt` folds every CFL rate,
+/// `Moments` runs the M2M pass and the lists over the completed block table.
+/// Per peer, the `…Out` nodes ship this step's [`Deposit`] of their kind and
+/// the `…In` nodes install the peer's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Node {
     Cfl(usize),
@@ -37,17 +48,58 @@ pub(crate) enum Node {
     Source(usize),
     Dt,
     Moments,
+    HaloOut(usize),
+    RateOut(usize),
+    BlocksOut(usize),
+    HaloIn(usize),
+    RateIn(usize),
+    BlocksIn(usize),
 }
 
 /// Node ids are kind-major: `KINDS[i](k)` is id `i·n + k`; `Dt` and
-/// `Moments` follow. The first `TASKS` kinds are kernel tasks.
+/// `Moments` follow, then `PEER_KINDS[i](p)` at `6n + 2 + i·peers + p`. The
+/// first `TASKS` kinds are kernel tasks.
 const KINDS: [fn(usize) -> Node; 6] = [Cfl, P2m, Hydro, Gravity, WriteBack, Source];
+const PEER_KINDS: [fn(usize) -> Node; 6] = [HaloOut, RateOut, BlocksOut, HaloIn, RateIn, BlocksIn];
 const TASKS: usize = 4;
 
-/// The dependency graph of one step over `n` owned leaves.
+/// What one step ships to a peer, one deposit of each kind: the interior of
+/// each leaf its gathers read, the step's CFL rate, the P2M blocks of each
+/// owned leaf (leaves by position).
+#[derive(Debug)]
+pub(crate) enum Deposit {
+    Halo(Vec<(u64, Vec<f64>)>),
+    Rate(f64),
+    Blocks(Vec<(u64, BlockSoA)>),
+}
+
+/// What the plan knows of one peer.
+pub(crate) struct Peer<'a> {
+    /// The owned leaf positions its gathers read (`HaloOut` ships them).
+    pub(crate) reads: &'a [usize],
+    /// Whether it owns the leaf at a position.
+    pub(crate) owns: &'a dyn Fn(usize) -> bool,
+}
+
+/// What a step's nodes do: `run(node, deposit)` runs `node`; an in-node gets
+/// the deposit it installs, and a send node returns the one it ships.
+pub(crate) type Run<'a> = dyn Fn(Node, Option<Deposit>) -> Option<Deposit> + Sync + 'a;
+
+/// A step's link to its peers.
+pub(crate) struct Link<'a> {
+    /// Per in-node, in id order: the future of the peer's deposit.
+    pub(crate) arrivals: Vec<Future<Deposit>>,
+    /// Ship a send node's deposit to its peer; the future of its delivery.
+    pub(crate) send: &'a (dyn Fn(Node, Deposit) -> Future<()> + Sync),
+}
+
+/// The dependency graph of one step over `n` owned leaves and `peers`
+/// peers.
 pub(crate) struct StepPlan {
     n: usize,
-    /// Per node: how many predecessors retire before it runs.
+    peers: usize,
+    /// Per node: how many predecessors retire before it runs (an in-node's
+    /// one is its deposit).
     preds: Vec<u32>,
     /// Node `i`'s successors, in release order: `succ[first[i]..first[i + 1]]`.
     first: Vec<u32>,
@@ -57,27 +109,55 @@ pub(crate) struct StepPlan {
 impl StepPlan {
     /// The plan over the owned leaves at `owned` (ascending leaf positions),
     /// whose gathers read the leaves at `sources(pos)` (ascending:
-    /// [`crate::octree::Octree::gather_sources`]; halo leaves are no node).
-    pub(crate) fn new<'s>(owned: &[usize], sources: impl Fn(usize) -> &'s [u32]) -> Self {
-        let n = owned.len();
+    /// [`crate::octree::Octree::gather_sources`]; halo leaves are no node),
+    /// exchanging with `peers`.
+    pub(crate) fn new<'s>(
+        owned: &[usize],
+        sources: impl Fn(usize) -> &'s [u32],
+        peers: &[Peer],
+    ) -> Self {
+        let (n, np) = (owned.len(), peers.len());
         let mut plan = StepPlan {
             n,
-            preds: vec![0; KINDS.len() * n + 2],
+            peers: np,
+            preds: vec![0; KINDS.len() * n + 2 + PEER_KINDS.len() * np],
             first: vec![0],
             succ: Vec::new(),
         };
+        let owned_at = |pos: u32| owned.binary_search(&(pos as usize)).ok();
+        let reads_peer = |j: usize, p: usize| {
+            sources(owned[j])
+                .iter()
+                .any(|&s| (peers[p].owns)(s as usize))
+        };
+        let per_peer = |f: fn(usize) -> Node| (0..np).map(f);
         for id in 0..plan.preds.len() {
             let next: Vec<Node> = match plan.node(id) {
-                Cfl(_) => vec![Dt],
-                P2m(k) => vec![WriteBack(k), Moments],
+                Cfl(_) => per_peer(RateOut).chain([Dt]).collect(),
+                P2m(k) => [WriteBack(k)]
+                    .into_iter()
+                    .chain(per_peer(BlocksOut))
+                    .chain([Moments])
+                    .collect(),
                 Hydro(j) => (sources(owned[j]).iter())
-                    .filter_map(|&pos| owned.binary_search(&(pos as usize)).ok())
+                    .filter_map(|&pos| owned_at(pos))
                     .map(WriteBack)
                     .collect(),
                 Gravity(k) | WriteBack(k) => vec![Source(k)],
-                Source(_) => Vec::new(),
+                Source(_) | RateOut(_) | BlocksOut(_) => Vec::new(),
                 Dt => (0..n).rev().map(Hydro).collect(),
                 Moments => (0..n).map(Gravity).collect(),
+                HaloOut(p) => (peers[p].reads.iter())
+                    .filter_map(|&pos| owned_at(pos as u32))
+                    .map(WriteBack)
+                    .collect(),
+                HaloIn(p) => (0..n)
+                    .rev()
+                    .filter(|&j| reads_peer(j, p))
+                    .map(Hydro)
+                    .collect(),
+                RateIn(_) => vec![Dt],
+                BlocksIn(_) => vec![Moments],
             };
             for node in next {
                 let s = plan.id(node);
@@ -86,6 +166,9 @@ impl StepPlan {
             }
             plan.first.push(plan.succ.len() as u32);
         }
+        for id in plan.in_nodes() {
+            plan.preds[id] += 1;
+        }
         plan
     }
 
@@ -93,22 +176,30 @@ impl StepPlan {
         match id.checked_sub(KINDS.len() * self.n) {
             None => KINDS[id / self.n](id % self.n),
             Some(0) => Dt,
-            Some(_) => Moments,
+            Some(1) => Moments,
+            Some(r) => PEER_KINDS[(r - 2) / self.peers]((r - 2) % self.peers),
         }
     }
 
     fn id(&self, node: Node) -> usize {
-        let (kind, k) = match node {
-            Cfl(k) => (0, k),
-            P2m(k) => (1, k),
-            Hydro(k) => (2, k),
-            Gravity(k) => (3, k),
-            WriteBack(k) => (4, k),
-            Source(k) => (5, k),
-            Dt => (KINDS.len(), 0),
-            Moments => (KINDS.len(), 1),
-        };
-        kind * self.n + k
+        let leaf = |kind: usize, k: usize| kind * self.n + k;
+        let peer = |kind: usize, p: usize| KINDS.len() * self.n + 2 + kind * self.peers + p;
+        match node {
+            Cfl(k) => leaf(0, k),
+            P2m(k) => leaf(1, k),
+            Hydro(k) => leaf(2, k),
+            Gravity(k) => leaf(3, k),
+            WriteBack(k) => leaf(4, k),
+            Source(k) => leaf(5, k),
+            Dt => leaf(KINDS.len(), 0),
+            Moments => leaf(KINDS.len(), 1),
+            HaloOut(p) => peer(0, p),
+            RateOut(p) => peer(1, p),
+            BlocksOut(p) => peer(2, p),
+            HaloIn(p) => peer(3, p),
+            RateIn(p) => peer(4, p),
+            BlocksIn(p) => peer(5, p),
+        }
     }
 
     fn successors(&self, id: usize) -> impl Iterator<Item = usize> + '_ {
@@ -116,64 +207,89 @@ impl StepPlan {
         self.succ[range].iter().map(|&s| s as usize)
     }
 
-    /// The nodes without predecessors: the CFL, then the P2M tasks.
+    /// The nodes without predecessors: the halo sends, the CFL, then the P2M
+    /// tasks.
     fn roots(&self) -> Vec<usize> {
-        (0..2 * self.n).collect()
+        let halo_out = self.id(HaloOut(0));
+        (halo_out..halo_out + self.peers)
+            .chain(0..2 * self.n)
+            .collect()
+    }
+
+    /// The in-nodes, in id order: the nodes a deposit releases.
+    fn in_nodes(&self) -> std::ops::Range<usize> {
+        let first = self.id(HaloIn(0));
+        first..first + 3 * self.peers
     }
 
     /// Run every node once, after all its predecessors, by calling `run` on
-    /// it. A countdown is released by each predecessor and acquired by the
-    /// one that empties it; no task waits but a scope on its own children, so
-    /// a help-stealing waiter never sits above its own producer.
-    pub(crate) fn execute(&self, handle: &Handle, run: &(dyn Fn(Node) + Sync)) {
+    /// it; an in-node once its deposit in `link` has arrived. A countdown is
+    /// released by each predecessor and acquired by the one that empties it.
+    /// Every node is part of one scope, which this waits on once: no task
+    /// waits, on the wire or on another task.
+    pub(crate) fn execute(&self, handle: &Handle, link: Option<Link>, run: &Run) {
+        let alone = |_, _| unreachable!("a plan without peers ships nothing");
+        let Link { arrivals, send } = link.unwrap_or(Link {
+            arrivals: Vec::new(),
+            send: &alone,
+        });
+        assert_eq!(
+            arrivals.len(),
+            self.in_nodes().len(),
+            "a deposit per in-node"
+        );
         let exec = Countdown {
             plan: self,
             left: self.preds.iter().map(|&p| p.into()).collect(),
-            handle,
             run,
+            send,
         };
+        let exec = &exec;
         let roots = self.roots();
-        scope(handle, |sc| sc.spawn(|| exec.spawn(roots)));
+        scope(handle, |sc| {
+            for (id, arrival) in self.in_nodes().zip(arrivals) {
+                sc.then(arrival, move |deposit| {
+                    exec.left[id].fetch_sub(1, Ordering::AcqRel);
+                    exec.retire(id, Some(deposit), sc);
+                });
+            }
+            sc.spawn(move || roots.into_iter().for_each(|id| exec.release(id, sc)));
+        });
         let ran = exec.left.iter().all(|c| c.load(Ordering::Relaxed) == 0);
         assert!(ran, "every node ran once");
     }
 }
 
-/// One execution of a plan: the countdowns still open, per node.
+/// One execution of a plan: the countdowns still open, per node (an
+/// in-node's last one is left to its deposit).
 struct Countdown<'a> {
     plan: &'a StepPlan,
     left: Vec<AtomicU32>,
-    handle: &'a Handle,
-    run: &'a (dyn Fn(Node) + Sync),
+    run: &'a Run<'a>,
+    send: &'a (dyn Fn(Node, Deposit) -> Future<()> + Sync),
 }
 
 impl Countdown<'_> {
-    /// Spawn the kernel tasks `ready`, in order, and wait for them.
-    fn spawn(&self, ready: Vec<usize>) {
-        scope(self.handle, |sc| {
-            for id in ready {
-                sc.spawn(move || {
-                    let mut next = Vec::new();
-                    self.retire(id, &mut next);
-                    if !next.is_empty() {
-                        self.spawn(next);
-                    }
-                })
-            }
-        });
+    /// Node `id` is ready: spawn it if it is a kernel, else run it here.
+    fn release<'s>(&'s self, id: usize, sc: &'s Scope<'s, '_>) {
+        if id < TASKS * self.plan.n {
+            sc.spawn(move || self.retire(id, None, sc));
+        } else {
+            self.retire(id, None, sc);
+        }
     }
 
-    /// Run node `id`, then count its successors down: run the inline ones
-    /// it empties, collect the kernel ones in `ready`.
-    fn retire(&self, id: usize, ready: &mut Vec<usize>) {
-        (self.run)(self.plan.node(id));
+    /// Run node `id` (an in-node with its `deposit`) and ship what it
+    /// returns, the scope holding on until it is delivered; then count its
+    /// successors down and release each one it empties.
+    fn retire<'s>(&'s self, id: usize, deposit: Option<Deposit>, sc: &'s Scope<'s, '_>) {
+        let node = self.plan.node(id);
+        if let Some(out) = (self.run)(node, deposit) {
+            sc.then((self.send)(node, out), |()| ());
+        }
         for s in self.plan.successors(id) {
             if self.left[s].fetch_sub(1, Ordering::AcqRel) == 1 {
-                if s < TASKS * self.plan.n {
-                    ready.push(s);
-                } else {
-                    self.retire(s, ready);
-                }
+                self.release(s, sc);
             }
         }
     }
@@ -181,29 +297,53 @@ impl Countdown<'_> {
 
 #[cfg(test)]
 impl StepPlan {
-    /// The test-only executor: every node on the calling thread, in a
-    /// seeded random topological order.
-    pub(crate) fn execute_shuffled(&self, seed: u64, run: &(dyn Fn(Node) + Sync)) {
-        let mut left = self.preds.clone();
-        let mut ready = self.roots();
-        let (mut state, mut ran) = (seed, 0);
+    /// The test-only executor: the plans of one step of a run's localities,
+    /// each with its `run` (locality `i`'s one peer is locality `1 − i`),
+    /// every node on the calling thread in one seeded random order over all
+    /// of them, and each deposit delivered — its in-node run — at a random
+    /// point after the node that ships it.
+    pub(crate) fn execute_shuffled(seed: u64, steps: &[(&StepPlan, &Run)]) {
+        let mut left: Vec<Vec<u32>> = steps.iter().map(|(plan, _)| plan.preds.clone()).collect();
+        // (locality, node id, the deposit an in-node installs)
+        let mut ready: Vec<(usize, usize, Option<Deposit>)> = (steps.iter().enumerate())
+            .flat_map(|(i, (plan, _))| plan.roots().into_iter().map(move |id| (i, id, None)))
+            .collect();
+        let (mut state, mut ran) = (seed, vec![0; steps.len()]);
         while !ready.is_empty() {
             // SplitMix64.
             state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
             let mut z = state;
             z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
             z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            let id = ready.swap_remove(((z ^ (z >> 31)) % ready.len() as u64) as usize);
-            run(self.node(id));
-            ran += 1;
-            for s in self.successors(id) {
-                left[s] -= 1;
-                if left[s] == 0 {
-                    ready.push(s);
+            let pick = ((z ^ (z >> 31)) % ready.len() as u64) as usize;
+            let (i, id, deposit) = ready.swap_remove(pick);
+            let (plan, run) = steps[i];
+            let node = plan.node(id);
+            if let Some(out) = run(node, deposit) {
+                let into = match node {
+                    HaloOut(_) => HaloIn(0),
+                    RateOut(_) => RateIn(0),
+                    BlocksOut(_) => BlocksIn(0),
+                    _ => unreachable!("only a send node ships"),
+                };
+                let peer = 1 - i;
+                ready.push((peer, steps[peer].0.id(into), Some(out)));
+            }
+            ran[i] += 1;
+            for s in plan.successors(id) {
+                left[i][s] -= 1;
+                if left[i][s] == 0 {
+                    ready.push((i, s, None));
                 }
             }
         }
-        assert_eq!(ran, self.preds.len(), "every node ran once");
+        for (i, (plan, _)) in steps.iter().enumerate() {
+            assert_eq!(
+                ran[i],
+                plan.preds.len(),
+                "locality {i}: every node ran once"
+            );
+        }
     }
 }
 
@@ -212,47 +352,106 @@ mod tests {
     use super::*;
 
     /// Four owned leaves of six in a row; each gathers from its neighbours.
+    /// Without peers the plan has no remote node; with one that owns the
+    /// two end leaves, its deposits release `Dt`, `Moments` and the hydro
+    /// of the leaves next to it, and the sends follow what they ship.
     #[test]
     fn plan_has_the_step_s_shape() {
         let owned = [1, 2, 3, 4];
         let sources: Vec<Vec<u32>> = (0..6)
             .map(|pos: u32| (pos.saturating_sub(1)..(pos + 2).min(6)).collect())
             .collect();
-        let plan = StepPlan::new(&owned, |pos| &sources[pos]);
-        let n = owned.len();
-        let preds = |node| plan.preds[plan.id(node)];
-        let succ = |node| -> Vec<Node> {
-            (plan.successors(plan.id(node)))
-                .map(|s| plan.node(s))
-                .collect()
+        let ends = |pos: usize| pos == 0 || pos == 5;
+        let reads = [1, 4];
+        let peer = Peer {
+            reads: &reads,
+            owns: &ends,
         };
-        for k in 0..n {
-            // The old interior's reads: its P2M task and every owned
-            // gather of it (leaf positions 0 and 5 are halo).
-            let readers = (owned.iter())
-                .filter(|&&pos| sources[pos].contains(&(owned[k] as u32)))
-                .count();
-            assert_eq!(preds(WriteBack(k)) as usize, 1 + readers, "leaf {k}");
-            assert_eq!(preds(Source(k)), 2);
-            assert_eq!(preds(Hydro(k)), 1);
-            assert_eq!(preds(Gravity(k)), 1);
-            assert_eq!(succ(P2m(k)), [WriteBack(k), Moments]);
-        }
-        assert_eq!(succ(Hydro(0)), [WriteBack(0), WriteBack(1)]);
-        assert_eq!(preds(Dt) as usize, n);
-        assert_eq!(preds(Moments) as usize, n);
-        let sourceless: Vec<usize> = (0..plan.preds.len())
-            .filter(|&id| plan.preds[id] == 0)
-            .collect();
-        assert_eq!(plan.roots(), sourceless);
-        let roots: Vec<Node> = plan.roots().into_iter().map(|id| plan.node(id)).collect();
-        let want: Vec<Node> = (0..n).map(Cfl).chain((0..n).map(P2m)).collect();
-        assert_eq!(roots, want, "CFL, then P2M");
-        let hydro: Vec<Node> = (0..n).rev().map(Hydro).collect();
-        assert_eq!(succ(Dt), hydro, "last leaf first");
-        assert_eq!(succ(Moments), (0..n).map(Gravity).collect::<Vec<_>>());
-        for id in 0..plan.preds.len() {
-            assert_eq!(plan.id(plan.node(id)), id);
+        let n = owned.len();
+        for peers in [&[][..], &[peer]] {
+            let plan = StepPlan::new(&owned, |pos| &sources[pos], peers);
+            let np = peers.len();
+            let preds = |node| plan.preds[plan.id(node)] as usize;
+            let succ = |node| -> Vec<Node> {
+                (plan.successors(plan.id(node)))
+                    .map(|s| plan.node(s))
+                    .collect()
+            };
+            for k in 0..n {
+                // The old interior's reads: its P2M task, every owned gather
+                // of it and, for a leaf the peer reads, the halo send.
+                let readers = (owned.iter())
+                    .filter(|&&pos| sources[pos].contains(&(owned[k] as u32)))
+                    .count();
+                let shipped = np * usize::from(reads.contains(&owned[k]));
+                assert_eq!(preds(WriteBack(k)), 1 + readers + shipped, "leaf {k}");
+                assert_eq!(preds(Source(k)), 2);
+                // The end leaves' neighbours also wait for the peer's halo.
+                let next_to_peer = k == 0 || k == n - 1;
+                assert_eq!(preds(Hydro(k)), 1 + np * usize::from(next_to_peer));
+                assert_eq!(preds(Gravity(k)), 1);
+                let to_peer: Vec<Node> = (0..np).map(BlocksOut).collect();
+                assert_eq!(
+                    succ(P2m(k)),
+                    [&[WriteBack(k)], &to_peer[..], &[Moments]].concat()
+                );
+                let rate: Vec<Node> = (0..np).map(RateOut).collect();
+                assert_eq!(succ(Cfl(k)), [&rate[..], &[Dt]].concat());
+            }
+            assert_eq!(succ(Hydro(0)), [WriteBack(0), WriteBack(1)]);
+            assert_eq!(preds(Dt), n + np);
+            assert_eq!(preds(Moments), n + np);
+            let sourceless: Vec<usize> = (0..plan.preds.len())
+                .filter(|&id| plan.preds[id] == 0)
+                .collect();
+            let mut roots = plan.roots();
+            roots.sort_unstable();
+            assert_eq!(roots, sourceless);
+            let roots: Vec<Node> = plan.roots().into_iter().map(|id| plan.node(id)).collect();
+            let want: Vec<Node> = (0..np)
+                .map(HaloOut)
+                .chain((0..n).map(Cfl))
+                .chain((0..n).map(P2m))
+                .collect();
+            assert_eq!(roots, want, "halo sends, CFL, then P2M");
+            let hydro: Vec<Node> = (0..n).rev().map(Hydro).collect();
+            assert_eq!(succ(Dt), hydro, "last leaf first");
+            assert_eq!(succ(Moments), (0..n).map(Gravity).collect::<Vec<_>>());
+            for id in 0..plan.preds.len() {
+                assert_eq!(plan.id(plan.node(id)), id);
+            }
+            let remote: Vec<Node> = (0..plan.preds.len())
+                .map(|id| plan.node(id))
+                .filter(|node| {
+                    PEER_KINDS
+                        .iter()
+                        .any(|kind| (0..np).any(|p| kind(p) == *node))
+                })
+                .collect();
+            assert_eq!(
+                remote.len(),
+                PEER_KINDS.len() * np,
+                "no remote node without a peer"
+            );
+            if np == 0 {
+                assert!(plan.in_nodes().is_empty());
+                continue;
+            }
+            // The in-nodes: one predecessor, the deposit.
+            for node in [HaloIn(0), RateIn(0), BlocksIn(0)] {
+                assert_eq!(preds(node), 1, "{node:?}");
+            }
+            let in_nodes: Vec<Node> = plan.in_nodes().map(|id| plan.node(id)).collect();
+            assert_eq!(in_nodes, [HaloIn(0), RateIn(0), BlocksIn(0)]);
+            assert_eq!(succ(HaloIn(0)), [Hydro(3), Hydro(0)], "last leaf first");
+            assert_eq!(succ(RateIn(0)), [Dt]);
+            assert_eq!(succ(BlocksIn(0)), [Moments]);
+            // The sends: released by what they ship.
+            assert_eq!(preds(HaloOut(0)), 0);
+            assert_eq!(succ(HaloOut(0)), [WriteBack(0), WriteBack(3)]);
+            assert_eq!(preds(RateOut(0)), n);
+            assert_eq!(preds(BlocksOut(0)), n);
+            assert!(succ(RateOut(0)).is_empty() && succ(BlocksOut(0)).is_empty());
         }
     }
 }

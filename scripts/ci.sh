@@ -114,8 +114,10 @@ FLAME_OUT=$(mktemp -t apexlite_flame_XXXXXX.txt)
 cargo run --release --example distributed_cluster -- \
   --max_level=1 --stop_step=2 --hpx:threads=2 \
   --trace-out="$TRACE_OUT" >/dev/null
-# --require: all three instrumented layers are in the trace, and the
-# receive span, which runs on the localities' workers. --require-flow:
+# --require: all three instrumented layers are in the trace, the
+# receive span, which runs on the localities' workers, and the in-nodes'
+# spans, one per kind of deposit (where a step took its peer's halo, rate
+# and blocks). --require-flow:
 # the 2-locality run pairs every received parcel's "f" flow event with its
 # sender's "s" (the Perfetto arrows exist). --check: non-empty critical path
 # within the wall window, utilization rows, a non-empty flamegraph, a
@@ -124,7 +126,8 @@ cargo run --release --example distributed_cluster -- \
 # latency percentiles with histogram count == parcels delivered — read off
 # the cluster-wide imbalance + parcel-latency series the run sampled.
 cargo run --release -p apex-lite --bin trace_report -- \
-  --check --require task,phase,comm,parcel_recv --min-spans 10 --require-flow \
+  --check --require task,phase,comm,parcel_recv,halo_exchange,rate_exchange,blocks_exchange \
+  --min-spans 10 --require-flow \
   --require-counter=/runtime/imbalance \
   --require-counter=/comms/parcel_latency --flame-out="$FLAME_OUT" \
   "$TRACE_OUT"
