@@ -151,10 +151,9 @@ pub fn encode(parcel: &[u8], ctx: TraceCtx) -> Vec<u8> {
 
 /// Frame a request parcel in place: its fields, and the image `arg` writes
 /// — `arg_len` bytes, which the frame makes room for up front — behind a
-/// count patched afterwards. The bytes are [`encode`]'s of the
-/// [`ParcelMsg::Request`](crate::ParcelMsg::Request) image whose payload is
-/// that image; no payload or parcel buffer is built on the way. Fails when
-/// a count does not fit its `u32` prefix.
+/// count patched afterwards (the layout is `crate::parcel`'s); no payload
+/// or parcel buffer is built on the way. Fails when a count does not fit
+/// its `u32` prefix.
 pub fn request(
     ctx: TraceCtx,
     from: LocalityId,
@@ -171,9 +170,8 @@ pub fn request(
 }
 
 /// Frame a response parcel in place: `result` writes the result's image, or
-/// says why there is none (see
-/// [`ParcelMsg::Response`](crate::ParcelMsg::Response)); a failure, or an
-/// image whose count does not fit its prefix, travels as the `Err` arm.
+/// says why there is none; a failure, or an image whose count does not fit
+/// its prefix, travels as the `Err` arm.
 pub fn response(
     ctx: TraceCtx,
     call_id: u64,

@@ -14,8 +14,8 @@
 //! * remote **actions** ([`LocalityHandle::invoke`]) encode their arguments
 //!   — any [`Wire`] type; the [`wire`] module docs hold the format table —
 //!   straight into the frame of one parcel, read in place on arrival as a
-//!   [`Parcel`] (the owned form, [`ParcelMsg`], has the same image), with
-//!   HPX's unified local/remote syntax (local calls skip the wire);
+//!   [`Parcel`], with HPX's unified local/remote syntax (local calls skip
+//!   the wire);
 //! * a pluggable parcelport — TCP, MPI or LCI — moves [`frame`]d byte
 //!   buffers, one parcel each, and measures per-port counters
 //!   ([`PortSnapshot`]);
@@ -32,6 +32,6 @@ pub(crate) mod wire;
 
 pub use agas::{Agas, Gid, LocalityId};
 pub use cluster::{Cluster, ClusterConfig, CoalesceConfig, LocalityHandle};
-pub use parcel::{Parcel, ParcelMsg};
+pub use parcel::Parcel;
 pub use stats::{NetSnapshot, PortSnapshot};
 pub use wire::{from_bytes, to_bytes, Reader, Wire, WireError, Writer};

@@ -1,12 +1,10 @@
 //! The parcel — HPX's unit of remote work — and its one wire layout.
 //!
-//! A parcel travels as the body of one [`crate::frame`]. The cluster never
-//! builds a [`ParcelMsg`] on its hot path: it writes a parcel's fields and
-//! its argument's or result's image straight into the frame
-//! ([`write_request`], [`write_response`]) and reads the frame in place as a
-//! [`Parcel`], which borrows the action name and the payload from it.
-//! `ParcelMsg`'s [`Wire`] impl goes through the same writer and reader, so
-//! the layout below is written down once:
+//! A parcel travels as the body of one [`crate::frame`]. The cluster writes
+//! a parcel's fields and its argument's or result's image straight into the
+//! frame ([`write_request`], [`write_response`]) and reads the frame in
+//! place as a [`Parcel`], which borrows the action name and the payload from
+//! it. The layout is written down once:
 //!
 //! ```text
 //! Request  = 0u32 | from u32 | target u64 | action (u32 count + UTF-8) | payload (u32 count + image) | call_id u64
@@ -14,51 +12,14 @@
 //! ```
 
 use crate::agas::{Gid, LocalityId};
-use crate::wire::{self, Reader, Wire, WireError, Writer};
+use crate::wire::{Reader, Wire, WireError, Writer};
 
-/// One parcel, owned: a remote action request or its response.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ParcelMsg {
-    /// Action invocation travelling to the component's owner.
-    Request {
-        /// Caller locality (the response's destination).
-        from: LocalityId,
-        /// Target component.
-        target: Gid,
-        /// Registered action name.
-        action: String,
-        /// Wire-encoded argument.
-        payload: Vec<u8>,
-        /// Caller-local correlation id.
-        call_id: u64,
-    },
-    /// Result travelling back to the caller.
-    Response {
-        /// Correlation id from the matching request.
-        call_id: u64,
-        /// Wire-encoded result, or the remote failure description.
-        result: Result<Vec<u8>, String>,
-    },
-}
-
-impl ParcelMsg {
-    /// Serialize to the binary wire form.
-    pub fn to_wire(&self) -> Result<Vec<u8>, WireError> {
-        wire::to_bytes(self)
-    }
-
-    /// Deserialize from the binary wire form.
-    pub fn from_wire(bytes: &[u8]) -> Result<Self, WireError> {
-        wire::from_bytes(bytes)
-    }
-}
-
-/// One parcel read in place: [`ParcelMsg`] with the action name, the
-/// payload and the failure description borrowed from the bytes it was read
-/// from.
+/// One parcel — a remote action request or its response — read in place:
+/// the action name, the payload and the failure description borrowed from
+/// the bytes it was read from.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Parcel<'a> {
-    /// [`ParcelMsg::Request`], read in place.
+    /// Action invocation travelling to the component's owner.
     Request {
         /// Caller locality.
         from: LocalityId,
@@ -71,7 +32,7 @@ pub enum Parcel<'a> {
         /// Caller-local correlation id.
         call_id: u64,
     },
-    /// [`ParcelMsg::Response`], read in place.
+    /// Result travelling back to the caller.
     Response {
         /// Correlation id from the matching request.
         call_id: u64,
@@ -81,59 +42,30 @@ pub enum Parcel<'a> {
 }
 
 impl<'a> Parcel<'a> {
-    /// Read a parcel that is all of `bytes` — what
-    /// [`ParcelMsg::from_wire`] reads, with the same errors, without
-    /// copying.
+    /// Read a parcel that is all of `bytes`, without copying.
     pub fn read(bytes: &'a [u8]) -> Result<Self, WireError> {
-        let mut r = Reader::new(bytes);
-        let parcel = Self::read_from(&mut r)?;
-        r.end()?;
-        Ok(parcel)
-    }
-
-    fn read_from(r: &mut Reader<'a>) -> Result<Self, WireError> {
-        match u32::decode(r)? {
-            0 => Ok(Parcel::Request {
+        let mut reader = Reader::new(bytes);
+        let r = &mut reader;
+        let parcel = match u32::decode(r)? {
+            0 => Parcel::Request {
                 from: Wire::decode(r)?,
                 target: Wire::decode(r)?,
                 action: r.str()?,
                 payload: r.counted()?,
                 call_id: Wire::decode(r)?,
-            }),
-            1 => Ok(Parcel::Response {
+            },
+            1 => Parcel::Response {
                 call_id: Wire::decode(r)?,
                 result: match u32::decode(r)? {
                     0 => Ok(r.counted()?),
                     1 => Err(r.str()?),
                     variant => return Err(WireError::BadVariant(variant)),
                 },
-            }),
-            variant => Err(WireError::BadVariant(variant)),
-        }
-    }
-}
-
-impl From<Parcel<'_>> for ParcelMsg {
-    fn from(parcel: Parcel<'_>) -> Self {
-        match parcel {
-            Parcel::Request {
-                from,
-                target,
-                action,
-                payload,
-                call_id,
-            } => ParcelMsg::Request {
-                from,
-                target,
-                action: action.to_owned(),
-                payload: payload.to_vec(),
-                call_id,
             },
-            Parcel::Response { call_id, result } => ParcelMsg::Response {
-                call_id,
-                result: result.map(<[u8]>::to_vec).map_err(str::to_owned),
-            },
-        }
+            variant => return Err(WireError::BadVariant(variant)),
+        };
+        reader.end()?;
+        Ok(parcel)
     }
 }
 
@@ -183,65 +115,38 @@ pub(crate) fn write_response(
     out.str(&why);
 }
 
-impl Wire for ParcelMsg {
-    const MIN_BYTES: usize = 4;
-    fn encode(&self, out: &mut Writer) {
-        match self {
-            ParcelMsg::Request {
-                from,
-                target,
-                action,
-                payload,
-                call_id,
-            } => write_request(
-                out,
-                *from,
-                *target,
-                action,
-                *call_id,
-                payload.len(),
-                |out| out.bytes(payload),
-            ),
-            ParcelMsg::Response { call_id, result } => {
-                write_response(out, *call_id, |out| match result {
-                    Ok(image) => {
-                        out.bytes(image);
-                        Ok(())
-                    }
-                    Err(why) => Err(why.clone()),
-                })
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Parcel::read_from(r).map(ParcelMsg::from)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Both kinds of parcel, written by the writers, read back in place.
     #[test]
-    fn request_roundtrips() {
+    fn parcels_read_back_what_was_written() {
         let agas = crate::agas::Agas::new();
-        let p = ParcelMsg::Request {
+        let target = agas.new_gid(LocalityId(0));
+        let payload = [1, 2, 3, 255];
+        let mut out = Writer::with_capacity(0);
+        let image = |out: &mut Writer| u8::encode_slice(&payload, out);
+        write_request(&mut out, LocalityId(1), target, "solve_step", 42, 4, image);
+        let request = Parcel::Request {
             from: LocalityId(1),
-            target: agas.new_gid(LocalityId(0)),
-            action: "solve_step".into(),
-            payload: vec![1, 2, 3, 255],
+            target,
+            action: "solve_step",
+            payload: &payload,
             call_id: 42,
         };
-        let bytes = p.to_wire().unwrap();
-        assert_eq!(ParcelMsg::from_wire(&bytes).unwrap(), p);
-    }
-
-    #[test]
-    fn response_roundtrips_both_arms() {
-        for result in [Ok(vec![9u8; 100]), Err("action panicked".to_string())] {
-            let p = ParcelMsg::Response { call_id: 7, result };
-            let bytes = p.to_wire().unwrap();
-            assert_eq!(ParcelMsg::from_wire(&bytes).unwrap(), p);
+        assert_eq!(Parcel::read(&out.finish().unwrap()), Ok(request));
+        for result in [Ok(&[9u8; 100][..]), Err("action panicked")] {
+            let mut out = Writer::with_capacity(0);
+            write_response(&mut out, 7, |out| match result {
+                Ok(image) => {
+                    u8::encode_slice(image, out);
+                    Ok(())
+                }
+                Err(why) => Err(why.to_string()),
+            });
+            let response = Parcel::Response { call_id: 7, result };
+            assert_eq!(Parcel::read(&out.finish().unwrap()), Ok(response));
         }
     }
 }

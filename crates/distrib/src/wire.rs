@@ -14,7 +14,7 @@
 //! | `()` | nothing |
 //! | `String`, `Vec<T>` | element count as a `u32`, then the UTF-8 bytes / the elements |
 //! | `Option<T>` | one tag byte: 0, or 1 followed by the value |
-//! | `Result<T, E>`, [`ParcelMsg`](crate::ParcelMsg) | variant index as a `u32` (`Ok` = 0, `Err` = 1; `Request` = 0, `Response` = 1), then the variant's fields |
+//! | `Result<T, E>`, [`Parcel`](crate::Parcel) | variant index as a `u32` (`Ok` = 0, `Err` = 1; `Request` = 0, `Response` = 1), then the variant's fields |
 //! | tuples, `[T; N]`, structs ([`wire_struct!`](crate::wire_struct)), [`Gid`], [`LocalityId`] | the fields in declaration order, nothing added |
 //!
 //! Decoding is strict: it rejects a buffer with bytes left over, and a count
@@ -507,7 +507,7 @@ mod tests {
         tag: Option<String>,
     });
 
-    /// A hand-written enum impl, the way [`ParcelMsg`](crate::ParcelMsg)'s is.
+    /// A hand-written enum impl, in the parcel's layout.
     #[derive(Debug, PartialEq)]
     enum Msg {
         Ping,

@@ -1,17 +1,15 @@
-//! Property tests for the full parcel wire path: serialize → frame →
-//! deframe → deserialize, over arbitrary parcels and trace contexts — the
-//! invariant every parcelport relies on — and both decoders against input
+//! Property tests for the full parcel wire path: write in place → frame →
+//! deframe → read in place, over arbitrary parcels and trace contexts — the
+//! invariant every parcelport relies on — and the decoders against input
 //! nobody encoded: they return, the wire decoder having asked the allocator
-//! for no more than a constant multiple of what it was handed and the frame
-//! decoder for nothing. The cluster's in-place path writes and reads the
-//! same bytes: its frames equal the framed `ParcelMsg` images, and its
-//! reader answers what `ParcelMsg::from_wire` answers, on any input.
+//! for no more than a constant multiple of what it was handed, and the frame
+//! decoder and the in-place parcel reader for nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use distrib::frame::{self, FrameError, TraceCtx};
-use distrib::{from_bytes, to_bytes, Agas, LocalityId, Parcel, ParcelMsg, Wire};
+use distrib::{from_bytes, to_bytes, Agas, Gid, LocalityId, Parcel, Wire};
 use proptest::prelude::*;
 
 thread_local! {
@@ -37,9 +35,84 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// A parcel, owned: what [`Parcel`] reads in place, copied out.
+#[derive(Debug, Clone, PartialEq)]
+enum Msg {
+    Request {
+        from: LocalityId,
+        target: Gid,
+        action: String,
+        payload: Vec<u8>,
+        call_id: u64,
+    },
+    Response {
+        call_id: u64,
+        result: Result<Vec<u8>, String>,
+    },
+}
+
+impl Msg {
+    /// Frame it with the cluster's in-place writers.
+    fn frame(&self, ctx: TraceCtx) -> Vec<u8> {
+        match self {
+            Msg::Request {
+                from,
+                target,
+                action,
+                payload,
+                call_id,
+            } => {
+                let image = |out: &mut _| u8::encode_slice(payload, out);
+                frame::request(ctx, *from, *target, action, *call_id, payload.len(), image).unwrap()
+            }
+            Msg::Response { call_id, result } => {
+                frame::response(ctx, *call_id, |out| match result {
+                    Ok(image) => {
+                        u8::encode_slice(image, out);
+                        Ok(())
+                    }
+                    Err(why) => Err(why.clone()),
+                })
+            }
+        }
+    }
+
+    /// Its parcel's image: the body of its frame.
+    fn image(&self) -> Vec<u8> {
+        frame::decode(&self.frame(TraceCtx::default()))
+            .unwrap()
+            .1
+            .to_vec()
+    }
+}
+
+impl From<Parcel<'_>> for Msg {
+    fn from(parcel: Parcel<'_>) -> Self {
+        match parcel {
+            Parcel::Request {
+                from,
+                target,
+                action,
+                payload,
+                call_id,
+            } => Msg::Request {
+                from,
+                target,
+                action: action.to_owned(),
+                payload: payload.to_vec(),
+                call_id,
+            },
+            Parcel::Response { call_id, result } => Msg::Response {
+                call_id,
+                result: result.map(<[u8]>::to_vec).map_err(str::to_owned),
+            },
+        }
+    }
+}
+
 /// Arbitrary parcels. Gids come out of a real `Agas` so they carry the same
 /// creator/sequence bit packing production gids have.
-fn arb_parcel() -> impl Strategy<Value = ParcelMsg> {
+fn arb_parcel() -> impl Strategy<Value = Msg> {
     let request = (
         0..64u32,
         0..64u32,
@@ -53,7 +126,7 @@ fn arb_parcel() -> impl Strategy<Value = ParcelMsg> {
             for _ in 0..skip {
                 agas.new_gid(LocalityId(creator));
             }
-            ParcelMsg::Request {
+            Msg::Request {
                 from: LocalityId(from),
                 target: agas.new_gid(LocalityId(creator)),
                 action,
@@ -68,7 +141,7 @@ fn arb_parcel() -> impl Strategy<Value = ParcelMsg> {
             ".{0,80}".prop_map(Err),
         ],
     )
-        .prop_map(|(call_id, result)| ParcelMsg::Response { call_id, result });
+        .prop_map(|(call_id, result)| Msg::Response { call_id, result });
     prop_oneof![request, response]
 }
 
@@ -89,19 +162,17 @@ fn arb_image() -> impl Strategy<Value = Vec<u8>> {
         0..4,
     );
     prop_oneof![
-        arb_parcel().prop_map(|p| p.to_wire().unwrap()),
+        arb_parcel().prop_map(|p| p.image()),
         halo.prop_map(|h: Halo| to_bytes(&h).unwrap()),
         blocks.prop_map(|b: Blocks| to_bytes(&b).unwrap()),
     ]
 }
 
-/// The parcel read in place from `bytes` is what `ParcelMsg::from_wire`
-/// reads: the same parcel, or the same error.
-fn reads_in_place_as_parcel_msg(bytes: &[u8]) -> Result<(), TestCaseError> {
-    prop_assert_eq!(
-        Parcel::read(bytes).map(ParcelMsg::from),
-        ParcelMsg::from_wire(bytes)
-    );
+/// Reading `bytes` as a parcel returns, and requests no memory.
+fn reads_in_place(bytes: &[u8]) -> Result<(), TestCaseError> {
+    REQUESTED.with(|r| r.set(0));
+    let _ = Parcel::read(bytes);
+    prop_assert_eq!(REQUESTED.with(Cell::get), 0, "Parcel::read allocated");
     Ok(())
 }
 
@@ -109,8 +180,8 @@ fn reads_in_place_as_parcel_msg(bytes: &[u8]) -> Result<(), TestCaseError> {
 /// are answers — having requested at most `8 × bytes.len()` bytes of memory.
 /// (The widest element, a `Blocks` entry, is 104 bytes in memory for at
 /// least 24 on the wire; the vectors inside it cost what they consumed.)
-/// Reading them as a frame returns too, and requests none; the in-place
-/// parcel reader agrees with `ParcelMsg`'s on them and on a frame's body.
+/// Reading them as a frame, and them or a frame's body as a parcel, returns
+/// too, and requests none.
 fn decodes_within_bounds(bytes: &[u8]) -> Result<(), TestCaseError> {
     fn requested_by<T: Wire>(bytes: &[u8]) -> usize {
         REQUESTED.with(|r| r.set(0));
@@ -122,11 +193,10 @@ fn decodes_within_bounds(bytes: &[u8]) -> Result<(), TestCaseError> {
     prop_assert_eq!(REQUESTED.with(Cell::get), 0, "frame::decode allocated");
     if let Ok((_, body)) = framed {
         prop_assert!(bytes.ends_with(body), "the body is borrowed from the input");
-        reads_in_place_as_parcel_msg(body)?;
+        reads_in_place(body)?;
     }
-    reads_in_place_as_parcel_msg(bytes)?;
+    reads_in_place(bytes)?;
     for (ty, requested) in [
-        ("ParcelMsg", requested_by::<ParcelMsg>(bytes)),
         ("Halo", requested_by::<Halo>(bytes)),
         ("Blocks", requested_by::<Blocks>(bytes)),
     ] {
@@ -151,36 +221,13 @@ fn arb_ctx() -> impl Strategy<Value = TraceCtx> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// wire encode/decode alone is lossless for any parcel.
+    /// A parcel's image reads back in place as the parcel, and the frame the
+    /// writers build around it is `frame::encode`'s of that image.
     #[test]
-    fn parcel_wire_roundtrip(p in arb_parcel()) {
-        let bytes = p.to_wire().unwrap();
-        prop_assert_eq!(ParcelMsg::from_wire(&bytes).unwrap(), p);
-    }
-
-    /// The in-place writers frame a parcel byte for byte as `frame::encode`
-    /// frames its `ParcelMsg` image, and the in-place reader reads it back.
-    #[test]
-    fn in_place_frames_are_the_framed_parcel_images(p in arb_parcel(), ctx in arb_ctx()) {
-        let in_place = match &p {
-            ParcelMsg::Request { from, target, action, payload, call_id } => {
-                let image = |out: &mut _| u8::encode_slice(payload, out);
-                frame::request(ctx, *from, *target, action, *call_id, payload.len(), image)
-                    .unwrap()
-            }
-            ParcelMsg::Response { call_id, result } => frame::response(ctx, *call_id, |out| {
-                match result {
-                    Ok(image) => {
-                        u8::encode_slice(image, out);
-                        Ok(())
-                    }
-                    Err(why) => Err(why.clone()),
-                }
-            }),
-        };
-        prop_assert_eq!(&in_place, &frame::encode(&p.to_wire().unwrap(), ctx));
-        let (_, body) = frame::decode(&in_place).unwrap();
-        prop_assert_eq!(ParcelMsg::from(Parcel::read(body).unwrap()), p);
+    fn parcel_image_reads_back(p in arb_parcel(), ctx in arb_ctx()) {
+        let image = p.image();
+        prop_assert_eq!(Msg::from(Parcel::read(&image).unwrap()), p.clone());
+        prop_assert_eq!(p.frame(ctx), frame::encode(&image, ctx));
     }
 
     /// A framed parcel comes back whole, parcel and trace context both, and
@@ -195,10 +242,10 @@ proptest! {
         flip in 1..256u32,
         extra in proptest::collection::vec(any::<u8>(), 1..16),
     ) {
-        let framed = frame::encode(&p.to_wire().unwrap(), ctx);
+        let framed = p.frame(ctx);
         let (got, body) = frame::decode(&framed).unwrap();
         prop_assert_eq!(got, ctx);
-        prop_assert_eq!(ParcelMsg::from_wire(body).unwrap(), p);
+        prop_assert_eq!(Msg::from(Parcel::read(body).unwrap()), p);
         let at = at % framed.len();
         prop_assert_eq!(frame::decode(&framed[..at]), Err(FrameError::Truncated));
         let longer = [&framed[..], &extra[..]].concat();

@@ -6,7 +6,7 @@
 //! back to its value.
 
 use distrib::frame::{self, TraceCtx};
-use distrib::{from_bytes, to_bytes, Agas, Gid, LocalityId, ParcelMsg};
+use distrib::{from_bytes, to_bytes, Agas, Gid, LocalityId, Parcel, Wire};
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -39,63 +39,87 @@ macro_rules! golden {
     }};
 }
 
+/// The body of a frame the cluster writes: its parcel's image, which reads
+/// back in place as `parcel`.
+fn parcel_image(framed: &[u8], parcel: Parcel) -> String {
+    let (_, body) = frame::decode(framed).expect("a frame");
+    assert_eq!(Parcel::read(body), Ok(parcel));
+    hex(body)
+}
+
 #[test]
 fn parcel_images() {
+    let (target, payload) = (gid(3, 2), [1, 2, 3, 4, 255]);
+    let call_id = 0x0102_0304_0506_0708;
+    let image = |out: &mut _| u8::encode_slice(&payload, out);
+    let framed = frame::request(ctx(), LocalityId(1), target, "step", call_id, 5, image);
+    let request = Parcel::Request {
+        from: LocalityId(1),
+        target,
+        action: "step",
+        payload: &payload,
+        call_id,
+    };
     // variant u32 | from u32 | target u64 | action len+utf8 | payload len+bytes | call_id u64
-    golden!(
-        ParcelMsg::Request {
-            from: LocalityId(1),
-            target: gid(3, 2),
-            action: "step".into(),
-            payload: vec![1, 2, 3, 4, 255],
-            call_id: 0x0102_0304_0506_0708,
-        },
-        ParcelMsg,
+    assert_eq!(
+        parcel_image(&framed.expect("encodes"), request),
         "00000000 01000000 0200000000000300 04000000 73746570 05000000 01020304ff \
          0807060504030201"
+            .replace(' ', "")
     );
     // variant u32 | call_id u64 | Result variant u32 | Ok: len+bytes / Err: len+utf8
-    golden!(
-        ParcelMsg::Response {
-            call_id: 7,
-            result: Ok(vec![9, 8, 7]),
-        },
-        ParcelMsg,
-        "01000000 0700000000000000 00000000 03000000 090807"
+    let ok = frame::response(ctx(), 7, |out| {
+        u8::encode_slice(&[9, 8, 7], out);
+        Ok(())
+    });
+    assert_eq!(
+        parcel_image(
+            &ok,
+            Parcel::Response {
+                call_id: 7,
+                result: Ok(&[9, 8, 7])
+            }
+        ),
+        "01000000 0700000000000000 00000000 03000000 090807".replace(' ', "")
     );
-    golden!(
-        ParcelMsg::Response {
-            call_id: 7,
-            result: Err("no".into()),
-        },
-        ParcelMsg,
-        "01000000 0700000000000000 01000000 02000000 6e6f"
+    let err = frame::response(ctx(), 7, |_| Err("no".into()));
+    assert_eq!(
+        parcel_image(
+            &err,
+            Parcel::Response {
+                call_id: 7,
+                result: Err("no")
+            }
+        ),
+        "01000000 0700000000000000 01000000 02000000 6e6f".replace(' ', "")
     );
+}
+
+fn ctx() -> TraceCtx {
+    TraceCtx {
+        origin: 1,
+        flow: 0x0102_0304_0506_0708,
+        send_ns: 0x1122_3344_5566_7788,
+    }
 }
 
 #[test]
 fn framed_parcel_image() {
     // What a parcelport carries: magic u16 | kind u8 | count u32 | body len u32 |
     // origin u32 | flow u64 | send_ns u64 | body (the `Ok` response above).
-    let ctx = TraceCtx {
-        origin: 1,
-        flow: 0x0102_0304_0506_0708,
-        send_ns: 0x1122_3344_5566_7788,
-    };
-    let body = ParcelMsg::Response {
-        call_id: 7,
-        result: Ok(vec![9, 8, 7]),
-    }
-    .to_wire()
-    .expect("encodes");
-    let framed = frame::encode(&body, ctx);
+    let framed = frame::response(ctx(), 7, |out| {
+        u8::encode_slice(&[9, 8, 7], out);
+        Ok(())
+    });
     assert_eq!(
         hex(&framed),
         "7e0c 01 01000000 17000000 01000000 0807060504030201 8877665544332211 \
          01000000 0700000000000000 00000000 03000000 090807"
             .replace(' ', "")
     );
-    assert_eq!(frame::decode(&framed), Ok((ctx, &body[..])));
+    let (got, body) = frame::decode(&framed).expect("a frame");
+    assert_eq!(got, ctx());
+    assert!(framed.ends_with(body) && body.len() == 0x17);
 }
 
 #[test]
