@@ -118,12 +118,8 @@ struct Locality {
 impl Locality {
     /// Expect the deposits of the next step from `peers` peers.
     fn expect(&mut self, peers: usize) {
-        (self.promises, self.arrivals) = (0..3 * peers)
-            .map(|_| {
-                let (promise, future) = amt::future_pair();
-                (Some(promise), future)
-            })
-            .unzip();
+        let pairs = (0..3 * peers).map(|_| amt::future_pair());
+        (self.promises, self.arrivals) = pairs.map(|(p, f)| (Some(p), f)).unzip();
     }
 }
 
@@ -169,13 +165,11 @@ fn register_actions(cluster: &Cluster) {
                         Deposit::Rate(rate) => ctx.invoke(peer, "deposit_rate", &rate),
                         Deposit::Blocks(blocks) => ctx.invoke(peer, "deposit_blocks", &blocks),
                     };
-                    driver.step_with(
-                        &handle,
-                        Some(Link {
-                            arrivals,
-                            send: &send,
-                        }),
-                    )
+                    let link = Link {
+                        arrivals,
+                        send: &send,
+                    };
+                    driver.step_with(&handle, Some(link))
                 }
             };
             ctx.with_component::<Locality, _>(gid, |loc| {
@@ -281,17 +275,15 @@ impl DistRun {
                 let d = loc.driver.as_ref().expect("no step is running");
                 work.add(&d.work());
                 let (cache, ghost) = (d.cache_stats(), d.tree().ghost_stats());
-                counters.set_count(format!("/gravity/locality{i}/cache_hits"), cache.hits);
-                counters.set_count(format!("/gravity/locality{i}/cache_misses"), cache.misses);
-                counters.set_count(
-                    format!("/ghost/locality{i}/plan_rebuilds"),
-                    ghost.plan_rebuilds,
-                );
-                counters.set_count(format!("/ghost/locality{i}/faces_slab"), ghost.faces.slab);
-                counters.set_count(
-                    format!("/ghost/locality{i}/faces_indexed"),
-                    ghost.faces.indexed,
-                );
+                for (layer, name, count) in [
+                    ("gravity", "cache_hits", cache.hits),
+                    ("gravity", "cache_misses", cache.misses),
+                    ("ghost", "plan_rebuilds", ghost.plan_rebuilds),
+                    ("ghost", "faces_slab", ghost.faces.slab),
+                    ("ghost", "faces_indexed", ghost.faces.indexed),
+                ] {
+                    counters.set_count(format!("/{layer}/locality{i}/{name}"), count);
+                }
                 for &pos in d.owned_leaves() {
                     leaf_hashes[pos] = d.leaf_hash(pos);
                 }

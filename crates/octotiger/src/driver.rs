@@ -31,7 +31,7 @@ use crate::gravity::{
 use crate::hydro;
 use crate::kernel_backend::Dispatch;
 use crate::octree::{GhostFaces, NodeId, Octree, FACE_VALUES};
-use crate::plan::{Deposit, Link, Node, Peer, Run, StepPlan};
+use crate::plan::{Deposit, Kind::*, Link, Peer, Run, StepPlan};
 use crate::star::{field, InitialModel, RotatingStar, NF};
 use crate::subgrid::{SubGrid, CELLS, FRAME_LEN, NX};
 
@@ -535,20 +535,20 @@ impl Driver {
 
         execute(plan, &|node, deposit| {
             match node {
-                Node::Cfl(k) => {
+                (Cfl, k) => {
                     let _span = trace::span(Cat::Phase, "cfl_leaf");
                     let g = grid(leaves[k]);
                     let speed = hydro::max_signal_speed_policy(&g, &hydro_dispatch, policy);
                     speeds[k].store((speed / g.dx).to_bits(), Ordering::Relaxed);
                 }
-                Node::P2m(k) => {
+                (P2m, k) => {
                     let _span = trace::span(Cat::Phase, "p2m_leaf");
                     let blocks = gravity::compute_blocks(&grid(leaves[k]));
                     gravity.write().expect("gravity state").2[owned[k]] = blocks;
                 }
                 // A max-fold: any arrival order of the rates gives the same
                 // bits, and so does the fold of the localities' own folds.
-                Node::Dt => {
+                (Dt, _) => {
                     let _span = trace::span(Cat::Phase, "cfl_reduction");
                     let peers =
                         (peer_rates.iter()).map(|r| f64::from_bits(r.load(Ordering::Relaxed)));
@@ -562,14 +562,14 @@ impl Driver {
                 // The serial M2M + interaction-list section over the
                 // completed block table, hidden behind CFL/hydro work on
                 // other workers.
-                Node::Moments => {
+                (Moments, _) => {
                     let mut state = gravity.write().expect("gravity state");
                     let (ws, cache, blocks, report) = &mut *state;
                     let _span = trace::span(Cat::Phase, "gravity_moments");
                     ws.upward_pass(tree, blocks);
                     *report = Some(cache.ensure(tree, &ws.moments, theta));
                 }
-                Node::Hydro(k) => {
+                (Hydro, k) => {
                     let t0 = trace::now_ns();
                     let _span = trace::span(Cat::Phase, "hydro_step");
                     let mut out = vec![[0.0; NF]; CELLS];
@@ -590,7 +590,7 @@ impl Driver {
                     held_hwm.fetch_max(now, Ordering::Relaxed);
                     h_env.record(t0, trace::now_ns());
                 }
-                Node::Gravity(k) => {
+                (Gravity, k) => {
                     let t0 = trace::now_ns();
                     let _span = trace::span(Cat::Phase, "gravity_solve");
                     let state = gravity.read().expect("gravity state");
@@ -606,13 +606,13 @@ impl Driver {
                     *accels[k].lock().expect("accel slot") = Some(acc);
                     g_env.record(t0, trace::now_ns());
                 }
-                Node::WriteBack(k) => {
+                (WriteBack, k) => {
                     let _span = trace::span(Cat::Phase, "write_back");
                     let state = results[k].lock().expect("result slot").take();
                     hydro::apply_interior(&mut grid_mut(k), &state.expect("hydro result held"));
                     held.fetch_sub(1, Ordering::Relaxed);
                 }
-                Node::Source(k) => {
+                (Source, k) => {
                     let _span = trace::span(Cat::Phase, "gravity_source");
                     let acc = accels[k].lock().expect("accel slot").take();
                     hydro::apply_gravity_source(
@@ -624,20 +624,20 @@ impl Driver {
                 // The sends (their wire work is `distrib`'s `parcel_send`):
                 // the old interior of the leaves the peer reads, this
                 // locality's CFL rate, its P2M blocks.
-                Node::HaloOut(_) => {
+                (HaloOut, _) => {
                     let interior =
                         |&pos: &usize| (pos as u64, grid(tree.leaf_ids()[pos]).interior_data());
                     return Some(Deposit::Halo(halo_out.iter().map(interior).collect()));
                 }
-                Node::RateOut(_) => return Some(Deposit::Rate(hydro::max_cfl_rate(rates()))),
-                Node::BlocksOut(_) => {
+                (RateOut, _) => return Some(Deposit::Rate(hydro::max_cfl_rate(rates()))),
+                (BlocksOut, _) => {
                     let state = gravity.read().expect("gravity state");
                     let ours = owned.iter().map(|&pos| (pos as u64, state.2[pos].clone()));
                     return Some(Deposit::Blocks(ours.collect()));
                 }
                 // The peer's deposits, each checked whole before any of it
                 // is written; a span each marks where the step took it.
-                Node::HaloIn(p) | Node::RateIn(p) | Node::BlocksIn(p) => {
+                (HaloIn | RateIn | BlocksIn, p) => {
                     match deposit.expect("an in-node runs with its deposit") {
                         Deposit::Halo(halo) => {
                             let _span = trace::span(Cat::Phase, "halo_exchange");

@@ -16,51 +16,53 @@
 //! ```
 //!
 //! Kernel nodes get a task each; every other node runs inline where its
-//! last predecessor retires: a join, write-back, source or send in that
-//! task, an in-node in the thread that completes its deposit. All of them
-//! belong to one scope, which the step waits on once. One root task runs
-//! the halo sends and spawns the roots, CFL then P2M, so its worker pops P2M
-//! first; hydro is released last leaf first, so it pops in leaf order behind
-//! the gather wavefront.
+//! last predecessor retires (an in-node where its deposit completes), all in
+//! one scope that the step waits on once. One root task runs the halo sends
+//! and spawns CFL, then P2M, so its worker pops P2M first; hydro is released
+//! last leaf first, so it pops in leaf order behind the gather wavefront.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use amt::par::{scope, Scope};
 use amt::{Future, Handle};
-use Node::*;
+use Kind::*;
 
 use crate::gravity::BlockSoA;
 
-/// One node of a step; the index is the owned leaf's, or the peer's. The
-/// first four kinds are kernels: a leaf's CFL rate, P2M blocks, hydro update
-/// (held until the write-back) and gravity solve. `WriteBack` applies the
-/// held update, `Source` the gravity source; `Dt` folds every CFL rate,
-/// `Moments` runs the M2M pass and the lists over the completed block table.
-/// Per peer, the `…Out` nodes ship this step's [`Deposit`] of their kind and
-/// the `…In` nodes install the peer's.
+/// The kinds of a step's nodes, in id order. The first four are kernels: a
+/// leaf's CFL rate, P2M blocks, hydro update (held until the write-back) and
+/// gravity solve. `WriteBack` applies the held update, `Source` the gravity
+/// source; `Dt` folds every CFL rate, `Moments` runs the M2M pass and the
+/// lists over the completed block table. Per peer, the `…Out` nodes ship
+/// this step's [`Deposit`] of their kind and the `…In` nodes install the
+/// peer's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Node {
-    Cfl(usize),
-    P2m(usize),
-    Hydro(usize),
-    Gravity(usize),
-    WriteBack(usize),
-    Source(usize),
+pub(crate) enum Kind {
+    Cfl,
+    P2m,
+    Hydro,
+    Gravity,
+    WriteBack,
+    Source,
     Dt,
     Moments,
-    HaloOut(usize),
-    RateOut(usize),
-    BlocksOut(usize),
-    HaloIn(usize),
-    RateIn(usize),
-    BlocksIn(usize),
+    HaloOut,
+    RateOut,
+    BlocksOut,
+    HaloIn,
+    RateIn,
+    BlocksIn,
 }
 
-/// Node ids are kind-major: `KINDS[i](k)` is id `i·n + k`; `Dt` and
-/// `Moments` follow, then `PEER_KINDS[i](p)` at `6n + 2 + i·peers + p`. The
-/// first `TASKS` kinds are kernel tasks.
-const KINDS: [fn(usize) -> Node; 6] = [Cfl, P2m, Hydro, Gravity, WriteBack, Source];
-const PEER_KINDS: [fn(usize) -> Node; 6] = [HaloOut, RateOut, BlocksOut, HaloIn, RateIn, BlocksIn];
+/// A node of a step: its kind and index — the owned leaf's for the first
+/// six kinds, 0 for `Dt` and `Moments`, the peer's for the rest.
+pub(crate) type Node = (Kind, usize);
+
+/// Every kind, in id order; the first `TASKS` are kernel tasks.
+const KINDS: [Kind; 14] = [
+    Cfl, P2m, Hydro, Gravity, WriteBack, Source, Dt, Moments, HaloOut, RateOut, BlocksOut, HaloIn,
+    RateIn, BlocksIn,
+];
 const TASKS: usize = 4;
 
 /// What one step ships to a peer, one deposit of each kind: the interior of
@@ -96,8 +98,9 @@ pub(crate) struct Link<'a> {
 /// The dependency graph of one step over `n` owned leaves and `peers`
 /// peers.
 pub(crate) struct StepPlan {
-    n: usize,
-    peers: usize,
+    /// Ids are kind-major: kind `KINDS[i]`'s nodes are ids
+    /// `start[i]..start[i + 1]`, in index order.
+    start: [usize; KINDS.len() + 1],
     /// Per node: how many predecessors retire before it runs (an in-node's
     /// one is its deposit).
     preds: Vec<u32>,
@@ -117,47 +120,47 @@ impl StepPlan {
         peers: &[Peer],
     ) -> Self {
         let (n, np) = (owned.len(), peers.len());
+        let mut start = [0; KINDS.len() + 1];
+        for i in 0..KINDS.len() {
+            // `n` of each leaf kind, one `Dt` and one `Moments`, `np` of each peer kind.
+            start[i + 1] = start[i] + [n, 1, np][usize::from(i >= 6) + usize::from(i >= 8)];
+        }
         let mut plan = StepPlan {
-            n,
-            peers: np,
-            preds: vec![0; KINDS.len() * n + 2 + PEER_KINDS.len() * np],
+            start,
+            preds: vec![0; start[KINDS.len()]],
             first: vec![0],
             succ: Vec::new(),
         };
-        let owned_at = |pos: u32| owned.binary_search(&(pos as usize)).ok();
-        let reads_peer = |j: usize, p: usize| {
-            sources(owned[j])
-                .iter()
-                .any(|&s| (peers[p].owns)(s as usize))
-        };
-        let per_peer = |f: fn(usize) -> Node| (0..np).map(f);
+        let owned_at = |pos: usize| owned.binary_search(&pos).ok();
+        let sources = |j: usize| sources(owned[j]).iter().map(|&pos| pos as usize);
+        let per_peer = |kind| (0..np).map(move |p| (kind, p));
         for id in 0..plan.preds.len() {
             let next: Vec<Node> = match plan.node(id) {
-                Cfl(_) => per_peer(RateOut).chain([Dt]).collect(),
-                P2m(k) => [WriteBack(k)]
+                (Cfl, _) => per_peer(RateOut).chain([(Dt, 0)]).collect(),
+                (P2m, k) => [(WriteBack, k)]
                     .into_iter()
                     .chain(per_peer(BlocksOut))
-                    .chain([Moments])
+                    .chain([(Moments, 0)])
                     .collect(),
-                Hydro(j) => (sources(owned[j]).iter())
+                (Hydro, j) => sources(j)
+                    .filter_map(owned_at)
+                    .map(|k| (WriteBack, k))
+                    .collect(),
+                (Gravity | WriteBack, k) => vec![(Source, k)],
+                (Source | RateOut | BlocksOut, _) => Vec::new(),
+                (Dt, _) => (0..n).rev().map(|j| (Hydro, j)).collect(),
+                (Moments, _) => (0..n).map(|j| (Gravity, j)).collect(),
+                (HaloOut, p) => (peers[p].reads.iter())
                     .filter_map(|&pos| owned_at(pos))
-                    .map(WriteBack)
+                    .map(|k| (WriteBack, k))
                     .collect(),
-                Gravity(k) | WriteBack(k) => vec![Source(k)],
-                Source(_) | RateOut(_) | BlocksOut(_) => Vec::new(),
-                Dt => (0..n).rev().map(Hydro).collect(),
-                Moments => (0..n).map(Gravity).collect(),
-                HaloOut(p) => (peers[p].reads.iter())
-                    .filter_map(|&pos| owned_at(pos as u32))
-                    .map(WriteBack)
-                    .collect(),
-                HaloIn(p) => (0..n)
+                (HaloIn, p) => (0..n)
                     .rev()
-                    .filter(|&j| reads_peer(j, p))
-                    .map(Hydro)
+                    .filter(|&j| sources(j).any(peers[p].owns))
+                    .map(|j| (Hydro, j))
                     .collect(),
-                RateIn(_) => vec![Dt],
-                BlocksIn(_) => vec![Moments],
+                (RateIn, _) => vec![(Dt, 0)],
+                (BlocksIn, _) => vec![(Moments, 0)],
             };
             for node in next {
                 let s = plan.id(node);
@@ -173,33 +176,12 @@ impl StepPlan {
     }
 
     fn node(&self, id: usize) -> Node {
-        match id.checked_sub(KINDS.len() * self.n) {
-            None => KINDS[id / self.n](id % self.n),
-            Some(0) => Dt,
-            Some(1) => Moments,
-            Some(r) => PEER_KINDS[(r - 2) / self.peers]((r - 2) % self.peers),
-        }
+        let i = self.start.partition_point(|&s| s <= id) - 1;
+        (KINDS[i], id - self.start[i])
     }
 
-    fn id(&self, node: Node) -> usize {
-        let leaf = |kind: usize, k: usize| kind * self.n + k;
-        let peer = |kind: usize, p: usize| KINDS.len() * self.n + 2 + kind * self.peers + p;
-        match node {
-            Cfl(k) => leaf(0, k),
-            P2m(k) => leaf(1, k),
-            Hydro(k) => leaf(2, k),
-            Gravity(k) => leaf(3, k),
-            WriteBack(k) => leaf(4, k),
-            Source(k) => leaf(5, k),
-            Dt => leaf(KINDS.len(), 0),
-            Moments => leaf(KINDS.len(), 1),
-            HaloOut(p) => peer(0, p),
-            RateOut(p) => peer(1, p),
-            BlocksOut(p) => peer(2, p),
-            HaloIn(p) => peer(3, p),
-            RateIn(p) => peer(4, p),
-            BlocksIn(p) => peer(5, p),
-        }
+    fn id(&self, (kind, i): Node) -> usize {
+        self.start[kind as usize] + i
     }
 
     fn successors(&self, id: usize) -> impl Iterator<Item = usize> + '_ {
@@ -207,37 +189,35 @@ impl StepPlan {
         self.succ[range].iter().map(|&s| s as usize)
     }
 
+    /// The nodes of `kinds`, in id order.
+    fn ids(&self, kinds: std::ops::Range<Kind>) -> std::ops::Range<usize> {
+        self.start[kinds.start as usize]..self.start[kinds.end as usize]
+    }
+
     /// The nodes without predecessors: the halo sends, the CFL, then the P2M
     /// tasks.
     fn roots(&self) -> Vec<usize> {
-        let halo_out = self.id(HaloOut(0));
-        (halo_out..halo_out + self.peers)
-            .chain(0..2 * self.n)
+        self.ids(HaloOut..RateOut)
+            .chain(self.ids(Cfl..Hydro))
             .collect()
     }
 
     /// The in-nodes, in id order: the nodes a deposit releases.
     fn in_nodes(&self) -> std::ops::Range<usize> {
-        let first = self.id(HaloIn(0));
-        first..first + 3 * self.peers
+        self.start[HaloIn as usize]..self.start[KINDS.len()]
     }
 
     /// Run every node once, after all its predecessors, by calling `run` on
     /// it; an in-node once its deposit in `link` has arrived. A countdown is
     /// released by each predecessor and acquired by the one that empties it.
-    /// Every node is part of one scope, which this waits on once: no task
-    /// waits, on the wire or on another task.
+    /// No task waits, on the wire or on another task: this waits, once.
     pub(crate) fn execute(&self, handle: &Handle, link: Option<Link>, run: &Run) {
         let alone = |_, _| unreachable!("a plan without peers ships nothing");
         let Link { arrivals, send } = link.unwrap_or(Link {
             arrivals: Vec::new(),
             send: &alone,
         });
-        assert_eq!(
-            arrivals.len(),
-            self.in_nodes().len(),
-            "a deposit per in-node"
-        );
+        assert_eq!(arrivals.len(), self.in_nodes().len(), "in-nodes");
         let exec = Countdown {
             plan: self,
             left: self.preds.iter().map(|&p| p.into()).collect(),
@@ -272,7 +252,7 @@ struct Countdown<'a> {
 impl Countdown<'_> {
     /// Node `id` is ready: spawn it if it is a kernel, else run it here.
     fn release<'s>(&'s self, id: usize, sc: &'s Scope<'s, '_>) {
-        if id < TASKS * self.plan.n {
+        if id < self.plan.start[TASKS] {
             sc.spawn(move || self.retire(id, None, sc));
         } else {
             self.retire(id, None, sc);
@@ -320,10 +300,10 @@ impl StepPlan {
             let (plan, run) = steps[i];
             let node = plan.node(id);
             if let Some(out) = run(node, deposit) {
-                let into = match node {
-                    HaloOut(_) => HaloIn(0),
-                    RateOut(_) => RateIn(0),
-                    BlocksOut(_) => BlocksIn(0),
+                let into = match node.0 {
+                    HaloOut => (HaloIn, 0),
+                    RateOut => (RateIn, 0),
+                    BlocksOut => (BlocksIn, 0),
                     _ => unreachable!("only a send node ships"),
                 };
                 let peer = 1 - i;
@@ -384,23 +364,23 @@ mod tests {
                     .filter(|&&pos| sources[pos].contains(&(owned[k] as u32)))
                     .count();
                 let shipped = np * usize::from(reads.contains(&owned[k]));
-                assert_eq!(preds(WriteBack(k)), 1 + readers + shipped, "leaf {k}");
-                assert_eq!(preds(Source(k)), 2);
+                assert_eq!(preds((WriteBack, k)), 1 + readers + shipped, "leaf {k}");
+                assert_eq!(preds((Source, k)), 2);
                 // The end leaves' neighbours also wait for the peer's halo.
                 let next_to_peer = k == 0 || k == n - 1;
-                assert_eq!(preds(Hydro(k)), 1 + np * usize::from(next_to_peer));
-                assert_eq!(preds(Gravity(k)), 1);
-                let to_peer: Vec<Node> = (0..np).map(BlocksOut).collect();
+                assert_eq!(preds((Hydro, k)), 1 + np * usize::from(next_to_peer));
+                assert_eq!(preds((Gravity, k)), 1);
+                let to_peer: Vec<Node> = (0..np).map(|p| (BlocksOut, p)).collect();
                 assert_eq!(
-                    succ(P2m(k)),
-                    [&[WriteBack(k)], &to_peer[..], &[Moments]].concat()
+                    succ((P2m, k)),
+                    [&[(WriteBack, k)], &to_peer[..], &[(Moments, 0)]].concat()
                 );
-                let rate: Vec<Node> = (0..np).map(RateOut).collect();
-                assert_eq!(succ(Cfl(k)), [&rate[..], &[Dt]].concat());
+                let rate: Vec<Node> = (0..np).map(|p| (RateOut, p)).collect();
+                assert_eq!(succ((Cfl, k)), [&rate[..], &[(Dt, 0)]].concat());
             }
-            assert_eq!(succ(Hydro(0)), [WriteBack(0), WriteBack(1)]);
-            assert_eq!(preds(Dt), n + np);
-            assert_eq!(preds(Moments), n + np);
+            assert_eq!(succ((Hydro, 0)), [(WriteBack, 0), (WriteBack, 1)]);
+            assert_eq!(preds((Dt, 0)), n + np);
+            assert_eq!(preds((Moments, 0)), n + np);
             let sourceless: Vec<usize> = (0..plan.preds.len())
                 .filter(|&id| plan.preds[id] == 0)
                 .collect();
@@ -409,49 +389,47 @@ mod tests {
             assert_eq!(roots, sourceless);
             let roots: Vec<Node> = plan.roots().into_iter().map(|id| plan.node(id)).collect();
             let want: Vec<Node> = (0..np)
-                .map(HaloOut)
-                .chain((0..n).map(Cfl))
-                .chain((0..n).map(P2m))
+                .map(|p| (HaloOut, p))
+                .chain((0..n).map(|k| (Cfl, k)))
+                .chain((0..n).map(|k| (P2m, k)))
                 .collect();
             assert_eq!(roots, want, "halo sends, CFL, then P2M");
-            let hydro: Vec<Node> = (0..n).rev().map(Hydro).collect();
-            assert_eq!(succ(Dt), hydro, "last leaf first");
-            assert_eq!(succ(Moments), (0..n).map(Gravity).collect::<Vec<_>>());
+            let hydro: Vec<Node> = (0..n).rev().map(|k| (Hydro, k)).collect();
+            assert_eq!(succ((Dt, 0)), hydro, "last leaf first");
+            assert_eq!(
+                succ((Moments, 0)),
+                (0..n).map(|k| (Gravity, k)).collect::<Vec<_>>()
+            );
             for id in 0..plan.preds.len() {
                 assert_eq!(plan.id(plan.node(id)), id);
             }
-            let remote: Vec<Node> = (0..plan.preds.len())
-                .map(|id| plan.node(id))
-                .filter(|node| {
-                    PEER_KINDS
-                        .iter()
-                        .any(|kind| (0..np).any(|p| kind(p) == *node))
-                })
-                .collect();
-            assert_eq!(
-                remote.len(),
-                PEER_KINDS.len() * np,
-                "no remote node without a peer"
-            );
+            let remote = (0..plan.preds.len())
+                .filter(|&id| plan.node(id).0 as usize >= HaloOut as usize)
+                .count();
+            assert_eq!(remote, 6 * np, "no remote node without a peer");
             if np == 0 {
                 assert!(plan.in_nodes().is_empty());
                 continue;
             }
             // The in-nodes: one predecessor, the deposit.
-            for node in [HaloIn(0), RateIn(0), BlocksIn(0)] {
+            for node in [(HaloIn, 0), (RateIn, 0), (BlocksIn, 0)] {
                 assert_eq!(preds(node), 1, "{node:?}");
             }
             let in_nodes: Vec<Node> = plan.in_nodes().map(|id| plan.node(id)).collect();
-            assert_eq!(in_nodes, [HaloIn(0), RateIn(0), BlocksIn(0)]);
-            assert_eq!(succ(HaloIn(0)), [Hydro(3), Hydro(0)], "last leaf first");
-            assert_eq!(succ(RateIn(0)), [Dt]);
-            assert_eq!(succ(BlocksIn(0)), [Moments]);
+            assert_eq!(in_nodes, [(HaloIn, 0), (RateIn, 0), (BlocksIn, 0)]);
+            assert_eq!(
+                succ((HaloIn, 0)),
+                [(Hydro, 3), (Hydro, 0)],
+                "last leaf first"
+            );
+            assert_eq!(succ((RateIn, 0)), [(Dt, 0)]);
+            assert_eq!(succ((BlocksIn, 0)), [(Moments, 0)]);
             // The sends: released by what they ship.
-            assert_eq!(preds(HaloOut(0)), 0);
-            assert_eq!(succ(HaloOut(0)), [WriteBack(0), WriteBack(3)]);
-            assert_eq!(preds(RateOut(0)), n);
-            assert_eq!(preds(BlocksOut(0)), n);
-            assert!(succ(RateOut(0)).is_empty() && succ(BlocksOut(0)).is_empty());
+            assert_eq!(preds((HaloOut, 0)), 0);
+            assert_eq!(succ((HaloOut, 0)), [(WriteBack, 0), (WriteBack, 3)]);
+            assert_eq!(preds((RateOut, 0)), n);
+            assert_eq!(preds((BlocksOut, 0)), n);
+            assert!(succ((RateOut, 0)).is_empty() && succ((BlocksOut, 0)).is_empty());
         }
     }
 }
