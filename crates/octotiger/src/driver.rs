@@ -674,8 +674,8 @@ impl Driver {
         let report = gravity.into_inner().expect("gravity state").3;
         self.tree.restore_grids(grids);
         self.held_results_hwm = self.held_results_hwm.max(held_hwm.into_inner());
-        // One locality of several peaks in the halo exchange that starts
-        // its next step: its step buffers do not live across it.
+        // Kept across steps, the buffers of one locality of several raise
+        // its peak, where both localities' halo messages meet the step.
         if self.ownership.nodes > 1 {
             self.ownership.buffers = None;
         }

@@ -68,7 +68,6 @@ const TASKS: usize = 4;
 /// What one step ships to a peer, one deposit of each kind: the interior of
 /// each leaf its gathers read, the step's CFL rate, the P2M blocks of each
 /// owned leaf (leaves by position).
-#[derive(Debug)]
 pub(crate) enum Deposit {
     Halo(Vec<(u64, Vec<f64>)>),
     Rate(f64),
