@@ -389,7 +389,7 @@ fn report(file: &str, text: &str, opts: &Options, out: &mut String) -> Result<()
         if matched < n {
             problems.push(format!(
                 "only {matched} matched flow pair(s) (need >= {n}; {} \"s\" starts, \
-                 {} \"f\" ends seen — did the parcelports emit flow events?)",
+                 {} \"f\" ends seen — did the parcel sends emit flow events?)",
                 summary.flow_starts, summary.flow_ends
             ));
         } else {

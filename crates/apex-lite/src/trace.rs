@@ -47,7 +47,7 @@ pub enum Cat {
     Phase,
     /// Gravity solver internals (P2P/M2L batches, cache rebuilds).
     Gravity,
-    /// Communication: parcelport transmits, progress, network flushes.
+    /// Communication: parcel sends and receives.
     Comm,
 }
 

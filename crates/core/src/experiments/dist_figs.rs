@@ -51,9 +51,9 @@ pub(crate) fn run_fig8_and_fig9(quick: bool) -> (Exhibit, Exhibit) {
         "nodes",
         "cells processed / second",
     );
-    // The parcel traffic is backend-independent (the ports share one framing
-    // path; see `lci_backend_same_traffic_as_tcp` in the driver), so the one
-    // measured 2-node profile feeds all three link models.
+    // The backends differ only in their link model: the cluster has one
+    // delivery path (`distrib::Cluster`), so the one measured 2-node
+    // profile feeds all three link models.
     let rv1 = dist_cells_per_sec(CpuArch::Jh7110, 4, NetBackend::Tcp, &p1, total);
     let rv2_tcp = dist_cells_per_sec(CpuArch::Jh7110, 4, NetBackend::Tcp, &p2, total);
     let rv2_mpi = dist_cells_per_sec(CpuArch::Jh7110, 4, NetBackend::Mpi, &p2, total);

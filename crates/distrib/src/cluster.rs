@@ -4,8 +4,7 @@
 //! one process: every locality owns its own `amt::Runtime` (one per board,
 //! `--hpx:threads=4`). A remote action invocation writes its parcel, with
 //! its argument's image, straight into one [`crate::frame`] (no payload or
-//! parcel buffer in between), and the configured
-//! [`crate::parcelport::Parcelport`] delivers that buffer to the target
+//! parcel buffer in between) and delivers that buffer to the target
 //! locality, whose runtime reads it in a *receive task*, the way HPX decodes
 //! a parcel and runs its action on a worker of the target locality. For a
 //! request the receive task runs the handler in place — the argument
@@ -18,6 +17,20 @@
 //!
 //! Local invocations take HPX's "unified syntax" fast path: same API, no
 //! wire bytes, a direct task on the local runtime.
+//!
+//! # Delivery
+//!
+//! There is one delivery path, whatever the backend: TCP, MPI, LCI and
+//! Tofu-D differ only in their link model
+//! ([`rv_machine::NetBackend::net_cost`]), which the Fig. 8 projection
+//! applies to the counts measured here. A sent frame is counted
+//! ([`Cluster::port_stats`]) and handed to a receive task on its
+//! destination's runtime inline, before the call that sent it returns —
+//! [`LocalityHandle::invoke`] for a request, the request's receive task for
+//! the response. No thread and no queue of the cluster's own stands in
+//! between, so the frames one thread sends to one destination are delivered
+//! in the order sent. Dispatch order is not the cluster's: the receive
+//! tasks are the destination runtime's, which may run them in any order.
 //!
 //! Delivery checks that a frame is readable — frame header and parcel
 //! fields, in arrival order — before it hands the frame to a receive task.
@@ -45,8 +58,7 @@ use rv_machine::NetBackend;
 use crate::agas::{Agas, Gid, LocalityId};
 use crate::frame::{self, TraceCtx};
 use crate::parcel::Parcel;
-use crate::parcelport::{self, Deliver, Parcelport};
-use crate::stats::{CommMetrics, NetSnapshot, NetStats, PortSnapshot};
+use crate::stats::{CommMetrics, NetSnapshot, NetStats, PortSnapshot, PortStats};
 use crate::wire::{self, Wire, Writer};
 
 /// Referee shim: the frozen referee in `benchmark/` fills a `coalesce` field
@@ -58,14 +70,16 @@ use crate::wire::{self, Wire, Writer};
 pub struct CoalesceConfig {}
 
 /// Cluster construction parameters (the paper's cluster: 2 localities ×
-/// 4 threads, TCP / MPI / LCI backend).
+/// 4 threads).
 #[derive(Debug, Clone, Copy)]
 pub struct ClusterConfig {
     /// Number of localities (boards).
     pub localities: u32,
     /// Worker threads per locality (`--hpx:threads`).
     pub threads_per_locality: usize,
-    /// Communication backend (the parcelport of §3.1 / §6.2.2).
+    /// Referee shim, ignored: the backends differ only in the Fig. 8 link
+    /// model (see module docs). Goes, with `DistConfig`'s, when a
+    /// `[benchmark]` PR stops naming it.
     pub backend: NetBackend,
     /// Referee shim, ignored (see [`CoalesceConfig`]).
     pub coalesce: CoalesceConfig,
@@ -162,7 +176,8 @@ struct ClusterInner {
     /// handler it runs.
     localities: Vec<LocalityHandle>,
     stats: NetStats,
-    port: Arc<dyn Parcelport>,
+    /// The frames put on the wire.
+    port: PortStats,
     /// Latency histogram and link matrix of the receive tasks; its own
     /// `Arc` so a counter registry can sample it after the cluster is gone.
     metrics: Arc<CommMetrics>,
@@ -203,25 +218,35 @@ impl ClusterInner {
         }
     }
 
-    /// The parcelport's deliver sink: hand `framed` to a receive task on
-    /// `runtime`, `to`'s, unless remote traffic has ended, the frame cannot
-    /// be read (which ends it), or the cluster no longer takes frames.
-    fn deliver(self: Arc<Self>, runtime: &amt::Handle, to: LocalityId, framed: Vec<u8>) {
+    /// Put `framed` on the wire to `to`: count it, and hand it to a
+    /// receive task on `to`'s runtime before returning (see module docs) —
+    /// unless `to` is no locality of this cluster, remote traffic has
+    /// ended, the frame cannot be read (which ends it), or the cluster no
+    /// longer takes frames. Each of those drops the frame.
+    fn transmit(self: &Arc<Self>, to: LocalityId, framed: Vec<u8>) {
+        let _span = trace::span(Cat::Comm, "parcel_send");
+        self.port.record_frame(framed.len() as u64);
+        let Some(dest) = self.localities.get(to.0 as usize) else {
+            return;
+        };
         if self.failure.get().is_some() {
             return;
         }
-        if let Err(why) = read(&framed) {
-            self.fail(format!("locality {}: {why}", to.0));
-            return;
+        match read(&framed) {
+            // The `"s"` flow event, paired with the receive task's `"f"`:
+            // Perfetto draws the parcel's arrow out of this span.
+            Ok((ctx, _)) => trace::flow_start(Cat::Comm, "parcel", ctx.flow),
+            Err(why) => return self.fail(format!("locality {}: {why}", to.0)),
         }
         let Some(receipt) = self.receipts.enter() else {
             return;
         };
-        runtime.spawn_detached(move || {
+        let cluster = Arc::clone(self);
+        dest.runtime.spawn_detached(move || {
             // Declared first, dropped last: the task lets go of the cluster
             // before it gives up its place.
             let _receipt = receipt;
-            let cluster = self;
+            let cluster = cluster;
             cluster.receive(to, framed);
         });
     }
@@ -233,7 +258,7 @@ impl ClusterInner {
     /// in the `/comms/parcel_latency` histogram, and the `origin → to` link
     /// counters advance. The histogram and link metrics stay on with
     /// tracing off — they are counters, not spans.
-    fn receive(&self, to: LocalityId, framed: Vec<u8>) {
+    fn receive(self: &Arc<Self>, to: LocalityId, framed: Vec<u8>) {
         let (ctx, parcel) = read(&framed).expect("read when delivered");
         let _span = trace::span(Cat::Comm, "parcel_recv");
         trace::flow_end(Cat::Comm, "parcel", ctx.flow);
@@ -270,7 +295,7 @@ impl ClusterInner {
                         Err(format!("action {action:?} panicked: {why}"))
                     })
                 });
-                self.port.transmit(from, response);
+                self.transmit(from, response);
             }
             Parcel::Response { call_id, result } => {
                 let complete = lock(&me.inner.pending).remove(&call_id);
@@ -391,7 +416,7 @@ impl LocalityHandle {
                     complete(Err(why));
                 }
             }
-            None => cluster.port.transmit(target, request),
+            None => cluster.transmit(target, request),
         }
         future
     }
@@ -433,21 +458,12 @@ impl Cluster {
                     runtime: runtimes[i as usize].handle(),
                 })
                 .collect();
-            let cluster = cluster.clone();
-            let handles: Vec<amt::Handle> = runtimes.iter().map(Runtime::handle).collect();
-            let deliver: Deliver = Arc::new(move |to: LocalityId, framed: Vec<u8>| {
-                // A frame for no locality of this cluster is dropped.
-                let runtime = handles.get(to.0 as usize);
-                if let Some((c, runtime)) = cluster.upgrade().zip(runtime) {
-                    c.deliver(runtime, to, framed);
-                }
-            });
             ClusterInner {
                 agas: Agas::new(),
                 actions: Mutex::new(HashMap::new()),
                 localities,
                 stats: NetStats::new(),
-                port: parcelport::open(config.backend, deliver),
+                port: PortStats::new(),
                 metrics: Arc::new(CommMetrics::new(config.localities)),
                 receipts: Arc::default(),
                 failure: OnceLock::new(),
@@ -483,36 +499,27 @@ impl Cluster {
             .clone()
     }
 
-    /// Drive the parcelport to quiescence. After this returns every
-    /// submitted parcel has been *delivered* (handlers may still be running).
-    pub fn flush_network(&self) {
-        let _span = trace::span(Cat::Comm, "flush");
-        self.inner.port.flush();
-    }
+    /// Referee shim, a no-op: every frame is delivered inside the call
+    /// that sends it (see module docs), so there is nothing to flush. Goes
+    /// when a `[benchmark]` PR stops naming it.
+    pub fn flush_network(&self) {}
 
-    /// Communication statistics so far: measured wire traffic from the
-    /// parcelport merged with the cluster's action accounting.
+    /// Communication statistics so far: measured wire traffic merged with
+    /// the cluster's action accounting.
     pub fn net_stats(&self) -> NetSnapshot {
-        self.inner.stats.snapshot(&self.inner.port.stats())
+        self.inner.stats.snapshot(&self.inner.port.snapshot())
     }
 
-    /// Raw per-port counters (frames, framed bytes, queue high-water mark)
-    /// — the measured side of the Fig. 8 accounting.
+    /// Raw wire counters (frames, framed bytes) — the measured side of the
+    /// Fig. 8 accounting.
     pub fn port_stats(&self) -> PortSnapshot {
-        self.inner.port.stats()
+        self.inner.port.snapshot()
     }
 
     /// Zero the communication statistics (between measurement phases).
     pub fn reset_net_stats(&self) {
         self.inner.stats.reset();
-        self.inner.port.reset_stats();
-    }
-
-    /// Tell the comms stack which application step is running, so
-    /// queue-depth high-water marks are attributed to the step that caused
-    /// them ([`PortSnapshot::queue_depth_hwm_step`]).
-    pub fn note_step(&self, step: u64) {
-        self.inner.port.note_step(step);
+        self.inner.port.reset();
     }
 
     /// Register this cluster's counters with an apex-lite registry:
@@ -541,12 +548,10 @@ impl Cluster {
         let metrics = Arc::clone(&self.inner.metrics);
         registry.register("/comms", move |c| {
             let Some(inner) = weak.upgrade() else { return };
-            let port = inner.port.stats();
+            let port = inner.port.snapshot();
             c.count("messages", port.messages);
             c.count("bytes", port.bytes);
             c.count("parcels", port.parcels);
-            c.count("queue_depth_hwm", port.queue_depth_hwm);
-            c.count("queue_depth_hwm_step", port.queue_depth_hwm_step);
             let actions = inner.stats.snapshot(&port);
             c.count("remote_actions", actions.remote_actions);
             c.count("local_actions", actions.local_actions);
@@ -579,17 +584,11 @@ impl Cluster {
 
 impl Drop for Cluster {
     fn drop(&mut self) {
-        // Deliver what the port still holds, then take no more frames and
-        // wait for the receive tasks of those delivered: the runtimes would
-        // abandon them.
-        self.flush_network();
+        // Take no more frames and wait for the receive tasks of those
+        // delivered: the runtimes would abandon them.
         if let Some(drained) = self.inner.receipts.close() {
             drained.wait();
         }
-        // The frames those tasks sent were dropped on delivery; flushing
-        // again leaves no progress engine inside the deliver sink, holding
-        // the cluster, when the owner lets go of it.
-        self.flush_network();
     }
 }
 
@@ -597,13 +596,16 @@ impl Drop for Cluster {
 mod tests {
     use super::*;
 
-    fn two_node() -> Cluster {
+    fn cluster(threads_per_locality: usize) -> Cluster {
         Cluster::new(ClusterConfig {
             localities: 2,
-            threads_per_locality: 2,
-            backend: NetBackend::Tcp,
-            coalesce: CoalesceConfig::default(),
+            threads_per_locality,
+            ..ClusterConfig::default()
         })
+    }
+
+    fn two_node() -> Cluster {
+        cluster(2)
     }
 
     #[test]
@@ -825,29 +827,6 @@ mod tests {
     }
 
     #[test]
-    fn lci_backend_runs_remote_actions() {
-        // Same application path over the explicit-progress port: the LCI
-        // progress thread moves the frames, the counters still match.
-        let c = Cluster::new(ClusterConfig {
-            localities: 2,
-            threads_per_locality: 2,
-            backend: NetBackend::Lci,
-            coalesce: CoalesceConfig::default(),
-        });
-        c.register_action("get", |ctx: &LocalityHandle, gid, (): ()| {
-            ctx.with_component::<u64, _>(gid, |v| *v).unwrap()
-        });
-        let l0 = c.locality(0);
-        let l1 = c.locality(1);
-        let gid = l1.new_component(41u64);
-        let r: u64 = l0.invoke(gid, "get", &()).get();
-        assert_eq!(r, 41);
-        let s = c.net_stats();
-        assert_eq!(s.messages, 2, "request + response");
-        assert_eq!(s.remote_actions, 1);
-    }
-
-    #[test]
     fn comm_metrics_surface_latency_histogram_and_links() {
         let c = two_node();
         c.register_action("get", |ctx: &LocalityHandle, gid, (): ()| {
@@ -859,7 +838,6 @@ mod tests {
         for _ in 0..5 {
             let _: u64 = l0.invoke(gid, "get", &()).get();
         }
-        c.flush_network();
         let mut reg = apex_lite::CounterRegistry::new();
         c.register_counters(&mut reg);
         let snap = reg.sample();
@@ -880,7 +858,7 @@ mod tests {
     #[test]
     fn bad_frame_fails_remote_invokes_naming_locality_and_error() {
         // A header of the retired multi-parcel kind, and a good frame around
-        // a body that is no parcel, each straight into the port.
+        // a body that is no parcel, each straight onto the wire.
         let cases = [
             (
                 vec![0x7e, 0x0c, 2, 2, 0, 0, 0],
@@ -899,7 +877,7 @@ mod tests {
                 });
                 let l0 = c.locality(0);
                 let gid = c.locality(1).new_component(7u64);
-                c.inner.port.transmit(LocalityId(1), bad);
+                c.inner.transmit(LocalityId(1), bad);
                 // The first call may go out before the loop meets the bad
                 // buffer (its promise is failed with the rest), the second after.
                 for call in ["first", "second"] {
@@ -941,13 +919,12 @@ mod tests {
                 let ctx = TraceCtx::stamp(0);
                 frame::request(ctx, LocalityId(0), gid, "touch", call_id, 0, |_| ()).unwrap()
             };
-            // Straight into the port: a request, a frame of the retired
+            // Straight onto the wire: a request, a frame of the retired
             // multi-parcel kind, the same request again.
-            c.inner.port.transmit(LocalityId(1), request(100));
+            c.inner.transmit(LocalityId(1), request(100));
             c.inner
-                .port
                 .transmit(LocalityId(1), vec![0x7e, 0x0c, 2, 2, 0, 0, 0]);
-            c.inner.port.transmit(LocalityId(1), request(101));
+            c.inner.transmit(LocalityId(1), request(101));
             // Dropping the cluster waits for the receive tasks of what was
             // delivered.
             drop(c);
@@ -960,37 +937,74 @@ mod tests {
     }
 
     #[test]
-    fn drop_dispatches_every_frame_delivered_before_it() {
-        for backend in [NetBackend::Tcp, NetBackend::Lci] {
-            under_watchdog(move || {
-                let c = Cluster::new(ClusterConfig {
-                    localities: 2,
-                    threads_per_locality: 1,
-                    backend,
-                    coalesce: CoalesceConfig::default(),
-                });
-                let (calls, open) = gated_action(&c, "gated");
-                let gid = c.locality(1).new_component(());
-                let l0 = c.locality(0);
-                // Their responses are sent after the drop, and dropped.
-                let _in_flight: Vec<Future<()>> =
-                    (0..20).map(|_| l0.invoke(gid, "gated", &())).collect();
-                // The first call holds locality 1's one worker until the
-                // cluster has closed, so the drop meets the other frames
-                // still queued.
-                let receipts = Arc::clone(&c.inner.receipts);
-                let opener = std::thread::spawn(move || {
-                    while !receipts.closed.load(Ordering::SeqCst) {
-                        std::thread::yield_now();
-                    }
-                    for _ in 0..20 {
-                        open.send(()).expect("the calls wait on the gate");
-                    }
-                });
-                drop(c);
-                opener.join().expect("opener");
-                assert_eq!(calls.load(Ordering::SeqCst), 20, "{backend:?}");
+    fn requests_are_delivered_inside_invoke_in_the_order_sent() {
+        under_watchdog(|| {
+            let c = cluster(1);
+            let (open, gate) = std::sync::mpsc::channel::<()>();
+            let gate = Mutex::new(gate);
+            c.register_action("log", move |ctx: &LocalityHandle, gid, i: u64| {
+                if i == 0 {
+                    lock(&gate).recv().expect("the test holds the sender");
+                }
+                ctx.with_component::<Vec<u64>, _>(gid, |log| log.push(i))
+                    .unwrap();
             });
-        }
+            let gid = c.locality(1).new_component(Vec::<u64>::new());
+            let l0 = c.locality(0);
+            // The first call holds locality 1's one worker, so no response
+            // is sent and no receive task ends until the gate opens: each
+            // invoke must have counted its request and handed it to a
+            // receive task on locality 1 by the time it returns, which
+            // delivers them in the order sent.
+            let calls: Vec<Future<()>> = (0..20u64)
+                .map(|i| {
+                    let call = l0.invoke(gid, "log", &i);
+                    assert_eq!(c.port_stats().messages, i + 1, "request {i} counted");
+                    let running = c.inner.receipts.running.load(Ordering::SeqCst);
+                    assert_eq!(running as u64, i + 1, "request {i} handed over");
+                    call
+                })
+                .collect();
+            open.send(()).expect("the first call waits on the gate");
+            amt::when_all(calls).get();
+            assert_eq!(c.port_stats().messages, 40, "and the responses");
+            // Dispatch order is the runtime's: even one worker takes a
+            // backlog from its injector in batches, and pops each batch
+            // newest first.
+            let mut log = (c.locality(1))
+                .with_component::<Vec<u64>, _>(gid, |log| log.clone())
+                .unwrap();
+            assert_eq!(log[0], 0);
+            log.sort_unstable();
+            assert_eq!(log, (0..20).collect::<Vec<_>>(), "each ran once");
+        });
+    }
+
+    #[test]
+    fn drop_dispatches_every_frame_delivered_before_it() {
+        under_watchdog(|| {
+            let c = cluster(1);
+            let (calls, open) = gated_action(&c, "gated");
+            let gid = c.locality(1).new_component(());
+            let l0 = c.locality(0);
+            // Their responses are sent after the drop, and dropped.
+            let _in_flight: Vec<Future<()>> =
+                (0..20).map(|_| l0.invoke(gid, "gated", &())).collect();
+            // The first call holds locality 1's one worker until the
+            // cluster has closed, so the drop meets the other frames still
+            // queued.
+            let receipts = Arc::clone(&c.inner.receipts);
+            let opener = std::thread::spawn(move || {
+                while !receipts.closed.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+                for _ in 0..20 {
+                    open.send(()).expect("the calls wait on the gate");
+                }
+            });
+            drop(c);
+            opener.join().expect("opener");
+            assert_eq!(calls.load(Ordering::SeqCst), 20);
+        });
     }
 }

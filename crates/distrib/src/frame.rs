@@ -1,4 +1,4 @@
-//! Parcel framing — the byte layout parcelports put on the wire.
+//! Parcel framing — the byte layout the cluster puts on the wire.
 //!
 //! One frame carries one parcel:
 //!

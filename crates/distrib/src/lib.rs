@@ -1,4 +1,4 @@
-//! # distrib — simulated distributed runtime (AGAS + parcelports)
+//! # distrib — simulated distributed runtime (AGAS + parcel delivery)
 //!
 //! The paper's distributed experiments (§6.2.2, Fig. 8) run Octo-Tiger on an
 //! in-house cluster of two VisionFive2 RISC-V boards over gigabit Ethernet,
@@ -16,17 +16,16 @@
 //!   straight into the frame of one parcel, read in place on arrival as a
 //!   [`Parcel`], with HPX's unified local/remote syntax (local calls skip
 //!   the wire);
-//! * a pluggable parcelport — TCP, MPI or LCI — moves [`frame`]d byte
-//!   buffers, one parcel each, and measures per-port counters
-//!   ([`PortSnapshot`]);
-//!   the `rv-machine` cost model turns those into per-backend link times
-//!   for the Fig. 8 projection.
+//! * the cluster delivers each [`frame`]d buffer, one parcel each, inside
+//!   the call that sends it and counts frames and bytes
+//!   ([`PortSnapshot`]). The parcelports — TCP, MPI, LCI — are link models
+//!   only: the `rv-machine` cost model turns the measured counts into
+//!   per-backend link times for the Fig. 8 projection.
 
 pub(crate) mod agas;
 pub(crate) mod cluster;
 pub mod frame;
 pub(crate) mod parcel;
-pub(crate) mod parcelport;
 pub(crate) mod stats;
 pub(crate) mod wire;
 

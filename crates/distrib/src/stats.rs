@@ -2,15 +2,13 @@
 //! consumes (message counts and byte volumes per backend), plus the local
 //! action count that the unified local/remote syntax makes free.
 //!
-//! Two layers of counters exist since the parcelport refactor:
+//! Two layers of counters, both the cluster's:
 //!
-//! * [`PortStats`] — owned by one [`crate::parcelport::Parcelport`]: frames
-//!   (one parcel each) and bytes actually put on the (simulated) wire, and
-//!   the outbox high-water mark. These are the *measured* quantities:
-//!   `bytes` is the length of the real framed wire image, not an estimate.
-//! * [`NetStats`] — cluster-level action accounting (local vs remote
-//!   invocations). [`crate::Cluster::net_stats`] merges both into one
-//!   [`NetSnapshot`].
+//! * [`PortStats`] — frames (one parcel each) and bytes actually put on the
+//!   (simulated) wire. These are the *measured* quantities: `bytes` is the
+//!   length of the real framed wire image, not an estimate.
+//! * [`NetStats`] — action accounting (local vs remote invocations).
+//!   [`crate::Cluster::net_stats`] merges both into one [`NetSnapshot`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -105,7 +103,7 @@ pub(crate) struct NetStats {
     local_actions: AtomicU64,
 }
 
-/// A port's wire traffic next to the cluster's [`NetStats`].
+/// The wire traffic next to the cluster's [`NetStats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct NetSnapshot {
     /// Parcels put on the wire (requests + responses).
@@ -124,7 +122,8 @@ impl NetStats {
         Self::default()
     }
 
-    /// Record a remote action invocation (the port counts its two parcels).
+    /// Record a remote action invocation (`PortStats` counts its two
+    /// parcels).
     pub(crate) fn record_remote_action(&self) {
         self.remote_actions.fetch_add(1, Ordering::Relaxed);
     }
@@ -151,17 +150,11 @@ impl NetStats {
     }
 }
 
-/// Thread-safe counters owned by one parcelport instance.
+/// Thread-safe counters of the frames the cluster put on the wire.
 #[derive(Debug, Default)]
 pub(crate) struct PortStats {
     messages: AtomicU64,
     bytes: AtomicU64,
-    queue_depth_hwm: AtomicU64,
-    /// Step index at which `queue_depth_hwm` was last raised — lines a
-    /// comms spike up with the trace spans of the step that caused it.
-    queue_depth_hwm_step: AtomicU64,
-    /// Current application step, advanced by [`PortStats::note_step`].
-    current_step: AtomicU64,
 }
 
 /// Immutable snapshot of [`PortStats`].
@@ -176,12 +169,10 @@ pub struct PortSnapshot {
     /// Referee shim: the frozen referee reports this as `distrib.batches`.
     /// Always 0 — no frame carries two parcels.
     pub batches: u64,
-    /// High-water mark of queued-but-unsent frames (the explicit-progress
-    /// port's outbox; eager ports queue nothing).
+    /// Referee shim: the frozen referee reports this as
+    /// `distrib.queue_depth_hwm`. Always 0 — a frame is delivered inside
+    /// the call that sends it, so none waits in a queue.
     pub queue_depth_hwm: u64,
-    /// Step index during which the high-water mark was reached (0 when it
-    /// was reached before the first [`PortStats::note_step`] call).
-    pub queue_depth_hwm_step: u64,
 }
 
 impl PortStats {
@@ -196,24 +187,6 @@ impl PortStats {
         self.bytes.fetch_add(frame_bytes, Ordering::Relaxed);
     }
 
-    /// Raise the queue-depth high-water mark to at least `depth`,
-    /// remembering the current step when it actually rises.
-    pub(crate) fn note_queue_depth(&self, depth: u64) {
-        let prev = self.queue_depth_hwm.fetch_max(depth, Ordering::Relaxed);
-        if depth > prev {
-            // Benign race: concurrent raisers may both store; either step
-            // index is one during which the mark was at its maximum.
-            self.queue_depth_hwm_step
-                .store(self.current_step.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-    }
-
-    /// Tell the port which application step is running, so queue-depth
-    /// spikes can be attributed to it.
-    pub(crate) fn note_step(&self, step: u64) {
-        self.current_step.store(step, Ordering::Relaxed);
-    }
-
     /// Snapshot all counters.
     pub(crate) fn snapshot(&self) -> PortSnapshot {
         let messages = self.messages.load(Ordering::Relaxed);
@@ -222,18 +195,14 @@ impl PortStats {
             bytes: self.bytes.load(Ordering::Relaxed),
             parcels: messages,
             batches: 0,
-            queue_depth_hwm: self.queue_depth_hwm.load(Ordering::Relaxed),
-            queue_depth_hwm_step: self.queue_depth_hwm_step.load(Ordering::Relaxed),
+            queue_depth_hwm: 0,
         }
     }
 
-    /// Zero all counters (high-water mark included; the step clock is
-    /// left running).
+    /// Zero all counters.
     pub(crate) fn reset(&self) {
         self.messages.store(0, Ordering::Relaxed);
         self.bytes.store(0, Ordering::Relaxed);
-        self.queue_depth_hwm.store(0, Ordering::Relaxed);
-        self.queue_depth_hwm_step.store(0, Ordering::Relaxed);
     }
 }
 
@@ -246,34 +215,14 @@ mod tests {
         let s = PortStats::new();
         s.record_frame(100);
         s.record_frame(300);
-        s.note_queue_depth(3);
-        s.note_queue_depth(2);
         let snap = s.snapshot();
         assert_eq!(snap.messages, 2);
         assert_eq!(snap.bytes, 400);
         assert_eq!(snap.parcels, 2);
         assert_eq!(snap.batches, 0);
-        assert_eq!(snap.queue_depth_hwm, 3, "hwm keeps the maximum");
+        assert_eq!(snap.queue_depth_hwm, 0, "no frame waits in a queue");
         s.reset();
         assert_eq!(s.snapshot(), PortSnapshot::default());
-    }
-
-    #[test]
-    fn queue_depth_hwm_remembers_the_step_that_set_it() {
-        let s = PortStats::new();
-        s.note_queue_depth(2);
-        s.note_step(4);
-        s.note_queue_depth(7);
-        s.note_step(5);
-        s.note_queue_depth(7); // does not raise: step stays 4
-        s.note_queue_depth(3);
-        let snap = s.snapshot();
-        assert_eq!(snap.queue_depth_hwm, 7);
-        assert_eq!(snap.queue_depth_hwm_step, 4);
-        // A higher observation in a later step moves the attribution.
-        s.note_step(9);
-        s.note_queue_depth(8);
-        assert_eq!(s.snapshot().queue_depth_hwm_step, 9);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The wire format of parcels — the serialization layer of the parcelport
+//! The wire format of parcels — the serialization layer of parcel delivery
 //! (HPX's `hpx::serialization`).
 //!
 //! Every remote action's arguments and results pass through

@@ -7,8 +7,6 @@
 //!             --hpx:threads=4
 //! ```
 
-use rv_machine::NetBackend;
-
 use crate::kernel_backend::{KernelType, SimdPolicy};
 
 /// Full configuration of a rotating-star run.
@@ -33,9 +31,6 @@ pub struct OctoConfig {
     pub monopole_kernel: KernelType,
     /// Worker threads (`--hpx:threads`).
     pub threads: usize,
-    /// Parcelport backend for distributed runs (`--hpx:parcelport`,
-    /// TCP / MPI / LCI as in §2.1).
-    pub parcelport: NetBackend,
     /// CFL safety factor for the hydro time step.
     pub cfl: f64,
     /// Density threshold (relative to the star's central density) above
@@ -70,7 +65,6 @@ impl Default for OctoConfig {
             multipole_kernel: KernelType::KokkosSerial,
             monopole_kernel: KernelType::KokkosSerial,
             threads: 4,
-            parcelport: NetBackend::Tcp,
             cfl: 0.4,
             refine_density_frac: 1.0e-4,
             simd_width: SimdPolicy::default().lanes(),
@@ -84,7 +78,7 @@ const ONE_TASK_PER_LEAF: &str = "the step runs one task per leaf per kernel";
 /// Flags earlier versions accepted (`-` spelled `_`), each with what the
 /// run does now. Unknown keys are ignored, so without this list a script
 /// still passing one would run the one remaining path without a word.
-const RETIRED_FLAGS: [(&str, &str); 9] = [
+const RETIRED_FLAGS: [(&str, &str); 10] = [
     ("monopole_host_tasks", ONE_TASK_PER_LEAF),
     ("multipole_host_tasks", ONE_TASK_PER_LEAF),
     ("hydro_host_tasks", ONE_TASK_PER_LEAF),
@@ -96,6 +90,11 @@ const RETIRED_FLAGS: [(&str, &str); 9] = [
     (
         "coalesce",
         "every parcel travels in its own frame, as in the paper's runs",
+    ),
+    (
+        "hpx:parcelport",
+        "the parcelports differ only in the Fig. 8 link model, \
+         which projects every backend from one run",
     ),
     (
         "sample_interval_ms",
@@ -144,7 +143,6 @@ impl OctoConfig {
                 "theta" => cfg.theta = parse(key, value)?,
                 "cfl" => cfg.cfl = parse(key, value)?,
                 "hpx:threads" => cfg.threads = parse(key, value)?,
-                "hpx:parcelport" => cfg.parcelport = NetBackend::parse(value)?,
                 "hydro_host_kernel_type" => cfg.hydro_kernel = KernelType::parse(value)?,
                 "multipole_host_kernel_type" => cfg.multipole_kernel = KernelType::parse(value)?,
                 "monopole_host_kernel_type" => cfg.monopole_kernel = KernelType::parse(value)?,
@@ -282,7 +280,6 @@ mod tests {
         assert!(OctoConfig::from_args(["--cfl=0"]).is_err());
         assert!(OctoConfig::from_args(["--hpx:threads=0"]).is_err());
         assert!(OctoConfig::from_args(["--hydro_host_kernel_type=CUDA"]).is_err());
-        assert!(OctoConfig::from_args(["--hpx:parcelport=infiniband"]).is_err());
         assert!(OctoConfig::from_args(["--simd_kernel_width=3"]).is_err());
         // NaN fails every comparison: the checks are written in positive form.
         assert!(OctoConfig::from_args(["--cfl=NaN"]).is_err());
@@ -301,8 +298,11 @@ mod tests {
             let err = OctoConfig::from_args([format!("--{key}=1").as_str()]).unwrap_err();
             assert_eq!(err, format!("--{key} was removed: {now}"));
         }
-        // The three observability knobs `--trace-out` replaced, `-` or `_`.
+        // The three observability knobs `--trace-out` replaced, `-` or `_`,
+        // and the parcelport choice, whatever its value.
         for (arg, key) in [
+            ("--hpx:parcelport=lci", "hpx:parcelport"),
+            ("--hpx:parcelport=tcp", "hpx:parcelport"),
             ("--sample-interval-ms=5", "sample_interval_ms"),
             ("--metrics_out=x.csv", "metrics_out"),
             ("--counter-table=on", "counter_table"),
@@ -335,20 +335,6 @@ mod tests {
             SimdPolicy::Scalar,
             "'scalar' is an alias for width 0"
         );
-    }
-
-    #[test]
-    fn parses_every_parcelport_name() {
-        for (name, backend) in [
-            ("tcp", NetBackend::Tcp),
-            ("mpi", NetBackend::Mpi),
-            ("lci", NetBackend::Lci),
-            ("LCI", NetBackend::Lci),
-        ] {
-            let c = OctoConfig::from_args([format!("--hpx:parcelport={name}").as_str()]).unwrap();
-            assert_eq!(c.parcelport, backend);
-        }
-        assert_eq!(OctoConfig::default().parcelport, NetBackend::Tcp);
     }
 
     #[test]

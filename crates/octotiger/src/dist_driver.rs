@@ -1,6 +1,8 @@
 //! Distributed runs — the paper's §6.2.2 experiment: the rotating star on
 //! the two-board VisionFive2 cluster, one locality per board with all four
-//! cores, comparing the TCP and MPI parcelports (Fig. 8).
+//! cores, comparing the TCP and MPI parcelports (Fig. 8). A run measures
+//! messages and bytes; the parcelports differ only in the link model the
+//! projection applies to them (`rv_machine::NetBackend::net_cost`).
 //!
 //! There is no second stepper here. Each locality holds one
 //! [`Driver`] — the whole octree, stepping the leaves on its side of the
@@ -26,7 +28,7 @@
 //! serialized bytes, so the Fig. 8 projection consumes *measured* message
 //! counts and volumes.
 
-use apex_lite::trace::{self, Cat};
+use apex_lite::trace;
 use apex_lite::{CounterRegistry, CounterSnapshot};
 use distrib::{
     Cluster, ClusterConfig, CoalesceConfig, Gid, LocalityHandle, NetSnapshot, PortSnapshot, Wire,
@@ -46,7 +48,9 @@ pub struct DistConfig {
     pub nodes: u32,
     /// Worker threads per locality (4 on the VisionFive2).
     pub threads_per_node: usize,
-    /// Parcelport backend.
+    /// Referee shim, ignored: the parcelports differ only in the Fig. 8
+    /// link model, which the projection applies (see
+    /// [`distrib::ClusterConfig::backend`]).
     pub backend: NetBackend,
     /// Referee shim, ignored (see [`CoalesceConfig`]).
     pub coalesce: CoalesceConfig,
@@ -56,12 +60,12 @@ pub struct DistConfig {
 
 impl DistConfig {
     /// Distributed configuration derived from a parsed [`OctoConfig`]: the
-    /// backend follows `--hpx:parcelport`, the thread count `--hpx:threads`.
+    /// thread count follows `--hpx:threads`.
     pub fn from_octo(nodes: u32, octo: OctoConfig) -> Self {
         DistConfig {
             nodes,
             threads_per_node: octo.threads,
-            backend: octo.parcelport,
+            backend: NetBackend::Tcp,
             coalesce: CoalesceConfig::default(),
             octo,
         }
@@ -87,8 +91,7 @@ pub struct DistMetrics {
     pub cells_per_second: f64,
     /// Wire statistics (messages, bytes) for the projection.
     pub net: NetSnapshot,
-    /// Raw parcelport counters (frames, framed bytes, queue high-water
-    /// mark).
+    /// Raw wire counters (frames, framed bytes).
     pub port: PortSnapshot,
     /// Aggregate work counters across localities.
     pub work: WorkEstimate,
@@ -204,8 +207,7 @@ impl DistRun {
         let cluster = Cluster::new(ClusterConfig {
             localities: config.nodes,
             threads_per_locality: config.threads_per_node,
-            backend: config.backend,
-            coalesce: config.coalesce,
+            ..ClusterConfig::default()
         });
         register_actions(&cluster);
 
@@ -240,9 +242,6 @@ impl DistRun {
 
         let steps = config.octo.stop_step;
         for step in 0..steps {
-            // Stamp the step index so queue-depth high-water marks can be
-            // attributed to the step that produced them.
-            cluster.note_step(u64::from(step));
             // One barrier per step, driven from the supervisor (the paper's
             // supervisor/delegate roles); everything else is between the
             // localities.
@@ -260,11 +259,6 @@ impl DistRun {
             observer.step_done(CounterRegistry::sample);
         }
         let elapsed = observer.elapsed_seconds();
-        // Drain the port (LCI's outbox) so the port counters are final.
-        {
-            let _span = trace::span(Cat::Phase, "comm_flush");
-            cluster.flush_network();
-        }
 
         // Each locality reports what it owns.
         let mut work = WorkEstimate::default();
@@ -410,22 +404,9 @@ mod tests {
     }
 
     #[test]
-    fn lci_backend_same_traffic_as_tcp() {
-        let t = DistRun::execute(tiny(2, NetBackend::Tcp));
-        let l = DistRun::execute(tiny(2, NetBackend::Lci));
-        // The explicit-progress port carries the identical communication
-        // pattern; only the modelled link cost differs.
-        assert_eq!(t.net.messages, l.net.messages);
-        assert_eq!(t.net.bytes, l.net.bytes);
-        assert_eq!(t.port.parcels, l.port.parcels);
-    }
-
-    #[test]
-    fn from_octo_honours_parcelport_flag() {
-        let octo = OctoConfig::from_args(["--hpx:parcelport=lci", "--hpx:threads=2"]).unwrap();
-        let cfg = DistConfig::from_octo(2, octo);
-        assert_eq!(cfg.backend, NetBackend::Lci);
-        assert_eq!(cfg.threads_per_node, 2);
+    fn from_octo_takes_the_thread_count() {
+        let octo = OctoConfig::from_args(["--hpx:threads=2"]).unwrap();
+        assert_eq!(DistConfig::from_octo(2, octo).threads_per_node, 2);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Two-board distributed run — the paper's §6.2.2 in-house cluster
-//! experiment, comparing the TCP, MPI and LCI parcelports.
+//! experiment, comparing the TCP, MPI and LCI parcelports. One run measures
+//! the messages and bytes; each parcelport's link model projects them.
 //!
 //! ```bash
 //! cargo run --release --example distributed_cluster \
-//!     [-- <max_level>] [--hpx:parcelport=<tcp|mpi|lci>] \
-//!     [--trace-out=trace.json]
+//!     [-- <max_level>] [--trace-out=trace.json]
 //! ```
 
 use octotiger_riscv_repro::machine::{CpuArch, NetBackend};
@@ -14,7 +14,7 @@ use octotiger_riscv_repro::octotiger::OctoConfig;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // The full Listing-3 flag surface (`--hpx:parcelport`, `--trace-out`,
+    // The full Listing-3 flag surface (`--hpx:threads`, `--trace-out`,
     // ...) plus the legacy positional max_level.
     let mut octo = OctoConfig::from_args(args.iter().map(String::as_str))
         .unwrap_or_else(|e| panic!("bad arguments: {e}"));
@@ -26,10 +26,7 @@ fn main() {
     }
     let level = octo.max_level;
 
-    println!(
-        "== supervisor + delegate, rotating star level {level}, {:?} parcelport ==",
-        octo.parcelport
-    );
+    println!("== supervisor + delegate, rotating star level {level} ==");
     let mut profiles = Vec::new();
     for nodes in [1u32, 2] {
         let metrics = DistRun::execute(DistConfig::from_octo(nodes, octo.clone()));

@@ -29,6 +29,19 @@ if git grep -nE "^proc-macro *= *true" -- '*Cargo.toml'; then
   echo "a workspace member is a proc-macro crate" >&2
   exit 1
 fi
+# The cluster runs all its work on the localities' `amt` runtimes: a frame
+# is delivered inside the call that sends it and read in a receive task, so
+# `distrib` starts no OS thread of its own. Test code is exempt: each file is
+# cut at its first `#[cfg(test)]`, as `scripts/loc.sh` counts.
+echo "== structure: no OS thread started in distrib's non-test code =="
+spawns=$(find crates/distrib/src -name '*.rs' -print0 | xargs -0 awk '
+  /^[[:space:]]*#\[cfg\(test\)\]/ { nextfile }
+  /thread::spawn|thread::Builder/ { print FILENAME ":" FNR ": " $0 }')
+if [[ -n "$spawns" ]]; then
+  echo "distrib starts an OS thread outside its tests:" >&2
+  echo "$spawns" >&2
+  exit 1
+fi
 # Non-test lines per crate, for the log only (no threshold).
 bash scripts/loc.sh
 

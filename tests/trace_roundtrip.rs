@@ -16,7 +16,7 @@ const NAMES: [&str; 6] = [
     "execute",
     "m2l",
     "p2p",
-    "flush",
+    "parcel_send",
     "gravity_solve",
     "hydro_step",
 ];
