@@ -431,13 +431,14 @@ impl<T> Injector<T> {
     }
 
     /// Drain a batch (up to half of what is left after the first task,
-    /// capped at [`MAX_BATCH`]) into `worker`'s queue and return the first
-    /// task immediately.
+    /// capped at [`MAX_BATCH`]) into `worker`'s queue, newest first so that
+    /// its owner pops them oldest first, and return the first task
+    /// immediately.
     pub fn steal_batch_and_pop(&self, worker: &Worker<T>) -> Option<T> {
         let mut q = self.lock_nonempty()?;
         let first = q.items.pop_front()?;
         let extra = (q.items.len() / 2).min(MAX_BATCH);
-        for task in q.items.drain(..extra) {
+        for task in q.items.drain(..extra).rev() {
             worker.push(task);
         }
         Some(first)
@@ -449,7 +450,8 @@ impl<T> Injector<T> {
 /// * Single-threaded, every observable of a random operation sequence must
 ///   equal the model's: the owner pops LIFO, thieves and the injector take
 ///   FIFO, `steal_batch_and_pop` returns the oldest task and moves at most
-///   half of the rest (capped at 32) in order, `len` / `is_empty` agree
+///   half of the rest (capped at 32) so that the owner pops them in arrival
+///   order, `len` / `is_empty` agree
 ///   after every step. Sequences are long enough to make the ring grow and
 ///   wrap.
 /// * Four threads (the owner, two thieves, one injector producer) pass a
@@ -483,9 +485,11 @@ mod tests {
         }
         let w = Worker::new_lifo();
         assert_eq!(inj.steal_batch_and_pop(&w), Some(0));
-        // Half of the remaining 9 tasks moved into the worker's queue.
+        // Half of the remaining 9 tasks moved into the worker's queue, which
+        // its owner pops in arrival order.
         assert_eq!(w.len(), 4);
         assert_eq!(inj.len(), 5);
+        assert_eq!([w.pop(), w.pop(), w.pop(), w.pop()], [1, 2, 3, 4].map(Some));
     }
 
     #[derive(Debug, Clone, Copy)]
@@ -544,7 +548,7 @@ mod tests {
                         let first = injector_model.pop_front();
                         if first.is_some() {
                             let moved = (injector_model.len() / 2).min(32);
-                            deque_model.extend(injector_model.drain(..moved));
+                            deque_model.extend(injector_model.drain(..moved).rev());
                         }
                         prop_assert_eq!(injector.steal_batch_and_pop(&worker), first);
                     }
@@ -556,7 +560,7 @@ mod tests {
                 prop_assert_eq!(injector.len(), injector_model.len());
                 prop_assert_eq!(injector.is_empty(), injector_model.is_empty());
             }
-            // What the batches moved arrived in order: drain and compare.
+            // The queue holds the model's items in the model's order.
             while let Some(want) = deque_model.pop_front() {
                 prop_assert_eq!(stealer.steal(), Some(want));
             }

@@ -66,14 +66,15 @@ fn assert_gate(p: &ScalePoint) {
     );
 }
 
-/// Peak resident bytes per cell the level-4 run may reach: 72.0 measured (40
-/// B of interior per cell, hydro results held behind the gather wavefront,
-/// one acceleration per gravity block, step buffers allocated once per
-/// topology generation) plus 10 %; allocating the step buffers per step read
-/// 74.6, a per-cell copy of the accelerations 79.7, holding every leaf's
-/// result until one apply phase 133, and a ghost frame stored per leaf again
-/// adds 95.
-const MAX_BYTES_PER_CELL: f64 = 79.0;
+/// Peak resident bytes per cell the level-4 run may reach: 61.2 measured (40
+/// B of interior per cell, hydro results held behind a wavefront-ordered
+/// gather, accelerations held only while they wait for their write-back,
+/// step buffers allocated once per topology generation) plus 10 %; gravity
+/// before hydro with a per-generation acceleration table read 72.0,
+/// allocating the step buffers per step 74.6, a per-cell copy of the
+/// accelerations 79.7, holding every leaf's result until one apply phase
+/// 133, and a ghost frame stored per leaf again adds 95.
+const MAX_BYTES_PER_CELL: f64 = 67.3;
 
 /// The memory gate, at level 4 (where the process's peak is this level's).
 fn assert_memory_gate(p: &ScalePoint) {

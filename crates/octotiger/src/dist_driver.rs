@@ -322,11 +322,11 @@ mod tests {
     use super::*;
     use crate::kernel_backend::KernelType;
 
-    fn tiny(nodes: u32, backend: NetBackend) -> DistConfig {
+    fn tiny(nodes: u32) -> DistConfig {
         DistConfig {
             nodes,
             threads_per_node: 2,
-            backend,
+            backend: NetBackend::Tcp,
             coalesce: CoalesceConfig::default(),
             octo: OctoConfig {
                 max_level: 1,
@@ -339,7 +339,7 @@ mod tests {
 
     #[test]
     fn single_node_run_has_no_wire_traffic() {
-        let m = DistRun::execute(tiny(1, NetBackend::Tcp));
+        let m = DistRun::execute(tiny(1));
         assert_eq!(m.nodes, 1);
         assert_eq!(m.net.messages, 0, "single locality stays off the wire");
         assert!(m.net.local_actions > 0);
@@ -349,7 +349,7 @@ mod tests {
 
     #[test]
     fn two_node_run_exchanges_real_bytes() {
-        let m = DistRun::execute(tiny(2, NetBackend::Tcp));
+        let m = DistRun::execute(tiny(2));
         assert_eq!(m.nodes, 2);
         assert!(m.net.messages > 0);
         assert!(
@@ -369,8 +369,8 @@ mod tests {
 
     #[test]
     fn two_node_matches_single_node_shape() {
-        let m1 = DistRun::execute(tiny(1, NetBackend::Tcp));
-        let m2 = DistRun::execute(tiny(2, NetBackend::Tcp));
+        let m1 = DistRun::execute(tiny(1));
+        let m2 = DistRun::execute(tiny(2));
         assert_eq!(m1.leaf_count, m2.leaf_count);
         assert_eq!(m1.cells_processed, m2.cells_processed);
         assert_eq!(m1.leaf_hashes, m2.leaf_hashes, "same field bits");
@@ -384,23 +384,13 @@ mod tests {
 
     #[test]
     fn a_step_costs_one_action_and_three_pushes_per_locality() {
-        let m = DistRun::execute(tiny(2, NetBackend::Tcp));
+        let m = DistRun::execute(tiny(2));
         let steps = u64::from(m.steps);
         // Remote: the supervisor's `step` on locality 1, and halo + rate +
         // blocks in both directions; each is a request and its answer.
         assert_eq!(m.net.remote_actions, steps * (1 + 3 * 2));
         assert_eq!(m.port.parcels, 2 * m.net.remote_actions);
         assert_eq!(m.net.local_actions, steps, "the supervisor's own `step`");
-    }
-
-    #[test]
-    fn mpi_and_tcp_same_messages_different_backend() {
-        let t = DistRun::execute(tiny(2, NetBackend::Tcp));
-        let m = DistRun::execute(tiny(2, NetBackend::Mpi));
-        // Identical communication pattern; the backend only changes the
-        // modelled link cost (consumed by the Fig. 8 projection).
-        assert_eq!(t.net.messages, m.net.messages);
-        assert_eq!(t.net.bytes, m.net.bytes);
     }
 
     #[test]
@@ -412,6 +402,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "two boards")]
     fn three_nodes_rejected() {
-        let _ = DistRun::execute(tiny(3, NetBackend::Tcp));
+        let _ = DistRun::execute(tiny(3));
     }
 }

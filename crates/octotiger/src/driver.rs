@@ -221,17 +221,24 @@ struct Ownership {
 }
 
 /// The buffers of a step, overwritten in place by every step of one
-/// topology generation. Per owned leaf, each slot holds what one plan node
-/// makes until the node that uses it: the CFL rate, the hydro result (per
-/// cell) and the accelerations (per gravity block); a step leaves every
-/// result and acceleration slot empty.
+/// topology generation: the leaf-order P2M table, and per owned leaf the
+/// CFL rate and the slot of what its nodes hand on. A step leaves every
+/// slot empty.
 struct StepBuffers {
     /// The leaf-order P2M table: P2M writes the owned entries, the exchange
     /// the rest; the moments pass and the gravity tasks read it.
     blocks: Vec<BlockSoA>,
     speeds: Vec<AtomicU64>,
-    results: Vec<Mutex<Option<Vec<[f64; NF]>>>>,
-    accels: Vec<Mutex<Option<[[f64; 3]; gravity::BLOCKS]>>>,
+    slots: Vec<Mutex<Slot>>,
+}
+
+/// What an owned leaf's nodes hand on: the hydro result until its
+/// write-back, and the block accelerations, boxed, from its gravity task to
+/// its source — which runs at once unless the write-back is still pending.
+#[derive(Default)]
+struct Slot {
+    result: Option<Vec<[f64; NF]>>,
+    accel: Option<Box<[[f64; 3]; gravity::BLOCKS]>>,
 }
 
 impl StepBuffers {
@@ -239,8 +246,7 @@ impl StepBuffers {
         StepBuffers {
             blocks: vec![BlockSoA::zero(); leaves],
             speeds: (0..owned).map(|_| AtomicU64::new(0)).collect(),
-            results: (0..owned).map(|_| Mutex::new(None)).collect(),
-            accels: (0..owned).map(|_| Mutex::new(None)).collect(),
+            slots: (0..owned).map(|_| Mutex::default()).collect(),
         }
     }
 }
@@ -433,18 +439,20 @@ impl Driver {
     /// call or its deposit (`plan.rs` holds the scheduling rules):
     ///
     /// ```text
-    /// p2m per leaf ─last─┬─► M2M + lists ◄── blocks in ◄┄ peer ──► gravity per leaf ──────┐
-    ///                    └─► blocks out ┄► peer                                           │
-    /// cfl per leaf ─last─┬─► dt ◄── rate in ◄┄ peer ──► hydro per leaf                    │
-    ///                    └─► rate out ┄► peer            ▲ (those gathering from the peer) │
-    /// halo out ┄► peer           halo in ◄┄ peer ────────┘                                 │
+    /// p2m per leaf ─last─┬─► M2M + lists ◄── blocks in ◄┄ peer ─┐
+    ///                    └─► blocks out ┄► peer                 ├─► gravity per leaf ─────────┐
+    /// cfl per leaf ─last─┬─► dt ◄── rate in ◄┄ peer ────────────┘                             │
+    ///                    │   └─► hydro per leaf, in wavefront order                           │
+    ///                    └─► rate out ┄► peer   ▲ (those gathering from the peer)             │
+    /// halo out ┄► peer           halo in ◄┄ peer ┘                                            │
     /// leaf k: its p2m, halo out, each hydro gathering from k ─last─► update k ─last─► source k ◄┘
     /// ```
     ///
     /// A hydro task gathers its leaf's ghost zone through the tree's plan
     /// and holds its result until the last reader of the leaf's old interior
     /// writes it back; the later of that write-back and the leaf's gravity
-    /// task adds the source, per block. Per leaf that is a serial walk's
+    /// task adds the source, per block (on one worker every write-back comes
+    /// first, so no acceleration waits). Per leaf that is a serial walk's
     /// order, so the bits are a serial walk's. Leaf data is lent out in
     /// per-leaf locks ([`Octree::lend_grids`]) that the plan keeps
     /// uncontended; the gravity state sits in one `RwLock` that P2M, the
@@ -495,7 +503,8 @@ impl Driver {
         // The step's work items: index `k` below is the `k`-th owned leaf.
         let owned = &own.positions;
         let leaves: Vec<NodeId> = owned.iter().map(|&p| self.tree.leaf_ids()[p]).collect();
-        let (speeds, results, accels) = (&buffers.speeds, &buffers.results, &buffers.accels);
+        let (speeds, slots) = (&buffers.speeds, &buffers.slots);
+        let slot = |k: usize| slots[k].lock().expect("leaf slot");
         let peer_rates: Vec<AtomicU64> = (1..own.nodes).map(|_| AtomicU64::new(0)).collect();
         // Peer `p` is the `p`-th other locality.
         let from = |p: usize| p as u32 + u32::from(p as u32 >= node);
@@ -585,7 +594,7 @@ impl Driver {
                         &mut out,
                     );
                     drop(frame);
-                    *results[k].lock().expect("result slot") = Some(out);
+                    slot(k).result = Some(out);
                     let now = held.fetch_add(1, Ordering::Relaxed) + 1;
                     held_hwm.fetch_max(now, Ordering::Relaxed);
                     h_env.record(t0, trace::now_ns());
@@ -603,18 +612,18 @@ impl Driver {
                         kernels: &kernels,
                     };
                     let acc = solve.accel(leaves[k], &cache.lists()[owned[k]]);
-                    *accels[k].lock().expect("accel slot") = Some(acc);
+                    slot(k).accel = Some(Box::new(acc));
                     g_env.record(t0, trace::now_ns());
                 }
                 (WriteBack, k) => {
                     let _span = trace::span(Cat::Phase, "write_back");
-                    let state = results[k].lock().expect("result slot").take();
+                    let state = slot(k).result.take();
                     hydro::apply_interior(&mut grid_mut(k), &state.expect("hydro result held"));
                     held.fetch_sub(1, Ordering::Relaxed);
                 }
                 (Source, k) => {
                     let _span = trace::span(Cat::Phase, "gravity_source");
-                    let acc = accels[k].lock().expect("accel slot").take();
+                    let acc = slot(k).accel.take();
                     hydro::apply_gravity_source(
                         &mut grid_mut(k),
                         &acc.expect("gravity done"),
@@ -1277,6 +1286,39 @@ mod tests {
         }
     }
 
+    /// On one worker the real executor runs every hydro task and write-back
+    /// before the first gravity task, and each leaf's source right after its
+    /// gravity task: no acceleration waits for its write-back.
+    #[test]
+    fn one_worker_runs_hydro_and_write_backs_before_gravity() {
+        let mut d = Driver::new(OctoConfig {
+            max_level: 2,
+            ..tiny_config(KernelType::KokkosSerial)
+        });
+        let rt = Runtime::new(1);
+        let handle = rt.handle();
+        for step in 0..2 {
+            let kinds = Mutex::new(Vec::new());
+            d.step_by(&handle, |plan, run| {
+                plan.execute(&handle, None, &|node, deposit| {
+                    kinds.lock().expect("log").push(node.0);
+                    run(node, deposit)
+                })
+            });
+            let kinds = kinds.into_inner().expect("log");
+            let first = (kinds.iter()).position(|&kind| kind == Gravity);
+            let (before, after) = kinds.split_at(first.expect("gravity ran"));
+            let count = |kinds: &[_], kind| kinds.iter().filter(|&&k| k == kind).count();
+            let n = d.owned_leaves().len();
+            assert_eq!(count(before, Hydro), n, "step {step}: hydro");
+            assert_eq!(count(before, WriteBack), n, "step {step}: write-backs");
+            assert!(
+                after.chunks(2).all(|pair| pair == [Gravity, Source]),
+                "step {step}: each source right after its gravity task"
+            );
+        }
+    }
+
     #[test]
     fn every_topological_order_of_the_plan_gives_the_same_bits() {
         every_order_gives_the_executor_s_bits(false);
@@ -1288,15 +1330,12 @@ mod tests {
     }
 
     /// The step buffers belong to the generation: every step leaves each
-    /// result and acceleration slot empty, and the first step after a regrid
-    /// sizes them for the new tree.
+    /// leaf's slot empty, and the first step after a regrid sizes them for
+    /// the new tree.
     #[test]
     fn every_step_leaves_its_slots_empty() {
         let mut d = Driver::new(tiny_config(KernelType::KokkosSerial));
         let rt = Runtime::new(2);
-        fn held<T>(slots: &[Mutex<Option<T>>]) -> bool {
-            (slots.iter()).any(|slot| slot.lock().expect("slot").is_some())
-        }
         let check = |d: &Driver, label: &str| {
             let b = d
                 .ownership
@@ -1304,9 +1343,12 @@ mod tests {
                 .as_ref()
                 .expect("this generation's buffers");
             assert_eq!(b.blocks.len(), d.tree().leaf_count(), "{label}");
-            assert_eq!(b.accels.len(), d.owned_leaves().len(), "{label}");
-            assert!(!held(&b.results), "{label}: a result is held");
-            assert!(!held(&b.accels), "{label}: an acceleration is held");
+            assert_eq!(b.slots.len(), d.owned_leaves().len(), "{label}");
+            for slot in &b.slots {
+                let slot = slot.lock().expect("slot");
+                assert!(slot.result.is_none(), "{label}: a result is held");
+                assert!(slot.accel.is_none(), "{label}: an acceleration is held");
+            }
         };
         for step in 0..2 {
             d.step(&rt);

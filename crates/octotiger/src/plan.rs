@@ -6,7 +6,8 @@
 //!
 //! ```text
 //! Cfl(k) ─┬─────────────► Dt ◄── RateIn(p) ◄── p's deposit
-//!         └► RateOut(p)    └──► Hydro(j), j = n−1 … 0
+//!         └► RateOut(p)    ├──► Gravity(j), j = 0 … n−1, then
+//!         │                └──► Hydro(j), j in reverse wavefront order
 //! P2m(k) ─┬─────────────► Moments ◄── BlocksIn(p) ◄── p's deposit
 //!         ├► BlocksOut(p)   └──► Gravity(j), j = 0 … n−1
 //!         └─────────────► WriteBack(k) ◄── Hydro(j) for every owned j whose gather reads k
@@ -18,8 +19,10 @@
 //! Kernel nodes get a task each; every other node runs inline where its
 //! last predecessor retires (an in-node where its deposit completes), all in
 //! one scope that the step waits on once. One root task runs the halo sends
-//! and spawns CFL, then P2M, so its worker pops P2M first; hydro is released
-//! last leaf first, so it pops in leaf order behind the gather wavefront.
+//! and spawns CFL, then P2M, so its worker pops P2M first. `Dt` releases
+//! gravity below hydro, so one worker runs every hydro task and write-back
+//! before the first gravity task, and pops hydro in wavefront order: a
+//! result is held only until the order has passed its leaf's readers.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -132,6 +135,12 @@ impl StepPlan {
         };
         let owned_at = |pos: usize| owned.binary_search(&pos).ok();
         let sources = |j: usize| sources(owned[j]).iter().map(|&pos| pos as usize);
+        // Per owned leaf, the owned leaves its gather reads.
+        let reads: Vec<Vec<usize>> = (0..n)
+            .map(|j| sources(j).filter_map(owned_at).collect())
+            .collect();
+        // A worker pops the last released first: the wavefront order, reversed.
+        let release: Vec<usize> = wavefront_order(&reads).into_iter().rev().collect();
         let per_peer = |kind| (0..np).map(move |p| (kind, p));
         for id in 0..plan.preds.len() {
             let next: Vec<Node> = match plan.node(id) {
@@ -141,22 +150,21 @@ impl StepPlan {
                     .chain(per_peer(BlocksOut))
                     .chain([(Moments, 0)])
                     .collect(),
-                (Hydro, j) => sources(j)
-                    .filter_map(owned_at)
-                    .map(|k| (WriteBack, k))
-                    .collect(),
+                (Hydro, j) => reads[j].iter().map(|&k| (WriteBack, k)).collect(),
                 (Gravity | WriteBack, k) => vec![(Source, k)],
                 (Source | RateOut | BlocksOut, _) => Vec::new(),
-                (Dt, _) => (0..n).rev().map(|j| (Hydro, j)).collect(),
+                (Dt, _) => (0..n)
+                    .map(|j| (Gravity, j))
+                    .chain(release.iter().map(|&j| (Hydro, j)))
+                    .collect(),
                 (Moments, _) => (0..n).map(|j| (Gravity, j)).collect(),
                 (HaloOut, p) => (peers[p].reads.iter())
                     .filter_map(|&pos| owned_at(pos))
                     .map(|k| (WriteBack, k))
                     .collect(),
-                (HaloIn, p) => (0..n)
-                    .rev()
-                    .filter(|&j| sources(j).any(peers[p].owns))
-                    .map(|j| (Hydro, j))
+                (HaloIn, p) => (release.iter())
+                    .filter(|&&j| sources(j).any(peers[p].owns))
+                    .map(|&j| (Hydro, j))
                     .collect(),
                 (RateIn, _) => vec![(Dt, 0)],
                 (BlocksIn, _) => vec![(Moments, 0)],
@@ -237,6 +245,47 @@ impl StepPlan {
         let ran = exec.left.iter().all(|c| c.load(Ordering::Relaxed) == 0);
         assert!(ran, "every node ran once");
     }
+}
+
+/// The Cuthill–McKee order of the reader graph (`reads[j]`: the leaves
+/// `j`'s gather reads): each component breadth first from a pseudo-peripheral
+/// leaf (where a pass from one of least degree ends), neighbours by
+/// ascending degree. Hydro in this order holds a result about one front
+/// long: 159 at level 4, against 241 in leaf order and 173 in the reverse
+/// order.
+fn wavefront_order(reads: &[Vec<usize>]) -> Vec<usize> {
+    let degree = |j: &usize| reads[*j].len();
+    // Append `start`'s component, breadth first, to `order`.
+    let visit = |start: usize, order: &mut Vec<usize>, seen: &mut [bool]| {
+        let mut next = order.len();
+        seen[start] = true;
+        order.push(start);
+        while let Some(&j) = order.get(next) {
+            next += 1;
+            let mut fresh: Vec<usize> = (reads[j].iter().copied())
+                .filter(|&k| !std::mem::replace(&mut seen[k], true))
+                .collect();
+            fresh.sort_by_key(degree);
+            order.extend(fresh);
+        }
+    };
+    let mut starts: Vec<usize> = (0..reads.len()).collect();
+    starts.sort_by_key(degree);
+    let (mut order, mut seen) = (Vec::with_capacity(reads.len()), vec![false; reads.len()]);
+    for start in starts {
+        if seen[start] {
+            continue;
+        }
+        let from = order.len();
+        visit(start, &mut order, &mut seen);
+        let far = order[order.len() - 1];
+        for &j in &order[from..] {
+            seen[j] = false;
+        }
+        order.truncate(from);
+        visit(far, &mut order, &mut seen);
+    }
+    order
 }
 
 /// One execution of a plan: the countdowns still open, per node (an
@@ -368,7 +417,8 @@ mod tests {
                 // The end leaves' neighbours also wait for the peer's halo.
                 let next_to_peer = k == 0 || k == n - 1;
                 assert_eq!(preds((Hydro, k)), 1 + np * usize::from(next_to_peer));
-                assert_eq!(preds((Gravity, k)), 1);
+                // Gravity waits for the moments pass and the CFL fold.
+                assert_eq!(preds((Gravity, k)), 2);
                 let to_peer: Vec<Node> = (0..np).map(|p| (BlocksOut, p)).collect();
                 assert_eq!(
                     succ((P2m, k)),
@@ -393,12 +443,13 @@ mod tests {
                 .chain((0..n).map(|k| (P2m, k)))
                 .collect();
             assert_eq!(roots, want, "halo sends, CFL, then P2M");
-            let hydro: Vec<Node> = (0..n).rev().map(|k| (Hydro, k)).collect();
-            assert_eq!(succ((Dt, 0)), hydro, "last leaf first");
-            assert_eq!(
-                succ((Moments, 0)),
-                (0..n).map(|k| (Gravity, k)).collect::<Vec<_>>()
-            );
+            // Gravity below hydro, and hydro popped in the Cuthill–McKee
+            // order of the owned row: breadth first from leaf 3, where a
+            // pass from leaf 0, the first of least degree, ends.
+            let gravity: Vec<Node> = (0..n).map(|k| (Gravity, k)).collect();
+            let hydro: Vec<Node> = (0..n).map(|k| (Hydro, k)).collect();
+            assert_eq!(succ((Dt, 0)), [&gravity[..], &hydro[..]].concat());
+            assert_eq!(succ((Moments, 0)), gravity);
             for id in 0..plan.preds.len() {
                 assert_eq!(plan.id(plan.node(id)), id);
             }
@@ -416,11 +467,7 @@ mod tests {
             }
             let in_nodes: Vec<Node> = plan.in_nodes().map(|id| plan.node(id)).collect();
             assert_eq!(in_nodes, [(HaloIn, 0), (RateIn, 0), (BlocksIn, 0)]);
-            assert_eq!(
-                succ((HaloIn, 0)),
-                [(Hydro, 3), (Hydro, 0)],
-                "last leaf first"
-            );
+            assert_eq!(succ((HaloIn, 0)), [(Hydro, 0), (Hydro, 3)], "as `Dt`");
             assert_eq!(succ((RateIn, 0)), [(Dt, 0)]);
             assert_eq!(succ((BlocksIn, 0)), [(Moments, 0)]);
             // The sends: released by what they ship.
@@ -430,5 +477,49 @@ mod tests {
             assert_eq!(preds((BlocksOut, 0)), n);
             assert!(succ((RateOut, 0)).is_empty() && succ((BlocksOut, 0)).is_empty());
         }
+    }
+
+    /// The level-4 star's plan, simulated as one worker runs it: every P2M
+    /// task, then the hydro tasks in the order it pops them off `Dt`, each
+    /// result held from its task until its leaf's write-back. The wavefront
+    /// order holds at most 180 results; leaf order held 241.
+    #[test]
+    fn the_level_4_star_s_hydro_order_holds_a_small_wavefront() {
+        use crate::config::OctoConfig;
+        use crate::octree::Octree;
+        use crate::star::RotatingStar;
+        let config = OctoConfig {
+            max_level: 4,
+            ..OctoConfig::default()
+        };
+        let mut tree = Octree::build_topology(&RotatingStar::paper_default(), &config, 1.0);
+        let owned: Vec<usize> = (0..tree.leaf_count()).collect();
+        assert_eq!(owned.len(), 1576);
+        let sources = tree.gather_sources();
+        let plan = StepPlan::new(&owned, |pos| sources.of(pos), &[]);
+        let held = |pops: &[usize]| {
+            let mut left = plan.preds.clone();
+            for s in plan.ids(P2m..Hydro).flat_map(|id| plan.successors(id)) {
+                left[s] -= 1;
+            }
+            let (mut now, mut most) = (0, 0);
+            for &id in pops {
+                now += 1;
+                most = most.max(now);
+                for s in plan.successors(id) {
+                    left[s] -= 1;
+                    now -= usize::from(left[s] == 0);
+                }
+            }
+            most
+        };
+        let mut pops: Vec<usize> = (plan.successors(plan.id((Dt, 0))))
+            .filter(|&id| plan.node(id).0 == Hydro)
+            .collect();
+        pops.reverse();
+        assert_eq!(pops.len(), owned.len());
+        let wavefront = held(&pops);
+        assert!(wavefront <= 180, "{wavefront} held");
+        assert_eq!(held(&plan.ids(Hydro..Gravity).collect::<Vec<_>>()), 241);
     }
 }

@@ -106,9 +106,10 @@ echo "== kernel sweep smokes (gravity, hydro: every pack width runs) =="
 BENCH_SMOKE=1 cargo bench -q -p repro-bench --bench bench_gravity
 BENCH_SMOKE=1 cargo bench -q -p repro-bench --bench bench_hydro
 
-# Also the memory gate: level-4 peak RSS at most 79 B per cell (72.0 measured
-# with the step buffers allocated once per topology generation, plus 10 %).
-echo "== deep-tree scale smoke (level 4: mid-run regrid rebuilds < 25% of lists, peak RSS <= 79 B/cell) =="
+# Also the memory gate: level-4 peak RSS at most 67.3 B per cell (61.2
+# measured with hydro before gravity in wavefront order and no acceleration
+# table, plus 10 %).
+echo "== deep-tree scale smoke (level 4: mid-run regrid rebuilds < 25% of lists, peak RSS <= 67.3 B/cell) =="
 BENCH_SMOKE=1 cargo bench -q -p repro-bench --bench bench_scale
 
 echo "== scheduler per-task smoke (spread gate on the external-producer case) =="

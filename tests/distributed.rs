@@ -105,16 +105,11 @@ fn actions_compose_into_a_tree_traversal() {
     assert!(cluster.net_stats().remote_actions >= 2);
 }
 
+/// The backend is a link *model*: a run under the MPI one computes the
+/// node-level driver's bits, which are the TCP runs' (`distributed_bits`
+/// runs that matrix).
 #[test]
 fn mpi_and_tcp_runs_produce_identical_physics() {
-    // The backend is a *model*; the computation must be bit-identical.
-    let tcp = DistRun::execute(DistConfig {
-        nodes: 2,
-        threads_per_node: 2,
-        backend: NetBackend::Tcp,
-        coalesce: CoalesceConfig::default(),
-        octo: octo_cfg(),
-    });
     let mpi = DistRun::execute(DistConfig {
         nodes: 2,
         threads_per_node: 2,
@@ -122,16 +117,10 @@ fn mpi_and_tcp_runs_produce_identical_physics() {
         coalesce: CoalesceConfig::default(),
         octo: octo_cfg(),
     });
-    assert_eq!(tcp.leaf_hashes, mpi.leaf_hashes, "same field bits");
-    assert_eq!(tcp.leaf_hashes.len(), tcp.leaf_count);
-    assert_eq!(tcp.work, mpi.work);
-    assert_eq!(tcp.net.messages, mpi.net.messages);
-    assert_eq!(tcp.net.bytes, mpi.net.bytes);
-    // And they are the node-level driver's bits (`distributed_bits` runs
-    // the whole matrix).
+    assert_eq!(mpi.leaf_hashes.len(), mpi.leaf_count);
     let mut node = Driver::new(octo_cfg());
     node.run(2);
-    assert_eq!(tcp.leaf_hashes, node.leaf_hashes());
+    assert_eq!(mpi.leaf_hashes, node.leaf_hashes(), "same field bits");
 }
 
 #[test]

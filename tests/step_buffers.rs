@@ -1,7 +1,9 @@
 //! The step's buffers live per topology generation: the leaf-order P2M
-//! block table and the acceleration slots are allocated on a generation's
-//! first step, once, and every later step of the generation overwrites them
-//! in place — so a steady step makes no allocation as large as either.
+//! block table is allocated on a generation's first step, once, and every
+//! later step of the generation overwrites it in place — so a steady step
+//! makes no allocation as large as it. No step allocates a table of
+//! per-leaf accelerations: a leaf's exist only while they wait for its
+//! write-back.
 //!
 //! One test in its own binary: the allocator below watches every thread
 //! (the step runs on the runtime's workers), so nothing may run beside it.
@@ -66,8 +68,9 @@ fn a_steady_step_allocates_no_step_buffer() {
         ..OctoConfig::default()
     });
     let rt = Runtime::new(2);
-    // The two buffers at the tree's size: one `BlockSoA` per leaf, one slot
-    // of per-block accelerations per owned leaf (here every leaf).
+    // At the tree's size: the block table, one `BlockSoA` per leaf, and a
+    // table of per-block acceleration slots, one per owned leaf (here every
+    // leaf).
     let sizes = |d: &Driver| {
         let leaves = d.tree().leaf_count();
         let accel_slot = std::mem::size_of::<Mutex<Option<[[f64; 3]; BLOCKS]>>>();
@@ -76,8 +79,8 @@ fn a_steady_step_allocates_no_step_buffer() {
             leaves * accel_slot,
         )
     };
-    // A generation's first step allocates each buffer once, its later steps
-    // nothing as large as either.
+    // A generation's first step allocates the block table once, its later
+    // steps nothing as large; no step allocates an acceleration table.
     let generation = |d: &mut Driver, label: &str| {
         let (blocks, accels) = sizes(d);
         for step in 0..3 {
@@ -87,7 +90,7 @@ fn a_steady_step_allocates_no_step_buffer() {
             let count = |size| allocs.iter().filter(|&&a| a == size).count();
             if step == 0 {
                 assert_eq!(count(blocks), 1, "{label}, block table: {allocs:?}");
-                assert_eq!(count(accels), 1, "{label}, acceleration slots: {allocs:?}");
+                assert_eq!(count(accels), 0, "{label}, acceleration table: {allocs:?}");
             } else {
                 assert_eq!(allocs, [], "{label}, steady step {step}");
             }
