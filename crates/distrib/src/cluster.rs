@@ -7,11 +7,12 @@
 //! parcel buffer in between) and delivers that buffer to the target
 //! locality, whose runtime reads it in a *receive task*, the way HPX decodes
 //! a parcel and runs its action on a worker of the target locality. For a
-//! request the receive task runs the handler in place — the argument
-//! decoded from the frame, the result written straight into the response
-//! frame — and sends the response; for a response it completes the caller's
-//! promise, so the continuation that decodes the result from the frame runs
-//! on the caller's locality. The byte/message statistics the Fig. 8
+//! request the receive task hands the frame to the handler — which decodes
+//! the argument from it in place, or, taking it as a [`Payload`], keeps the
+//! frame itself — writes the result straight into the response frame and
+//! sends the response; for a response it completes the caller's promise, so
+//! the continuation that decodes the result from the frame runs on the
+//! caller's locality. The byte/message statistics the Fig. 8
 //! projection consumes are therefore measured off real framed wire images,
 //! not guessed.
 //!
@@ -48,6 +49,7 @@
 
 use std::any::Any;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 
@@ -59,7 +61,7 @@ use crate::agas::{Agas, Gid, LocalityId};
 use crate::frame::{self, TraceCtx};
 use crate::parcel::Parcel;
 use crate::stats::{CommMetrics, NetSnapshot, NetStats, PortSnapshot, PortStats};
-use crate::wire::{self, Wire, Writer};
+use crate::wire::{self, Encode, Wire, WireError, Writer};
 
 /// Referee shim: the frozen referee in `benchmark/` fills a `coalesce` field
 /// of [`ClusterConfig`] (and of `octotiger`'s `DistConfig`) with
@@ -101,10 +103,61 @@ impl Default for ClusterConfig {
 /// completes the caller's future.
 type Completion = Box<dyn FnOnce(Result<&[u8], &str>) + Send>;
 
-/// Decodes the argument from its image, runs the action and appends the
-/// image of its result to the writer — or says why it could not.
-type Handler =
-    Arc<dyn Fn(&LocalityHandle, Gid, &[u8], &mut Writer) -> Result<(), String> + Send + Sync>;
+/// An action's argument as it arrived: its image, inside the frame that
+/// carried it, which the payload owns. An action that takes its payload
+/// keeps the frame, and nothing is copied out of it.
+pub struct Payload {
+    frame: Vec<u8>,
+    image: Range<usize>,
+}
+
+impl Payload {
+    /// The argument's image.
+    pub fn image(&self) -> &[u8] {
+        &self.frame[self.image.clone()]
+    }
+}
+
+/// A buffer that is all image: a local call's argument, or a test's.
+impl From<Vec<u8>> for Payload {
+    fn from(image: Vec<u8>) -> Self {
+        let image_len = image.len();
+        Payload {
+            frame: image,
+            image: 0..image_len,
+        }
+    }
+}
+
+/// What an action takes: a [`Wire`] value, decoded from the image in place,
+/// or the [`Payload`] itself.
+pub trait Arg: Sized {
+    /// The argument of `payload`.
+    fn take(payload: Payload) -> Result<Self, WireError>;
+}
+
+impl<T: Wire> Arg for T {
+    fn take(payload: Payload) -> Result<Self, WireError> {
+        wire::from_bytes(payload.image())
+    }
+}
+
+impl Arg for Payload {
+    fn take(payload: Payload) -> Result<Self, WireError> {
+        Ok(payload)
+    }
+}
+
+/// A registered action: its name, and what it runs — take the argument of
+/// the payload, run, and append the image of the result to the writer, or
+/// say why it could not.
+struct Action {
+    name: String,
+    run: Box<ActionFn>,
+}
+
+type ActionFn =
+    dyn Fn(&LocalityHandle, Gid, Payload, &mut Writer) -> Result<(), String> + Send + Sync;
 
 struct LocalityInner {
     id: LocalityId,
@@ -171,7 +224,7 @@ impl Drop for Receipt {
 
 struct ClusterInner {
     agas: Agas,
-    actions: Mutex<HashMap<String, Handler>>,
+    actions: Mutex<HashMap<String, Arc<Action>>>,
     /// One handle per locality; a receive task lends its locality's to the
     /// handler it runs.
     localities: Vec<LocalityHandle>,
@@ -276,13 +329,19 @@ impl ClusterInner {
                 payload,
                 call_id,
             } => {
-                let handler = lock(&self.actions).get(action).cloned();
+                let handler = (lock(&self.actions).get(action).cloned())
+                    .ok_or_else(|| format!("action {action:?} is not registered"));
+                // The handler takes the frame, with where its argument lies.
+                let at = payload.as_ptr().addr() - framed.as_ptr().addr();
+                let image = at..at + payload.len();
+                let payload = Payload {
+                    frame: framed,
+                    image,
+                };
                 let response = frame::response(TraceCtx::stamp(to.0), call_id, |out| {
-                    let Some(h) = handler else {
-                        return Err(format!("action {action:?} is not registered"));
-                    };
+                    let h = handler?;
                     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        h(me, target, payload, out)
+                        (h.run)(me, target, payload, out)
                     }))
                     .unwrap_or_else(|payload| {
                         // Carry the message to the caller: the run ends
@@ -292,7 +351,7 @@ impl ClusterInner {
                             .map(String::as_str)
                             .or_else(|| payload.downcast_ref::<&str>().copied())
                             .unwrap_or("(no message)");
-                        Err(format!("action {action:?} panicked: {why}"))
+                        Err(format!("action {:?} panicked: {why}", h.name))
                     })
                 });
                 self.transmit(from, response);
@@ -362,7 +421,7 @@ impl LocalityHandle {
     /// frame) surface as panics at `.get()`.
     pub fn invoke<Req, Resp>(&self, gid: Gid, action: &str, req: &Req) -> Future<Resp>
     where
-        Req: Wire,
+        Req: Encode + ?Sized,
         Resp: Wire + Send + 'static,
     {
         let cluster = self.cluster();
@@ -378,7 +437,7 @@ impl LocalityHandle {
             let action = action.to_string();
             return self.runtime().spawn(move || {
                 let mut out = Writer::with_capacity(0);
-                let bytes = handler(&me, gid, &payload, &mut out)
+                let bytes = (handler.run)(&me, gid, Payload::from(payload), &mut out)
                     .and_then(|()| out.finish().map_err(|e| format!("encode: {e}")))
                     .unwrap_or_else(|e| panic!("local action {action} failed: {e}"));
                 wire::from_bytes(&bytes).expect("response deserialization failed")
@@ -422,7 +481,7 @@ impl LocalityHandle {
     }
 }
 
-fn lookup(cluster: &ClusterInner, action: &str) -> Handler {
+fn lookup(cluster: &ClusterInner, action: &str) -> Arc<Action> {
     lock(&cluster.actions)
         .get(action)
         .cloned()
@@ -474,19 +533,24 @@ impl Cluster {
     }
 
     /// Register an action handler under `name` on **all** localities (like
-    /// an HPX action: the same code is linked into every process image).
+    /// an HPX action: the same code is linked into every process image). Its
+    /// argument is decoded from the frame it arrived in, or, taken as a
+    /// [`Payload`], is that frame.
     pub fn register_action<Req, Resp, F>(&self, name: &str, f: F)
     where
-        Req: Wire,
+        Req: Arg,
         Resp: Wire,
         F: Fn(&LocalityHandle, Gid, Req) -> Resp + Send + Sync + 'static,
     {
-        let handler: Handler = Arc::new(move |ctx, gid, arg, out| {
-            let req: Req = wire::from_bytes(arg).map_err(|e| format!("decode: {e}"))?;
-            let resp = f(ctx, gid, req);
-            out.reserve(resp.image_len());
-            resp.encode(out);
-            Ok(())
+        let handler = Arc::new(Action {
+            name: name.to_string(),
+            run: Box::new(move |ctx, gid, arg, out| {
+                let req = Req::take(arg).map_err(|e| format!("decode: {e}"))?;
+                let resp = f(ctx, gid, req);
+                out.reserve(resp.image_len());
+                resp.encode(out);
+                Ok(())
+            }),
         });
         let prev = lock(&self.inner.actions).insert(name.to_string(), handler);
         assert!(prev.is_none(), "action {name:?} registered twice");

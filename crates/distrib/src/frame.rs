@@ -34,7 +34,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::agas::{Gid, LocalityId};
 use crate::parcel;
-use crate::wire::{Wire, WireError, Writer};
+use crate::wire::{Encode, WireError, Writer};
 
 /// Frame magic (two bytes, little-endian on the wire).
 pub(crate) const FRAME_MAGIC: u16 = 0x0C7E;

@@ -12,10 +12,11 @@
 //!   created on a locality, addressed by [`Gid`], and resolvable from
 //!   anywhere;
 //! * remote **actions** ([`LocalityHandle::invoke`]) encode their arguments
-//!   — any [`Wire`] type; the [`wire`] module docs hold the format table —
-//!   straight into the frame of one parcel, read in place on arrival as a
-//!   [`Parcel`], with HPX's unified local/remote syntax (local calls skip
-//!   the wire);
+//!   — any [`Encode`] value or view; the [`wire`] module docs hold the
+//!   format table — straight into the frame of one parcel, read in place on
+//!   arrival as a [`Parcel`]; the action decodes its argument from the frame
+//!   or keeps the frame whole as a [`Payload`]. Calls have HPX's unified
+//!   local/remote syntax (local calls skip the wire);
 //! * the cluster delivers each [`frame`]d buffer, one parcel each, inside
 //!   the call that sends it and counts frames and bytes
 //!   ([`PortSnapshot`]). The parcelports — TCP, MPI, LCI — are link models
@@ -30,7 +31,7 @@ pub(crate) mod stats;
 pub(crate) mod wire;
 
 pub use agas::{Agas, Gid, LocalityId};
-pub use cluster::{Cluster, ClusterConfig, CoalesceConfig, LocalityHandle};
+pub use cluster::{Arg, Cluster, ClusterConfig, CoalesceConfig, LocalityHandle, Payload};
 pub use parcel::Parcel;
 pub use stats::{NetSnapshot, PortSnapshot};
-pub use wire::{from_bytes, to_bytes, Reader, Wire, WireError, Writer};
+pub use wire::{from_bytes, to_bytes, Encode, Reader, Wire, WireError, Writer};

@@ -12,7 +12,7 @@
 //! ```
 
 use crate::agas::{Gid, LocalityId};
-use crate::wire::{Reader, Wire, WireError, Writer};
+use crate::wire::{Encode, Reader, Wire, WireError, Writer};
 
 /// One parcel — a remote action request or its response — read in place:
 /// the action name, the payload and the failure description borrowed from

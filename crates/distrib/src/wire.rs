@@ -17,6 +17,11 @@
 //! | `Result<T, E>`, [`Parcel`](crate::Parcel) | variant index as a `u32` (`Ok` = 0, `Err` = 1; `Request` = 0, `Response` = 1), then the variant's fields |
 //! | tuples, `[T; N]`, structs ([`wire_struct!`](crate::wire_struct)), [`Gid`], [`LocalityId`] | the fields in declaration order, nothing added |
 //!
+//! A type that reads back is [`Wire`]; anything that writes an image is
+//! [`Encode`], which lets a view write the image of a value it never builds
+//! — a `[T]` writes the image of a `Vec<T>` — and a [`Reader`] borrows an
+//! image's parts where they lie.
+//!
 //! Decoding is strict: it rejects a buffer with bytes left over, and a count
 //! that what is left of the buffer cannot hold — before reserving anything
 //! for it, so a hostile prefix costs no memory.
@@ -66,7 +71,7 @@ pub struct Writer {
     buf: Vec<u8>,
     /// A count did not fit its `u32` prefix: the image is void, and
     /// [`to_bytes`] reports it. Encoding cannot fail in any other way, which
-    /// is why [`Wire::encode`] returns nothing.
+    /// is why [`Encode::encode`] returns nothing.
     too_long: bool,
 }
 
@@ -158,14 +163,23 @@ impl Writer {
     }
 }
 
-/// The bytes a value is decoded from, consumed front to back.
+/// The bytes a value is decoded from, consumed front to back — or read in
+/// place, an image borrowed where it lies.
 pub struct Reader<'a> {
     input: &'a [u8],
 }
 
 impl<'a> Reader<'a> {
-    pub(crate) fn new(input: &'a [u8]) -> Self {
+    /// A reader at the start of `input`.
+    pub fn new(input: &'a [u8]) -> Self {
         Reader { input }
+    }
+
+    /// Borrow the next `n` bytes as they are.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+        let (bytes, rest) = self.input.split_at_checked(n).ok_or(WireError::Eof)?;
+        self.input = rest;
+        Ok(bytes)
     }
 
     /// Read a `u32` count and borrow that many bytes — the bytes of a
@@ -186,7 +200,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Accept the end of the input, refusing bytes left over.
-    pub(crate) fn end(self) -> Result<(), WireError> {
+    pub fn end(self) -> Result<(), WireError> {
         match self.input.len() {
             0 => Ok(()),
             n => Err(WireError::Trailing(n)),
@@ -194,22 +208,26 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// A type with a wire image (the module docs have the format).
-pub trait Wire: Sized {
-    /// A lower bound on the size of an image of this type.
-    const MIN_BYTES: usize;
-
+/// What writes a wire image: a [`Wire`] value, or a view that writes the
+/// image of one from data it borrows, so the image goes straight into the
+/// frame that carries it.
+pub trait Encode {
     /// The length of the image of `self`, which an encoder reserves before
     /// writing it, so the image is written once, into a buffer that does not
-    /// grow. The default, [`Wire::MIN_BYTES`], is exact for a type without
-    /// counts or tags. Less than the length is still correct; it costs the
-    /// encoder a regrowth.
-    fn image_len(&self) -> usize {
-        Self::MIN_BYTES
-    }
+    /// grow. Less than the length is still correct; it costs the encoder a
+    /// regrowth.
+    fn image_len(&self) -> usize;
 
     /// Append the image of `self` to `out`.
     fn encode(&self, out: &mut Writer);
+}
+
+/// A type with a wire image (the module docs have the format), which it
+/// writes ([`Encode`]) and reads back.
+pub trait Wire: Encode + Sized {
+    /// A lower bound on the size of an image of this type: exact for a type
+    /// without counts or tags.
+    const MIN_BYTES: usize;
 
     /// Read one value off the front of `r`.
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError>;
@@ -222,10 +240,10 @@ pub trait Wire: Sized {
         }
     }
 
-    /// [`Wire::image_len`] of the images of `items`, without a count. The
+    /// [`Encode::image_len`] of the images of `items`, without a count. The
     /// fixed-width numbers override this to answer without a walk.
     fn slice_image_len(items: &[Self]) -> usize {
-        items.iter().map(Wire::image_len).sum()
+        items.iter().map(Encode::image_len).sum()
     }
 
     /// Read `count` values. `count` is an array's length or has been checked
@@ -240,7 +258,7 @@ pub trait Wire: Sized {
 }
 
 /// Encode `value` into a freshly allocated byte buffer.
-pub fn to_bytes<T: Wire>(value: &T) -> Result<Vec<u8>, WireError> {
+pub fn to_bytes<T: Encode + ?Sized>(value: &T) -> Result<Vec<u8>, WireError> {
     let mut out = Writer::with_capacity(value.image_len());
     value.encode(&mut out);
     out.finish()
@@ -256,11 +274,16 @@ pub fn from_bytes<T: Wire>(bytes: &[u8]) -> Result<T, WireError> {
 
 macro_rules! wire_numbers {
     ($($ty:ty),*) => {$(
-        impl Wire for $ty {
-            const MIN_BYTES: usize = size_of::<$ty>();
+        impl Encode for $ty {
+            fn image_len(&self) -> usize {
+                size_of::<$ty>()
+            }
             fn encode(&self, out: &mut Writer) {
                 out.buf.extend_from_slice(&self.to_le_bytes());
             }
+        }
+        impl Wire for $ty {
+            const MIN_BYTES: usize = size_of::<$ty>();
             fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
                 let (image, rest) = r.input.split_first_chunk().ok_or(WireError::Eof)?;
                 r.input = rest;
@@ -288,12 +311,17 @@ wire_numbers!(u8, u16, u32, u64, i8, i16, i32, i64, f32, f64);
 /// where `back` refuses the images no value has.
 macro_rules! wire_as {
     ($($ty:ty as $image:ty: $to:expr, $back:expr;)*) => {$(
-        impl Wire for $ty {
-            const MIN_BYTES: usize = <$image>::MIN_BYTES;
+        impl Encode for $ty {
+            fn image_len(&self) -> usize {
+                <$image>::MIN_BYTES
+            }
             fn encode(&self, out: &mut Writer) {
                 let to: fn(&Self) -> $image = $to;
                 to(self).encode(out);
             }
+        }
+        impl Wire for $ty {
+            const MIN_BYTES: usize = <$image>::MIN_BYTES;
             fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
                 let back: fn($image) -> Result<Self, WireError> = $back;
                 back(<$image>::decode(r)?)
@@ -309,9 +337,15 @@ wire_as! {
     Gid as u64: |gid| gid.0, |raw| Ok(Gid(raw));
 }
 
+impl Encode for () {
+    fn image_len(&self) -> usize {
+        0
+    }
+    fn encode(&self, _: &mut Writer) {}
+}
+
 impl Wire for () {
     const MIN_BYTES: usize = 0;
-    fn encode(&self, _: &mut Writer) {}
     fn decode(_: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(())
     }
@@ -324,27 +358,44 @@ fn encode_counted<T: Wire>(items: &[T], out: &mut Writer) {
     T::encode_slice(items, out);
 }
 
-impl Wire for String {
-    const MIN_BYTES: usize = 4;
+impl Encode for String {
     fn image_len(&self) -> usize {
         4 + self.len()
     }
     fn encode(&self, out: &mut Writer) {
         out.str(self);
     }
+}
+
+impl Wire for String {
+    const MIN_BYTES: usize = 4;
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         r.str().map(str::to_owned)
     }
 }
 
-impl<T: Wire> Wire for Vec<T> {
-    const MIN_BYTES: usize = 4;
+/// A slice writes the image of the `Vec` that would hold its items: what a
+/// view lends instead of a copy.
+impl<T: Wire> Encode for [T] {
     fn image_len(&self) -> usize {
         4 + T::slice_image_len(self)
     }
     fn encode(&self, out: &mut Writer) {
         encode_counted(self, out);
     }
+}
+
+impl<T: Wire> Encode for Vec<T> {
+    fn image_len(&self) -> usize {
+        self.as_slice().image_len()
+    }
+    fn encode(&self, out: &mut Writer) {
+        self.as_slice().encode(out);
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_BYTES: usize = 4;
     /// Refuses a count that what is left of the buffer cannot hold, before
     /// reserving for it. A zero-width `T` counts as one byte, which bounds
     /// the decoder's work by the input's length.
@@ -357,24 +408,26 @@ impl<T: Wire> Wire for Vec<T> {
     }
 }
 
-impl<T: Wire, const N: usize> Wire for [T; N] {
-    const MIN_BYTES: usize = N * T::MIN_BYTES;
+impl<T: Wire, const N: usize> Encode for [T; N] {
     fn image_len(&self) -> usize {
         T::slice_image_len(self)
     }
     fn encode(&self, out: &mut Writer) {
         T::encode_slice(self, out);
     }
+}
+
+impl<T: Wire, const N: usize> Wire for [T; N] {
+    const MIN_BYTES: usize = N * T::MIN_BYTES;
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let items = T::decode_vec(N, r)?;
         items.try_into().map_err(|_| WireError::BadLength)
     }
 }
 
-impl<T: Wire> Wire for Option<T> {
-    const MIN_BYTES: usize = 1;
+impl<T: Wire> Encode for Option<T> {
     fn image_len(&self) -> usize {
-        1 + self.as_ref().map_or(0, Wire::image_len)
+        1 + self.as_ref().map_or(0, Encode::image_len)
     }
     fn encode(&self, out: &mut Writer) {
         self.is_some().encode(out);
@@ -382,15 +435,20 @@ impl<T: Wire> Wire for Option<T> {
             value.encode(out);
         }
     }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    const MIN_BYTES: usize = 1;
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         bool::decode(r)?.then(|| T::decode(r)).transpose()
     }
 }
 
-impl<T: Wire, E: Wire> Wire for Result<T, E> {
-    const MIN_BYTES: usize = 4;
+impl<T: Wire, E: Wire> Encode for Result<T, E> {
     fn image_len(&self) -> usize {
-        4 + self.as_ref().map_or_else(Wire::image_len, Wire::image_len)
+        4 + self
+            .as_ref()
+            .map_or_else(Encode::image_len, Encode::image_len)
     }
     fn encode(&self, out: &mut Writer) {
         u32::from(self.is_err()).encode(out);
@@ -399,6 +457,10 @@ impl<T: Wire, E: Wire> Wire for Result<T, E> {
             Err(error) => error.encode(out),
         }
     }
+}
+
+impl<T: Wire, E: Wire> Wire for Result<T, E> {
+    const MIN_BYTES: usize = 4;
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         match u32::decode(r)? {
             0 => Ok(Ok(T::decode(r)?)),
@@ -410,14 +472,16 @@ impl<T: Wire, E: Wire> Wire for Result<T, E> {
 
 macro_rules! wire_tuple {
     ($($idx:tt $T:ident),+) => {
-        impl<$($T: Wire),+> Wire for ($($T,)+) {
-            const MIN_BYTES: usize = 0 $(+ $T::MIN_BYTES)+;
+        impl<$($T: Wire),+> Encode for ($($T,)+) {
             fn image_len(&self) -> usize {
                 0 $(+ self.$idx.image_len())+
             }
             fn encode(&self, out: &mut Writer) {
                 $(self.$idx.encode(out);)+
             }
+        }
+        impl<$($T: Wire),+> Wire for ($($T,)+) {
+            const MIN_BYTES: usize = 0 $(+ $T::MIN_BYTES)+;
             fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
                 Ok(($($T::decode(r)?,)+))
             }
@@ -434,14 +498,16 @@ wire_tuple!(0 A, 1 B, 2 C, 3 D);
 #[macro_export]
 macro_rules! wire_struct {
     ($name:ident { $($field:ident: $ty:ty),+ $(,)? }) => {
-        impl $crate::wire::Wire for $name {
-            const MIN_BYTES: usize = 0 $(+ <$ty as $crate::wire::Wire>::MIN_BYTES)+;
+        impl $crate::wire::Encode for $name {
             fn image_len(&self) -> usize {
-                0 $(+ <$ty as $crate::wire::Wire>::image_len(&self.$field))+
+                0 $(+ <$ty as $crate::wire::Encode>::image_len(&self.$field))+
             }
             fn encode(&self, out: &mut $crate::wire::Writer) {
-                $(<$ty as $crate::wire::Wire>::encode(&self.$field, out);)+
+                $(<$ty as $crate::wire::Encode>::encode(&self.$field, out);)+
             }
+        }
+        impl $crate::wire::Wire for $name {
+            const MIN_BYTES: usize = 0 $(+ <$ty as $crate::wire::Wire>::MIN_BYTES)+;
             fn decode(r: &mut $crate::wire::Reader<'_>) -> Result<Self, $crate::wire::WireError> {
                 Ok($name {
                     $($field: <$ty as $crate::wire::Wire>::decode(r)?,)+
@@ -515,8 +581,10 @@ mod tests {
         Pair { a: u64, b: u64 },
     }
 
-    impl Wire for Msg {
-        const MIN_BYTES: usize = 4;
+    impl Encode for Msg {
+        fn image_len(&self) -> usize {
+            4
+        }
 
         fn encode(&self, out: &mut Writer) {
             match self {
@@ -532,6 +600,10 @@ mod tests {
                 }
             }
         }
+    }
+
+    impl Wire for Msg {
+        const MIN_BYTES: usize = 4;
 
         fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
             match u32::decode(r)? {

@@ -18,26 +18,31 @@
 //!    same FMM over the complete mass distribution while computing
 //!    accelerations only for its own leaves.
 //!
-//! A send node invokes the peer's `deposit_*` action. That action only
-//! fulfils the promise the peer's `Locality` component holds for the
-//! step; the in-node then runs on the thread that fulfilled it, or when the
-//! step starts if the deposit came first. No task waits on the wire, and no
-//! lock is held while anything waits: the `step` action takes its `Driver`
-//! out of the component, and the step's one wait is its plan's scope
-//! (DESIGN §5.3). Every payload crosses the `distrib` wire as real
-//! serialized bytes, so the Fig. 8 projection consumes *measured* message
-//! counts and volumes.
+//! A send node invokes the peer's `deposit_*` action, writing its deposit
+//! from the leaves or the block table straight into the request frame
+//! (`crate::deposit`). That action only fulfils the promise the peer's
+//! `Locality` component holds for the step with the frame the deposit
+//! arrived in; the in-node then runs on the thread that fulfilled it, or
+//! when the step starts if the deposit came first, reads the frame in place
+//! and copies each entry into its leaf or table slot, and the frame goes
+//! when the in-node retires. A deposit is one buffer, its frame, on both
+//! sides of the wire. No task waits on the wire, and no lock is held while
+//! anything waits: the `step` action takes its `Driver` out of the
+//! component, and the step's one wait is its plan's scope (DESIGN §5.3).
+//! Every deposit crosses the `distrib` wire as real serialized bytes, so the
+//! Fig. 8 projection consumes *measured* message counts and volumes.
 
 use apex_lite::trace;
 use apex_lite::{CounterRegistry, CounterSnapshot};
 use distrib::{
-    Cluster, ClusterConfig, CoalesceConfig, Gid, LocalityHandle, NetSnapshot, PortSnapshot, Wire,
+    Cluster, ClusterConfig, CoalesceConfig, Encode, Gid, LocalityHandle, NetSnapshot, Payload,
+    PortSnapshot,
 };
 use rv_machine::NetBackend;
 
 use crate::config::OctoConfig;
 use crate::driver::{Driver, RunObserver, WorkEstimate};
-use crate::plan::{Deposit, Link, Node};
+use crate::plan::{Kind, Link, Node};
 use crate::star::{InitialModel, RotatingStar};
 
 /// Configuration of a distributed run. (`Clone` but not `Copy`: the
@@ -110,12 +115,12 @@ pub struct DistMetrics {
 /// A locality's component: its driver — out of it while it steps — and,
 /// one step ahead, each deposit its peer makes into the next step, in
 /// in-node order (halo, rate, blocks): the promise the deposit action
-/// fulfils and the future that releases the in-node, which keeps a deposit
-/// made before the step starts.
+/// fulfils with the deposit's frame and the future that releases the
+/// in-node, which keeps that frame if the deposit came before the step.
 struct Locality {
     driver: Option<Driver>,
-    promises: Vec<Option<amt::Promise<Deposit>>>,
-    arrivals: Vec<amt::Future<Deposit>>,
+    promises: Vec<Option<amt::Promise<Payload>>>,
+    arrivals: Vec<amt::Future<Payload>>,
 }
 
 impl Locality {
@@ -126,25 +131,21 @@ impl Locality {
     }
 }
 
-/// Register `name` as the action that makes the `kind`-th deposit (in-node
-/// order) into a locality's step.
-fn register_deposit<T>(cluster: &Cluster, name: &str, kind: usize, wrap: fn(T) -> Deposit)
-where
-    T: Wire + Send + 'static,
-{
-    cluster.register_action(name, move |ctx: &LocalityHandle, gid, value: T| {
-        let promise = ctx
-            .with_component::<Locality, _>(gid, |loc| loc.promises[kind].take())
-            .expect("locality component")
-            .expect("one deposit of each kind per step");
-        promise.set_value(wrap(value));
-    });
-}
+/// The actions that make the deposits into a locality's step, in in-node
+/// order.
+const DEPOSITS: [&str; 3] = ["deposit_halo", "deposit_rate", "deposit_blocks"];
 
 fn register_actions(cluster: &Cluster) {
-    register_deposit(cluster, "deposit_halo", 0, Deposit::Halo);
-    register_deposit(cluster, "deposit_rate", 1, Deposit::Rate);
-    register_deposit(cluster, "deposit_blocks", 2, Deposit::Blocks);
+    // A deposit action hands its frame, unread, to the in-node.
+    for (kind, name) in DEPOSITS.into_iter().enumerate() {
+        cluster.register_action(name, move |ctx: &LocalityHandle, gid, deposit: Payload| {
+            let promise = ctx
+                .with_component::<Locality, _>(gid, |loc| loc.promises[kind].take())
+                .expect("locality component")
+                .expect("one deposit of each kind per step");
+            promise.set_value(deposit);
+        });
+    }
     // One step of the locality's driver: `(the step's index, the peer's
     // component)`, answered with `dt`. The driver is taken out of its
     // component for the step and put back after it, with the next step's
@@ -163,10 +164,14 @@ fn register_actions(cluster: &Cluster) {
             let dt = match peer {
                 None => driver.step_with(&handle, None),
                 Some(peer) => {
-                    let send = |_: Node, deposit: Deposit| match deposit {
-                        Deposit::Halo(halo) => ctx.invoke(peer, "deposit_halo", &halo),
-                        Deposit::Rate(rate) => ctx.invoke(peer, "deposit_rate", &rate),
-                        Deposit::Blocks(blocks) => ctx.invoke(peer, "deposit_blocks", &blocks),
+                    let send = |(kind, _): Node, image: &dyn Encode| {
+                        let action = match kind {
+                            Kind::HaloOut => DEPOSITS[0],
+                            Kind::RateOut => DEPOSITS[1],
+                            Kind::BlocksOut => DEPOSITS[2],
+                            _ => unreachable!("only a send node ships"),
+                        };
+                        ctx.invoke(peer, action, image)
                     };
                     let link = Link {
                         arrivals,

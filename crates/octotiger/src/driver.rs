@@ -24,6 +24,7 @@ use apex_lite::trace::{self, Cat};
 use apex_lite::{CounterRegistry, CounterSnapshot};
 
 use crate::config::OctoConfig;
+use crate::deposit::{self, BlocksImage, HaloImage};
 use crate::gravity::{
     self, BlockSoA, CacheStats, EnsureReport, GravityKernels, GravityWorkspace, InteractionCache,
     LeafSolve,
@@ -31,7 +32,7 @@ use crate::gravity::{
 use crate::hydro;
 use crate::kernel_backend::Dispatch;
 use crate::octree::{GhostFaces, NodeId, Octree, FACE_VALUES};
-use crate::plan::{Deposit, Kind::*, Link, Peer, Run, StepPlan};
+use crate::plan::{Kind::*, Link, Peer, Run, StepPlan};
 use crate::star::{field, InitialModel, RotatingStar, NF};
 use crate::subgrid::{SubGrid, CELLS, FRAME_LEN, NX};
 
@@ -215,8 +216,7 @@ struct Ownership {
     /// (not at set-up).
     plan: Option<StepPlan>,
     /// What the step holds at step size, allocated on a generation's first
-    /// step once the previous generation's are dropped (on one locality of
-    /// several, on every step).
+    /// step once the previous generation's are dropped.
     buffers: Option<StepBuffers>,
 }
 
@@ -404,9 +404,9 @@ impl Driver {
     }
 
     /// FNV-1a over the bits of the interior data of the leaf at `pos`, one
-    /// `f64` per round.
+    /// `f64` per round, read in place.
     pub(crate) fn leaf_hash(&self, pos: usize) -> u64 {
-        let data = self.tree.subgrid(self.tree.leaf_ids()[pos]).interior_data();
+        let data = self.tree.subgrid(self.tree.leaf_ids()[pos]).interior();
         data.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
             (h ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
         })
@@ -457,10 +457,13 @@ impl Driver {
     /// per-leaf locks ([`Octree::lend_grids`]) that the plan keeps
     /// uncontended; the gravity state sits in one `RwLock` that P2M, the
     /// blocks deposit and the moments pass write and the gravity tasks read.
-    /// With a `link` (one locality of two), the send nodes' deposits go out
-    /// through it and the peer's release the in-nodes, each checked before
-    /// anything of it is written; without one the plan has no remote node.
-    /// No node waits for anything: the step waits once, for the whole plan.
+    /// With a `link` (one locality of two), the send nodes write their
+    /// deposits from the leaves and the block table into frames to the peer,
+    /// and the peer's release the in-nodes, each read in place from its
+    /// frame and checked whole before anything of it is written; without one
+    /// the plan has no remote node. No node waits for anything: the step
+    /// waits once, for the whole plan. A step that stops (a bad deposit, a
+    /// non-finite `dt`) hands the leaves back to the tree first.
     pub(crate) fn step_with(&mut self, handle: &Handle, link: Option<Link>) -> f64 {
         self.step_by(handle, |plan, run| plan.execute(handle, link, run))
     }
@@ -523,6 +526,12 @@ impl Driver {
         let grid_mut = |k: usize| lent(leaves[k]).write().expect("leaf lock");
         let dt = || f64::from_bits(dt_bits.load(Ordering::Relaxed));
         let rates = || (speeds.iter()).map(|s| f64::from_bits(s.load(Ordering::Relaxed)));
+        // Why peer `p`'s deposit of `what` does not read: the step stops,
+        // before anything of it is written.
+        let unread = |p, what: &str, e| {
+            let from = from(p);
+            format!("step {step}: locality {from} deposited {what} that does not read: {e}")
+        };
         // Where an entry of peer `p`'s deposit goes: leaf position `pos`, a
         // leaf of the peer's that this locality `holds`, whose entry takes
         // `want` values and has `len` — else the step stops, before anything
@@ -542,8 +551,8 @@ impl Driver {
             )
         };
 
-        execute(plan, &|node, deposit| {
-            match node {
+        let stopped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            execute(plan, &|node, deposit, ship| match node {
                 (Cfl, k) => {
                     let _span = trace::span(Cat::Phase, "cfl_leaf");
                     let g = grid(leaves[k]);
@@ -630,64 +639,75 @@ impl Driver {
                         dt(),
                     );
                 }
-                // The sends (their wire work is `distrib`'s `parcel_send`):
-                // the old interior of the leaves the peer reads, this
-                // locality's CFL rate, its P2M blocks.
+                // The sends (their wire work is `distrib`'s `parcel_send`),
+                // each written from where it lies into the frame: the old
+                // interior of the leaves the peer reads, this locality's CFL
+                // rate, its P2M blocks.
                 (HaloOut, _) => {
-                    let interior =
-                        |&pos: &usize| (pos as u64, grid(tree.leaf_ids()[pos]).interior_data());
-                    return Some(Deposit::Halo(halo_out.iter().map(interior).collect()));
+                    let leaf = |pos: usize| grid(tree.leaf_ids()[pos]);
+                    ship(&HaloImage {
+                        positions: halo_out,
+                        leaf,
+                    });
                 }
-                (RateOut, _) => return Some(Deposit::Rate(hydro::max_cfl_rate(rates()))),
+                (RateOut, _) => ship(&hydro::max_cfl_rate(rates())),
                 (BlocksOut, _) => {
                     let state = gravity.read().expect("gravity state");
-                    let ours = owned.iter().map(|&pos| (pos as u64, state.2[pos].clone()));
-                    return Some(Deposit::Blocks(ours.collect()));
+                    ship(&BlocksImage {
+                        positions: owned,
+                        table: state.2,
+                    });
                 }
-                // The peer's deposits, each checked whole before any of it
-                // is written; a span each marks where the step took it.
-                (HaloIn | RateIn | BlocksIn, p) => {
-                    match deposit.expect("an in-node runs with its deposit") {
-                        Deposit::Halo(halo) => {
-                            let _span = trace::span(Cat::Phase, "halo_exchange");
-                            let held = |at: usize| grids[tree.leaf_ids()[at]].is_some();
-                            let whole = |data: &Vec<f64>| (data.len(), NF * CELLS);
-                            let at: Vec<usize> = (halo.iter())
-                                .map(|(pos, data)| checked(p, "a halo", *pos, &held, whole(data)))
-                                .collect();
-                            for (at, (_, data)) in at.into_iter().zip(&halo) {
-                                let leaf = lent(tree.leaf_ids()[at]);
-                                leaf.write().expect("leaf lock").set_interior_data(data);
-                            }
-                        }
-                        Deposit::Rate(rate) => {
-                            let _span = trace::span(Cat::Phase, "rate_exchange");
-                            peer_rates[p].store(rate.to_bits(), Ordering::Relaxed);
-                        }
-                        Deposit::Blocks(theirs) => {
-                            let _span = trace::span(Cat::Phase, "blocks_exchange");
-                            let at: Vec<usize> = (theirs.iter())
-                                .map(|(pos, _)| checked(p, "blocks", *pos, &|_| true, (1, 1)))
-                                .collect();
-                            let table = &mut gravity.write().expect("gravity state").2;
-                            for (at, (_, blocks)) in at.into_iter().zip(theirs) {
-                                table[at] = blocks;
-                            }
+                // The peer's deposits, each read in place from its frame and
+                // checked whole before any of it is written; a span each
+                // marks where the step took it.
+                (HaloIn, p) => {
+                    let _span = trace::span(Cat::Phase, "halo_exchange");
+                    let halo = deposit.expect("an in-node runs with its deposit");
+                    let entries = deposit::halo_entries(halo.image())
+                        .unwrap_or_else(|e| panic!("{}", unread(p, "a halo", e)));
+                    let held = |at: usize| grids[tree.leaf_ids()[at]].is_some();
+                    let at: Vec<usize> = (entries.iter())
+                        .map(|&(pos, values)| {
+                            checked(p, "a halo", pos, &held, (values.len(), NF * CELLS))
+                        })
+                        .collect();
+                    for (at, (_, values)) in at.into_iter().zip(entries) {
+                        let mut leaf = lent(tree.leaf_ids()[at]).write().expect("leaf lock");
+                        deposit::copy_values(leaf.interior_mut(), values);
+                    }
+                }
+                (RateIn, p) => {
+                    let _span = trace::span(Cat::Phase, "rate_exchange");
+                    let rate = deposit.expect("an in-node runs with its deposit");
+                    let rate: f64 = distrib::from_bytes(rate.image())
+                        .unwrap_or_else(|e| panic!("{}", unread(p, "a rate", e)));
+                    peer_rates[p].store(rate.to_bits(), Ordering::Relaxed);
+                }
+                (BlocksIn, p) => {
+                    let _span = trace::span(Cat::Phase, "blocks_exchange");
+                    let blocks = deposit.expect("an in-node runs with its deposit");
+                    let entries = deposit::blocks_entries(blocks.image())
+                        .unwrap_or_else(|e| panic!("{}", unread(p, "blocks", e)));
+                    let at: Vec<usize> = (entries.iter())
+                        .map(|&(pos, _)| checked(p, "blocks", pos, &|_| true, (1, 1)))
+                        .collect();
+                    let table = &mut gravity.write().expect("gravity state").2;
+                    for (at, (_, lanes)) in at.into_iter().zip(entries) {
+                        for (into, lane) in table[at].lanes_mut().into_iter().zip(lanes) {
+                            deposit::copy_values(into, lane);
                         }
                     }
                 }
-            }
-            None
-        });
+            })
+        }));
+        self.tree.restore_grids(grids);
+        if let Err(why) = stopped {
+            std::panic::resume_unwind(why);
+        }
         let dt = dt();
         let report = gravity.into_inner().expect("gravity state").3;
-        self.tree.restore_grids(grids);
         self.held_results_hwm = self.held_results_hwm.max(held_hwm.into_inner());
-        // Kept across steps, the buffers of one locality of several raise
-        // its peak, where both localities' halo messages meet the step.
-        if self.ownership.nodes > 1 {
-            self.ownership.buffers = None;
-        }
 
         self.accumulate_overlap(&g_env, &h_env);
         self.account_step(report.expect("moments pass ran"));
@@ -1025,6 +1045,7 @@ mod tests {
     use super::*;
     use crate::kernel_backend::KernelType;
     use crate::star::field;
+    use distrib::{Encode, Payload};
 
     fn tiny_config(kernel: KernelType) -> OctoConfig {
         OctoConfig {
@@ -1223,66 +1244,95 @@ mod tests {
         }
     }
 
-    /// A peer's deposit that names a leaf that is not its own here, or
-    /// carries an interior of the wrong length, stops the step with a
-    /// message that names the sender and the position.
+    /// A peer's deposit that names a leaf that is not its own here, carries
+    /// an interior of the wrong length, or whose image does not read — cut
+    /// short, or with bytes left over behind its last entry — stops the step
+    /// with a message that names the sender (and the position, where there
+    /// is one). Nothing of it is written: each leaf of the peer's held here
+    /// keeps its hash, even where the image's first entries are whole.
     #[test]
     fn a_bad_deposit_stops_the_step_naming_sender_and_leaf() {
         let star = RotatingStar::paper_default();
         let cfg = tiny_config(KernelType::Legacy);
         let rt = Runtime::new(1);
-        let step = |halo: Vec<(u64, Vec<f64>)>, blocks: Vec<(u64, BlockSoA)>| -> String {
+        // A leaf of this locality's, and the peer's that it reads.
+        let mut d = Driver::for_locality(&star, cfg.clone(), 0, 2);
+        let mask = d.ownership.mask.clone();
+        let mine = d.owned_leaves()[0] as u64;
+        let halo: Vec<u64> = (d.tree.halo_sources(|pos| mask[pos]).into_iter())
+            .map(|pos| pos as u64)
+            .collect();
+        assert!(halo.len() >= 2, "{halo:?}");
+        let image = |value: &dyn Encode| distrib::to_bytes(value).expect("encodes");
+        let whole = || vec![0.0; NF * CELLS];
+        // Every leaf the peer's gathers read, with new values.
+        let fresh: Vec<(u64, Vec<f64>)> = halo
+            .iter()
+            .map(|&pos| (pos, vec![1.5; NF * CELLS]))
+            .collect();
+        let no_blocks = image(&Vec::<(u64, BlockSoA)>::new());
+        let not_theirs = "not one of its leaves held here";
+        let unread = "that does not read";
+        let cut = |mut image: Vec<u8>| {
+            image.pop();
+            image
+        };
+        let longer = |mut image: Vec<u8>| {
+            image.push(0);
+            image
+        };
+        for (halo_image, blocks_image, want) in [
+            (
+                image(&vec![(99u64, whole())]),
+                no_blocks.clone(),
+                format!("a halo for leaf position 99: {not_theirs}"),
+            ),
+            (
+                image(&vec![(mine, whole())]),
+                no_blocks.clone(),
+                format!("a halo for leaf position {mine}: {not_theirs}"),
+            ),
+            (
+                image(&vec![(halo[0], vec![0.0; 5])]),
+                no_blocks.clone(),
+                format!("leaf position {}: 5 values, not {}", halo[0], NF * CELLS),
+            ),
+            (
+                image(&Vec::<(u64, Vec<f64>)>::new()),
+                image(&vec![(mine, BlockSoA::zero())]),
+                format!("blocks for leaf position {mine}: {not_theirs}"),
+            ),
+            (
+                cut(image(&fresh)),
+                no_blocks.clone(),
+                format!("a halo {unread}: unexpected end of parcel payload"),
+            ),
+            (
+                longer(image(&fresh)),
+                no_blocks.clone(),
+                format!("a halo {unread}: 1 trailing bytes after decode"),
+            ),
+        ] {
             let mut d = Driver::for_locality(&star, cfg.clone(), 0, 2);
-            let arrivals = [
-                Deposit::Halo(halo),
-                Deposit::Rate(1.0),
-                Deposit::Blocks(blocks),
-            ];
+            let hashes = |d: &Driver| -> Vec<u64> {
+                halo.iter().map(|&pos| d.leaf_hash(pos as usize)).collect()
+            };
+            let before = hashes(&d);
+            let arrivals = [halo_image, image(&1.0), blocks_image];
             let link = Link {
-                arrivals: arrivals.into_iter().map(amt::make_ready_future).collect(),
+                arrivals: (arrivals.into_iter())
+                    .map(|image| amt::make_ready_future(Payload::from(image)))
+                    .collect(),
                 send: &|_, _| amt::make_ready_future(()),
             };
             let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 d.step_with(&rt.handle(), Some(link))
             }));
             let payload = run.expect_err("a bad deposit must stop the step");
-            payload
-                .downcast_ref::<String>()
-                .expect("panic message")
-                .clone()
-        };
-        // A leaf of this locality's, and one of the peer's that it reads.
-        let mut d = Driver::for_locality(&star, cfg.clone(), 0, 2);
-        let mask = d.ownership.mask.clone();
-        let mine = d.owned_leaves()[0] as u64;
-        let halo_leaf = d.tree.halo_sources(|pos| mask[pos])[0] as u64;
-        let whole = || vec![0.0; NF * CELLS];
-        let not_theirs = "not one of its leaves held here";
-        for (halo, blocks, want) in [
-            (
-                vec![(99, whole())],
-                vec![],
-                format!("a halo for leaf position 99: {not_theirs}"),
-            ),
-            (
-                vec![(mine, whole())],
-                vec![],
-                format!("a halo for leaf position {mine}: {not_theirs}"),
-            ),
-            (
-                vec![(halo_leaf, vec![0.0; 5])],
-                vec![],
-                format!("leaf position {halo_leaf}: 5 values, not {}", NF * CELLS),
-            ),
-            (
-                vec![],
-                vec![(mine, BlockSoA::zero())],
-                format!("blocks for leaf position {mine}: {not_theirs}"),
-            ),
-        ] {
-            let message = step(halo, blocks);
+            let message = payload.downcast_ref::<String>().expect("panic message");
             assert!(message.starts_with("step 0: locality 1 "), "{message}");
             assert!(message.ends_with(&want), "{message}");
+            assert_eq!(hashes(&d), before, "{want}");
         }
     }
 
@@ -1300,9 +1350,9 @@ mod tests {
         for step in 0..2 {
             let kinds = Mutex::new(Vec::new());
             d.step_by(&handle, |plan, run| {
-                plan.execute(&handle, None, &|node, deposit| {
+                plan.execute(&handle, None, &|node, deposit, ship| {
                     kinds.lock().expect("log").push(node.0);
-                    run(node, deposit)
+                    run(node, deposit, ship)
                 })
             });
             let kinds = kinds.into_inner().expect("log");

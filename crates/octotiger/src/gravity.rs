@@ -38,7 +38,7 @@
 //! validates the FMM in tests.
 
 use apex_lite::trace::{self, Cat};
-use distrib::{Reader, Wire, WireError, Writer};
+use distrib::{Encode, Reader, Wire, WireError, Writer};
 
 use crate::kernel_backend::{Dispatch, SimdPolicy};
 use crate::octree::{NodeId, Octree};
@@ -85,6 +85,11 @@ impl BlockSoA {
         [self.x[b], self.y[b], self.z[b]]
     }
 
+    /// The lanes in wire order: mass, x, y, z.
+    pub(crate) fn lanes_mut(&mut self) -> [&mut [f64; BLOCKS]; 4] {
+        [&mut self.mass, &mut self.x, &mut self.y, &mut self.z]
+    }
+
     /// Set the centre of mass of block `b`.
     #[inline]
     pub fn set_com(&mut self, b: usize, c: [f64; 3]) {
@@ -97,19 +102,24 @@ impl BlockSoA {
 /// The wire image of a leaf's blocks: the lanes mass, x, y, z, each a `u32`
 /// count of [`BLOCKS`] followed by its values — the layout the kernels
 /// stream. Decoding refuses any other count.
-impl Wire for BlockSoA {
-    const MIN_BYTES: usize = 4 * (4 + 8 * BLOCKS);
+impl Encode for BlockSoA {
+    fn image_len(&self) -> usize {
+        Self::MIN_BYTES
+    }
 
     fn encode(&self, out: &mut Writer) {
         for lane in [&self.mass, &self.x, &self.y, &self.z] {
-            (BLOCKS as u32).encode(out);
-            f64::encode_slice(lane, out);
+            lane.as_slice().encode(out);
         }
     }
+}
+
+impl Wire for BlockSoA {
+    const MIN_BYTES: usize = 4 * (4 + 8 * BLOCKS);
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let mut b = BlockSoA::zero();
-        for lane in [&mut b.mass, &mut b.x, &mut b.y, &mut b.z] {
+        for lane in b.lanes_mut() {
             if u32::decode(r)? as usize != BLOCKS {
                 return Err(WireError::BadLength);
             }

@@ -22,6 +22,7 @@
 #![forbid(unsafe_code)]
 
 pub(crate) mod config;
+pub(crate) mod deposit;
 pub mod dist_driver;
 pub mod driver;
 pub mod gravity;

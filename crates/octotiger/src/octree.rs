@@ -41,7 +41,7 @@
 //! `g0` can ask exactly which nodes stopped being leaves since then.
 
 use std::collections::HashMap;
-use std::sync::RwLock;
+use std::sync::{PoisonError, RwLock};
 
 use crate::config::OctoConfig;
 use crate::star::{InitialModel, RotatingStar, NF};
@@ -542,7 +542,9 @@ impl Octree {
     /// Take back the data [`Octree::lend_grids`] lent out.
     pub(crate) fn restore_grids(&mut self, lent: Vec<Option<RwLock<SubGrid>>>) {
         for (slot, grid) in self.subgrids.iter_mut().zip(lent) {
-            *slot = grid.map(|g| g.into_inner().expect("leaf lock"));
+            // A step that stopped may have poisoned a lock mid-write: its
+            // leaves go back as they are, for the caller to report on.
+            *slot = grid.map(|g| g.into_inner().unwrap_or_else(PoisonError::into_inner));
         }
     }
 

@@ -28,17 +28,17 @@ use std::sync::atomic::{AtomicU32, Ordering};
 
 use amt::par::{scope, Scope};
 use amt::{Future, Handle};
+use distrib::{Encode, Payload};
 use Kind::*;
-
-use crate::gravity::BlockSoA;
 
 /// The kinds of a step's nodes, in id order. The first four are kernels: a
 /// leaf's CFL rate, P2M blocks, hydro update (held until the write-back) and
 /// gravity solve. `WriteBack` applies the held update, `Source` the gravity
 /// source; `Dt` folds every CFL rate, `Moments` runs the M2M pass and the
 /// lists over the completed block table. Per peer, the `…Out` nodes ship
-/// this step's [`Deposit`] of their kind and the `…In` nodes install the
-/// peer's.
+/// this step's deposit of their kind — the interior of each leaf the peer's
+/// gathers read, the step's CFL rate, the P2M blocks of each owned leaf
+/// (leaves by position) — and the `…In` nodes install the peer's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Kind {
     Cfl,
@@ -68,15 +68,6 @@ const KINDS: [Kind; 14] = [
 ];
 const TASKS: usize = 4;
 
-/// What one step ships to a peer, one deposit of each kind: the interior of
-/// each leaf its gathers read, the step's CFL rate, the P2M blocks of each
-/// owned leaf (leaves by position).
-pub(crate) enum Deposit {
-    Halo(Vec<(u64, Vec<f64>)>),
-    Rate(f64),
-    Blocks(Vec<(u64, BlockSoA)>),
-}
-
 /// What the plan knows of one peer.
 pub(crate) struct Peer<'a> {
     /// The owned leaf positions its gathers read (`HaloOut` ships them).
@@ -85,16 +76,25 @@ pub(crate) struct Peer<'a> {
     pub(crate) owns: &'a dyn Fn(usize) -> bool,
 }
 
-/// What a step's nodes do: `run(node, deposit)` runs `node`; an in-node gets
-/// the deposit it installs, and a send node returns the one it ships.
-pub(crate) type Run<'a> = dyn Fn(Node, Option<Deposit>) -> Option<Deposit> + Sync + 'a;
+/// Ship a send node's deposit: its image, written straight into the frame
+/// that carries it to the peer.
+pub(crate) type Ship<'a> = dyn Fn(&dyn Encode) + 'a;
+
+/// What a step's nodes do: `run(node, deposit, ship)` runs `node`; an
+/// in-node gets the deposit it installs — the frame it arrived in — and a
+/// send node writes the one it ships through `ship`.
+pub(crate) type Run<'a> = dyn Fn(Node, Option<Payload>, &Ship) + Sync + 'a;
+
+/// Write a send node's image into a frame to its peer; the future of its
+/// delivery.
+pub(crate) type Sender<'a> = dyn Fn(Node, &dyn Encode) -> Future<()> + Sync + 'a;
 
 /// A step's link to its peers.
 pub(crate) struct Link<'a> {
-    /// Per in-node, in id order: the future of the peer's deposit.
-    pub(crate) arrivals: Vec<Future<Deposit>>,
-    /// Ship a send node's deposit to its peer; the future of its delivery.
-    pub(crate) send: &'a (dyn Fn(Node, Deposit) -> Future<()> + Sync),
+    /// Per in-node, in id order: the future of the peer's deposit, a frame.
+    pub(crate) arrivals: Vec<Future<Payload>>,
+    /// What ships the send nodes' deposits.
+    pub(crate) send: &'a Sender<'a>,
 }
 
 /// The dependency graph of one step over `n` owned leaves and `peers`
@@ -219,7 +219,7 @@ impl StepPlan {
     /// released by each predecessor and acquired by the one that empties it.
     /// No task waits, on the wire or on another task: this waits, once.
     pub(crate) fn execute(&self, handle: &Handle, link: Option<Link>, run: &Run) {
-        let alone = |_, _| unreachable!("a plan without peers ships nothing");
+        let alone = |_, _: &dyn Encode| unreachable!("a plan without peers ships nothing");
         let Link { arrivals, send } = link.unwrap_or(Link {
             arrivals: Vec::new(),
             send: &alone,
@@ -294,7 +294,7 @@ struct Countdown<'a> {
     plan: &'a StepPlan,
     left: Vec<AtomicU32>,
     run: &'a Run<'a>,
-    send: &'a (dyn Fn(Node, Deposit) -> Future<()> + Sync),
+    send: &'a Sender<'a>,
 }
 
 impl Countdown<'_> {
@@ -307,14 +307,14 @@ impl Countdown<'_> {
         }
     }
 
-    /// Run node `id` (an in-node with its `deposit`) and ship what it
-    /// returns, the scope holding on until it is delivered; then count its
-    /// successors down and release each one it empties.
-    fn retire<'s>(&'s self, id: usize, deposit: Option<Deposit>, sc: &'s Scope<'s, '_>) {
+    /// Run node `id` (an in-node with its `deposit`, dropped when it
+    /// returns) and send what it ships, the scope holding on until it is
+    /// delivered; then count its successors down and release each one it
+    /// empties.
+    fn retire<'s>(&'s self, id: usize, deposit: Option<Payload>, sc: &'s Scope<'s, '_>) {
         let node = self.plan.node(id);
-        if let Some(out) = (self.run)(node, deposit) {
-            sc.then((self.send)(node, out), |()| ());
-        }
+        let ship = |image: &dyn Encode| sc.then((self.send)(node, image), |()| ());
+        (self.run)(node, deposit, &ship);
         for s in self.plan.successors(id) {
             if self.left[s].fetch_sub(1, Ordering::AcqRel) == 1 {
                 self.release(s, sc);
@@ -328,12 +328,13 @@ impl StepPlan {
     /// The test-only executor: the plans of one step of a run's localities,
     /// each with its `run` (locality `i`'s one peer is locality `1 − i`),
     /// every node on the calling thread in one seeded random order over all
-    /// of them, and each deposit delivered — its in-node run — at a random
-    /// point after the node that ships it.
+    /// of them, and each deposit — its image, in a buffer of its own —
+    /// delivered, its in-node run, at a random point after the node that
+    /// ships it.
     pub(crate) fn execute_shuffled(seed: u64, steps: &[(&StepPlan, &Run)]) {
         let mut left: Vec<Vec<u32>> = steps.iter().map(|(plan, _)| plan.preds.clone()).collect();
         // (locality, node id, the deposit an in-node installs)
-        let mut ready: Vec<(usize, usize, Option<Deposit>)> = (steps.iter().enumerate())
+        let mut ready: Vec<(usize, usize, Option<Payload>)> = (steps.iter().enumerate())
             .flat_map(|(i, (plan, _))| plan.roots().into_iter().map(move |id| (i, id, None)))
             .collect();
         let (mut state, mut ran) = (seed, vec![0; steps.len()]);
@@ -347,7 +348,12 @@ impl StepPlan {
             let (i, id, deposit) = ready.swap_remove(pick);
             let (plan, run) = steps[i];
             let node = plan.node(id);
-            if let Some(out) = run(node, deposit) {
+            let shipped = std::cell::Cell::new(None);
+            run(node, deposit, &|image| {
+                let image = distrib::to_bytes(image).expect("a deposit encodes");
+                shipped.set(Some(Payload::from(image)));
+            });
+            if let Some(out) = shipped.into_inner() {
                 let into = match node.0 {
                     HaloOut => (HaloIn, 0),
                     RateOut => (RateIn, 0),

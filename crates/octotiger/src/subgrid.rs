@@ -188,16 +188,22 @@ impl SubGrid {
         self.integral(field::RHO)
     }
 
-    /// The `NF × 512` interior values, field-major in cell-index order — the
-    /// payload of an inter-locality halo-leaf exchange.
-    pub fn interior_data(&self) -> Vec<f64> {
-        self.u.as_slice().to_vec()
+    /// The `NF × 512` interior values, field-major in cell-index order, in
+    /// place: what a halo deposit is written from and a leaf hash reads.
+    pub(crate) fn interior(&self) -> &[f64] {
+        self.u.as_slice()
     }
 
-    /// Install interior data produced by [`SubGrid::interior_data`].
-    pub(crate) fn set_interior_data(&mut self, data: &[f64]) {
-        assert_eq!(data.len(), NF * CELLS, "interior data size mismatch");
-        self.u.as_mut_slice().copy_from_slice(data);
+    /// [`SubGrid::interior`], to write: what a halo deposit is read into.
+    pub(crate) fn interior_mut(&mut self) -> &mut [f64] {
+        self.u.as_mut_slice()
+    }
+
+    /// A copy of the interior (`SubGrid::interior` lends it in place), for
+    /// callers outside the crate. The step never copies an interior this
+    /// way (`scripts/ci.sh` checks).
+    pub fn interior_data(&self) -> Vec<f64> {
+        self.interior().to_vec()
     }
 
     /// `(field, cell)` of the first value, in storage order, that is not
@@ -278,8 +284,9 @@ mod tests {
         let mut g = SubGrid::new([-0.1, -0.1, -0.1], 0.025);
         g.init_from_model(&RotatingStar::paper_default());
         let mut h = SubGrid::new([0.0; 3], 1.0);
-        h.set_interior_data(&g.interior_data());
+        h.interior_mut().copy_from_slice(g.interior());
         assert_eq!(h.interior_data(), g.interior_data());
+        assert_eq!(g.interior().len(), NF * CELLS);
         assert_eq!(g.first_non_finite(), None);
         g.set(field::SZ, 5, 6, 7, f64::INFINITY);
         g.set(field::EGAS, 0, 0, 0, f64::NAN);

@@ -42,6 +42,21 @@ if [[ -n "$spawns" ]]; then
   echo "$spawns" >&2
   exit 1
 fi
+# A deposit is its frame: the step writes a leaf's interior into the frame
+# and reads it back from it in place (`SubGrid::interior`, `interior_mut`),
+# and hashes it in place. The copying `interior_data()` is for callers
+# outside the crate; octotiger's non-test code, cut as above, never calls it
+# — as a method or by its path. Comment lines do not count.
+echo "== structure: no interior copied in octotiger's non-test code =="
+copies=$(find crates/octotiger/src -name '*.rs' -print0 | xargs -0 awk '
+  /^[[:space:]]*#\[cfg\(test\)\]/ { nextfile }
+  /^[[:space:]]*\/\// { next }
+  /(\.|::)interior_data[[:space:]]*\(/ { print FILENAME ":" FNR ": " $0 }')
+if [[ -n "$copies" ]]; then
+  echo "octotiger copies a leaf interior through interior_data() outside its tests:" >&2
+  echo "$copies" >&2
+  exit 1
+fi
 # Non-test lines per crate, for the log only (no threshold).
 bash scripts/loc.sh
 
