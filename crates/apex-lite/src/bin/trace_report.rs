@@ -17,7 +17,7 @@
 //!   `apex_lite::critpath`), with per-phase contributions and slack;
 //! * a **comms** section, when the trace carries matched parcel flow
 //!   events: the comms-aware distributed critical path (network share,
-//!   per-locality baselines, estimated clock offsets), per-link parcel
+//!   per-locality baselines), per-link parcel
 //!   counts/bytes, and parcel-latency percentiles from the
 //!   `/comms/parcel_latency` histogram counter;
 //! * **per-worker utilization** rows (busy/park fractions of the trace
@@ -258,10 +258,9 @@ fn report(file: &str, text: &str, opts: &Options, out: &mut String) -> Result<()
             pct(d.network_ns, d.path.path_ns)
         );
         for (pid, &p) in &d.per_locality_path_ns {
-            let off = d.offsets.get(pid).copied().unwrap_or(0);
             let _ = writeln!(
                 out,
-                "  locality {pid}: single-locality path {:>10.3} ms, clock offset {off:+} ns",
+                "  locality {pid}: single-locality path {:>10.3} ms",
                 ms(p)
             );
         }

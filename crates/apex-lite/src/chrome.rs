@@ -200,13 +200,13 @@ pub struct FlowEdge {
     pub src_pid: u64,
     /// Sending thread.
     pub src_tid: u64,
-    /// Send timestamp, ns on the sender's clock.
+    /// Send timestamp, ns on the trace clock.
     pub src_ts: u64,
     /// Receiving locality.
     pub dst_pid: u64,
     /// Receiving thread.
     pub dst_tid: u64,
-    /// Receive timestamp, ns on the receiver's clock.
+    /// Receive timestamp, ns on the trace clock.
     pub dst_ts: u64,
 }
 

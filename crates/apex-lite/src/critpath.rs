@@ -303,72 +303,16 @@ pub struct DistCriticalPath {
     /// Per-locality single-locality path lengths (the distributed path is
     /// ≥ each of these by construction).
     pub per_locality_path_ns: BTreeMap<u64, u64>,
-    /// Estimated per-locality clock offsets (subtract from that
-    /// locality's raw timestamps to land on the reference clock).
-    pub offsets: BTreeMap<u64, i64>,
-}
-
-/// Estimate per-locality clock offsets from the flow edges, HPX/APEX
-/// trace-merge style. Each locality's monotonic trace clock has an
-/// arbitrary epoch; an edge `a → b` observes
-/// `latency + (δ_b − δ_a)`, so with traffic in both directions
-/// `δ_b − δ_a ≈ (min_obs(a→b) − min_obs(b→a)) / 2` (the minima see the
-/// same uncongested wire latency). Offsets are relative to the smallest
-/// pid; localities unreachable through bidirectional links stay at 0.
-pub(crate) fn clock_offsets(summary: &TraceSummary) -> BTreeMap<u64, i64> {
-    let mut pids: Vec<u64> = summary.records.iter().map(|r| r.pid).collect();
-    for e in &summary.flow_edges {
-        pids.push(e.src_pid);
-        pids.push(e.dst_pid);
-    }
-    pids.sort_unstable();
-    pids.dedup();
-    let mut offsets: BTreeMap<u64, i64> = pids.iter().map(|&p| (p, 0i64)).collect();
-    if pids.len() < 2 || summary.flow_edges.is_empty() {
-        return offsets;
-    }
-
-    // Minimum observed one-way "latency" (receiver clock − sender clock,
-    // can be negative under skew) per directed locality pair.
-    let mut min_obs: BTreeMap<(u64, u64), i64> = BTreeMap::new();
-    for e in &summary.flow_edges {
-        if e.src_pid == e.dst_pid {
-            continue;
-        }
-        let obs = e.dst_ts as i64 - e.src_ts as i64;
-        min_obs
-            .entry((e.src_pid, e.dst_pid))
-            .and_modify(|m| *m = (*m).min(obs))
-            .or_insert(obs);
-    }
-
-    // Propagate from the reference pid through bidirectional links.
-    let reference = pids[0];
-    let mut settled: Vec<u64> = vec![reference];
-    let mut frontier = vec![reference];
-    while let Some(a) = frontier.pop() {
-        let base = offsets[&a];
-        for &b in &pids {
-            if settled.contains(&b) {
-                continue;
-            }
-            if let (Some(&ab), Some(&ba)) = (min_obs.get(&(a, b)), min_obs.get(&(b, a))) {
-                offsets.insert(b, base + (ab - ba) / 2);
-                settled.push(b);
-                frontier.push(b);
-            }
-        }
-    }
-    offsets
 }
 
 /// Comms-aware critical path across localities. Like [`critical_path`],
 /// but activity segments are merged **per locality** (work on locality 1
 /// cannot extend a chain on locality 0 without a parcel in between), flow
 /// edges become `"network"` legs whose endpoints pin the chain to the
-/// sending/receiving locality, and all timestamps are corrected onto one
-/// clock via [`clock_offsets`] (recv clamped to ≥ send, so causality
-/// survives estimation error).
+/// sending/receiving locality. Every locality records on one clock
+/// (`trace::now_ns` counts from one epoch for the whole process), so the
+/// timestamps are read as recorded; a receive is clamped to no earlier
+/// than its send, a sanity bound on a trace file's input.
 ///
 /// When the trace carries flow edges, the chain pool is every
 /// non-scheduler span on the parcel-exchanging localities, *less the time
@@ -384,13 +328,7 @@ pub(crate) fn clock_offsets(summary: &TraceSummary) -> BTreeMap<u64, i64> {
 /// function falls back to the `phases` list and matches the single-locality
 /// analysis exactly.
 pub fn critical_path_distributed(summary: &TraceSummary, phases: &[String]) -> DistCriticalPath {
-    let offsets = clock_offsets(summary);
-    let correct = |pid: u64, ts: u64| -> u64 {
-        let off = offsets.get(&pid).copied().unwrap_or(0);
-        (ts as i64 - off).max(0) as u64
-    };
-
-    // Per-(name, pid) merged activity segments on the corrected clock.
+    // Per-(name, pid) merged activity segments.
     let flow_pids: BTreeSet<u64> = summary
         .flow_edges
         .iter()
@@ -413,11 +351,7 @@ pub fn critical_path_distributed(summary: &TraceSummary, phases: &[String]) -> D
         by_name_pid
             .entry((rec.name.as_str(), rec.pid))
             .or_default()
-            .extend(
-                pieces
-                    .into_iter()
-                    .map(|(s, e)| (correct(rec.pid, s), correct(rec.pid, e))),
-            );
+            .extend(pieces);
     }
     let mut segs: Vec<Seg<'_>> = Vec::new();
     for ((name, pid), intervals) in by_name_pid {
@@ -441,16 +375,13 @@ pub fn critical_path_distributed(summary: &TraceSummary, phases: &[String]) -> D
         per_locality_path_ns.insert(pid, chain.iter().map(|&i| local[i].dur()).sum());
     }
 
-    // Network legs: corrected send → corrected recv, clamped causal.
-    segs.extend(summary.flow_edges.iter().map(|e| {
-        let src = correct(e.src_pid, e.src_ts);
-        Seg {
-            name: NETWORK,
-            start_ns: src,
-            end_ns: correct(e.dst_pid, e.dst_ts).max(src),
-            pid_in: e.src_pid,
-            pid_out: e.dst_pid,
-        }
+    // Network legs: send → recv, clamped causal.
+    segs.extend(summary.flow_edges.iter().map(|e| Seg {
+        name: NETWORK,
+        start_ns: e.src_ts,
+        end_ns: e.dst_ts.max(e.src_ts),
+        pid_in: e.src_pid,
+        pid_out: e.dst_pid,
     }));
 
     let wall_ns = segs
@@ -466,7 +397,6 @@ pub fn critical_path_distributed(summary: &TraceSummary, phases: &[String]) -> D
         network_edges_on_path: legs().count() as u64,
         path,
         per_locality_path_ns,
-        offsets,
     }
 }
 
@@ -696,8 +626,7 @@ mod tests {
         assert_eq!(imbalance_ratio(&[]), 0.0);
     }
 
-    /// Two localities with a 100 µs clock skew on locality 1 and traffic
-    /// in both directions. On the corrected clock:
+    /// Two localities with traffic in both directions:
     ///
     /// ```text
     /// loc0: compute [0,1000)                        finish [3200,4000)
@@ -706,7 +635,6 @@ mod tests {
     /// ```
     /// → path = 1000 + 200 + 1500 + 200 + 800 = 3700 of wall 4000.
     fn dist_fixture() -> TraceSummary {
-        const SKEW: u64 = 100_000; // loc1's clock runs 100 µs ahead
         let trace = Trace {
             threads: vec![
                 (
@@ -734,14 +662,14 @@ mod tests {
                         Event {
                             cat: Cat::Comm,
                             name: "parcel",
-                            ts_ns: SKEW + 1200,
+                            ts_ns: 1200,
                             kind: EventKind::FlowEnd { id: 7 },
                         },
-                        span_ev("compute", Cat::Phase, SKEW + 1500, 1500),
+                        span_ev("compute", Cat::Phase, 1500, 1500),
                         Event {
                             cat: Cat::Comm,
                             name: "parcel",
-                            ts_ns: SKEW + 3000,
+                            ts_ns: 3000,
                             kind: EventKind::FlowStart { id: 8 },
                         },
                     ],
@@ -750,16 +678,6 @@ mod tests {
             dropped: 0,
         };
         validate(&export(&trace)).unwrap()
-    }
-
-    #[test]
-    fn clock_offsets_recover_skew_from_bidirectional_minima() {
-        let s = dist_fixture();
-        let off = clock_offsets(&s);
-        assert_eq!(off.get(&0), Some(&0));
-        // min(0→1) = 101_200 − 1000 = 100_200; min(1→0) = 3200 − 103_000
-        // = −99_800 → δ₁ = (100_200 − (−99_800)) / 2 = 100_000.
-        assert_eq!(off.get(&1), Some(&100_000));
     }
 
     #[test]
@@ -793,10 +711,10 @@ mod tests {
     }
 
     #[test]
-    fn distributed_path_without_skew_correction_would_break_causality() {
-        // Sanity on the clamp: feed a single edge (no reverse traffic, so
-        // offsets stay 0) whose raw recv precedes its raw send — the
-        // network leg must clamp to zero length, never underflow.
+    fn a_receive_before_its_send_clamps_to_a_zero_length_leg() {
+        // Sanity on the clamp: feed a single edge whose recv precedes its
+        // send — the network leg must clamp to zero length, never
+        // underflow.
         let trace = Trace {
             threads: vec![
                 (
@@ -923,7 +841,6 @@ mod tests {
         assert_eq!(dist.network_ns, 0);
         assert_eq!(dist.network_edges_on_path, 0);
         assert_eq!(dist.per_locality_path_ns.get(&0), Some(&cp.path_ns));
-        assert!(dist.offsets.values().all(|&o| o == 0));
     }
 
     /// The prefix-maximum DP against its defining recurrence, evaluated

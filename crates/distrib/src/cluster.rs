@@ -57,10 +57,10 @@ use amt::{lock, Future, Promise, Runtime};
 use apex_lite::trace::{self, Cat};
 use rv_machine::NetBackend;
 
-use crate::agas::{Agas, Gid, LocalityId};
 use crate::frame::{self, TraceCtx};
+use crate::gid::{Gid, LocalityId};
 use crate::parcel::Parcel;
-use crate::stats::{CommMetrics, NetSnapshot, NetStats, PortSnapshot, PortStats};
+use crate::stats::{CommMetrics, NetSnapshot, NetStats, PortSnapshot};
 use crate::wire::{self, Encode, Wire, WireError, Writer};
 
 /// Referee shim: the frozen referee in `benchmark/` fills a `coalesce` field
@@ -223,14 +223,14 @@ impl Drop for Receipt {
 }
 
 struct ClusterInner {
-    agas: Agas,
+    /// The sequence of the next gid, cluster-wide.
+    next_gid: AtomicU64,
     actions: Mutex<HashMap<String, Arc<Action>>>,
     /// One handle per locality; a receive task lends its locality's to the
     /// handler it runs.
     localities: Vec<LocalityHandle>,
+    /// What the cluster sent: frames, bytes and actions.
     stats: NetStats,
-    /// The frames put on the wire.
-    port: PortStats,
     /// Latency histogram and link matrix of the receive tasks; its own
     /// `Arc` so a counter registry can sample it after the cluster is gone.
     metrics: Arc<CommMetrics>,
@@ -278,7 +278,7 @@ impl ClusterInner {
     /// longer takes frames. Each of those drops the frame.
     fn transmit(self: &Arc<Self>, to: LocalityId, framed: Vec<u8>) {
         let _span = trace::span(Cat::Comm, "parcel_send");
-        self.port.record_frame(framed.len() as u64);
+        self.stats.record_frame(framed.len() as u64);
         let Some(dest) = self.localities.get(to.0 as usize) else {
             return;
         };
@@ -386,17 +386,16 @@ impl LocalityHandle {
         self.runtime.clone()
     }
 
-    /// Create a component *on this locality* and register it with AGAS.
+    /// Create a component *on this locality*; its gid names this locality.
     pub fn new_component<T: Send + 'static>(&self, value: T) -> Gid {
-        let cluster = self.cluster();
-        let gid = cluster.agas.new_gid(self.inner.id);
-        cluster.agas.register(gid, self.inner.id);
+        let seq = self.cluster().next_gid.fetch_add(1, Ordering::Relaxed);
+        let gid = Gid::new(self.inner.id, seq);
         lock(&self.inner.components).insert(gid, Arc::new(Mutex::new(value)));
         gid
     }
 
-    /// Access a component stored on *this* locality. Returns `None` when the
-    /// gid does not resolve here or holds a different type.
+    /// Access a component stored on *this* locality. Returns `None` when no
+    /// component of this locality has the gid, or it holds a different type.
     ///
     /// Only the component's own lock is held while `f` runs — the map lock
     /// is released first — so `f` may wait on work that reaches *other*
@@ -414,21 +413,25 @@ impl LocalityHandle {
         Some(f(&mut guard))
     }
 
-    /// Invoke `action` on the component `gid`, wherever it lives — HPX's
-    /// remote function call with unified local/remote syntax. Returns the
-    /// future of the (deserialized) result; remote failures (unknown action,
-    /// decode errors, handler panics, remote traffic ended by an unreadable
-    /// frame) surface as panics at `.get()`.
+    /// Invoke `action` on the component `gid`, on the locality the gid
+    /// names — HPX's remote function call with unified local/remote syntax.
+    /// Returns the future of the (deserialized) result; remote failures
+    /// (unknown action, decode errors, handler panics, remote traffic ended
+    /// by an unreadable frame) surface as panics at `.get()`. Panics at once
+    /// when the gid names no locality of this cluster: no frame could reach
+    /// it, and the caller would wait for good.
     pub fn invoke<Req, Resp>(&self, gid: Gid, action: &str, req: &Req) -> Future<Resp>
     where
         Req: Encode + ?Sized,
         Resp: Wire + Send + 'static,
     {
         let cluster = self.cluster();
-        let target = cluster
-            .agas
-            .resolve(gid)
-            .unwrap_or_else(|| panic!("unresolved gid {gid}"));
+        let target = gid.creator();
+        assert!(
+            (target.0 as usize) < cluster.localities.len(),
+            "unresolved gid {gid}: the cluster has no locality {}",
+            target.0
+        );
         if target == self.inner.id {
             cluster.stats.record_local_action();
             let payload = wire::to_bytes(req).expect("request serialization failed");
@@ -518,11 +521,10 @@ impl Cluster {
                 })
                 .collect();
             ClusterInner {
-                agas: Agas::new(),
+                next_gid: AtomicU64::new(0),
                 actions: Mutex::new(HashMap::new()),
                 localities,
-                stats: NetStats::new(),
-                port: PortStats::new(),
+                stats: NetStats::default(),
                 metrics: Arc::new(CommMetrics::new(config.localities)),
                 receipts: Arc::default(),
                 failure: OnceLock::new(),
@@ -568,22 +570,21 @@ impl Cluster {
     /// when a `[benchmark]` PR stops naming it.
     pub fn flush_network(&self) {}
 
-    /// Communication statistics so far: measured wire traffic merged with
-    /// the cluster's action accounting.
+    /// Communication statistics so far: what the cluster sent, measured
+    /// wire traffic and actions.
     pub fn net_stats(&self) -> NetSnapshot {
-        self.inner.stats.snapshot(&self.inner.port.snapshot())
+        self.inner.stats.snapshot()
     }
 
-    /// Raw wire counters (frames, framed bytes) — the measured side of the
-    /// Fig. 8 accounting.
+    /// The wire half of [`Cluster::net_stats`] (frames, framed bytes) — the
+    /// measured side of the Fig. 8 accounting.
     pub fn port_stats(&self) -> PortSnapshot {
-        self.inner.port.snapshot()
+        self.inner.stats.snapshot().port()
     }
 
     /// Zero the communication statistics (between measurement phases).
     pub fn reset_net_stats(&self) {
         self.inner.stats.reset();
-        self.inner.port.reset();
     }
 
     /// Register this cluster's counters with an apex-lite registry:
@@ -612,13 +613,12 @@ impl Cluster {
         let metrics = Arc::clone(&self.inner.metrics);
         registry.register("/comms", move |c| {
             let Some(inner) = weak.upgrade() else { return };
-            let port = inner.port.snapshot();
-            c.count("messages", port.messages);
-            c.count("bytes", port.bytes);
-            c.count("parcels", port.parcels);
-            let actions = inner.stats.snapshot(&port);
-            c.count("remote_actions", actions.remote_actions);
-            c.count("local_actions", actions.local_actions);
+            let sent = inner.stats.snapshot();
+            c.count("messages", sent.messages);
+            c.count("bytes", sent.bytes);
+            c.count("parcels", sent.port().parcels);
+            c.count("remote_actions", sent.remote_actions);
+            c.count("local_actions", sent.local_actions);
             c.histogram("parcel_latency", &metrics.parcel_latency.snapshot());
             for link in metrics.links() {
                 c.count(
@@ -680,6 +680,42 @@ mod tests {
         let gid = l1.new_component(123u64);
         assert!(l1.with_component::<u64, _>(gid, |v| *v).is_some());
         assert!(l0.with_component::<u64, _>(gid, |v| *v).is_none());
+    }
+
+    #[test]
+    fn gid_encodes_creator_and_sequence() {
+        let c = two_node();
+        let g0 = c.locality(0).new_component(());
+        let g1 = c.locality(1).new_component(());
+        assert_eq!(g0.creator(), LocalityId(0));
+        assert_eq!(g1.creator(), LocalityId(1));
+        assert_ne!(g0, g1);
+        assert_eq!(g0.sequence() + 1, g1.sequence());
+    }
+
+    #[test]
+    fn gids_unique_across_threads() {
+        let c = Cluster::new(ClusterConfig {
+            localities: 4,
+            threads_per_locality: 1,
+            ..ClusterConfig::default()
+        });
+        let all: Vec<Gid> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|i| {
+                    let loc = c.locality(i);
+                    s.spawn(move || (0..1000).map(|_| loc.new_component(())).collect::<Vec<_>>())
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap())
+                .collect()
+        });
+        let mut unique = all.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), 4000);
     }
 
     #[test]
@@ -804,6 +840,53 @@ mod tests {
             Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
                 panic!("deadlock: the body is still running after 30 s")
             }
+        }
+    }
+
+    #[test]
+    fn a_gid_without_a_component_fails_the_call_and_never_hangs() {
+        // A gid from the wire: locality bits, then the sequence.
+        let raw = |locality: u64, seq: u64| -> Gid {
+            crate::from_bytes(&((locality << 48) | seq).to_le_bytes()).expect("a gid")
+        };
+        let cases = [
+            // No frame could reach locality 2: `invoke` itself panics.
+            (
+                raw(2, 0),
+                true,
+                "unresolved gid gid(2:0): the cluster has no locality 2",
+            ),
+            // Locality 1 has no component 999: the handler fails, and so
+            // does the caller's `get`.
+            (
+                raw(1, 999),
+                false,
+                "remote action get failed: action \"get\" panicked: no component",
+            ),
+        ];
+        for (gid, at_invoke, want) in cases {
+            under_watchdog(move || {
+                let c = two_node();
+                c.register_action("get", |ctx: &LocalityHandle, gid, (): ()| {
+                    ctx.with_component::<u64, _>(gid, |v| *v)
+                        .expect("no component")
+                });
+                c.locality(1).new_component(7u64);
+                let l0 = c.locality(0);
+                let invoked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    l0.invoke::<(), u64>(gid, "get", &())
+                }));
+                assert_eq!(invoked.is_err(), at_invoke, "{gid}: where the call fails");
+                let panic = invoked.map_or_else(
+                    |panic| panic,
+                    |call| {
+                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| call.get()))
+                            .expect_err("the caller's get fails")
+                    },
+                );
+                let msg = panic.downcast::<String>().expect("formatted panic message");
+                assert_eq!(*msg, want, "{gid}");
+            });
         }
     }
 

@@ -32,7 +32,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::agas::{Gid, LocalityId};
+use crate::gid::{Gid, LocalityId};
 use crate::parcel;
 use crate::wire::{Encode, WireError, Writer};
 

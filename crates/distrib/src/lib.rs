@@ -1,4 +1,4 @@
-//! # distrib — simulated distributed runtime (AGAS + parcel delivery)
+//! # distrib — simulated distributed runtime (global ids + parcel delivery)
 //!
 //! The paper's distributed experiments (§6.2.2, Fig. 8) run Octo-Tiger on an
 //! in-house cluster of two VisionFive2 RISC-V boards over gigabit Ethernet,
@@ -8,9 +8,9 @@
 //! * [`Cluster`] boots N *localities*, each with its own `amt::Runtime`
 //!   (one per board), which reads the frames delivered to it in receive
 //!   tasks;
-//! * [`Agas`] is the Active Global Address Space: components are
-//!   created on a locality, addressed by [`Gid`], and resolvable from
-//!   anywhere;
+//! * components are created on a locality and addressed from anywhere by
+//!   a [`Gid`], which names the locality they live on — HPX's AGAS without
+//!   the address map, since a component never moves;
 //! * remote **actions** ([`LocalityHandle::invoke`]) encode their arguments
 //!   — any [`Encode`] value or view; the [`wire`] module docs hold the
 //!   format table — straight into the frame of one parcel, read in place on
@@ -23,15 +23,15 @@
 //!   only: the `rv-machine` cost model turns the measured counts into
 //!   per-backend link times for the Fig. 8 projection.
 
-pub(crate) mod agas;
 pub(crate) mod cluster;
 pub mod frame;
+pub(crate) mod gid;
 pub(crate) mod parcel;
 pub(crate) mod stats;
 pub(crate) mod wire;
 
-pub use agas::{Agas, Gid, LocalityId};
 pub use cluster::{Arg, Cluster, ClusterConfig, CoalesceConfig, LocalityHandle, Payload};
+pub use gid::{Gid, LocalityId};
 pub use parcel::Parcel;
 pub use stats::{NetSnapshot, PortSnapshot};
 pub use wire::{from_bytes, to_bytes, Encode, Reader, Wire, WireError, Writer};

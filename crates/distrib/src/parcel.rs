@@ -11,7 +11,7 @@
 //! Response = 1u32 | call_id u64 | Ok: 0u32 + result (u32 count + image) / Err: 1u32 + why (u32 count + UTF-8)
 //! ```
 
-use crate::agas::{Gid, LocalityId};
+use crate::gid::{Gid, LocalityId};
 use crate::wire::{Encode, Reader, Wire, WireError, Writer};
 
 /// One parcel — a remote action request or its response — read in place:
@@ -122,8 +122,7 @@ mod tests {
     /// Both kinds of parcel, written by the writers, read back in place.
     #[test]
     fn parcels_read_back_what_was_written() {
-        let agas = crate::agas::Agas::new();
-        let target = agas.new_gid(LocalityId(0));
+        let target = Gid::new(LocalityId(0), 0);
         let payload = [1, 2, 3, 255];
         let mut out = Writer::with_capacity(0);
         let image = |out: &mut Writer| u8::encode_slice(&payload, out);

@@ -2,13 +2,15 @@
 //! consumes (message counts and byte volumes per backend), plus the local
 //! action count that the unified local/remote syntax makes free.
 //!
-//! Two layers of counters, both the cluster's:
+//! Two sets of counters, both the cluster's:
 //!
-//! * [`PortStats`] — frames (one parcel each) and bytes actually put on the
-//!   (simulated) wire. These are the *measured* quantities: `bytes` is the
-//!   length of the real framed wire image, not an estimate.
-//! * [`NetStats`] — action accounting (local vs remote invocations).
-//!   [`crate::Cluster::net_stats`] merges both into one [`NetSnapshot`].
+//! * [`NetStats`] — what the cluster sent: frames (one parcel each) and
+//!   bytes actually put on the (simulated) wire, and the actions invoked,
+//!   local and remote. `bytes` is the length of the real framed wire image,
+//!   not an estimate. One snapshot ([`NetSnapshot`]) reads them all;
+//!   [`PortSnapshot`] is its wire half.
+//! * [`CommMetrics`] — what the receive tasks saw: the directed-link matrix
+//!   and the parcel latency histogram.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -96,14 +98,17 @@ impl CommMetrics {
     }
 }
 
-/// Thread-safe action counters for one cluster.
+/// Thread-safe counters of what one cluster sent, recorded, reset and
+/// snapshotted together.
 #[derive(Debug, Default)]
 pub(crate) struct NetStats {
+    messages: AtomicU64,
+    bytes: AtomicU64,
     remote_actions: AtomicU64,
     local_actions: AtomicU64,
 }
 
-/// The wire traffic next to the cluster's [`NetStats`].
+/// Immutable snapshot of [`NetStats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct NetSnapshot {
     /// Parcels put on the wire (requests + responses).
@@ -116,48 +121,7 @@ pub struct NetSnapshot {
     pub local_actions: u64,
 }
 
-impl NetStats {
-    /// Fresh zeroed counters.
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record a remote action invocation (`PortStats` counts its two
-    /// parcels).
-    pub(crate) fn record_remote_action(&self) {
-        self.remote_actions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a locally satisfied action.
-    pub(crate) fn record_local_action(&self) {
-        self.local_actions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The action counters, merged with the wire traffic `port` measured.
-    pub(crate) fn snapshot(&self, port: &PortSnapshot) -> NetSnapshot {
-        NetSnapshot {
-            messages: port.messages,
-            bytes: port.bytes,
-            remote_actions: self.remote_actions.load(Ordering::Relaxed),
-            local_actions: self.local_actions.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Zero all counters.
-    pub(crate) fn reset(&self) {
-        self.remote_actions.store(0, Ordering::Relaxed);
-        self.local_actions.store(0, Ordering::Relaxed);
-    }
-}
-
-/// Thread-safe counters of the frames the cluster put on the wire.
-#[derive(Debug, Default)]
-pub(crate) struct PortStats {
-    messages: AtomicU64,
-    bytes: AtomicU64,
-}
-
-/// Immutable snapshot of [`PortStats`].
+/// The wire half of a [`NetSnapshot`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PortSnapshot {
     /// Frames put on the wire.
@@ -175,27 +139,31 @@ pub struct PortSnapshot {
     pub queue_depth_hwm: u64,
 }
 
-impl PortStats {
-    /// Fresh zeroed counters.
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one frame of `frame_bytes`.
+impl NetStats {
+    /// Record one frame of `frame_bytes` put on the wire.
     pub(crate) fn record_frame(&self, frame_bytes: u64) {
         self.messages.fetch_add(1, Ordering::Relaxed);
         self.bytes.fetch_add(frame_bytes, Ordering::Relaxed);
     }
 
+    /// Record a remote action invocation (its two parcels are counted as
+    /// frames).
+    pub(crate) fn record_remote_action(&self) {
+        self.remote_actions.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Record a locally satisfied action.
+    pub(crate) fn record_local_action(&self) {
+        self.local_actions.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Snapshot all counters.
-    pub(crate) fn snapshot(&self) -> PortSnapshot {
-        let messages = self.messages.load(Ordering::Relaxed);
-        PortSnapshot {
-            messages,
+    pub(crate) fn snapshot(&self) -> NetSnapshot {
+        NetSnapshot {
+            messages: self.messages.load(Ordering::Relaxed),
             bytes: self.bytes.load(Ordering::Relaxed),
-            parcels: messages,
-            batches: 0,
-            queue_depth_hwm: 0,
+            remote_actions: self.remote_actions.load(Ordering::Relaxed),
+            local_actions: self.local_actions.load(Ordering::Relaxed),
         }
     }
 
@@ -203,6 +171,21 @@ impl PortStats {
     pub(crate) fn reset(&self) {
         self.messages.store(0, Ordering::Relaxed);
         self.bytes.store(0, Ordering::Relaxed);
+        self.remote_actions.store(0, Ordering::Relaxed);
+        self.local_actions.store(0, Ordering::Relaxed);
+    }
+}
+
+impl NetSnapshot {
+    /// The wire half: frames and bytes.
+    pub(crate) fn port(self) -> PortSnapshot {
+        PortSnapshot {
+            messages: self.messages,
+            bytes: self.bytes,
+            parcels: self.messages,
+            batches: 0,
+            queue_depth_hwm: 0,
+        }
     }
 }
 
@@ -211,34 +194,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn port_stats_count_one_parcel_per_frame() {
-        let s = PortStats::new();
+    fn frames_and_actions_are_one_set_of_counters() {
+        let s = NetStats::default();
         s.record_frame(100);
         s.record_frame(300);
-        let snap = s.snapshot();
-        assert_eq!(snap.messages, 2);
-        assert_eq!(snap.bytes, 400);
-        assert_eq!(snap.parcels, 2);
-        assert_eq!(snap.batches, 0);
-        assert_eq!(snap.queue_depth_hwm, 0, "no frame waits in a queue");
-        s.reset();
-        assert_eq!(s.snapshot(), PortSnapshot::default());
-    }
-
-    #[test]
-    fn action_kinds_tracked_separately_next_to_the_port() {
-        let s = NetStats::new();
         s.record_remote_action();
         s.record_local_action();
         s.record_local_action();
-        let port = PortStats::new();
-        port.record_frame(10);
-        let snap = s.snapshot(&port.snapshot());
-        assert_eq!((snap.messages, snap.bytes), (1, 10));
-        assert_eq!(snap.remote_actions, 1);
-        assert_eq!(snap.local_actions, 2);
+        let snap = s.snapshot();
+        assert_eq!((snap.messages, snap.bytes), (2, 400));
+        assert_eq!((snap.remote_actions, snap.local_actions), (1, 2));
+        let port = snap.port();
+        assert_eq!((port.messages, port.bytes, port.parcels), (2, 400, 2));
+        assert_eq!(port.batches, 0);
+        assert_eq!(port.queue_depth_hwm, 0, "no frame waits in a queue");
         s.reset();
-        assert_eq!(s.snapshot(&PortSnapshot::default()), NetSnapshot::default());
+        assert_eq!(s.snapshot(), NetSnapshot::default());
+        assert_eq!(s.snapshot().port(), PortSnapshot::default());
     }
 
     #[test]

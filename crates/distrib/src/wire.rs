@@ -28,7 +28,7 @@
 
 use std::fmt;
 
-use crate::agas::{Gid, LocalityId};
+use crate::gid::{Gid, LocalityId};
 
 /// Errors from encoding or decoding a parcel payload.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -9,7 +9,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use distrib::frame::{self, FrameError, TraceCtx};
-use distrib::{from_bytes, to_bytes, Agas, Gid, LocalityId, Parcel, Wire};
+use distrib::{from_bytes, to_bytes, Gid, LocalityId, Parcel, Wire};
 use proptest::prelude::*;
 
 thread_local! {
@@ -110,8 +110,8 @@ impl From<Parcel<'_>> for Msg {
     }
 }
 
-/// Arbitrary parcels. Gids come out of a real `Agas` so they carry the same
-/// creator/sequence bit packing production gids have.
+/// Arbitrary parcels. Gids carry the creator/sequence bit packing
+/// production gids have.
 fn arb_parcel() -> impl Strategy<Value = Msg> {
     let request = (
         0..64u32,
@@ -121,14 +121,11 @@ fn arb_parcel() -> impl Strategy<Value = Msg> {
         proptest::collection::vec(any::<u8>(), 0..2048),
         any::<u64>(),
     )
-        .prop_map(|(from, creator, skip, action, payload, call_id)| {
-            let agas = Agas::new();
-            for _ in 0..skip {
-                agas.new_gid(LocalityId(creator));
-            }
+        .prop_map(|(from, creator, seq, action, payload, call_id)| {
+            let raw = (u64::from(creator) << 48) | seq;
             Msg::Request {
                 from: LocalityId(from),
-                target: agas.new_gid(LocalityId(creator)),
+                target: from_bytes::<Gid>(&raw.to_le_bytes()).expect("a gid"),
                 action,
                 payload,
                 call_id,

@@ -6,19 +6,16 @@
 //! back to its value.
 
 use distrib::frame::{self, TraceCtx};
-use distrib::{from_bytes, to_bytes, Agas, Gid, LocalityId, Parcel, Wire};
+use distrib::{from_bytes, to_bytes, Gid, LocalityId, Parcel, Wire};
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
-/// The gid a locality mints as its `seq`-th (gids have no other constructor).
+/// The gid of the cluster's `seq`-th component, created on `creator`: the
+/// locality in the upper 16 bits, the sequence below.
 fn gid(creator: u32, seq: u64) -> Gid {
-    let agas = Agas::new();
-    for _ in 0..seq {
-        agas.new_gid(LocalityId(creator));
-    }
-    agas.new_gid(LocalityId(creator))
+    from_bytes(&((u64::from(creator) << 48) | seq).to_le_bytes()).expect("a gid")
 }
 
 /// `to_bytes(value)` is `image` (spaces are for the reader), and `image`
